@@ -429,7 +429,8 @@ func (s *System) Lint(cert *Certification) *LintResult {
 func (s *System) NewDB() *DB { return storage.NewDB(s.schema) }
 
 // NewEngine returns a rule-processing engine over db, compiled unless
-// SetCompiled(false) selected the interpreter.
+// SetCompiled(false) selected the interpreter. A database serves one
+// engine at a time: Close it before opening another over the same db.
 func (s *System) NewEngine(db *DB, opts EngineOptions) *Engine {
 	if s.compiled {
 		opts.Compiled = true

@@ -141,9 +141,9 @@ type Engine struct {
 	// the net effect of the log suffix from marks[i].
 	marks []int
 
-	// snapshot is the database state at transaction start, restored by a
-	// rollback action.
-	snapshot *storage.DB
+	// tx is the storage savepoint taken at transaction start: rollback
+	// is RollbackTo(tx), Commit releases it, and each takes the next.
+	tx storage.Savepoint
 
 	// assertStart is the log position where the current assertion
 	// point's initial transition began.
@@ -162,9 +162,14 @@ type Engine struct {
 	cand *compile.Candidates
 }
 
-// New creates an engine over db for the rule set. The current database
-// contents become the transaction-start snapshot.
+// New creates an engine over db for the rule set and opens its first
+// transaction at the current contents. The transaction is a savepoint the
+// engine holds on db, so a database serves one engine at a time: New
+// panics if one is active (Close the other engine, or pass db.Clone()).
 func New(set *rules.Set, db *storage.DB, opts Options) *Engine {
+	if depth, _ := db.UndoDepth(); depth != 0 {
+		panic("engine: New over a database with an active savepoint (is another engine still open on it?)")
+	}
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = 10000
 	}
@@ -172,17 +177,17 @@ func New(set *rules.Set, db *storage.DB, opts Options) *Engine {
 		opts.Strategy = FirstByName{}
 	}
 	e := &Engine{
-		set:      set,
-		db:       db,
-		log:      &transition.Log{},
-		opts:     opts,
-		marks:    make([]int, set.Len()),
-		snapshot: db.Clone(),
+		set:   set,
+		db:    db,
+		log:   &transition.Log{},
+		opts:  opts,
+		marks: make([]int, set.Len()),
 	}
 	if opts.Compiled {
 		e.prog = compile.For(set)
 		e.cand = e.prog.Matcher().NewCandidates()
 	}
+	e.begin()
 	return e
 }
 
@@ -223,8 +228,8 @@ func (e *Engine) Set() *rules.Set { return e.set }
 // resume it rather than start fresh.
 func (e *Engine) InFlight() bool { return e.inFlight }
 
-// mutator builds the recording mutator for the current database,
-// applying the fault-injection wrapper when configured.
+// mutator builds the recording mutator, applying the fault-injection
+// wrapper when configured.
 func (e *Engine) mutator() sqlmini.Mutator {
 	var m sqlmini.Mutator = recordingMutator{db: e.db, log: e.log, cand: e.cand}
 	if e.opts.WrapMutator != nil {
@@ -299,51 +304,55 @@ func (m recordingMutator) Update(table string, id storage.TupleID, col string, v
 // ExecUser is atomic: if any statement fails (or panics), the database
 // and the transition log are restored to their state at the call, so a
 // failed script leaves no partial transition behind.
-func (e *Engine) ExecUser(src string) (out []sqlmini.StmtResult, err error) {
+func (e *Engine) ExecUser(src string) ([]sqlmini.StmtResult, error) {
 	sts, err := sqlmini.ParseStatements(src)
 	if err != nil {
 		return nil, err
 	}
-	db := e.db
-	sp := db.Savepoint()
-	logMark := e.log.Mark()
-	done := false
-	restore := func() {
-		if done {
-			return
+	var out []sqlmini.StmtResult
+	err = e.atomically(func() error {
+		rc := &sqlmini.ResolveContext{Schema: e.set.Schema()}
+		ev := &sqlmini.Evaluator{DB: e.db, Mut: e.mutator()}
+		for _, st := range sts {
+			if _, ok := st.(*sqlmini.Rollback); ok {
+				return fmt.Errorf("engine: rollback is not permitted in user scripts; it is a rule action")
+			}
+			if err := sqlmini.ResolveStatement(st, rc); err != nil {
+				return err
+			}
+			res, err := ev.Exec(st)
+			if err != nil {
+				return err
+			}
+			out = append(out, res)
 		}
-		done = true
-		db.RollbackTo(sp)
-		e.log.TruncateTo(logMark)
+		return nil
+	}, func(p *PanicError) error { return fmt.Errorf("engine: user script: %w", p) })
+	if err != nil {
+		return nil, err
 	}
+	return out, nil
+}
+
+// atomically runs body under a storage savepoint and a transition-log
+// mark: if body returns an error or panics (reported through onPanic),
+// the database and the log are restored to their state at the call, the
+// compensating mutations reaching the database's observer.
+func (e *Engine) atomically(body func() error, onPanic func(*PanicError) error) (err error) {
+	sp := e.db.Savepoint()
+	logMark := e.log.Mark()
 	defer func() {
 		if p := recover(); p != nil {
-			restore()
-			out, err = nil, fmt.Errorf("engine: user script: %w",
-				&PanicError{Value: p, Stack: debug.Stack()})
+			err = onPanic(&PanicError{Value: p, Stack: debug.Stack()})
+		}
+		if err != nil {
+			e.db.RollbackTo(sp)
+			e.log.TruncateTo(logMark)
+		} else {
+			e.db.Release(sp)
 		}
 	}()
-	rc := &sqlmini.ResolveContext{Schema: e.set.Schema()}
-	ev := &sqlmini.Evaluator{DB: e.db, Mut: e.mutator()}
-	for _, st := range sts {
-		if _, ok := st.(*sqlmini.Rollback); ok {
-			restore()
-			return nil, fmt.Errorf("engine: rollback is not permitted in user scripts; it is a rule action")
-		}
-		if err := sqlmini.ResolveStatement(st, rc); err != nil {
-			restore()
-			return nil, err
-		}
-		res, err := ev.Exec(st)
-		if err != nil {
-			restore()
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	done = true
-	db.Release(sp)
-	return out, nil
+	return body()
 }
 
 // emptyNet is the shared net effect of an untouched suffix.
@@ -433,93 +442,82 @@ func transitionDataFor(n *transition.Net, table string) *sqlmini.TransitionData 
 // checker only call it for eligible rules.
 func (e *Engine) Consider(r *rules.Rule) (fired bool, events []ObservableEvent, rolledBack bool, err error) {
 	prevMark := e.marks[r.Index()]
-	db := e.db
-	sp := db.Savepoint()
-	logMark := e.log.Mark()
-	done := false
-	restore := func() {
-		if done {
-			return
+	err = e.atomically(func() error {
+		td := transitionDataFor(e.pendingNet(r), r.Table)
+		e.marks[r.Index()] = e.log.Mark()
+		if r.Condition != nil {
+			var cond bool
+			var err error
+			if e.prog != nil {
+				cond, err = e.prog.EvalCondition(r.Index(), &compile.Env{DB: e.db, Trans: td})
+			} else {
+				ev := &sqlmini.Evaluator{DB: e.db, Trans: td}
+				cond, err = ev.EvalPredicate(r.Condition)
+			}
+			if err != nil {
+				return &ExecError{Rule: r.Name, Cause: err}
+			}
+			if !cond {
+				return nil
+			}
 		}
-		done = true
-		db.RollbackTo(sp)
-		e.log.TruncateTo(logMark)
-		e.marks[r.Index()] = prevMark
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			restore()
-			fired, events, rolledBack = false, nil, false
-			err = &ExecError{Rule: r.Name, Cause: &PanicError{Value: p, Stack: debug.Stack()}}
-		}
-	}()
 
-	net := e.pendingNet(r)
-	td := transitionDataFor(net, r.Table)
-	e.marks[r.Index()] = e.log.Mark()
-
-	cond := true
-	if r.Condition != nil {
+		var execStmt func(j int) (sqlmini.StmtResult, error)
 		if e.prog != nil {
-			cond, err = e.prog.EvalCondition(r.Index(), &compile.Env{DB: e.db, Trans: td})
+			env := &compile.Env{DB: e.db, Trans: td, Mut: e.mutator()}
+			ri := r.Index()
+			execStmt = func(j int) (sqlmini.StmtResult, error) {
+				return e.prog.ExecStatement(ri, j, env)
+			}
 		} else {
-			ev := &sqlmini.Evaluator{DB: e.db, Trans: td}
-			cond, err = ev.EvalPredicate(r.Condition)
+			ev := &sqlmini.Evaluator{DB: e.db, Trans: td, Mut: e.mutator()}
+			execStmt = func(j int) (sqlmini.StmtResult, error) {
+				return ev.Exec(r.Action[j])
+			}
 		}
-		if err != nil {
-			restore()
-			return false, nil, false, &ExecError{Rule: r.Name, Cause: err}
+		fired = true
+		for j, st := range r.Action {
+			res, err := execStmt(j)
+			if err != nil {
+				return &ExecError{Rule: r.Name, Statement: st.String(), Cause: err}
+			}
+			if res.Rolled {
+				events = append(events, ObservableEvent{Rule: r.Name, Statement: st.String(), Rollback: true})
+				rolledBack = true
+				return nil
+			}
+			if sqlmini.IsObservable(st) {
+				events = append(events, ObservableEvent{Rule: r.Name, Statement: st.String(), Rows: res.Rows})
+			}
 		}
+		return nil
+	}, func(p *PanicError) error { return &ExecError{Rule: r.Name, Cause: p} })
+	if err != nil {
+		e.marks[r.Index()] = prevMark
+		return false, nil, false, err
 	}
-	if !cond {
-		done = true
-		db.Release(sp)
-		return false, nil, false, nil
+	if rolledBack {
+		e.rollback()
 	}
-
-	var execStmt func(j int) (sqlmini.StmtResult, error)
-	if e.prog != nil {
-		env := &compile.Env{DB: e.db, Trans: td, Mut: e.mutator()}
-		ri := r.Index()
-		execStmt = func(j int) (sqlmini.StmtResult, error) {
-			return e.prog.ExecStatement(ri, j, env)
-		}
-	} else {
-		ev := &sqlmini.Evaluator{DB: e.db, Trans: td, Mut: e.mutator()}
-		execStmt = func(j int) (sqlmini.StmtResult, error) {
-			return ev.Exec(r.Action[j])
-		}
-	}
-	for j, st := range r.Action {
-		res, err := execStmt(j)
-		if err != nil {
-			restore()
-			return false, nil, false, &ExecError{Rule: r.Name, Statement: st.String(), Cause: err}
-		}
-		if res.Rolled {
-			events = append(events, ObservableEvent{Rule: r.Name, Statement: st.String(), Rollback: true})
-			done = true
-			db.Release(sp) // db is replaced wholesale below
-			e.rollback()
-			return true, events, true, nil
-		}
-		if sqlmini.IsObservable(st) {
-			events = append(events, ObservableEvent{Rule: r.Name, Statement: st.String(), Rows: res.Rows})
-		}
-	}
-	done = true
-	db.Release(sp)
-	return true, events, false, nil
+	return fired, events, rolledBack, nil
 }
 
-// rollback restores the transaction-start snapshot and clears all rule
-// bookkeeping. The mutation observer survives the database swap (clones
-// drop it): the WAL must keep seeing mutations after a rollback, which
-// its abort record has already neutralized.
+// rollback returns the database to the transaction start and begins the
+// next transaction there. The observer is detached for the undo: unlike
+// a failed consideration's compensations, a redo log must not see it —
+// the abort record that follows already discards the whole transaction.
 func (e *Engine) rollback() {
 	obs := e.db.Observer()
-	e.db = e.snapshot.Clone()
+	e.db.SetObserver(nil)
+	e.db.RollbackTo(e.tx)
 	e.db.SetObserver(obs)
+	e.begin()
+}
+
+// begin opens a transaction at the current database state, with the
+// rule bookkeeping of the one that just ended cleared.
+func (e *Engine) begin() {
+	e.tx = e.db.Savepoint()
 	e.log.Truncate()
 	for i := range e.marks {
 		e.marks[i] = 0
@@ -669,7 +667,7 @@ func (e *Engine) journal(op string, call func(Journal) error) error {
 
 // Rollback aborts the current engine transaction exactly as a rule
 // ROLLBACK action would, but driven by the caller: the transaction-start
-// snapshot is restored, all rule bookkeeping (marks, transition log,
+// state is restored, all rule bookkeeping (marks, transition log,
 // suspended in-flight processing) is cleared, and the journal — when
 // configured — records an abort, reverting the durable state to the
 // transaction's begin. The serving layer uses it to give every failed
@@ -681,53 +679,46 @@ func (e *Engine) Rollback() error {
 	return e.journal("abort", Journal.Abort)
 }
 
-// Commit ends the transaction: the current state becomes the new
-// rollback snapshot and the transition log is cleared. Committing while
-// processing is suspended (InFlight) abandons the unprocessed remainder
-// of the transition. With a journal configured, Commit writes a durable
-// point followed by a new transaction start; a journal failure returns
-// a *DurabilityError (the in-memory commit still happened).
+// Commit ends the transaction: the current state becomes what the next
+// rollback returns to and the transition log is cleared. Committing
+// while processing is suspended (InFlight) abandons the unprocessed
+// remainder of the transition. With a journal configured, Commit writes
+// a durable point followed by a new transaction start; a journal failure
+// returns a *DurabilityError (the in-memory commit still happened).
+//
+// Commit also bounds memory: like the transition log's entries, the
+// database's undo records (one per mutation) and the iteration-order
+// slots of deleted tuples are held until the transaction ends.
 func (e *Engine) Commit() error {
-	e.snapshot = e.db.Clone()
-	e.log.Truncate()
-	for i := range e.marks {
-		e.marks[i] = 0
-	}
-	e.assertStart = 0
-	e.inFlight = false
-	if e.cand != nil {
-		e.cand.Reset()
-	}
+	e.db.Release(e.tx)
+	e.begin()
 	if err := e.journal("commit", Journal.Commit); err != nil {
 		return err
 	}
 	return e.journal("begin", Journal.Begin)
 }
 
-// Clone returns an independent copy of the engine (database, log, marks,
-// snapshot). The model checker forks engines to explore every choice.
-// The clone carries no journal: forks are speculative, and their
-// mutations must never reach the durable log (db.Clone likewise drops
-// the observer).
+// Close releases the engine's hold on its database, keeping the current
+// state, so that another engine can be opened over it. It journals
+// nothing: call it at a transaction boundary and do not use e afterwards.
+func (e *Engine) Close() { e.db.Release(e.tx) }
+
+// Clone returns an independent copy of the engine (database, log, marks)
+// inside the same transaction: a rollback in either restores the
+// transaction start without touching the other. The model checker forks
+// engines to explore every choice. The clone carries no journal: forks
+// are speculative, and their mutations must never reach the durable log
+// (the forked database likewise drops the observer).
 func (e *Engine) Clone() *Engine {
-	opts := e.opts
-	opts.Journal = nil
-	ne := &Engine{
-		set:         e.set,
-		db:          e.db.Clone(),
-		log:         e.log.Clone(),
-		opts:        opts,
-		marks:       make([]int, len(e.marks)),
-		snapshot:    e.snapshot, // snapshot is never mutated; safe to share
-		assertStart: e.assertStart,
-		inFlight:    e.inFlight,
-		prog:        e.prog, // immutable, shared
-	}
-	copy(ne.marks, e.marks)
+	ne := *e // set and prog are immutable; tx is positional, valid against the fork
+	ne.opts.Journal = nil
+	ne.db = e.db.Fork()
+	ne.log = e.log.Clone()
+	ne.marks = append([]int(nil), e.marks...)
 	if e.cand != nil {
 		ne.cand = e.cand.Clone()
 	}
-	return ne
+	return &ne
 }
 
 // StateFingerprint identifies the execution-graph state (D, TR) of

@@ -220,7 +220,7 @@ then insert into log values (2)
 	}
 }
 
-func TestRollbackRestoresSnapshot(t *testing.T) {
+func TestRuleRollbackRestoresTransactionStart(t *testing.T) {
 	set, db := mkSet(t, "table t (v int)", `
 create rule r on t
 when inserted
@@ -235,7 +235,7 @@ then rollback
 		t.Fatal(err)
 	}
 	e.Commit()
-	before := e.DB().Fingerprint()
+	before := e.DB().Clone()
 	if _, err := e.ExecUser("insert into t values (-5)"); err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +246,7 @@ then rollback
 	if !res.RolledBack {
 		t.Fatal("expected rollback")
 	}
-	if e.DB().Fingerprint() != before {
-		t.Error("rollback did not restore the committed state")
-	}
+	sameState(t, "after rule rollback", e.DB(), before)
 	if len(res.Observables) != 1 || !res.Observables[0].Rollback {
 		t.Errorf("observables = %v", res.Observables)
 	}

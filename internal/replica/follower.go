@@ -479,10 +479,8 @@ func (f *Follower) feed(data []byte) error {
 			f.pendingStart = len(f.muts)
 		case wal.RecBegin:
 			for _, sp := range f.ranges {
-				for _, m := range f.muts[sp.start:sp.end] {
-					if err := wal.Apply(f.db, m); err != nil {
-						return fmt.Errorf("replica: replay: %w", err)
-					}
+				if err := wal.ApplyRange(f.db, f.muts[sp.start:sp.end]); err != nil {
+					return fmt.Errorf("replica: replay: %w", err)
 				}
 			}
 			f.muts = f.muts[:0]

@@ -290,7 +290,7 @@ func New(sch *schema.Schema, defs []rules.Definition, dir string, cfg Config) (*
 
 // adopt wires a freshly opened DurableDB: its recovered state becomes
 // the engine's database (observed so mutations reach the log) and the
-// current active rule set (full set minus quarantined) is rebuilt over
+// current active rule set (full set minus quarantined) is built over
 // it. The s.dd store is mu-guarded because the replication read path
 // (replication.go) snapshots the pointer from other goroutines while a
 // durability-fault reopen swaps it on the worker.
@@ -298,15 +298,20 @@ func (s *Server) adopt(d *wal.DurableDB) error {
 	s.mu.Lock()
 	s.dd = d
 	s.mu.Unlock()
-	db := d.State()
-	db.SetObserver(d)
+	d.State().SetObserver(d)
+	return s.openEngine()
+}
+
+// openEngine builds the engine for the current active rule set over the
+// DurableDB's state, which must have no engine open on it.
+func (s *Server) openEngine() error {
 	set, err := s.activeSet()
 	if err != nil {
 		return err
 	}
 	eopts := s.cfg.Engine
-	eopts.Journal = d
-	s.eng = engine.New(set, db, eopts)
+	eopts.Journal = s.dd
+	s.eng = engine.New(set, s.dd.State(), eopts)
 	return nil
 }
 
@@ -319,19 +324,15 @@ func (s *Server) activeSet() (*rules.Set, error) {
 }
 
 // rebuildActive swaps the engine to the current active rule set at a
-// transaction boundary. The database (with its observer) carries over,
-// so durable state is unaffected.
+// transaction boundary. The database (with its observer) is handed from
+// the outgoing engine to its successor, so durable state is unaffected.
 func (s *Server) rebuildActive() {
-	set, err := s.activeSet()
-	if err != nil {
+	s.eng.Close()
+	if err := s.openEngine(); err != nil {
 		// Cannot happen: every active set is a subset of the validated
 		// full set with ordering references scrubbed. Fail safe anyway.
 		s.markFailed(err)
-		return
 	}
-	eopts := s.cfg.Engine
-	eopts.Journal = s.dd
-	s.eng = engine.New(set, s.eng.DB(), eopts)
 }
 
 func (s *Server) refreshReport() {
@@ -784,7 +785,7 @@ func (s *Server) executeOnce(ctx context.Context, req Request) (resp *Response, 
 	}
 	// Success — including a rule-directed ROLLBACK, which the engine
 	// already aborted cleanly. Commit the request boundary: the engine
-	// snapshot advances and the journal gains a commit + begin fence,
+	// transaction advances and the journal gains a commit + begin fence,
 	// so the NEXT request's abort reverts only itself.
 	if err := s.eng.Commit(); err != nil {
 		return nil, nil, err

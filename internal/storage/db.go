@@ -19,8 +19,8 @@ type DB struct {
 
 	// undo records, most recent last, how to reverse every primitive
 	// mutation performed while a savepoint is active. spDepth counts
-	// active savepoints; while it is nonzero, tables suppress order-slice
-	// compaction so undo can restore exact iteration order.
+	// active savepoints; tables compact their order slices only where it
+	// returns to zero, so undo can restore exact iteration order.
 	undo    []undoEntry
 	spDepth int
 
@@ -127,13 +127,22 @@ func (db *DB) RollbackTo(sp Savepoint) {
 // Release discards the savepoint, keeping all mutations made since it
 // was taken. Under nesting, the kept mutations remain undoable by the
 // enclosing savepoint; only releasing the outermost savepoint drops the
-// accumulated undo records.
+// accumulated undo records, and compacts the tables they deleted from.
 func (db *DB) Release(sp Savepoint) {
 	db.spDepth = sp.depth - 1
 	if db.spDepth == 0 {
+		for _, u := range db.undo {
+			if u.kind == undoDelete {
+				u.t.compact()
+			}
+		}
 		db.undo = db.undo[:0]
 	}
 }
+
+// UndoDepth returns the number of active savepoints and of undo records
+// held for them; both are zero between outermost savepoints.
+func (db *DB) UndoDepth() (savepoints, records int) { return db.spDepth, len(db.undo) }
 
 // NewDB creates an empty database for the schema.
 func NewDB(s *schema.Schema) *DB {
@@ -150,36 +159,51 @@ func (db *DB) Schema() *schema.Schema { return db.sch }
 // Table returns the named table, or nil if the schema has no such table.
 func (db *DB) Table(name string) *Table { return db.tables[strings.ToLower(name)] }
 
-// Insert adds a tuple with the given column values (in schema column
-// order) and returns its new identity. Values are coerced to the column
-// types; a type mismatch or arity mismatch is an error.
-func (db *DB) Insert(table string, vals []Value) (TupleID, error) {
+// coerceRow resolves the table and coerces vals (in schema column order)
+// to its column types; a type mismatch or arity mismatch is an error.
+func (db *DB) coerceRow(table string, vals []Value) (*Table, []Value, error) {
 	t := db.Table(table)
 	if t == nil {
-		return 0, fmt.Errorf("storage: no table %q", table)
+		return nil, nil, fmt.Errorf("storage: no table %q", table)
 	}
 	if len(vals) != len(t.def.Columns) {
-		return 0, fmt.Errorf("storage: insert into %s: %d values for %d columns",
+		return nil, nil, fmt.Errorf("storage: insert into %s: %d values for %d columns",
 			t.def.Name, len(vals), len(t.def.Columns))
 	}
 	coerced := make([]Value, len(vals))
 	for i, v := range vals {
 		cv, err := v.Coerce(t.def.Columns[i].Type)
 		if err != nil {
-			return 0, fmt.Errorf("storage: insert into %s.%s: %v", t.def.Name, t.def.Columns[i].Name, err)
+			return nil, nil, fmt.Errorf("storage: insert into %s.%s: %v", t.def.Name, t.def.Columns[i].Name, err)
 		}
 		coerced[i] = cv
 	}
-	id := db.nextID
-	db.nextID++
-	t.insert(&Tuple{ID: id, Vals: coerced})
+	return t, coerced, nil
+}
+
+// inserted records the undo entry for an applied insert and reports it.
+func (db *DB) inserted(t *Table, tu *Tuple) {
 	if db.spDepth > 0 {
-		db.undo = append(db.undo, undoEntry{kind: undoInsert, t: t, id: id})
+		db.undo = append(db.undo, undoEntry{kind: undoInsert, t: t, id: tu.ID})
 	}
 	if db.obs != nil {
-		db.obs.ObserveInsert(t.def.Name, id, coerced)
+		db.obs.ObserveInsert(t.def.Name, tu.ID, tu.Vals)
 	}
-	return id, nil
+}
+
+// Insert adds a tuple with the given column values (in schema column
+// order) and returns its new identity. Values are coerced to the column
+// types; a type mismatch or arity mismatch is an error.
+func (db *DB) Insert(table string, vals []Value) (TupleID, error) {
+	t, coerced, err := db.coerceRow(table, vals)
+	if err != nil {
+		return 0, err
+	}
+	tu := &Tuple{ID: db.nextID, Vals: coerced}
+	db.nextID++
+	t.insert(tu)
+	db.inserted(t, tu)
+	return tu.ID, nil
 }
 
 // NextID returns the next tuple identity the database would allocate.
@@ -204,33 +228,17 @@ func (db *DB) BumpNextID(n TupleID) {
 // bumped past id. Inserting an identity that is currently live is an
 // error.
 func (db *DB) InsertWithID(table string, id TupleID, vals []Value) error {
-	t := db.Table(table)
-	if t == nil {
-		return fmt.Errorf("storage: no table %q", table)
-	}
-	if len(vals) != len(t.def.Columns) {
-		return fmt.Errorf("storage: insert into %s: %d values for %d columns",
-			t.def.Name, len(vals), len(t.def.Columns))
+	t, coerced, err := db.coerceRow(table, vals)
+	if err != nil {
+		return err
 	}
 	if t.Get(id) != nil {
 		return fmt.Errorf("storage: insert into %s: tuple %d already exists", t.def.Name, id)
 	}
-	coerced := make([]Value, len(vals))
-	for i, v := range vals {
-		cv, err := v.Coerce(t.def.Columns[i].Type)
-		if err != nil {
-			return fmt.Errorf("storage: insert into %s.%s: %v", t.def.Name, t.def.Columns[i].Name, err)
-		}
-		coerced[i] = cv
-	}
-	t.insertPreservingOrder(&Tuple{ID: id, Vals: coerced})
+	tu := &Tuple{ID: id, Vals: coerced}
+	t.insertPreservingOrder(tu)
 	db.BumpNextID(id + 1)
-	if db.spDepth > 0 {
-		db.undo = append(db.undo, undoEntry{kind: undoInsert, t: t, id: id})
-	}
-	if db.obs != nil {
-		db.obs.ObserveInsert(t.def.Name, id, coerced)
-	}
+	db.inserted(t, tu)
 	return nil
 }
 
@@ -254,9 +262,11 @@ func (db *DB) Delete(table string, id TupleID) *Tuple {
 	if tu == nil {
 		return nil
 	}
-	t.delete(id, db.spDepth == 0)
+	delete(t.rows, id) // the order slot stays, as a tombstone, until compact
 	if db.spDepth > 0 {
 		db.undo = append(db.undo, undoEntry{kind: undoDelete, t: t, id: id, row: tu})
+	} else {
+		t.compact() // a bare delete is its own one-mutation transaction
 	}
 	if db.obs != nil {
 		db.obs.ObserveDelete(t.def.Name, id)
@@ -309,30 +319,32 @@ func (db *DB) Clone() *DB {
 	return nd
 }
 
+// Fork is Clone for a copy that must still be able to roll back (the
+// engine forks a live transaction): it also carries the active
+// savepoints, so a Savepoint taken on the original is valid against the
+// fork, and RollbackTo lands either on it without touching the other.
+func (db *DB) Fork() *DB {
+	nd := db.Clone()
+	nd.spDepth, nd.undo = db.spDepth, make([]undoEntry, len(db.undo))
+	for i, u := range db.undo {
+		orig := u.t
+		u.t = nd.Table(orig.def.Name)
+		if u.kind == undoDelete {
+			u.row = u.row.clone()
+			if len(u.t.order) != len(orig.order) { // unDelete needs the tombstones Clone dropped
+				u.t.order = append(u.t.order[:0], orig.order...)
+			}
+		}
+		nd.undo[i] = u
+	}
+	return nd
+}
+
 // Fingerprint returns a canonical digest of the database contents. Two
 // databases have equal fingerprints iff every table holds the same
 // multiset of rows (tuple identities and insertion order are ignored, as
 // final states in the paper are compared by content).
-func (db *DB) Fingerprint() [32]byte {
-	h := sha256.New()
-	names := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h.Write([]byte(name))
-		h.Write([]byte{'('})
-		for _, enc := range db.tables[name].sortedEncodings() {
-			h.Write(enc)
-			h.Write([]byte{';'})
-		}
-		h.Write([]byte{')'})
-	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
-}
+func (db *DB) Fingerprint() [32]byte { return db.TableFingerprint(db.sch.TableNames()) }
 
 // TableFingerprint returns a canonical digest of the named tables only,
 // used for partial-confluence checks (identical T' contents, Section 7).
@@ -373,10 +385,7 @@ func (db *DB) TotalRows() int {
 
 // String renders all tables in name order, for debugging and reports.
 func (db *DB) String() string {
-	names := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		names = append(names, name)
-	}
+	names := db.sch.TableNames()
 	sort.Strings(names)
 	var sb strings.Builder
 	for _, name := range names {

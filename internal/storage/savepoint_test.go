@@ -156,3 +156,92 @@ func TestCloneDropsSavepointState(t *testing.T) {
 		t.Error("clone must not inherit savepoint bookkeeping")
 	}
 }
+
+// TestOrderCompactedAcrossSavepoints drives the served path's shape —
+// every mutation under a savepoint, nested one level like the engine's
+// transaction and consideration — and checks tombstones do not outlive
+// their transaction: the order slice stays within a constant multiple of
+// the live rows however many insert/delete transactions have run.
+func TestOrderCompactedAcrossSavepoints(t *testing.T) {
+	db := savepointDB(t)
+	const live = 5
+	var ids []TupleID
+	for i := 0; i < live; i++ {
+		ids = append(ids, db.MustInsert("t", IntV(int64(i)), StringV("x")))
+	}
+	for i := 0; i < 10000; i++ {
+		tx := db.Savepoint()
+		inner := db.Savepoint()
+		ids = append(ids, db.MustInsert("t", IntV(int64(i)), StringV("y")))
+		db.Delete("t", ids[0])
+		ids = ids[1:]
+		db.Release(inner)
+		db.Release(tx)
+		tbl := db.Table("t")
+		if tbl.Len() != live {
+			t.Fatalf("transaction %d: %d live rows, want %d", i, tbl.Len(), live)
+		}
+		if bound := 4*live + 16; len(tbl.order) > bound {
+			t.Fatalf("transaction %d: order slice holds %d slots for %d live rows (bound %d): tombstones are not compacted",
+				i, len(tbl.order), live, bound)
+		}
+	}
+	if got := db.Table("t").IDs(); fmt.Sprint(got) != fmt.Sprint(ids) {
+		t.Errorf("iteration order lost across compactions:\n got %v\nwant %v", got, ids)
+	}
+	if len(db.Table("u").order) != 0 {
+		t.Error("a table no transaction deleted from must not be touched")
+	}
+}
+
+// TestForkCarriesSavepointState pins the copy the engine forks a live
+// transaction with: unlike Clone, the fork can roll back to a savepoint
+// taken on the original — exactly (contents, order, identity counter) —
+// and neither side's rollback touches the other.
+func TestForkCarriesSavepointState(t *testing.T) {
+	db := savepointDB(t)
+	var ids []TupleID
+	for i := 0; i < 40; i++ {
+		ids = append(ids, db.MustInsert("t", IntV(int64(i)), StringV("x")))
+	}
+	db.MustInsert("u", IntV(9))
+	atSavepoint := stateKey(db, "t", "u")
+
+	sp := db.Savepoint()
+	for _, id := range ids[2:38] { // mass delete: tombstones must survive the fork
+		db.Delete("t", id)
+	}
+	if _, err := db.Update("t", ids[0], "v", IntV(100)); err != nil {
+		t.Fatal(err)
+	}
+	db.Delete("t", ids[0]) // update-then-delete of one tuple
+	db.MustInsert("t", IntV(41), StringV("new"))
+	inner := db.Savepoint()
+	db.MustInsert("u", IntV(10))
+	midTransaction := stateKey(db, "t", "u")
+
+	fork := db.Fork()
+	if got := stateKey(fork, "t", "u"); got != midTransaction {
+		t.Fatalf("fork differs from the original:\n got %s\nwant %s", got, midTransaction)
+	}
+	fork.RollbackTo(inner)
+	fork.RollbackTo(sp)
+	if got := stateKey(fork, "t", "u"); got != atSavepoint {
+		t.Errorf("fork rollback did not restore the savepoint state:\n got %s\nwant %s", got, atSavepoint)
+	}
+	if fork.spDepth != 0 || len(fork.undo) != 0 {
+		t.Errorf("fork rollback left savepoint state: depth %d, %d undo records", fork.spDepth, len(fork.undo))
+	}
+	if got := stateKey(db, "t", "u"); got != midTransaction {
+		t.Errorf("fork rollback touched the original:\n got %s\nwant %s", got, midTransaction)
+	}
+
+	fork = db.Fork()
+	db.RollbackTo(sp)
+	if got := stateKey(db, "t", "u"); got != atSavepoint {
+		t.Errorf("original rollback did not restore the savepoint state:\n got %s\nwant %s", got, atSavepoint)
+	}
+	if got := stateKey(fork, "t", "u"); got != midTransaction {
+		t.Errorf("original rollback touched the fork:\n got %s\nwant %s", got, midTransaction)
+	}
+}

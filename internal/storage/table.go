@@ -39,10 +39,9 @@ func (t *Tuple) encode(b []byte) []byte {
 // Table holds the tuples of one relation. Iteration order is insertion
 // order, which keeps execution deterministic for a fixed choice strategy.
 type Table struct {
-	def    *schema.Table
-	rows   map[TupleID]*Tuple
-	order  []TupleID // insertion order; may contain IDs deleted from rows
-	nlived int       // live rows, to trigger order compaction
+	def   *schema.Table
+	rows  map[TupleID]*Tuple
+	order []TupleID // insertion order; may contain IDs deleted from rows
 }
 
 func newTable(def *schema.Table) *Table {
@@ -85,7 +84,6 @@ func (t *Table) IDs() []TupleID {
 func (t *Table) insert(tu *Tuple) {
 	t.rows[tu.ID] = tu
 	t.order = append(t.order, tu.ID)
-	t.nlived++
 }
 
 // insertPreservingOrder is insert for redo-log replay: if the identity
@@ -95,11 +93,10 @@ func (t *Table) insert(tu *Tuple) {
 // did in the original run. The tombstone scan only runs when tombstones
 // exist at all.
 func (t *Table) insertPreservingOrder(tu *Tuple) {
-	if len(t.order) > t.nlived {
+	if len(t.order) > len(t.rows) {
 		for _, id := range t.order {
 			if id == tu.ID {
 				t.rows[tu.ID] = tu
-				t.nlived++
 				return
 			}
 		}
@@ -107,25 +104,20 @@ func (t *Table) insertPreservingOrder(tu *Tuple) {
 	t.insert(tu)
 }
 
-func (t *Table) delete(id TupleID, compact bool) bool {
-	if _, ok := t.rows[id]; !ok {
-		return false
+// compact drops the order slice's tombstones once they outnumber live
+// rows three to one. The DB calls it only with no savepoint active:
+// until then unDelete relies on a deleted identity keeping its slot.
+func (t *Table) compact() {
+	if len(t.order) <= 16 || len(t.rows)*4 >= len(t.order) {
+		return
 	}
-	delete(t.rows, id)
-	t.nlived--
-	// Compact the order slice when it is mostly tombstones. Compaction is
-	// suppressed while a savepoint is active: unDelete relies on the
-	// deleted identity keeping its original position in the order slice.
-	if compact && len(t.order) > 16 && t.nlived*4 < len(t.order) {
-		live := t.order[:0]
-		for _, oid := range t.order {
-			if _, ok := t.rows[oid]; ok {
-				live = append(live, oid)
-			}
+	live := t.order[:0]
+	for _, oid := range t.order {
+		if _, ok := t.rows[oid]; ok {
+			live = append(live, oid)
 		}
-		t.order = live
 	}
-	return true
+	t.order = live
 }
 
 // unInsert reverses an insert made under a savepoint. Undo records are
@@ -134,27 +126,24 @@ func (t *Table) delete(id TupleID, compact bool) bool {
 // deletes never append).
 func (t *Table) unInsert(id TupleID) {
 	delete(t.rows, id)
-	t.nlived--
 	if n := len(t.order); n > 0 && t.order[n-1] == id {
 		t.order = t.order[:n-1]
 	}
 }
 
 // unDelete reverses a delete made under a savepoint. The identity kept
-// its slot in the order slice (compaction is suppressed while savepoints
-// are active), so restoring the rows entry restores iteration order too.
+// its slot in the order slice (compaction waits for the last savepoint
+// to end), so restoring the rows entry restores iteration order too.
 func (t *Table) unDelete(tu *Tuple) {
 	t.rows[tu.ID] = tu
-	t.nlived++
 }
 
 func (t *Table) clone() *Table {
 	nt := &Table{
-		def:    t.def,
-		rows:   make(map[TupleID]*Tuple, len(t.rows)),
-		nlived: t.nlived,
+		def:   t.def,
+		rows:  make(map[TupleID]*Tuple, len(t.rows)),
+		order: make([]TupleID, 0, len(t.rows)),
 	}
-	nt.order = make([]TupleID, 0, len(t.rows))
 	for _, id := range t.order {
 		if tu, ok := t.rows[id]; ok {
 			nt.rows[id] = tu.clone()

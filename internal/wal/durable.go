@@ -508,23 +508,34 @@ func recoverState(fsys FS, dir string, sch *schema.Schema) (*recovered, error) {
 	r.info.TruncatedBytes = int64(len(data) - sc.goodLen)
 	r.info.Epoch = sc.epoch
 	for _, sp := range sc.ranges {
-		for _, rec := range sc.muts[sp.start:sp.end] {
-			if err := applyRecord(r.db, rec); err != nil {
-				return nil, fmt.Errorf("%w: replay: %v", ErrUnrecoverable, err)
-			}
-			r.info.MutationsReplayed++
+		if err := ApplyRange(r.db, sc.muts[sp.start:sp.end]); err != nil {
+			return nil, fmt.Errorf("%w: replay: %v", ErrUnrecoverable, err)
 		}
+		r.info.MutationsReplayed += sp.end - sp.start
 	}
 	return r, nil
 }
 
-// Apply redoes one committed mutation record against db: the exported
-// face of the recovery replay step, used by replication followers
-// applying fenced commit ranges incrementally.
-func Apply(db *storage.DB, rec Record) error { return applyRecord(db, rec) }
+// ApplyRange redoes one committed range of mutation records against db,
+// under one savepoint, so that the tombstone a delete leaves survives to
+// the end of the range: a compensation record (the re-insert a savepoint
+// rollback logged) then always revives its original's slot, and replay
+// reproduces the writer's iteration order. No writer puts a range
+// boundary between a mutation and its compensation.
+func ApplyRange(db *storage.DB, recs []Record) error {
+	sp := db.Savepoint()
+	defer db.Release(sp)
+	for _, rec := range recs {
+		if err := Apply(db, rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-// applyRecord redoes one committed mutation record against db.
-func applyRecord(db *storage.DB, rec Record) error {
+// Apply redoes one committed mutation record against db. Replay proper
+// goes through ApplyRange; replay oracles apply record by record.
+func Apply(db *storage.DB, rec Record) error {
 	switch rec.Kind {
 	case RecInsert:
 		return db.InsertWithID(rec.Table, rec.ID, rec.Vals)
