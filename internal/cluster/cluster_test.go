@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"activerules/internal/crashtest"
 	"activerules/internal/faultinject"
 	"activerules/internal/retry"
 	"activerules/internal/schema"
@@ -245,14 +246,13 @@ func (p *pair) soleLeader() (int, bool) {
 	return lead, lead >= 0
 }
 
-type crange struct{ start, end int }
-
 // orderedStates is the soak's independent oracle: a fence-based replay
-// of a node's generation-1 log returning the ordered sequence of state
-// hashes the history passes through — every durable point, ending with
-// recovery semantics (unfenced committed tail adopted). The soak never
-// rotates a generation, so the log is the complete history from
-// genesis; the oracle verifies that and fails on a snapshot.
+// (crashtest.FenceReplay) of a node's generation-1 log returning the
+// ordered sequence of state hashes the history passes through — every
+// durable point, ending with recovery semantics (unfenced committed
+// tail adopted). The soak never rotates a generation, so the log is the
+// complete history from genesis; the oracle verifies that and fails on
+// a snapshot.
 func orderedStates(t *testing.T, fsys wal.FS, sch *schema.Schema) []string {
 	t.Helper()
 	if _, err := fsys.ReadFile(nodeDir + "/snapshot.db"); err == nil {
@@ -260,58 +260,10 @@ func orderedStates(t *testing.T, fsys wal.FS, sch *schema.Schema) []string {
 	} else if !wal.IsNotExist(err) {
 		t.Fatalf("oracle: %v", err)
 	}
-	db := storage.NewDB(sch)
-	var seq []string
-	note := func() {
-		fp := db.Fingerprint()
-		seq = append(seq, hex.EncodeToString(fp[:]))
-	}
-	note()
-	data, err := fsys.ReadFile(fmt.Sprintf("%s/wal-%06d.log", nodeDir, 1))
+	seq, _, err := crashtest.FenceReplay(fsys, nodeDir, sch)
 	if err != nil {
-		if wal.IsNotExist(err) {
-			return seq
-		}
-		t.Fatalf("oracle: %v", err)
+		t.Fatal(err)
 	}
-	var muts []wal.Record
-	var ranges []crange
-	pendingStart, first := 0, true
-	apply := func(rs []crange) {
-		for _, sp := range rs {
-			for _, m := range muts[sp.start:sp.end] {
-				if err := wal.Apply(db, m); err != nil {
-					t.Fatalf("oracle replay: %v", err)
-				}
-			}
-		}
-	}
-	for len(data) > 0 {
-		rec, n, err := wal.ReadRecord(data)
-		if err != nil {
-			break // torn tail
-		}
-		data = data[n:]
-		if first {
-			first = false
-			continue // open marker
-		}
-		switch rec.Kind {
-		case wal.RecInsert, wal.RecDelete, wal.RecUpdate:
-			muts = append(muts, rec)
-		case wal.RecCommit:
-			ranges = append(ranges, crange{pendingStart, len(muts)})
-			pendingStart = len(muts)
-		case wal.RecBegin:
-			apply(ranges)
-			muts, ranges, pendingStart = muts[:0], ranges[:0], 0
-			note()
-		case wal.RecAbort:
-			muts, ranges, pendingStart = muts[:0], ranges[:0], 0
-		}
-	}
-	apply(ranges)
-	note()
 	return seq
 }
 

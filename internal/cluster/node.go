@@ -669,9 +669,10 @@ func (n *Node) maybePromote() {
 }
 
 // promote turns the follower into the leader at the given epoch: stop
-// the responder, recover the replica directory into a full server
-// (adopting the unfenced committed tail), stamp the epoch, and start
-// the replication source for the deposed peer to follow.
+// the responder, open the replica directory as a full server (wal.Open:
+// the follower's reader plus Finish, adopting the unfenced committed
+// tail), stamp the epoch, and start the replication source for the
+// deposed peer to follow.
 func (n *Node) promote(epoch uint64) {
 	// Claim the epoch BEFORE dismantling the follower: n.Epoch() must
 	// never dip while the responder answers a final probe mid-takeover,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"net"
@@ -78,9 +79,6 @@ type FollowerHealth struct {
 	LeaderAddr string
 }
 
-// span is a half-open range into the applier's mutation buffer.
-type span struct{ start, end int }
-
 // Follower replicates a leader's WAL into a local directory and
 // replays it into an in-memory database it serves read-only views of
 // (StateHash, Health). It persists every received byte before applying
@@ -88,12 +86,12 @@ type span struct{ start, end int }
 // plain wal.Recover — turns it into a leader with no committed
 // transaction lost.
 //
-// Replay is fence-based: a committed transaction's mutations are
-// applied to the visible database only once a LATER begin record
-// arrives, because until then a streamed abort can still cancel the
-// commit (a rule-level ROLLBACK undoes even the assertion-point
-// commits inside its engine transaction — see wal.scanLog). Promotion
-// uses full recovery, which correctly adopts the unfenced tail.
+// Replay is the recovery reader, wal.Replayer, minus its end-of-log
+// rule: the follower feeds it every byte it has made durable and never
+// calls Finish, so a committed transaction's mutations reach the
+// visible database only once a LATER begin record arrives — until then
+// a streamed abort can still cancel the commit. Promotion is wal.Open,
+// the same reader with Finish, which adopts the unfenced tail.
 type Follower struct {
 	sch  *schema.Schema
 	dir  string
@@ -106,6 +104,7 @@ type Follower struct {
 	wg     sync.WaitGroup
 
 	mu        sync.Mutex
+	rp        *wal.Replayer // reads gen's log into db
 	db        *storage.DB
 	gen       uint64 // 0 = no local state, request a snapshot
 	off       int64  // locally durable bytes of gen's log
@@ -120,13 +119,6 @@ type Follower struct {
 	frontier   int64     // leader's durable frontier for gen, per stream
 	lastFrame  time.Time // arrival of the most recent frame
 	leaderAddr string    // leader's advertised client address
-
-	// applier state (guarded by mu)
-	abuf         []byte       // partial record bytes
-	first        bool         // next record must be the snapshot marker
-	muts         []wal.Record // mutation records not yet fenced
-	ranges       []span       // committed, unfenced ranges into muts
-	pendingStart int
 }
 
 // NewFollower recovers any local replica state in dir (truncating a
@@ -159,74 +151,42 @@ func NewFollower(sch *schema.Schema, dir, addr string, cfg FollowerConfig) (*Fol
 	return f, nil
 }
 
-// bootstrap loads the local snapshot and re-feeds the local log through
-// the applier, so a restarted follower resumes exactly where its
-// durable state left off. Corruption demotes to a cold start (gen 0);
-// only filesystem errors are returned.
+// bootstrap reads the local directory the way recovery does (wal.Load)
+// minus the end-of-log rule, so a restarted follower resumes exactly
+// where its durable state left off: the reader's database, generation,
+// epoch and good length become the follower's, and what the local log
+// holds past the good length is cut. A state recovery would call
+// unrecoverable demotes to a cold start (gen 0: ask the leader for a
+// snapshot); only filesystem errors are returned.
 func (f *Follower) bootstrap() error {
-	f.db = storage.NewDB(f.sch)
-	f.first = true
-	data, err := f.fs.ReadFile(join(f.dir, "snapshot.db"))
-	switch {
-	case err == nil:
-		db, gen, derr := wal.DecodeSnapshot(data, f.sch)
-		if derr != nil {
-			return nil // corrupt local snapshot: cold start
-		}
-		f.db, f.gen = db, gen
-	case wal.IsNotExist(err):
-		// No snapshot. A log can still exist (generation 1 streams
-		// before the first checkpoint); trust it if it opens with the
-		// fresh-database marker.
-		f.gen = 1
-	default:
+	rp, logData, err := wal.Load(f.fs, f.dir, f.sch)
+	if errors.Is(err, wal.ErrUnrecoverable) {
+		f.db = storage.NewDB(f.sch)
+		f.rp = wal.NewReplayer(f.db, 0)
+		return nil
+	}
+	if err != nil {
 		return err
 	}
-	logPath := join(f.dir, logName(f.gen))
-	logData, err := f.fs.ReadFile(logPath)
-	if err != nil && !wal.IsNotExist(err) {
+	info, good := rp.Info(), rp.Good()
+	logPath := wal.LogPath(f.dir, info.Gen)
+	if info.TruncatedBytes > 0 {
+		if err := f.fs.Truncate(logPath, good); err != nil {
+			return err
+		}
+		rp.Rewind()
+	}
+	h, err := f.fs.OpenAppend(logPath)
+	if err != nil {
 		return err
 	}
-	if err == nil {
-		if ferr := f.feed(logData); ferr != nil {
-			// The local log contradicts the local snapshot: discard
-			// everything and re-bootstrap from the leader.
-			f.db = storage.NewDB(f.sch)
-			f.gen, f.off, f.crc = 0, 0, 0
-			f.resetApplier()
-			return nil
-		}
-		// feed consumed whole records; any remainder is a torn tail.
-		good := int64(len(logData)) - int64(len(f.abuf))
-		if good < int64(len(logData)) {
-			if terr := f.fs.Truncate(logPath, good); terr != nil {
-				return terr
-			}
-			f.abuf = nil
-		}
-		f.off = good
-		f.crc = crc32.Checksum(logData[:good], crcTable)
+	if err := f.fs.SyncDir(f.dir); err != nil {
+		h.Close()
+		return err
 	}
-	if f.gen > 0 {
-		h, err := f.fs.OpenAppend(logPath)
-		if err != nil {
-			return err
-		}
-		if err := f.fs.SyncDir(f.dir); err != nil {
-			h.Close()
-			return err
-		}
-		f.logf = h
-	}
+	f.rp, f.db, f.gen, f.logf = rp, rp.DB(), info.Gen, h
+	f.off, f.crc, f.obsEpoch = good, crc32.Checksum(logData[:good], crcTable), info.Epoch
 	return nil
-}
-
-func (f *Follower) resetApplier() {
-	f.abuf = nil
-	f.first = true
-	f.muts = f.muts[:0]
-	f.ranges = f.ranges[:0]
-	f.pendingStart = 0
 }
 
 // run is the reconnect loop: dial, stream until error, back off,
@@ -308,7 +268,18 @@ func (f *Follower) stream(conn net.Conn) error {
 // frontier, e.g. an injected duplicated frame) is ignored; a gap (a
 // dropped frame) drops the connection — the reconnect handshake
 // resumes correctly.
+//
+// Once the reader has stopped (wal.ErrStop) only a new snapshot is
+// accepted: appending past that byte, or acknowledging a lease or a
+// keepalive from an offset past it, would vouch for commits this
+// follower's own promotion would drop.
 func (f *Follower) handleFrame(fr frame) error {
+	f.mu.Lock()
+	err := f.rp.Err()
+	f.mu.Unlock()
+	if err != nil && fr.kind != frameSnapshot {
+		return err
+	}
 	switch fr.kind {
 	case frameSnapshot:
 		return f.reset(fr.gen, fr.payload)
@@ -343,7 +314,9 @@ func (f *Follower) handleFrame(fr frame) error {
 		}
 		f.off += int64(len(fr.payload))
 		f.crc = crc32.Update(f.crc, crcTable, fr.payload)
-		return f.feed(fr.payload)
+		err := f.rp.Feed(fr.payload)
+		f.obsEpoch = max(f.obsEpoch, f.rp.Info().Epoch)
+		return err
 	case frameLease:
 		f.mu.Lock()
 		if fr.epoch < f.obsEpoch {
@@ -366,38 +339,36 @@ func (f *Follower) handleFrame(fr frame) error {
 
 // reset adopts a leader snapshot: decode and persist it (atomically,
 // same protocol as a checkpoint), start an empty local log for its
-// generation, and restart the applier. An empty payload is a fresh
-// database.
+// generation, and start a new reader over it. An empty payload is a
+// fresh database.
 func (f *Follower) reset(gen uint64, payload []byte) error {
-	var db *storage.DB
+	db := storage.NewDB(f.sch)
 	if len(payload) > 0 {
-		d, sgen, err := wal.DecodeSnapshot(payload, f.sch)
-		if err != nil {
+		var sgen uint64
+		var err error
+		if db, sgen, err = wal.DecodeSnapshot(payload, f.sch); err != nil {
 			return err
 		}
 		if sgen != gen {
 			return fmt.Errorf("replica: snapshot frame gen %d, header gen %d", gen, sgen)
 		}
-		db = d
-	} else {
-		db = storage.NewDB(f.sch)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(payload) > 0 {
-		if err := f.writeSnapshotFile(payload); err != nil {
+		if err := wal.InstallSnapshot(f.fs, f.dir, payload); err != nil {
 			return err
 		}
 	} else {
 		// Fresh leader: make sure no stale local snapshot outlives it.
-		_ = f.fs.Remove(join(f.dir, "snapshot.db"))
+		_ = f.fs.Remove(wal.SnapshotPath(f.dir))
 	}
 	if f.logf != nil {
 		f.logf.Close()
 		f.logf = nil
 	}
 	oldGen := f.gen
-	h, err := f.fs.Create(join(f.dir, logName(gen)))
+	h, err := f.fs.Create(wal.LogPath(f.dir, gen))
 	if err != nil {
 		return err
 	}
@@ -406,96 +377,10 @@ func (f *Follower) reset(gen uint64, payload []byte) error {
 		return err
 	}
 	f.logf = h
-	f.db, f.gen, f.off, f.crc = db, gen, 0, 0
+	f.rp, f.db, f.gen, f.off, f.crc = wal.NewReplayer(db, gen), db, gen, 0, 0
 	f.frontier = 0
-	f.resetApplier()
 	if oldGen > 0 && oldGen != gen {
-		_ = f.fs.Remove(join(f.dir, logName(oldGen)))
-	}
-	return nil
-}
-
-// writeSnapshotFile persists snapshot bytes with the same atomic
-// install protocol the leader's checkpoint uses.
-func (f *Follower) writeSnapshotFile(data []byte) error {
-	tmp := join(f.dir, "snapshot.tmp")
-	h, err := f.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := h.Write(data); err != nil {
-		h.Close()
-		return err
-	}
-	if err := h.Sync(); err != nil {
-		h.Close()
-		return err
-	}
-	if err := h.Close(); err != nil {
-		return err
-	}
-	if err := f.fs.Rename(tmp, join(f.dir, "snapshot.db")); err != nil {
-		return err
-	}
-	return f.fs.SyncDir(f.dir)
-}
-
-// feed runs the incremental applier over newly durable log bytes,
-// mirroring wal.scanLog's range bookkeeping. Mutations buffer until
-// their commit; commits buffer (unfenced) until the next begin proves
-// no abort can cancel them; begin applies the unfenced ranges and
-// discards any stale pending tail; abort discards both. Callers hold
-// f.mu (or are pre-concurrency, in bootstrap).
-func (f *Follower) feed(data []byte) error {
-	f.abuf = append(f.abuf, data...)
-	for len(f.abuf) > 0 {
-		rec, n, err := wal.ReadRecord(f.abuf)
-		if err != nil {
-			break // partial record: wait for the rest
-		}
-		f.abuf = f.abuf[n:]
-		if f.first {
-			if rec.Kind != wal.RecSnapshot || rec.Gen != f.gen || rec.FP != f.db.Fingerprint() {
-				return fmt.Errorf("replica: log opens with %s, want snapshot marker for gen %d", rec, f.gen)
-			}
-			f.first = false
-			continue
-		}
-		switch rec.Kind {
-		case wal.RecSnapshot:
-			return fmt.Errorf("replica: unexpected mid-log snapshot marker")
-		case wal.RecEpoch:
-			// Control record: a leadership epoch replicated through the
-			// log. No mutation bookkeeping — just track the maximum, so
-			// a restarted follower (or a demoted ex-leader re-feeding
-			// its own fenced log) still knows the epochs it has seen.
-			if rec.Epoch > f.obsEpoch {
-				f.obsEpoch = rec.Epoch
-			}
-		case wal.RecInsert, wal.RecDelete, wal.RecUpdate:
-			f.muts = append(f.muts, rec)
-		case wal.RecCommit:
-			f.ranges = append(f.ranges, span{f.pendingStart, len(f.muts)})
-			f.pendingStart = len(f.muts)
-		case wal.RecBegin:
-			for _, sp := range f.ranges {
-				if err := wal.ApplyRange(f.db, f.muts[sp.start:sp.end]); err != nil {
-					return fmt.Errorf("replica: replay: %w", err)
-				}
-			}
-			f.muts = f.muts[:0]
-			f.ranges = f.ranges[:0]
-			f.pendingStart = 0
-		case wal.RecAbort:
-			f.muts = f.muts[:0]
-			f.ranges = f.ranges[:0]
-			f.pendingStart = 0
-		}
-	}
-	if len(f.abuf) > 0 {
-		f.abuf = append([]byte(nil), f.abuf...)
-	} else {
-		f.abuf = nil
+		_ = f.fs.Remove(wal.LogPath(f.dir, oldGen))
 	}
 	return nil
 }
@@ -597,12 +482,3 @@ func (f *Follower) Promote(defs []rules.Definition, cfg serve.Config) (*serve.Se
 
 // Dir returns the follower's WAL directory.
 func (f *Follower) Dir() string { return f.dir }
-
-func join(dir, name string) string {
-	if dir == "" {
-		return name
-	}
-	return dir + "/" + name
-}
-
-func logName(gen uint64) string { return fmt.Sprintf("wal-%06d.log", gen) }

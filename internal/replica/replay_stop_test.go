@@ -1,0 +1,215 @@
+package replica
+
+import (
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+
+	"activerules/internal/schema"
+	"activerules/internal/storage"
+	"activerules/internal/wal"
+)
+
+// These tests drive a Follower with no connection: bootstrap over a
+// MemFS directory, then chunk frames handed straight to handleFrame —
+// the path every streamed byte takes (persist, sync, feed the reader),
+// and the call whose error keeps stream from writing the ack.
+
+var stopSchema = schema.MustParse("table t (v int)")
+
+func logOf(recs ...wal.Record) []byte {
+	var b []byte
+	for _, r := range recs {
+		b = wal.AppendRecord(b, r)
+	}
+	return b
+}
+
+func marker() wal.Record {
+	return wal.Record{Kind: wal.RecSnapshot, Gen: 1, FP: storage.NewDB(stopSchema).Fingerprint()}
+}
+
+func insert(id int) wal.Record {
+	return wal.Record{Kind: wal.RecInsert, Table: "t", ID: storage.TupleID(id), Vals: []storage.Value{storage.IntV(int64(id))}}
+}
+
+var (
+	begin  = wal.Record{Kind: wal.RecBegin}
+	commit = wal.Record{Kind: wal.RecCommit}
+)
+
+func offlineFollower(t *testing.T, fsys wal.FS) *Follower {
+	t.Helper()
+	if err := fsys.MkdirAll(replicaDir); err != nil {
+		t.Fatal(err)
+	}
+	f := &Follower{sch: stopSchema, dir: replicaDir, fs: fsys}
+	if err := f.bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func (f *Follower) chunk(payload []byte) error {
+	return f.handleFrame(frame{kind: frameChunk, gen: f.gen, off: f.off, payload: payload})
+}
+
+// TestReplicaCorruptRecordStopsStream: a record with a bad CRC inside a
+// well-formed frame (the source ships whatever the leader's file holds)
+// must fail the stream — before the ack — and keep failing it. The
+// parent's applier took every decode error for "partial record, wait",
+// so it returned nil forever, buffered without bound and let the
+// follower keep acknowledging commits its own promotion would drop.
+func TestReplicaCorruptRecordStopsStream(t *testing.T) {
+	f := offlineFollower(t, wal.NewMemFS())
+	if err := f.chunk(logOf(marker(), begin, insert(1), commit, begin)); err != nil {
+		t.Fatal(err)
+	}
+	bad := logOf(insert(2))
+	bad[len(bad)-1] ^= 0x01
+	goodLen := f.off
+	err := f.chunk(bad)
+	if !errors.Is(err, wal.ErrStop) || !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("corrupt record: handleFrame returned %v, want wal.ErrStop wrapping ErrCorrupt", err)
+	}
+	if f.rp.Good() != goodLen {
+		t.Errorf("stop at byte %d, want %d", f.rp.Good(), goodLen)
+	}
+	for i := 3; i < 1003; i++ {
+		if err := f.chunk(logOf(insert(i), commit, begin)); !errors.Is(err, wal.ErrStop) {
+			t.Fatalf("transaction %d after the corrupt record: handleFrame returned %v, want the sticky stop", i, err)
+		}
+	}
+	// Not even a lease is answered: its ack would carry f.off.
+	if err := f.handleFrame(frame{kind: frameLease, epoch: 1}); !errors.Is(err, wal.ErrStop) {
+		t.Fatalf("lease after the stop: %v, want the sticky stop", err)
+	}
+	if f.off != goodLen+int64(len(bad)) {
+		t.Errorf("local log grew to %d bytes past the stop; want only the failing chunk (%d)", f.off, goodLen+int64(len(bad)))
+	}
+	if n := f.rp.Info().TruncatedBytes; n != int64(len(bad)) {
+		t.Errorf("reader was fed %d bytes past the stop, want only the failing chunk (%d)", n, len(bad))
+	}
+	if n := f.db.Table("t").Len(); n != 1 {
+		t.Errorf("visible rows = %d, want 1", n)
+	}
+	f.setConnected(false, err)
+	if h := f.Health(); !strings.Contains(h.LastErr, "log unreadable past byte") {
+		t.Errorf("Health().LastErr = %q, want the stop", h.LastErr)
+	}
+}
+
+// TestReplicaRecoverAgreeOnMidLogMarker: a snapshot marker inside the
+// log ends the trusted prefix for every reader. The parent's follower
+// returned an error only after consuming the marker, so the reconnect
+// resumed past it and showed a state (2 rows) that recovery over the
+// same file (1 row, truncating at the marker) — its own promotion —
+// could not reach.
+func TestReplicaRecoverAgreeOnMidLogMarker(t *testing.T) {
+	fsys := wal.NewMemFS()
+	f := offlineFollower(t, fsys)
+	head := logOf(marker(), begin, insert(1), commit)
+	tail := logOf(marker(), begin, insert(2), commit, begin)
+	if err := f.chunk(head); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.chunk(tail); !errors.Is(err, wal.ErrStop) || f.rp.Good() != int64(len(head)) {
+		t.Fatalf("mid-log marker: %v at byte %d, want a stop at byte %d", err, f.rp.Good(), len(head))
+	}
+	// The reconnect: the next chunk lands at the follower's offset.
+	if err := f.chunk(logOf(insert(3), commit, begin)); !errors.Is(err, wal.ErrStop) {
+		t.Fatalf("chunk after the marker: %v, want the sticky stop", err)
+	}
+	f.logf.Close()
+
+	rec, info, err := wal.Recover(replicaDir, stopSchema, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.TruncatedBytes != int64(len(tail)) {
+		t.Errorf("recovery would truncate %d bytes, want %d", info.TruncatedBytes, len(tail))
+	}
+	// The follower withholds the unfenced commit; its promotion adopts
+	// it. Every row the follower shows must be one recovery keeps, in
+	// recovery's order, and a restart over the same file must agree with
+	// the stream.
+	if got, want := f.db.Table("t").IDs(), rec.Table("t").IDs(); len(got) > len(want) || !reflect.DeepEqual(got, want[:len(got)]) {
+		t.Errorf("follower shows rows %v, recovery of the same file %v", got, want)
+	}
+	g := offlineFollower(t, fsys)
+	defer g.logf.Close()
+	if g.db.Fingerprint() != f.db.Fingerprint() {
+		t.Error("restarted follower and streaming follower disagree over the same bytes")
+	}
+	if g.off != int64(len(head)) {
+		t.Errorf("restarted follower resumes at %d, want the marker's offset %d", g.off, len(head))
+	}
+	// Fence the surviving commit the way the leader's next transaction
+	// would: follower and recovery now show the same database.
+	if err := g.chunk(logOf(begin)); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err = wal.Recover(replicaDir, stopSchema, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.db.Fingerprint() != rec.Fingerprint() || !reflect.DeepEqual(g.db.Table("t").IDs(), rec.Table("t").IDs()) {
+		t.Errorf("fenced follower rows %v, recovery rows %v", g.db.Table("t").IDs(), rec.Table("t").IDs())
+	}
+}
+
+// TestReplicaBootstrapRecoversEpochAndPos pins what bootstrap takes
+// from the reader: the highest epoch in the local log, its good length
+// as the resume position, and the truncation of a torn local tail.
+func TestReplicaBootstrapRecoversEpochAndPos(t *testing.T) {
+	fsys := wal.NewMemFS()
+	log := logOf(marker(), begin, wal.Record{Kind: wal.RecEpoch, Epoch: 7}, insert(1), commit)
+	f := offlineFollower(t, fsys)
+	if err := f.chunk(log); err != nil {
+		t.Fatal(err)
+	}
+	f.logf.Close()
+
+	check := func(label string) {
+		t.Helper()
+		g := offlineFollower(t, fsys)
+		defer g.logf.Close()
+		if e := g.Epoch(); e != 7 {
+			t.Errorf("%s: Epoch() = %d, want 7", label, e)
+		}
+		if gen, off := g.Pos(); gen != 1 || off != int64(len(log)) {
+			t.Errorf("%s: Pos() = (%d, %d), want (1, %d)", label, gen, off, len(log))
+		}
+		if data, err := fsys.ReadFile(wal.LogPath(replicaDir, 1)); err != nil || len(data) != len(log) {
+			t.Errorf("%s: local log is %d bytes (err %v), want %d", label, len(data), err, len(log))
+		}
+		if n := g.rp.Info().TruncatedBytes; n != 0 {
+			t.Errorf("%s: reader still holds %d bytes of the cut tail", label, n)
+		}
+		// The stream resumes at Pos() with the bytes the cut removed.
+		if err := g.chunk(logOf(begin)); err != nil {
+			t.Errorf("%s: resume: %v", label, err)
+		} else if g.db.Table("t").Len() != 1 {
+			t.Errorf("%s: resumed follower shows %d rows, want 1", label, g.db.Table("t").Len())
+		}
+		if err := fsys.Truncate(wal.LogPath(replicaDir, 1), int64(len(log))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("clean log")
+
+	torn := logOf(insert(2))
+	h, err := fsys.OpenAppend(wal.LogPath(replicaDir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Write(torn[:len(torn)-3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	h.Close()
+	check("torn tail")
+}

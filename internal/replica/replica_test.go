@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"activerules/internal/crashtest"
 	"activerules/internal/faultinject"
 	"activerules/internal/retry"
 	"activerules/internal/schema"
@@ -199,79 +200,21 @@ func TestReplicaFollowerRestartResumes(t *testing.T) {
 	}
 }
 
-// logStates replays a follower directory the way the follower itself
-// does — fence-based — and returns every state hash the sequence
-// passes through plus the final recovery-semantics state (unfenced
-// committed tail applied). It is the soak's independent oracle.
+// logStates is the soak's independent oracle (crashtest.FenceReplay
+// over a follower directory): every state hash the fence sequence
+// passes through, plus the final recovery-semantics state (unfenced
+// committed tail applied).
 func logStates(t *testing.T, fsys wal.FS, dir string, sch *schema.Schema) (states map[string]bool, final string) {
 	t.Helper()
-	states = map[string]bool{}
-	var db *storage.DB
-	gen := uint64(1)
-	if data, err := fsys.ReadFile(dir + "/snapshot.db"); err == nil {
-		d, g2, derr := wal.DecodeSnapshot(data, sch)
-		if derr != nil {
-			t.Fatalf("oracle: snapshot: %v", derr)
-		}
-		db, gen = d, g2
-	} else if wal.IsNotExist(err) {
-		db = storage.NewDB(sch)
-	} else {
-		t.Fatalf("oracle: %v", err)
-	}
-	note := func() {
-		fp := db.Fingerprint()
-		states[hex.EncodeToString(fp[:])] = true
-	}
-	note()
-	data, err := fsys.ReadFile(fmt.Sprintf("%s/wal-%06d.log", dir, gen))
+	seq, final, err := crashtest.FenceReplay(fsys, dir, sch)
 	if err != nil {
-		if wal.IsNotExist(err) {
-			fp := db.Fingerprint()
-			return states, hex.EncodeToString(fp[:])
-		}
-		t.Fatalf("oracle: %v", err)
+		t.Fatal(err)
 	}
-	var muts []wal.Record
-	var ranges []span
-	pendingStart, first := 0, true
-	apply := func(rs []span) {
-		for _, sp := range rs {
-			for _, m := range muts[sp.start:sp.end] {
-				if err := wal.Apply(db, m); err != nil {
-					t.Fatalf("oracle replay: %v", err)
-				}
-			}
-		}
+	states = map[string]bool{}
+	for _, h := range seq {
+		states[h] = true
 	}
-	for len(data) > 0 {
-		rec, n, err := wal.ReadRecord(data)
-		if err != nil {
-			break // torn tail
-		}
-		data = data[n:]
-		if first {
-			first = false
-			continue // snapshot marker
-		}
-		switch rec.Kind {
-		case wal.RecInsert, wal.RecDelete, wal.RecUpdate:
-			muts = append(muts, rec)
-		case wal.RecCommit:
-			ranges = append(ranges, span{pendingStart, len(muts)})
-			pendingStart = len(muts)
-		case wal.RecBegin:
-			apply(ranges)
-			muts, ranges, pendingStart = muts[:0], ranges[:0], 0
-			note()
-		case wal.RecAbort:
-			muts, ranges, pendingStart = muts[:0], ranges[:0], 0
-		}
-	}
-	apply(ranges) // recovery adopts the unfenced committed tail
-	note()
-	fp := db.Fingerprint()
-	return states, hex.EncodeToString(fp[:])
+	return states, final
 }
 
 // TestReplicaSoakFailover is the fault-injected replication soak: 20

@@ -25,9 +25,12 @@ var ErrUnrecoverable = errors.New("wal: unrecoverable log")
 // of silently dropping records.
 var ErrClosed = errors.New("wal: log is closed")
 
-const snapName = "snapshot.db"
-
 func logName(gen uint64) string { return fmt.Sprintf("wal-%06d.log", gen) }
+
+// LogPath and SnapshotPath name generation gen's log file and the
+// snapshot file in dir.
+func LogPath(dir string, gen uint64) string { return join(dir, logName(gen)) }
+func SnapshotPath(dir string) string        { return join(dir, "snapshot.db") }
 
 // RecoveryInfo summarizes what Open (or Recover) found and did.
 type RecoveryInfo struct {
@@ -70,7 +73,6 @@ type DurableDB struct {
 	fsys FS
 	dir  string
 	opts Options
-	sch  *schema.Schema
 	st   *storage.DB
 	info RecoveryInfo
 
@@ -104,39 +106,41 @@ func Open(dir string, sch *schema.Schema, opts Options) (*DurableDB, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	rec, err := recoverState(fsys, dir, sch)
+	rp, err := recoverState(fsys, dir, sch)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Epoch != 0 && opts.Epoch < rec.info.Epoch {
+	info, db := rp.Info(), rp.DB()
+	if opts.Epoch != 0 && opts.Epoch < info.Epoch {
 		// The directory has been claimed by a newer leader; opening at
 		// a stale epoch would let a deposed leader extend a forked
 		// history. Refuse durably-informed.
-		return nil, &FencedError{Epoch: rec.info.Epoch}
+		return nil, &FencedError{Epoch: info.Epoch}
 	}
-	logPath := join(dir, logName(rec.info.Gen))
-	if rec.info.TruncatedBytes > 0 || (rec.needMarker && rec.logLen > 0) {
-		if err := fsys.Truncate(logPath, int64(rec.goodLen)); err != nil {
+	logPath := LogPath(dir, info.Gen)
+	if info.TruncatedBytes > 0 {
+		if err := fsys.Truncate(logPath, rp.Good()); err != nil {
 			return nil, err
 		}
 		if err := fsys.SyncDir(dir); err != nil {
 			return nil, err
 		}
 	}
-	l, err := openLog(fsys, logPath, opts, int64(rec.goodLen))
+	l, err := openLog(fsys, logPath, opts, rp.Good())
 	if err != nil {
 		return nil, err
 	}
-	if rec.needMarker {
-		l.append(Record{Kind: RecSnapshot, Gen: rec.info.Gen, FP: rec.db.Fingerprint()})
+	if rp.Good() == 0 {
+		// Log absent, empty or cut to zero: (re)write the marker.
+		l.append(Record{Kind: RecSnapshot, Gen: info.Gen, FP: db.Fingerprint()})
 	}
 	// Every open starts a new engine transaction.
 	l.append(Record{Kind: RecBegin})
-	if opts.Epoch > rec.info.Epoch {
+	if opts.Epoch > info.Epoch {
 		// Stamp the claimed epoch: from this record on, any observer of
 		// the log — recovery, a follower, a rival leader's handshake —
 		// knows this epoch exists and anything lower is fenced out.
-		rec.info.Epoch = opts.Epoch
+		info.Epoch = opts.Epoch
 		l.append(Record{Kind: RecEpoch, Epoch: opts.Epoch})
 	}
 	l.flush()
@@ -153,8 +157,8 @@ func Open(dir string, sch *schema.Schema, opts Options) (*DurableDB, error) {
 		l.f.Close()
 		return nil, err
 	}
-	d := &DurableDB{fsys: fsys, dir: dir, opts: opts, sch: sch, gen: rec.info.Gen, log: l, st: rec.db, info: rec.info}
-	d.epoch.Store(rec.info.Epoch)
+	d := &DurableDB{fsys: fsys, dir: dir, opts: opts, gen: info.Gen, log: l, st: db, info: info}
+	d.epoch.Store(info.Epoch)
 	d.removeStale()
 	return d, nil
 }
@@ -167,11 +171,11 @@ func Recover(dir string, sch *schema.Schema, fsys FS) (*storage.DB, RecoveryInfo
 	if fsys == nil {
 		fsys = OS
 	}
-	rec, err := recoverState(fsys, dir, sch)
+	rp, err := recoverState(fsys, dir, sch)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
-	return rec.db, rec.info, nil
+	return rp.DB(), rp.Info(), nil
 }
 
 // State returns the recovered database. Valid immediately after Open;
@@ -221,7 +225,7 @@ func (d *DurableDB) ReadLog(gen uint64, off int64, max int) ([]byte, error) {
 	if off < 0 || off >= durable {
 		return nil, nil
 	}
-	data, err := d.fsys.ReadFile(join(d.dir, logName(gen)))
+	data, err := d.fsys.ReadFile(LogPath(d.dir, gen))
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +246,7 @@ func (d *DurableDB) ReadLog(gen uint64, off int64, max int) ([]byte, error) {
 // exists yet (a pre-first-checkpoint directory). The caller verifies
 // integrity by decoding; this method only peeks at the header.
 func (d *DurableDB) ReadSnapshot() (data []byte, gen uint64, ok bool, err error) {
-	data, err = d.fsys.ReadFile(join(d.dir, snapName))
+	data, err = d.fsys.ReadFile(SnapshotPath(d.dir))
 	if err != nil {
 		if IsNotExist(err) {
 			return nil, 0, false, nil
@@ -389,19 +393,19 @@ func (d *DurableDB) Checkpoint(cur *storage.DB) error {
 		return err
 	}
 	newGen := d.gen + 1
-	if err := writeSnapshot(d.fsys, d.dir, cur, newGen); err != nil {
+	if err := InstallSnapshot(d.fsys, d.dir, encodeSnapshot(cur, newGen)); err != nil {
 		// The rename may or may not have happened; fail-stop either way.
 		d.log.err = err
 		return err
 	}
 	// Create (truncating any stale leftover), never append: a dead
 	// wal-<newGen>.log from an older crash must not contribute records.
-	nf, err := d.fsys.Create(join(d.dir, logName(newGen)))
+	nf, err := d.fsys.Create(LogPath(d.dir, newGen))
 	if err != nil {
 		d.log.err = err
 		return err
 	}
-	nl := &Log{fs: d.fsys, path: join(d.dir, logName(newGen)), f: nf, opts: d.opts}
+	nl := &Log{fs: d.fsys, path: LogPath(d.dir, newGen), f: nf, opts: d.opts}
 	nl.append(Record{Kind: RecSnapshot, Gen: newGen, FP: cur.Fingerprint()})
 	nl.append(Record{Kind: RecBegin})
 	if e := d.epoch.Load(); e > 0 {
@@ -437,7 +441,7 @@ func (d *DurableDB) Checkpoint(cur *storage.DB) error {
 	old.f.Close()
 	// Best effort: a stale log is ignored by recovery and re-deleted by
 	// the next successful Open.
-	_ = d.fsys.Remove(join(d.dir, logName(oldGen)))
+	_ = d.fsys.Remove(LogPath(d.dir, oldGen))
 	return nil
 }
 
@@ -458,191 +462,15 @@ func (d *DurableDB) removeStale() {
 	}
 }
 
-// recovered is the outcome of reading a WAL directory.
-type recovered struct {
-	db         *storage.DB
-	info       RecoveryInfo
-	logLen     int  // bytes present in the active log file
-	goodLen    int  // consistent prefix length (truncation point)
-	needMarker bool // log absent/empty/cut to zero: rewrite the marker
-}
-
-// recoverState loads the snapshot (if any) and replays the committed
-// ranges of the active log. Read-only.
-func recoverState(fsys FS, dir string, sch *schema.Schema) (*recovered, error) {
-	r := &recovered{}
-	snapData, serr := fsys.ReadFile(join(dir, snapName))
-	switch {
-	case serr == nil:
-		db, gen, err := decodeSnapshot(snapData, sch)
-		if err != nil {
-			return nil, fmt.Errorf("%w: snapshot: %v", ErrUnrecoverable, err)
-		}
-		r.db, r.info.Gen, r.info.SnapshotLoaded = db, gen, true
-	case IsNotExist(serr):
-		r.db, r.info.Gen = storage.NewDB(sch), 1
-	default:
-		return nil, serr
-	}
-	logPath := join(dir, logName(r.info.Gen))
-	data, lerr := fsys.ReadFile(logPath)
-	if lerr != nil {
-		if !IsNotExist(lerr) {
-			return nil, lerr
-		}
-		r.info.Fresh = !r.info.SnapshotLoaded
-		r.needMarker = true
-		return r, nil
-	}
-	r.logLen = len(data)
-	sc, err := scanLog(data, r.info.Gen, r.db.Fingerprint())
+// recoverState reads dir to the end of its log: Load, then the
+// end-of-log rule. Read-only.
+func recoverState(fsys FS, dir string, sch *schema.Schema) (*Replayer, error) {
+	rp, _, err := Load(fsys, dir, sch)
 	if err != nil {
 		return nil, err
 	}
-	r.goodLen = sc.goodLen
-	r.needMarker = sc.goodLen == 0
-	r.info.RecordsScanned = sc.records
-	r.info.TxCommitted = sc.commits
-	r.info.Aborts = sc.aborts
-	r.info.TailDiscarded = sc.discarded
-	r.info.TruncatedBytes = int64(len(data) - sc.goodLen)
-	r.info.Epoch = sc.epoch
-	for _, sp := range sc.ranges {
-		if err := ApplyRange(r.db, sc.muts[sp.start:sp.end]); err != nil {
-			return nil, fmt.Errorf("%w: replay: %v", ErrUnrecoverable, err)
-		}
-		r.info.MutationsReplayed += sp.end - sp.start
+	if err := rp.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnrecoverable, err)
 	}
-	return r, nil
-}
-
-// ApplyRange redoes one committed range of mutation records against db,
-// under one savepoint, so that the tombstone a delete leaves survives to
-// the end of the range: a compensation record (the re-insert a savepoint
-// rollback logged) then always revives its original's slot, and replay
-// reproduces the writer's iteration order. No writer puts a range
-// boundary between a mutation and its compensation.
-func ApplyRange(db *storage.DB, recs []Record) error {
-	sp := db.Savepoint()
-	defer db.Release(sp)
-	for _, rec := range recs {
-		if err := Apply(db, rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Apply redoes one committed mutation record against db. Replay proper
-// goes through ApplyRange; replay oracles apply record by record.
-func Apply(db *storage.DB, rec Record) error {
-	switch rec.Kind {
-	case RecInsert:
-		return db.InsertWithID(rec.Table, rec.ID, rec.Vals)
-	case RecDelete:
-		if db.Delete(rec.Table, rec.ID) == nil {
-			return fmt.Errorf("delete %s #%d: no such tuple", rec.Table, rec.ID)
-		}
-		return nil
-	case RecUpdate:
-		_, err := db.Update(rec.Table, rec.ID, rec.Col, rec.Val)
-		return err
-	default:
-		return fmt.Errorf("unexpected %s record in committed range", rec)
-	}
-}
-
-// span is a half-open range into logScan.muts.
-type span struct{ start, end int }
-
-// logScan is the structural reading of one log file: which mutation
-// records belong to committed, un-aborted transaction ranges.
-type logScan struct {
-	muts      []Record
-	ranges    []span
-	records   int
-	commits   int
-	aborts    int
-	discarded int
-	goodLen   int
-	epoch     uint64 // highest epoch record seen
-}
-
-// scanLog walks the framed records of data, stopping (and marking the
-// truncation point) at the first torn or corrupt record or at an
-// unexpected mid-log snapshot marker. The first record must be the
-// snapshot marker matching wantGen/wantFP — anything else means the log
-// belongs to a different snapshot and the pair is unrecoverable.
-//
-// Range bookkeeping: mutations accumulate as pending; a commit record
-// promotes the pending run to a committed range; a begin record marks
-// where a later abort rolls back to AND discards any pending run in
-// front of it (a stale uncommitted tail from a previous session — see
-// the case comment); an abort discards every range back to its begin
-// (a rule-level ROLLBACK undoes even the assertion-point commits
-// inside its engine transaction, matching Engine semantics); end of
-// log discards the pending run (the uncommitted tail).
-func scanLog(data []byte, wantGen uint64, wantFP [32]byte) (*logScan, error) {
-	s := &logScan{}
-	off := 0
-	first := true
-	pendingStart := 0
-	txMark := 0
-	for off < len(data) {
-		rec, n, err := ReadRecord(data[off:])
-		if err != nil {
-			break // torn-tail rule: truncate here
-		}
-		if first {
-			if rec.Kind != RecSnapshot || rec.Gen != wantGen || rec.FP != wantFP {
-				return nil, fmt.Errorf("%w: log opens with %s, want snapshot marker for gen %d", ErrUnrecoverable, rec, wantGen)
-			}
-			first = false
-		} else {
-			switch rec.Kind {
-			case RecSnapshot:
-				// A marker mid-log means interleaved generations; trust
-				// only the prefix.
-				s.discarded += len(s.muts) - pendingStart
-				s.goodLen = off
-				return s, nil
-			case RecInsert, RecDelete, RecUpdate:
-				s.muts = append(s.muts, rec)
-			case RecCommit:
-				s.ranges = append(s.ranges, span{pendingStart, len(s.muts)})
-				pendingStart = len(s.muts)
-				s.commits++
-			case RecBegin:
-				// A legitimately-written begin always sits at a durable
-				// point with no mutations pending. Anything pending here is
-				// the well-formed uncommitted tail of an earlier session:
-				// Open truncates only torn bytes, so a buffer spill or an
-				// unclean end can leave such a tail in the file, and the
-				// next session appends its begin right after it. Discard it
-				// — otherwise that session's first commit would adopt
-				// mutations every earlier recovery already discarded.
-				s.discarded += len(s.muts) - pendingStart
-				pendingStart = len(s.muts)
-				txMark = len(s.ranges)
-			case RecAbort:
-				s.ranges = s.ranges[:txMark]
-				pendingStart = len(s.muts)
-				s.aborts++
-			case RecEpoch:
-				// A control record, not a mutation: it neither joins nor
-				// disturbs any transaction range (a fence may land
-				// mid-transaction — the pending run around it simply
-				// never commits, because the log refused appends after
-				// it).
-				if rec.Epoch > s.epoch {
-					s.epoch = rec.Epoch
-				}
-			}
-		}
-		off += n
-		s.records++
-		s.goodLen = off
-	}
-	s.discarded += len(s.muts) - pendingStart
-	return s, nil
+	return rp, nil
 }

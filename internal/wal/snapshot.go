@@ -54,13 +54,6 @@ func SnapshotGen(data []byte) (uint64, error) {
 	return gen, nil
 }
 
-// EncodeSnapshot serializes db at the given generation, in the same
-// format written at checkpoints (including the sha256 trailer). Used by
-// replication followers persisting a streamed bootstrap snapshot.
-func EncodeSnapshot(db *storage.DB, gen uint64) []byte {
-	return encodeSnapshot(db, gen)
-}
-
 // encodeSnapshot serializes db at the given generation.
 func encodeSnapshot(db *storage.DB, gen uint64) []byte {
 	b := append([]byte(nil), snapMagic...)
@@ -142,36 +135,33 @@ func decodeSnapshot(data []byte, sch *schema.Schema) (*storage.DB, uint64, error
 	return db, gen, nil
 }
 
-// writeSnapshot atomically installs the snapshot file: write to a temp
-// name, fsync, rename over the final name, then fsync the directory so
-// the rename itself is durable. The rename is the commit point; a crash
-// anywhere before it leaves the previous snapshot untouched, the fsync
-// before it guarantees the renamed file has its contents, and the
-// directory fsync after it guarantees a later power loss cannot revert
-// the name swap (which would pair the old snapshot with the new,
-// already-started log generation).
-func writeSnapshot(fsys FS, dir string, db *storage.DB, gen uint64) error {
-	data := encodeSnapshot(db, gen)
+// InstallSnapshot atomically installs data as dir's snapshot file:
+// write to a temp name, fsync, rename over the final name, then fsync
+// the directory so the rename itself is durable. The rename is the
+// commit point; a crash anywhere before it leaves the previous snapshot
+// untouched, the fsync before it guarantees the renamed file has its
+// contents, and the directory fsync after it guarantees a later power
+// loss cannot revert the name swap (which would pair the old snapshot
+// with the new, already-started log generation). A checkpoint installs
+// its own encoding; a follower installs the bytes its leader streamed.
+func InstallSnapshot(fsys FS, dir string, data []byte) error {
 	tmp := join(dir, "snapshot.tmp")
 	f, err := fsys.Create(tmp)
+	if err == nil {
+		if _, err = f.Write(data); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, SnapshotPath(dir))
+	}
+	if err == nil {
+		err = fsys.SyncDir(dir)
+	}
 	if err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if err := fsys.Rename(tmp, join(dir, snapName)); err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	return nil
