@@ -97,6 +97,8 @@ type (
 	ObservableVerdict = analysis.ObservableVerdict
 	// Violation is one failed Confluence Requirement check.
 	Violation = analysis.Violation
+	// PairTableStats counts the pairs an analysis examined (Lemma 6.1).
+	PairTableStats = analysis.PairTableStats
 	// NoncommuteReason cites a Lemma 6.1 condition.
 	NoncommuteReason = analysis.NoncommuteReason
 	// RestrictedVerdict is the restricted-user-operations result (the
@@ -473,18 +475,23 @@ type Report struct {
 	// Partial holds partial-confluence verdicts for the table sets
 	// requested via AnalyzeTables, keyed by the joined table list.
 	Partial map[string]*PartialConfluenceVerdict
+	// PairTable counts the rule pairs the three verdicts above had to
+	// examine for commutativity, out of all there are.
+	PairTable PairTableStats
 }
 
 // Analyze runs termination, confluence, and observable-determinism
 // analysis with the given certifications (nil for none).
 func (s *System) Analyze(cert *Certification) *Report {
 	a := s.Analyzer(cert)
-	return &Report{
+	rep := &Report{
 		Termination: a.Termination(),
 		Confluence:  a.Confluence(),
 		Observable:  a.ObservableDeterminism(),
 		Partial:     map[string]*PartialConfluenceVerdict{},
 	}
+	rep.PairTable = a.PairTable()
+	return rep
 }
 
 // AnalyzeTables extends a report with partial confluence w.r.t. tables.

@@ -230,6 +230,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if !*quiet {
 		if *stats {
 			fmt.Fprint(stdout, sys.StatsReport(cert))
+			fmt.Fprint(stdout, rep.PairTable)
 		}
 		fmt.Fprint(stdout, rep.String())
 		if *partition {

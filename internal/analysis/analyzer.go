@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"activerules/internal/par"
 	"activerules/internal/rules"
@@ -9,8 +9,9 @@ import (
 )
 
 // Analyzer runs the static analyses over one compiled rule set, honoring
-// a user Certification. Analyzers are cheap to construct; the triggering
-// graph is built lazily and cached.
+// a user Certification. Construction materializes the rule view (three
+// small sorts per rule); the triggering graph and the pair-verdict table
+// are built lazily, on first use, and then kept for the analyzer's life.
 type Analyzer struct {
 	set  *rules.Set
 	cert *Certification
@@ -34,36 +35,123 @@ type Analyzer struct {
 	// means the sequential legacy path.
 	par int
 
-	// commuteCache memoizes Commute results by rule-index pair. The
-	// Confluence Requirement re-checks the same pairs across many
-	// R1 × R2 expansions, and Sig's closure re-checks them across
-	// fixpoint iterations; an Analyzer's inputs (set, certifications,
-	// view) are fixed, so the verdicts never change. Lazily allocated;
-	// cacheMu makes concurrent Commute calls from the parallel passes
-	// safe (a racing pair is computed twice, but the verdict is a pure
-	// function of the pair, so either write is correct).
-	cacheMu      sync.Mutex
-	commuteCache map[[2]int]commuteResult
+	// verdicts memoizes Commute per unordered pair (see verdicts.go). An
+	// analyzer's inputs (set, certifications, view, refinement) are
+	// fixed between SetRefinement calls, so a verdict never changes once
+	// published; nil until the first Commute, and again after
+	// SetRefinement.
+	verdicts atomic.Pointer[verdictTable]
+
+	// computeHook, when set, observes every commuteUncached run. Tests
+	// only: it is how the exact-once tripwire counts Lemma 6.1
+	// evaluations, including those of derived views.
+	computeHook func(view *Analyzer, lo, hi *rules.Rule)
 }
 
-type commuteResult struct {
-	ok      bool
-	reasons []NoncommuteReason
-}
-
-// ruleView abstracts the Performs and Reads sets so that observable-
-// determinism analysis (Section 8) can extend them with the fictional
-// Obs table without touching the rule set.
+// ruleView is the Performs, Reads and Triggered-By sets the analyses see,
+// materialized once per view and indexed by rule: observable-determinism
+// analysis (Section 8) extends Performs and Reads with the fictional Obs
+// table without touching the rule set. Every entry is immutable, so
+// derived views share the entries they do not change.
 type ruleView struct {
-	performs func(*rules.Rule) schema.OpSet
-	reads    func(*rules.Rule) schema.ColSet
+	facts []ruleFacts
+	// tableNo numbers the tables in order of first appearance, for the
+	// entries' table signatures.
+	tableNo map[string]int
 }
 
-func baseView() ruleView {
-	return ruleView{
-		performs: func(r *rules.Rule) schema.OpSet { return r.Performs() },
-		reads:    func(r *rules.Rule) schema.ColSet { return r.Reads() },
+// ruleFacts is one rule's sets in the forms Lemma 6.1 needs: the maps
+// for membership tests, slices sorted once (table, kind, column) for the
+// deterministic iteration that fixes each reported Detail, and two table
+// signatures. Every condition of the lemma, in the direction ri to rj,
+// needs a table that ri performs an operation on and that rj is
+// triggered by, reads or performs an operation on — so when writes(ri)
+// misses touches(rj) and writes(rj) misses touches(ri), the pair
+// commutes and no condition has to be evaluated.
+type ruleFacts struct {
+	performs schema.OpSet
+	reads    schema.ColSet
+
+	performsSorted    []schema.Op
+	readsSorted       []schema.ColumnRef
+	triggeredBySorted []schema.Op
+
+	writes, touches tableSig
+}
+
+// tableSig is a 128-bit signature of a set of tables: table number k
+// sets bit k mod 128. Signatures that do not intersect prove the sets
+// disjoint; past 128 tables a collision can only make disjoint sets look
+// like they intersect, which costs a full evaluation and nothing else.
+type tableSig [2]uint64
+
+func (s *tableSig) add(k int) { s[k/64%2] |= 1 << (k % 64) }
+
+func (s tableSig) intersects(o tableSig) bool { return s[0]&o[0]|s[1]&o[1] != 0 }
+
+// newFacts materializes one rule's entry, numbering the tables it meets
+// for the first time.
+func (v *ruleView) newFacts(r *rules.Rule, performs schema.OpSet, reads schema.ColSet) ruleFacts {
+	f := ruleFacts{
+		performs:          performs,
+		reads:             reads,
+		performsSorted:    performs.Sorted(),
+		readsSorted:       reads.Sorted(),
+		triggeredBySorted: r.TriggeredBy().Sorted(),
 	}
+	number := func(table string) int {
+		k, ok := v.tableNo[table]
+		if !ok {
+			k = len(v.tableNo)
+			v.tableNo[table] = k
+		}
+		return k
+	}
+	for _, op := range f.performsSorted {
+		f.writes.add(number(op.Table))
+	}
+	f.touches = f.writes
+	for _, ref := range f.readsSorted {
+		f.touches.add(number(ref.Table))
+	}
+	for _, op := range f.triggeredBySorted {
+		f.touches.add(number(op.Table))
+	}
+	return f
+}
+
+func baseView(set *rules.Set) ruleView {
+	v := ruleView{facts: make([]ruleFacts, set.Len()), tableNo: map[string]int{}}
+	for i, r := range set.Rules() {
+		v.facts[i] = v.newFacts(r, r.Performs(), r.Reads())
+	}
+	return v
+}
+
+func (v ruleView) of(r *rules.Rule) *ruleFacts         { return &v.facts[r.Index()] }
+func (v ruleView) performs(r *rules.Rule) schema.OpSet { return v.facts[r.Index()].performs }
+func (v ruleView) reads(r *rules.Rule) schema.ColSet   { return v.facts[r.Index()].reads }
+
+// withObs extends the view per Theorem 8.1: each of the given
+// observable rules also performs (I, obs) and reads obs.c — it
+// conceptually timestamps and logs its observable actions in the
+// fictional table obs.
+func (v ruleView) withObs(obs string, observable []*rules.Rule) ruleView {
+	ext := ruleView{
+		facts:   append([]ruleFacts(nil), v.facts...),
+		tableNo: make(map[string]int, len(v.tableNo)+1),
+	}
+	for table, k := range v.tableNo {
+		ext.tableNo[table] = k
+	}
+	for _, r := range observable {
+		performs := v.performs(r).Clone()
+		performs.Add(schema.Insert(obs))
+		reads := v.reads(r).Clone()
+		reads.Add(schema.ColRef(obs, "c"))
+		ext.facts[r.Index()] = ext.newFacts(r, performs, reads)
+	}
+	return ext
 }
 
 // New creates an analyzer for the rule set. cert may be nil (no
@@ -72,7 +160,7 @@ func New(set *rules.Set, cert *Certification) *Analyzer {
 	if cert == nil {
 		cert = NewCertification()
 	}
-	return &Analyzer{set: set, cert: cert, view: baseView()}
+	return &Analyzer{set: set, cert: cert, view: baseView(set)}
 }
 
 // SetParallelism sets the worker count for the pairwise passes: 0 means
@@ -112,9 +200,10 @@ func (a *Analyzer) graph() *TriggeringGraph {
 	return a.tg
 }
 
-// withView derives an analyzer sharing everything but the view (and the
-// commute cache, whose entries depend on the view).
+// withView derives an analyzer sharing everything but the view and the
+// verdict table: a pair's verdict depends on the view (the Obs extension
+// makes observable rules conflict), so each view fills its own.
 func (a *Analyzer) withView(v ruleView) *Analyzer {
 	return &Analyzer{set: a.set, cert: a.cert, view: v, tg: a.tg, par: a.par,
-		refine: a.refine, ref: a.ref}
+		refine: a.refine, ref: a.ref, computeHook: a.computeHook}
 }

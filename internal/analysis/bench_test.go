@@ -186,3 +186,60 @@ func BenchmarkAutoRepair(b *testing.B) {
 		}
 	}
 }
+
+// verdictWorkload is the benchmark's generated rule system (the config
+// of bench/analyze.go's generate): acyclic random rules plus the three
+// cyclic-but-terminating shapes.
+func verdictWorkload(tb testing.TB, seed int64, n int) *workload.Generated {
+	tb.Helper()
+	g, err := workload.Generate(workload.Config{
+		Seed:            seed,
+		Rules:           n,
+		Acyclic:         true,
+		WriteFanout:     2,
+		UpdateFrac:      0.3,
+		DeleteFrac:      0.2,
+		ConditionFrac:   0.5,
+		PriorityDensity: 0.3,
+		ObservableFrac:  0.1,
+		TransRefFrac:    0.3,
+		CyclicShapes:    []string{"countdown", "drain", "converge"},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkShardPlan is the planner from a cold analyzer: every pair it
+// needs is examined once and then read back from the verdict table by
+// each table's Sig closure.
+func BenchmarkShardPlan(b *testing.B) {
+	for _, n := range []int{128, 256} {
+		g := verdictWorkload(b, 1000003+int64(n), n)
+		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if New(g.Set, nil).SetRefinement(true).ShardPlan().NumShards() == 0 {
+					b.Fatal("empty plan")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSigClosure is one Sig({t}) per table over a warm verdict
+// table: the Commute hit path and nothing else.
+func BenchmarkSigClosure(b *testing.B) {
+	g := verdictWorkload(b, 1000003+256, 256)
+	a := New(g.Set, nil).SetRefinement(true)
+	a.ShardPlan()
+	tables := g.Schema.TableNames()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, t := range tables {
+			a.Sig([]string{t})
+		}
+	}
+}

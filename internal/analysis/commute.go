@@ -48,45 +48,56 @@ func (nr NoncommuteReason) String() string {
 // holds in either direction the rules MAY be noncommutative and the
 // reasons are returned; otherwise they are guaranteed to commute. A
 // user certification (Section 6.1) overrides the conservative verdict.
+//
+// The verdict is computed on the first call for a pair and read from the
+// analyzer's verdict table ever after: one atomic load for a pair that
+// commutes, plus a side-map read for the reasons of one that may not.
 func (a *Analyzer) Commute(ri, rj *rules.Rule) (bool, []NoncommuteReason) {
 	if ri == rj {
 		return true, nil
 	}
-	key := [2]int{ri.Index(), rj.Index()}
-	if key[0] > key[1] {
-		key[0], key[1] = key[1], key[0]
-	}
-	a.cacheMu.Lock()
-	res, hit := a.commuteCache[key]
-	a.cacheMu.Unlock()
-	if hit {
-		return res.ok, res.reasons
-	}
-	ok, reasons := a.commuteUncached(ri, rj)
-	a.cacheMu.Lock()
-	if a.commuteCache == nil {
-		a.commuteCache = make(map[[2]int]commuteResult)
-	}
-	a.commuteCache[key] = commuteResult{ok: ok, reasons: reasons}
-	a.cacheMu.Unlock()
-	return ok, reasons
-}
-
-func (a *Analyzer) commuteUncached(ri, rj *rules.Rule) (bool, []NoncommuteReason) {
-	if a.cert.Commutes(ri.Name, rj.Name) {
-		return true, nil
-	}
-	// Evaluate the two directions in canonical (definition) order, not
-	// argument order: the result is cached under the unordered pair, so
-	// a caller-order-dependent reason list would make reports depend on
-	// which caller populated the cache first.
+	// The two directions are evaluated in canonical (definition) order,
+	// not argument order: the verdict is stored under the unordered pair,
+	// so a caller-order-dependent reason list would make reports depend
+	// on which caller examined the pair first.
 	lo, hi := ri, rj
 	if lo.Index() > hi.Index() {
 		lo, hi = hi, lo
 	}
+	t := a.table()
+	k := pairIndex(lo.Index(), hi.Index())
+	switch t.load(k) {
+	case pairCommutes, pairRefined:
+		return true, nil
+	case pairMayNot:
+		return false, t.reasonsOf(k)
+	}
+	st, reasons := a.commuteUncached(lo, hi)
+	t.publish(k, st, reasons)
+	return st != pairMayNot, reasons
+}
+
+// commuteUncached evaluates Lemma 6.1 for the pair lo, hi (in definition
+// order). With parallelism 1 it runs at most once per pair and view: the
+// first examination of a pair is observable (it records the pair's
+// upgrade), so when it happens is part of the analyzer's output.
+func (a *Analyzer) commuteUncached(lo, hi *rules.Rule) (pairState, []NoncommuteReason) {
+	if a.computeHook != nil {
+		a.computeHook(a, lo, hi)
+	}
+	if a.cert.Commutes(lo.Name, hi.Name) {
+		return pairCommutes, nil
+	}
+	fl, fh := a.view.of(lo), a.view.of(hi)
+	if !fl.writes.intersects(fh.touches) && !fh.writes.intersects(fl.touches) {
+		return pairCommutes, nil // no table in common that either writes
+	}
 	reasons := a.noncommuteOneWay(lo, hi)
 	reasons = append(reasons, a.noncommuteOneWay(hi, lo)...) // condition 6
-	if len(reasons) > 0 && a.refine && a.ref != nil {
+	if len(reasons) == 0 {
+		return pairCommutes, nil
+	}
+	if a.refine && a.ref != nil {
 		// Condition-aware refinement: discharge reasons the abstract
 		// interpretation proves spurious. A fully discharged pair is
 		// upgraded to "commutes" and the justifications recorded; a
@@ -94,20 +105,22 @@ func (a *Analyzer) commuteUncached(ri, rj *rules.Rule) (bool, []NoncommuteReason
 		remaining, whys := a.dischargeReasons(lo, hi, reasons)
 		if len(remaining) == 0 {
 			a.ref.recordUpgrade(lo, hi, whys)
+			return pairRefined, nil
 		}
 		reasons = remaining
 	}
-	return len(reasons) == 0, reasons
+	return pairMayNot, reasons
 }
 
 // noncommuteOneWay evaluates conditions 1–5 of Lemma 6.1 with the given
-// direction of ri and rj. The op and column sets are iterated in sorted
-// order so the reported Detail — and therefore every rendered report —
-// is deterministic.
+// direction of ri and rj. The op and column sets are iterated in the
+// view's sorted order so the reported Detail — and therefore every
+// rendered report — is deterministic.
 func (a *Analyzer) noncommuteOneWay(ri, rj *rules.Rule) []NoncommuteReason {
 	var out []NoncommuteReason
-	perfI := a.view.performs(ri).Sorted()
-	perfJ := a.view.performs(rj).Sorted()
+	fi, fj := a.view.of(ri), a.view.of(rj)
+	perfI := fi.performsSorted
+	perfJ := fj.performsSorted
 
 	// 1. rj ∈ Triggers(ri): ri can cause rj to become triggered.
 	for _, op := range perfI {
@@ -124,8 +137,8 @@ func (a *Analyzer) noncommuteOneWay(ri, rj *rules.Rule) []NoncommuteReason {
 	}
 
 	// 3. ri's operations can affect what rj reads.
-	readsJ := a.view.reads(rj)
-	readsJSorted := readsJ.Sorted()
+	readsJ := fj.reads
+	readsJSorted := fj.readsSorted
 	for _, op := range perfI {
 		hit := false
 		var detail string
@@ -173,7 +186,7 @@ func (a *Analyzer) noncommuteOneWay(ri, rj *rules.Rule) []NoncommuteReason {
 	}
 
 	// 5. ri's updates can affect rj's updates of the same column.
-	perfJSet := a.view.performs(rj)
+	perfJSet := fj.performs
 	for _, op := range perfI {
 		if op.Kind != schema.OpUpdate {
 			continue
@@ -204,7 +217,7 @@ func (a *Analyzer) noncommuteOneWay(ri, rj *rules.Rule) []NoncommuteReason {
 		}
 		hit := false
 		var detail string
-		for _, trig := range rj.TriggeredBy().Sorted() {
+		for _, trig := range fj.triggeredBySorted {
 			if trig.Table == op.Table && (trig.Kind == schema.OpDelete || trig.Kind == schema.OpUpdate) {
 				hit = true
 				detail = op.String() + " vs trigger " + trig.String()

@@ -59,32 +59,9 @@ func freshObsName(sch *schema.Schema) string {
 // definitions and terminates.
 func (a *Analyzer) ObservableDeterminism() *ObservableVerdict {
 	obs := freshObsName(a.set.Schema())
-	obsIns := schema.Insert(obs)
-	obsRead := schema.ColRef(obs, "c")
-
-	ext := a.withView(ruleView{
-		performs: func(r *rules.Rule) schema.OpSet {
-			if !r.Observable() {
-				return r.Performs()
-			}
-			out := r.Performs().Clone()
-			out.Add(obsIns)
-			return out
-		},
-		reads: func(r *rules.Rule) schema.ColSet {
-			if !r.Observable() {
-				return r.Reads()
-			}
-			out := r.Reads().Clone()
-			out.Add(obsRead)
-			return out
-		},
-	})
-
-	var obsNames []string
-	for _, r := range a.set.ObservableRules() {
-		obsNames = append(obsNames, r.Name)
-	}
+	observable := a.set.ObservableRules()
+	ext := a.withView(a.view.withObs(obs, observable))
+	obsNames := rules.Names(observable)
 	sort.Strings(obsNames)
 
 	return &ObservableVerdict{

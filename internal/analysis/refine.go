@@ -58,13 +58,12 @@ type CommuteUpgrade struct {
 }
 
 // SetRefinement enables (or disables) condition-aware refinement on the
-// analyzer. Enabling it builds the abstract summaries eagerly and
-// clears the commute cache (verdicts may improve). It returns the
-// analyzer for chaining.
+// analyzer. Enabling it builds the abstract summaries eagerly; either
+// way the verdict table starts over (verdicts depend on it). It must not
+// run concurrently with an analysis. It returns the analyzer for
+// chaining.
 func (a *Analyzer) SetRefinement(on bool) *Analyzer {
-	a.cacheMu.Lock()
-	a.commuteCache = nil
-	a.cacheMu.Unlock()
+	a.verdicts.Store(nil)
 	if !on {
 		a.refine = false
 		a.ref = nil
@@ -596,7 +595,7 @@ func scopesDisjointOnStable(stable map[string]bool, s1, s2 absint.Constraints) b
 // statement summary (e.g. the fictional Obs writes of observable rules)
 // fail conservatively.
 func (a *Analyzer) dischargeCond3(from, to *rules.Rule) (string, bool) {
-	for _, op := range a.view.performs(from).Sorted() {
+	for _, op := range a.view.of(from).performsSorted {
 		var ctxs []*absint.ReadContext
 		covered := map[string]bool{}
 		for _, ctx := range a.ref.ctxs[to.Index()] {
@@ -612,7 +611,7 @@ func (a *Analyzer) dischargeCond3(from, to *rules.Rule) (string, bool) {
 		// read lives outside sqlmini, like the Obs view) and no
 		// discharge is safe.
 		readsTable := false
-		for _, cr := range a.view.reads(to).Sorted() {
+		for _, cr := range a.view.of(to).readsSorted {
 			if cr.Table != op.Table {
 				continue
 			}
@@ -713,13 +712,13 @@ func (a *Analyzer) opInvisibleToCtx(from, to *rules.Rule, op schema.Op, ctx *abs
 // the scope of to's deletes or updates (rescue updates included), so
 // the relative order of the insert and the delete/update is invisible.
 func (a *Analyzer) dischargeCond4(from, to *rules.Rule) (string, bool) {
-	for _, op := range a.view.performs(from).Sorted() {
+	for _, op := range a.view.of(from).performsSorted {
 		if op.Kind != schema.OpInsert {
 			continue
 		}
 		var toWrites []*absint.StmtEffect
 		toTouches := false
-		for _, opJ := range a.view.performs(to).Sorted() {
+		for _, opJ := range a.view.of(to).performsSorted {
 			if opJ.Table == op.Table && (opJ.Kind == schema.OpDelete || opJ.Kind == schema.OpUpdate) {
 				toTouches = true
 			}
@@ -754,7 +753,7 @@ func (a *Analyzer) dischargeCond4(from, to *rules.Rule) (string, bool) {
 // column), so their order is irrelevant.
 func (a *Analyzer) dischargeCond5(from, to *rules.Rule) (string, bool) {
 	perfTo := a.view.performs(to)
-	for _, op := range a.view.performs(from).Sorted() {
+	for _, op := range a.view.of(from).performsSorted {
 		if op.Kind != schema.OpUpdate || !perfTo.Contains(op) {
 			continue
 		}

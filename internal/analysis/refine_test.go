@@ -114,7 +114,7 @@ func TestRefinementConfluence(t *testing.T) {
 }
 
 // TestSetRefinementToggle: turning refinement off restores the raw
-// verdicts (the commute cache must be invalidated both ways).
+// verdicts (the verdict table must start over both ways).
 func TestSetRefinementToggle(t *testing.T) {
 	a := loadFixture(t, nil)
 	set := a.Set()

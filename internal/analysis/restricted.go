@@ -91,39 +91,17 @@ func (a *Analyzer) AnalyzeRestricted(ops schema.OpSet) *RestrictedVerdict {
 // full-set termination.
 func (a *Analyzer) observableOver(members []*rules.Rule, term *TerminationVerdict) *ObservableVerdict {
 	obs := freshObsName(a.set.Schema())
-	obsIns := schema.Insert(obs)
-	obsRead := schema.ColRef(obs, "c")
-	inMembers := make([]bool, a.set.Len())
+	var observable []*rules.Rule
 	for _, r := range members {
-		inMembers[r.Index()] = true
+		if r.Observable() {
+			observable = append(observable, r)
+		}
 	}
-	ext := a.withView(ruleView{
-		performs: func(r *rules.Rule) schema.OpSet {
-			if !r.Observable() || !inMembers[r.Index()] {
-				return r.Performs()
-			}
-			out := r.Performs().Clone()
-			out.Add(obsIns)
-			return out
-		},
-		reads: func(r *rules.Rule) schema.ColSet {
-			if !r.Observable() || !inMembers[r.Index()] {
-				return r.Reads()
-			}
-			out := r.Reads().Clone()
-			out.Add(obsRead)
-			return out
-		},
-	})
+	ext := a.withView(a.view.withObs(obs, observable))
 	// Sig over the member subset only.
 	sig := ext.sigWithin(members, []string{obs})
 	sigTerm := a.TerminationOf(sig)
-	var obsNames []string
-	for _, r := range members {
-		if r.Observable() {
-			obsNames = append(obsNames, r.Name)
-		}
-	}
+	obsNames := rules.Names(observable)
 	sort.Strings(obsNames)
 	return &ObservableVerdict{
 		ObsTable:        obs,

@@ -1,8 +1,6 @@
 package compile
 
 import (
-	"sync"
-
 	"activerules/internal/rules"
 	"activerules/internal/sqlmini"
 	"activerules/internal/storage"
@@ -77,20 +75,12 @@ func Compile(set *rules.Set) *Program {
 	return p
 }
 
-// programCache memoizes Compile per rule set: engines are created
-// freely (per request, per explorer fork, per test), but a set's
-// closures are compiled once. Sets are long-lived and few, so the map
-// stays small.
-var programCache sync.Map // *rules.Set -> *Program
-
-// For returns the (memoized) compiled program for a rule set.
+// For returns the compiled program for a rule set, compiling on the
+// first call: engines are created freely (per request, per explorer
+// fork, per test), but a set's closures are compiled once. The program
+// is memoized on the set itself, so it is collected with it.
 func For(set *rules.Set) *Program {
-	if p, ok := programCache.Load(set); ok {
-		return p.(*Program)
-	}
-	p := Compile(set)
-	actual, _ := programCache.LoadOrStore(set, p)
-	return actual.(*Program)
+	return set.Compiled(func() any { return Compile(set) }).(*Program)
 }
 
 // Matcher returns the set's discrimination network.

@@ -3,6 +3,7 @@ package rules
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"activerules/internal/schema"
 	"activerules/internal/sqlmini"
@@ -17,6 +18,11 @@ type Set struct {
 
 	// higher[i][j] reports ri > rj in the transitive closure of P.
 	higher [][]bool
+
+	// compiled holds the set's compiled program once internal/compile
+	// has built it (see Compiled); it lives and dies with the set.
+	compiledOnce sync.Once
+	compiled     any
 }
 
 // NewSet compiles the definitions against the schema. It validates rule
@@ -193,6 +199,17 @@ func (s *Set) buildPriorities() error {
 		}
 	}
 	return nil
+}
+
+// Compiled returns the set's compiled program, calling build the first
+// time only. The slot belongs to internal/compile, which cannot be
+// imported from here (it imports this package) and so stores its
+// *Program as an any. Keeping the program on the set, not in a table
+// keyed by it, lets the collector free both together: a server builds a
+// new set for every quarantine, readmission, swap and tenant.
+func (s *Set) Compiled(build func() any) any {
+	s.compiledOnce.Do(func() { s.compiled = build() })
+	return s.compiled
 }
 
 // Schema returns the schema the set was compiled against.
