@@ -7,7 +7,9 @@ package activerules_test
 // plus rule processing per op against a long-lived engine — in both
 // modes. Interpreted triggering rescans every rule per step, so its
 // cost grows with rule count; delta-driven triggering touches only the
-// rules the transition could have triggered.
+// rules the transition could have triggered. Each benchmark has a
+// ...Commit twin that ends the transaction after every op, the shape of
+// a served request; the plain ones run one ever-growing transaction.
 //
 // Any `go test -bench 'Compiled'` run refreshes the matching section of
 // BENCH_engine.json (quick_1x for -benchtime=1x, sustained_2s
@@ -107,7 +109,10 @@ var loadScaled = func() func(b *testing.B, kind string, clusters int) *activerul
 
 // benchAssertLoop is the measured body: one small user transition on
 // cluster 0 followed by rule processing, repeated against one engine.
-func benchAssertLoop(b *testing.B, sys *activerules.System, compiled bool, seed, op string) {
+// With commit set every op also ends its transaction, as every served
+// request does: the log is truncated, the marks and the candidate index
+// are reset, and the pending-net memo's generation moves.
+func benchAssertLoop(b *testing.B, sys *activerules.System, compiled, commit bool, seed, op string) {
 	b.Helper()
 	sys.SetCompiled(compiled)
 	eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 10000})
@@ -128,18 +133,23 @@ func benchAssertLoop(b *testing.B, sys *activerules.System, compiled bool, seed,
 		if _, err := eng.Assert(); err != nil {
 			b.Fatal(err)
 		}
+		if commit {
+			if err := eng.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 	b.StopTimer()
 	recordBenchResult(b)
 }
 
-func benchCompiledVsInterpreted(b *testing.B, kind string, rulesPerCluster int, seed, op string) {
+func benchCompiledVsInterpreted(b *testing.B, kind string, rulesPerCluster int, commit bool, seed, op string) {
 	for _, clusters := range []int{1000/rulesPerCluster + 1, 10000/rulesPerCluster + 1} {
 		nRules := clusters * rulesPerCluster
 		sys := loadScaled(b, kind, clusters)
 		for _, mode := range []string{"interpreted", "compiled"} {
 			b.Run(fmt.Sprintf("rules=%d/mode=%s", nRules, mode), func(b *testing.B) {
-				benchAssertLoop(b, sys, mode == "compiled", seed, op)
+				benchAssertLoop(b, sys, mode == "compiled", commit, seed, op)
 			})
 		}
 	}
@@ -149,18 +159,37 @@ func benchCompiledVsInterpreted(b *testing.B, kind string, rulesPerCluster int, 
 // (r_hold fires) while the other N-3 rules sit untriggered — the regime
 // delta-driven triggering exists for.
 func BenchmarkCompiledBank(b *testing.B) {
-	benchCompiledVsInterpreted(b, "bank", 3,
-		"insert into account0 values (1, 'ann', 100), (2, 'bob', 10)",
-		"update account0 set balance = balance - 1 where id = 2")
+	benchCompiledVsInterpreted(b, "bank", 3, false, bankSeed, bankOp)
 }
+
+// BenchmarkCompiledBankCommit is BenchmarkCompiledBank with a Commit
+// after every assertion point — the transaction shape of a served
+// request, which the uncommitted loop (one ever-growing transaction)
+// leaves out.
+func BenchmarkCompiledBankCommit(b *testing.B) {
+	benchCompiledVsInterpreted(b, "bank", 3, true, bankSeed, bankOp)
+}
+
+const (
+	bankSeed = "insert into account0 values (1, 'ann', 100), (2, 'bob', 10)"
+	bankOp   = "update account0 set balance = balance - 1 where id = 2"
+)
 
 // BenchmarkCompiledPowernet: a powered flip on cluster 0's node table
 // considers w_live against a live transition each op.
 func BenchmarkCompiledPowernet(b *testing.B) {
-	benchCompiledVsInterpreted(b, "powernet", 2,
-		"insert into node0 values (1, 'plant', true), (2, 'sub', false);\ninsert into wire0 values (10, 1, 2, false)",
-		"update node0 set powered = false where id = 2")
+	benchCompiledVsInterpreted(b, "powernet", 2, false, powernetSeed, powernetOp)
 }
+
+// BenchmarkCompiledPowernetCommit: the same with a Commit per op.
+func BenchmarkCompiledPowernetCommit(b *testing.B) {
+	benchCompiledVsInterpreted(b, "powernet", 2, true, powernetSeed, powernetOp)
+}
+
+const (
+	powernetSeed = "insert into node0 values (1, 'plant', true), (2, 'sub', false);\ninsert into wire0 values (10, 1, 2, false)"
+	powernetOp   = "update node0 set powered = false where id = 2"
+)
 
 // --- results recorder ---------------------------------------------------
 
@@ -229,8 +258,8 @@ func flushBenchResults() error {
 			"quick":     "go test -bench Compiled -benchtime=1x -run '^$' .",
 			"sustained": "go test -bench Compiled -benchtime=2s -run '^$' .",
 		},
-		Workload: "BenchmarkCompiledBank / BenchmarkCompiledPowernet: one user transition plus rule processing per op against a long-lived engine, on the shipped bank (3 rules/cluster) and powernet (2 rules/cluster) examples replicated to ~1k and ~10k rules; only cluster 0 is touched",
-		Notes:    "mode=interpreted rescans every rule per step; mode=compiled uses the delta-driven candidate index. The ratio at rules=10002 is the headline number and is asserted >= 10x by TestBenchEngineRecorded.",
+		Workload: "BenchmarkCompiledBank / BenchmarkCompiledPowernet: one user transition plus rule processing per op against a long-lived engine, on the shipped bank (3 rules/cluster) and powernet (2 rules/cluster) examples replicated to ~1k and ~10k rules; only cluster 0 is touched. The ...Commit variants end the transaction after every op (Engine.Commit), as a served request does; the plain ones run one ever-growing transaction",
+		Notes:    "mode=interpreted rescans every rule per step; mode=compiled uses the delta-driven candidate index. The ratio at rules=10002 on BenchmarkCompiledBank is the headline number and is asserted >= 10x by TestBenchEngineRecorded. Commit resets the per-rule marks and the candidate bitset, so the ...Commit rows carry an O(rules) term in both modes.",
 	}
 	if data, err := os.ReadFile(benchEngineFile); err == nil {
 		var old benchReport
@@ -339,16 +368,18 @@ func TestBenchEngineRecorded(t *testing.T) {
 	for _, e := range rep.Sustain { // sustained wins when both exist
 		entries[e.Name] = e
 	}
-	for _, name := range []string{
-		"BenchmarkCompiledBank/rules=1002/mode=interpreted",
-		"BenchmarkCompiledBank/rules=1002/mode=compiled",
-		"BenchmarkCompiledBank/rules=10002/mode=interpreted",
-		"BenchmarkCompiledBank/rules=10002/mode=compiled",
-		"BenchmarkCompiledPowernet/rules=1002/mode=interpreted",
-		"BenchmarkCompiledPowernet/rules=1002/mode=compiled",
-		"BenchmarkCompiledPowernet/rules=10002/mode=interpreted",
-		"BenchmarkCompiledPowernet/rules=10002/mode=compiled",
+	var names []string
+	for _, bench := range []string{
+		"BenchmarkCompiledBank", "BenchmarkCompiledPowernet",
+		"BenchmarkCompiledBankCommit", "BenchmarkCompiledPowernetCommit",
 	} {
+		for _, nRules := range []int{1002, 10002} {
+			for _, mode := range []string{"interpreted", "compiled"} {
+				names = append(names, fmt.Sprintf("%s/rules=%d/mode=%s", bench, nRules, mode))
+			}
+		}
+	}
+	for _, name := range names {
 		e, ok := entries[name]
 		if !ok {
 			t.Errorf("%s: workload %s not recorded", benchEngineFile, name)

@@ -141,6 +141,9 @@ type Engine struct {
 	// the net effect of the log suffix from marks[i].
 	marks []int
 
+	// memo[i] is rule i's memoized pending net (see pendingNet).
+	memo []pendingMemo
+
 	// tx is the storage savepoint taken at transaction start: rollback
 	// is RollbackTo(tx), Commit releases it, and each takes the next.
 	tx storage.Savepoint
@@ -160,6 +163,24 @@ type Engine struct {
 	// candidate bitset for delta-driven triggering.
 	prog *compile.Program
 	cand *compile.Candidates
+
+	// netHook, when set, observes every pendingNet answer: the net, the
+	// trigger bit, and whether it was computed or served from the memo.
+	// Tests use it to compare answers with a fresh recomputation and to
+	// count computations. Clone carries it to forks.
+	netHook func(e *Engine, r *rules.Rule, net *transition.Net, triggered, computed bool)
+}
+
+// pendingMemo is one rule's memoized pending net: the net effect, on the
+// rule's table, of the log suffix [mark, upTo), computed at truncation
+// generation gen, and whether it satisfies the rule's transition
+// predicate. The net is immutable; forks share it.
+type pendingMemo struct {
+	net       *transition.Net
+	triggered bool
+	mark      int
+	upTo      int
+	gen       uint64
 }
 
 // New creates an engine over db for the rule set and opens its first
@@ -182,6 +203,7 @@ func New(set *rules.Set, db *storage.DB, opts Options) *Engine {
 		log:   &transition.Log{},
 		opts:  opts,
 		marks: make([]int, set.Len()),
+		memo:  make([]pendingMemo, set.Len()),
 	}
 	if opts.Compiled {
 		e.prog = compile.For(set)
@@ -358,49 +380,81 @@ func (e *Engine) atomically(body func() error, onPanic func(*PanicError) error) 
 // emptyNet is the shared net effect of an untouched suffix.
 var emptyNet = transition.EmptyNet()
 
-// pendingNet computes the composite transition rule r has not yet seen,
+// pendingNet returns the composite transition rule r has not yet seen,
 // restricted to r's table — all that r's transition predicate and
-// transition tables can depend on. When the log has no entry on r's
-// table past r's mark, the shared empty net is returned without any
-// computation.
-func (e *Engine) pendingNet(r *rules.Rule) *transition.Net {
-	mark := e.marks[r.Index()]
-	if e.log.LastTouch(r.Table) < mark {
-		return emptyNet
+// transition tables can depend on — and whether that transition triggers
+// r (Section 2). It is the engine's only net-effect computation: the
+// trigger scan, Consider and the state fingerprints all read through it.
+//
+// When the log has no entry on r's table past r's mark, the shared empty
+// net is returned without any computation. Otherwise the answer is
+// memoized per rule. A rule's pending net is a function of its mark, the
+// log entries on its table at or after the mark, and the current values
+// of the tuples those entries name; every value change on a table
+// appends an entry on that table. So a memoized net stays exact while
+// r's mark is where it was, no entry has been removed from the log (the
+// log's generation) and none has been appended on r's table since (its
+// last touch precedes the position the net was computed at). DESIGN.md
+// §11 "Pending nets are memoized" walks every way the log, the marks and
+// the database move.
+func (e *Engine) pendingNet(r *rules.Rule) (net *transition.Net, triggered bool) {
+	i := r.Index()
+	mark, last := e.marks[i], e.log.LastTouch(r.Table)
+	computed := false
+	if last < mark {
+		net = emptyNet
+	} else {
+		m := &e.memo[i]
+		if m.net == nil || m.mark != mark || m.gen != e.log.Gen() || last >= m.upTo {
+			computed = true
+			n := transition.ComputeTable(e.log, mark, e.db, r.Table)
+			*m = pendingMemo{
+				net:       n,
+				triggered: n.Ops().Intersects(r.TriggeredBy()),
+				mark:      mark,
+				upTo:      e.log.Mark(),
+				gen:       e.log.Gen(),
+			}
+		}
+		net, triggered = m.net, m.triggered
 	}
-	return transition.ComputeTable(e.log, mark, e.db, r.Table)
+	if e.netHook != nil {
+		e.netHook(e, r, net, triggered, computed)
+	}
+	return net, triggered
 }
 
 // TriggeredRules returns the currently triggered rules in definition
 // order: those whose transition predicate holds over their pending
-// transition (Section 2).
+// transition (Section 2). The predicate is read from pendingNet, so a
+// scan recomputes a rule's net only if its mark moved or its table was
+// written since the last scan; every other triggered rule costs one
+// memo lookup.
 //
 // In compiled mode only candidate rules are examined — rules marked by
 // a recorded operation of a kind they watch on their table. Candidacy
 // over-approximates triggering (DESIGN.md §11 proves a triggered rule
 // is always a candidate), and the exact transition predicate is still
-// evaluated per candidate, so both modes return identical slices. A
+// read per candidate, so both modes return identical slices. A
 // candidate whose watched kinds have no log entry at or past its mark
 // can never become triggered without a new Note, so its bit is cleared.
 func (e *Engine) TriggeredRules() []*rules.Rule {
+	var out []*rules.Rule
+	rs := e.set.Rules()
 	if e.cand != nil {
-		var out []*rules.Rule
-		rs := e.set.Rules()
 		e.cand.ForEach(func(i int) {
 			if e.cand.StaleAt(i, e.log, e.marks[i]) {
 				e.cand.Clear(i)
 				return
 			}
-			r := rs[i]
-			if e.pendingNet(r).Ops().Intersects(r.TriggeredBy()) {
-				out = append(out, r)
+			if _, triggered := e.pendingNet(rs[i]); triggered {
+				out = append(out, rs[i])
 			}
 		})
 		return out
 	}
-	var out []*rules.Rule
-	for _, r := range e.set.Rules() {
-		if e.pendingNet(r).Ops().Intersects(r.TriggeredBy()) {
+	for _, r := range rs {
+		if _, triggered := e.pendingNet(r); triggered {
 			out = append(out, r)
 		}
 	}
@@ -443,7 +497,8 @@ func transitionDataFor(n *transition.Net, table string) *sqlmini.TransitionData 
 func (e *Engine) Consider(r *rules.Rule) (fired bool, events []ObservableEvent, rolledBack bool, err error) {
 	prevMark := e.marks[r.Index()]
 	err = e.atomically(func() error {
-		td := transitionDataFor(e.pendingNet(r), r.Table)
+		net, _ := e.pendingNet(r)
+		td := transitionDataFor(net, r.Table)
 		e.marks[r.Index()] = e.log.Mark()
 		if r.Condition != nil {
 			var cond bool
@@ -615,8 +670,10 @@ func (e *Engine) AssertContext(ctx context.Context) (Result, error) {
 			return res, ErrMaxSteps
 		}
 		r := e.opts.Strategy.Pick(eligible)
-		e.trace(TraceEvent{Kind: "choose", Rule: r.Name,
-			Triggered: names(triggered), Eligible: names(eligible)})
+		if e.opts.Trace != nil { // the name slices are built for the hook alone
+			e.trace(TraceEvent{Kind: "choose", Rule: r.Name,
+				Triggered: names(triggered), Eligible: names(eligible)})
+		}
 		if res.Considered >= trackFrom {
 			chosen = append(chosen, r.Name)
 		}
@@ -715,6 +772,7 @@ func (e *Engine) Clone() *Engine {
 	ne.db = e.db.Fork()
 	ne.log = e.log.Clone()
 	ne.marks = append([]int(nil), e.marks...)
+	ne.memo = append([]pendingMemo(nil), e.memo...)
 	if e.cand != nil {
 		ne.cand = e.cand.Clone()
 	}
@@ -734,7 +792,8 @@ func (e *Engine) StateFingerprint() string {
 	out := make([]byte, 0, 32+len(e.marks)*33)
 	out = append(out, fp[:]...)
 	for _, r := range e.set.Rules() {
-		nf := e.pendingNet(r).TableFingerprint(r.Table)
+		net, _ := e.pendingNet(r)
+		nf := net.TableFingerprint(r.Table)
 		out = append(out, '|')
 		out = append(out, nf[:]...)
 	}
@@ -752,7 +811,8 @@ func (e *Engine) StateHash() [32]byte {
 	fp := e.db.Fingerprint()
 	h.Write(fp[:])
 	for _, r := range e.set.Rules() {
-		nf := e.pendingNet(r).TableFingerprint(r.Table)
+		net, _ := e.pendingNet(r)
+		nf := net.TableFingerprint(r.Table)
 		h.Write([]byte{'|'})
 		h.Write(nf[:])
 	}
@@ -779,8 +839,8 @@ func (e *Engine) TRStateFingerprint() string {
 	out := make([]byte, 0, 64)
 	out = append(out, fp[:]...)
 	for _, r := range e.set.Rules() {
-		net := e.pendingNet(r)
-		if !net.Ops().Intersects(r.TriggeredBy()) {
+		net, triggered := e.pendingNet(r)
+		if !triggered {
 			continue
 		}
 		nf := net.TableFingerprint(r.Table)

@@ -1,0 +1,375 @@
+package engine
+
+// The pending-net memo's two oracles. pendingNet is the engine's only
+// net-effect computation and every answer it gives passes through the
+// netHook seam, so (1) a differential check can compare each answer —
+// memo hit, miss, or the empty-net shortcut, with its trigger bit —
+// against a fresh transition.ComputeTable, across every way the log,
+// the marks and the database move; and (2) a counting check can pin how
+// often the computation actually runs.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"activerules/internal/rules"
+	"activerules/internal/transition"
+	"activerules/internal/workload"
+)
+
+// recomputeOracle is the check mode: installed as an engine's netHook it
+// compares every pendingNet answer with a fresh computation and keeps
+// the first disagreement. The seeded-bug control sets stop, which makes
+// the oracle panic with the disagreement instead of letting the engine
+// act on a wrong answer (the trigger scan reads every net before
+// Consider does, so the panic is not inside a consideration's recover),
+// and may set mutate, which runs after each answer to corrupt the memo.
+type recomputeOracle struct {
+	hits   int // answers served from the memo
+	err    error
+	stop   bool
+	mutate func(e *Engine, r *rules.Rule)
+}
+
+func (o *recomputeOracle) hook(e *Engine, r *rules.Rule, net *transition.Net, triggered, computed bool) {
+	if !computed && net != emptyNet {
+		o.hits++
+	}
+	if o.err == nil {
+		fresh := transition.ComputeTable(e.log, e.marks[r.Index()], e.db, r.Table)
+		if diff := diffNets(net, fresh, r.Table); diff != "" {
+			o.err = fmt.Errorf("rule %s (mark %d, log %d, computed=%v): %s",
+				r.Name, e.marks[r.Index()], e.log.Mark(), computed, diff)
+		} else if want := fresh.Ops().Intersects(r.TriggeredBy()); triggered != want {
+			o.err = fmt.Errorf("rule %s: trigger bit %v, recomputed %v", r.Name, triggered, want)
+		}
+	}
+	if o.stop && o.err != nil {
+		panic(o.err)
+	}
+	if o.mutate != nil {
+		o.mutate(e, r)
+	}
+}
+
+// diffNets compares everything a consumer can read off a rule's pending
+// net: the digest, the transition tables row by row in order, the
+// updated columns and the operation set.
+func diffNets(got, want *transition.Net, table string) string {
+	if got.Fingerprint() != want.Fingerprint() {
+		return "fingerprints differ"
+	}
+	if got.TableFingerprint(table) != want.TableFingerprint(table) {
+		return "table fingerprints differ"
+	}
+	g, w := got.Table(table), want.Table(table)
+	if (g == nil) != (w == nil) {
+		return fmt.Sprintf("table net present=%v, want %v", g != nil, w != nil)
+	}
+	if g != nil {
+		switch {
+		case !reflect.DeepEqual(g.Inserted, w.Inserted):
+			return fmt.Sprintf("inserted %v, want %v", g.Inserted, w.Inserted)
+		case !reflect.DeepEqual(g.Deleted, w.Deleted):
+			return fmt.Sprintf("deleted %v, want %v", g.Deleted, w.Deleted)
+		case !reflect.DeepEqual(g.Updated, w.Updated):
+			return fmt.Sprintf("updated %v, want %v", g.Updated, w.Updated)
+		case !reflect.DeepEqual(g.UpdatedColumns, w.UpdatedColumns):
+			return fmt.Sprintf("updated columns %v, want %v", g.UpdatedColumns, w.UpdatedColumns)
+		}
+	}
+	if !reflect.DeepEqual(got.Ops(), want.Ops()) {
+		return fmt.Sprintf("ops %s, want %s", got.Ops(), want.Ops())
+	}
+	return ""
+}
+
+// fingerprints reads every rule's pending net through the three state
+// digests, so the oracle sees answers for untriggered rules too.
+func fingerprints(e *Engine) {
+	e.StateFingerprint()
+	e.StateHash()
+	e.TRStateFingerprint()
+}
+
+// oracleScenario rides the clone oracle's seeded scenario (scripts that
+// fail and panic midway, failing, panicking, cancelled and resumed
+// assertions, rule and caller rollback, commit) with the check mode on,
+// and adds between its steps what the scenario lacks: the state digests,
+// RebuildTriggerIndex, and pairs of forks of which one is stepped before
+// the parent moves on and the other after.
+func oracleScenario(t *testing.T, compiled bool, seed int64, o *recomputeOracle, dropGen bool) {
+	rng := rand.New(rand.NewSource(seed * 7919))
+	var held *Engine
+	step := func(fork *Engine) {
+		if dropGen {
+			syncGen(fork)
+		}
+		fingerprints(fork)
+		fork.Assert() // an error leaves it suspended; the hook is the check
+		fingerprints(fork)
+	}
+	rollbackScenario(t, compiled, seed, func(n int, e *Engine) {
+		e.netHook = o.hook
+		if dropGen {
+			syncGen(e)
+		}
+		if held != nil {
+			step(held) // the parent moved first
+			held = nil
+		}
+		switch rng.Intn(4) {
+		case 0:
+			fingerprints(e)
+		case 1:
+			e.RebuildTriggerIndex()
+		case 2:
+			a, b := e.Clone(), e.Clone()
+			step(a) // the fork moves first
+			held = b
+		}
+	})
+}
+
+// syncGen is the seeded bug "the validity test forgot the generation":
+// every memo slot claims the log's current one.
+func syncGen(e *Engine) {
+	for i := range e.memo {
+		e.memo[i].gen = e.log.Gen()
+	}
+}
+
+// TestPendingNetMemoDifferential: memo ≡ recompute, interpreted and
+// compiled, on the clone oracle's scenarios and on the generated
+// configurations of the compile differential battery.
+func TestPendingNetMemoDifferential(t *testing.T) {
+	for _, compiled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("scenario/compiled=%v", compiled), func(t *testing.T) {
+			hits := 0
+			for seed := int64(1); seed <= 25; seed++ {
+				o := &recomputeOracle{}
+				oracleScenario(t, compiled, seed, o, false)
+				if o.err != nil {
+					t.Fatalf("seed=%d: %v", seed, o.err)
+				}
+				hits += o.hits
+			}
+			if hits == 0 {
+				t.Error("no answer came from the memo")
+			}
+		})
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		for _, acyclic := range []bool{true, false} {
+			for _, transFrac := range []float64{0, 0.6} {
+				for _, condFrac := range []float64{0.3, 0.9} {
+					name := fmt.Sprintf("generated/seed=%d/acyclic=%v/trans=%.1f/cond=%.1f", seed, acyclic, transFrac, condFrac)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						g, err := workload.Generate(workload.Config{
+							Seed: seed, Rules: 12, Tables: 4, Acyclic: acyclic,
+							WriteFanout: 2, UpdateFrac: 0.3, DeleteFrac: 0.15,
+							ConditionFrac: condFrac, TransRefFrac: transFrac,
+							ObservableFrac: 0.3, PriorityDensity: 0.2,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, compiled := range []bool{false, true} {
+							generatedOracleRun(t, g, compiled, seed)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// generatedOracleRun drives one generated rule set through three
+// assertion points and a commit with the check mode on, a fork racing
+// the parent through each assertion. Cyclic sets exhaust the (small)
+// budget or livelock, which puts StateFingerprint on the path too.
+func generatedOracleRun(t *testing.T, g *workload.Generated, compiled bool, seed int64) {
+	o := &recomputeOracle{}
+	e := New(g.Set, workload.SeedDatabase(g.Schema, 3), Options{Compiled: compiled, MaxSteps: 100, LivelockWindow: 20})
+	e.netHook = o.hook
+	rng := rand.New(rand.NewSource(seed * 31))
+	for seg := 0; seg < 3; seg++ {
+		if _, err := e.ExecUser(workload.UserScript(g.Schema, rng, 3)); err != nil {
+			t.Fatal(err)
+		}
+		fingerprints(e)
+		fork := e.Clone()
+		e.Assert()
+		fork.Assert()
+		fingerprints(e)
+		if seg == 1 {
+			if err := e.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if o.err != nil {
+		t.Fatalf("compiled=%v: %v", compiled, o.err)
+	}
+}
+
+// TestPendingNetMemoDifferentialCatchesMutations seeds the two bugs the
+// validity test can have — forgetting the generation, forgetting the
+// computed-at position — and requires the oracle to catch each: the
+// differential above is only as good as the scenarios' reach.
+func TestPendingNetMemoDifferentialCatchesMutations(t *testing.T) {
+	mutations := []struct {
+		name    string
+		dropGen bool
+		mutate  func(e *Engine, r *rules.Rule)
+	}{
+		{name: "drop gen", dropGen: true},
+		{name: "drop upTo", mutate: func(e *Engine, r *rules.Rule) {
+			e.memo[r.Index()].upTo = math.MaxInt
+		}},
+	}
+	for _, m := range mutations {
+		for _, compiled := range []bool{false, true} {
+			caught := 0
+			for seed := int64(1); seed <= 25; seed++ {
+				o := &recomputeOracle{stop: true, mutate: m.mutate}
+				func() {
+					defer func() {
+						if p := recover(); p != nil && p != any(o.err) {
+							panic(p)
+						}
+					}()
+					oracleScenario(t, compiled, seed, o, m.dropGen)
+				}()
+				if o.err != nil {
+					caught++
+				}
+			}
+			t.Logf("%s, compiled=%v: caught on %d of 25 seeds", m.name, compiled, caught)
+			if caught == 0 {
+				t.Errorf("%s, compiled=%v: no scenario caught the seeded bug", m.name, compiled)
+			}
+		}
+	}
+}
+
+// fanChain builds the serving-cascade shape: a chain c0 -> c1 -> ... of
+// depth rules, and fan rules on the chain head that stay triggered, on a
+// table nothing else writes, while the chain runs.
+func fanChain(t *testing.T, depth, fan int, compiled bool) *Engine {
+	var sch, rl strings.Builder
+	for i := 0; i <= depth; i++ {
+		fmt.Fprintf(&sch, "table c%d (v int)\n", i)
+	}
+	for i := 0; i < depth; i++ {
+		fmt.Fprintf(&rl, "create rule chain%03d on c%d when inserted then insert into c%d select v from inserted\n\n", i, i, i+1)
+	}
+	for j := 0; j < fan; j++ {
+		fmt.Fprintf(&sch, "table f%d (v int)\n", j)
+		fmt.Fprintf(&rl, "create rule fan%03d on c0 when inserted then insert into f%d select v from inserted\n\n", j, j)
+	}
+	set, db := mkSet(t, sch.String(), rl.String())
+	e := New(set, db, Options{Compiled: compiled})
+	if _, err := e.ExecUser("insert into c0 values (1), (2), (3)"); err != nil {
+		t.Fatal(err)
+	}
+	e.BeginAssert()
+	return e
+}
+
+// chainStep is one step of rule processing with the default strategy:
+// scan, choose, consider. The chain rules sort before the fan rules.
+func chainStep(t *testing.T, e *Engine) *rules.Rule {
+	eligible := e.set.Choose(e.TriggeredRules())
+	if len(eligible) == 0 {
+		t.Fatal("nothing eligible")
+	}
+	r := FirstByName{}.Pick(eligible)
+	if _, _, _, err := e.Consider(r); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestTriggerScanComputesEachNetOnce pins the cost model of the memo on
+// the cascade shape: one net computation per (rule, change to its table
+// or mark) — not one per triggered rule per step.
+func TestTriggerScanComputesEachNetOnce(t *testing.T) {
+	const depth, fan = 12, 8
+	for _, compiled := range []bool{false, true} {
+		e := fanChain(t, depth, fan, compiled)
+		computed := map[string]int{}
+		e.netHook = func(_ *Engine, r *rules.Rule, _ *transition.Net, _, c bool) {
+			if c {
+				computed[r.Name]++
+			}
+		}
+		total := func() (n int) {
+			for _, c := range computed {
+				n += c
+			}
+			return n
+		}
+
+		// The first scan computes the net of every rule on c0, once.
+		triggered := e.TriggeredRules()
+		if len(triggered) != 1+fan || total() != 1+fan {
+			t.Fatalf("compiled=%v: first scan: %d triggered, %d nets computed, want %d of each",
+				compiled, len(triggered), total(), 1+fan)
+		}
+		// A second scan, the digests, and considering a scanned rule
+		// compute nothing.
+		e.TriggeredRules()
+		fingerprints(e)
+		if r := chainStep(t, e); r.Name != "chain000" || total() != 1+fan {
+			t.Fatalf("compiled=%v: considered %s after %d computations, want chain000 after %d",
+				compiled, r.Name, total(), 1+fan)
+		}
+		// Each further chain step computes exactly the next chain
+		// rule's net: the fan siblings stay triggered and untouched.
+		for i := 1; i < depth; i++ {
+			before := total()
+			r := chainStep(t, e)
+			if want := fmt.Sprintf("chain%03d", i); r.Name != want || total() != before+1 || computed[want] != 1 {
+				t.Fatalf("compiled=%v: step %d considered %s with %d computations (%d for it), want %s with 1",
+					compiled, i, r.Name, total()-before, computed[r.Name], want)
+			}
+		}
+		// The fan rules then run off the nets of the first scan.
+		before := total()
+		for j := 0; j < fan; j++ {
+			chainStep(t, e)
+		}
+		if len(e.TriggeredRules()) != 0 || total() != before {
+			t.Fatalf("compiled=%v: the fan rules recomputed %d nets", compiled, total()-before)
+		}
+		for name, c := range computed {
+			if c != 1 {
+				t.Errorf("compiled=%v: %s's net was computed %d times", compiled, name, c)
+			}
+		}
+	}
+}
+
+// TestTriggerScanAllocsFlatInSiblings: a step's allocations must not
+// grow with the number of triggered siblings it leaves untouched.
+func TestTriggerScanAllocsFlatInSiblings(t *testing.T) {
+	const runs = 20
+	perStep := func(fan int) float64 {
+		e := fanChain(t, runs+2, fan, true)
+		chainStep(t, e) // fills the siblings' nets
+		return testing.AllocsPerRun(runs, func() { chainStep(t, e) })
+	}
+	few, many := perStep(8), perStep(64)
+	// The two result slices (triggered, eligible) grow by doubling: 3
+	// more doublings each from 9 to 65 rules. A recomputed sibling net
+	// costs tens of allocations, so 56 of them cannot hide in that.
+	if many > few+6 {
+		t.Errorf("allocations per step: %.0f with 8 untouched siblings, %.0f with 64", few, many)
+	}
+}

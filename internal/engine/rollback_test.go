@@ -227,6 +227,21 @@ func (m fusedMutator) Update(table string, id storage.TupleID, col string, v sto
 // allocator), in place. Forks taken mid-transaction must roll back to
 // the same state without touching their parent, and vice versa.
 func TestRollbackMatchesCloneOracle(t *testing.T) {
+	for _, compiled := range []bool{false, true} {
+		for seed := int64(1); seed <= 25; seed++ {
+			t.Run(fmt.Sprintf("compiled=%v/seed=%d", compiled, seed), func(t *testing.T) {
+				rollbackScenario(t, compiled, seed, nil)
+			})
+		}
+	}
+}
+
+// rollbackScenario runs one seeded scenario of the clone oracle. each,
+// when non-nil, is called with the engine before every step and once
+// after the last; it must not draw from the scenario's own randomness
+// (the memo oracle in memo_test.go rides along this way).
+func rollbackScenario(t *testing.T, compiled bool, seed int64, each func(step int, e *Engine)) {
+	const steps = 60
 	const schemaSrc = "table t (v int)\ntable u (v int)\ntable w (v int)"
 	const rulesSrc = `
 create rule r_bad on t when inserted
@@ -246,138 +261,138 @@ then delete from t where v > 80; update w set v = v + 1
 `
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, compiled := range []bool{false, true} {
-		for seed := int64(1); seed <= 25; seed++ {
-			t.Run(fmt.Sprintf("compiled=%v/seed=%d", compiled, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				set, db := mkSet(t, schemaSrc, rulesSrc)
-				db.MustInsert("w", storage.IntV(0))
-				f := &fuse{}
-				e := New(set, db, Options{Compiled: compiled, WrapMutator: f.wrap})
-				oracle := db.Clone()
-				value := func() int {
-					v := rng.Intn(100)
-					if v == 13 {
-						v = 14
-					}
-					return v
-				}
-				script := func() string {
-					src := ""
-					for n := 1 + rng.Intn(3); n > 0; n-- {
-						switch rng.Intn(6) {
-						case 0, 1:
-							src += fmt.Sprintf("insert into t values (%d); ", value())
-						case 2:
-							src += fmt.Sprintf("update t set v = v + 100 where v < %d; ", value())
-						case 3:
-							src += fmt.Sprintf("delete from t where v < %d; ", value())
-						case 4:
-							src += "delete from u; " // mass delete: the compaction shape
-						case 5:
-							src += fmt.Sprintf("insert into w values (%d); ", value())
-						}
-					}
-					return src
-				}
-				// settle runs rule processing to quiescence, resuming past
-				// a blown fuse (a failed or panicked consideration).
-				settle := func(e *Engine) Result {
-					t.Helper()
-					res, err := e.Assert()
-					f.in = 0
-					if err != nil {
-						if res, err = e.Assert(); err != nil {
-							t.Fatalf("resumed assert: %v", err)
-						}
-					}
-					return res
-				}
-				rolledBack := func(when string) {
-					t.Helper()
-					if e.DB() != db {
-						t.Fatalf("%s: rollback replaced the engine's database", when)
-					}
-					sameState(t, when, db, oracle)
-				}
-				for step := 0; step < 60; step++ {
-					when := fmt.Sprintf("step %d", step)
-					switch op := rng.Intn(10); op {
-					case 0, 1: // script, possibly failing or panicking midway
-						f.in, f.panic = rng.Intn(4), rng.Intn(2) == 0
-						before := db.Clone()
-						if _, err := e.ExecUser(script()); err != nil {
-							sameState(t, when+": failed script", db, before)
-						}
-						f.in = 0
-					case 2: // script whose last statement fails
-						before := db.Clone()
-						if _, err := e.ExecUser(script() + "insert into t values (1/0)"); err == nil {
-							t.Fatalf("%s: division by zero did not fail the script", when)
-						}
-						sameState(t, when+": failed script", db, before)
-					case 3: // assertion, with a consideration failing or panicking
-						f.in, f.panic = rng.Intn(3), rng.Intn(2) == 0
-						settle(e)
-					case 4: // cancelled assertion, left suspended for a later resume
-						if _, err := e.AssertContext(cancelled); err == nil {
-							t.Fatalf("%s: cancelled assert succeeded", when)
-						}
-					case 5: // rule-directed rollback
-						if _, err := e.ExecUser(script() + "insert into t values (-1)"); err != nil {
-							t.Fatal(err)
-						}
-						if res := settle(e); !res.RolledBack {
-							t.Fatalf("%s: r_guard did not roll back", when)
-						}
-						rolledBack(when + ": rule rollback")
-					case 6: // a consideration that fails every time: only Rollback clears it
-						if _, err := e.ExecUser("insert into t values (13)"); err != nil {
-							t.Fatal(err)
-						}
-						var xe *ExecError
-						if _, err := e.Assert(); !errors.As(err, &xe) || xe.Rule != "r_bad" {
-							t.Fatalf("%s: assert = %v, want r_bad's *ExecError", when, err)
-						}
-						if err := e.Rollback(); err != nil {
-							t.Fatal(err)
-						}
-						rolledBack(when + ": Rollback after failed consideration")
-					case 7: // caller rollback, wherever processing stands
-						if err := e.Rollback(); err != nil {
-							t.Fatal(err)
-						}
-						rolledBack(when + ": Rollback")
-					case 8:
-						if err := e.Commit(); err != nil {
-							t.Fatal(err)
-						}
-						oracle = db.Clone()
-					case 9: // fork mid-transaction; roll each side back under the other
-						mid := db.Clone()
-						fork := e.Clone()
-						if err := fork.Rollback(); err != nil {
-							t.Fatal(err)
-						}
-						sameState(t, when+": fork rollback", fork.DB(), oracle)
-						sameState(t, when+": parent under fork rollback", db, mid)
-						fork = e.Clone()
-						if err := e.Rollback(); err != nil {
-							t.Fatal(err)
-						}
-						rolledBack(when + ": parent rollback")
-						sameState(t, when+": fork under parent rollback", fork.DB(), mid)
-						// The fork is a working engine in the same transaction.
-						if res := settle(fork); !res.RolledBack {
-							if err := fork.Rollback(); err != nil {
-								t.Fatal(err)
-							}
-						}
-						sameState(t, when+": fork rollback after parent's", fork.DB(), oracle)
-					}
-				}
-			})
+	rng := rand.New(rand.NewSource(seed))
+	set, db := mkSet(t, schemaSrc, rulesSrc)
+	db.MustInsert("w", storage.IntV(0))
+	f := &fuse{}
+	e := New(set, db, Options{Compiled: compiled, WrapMutator: f.wrap})
+	oracle := db.Clone()
+	value := func() int {
+		v := rng.Intn(100)
+		if v == 13 {
+			v = 14
 		}
+		return v
+	}
+	script := func() string {
+		src := ""
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			switch rng.Intn(6) {
+			case 0, 1:
+				src += fmt.Sprintf("insert into t values (%d); ", value())
+			case 2:
+				src += fmt.Sprintf("update t set v = v + 100 where v < %d; ", value())
+			case 3:
+				src += fmt.Sprintf("delete from t where v < %d; ", value())
+			case 4:
+				src += "delete from u; " // mass delete: the compaction shape
+			case 5:
+				src += fmt.Sprintf("insert into w values (%d); ", value())
+			}
+		}
+		return src
+	}
+	// settle runs rule processing to quiescence, resuming past
+	// a blown fuse (a failed or panicked consideration).
+	settle := func(e *Engine) Result {
+		t.Helper()
+		res, err := e.Assert()
+		f.in = 0
+		if err != nil {
+			if res, err = e.Assert(); err != nil {
+				t.Fatalf("resumed assert: %v", err)
+			}
+		}
+		return res
+	}
+	rolledBack := func(when string) {
+		t.Helper()
+		if e.DB() != db {
+			t.Fatalf("%s: rollback replaced the engine's database", when)
+		}
+		sameState(t, when, db, oracle)
+	}
+	for step := 0; step < steps; step++ {
+		if each != nil {
+			each(step, e)
+		}
+		when := fmt.Sprintf("step %d", step)
+		switch op := rng.Intn(10); op {
+		case 0, 1: // script, possibly failing or panicking midway
+			f.in, f.panic = rng.Intn(4), rng.Intn(2) == 0
+			before := db.Clone()
+			if _, err := e.ExecUser(script()); err != nil {
+				sameState(t, when+": failed script", db, before)
+			}
+			f.in = 0
+		case 2: // script whose last statement fails
+			before := db.Clone()
+			if _, err := e.ExecUser(script() + "insert into t values (1/0)"); err == nil {
+				t.Fatalf("%s: division by zero did not fail the script", when)
+			}
+			sameState(t, when+": failed script", db, before)
+		case 3: // assertion, with a consideration failing or panicking
+			f.in, f.panic = rng.Intn(3), rng.Intn(2) == 0
+			settle(e)
+		case 4: // cancelled assertion, left suspended for a later resume
+			if _, err := e.AssertContext(cancelled); err == nil {
+				t.Fatalf("%s: cancelled assert succeeded", when)
+			}
+		case 5: // rule-directed rollback
+			if _, err := e.ExecUser(script() + "insert into t values (-1)"); err != nil {
+				t.Fatal(err)
+			}
+			if res := settle(e); !res.RolledBack {
+				t.Fatalf("%s: r_guard did not roll back", when)
+			}
+			rolledBack(when + ": rule rollback")
+		case 6: // a consideration that fails every time: only Rollback clears it
+			if _, err := e.ExecUser("insert into t values (13)"); err != nil {
+				t.Fatal(err)
+			}
+			var xe *ExecError
+			if _, err := e.Assert(); !errors.As(err, &xe) || xe.Rule != "r_bad" {
+				t.Fatalf("%s: assert = %v, want r_bad's *ExecError", when, err)
+			}
+			if err := e.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			rolledBack(when + ": Rollback after failed consideration")
+		case 7: // caller rollback, wherever processing stands
+			if err := e.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			rolledBack(when + ": Rollback")
+		case 8:
+			if err := e.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			oracle = db.Clone()
+		case 9: // fork mid-transaction; roll each side back under the other
+			mid := db.Clone()
+			fork := e.Clone()
+			if err := fork.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			sameState(t, when+": fork rollback", fork.DB(), oracle)
+			sameState(t, when+": parent under fork rollback", db, mid)
+			fork = e.Clone()
+			if err := e.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			rolledBack(when + ": parent rollback")
+			sameState(t, when+": fork under parent rollback", fork.DB(), mid)
+			// The fork is a working engine in the same transaction.
+			if res := settle(fork); !res.RolledBack {
+				if err := fork.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sameState(t, when+": fork rollback after parent's", fork.DB(), oracle)
+		}
+	}
+	if each != nil {
+		each(steps, e)
 	}
 }
 

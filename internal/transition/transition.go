@@ -21,6 +21,7 @@ import (
 	"crypto/sha256"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"activerules/internal/schema"
 	"activerules/internal/storage"
@@ -76,7 +77,15 @@ type Log struct {
 	// insert entry, net deletes a delete entry, net updates an update
 	// entry), so LastTouchKind bounds triggering per kind.
 	lastKind map[string][3]int
+	// gen counts the truncations that removed entries. Appends never
+	// change it, so a reader that remembers (gen, Mark) can tell "only
+	// appended to since" from "positions below my mark were reused".
+	gen uint64
 }
+
+// Gen returns the log's truncation generation: it changes exactly when
+// Truncate or TruncateTo removes entries, and is carried over by Clone.
+func (l *Log) Gen() uint64 { return l.gen }
 
 // LastTouch returns the index of the most recent entry on the table, or
 // -1 if the table is untouched.
@@ -147,6 +156,9 @@ func (l *Log) RecordUpdate(table string, id storage.TupleID, old []storage.Value
 
 // Truncate discards all entries (used at assertion-point boundaries).
 func (l *Log) Truncate() {
+	if len(l.entries) > 0 {
+		l.gen++
+	}
 	l.entries = l.entries[:0]
 	l.lastTouch = nil
 	l.lastKind = nil
@@ -165,7 +177,7 @@ func (l *Log) TruncateTo(mark int) {
 		return
 	}
 	entries := l.entries[:mark]
-	l.Truncate()
+	l.Truncate() // bumps gen: mark < len(entries)
 	l.entries = entries
 	for i, e := range l.entries {
 		if l.lastTouch == nil {
@@ -185,7 +197,7 @@ func (l *Log) TruncateTo(mark int) {
 // Clone returns an independent copy of the log. Entries are immutable
 // once recorded, so a shallow copy of the slice suffices.
 func (l *Log) Clone() *Log {
-	nl := &Log{entries: make([]Entry, len(l.entries))}
+	nl := &Log{entries: make([]Entry, len(l.entries)), gen: l.gen}
 	copy(nl.entries, l.entries)
 	if l.lastTouch != nil {
 		nl.lastTouch = make(map[string]int, len(l.lastTouch))
@@ -225,15 +237,20 @@ type TableNet struct {
 }
 
 // Net is the net effect of a log suffix: per-table inserted, deleted, and
-// updated tuples plus the induced operation set.
+// updated tuples plus the induced operation set. A Net is immutable once
+// computed and may be shared between engines and goroutines.
 type Net struct {
 	tables map[string]*TableNet
 	order  []string // deterministic table iteration order (first touch)
+	ops    schema.OpSet
+	// tableFP[i] memoizes TableFingerprint(order[i]). Racing callers
+	// publish identical digests, so a plain atomic store suffices.
+	tableFP []atomic.Pointer[[32]byte]
 }
 
 // EmptyNet returns a net effect with no changes, shareable because Net
 // is immutable after computation.
-func EmptyNet() *Net { return &Net{tables: map[string]*TableNet{}} }
+func EmptyNet() *Net { return &Net{tables: map[string]*TableNet{}, ops: schema.NewOpSet()} }
 
 // Compute derives the net effect of the log suffix starting at mark,
 // reading final tuple values from db (the current state). Tuples whose
@@ -330,8 +347,10 @@ func (n *Net) tableNet(table string) *TableNet {
 	return tn
 }
 
-// finalize computes UpdatedColumns and drops empty per-table nets.
+// finalize computes UpdatedColumns and the induced operation set, and
+// drops empty per-table nets.
 func (n *Net) finalize(sch *schema.Schema) {
+	n.ops = schema.NewOpSet()
 	var live []string
 	for _, table := range n.order {
 		tn := n.tables[table]
@@ -356,9 +375,19 @@ func (n *Net) finalize(sch *schema.Schema) {
 		for _, i := range cols {
 			tn.UpdatedColumns = append(tn.UpdatedColumns, def.Column(i).Name)
 		}
+		if len(tn.Inserted) > 0 {
+			n.ops.Add(schema.Insert(table))
+		}
+		if len(tn.Deleted) > 0 {
+			n.ops.Add(schema.Delete(table))
+		}
+		for _, c := range tn.UpdatedColumns {
+			n.ops.Add(schema.Update(table, c))
+		}
 		live = append(live, table)
 	}
 	n.order = live
+	n.tableFP = make([]atomic.Pointer[[32]byte], len(live))
 }
 
 // Table returns the net effect for one table, or nil if the table is
@@ -378,23 +407,9 @@ func (n *Net) IsEmpty() bool { return len(n.tables) == 0 }
 // Ops returns the operation set induced by the net effect: (I,t) if any
 // tuple was net-inserted into t, (D,t) if any was net-deleted, and
 // (U,t.c) for every column c with a net change. This is the set matched
-// against Triggered-By to decide rule triggering.
-func (n *Net) Ops() schema.OpSet {
-	out := schema.NewOpSet()
-	for _, table := range n.order {
-		tn := n.tables[table]
-		if len(tn.Inserted) > 0 {
-			out.Add(schema.Insert(table))
-		}
-		if len(tn.Deleted) > 0 {
-			out.Add(schema.Delete(table))
-		}
-		for _, c := range tn.UpdatedColumns {
-			out.Add(schema.Update(table, c))
-		}
-	}
-	return out
-}
+// against Triggered-By to decide rule triggering. The set is computed
+// once with the net and shared by every caller: treat it as read-only.
+func (n *Net) Ops() schema.OpSet { return n.ops }
 
 // Fingerprint returns a canonical digest of the net effect, used by the
 // execution-graph model checker as part of state identity (a state is a
@@ -412,13 +427,29 @@ func (n *Net) Fingerprint() [32]byte {
 // tables both concern that table alone), so the model checker uses this
 // restricted digest for per-rule state identity — matching the paper's
 // (D, TR) abstraction.
+//
+// The digest is memoized on the net: the explorers hash every rule's
+// pending net at every state, and most of those nets are unchanged from
+// the parent state.
 func (n *Net) TableFingerprint(table string) [32]byte {
 	table = strings.ToLower(table)
-	if _, ok := n.tables[table]; !ok {
-		return n.fingerprintTables(nil)
+	for i, t := range n.order {
+		if t != table {
+			continue
+		}
+		if fp := n.tableFP[i].Load(); fp != nil {
+			return *fp
+		}
+		fp := n.fingerprintTables(n.order[i : i+1])
+		n.tableFP[i].Store(&fp)
+		return fp
 	}
-	return n.fingerprintTables([]string{table})
+	return untouchedFP
 }
+
+// untouchedFP is the digest of a net restricted to a table it does not
+// touch.
+var untouchedFP = new(Net).fingerprintTables(nil)
 
 func (n *Net) fingerprintTables(tables []string) [32]byte {
 	h := sha256.New()
