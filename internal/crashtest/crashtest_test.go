@@ -8,6 +8,7 @@ import (
 
 	"activerules/internal/engine"
 	"activerules/internal/faultinject"
+	"activerules/internal/storage"
 	"activerules/internal/wal"
 	"activerules/internal/workload"
 )
@@ -27,12 +28,23 @@ func hashSet(hashes [][32]byte) map[[32]byte]bool {
 // finds a clean log and the same state.
 func checkRecovery(t *testing.T, sc *Scenario, fsys wal.FS, ref map[[32]byte]bool, label string) {
 	t.Helper()
+	// Every state recovery builds (InsertWithID revives, ranges applied
+	// under a savepoint) and the session continued over one also answers
+	// to the fingerprint memo's oracle: memoized ≡ from scratch.
+	var oracle storage.FingerprintOracle
+	memo := func(stage string, db *storage.DB) {
+		t.Helper()
+		if err := oracle.Check(db); err != nil {
+			t.Fatalf("%s: %s: %v", label, stage, err)
+		}
+	}
 	// Read-only reconstruction first: a pure crash must never be
 	// unrecoverable.
 	db, _, err := wal.Recover(Dir, sc.G.Schema, fsys)
 	if err != nil {
 		t.Fatalf("%s: recover: %v", label, err)
 	}
+	memo("recover", db)
 	h0 := FreshHash(sc.G.Set, db)
 	if !ref[h0] {
 		t.Fatalf("%s: recovered state is not a committed prefix of the reference run", label)
@@ -43,6 +55,7 @@ func checkRecovery(t *testing.T, sc *Scenario, fsys wal.FS, ref map[[32]byte]boo
 	if err != nil {
 		t.Fatalf("%s: first open: %v", label, err)
 	}
+	memo("first open", d1.State())
 	h1 := FreshHash(sc.G.Set, d1.State())
 	if err := d1.Close(); err != nil {
 		t.Fatalf("%s: close after first open: %v", label, err)
@@ -78,6 +91,7 @@ func checkRecovery(t *testing.T, sc *Scenario, fsys wal.FS, ref map[[32]byte]boo
 	}
 	db3 := d3.State()
 	db3.SetObserver(d3)
+	memo("continue open", db3) // the session below starts from memoized digests
 	eng := engine.New(sc.G.Set, db3, engine.Options{MaxSteps: 5000, Journal: d3})
 	script := workload.UserScript(sc.G.Schema, rand.New(rand.NewSource(7)), 2)
 	if _, err := eng.ExecUser(script); err != nil {
@@ -89,6 +103,7 @@ func checkRecovery(t *testing.T, sc *Scenario, fsys wal.FS, ref map[[32]byte]boo
 	if err := eng.Commit(); err != nil {
 		t.Fatalf("%s: continue commit: %v", label, err)
 	}
+	memo("continued session", eng.DB())
 	hc := FreshHash(sc.G.Set, eng.DB())
 	if err := d3.Close(); err != nil {
 		t.Fatalf("%s: continue close: %v", label, err)
@@ -97,6 +112,7 @@ func checkRecovery(t *testing.T, sc *Scenario, fsys wal.FS, ref map[[32]byte]boo
 	if err != nil {
 		t.Fatalf("%s: recover after continued commit: %v", label, err)
 	}
+	memo("recover after continued commit", db4)
 	if FreshHash(sc.G.Set, db4) != hc {
 		t.Fatalf("%s: recovery after a continued session's commit diverged from its committed state", label)
 	}

@@ -104,11 +104,10 @@ type Follower struct {
 	wg     sync.WaitGroup
 
 	mu        sync.Mutex
-	rp        *wal.Replayer // reads gen's log into db
-	db        *storage.DB
-	gen       uint64 // 0 = no local state, request a snapshot
-	off       int64  // locally durable bytes of gen's log
-	crc       uint32 // CRC-32C of those bytes
+	rp        *wal.Replayer // reads gen's log into rp.DB(), the replica's state
+	gen       uint64        // 0 = no local state, request a snapshot
+	off       int64         // locally durable bytes of gen's log
+	crc       uint32        // CRC-32C of those bytes
 	logf      wal.File
 	connected bool
 	closed    bool
@@ -161,8 +160,7 @@ func NewFollower(sch *schema.Schema, dir, addr string, cfg FollowerConfig) (*Fol
 func (f *Follower) bootstrap() error {
 	rp, logData, err := wal.Load(f.fs, f.dir, f.sch)
 	if errors.Is(err, wal.ErrUnrecoverable) {
-		f.db = storage.NewDB(f.sch)
-		f.rp = wal.NewReplayer(f.db, 0)
+		f.rp = wal.NewReplayer(storage.NewDB(f.sch), 0)
 		return nil
 	}
 	if err != nil {
@@ -184,7 +182,7 @@ func (f *Follower) bootstrap() error {
 		h.Close()
 		return err
 	}
-	f.rp, f.db, f.gen, f.logf = rp, rp.DB(), info.Gen, h
+	f.rp, f.gen, f.logf = rp, info.Gen, h
 	f.off, f.crc, f.obsEpoch = good, crc32.Checksum(logData[:good], crcTable), info.Epoch
 	return nil
 }
@@ -377,7 +375,7 @@ func (f *Follower) reset(gen uint64, payload []byte) error {
 		return err
 	}
 	f.logf = h
-	f.rp, f.db, f.gen, f.off, f.crc = wal.NewReplayer(db, gen), db, gen, 0, 0
+	f.rp, f.gen, f.off, f.crc = wal.NewReplayer(db, gen), gen, 0, 0
 	f.frontier = 0
 	if oldGen > 0 && oldGen != gen {
 		_ = f.fs.Remove(wal.LogPath(f.dir, oldGen))
@@ -391,7 +389,7 @@ func (f *Follower) reset(gen uint64, payload []byte) error {
 func (f *Follower) StateHash() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	fp := f.db.Fingerprint()
+	fp := f.rp.DB().Fingerprint()
 	return hex.EncodeToString(fp[:])
 }
 
@@ -403,12 +401,15 @@ func (f *Follower) Pos() (gen uint64, off int64) {
 	return f.gen, f.off
 }
 
-// Health returns the follower's readiness view.
+// Health returns the follower's readiness view. A probe of an idle
+// follower hashes no rows under f.mu: the state hash re-reads only the
+// tables applied to since the last one (storage.DB.Fingerprint), where it
+// used to sort every row and hold Apply off for ~4 ms per 10 000 of them.
 func (f *Follower) Health() FollowerHealth {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	h := FollowerHealth{Gen: f.gen, Off: f.off}
-	fp := f.db.Fingerprint()
+	fp := f.rp.DB().Fingerprint()
 	h.StateHash = hex.EncodeToString(fp[:])
 	switch {
 	case f.closed:

@@ -64,10 +64,10 @@ func TestFollowerReplaysFailedScriptInPlace(t *testing.T) {
 	if err := f.bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if f.db.Fingerprint() != live.Fingerprint() {
+	if f.rp.DB().Fingerprint() != live.Fingerprint() {
 		t.Fatal("follower contents differ from the leader's")
 	}
-	if got, want := f.db.Table("t").IDs(), live.Table("t").IDs(); !reflect.DeepEqual(got, want) {
+	if got, want := f.rp.DB().Table("t").IDs(), live.Table("t").IDs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("follower iteration order differs from the leader's:\n got %v\nwant %v", got, want)
 	}
 }

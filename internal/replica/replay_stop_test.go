@@ -27,7 +27,7 @@ func logOf(recs ...wal.Record) []byte {
 }
 
 func marker() wal.Record {
-	return wal.Record{Kind: wal.RecSnapshot, Gen: 1, FP: storage.NewDB(stopSchema).Fingerprint()}
+	return wal.Record{Kind: wal.RecSnapshot, Gen: 1, FP: storage.NewDB(stopSchema).CanonicalFingerprint()}
 }
 
 func insert(id int) wal.Record {
@@ -91,7 +91,7 @@ func TestReplicaCorruptRecordStopsStream(t *testing.T) {
 	if n := f.rp.Info().TruncatedBytes; n != int64(len(bad)) {
 		t.Errorf("reader was fed %d bytes past the stop, want only the failing chunk (%d)", n, len(bad))
 	}
-	if n := f.db.Table("t").Len(); n != 1 {
+	if n := f.rp.DB().Table("t").Len(); n != 1 {
 		t.Errorf("visible rows = %d, want 1", n)
 	}
 	f.setConnected(false, err)
@@ -134,12 +134,12 @@ func TestReplicaRecoverAgreeOnMidLogMarker(t *testing.T) {
 	// it. Every row the follower shows must be one recovery keeps, in
 	// recovery's order, and a restart over the same file must agree with
 	// the stream.
-	if got, want := f.db.Table("t").IDs(), rec.Table("t").IDs(); len(got) > len(want) || !reflect.DeepEqual(got, want[:len(got)]) {
+	if got, want := f.rp.DB().Table("t").IDs(), rec.Table("t").IDs(); len(got) > len(want) || !reflect.DeepEqual(got, want[:len(got)]) {
 		t.Errorf("follower shows rows %v, recovery of the same file %v", got, want)
 	}
 	g := offlineFollower(t, fsys)
 	defer g.logf.Close()
-	if g.db.Fingerprint() != f.db.Fingerprint() {
+	if g.rp.DB().Fingerprint() != f.rp.DB().Fingerprint() {
 		t.Error("restarted follower and streaming follower disagree over the same bytes")
 	}
 	if g.off != int64(len(head)) {
@@ -154,8 +154,8 @@ func TestReplicaRecoverAgreeOnMidLogMarker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.db.Fingerprint() != rec.Fingerprint() || !reflect.DeepEqual(g.db.Table("t").IDs(), rec.Table("t").IDs()) {
-		t.Errorf("fenced follower rows %v, recovery rows %v", g.db.Table("t").IDs(), rec.Table("t").IDs())
+	if g.rp.DB().Fingerprint() != rec.Fingerprint() || !reflect.DeepEqual(g.rp.DB().Table("t").IDs(), rec.Table("t").IDs()) {
+		t.Errorf("fenced follower rows %v, recovery rows %v", g.rp.DB().Table("t").IDs(), rec.Table("t").IDs())
 	}
 }
 
@@ -190,8 +190,8 @@ func TestReplicaBootstrapRecoversEpochAndPos(t *testing.T) {
 		// The stream resumes at Pos() with the bytes the cut removed.
 		if err := g.chunk(logOf(begin)); err != nil {
 			t.Errorf("%s: resume: %v", label, err)
-		} else if g.db.Table("t").Len() != 1 {
-			t.Errorf("%s: resumed follower shows %d rows, want 1", label, g.db.Table("t").Len())
+		} else if g.rp.DB().Table("t").Len() != 1 {
+			t.Errorf("%s: resumed follower shows %d rows, want 1", label, g.rp.DB().Table("t").Len())
 		}
 		if err := fsys.Truncate(wal.LogPath(replicaDir, 1), int64(len(log))); err != nil {
 			t.Fatal(err)
@@ -212,4 +212,29 @@ func TestReplicaBootstrapRecoversEpochAndPos(t *testing.T) {
 	}
 	h.Close()
 	check("torn tail")
+}
+
+// TestReplicaHealthHashesNoRows: a health probe of an idle follower
+// costs the same whatever the replica holds — the state hash answers
+// from the table digests the last probe left — where it used to sort and
+// hash every row under f.mu, holding Apply off meanwhile.
+func TestReplicaHealthHashesNoRows(t *testing.T) {
+	probe := func(rows int) float64 {
+		f := offlineFollower(t, wal.NewMemFS())
+		recs := []wal.Record{marker(), begin}
+		for i := 1; i <= rows; i++ {
+			recs = append(recs, insert(i))
+		}
+		if err := f.chunk(logOf(append(recs, commit, begin)...)); err != nil {
+			t.Fatal(err)
+		}
+		if n := f.rp.DB().Table("t").Len(); n != rows {
+			t.Fatalf("follower shows %d rows, want %d", n, rows)
+		}
+		f.Health() // the first probe after an apply reads what was applied
+		return testing.AllocsPerRun(100, func() { f.Health() })
+	}
+	if idle, loaded := probe(0), probe(10000); idle != loaded {
+		t.Errorf("Health allocates %v per probe over an empty replica, %v over 10 000 rows", idle, loaded)
+	}
 }

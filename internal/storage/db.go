@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"hash"
+	"slices"
 	"sort"
 	"strings"
 
@@ -27,6 +30,9 @@ type DB struct {
 	// obs, when non-nil, receives every physical mutation applied to the
 	// database (see Observer). Clones never carry the observer.
 	obs Observer
+
+	// fp is Fingerprint's scratch space. Clones never carry it.
+	fp fpScratch
 }
 
 // Observer receives every physical mutation applied to a DB, in
@@ -113,6 +119,7 @@ func (db *DB) RollbackTo(sp Savepoint) {
 				db.obs.ObserveInsert(u.t.def.Name, u.row.ID, u.row.Vals)
 			}
 		case undoUpdate:
+			u.t.touch()
 			u.t.rows[u.id].Vals[u.col] = u.old
 			if db.obs != nil {
 				db.obs.ObserveUpdate(u.t.def.Name, u.id, u.t.def.Columns[u.col].Name, u.old)
@@ -262,6 +269,7 @@ func (db *DB) Delete(table string, id TupleID) *Tuple {
 	if tu == nil {
 		return nil
 	}
+	t.touch()
 	delete(t.rows, id) // the order slot stays, as a tombstone, until compact
 	if db.spDepth > 0 {
 		db.undo = append(db.undo, undoEntry{kind: undoDelete, t: t, id: id, row: tu})
@@ -294,6 +302,7 @@ func (db *DB) Update(table string, id TupleID, col string, v Value) (Value, erro
 		return Value{}, fmt.Errorf("storage: update %s.%s: %v", t.def.Name, col, err)
 	}
 	old := tu.Vals[ci]
+	t.touch()
 	tu.Vals[ci] = cv
 	if db.spDepth > 0 {
 		db.undo = append(db.undo, undoEntry{kind: undoUpdate, t: t, id: id, col: ci, old: old})
@@ -344,26 +353,101 @@ func (db *DB) Fork() *DB {
 // databases have equal fingerprints iff every table holds the same
 // multiset of rows (tuple identities and insertion order are ignored, as
 // final states in the paper are compared by content).
+//
+// The digest has two levels: SHA-256 over `name ( tableDigest )` in
+// sorted name order, where a table's digest is memoized in the table
+// until its next mutation, so a call costs the rows of the tables
+// changed since the last one plus 32 bytes per clean table. Fingerprint
+// therefore WRITES: the memo of every table it had to re-read and the
+// DB's scratch buffer. It follows the same one-goroutine rule as
+// mutation. Clone and Fork carry the digests, never the scratch or the
+// observer.
 func (db *DB) Fingerprint() [32]byte { return db.TableFingerprint(db.sch.TableNames()) }
 
-// TableFingerprint returns a canonical digest of the named tables only,
-// used for partial-confluence checks (identical T' contents, Section 7).
+// TableFingerprint is Fingerprint over the named tables only, used for
+// partial-confluence checks (identical T' contents, Section 7).
 func (db *DB) TableFingerprint(tables []string) [32]byte {
-	h := sha256.New()
 	names := make([]string, len(tables))
 	for i, n := range tables {
 		names[i] = strings.ToLower(n)
 	}
 	sort.Strings(names)
+	top := db.fp.top[:0]
+	for _, name := range names {
+		d := emptyDigest // a table the schema lacks reads as an empty one
+		if t := db.tables[name]; t != nil {
+			d = db.tableDigest(t)
+		}
+		top = append(top, name...)
+		top = append(top, '(')
+		top = append(top, d[:]...)
+		top = append(top, ')')
+	}
+	db.fp.top = top
+	return sha256.Sum256(top)
+}
+
+var emptyDigest = sha256.Sum256(nil)
+
+// fpScratch is what a DB keeps between fingerprints so the pass over a
+// dirty table allocates nothing once the buffers have grown to the
+// largest table digested.
+type fpScratch struct {
+	buf   []byte    // row encodings of the table being digested, each followed by ';'
+	spans []rowSpan // one per row, sorted by encoding
+	h     hash.Hash // streams the sorted rows
+	top   []byte    // the `name ( tableDigest )` stream
+	rows  int       // rows encoded so far (what tests count)
+}
+
+// rowSpan locates one row's encoding, buf[lo:hi]; buf[hi] is its ';'.
+type rowSpan struct{ lo, hi int }
+
+// tableDigest returns the table's content digest: the SHA-256 of its
+// sorted row encodings, each followed by ';' — the bytes
+// CanonicalFingerprint streams between the table's parentheses, in the
+// same order. A clean table answers from its memo.
+func (db *DB) tableDigest(t *Table) [32]byte {
+	if t.clean {
+		return t.digest
+	}
+	s := &db.fp
+	buf, spans := s.buf[:0], s.spans[:0]
+	for _, tu := range t.rows {
+		lo := len(buf)
+		buf = tu.encode(buf)
+		spans = append(spans, rowSpan{lo, len(buf)})
+		buf = append(buf, ';')
+	}
+	slices.SortFunc(spans, func(a, b rowSpan) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
+	if s.h == nil {
+		s.h = sha256.New()
+	}
+	s.h.Reset()
+	for _, sp := range spans {
+		s.h.Write(buf[sp.lo : sp.hi+1])
+	}
+	s.h.Sum(t.digest[:0])
+	t.clean = true
+	s.buf, s.spans, s.rows = buf, spans, s.rows+len(spans)
+	return t.digest
+}
+
+// CanonicalFingerprint is the one-level digest Fingerprint was before
+// tables memoized theirs: one SHA-256 stream over every table's sorted
+// rows, computed from scratch on every call. It is what a WAL snapshot
+// marker stores and recovery verifies (internal/wal — per checkpoint,
+// never per request), which keeps every log on disk valid, and it is the
+// memo-free oracle Fingerprint is tested against: two databases agree on
+// one exactly when they agree on the other.
+func (db *DB) CanonicalFingerprint() [32]byte {
+	names := db.sch.TableNames()
+	sort.Strings(names)
+	h := sha256.New()
 	for _, name := range names {
 		h.Write([]byte(name))
 		h.Write([]byte{'('})
-		if t := db.tables[name]; t != nil {
-			for _, enc := range t.sortedEncodings() {
-				h.Write(enc)
-				h.Write([]byte{';'})
-			}
-		}
+		db.tables[name].writeSorted(h)
 		h.Write([]byte{')'})
 	}
 	var out [32]byte

@@ -1,0 +1,288 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"activerules/internal/schema"
+)
+
+// memoDriver applies seeded primitive mutations and savepoint moves to
+// one database. Forks get their own driver: the savepoints are values
+// valid against the fork too.
+type memoDriver struct {
+	db  *DB
+	sps []Savepoint
+	// revived: an InsertWithID revived a tombstone under the open
+	// savepoints. Only log replay does that, and replay only ever
+	// releases (wal.ApplyRange), so from then on the driver does too:
+	// unInsert would take a revived identity for an appended one.
+	revived bool
+}
+
+func (d *memoDriver) fork() *memoDriver {
+	return &memoDriver{db: d.db.Fork(), sps: append([]Savepoint(nil), d.sps...), revived: d.revived}
+}
+
+// liveID returns a random live identity of the table, or 0.
+func liveID(rng *rand.Rand, t *Table) TupleID {
+	if ids := t.IDs(); len(ids) > 0 {
+		return ids[rng.Intn(len(ids))]
+	}
+	return 0
+}
+
+// step applies one random move. Values come from a small domain, so
+// equal rows — the multiset case — are common.
+func (d *memoDriver) step(t *testing.T, rng *rand.Rand) {
+	db := d.db
+	name := []string{"t", "u"}[rng.Intn(2)]
+	tbl := db.Table(name)
+	row := func() []Value {
+		if name == "t" {
+			return []Value{IntV(int64(rng.Intn(4))), StringV(string(rune('a' + rng.Intn(3))))}
+		}
+		return []Value{IntV(int64(rng.Intn(4)))}
+	}
+	switch rng.Intn(10) {
+	case 0, 1, 2:
+		if _, err := db.Insert(name, row()); err != nil {
+			t.Fatal(err)
+		}
+	case 3:
+		db.Delete(name, liveID(rng, tbl))
+	case 4, 5:
+		if id := liveID(rng, tbl); id != 0 {
+			if _, err := db.Update(name, id, "v", IntV(int64(rng.Intn(4)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	case 6: // the replay shape: an identity deleted under a savepoint comes back in place
+		for _, id := range tbl.order {
+			if tbl.rows[id] == nil {
+				if err := db.InsertWithID(name, id, row()); err != nil {
+					t.Fatal(err)
+				}
+				d.revived = true
+				break
+			}
+		}
+	case 7:
+		if len(d.sps) < 3 {
+			d.sps = append(d.sps, db.Savepoint())
+		}
+	case 8, 9:
+		if n := len(d.sps); n > 0 {
+			if rng.Intn(2) == 0 && !d.revived {
+				db.RollbackTo(d.sps[n-1])
+			} else {
+				db.Release(d.sps[n-1])
+			}
+			d.sps, d.revived = d.sps[:n-1], d.revived && n > 1
+		}
+	}
+}
+
+// TestFingerprintMemoDifferential is the storage half of the memo's
+// differential (the engine-driven half, same name, is in
+// internal/engine): every primitive mutation, InsertWithID's revive in
+// place, nested savepoints rolled back and released, and Fork/Clone
+// copies taken with clean and with stale digests and stepped before and
+// after their parent moves on — with the oracle read at random
+// intervals, so digests go stale under one mutation and under many.
+func TestFingerprintMemoDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var oracle FingerprintOracle
+		check := func(when string, db *DB) {
+			t.Helper()
+			if err := oracle.Check(db); err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, when, err)
+			}
+		}
+		d := &memoDriver{db: savepointDB(t)}
+		var held []*memoDriver
+		for n := 0; n < 300; n++ {
+			d.step(t, rng)
+			for _, h := range held { // the parent moved first
+				h.step(t, rng)
+				check(fmt.Sprintf("step %d, held copy", n), h.db)
+			}
+			held = held[:0]
+			switch rng.Intn(8) {
+			case 0:
+				a, b := d.fork(), d.fork()
+				a.step(t, rng) // the fork moves first
+				check(fmt.Sprintf("step %d, fork", n), a.db)
+				held = append(held, b)
+			case 1:
+				a, b := &memoDriver{db: d.db.Clone()}, &memoDriver{db: d.db.Clone()}
+				a.step(t, rng)
+				check(fmt.Sprintf("step %d, clone", n), a.db)
+				held = append(held, b)
+			}
+			if rng.Intn(3) > 0 {
+				check(fmt.Sprintf("step %d", n), d.db)
+			}
+		}
+	}
+}
+
+// TestEveryMutationTouches has one case per place a table's rows or a
+// row's values change. Each arranges for the table's digest to be
+// memoized immediately before that one place runs, so the case fails —
+// the oracle's row-for-row rebuild disagrees — exactly when that place
+// stops calling touch.
+func TestEveryMutationTouches(t *testing.T) {
+	var id TupleID
+	var sp Savepoint
+	cases := []struct {
+		site   string
+		before func(db *DB) // runs under a savepoint, before the digest is memoized
+		mutate func(db *DB)
+	}{
+		{"Table.insert",
+			nil,
+			func(db *DB) { db.MustInsert("t", IntV(7), StringV("x")) }},
+		{"Table.insertPreservingOrder (revive)",
+			func(db *DB) { db.Delete("t", id) },
+			func(db *DB) {
+				if err := db.InsertWithID("t", id, []Value{IntV(7), StringV("x")}); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{"Table.unInsert",
+			func(db *DB) { db.MustInsert("t", IntV(7), StringV("x")) },
+			func(db *DB) { db.RollbackTo(sp) }},
+		{"Table.unDelete",
+			func(db *DB) { db.Delete("t", id) },
+			func(db *DB) { db.RollbackTo(sp) }},
+		{"DB.Delete",
+			nil,
+			func(db *DB) { db.Delete("t", id) }},
+		{"DB.Update",
+			nil,
+			func(db *DB) {
+				if _, err := db.Update("t", id, "v", IntV(7)); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{"DB.RollbackTo (undoUpdate)",
+			func(db *DB) {
+				if _, err := db.Update("t", id, "v", IntV(7)); err != nil {
+					t.Fatal(err)
+				}
+			},
+			func(db *DB) { db.RollbackTo(sp) }},
+	}
+	for _, c := range cases {
+		t.Run(c.site, func(t *testing.T) {
+			db := savepointDB(t)
+			id = db.MustInsert("t", IntV(1), StringV("a"))
+			db.MustInsert("t", IntV(2), StringV("b"))
+			sp = db.Savepoint()
+			if c.before != nil {
+				c.before(db)
+			}
+			was := db.Fingerprint()
+			if !db.Table("t").clean {
+				t.Fatal("Fingerprint left the table's digest unmemoized; the case would be vacuous")
+			}
+			c.mutate(db)
+			if db.Table("t").clean {
+				t.Errorf("%s changed the table and left its digest marked clean", c.site)
+			}
+			if err := new(FingerprintOracle).Check(db); err != nil {
+				t.Error(err)
+			}
+			if db.Fingerprint() == was {
+				t.Error("the mutation did not change the fingerprint; the case is vacuous")
+			}
+		})
+	}
+}
+
+// flatDB holds cold untouched rows beside a table of hot ones.
+func flatDB(tb testing.TB, hot, cold int) (*DB, []TupleID) {
+	tb.Helper()
+	db := NewDB(schema.MustParse("table hot (v int, s string)\ntable cold (v int, s string)"))
+	for i := 0; i < cold; i++ {
+		db.MustInsert("cold", IntV(int64(i)), StringV("archived"))
+	}
+	ids := make([]TupleID, hot)
+	for i := range ids {
+		ids[i] = db.MustInsert("hot", IntV(int64(i)), StringV("live"))
+	}
+	db.Fingerprint()
+	return db, ids
+}
+
+// TestFingerprintFlatInUntouchedRows is the cost model's tripwire: a
+// one-row update followed by Fingerprint encodes the rows of the table
+// it touched and no others, and allocates the same small constant,
+// whatever another table holds — and however many rows the touched
+// table holds, once the DB's scratch has grown to fit it.
+func TestFingerprintFlatInUntouchedRows(t *testing.T) {
+	measure := func(hot, cold int) (allocs float64, rowsPerOp int) {
+		db, ids := flatDB(t, hot, cold)
+		n := 0
+		op := func() {
+			n++
+			if _, err := db.Update("hot", ids[n%hot], "v", IntV(int64(n))); err != nil {
+				t.Fatal(err)
+			}
+			db.Fingerprint()
+		}
+		op() // grow the scratch to the hot table
+		before := db.fp.rows
+		const runs = 100
+		allocs = testing.AllocsPerRun(runs, op)
+		return allocs, (db.fp.rows - before) / (runs + 1) // AllocsPerRun warms up with one more
+	}
+	a0, r0 := measure(8, 0)
+	a1, r1 := measure(8, 10000)
+	if r0 != 8 || r1 != 8 {
+		t.Errorf("rows encoded per request: %d with no other rows, %d beside 10 000 untouched ones; want the 8 of the touched table", r0, r1)
+	}
+	if a0 != a1 {
+		t.Errorf("allocations per request: %v with no other rows, %v beside 10 000 untouched ones", a0, a1)
+	}
+	if a2, _ := measure(2000, 0); a2 != a0 || a0 > 4 {
+		t.Errorf("allocations of the dirty pass: %v over 8 rows, %v over 2000; want equal and at most 4", a0, a2)
+	}
+}
+
+var fpSink [32]byte
+
+// BenchmarkFingerprint is the same request shape at three database
+// sizes. clean updates a row of an 8-row table beside N untouched rows
+// and must read flat in N (it reports, and checks, the rows it encoded);
+// dirty updates a row of the N-row table itself, the allocation-free
+// pass over a table that did change.
+func BenchmarkFingerprint(b *testing.B) {
+	for _, mode := range []string{"clean", "dirty"} {
+		for _, n := range []int{1000, 10000, 100000} {
+			b.Run(fmt.Sprintf("%s/rows=%dk", mode, n/1000), func(b *testing.B) {
+				db, ids := flatDB(b, 8, n)
+				table, want := "hot", 8
+				if mode == "dirty" {
+					table, want, ids = "cold", n, db.Table("cold").IDs()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				before := db.fp.rows
+				for i := 0; i < b.N; i++ {
+					if _, err := db.Update(table, ids[i%len(ids)], "v", IntV(int64(-i))); err != nil {
+						b.Fatal(err)
+					}
+					fpSink = db.Fingerprint()
+				}
+				if got := (db.fp.rows - before) / b.N; got != want {
+					b.Fatalf("encoded %d rows per fingerprint, want %d", got, want)
+				}
+				b.ReportMetric(float64(want), "rows/op")
+			})
+		}
+	}
+}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"hash"
 	"sort"
 	"strings"
 
@@ -42,7 +43,17 @@ type Table struct {
 	def   *schema.Table
 	rows  map[TupleID]*Tuple
 	order []TupleID // insertion order; may contain IDs deleted from rows
+
+	// digest memoizes the table's content digest (DB.tableDigest) while
+	// clean is set. The digest is a function of the row multiset alone,
+	// so the one rule is: whatever changes which rows are live, or a live
+	// row's values, calls touch.
+	digest [32]byte
+	clean  bool
 }
+
+// touch marks the memoized content digest stale.
+func (t *Table) touch() { t.clean = false }
 
 func newTable(def *schema.Table) *Table {
 	return &Table{def: def, rows: make(map[TupleID]*Tuple)}
@@ -82,6 +93,7 @@ func (t *Table) IDs() []TupleID {
 }
 
 func (t *Table) insert(tu *Tuple) {
+	t.touch()
 	t.rows[tu.ID] = tu
 	t.order = append(t.order, tu.ID)
 }
@@ -96,6 +108,7 @@ func (t *Table) insertPreservingOrder(tu *Tuple) {
 	if len(t.order) > len(t.rows) {
 		for _, id := range t.order {
 			if id == tu.ID {
+				t.touch()
 				t.rows[tu.ID] = tu
 				return
 			}
@@ -125,6 +138,7 @@ func (t *Table) compact() {
 // element of the order slice (later inserts have already been undone and
 // deletes never append).
 func (t *Table) unInsert(id TupleID) {
+	t.touch()
 	delete(t.rows, id)
 	if n := len(t.order); n > 0 && t.order[n-1] == id {
 		t.order = t.order[:n-1]
@@ -135,6 +149,7 @@ func (t *Table) unInsert(id TupleID) {
 // its slot in the order slice (compaction waits for the last savepoint
 // to end), so restoring the rows entry restores iteration order too.
 func (t *Table) unDelete(tu *Tuple) {
+	t.touch()
 	t.rows[tu.ID] = tu
 }
 
@@ -143,6 +158,9 @@ func (t *Table) clone() *Table {
 		def:   t.def,
 		rows:  make(map[TupleID]*Tuple, len(t.rows)),
 		order: make([]TupleID, 0, len(t.rows)),
+
+		digest: t.digest,
+		clean:  t.clean,
 	}
 	for _, id := range t.order {
 		if tu, ok := t.rows[id]; ok {
@@ -163,6 +181,16 @@ func (t *Table) sortedEncodings() [][]byte {
 	}
 	sort.Slice(encs, func(i, j int) bool { return string(encs[i]) < string(encs[j]) })
 	return encs
+}
+
+// writeSorted streams the table's sorted row encodings, each followed by
+// ';', into h: the table's part of CanonicalFingerprint, and the
+// from-scratch definition of its content digest.
+func (t *Table) writeSorted(h hash.Hash) {
+	for _, enc := range t.sortedEncodings() {
+		h.Write(enc)
+		h.Write([]byte{';'})
+	}
 }
 
 // String renders the table contents readably, one tuple per line, rows

@@ -132,7 +132,7 @@ func Open(dir string, sch *schema.Schema, opts Options) (*DurableDB, error) {
 	}
 	if rp.Good() == 0 {
 		// Log absent, empty or cut to zero: (re)write the marker.
-		l.append(Record{Kind: RecSnapshot, Gen: info.Gen, FP: db.Fingerprint()})
+		l.append(Record{Kind: RecSnapshot, Gen: info.Gen, FP: db.CanonicalFingerprint()})
 	}
 	// Every open starts a new engine transaction.
 	l.append(Record{Kind: RecBegin})
@@ -406,7 +406,7 @@ func (d *DurableDB) Checkpoint(cur *storage.DB) error {
 		return err
 	}
 	nl := &Log{fs: d.fsys, path: LogPath(d.dir, newGen), f: nf, opts: d.opts}
-	nl.append(Record{Kind: RecSnapshot, Gen: newGen, FP: cur.Fingerprint()})
+	nl.append(Record{Kind: RecSnapshot, Gen: newGen, FP: cur.CanonicalFingerprint()})
 	nl.append(Record{Kind: RecBegin})
 	if e := d.epoch.Load(); e > 0 {
 		// The epoch must survive rotation: recovery only reads the

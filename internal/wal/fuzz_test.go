@@ -114,7 +114,7 @@ func FuzzReplayChunking(f *testing.F) {
 	ins := func(id int) Record {
 		return Record{Kind: RecInsert, Table: "a", ID: storage.TupleID(id), Vals: []storage.Value{storage.IntV(int64(id)), storage.IntV(0)}}
 	}
-	marker := Record{Kind: RecSnapshot, Gen: 1, FP: storage.NewDB(chunkSchema).Fingerprint()}
+	marker := Record{Kind: RecSnapshot, Gen: 1, FP: storage.NewDB(chunkSchema).CanonicalFingerprint()}
 	begin, commit, abort := Record{Kind: RecBegin}, Record{Kind: RecCommit}, Record{Kind: RecAbort}
 
 	// A corrupt record mid-stream, with committed transactions after it.

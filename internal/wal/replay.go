@@ -128,7 +128,7 @@ func (r *Replayer) Feed(data []byte) error {
 // step accounts for one whole record.
 func (r *Replayer) step(rec Record) error {
 	if r.info.RecordsScanned == 0 { // the opening marker
-		if rec.Kind != RecSnapshot || rec.Gen != r.info.Gen || rec.FP != r.db.Fingerprint() {
+		if rec.Kind != RecSnapshot || rec.Gen != r.info.Gen || rec.FP != r.db.CanonicalFingerprint() {
 			return fmt.Errorf("log opens with %s, want snapshot marker for gen %d", rec, r.info.Gen)
 		}
 		return nil
