@@ -93,8 +93,12 @@
 // Every response carries "ok"; failures add "error" and a stable
 // "code": overload | deadline | closed | exec | livelock | maxsteps |
 // cancelled | durability | shard | read-only | redirect | unacked |
-// quota | swap-rejected | no-tenant | tenant-exists | bad-request.
-// A "redirect" body also carries "leader": the address to resend to.
+// quota | swap-rejected | no-tenant | tenant-exists | bad-request, or
+// "error" for a failure no layer has coded (a SQL parse error, say).
+// Each code is named by the error type that owns it (its Code method);
+// DESIGN.md §15 lists them. A "redirect" body also carries "leader":
+// the address to resend to. A follower's "stats" is its "health": its
+// position and lag are all it counts.
 //
 // Exit status:
 //
@@ -107,6 +111,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -123,7 +128,9 @@ import (
 	"time"
 
 	"activerules"
+	"activerules/internal/serve"
 	"activerules/internal/storage"
+	"activerules/internal/tenant"
 )
 
 func main() {
@@ -209,7 +216,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		Seed:                *seed,
 	}
 
-	var b backend
+	// fail reports a startup error: an unrecoverable log is exit 7
+	// whatever the topology, anything else the topology's own code.
+	fail := func(err error, what string, code int) int {
+		if errors.Is(err, activerules.ErrUnrecoverableLog) {
+			what, code = "ruled: unrecoverable write-ahead log:", 7
+		}
+		fmt.Fprintln(stderr, what, err)
+		return code
+	}
+
+	var f front
 	var shutdown func(context.Context) error
 	switch {
 	case *tenants != "":
@@ -225,15 +242,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 			AnalysisParallelism: *parallel,
 		})
 		if err != nil {
-			if errors.Is(err, activerules.ErrUnrecoverableLog) {
-				fmt.Fprintln(stderr, "ruled: unrecoverable write-ahead log:", err)
-				return 7
-			}
-			fmt.Fprintln(stderr, "ruled:", err)
-			return 2
+			return fail(err, "ruled:", 2)
 		}
 		fmt.Fprintf(stdout, "ruled: %d tenant(s)\n", len(m.Tenants()))
-		b = tenantBackend{m}
+		f = front{root: m.Fleet(), fleet: m}
 		shutdown = m.Shutdown
 	case *clusterMode:
 		if *shards > 0 || *follow != "" {
@@ -260,15 +272,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 			Seed:      *seed,
 		})
 		if err != nil {
-			if errors.Is(err, activerules.ErrUnrecoverableLog) {
-				fmt.Fprintln(stderr, "ruled: unrecoverable write-ahead log:", err)
-				return 7
-			}
-			fmt.Fprintln(stderr, "ruled: cluster:", err)
-			return 9
+			return fail(err, "ruled: cluster:", 9)
 		}
 		fmt.Fprintf(stdout, "ruled: cluster member on %s (peer %s)\n", node.ReplAddr(), peerAddr)
-		b = clusterBackend{n: node}
+		f.root = node
 		shutdown = func(context.Context) error { return node.Close() }
 	case *follow != "":
 		if *shards > 0 || *replicate != "" {
@@ -280,7 +287,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, "ruled: replication:", err)
 			return 9
 		}
-		b = followerBackend{f: fol}
+		f.root = fol
 		shutdown = func(context.Context) error { return fol.Close() }
 	case *shards > 0:
 		if *replicate != "" {
@@ -289,25 +296,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		}
 		g, err := sys.NewShardGroup(*walDir, *shards, cfg)
 		if err != nil {
-			if errors.Is(err, activerules.ErrUnrecoverableLog) {
-				fmt.Fprintln(stderr, "ruled: unrecoverable write-ahead log:", err)
-				return 7
-			}
-			fmt.Fprintln(stderr, "ruled:", err)
-			return 2
+			return fail(err, "ruled:", 2)
 		}
 		fmt.Fprintf(stdout, "ruled: %d shard(s)\n", g.NumShards())
-		b = shardBackend{g: g}
+		f.root = g
 		shutdown = g.Shutdown
 	default:
 		srv, err := sys.NewServer(*walDir, cfg)
 		if err != nil {
-			if errors.Is(err, activerules.ErrUnrecoverableLog) {
-				fmt.Fprintln(stderr, "ruled: unrecoverable write-ahead log:", err)
-				return 7
-			}
-			fmt.Fprintln(stderr, "ruled:", err)
-			return 2
+			return fail(err, "ruled:", 2)
 		}
 		if *replicate != "" {
 			src, err := activerules.NewReplicaSource(srv, *replicate, activerules.ReplicaSourceConfig{})
@@ -319,7 +316,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 			defer src.Close()
 			fmt.Fprintf(stdout, "ruled: replicating on %s\n", src.Addr())
 		}
-		b = flatBackend{srv: srv}
+		f.root = srv
 		shutdown = srv.Shutdown
 	}
 
@@ -356,7 +353,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 				}
 				go func() {
 					defer conn.Close()
-					serveLines(b, conn, conn, requestStop)
+					f.serveLines(conn, conn, requestStop)
 				}()
 			}
 		}()
@@ -364,7 +361,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		ln.Close()
 	} else {
 		go func() {
-			serveLines(b, stdin, stdout, requestStop)
+			f.serveLines(stdin, stdout, requestStop)
 			requestStop() // EOF on stdin drains the server
 		}()
 		<-stop
@@ -378,11 +375,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		return 8
 	}
 	if err != nil {
+		fmt.Fprintln(stderr, "ruled: shutdown:", err)
 		if errors.Is(err, activerules.ErrUnrecoverableLog) {
-			fmt.Fprintln(stderr, "ruled: shutdown:", err)
 			return 7
 		}
-		fmt.Fprintln(stderr, "ruled: shutdown:", err)
 		return 2
 	}
 	fmt.Fprintln(stdout, "ruled: drained cleanly")
@@ -402,316 +398,142 @@ type wireReq struct {
 	Destroy bool   `json:"destroy,omitempty"`
 }
 
-// serveLines reads JSON lines from r and writes one JSON response line
-// per request to w. Writes are serialized so concurrent asserts from
-// one peer interleave whole lines.
-// backend abstracts the serving modes — one server, a shard group, a
-// read-only follower, a tenant fleet — behind the wire protocol. The
-// tenant parameter is the request's routing field; single-system
-// backends reject a non-empty one with errNoTenant.
-type backend interface {
-	assert(ctx context.Context, tenant string, req activerules.ServeRequest) (*activerules.ServeResponse, error)
-	checkpoint(ctx context.Context, tenant string) error
-	healthBody(tenant string) (map[string]any, error)
-	statsBody(tenant string) (map[string]any, error)
-	tenantOp(ctx context.Context, req wireReq) map[string]any
+// maxLine bounds one request line.
+const maxLine = 16 * 1024 * 1024
+
+// front is the wire protocol over whatever ruled was started as: root
+// serves the requests that name no tenant — the one system, or a
+// fleet's roster — and fleet, in multi-tenant mode only, resolves the
+// ones that do.
+type front struct {
+	root  serve.Service
+	fleet *tenant.Manager
 }
 
-// errReadOnly rejects mutating ops on a follower (code "read-only").
-var errReadOnly = errors.New("follower is read-only; send asserts to the leader")
-
-// errNoTenant rejects tenant-routed ops on single-system backends
-// (code "no-tenant"); run ruled with -tenants to serve a fleet.
-var errNoTenant = errors.New("this server is single-tenant; restart with -tenants to serve tenants")
-
-// singleTenant supplies the tenant rejections shared by the flat,
-// shard, and follower backends.
-type singleTenant struct{}
-
-func (singleTenant) tenantOp(context.Context, wireReq) map[string]any { return errorBody(errNoTenant) }
-
-func (singleTenant) rejectTenant(tenant string) error {
-	if tenant != "" {
-		return errNoTenant
-	}
-	return nil
-}
-
-type flatBackend struct {
-	singleTenant
-	srv *activerules.Server
-}
-
-func (b flatBackend) assert(ctx context.Context, tenant string, req activerules.ServeRequest) (*activerules.ServeResponse, error) {
-	if err := b.rejectTenant(tenant); err != nil {
-		return nil, err
-	}
-	return b.srv.Submit(ctx, req)
-}
-func (b flatBackend) checkpoint(ctx context.Context, tenant string) error {
-	if err := b.rejectTenant(tenant); err != nil {
-		return err
-	}
-	return b.srv.Checkpoint(ctx)
-}
-func (b flatBackend) healthBody(tenant string) (map[string]any, error) {
-	if err := b.rejectTenant(tenant); err != nil {
-		return nil, err
-	}
-	return healthFields(b.srv.Health()), nil
-}
-func (b flatBackend) statsBody(tenant string) (map[string]any, error) {
-	if err := b.rejectTenant(tenant); err != nil {
-		return nil, err
-	}
-	return statsFields(b.srv.Stats()), nil
-}
-
-type shardBackend struct {
-	singleTenant
-	g *activerules.ShardGroup
-}
-
-func (b shardBackend) assert(ctx context.Context, tenant string, req activerules.ServeRequest) (*activerules.ServeResponse, error) {
-	if err := b.rejectTenant(tenant); err != nil {
-		return nil, err
-	}
-	return b.g.Submit(ctx, req)
-}
-func (b shardBackend) checkpoint(ctx context.Context, tenant string) error {
-	if err := b.rejectTenant(tenant); err != nil {
-		return err
-	}
-	return b.g.Checkpoint(ctx)
-}
-
-func (b shardBackend) healthBody(tenant string) (map[string]any, error) {
-	if err := b.rejectTenant(tenant); err != nil {
-		return nil, err
-	}
-	return b.shardHealth(), nil
-}
-
-func (b shardBackend) shardHealth() map[string]any {
-	hs := b.g.Health()
-	ready, degraded := true, false
-	perShard := make([]map[string]any, len(hs))
-	state := hs[0].State
-	for i, h := range hs {
-		ready = ready && h.Ready
-		degraded = degraded || h.Degraded
-		if h.State != state {
-			state = "mixed"
-		}
-		perShard[i] = healthFields(h)
-	}
-	return map[string]any{
-		"ok": true, "state": state, "ready": ready, "degraded": degraded,
-		"shards": perShard,
+// resolve routes a request by its tenant field.
+func (f front) resolve(id string) (serve.Service, error) {
+	switch {
+	case id == "":
+		return f.root, nil
+	case f.fleet == nil:
+		return nil, tenant.ErrSingleTenant
+	default:
+		return f.fleet.Tenant(id)
 	}
 }
 
-func (b shardBackend) statsBody(tenant string) (map[string]any, error) {
-	if err := b.rejectTenant(tenant); err != nil {
-		return nil, err
+// routed answers with op's body for the service the request's tenant
+// field names, or with the reason there is none.
+func (f front) routed(id string, op func(serve.Service) (map[string]any, error)) map[string]any {
+	svc, err := f.resolve(id)
+	if err != nil {
+		return errorBody(err)
 	}
-	sts := b.g.Stats()
-	perShard := make([]map[string]any, len(sts))
-	var accepted, completed, failed uint64
-	for i, st := range sts {
-		accepted += st.Accepted
-		completed += st.Completed
-		failed += st.Failed
-		perShard[i] = statsFields(st)
-	}
-	return map[string]any{
-		"ok": true, "accepted": accepted, "completed": completed, "failed": failed,
-		"shards": perShard,
-	}, nil
-}
-
-type followerBackend struct {
-	singleTenant
-	f *activerules.Follower
-}
-
-func (b followerBackend) assert(context.Context, string, activerules.ServeRequest) (*activerules.ServeResponse, error) {
-	return nil, errReadOnly
-}
-func (b followerBackend) checkpoint(context.Context, string) error { return errReadOnly }
-func (b followerBackend) healthBody(tenant string) (map[string]any, error) {
-	if err := b.rejectTenant(tenant); err != nil {
-		return nil, err
-	}
-	return followerHealthFields(b.f.Health()), nil
-}
-func (b followerBackend) statsBody(tenant string) (map[string]any, error) {
-	return b.healthBody(tenant)
-}
-
-// followerHealthFields renders a follower's health including its
-// replication lag: the local position, how many bytes it trails the
-// leader's durable frontier, and how long ago the last frame arrived.
-func followerHealthFields(h activerules.FollowerHealth) map[string]any {
-	body := map[string]any{
-		"ok":            true,
-		"state":         h.State,
-		"ready":         h.State == "following",
-		"gen":           h.Gen,
-		"off":           h.Off,
-		"behind":        h.Behind,
-		"last_frame_ms": h.LastFrameAge.Milliseconds(),
-		"state_hash":    h.StateHash,
-	}
-	if h.Epoch > 0 {
-		body["epoch"] = h.Epoch
-	}
-	if h.LeaderAddr != "" {
-		body["leader"] = h.LeaderAddr
-	}
-	if h.LastErr != "" {
-		body["last_error"] = h.LastErr
+	body, err := op(svc)
+	if err != nil {
+		return errorBody(err)
 	}
 	return body
 }
 
-// clusterBackend serves one member of an automatic-failover pair. Ops
-// work on the leader; a follower (or a suspended leader) answers
-// asserts with code "redirect" carrying the believed leader's address.
-type clusterBackend struct {
-	singleTenant
-	n *activerules.ClusterNode
+func healthOp(s serve.Service) (map[string]any, error) { return okBody(s.HealthView()) }
+func statsOp(s serve.Service) (map[string]any, error)  { return okBody(s.StatsView()) }
+
+// serveLines reads JSON lines from r and writes one JSON response line
+// per request to w. Writes are serialized so concurrent asserts from
+// one peer interleave whole lines.
+func (f front) serveLines(r io.Reader, w io.Writer, requestStop func()) {
+	var wmu sync.Mutex
+	enc := json.NewEncoder(w)
+	respond := func(v map[string]any) {
+		wmu.Lock()
+		defer wmu.Unlock()
+		_ = enc.Encode(v)
+	}
+	ctx := context.Background()
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		var req wireReq
+		if err := json.Unmarshal([]byte(line), &req); err != nil {
+			respond(badRequest("bad JSON: " + err.Error()))
+			continue
+		}
+		switch req.Op {
+		case "assert":
+			respond(f.routed(req.Tenant, func(s serve.Service) (map[string]any, error) {
+				resp, err := s.Submit(ctx, activerules.ServeRequest{
+					SQL:      req.SQL,
+					Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
+				})
+				if err != nil {
+					return nil, err
+				}
+				return assertBody(resp), nil
+			}))
+		case "health":
+			respond(f.routed(req.Tenant, healthOp))
+		case "stats":
+			respond(f.routed(req.Tenant, statsOp))
+		case "checkpoint":
+			respond(f.routed(req.Tenant, func(s serve.Service) (map[string]any, error) {
+				return map[string]any{"ok": true}, s.Checkpoint(ctx)
+			}))
+		case "tenant-create", "tenant-load", "tenant-swap", "tenant-drop", "tenant-stats":
+			respond(f.tenantOp(ctx, req))
+		case "shutdown":
+			respond(map[string]any{"ok": true, "state": activerules.ServerDraining})
+			requestStop()
+		default:
+			respond(badRequest(fmt.Sprintf("unknown op %q (want assert, health, stats, checkpoint, shutdown, or tenant-create/load/swap/drop/stats)", req.Op)))
+		}
+	}
+	// The scanner stops for good at a line over its cap; say so before
+	// the peer is released, rather than pass the stop off as a clean EOF.
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		respond(badRequest(fmt.Sprintf("request line exceeds the %d-byte limit; closing this stream", maxLine)))
+	}
 }
 
-func (b clusterBackend) assert(ctx context.Context, tenant string, req activerules.ServeRequest) (*activerules.ServeResponse, error) {
-	if err := b.rejectTenant(tenant); err != nil {
-		return nil, err
+// tenantOp answers the fleet lifecycle ops, which only a multi-tenant
+// server has. tenant-stats is stats under its fleet-era name.
+func (f front) tenantOp(ctx context.Context, req wireReq) map[string]any {
+	switch {
+	case f.fleet == nil:
+		return errorBody(tenant.ErrSingleTenant)
+	case req.Op == "tenant-stats":
+		return f.routed(req.Tenant, statsOp)
+	case req.Tenant == "":
+		return errorBody(tenant.ErrTenantRequired)
 	}
-	return b.n.Submit(ctx, req)
-}
-func (b clusterBackend) checkpoint(ctx context.Context, tenant string) error {
-	if err := b.rejectTenant(tenant); err != nil {
-		return err
+	var (
+		sum  *activerules.RuleSetSummary
+		quar *activerules.SwapQuarantineReport
+		err  error
+	)
+	switch req.Op {
+	case "tenant-create":
+		sum, err = f.fleet.Create(req.Tenant, req.Schema, req.Rules)
+	case "tenant-load":
+		sum, err = f.fleet.Load(req.Tenant)
+	case "tenant-swap":
+		sum, quar, err = f.fleet.Swap(ctx, req.Tenant, req.Rules)
+	case "tenant-drop":
+		if err = f.fleet.Drop(req.Tenant, req.Destroy); err == nil {
+			return map[string]any{"ok": true, "tenant": req.Tenant, "destroyed": req.Destroy}
+		}
 	}
-	return b.n.Checkpoint(ctx)
-}
-func (b clusterBackend) healthBody(tenant string) (map[string]any, error) {
-	if err := b.rejectTenant(tenant); err != nil {
-		return nil, err
-	}
-	h := b.n.Health()
-	body := map[string]any{
-		"ok":        true,
-		"role":      h.Role,
-		"epoch":     h.Epoch,
-		"ready":     h.Role == "leader" && !h.Suspended,
-		"failovers": h.Failovers,
-	}
-	if h.Suspended {
-		body["suspended"] = true
-	}
-	if h.Leader != "" {
-		body["leader"] = h.Leader
-	}
-	if h.LastErr != "" {
-		body["last_error"] = h.LastErr
-	}
-	if srv := b.n.Server(); srv != nil {
-		sub := healthFields(srv.Health())
-		delete(sub, "ok")
-		body["serve"] = sub
-	} else if fol := b.n.Follower(); fol != nil {
-		sub := followerHealthFields(fol.Health())
-		delete(sub, "ok")
-		body["replication"] = sub
-	}
-	return body, nil
-}
-func (b clusterBackend) statsBody(tenant string) (map[string]any, error) {
-	if err := b.rejectTenant(tenant); err != nil {
-		return nil, err
-	}
-	if srv := b.n.Server(); srv != nil {
-		return statsFields(srv.Stats()), nil
-	}
-	return b.healthBody(tenant)
-}
-
-// tenantBackend routes the wire protocol onto a tenant fleet.
-type tenantBackend struct{ m *activerules.TenantManager }
-
-// errTenantRequired rejects data-plane ops missing the routing field in
-// multi-tenant mode (code "bad-request").
-var errTenantRequired = errors.New(`multi-tenant mode: op requires a "tenant" field`)
-
-func (b tenantBackend) assert(ctx context.Context, tenant string, req activerules.ServeRequest) (*activerules.ServeResponse, error) {
-	if tenant == "" {
-		return nil, errTenantRequired
-	}
-	return b.m.Submit(ctx, tenant, req)
-}
-
-func (b tenantBackend) checkpoint(ctx context.Context, tenant string) error {
-	if tenant == "" {
-		return errTenantRequired
-	}
-	return b.m.Checkpoint(ctx, tenant)
-}
-
-func (b tenantBackend) healthBody(tenant string) (map[string]any, error) {
-	if tenant == "" {
-		ids := b.m.Tenants()
-		return map[string]any{"ok": true, "tenants": len(ids), "ids": ids}, nil
-	}
-	h, err := b.m.Health(tenant)
 	if err != nil {
-		return nil, err
+		return errorBody(err)
 	}
-	body := healthFields(h.Health)
-	body["tenant"] = h.Tenant
-	if h.SwapQuarantine != nil {
-		body["swap_quarantine"] = h.SwapQuarantine.String()
+	body := summaryFields(req.Tenant, sum)
+	if quar != nil {
+		body["swap_quarantine"] = quar.String()
 	}
-	return body, nil
-}
-
-func (b tenantBackend) statsBody(tenant string) (map[string]any, error) {
-	if tenant == "" {
-		return b.fleetStats(), nil
-	}
-	st, err := b.m.Stats(tenant)
-	if err != nil {
-		return nil, err
-	}
-	return tenantStatsFields(st), nil
-}
-
-// fleetStats is the aggregate tenant-stats body: the fleet roster plus
-// the shared analysis cache's counters.
-func (b tenantBackend) fleetStats() map[string]any {
-	ms := b.m.StatsAll()
-	per := make([]map[string]any, 0, len(ms.PerTenant))
-	for _, st := range ms.PerTenant {
-		per = append(per, tenantStatsFields(st))
-	}
-	return map[string]any{
-		"ok":            true,
-		"tenants":       ms.Tenants,
-		"cache_hits":    ms.CacheHits,
-		"cache_misses":  ms.CacheMisses,
-		"cache_entries": ms.CacheEntries,
-		"per_tenant":    per,
-	}
-}
-
-func tenantStatsFields(st *activerules.TenantStats) map[string]any {
-	body := statsFields(st.Stats)
-	body["tenant"] = st.Tenant
-	body["in_flight"] = st.InFlight
-	body["outstanding"] = st.Outstanding
-	body["quota_limit"] = st.QuotaLimit
-	body["shed_quota"] = st.ShedQuota
-	body["rule_set_hash"] = st.RuleSetHash
 	return body
 }
 
@@ -729,140 +551,34 @@ func summaryFields(tenant string, sum *activerules.RuleSetSummary) map[string]an
 	}
 }
 
-func (b tenantBackend) tenantOp(ctx context.Context, req wireReq) map[string]any {
-	if req.Tenant == "" && req.Op != "tenant-stats" {
-		return errorBody(errTenantRequired)
+// okBody is the one renderer of a successful health or stats response:
+// the layer's own view under encoding/json, plus the envelope's "ok" —
+// which the views listed inside a composite (shards[], per_tenant[])
+// have always repeated and a sub-view under its own key (serve,
+// replication) never has. The round trip through a map only makes the
+// encoder sort the keys, as it did when the bodies were built as maps,
+// and UseNumber keeps the counters' digits: transcripts stay identical.
+func okBody(view any) (map[string]any, error) {
+	raw, err := json.Marshal(view)
+	if err != nil {
+		return nil, err
 	}
-	switch req.Op {
-	case "tenant-create":
-		sum, err := b.m.Create(req.Tenant, req.Schema, req.Rules)
-		if err != nil {
-			return errorBody(err)
-		}
-		return summaryFields(req.Tenant, sum)
-	case "tenant-load":
-		sum, err := b.m.Load(req.Tenant)
-		if err != nil {
-			return errorBody(err)
-		}
-		return summaryFields(req.Tenant, sum)
-	case "tenant-swap":
-		sum, quar, err := b.m.Swap(ctx, req.Tenant, req.Rules)
-		if err != nil {
-			return errorBody(err)
-		}
-		body := summaryFields(req.Tenant, sum)
-		if quar != nil {
-			body["swap_quarantine"] = quar.String()
-		}
-		return body
-	case "tenant-drop":
-		if err := b.m.Drop(req.Tenant, req.Destroy); err != nil {
-			return errorBody(err)
-		}
-		return map[string]any{"ok": true, "tenant": req.Tenant, "destroyed": req.Destroy}
-	case "tenant-stats":
-		body, err := b.statsBody(req.Tenant)
-		if err != nil {
-			return errorBody(err)
-		}
-		return body
-	default:
-		return errorBody(fmt.Errorf("unknown tenant op %q", req.Op))
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var body map[string]any
+	if err := dec.Decode(&body); err != nil {
+		return nil, err
 	}
-}
-
-func healthFields(h activerules.ServerHealth) map[string]any {
-	return map[string]any{
-		"ok":          true,
-		"state":       h.State,
-		"ready":       h.Ready,
-		"degraded":    h.Degraded,
-		"quarantined": h.Report.Quarantined,
-		"probing":     h.Report.Probing,
-		"report":      h.Report.String(),
-	}
-}
-
-func statsFields(st activerules.ServerStats) map[string]any {
-	return map[string]any{
-		"ok":             true,
-		"state":          st.State,
-		"queue_len":      st.QueueLen,
-		"queue_cap":      st.QueueCap,
-		"accepted":       st.Accepted,
-		"completed":      st.Completed,
-		"failed":         st.Failed,
-		"shed_overload":  st.ShedOverload,
-		"shed_deadline":  st.ShedDeadline,
-		"reopens":        st.Reopens,
-		"avg_service_ns": int64(st.AvgService),
-		"quarantined":    st.Quarantined,
-		"probing":        st.Probing,
-	}
-}
-
-func serveLines(b backend, r io.Reader, w io.Writer, requestStop func()) {
-	var wmu sync.Mutex
-	enc := json.NewEncoder(w)
-	respond := func(v map[string]any) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_ = enc.Encode(v)
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var req wireReq
-		if err := json.Unmarshal([]byte(line), &req); err != nil {
-			respond(map[string]any{"ok": false, "code": "bad-request", "error": "bad JSON: " + err.Error()})
-			continue
-		}
-		switch req.Op {
-		case "assert":
-			resp, err := b.assert(context.Background(), req.Tenant, activerules.ServeRequest{
-				SQL:      req.SQL,
-				Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
-			})
-			if err != nil {
-				respond(errorBody(err))
-				continue
+	body["ok"] = true
+	for _, v := range body {
+		list, _ := v.([]any)
+		for _, e := range list {
+			if child, isView := e.(map[string]any); isView {
+				child["ok"] = true
 			}
-			respond(assertBody(resp))
-		case "health":
-			body, err := b.healthBody(req.Tenant)
-			if err != nil {
-				respond(errorBody(err))
-				continue
-			}
-			respond(body)
-		case "stats":
-			body, err := b.statsBody(req.Tenant)
-			if err != nil {
-				respond(errorBody(err))
-				continue
-			}
-			respond(body)
-		case "checkpoint":
-			if err := b.checkpoint(context.Background(), req.Tenant); err != nil {
-				respond(errorBody(err))
-				continue
-			}
-			respond(map[string]any{"ok": true})
-		case "tenant-create", "tenant-load", "tenant-swap", "tenant-drop", "tenant-stats":
-			respond(b.tenantOp(context.Background(), req))
-		case "shutdown":
-			respond(map[string]any{"ok": true, "state": activerules.ServerDraining})
-			requestStop()
-		default:
-			respond(map[string]any{"ok": false, "code": "bad-request",
-				"error": fmt.Sprintf("unknown op %q (want assert, health, stats, checkpoint, shutdown, or tenant-create/load/swap/drop/stats)", req.Op)})
 		}
 	}
+	return body, nil
 }
 
 func assertBody(resp *activerules.ServeResponse) map[string]any {
@@ -900,76 +616,20 @@ func assertBody(resp *activerules.ServeResponse) map[string]any {
 	return body
 }
 
-// errorBody maps the serving/engine failure taxonomy to a stable wire
-// code. The livelock check precedes the maxsteps one: a livelock
-// witness satisfies errors.Is(ErrMaxSteps) but carries more.
+// errorBody is a failed response: the error's own wire code
+// (serve.CodeOf) and text, and for a redirect the leader to resend to.
 func errorBody(err error) map[string]any {
-	code := "error"
-	var oe *activerules.OverloadError
-	var de *activerules.DeadlineError
-	var ce *activerules.ServerClosedError
-	var xe *activerules.ExecError
-	var le *activerules.LivelockError
-	var cancelled *activerules.CancelledError
-	var dur *activerules.DurabilityError
-	var she *activerules.ShardError
-	var tq *activerules.TenantQuotaError
-	var tsr *activerules.SwapRejectedError
-	var tnf *activerules.TenantNotFoundError
-	var tex *activerules.TenantExistsError
-	var tid *activerules.TenantIDError
+	body := map[string]any{"ok": false, "code": serve.CodeOf(err), "error": err.Error()}
 	var nl *activerules.NotLeaderError
-	var ua *activerules.UnackedError
-	switch {
-	case errors.As(err, &she):
-		code = "shard"
-	case errors.As(err, &nl):
-		// The client's move is to resend to the leader; a redirect body
-		// carries its advertised address when known.
-		code = "redirect"
-	case errors.As(err, &ua):
-		// Durable here, unacknowledged by the follower: the outcome is
-		// indeterminate until the pair settles. Distinct from
-		// "durability" (which means the transaction did not commit).
-		code = "unacked"
-	case errors.Is(err, errReadOnly):
-		code = "read-only"
-	case errors.As(err, &tq):
-		// Per-tenant quota shedding, deliberately distinct from the
-		// server-level "overload" code.
-		code = "quota"
-	case errors.As(err, &tsr):
-		code = "swap-rejected"
-	case errors.As(err, &tnf), errors.Is(err, errNoTenant):
-		code = "no-tenant"
-	case errors.As(err, &tex):
-		code = "tenant-exists"
-	case errors.As(err, &tid), errors.Is(err, errTenantRequired):
-		code = "bad-request"
-	case errors.Is(err, activerules.ErrTenantManagerClosed):
-		code = "closed"
-	case errors.As(err, &oe):
-		code = "overload"
-	case errors.As(err, &de):
-		code = "deadline"
-	case errors.As(err, &ce):
-		code = "closed"
-	case errors.As(err, &le):
-		code = "livelock"
-	case errors.As(err, &xe):
-		code = "exec"
-	case errors.As(err, &cancelled):
-		code = "cancelled"
-	case errors.As(err, &dur):
-		code = "durability"
-	case errors.Is(err, activerules.ErrMaxSteps):
-		code = "maxsteps"
-	}
-	body := map[string]any{"ok": false, "code": code, "error": err.Error()}
-	if nl != nil && nl.Leader != "" {
+	if errors.As(err, &nl) && nl.Leader != "" {
 		body["leader"] = nl.Leader
 	}
 	return body
+}
+
+// badRequest is the response to a line the decoder itself rejects.
+func badRequest(msg string) map[string]any {
+	return errorBody(serve.Coded(serve.CodeBadRequest, msg))
 }
 
 func jsonValue(v storage.Value) any {

@@ -112,6 +112,7 @@ func TestRuledFollowerReadOnly(t *testing.T) {
 		`{"op":"health"}`,
 		`{"op":"assert","sql":"insert into src values (1)"}`,
 		`{"op":"checkpoint"}`,
+		`{"op":"assert","tenant":"acme","sql":"insert into src values (1)"}`,
 		`{"op":"shutdown"}`,
 	}, "\n"))
 	var out, errb syncBuffer
@@ -120,14 +121,18 @@ func TestRuledFollowerReadOnly(t *testing.T) {
 		t.Fatalf("exit = %d; stderr: %s", code, errb.String())
 	}
 	resps := decodeLines(t, out.String())
-	if len(resps) != 4 {
-		t.Fatalf("got %d responses, want 4:\n%s", len(resps), out.String())
+	if len(resps) != 5 {
+		t.Fatalf("got %d responses, want 5:\n%s", len(resps), out.String())
 	}
 	if resps[0]["ok"] != true || resps[0]["ready"] == true {
 		t.Fatalf("disconnected follower health = %v", resps[0])
 	}
 	if resps[1]["code"] != "read-only" || resps[2]["code"] != "read-only" {
 		t.Fatalf("follower mutating ops = %v, %v, want code read-only", resps[1], resps[2])
+	}
+	// The tenant field is resolved before the op, on a follower too.
+	if resps[3]["code"] != "no-tenant" {
+		t.Fatalf("tenant-routed assert on a follower = %v, want code no-tenant", resps[3])
 	}
 }
 

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -196,21 +194,5 @@ func TestRuledTenantStatsGolden(t *testing.T) {
 		}
 	}
 
-	golden := filepath.Join("testdata", "tenant_stats.golden")
-	if os.Getenv("RULED_UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(base), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with RULED_UPDATE_GOLDEN=1 to regenerate)", err)
-	}
-	if base != string(want) {
-		t.Errorf("tenant-stats transcript drifted from %s:\n--- want ---\n%s--- got ---\n%s\n(run with RULED_UPDATE_GOLDEN=1 to regenerate)",
-			golden, want, base)
-	}
+	checkGolden(t, "tenant_stats.golden", base)
 }

@@ -19,11 +19,6 @@ type (
 	// ClusterConfig assembles a cluster node. Schema and Defs are
 	// filled in by System.NewClusterNode.
 	ClusterConfig = cluster.Config
-	// ClusterHealth is the failover-level health view, layered over
-	// the active role's serving or follower health.
-	ClusterHealth = cluster.Health
-	// ClusterRole is a node's current position in the pair.
-	ClusterRole = cluster.Role
 	// NotLeaderError refuses a request on a node that cannot currently
 	// acknowledge writes; Leader carries the believed leader's client
 	// address for redirects.
@@ -31,13 +26,6 @@ type (
 	// UnackedError reports an indeterminate commit: durable on this
 	// leader, not acknowledged by the follower within AckTimeout.
 	UnackedError = cluster.UnackedError
-)
-
-// Cluster roles, re-exported.
-const (
-	ClusterFollower = cluster.RoleFollower
-	ClusterLeader   = cluster.RoleLeader
-	ClusterStopped  = cluster.RoleStopped
 )
 
 // NewClusterNode starts a failover supervisor for this system over the

@@ -2,6 +2,13 @@ package cluster
 
 import "fmt"
 
+// Each error names its own stable wire code (serve.CodeOf). On
+// "redirect" the client's move is to resend to the leader (a front end
+// adds Leader to the body when known); "unacked" is distinct from
+// "durability", which means the transaction did not commit.
+func (e *NotLeaderError) Code() string { return "redirect" }
+func (e *UnackedError) Code() string   { return "unacked" }
+
 // NotLeaderError refuses a request on a node that cannot currently
 // acknowledge writes: a follower (Leader carries the advertised
 // address from its lease, for client redirects), or a nominal leader

@@ -150,15 +150,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Health is the node's failover-level view, layered over the serving
-// or follower health of the active role.
+// Health is the node's failover-level view, nesting the serving or
+// follower health of the active role. Its JSON form is the wire's
+// cluster health body.
 type Health struct {
-	Role      string `json:"role"`
-	Epoch     uint64 `json:"epoch"`
+	Role  string `json:"role"`
+	Epoch uint64 `json:"epoch"`
+	// Ready reports a leader whose follower is acknowledging.
+	Ready     bool   `json:"ready"`
 	Suspended bool   `json:"suspended,omitempty"`
 	Leader    string `json:"leader,omitempty"` // believed leader's client address
 	Failovers int    `json:"failovers"`
-	LastErr   string `json:"last_err,omitempty"`
+	LastErr   string `json:"last_error,omitempty"`
+	// Serve is set while leading, Replication while following.
+	Serve       *serve.Health           `json:"serve,omitempty"`
+	Replication *replica.FollowerHealth `json:"replication,omitempty"`
 }
 
 // Node supervises one member of the pair, transitioning it between
@@ -394,21 +400,30 @@ func (n *Node) Health() Health {
 	if n.lastErr != nil {
 		h.LastErr = n.lastErr.Error()
 	}
-	role := n.role
+	role, srv, fol := n.role, n.srv, n.fol
 	n.mu.Unlock()
 	h.Epoch = n.Epoch()
 	h.Leader = n.LeaderAddr()
-	if role == RoleLeader && n.ack.age(time.Now()) > n.cfg.Lease {
-		h.Suspended = true
+	h.Suspended = role == RoleLeader && n.ack.age(time.Now()) > n.cfg.Lease
+	h.Ready = role == RoleLeader && !h.Suspended
+	if srv != nil {
+		sh := srv.Health()
+		h.Serve = &sh
+	} else if fol != nil {
+		fh := fol.Health()
+		h.Replication = &fh
 	}
 	return h
 }
 
-// Failovers returns how many role transitions this node has performed.
-func (n *Node) Failovers() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.failovers
+// HealthView and StatsView make a Node a serve.Service. Only a leader
+// has request counters; elsewhere the node's stats are its health.
+func (n *Node) HealthView() any { return n.Health() }
+func (n *Node) StatsView() any {
+	if srv := n.Server(); srv != nil {
+		return srv.Stats()
+	}
+	return n.Health()
 }
 
 // Submit runs one request through the leader with synchronous

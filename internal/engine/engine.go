@@ -13,7 +13,6 @@ package engine
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"runtime/debug"
 
@@ -27,7 +26,16 @@ import (
 // ErrMaxSteps is returned by Assert when rule processing exceeds the
 // configured step budget, the runtime symptom of a (potentially)
 // nonterminating rule set.
-var ErrMaxSteps = errors.New("engine: rule processing exceeded the step budget (possible nontermination)")
+var ErrMaxSteps error = budgetError{}
+
+// budgetError is ErrMaxSteps's type: a comparable value, so == and
+// errors.Is (and LivelockError.Is) keep working, that carries its wire
+// code like the rest of the taxonomy (errors.go).
+type budgetError struct{}
+
+func (budgetError) Error() string {
+	return "engine: rule processing exceeded the step budget (possible nontermination)"
+}
 
 // ObservableEvent is one environment-visible action (Section 3:
 // Observable): a data retrieval or a rollback, in execution order.

@@ -35,6 +35,17 @@ import (
 // it stopped (with a fresh budget) rather than re-seeing consumed
 // transitions.
 
+// Each error names its own stable wire code, so a front end (cmd/ruled,
+// through serve.CodeOf) needs no table of this package's types. A
+// livelock witness also satisfies errors.Is(ErrMaxSteps) but carries
+// more, hence a code of its own; "durability" means the transaction did
+// not commit.
+func (e *ExecError) Code() string       { return "exec" }
+func (e *LivelockError) Code() string   { return "livelock" }
+func (budgetError) Code() string        { return "maxsteps" }
+func (e *CancelledError) Code() string  { return "cancelled" }
+func (e *DurabilityError) Code() string { return "durability" }
+
 // ExecError reports a failure inside one rule consideration. The
 // consideration has been rolled back: it is as if the rule had not been
 // chosen.

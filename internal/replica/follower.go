@@ -50,33 +50,39 @@ type FollowerConfig struct {
 	Now func() time.Time
 }
 
-// FollowerHealth is the follower's readiness view.
+// ErrReadOnly refuses a write (Submit, Checkpoint) on a follower.
+var ErrReadOnly = serve.Coded("read-only", "follower is read-only; send asserts to the leader")
+
+// FollowerHealth is the follower's readiness view, replication lag
+// included. Its JSON form is the wire's follower health body.
 type FollowerHealth struct {
 	// State is "following" (connected, streaming), "disconnected"
 	// (between reconnect attempts), or "closed".
-	State string
+	State string `json:"state"`
+	// Ready reports State == "following".
+	Ready bool `json:"ready"`
 	// Gen and Off are the local replication position: generation and
 	// how many of its log bytes are locally durable.
-	Gen uint64
-	Off int64
+	Gen uint64 `json:"gen"`
+	Off int64  `json:"off"`
 	// StateHash is the hex fingerprint of the replayed state — always
 	// equal to the leader's StateHash at some durable point.
-	StateHash string
+	StateHash string `json:"state_hash"`
 	// LastErr is the most recent stream error, if any.
-	LastErr string
+	LastErr string `json:"last_error,omitempty"`
 	// Epoch is the highest leadership epoch observed (from lease frames
 	// or replicated epoch records); 0 outside cluster mode.
-	Epoch uint64
+	Epoch uint64 `json:"epoch,omitempty"`
 	// Behind is the replication lag in bytes: the leader's durable
 	// frontier for the current generation, as last reported by the
 	// stream, minus the local durable offset.
-	Behind int64
-	// LastFrameAge is how long ago the last frame of any kind arrived;
-	// 0 before the first frame of the current process.
-	LastFrameAge time.Duration
+	Behind int64 `json:"behind"`
+	// LastFrameMS is how many milliseconds ago the last frame of any
+	// kind arrived; 0 before the first frame of the current process.
+	LastFrameMS int64 `json:"last_frame_ms"`
 	// LeaderAddr is the leader's advertised client address from the
 	// most recent lease frame, if any.
-	LeaderAddr string
+	LeaderAddr string `json:"leader,omitempty"`
 }
 
 // Follower replicates a leader's WAL into a local directory and
@@ -415,7 +421,7 @@ func (f *Follower) Health() FollowerHealth {
 	case f.closed:
 		h.State = "closed"
 	case f.connected:
-		h.State = "following"
+		h.State, h.Ready = "following", true
 	default:
 		h.State = "disconnected"
 	}
@@ -427,11 +433,20 @@ func (f *Follower) Health() FollowerHealth {
 		h.Behind = f.frontier - f.off
 	}
 	if !f.lastFrame.IsZero() {
-		h.LastFrameAge = f.cfg.Now().Sub(f.lastFrame)
+		h.LastFrameMS = f.cfg.Now().Sub(f.lastFrame).Milliseconds()
 	}
 	h.LeaderAddr = f.leaderAddr
 	return h
 }
+
+// A Follower is a read-only serve.Service: writes are refused, and its
+// stats are its health (position and lag are all it counts).
+func (f *Follower) Submit(context.Context, serve.Request) (*serve.Response, error) {
+	return nil, ErrReadOnly
+}
+func (f *Follower) Checkpoint(context.Context) error { return ErrReadOnly }
+func (f *Follower) HealthView() any                  { return f.Health() }
+func (f *Follower) StatsView() any                   { return f.Health() }
 
 // Epoch returns the highest leadership epoch the follower has observed
 // — in lease frames or in epoch records replicated through the log. A

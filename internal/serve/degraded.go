@@ -102,6 +102,9 @@ func (r *DegradedReport) String() string {
 	return b.String()
 }
 
+// MarshalText is String: inside a JSON view the report is one string.
+func (r *DegradedReport) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
 func nameList(names []string) string {
 	if len(names) == 0 {
 		return "[]"

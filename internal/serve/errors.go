@@ -22,6 +22,13 @@ import (
 //     were admitted and executed. Whatever the failure, the request's
 //     transaction was rolled back: a failed request never happened.
 
+// Each error names its own stable wire code; CodeOf (service.go) reads
+// it off a chain. Whatever wedged a server (ClosedError.Cause), the
+// client's answer is that this server takes no more work.
+func (e *OverloadError) Code() string { return "overload" }
+func (e *DeadlineError) Code() string { return "deadline" }
+func (e *ClosedError) Code() string   { return CodeClosed }
+
 // OverloadReason says why admission rejected a request.
 type OverloadReason string
 

@@ -136,40 +136,50 @@ type Response struct {
 	Attempts int
 }
 
-// Health is the readiness view.
+// Health is the readiness view. Its JSON form is the wire's health body.
 type Health struct {
 	// State is one of the State* constants.
-	State string
+	State string `json:"state"`
 	// Ready reports that new work is admitted.
-	Ready bool
+	Ready bool `json:"ready"`
 	// Degraded reports that the quarantine affects some table's
 	// contents (see DegradedReport).
-	Degraded bool
-	// Report is the current degraded-mode report (never nil).
-	Report *DegradedReport
+	Degraded bool `json:"degraded"`
+	// Quarantined and Probing are Report's lists, beside it on the wire.
+	Quarantined []string `json:"quarantined"`
+	Probing     []string `json:"probing"`
+	// Report is the current degraded-mode report (never nil); it
+	// marshals as its String form.
+	Report *DegradedReport `json:"report"`
 }
 
-// Stats is the counters view.
+// Stats is the counters view. Its JSON form is the wire's stats body.
 type Stats struct {
-	State              string
-	QueueLen, QueueCap int
+	State    string `json:"state"`
+	QueueLen int    `json:"queue_len"`
+	QueueCap int    `json:"queue_cap"`
 	// Accepted counts admitted requests; Completed and Failed partition
 	// the finished ones.
-	Accepted, Completed, Failed uint64
+	Accepted  uint64 `json:"accepted"`
+	Completed uint64 `json:"completed"`
+	Failed    uint64 `json:"failed"`
 	// ShedOverload counts admission rejections (*OverloadError);
 	// ShedDeadline counts requests shed while queued (*DeadlineError).
-	ShedOverload, ShedDeadline uint64
+	ShedOverload uint64 `json:"shed_overload"`
+	ShedDeadline uint64 `json:"shed_deadline"`
 	// Reopens counts WAL reopen recoveries after durability faults.
-	Reopens uint64
+	Reopens uint64 `json:"reopens"`
 	// AvgService is the smoothed per-request service time feeding the
 	// projected-wait admission check.
-	AvgService time.Duration
-	// AvgService is also exported as InFlight's sibling: InFlight is 1
-	// while the worker is executing a request, 0 otherwise.
-	InFlight int
+	AvgService time.Duration `json:"avg_service_ns"`
+	// InFlight is 1 while the worker is executing a request, 0
+	// otherwise. A server's own stats body has never carried it; only
+	// the tenant view (tenant.Stats) puts it on the wire, as in_flight.
+	InFlight int `json:"-"`
 	// Quarantined and Probing list the breaker's open and half-open
 	// rules (sorted).
-	Quarantined, Probing []string
+	Quarantined []string `json:"quarantined"`
+	Probing     []string `json:"probing"`
 }
 
 type callKind int
@@ -485,10 +495,12 @@ func (s *Server) Health() Health {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Health{
-		State:    s.state,
-		Ready:    s.state == StateRunning,
-		Degraded: s.report.Degraded,
-		Report:   s.report,
+		State:       s.state,
+		Ready:       s.state == StateRunning,
+		Degraded:    s.report.Degraded,
+		Quarantined: s.report.Quarantined,
+		Probing:     s.report.Probing,
+		Report:      s.report,
 	}
 }
 
@@ -516,6 +528,10 @@ func (s *Server) Stats() Stats {
 		Probing:      append([]string(nil), s.report.Probing...),
 	}
 }
+
+// HealthView and StatsView make a Server a Service.
+func (s *Server) HealthView() any { return s.Health() }
+func (s *Server) StatsView() any  { return s.Stats() }
 
 // Shutdown drains gracefully: admission stops immediately (readiness
 // flips), queued and in-flight requests complete, a final checkpoint

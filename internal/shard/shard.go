@@ -53,6 +53,9 @@ func (e *ShardError) Error() string {
 	return fmt.Sprintf("shard: %s (tables [%s])", e.Reason, strings.Join(e.Tables, " "))
 }
 
+// Code is the stable wire code.
+func (e *ShardError) Code() string { return "shard" }
+
 // Group serves an analysis-proven shard plan: one serve.Server per
 // effective shard, each with its own WAL directory dir/shard-NNN.
 // All methods are safe for concurrent use.
@@ -213,22 +216,47 @@ func (g *Group) Submit(ctx context.Context, req serve.Request) (*serve.Response,
 	return g.servers[b].Submit(ctx, req)
 }
 
-// Health returns every shard's health, indexed by effective shard.
-func (g *Group) Health() []serve.Health {
-	hs := make([]serve.Health, len(g.servers))
-	for i, s := range g.servers {
-		hs[i] = s.Health()
+// HealthView is the group's health body (typed per-shard access is
+// Server(i).Health): ready iff every shard is, degraded iff any is, and
+// the shards' common state (or "mixed").
+func (g *Group) HealthView() any {
+	var v struct {
+		State    string         `json:"state"`
+		Ready    bool           `json:"ready"`
+		Degraded bool           `json:"degraded"`
+		Shards   []serve.Health `json:"shards"`
 	}
-	return hs
+	v.Ready = true
+	for i, s := range g.servers {
+		h := s.Health()
+		v.Ready = v.Ready && h.Ready
+		v.Degraded = v.Degraded || h.Degraded
+		if i == 0 {
+			v.State = h.State
+		} else if h.State != v.State {
+			v.State = "mixed"
+		}
+		v.Shards = append(v.Shards, h)
+	}
+	return v
 }
 
-// Stats returns every shard's counters, indexed by effective shard.
-func (g *Group) Stats() []serve.Stats {
-	st := make([]serve.Stats, len(g.servers))
-	for i, s := range g.servers {
-		st[i] = s.Stats()
+// StatsView is the group's stats body: the request counters summed.
+func (g *Group) StatsView() any {
+	var v struct {
+		Accepted  uint64        `json:"accepted"`
+		Completed uint64        `json:"completed"`
+		Failed    uint64        `json:"failed"`
+		Shards    []serve.Stats `json:"shards"`
 	}
-	return st
+	for _, s := range g.servers {
+		st := s.Stats()
+		v.Accepted += st.Accepted
+		v.Completed += st.Completed
+		v.Failed += st.Failed
+		v.Shards = append(v.Shards, st)
+	}
+	return v
 }
 
 // Checkpoint checkpoints every shard, returning the first error.

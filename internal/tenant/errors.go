@@ -1,11 +1,11 @@
 package tenant
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
 	"activerules/internal/analysis"
+	"activerules/internal/serve"
 )
 
 // The tenancy failure taxonomy, layered over the serving layer's
@@ -29,10 +29,31 @@ import (
 //     set's Guaranteed termination or confluence verdict regresses
 //     versus the live set, and the manager's policy is to reject.
 //   - ErrManagerClosed — the manager has shut down.
+//   - ErrTenantRequired, ErrSingleTenant — a request routed to a fleet
+//     without naming a tenant, or naming one to a server that has none.
 //   - the serving-layer taxonomy, passed through for admitted requests.
 
-// ErrManagerClosed reports an operation on a manager after Shutdown.
-var ErrManagerClosed = errors.New("tenant: manager is shut down")
+// Each error names its own stable wire code (serve.CodeOf); "quota" is
+// deliberately not the server-level "overload". codeNoTenant answers
+// any request whose tenant cannot be resolved.
+const codeNoTenant = "no-tenant"
+
+func (e *NotFoundError) Code() string     { return codeNoTenant }
+func (e *ExistsError) Code() string       { return "tenant-exists" }
+func (e *IDError) Code() string           { return serve.CodeBadRequest }
+func (e *QuotaError) Code() string        { return "quota" }
+func (e *SwapRejectedError) Code() string { return "swap-rejected" }
+
+var (
+	// ErrManagerClosed reports an operation on a manager after Shutdown.
+	ErrManagerClosed = serve.Coded(serve.CodeClosed, "tenant: manager is shut down")
+	// ErrTenantRequired rejects a write sent to the fleet (Manager.Fleet)
+	// rather than to one of its tenants.
+	ErrTenantRequired = serve.Coded(serve.CodeBadRequest, `multi-tenant mode: op requires a "tenant" field`)
+	// ErrSingleTenant is a front end's answer to a tenant-routed request
+	// when it serves one system and no Manager.
+	ErrSingleTenant = serve.Coded(codeNoTenant, "this server is single-tenant; restart with -tenants to serve tenants")
+)
 
 // NotFoundError reports an operation on an unknown tenant.
 type NotFoundError struct {

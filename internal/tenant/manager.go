@@ -27,6 +27,7 @@ package tenant
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path"
@@ -99,11 +100,13 @@ type Manager struct {
 	down bool
 }
 
-// tenantState is one resident tenant.
+// tenantState is one resident tenant: its server behind the quota
+// fence, which is what makes it a serve.Service (Manager.Tenant).
 type tenantState struct {
-	id  string
-	sch *schema.Schema
-	srv *serve.Server
+	id    string
+	slots int // the outstanding-request quota
+	sch   *schema.Schema
+	srv   *serve.Server
 
 	mu         sync.Mutex
 	schemaSrc  string
@@ -183,6 +186,7 @@ func (m *Manager) build(mf *manifest) (*tenantState, error) {
 	}
 	return &tenantState{
 		id:         mf.ID,
+		slots:      m.slots,
 		sch:        sch,
 		srv:        srv,
 		schemaSrc:  mf.Schema,
@@ -458,6 +462,16 @@ func (m *Manager) lookup(id string) (*tenantState, error) {
 	return ts, nil
 }
 
+// Tenant resolves a resident tenant to the serve.Service a front end
+// drives: the tenant's own server behind its admission quota.
+func (m *Manager) Tenant(id string) (serve.Service, error) {
+	ts, err := m.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	return ts, nil
+}
+
 // Submit runs one request on a tenant's server, behind the tenant's
 // admission quota: at most TenantSlots requests may be outstanding
 // (queued or in flight) per tenant, and the quota is checked before
@@ -468,7 +482,11 @@ func (m *Manager) Submit(ctx context.Context, id string, req serve.Request) (*se
 	if err != nil {
 		return nil, err
 	}
-	if err := ts.acquire(m.slots); err != nil {
+	return ts.Submit(ctx, req)
+}
+
+func (ts *tenantState) Submit(ctx context.Context, req serve.Request) (*serve.Response, error) {
+	if err := ts.acquire(); err != nil {
 		return nil, err
 	}
 	defer ts.release()
@@ -482,19 +500,23 @@ func (m *Manager) Checkpoint(ctx context.Context, id string) error {
 	if err != nil {
 		return err
 	}
-	if err := ts.acquire(m.slots); err != nil {
+	return ts.Checkpoint(ctx)
+}
+
+func (ts *tenantState) Checkpoint(ctx context.Context) error {
+	if err := ts.acquire(); err != nil {
 		return err
 	}
 	defer ts.release()
 	return ts.srv.Checkpoint(ctx)
 }
 
-func (ts *tenantState) acquire(limit int) error {
+func (ts *tenantState) acquire() error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if ts.outstanding >= limit {
+	if ts.outstanding >= ts.slots {
 		ts.shedQuota++
-		return &QuotaError{Tenant: ts.id, Kind: QuotaSlots, Used: ts.outstanding, Limit: limit}
+		return &QuotaError{Tenant: ts.id, Kind: QuotaSlots, Used: ts.outstanding, Limit: ts.slots}
 	}
 	ts.outstanding++
 	return nil
@@ -523,26 +545,56 @@ func (m *Manager) Health(id string) (*Health, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ts.health(), nil
+}
+
+func (ts *tenantState) health() *Health {
 	h := ts.srv.Health()
 	ts.mu.Lock()
-	quar := ts.quarantine
-	ts.mu.Unlock()
-	return &Health{Tenant: id, Health: h, SwapQuarantine: quar}, nil
+	defer ts.mu.Unlock()
+	return &Health{Tenant: ts.id, Health: h, SwapQuarantine: ts.quarantine}
+}
+
+// HealthView is the tenant's health body: its server's, plus the tenant
+// id and the swap-quarantine report in its String form (the report's
+// own JSON form is the manifest's).
+func (ts *tenantState) HealthView() any {
+	h := ts.health()
+	v := struct {
+		Tenant string `json:"tenant"`
+		serve.Health
+		SwapQuarantine string `json:"swap_quarantine,omitempty"`
+	}{Tenant: h.Tenant, Health: h.Health}
+	if h.SwapQuarantine != nil {
+		v.SwapQuarantine = h.SwapQuarantine.String()
+	}
+	return v
 }
 
 // Stats is one tenant's counters view, extended with the quota fence's
-// counters and the rule-set identity.
+// counters and the rule-set identity. Its JSON form (MarshalJSON) is the
+// wire's tenant stats body.
 type Stats struct {
-	Tenant string
+	Tenant string `json:"tenant"`
 	serve.Stats
 	// Outstanding is the tenant's current admitted-but-unfinished
 	// request count; QuotaLimit its cap; ShedQuota the requests refused
 	// at the fence.
-	Outstanding int
-	QuotaLimit  int
-	ShedQuota   uint64
+	Outstanding int    `json:"outstanding"`
+	QuotaLimit  int    `json:"quota_limit"`
+	ShedQuota   uint64 `json:"shed_quota"`
 	// RuleSetHash identifies the live rule set (the analysis cache key).
-	RuleSetHash string
+	RuleSetHash string `json:"rule_set_hash"`
+}
+
+// MarshalJSON adds in_flight, which serve.Stats keeps off a server's
+// own body and this one has always carried.
+func (s Stats) MarshalJSON() ([]byte, error) {
+	type fields Stats // the fields without this method
+	return json.Marshal(struct {
+		fields
+		InFlight int `json:"in_flight"`
+	}{fields(s), s.InFlight})
 }
 
 // Stats reports one tenant's counters.
@@ -551,34 +603,44 @@ func (m *Manager) Stats(id string) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ts.stats(), nil
+}
+
+func (ts *tenantState) stats() *Stats {
 	st := ts.srv.Stats()
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	return &Stats{
-		Tenant:      id,
+		Tenant:      ts.id,
 		Stats:       st,
 		Outstanding: ts.outstanding,
-		QuotaLimit:  m.slots,
+		QuotaLimit:  ts.slots,
 		ShedQuota:   ts.shedQuota,
 		RuleSetHash: ts.summary.Hash,
-	}, nil
+	}
 }
 
-// ManagerStats aggregates the fleet.
+func (ts *tenantState) StatsView() any { return ts.stats() }
+
+// ManagerStats aggregates the fleet. Its JSON form is the wire's fleet
+// stats body.
 type ManagerStats struct {
 	// Tenants is the resident-tenant count.
-	Tenants int
+	Tenants int `json:"tenants"`
 	// CacheHits/CacheMisses/CacheEntries describe the shared analysis
 	// cache; misses equal analyzer runs.
-	CacheHits, CacheMisses, CacheEntries int
-	// PerTenant holds every resident tenant's stats, sorted by id.
-	PerTenant []*Stats
+	CacheHits    int `json:"cache_hits"`
+	CacheMisses  int `json:"cache_misses"`
+	CacheEntries int `json:"cache_entries"`
+	// PerTenant holds every resident tenant's stats, sorted by id
+	// (empty, never nil: an empty fleet renders as []).
+	PerTenant []*Stats `json:"per_tenant"`
 }
 
 // StatsAll reports the fleet-wide view.
 func (m *Manager) StatsAll() *ManagerStats {
 	hits, misses, entries := m.cache.Stats()
-	ms := &ManagerStats{CacheHits: hits, CacheMisses: misses, CacheEntries: entries}
+	ms := &ManagerStats{CacheHits: hits, CacheMisses: misses, CacheEntries: entries, PerTenant: []*Stats{}}
 	for _, id := range m.Tenants() {
 		st, err := m.Stats(id)
 		if err != nil {
@@ -588,6 +650,22 @@ func (m *Manager) StatsAll() *ManagerStats {
 	}
 	ms.Tenants = len(ms.PerTenant)
 	return ms
+}
+
+// Fleet is the serve.Service of the requests that name no tenant: the
+// roster and the fleet-wide stats. Writes need a tenant.
+func (m *Manager) Fleet() serve.Service { return fleet{m} }
+
+type fleet struct{ m *Manager }
+
+func (fleet) Submit(context.Context, serve.Request) (*serve.Response, error) {
+	return nil, ErrTenantRequired
+}
+func (fleet) Checkpoint(context.Context) error { return ErrTenantRequired }
+func (f fleet) StatsView() any                 { return f.m.StatsAll() }
+func (f fleet) HealthView() any {
+	ids := f.m.Tenants()
+	return map[string]any{"tenants": len(ids), "ids": ids}
 }
 
 // Tenants lists the resident tenant ids, sorted.

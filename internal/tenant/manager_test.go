@@ -447,3 +447,32 @@ func TestTenantManagerClosed(t *testing.T) {
 		t.Errorf("second shutdown = %v, want ErrManagerClosed", err)
 	}
 }
+
+// TestTenantSubmitAddsNoAllocations holds the one hot-path neighbour of
+// the serve.Service refactor: Manager.Submit resolves the tenant and
+// passes its quota fence on the concrete *tenantState, so a request
+// through the manager allocates exactly what the tenant's server does
+// alone — no boxed service, no closure.
+func TestTenantSubmitAddsNoAllocations(t *testing.T) {
+	m := openTestManager(t, wal.NewMemFS(), Config{})
+	if _, err := m.Create("acme", cacheSchema, cacheRules); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := m.lookup("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, req := context.Background(), serveRequest("select v from l")
+	submit := func(f func() (*serve.Response, error)) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if _, err := f(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	direct := submit(func() (*serve.Response, error) { return ts.srv.Submit(ctx, req) })
+	fenced := submit(func() (*serve.Response, error) { return m.Submit(ctx, "acme", req) })
+	if fenced != direct {
+		t.Errorf("Manager.Submit allocates %v per request, the tenant's server alone %v", fenced, direct)
+	}
+}

@@ -1,9 +1,6 @@
 package activerules
 
-import (
-	"activerules/internal/retry"
-	"activerules/internal/serve"
-)
+import "activerules/internal/serve"
 
 // The serving layer: a supervised, concurrent front over a durable
 // session. See internal/serve for the mechanics and DESIGN.md §9 for
@@ -22,46 +19,21 @@ type (
 	ServeRequest = serve.Request
 	// ServeResponse reports a committed request.
 	ServeResponse = serve.Response
-	// ServerHealth is the readiness view, including the degraded-mode
-	// report.
-	ServerHealth = serve.Health
-	// ServerStats is the counters view.
-	ServerStats = serve.Stats
-	// DegradedReport describes the serving guarantees under the
-	// current rule quarantine, per table, via the §7 Sig(T') analysis.
-	DegradedReport = serve.DegradedReport
-	// TableGuarantee is one table's degraded-mode verdict.
-	TableGuarantee = serve.TableGuarantee
 	// OverloadError reports load shedding at admission.
 	OverloadError = serve.OverloadError
-	// OverloadReason says why admission rejected a request.
-	OverloadReason = serve.OverloadReason
 	// DeadlineError reports a request shed after its deadline expired
 	// in the queue, without occupying an execution slot.
 	DeadlineError = serve.DeadlineError
 	// ServerClosedError reports a request rejected because the server
 	// is draining, closed, or failed.
 	ServerClosedError = serve.ClosedError
-	// RetryPolicy shapes the seeded, jittered exponential backoff used
-	// by quarantine probes and durability retries.
-	RetryPolicy = retry.Policy
 )
 
-// Overload reasons, re-exported.
-const (
-	// OverloadQueueFull: the bounded admission queue had no free slot.
-	OverloadQueueFull = serve.OverloadQueueFull
-	// OverloadProjectedWait: the projected queue wait exceeded the
-	// request's deadline, so it was shed on arrival.
-	OverloadProjectedWait = serve.OverloadProjectedWait
-)
-
-// Server states, re-exported (ServerHealth.State, ServerClosedError.State).
+// Server states, re-exported (ServerClosedError.State).
 const (
 	ServerRunning  = serve.StateRunning
 	ServerDraining = serve.StateDraining
 	ServerClosed   = serve.StateClosed
-	ServerFailed   = serve.StateFailed
 )
 
 // NewServer opens (or recovers) the write-ahead log directory dir and

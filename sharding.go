@@ -21,10 +21,6 @@ type (
 	// rulelint-style blockers that prevent a finer partition. Its
 	// String and MarshalJSON forms are deterministic.
 	ShardPlan = analysis.ShardPlan
-	// PlanShard is one group of a ShardPlan.
-	PlanShard = analysis.ShardGroup
-	// ShardBlocker names one reason a ShardPlan cannot be finer.
-	ShardBlocker = analysis.ShardBlocker
 	// ShardGroup runs one serving engine (with its own WAL, breaker,
 	// and checkpoint/drain) per effective shard of the plan, routing
 	// each request to the shard owning its tables.
@@ -43,8 +39,6 @@ type (
 	Follower = replica.Follower
 	// FollowerConfig tunes a Follower.
 	FollowerConfig = replica.FollowerConfig
-	// FollowerHealth is a follower's health view.
-	FollowerHealth = replica.FollowerHealth
 )
 
 // ShardPlan computes the maximal analysis-proven shard partition for

@@ -20,37 +20,14 @@ type (
 	// RuleSetSummary is one shared-analysis-cache entry: the §5–§8
 	// verdicts, the §7 per-table baseline, and the rendered report.
 	RuleSetSummary = tenant.Summary
-	// TenantHealth is a tenant's readiness view plus any standing
-	// swap-quarantine report.
-	TenantHealth = tenant.Health
-	// TenantStats is a tenant's counters view plus the quota fence's
-	// counters and rule-set hash.
-	TenantStats = tenant.Stats
-	// TenantManagerStats aggregates the fleet and the analysis cache.
-	TenantManagerStats = tenant.ManagerStats
 	// SwapQuarantineReport describes a verdict-regressing swap admitted
 	// under the quarantine-on-regress policy.
 	SwapQuarantineReport = tenant.QuarantineReport
-	// SwapTableRisk is one table's row in a SwapQuarantineReport.
-	SwapTableRisk = tenant.TableRisk
-	// TenantNotFoundError, TenantExistsError, TenantIDError,
-	// TenantQuotaError, and SwapRejectedError are the tenancy failure
-	// taxonomy layered over the serving-layer errors.
-	TenantNotFoundError = tenant.NotFoundError
-	TenantExistsError   = tenant.ExistsError
-	TenantIDError       = tenant.IDError
-	TenantQuotaError    = tenant.QuotaError
-	SwapRejectedError   = tenant.SwapRejectedError
+	// SwapRejectedError refuses a hot swap that would lose a guaranteed
+	// verdict; the rest of the tenancy failure taxonomy
+	// (internal/tenant/errors.go) is told apart by its Code() string.
+	SwapRejectedError = tenant.SwapRejectedError
 )
-
-// ErrTenantManagerClosed reports an operation on a shut-down manager.
-var ErrTenantManagerClosed = tenant.ErrManagerClosed
-
-// TenantRuleSetHash is the canonical identity of a (schema, rules)
-// source pair — the shared analysis cache's key.
-func TenantRuleSetHash(schemaSrc, rulesSrc string) string {
-	return tenant.RuleSetHash(schemaSrc, rulesSrc)
-}
 
 // OpenTenants attaches (or initializes) a multi-tenant root directory:
 // every tenant manifest found under it is started, each recovering its
