@@ -453,20 +453,6 @@ func ExploreContext(ctx context.Context, e *Engine, opts ExploreOptions) (*Explo
 	return execgraph.ExploreContext(ctx, e, opts)
 }
 
-// ExploreParallel is Explore with a worker pool (opts.Parallelism
-// workers over a memo table of opts.MemoShards shards): verdicts are
-// bit-identical to Explore's, and witnesses are chosen deterministically
-// (shortest-then-lexicographically-least schedule), so output is
-// run-to-run stable.
-func ExploreParallel(e *Engine, opts ExploreOptions) (*ExploreResult, error) {
-	return execgraph.ExploreParallel(e, opts)
-}
-
-// ExploreParallelContext is ExploreParallel with cancellation.
-func ExploreParallelContext(ctx context.Context, e *Engine, opts ExploreOptions) (*ExploreResult, error) {
-	return execgraph.ExploreParallelContext(ctx, e, opts)
-}
-
 // Report bundles all four verdicts for one rule set.
 type Report struct {
 	Termination *TerminationVerdict

@@ -275,50 +275,6 @@ func BenchmarkAblationExplorerMemo(b *testing.B) {
 	}
 }
 
-// --- Parallel explorer ---------------------------------------------------
-
-// BenchmarkExploreParallel compares the sequential memoized DFS against
-// the frontier-based parallel explorer on a branching generated
-// workload. Both must report identical verdicts (checked per iteration);
-// the parallel rows characterize worker-pool scaling on the host.
-func BenchmarkExploreParallel(b *testing.B) {
-	g := benchSet(b, workload.Config{
-		Seed: 4, Rules: 7, Tables: 3, Acyclic: true, WriteFanout: 2,
-		UpdateFrac: 0.4, DeleteFrac: 0.1, ConditionFrac: 0.2, TransRefFrac: 0.4,
-	})
-	db := workload.SeedDatabase(g.Schema, 3)
-	e := engine.New(g.Set, db, engine.Options{})
-	rng := rand.New(rand.NewSource(5))
-	if _, err := e.ExecUser(workload.UserScript(g.Schema, rng, 6)); err != nil {
-		b.Fatal(err)
-	}
-	opts := execgraph.Options{TrackObservables: true, MaxStates: 50000}
-	base, err := execgraph.Explore(e, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := execgraph.Explore(e, opts)
-			if err != nil || res.StatesExplored != base.StatesExplored {
-				b.Fatalf("exploration broken: %v", err)
-			}
-		}
-	})
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
-			popts := opts
-			popts.Parallelism = workers
-			for i := 0; i < b.N; i++ {
-				res, err := execgraph.ExploreParallel(e, popts)
-				if err != nil || res.StatesExplored != base.StatesExplored {
-					b.Fatalf("exploration broken: %v", err)
-				}
-			}
-		})
-	}
-}
-
 // --- F1: commutativity diamond validation -------------------------------
 
 func BenchmarkF1CommutativityDiamond(b *testing.B) {

@@ -14,7 +14,8 @@
 //	-tables t1,t2   also analyze partial confluence w.r.t. these tables
 //	-parallel n     worker count for the pairwise analyses: 0 means one
 //	                worker per CPU, 1 (the default) the sequential path;
-//	                verdicts are identical at every setting
+//	                reports are byte-identical at every setting, with
+//	                -refine too
 //	-refine         enable condition-aware refinement: predicate
 //	                abstraction prunes statically infeasible triggering
 //	                edges and noncommutativity conflicts before the

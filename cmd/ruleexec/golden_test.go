@@ -8,8 +8,8 @@ package main
 //	go test ./cmd/ruleexec -run TestGolden -update
 //
 // The WAL directory lives in a fresh temp dir per case, so none of its
-// paths leak into the output; everything printed must be byte-stable —
-// across runs and across -parallel worker counts.
+// paths leak into the output; everything printed must be byte-stable
+// across runs.
 
 import (
 	"bytes"
@@ -107,29 +107,5 @@ func TestGoldenCompiledModeStable(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestGoldenDurableStableAcrossParallelism re-renders the durable
-// exploration surface at several -parallel worker counts and compares
-// each against the same golden bytes: -parallel is a pure performance
-// knob even in durable mode.
-func TestGoldenDurableStableAcrossParallelism(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "durable-explore.golden"))
-	if err != nil {
-		t.Fatalf("%v (run TestGoldenDurable with -update first)", err)
-	}
-	for _, workers := range []string{"0", "2", "8"} {
-		wal := filepath.Join(t.TempDir(), "wal")
-		var out, errb bytes.Buffer
-		code := run([]string{"-schema", durSchema, "-rules", durRules, "-script", durOps,
-			"-wal", wal, "-explore", "-parallel", workers}, &out, &errb)
-		if code != 0 {
-			t.Fatalf("-parallel %s: exit %d; %s", workers, code, errb.String())
-		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("-parallel %s output differs from golden:\ngot:\n%s\nwant:\n%s",
-				workers, out.String(), want)
-		}
 	}
 }

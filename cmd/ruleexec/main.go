@@ -20,10 +20,6 @@
 //	-explore         instead of one run, exhaustively model-check every
 //	                 execution order and report the distinct final
 //	                 states and observable streams
-//	-parallel n      worker count for -explore: 0 means one worker per
-//	                 CPU, 1 (the default) the sequential explorer, n > 1
-//	                 exactly n workers; verdicts are identical at every
-//	                 setting
 //	-lint            run the rulelint preflight before executing; any
 //	                 error-severity finding (e.g. a dead rule) aborts the
 //	                 run with exit status 6
@@ -94,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	maxSteps := fs.Int("maxsteps", 10000, "rule consideration budget")
 	timeout := fs.Duration("timeout", 0, "wall-clock bound for rule processing (0 = none)")
 	explore := fs.Bool("explore", false, "model-check all execution orders instead of one run")
-	parallel := fs.Int("parallel", 1, "worker count for -explore (0 = one per CPU, 1 = sequential)")
 	traceFlag := fs.Bool("trace", false, "print each rule-processing step")
 	lint := fs.Bool("lint", false, "run the rulelint preflight; error findings abort with status 6")
 	compiled := fs.Bool("compiled", true, "run rules through the compiled hot path (false = reference interpreter)")
@@ -227,7 +222,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}
 		if *explore && i == len(segments)-1 {
-			return runExplore(ctx, eng, *parallel, stdout, stderr)
+			return runExplore(ctx, eng, stdout, stderr)
 		}
 		res, err := eng.AssertContext(ctx)
 		if err != nil {
@@ -301,16 +296,8 @@ func splitAssertSegments(src string) []string {
 	return segments
 }
 
-func runExplore(ctx context.Context, eng *activerules.Engine, parallel int, stdout, stderr io.Writer) int {
-	opts := activerules.ExploreOptions{TrackObservables: true}
-	var res *activerules.ExploreResult
-	var err error
-	if parallel == 1 {
-		res, err = activerules.ExploreContext(ctx, eng, opts)
-	} else {
-		opts.Parallelism = parallel
-		res, err = activerules.ExploreParallelContext(ctx, eng, opts)
-	}
+func runExplore(ctx context.Context, eng *activerules.Engine, stdout, stderr io.Writer) int {
+	res, err := activerules.ExploreContext(ctx, eng, activerules.ExploreOptions{TrackObservables: true})
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintf(stderr, "ruleexec: exploration interrupted: %v\n", err)

@@ -181,6 +181,7 @@ func TestRuleexecErrors(t *testing.T) {
 		{"-schema", sp, "-rules", "/nope", "-script", op},
 		{"-schema", sp, "-rules", rp, "-script", "/nope"},
 		{"-schema", sp, "-rules", rp, "-script", op, "-seed", "/nope"},
+		{"-schema", sp, "-rules", rp, "-script", op, "-explore", "-parallel", "2"}, // no such flag
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

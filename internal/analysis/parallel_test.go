@@ -3,12 +3,13 @@ package analysis
 // Metamorphic tests for the parallel pairwise passes: every analysis
 // verdict must be byte-identical at every worker count, because the
 // passes parallelize over independent pair checks (CommutativityMatrix,
-// the Confluence Requirement sweep) and round-synchronous monotone
-// closure snapshots (Sig), never over anything order-sensitive.
+// the Confluence Requirement sweep), never over anything order-sensitive
+// — Sig in particular is one sequential fixpoint.
 
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"activerules/internal/workload"
@@ -116,6 +117,43 @@ func TestParallelReportStable(t *testing.T) {
 		for _, workers := range []int{2, 8} {
 			if got := render(workers); got != base {
 				t.Errorf("workload %d workers=%d: report differs from sequential", i, workers)
+			}
+		}
+	}
+}
+
+// TestParallelRefinedReportStable is the tripwire for a pass whose
+// parallel form examines different pairs than its sequential one: with
+// refinement on, every pair Commute examines may add a "refined to
+// commute" entry, so the rendered reports are byte-equal across worker
+// counts only if the set of examined pairs is. Priorities matter: only
+// Sig examines ordered pairs.
+func TestParallelRefinedReportStable(t *testing.T) {
+	for _, n := range []int{24, 48, 96} {
+		for seed := int64(1); seed <= 6; seed++ {
+			g, err := workload.Generate(workload.Config{
+				Seed: seed, Rules: n, Tables: n / 4, Acyclic: true, WriteFanout: 2,
+				UpdateFrac: .5, DeleteFrac: .1, ConditionFrac: .8, TransRefFrac: .2,
+				ObservableFrac: .2, PriorityDensity: .3, ValueFloor: 60,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			render := func(workers int) string {
+				a := New(g.Set, nil).SetRefinement(true).SetParallelism(workers)
+				return ReportConfluence(a.Confluence()) +
+					ReportObservable(a.ObservableDeterminism()) +
+					a.ShardPlan().String() +
+					ReportPartialConfluence(a.PartialConfluence(g.Schema.TableNames()[:4]))
+			}
+			base := render(1)
+			if !strings.Contains(base, "refined to commute: ") {
+				t.Errorf("rules %d seed %d: no pair was refined; the comparison is vacuous", n, seed)
+			}
+			for _, workers := range []int{2, 8} {
+				if got := render(workers); got != base {
+					t.Errorf("rules %d seed %d workers=%d: report differs from sequential", n, seed, workers)
+				}
 			}
 		}
 	}

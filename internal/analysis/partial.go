@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 
-	"activerules/internal/par"
 	"activerules/internal/rules"
 )
 
@@ -44,78 +43,7 @@ func (v *PartialConfluenceVerdict) SigNames() []string {
 // user certifications, under the analyzer's active view (the observable
 // analysis supplies an extended view).
 func (a *Analyzer) Sig(tables []string) []*rules.Rule {
-	n := a.set.Len()
-	in := make([]bool, n)
-	want := map[string]bool{}
-	for _, t := range tables {
-		want[strings.ToLower(t)] = true
-	}
-	for _, r := range a.set.Rules() {
-		for op := range a.view.performs(r) {
-			if want[op.Table] {
-				in[r.Index()] = true
-				break
-			}
-		}
-	}
-	rs := a.set.Rules()
-	for changed := true; changed; {
-		changed = false
-		if a.workers() > 1 {
-			// Round-synchronous parallel expansion: every non-member is
-			// tested concurrently against a snapshot of the current
-			// membership, and the joins are applied between rounds. The
-			// closure is monotone, so its least fixpoint — the returned
-			// set — is identical to the legacy in-round propagation
-			// below; only the number of rounds differs.
-			snapshot := append([]bool(nil), in...)
-			joined := make([]bool, n)
-			par.ForEach(a.workers(), len(rs), func(i int) {
-				r := rs[i]
-				if snapshot[r.Index()] {
-					return
-				}
-				for _, r2 := range rs {
-					if !snapshot[r2.Index()] {
-						continue
-					}
-					if ok, _ := a.Commute(r, r2); !ok {
-						joined[r.Index()] = true
-						return
-					}
-				}
-			})
-			for i, j := range joined {
-				if j && !in[i] {
-					in[i] = true
-					changed = true
-				}
-			}
-			continue
-		}
-		for _, r := range rs {
-			if in[r.Index()] {
-				continue
-			}
-			for _, r2 := range rs {
-				if !in[r2.Index()] {
-					continue
-				}
-				if ok, _ := a.Commute(r, r2); !ok {
-					in[r.Index()] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	var out []*rules.Rule
-	for _, r := range a.set.Rules() {
-		if in[r.Index()] {
-			out = append(out, r)
-		}
-	}
-	return out
+	return a.sigWithin(a.set.Rules(), tables)
 }
 
 // PartialConfluence analyzes confluence with respect to tables T'

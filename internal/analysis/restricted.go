@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"sort"
+	"strings"
 
 	"activerules/internal/rules"
 	"activerules/internal/schema"
@@ -115,16 +116,19 @@ func (a *Analyzer) observableOver(members []*rules.Rule, term *TerminationVerdic
 	}
 }
 
-// sigWithin is the Definition 7.1 fixpoint restricted to a member set.
+// sigWithin is the Definition 7.1 fixpoint restricted to a member set
+// (members and the result in definition order). It is the only one, and
+// sequential at every parallelism: a joiner is tested against the
+// members that joined earlier in the same round, so which pairs Commute
+// examines — and with refinement on, which upgrades a report lists — is
+// fixed by the rule set alone.
 func (a *Analyzer) sigWithin(members []*rules.Rule, tables []string) []*rules.Rule {
 	want := map[string]bool{}
 	for _, t := range tables {
-		want[t] = true
+		want[strings.ToLower(t)] = true
 	}
 	in := make([]bool, a.set.Len())
-	inMembers := make([]bool, a.set.Len())
 	for _, r := range members {
-		inMembers[r.Index()] = true
 		for op := range a.view.performs(r) {
 			if want[op.Table] {
 				in[r.Index()] = true

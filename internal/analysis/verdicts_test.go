@@ -24,28 +24,6 @@ func fullPass(a *Analyzer, g *workload.Generated) string {
 	return sb.String()
 }
 
-// stripUpgrades drops the "refined to commute" entries of a report. The
-// list holds every upgrade recorded by the time the report was rendered,
-// which depends on the order pairs were examined in and so on the
-// parallelism; the verdict lines do not.
-func stripUpgrades(report string) string {
-	var out []string
-	skipDeeper := -1
-	for _, line := range strings.Split(report, "\n") {
-		indent := len(line) - len(strings.TrimLeft(line, " "))
-		if strings.HasPrefix(line[indent:], "refined to commute: ") {
-			skipDeeper = indent
-			continue
-		}
-		if skipDeeper >= 0 && indent > skipDeeper {
-			continue
-		}
-		skipDeeper = -1
-		out = append(out, line)
-	}
-	return strings.Join(out, "\n")
-}
-
 type pairVerdict struct {
 	ok      bool
 	reasons []NoncommuteReason
@@ -173,9 +151,8 @@ func TestCommuteComputedOncePerPair(t *testing.T) {
 // TestVerdictTableMatchesLemma is the differential battery for the
 // table, refinement on and off: what Commute answers from it equals a
 // fresh evaluation of every pair; a sequential and a parallel analyzer
-// agree on reports (upgrade lists aside), verdicts, reasons and, once
-// every pair is examined, upgrades; and switching refinement resets the
-// table.
+// agree on reports, verdicts, reasons and, once every pair is examined,
+// upgrades; and switching refinement resets the table.
 func TestVerdictTableMatchesLemma(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		g := verdictWorkload(t, seed, 40)
@@ -183,7 +160,7 @@ func TestVerdictTableMatchesLemma(t *testing.T) {
 			seq := New(g.Set, nil).SetRefinement(refine)
 			par := New(g.Set, nil).SetRefinement(refine).SetParallelism(4)
 			seqReport, parReport := fullPass(seq, g), fullPass(par, g)
-			if stripUpgrades(seqReport) != stripUpgrades(parReport) {
+			if seqReport != parReport {
 				t.Errorf("seed %d refine %v: reports differ between parallelism 1 and 4", seed, refine)
 			}
 

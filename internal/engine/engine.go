@@ -795,7 +795,16 @@ func (e *Engine) Clone() *Engine {
 // other tables cannot influence its future behaviour. Two engine states
 // with equal fingerprints behave identically for all future rule
 // processing.
-func (e *Engine) StateFingerprint() string {
+func (e *Engine) StateFingerprint() string { return string(e.stateStream()) }
+
+// StateHash is the sha256 digest of exactly the bytes of
+// StateFingerprint: a fixed-size state identity for callers that store
+// or compare states across engines (internal/crashtest's replay oracle).
+func (e *Engine) StateHash() [32]byte { return sha256.Sum256(e.stateStream()) }
+
+// stateStream builds the database fingerprint followed by '|' and the
+// pending net-effect fingerprint of each rule, in definition order.
+func (e *Engine) stateStream() []byte {
 	fp := e.db.Fingerprint()
 	out := make([]byte, 0, 32+len(e.marks)*33)
 	out = append(out, fp[:]...)
@@ -805,27 +814,6 @@ func (e *Engine) StateFingerprint() string {
 		out = append(out, '|')
 		out = append(out, nf[:]...)
 	}
-	return string(out)
-}
-
-// StateHash returns a sha256 digest of exactly the material of
-// StateFingerprint — the database fingerprint plus each rule's pending
-// net-effect fingerprint — without materializing the intermediate
-// string. The execution-graph explorers use it as a fixed-size memo key:
-// the parallel explorer additionally shards its memo table by the hash's
-// top bits, so the digest doubles as the shard selector.
-func (e *Engine) StateHash() [32]byte {
-	h := sha256.New()
-	fp := e.db.Fingerprint()
-	h.Write(fp[:])
-	for _, r := range e.set.Rules() {
-		net, _ := e.pendingNet(r)
-		nf := net.TableFingerprint(r.Table)
-		h.Write([]byte{'|'})
-		h.Write(nf[:])
-	}
-	var out [32]byte
-	h.Sum(out[:0])
 	return out
 }
 

@@ -35,20 +35,10 @@ type Options struct {
 	// states. Required for ObservablyDeterministic.
 	TrackObservables bool
 	// DisableMemo turns off cross-path state memoization (cycle
-	// detection along the current path is kept). Exists only for the
-	// ablation benchmarks; exploration is exponential without it.
-	// ExploreParallel ignores it: claim-based deduplication on the
-	// shared memo table is what makes concurrent expansion sound.
+	// detection along the current path is kept): the brute-force oracle
+	// the memo is tested against, and the ablation benchmarks' baseline.
+	// Exploration is exponential without it.
 	DisableMemo bool
-	// Parallelism is the worker count for ExploreParallel: 0 means one
-	// worker per CPU (GOMAXPROCS), 1 a single worker, n > 1 exactly n.
-	// Explore (the sequential explorer) ignores it.
-	Parallelism int
-	// MemoShards is the number of shards of ExploreParallel's memo
-	// table, rounded up to a power of two; 0 means 64. States map to
-	// shards by the top bits of their sha256 state hash. Explore
-	// ignores it.
-	MemoShards int
 }
 
 // Result is the outcome of an exploration.

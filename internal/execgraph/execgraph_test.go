@@ -1,6 +1,7 @@
 package execgraph
 
 import (
+	"fmt"
 	"testing"
 
 	"activerules/internal/engine"
@@ -381,6 +382,36 @@ create rule rc on t when inserted then update b set v = 2
 	if raw.StatesExplored < memo.StatesExplored {
 		t.Errorf("raw exploration should do at least as much work: %d vs %d",
 			raw.StatesExplored, memo.StatesExplored)
+	}
+
+	// The memo-free run is the memo's only independent check, so it also
+	// covers the acyclic generated workloads, field for field.
+	compared := 0
+	for _, cfg := range diffConfigs()[:16] {
+		e, _ := workloadEngine(t, cfg, 3, 6)
+		opts := Options{TrackObservables: true, MaxStates: 20000}
+		memo, err := Explore(e, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.DisableMemo = true
+		raw, err := Explore(e, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if memo.BoundExceeded || raw.BoundExceeded {
+			continue
+		}
+		compared++
+		if raw.StatesExplored < memo.StatesExplored {
+			t.Errorf("seed %d: raw visited %d states, memoized %d", cfg.Seed, raw.StatesExplored, memo.StatesExplored)
+		}
+		want, got := summarize(raw), summarize(memo)
+		want.states = got.states
+		compareVerdicts(t, fmt.Sprintf("seed %d", cfg.Seed), want, got)
+	}
+	if compared < 8 {
+		t.Errorf("only %d generated workloads finished memo-free within the bound", compared)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 	"activerules/internal/workload"
 )
 
-// verdict is the schedule- and declaration-order-independent summary of
-// an exploration: everything the explorers promise to hold invariant
-// under worker count, shard count, and rule permutation.
+// verdict is the declaration-order-independent summary of an
+// exploration: everything the explorer promises to hold invariant under
+// rule permutation.
 type verdict struct {
 	states      int
 	finals      map[[32]byte]bool
@@ -103,35 +103,7 @@ func engineFromSet(t *testing.T, sch *schema.Schema, set *rules.Set, seed int64,
 	return e
 }
 
-// TestMetamorphicParallelismAndShards pins the first metamorphic
-// relation: the verdict is invariant under the worker count and the
-// memo shard count, both of which are pure performance knobs.
-func TestMetamorphicParallelismAndShards(t *testing.T) {
-	for _, cfg := range []workload.Config{diffConfigs()[3], diffConfigs()[8], diffConfigs()[23]} {
-		e, _ := workloadEngine(t, cfg, 3, 6)
-		opts := Options{TrackObservables: true, MaxStates: 1500}
-		seq, err := Explore(e, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := summarize(seq)
-		for _, workers := range []int{1, 2, 8} {
-			for _, shards := range []int{1, 16, 256} {
-				popts := opts
-				popts.Parallelism = workers
-				popts.MemoShards = shards
-				res, err := ExploreParallel(e, popts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareVerdicts(t, fmt.Sprintf("seed %d workers=%d shards=%d", cfg.Seed, workers, shards),
-					base, summarize(res))
-			}
-		}
-	}
-}
-
-// TestMetamorphicRuleOrderPermutation pins the second metamorphic
+// TestMetamorphicRuleOrderPermutation pins the explorer's metamorphic
 // relation: permuting the rule declaration order must not change any
 // verdict. Rule order affects only internal iteration (state hashing,
 // eligible-rule ordering), never the explored state space — final
@@ -143,7 +115,7 @@ func TestMetamorphicRuleOrderPermutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{TrackObservables: true, MaxStates: 1500, Parallelism: 4}
+		opts := Options{TrackObservables: true, MaxStates: 1500}
 		base := verdict{}
 		for perm := 0; perm < 4; perm++ {
 			defs := append([]rules.Definition(nil), g.Defs...)
@@ -157,7 +129,7 @@ func TestMetamorphicRuleOrderPermutation(t *testing.T) {
 				t.Fatalf("seed %d perm %d: %v", cfg.Seed, perm, err)
 			}
 			e := engineFromSet(t, g.Schema, set, cfg.Seed, 3, 6)
-			res, err := ExploreParallel(e, opts)
+			res, err := Explore(e, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

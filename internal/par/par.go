@@ -1,10 +1,9 @@
-// Package par provides the shared worker-pool primitives behind every
-// parallel pass in the system: the execution-graph explorer's frontier
-// workers and the analysis package's pairwise sweeps. Centralizing the
-// pool keeps the Parallelism contract uniform — 0 means one worker per
-// available CPU (GOMAXPROCS), 1 means the exact sequential legacy path
-// (no goroutines, deterministic iteration order), and n > 1 means n
-// workers.
+// Package par provides the worker pool behind the analysis package's
+// pairwise sweeps (the Confluence Requirement and the commutativity
+// matrix), and the one reading of a parallelism setting — 0 means one
+// worker per available CPU (GOMAXPROCS), 1 means the exact sequential
+// path (no goroutines, deterministic iteration order), and n > 1 means
+// n workers.
 package par
 
 import (
@@ -13,7 +12,7 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a Parallelism option to an effective worker count:
+// Workers resolves a parallelism setting to an effective worker count:
 // 0 (or negative) resolves to runtime.GOMAXPROCS(0); anything else is
 // returned unchanged.
 func Workers(parallelism int) int {
@@ -24,9 +23,9 @@ func Workers(parallelism int) int {
 }
 
 // ForEach runs fn(i) for every i in [0, n), distributed over workers
-// (a Parallelism value, resolved via Workers). With an effective worker
+// (a parallelism setting, resolved via Workers). With an effective worker
 // count of 1 — or with n < 2 — it runs inline in index order,
-// byte-for-byte the sequential legacy path. fn must be safe to call
+// byte-for-byte the sequential path. fn must be safe to call
 // concurrently when more than one worker runs.
 func ForEach(parallelism, n int, fn func(i int)) {
 	workers := Workers(parallelism)
@@ -55,124 +54,4 @@ func ForEach(parallelism, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Queue is the dynamic work queue handed to RunQueue callbacks for
-// parallel graph exploration: workers pop tasks and may push new ones
-// while processing, and the pool drains when every pushed task has been
-// processed. Tasks are handed out in LIFO order, which keeps the
-// frontier DFS-like and the live task set small on deep graphs. Queues
-// are only created by RunQueue.
-type Queue[T any] struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	items   []T
-	pending int // tasks pushed but not yet fully processed
-	stopped bool
-}
-
-// RunQueue processes the seed tasks and everything subsequently pushed,
-// with the given Parallelism (resolved via Workers). process receives
-// the worker index (0 ≤ worker < Workers(parallelism)) — so callers can
-// keep per-worker accumulators without locking — plus the task and the
-// queue, on which it may Push follow-up work. With an effective worker
-// count of 1 the whole run executes on the calling goroutine, in
-// deterministic LIFO order. RunQueue returns when all tasks have been
-// processed, or early after Stop.
-func RunQueue[T any](parallelism int, seed []T, process func(worker int, task T, q *Queue[T])) {
-	q := &Queue[T]{}
-	q.cond = sync.NewCond(&q.mu)
-	q.items = append(q.items, seed...)
-	q.pending = len(seed)
-	workers := Workers(parallelism)
-	if workers <= 1 {
-		for {
-			t, ok := q.popInline()
-			if !ok {
-				return
-			}
-			process(0, t, q)
-			q.done()
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				t, ok := q.pop()
-				if !ok {
-					return
-				}
-				process(worker, t, q)
-				q.done()
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// Push adds a task to the queue. It may only be called from process
-// callbacks.
-func (q *Queue[T]) Push(t T) {
-	q.mu.Lock()
-	q.items = append(q.items, t)
-	q.pending++
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-// Stop makes the pool drain without processing the tasks still queued:
-// workers finish their current task and exit. Used for cancellation and
-// error propagation.
-func (q *Queue[T]) Stop() {
-	q.mu.Lock()
-	q.stopped = true
-	q.pending -= len(q.items)
-	q.items = nil
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// pop blocks until a task is available, or reports false once the queue
-// has drained (no items and no task still in flight) or was stopped.
-func (q *Queue[T]) pop() (t T, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if q.stopped || (len(q.items) == 0 && q.pending == 0) {
-			return t, false
-		}
-		if n := len(q.items); n > 0 {
-			t = q.items[n-1]
-			q.items = q.items[:n-1]
-			return t, true
-		}
-		q.cond.Wait()
-	}
-}
-
-// popInline is the single-worker pop: no waiting is ever needed because
-// every push happens on the calling goroutine.
-func (q *Queue[T]) popInline() (t T, ok bool) {
-	if q.stopped || len(q.items) == 0 {
-		return t, false
-	}
-	n := len(q.items)
-	t = q.items[n-1]
-	q.items = q.items[:n-1]
-	return t, true
-}
-
-// done marks one task as fully processed and wakes waiters when the
-// queue may have drained.
-func (q *Queue[T]) done() {
-	q.mu.Lock()
-	q.pending--
-	drained := q.pending == 0
-	q.mu.Unlock()
-	if drained {
-		q.cond.Broadcast()
-	}
 }

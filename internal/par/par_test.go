@@ -2,7 +2,6 @@ package par
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -60,118 +59,5 @@ func TestForEachMoreWorkersThanItems(t *testing.T) {
 	ForEach(64, 3, func(int) { count.Add(1) })
 	if count.Load() != 3 {
 		t.Errorf("ran %d calls, want 3", count.Load())
-	}
-}
-
-// TestRunQueueDrains expands a complete binary tree of tasks and checks
-// that every node is processed exactly once at several worker counts.
-func TestRunQueueDrains(t *testing.T) {
-	const depth = 10 // 2^11 - 1 nodes
-	for _, workers := range []int{1, 2, 8} {
-		var count atomic.Int64
-		RunQueue(workers, []int{0}, func(_ int, d int, q *Queue[int]) {
-			count.Add(1)
-			if d < depth {
-				q.Push(d + 1)
-				q.Push(d + 1)
-			}
-		})
-		want := int64(1<<(depth+1)) - 1
-		if count.Load() != want {
-			t.Errorf("workers=%d: processed %d tasks, want %d", workers, count.Load(), want)
-		}
-	}
-}
-
-// TestRunQueueSequentialLIFO pins the single-worker contract: everything
-// runs on the calling goroutine, worker index 0, strict LIFO order.
-func TestRunQueueSequentialLIFO(t *testing.T) {
-	var order []string
-	RunQueue(1, []string{"a", "b"}, func(worker int, s string, q *Queue[string]) {
-		if worker != 0 {
-			t.Errorf("sequential worker index = %d, want 0", worker)
-		}
-		order = append(order, s)
-		if s == "b" {
-			q.Push("b1")
-			q.Push("b2")
-		}
-	})
-	want := []string{"b", "b2", "b1", "a"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestRunQueueWorkerIndexInRange(t *testing.T) {
-	const workers = 4
-	var bad atomic.Int32
-	RunQueue(workers, []int{0, 1, 2, 3, 4, 5, 6, 7}, func(w int, d int, q *Queue[int]) {
-		if w < 0 || w >= workers {
-			bad.Add(1)
-		}
-		if d < 64 {
-			q.Push(d + 8)
-		}
-	})
-	if bad.Load() != 0 {
-		t.Errorf("%d tasks saw an out-of-range worker index", bad.Load())
-	}
-}
-
-// TestRunQueueStop checks that Stop abandons queued work: a tree that
-// would expand to millions of tasks finishes promptly once a worker
-// stops the queue.
-func TestRunQueueStop(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var count atomic.Int64
-		RunQueue(workers, []int{0}, func(_ int, d int, q *Queue[int]) {
-			if count.Add(1) >= 100 {
-				q.Stop()
-				return
-			}
-			if d < 40 {
-				q.Push(d + 1)
-				q.Push(d + 1)
-			}
-		})
-		// In-flight tasks may still finish after Stop; the bound is the
-		// stop threshold plus one per worker.
-		if c := count.Load(); c > 100+int64(workers) {
-			t.Errorf("workers=%d: processed %d tasks after Stop, want <= %d", workers, c, 100+workers)
-		}
-	}
-}
-
-// TestRunQueueConcurrentPushers stresses the drain condition: many
-// workers pushing and finishing simultaneously must not lose a wakeup
-// (a lost wakeup shows up as a hang, caught by the test timeout).
-func TestRunQueueConcurrentPushers(t *testing.T) {
-	var count atomic.Int64
-	var mu sync.Mutex
-	seen := map[int]bool{}
-	RunQueue(8, []int{0, 1000000, 2000000, 3000000}, func(_ int, d int, q *Queue[int]) {
-		count.Add(1)
-		mu.Lock()
-		seen[d] = true
-		mu.Unlock()
-		if d%1000000 < 500 {
-			q.Push(d + 1)
-		}
-	})
-	if count.Load() != 4*501 {
-		t.Errorf("processed %d tasks, want %d", count.Load(), 4*501)
-	}
-	for base := 0; base < 4000000; base += 1000000 {
-		for i := 0; i <= 500; i++ {
-			if !seen[base+i] {
-				t.Fatalf("task %d never processed", base+i)
-			}
-		}
 	}
 }

@@ -149,21 +149,26 @@ func resolveTables(sch *schema.Schema, tables []string) []string {
 // ComputeBaseline validates the rule set and runs the §7 analysis that
 // degraded-mode reporting needs: per-table significant sets and
 // partial-confluence verdicts, plus the tiered termination status.
-// tables empty means every schema table. par > 0 sets the analyzer's
-// worker count (verdicts are identical at every parallelism).
-func ComputeBaseline(sch *schema.Schema, defs []rules.Definition, tables []string, par int) (*Baseline, error) {
+// tables empty means every schema table.
+func ComputeBaseline(sch *schema.Schema, defs []rules.Definition, tables []string) (*Baseline, error) {
 	full, err := rules.NewSet(sch, defs)
 	if err != nil {
 		return nil, err
 	}
 	a := analysis.New(full, nil)
-	if par > 0 {
-		a.SetParallelism(par)
-	}
+	return BaselineOf(a, tables, a.Termination().Status), nil
+}
+
+// BaselineOf is ComputeBaseline on the caller's analyzer, so the
+// per-table passes share its pair-verdict table with whatever else the
+// caller runs on it; term is the status of its Termination verdict,
+// which every such caller has already computed.
+func BaselineOf(a *analysis.Analyzer, tables []string, term analysis.TerminationStatus) *Baseline {
 	bl := &Baseline{
-		Tables: resolveTables(sch, tables),
+		Tables: resolveTables(a.Set().Schema(), tables),
 		Sig:    map[string]map[string]bool{},
 		Conf:   map[string]bool{},
+		Term:   term,
 	}
 	for _, t := range bl.Tables {
 		v := a.PartialConfluence([]string{t})
@@ -174,8 +179,7 @@ func ComputeBaseline(sch *schema.Schema, defs []rules.Definition, tables []strin
 		bl.Sig[t] = sig
 		bl.Conf[t] = v.Guaranteed()
 	}
-	bl.Term = a.Termination().Status
-	return bl, nil
+	return bl
 }
 
 // degradedAnalysis holds the full-set baseline and derives reduced-set
@@ -195,7 +199,7 @@ type degradedAnalysis struct {
 func newDegradedAnalysis(sch *schema.Schema, defs []rules.Definition, tables []string, tenant string, bl *Baseline) (*degradedAnalysis, error) {
 	if bl == nil {
 		var err error
-		bl, err = ComputeBaseline(sch, defs, tables, 0)
+		bl, err = ComputeBaseline(sch, defs, tables)
 		if err != nil {
 			return nil, err
 		}

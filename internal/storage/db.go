@@ -68,6 +68,9 @@ const (
 	undoInsert undoKind = iota
 	undoDelete
 	undoUpdate
+	// undoRevive is an insert that took over a tombstoned order slot
+	// (InsertWithID) instead of appending one: undoing it leaves the slot.
+	undoRevive
 )
 
 // undoEntry holds what RollbackTo needs to reverse one mutation.
@@ -108,8 +111,8 @@ func (db *DB) RollbackTo(sp Savepoint) {
 	for i := len(db.undo) - 1; i >= sp.undoLen; i-- {
 		u := db.undo[i]
 		switch u.kind {
-		case undoInsert:
-			u.t.unInsert(u.id)
+		case undoInsert, undoRevive:
+			u.t.unInsert(u.id, u.kind == undoInsert)
 			if db.obs != nil {
 				db.obs.ObserveDelete(u.t.def.Name, u.id)
 			}
@@ -188,10 +191,11 @@ func (db *DB) coerceRow(table string, vals []Value) (*Table, []Value, error) {
 	return t, coerced, nil
 }
 
-// inserted records the undo entry for an applied insert and reports it.
-func (db *DB) inserted(t *Table, tu *Tuple) {
+// inserted records the undo entry for an applied insert (undoInsert, or
+// undoRevive when it appended no order slot) and reports it.
+func (db *DB) inserted(t *Table, tu *Tuple, kind undoKind) {
 	if db.spDepth > 0 {
-		db.undo = append(db.undo, undoEntry{kind: undoInsert, t: t, id: tu.ID})
+		db.undo = append(db.undo, undoEntry{kind: kind, t: t, id: tu.ID})
 	}
 	if db.obs != nil {
 		db.obs.ObserveInsert(t.def.Name, tu.ID, tu.Vals)
@@ -209,7 +213,7 @@ func (db *DB) Insert(table string, vals []Value) (TupleID, error) {
 	tu := &Tuple{ID: db.nextID, Vals: coerced}
 	db.nextID++
 	t.insert(tu)
-	db.inserted(t, tu)
+	db.inserted(t, tu, undoInsert)
 	return tu.ID, nil
 }
 
@@ -243,9 +247,12 @@ func (db *DB) InsertWithID(table string, id TupleID, vals []Value) error {
 		return fmt.Errorf("storage: insert into %s: tuple %d already exists", t.def.Name, id)
 	}
 	tu := &Tuple{ID: id, Vals: coerced}
-	t.insertPreservingOrder(tu)
+	kind := undoRevive
+	if t.insertPreservingOrder(tu) {
+		kind = undoInsert
+	}
 	db.BumpNextID(id + 1)
-	db.inserted(t, tu)
+	db.inserted(t, tu, kind)
 	return nil
 }
 

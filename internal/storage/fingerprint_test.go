@@ -14,15 +14,10 @@ import (
 type memoDriver struct {
 	db  *DB
 	sps []Savepoint
-	// revived: an InsertWithID revived a tombstone under the open
-	// savepoints. Only log replay does that, and replay only ever
-	// releases (wal.ApplyRange), so from then on the driver does too:
-	// unInsert would take a revived identity for an appended one.
-	revived bool
 }
 
 func (d *memoDriver) fork() *memoDriver {
-	return &memoDriver{db: d.db.Fork(), sps: append([]Savepoint(nil), d.sps...), revived: d.revived}
+	return &memoDriver{db: d.db.Fork(), sps: append([]Savepoint(nil), d.sps...)}
 }
 
 // liveID returns a random live identity of the table, or 0.
@@ -64,7 +59,6 @@ func (d *memoDriver) step(t *testing.T, rng *rand.Rand) {
 				if err := db.InsertWithID(name, id, row()); err != nil {
 					t.Fatal(err)
 				}
-				d.revived = true
 				break
 			}
 		}
@@ -74,12 +68,12 @@ func (d *memoDriver) step(t *testing.T, rng *rand.Rand) {
 		}
 	case 8, 9:
 		if n := len(d.sps); n > 0 {
-			if rng.Intn(2) == 0 && !d.revived {
+			if rng.Intn(2) == 0 {
 				db.RollbackTo(d.sps[n-1])
 			} else {
 				db.Release(d.sps[n-1])
 			}
-			d.sps, d.revived = d.sps[:n-1], d.revived && n > 1
+			d.sps = d.sps[:n-1]
 		}
 	}
 }

@@ -132,6 +132,25 @@ func TestSavepointDeleteKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestSavepointRollbackAfterRevive: an InsertWithID that revives the
+// last order slot appended nothing, so undoing it must leave the slot
+// for the unDelete that follows.
+func TestSavepointRollbackAfterRevive(t *testing.T) {
+	db := savepointDB(t)
+	db.MustInsert("t", IntV(1), StringV("a"))
+	last := db.MustInsert("t", IntV(2), StringV("b"))
+	before := stateKey(db, "t")
+	sp := db.Savepoint()
+	db.Delete("t", last)
+	if err := db.InsertWithID("t", last, []Value{IntV(3), StringV("c")}); err != nil {
+		t.Fatal(err)
+	}
+	db.RollbackTo(sp)
+	if got := stateKey(db, "t"); got != before {
+		t.Errorf("rollback after a revive:\n got %s\nwant %s", got, before)
+	}
+}
+
 func TestSavepointRestoresNextID(t *testing.T) {
 	db := savepointDB(t)
 	sp := db.Savepoint()

@@ -103,18 +103,19 @@ func (t *Table) insert(tu *Tuple) {
 // in the replay and is now being re-inserted by a savepoint-rollback
 // compensation record), it is revived in place, matching what unDelete
 // did in the original run. The tombstone scan only runs when tombstones
-// exist at all.
-func (t *Table) insertPreservingOrder(tu *Tuple) {
+// exist at all. It reports whether it appended a slot.
+func (t *Table) insertPreservingOrder(tu *Tuple) (appended bool) {
 	if len(t.order) > len(t.rows) {
 		for _, id := range t.order {
 			if id == tu.ID {
 				t.touch()
 				t.rows[tu.ID] = tu
-				return
+				return false
 			}
 		}
 	}
 	t.insert(tu)
+	return true
 }
 
 // compact drops the order slice's tombstones once they outnumber live
@@ -134,13 +135,14 @@ func (t *Table) compact() {
 }
 
 // unInsert reverses an insert made under a savepoint. Undo records are
-// applied most recent first, so the inserted identity is still the last
-// element of the order slice (later inserts have already been undone and
-// deletes never append).
-func (t *Table) unInsert(id TupleID) {
+// applied most recent first, so an identity that appended its slot still
+// holds the last element of the order slice (later inserts have already
+// been undone and deletes never append). A revived identity keeps its
+// slot, last or not: the unDelete that follows will fill it again.
+func (t *Table) unInsert(id TupleID, appended bool) {
 	t.touch()
 	delete(t.rows, id)
-	if n := len(t.order); n > 0 && t.order[n-1] == id {
+	if n := len(t.order); appended && n > 0 && t.order[n-1] == id {
 		t.order = t.order[:n-1]
 	}
 }

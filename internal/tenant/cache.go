@@ -138,21 +138,7 @@ func (c *Cache) compute(key string, sch *schema.Schema, defs []rules.Definition)
 		Term:           term.Status,
 		ConfGuaranteed: conf.Guaranteed,
 		ObsGuaranteed:  obs.Guaranteed(),
-		Baseline: &serve.Baseline{
-			Sig:  map[string]map[string]bool{},
-			Conf: map[string]bool{},
-			Term: term.Status,
-		},
-	}
-	for _, t := range sch.SortedTables() {
-		sum.Baseline.Tables = append(sum.Baseline.Tables, t.Name)
-		v := a.PartialConfluence([]string{t.Name})
-		sig := map[string]bool{}
-		for _, r := range v.Sig {
-			sig[r.Name] = true
-		}
-		sum.Baseline.Sig[t.Name] = sig
-		sum.Baseline.Conf[t.Name] = v.Guaranteed()
+		Baseline:       serve.BaselineOf(a, nil, term.Status),
 	}
 
 	var rep bytes.Buffer

@@ -428,7 +428,7 @@ func (n *Net) Fingerprint() [32]byte {
 // restricted digest for per-rule state identity — matching the paper's
 // (D, TR) abstraction.
 //
-// The digest is memoized on the net: the explorers hash every rule's
+// The digest is memoized on the net: the explorer hashes every rule's
 // pending net at every state, and most of those nets are unchanged from
 // the parent state.
 func (n *Net) TableFingerprint(table string) [32]byte {

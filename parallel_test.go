@@ -1,133 +1,14 @@
 package activerules_test
 
-// Differential and metamorphic coverage through the public facade: the
-// parallel explorer and the parallel analyses must agree with their
-// sequential counterparts on the shipped sample applications.
+// Metamorphic coverage through the public facade: the parallel analyses
+// must agree with their sequential counterparts on the shipped sample
+// applications.
 
 import (
-	"os"
-	"strings"
 	"testing"
 
 	"activerules"
 )
-
-// bankEngine loads the bank sample, commits its seed data, and executes
-// its user operation script up to (not including) the assertion point.
-func bankEngine(t *testing.T) *activerules.Engine {
-	t.Helper()
-	sys, err := activerules.LoadFiles("testdata/bank/schema.sdl", "testdata/bank/rules.srl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{})
-	seed, err := os.ReadFile("testdata/bank/seed.sql")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.ExecUser(string(seed)); err != nil {
-		t.Fatal(err)
-	}
-	eng.Commit()
-	ops, err := os.ReadFile("testdata/bank/ops.sql")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ops.sql may carry "assert" separator lines; everything before the
-	// first assertion forms the transition under exploration.
-	script := string(ops)
-	if i := strings.Index(strings.ToLower(script), "\nassert"); i >= 0 {
-		script = script[:i]
-	}
-	if _, err := eng.ExecUser(script); err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
-// powernetEngine loads the powernet sample (which ships no ops script)
-// and applies a small hand-rolled transition.
-func powernetEngine(t *testing.T) *activerules.Engine {
-	t.Helper()
-	sys, err := activerules.LoadFiles("testdata/powernet/schema.sdl", "testdata/powernet/rules.srl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{})
-	// A small powered grid: one powered source node, two wires chaining
-	// to two unpowered nodes, so both rules propagate during processing.
-	seed := `
-insert into node values (1, 'src', true);
-insert into node values (2, 'sub', false);
-insert into node values (3, 'sink', false)`
-	if _, err := eng.ExecUser(seed); err != nil {
-		t.Fatal(err)
-	}
-	eng.Commit()
-	ops := `
-insert into wire values (10, 1, 2, false);
-insert into wire values (11, 2, 3, false)`
-	if _, err := eng.ExecUser(ops); err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
-func diffExplore(t *testing.T, label string, eng *activerules.Engine) {
-	t.Helper()
-	opts := activerules.ExploreOptions{TrackObservables: true, MaxStates: 20000}
-	seq, err := activerules.Explore(eng, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		popts := opts
-		popts.Parallelism = workers
-		par, err := activerules.ExploreParallel(eng, popts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.BoundExceeded || par.BoundExceeded {
-			if seq.BoundExceeded != par.BoundExceeded {
-				t.Errorf("%s workers=%d: BoundExceeded seq=%v par=%v",
-					label, workers, seq.BoundExceeded, par.BoundExceeded)
-			}
-			continue
-		}
-		if seq.StatesExplored != par.StatesExplored {
-			t.Errorf("%s workers=%d: states seq=%d par=%d", label, workers, seq.StatesExplored, par.StatesExplored)
-		}
-		if seq.Terminates() != par.Terminates() || seq.Confluent() != par.Confluent() {
-			t.Errorf("%s workers=%d: verdicts differ", label, workers)
-		}
-		sf, pf := seq.FinalFingerprints(), par.FinalFingerprints()
-		if len(sf) != len(pf) {
-			t.Fatalf("%s workers=%d: finals seq=%d par=%d", label, workers, len(sf), len(pf))
-		}
-		for i := range sf {
-			if sf[i] != pf[i] {
-				t.Errorf("%s workers=%d: final fingerprint %d differs", label, workers, i)
-			}
-		}
-		ss, ps := seq.StreamRenderings(), par.StreamRenderings()
-		if len(ss) != len(ps) {
-			t.Fatalf("%s workers=%d: streams seq=%d par=%d", label, workers, len(ss), len(ps))
-		}
-		for i := range ss {
-			if ss[i] != ps[i] {
-				t.Errorf("%s workers=%d: stream %d differs", label, workers, i)
-			}
-		}
-	}
-}
-
-func TestParallelExploreBank(t *testing.T) {
-	diffExplore(t, "bank", bankEngine(t))
-}
-
-func TestParallelExplorePowernet(t *testing.T) {
-	diffExplore(t, "powernet", powernetEngine(t))
-}
 
 // TestAnalysisParallelismFacade pins the facade metamorphic relation:
 // a System's rendered report is identical at every analysis worker

@@ -83,7 +83,7 @@ func checkRefinedVsExplorer(t *testing.T, set *rules.Set, db *storage.DB, script
 	if _, err := e.ExecUser(script); err != nil {
 		t.Fatalf("user script: %v", err)
 	}
-	res, err := execgraph.ExploreParallel(e, opts)
+	res, err := execgraph.Explore(e, opts)
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestRefinedDifferentialGenerated(t *testing.T) {
 				if _, err := se.ExecUser(script); err != nil {
 					t.Fatalf("subsystem script: %v", err)
 				}
-				sres, err := execgraph.ExploreParallel(se, opts)
+				sres, err := execgraph.Explore(se, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -263,7 +263,7 @@ then update t set v = 1 - v where id = 0
 	if _, err := e.ExecUser("update t set v = 1 where id = 0"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := execgraph.ExploreParallel(e, execgraph.Options{MaxStates: 5000, MaxDepth: 500})
+	res, err := execgraph.Explore(e, execgraph.Options{MaxStates: 5000, MaxDepth: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
