@@ -26,6 +26,9 @@ func logOf(recs ...wal.Record) []byte {
 	return b
 }
 
+// marker opens these tests' logs with the canonical digest on purpose:
+// new logs carry DB.Fingerprint, and this is the coverage a follower
+// gets of the reader's other arm, the one a leader's older log takes.
 func marker() wal.Record {
 	return wal.Record{Kind: wal.RecSnapshot, Gen: 1, FP: storage.NewDB(stopSchema).CanonicalFingerprint()}
 }
@@ -156,6 +159,43 @@ func TestReplicaRecoverAgreeOnMidLogMarker(t *testing.T) {
 	}
 	if g.rp.DB().Fingerprint() != rec.Fingerprint() || !reflect.DeepEqual(g.rp.DB().Table("t").IDs(), rec.Table("t").IDs()) {
 		t.Errorf("fenced follower rows %v, recovery rows %v", g.rp.DB().Table("t").IDs(), rec.Table("t").IDs())
+	}
+}
+
+// TestReplicaRefusesAnotherStatesMarker: a log opening with either
+// digest of a state the follower does not hold, or with the right digest
+// under another generation, is applied by no reader — the stream fails
+// for good, a restart over the persisted bytes starts cold (generation
+// 0: ask for a snapshot), and promotion over them is unrecoverable.
+func TestReplicaRefusesAnotherStatesMarker(t *testing.T) {
+	other := storage.NewDB(stopSchema)
+	other.MustInsert("t", storage.IntV(1))
+	for name, m := range map[string]wal.Record{
+		"another state's Fingerprint":          {Kind: wal.RecSnapshot, Gen: 1, FP: other.Fingerprint()},
+		"another state's CanonicalFingerprint": {Kind: wal.RecSnapshot, Gen: 1, FP: other.CanonicalFingerprint()},
+		"Fingerprint under another generation": {Kind: wal.RecSnapshot, Gen: 2, FP: storage.NewDB(stopSchema).Fingerprint()},
+	} {
+		fsys := wal.NewMemFS()
+		f := offlineFollower(t, fsys)
+		if err := f.chunk(logOf(m, begin, insert(2), commit, begin)); err == nil || errors.Is(err, wal.ErrStop) {
+			t.Errorf("%s: stream: %v, want a refusal no cut recovers from", name, err)
+		}
+		if n := f.rp.DB().Table("t").Len(); n != 0 {
+			t.Errorf("%s: follower applied %d rows past the marker", name, n)
+		}
+		f.logf.Close()
+		if g := offlineFollower(t, fsys); g.gen != 0 {
+			t.Errorf("%s: restart resumes generation %d, want a cold start", name, g.gen)
+		}
+		if _, err := wal.Open(replicaDir, stopSchema, wal.Options{FS: fsys}); !errors.Is(err, wal.ErrUnrecoverable) {
+			t.Errorf("%s: promotion: %v, want ErrUnrecoverable", name, err)
+		}
+	}
+	f := offlineFollower(t, wal.NewMemFS())
+	defer f.logf.Close()
+	m := wal.Record{Kind: wal.RecSnapshot, Gen: 1, FP: storage.NewDB(stopSchema).Fingerprint()}
+	if err := f.chunk(logOf(m, begin, insert(2), commit, begin)); err != nil || f.rp.DB().Table("t").Len() != 1 {
+		t.Errorf("the state's own Fingerprint as marker: %v, %d rows applied", err, f.rp.DB().Table("t").Len())
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 type DB struct {
 	sch    *schema.Schema
 	tables map[string]*Table
+	names  []string // the schema's table names, sorted; never written, so Clone and Fork share it
 	nextID TupleID
 
 	// undo records, most recent last, how to reverse every primitive
@@ -156,8 +157,9 @@ func (db *DB) UndoDepth() (savepoints, records int) { return db.spDepth, len(db.
 
 // NewDB creates an empty database for the schema.
 func NewDB(s *schema.Schema) *DB {
-	db := &DB{sch: s, tables: make(map[string]*Table, s.NumTables()), nextID: 1}
-	for _, name := range s.TableNames() {
+	db := &DB{sch: s, tables: make(map[string]*Table, s.NumTables()), names: s.TableNames(), nextID: 1}
+	sort.Strings(db.names)
+	for _, name := range db.names {
 		db.tables[name] = newTable(s.Table(name))
 	}
 	return db
@@ -328,7 +330,7 @@ func (db *DB) Update(table string, id TupleID, col string, v Value) (Value, erro
 // of the clone are nobody's business but the clone's (the execution-graph
 // explorer forks thousands of speculative copies).
 func (db *DB) Clone() *DB {
-	nd := &DB{sch: db.sch, tables: make(map[string]*Table, len(db.tables)), nextID: db.nextID}
+	nd := &DB{sch: db.sch, tables: make(map[string]*Table, len(db.tables)), names: db.names, nextID: db.nextID}
 	for name, t := range db.tables {
 		nd.tables[name] = t.clone()
 	}
@@ -369,7 +371,7 @@ func (db *DB) Fork() *DB {
 // DB's scratch buffer. It follows the same one-goroutine rule as
 // mutation. Clone and Fork carry the digests, never the scratch or the
 // observer.
-func (db *DB) Fingerprint() [32]byte { return db.TableFingerprint(db.sch.TableNames()) }
+func (db *DB) Fingerprint() [32]byte { return db.fingerprintOf(db.names) }
 
 // TableFingerprint is Fingerprint over the named tables only, used for
 // partial-confluence checks (identical T' contents, Section 7).
@@ -379,6 +381,11 @@ func (db *DB) TableFingerprint(tables []string) [32]byte {
 		names[i] = strings.ToLower(n)
 	}
 	sort.Strings(names)
+	return db.fingerprintOf(names)
+}
+
+// fingerprintOf digests the tables named, which are lower-case and sorted.
+func (db *DB) fingerprintOf(names []string) [32]byte {
 	top := db.fp.top[:0]
 	for _, name := range names {
 		d := emptyDigest // a table the schema lacks reads as an empty one
@@ -420,6 +427,22 @@ func (db *DB) tableDigest(t *Table) [32]byte {
 	}
 	s := &db.fp
 	buf, spans := s.buf[:0], s.spans[:0]
+	if n := len(t.rows); n > 2*cap(spans) {
+		// The table is over twice what the scratch has held (a decoded
+		// snapshot's first digest, a bulk load): size it in one step, by
+		// a pass that only measures, with a quarter of headroom. Growing
+		// it that far by append leaves several times the table's
+		// encoding as garbage.
+		spans = make([]rowSpan, 0, n+n/4)
+		size := 0
+		for _, tu := range t.rows {
+			buf = tu.encode(buf[:0])
+			size += len(buf) + 1
+		}
+		if buf = buf[:0]; cap(buf) < size {
+			buf = make([]byte, 0, size+size/4)
+		}
+	}
 	for _, tu := range t.rows {
 		lo := len(buf)
 		buf = tu.encode(buf)
@@ -442,16 +465,14 @@ func (db *DB) tableDigest(t *Table) [32]byte {
 
 // CanonicalFingerprint is the one-level digest Fingerprint was before
 // tables memoized theirs: one SHA-256 stream over every table's sorted
-// rows, computed from scratch on every call. It is what a WAL snapshot
-// marker stores and recovery verifies (internal/wal — per checkpoint,
-// never per request), which keeps every log on disk valid, and it is the
-// memo-free oracle Fingerprint is tested against: two databases agree on
-// one exactly when they agree on the other.
+// rows, computed from scratch on every call. It is what the WAL snapshot
+// markers written before checkpoints read the memoized digests store,
+// so internal/wal's reader still accepts it where Fingerprint does not
+// match, and it is the memo-free oracle Fingerprint is tested against:
+// two databases agree on one exactly when they agree on the other.
 func (db *DB) CanonicalFingerprint() [32]byte {
-	names := db.sch.TableNames()
-	sort.Strings(names)
 	h := sha256.New()
-	for _, name := range names {
+	for _, name := range db.names {
 		h.Write([]byte(name))
 		h.Write([]byte{'('})
 		db.tables[name].writeSorted(h)
@@ -476,10 +497,8 @@ func (db *DB) TotalRows() int {
 
 // String renders all tables in name order, for debugging and reports.
 func (db *DB) String() string {
-	names := db.sch.TableNames()
-	sort.Strings(names)
 	var sb strings.Builder
-	for _, name := range names {
+	for _, name := range db.names {
 		sb.WriteString(db.tables[name].String())
 	}
 	return sb.String()

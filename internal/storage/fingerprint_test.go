@@ -3,7 +3,9 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"activerules/internal/schema"
 )
@@ -244,6 +246,36 @@ func TestFingerprintFlatInUntouchedRows(t *testing.T) {
 	}
 	if a2, _ := measure(2000, 0); a2 != a0 || a0 > 4 {
 		t.Errorf("allocations of the dirty pass: %v over 8 rows, %v over 2000; want equal and at most 4", a0, a2)
+	}
+}
+
+// TestCleanFingerprintAllocatesNothing: with every table's digest
+// memoized, Fingerprint is 32 bytes of hashing per table over the DB's
+// own sorted names and scratch.
+func TestCleanFingerprintAllocatesNothing(t *testing.T) {
+	db, _ := flatDB(t, 8, 1000)
+	if allocs := testing.AllocsPerRun(100, func() { fpSink = db.Fingerprint() }); allocs != 0 {
+		t.Errorf("Fingerprint of a clean database: %v allocations, want 0", allocs)
+	}
+}
+
+// TestFirstDigestScratchSizedOnce: the first digest of a large table —
+// what a reader pays for a decoded snapshot — measures the rows and
+// sizes the scratch in one step, so it allocates little more than the
+// scratch it keeps, where growing it by append left several times that
+// as garbage.
+func TestFirstDigestScratchSizedOnce(t *testing.T) {
+	db := NewDB(schema.MustParse("table archive (id int, payload string)"))
+	for i := 0; i < 10000; i++ {
+		db.MustInsert("archive", IntV(int64(i)), StringV(fmt.Sprintf("archived-row-%08d", i)))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fpSink = db.Fingerprint()
+	runtime.ReadMemStats(&after)
+	kept := cap(db.fp.buf) + cap(db.fp.spans)*int(unsafe.Sizeof(rowSpan{}))
+	if got := int(after.TotalAlloc - before.TotalAlloc); 2*got > 3*kept {
+		t.Errorf("first Fingerprint of 10 000 rows allocated %d bytes for a %d-byte scratch, want at most 1.5x", got, kept)
 	}
 }
 

@@ -76,6 +76,10 @@ type DurableDB struct {
 	st   *storage.DB
 	info RecoveryInfo
 
+	// snapLen is the length of the last snapshot read or written: what
+	// Checkpoint sizes the next one's buffer from.
+	snapLen int
+
 	// posMu guards gen and log for the replication read path, which
 	// runs off the worker goroutine while Checkpoint rotates them. All
 	// mutation of gen/log happens on the worker; posMu makes the
@@ -132,7 +136,7 @@ func Open(dir string, sch *schema.Schema, opts Options) (*DurableDB, error) {
 	}
 	if rp.Good() == 0 {
 		// Log absent, empty or cut to zero: (re)write the marker.
-		l.append(Record{Kind: RecSnapshot, Gen: info.Gen, FP: db.CanonicalFingerprint()})
+		l.append(Record{Kind: RecSnapshot, Gen: info.Gen, FP: db.Fingerprint()})
 	}
 	// Every open starts a new engine transaction.
 	l.append(Record{Kind: RecBegin})
@@ -157,7 +161,7 @@ func Open(dir string, sch *schema.Schema, opts Options) (*DurableDB, error) {
 		l.f.Close()
 		return nil, err
 	}
-	d := &DurableDB{fsys: fsys, dir: dir, opts: opts, gen: info.Gen, log: l, st: db, info: info}
+	d := &DurableDB{fsys: fsys, dir: dir, opts: opts, gen: info.Gen, log: l, st: db, info: info, snapLen: rp.snapLen}
 	d.epoch.Store(info.Epoch)
 	d.removeStale()
 	return d, nil
@@ -393,7 +397,9 @@ func (d *DurableDB) Checkpoint(cur *storage.DB) error {
 		return err
 	}
 	newGen := d.gen + 1
-	if err := InstallSnapshot(d.fsys, d.dir, encodeSnapshot(cur, newGen)); err != nil {
+	snap := encodeSnapshot(cur, newGen, d.snapLen)
+	d.snapLen = len(snap)
+	if err := InstallSnapshot(d.fsys, d.dir, snap); err != nil {
 		// The rename may or may not have happened; fail-stop either way.
 		d.log.err = err
 		return err
@@ -406,7 +412,7 @@ func (d *DurableDB) Checkpoint(cur *storage.DB) error {
 		return err
 	}
 	nl := &Log{fs: d.fsys, path: LogPath(d.dir, newGen), f: nf, opts: d.opts}
-	nl.append(Record{Kind: RecSnapshot, Gen: newGen, FP: cur.CanonicalFingerprint()})
+	nl.append(Record{Kind: RecSnapshot, Gen: newGen, FP: cur.Fingerprint()})
 	nl.append(Record{Kind: RecBegin})
 	if e := d.epoch.Load(); e > 0 {
 		// The epoch must survive rotation: recovery only reads the

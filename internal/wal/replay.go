@@ -45,6 +45,8 @@ type Replayer struct {
 	db   *storage.DB
 	info RecoveryInfo // TruncatedBytes: bytes fed past good; Load sets SnapshotLoaded, Fresh
 
+	snapLen int // length of the snapshot file Load decoded
+
 	buf  []byte // the incomplete record at the end of what was fed
 	good int64  // bytes read as whole records
 	err  error
@@ -74,7 +76,7 @@ func Load(fsys FS, dir string, sch *schema.Schema) (*Replayer, []byte, error) {
 		if r.db, r.info.Gen, err = decodeSnapshot(snap, sch); err != nil {
 			return nil, nil, fmt.Errorf("%w: snapshot: %v", ErrUnrecoverable, err)
 		}
-		r.info.SnapshotLoaded = true
+		r.info.SnapshotLoaded, r.snapLen = true, len(snap)
 	} else if !IsNotExist(err) {
 		return nil, nil, err
 	}
@@ -128,7 +130,10 @@ func (r *Replayer) Feed(data []byte) error {
 // step accounts for one whole record.
 func (r *Replayer) step(rec Record) error {
 	if r.info.RecordsScanned == 0 { // the opening marker
-		if rec.Kind != RecSnapshot || rec.Gen != r.info.Gen || rec.FP != r.db.CanonicalFingerprint() {
+		// Logs written before checkpoints read the memoized digest carry
+		// the canonical one; it is computed only for those.
+		if rec.Kind != RecSnapshot || rec.Gen != r.info.Gen ||
+			(rec.FP != r.db.Fingerprint() && rec.FP != r.db.CanonicalFingerprint()) {
 			return fmt.Errorf("log opens with %s, want snapshot marker for gen %d", rec, r.info.Gen)
 		}
 		return nil

@@ -54,9 +54,12 @@ func SnapshotGen(data []byte) (uint64, error) {
 	return gen, nil
 }
 
-// encodeSnapshot serializes db at the given generation.
-func encodeSnapshot(db *storage.DB, gen uint64) []byte {
-	b := append([]byte(nil), snapMagic...)
+// encodeSnapshot serializes db at the given generation. prevLen, the
+// length of the snapshot this one replaces (0: none), sizes the buffer,
+// with an eighth of headroom for what was inserted since; the bytes do
+// not depend on it.
+func encodeSnapshot(db *storage.DB, gen uint64, prevLen int) []byte {
+	b := append(make([]byte, 0, prevLen+prevLen/8), snapMagic...)
 	b = binary.AppendUvarint(b, gen)
 	b = binary.AppendUvarint(b, uint64(db.NextID()))
 	names := append([]string(nil), db.Schema().TableNames()...)

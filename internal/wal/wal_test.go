@@ -96,7 +96,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	db.MustInsert("audit", storage.StringV("hi"), storage.BoolV(false))
 	db.Delete("acct", a)
 
-	data := encodeSnapshot(db, 9)
+	data := encodeSnapshot(db, 9, 0)
 	got, gen, err := decodeSnapshot(data, sch)
 	if err != nil {
 		t.Fatal(err)
@@ -400,6 +400,10 @@ func TestCorruptSnapshotUnrecoverable(t *testing.T) {
 	}
 }
 
+// TestMismatchedMarkerUnrecoverable: the log's marker must be a content
+// digest of the very state the reader decoded, under its generation.
+// Either digest of another state, and either digest of the right state
+// under another generation, are refused like garbage is.
 func TestMismatchedMarkerUnrecoverable(t *testing.T) {
 	fsys := NewMemFS()
 	d, db := session(t, fsys, "w")
@@ -407,16 +411,41 @@ func TestMismatchedMarkerUnrecoverable(t *testing.T) {
 	if err := d.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	if err := d.Checkpoint(db); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Replace the log with one whose marker claims a different state.
-	buf := AppendRecord(nil, Record{Kind: RecSnapshot, Gen: 1, FP: [32]byte{0xde, 0xad}})
-	buf = AppendRecord(buf, Record{Kind: RecBegin})
-	rewrite(t, fsys, "w/wal-000001.log", buf)
-
-	if _, err := Open("w", testSchema(t), Options{FS: fsys}); !errors.Is(err, ErrUnrecoverable) {
-		t.Errorf("Open with mismatched marker: %v, want ErrUnrecoverable", err)
+	other := db.Clone()
+	other.MustInsert("acct", storage.StringV("ann"), storage.IntV(10)) // the same row once more
+	for _, c := range []struct {
+		name   string
+		marker Record
+		ok     bool
+	}{
+		{"garbage", Record{Kind: RecSnapshot, Gen: 2, FP: [32]byte{0xde, 0xad}}, false},
+		{"another state's Fingerprint", Record{Kind: RecSnapshot, Gen: 2, FP: other.Fingerprint()}, false},
+		{"another state's CanonicalFingerprint", Record{Kind: RecSnapshot, Gen: 2, FP: other.CanonicalFingerprint()}, false},
+		{"Fingerprint under another generation", Record{Kind: RecSnapshot, Gen: 1, FP: db.Fingerprint()}, false},
+		{"CanonicalFingerprint under another generation", Record{Kind: RecSnapshot, Gen: 3, FP: db.CanonicalFingerprint()}, false},
+		{"Fingerprint", Record{Kind: RecSnapshot, Gen: 2, FP: db.Fingerprint()}, true},
+		{"CanonicalFingerprint", Record{Kind: RecSnapshot, Gen: 2, FP: db.CanonicalFingerprint()}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rewrite(t, fsys, "w/wal-000002.log", AppendRecord(AppendRecord(nil, c.marker), Record{Kind: RecBegin}))
+			_, _, err := Recover("w", testSchema(t), fsys)
+			if c.ok && err != nil || !c.ok && !errors.Is(err, ErrUnrecoverable) {
+				t.Errorf("Recover: %v (want it to open: %v)", err, c.ok)
+			}
+			d, err := Open("w", testSchema(t), Options{FS: fsys})
+			if c.ok && err != nil || !c.ok && !errors.Is(err, ErrUnrecoverable) {
+				t.Errorf("Open: %v (want it to open: %v)", err, c.ok)
+			}
+			if err == nil {
+				d.Close()
+			}
+		})
 	}
 }
 
