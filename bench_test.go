@@ -13,6 +13,7 @@ package activerules_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"activerules"
@@ -349,4 +350,96 @@ func BenchmarkRefinedAnalysis(b *testing.B) {
 			})
 		}
 	}
+}
+
+// --- The served cascade: a firing loop's allocation ----------------------
+
+// cascadeBenchSources restates bench/gen.go's cascadeSources (bench/ is
+// a module of its own): ten idle bank clusters, a 24-deep chain copying
+// the inserted set one table down per rule, and 8 unordered fan-out
+// rules on the chain head — 62 rules, 32 of them considered per op.
+func cascadeBenchSources() (schemaSrc, rulesSrc string, tables []string) {
+	const idle, depth, fanout = 10, 24, 8
+	var sch, rl strings.Builder
+	for i := 0; i < idle; i++ {
+		fmt.Fprintf(&sch, "table account%d (id int, owner string, balance float)\n", i)
+		fmt.Fprintf(&sch, "table audit%d (id int, owner string)\n", i)
+		fmt.Fprintf(&sch, "table holds%d (id int, acct int)\n", i)
+		fmt.Fprintf(&rl, "create rule r_audit%d on account%d\nwhen inserted\nthen insert into audit%d select id, owner from inserted\n\n", i, i, i)
+		fmt.Fprintf(&rl, "create rule r_hold%d on account%d\nwhen updated(balance)\nif exists (select 1 from new-updated nu where nu.balance < 0)\nthen insert into holds%d select nu.id, nu.id from new-updated nu where nu.balance < 0\n\n", i, i, i)
+		fmt.Fprintf(&rl, "create rule r_purge%d on account%d\nwhen deleted\nthen delete from holds%d where acct in (select id from deleted)\n\n", i, i, i)
+	}
+	for i := 0; i <= depth; i++ {
+		tables = append(tables, fmt.Sprintf("c%d", i))
+	}
+	for j := 0; j < fanout; j++ {
+		tables = append(tables, fmt.Sprintf("f%d", j))
+	}
+	for _, t := range tables {
+		fmt.Fprintf(&sch, "table %s (v int)\n", t)
+	}
+	for i := 0; i < depth; i++ {
+		fmt.Fprintf(&rl, "create rule chain%02d on c%d\nwhen inserted\nif exists (select 1 from inserted where v >= 0)\nthen insert into c%d select v from inserted\n\n", i, i, i+1)
+	}
+	for j := 0; j < fanout; j++ {
+		fmt.Fprintf(&rl, "create rule fan%d on c0\nwhen inserted\nthen insert into f%d select v from inserted where v >= 0\n\n", j, j)
+	}
+	return sch.String(), rl.String(), tables
+}
+
+// BenchmarkCompiledCascadeCommit is serve_cascade's request without the
+// server around it: a 4-row insert into the chain head, rule processing
+// (32 considerations, all firing) and a Commit per op on one long-lived
+// compiled engine. Every 64th op the tables are swept with the timer
+// stopped, as the served stream's clients sweep their own rows, so a
+// long run measures the firing loop and not a growing heap.
+func BenchmarkCompiledCascadeCommit(b *testing.B) {
+	schemaSrc, rulesSrc, tables := cascadeBenchSources()
+	sys, err := activerules.Load(schemaSrc, rulesSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.SetCompiled(true)
+	eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 10000})
+	var sweep strings.Builder
+	for i, t := range tables {
+		if i > 0 {
+			sweep.WriteString("; ")
+		}
+		sweep.WriteString("delete from " + t)
+	}
+	step := func(op string, fired int) {
+		if _, err := eng.ExecUser(op); err != nil {
+			b.Fatal(err)
+		}
+		res, err := eng.Assert()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Fired != fired {
+			b.Fatalf("fired = %d, want %d", res.Fired, fired)
+		}
+		if err := eng.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const op = "insert into c0 values (11), (12), (13), (14)"
+	step(op, 32) // warm the engine's and the log's scratch
+	var mem allocMeter
+	b.ReportAllocs()
+	b.ResetTimer()
+	mem.start()
+	for i := 0; i < b.N; i++ {
+		if i%64 == 63 {
+			b.StopTimer()
+			mem.stop()
+			step(sweep.String(), 0)
+			mem.start()
+			b.StartTimer()
+		}
+		step(op, 32)
+	}
+	b.StopTimer()
+	mem.stop()
+	recordBenchAllocs(b, &mem)
 }

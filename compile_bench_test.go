@@ -199,6 +199,9 @@ type benchEntry struct {
 	Name    string `json:"name"`
 	Iters   int    `json:"iters,omitempty"`
 	NsPerOp int64  `json:"ns_per_op"`
+	// Set by the benchmarks that meter their allocation (allocMeter).
+	BytesPerOp  int64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
 }
 
 type benchReport struct {
@@ -220,14 +223,40 @@ var (
 // recordBenchResult captures this invocation's ns/op; the testing
 // package calls each benchmark several times with growing b.N, and the
 // last (largest) invocation overwrites the earlier ones.
-func recordBenchResult(b *testing.B) {
-	ns := b.Elapsed().Nanoseconds()
+func recordBenchResult(b *testing.B) { recordBenchAllocs(b, nil) }
+
+// recordBenchAllocs is recordBenchResult plus, for a non-nil meter, the
+// bytes and objects allocated per op over the timed spans it bracketed.
+func recordBenchAllocs(b *testing.B, m *allocMeter) {
+	e := benchEntry{Name: b.Name(), Iters: b.N, NsPerOp: b.Elapsed().Nanoseconds()}
 	if b.N > 0 {
-		ns /= int64(b.N)
+		e.NsPerOp /= int64(b.N)
+		if m != nil {
+			e.BytesPerOp, e.AllocsPerOp = int64(m.bytes)/int64(b.N), int64(m.mallocs)/int64(b.N)
+		}
 	}
 	benchMu.Lock()
 	defer benchMu.Unlock()
-	benchResults[b.Name()] = benchEntry{Name: b.Name(), Iters: b.N, NsPerOp: ns}
+	benchResults[b.Name()] = e
+}
+
+// allocMeter sums heap allocation over the spans between start and
+// stop — what b.ReportAllocs prints, which testing.B does not expose.
+type allocMeter struct {
+	ms             runtime.MemStats
+	mallocs, bytes uint64
+}
+
+func (m *allocMeter) start() {
+	runtime.ReadMemStats(&m.ms)
+	m.mallocs -= m.ms.Mallocs
+	m.bytes -= m.ms.TotalAlloc
+}
+
+func (m *allocMeter) stop() {
+	runtime.ReadMemStats(&m.ms)
+	m.mallocs += m.ms.Mallocs
+	m.bytes += m.ms.TotalAlloc
 }
 
 // TestMain flushes recorded benchmark results into BENCH_engine.json
@@ -258,7 +287,7 @@ func flushBenchResults() error {
 			"quick":     "go test -bench Compiled -benchtime=1x -run '^$' .",
 			"sustained": "go test -bench Compiled -benchtime=2s -run '^$' .",
 		},
-		Workload: "BenchmarkCompiledBank / BenchmarkCompiledPowernet: one user transition plus rule processing per op against a long-lived engine, on the shipped bank (3 rules/cluster) and powernet (2 rules/cluster) examples replicated to ~1k and ~10k rules; only cluster 0 is touched. The ...Commit variants end the transaction after every op (Engine.Commit), as a served request does; the plain ones run one ever-growing transaction",
+		Workload: "BenchmarkCompiledBank / BenchmarkCompiledPowernet: one user transition plus rule processing per op against a long-lived engine, on the shipped bank (3 rules/cluster) and powernet (2 rules/cluster) examples replicated to ~1k and ~10k rules; only cluster 0 is touched. The ...Commit variants end the transaction after every op (Engine.Commit), as a served request does; the plain ones run one ever-growing transaction. BenchmarkCompiledCascadeCommit (bench_test.go) is serve_cascade's request on a bare engine: a 4-row insert into the head of a 24-deep chain with 8 fan-out rules, 32 firings and a Commit per op, with bytes and allocations per op; its .../parent=<commit> row is the same benchmark run at the commit before the change that last moved it",
 		Notes:    "mode=interpreted rescans every rule per step; mode=compiled uses the delta-driven candidate index. The ratio at rules=10002 on BenchmarkCompiledBank is the headline number and is asserted >= 10x by TestBenchEngineRecorded. Commit resets the per-rule marks and the candidate bitset, so the ...Commit rows carry an O(rules) term in both modes.",
 	}
 	if data, err := os.ReadFile(benchEngineFile); err == nil {
@@ -379,6 +408,7 @@ func TestBenchEngineRecorded(t *testing.T) {
 			}
 		}
 	}
+	names = append(names, "BenchmarkCompiledCascadeCommit")
 	for _, name := range names {
 		e, ok := entries[name]
 		if !ok {

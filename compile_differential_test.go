@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"activerules"
@@ -404,6 +405,82 @@ then insert into d select v from inserted; select v from d
 			seed: "insert into t values (1)",
 			segs: []string{"insert into t values (2)", "update t set v = 9 where v = 1"},
 		},
+		// The three below are about reuse: the interpreter rebinds one
+		// frame per scan and the compiled path builds matches and result
+		// rows in scratch its Env keeps, which is only sound if nothing
+		// holds on to a frame or a scratch row past its turn. Their
+		// final states are worked out by hand, so the two paths agreeing
+		// on a wrong answer would not pass.
+		{
+			// The innermost block reads the middle block's row and the
+			// scanned row of the DELETE: p(3,1) and p(9,2) have no r.lim
+			// above their id within their group's limits; p(1,1), p(2,2)
+			// and p(5,2) do.
+			name:   "correlated-delete-two-deep",
+			schema: "table t (v int)\ntable p (id int, grp int)\ntable q (grp int, lim int)\ntable r (lim int)",
+			rules: `
+create rule prune on t
+when inserted
+then delete from p
+     where exists (select 1 from q
+                   where q.grp = p.grp
+                     and exists (select 1 from r where r.lim = q.lim and r.lim > p.id));
+     select id, grp from p
+`,
+			seed: "insert into p values (1, 1), (3, 1), (2, 2), (5, 2), (9, 2);\n" +
+				"insert into q values (1, 2), (2, 4), (2, 6), (3, 100);\n" +
+				"insert into r values (2), (6), (100)",
+			segs: []string{"insert into t values (0)"},
+			check: func(t *testing.T, run modeRun) {
+				wantObservables(t, run, "-> (3,1) (9,2)")
+			},
+		},
+		{
+			// WHERE: an IN-subquery correlated to the scanned row holding
+			// another one correlated to it too; SET: a correlated scalar
+			// subquery, evaluated against the pre-update state for every
+			// row. p(1,1): q.lim for grp 1 is {2}, r.lim >= 1 holds 2, and
+			// id 1 is not in {2}; p(2,1) is, p(4,2) and p(6,2) are (grp 2:
+			// {4, 6}), p(7,2) is not. The matched rows get their group's
+			// q-row count: 1, 2, 2.
+			name:   "correlated-update-two-deep",
+			schema: "table t (v int)\ntable p (id int, grp int)\ntable q (grp int, lim int)\ntable r (lim int)",
+			rules: `
+create rule bump on t
+when inserted
+then update p set grp = 10 + (select count(*) from q where q.grp = p.grp)
+     where id in (select q.lim from q
+                  where q.grp = p.grp
+                    and q.lim in (select r.lim from r where r.lim >= p.id));
+     select id, grp from p
+`,
+			seed: "insert into p values (1, 1), (2, 1), (4, 2), (6, 2), (7, 2);\n" +
+				"insert into q values (1, 2), (2, 4), (2, 6);\n" +
+				"insert into r values (2), (4), (6), (7)",
+			segs: []string{"insert into t values (0)"},
+			check: func(t *testing.T, run modeRun) {
+				wantObservables(t, run, "-> (1,1) (2,11) (4,12) (6,12) (7,2)")
+			},
+		},
+		{
+			// Both selects read the table they insert into and must see
+			// it as it was before their statement's first insert: 2 rows
+			// become 4, then the two new ones are doubled again to 6.
+			name:   "insert-select-from-self",
+			schema: "table t (v int)\ntable p (id int, grp int)",
+			rules: `
+create rule grow on t
+when inserted
+then insert into p select id + 100, grp from p;
+     insert into p select * from p where id > 100;
+     select id, grp from p
+`,
+			seed: "insert into p values (1, 1), (2, 2)",
+			segs: []string{"insert into t values (0)"},
+			check: func(t *testing.T, run modeRun) {
+				wantObservables(t, run, "-> (1,1) (2,2) (101,1) (102,2) (101,1) (102,2)")
+			},
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -421,5 +498,13 @@ then insert into d select v from inserted; select v from d
 				tc.check(t, run)
 			}
 		})
+	}
+}
+
+// wantObservables asserts the rows of the run's one observable event.
+func wantObservables(t *testing.T, run modeRun, rows string) {
+	t.Helper()
+	if len(run.observables) != 1 || !strings.HasSuffix(run.observables[0], rows) {
+		t.Errorf("observables = %q, want one event with rows %s", run.observables, rows)
 	}
 }

@@ -32,21 +32,56 @@ import (
 
 // Env is the runtime context a compiled closure executes in. Slots
 // holds the row bound to each statically assigned binding index; the
-// engine reuses one Env per rule consideration.
+// engine keeps one Env and points it at each consideration in turn.
 type Env struct {
 	DB    *storage.DB
 	Trans *sqlmini.TransitionData
 	Mut   sqlmini.Mutator
 	Slots [][]storage.Value
+
+	// Query scratch: stacks the running query blocks push their working
+	// sets onto — FROM sources and match lists on lists, match bindings
+	// and result row headers on rows, result values on vals. Whoever
+	// runs a block takes a mark first and releases it once done with the
+	// block's result, so a subquery evaluated per outer row reuses the
+	// same memory each time. A block's result rows therefore point into
+	// the Env: a caller that keeps them copies them (cloneRows).
+	lists []matchSnap
+	rows  [][]storage.Value
+	vals  []storage.Value
 }
 
-// ensure grows the slot array to at least n entries.
-func (env *Env) ensure(n int) {
+// scratchMark is the height of an Env's scratch stacks.
+type scratchMark struct{ lists, rows, vals int }
+
+func (env *Env) mark() scratchMark {
+	return scratchMark{len(env.lists), len(env.rows), len(env.vals)}
+}
+
+// release pops everything pushed since m. Slices handed out above the
+// mark stay readable until the next push overwrites them.
+func (env *Env) release(m scratchMark) {
+	env.lists, env.rows, env.vals = env.lists[:m.lists], env.rows[:m.rows], env.vals[:m.vals]
+}
+
+// begin readies the Env for one compiled unit: slots for its n bindings
+// and empty scratch, whatever an earlier unit's error or panic left.
+func (env *Env) begin(n int) {
 	if len(env.Slots) < n {
 		s := make([][]storage.Value, n)
 		copy(s, env.Slots)
 		env.Slots = s
 	}
+	env.release(scratchMark{})
+}
+
+// cloneRows copies result rows out of the Env's scratch.
+func cloneRows(rows [][]storage.Value) [][]storage.Value {
+	out := make([][]storage.Value, len(rows))
+	for i, r := range rows {
+		out[i] = append([]storage.Value(nil), r...)
+	}
+	return out
 }
 
 // exprFn is a compiled expression.
@@ -309,15 +344,16 @@ func (c *compiler) compileExpr(e sqlmini.Expr) (exprC, error) {
 			if err != nil {
 				return storage.Value{}, err
 			}
+			defer env.release(env.mark())
 			rows, err := sel(env)
 			if err != nil {
 				return storage.Value{}, err
 			}
-			vals := make([]storage.Value, len(rows))
-			for i, r := range rows {
-				vals[i] = r[0]
+			members := len(env.vals)
+			for _, r := range rows {
+				env.vals = append(env.vals, r[0])
 			}
-			return sqlmini.InResult(v, vals, neg), nil
+			return sqlmini.InResult(v, env.vals[members:], neg), nil
 		}
 		return exprC{fn: fn, kinds: kBool}, nil
 
@@ -328,6 +364,7 @@ func (c *compiler) compileExpr(e sqlmini.Expr) (exprC, error) {
 		}
 		neg := x.Negate
 		fn := func(env *Env) (storage.Value, error) {
+			defer env.release(env.mark())
 			rows, err := sel(env)
 			if err != nil {
 				return storage.Value{}, err
@@ -342,6 +379,7 @@ func (c *compiler) compileExpr(e sqlmini.Expr) (exprC, error) {
 			return exprC{}, err
 		}
 		fn := func(env *Env) (storage.Value, error) {
+			defer env.release(env.mark())
 			rows, err := sel(env)
 			if err != nil {
 				return storage.Value{}, err

@@ -110,7 +110,7 @@ func runBoth(t *testing.T, src string, inRule bool) (ir, cr sqlmini.StmtResult, 
 		t.Fatalf("compile %q: %v", src, err)
 	}
 	env := &Env{DB: cdb, Trans: testTrans(), Mut: sqlmini.DirectMutator(cdb)}
-	env.ensure(c.nSlots)
+	env.begin(c.nSlots)
 	cr, cerr = fn(env)
 	return
 }

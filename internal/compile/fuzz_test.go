@@ -75,7 +75,7 @@ func FuzzCompileEval(f *testing.F) {
 		}
 		cdb := seedDB(t, sch)
 		env := &Env{DB: cdb, Trans: testTrans(), Mut: sqlmini.DirectMutator(cdb)}
-		env.ensure(c.nSlots)
+		env.begin(c.nSlots)
 		cr, cerr := fn(env)
 
 		switch {

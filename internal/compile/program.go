@@ -100,7 +100,7 @@ func (p *Program) EvalCondition(i int, env *Env) (bool, error) {
 	if cr.cond == nil {
 		return true, nil
 	}
-	env.ensure(cr.nSlots)
+	env.begin(cr.nSlots)
 	return cr.cond(env)
 }
 
@@ -110,6 +110,6 @@ func (p *Program) ActionLen(i int) int { return len(p.rules[i].action) }
 // ExecStatement executes statement j of rule i's action.
 func (p *Program) ExecStatement(i, j int, env *Env) (sqlmini.StmtResult, error) {
 	cr := &p.rules[i]
-	env.ensure(cr.nSlots)
+	env.begin(cr.nSlots)
 	return cr.action[j](env)
 }

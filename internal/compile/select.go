@@ -20,7 +20,7 @@ import (
 // matchSnap is one join match: the row bound to each FROM item of the
 // block, in FROM order. A nil snapshot (the no-FROM query form) leaves
 // the outer bindings untouched.
-type matchSnap [][]storage.Value
+type matchSnap = [][]storage.Value
 
 // srcFn materializes the rows of one FROM item.
 type srcFn func(env *Env) ([][]storage.Value, error)
@@ -307,58 +307,62 @@ func (c *compiler) compileGroupExpr(cs *compiledSelect, e sqlmini.Expr) (groupFn
 }
 
 // collect runs the nested-loop join, returning the match snapshots.
+// Sources, snapshots and the list of them go on the Env's scratch.
 func (cs *compiledSelect) collect(env *Env) ([]matchSnap, error) {
 	n := len(cs.srcs)
 	if n == 0 {
 		// A query with no FROM evaluates its items once against the
 		// enclosing bindings.
-		return []matchSnap{nil}, nil
+		env.lists = append(env.lists, nil)
+		return env.lists[len(env.lists)-1:], nil
 	}
-	sources := make([][][]storage.Value, n)
-	for i, src := range cs.srcs {
+	base := len(env.lists)
+	for _, src := range cs.srcs {
 		rows, err := src(env)
 		if err != nil {
 			return nil, err
 		}
-		sources[i] = rows
+		env.lists = append(env.lists, rows)
 	}
-	var matches []matchSnap
-	var walk func(i int) error
-	walk = func(i int) error {
-		if i == n {
-			if cs.where != nil {
-				v, err := cs.where.fn(env)
-				if err != nil {
-					return err
-				}
-				ok, err := sqlmini.PredTruth(v)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
+	// A subquery in WHERE pushes above the matches and pops again; if it
+	// grows a stack meanwhile, what was pushed before stays where it is.
+	if err := cs.walk(env, env.lists[base:base+n], 0); err != nil {
+		return nil, err
+	}
+	return env.lists[base+n:], nil
+}
+
+// walk binds FROM item i to each of its rows in turn and, with every
+// item bound, pushes the bindings that satisfy WHERE as one match.
+func (cs *compiledSelect) walk(env *Env, sources []matchSnap, i int) error {
+	n := len(sources)
+	if i == n {
+		if cs.where != nil {
+			v, err := cs.where.fn(env)
+			if err != nil {
+				return err
 			}
-			snap := make(matchSnap, n)
-			copy(snap, env.Slots[cs.base:cs.base+n])
-			matches = append(matches, snap)
-			return nil
-		}
-		for _, row := range sources[i] {
-			env.Slots[cs.base+i] = row
-			if err := walk(i + 1); err != nil {
+			ok, err := sqlmini.PredTruth(v)
+			if err != nil || !ok {
 				return err
 			}
 		}
+		at := len(env.rows)
+		env.rows = append(env.rows, env.Slots[cs.base:cs.base+n]...)
+		env.lists = append(env.lists, env.rows[at:at+n:at+n])
 		return nil
 	}
-	if err := walk(0); err != nil {
-		return nil, err
+	for _, row := range sources[i] {
+		env.Slots[cs.base+i] = row
+		if err := cs.walk(env, sources, i+1); err != nil {
+			return err
+		}
 	}
-	return matches, nil
+	return nil
 }
 
-// runPlain is the non-grouped, non-aggregate query form.
+// runPlain is the non-grouped, non-aggregate query form. Its result
+// rows are carved from the Env's scratch.
 func (cs *compiledSelect) runPlain(env *Env) ([][]storage.Value, error) {
 	matches, err := cs.collect(env)
 	if err != nil {
@@ -396,27 +400,26 @@ func (cs *compiledSelect) runPlain(env *Env) ([][]storage.Value, error) {
 		matches = sorted
 	}
 
-	results := make([][]storage.Value, 0, len(matches))
+	first := len(env.rows)
 	for _, m := range matches {
+		at := len(env.vals)
 		if cs.star {
-			var row []storage.Value
 			for j := range m {
-				row = append(row, m[j]...)
+				env.vals = append(env.vals, m[j]...)
 			}
-			results = append(results, row)
-			continue
-		}
-		cs.restore(env, m)
-		row := make([]storage.Value, len(cs.items))
-		for i, it := range cs.items {
-			v, err := it(env)
-			if err != nil {
-				return nil, err
+		} else {
+			cs.restore(env, m)
+			for _, it := range cs.items {
+				v, err := it(env)
+				if err != nil {
+					return nil, err
+				}
+				env.vals = append(env.vals, v)
 			}
-			row[i] = v
 		}
-		results = append(results, row)
+		env.rows = append(env.rows, env.vals[at:len(env.vals):len(env.vals)])
 	}
+	results := env.rows[first:]
 	if cs.distinct {
 		results = sqlmini.DedupRows(results)
 	}
@@ -548,7 +551,10 @@ func (c *compiler) compileStatement(st sqlmini.Statement) (stmtFn, error) {
 		}
 		return func(env *Env) (sqlmini.StmtResult, error) {
 			rows, err := sel(env)
-			return sqlmini.StmtResult{Rows: rows}, err
+			if err != nil {
+				return sqlmini.StmtResult{}, err
+			}
+			return sqlmini.StmtResult{Rows: cloneRows(rows)}, nil // the caller keeps them
 		}, nil
 	case *sqlmini.Insert:
 		return c.compileInsert(s)
@@ -670,7 +676,6 @@ func (c *compiler) compileDelete(s *sqlmini.Delete) (stmtFn, error) {
 		if err := requireMut(env); err != nil {
 			return sqlmini.StmtResult{}, err
 		}
-		env.ensure(slot + 1)
 		t := env.DB.Table(table)
 		var ids []storage.TupleID
 		var scanErr error
@@ -732,7 +737,6 @@ func (c *compiler) compileUpdate(s *sqlmini.Update) (stmtFn, error) {
 		if err := requireMut(env); err != nil {
 			return sqlmini.StmtResult{}, err
 		}
-		env.ensure(slot + 1)
 		t := env.DB.Table(table)
 		type change struct {
 			id   storage.TupleID

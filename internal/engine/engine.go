@@ -172,6 +172,14 @@ type Engine struct {
 	prog *compile.Program
 	cand *compile.Candidates
 
+	// Scratch of the firing loop, reused from step to step and never
+	// shared (Clone gives a fork empty scratch): the triggered and the
+	// eligible rules, the transition tables of the rule under
+	// consideration, and the compiled closures' context.
+	trig, elig []*rules.Rule
+	td         sqlmini.TransitionData
+	env        compile.Env
+
 	// netHook, when set, observes every pendingNet answer: the net, the
 	// trigger bit, and whether it was computed or served from the memo.
 	// Tests use it to compare answers with a fresh recomputation and to
@@ -261,7 +269,7 @@ func (e *Engine) InFlight() bool { return e.inFlight }
 // mutator builds the recording mutator, applying the fault-injection
 // wrapper when configured.
 func (e *Engine) mutator() sqlmini.Mutator {
-	var m sqlmini.Mutator = recordingMutator{db: e.db, log: e.log, cand: e.cand}
+	var m sqlmini.Mutator = recordingMutator{e}
 	if e.opts.WrapMutator != nil {
 		m = e.opts.WrapMutator(m)
 	}
@@ -273,55 +281,54 @@ func (e *Engine) mutator() sqlmini.Mutator {
 // rules in the delta-driven trigger index — the same primitive that
 // enters the log enters the discrimination network, so a recorded
 // operation can never trigger a rule without also marking it.
-type recordingMutator struct {
-	db   *storage.DB
-	log  *transition.Log
-	cand *compile.Candidates // nil in interpreted mode
-}
+//
+// Table names arrive from resolved statements, in the schema's canonical
+// form, and key the log as they come (see sqlmini.Mutator).
+type recordingMutator struct{ e *Engine }
 
 func (m recordingMutator) Insert(table string, vals []storage.Value) (storage.TupleID, error) {
-	id, err := m.db.Insert(table, vals)
+	id, err := m.e.db.Insert(table, vals)
 	if err != nil {
 		return 0, err
 	}
-	m.log.RecordInsert(table, id)
-	if m.cand != nil {
-		m.cand.Note(table, transition.KindInsert)
+	m.e.log.RecordInsert(table, id)
+	if m.e.cand != nil {
+		m.e.cand.Note(table, transition.KindInsert)
 	}
 	return id, nil
 }
 
 func (m recordingMutator) Delete(table string, id storage.TupleID) error {
-	tu := m.db.Table(table).Get(id)
+	tu := m.e.db.Table(table).Get(id)
 	if tu == nil {
 		return fmt.Errorf("engine: delete of missing tuple %d from %s", id, table)
 	}
 	old := make([]storage.Value, len(tu.Vals))
 	copy(old, tu.Vals)
-	m.db.Delete(table, id)
-	m.log.RecordDelete(table, id, old)
-	if m.cand != nil {
-		m.cand.Note(table, transition.KindDelete)
+	m.e.db.Delete(table, id)
+	m.e.log.RecordDelete(table, id, old)
+	if m.e.cand != nil {
+		m.e.cand.Note(table, transition.KindDelete)
 	}
 	return nil
 }
 
 func (m recordingMutator) Update(table string, id storage.TupleID, col string, v storage.Value) error {
-	tu := m.db.Table(table).Get(id)
+	tu := m.e.db.Table(table).Get(id)
 	if tu == nil {
 		return fmt.Errorf("engine: update of missing tuple %d in %s", id, table)
 	}
 	old := make([]storage.Value, len(tu.Vals))
 	copy(old, tu.Vals)
-	if _, err := m.db.Update(table, id, col, v); err != nil {
+	if _, err := m.e.db.Update(table, id, col, v); err != nil {
 		return err
 	}
-	m.log.RecordUpdate(table, id, old)
-	if m.cand != nil {
+	m.e.log.RecordUpdate(table, id, old)
+	if m.e.cand != nil {
 		// A raw update entry does not know which columns will survive
 		// net-effect composition, so it marks every rule watching any
 		// update on the table; the exact transition predicate filters.
-		m.cand.Note(table, transition.KindUpdate)
+		m.e.cand.Note(table, transition.KindUpdate)
 	}
 	return nil
 }
@@ -418,7 +425,7 @@ func (e *Engine) pendingNet(r *rules.Rule) (net *transition.Net, triggered bool)
 			n := transition.ComputeTable(e.log, mark, e.db, r.Table)
 			*m = pendingMemo{
 				net:       n,
-				triggered: n.Ops().Intersects(r.TriggeredBy()),
+				triggered: n.Triggers(r.TriggeredBy()),
 				mark:      mark,
 				upTo:      e.log.Mark(),
 				gen:       e.log.Gen(),
@@ -447,7 +454,13 @@ func (e *Engine) pendingNet(r *rules.Rule) (net *transition.Net, triggered bool)
 // candidate whose watched kinds have no log entry at or past its mark
 // can never become triggered without a new Note, so its bit is cleared.
 func (e *Engine) TriggeredRules() []*rules.Rule {
-	var out []*rules.Rule
+	return append([]*rules.Rule(nil), e.triggered()...)
+}
+
+// triggered is TriggeredRules into the engine's scratch: the slice is
+// valid until the next call.
+func (e *Engine) triggered() []*rules.Rule {
+	e.trig = e.trig[:0]
 	rs := e.set.Rules()
 	if e.cand != nil {
 		e.cand.ForEach(func(i int) {
@@ -456,35 +469,36 @@ func (e *Engine) TriggeredRules() []*rules.Rule {
 				return
 			}
 			if _, triggered := e.pendingNet(rs[i]); triggered {
-				out = append(out, rs[i])
+				e.trig = append(e.trig, rs[i])
 			}
 		})
-		return out
+		return e.trig
 	}
 	for _, r := range rs {
 		if _, triggered := e.pendingNet(r); triggered {
-			out = append(out, r)
+			e.trig = append(e.trig, r)
 		}
 	}
-	return out
+	return e.trig
 }
 
 // EligibleRules returns Choose(TriggeredRules): the triggered rules with
 // no triggered rule of higher priority.
 func (e *Engine) EligibleRules() []*rules.Rule {
-	return e.set.Choose(e.TriggeredRules())
+	return e.set.Choose(nil, e.triggered())
 }
 
-// transitionDataFor materializes the transition tables rule r sees.
-func transitionDataFor(n *transition.Net, table string) *sqlmini.TransitionData {
-	tn := n.Table(table)
-	if tn == nil {
-		return &sqlmini.TransitionData{}
-	}
-	td := &sqlmini.TransitionData{Inserted: tn.Inserted, Deleted: tn.Deleted}
-	for _, up := range tn.Updated {
-		td.OldUpdated = append(td.OldUpdated, up.Old)
-		td.NewUpdated = append(td.NewUpdated, up.New)
+// transitionData materializes, in the engine's scratch, the transition
+// tables a rule on the table sees.
+func (e *Engine) transitionData(n *transition.Net, table string) *sqlmini.TransitionData {
+	td := &e.td
+	*td = sqlmini.TransitionData{OldUpdated: td.OldUpdated[:0], NewUpdated: td.NewUpdated[:0]}
+	if tn := n.Table(table); tn != nil {
+		td.Inserted, td.Deleted = tn.Inserted, tn.Deleted
+		for _, up := range tn.Updated {
+			td.OldUpdated = append(td.OldUpdated, up.Old)
+			td.NewUpdated = append(td.NewUpdated, up.New)
+		}
 	}
 	return td
 }
@@ -506,15 +520,22 @@ func (e *Engine) Consider(r *rules.Rule) (fired bool, events []ObservableEvent, 
 	prevMark := e.marks[r.Index()]
 	err = e.atomically(func() error {
 		net, _ := e.pendingNet(r)
-		td := transitionDataFor(net, r.Table)
+		td := e.transitionData(net, r.Table)
 		e.marks[r.Index()] = e.log.Mark()
+		// Compiled units run in the engine's one Env, the interpreter in
+		// an evaluator of its own.
+		var ev *sqlmini.Evaluator
+		if e.prog != nil {
+			e.env.DB, e.env.Trans, e.env.Mut = e.db, td, nil
+		} else {
+			ev = &sqlmini.Evaluator{DB: e.db, Trans: td}
+		}
 		if r.Condition != nil {
 			var cond bool
 			var err error
 			if e.prog != nil {
-				cond, err = e.prog.EvalCondition(r.Index(), &compile.Env{DB: e.db, Trans: td})
+				cond, err = e.prog.EvalCondition(r.Index(), &e.env)
 			} else {
-				ev := &sqlmini.Evaluator{DB: e.db, Trans: td}
 				cond, err = ev.EvalPredicate(r.Condition)
 			}
 			if err != nil {
@@ -525,22 +546,20 @@ func (e *Engine) Consider(r *rules.Rule) (fired bool, events []ObservableEvent, 
 			}
 		}
 
-		var execStmt func(j int) (sqlmini.StmtResult, error)
 		if e.prog != nil {
-			env := &compile.Env{DB: e.db, Trans: td, Mut: e.mutator()}
-			ri := r.Index()
-			execStmt = func(j int) (sqlmini.StmtResult, error) {
-				return e.prog.ExecStatement(ri, j, env)
-			}
+			e.env.Mut = e.mutator()
 		} else {
-			ev := &sqlmini.Evaluator{DB: e.db, Trans: td, Mut: e.mutator()}
-			execStmt = func(j int) (sqlmini.StmtResult, error) {
-				return ev.Exec(r.Action[j])
-			}
+			ev.Mut = e.mutator()
 		}
 		fired = true
 		for j, st := range r.Action {
-			res, err := execStmt(j)
+			var res sqlmini.StmtResult
+			var err error
+			if e.prog != nil {
+				res, err = e.prog.ExecStatement(r.Index(), j, &e.env)
+			} else {
+				res, err = ev.Exec(st)
+			}
 			if err != nil {
 				return &ExecError{Rule: r.Name, Statement: st.String(), Cause: err}
 			}
@@ -646,8 +665,9 @@ func (e *Engine) AssertContext(ctx context.Context) (Result, error) {
 			e.trace(TraceEvent{Kind: "assert-cancelled", Considered: res.Considered, Fired: res.Fired})
 			return res, &CancelledError{Cause: cerr}
 		}
-		triggered := e.TriggeredRules()
-		eligible := e.set.Choose(triggered)
+		triggered := e.triggered()
+		eligible := e.set.Choose(e.elig[:0], triggered)
+		e.elig = eligible
 		if len(eligible) == 0 {
 			e.assertStart = e.log.Mark()
 			e.inFlight = false
@@ -781,6 +801,7 @@ func (e *Engine) Clone() *Engine {
 	ne.log = e.log.Clone()
 	ne.marks = append([]int(nil), e.marks...)
 	ne.memo = append([]pendingMemo(nil), e.memo...)
+	ne.trig, ne.elig, ne.td, ne.env = nil, nil, sqlmini.TransitionData{}, compile.Env{}
 	if e.cand != nil {
 		ne.cand = e.cand.Clone()
 	}

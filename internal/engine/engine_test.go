@@ -528,7 +528,7 @@ create rule r on t when inserted then update t set v = 1 where v = 99
 	// Engine-level exec of statements that fail mid-way: update of a
 	// missing tuple is unreachable through SQL (scan-based), so exercise
 	// the error paths through the mutator interface directly.
-	m := recordingMutator{db: e.db, log: e.log}
+	m := recordingMutator{e}
 	if err := m.Delete("t", 999); err == nil {
 		t.Error("delete of missing tuple should fail")
 	}

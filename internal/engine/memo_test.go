@@ -14,9 +14,11 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"activerules/internal/rules"
+	"activerules/internal/schema"
 	"activerules/internal/transition"
 	"activerules/internal/workload"
 )
@@ -44,7 +46,7 @@ func (o *recomputeOracle) hook(e *Engine, r *rules.Rule, net *transition.Net, tr
 		if diff := diffNets(net, fresh, r.Table); diff != "" {
 			o.err = fmt.Errorf("rule %s (mark %d, log %d, computed=%v): %s",
 				r.Name, e.marks[r.Index()], e.log.Mark(), computed, diff)
-		} else if want := fresh.Ops().Intersects(r.TriggeredBy()); triggered != want {
+		} else if want := netOps(fresh.Table(r.Table)).Intersects(r.TriggeredBy()); triggered != want {
 			o.err = fmt.Errorf("rule %s: trigger bit %v, recomputed %v", r.Name, triggered, want)
 		}
 	}
@@ -60,9 +62,6 @@ func (o *recomputeOracle) hook(e *Engine, r *rules.Rule, net *transition.Net, tr
 // net: the digest, the transition tables row by row in order, the
 // updated columns and the operation set.
 func diffNets(got, want *transition.Net, table string) string {
-	if got.Fingerprint() != want.Fingerprint() {
-		return "fingerprints differ"
-	}
 	if got.TableFingerprint(table) != want.TableFingerprint(table) {
 		return "table fingerprints differ"
 	}
@@ -82,10 +81,31 @@ func diffNets(got, want *transition.Net, table string) string {
 			return fmt.Sprintf("updated columns %v, want %v", g.UpdatedColumns, w.UpdatedColumns)
 		}
 	}
-	if !reflect.DeepEqual(got.Ops(), want.Ops()) {
-		return fmt.Sprintf("ops %s, want %s", got.Ops(), want.Ops())
+	if !reflect.DeepEqual(netOps(g), netOps(w)) {
+		return fmt.Sprintf("ops %s, want %s", netOps(g), netOps(w))
 	}
 	return ""
+}
+
+// netOps is the operation set a table's net effect induces (Section 2):
+// (I,t) for a net insertion, (D,t) for a net deletion, (U,t.c) for every
+// net-changed column. Intersecting it with Triggered-By is the trigger
+// test the engine made before Net.Triggers, kept here as its oracle.
+func netOps(tn *transition.TableNet) schema.OpSet {
+	ops := schema.NewOpSet()
+	if tn == nil {
+		return ops
+	}
+	if len(tn.Inserted) > 0 {
+		ops.Add(schema.Insert(tn.Table))
+	}
+	if len(tn.Deleted) > 0 {
+		ops.Add(schema.Delete(tn.Table))
+	}
+	for _, c := range tn.UpdatedColumns {
+		ops.Add(schema.Update(tn.Table, c))
+	}
+	return ops
 }
 
 // fingerprints reads every rule's pending net through the three state
@@ -285,7 +305,7 @@ func fanChain(t *testing.T, depth, fan int, compiled bool) *Engine {
 // chainStep is one step of rule processing with the default strategy:
 // scan, choose, consider. The chain rules sort before the fan rules.
 func chainStep(t *testing.T, e *Engine) *rules.Rule {
-	eligible := e.set.Choose(e.TriggeredRules())
+	eligible := e.set.Choose(nil, e.TriggeredRules())
 	if len(eligible) == 0 {
 		t.Fatal("nothing eligible")
 	}
@@ -371,5 +391,51 @@ func TestTriggerScanAllocsFlatInSiblings(t *testing.T) {
 	// costs tens of allocations, so 56 of them cannot hide in that.
 	if many > few+6 {
 		t.Errorf("allocations per step: %.0f with 8 untouched siblings, %.0f with 64", few, many)
+	}
+}
+
+// TestForksShareMemoizedNetsAcrossGoroutines: forks inherit the parent's
+// memo slots — the same *transition.Net values — and then run on
+// goroutines of their own, each filling its own scratch (the log's, the
+// Env's, the trigger scan's) while the others read the shared nets and
+// publish their digests. Under -race this is the evidence that nothing
+// reachable from a memoized net points into scratch; in any build every
+// fork must reach the state a lone engine reaches.
+func TestForksShareMemoizedNetsAcrossGoroutines(t *testing.T) {
+	const depth, fan, forks = 6, 4, 8
+	for _, compiled := range []bool{false, true} {
+		run := func(e *Engine) (string, error) {
+			// Digest first: the forks race to memoize the shared nets'
+			// fingerprints.
+			fp := e.StateFingerprint()
+			if _, err := e.Assert(); err != nil {
+				return "", err
+			}
+			return fp + e.StateFingerprint(), nil
+		}
+		parent := fanChain(t, depth, fan, compiled)
+		parent.TriggeredRules() // every rule on c0 now has a memoized net
+		chainStep(t, parent)    // and chain001 one computed after a firing
+		want, err := run(parent.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, forks)
+		errs := make([]error, forks)
+		var wg sync.WaitGroup
+		for i := range got {
+			fork := parent.Clone()
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], errs[i] = run(fork)
+			}(i)
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil || got[i] != want {
+				t.Errorf("compiled=%v: fork %d: err %v, reached the lone engine's state: %v", compiled, i, errs[i], got[i] == want)
+			}
+		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 // unordered rules are simultaneously eligible — the source of the
 // nondeterminism that confluence analysis (Section 6) reasons about.
 type Strategy interface {
-	// Pick selects one rule from eligible, which is non-empty.
+	// Pick selects one rule from eligible, which is non-empty and the
+	// engine's to reuse: a strategy reads it and does not keep it.
 	Pick(eligible []*rules.Rule) *rules.Rule
 }
 

@@ -67,9 +67,10 @@ func (s *Set) opsCanUntrigger(ops schema.OpSet, r *Rule) bool {
 // Choose computes the Choose set of Section 3: the subset of the
 // triggered rules eligible for consideration, i.e. those with no other
 // triggered rule having precedence over them. The result preserves the
-// order of the input slice.
-func (s *Set) Choose(triggered []*Rule) []*Rule {
-	var out []*Rule
+// order of the input slice and is appended to dst, which may be nil and
+// must not overlap triggered; a rule-processing loop passes the slice it
+// got back last time, cut to length zero.
+func (s *Set) Choose(dst, triggered []*Rule) []*Rule {
 	for _, ri := range triggered {
 		eligible := true
 		for _, rj := range triggered {
@@ -79,10 +80,10 @@ func (s *Set) Choose(triggered []*Rule) []*Rule {
 			}
 		}
 		if eligible {
-			out = append(out, ri)
+			dst = append(dst, ri)
 		}
 	}
-	return out
+	return dst
 }
 
 // UnorderedPairs enumerates all unordered pairs {ri, rj}, i < j by

@@ -38,7 +38,10 @@ func (td *TransitionData) rows(k TransKind) [][]storage.Value {
 
 // Mutator receives the data modifications performed by statement
 // execution. The rule engine implements it to record per-statement deltas
-// for net-effect transition tracking.
+// for net-effect transition tracking. Table and column names are the
+// schema's canonical ones (resolution folds them); vals is the caller's
+// and may be reused after Insert returns, so an implementation that
+// stores the row copies it, as the database does.
 type Mutator interface {
 	Insert(table string, vals []storage.Value) (storage.TupleID, error)
 	Delete(table string, id storage.TupleID) error
@@ -179,7 +182,10 @@ func (ev *Evaluator) evalSelect(s *Select, env *frame) ([][]storage.Value, error
 		}
 		sources[i] = rows
 	}
+	// One frame per FROM item, rebound to each of its rows in turn; a
+	// match keeps a copy of the chain, so only matched rows allocate.
 	var matches []*frame
+	scan := make([]frame, len(s.From))
 	var walk func(i int, env *frame) error
 	walk = func(i int, cur *frame) error {
 		if i == len(s.From) {
@@ -196,12 +202,18 @@ func (ev *Evaluator) evalSelect(s *Select, env *frame) ([][]storage.Value, error
 					return nil
 				}
 			}
-			matches = append(matches, cur)
+			m := append([]frame(nil), scan...)
+			for j := 1; j < len(m); j++ {
+				m[j].prev = &m[j-1]
+			}
+			matches = append(matches, &m[len(m)-1])
 			return nil
 		}
-		alias := s.From[i].EffectiveAlias()
+		f := &scan[i]
+		f.alias, f.prev = s.From[i].EffectiveAlias(), cur
 		for _, row := range sources[i] {
-			if err := walk(i+1, &frame{alias: alias, row: row, prev: cur}); err != nil {
+			f.row = row
+			if err := walk(i+1, f); err != nil {
 				return err
 			}
 		}
@@ -412,9 +424,10 @@ func (ev *Evaluator) execDelete(s *Delete, env *frame) (StmtResult, error) {
 	t := ev.DB.Table(s.Table)
 	var ids []storage.TupleID
 	var scanErr error
+	f := &frame{alias: s.Table, prev: env} // one per scan, rebound per row
 	t.Scan(func(tu *storage.Tuple) bool {
 		if s.Where != nil {
-			f := &frame{alias: s.Table, row: tu.Vals, prev: env}
+			f.row = tu.Vals
 			v, err := ev.evalExpr(s.Where, f)
 			if err != nil {
 				scanErr = err
@@ -456,8 +469,9 @@ func (ev *Evaluator) execUpdate(s *Update, env *frame) (StmtResult, error) {
 	var scanErr error
 	// SQL semantics: all right-hand sides are evaluated against the
 	// pre-update state; apply only afterwards.
+	f := &frame{alias: s.Table, prev: env} // one per scan, rebound per row
 	t.Scan(func(tu *storage.Tuple) bool {
-		f := &frame{alias: s.Table, row: tu.Vals, prev: env}
+		f.row = tu.Vals
 		if s.Where != nil {
 			v, err := ev.evalExpr(s.Where, f)
 			if err != nil {

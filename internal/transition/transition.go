@@ -10,17 +10,18 @@
 //     inserting the updated tuple;
 //  4. if a tuple is inserted then deleted, it is not considered at all.
 //
-// A Log records primitive operations as they execute; Compute derives the
-// net effect of any suffix of the log against the current database state.
-// The net effect yields both the triggering operation set (for deciding
-// which rules are triggered) and the materialized transition tables
-// (inserted, deleted, new-updated, old-updated) a considered rule sees.
+// A Log records primitive operations as they execute; ComputeTable
+// derives the net effect on one table of any suffix of the log against
+// the current database state. The net effect yields both the triggering
+// operations (for deciding which rules are triggered) and the
+// materialized transition tables (inserted, deleted, new-updated,
+// old-updated) a considered rule sees.
 package transition
 
 import (
 	"crypto/sha256"
+	"maps"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"activerules/internal/schema"
@@ -65,22 +66,34 @@ type Entry struct {
 // transition each rule has yet to see (Section 2: a rule is triggered iff
 // its transition predicate holds for the composite transition since it
 // was last considered).
+//
+// Table names are the schema's canonical (lower-case) names throughout
+// this package — what statement resolution and rule compilation produce —
+// and no method folds case again.
 type Log struct {
 	entries []Entry
-	// lastTouch[t] is the index of the most recent entry on table t,
-	// letting the engine skip net-effect computation for rules whose
-	// table has not changed since their mark.
-	lastTouch map[string]int
-	// lastKind[t][k] is the index of the most recent entry of kind k on
-	// table t, or -1. A net-effect op of kind k on t can only arise from
-	// a raw entry of kind k on t (see compute: net inserts need an
-	// insert entry, net deletes a delete entry, net updates an update
-	// entry), so LastTouchKind bounds triggering per kind.
-	lastKind map[string][3]int
+	// touched[t] locates the most recent entries on table t. It is
+	// emptied, not dropped, at a truncation, so a long-lived log stops
+	// allocating once it has seen its tables.
+	touched map[string]touchIdx
 	// gen counts the truncations that removed entries. Appends never
 	// change it, so a reader that remembers (gen, Mark) can tell "only
 	// appended to since" from "positions below my mark were reused".
 	gen uint64
+	// scratch is ComputeTable's working set. No Net points into it and
+	// Clone does not copy it.
+	scratch netScratch
+}
+
+// touchIdx is one table's most recent log positions: last over all
+// entries, letting the engine skip net-effect computation for rules
+// whose table has not changed since their mark, and kind[k] over the
+// entries of kind k, or -1. A net-effect op of kind k can only arise
+// from a raw entry of kind k (see ComputeTable), so kind bounds
+// triggering per kind.
+type touchIdx struct {
+	last int
+	kind [3]int
 }
 
 // Gen returns the log's truncation generation: it changes exactly when
@@ -90,11 +103,8 @@ func (l *Log) Gen() uint64 { return l.gen }
 // LastTouch returns the index of the most recent entry on the table, or
 // -1 if the table is untouched.
 func (l *Log) LastTouch(table string) int {
-	if l.lastTouch == nil {
-		return -1
-	}
-	if i, ok := l.lastTouch[strings.ToLower(table)]; ok {
-		return i
+	if ti, ok := l.touched[table]; ok {
+		return ti.last
 	}
 	return -1
 }
@@ -102,28 +112,29 @@ func (l *Log) LastTouch(table string) int {
 // LastTouchKind returns the index of the most recent entry of the given
 // kind on the table, or -1 if no such entry exists.
 func (l *Log) LastTouchKind(table string, k Kind) int {
-	if l.lastKind == nil {
-		return -1
-	}
-	if ks, ok := l.lastKind[strings.ToLower(table)]; ok {
-		return ks[k]
+	if ti, ok := l.touched[table]; ok {
+		return ti.kind[k]
 	}
 	return -1
 }
 
-func (l *Log) touch(table string, kind entryKind) {
-	if l.lastTouch == nil {
-		l.lastTouch = make(map[string]int)
-		l.lastKind = make(map[string][3]int)
+// record appends e and indexes it.
+func (l *Log) record(e Entry) {
+	if l.touched == nil {
+		l.touched = make(map[string]touchIdx)
 	}
-	pos := len(l.entries)
-	l.lastTouch[table] = pos
-	ks, ok := l.lastKind[table]
+	l.index(len(l.entries), e.table, e.kind)
+	l.entries = append(l.entries, e)
+}
+
+func (l *Log) index(pos int, table string, kind entryKind) {
+	ti, ok := l.touched[table]
 	if !ok {
-		ks = [3]int{-1, -1, -1}
+		ti.kind = [3]int{-1, -1, -1}
 	}
-	ks[kind] = pos
-	l.lastKind[table] = ks
+	ti.last = pos
+	ti.kind[kind] = pos
+	l.touched[table] = ti
 }
 
 // Mark returns the current log position.
@@ -131,27 +142,19 @@ func (l *Log) Mark() int { return len(l.entries) }
 
 // RecordInsert records insertion of the identified tuple.
 func (l *Log) RecordInsert(table string, id storage.TupleID) {
-	table = strings.ToLower(table)
-	l.touch(table, entryInsert)
-	l.entries = append(l.entries, Entry{kind: entryInsert, table: table, id: id})
+	l.record(Entry{kind: entryInsert, table: table, id: id})
 }
 
-// RecordDelete records deletion; old is the tuple's value at deletion and
-// is copied.
+// RecordDelete records deletion; old is the tuple's value at deletion.
+// The log keeps old: the caller hands over a copy it will not modify.
 func (l *Log) RecordDelete(table string, id storage.TupleID, old []storage.Value) {
-	table = strings.ToLower(table)
-	l.touch(table, entryDelete)
-	l.entries = append(l.entries, Entry{
-		kind: entryDelete, table: table, id: id, oldRow: cloneRow(old)})
+	l.record(Entry{kind: entryDelete, table: table, id: id, oldRow: old})
 }
 
 // RecordUpdate records an update; old is the full tuple value immediately
-// before the update and is copied.
+// before the update, handed over like RecordDelete's.
 func (l *Log) RecordUpdate(table string, id storage.TupleID, old []storage.Value) {
-	table = strings.ToLower(table)
-	l.touch(table, entryUpdate)
-	l.entries = append(l.entries, Entry{
-		kind: entryUpdate, table: table, id: id, oldRow: cloneRow(old)})
+	l.record(Entry{kind: entryUpdate, table: table, id: id, oldRow: old})
 }
 
 // Truncate discards all entries (used at assertion-point boundaries).
@@ -160,8 +163,7 @@ func (l *Log) Truncate() {
 		l.gen++
 	}
 	l.entries = l.entries[:0]
-	l.lastTouch = nil
-	l.lastKind = nil
+	clear(l.touched)
 }
 
 // TruncateTo discards every entry at or after mark, returning the log to
@@ -176,21 +178,11 @@ func (l *Log) TruncateTo(mark int) {
 		l.Truncate()
 		return
 	}
-	entries := l.entries[:mark]
-	l.Truncate() // bumps gen: mark < len(entries)
-	l.entries = entries
-	for i, e := range l.entries {
-		if l.lastTouch == nil {
-			l.lastTouch = make(map[string]int)
-			l.lastKind = make(map[string][3]int)
-		}
-		l.lastTouch[e.table] = i
-		ks, ok := l.lastKind[e.table]
-		if !ok {
-			ks = [3]int{-1, -1, -1}
-		}
-		ks[e.kind] = i
-		l.lastKind[e.table] = ks
+	l.gen++
+	l.entries = l.entries[:mark]
+	clear(l.touched)
+	for i := range l.entries {
+		l.index(i, l.entries[i].table, l.entries[i].kind)
 	}
 }
 
@@ -199,25 +191,8 @@ func (l *Log) TruncateTo(mark int) {
 func (l *Log) Clone() *Log {
 	nl := &Log{entries: make([]Entry, len(l.entries)), gen: l.gen}
 	copy(nl.entries, l.entries)
-	if l.lastTouch != nil {
-		nl.lastTouch = make(map[string]int, len(l.lastTouch))
-		for t, i := range l.lastTouch {
-			nl.lastTouch[t] = i
-		}
-	}
-	if l.lastKind != nil {
-		nl.lastKind = make(map[string][3]int, len(l.lastKind))
-		for t, ks := range l.lastKind {
-			nl.lastKind[t] = ks
-		}
-	}
+	nl.touched = maps.Clone(l.touched)
 	return nl
-}
-
-func cloneRow(row []storage.Value) []storage.Value {
-	out := make([]storage.Value, len(row))
-	copy(out, row)
-	return out
 }
 
 // UpdatedPair is the old and new value of one net-updated tuple.
@@ -236,189 +211,197 @@ type TableNet struct {
 	UpdatedColumns []string
 }
 
-// Net is the net effect of a log suffix: per-table inserted, deleted, and
-// updated tuples plus the induced operation set. A Net is immutable once
-// computed and may be shared between engines and goroutines.
+// Net is the net effect of a log suffix on one table: its inserted,
+// deleted and updated tuples. A rule's transition predicate and
+// transition tables concern its own table alone, so this is all the
+// engine ever computes. A Net is immutable once computed and may be
+// shared between engines and goroutines.
 type Net struct {
-	tables map[string]*TableNet
-	order  []string // deterministic table iteration order (first touch)
-	ops    schema.OpSet
-	// tableFP[i] memoizes TableFingerprint(order[i]). Racing callers
-	// publish identical digests, so a plain atomic store suffices.
-	tableFP []atomic.Pointer[[32]byte]
+	tn TableNet
+	// fp memoizes TableFingerprint(tn.Table). Racing callers publish
+	// identical digests, so a plain atomic store suffices.
+	fp atomic.Pointer[[32]byte]
 }
 
-// EmptyNet returns a net effect with no changes, shareable because Net
-// is immutable after computation.
-func EmptyNet() *Net { return &Net{tables: map[string]*TableNet{}, ops: schema.NewOpSet()} }
+var emptyNet = new(Net)
 
-// Compute derives the net effect of the log suffix starting at mark,
-// reading final tuple values from db (the current state). Tuples whose
-// composite update is the identity are dropped entirely (no net effect).
-func Compute(l *Log, mark int, db *storage.DB) *Net {
-	return compute(l, mark, db, "")
+// EmptyNet returns the net effect with no changes, shared because Net is
+// immutable after computation.
+func EmptyNet() *Net { return emptyNet }
+
+// tupState is what the log suffix did to one tuple: the kind of its
+// first entry, its value at the suffix start (delete/update first
+// entries) and whether a delete followed. Later updates need no
+// bookkeeping: final values come from the database.
+type tupState struct {
+	id       storage.TupleID
+	first    entryKind
+	deleted  bool
+	baseline []storage.Value
 }
 
-// ComputeTable is Compute restricted to entries on one table — all a
-// rule's transition predicate and transition tables ever need, and much
-// cheaper when the suffix is dominated by other tables.
+// netScratch holds the tuple states of one ComputeTable call, by value
+// and in first-touch order. A state is found by scanning while there are
+// at most linearProbe of them — a rule action's transition is usually a
+// handful of tuples — and through index beyond.
+type netScratch struct {
+	states []tupState
+	index  map[storage.TupleID]int
+}
+
+const linearProbe = 8
+
+func (sc *netScratch) find(id storage.TupleID) *tupState {
+	if len(sc.states) > linearProbe {
+		if i, ok := sc.index[id]; ok {
+			return &sc.states[i]
+		}
+		return nil
+	}
+	for i := range sc.states {
+		if sc.states[i].id == id {
+			return &sc.states[i]
+		}
+	}
+	return nil
+}
+
+func (sc *netScratch) add(st tupState) {
+	sc.states = append(sc.states, st)
+	if len(sc.states) <= linearProbe {
+		return
+	}
+	if sc.index == nil {
+		sc.index = make(map[storage.TupleID]int)
+	}
+	for i := len(sc.index); i < len(sc.states); i++ { // all of them, the first time
+		sc.index[sc.states[i].id] = i
+	}
+}
+
+// reset empties the scratch, dropping its references into the log.
+func (sc *netScratch) reset() {
+	clear(sc.states)
+	sc.states = sc.states[:0]
+	clear(sc.index)
+}
+
+// ComputeTable derives the net effect on one table of the log suffix
+// starting at mark, reading final tuple values from db (the current
+// state). Tuples whose composite update is the identity are dropped
+// entirely (no net effect). It uses the log's scratch, so like every
+// other method of a Log it is for the log's one goroutine.
 func ComputeTable(l *Log, mark int, db *storage.DB, table string) *Net {
-	return compute(l, mark, db, strings.ToLower(table))
-}
-
-// compute derives the net effect; a non-empty only restricts to entries
-// of that table.
-func compute(l *Log, mark int, db *storage.DB, only string) *Net {
-	type tupState struct {
-		table    string
-		first    entryKind
-		baseline []storage.Value // value at suffix start (delete/update first ops)
-		deleted  bool
-	}
-	states := make(map[storage.TupleID]*tupState)
-	var idOrder []storage.TupleID
-
-	for _, e := range l.entries[mark:] {
-		if only != "" && e.table != only {
+	sc := &l.scratch
+	defer sc.reset()
+	for i := mark; i < len(l.entries); i++ {
+		e := &l.entries[i]
+		if e.table != table {
 			continue
 		}
-		st, ok := states[e.id]
-		if !ok {
-			st = &tupState{table: e.table, first: e.kind}
-			if e.kind != entryInsert {
-				st.baseline = e.oldRow
-			}
-			states[e.id] = st
-			idOrder = append(idOrder, e.id)
-			if e.kind == entryDelete {
-				st.deleted = true
-			}
+		if st := sc.find(e.id); st != nil {
+			st.deleted = st.deleted || e.kind == entryDelete
 			continue
 		}
-		if e.kind == entryDelete {
-			st.deleted = true
-		}
-		// Later updates need no bookkeeping: the baseline is already
-		// fixed and final values come from the database.
+		// oldRow is nil for an insert: no baseline.
+		sc.add(tupState{id: e.id, first: e.kind, deleted: e.kind == entryDelete, baseline: e.oldRow})
 	}
 
-	n := &Net{tables: make(map[string]*TableNet)}
-	for _, id := range idOrder {
-		st := states[id]
-		tn := n.tableNet(st.table)
-		switch st.first {
-		case entryInsert:
-			if st.deleted {
-				continue // rule 4: insert then delete is nothing
+	// Size the lists, and one backing array for the final values.
+	var nIns, nDel, nUpd int
+	for i := range sc.states {
+		switch st := &sc.states[i]; {
+		case st.first == entryInsert:
+			if !st.deleted { // rule 4: insert then delete is nothing
+				nIns++
 			}
-			tu := db.Table(st.table).Get(id)
-			if tu == nil {
-				continue // defensive: tuple vanished without a logged delete
-			}
-			tn.Inserted = append(tn.Inserted, cloneRow(tu.Vals)) // rules 3: final values
-		case entryUpdate:
+		case st.deleted:
+			nDel++
+		default:
+			nUpd++
+		}
+	}
+	if nIns+nDel+nUpd == 0 {
+		return emptyNet
+	}
+	t := db.Table(table)
+	n := &Net{tn: TableNet{Table: table}}
+	tn := &n.tn
+	vals := make([]storage.Value, 0, (nIns+nUpd)*len(t.Def().Columns))
+	final := func(tu *storage.Tuple) []storage.Value {
+		vals = append(vals, tu.Vals...)
+		return vals[len(vals)-len(tu.Vals) : len(vals) : len(vals)]
+	}
+	tn.Inserted = make([][]storage.Value, 0, nIns)
+	tn.Deleted = make([][]storage.Value, 0, nDel)
+	tn.Updated = make([]UpdatedPair, 0, nUpd)
+	for i := range sc.states {
+		st := &sc.states[i]
+		switch {
+		case st.first == entryInsert:
 			if st.deleted {
-				tn.Deleted = append(tn.Deleted, st.baseline) // rule 2: original tuple
 				continue
 			}
-			tu := db.Table(st.table).Get(id)
-			if tu == nil {
-				continue
+			// Defensive: a tuple may have vanished without a logged delete.
+			if tu := t.Get(st.id); tu != nil {
+				tn.Inserted = append(tn.Inserted, final(tu)) // rule 3: final values
 			}
-			if rowsIdentical(st.baseline, tu.Vals) {
+		case st.deleted: // rule 2 or a plain delete: the original tuple
+			tn.Deleted = append(tn.Deleted, st.baseline)
+		default:
+			tu := t.Get(st.id)
+			if tu == nil || rowsIdentical(st.baseline, tu.Vals) {
 				continue // composite update is the identity: no net effect
 			}
-			tn.Updated = append(tn.Updated, UpdatedPair{Old: st.baseline, New: cloneRow(tu.Vals)})
-		case entryDelete:
-			tn.Deleted = append(tn.Deleted, st.baseline)
+			tn.Updated = append(tn.Updated, UpdatedPair{Old: st.baseline, New: final(tu)})
 		}
 	}
-	n.finalize(db.Schema())
-	return n
-}
-
-func (n *Net) tableNet(table string) *TableNet {
-	tn, ok := n.tables[table]
-	if !ok {
-		tn = &TableNet{Table: table}
-		n.tables[table] = tn
-		n.order = append(n.order, table)
-	}
-	return tn
-}
-
-// finalize computes UpdatedColumns and the induced operation set, and
-// drops empty per-table nets.
-func (n *Net) finalize(sch *schema.Schema) {
-	n.ops = schema.NewOpSet()
-	var live []string
-	for _, table := range n.order {
-		tn := n.tables[table]
-		if len(tn.Inserted) == 0 && len(tn.Deleted) == 0 && len(tn.Updated) == 0 {
-			delete(n.tables, table)
-			continue
-		}
-		def := sch.Table(table)
-		changed := map[int]bool{}
-		for _, up := range tn.Updated {
-			for i := range up.Old {
-				if !valuesIdentical(up.Old[i], up.New[i]) {
-					changed[i] = true
+	if len(tn.Updated) > 0 {
+		def := db.Schema().Table(table)
+		for c := range tn.Updated[0].Old {
+			for _, up := range tn.Updated {
+				if !valuesIdentical(up.Old[c], up.New[c]) {
+					tn.UpdatedColumns = append(tn.UpdatedColumns, def.Column(c).Name)
+					break
 				}
 			}
 		}
-		cols := make([]int, 0, len(changed))
-		for i := range changed {
-			cols = append(cols, i)
-		}
-		sort.Ints(cols)
-		for _, i := range cols {
-			tn.UpdatedColumns = append(tn.UpdatedColumns, def.Column(i).Name)
-		}
-		if len(tn.Inserted) > 0 {
-			n.ops.Add(schema.Insert(table))
-		}
-		if len(tn.Deleted) > 0 {
-			n.ops.Add(schema.Delete(table))
-		}
-		for _, c := range tn.UpdatedColumns {
-			n.ops.Add(schema.Update(table, c))
-		}
-		live = append(live, table)
 	}
-	n.order = live
-	n.tableFP = make([]atomic.Pointer[[32]byte], len(live))
+	return n
 }
 
 // Table returns the net effect for one table, or nil if the table is
 // untouched.
-func (n *Net) Table(table string) *TableNet { return n.tables[strings.ToLower(table)] }
-
-// Tables returns the touched tables in first-touch order.
-func (n *Net) Tables() []string {
-	out := make([]string, len(n.order))
-	copy(out, n.order)
-	return out
+func (n *Net) Table(table string) *TableNet {
+	if n.tn.Table != table || n.IsEmpty() {
+		return nil
+	}
+	return &n.tn
 }
 
 // IsEmpty reports whether the net effect contains no changes at all.
-func (n *Net) IsEmpty() bool { return len(n.tables) == 0 }
+func (n *Net) IsEmpty() bool {
+	return len(n.tn.Inserted) == 0 && len(n.tn.Deleted) == 0 && len(n.tn.Updated) == 0
+}
 
-// Ops returns the operation set induced by the net effect: (I,t) if any
-// tuple was net-inserted into t, (D,t) if any was net-deleted, and
-// (U,t.c) for every column c with a net change. This is the set matched
-// against Triggered-By to decide rule triggering. The set is computed
-// once with the net and shared by every caller: treat it as read-only.
-func (n *Net) Ops() schema.OpSet { return n.ops }
-
-// Fingerprint returns a canonical digest of the net effect, used by the
-// execution-graph model checker as part of state identity (a state is a
-// database plus each rule's pending transition, Section 4).
-func (n *Net) Fingerprint() [32]byte {
-	tables := make([]string, len(n.order))
-	copy(tables, n.order)
-	sort.Strings(tables)
-	return n.fingerprintTables(tables)
+// Triggers is the transition predicate of Section 2: whether the
+// operation set the net effect induces — (I,t) if any tuple was
+// net-inserted into t, (D,t) if any was net-deleted, and (U,t.c) for
+// every column c with a net change — meets a rule's Triggered-By set.
+func (n *Net) Triggers(by schema.OpSet) bool {
+	tn := &n.tn
+	if len(tn.Inserted) > 0 && by.Contains(schema.Op{Kind: schema.OpInsert, Table: tn.Table}) {
+		return true
+	}
+	if len(tn.Deleted) > 0 && by.Contains(schema.Op{Kind: schema.OpDelete, Table: tn.Table}) {
+		return true
+	}
+	for _, c := range tn.UpdatedColumns {
+		if by.Contains(schema.Op{Kind: schema.OpUpdate, Table: tn.Table, Column: c}) {
+			return true
+		}
+	}
+	return false
 }
 
 // TableFingerprint digests the net effect restricted to one table. A
@@ -432,51 +415,40 @@ func (n *Net) Fingerprint() [32]byte {
 // pending net at every state, and most of those nets are unchanged from
 // the parent state.
 func (n *Net) TableFingerprint(table string) [32]byte {
-	table = strings.ToLower(table)
-	for i, t := range n.order {
-		if t != table {
-			continue
-		}
-		if fp := n.tableFP[i].Load(); fp != nil {
-			return *fp
-		}
-		fp := n.fingerprintTables(n.order[i : i+1])
-		n.tableFP[i].Store(&fp)
-		return fp
+	tn := n.Table(table)
+	if tn == nil {
+		return untouchedFP
 	}
-	return untouchedFP
+	if fp := n.fp.Load(); fp != nil {
+		return *fp
+	}
+	h := sha256.New()
+	h.Write([]byte(table))
+	h.Write([]byte{'{'})
+	writeSortedRows(h, "I", tn.Inserted)
+	writeSortedRows(h, "D", tn.Deleted)
+	pairs := make([][]byte, len(tn.Updated))
+	for i, up := range tn.Updated {
+		b := encodeRow(nil, up.Old)
+		b = append(b, '>')
+		pairs[i] = encodeRow(b, up.New)
+	}
+	sort.Slice(pairs, func(i, j int) bool { return string(pairs[i]) < string(pairs[j]) })
+	h.Write([]byte("U"))
+	for _, p := range pairs {
+		h.Write(p)
+		h.Write([]byte{';'})
+	}
+	h.Write([]byte{'}'})
+	var fp [32]byte
+	h.Sum(fp[:0])
+	n.fp.Store(&fp)
+	return fp
 }
 
 // untouchedFP is the digest of a net restricted to a table it does not
-// touch.
-var untouchedFP = new(Net).fingerprintTables(nil)
-
-func (n *Net) fingerprintTables(tables []string) [32]byte {
-	h := sha256.New()
-	for _, table := range tables {
-		tn := n.tables[table]
-		h.Write([]byte(table))
-		h.Write([]byte{'{'})
-		writeSortedRows(h, "I", tn.Inserted)
-		writeSortedRows(h, "D", tn.Deleted)
-		pairs := make([][]byte, len(tn.Updated))
-		for i, up := range tn.Updated {
-			b := encodeRow(nil, up.Old)
-			b = append(b, '>')
-			pairs[i] = encodeRow(b, up.New)
-		}
-		sort.Slice(pairs, func(i, j int) bool { return string(pairs[i]) < string(pairs[j]) })
-		h.Write([]byte("U"))
-		for _, p := range pairs {
-			h.Write(p)
-			h.Write([]byte{';'})
-		}
-		h.Write([]byte{'}'})
-	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
-}
+// touch: that of the empty stream.
+var untouchedFP = sha256.Sum256(nil)
 
 func writeSortedRows(h interface{ Write([]byte) (int, error) }, tag string, rows [][]storage.Value) {
 	encs := make([][]byte, len(rows))

@@ -44,7 +44,7 @@ func TestNetRule1CompositeUpdate(t *testing.T) {
 	mark := l.Mark()
 	doUpdate(db, l, "t", id, "v", storage.IntV(20))
 	doUpdate(db, l, "t", id, "v", storage.IntV(30))
-	n := Compute(l, mark, db)
+	n := ComputeTable(l, mark, db, "t")
 	tn := n.Table("t")
 	if tn == nil || len(tn.Updated) != 1 {
 		t.Fatalf("expected one composite update, got %+v", tn)
@@ -63,7 +63,7 @@ func TestNetRule2UpdateThenDelete(t *testing.T) {
 	mark := l.Mark()
 	doUpdate(db, l, "t", id, "v", storage.IntV(99))
 	doDelete(db, l, "t", id)
-	n := Compute(l, mark, db)
+	n := ComputeTable(l, mark, db, "t")
 	tn := n.Table("t")
 	if len(tn.Deleted) != 1 || len(tn.Updated) != 0 {
 		t.Fatalf("expected only a deletion: %+v", tn)
@@ -82,7 +82,7 @@ func TestNetRule3InsertThenUpdate(t *testing.T) {
 	mark := l.Mark()
 	id := doInsert(db, l, "t", storage.IntV(1), storage.IntV(10))
 	doUpdate(db, l, "t", id, "v", storage.IntV(42))
-	n := Compute(l, mark, db)
+	n := ComputeTable(l, mark, db, "t")
 	tn := n.Table("t")
 	if len(tn.Inserted) != 1 || len(tn.Updated) != 0 {
 		t.Fatalf("expected only an insertion: %+v", tn)
@@ -100,9 +100,9 @@ func TestNetRule4InsertThenDelete(t *testing.T) {
 	mark := l.Mark()
 	id := doInsert(db, l, "t", storage.IntV(1), storage.IntV(10))
 	doDelete(db, l, "t", id)
-	n := Compute(l, mark, db)
+	n := ComputeTable(l, mark, db, "t")
 	if !n.IsEmpty() {
-		t.Fatalf("insert+delete should have no net effect: %v", n.Tables())
+		t.Fatalf("insert+delete should have no net effect: %+v", n.Table("t"))
 	}
 	if n.Ops().Len() != 0 {
 		t.Errorf("Ops should be empty")
@@ -115,7 +115,7 @@ func TestNetIdentityUpdateDropped(t *testing.T) {
 	mark := l.Mark()
 	doUpdate(db, l, "t", id, "v", storage.IntV(20))
 	doUpdate(db, l, "t", id, "v", storage.IntV(10)) // back to original
-	n := Compute(l, mark, db)
+	n := ComputeTable(l, mark, db, "t")
 	if !n.IsEmpty() {
 		t.Fatalf("identity composite update should vanish: %+v", n.Table("t"))
 	}
@@ -128,7 +128,7 @@ func TestNetUpdatedColumns(t *testing.T) {
 	mark := l.Mark()
 	doUpdate(db, l, "t", a, "v", storage.IntV(11))
 	doUpdate(db, l, "t", b, "id", storage.IntV(3))
-	n := Compute(l, mark, db)
+	n := ComputeTable(l, mark, db, "t")
 	tn := n.Table("t")
 	if len(tn.UpdatedColumns) != 2 || tn.UpdatedColumns[0] != "id" || tn.UpdatedColumns[1] != "v" {
 		t.Errorf("UpdatedColumns = %v", tn.UpdatedColumns)
@@ -145,14 +145,14 @@ func TestNetSuffixSemantics(t *testing.T) {
 	id := doInsert(db, l, "t", storage.IntV(1), storage.IntV(10))
 	mark := l.Mark() // rule considered here
 	doUpdate(db, l, "t", id, "v", storage.IntV(20))
-	n := Compute(l, mark, db)
+	n := ComputeTable(l, mark, db, "t")
 	tn := n.Table("t")
 	// From the suffix's viewpoint the tuple already existed: an update.
 	if len(tn.Updated) != 1 || len(tn.Inserted) != 0 {
 		t.Fatalf("suffix net should be an update: %+v", tn)
 	}
 	// From the start of the log it is an insertion of the updated tuple.
-	n2 := Compute(l, 0, db)
+	n2 := ComputeTable(l, 0, db, "t")
 	tn2 := n2.Table("t")
 	if len(tn2.Inserted) != 1 || tn2.Inserted[0][1].I != 20 {
 		t.Fatalf("full net should be insert of updated tuple: %+v", tn2)
@@ -164,7 +164,18 @@ func TestNetMultipleTables(t *testing.T) {
 	mark := l.Mark()
 	doInsert(db, l, "t", storage.IntV(1), storage.IntV(1))
 	doInsert(db, l, "u", storage.IntV(2))
-	n := Compute(l, mark, db)
+	// One net per table is all the engine computes; the multi-table
+	// reference sees both at once.
+	for _, table := range []string{"t", "u"} {
+		n := ComputeTable(l, mark, db, table)
+		if tn := n.Table(table); tn == nil || len(tn.Inserted) != 1 {
+			t.Errorf("net on %s = %+v, want one inserted row", table, tn)
+		}
+		if other := map[string]string{"t": "u", "u": "t"}[table]; n.Table(other) != nil {
+			t.Errorf("net on %s carries table %s", table, other)
+		}
+	}
+	n := refCompute(l, mark, db)
 	if len(n.Tables()) != 2 {
 		t.Fatalf("Tables = %v", n.Tables())
 	}
@@ -181,11 +192,11 @@ func TestUntriggeringScenario(t *testing.T) {
 	db, l := fixture()
 	mark := l.Mark() // r1's viewpoint
 	id := doInsert(db, l, "t", storage.IntV(1), storage.IntV(1))
-	if !Compute(l, mark, db).Ops().Contains(schema.Insert("t")) {
+	if !ComputeTable(l, mark, db, "t").Ops().Contains(schema.Insert("t")) {
 		t.Fatal("r1 should initially be triggered by (I,t)")
 	}
 	doDelete(db, l, "t", id) // r2's action
-	if Compute(l, mark, db).Ops().Contains(schema.Insert("t")) {
+	if ComputeTable(l, mark, db, "t").Ops().Contains(schema.Insert("t")) {
 		t.Error("after deletion the composite transition should not contain (I,t): r1 untriggered")
 	}
 }
@@ -205,7 +216,7 @@ func TestFingerprintStability(t *testing.T) {
 		for _, v := range vals {
 			doInsert(db, l, "t", v...)
 		}
-		return Compute(l, mark, db).Fingerprint()
+		return ComputeTable(l, mark, db, "t").TableFingerprint("t")
 	}
 	if mk(false) != mk(true) {
 		t.Error("fingerprint should be order-independent")
@@ -214,12 +225,12 @@ func TestFingerprintStability(t *testing.T) {
 	db, l := fixture()
 	mark := l.Mark()
 	doInsert(db, l, "t", storage.IntV(9), storage.IntV(9))
-	if Compute(l, mark, db).Fingerprint() == mk(false) {
+	if ComputeTable(l, mark, db, "t").TableFingerprint("t") == mk(false) {
 		t.Error("different nets should have different fingerprints")
 	}
 	// Empty net has a stable fingerprint distinct from non-empty.
 	db2, l2 := fixture()
-	e1 := Compute(l2, 0, db2).Fingerprint()
+	e1 := ComputeTable(l2, 0, db2, "t").TableFingerprint("t")
 	if e1 == mk(false) {
 		t.Error("empty net should differ from non-empty")
 	}
@@ -231,14 +242,14 @@ func TestFingerprintDistinguishesKind(t *testing.T) {
 		db, l := fixture()
 		mark := l.Mark()
 		doInsert(db, l, "t", storage.IntV(1), storage.IntV(1))
-		return Compute(l, mark, db).Fingerprint()
+		return ComputeTable(l, mark, db, "t").TableFingerprint("t")
 	}
 	mkDel := func() [32]byte {
 		db, l := fixture()
 		id := db.MustInsert("t", storage.IntV(1), storage.IntV(1))
 		mark := l.Mark()
 		doDelete(db, l, "t", id)
-		return Compute(l, mark, db).Fingerprint()
+		return ComputeTable(l, mark, db, "t").TableFingerprint("t")
 	}
 	if mkIns() == mkDel() {
 		t.Error("insert net and delete net of the same row must differ")
@@ -255,7 +266,7 @@ func TestTruncate(t *testing.T) {
 	if l.Mark() != 0 {
 		t.Fatalf("Mark after Truncate = %d", l.Mark())
 	}
-	if !Compute(l, 0, db).IsEmpty() {
+	if !ComputeTable(l, 0, db, "t").IsEmpty() {
 		t.Error("net after truncate should be empty")
 	}
 }

@@ -29,12 +29,12 @@ func TestTruncateToRestoresMarkAndLastTouch(t *testing.T) {
 	}
 
 	// The suffix net from 0 must be exactly the surviving insert.
-	n := Compute(l, 0, db)
+	n := ComputeTable(l, 0, db, "t")
 	tn := n.Table("t")
 	if tn == nil || len(tn.Inserted) != 1 || len(tn.Updated) != 0 {
 		t.Errorf("unexpected net after truncate: %+v", tn)
 	}
-	if n.Table("u") != nil {
+	if !ComputeTable(l, 0, db, "u").IsEmpty() {
 		t.Error("truncated table u must not appear in the net")
 	}
 }
