@@ -18,7 +18,6 @@ import (
 	"activerules/internal/schema"
 	"activerules/internal/sqlmini"
 	"activerules/internal/storage"
-	"activerules/internal/transition"
 )
 
 // testSchema builds the schema the statement-equivalence cases run
@@ -310,19 +309,23 @@ func TestMatcherWatchKeys(t *testing.T) {
 
 	// r_audit (inserted on account), r_hold (updated on account),
 	// r_purge (deleted on account) — rule order is definition order.
-	c.Note("account", transition.KindInsert)
+	c.Note("account", storage.ChangeInsert)
 	if !c.Has(0) || c.Has(1) || c.Has(2) {
 		t.Errorf("insert on account: got bits %v %v %v, want only rule 0", c.Has(0), c.Has(1), c.Has(2))
 	}
-	c.Note("ACCOUNT", transition.KindUpdate) // case-insensitive
-	if !c.Has(1) {
-		t.Error("update on ACCOUNT did not mark r_hold")
+	c.Note("ACCOUNT", storage.ChangeUpdate) // names are canonical: Note folds no case
+	if c.Has(1) {
+		t.Error("update on ACCOUNT, not a canonical name, marked r_hold")
 	}
-	c.Note("account", transition.KindDelete)
+	c.Note("account", storage.ChangeUpdate)
+	if !c.Has(1) {
+		t.Error("update on account did not mark r_hold")
+	}
+	c.Note("account", storage.ChangeDelete)
 	if !c.Has(2) {
 		t.Error("delete on account did not mark r_purge")
 	}
-	c.Note("holds", transition.KindInsert) // nobody watches holds
+	c.Note("holds", storage.ChangeInsert) // nobody watches holds
 	var got []int
 	c.ForEach(func(i int) { got = append(got, i) })
 	if !reflect.DeepEqual(got, []int{0, 1, 2}) {
@@ -364,7 +367,7 @@ func TestCandidatesWideSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewMatcher(set).NewCandidates()
-	c.Note("a", transition.KindInsert)
+	c.Note("a", storage.ChangeInsert)
 	var got []int
 	c.ForEach(func(i int) { got = append(got, i) })
 	if len(got) != 65 {
@@ -377,7 +380,7 @@ func TestCandidatesWideSet(t *testing.T) {
 	}
 }
 
-// TestStaleAtAndRebuild drives a transition log and checks that lazy
+// TestStaleAtAndRebuild drives a database's history and checks that lazy
 // clearing (StaleAt) and the from-scratch Rebuild agree on the fixpoint.
 func TestStaleAtAndRebuild(t *testing.T) {
 	set := loadExample(t, "bank")
@@ -385,28 +388,29 @@ func TestStaleAtAndRebuild(t *testing.T) {
 	c := m.NewCandidates()
 	sch := set.Schema()
 	db := storage.NewDB(sch)
-	log := &transition.Log{}
+	db.Savepoint() // the transaction whose history the matcher reads
+	account := db.Table("account")
+	tables := []*storage.Table{account, account, account}
 
 	// An insert into account at position 0.
-	id := db.MustInsert("account", storage.IntV(1), storage.StringV("ann"), storage.IntV(5))
-	log.RecordInsert("account", id)
-	c.Note("account", transition.KindInsert)
+	db.MustInsert("account", storage.IntV(1), storage.StringV("ann"), storage.IntV(5))
+	c.Note("account", storage.ChangeInsert)
 
 	marks := []int{0, 0, 0}
-	if c.StaleAt(0, log, 0) {
+	if c.StaleAt(0, account, 0) {
 		t.Error("r_audit stale at mark 0 despite a live insert")
 	}
-	if !c.StaleAt(0, log, log.Mark()) {
-		t.Error("r_audit not stale past the end of the log")
+	if !c.StaleAt(0, account, db.HistoryLen()) {
+		t.Error("r_audit not stale past the end of the history")
 	}
 	// r_hold watches updates only; the insert must leave it stale.
-	if !c.StaleAt(1, log, 0) {
+	if !c.StaleAt(1, account, 0) {
 		t.Error("r_hold (update-only) not stale after an insert")
 	}
 
 	// Rebuild must equal the tight fixpoint: only rule 0 at marks 0.
 	r := m.NewCandidates()
-	r.Rebuild(log, marks)
+	r.Rebuild(tables, marks)
 	for i := 0; i < 3; i++ {
 		want := i == 0
 		if r.Has(i) != want {

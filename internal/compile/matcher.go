@@ -2,11 +2,10 @@ package compile
 
 import (
 	"math/bits"
-	"strings"
 
 	"activerules/internal/rules"
 	"activerules/internal/schema"
-	"activerules/internal/transition"
+	"activerules/internal/storage"
 )
 
 // Delta-driven triggering (the RETE/discrimination-network idea,
@@ -14,9 +13,10 @@ import (
 // re-asking every rule "has your table changed since your mark?" on
 // every step, the engine maintains a candidate bitset that a mutation
 // updates directly. The index is keyed on (table, op kind) — exactly
-// the granularity at which transition.Log records primitives — and a
-// rule appears under every key that could contribute an operation in
-// its Triggered-By set. Candidate bits over-approximate triggering:
+// the granularity at which the database's history (storage.Change)
+// records primitives — and a rule appears under every key that could
+// contribute an operation in its Triggered-By set. Candidate bits
+// over-approximate triggering:
 // the engine still evaluates the exact transition predicate against
 // the net effect before considering a rule, so a stale bit costs one
 // (cheap, table-restricted) net computation and is then cleared; a
@@ -26,17 +26,16 @@ import (
 // tableKind is one discrimination-network key.
 type tableKind struct {
 	table string
-	kind  transition.Kind
+	kind  storage.ChangeKind
 }
 
 // Matcher is the immutable discrimination network for one rule set:
 // which rules watch which (table, kind) keys. It is shared by every
 // engine (and engine clone) running that set.
 type Matcher struct {
-	n     int                 // number of rules
-	watch map[tableKind][]int // key -> watching rule indices, ascending
-	kinds [][]transition.Kind // per rule: watched kinds, deduplicated
-	table []string            // per rule: its (lowercased) table
+	n     int                    // number of rules
+	watch map[tableKind][]int    // key -> watching rule indices, ascending
+	kinds [][]storage.ChangeKind // per rule: watched kinds, deduplicated
 }
 
 // NewMatcher builds the discrimination network for a rule set.
@@ -45,8 +44,7 @@ func NewMatcher(set *rules.Set) *Matcher {
 	m := &Matcher{
 		n:     len(rs),
 		watch: make(map[tableKind][]int),
-		kinds: make([][]transition.Kind, len(rs)),
-		table: make([]string, len(rs)),
+		kinds: make([][]storage.ChangeKind, len(rs)),
 	}
 	for i, r := range rs {
 		var seen [3]bool
@@ -59,27 +57,26 @@ func NewMatcher(set *rules.Set) *Matcher {
 			m.kinds[i] = append(m.kinds[i], k)
 			key := tableKind{table: op.Table, kind: k}
 			m.watch[key] = append(m.watch[key], i)
-			m.table[i] = op.Table
 		}
 	}
 	return m
 }
 
-func opKindToKind(k schema.OpKind) transition.Kind {
+func opKindToKind(k schema.OpKind) storage.ChangeKind {
 	switch k {
 	case schema.OpInsert:
-		return transition.KindInsert
+		return storage.ChangeInsert
 	case schema.OpDelete:
-		return transition.KindDelete
+		return storage.ChangeDelete
 	default:
-		return transition.KindUpdate
+		return storage.ChangeUpdate
 	}
 }
 
 // Candidates is one engine's mutable candidate bitset over the rules of
 // a Matcher. The engine sets bits through Note as mutations are
 // recorded, scans them in rule-definition order, and clears a bit once
-// the log proves the rule cannot be triggered at its current mark.
+// the history proves the rule cannot be triggered at its current mark.
 type Candidates struct {
 	m    *Matcher
 	bits []uint64
@@ -91,11 +88,10 @@ func (m *Matcher) NewCandidates() *Candidates {
 }
 
 // Note marks every rule watching (table, kind) as a trigger candidate.
-func (c *Candidates) Note(table string, kind transition.Kind) {
-	// ToLower returns its argument unchanged (no allocation) for the
-	// already-lowercase names rule text normally uses.
-	key := tableKind{table: strings.ToLower(table), kind: kind}
-	for _, i := range c.m.watch[key] {
+// table is the schema's canonical (lower-case) name, as a Mutator receives
+// it (sqlmini.Mutator); Note does not fold case.
+func (c *Candidates) Note(table string, kind storage.ChangeKind) {
+	for _, i := range c.m.watch[tableKind{table: table, kind: kind}] {
 		c.bits[i>>6] |= 1 << (uint(i) & 63)
 	}
 }
@@ -139,13 +135,14 @@ func (c *Candidates) Clone() *Candidates {
 	return nc
 }
 
-// StaleAt reports whether candidate rule i is provably stale: no entry
-// of a kind it watches remains in the log at or after mark, so its
-// transition predicate cannot hold and the bit may be cleared. This is
-// the per-kind refinement of the engine's LastTouch short-circuit.
-func (c *Candidates) StaleAt(i int, log *transition.Log, mark int) bool {
+// StaleAt reports whether candidate rule i, on table t, is provably
+// stale: the history holds no change of a kind it watches at or after
+// mark, so its transition predicate cannot hold and the bit may be
+// cleared. This is the per-kind refinement of the engine's LastChange
+// short-circuit.
+func (c *Candidates) StaleAt(i int, t *storage.Table, mark int) bool {
 	for _, k := range c.m.kinds[i] {
-		if log.LastTouchKind(c.m.table[i], k) >= mark {
+		if t.LastChangeOf(k) >= mark {
 			return false
 		}
 	}
@@ -153,14 +150,15 @@ func (c *Candidates) StaleAt(i int, log *transition.Log, mark int) bool {
 }
 
 // Rebuild recomputes the candidate set from scratch as the exact
-// fixpoint of the lazy-clearing rule: rule i is a candidate iff some
-// watched kind touched its table at or after marks[i]. The incremental
-// path maintains a superset of this (bits are cleared lazily); tests
-// drive both paths and compare observable behavior.
-func (c *Candidates) Rebuild(log *transition.Log, marks []int) {
+// fixpoint of the lazy-clearing rule: rule i, on tables[i], is a
+// candidate iff some watched kind changed its table at or after
+// marks[i]. The incremental path maintains a superset of this (bits are
+// cleared lazily); tests drive both paths and compare observable
+// behavior.
+func (c *Candidates) Rebuild(tables []*storage.Table, marks []int) {
 	c.Reset()
 	for i := 0; i < c.m.n; i++ {
-		if !c.StaleAt(i, log, marks[i]) {
+		if !c.StaleAt(i, tables[i], marks[i]) {
 			c.bits[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}

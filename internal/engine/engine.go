@@ -141,13 +141,19 @@ type Journal interface {
 type Engine struct {
 	set  *rules.Set
 	db   *storage.DB
-	log  *transition.Log
 	opts Options
 
-	// marks[i] is the log position up to which rule i has processed the
-	// transition (Section 2): its transition predicate is evaluated over
-	// the net effect of the log suffix from marks[i].
+	// The history of the open transaction is the database's own
+	// (storage.DB.History): the engine records nothing beside it.
+	// marks[i] is the history position up to which rule i has processed
+	// the transition (Section 2): its transition predicate is evaluated
+	// over the net effect of the history suffix from marks[i].
 	marks []int
+
+	// tabs[i] is rule i's table in db, bound once (and again in a fork,
+	// which has tables of its own) so that the per-rule, per-step reads
+	// of a table's last change hash no name.
+	tabs []*storage.Table
 
 	// memo[i] is rule i's memoized pending net (see pendingNet).
 	memo []pendingMemo
@@ -156,7 +162,7 @@ type Engine struct {
 	// is RollbackTo(tx), Commit releases it, and each takes the next.
 	tx storage.Savepoint
 
-	// assertStart is the log position where the current assertion
+	// assertStart is the history position where the current assertion
 	// point's initial transition began.
 	assertStart int
 
@@ -174,9 +180,11 @@ type Engine struct {
 
 	// Scratch of the firing loop, reused from step to step and never
 	// shared (Clone gives a fork empty scratch): the triggered and the
-	// eligible rules, the transition tables of the rule under
-	// consideration, and the compiled closures' context.
+	// eligible rules, the net-effect computation's tuple states, the
+	// transition tables of the rule under consideration, and the compiled
+	// closures' context.
 	trig, elig []*rules.Rule
+	netScratch transition.Scratch
 	td         sqlmini.TransitionData
 	env        compile.Env
 
@@ -188,9 +196,9 @@ type Engine struct {
 }
 
 // pendingMemo is one rule's memoized pending net: the net effect, on the
-// rule's table, of the log suffix [mark, upTo), computed at truncation
-// generation gen, and whether it satisfies the rule's transition
-// predicate. The net is immutable; forks share it.
+// rule's table, of the history suffix [mark, upTo), computed at the
+// history's truncation generation gen, and whether it satisfies the
+// rule's transition predicate. The net is immutable; forks share it.
 type pendingMemo struct {
 	net       *transition.Net
 	triggered bool
@@ -216,17 +224,25 @@ func New(set *rules.Set, db *storage.DB, opts Options) *Engine {
 	e := &Engine{
 		set:   set,
 		db:    db,
-		log:   &transition.Log{},
 		opts:  opts,
 		marks: make([]int, set.Len()),
 		memo:  make([]pendingMemo, set.Len()),
 	}
+	e.bindTables()
 	if opts.Compiled {
 		e.prog = compile.For(set)
 		e.cand = e.prog.Matcher().NewCandidates()
 	}
 	e.begin()
 	return e
+}
+
+// bindTables points tabs at the rules' tables in e.db.
+func (e *Engine) bindTables() {
+	e.tabs = make([]*storage.Table, e.set.Len())
+	for i, r := range e.set.Rules() {
+		e.tabs[i] = e.db.Table(r.Table)
+	}
 }
 
 // Compiled reports whether this engine runs the compiled hot path.
@@ -237,13 +253,13 @@ func (e *Engine) Compiled() bool { return e.prog != nil }
 func (e *Engine) Program() *compile.Program { return e.prog }
 
 // RebuildTriggerIndex recomputes the candidate bitset from scratch out
-// of the transition log and the rule marks, discarding the
+// of the database's history and the rule marks, discarding the
 // incrementally maintained bits. The two paths are observably
 // equivalent (the incremental bits are a superset that the triggered
 // check filters identically); metamorphic tests drive both.
 func (e *Engine) RebuildTriggerIndex() {
 	if e.cand != nil {
-		e.cand.Rebuild(e.log, e.marks)
+		e.cand.Rebuild(e.tabs, e.marks)
 	}
 }
 
@@ -276,14 +292,14 @@ func (e *Engine) mutator() sqlmini.Mutator {
 	return m
 }
 
-// recordingMutator applies changes to the database and records them in
-// the transition log. In compiled mode it additionally marks candidate
+// recordingMutator applies changes to the database, whose history is
+// the record of them. In compiled mode it additionally marks candidate
 // rules in the delta-driven trigger index — the same primitive that
-// enters the log enters the discrimination network, so a recorded
+// enters the history enters the discrimination network, so a recorded
 // operation can never trigger a rule without also marking it.
 //
 // Table names arrive from resolved statements, in the schema's canonical
-// form, and key the log as they come (see sqlmini.Mutator).
+// form, and key the network as they come (see sqlmini.Mutator).
 type recordingMutator struct{ e *Engine }
 
 func (m recordingMutator) Insert(table string, vals []storage.Value) (storage.TupleID, error) {
@@ -291,44 +307,34 @@ func (m recordingMutator) Insert(table string, vals []storage.Value) (storage.Tu
 	if err != nil {
 		return 0, err
 	}
-	m.e.log.RecordInsert(table, id)
 	if m.e.cand != nil {
-		m.e.cand.Note(table, transition.KindInsert)
+		m.e.cand.Note(table, storage.ChangeInsert)
 	}
 	return id, nil
 }
 
 func (m recordingMutator) Delete(table string, id storage.TupleID) error {
-	tu := m.e.db.Table(table).Get(id)
-	if tu == nil {
+	if m.e.db.Delete(table, id) == nil {
 		return fmt.Errorf("engine: delete of missing tuple %d from %s", id, table)
 	}
-	old := make([]storage.Value, len(tu.Vals))
-	copy(old, tu.Vals)
-	m.e.db.Delete(table, id)
-	m.e.log.RecordDelete(table, id, old)
 	if m.e.cand != nil {
-		m.e.cand.Note(table, transition.KindDelete)
+		m.e.cand.Note(table, storage.ChangeDelete)
 	}
 	return nil
 }
 
 func (m recordingMutator) Update(table string, id storage.TupleID, col string, v storage.Value) error {
-	tu := m.e.db.Table(table).Get(id)
-	if tu == nil {
+	if m.e.db.Table(table).Get(id) == nil {
 		return fmt.Errorf("engine: update of missing tuple %d in %s", id, table)
 	}
-	old := make([]storage.Value, len(tu.Vals))
-	copy(old, tu.Vals)
 	if _, err := m.e.db.Update(table, id, col, v); err != nil {
 		return err
 	}
-	m.e.log.RecordUpdate(table, id, old)
 	if m.e.cand != nil {
-		// A raw update entry does not know which columns will survive
+		// A raw update does not know which columns will survive
 		// net-effect composition, so it marks every rule watching any
 		// update on the table; the exact transition predicate filters.
-		m.e.cand.Note(table, transition.KindUpdate)
+		m.e.cand.Note(table, storage.ChangeUpdate)
 	}
 	return nil
 }
@@ -338,8 +344,8 @@ func (m recordingMutator) Update(table string, id storage.TupleID, col string, v
 // may contain multiple ';'-separated statements. SELECT statements return
 // their rows in the results; ROLLBACK is not permitted here.
 //
-// ExecUser is atomic: if any statement fails (or panics), the database
-// and the transition log are restored to their state at the call, so a
+// ExecUser is atomic: if any statement fails (or panics), the database,
+// and its history with it, is restored to its state at the call, so a
 // failed script leaves no partial transition behind.
 func (e *Engine) ExecUser(src string) ([]sqlmini.StmtResult, error) {
 	sts, err := sqlmini.ParseStatements(src)
@@ -371,20 +377,18 @@ func (e *Engine) ExecUser(src string) ([]sqlmini.StmtResult, error) {
 	return out, nil
 }
 
-// atomically runs body under a storage savepoint and a transition-log
-// mark: if body returns an error or panics (reported through onPanic),
-// the database and the log are restored to their state at the call, the
-// compensating mutations reaching the database's observer.
+// atomically runs body under a storage savepoint: if body returns an
+// error or panics (reported through onPanic), the database and its
+// history are restored to their state at the call, the compensating
+// mutations reaching the database's observer.
 func (e *Engine) atomically(body func() error, onPanic func(*PanicError) error) (err error) {
 	sp := e.db.Savepoint()
-	logMark := e.log.Mark()
 	defer func() {
 		if p := recover(); p != nil {
 			err = onPanic(&PanicError{Value: p, Stack: debug.Stack()})
 		}
 		if err != nil {
 			e.db.RollbackTo(sp)
-			e.log.TruncateTo(logMark)
 		} else {
 			e.db.Release(sp)
 		}
@@ -401,34 +405,35 @@ var emptyNet = transition.EmptyNet()
 // r (Section 2). It is the engine's only net-effect computation: the
 // trigger scan, Consider and the state fingerprints all read through it.
 //
-// When the log has no entry on r's table past r's mark, the shared empty
-// net is returned without any computation. Otherwise the answer is
+// When the history has no change to r's table past r's mark, the shared
+// empty net is returned without any computation. Otherwise the answer is
 // memoized per rule. A rule's pending net is a function of its mark, the
-// log entries on its table at or after the mark, and the current values
-// of the tuples those entries name; every value change on a table
+// history entries on its table at or after the mark, and the current
+// values of the tuples those entries name; every value change on a table
 // appends an entry on that table. So a memoized net stays exact while
-// r's mark is where it was, no entry has been removed from the log (the
-// log's generation) and none has been appended on r's table since (its
-// last touch precedes the position the net was computed at). DESIGN.md
-// §11 "Pending nets are memoized" walks every way the log, the marks and
-// the database move.
+// r's mark is where it was, no entry has been removed from the history
+// (its generation) and none has been appended on r's table since (the
+// table's last change precedes the position the net was computed at).
+// DESIGN.md §11 "Pending nets are memoized" walks every way the history,
+// the marks and the database move.
 func (e *Engine) pendingNet(r *rules.Rule) (net *transition.Net, triggered bool) {
 	i := r.Index()
-	mark, last := e.marks[i], e.log.LastTouch(r.Table)
+	t := e.tabs[i]
+	mark, last := e.marks[i], t.LastChange()
 	computed := false
 	if last < mark {
 		net = emptyNet
 	} else {
 		m := &e.memo[i]
-		if m.net == nil || m.mark != mark || m.gen != e.log.Gen() || last >= m.upTo {
+		if m.net == nil || m.mark != mark || m.gen != e.db.HistoryGen() || last >= m.upTo {
 			computed = true
-			n := transition.ComputeTable(e.log, mark, e.db, r.Table)
+			n := transition.ComputeTable(e.db, mark, t, &e.netScratch)
 			*m = pendingMemo{
 				net:       n,
 				triggered: n.Triggers(r.TriggeredBy()),
 				mark:      mark,
-				upTo:      e.log.Mark(),
-				gen:       e.log.Gen(),
+				upTo:      e.db.HistoryLen(),
+				gen:       e.db.HistoryGen(),
 			}
 		}
 		net, triggered = m.net, m.triggered
@@ -451,7 +456,7 @@ func (e *Engine) pendingNet(r *rules.Rule) (net *transition.Net, triggered bool)
 // over-approximates triggering (DESIGN.md §11 proves a triggered rule
 // is always a candidate), and the exact transition predicate is still
 // read per candidate, so both modes return identical slices. A
-// candidate whose watched kinds have no log entry at or past its mark
+// candidate whose watched kinds have no history entry at or past its mark
 // can never become triggered without a new Note, so its bit is cleared.
 func (e *Engine) TriggeredRules() []*rules.Rule {
 	return append([]*rules.Rule(nil), e.triggered()...)
@@ -464,7 +469,7 @@ func (e *Engine) triggered() []*rules.Rule {
 	rs := e.set.Rules()
 	if e.cand != nil {
 		e.cand.ForEach(func(i int) {
-			if e.cand.StaleAt(i, e.log, e.marks[i]) {
+			if e.cand.StaleAt(i, e.tabs[i], e.marks[i]) {
 				e.cand.Clear(i)
 				return
 			}
@@ -509,7 +514,7 @@ func (e *Engine) transitionData(n *transition.Net, table string) *sqlmini.Transi
 // fired and any observable events, and whether a rollback occurred.
 //
 // Consider is atomic: if the condition or any action statement fails —
-// including by panicking — the database, the transition log, and r's
+// including by panicking — the database, its history, and r's
 // mark are restored to their values at the call, the error is returned
 // as a *ExecError, and it is as if the rule had not been chosen. No
 // events from the aborted consideration are reported.
@@ -521,7 +526,7 @@ func (e *Engine) Consider(r *rules.Rule) (fired bool, events []ObservableEvent, 
 	err = e.atomically(func() error {
 		net, _ := e.pendingNet(r)
 		td := e.transitionData(net, r.Table)
-		e.marks[r.Index()] = e.log.Mark()
+		e.marks[r.Index()] = e.db.HistoryLen()
 		// Compiled units run in the engine's one Env, the interpreter in
 		// an evaluator of its own.
 		var ev *sqlmini.Evaluator
@@ -597,17 +602,17 @@ func (e *Engine) rollback() {
 }
 
 // begin opens a transaction at the current database state, with the
-// rule bookkeeping of the one that just ended cleared.
+// rule bookkeeping of the one that just ended cleared. The transaction
+// is the outermost savepoint, so its history starts empty, at position 0.
 func (e *Engine) begin() {
 	e.tx = e.db.Savepoint()
-	e.log.Truncate()
 	for i := range e.marks {
 		e.marks[i] = 0
 	}
 	e.assertStart = 0
 	e.inFlight = false
 	if e.cand != nil {
-		e.cand.Reset() // empty log: nothing can be triggered
+		e.cand.Reset() // empty history: nothing can be triggered
 	}
 }
 
@@ -669,7 +674,7 @@ func (e *Engine) AssertContext(ctx context.Context) (Result, error) {
 		eligible := e.set.Choose(e.elig[:0], triggered)
 		e.elig = eligible
 		if len(eligible) == 0 {
-			e.assertStart = e.log.Mark()
+			e.assertStart = e.db.HistoryLen()
 			e.inFlight = false
 			e.trace(TraceEvent{Kind: "assert-end", Considered: res.Considered, Fired: res.Fired})
 			return res, e.journal("commit", Journal.Commit)
@@ -752,7 +757,7 @@ func (e *Engine) journal(op string, call func(Journal) error) error {
 
 // Rollback aborts the current engine transaction exactly as a rule
 // ROLLBACK action would, but driven by the caller: the transaction-start
-// state is restored, all rule bookkeeping (marks, transition log,
+// state is restored, all rule bookkeeping (marks, the history,
 // suspended in-flight processing) is cleared, and the journal — when
 // configured — records an abort, reverting the durable state to the
 // transaction's begin. The serving layer uses it to give every failed
@@ -765,15 +770,15 @@ func (e *Engine) Rollback() error {
 }
 
 // Commit ends the transaction: the current state becomes what the next
-// rollback returns to and the transition log is cleared. Committing
+// rollback returns to and the history is cleared. Committing
 // while processing is suspended (InFlight) abandons the unprocessed
 // remainder of the transition. With a journal configured, Commit writes
 // a durable point followed by a new transaction start; a journal failure
 // returns a *DurabilityError (the in-memory commit still happened).
 //
-// Commit also bounds memory: like the transition log's entries, the
-// database's undo records (one per mutation) and the iteration-order
-// slots of deleted tuples are held until the transaction ends.
+// Commit also bounds memory: the database's history (one record per
+// mutation) and the iteration-order slots of deleted tuples are held
+// until the transaction ends.
 func (e *Engine) Commit() error {
 	e.db.Release(e.tx)
 	e.begin()
@@ -788,8 +793,8 @@ func (e *Engine) Commit() error {
 // nothing: call it at a transaction boundary and do not use e afterwards.
 func (e *Engine) Close() { e.db.Release(e.tx) }
 
-// Clone returns an independent copy of the engine (database, log, marks)
-// inside the same transaction: a rollback in either restores the
+// Clone returns an independent copy of the engine (database with its
+// history, marks) inside the same transaction: a rollback in either restores the
 // transaction start without touching the other. The model checker forks
 // engines to explore every choice. The clone carries no journal: forks
 // are speculative, and their mutations must never reach the durable log
@@ -798,10 +803,10 @@ func (e *Engine) Clone() *Engine {
 	ne := *e // set and prog are immutable; tx is positional, valid against the fork
 	ne.opts.Journal = nil
 	ne.db = e.db.Fork()
-	ne.log = e.log.Clone()
+	ne.bindTables()
 	ne.marks = append([]int(nil), e.marks...)
 	ne.memo = append([]pendingMemo(nil), e.memo...)
-	ne.trig, ne.elig, ne.td, ne.env = nil, nil, sqlmini.TransitionData{}, compile.Env{}
+	ne.trig, ne.elig, ne.netScratch, ne.td, ne.env = nil, nil, transition.Scratch{}, sqlmini.TransitionData{}, compile.Env{}
 	if e.cand != nil {
 		ne.cand = e.cand.Clone()
 	}

@@ -9,8 +9,8 @@ import (
 // return is one of:
 //
 //   - *ExecError — a rule's condition or action failed (or panicked).
-//     The failed consideration has been fully undone: database,
-//     transition log, and the rule's mark are back to their values just
+//     The failed consideration has been fully undone: database, its
+//     history, and the rule's mark are back to their values just
 //     before the rule was chosen, so processing can be resumed (the rule
 //     will be re-considered) once the cause is addressed.
 //   - *LivelockError — rule processing revisited an execution-graph

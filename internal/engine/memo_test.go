@@ -4,7 +4,7 @@ package engine
 // net-effect computation and every answer it gives passes through the
 // netHook seam, so (1) a differential check can compare each answer —
 // memo hit, miss, or the empty-net shortcut, with its trigger bit —
-// against a fresh transition.ComputeTable, across every way the log,
+// against a fresh transition.ComputeTable, across every way the history,
 // the marks and the database move; and (2) a counting check can pin how
 // often the computation actually runs.
 
@@ -19,6 +19,7 @@ import (
 
 	"activerules/internal/rules"
 	"activerules/internal/schema"
+	"activerules/internal/storage"
 	"activerules/internal/transition"
 	"activerules/internal/workload"
 )
@@ -42,10 +43,10 @@ func (o *recomputeOracle) hook(e *Engine, r *rules.Rule, net *transition.Net, tr
 		o.hits++
 	}
 	if o.err == nil {
-		fresh := transition.ComputeTable(e.log, e.marks[r.Index()], e.db, r.Table)
+		fresh := transition.ComputeTable(e.db, e.marks[r.Index()], e.tabs[r.Index()], &transition.Scratch{})
 		if diff := diffNets(net, fresh, r.Table); diff != "" {
-			o.err = fmt.Errorf("rule %s (mark %d, log %d, computed=%v): %s",
-				r.Name, e.marks[r.Index()], e.log.Mark(), computed, diff)
+			o.err = fmt.Errorf("rule %s (mark %d, history %d, computed=%v): %s",
+				r.Name, e.marks[r.Index()], e.db.HistoryLen(), computed, diff)
 		} else if want := netOps(fresh.Table(r.Table)).Intersects(r.TriggeredBy()); triggered != want {
 			o.err = fmt.Errorf("rule %s: trigger bit %v, recomputed %v", r.Name, triggered, want)
 		}
@@ -156,10 +157,10 @@ func oracleScenario(t *testing.T, compiled bool, seed int64, o *recomputeOracle,
 }
 
 // syncGen is the seeded bug "the validity test forgot the generation":
-// every memo slot claims the log's current one.
+// every memo slot claims the history's current one.
 func syncGen(e *Engine) {
 	for i := range e.memo {
-		e.memo[i].gen = e.log.Gen()
+		e.memo[i].gen = e.db.HistoryGen()
 	}
 }
 
@@ -436,6 +437,63 @@ func TestForksShareMemoizedNetsAcrossGoroutines(t *testing.T) {
 			if errs[i] != nil || got[i] != want {
 				t.Errorf("compiled=%v: fork %d: err %v, reached the lone engine's state: %v", compiled, i, errs[i], got[i] == want)
 			}
+		}
+	}
+}
+
+// TestForkSharedNetAliasesNoStorageRow: a memoized net that forks share
+// holds no row of the parent's database. The parent rolls back — which
+// puts the very tuple objects its history held back into the table — and
+// updates them in place while one fork reads the shared net's deleted and
+// old-updated rows on another goroutine (under -race, an aliased row is a
+// reported race) and a second fork reads them afterwards: both see the
+// transition as it was computed.
+func TestForkSharedNetAliasesNoStorageRow(t *testing.T) {
+	for _, compiled := range []bool{false, true} {
+		set, db := mkSet(t, "table t (k int, v int)", `
+create rule r on t when deleted, updated(v)
+then select k, v from deleted; select k, v from old-updated; select k, v from new-updated`)
+		db.MustInsert("t", storage.IntV(1), storage.IntV(10))
+		db.MustInsert("t", storage.IntV(2), storage.IntV(20))
+		e := New(set, db, Options{Compiled: compiled})
+		if _, err := e.ExecUser("update t set v = v + 1 where k = 1; delete from t where k = 2"); err != nil {
+			t.Fatal(err)
+		}
+		r := set.Rules()[0]
+		if trig := e.TriggeredRules(); len(trig) != 1 { // r's net is memoized
+			t.Fatalf("triggered %v", names(trig))
+		}
+		consider := func(f *Engine) string {
+			_, events, _, err := f.Consider(r)
+			if err != nil {
+				return err.Error()
+			}
+			return fmt.Sprint(events)
+		}
+		const want = "[r: select k, v from deleted -> (2,20) r: select k, v from old-updated -> (1,10) r: select k, v from new-updated -> (1,11)]"
+		during, after := e.Clone(), e.Clone()
+		if during.memo[0].net != e.memo[0].net {
+			t.Fatal("the forks do not share the memoized net")
+		}
+		var got string
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got = consider(during)
+		}()
+		if err := e.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.ExecUser("update t set k = 7, v = 77"); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if got != want {
+			t.Errorf("compiled=%v: the fork reading during the parent's writes saw %s", compiled, got)
+		}
+		if got := consider(after); got != want {
+			t.Errorf("compiled=%v: the fork reading after the parent's writes saw %s", compiled, got)
 		}
 	}
 }

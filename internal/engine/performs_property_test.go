@@ -37,7 +37,7 @@ func TestPerformsCoversRuntimeActions(t *testing.T) {
 				break
 			}
 			r := eligible[rng.Intn(len(eligible))]
-			before := e.log.Mark()
+			before := e.db.HistoryLen()
 			fired, _, rolled, err := e.Consider(r)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -48,7 +48,7 @@ func TestPerformsCoversRuntimeActions(t *testing.T) {
 			// Every net operation of the action must be in Performs(r);
 			// an unfired rule must have performed nothing.
 			for _, table := range g.Schema.TableNames() {
-				actionNet := transition.ComputeTable(e.log, before, e.DB(), table)
+				actionNet := transition.ComputeTable(e.db, before, e.db.Table(table), &transition.Scratch{})
 				for op := range netOps(actionNet.Table(table)) {
 					if !fired {
 						t.Fatalf("seed %d: rule %s did not fire but performed %s", seed, r.Name, op)

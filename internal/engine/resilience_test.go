@@ -16,7 +16,7 @@ import (
 // restore: the execution-graph state (db + per-rule pending transitions)
 // and the raw log position.
 func engineState(e *Engine) (string, [32]byte, int) {
-	return e.StateFingerprint(), e.db.Fingerprint(), e.log.Mark()
+	return e.StateFingerprint(), e.db.Fingerprint(), e.db.HistoryLen()
 }
 
 func TestActionFailureAtomicPerStatementKind(t *testing.T) {
@@ -94,7 +94,7 @@ then select v from u; insert into u values (1); insert into u values (2)`,
 				t.Errorf("database not restored:\n%s", e.DB().String())
 			}
 			if gotMark != wantMark {
-				t.Errorf("transition log mark = %d, want %d", gotMark, wantMark)
+				t.Errorf("history position = %d, want %d", gotMark, wantMark)
 			}
 			if gotState != wantState {
 				t.Error("engine state fingerprint differs from pre-action state")

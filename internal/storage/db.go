@@ -21,12 +21,15 @@ type DB struct {
 	names  []string // the schema's table names, sorted; never written, so Clone and Fork share it
 	nextID TupleID
 
-	// undo records, most recent last, how to reverse every primitive
-	// mutation performed while a savepoint is active. spDepth counts
-	// active savepoints; tables compact their order slices only where it
-	// returns to zero, so undo can restore exact iteration order.
-	undo    []undoEntry
+	// undo is the history of the open transaction: one Change, most recent
+	// last, per primitive mutation performed while a savepoint is active.
+	// RollbackTo reverses it and net-effect computation reads it (History).
+	// spDepth counts active savepoints; tables compact their order slices
+	// only where it returns to zero, so undo can restore exact iteration
+	// order. gen counts the times entries were removed (HistoryGen).
+	undo    []Change
 	spDepth int
+	gen     uint64
 
 	// obs, when non-nil, receives every physical mutation applied to the
 	// database (see Observer). Clones never carry the observer.
@@ -62,26 +65,55 @@ func (db *DB) SetObserver(o Observer) { db.obs = o }
 // Observer returns the attached mutation observer, or nil.
 func (db *DB) Observer() Observer { return db.obs }
 
-// undoKind identifies the primitive mutation an undoEntry reverses.
-type undoKind int
+// ChangeKind is the kind of a primitive mutation in a DB's history.
+type ChangeKind int
 
+// The three primitive mutations.
 const (
-	undoInsert undoKind = iota
-	undoDelete
-	undoUpdate
-	// undoRevive is an insert that took over a tombstoned order slot
-	// (InsertWithID) instead of appending one: undoing it leaves the slot.
-	undoRevive
+	ChangeInsert ChangeKind = iota
+	ChangeDelete
+	ChangeUpdate
 )
 
-// undoEntry holds what RollbackTo needs to reverse one mutation.
-type undoEntry struct {
-	kind undoKind
-	t    *Table
-	id   TupleID
-	col  int    // update: column index
-	old  Value  // update: previous value
-	row  *Tuple // delete: the removed tuple object
+// Change is one entry of a DB's history: a primitive mutation applied
+// while a savepoint was active, with what RollbackTo needs to reverse it.
+// It is also all that net-effect computation (internal/transition) needs
+// to reconstruct a tuple's value at any earlier position. Readers must
+// not modify a Change, nor keep Row or its values: a rollback puts that
+// very tuple object back into the table, where it is updated in place.
+type Change struct {
+	Kind  ChangeKind
+	Table *Table
+	ID    TupleID
+	Col   int    // update: column index
+	Old   Value  // update: previous value
+	Row   *Tuple // delete: the removed tuple object
+
+	// revived marks an insert that took over a tombstoned order slot
+	// (InsertWithID) instead of appending one: undoing it leaves the slot.
+	revived bool
+}
+
+// History returns the changes recorded since the outermost active
+// savepoint was taken, oldest first; positions in it are what the rule
+// engine's marks are. The slice is the DB's own: read-only, and valid
+// until the next mutation, RollbackTo or Release.
+func (db *DB) History() []Change { return db.undo }
+
+// HistoryLen returns len(History()): the position the next change takes.
+func (db *DB) HistoryLen() int { return len(db.undo) }
+
+// HistoryGen returns the history's truncation generation. It changes
+// exactly when entries are removed (a RollbackTo that undoes any, the
+// outermost Release of a non-empty history), so a reader that remembers
+// (HistoryGen, HistoryLen) can tell "only appended to since" from
+// "positions below my mark were reused". Fork carries it over.
+func (db *DB) HistoryGen() uint64 { return db.gen }
+
+// record appends c to the history and indexes it on its table.
+func (db *DB) record(c Change) {
+	db.undo = append(db.undo, c)
+	c.Table.noteChange(len(db.undo), c.Kind)
 }
 
 // Savepoint is a point-in-time marker in a DB's mutation history.
@@ -110,27 +142,41 @@ func (db *DB) Savepoint() Savepoint {
 // on), keeping any attached redo log replayable in sequence.
 func (db *DB) RollbackTo(sp Savepoint) {
 	for i := len(db.undo) - 1; i >= sp.undoLen; i-- {
-		u := db.undo[i]
-		switch u.kind {
-		case undoInsert, undoRevive:
-			u.t.unInsert(u.id, u.kind == undoInsert)
+		u, t := db.undo[i], db.undo[i].Table
+		switch u.Kind {
+		case ChangeInsert:
+			t.unInsert(u.ID, !u.revived)
 			if db.obs != nil {
-				db.obs.ObserveDelete(u.t.def.Name, u.id)
+				db.obs.ObserveDelete(t.def.Name, u.ID)
 			}
-		case undoDelete:
-			u.t.unDelete(u.row)
+		case ChangeDelete:
+			t.unDelete(u.Row)
 			if db.obs != nil {
-				db.obs.ObserveInsert(u.t.def.Name, u.row.ID, u.row.Vals)
+				db.obs.ObserveInsert(t.def.Name, u.Row.ID, u.Row.Vals)
 			}
-		case undoUpdate:
-			u.t.touch()
-			u.t.rows[u.id].Vals[u.col] = u.old
+		case ChangeUpdate:
+			t.touch()
+			t.rows[u.ID].Vals[u.Col] = u.Old
 			if db.obs != nil {
-				db.obs.ObserveUpdate(u.t.def.Name, u.id, u.t.def.Columns[u.col].Name, u.old)
+				db.obs.ObserveUpdate(t.def.Name, u.ID, t.def.Columns[u.Col].Name, u.Old)
 			}
 		}
 	}
-	db.undo = db.undo[:sp.undoLen]
+	if sp.undoLen < len(db.undo) {
+		// The undone tables' positions are re-derived from the surviving
+		// prefix. The dropped records are zeroed before reslicing, or the
+		// tuples and tables they point at stay reachable through the
+		// spare capacity.
+		for _, u := range db.undo[sp.undoLen:] {
+			u.Table.forgetChanges()
+		}
+		clear(db.undo[sp.undoLen:])
+		db.undo = db.undo[:sp.undoLen]
+		db.gen++
+		for i, u := range db.undo {
+			u.Table.noteChange(i+1, u.Kind)
+		}
+	}
 	db.nextID = sp.nextID
 	db.spDepth = sp.depth - 1
 }
@@ -141,13 +187,16 @@ func (db *DB) RollbackTo(sp Savepoint) {
 // accumulated undo records, and compacts the tables they deleted from.
 func (db *DB) Release(sp Savepoint) {
 	db.spDepth = sp.depth - 1
-	if db.spDepth == 0 {
+	if db.spDepth == 0 && len(db.undo) > 0 {
 		for _, u := range db.undo {
-			if u.kind == undoDelete {
-				u.t.compact()
+			if u.Kind == ChangeDelete {
+				u.Table.compact()
 			}
+			u.Table.forgetChanges()
 		}
+		clear(db.undo) // see RollbackTo
 		db.undo = db.undo[:0]
+		db.gen++
 	}
 }
 
@@ -193,11 +242,11 @@ func (db *DB) coerceRow(table string, vals []Value) (*Table, []Value, error) {
 	return t, coerced, nil
 }
 
-// inserted records the undo entry for an applied insert (undoInsert, or
-// undoRevive when it appended no order slot) and reports it.
-func (db *DB) inserted(t *Table, tu *Tuple, kind undoKind) {
+// inserted records an applied insert in the history (revived when it
+// appended no order slot) and reports it.
+func (db *DB) inserted(t *Table, tu *Tuple, revived bool) {
 	if db.spDepth > 0 {
-		db.undo = append(db.undo, undoEntry{kind: kind, t: t, id: tu.ID})
+		db.record(Change{Kind: ChangeInsert, Table: t, ID: tu.ID, revived: revived})
 	}
 	if db.obs != nil {
 		db.obs.ObserveInsert(t.def.Name, tu.ID, tu.Vals)
@@ -215,7 +264,7 @@ func (db *DB) Insert(table string, vals []Value) (TupleID, error) {
 	tu := &Tuple{ID: db.nextID, Vals: coerced}
 	db.nextID++
 	t.insert(tu)
-	db.inserted(t, tu, undoInsert)
+	db.inserted(t, tu, false)
 	return tu.ID, nil
 }
 
@@ -249,12 +298,9 @@ func (db *DB) InsertWithID(table string, id TupleID, vals []Value) error {
 		return fmt.Errorf("storage: insert into %s: tuple %d already exists", t.def.Name, id)
 	}
 	tu := &Tuple{ID: id, Vals: coerced}
-	kind := undoRevive
-	if t.insertPreservingOrder(tu) {
-		kind = undoInsert
-	}
+	revived := !t.insertPreservingOrder(tu)
 	db.BumpNextID(id + 1)
-	db.inserted(t, tu, kind)
+	db.inserted(t, tu, revived)
 	return nil
 }
 
@@ -281,7 +327,7 @@ func (db *DB) Delete(table string, id TupleID) *Tuple {
 	t.touch()
 	delete(t.rows, id) // the order slot stays, as a tombstone, until compact
 	if db.spDepth > 0 {
-		db.undo = append(db.undo, undoEntry{kind: undoDelete, t: t, id: id, row: tu})
+		db.record(Change{Kind: ChangeDelete, Table: t, ID: id, Row: tu})
 	} else {
 		t.compact() // a bare delete is its own one-mutation transaction
 	}
@@ -314,7 +360,7 @@ func (db *DB) Update(table string, id TupleID, col string, v Value) (Value, erro
 	t.touch()
 	tu.Vals[ci] = cv
 	if db.spDepth > 0 {
-		db.undo = append(db.undo, undoEntry{kind: undoUpdate, t: t, id: id, col: ci, old: old})
+		db.record(Change{Kind: ChangeUpdate, Table: t, ID: id, Col: ci, Old: old})
 	}
 	if db.obs != nil {
 		db.obs.ObserveUpdate(t.def.Name, id, t.def.Columns[ci].Name, cv)
@@ -323,12 +369,12 @@ func (db *DB) Update(table string, id TupleID, col string, v Value) (Value, erro
 }
 
 // Clone returns a deep copy of the database sharing no mutable state with
-// the original. Tuple identities are preserved, so transitions recorded
-// against the original remain meaningful against the clone. Savepoint
-// bookkeeping and any attached Observer are not carried over: the clone
-// captures the current contents with no savepoints active, and mutations
-// of the clone are nobody's business but the clone's (the execution-graph
-// explorer forks thousands of speculative copies).
+// the original. Tuple identities are preserved. Savepoint bookkeeping —
+// the history, and the tables' positions in it — and any attached
+// Observer are not carried over: the clone captures the current contents
+// with no savepoints active, and mutations of the clone are nobody's
+// business but the clone's (the execution-graph explorer forks thousands
+// of speculative copies).
 func (db *DB) Clone() *DB {
 	nd := &DB{sch: db.sch, tables: make(map[string]*Table, len(db.tables)), names: db.names, nextID: db.nextID}
 	for name, t := range db.tables {
@@ -341,19 +387,21 @@ func (db *DB) Clone() *DB {
 // engine forks a live transaction): it also carries the active
 // savepoints, so a Savepoint taken on the original is valid against the
 // fork, and RollbackTo lands either on it without touching the other.
+// The fork's history is the original's, position for position and at the
+// same generation, over the fork's own tables and deleted-tuple objects.
 func (db *DB) Fork() *DB {
 	nd := db.Clone()
-	nd.spDepth, nd.undo = db.spDepth, make([]undoEntry, len(db.undo))
-	for i, u := range db.undo {
-		orig := u.t
-		u.t = nd.Table(orig.def.Name)
-		if u.kind == undoDelete {
-			u.row = u.row.clone()
-			if len(u.t.order) != len(orig.order) { // unDelete needs the tombstones Clone dropped
-				u.t.order = append(u.t.order[:0], orig.order...)
+	nd.spDepth, nd.gen, nd.undo = db.spDepth, db.gen, make([]Change, 0, len(db.undo))
+	for _, u := range db.undo {
+		orig := u.Table
+		u.Table = nd.tables[orig.def.Name]
+		if u.Kind == ChangeDelete {
+			u.Row = u.Row.clone()
+			if len(u.Table.order) != len(orig.order) { // unDelete needs the tombstones Clone dropped
+				u.Table.order = append(u.Table.order[:0], orig.order...)
 			}
 		}
-		nd.undo[i] = u
+		nd.record(u)
 	}
 	return nd
 }

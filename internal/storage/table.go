@@ -50,7 +50,30 @@ type Table struct {
 	// row's values, calls touch.
 	digest [32]byte
 	clean  bool
+
+	// last and lastOf[k] locate the table's most recent Change in the DB's
+	// history, over all kinds and of kind k, as position+1: zero, which is
+	// what clone leaves, means the history holds none. They are written
+	// where the history is (DB.record, RollbackTo, Release, Fork).
+	last   int
+	lastOf [3]int
 }
+
+// LastChange returns the history position of the most recent change to
+// the table, or -1 if the history holds none: a reader whose mark is past
+// it has nothing new to see on this table.
+func (t *Table) LastChange() int { return t.last - 1 }
+
+// LastChangeOf is LastChange over the changes of kind k. A net-effect
+// operation of kind k can only arise from a change of kind k, so it
+// bounds triggering per kind.
+func (t *Table) LastChangeOf(k ChangeKind) int { return t.lastOf[k] - 1 }
+
+// noteChange indexes a change of kind k recorded at history position end-1.
+func (t *Table) noteChange(end int, k ChangeKind) { t.last, t.lastOf[k] = end, end }
+
+// forgetChanges empties the table's history index.
+func (t *Table) forgetChanges() { t.last, t.lastOf = 0, [3]int{} }
 
 // touch marks the memoized content digest stale.
 func (t *Table) touch() { t.clean = false }

@@ -1,4 +1,4 @@
-package transition
+package transition_test
 
 import (
 	"math/rand"
@@ -24,39 +24,27 @@ func TestNetEffectReconstructsFinalState(t *testing.T) {
 			db.MustInsert("t", storage.IntV(int64(i)), storage.IntV(rng.Int63n(5)))
 		}
 		initial := db.Clone()
-		l := &Log{}
+		l := record(db)
 		live := db.Table("t").IDs()
 		for i := 0; i < int(n%24); i++ {
 			switch rng.Intn(3) {
 			case 0:
-				id := db.MustInsert("t", storage.IntV(rng.Int63n(5)), storage.IntV(rng.Int63n(5)))
-				l.RecordInsert("t", id)
-				live = append(live, id)
+				live = append(live, doInsert(l, "t", storage.IntV(rng.Int63n(5)), storage.IntV(rng.Int63n(5))))
 			case 1:
 				if len(live) == 0 {
 					continue
 				}
 				k := rng.Intn(len(live))
-				id := live[k]
-				tu := db.Table("t").Get(id)
-				old := append([]storage.Value{}, tu.Vals...)
-				db.Delete("t", id)
-				l.RecordDelete("t", id, old)
+				doDelete(l, "t", live[k])
 				live = append(live[:k], live[k+1:]...)
 			case 2:
 				if len(live) == 0 {
 					continue
 				}
-				id := live[rng.Intn(len(live))]
-				tu := db.Table("t").Get(id)
-				old := append([]storage.Value{}, tu.Vals...)
-				if _, err := db.Update("t", id, "b", storage.IntV(rng.Int63n(5))); err != nil {
-					return false
-				}
-				l.RecordUpdate("t", id, old)
+				doUpdate(l, "t", live[rng.Intn(len(live))], "b", storage.IntV(rng.Int63n(5)))
 			}
 		}
-		net := ComputeTable(l, 0, db, "t")
+		net := compute(db, 0, "t")
 
 		// Replay the net effect onto the initial state.
 		replay := initial.Clone()
@@ -65,7 +53,7 @@ func TestNetEffectReconstructsFinalState(t *testing.T) {
 				found := false
 				var target storage.TupleID
 				replay.Table("t").Scan(func(tu *storage.Tuple) bool {
-					if rowsIdentical(tu.Vals, row) {
+					if sameRow(tu.Vals, row) {
 						target = tu.ID
 						found = true
 						return false
@@ -86,7 +74,7 @@ func TestNetEffectReconstructsFinalState(t *testing.T) {
 				found := false
 				var target storage.TupleID
 				replay.Table("t").Scan(func(tu *storage.Tuple) bool {
-					if rowsIdentical(tu.Vals, up.Old) {
+					if sameRow(tu.Vals, up.Old) {
 						target = tu.ID
 						found = true
 						return false
@@ -124,40 +112,31 @@ func TestNetOpsSubsetOfRawOps(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		db := storage.NewDB(sch)
 		id0 := db.MustInsert("t", storage.IntV(0), storage.IntV(0))
-		l := &Log{}
+		l := record(db)
 		raw := schema.NewOpSet()
 		live := []storage.TupleID{id0}
 		for i := 0; i < int(n%16); i++ {
 			switch rng.Intn(3) {
 			case 0:
-				id := db.MustInsert("t", storage.IntV(rng.Int63n(3)), storage.IntV(0))
-				l.RecordInsert("t", id)
+				live = append(live, doInsert(l, "t", storage.IntV(rng.Int63n(3)), storage.IntV(0)))
 				raw.Add(schema.Insert("t"))
-				live = append(live, id)
 			case 1:
 				if len(live) == 0 {
 					continue
 				}
 				k := rng.Intn(len(live))
-				tu := db.Table("t").Get(live[k])
-				old := append([]storage.Value{}, tu.Vals...)
-				db.Delete("t", live[k])
-				l.RecordDelete("t", live[k], old)
+				doDelete(l, "t", live[k])
 				raw.Add(schema.Delete("t"))
 				live = append(live[:k], live[k+1:]...)
 			case 2:
 				if len(live) == 0 {
 					continue
 				}
-				id := live[rng.Intn(len(live))]
-				tu := db.Table("t").Get(id)
-				old := append([]storage.Value{}, tu.Vals...)
-				db.Update("t", id, "a", storage.IntV(rng.Int63n(3)))
-				l.RecordUpdate("t", id, old)
+				doUpdate(l, "t", live[rng.Intn(len(live))], "a", storage.IntV(rng.Int63n(3)))
 				raw.Add(schema.Update("t", "a"))
 			}
 		}
-		for op := range ComputeTable(l, 0, db, "t").Ops() {
+		for op := range netOps(compute(db, 0, "t"), "t") {
 			// An insert+update composite yields (I,t): insert must have
 			// been raw. A delete after update yields (D,t): delete raw.
 			if !raw.Contains(op) {
@@ -178,17 +157,16 @@ func TestComputeTableMatchesFiltered(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		db := storage.NewDB(sch)
-		l := &Log{}
+		l := record(db)
 		for i := 0; i < int(n%12); i++ {
 			tbl := "t"
 			if rng.Intn(2) == 0 {
 				tbl = "u"
 			}
-			id := db.MustInsert(tbl, storage.IntV(rng.Int63n(4)))
-			l.RecordInsert(tbl, id)
+			doInsert(l, tbl, storage.IntV(rng.Int63n(4)))
 		}
 		full := refCompute(l, 0, db)
-		part := ComputeTable(l, 0, db, "t")
+		part := compute(db, 0, "t")
 		return diffTableNets(part.Table("t"), full.tables["t"]) == "" &&
 			part.Table("u") == nil
 	}

@@ -1,6 +1,6 @@
 //go:build race
 
-package transition
+package transition_test
 
 // Allocation counts mean nothing under the race detector.
 func init() { raceEnabled = true }

@@ -1,4 +1,4 @@
-package transition
+package transition_test
 
 import (
 	"fmt"
@@ -9,18 +9,108 @@ import (
 	"testing/quick"
 
 	"activerules/internal/schema"
+	"activerules/internal/sqlmini"
 	"activerules/internal/storage"
+	"activerules/internal/transition"
 )
 
-// The reference the served path is compared against: the map-backed,
-// multi-table net-effect computation and the operation-set builder that
-// ComputeTable and Net.Triggers replaced. It keeps its maps and its
-// one-row-at-a-time copies, so the two share no code beyond
-// rowsIdentical.
+// The reference the served path is compared against: a recording of full
+// old rows kept outside the product, and the map-backed, multi-table
+// net-effect computation over it (with the operation-set builder) that
+// transition.ComputeTable and Net.Triggers replaced. It keeps its maps and its
+// one-row-at-a-time copies and reads nothing of the database's history
+// but its length, so the two share no code.
 
-// refNet is the net effect of a log suffix over every table it touches.
+// refEntry is one recorded primitive: oldRow is the full tuple value
+// immediately before a delete or an update.
+type refEntry struct {
+	kind   storage.ChangeKind
+	table  string
+	id     storage.TupleID
+	oldRow []storage.Value
+}
+
+// recorder is the reference's record of the open transaction: a Mutator
+// wrapper that notes every primitive next applies to db. Installed through
+// engine.Options.WrapMutator it sees what the engine's mutator sees; over
+// direct it drives a database with no engine. A successful primitive is
+// one history entry and one refEntry, so positions agree, and whatever a
+// rollback or a commit dropped from the history is dropped here when the
+// next entry lands (or by sync).
+type recorder struct {
+	db      *storage.DB
+	next    sqlmini.Mutator
+	entries []refEntry
+	tx      storage.Savepoint // record's transaction
+}
+
+func (r *recorder) sync() { r.entries = r.entries[:min(len(r.entries), r.db.HistoryLen())] }
+
+func (r *recorder) note(err error, e refEntry) error {
+	if err == nil {
+		r.entries = append(r.entries[:r.db.HistoryLen()-1], e)
+	}
+	return err
+}
+
+func (r *recorder) oldRow(table string, id storage.TupleID) []storage.Value {
+	if tu := r.db.Table(table).Get(id); tu != nil {
+		return cloneRow(tu.Vals)
+	}
+	return nil
+}
+
+func (r *recorder) Insert(table string, vals []storage.Value) (storage.TupleID, error) {
+	id, err := r.next.Insert(table, vals)
+	return id, r.note(err, refEntry{kind: storage.ChangeInsert, table: table, id: id})
+}
+
+func (r *recorder) Delete(table string, id storage.TupleID) error {
+	old := r.oldRow(table, id)
+	return r.note(r.next.Delete(table, id), refEntry{kind: storage.ChangeDelete, table: table, id: id, oldRow: old})
+}
+
+func (r *recorder) Update(table string, id storage.TupleID, col string, v storage.Value) error {
+	old := r.oldRow(table, id)
+	return r.note(r.next.Update(table, id, col, v), refEntry{kind: storage.ChangeUpdate, table: table, id: id, oldRow: old})
+}
+
+// Mark returns the current position.
+func (r *recorder) Mark() int { r.sync(); return len(r.entries) }
+
+// direct applies primitives to a database with no engine over it.
+type direct struct{ db *storage.DB }
+
+func (m direct) Insert(table string, vals []storage.Value) (storage.TupleID, error) {
+	return m.db.Insert(table, vals)
+}
+
+func (m direct) Delete(table string, id storage.TupleID) error {
+	if m.db.Delete(table, id) == nil {
+		return fmt.Errorf("no tuple %d in %s", id, table)
+	}
+	return nil
+}
+
+func (m direct) Update(table string, id storage.TupleID, col string, v storage.Value) error {
+	_, err := m.db.Update(table, id, col, v)
+	return err
+}
+
+// record opens a transaction on db — a savepoint, under which storage
+// keeps its history — and returns the recorder driving it directly.
+func record(db *storage.DB) *recorder {
+	return &recorder{db: db, next: direct{db}, tx: db.Savepoint()}
+}
+
+// compute is transition.ComputeTable by table name, with scratch of its own.
+func compute(db *storage.DB, mark int, table string) *transition.Net {
+	return transition.ComputeTable(db, mark, db.Table(table), &transition.Scratch{})
+}
+
+// refNet is the net effect of a recording's suffix over every table it touches.
 type refNet struct {
-	tables map[string]*TableNet
+	tables map[string]*transition.TableNet
 	order  []string // first-touch order, empty tables dropped
 	ops    schema.OpSet
 }
@@ -34,7 +124,7 @@ func (n *refNet) Tables() []string { return n.order }
 func (n *refNet) Ops() schema.OpSet { return n.ops }
 
 // tableOps is the operation set one table's net effect induces.
-func tableOps(tn *TableNet) schema.OpSet {
+func tableOps(tn *transition.TableNet) schema.OpSet {
 	ops := schema.NewOpSet()
 	if tn == nil {
 		return ops
@@ -51,64 +141,65 @@ func tableOps(tn *TableNet) schema.OpSet {
 	return ops
 }
 
-// Ops is the operation set a one-table net induces: what the engine
+// netOps is the operation set a one-table net induces: what the engine
 // intersected with Triggered-By before Net.Triggers.
-func (n *Net) Ops() schema.OpSet { return tableOps(&n.tn) }
+func netOps(n *transition.Net, table string) schema.OpSet { return tableOps(n.Table(table)) }
 
-// refCompute derives the net effect of the log suffix starting at mark.
-func refCompute(l *Log, mark int, db *storage.DB) *refNet {
+// refCompute derives the net effect of the recording's suffix starting at mark.
+func refCompute(l *recorder, mark int, db *storage.DB) *refNet {
 	type tupState struct {
 		table    string
-		first    entryKind
+		first    storage.ChangeKind
 		baseline []storage.Value
 		deleted  bool
 	}
+	l.sync()
 	states := make(map[storage.TupleID]*tupState)
 	var idOrder []storage.TupleID
-	for _, e := range l.entries[mark:] {
+	for _, e := range l.entries[min(mark, len(l.entries)):] {
 		st, ok := states[e.id]
 		if !ok {
 			st = &tupState{table: e.table, first: e.kind}
-			if e.kind != entryInsert {
+			if e.kind != storage.ChangeInsert {
 				st.baseline = e.oldRow
 			}
 			states[e.id] = st
 			idOrder = append(idOrder, e.id)
 		}
-		if e.kind == entryDelete {
+		if e.kind == storage.ChangeDelete {
 			st.deleted = true
 		}
 	}
 
-	n := &refNet{tables: make(map[string]*TableNet), ops: schema.NewOpSet()}
+	n := &refNet{tables: make(map[string]*transition.TableNet), ops: schema.NewOpSet()}
 	var order []string
 	for _, id := range idOrder {
 		st := states[id]
 		tn, ok := n.tables[st.table]
 		if !ok {
-			tn = &TableNet{Table: st.table}
+			tn = &transition.TableNet{Table: st.table}
 			n.tables[st.table] = tn
 			order = append(order, st.table)
 		}
 		switch st.first {
-		case entryInsert:
+		case storage.ChangeInsert:
 			if st.deleted {
 				continue
 			}
 			if tu := db.Table(st.table).Get(id); tu != nil {
 				tn.Inserted = append(tn.Inserted, cloneRow(tu.Vals))
 			}
-		case entryUpdate:
+		case storage.ChangeUpdate:
 			if st.deleted {
 				tn.Deleted = append(tn.Deleted, st.baseline)
 				continue
 			}
 			tu := db.Table(st.table).Get(id)
-			if tu == nil || rowsIdentical(st.baseline, tu.Vals) {
+			if tu == nil || sameRow(st.baseline, tu.Vals) {
 				continue
 			}
-			tn.Updated = append(tn.Updated, UpdatedPair{Old: st.baseline, New: cloneRow(tu.Vals)})
-		case entryDelete:
+			tn.Updated = append(tn.Updated, transition.UpdatedPair{Old: st.baseline, New: cloneRow(tu.Vals)})
+		case storage.ChangeDelete:
 			tn.Deleted = append(tn.Deleted, st.baseline)
 		}
 	}
@@ -149,7 +240,7 @@ func cloneRow(row []storage.Value) []storage.Value {
 
 // diffTableNets reports how got differs from want, row for row and in
 // order; nil stands for an untouched table.
-func diffTableNets(got, want *TableNet) string {
+func diffTableNets(got, want *transition.TableNet) string {
 	if got == nil || want == nil {
 		if got != want {
 			return fmt.Sprintf("got %+v, want %+v", got, want)
@@ -176,13 +267,75 @@ func sameList[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
+// sameRow compares rows by exact representation.
+func sameRow(a, b []storage.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkAgainstReference compares ComputeTable with the reference
+// restricted to each table, at every mark of the open transaction, and
+// Net.Triggers with the old trigger test — the reference's operation set
+// intersected with Triggered-By — for every Triggered-By set a rule on a
+// table of columns a, b, c can have. It returns the first disagreement.
+func checkAgainstReference(db *storage.DB, l *recorder, sc *transition.Scratch) error {
+	tables := db.Schema().TableNames()
+	for mark := 0; mark <= l.Mark(); mark++ {
+		ref := refCompute(l, mark, db)
+		var touched []string
+		for _, table := range tables {
+			net := transition.ComputeTable(db, mark, db.Table(table), sc)
+			if d := diffTableNets(net.Table(table), ref.tables[table]); d != "" {
+				return fmt.Errorf("mark %d table %s: %s", mark, table, d)
+			}
+			if net.IsEmpty() != (ref.tables[table] == nil) {
+				return fmt.Errorf("mark %d table %s: IsEmpty %v", mark, table, net.IsEmpty())
+			}
+			if !net.IsEmpty() {
+				touched = append(touched, table)
+			}
+			// Every non-empty subset of the five operations on the table.
+			ops := []schema.Op{schema.Insert(table), schema.Delete(table),
+				schema.Update(table, "a"), schema.Update(table, "b"), schema.Update(table, "c")}
+			for mask := 1; mask < 1<<len(ops); mask++ {
+				by := schema.NewOpSet()
+				for i, op := range ops {
+					if mask&(1<<i) != 0 {
+						by.Add(op)
+					}
+				}
+				want := tableOps(ref.tables[table]).Intersects(by)
+				if net.Triggers(by) != want || netOps(net, table).Intersects(by) != want {
+					return fmt.Errorf("mark %d table %s: Triggers(%s) = %v, reference ops %s",
+						mark, table, by, net.Triggers(by), tableOps(ref.tables[table]))
+				}
+			}
+		}
+		sort.Strings(touched)
+		refTouched := append([]string(nil), ref.Tables()...)
+		sort.Strings(refTouched)
+		if !reflect.DeepEqual(touched, refTouched) {
+			return fmt.Errorf("mark %d: touched %v, reference %v", mark, touched, refTouched)
+		}
+	}
+	return nil
+}
+
 // randomLog applies n random primitives over tables t and u (three
-// columns, so an update can change some and restore others) and records
-// them, starting from a few committed rows. More than linearProbe tuples
-// are touched in the longer runs, so both of the scratch's lookups run.
-func randomLog(rng *rand.Rand, n int) (*storage.DB, *Log) {
+// columns, so an update can change some and restore others) in an open
+// transaction and records them, starting from a few committed rows. More
+// tuples than the scratch probes linearly are touched in the longer runs,
+// so both of its lookups run.
+func randomLog(rng *rand.Rand, n int) (*storage.DB, *recorder) {
 	sch := schema.MustParse("table t (a int, b int, c int)\ntable u (a int, b int, c int)")
-	db, l := storage.NewDB(sch), &Log{}
+	db := storage.NewDB(sch)
 	tables := []string{"t", "u"}
 	live := map[string][]storage.TupleID{}
 	val := func() storage.Value { return storage.IntV(rng.Int63n(3)) }
@@ -191,74 +344,33 @@ func randomLog(rng *rand.Rand, n int) (*storage.DB, *Log) {
 			live[tbl] = append(live[tbl], db.MustInsert(tbl, val(), val(), val()))
 		}
 	}
+	l := record(db)
 	for i := 0; i < n; i++ {
 		tbl := tables[rng.Intn(2)]
 		ids := live[tbl]
 		switch op := rng.Intn(4); {
 		case op == 0 || len(ids) == 0:
-			live[tbl] = append(ids, doInsert(db, l, tbl, val(), val(), val()))
+			live[tbl] = append(ids, doInsert(l, tbl, val(), val(), val()))
 		case op == 1:
 			k := rng.Intn(len(ids))
-			doDelete(db, l, tbl, ids[k])
+			doDelete(l, tbl, ids[k])
 			live[tbl] = append(ids[:k], ids[k+1:]...)
 		default:
-			doUpdate(db, l, tbl, ids[rng.Intn(len(ids))], []string{"a", "b", "c"}[rng.Intn(3)], val())
+			doUpdate(l, tbl, ids[rng.Intn(len(ids))], []string{"a", "b", "c"}[rng.Intn(3)], val())
 		}
 	}
 	return db, l
 }
 
-// TestComputeTableMatchesReference: over generated logs and every mark,
-// ComputeTable equals the multi-table reference restricted to the table,
-// and Net.Triggers equals the old trigger test — the reference's
-// operation set intersected with Triggered-By — for every Triggered-By
-// set a rule on that table can have.
+// TestComputeTableMatchesReference: over generated transactions and every
+// mark, ComputeTable equals the multi-table reference restricted to the
+// table, and Net.Triggers equals the old trigger test.
 func TestComputeTableMatchesReference(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		db, l := randomLog(rng, int(n%48))
-		// Every non-empty subset of the five operations on a table.
-		universe := func(table string) []schema.Op {
-			return []schema.Op{schema.Insert(table), schema.Delete(table),
-				schema.Update(table, "a"), schema.Update(table, "b"), schema.Update(table, "c")}
-		}
-		for mark := 0; mark <= l.Mark(); mark++ {
-			ref := refCompute(l, mark, db)
-			var touched []string
-			for _, table := range []string{"t", "u"} {
-				net := ComputeTable(l, mark, db, table)
-				if d := diffTableNets(net.Table(table), ref.tables[table]); d != "" {
-					t.Logf("seed %d mark %d table %s: %s", seed, mark, table, d)
-					return false
-				}
-				if net.IsEmpty() != (ref.tables[table] == nil) {
-					return false
-				}
-				if !net.IsEmpty() {
-					touched = append(touched, table)
-				}
-				ops := universe(table)
-				for mask := 1; mask < 1<<len(ops); mask++ {
-					by := schema.NewOpSet()
-					for i, op := range ops {
-						if mask&(1<<i) != 0 {
-							by.Add(op)
-						}
-					}
-					want := tableOps(ref.tables[table]).Intersects(by)
-					if net.Triggers(by) != want || net.Ops().Intersects(by) != want {
-						t.Logf("seed %d mark %d table %s: Triggers(%s) = %v, reference ops %s",
-							seed, mark, table, by, net.Triggers(by), tableOps(ref.tables[table]))
-						return false
-					}
-				}
-			}
-			sort.Strings(touched)
-			refTouched := append([]string(nil), ref.Tables()...)
-			sort.Strings(refTouched)
-			if !reflect.DeepEqual(touched, refTouched) {
-				return false
-			}
+		db, l := randomLog(rand.New(rand.NewSource(seed)), int(n%48))
+		if err := checkAgainstReference(db, l, &transition.Scratch{}); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
 		}
 		return true
 	}

@@ -10,190 +10,31 @@
 //     inserting the updated tuple;
 //  4. if a tuple is inserted then deleted, it is not considered at all.
 //
-// A Log records primitive operations as they execute; ComputeTable
-// derives the net effect on one table of any suffix of the log against
-// the current database state. The net effect yields both the triggering
-// operations (for deciding which rules are triggered) and the
-// materialized transition tables (inserted, deleted, new-updated,
-// old-updated) a considered rule sees.
+// The history of an open transaction is the database's own
+// (storage.DB.History: one Change per primitive mutation, which is also
+// what a rollback reverses); this package keeps no record of its own.
+// ComputeTable derives the net effect on one table of any suffix of that
+// history against the current database state. The net effect yields both
+// the triggering operations (for deciding which rules are triggered) and
+// the materialized transition tables (inserted, deleted, new-updated,
+// old-updated) a considered rule sees. Positions in the history ("marks")
+// identify the transition each rule has yet to see (Section 2: a rule is
+// triggered iff its transition predicate holds for the composite
+// transition since it was last considered).
+//
+// Table names are the schema's canonical (lower-case) names throughout
+// this package — what statement resolution and rule compilation produce —
+// and nothing folds case again.
 package transition
 
 import (
 	"crypto/sha256"
-	"maps"
 	"sort"
 	"sync/atomic"
 
 	"activerules/internal/schema"
 	"activerules/internal/storage"
 )
-
-// entryKind is the primitive operation kind recorded in the log.
-type entryKind int
-
-const (
-	entryInsert entryKind = iota
-	entryDelete
-	entryUpdate
-)
-
-// Kind classifies a primitive log entry for delta-driven triggering:
-// the compiled engine tracks the last log position per (table, kind) so
-// a rule's candidate bit can be cleared exactly when no unconsumed
-// entry of a kind it watches remains on its table.
-type Kind int
-
-// Entry kind classes, aligned with the internal entry kinds.
-const (
-	KindInsert Kind = Kind(entryInsert)
-	KindDelete Kind = Kind(entryDelete)
-	KindUpdate Kind = Kind(entryUpdate)
-)
-
-// Entry is one primitive data modification. For deletes and updates,
-// OldRow captures the full tuple value immediately before the operation,
-// which is what net-effect computation needs to reconstruct the state at
-// the start of any log suffix.
-type Entry struct {
-	kind   entryKind
-	table  string
-	id     storage.TupleID
-	oldRow []storage.Value // delete/update only
-}
-
-// Log is an append-only record of primitive operations since the current
-// rule assertion point. Positions in the log ("marks") identify the
-// transition each rule has yet to see (Section 2: a rule is triggered iff
-// its transition predicate holds for the composite transition since it
-// was last considered).
-//
-// Table names are the schema's canonical (lower-case) names throughout
-// this package — what statement resolution and rule compilation produce —
-// and no method folds case again.
-type Log struct {
-	entries []Entry
-	// touched[t] locates the most recent entries on table t. It is
-	// emptied, not dropped, at a truncation, so a long-lived log stops
-	// allocating once it has seen its tables.
-	touched map[string]touchIdx
-	// gen counts the truncations that removed entries. Appends never
-	// change it, so a reader that remembers (gen, Mark) can tell "only
-	// appended to since" from "positions below my mark were reused".
-	gen uint64
-	// scratch is ComputeTable's working set. No Net points into it and
-	// Clone does not copy it.
-	scratch netScratch
-}
-
-// touchIdx is one table's most recent log positions: last over all
-// entries, letting the engine skip net-effect computation for rules
-// whose table has not changed since their mark, and kind[k] over the
-// entries of kind k, or -1. A net-effect op of kind k can only arise
-// from a raw entry of kind k (see ComputeTable), so kind bounds
-// triggering per kind.
-type touchIdx struct {
-	last int
-	kind [3]int
-}
-
-// Gen returns the log's truncation generation: it changes exactly when
-// Truncate or TruncateTo removes entries, and is carried over by Clone.
-func (l *Log) Gen() uint64 { return l.gen }
-
-// LastTouch returns the index of the most recent entry on the table, or
-// -1 if the table is untouched.
-func (l *Log) LastTouch(table string) int {
-	if ti, ok := l.touched[table]; ok {
-		return ti.last
-	}
-	return -1
-}
-
-// LastTouchKind returns the index of the most recent entry of the given
-// kind on the table, or -1 if no such entry exists.
-func (l *Log) LastTouchKind(table string, k Kind) int {
-	if ti, ok := l.touched[table]; ok {
-		return ti.kind[k]
-	}
-	return -1
-}
-
-// record appends e and indexes it.
-func (l *Log) record(e Entry) {
-	if l.touched == nil {
-		l.touched = make(map[string]touchIdx)
-	}
-	l.index(len(l.entries), e.table, e.kind)
-	l.entries = append(l.entries, e)
-}
-
-func (l *Log) index(pos int, table string, kind entryKind) {
-	ti, ok := l.touched[table]
-	if !ok {
-		ti.kind = [3]int{-1, -1, -1}
-	}
-	ti.last = pos
-	ti.kind[kind] = pos
-	l.touched[table] = ti
-}
-
-// Mark returns the current log position.
-func (l *Log) Mark() int { return len(l.entries) }
-
-// RecordInsert records insertion of the identified tuple.
-func (l *Log) RecordInsert(table string, id storage.TupleID) {
-	l.record(Entry{kind: entryInsert, table: table, id: id})
-}
-
-// RecordDelete records deletion; old is the tuple's value at deletion.
-// The log keeps old: the caller hands over a copy it will not modify.
-func (l *Log) RecordDelete(table string, id storage.TupleID, old []storage.Value) {
-	l.record(Entry{kind: entryDelete, table: table, id: id, oldRow: old})
-}
-
-// RecordUpdate records an update; old is the full tuple value immediately
-// before the update, handed over like RecordDelete's.
-func (l *Log) RecordUpdate(table string, id storage.TupleID, old []storage.Value) {
-	l.record(Entry{kind: entryUpdate, table: table, id: id, oldRow: old})
-}
-
-// Truncate discards all entries (used at assertion-point boundaries).
-func (l *Log) Truncate() {
-	if len(l.entries) > 0 {
-		l.gen++
-	}
-	l.entries = l.entries[:0]
-	clear(l.touched)
-}
-
-// TruncateTo discards every entry at or after mark, returning the log to
-// the state it had when Mark reported mark. The engine uses it to erase
-// the recording of a failed rule action after the database savepoint has
-// been rolled back.
-func (l *Log) TruncateTo(mark int) {
-	if mark >= len(l.entries) {
-		return
-	}
-	if mark <= 0 {
-		l.Truncate()
-		return
-	}
-	l.gen++
-	l.entries = l.entries[:mark]
-	clear(l.touched)
-	for i := range l.entries {
-		l.index(i, l.entries[i].table, l.entries[i].kind)
-	}
-}
-
-// Clone returns an independent copy of the log. Entries are immutable
-// once recorded, so a shallow copy of the slice suffices.
-func (l *Log) Clone() *Log {
-	nl := &Log{entries: make([]Entry, len(l.entries)), gen: l.gen}
-	copy(nl.entries, l.entries)
-	nl.touched = maps.Clone(l.touched)
-	return nl
-}
 
 // UpdatedPair is the old and new value of one net-updated tuple.
 type UpdatedPair struct {
@@ -211,7 +52,7 @@ type TableNet struct {
 	UpdatedColumns []string
 }
 
-// Net is the net effect of a log suffix on one table: its inserted,
+// Net is the net effect of a history suffix on one table: its inserted,
 // deleted and updated tuples. A rule's transition predicate and
 // transition tables concern its own table alone, so this is all the
 // engine ever computes. A Net is immutable once computed and may be
@@ -229,29 +70,30 @@ var emptyNet = new(Net)
 // immutable after computation.
 func EmptyNet() *Net { return emptyNet }
 
-// tupState is what the log suffix did to one tuple: the kind of its
-// first entry, its value at the suffix start (delete/update first
-// entries) and whether a delete followed. Later updates need no
-// bookkeeping: final values come from the database.
+// tupState is what the history suffix did to one tuple: the kind of its
+// first change, whether a delete followed, and — unless that first change
+// is an insert — its value at the suffix start, in the net's own memory.
 type tupState struct {
 	id       storage.TupleID
-	first    entryKind
+	first    storage.ChangeKind
 	deleted  bool
 	baseline []storage.Value
 }
 
-// netScratch holds the tuple states of one ComputeTable call, by value
-// and in first-touch order. A state is found by scanning while there are
-// at most linearProbe of them — a rule action's transition is usually a
-// handful of tuples — and through index beyond.
-type netScratch struct {
+// Scratch holds the tuple states of one ComputeTable call, by value and
+// in first-touch order. A state is found by scanning while there are at
+// most linearProbe of them — a rule action's transition is usually a
+// handful of tuples — and through index beyond. A Scratch serves one
+// goroutine; the zero value is ready, and nothing a Net holds points
+// into it.
+type Scratch struct {
 	states []tupState
 	index  map[storage.TupleID]int
 }
 
 const linearProbe = 8
 
-func (sc *netScratch) find(id storage.TupleID) *tupState {
+func (sc *Scratch) find(id storage.TupleID) *tupState {
 	if len(sc.states) > linearProbe {
 		if i, ok := sc.index[id]; ok {
 			return &sc.states[i]
@@ -266,7 +108,7 @@ func (sc *netScratch) find(id storage.TupleID) *tupState {
 	return nil
 }
 
-func (sc *netScratch) add(st tupState) {
+func (sc *Scratch) add(st tupState) {
 	sc.states = append(sc.states, st)
 	if len(sc.states) <= linearProbe {
 		return
@@ -279,39 +121,49 @@ func (sc *netScratch) add(st tupState) {
 	}
 }
 
-// reset empties the scratch, dropping its references into the log.
-func (sc *netScratch) reset() {
+// reset empties the scratch, dropping its references into the net.
+func (sc *Scratch) reset() {
 	clear(sc.states)
 	sc.states = sc.states[:0]
 	clear(sc.index)
 }
 
-// ComputeTable derives the net effect on one table of the log suffix
-// starting at mark, reading final tuple values from db (the current
-// state). Tuples whose composite update is the identity are dropped
-// entirely (no net effect). It uses the log's scratch, so like every
-// other method of a Log it is for the log's one goroutine.
-func ComputeTable(l *Log, mark int, db *storage.DB, table string) *Net {
-	sc := &l.scratch
+// ComputeTable derives the net effect on table t of the suffix of db's
+// history starting at mark, reading final tuple values from t (the
+// current state). Tuples whose composite update is the identity are
+// dropped entirely (no net effect).
+//
+// The history records an update as one column's old value and a delete as
+// the removed tuple, not as full old rows, so a tuple the suffix did not
+// insert gets its value at the suffix start — what its Deleted or
+// Updated.Old row is — by taking its last value (the live row) and
+// walking the suffix newest-first, writing each update's old value back
+// and taking a delete's row whole.
+//
+// Every row of the result, deleted ones included, is carved from one
+// backing array the Net owns: no row aliases storage, where a rolled-back
+// delete revives the very tuple object the history held and later updates
+// write it in place, while forks go on sharing the Net.
+func ComputeTable(db *storage.DB, mark int, t *storage.Table, sc *Scratch) *Net {
 	defer sc.reset()
-	for i := mark; i < len(l.entries); i++ {
-		e := &l.entries[i]
-		if e.table != table {
+	hist := db.History()
+	for i := mark; i < len(hist); i++ {
+		c := &hist[i]
+		if c.Table != t {
 			continue
 		}
-		if st := sc.find(e.id); st != nil {
-			st.deleted = st.deleted || e.kind == entryDelete
+		if st := sc.find(c.ID); st != nil {
+			st.deleted = st.deleted || c.Kind == storage.ChangeDelete
 			continue
 		}
-		// oldRow is nil for an insert: no baseline.
-		sc.add(tupState{id: e.id, first: e.kind, deleted: e.kind == entryDelete, baseline: e.oldRow})
+		sc.add(tupState{id: c.ID, first: c.Kind, deleted: c.Kind == storage.ChangeDelete})
 	}
 
-	// Size the lists, and one backing array for the final values.
+	// Size the lists, and the one backing array for every row.
 	var nIns, nDel, nUpd int
 	for i := range sc.states {
 		switch st := &sc.states[i]; {
-		case st.first == entryInsert:
+		case st.first == storage.ChangeInsert:
 			if !st.deleted { // rule 4: insert then delete is nothing
 				nIns++
 			}
@@ -324,27 +176,54 @@ func ComputeTable(l *Log, mark int, db *storage.DB, table string) *Net {
 	if nIns+nDel+nUpd == 0 {
 		return emptyNet
 	}
-	t := db.Table(table)
-	n := &Net{tn: TableNet{Table: table}}
+	def := t.Def()
+	n := &Net{tn: TableNet{Table: def.Name}}
 	tn := &n.tn
-	vals := make([]storage.Value, 0, (nIns+nUpd)*len(t.Def().Columns))
-	final := func(tu *storage.Tuple) []storage.Value {
-		vals = append(vals, tu.Vals...)
-		return vals[len(vals)-len(tu.Vals) : len(vals) : len(vals)]
+	vals := make([]storage.Value, 0, (nIns+nDel+2*nUpd)*len(def.Columns))
+	carve := func(row []storage.Value) []storage.Value {
+		vals = append(vals, row...)
+		return vals[len(vals)-len(row) : len(vals) : len(vals)]
 	}
+
+	if nDel+nUpd > 0 {
+		for i := range sc.states {
+			if st := &sc.states[i]; st.first != storage.ChangeInsert {
+				if tu := t.Get(st.id); tu != nil {
+					st.baseline = carve(tu.Vals)
+				} else { // deleted: a blank row, which its delete overwrites below
+					st.baseline = carve(vals[len(vals) : len(vals)+len(def.Columns)])
+				}
+			}
+		}
+		for i := len(hist) - 1; i >= mark; i-- {
+			c := &hist[i]
+			if c.Table != t || c.Kind == storage.ChangeInsert {
+				continue
+			}
+			st := sc.find(c.ID)
+			switch {
+			case st.baseline == nil: // inserted in the suffix: no earlier value
+			case c.Kind == storage.ChangeDelete:
+				copy(st.baseline, c.Row.Vals)
+			default:
+				st.baseline[c.Col] = c.Old
+			}
+		}
+	}
+
 	tn.Inserted = make([][]storage.Value, 0, nIns)
 	tn.Deleted = make([][]storage.Value, 0, nDel)
 	tn.Updated = make([]UpdatedPair, 0, nUpd)
 	for i := range sc.states {
 		st := &sc.states[i]
 		switch {
-		case st.first == entryInsert:
+		case st.first == storage.ChangeInsert:
 			if st.deleted {
 				continue
 			}
-			// Defensive: a tuple may have vanished without a logged delete.
+			// Defensive: a tuple may have vanished without a recorded delete.
 			if tu := t.Get(st.id); tu != nil {
-				tn.Inserted = append(tn.Inserted, final(tu)) // rule 3: final values
+				tn.Inserted = append(tn.Inserted, carve(tu.Vals)) // rule 3: final values
 			}
 		case st.deleted: // rule 2 or a plain delete: the original tuple
 			tn.Deleted = append(tn.Deleted, st.baseline)
@@ -353,11 +232,10 @@ func ComputeTable(l *Log, mark int, db *storage.DB, table string) *Net {
 			if tu == nil || rowsIdentical(st.baseline, tu.Vals) {
 				continue // composite update is the identity: no net effect
 			}
-			tn.Updated = append(tn.Updated, UpdatedPair{Old: st.baseline, New: final(tu)})
+			tn.Updated = append(tn.Updated, UpdatedPair{Old: st.baseline, New: carve(tu.Vals)})
 		}
 	}
 	if len(tn.Updated) > 0 {
-		def := db.Schema().Table(table)
 		for c := range tn.Updated[0].Old {
 			for _, up := range tn.Updated {
 				if !valuesIdentical(up.Old[c], up.New[c]) {

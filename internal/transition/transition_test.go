@@ -1,4 +1,4 @@
-package transition
+package transition_test
 
 import (
 	"testing"
@@ -7,44 +7,42 @@ import (
 	"activerules/internal/storage"
 )
 
-func fixture() (*storage.DB, *Log) {
-	sch := schema.MustParse("table t (id int, v int)\ntable u (id int)")
-	return storage.NewDB(sch), &Log{}
+// fixture is an empty two-table database with a transaction open on it
+// and the reference's recorder driving it.
+func fixture() (*storage.DB, *recorder) {
+	db := storage.NewDB(schema.MustParse("table t (id int, v int)\ntable u (id int)"))
+	return db, record(db)
 }
 
-// doInsert / doDelete / doUpdate apply a change to the DB and record it,
-// as the engine's recording mutator does.
-func doInsert(db *storage.DB, l *Log, table string, vals ...storage.Value) storage.TupleID {
-	id := db.MustInsert(table, vals...)
-	l.RecordInsert(table, id)
+// doInsert / doDelete / doUpdate apply a change to the DB through the
+// recorder, as the engine's mutator would.
+func doInsert(l *recorder, table string, vals ...storage.Value) storage.TupleID {
+	id, err := l.Insert(table, vals)
+	if err != nil {
+		panic(err)
+	}
 	return id
 }
 
-func doDelete(db *storage.DB, l *Log, table string, id storage.TupleID) {
-	tu := db.Table(table).Get(id)
-	old := make([]storage.Value, len(tu.Vals))
-	copy(old, tu.Vals)
-	db.Delete(table, id)
-	l.RecordDelete(table, id, old)
-}
-
-func doUpdate(db *storage.DB, l *Log, table string, id storage.TupleID, col string, v storage.Value) {
-	tu := db.Table(table).Get(id)
-	old := make([]storage.Value, len(tu.Vals))
-	copy(old, tu.Vals)
-	if _, err := db.Update(table, id, col, v); err != nil {
+func doDelete(l *recorder, table string, id storage.TupleID) {
+	if err := l.Delete(table, id); err != nil {
 		panic(err)
 	}
-	l.RecordUpdate(table, id, old)
+}
+
+func doUpdate(l *recorder, table string, id storage.TupleID, col string, v storage.Value) {
+	if err := l.Update(table, id, col, v); err != nil {
+		panic(err)
+	}
 }
 
 func TestNetRule1CompositeUpdate(t *testing.T) {
 	db, l := fixture()
-	id := db.MustInsert("t", storage.IntV(1), storage.IntV(10))
+	id := doInsert(l, "t", storage.IntV(1), storage.IntV(10))
 	mark := l.Mark()
-	doUpdate(db, l, "t", id, "v", storage.IntV(20))
-	doUpdate(db, l, "t", id, "v", storage.IntV(30))
-	n := ComputeTable(l, mark, db, "t")
+	doUpdate(l, "t", id, "v", storage.IntV(20))
+	doUpdate(l, "t", id, "v", storage.IntV(30))
+	n := compute(db, mark, "t")
 	tn := n.Table("t")
 	if tn == nil || len(tn.Updated) != 1 {
 		t.Fatalf("expected one composite update, got %+v", tn)
@@ -52,18 +50,18 @@ func TestNetRule1CompositeUpdate(t *testing.T) {
 	if tn.Updated[0].Old[1].I != 10 || tn.Updated[0].New[1].I != 30 {
 		t.Errorf("composite update = %v -> %v", tn.Updated[0].Old, tn.Updated[0].New)
 	}
-	if got := n.Ops().String(); got != "{(U,t.v)}" {
+	if got := netOps(n, "t").String(); got != "{(U,t.v)}" {
 		t.Errorf("Ops = %s", got)
 	}
 }
 
 func TestNetRule2UpdateThenDelete(t *testing.T) {
 	db, l := fixture()
-	id := db.MustInsert("t", storage.IntV(1), storage.IntV(10))
+	id := doInsert(l, "t", storage.IntV(1), storage.IntV(10))
 	mark := l.Mark()
-	doUpdate(db, l, "t", id, "v", storage.IntV(99))
-	doDelete(db, l, "t", id)
-	n := ComputeTable(l, mark, db, "t")
+	doUpdate(l, "t", id, "v", storage.IntV(99))
+	doDelete(l, "t", id)
+	n := compute(db, mark, "t")
 	tn := n.Table("t")
 	if len(tn.Deleted) != 1 || len(tn.Updated) != 0 {
 		t.Fatalf("expected only a deletion: %+v", tn)
@@ -72,7 +70,7 @@ func TestNetRule2UpdateThenDelete(t *testing.T) {
 	if tn.Deleted[0][1].I != 10 {
 		t.Errorf("deleted values = %v, want original v=10", tn.Deleted[0])
 	}
-	if got := n.Ops().String(); got != "{(D,t)}" {
+	if got := netOps(n, "t").String(); got != "{(D,t)}" {
 		t.Errorf("Ops = %s", got)
 	}
 }
@@ -80,9 +78,9 @@ func TestNetRule2UpdateThenDelete(t *testing.T) {
 func TestNetRule3InsertThenUpdate(t *testing.T) {
 	db, l := fixture()
 	mark := l.Mark()
-	id := doInsert(db, l, "t", storage.IntV(1), storage.IntV(10))
-	doUpdate(db, l, "t", id, "v", storage.IntV(42))
-	n := ComputeTable(l, mark, db, "t")
+	id := doInsert(l, "t", storage.IntV(1), storage.IntV(10))
+	doUpdate(l, "t", id, "v", storage.IntV(42))
+	n := compute(db, mark, "t")
 	tn := n.Table("t")
 	if len(tn.Inserted) != 1 || len(tn.Updated) != 0 {
 		t.Fatalf("expected only an insertion: %+v", tn)
@@ -90,7 +88,7 @@ func TestNetRule3InsertThenUpdate(t *testing.T) {
 	if tn.Inserted[0][1].I != 42 {
 		t.Errorf("inserted values = %v, want updated v=42", tn.Inserted[0])
 	}
-	if got := n.Ops().String(); got != "{(I,t)}" {
+	if got := netOps(n, "t").String(); got != "{(I,t)}" {
 		t.Errorf("Ops = %s", got)
 	}
 }
@@ -98,24 +96,24 @@ func TestNetRule3InsertThenUpdate(t *testing.T) {
 func TestNetRule4InsertThenDelete(t *testing.T) {
 	db, l := fixture()
 	mark := l.Mark()
-	id := doInsert(db, l, "t", storage.IntV(1), storage.IntV(10))
-	doDelete(db, l, "t", id)
-	n := ComputeTable(l, mark, db, "t")
+	id := doInsert(l, "t", storage.IntV(1), storage.IntV(10))
+	doDelete(l, "t", id)
+	n := compute(db, mark, "t")
 	if !n.IsEmpty() {
 		t.Fatalf("insert+delete should have no net effect: %+v", n.Table("t"))
 	}
-	if n.Ops().Len() != 0 {
+	if netOps(n, "t").Len() != 0 {
 		t.Errorf("Ops should be empty")
 	}
 }
 
 func TestNetIdentityUpdateDropped(t *testing.T) {
 	db, l := fixture()
-	id := db.MustInsert("t", storage.IntV(1), storage.IntV(10))
+	id := doInsert(l, "t", storage.IntV(1), storage.IntV(10))
 	mark := l.Mark()
-	doUpdate(db, l, "t", id, "v", storage.IntV(20))
-	doUpdate(db, l, "t", id, "v", storage.IntV(10)) // back to original
-	n := ComputeTable(l, mark, db, "t")
+	doUpdate(l, "t", id, "v", storage.IntV(20))
+	doUpdate(l, "t", id, "v", storage.IntV(10)) // back to original
+	n := compute(db, mark, "t")
 	if !n.IsEmpty() {
 		t.Fatalf("identity composite update should vanish: %+v", n.Table("t"))
 	}
@@ -123,17 +121,17 @@ func TestNetIdentityUpdateDropped(t *testing.T) {
 
 func TestNetUpdatedColumns(t *testing.T) {
 	db, l := fixture()
-	a := db.MustInsert("t", storage.IntV(1), storage.IntV(10))
-	b := db.MustInsert("t", storage.IntV(2), storage.IntV(20))
+	a := doInsert(l, "t", storage.IntV(1), storage.IntV(10))
+	b := doInsert(l, "t", storage.IntV(2), storage.IntV(20))
 	mark := l.Mark()
-	doUpdate(db, l, "t", a, "v", storage.IntV(11))
-	doUpdate(db, l, "t", b, "id", storage.IntV(3))
-	n := ComputeTable(l, mark, db, "t")
+	doUpdate(l, "t", a, "v", storage.IntV(11))
+	doUpdate(l, "t", b, "id", storage.IntV(3))
+	n := compute(db, mark, "t")
 	tn := n.Table("t")
 	if len(tn.UpdatedColumns) != 2 || tn.UpdatedColumns[0] != "id" || tn.UpdatedColumns[1] != "v" {
 		t.Errorf("UpdatedColumns = %v", tn.UpdatedColumns)
 	}
-	if got := n.Ops().String(); got != "{(U,t.id), (U,t.v)}" {
+	if got := netOps(n, "t").String(); got != "{(U,t.id), (U,t.v)}" {
 		t.Errorf("Ops = %s", got)
 	}
 }
@@ -142,17 +140,17 @@ func TestNetSuffixSemantics(t *testing.T) {
 	// A rule that has already seen the first part of the log computes its
 	// net effect only over the suffix.
 	db, l := fixture()
-	id := doInsert(db, l, "t", storage.IntV(1), storage.IntV(10))
+	id := doInsert(l, "t", storage.IntV(1), storage.IntV(10))
 	mark := l.Mark() // rule considered here
-	doUpdate(db, l, "t", id, "v", storage.IntV(20))
-	n := ComputeTable(l, mark, db, "t")
+	doUpdate(l, "t", id, "v", storage.IntV(20))
+	n := compute(db, mark, "t")
 	tn := n.Table("t")
 	// From the suffix's viewpoint the tuple already existed: an update.
 	if len(tn.Updated) != 1 || len(tn.Inserted) != 0 {
 		t.Fatalf("suffix net should be an update: %+v", tn)
 	}
 	// From the start of the log it is an insertion of the updated tuple.
-	n2 := ComputeTable(l, 0, db, "t")
+	n2 := compute(db, 0, "t")
 	tn2 := n2.Table("t")
 	if len(tn2.Inserted) != 1 || tn2.Inserted[0][1].I != 20 {
 		t.Fatalf("full net should be insert of updated tuple: %+v", tn2)
@@ -162,12 +160,12 @@ func TestNetSuffixSemantics(t *testing.T) {
 func TestNetMultipleTables(t *testing.T) {
 	db, l := fixture()
 	mark := l.Mark()
-	doInsert(db, l, "t", storage.IntV(1), storage.IntV(1))
-	doInsert(db, l, "u", storage.IntV(2))
+	doInsert(l, "t", storage.IntV(1), storage.IntV(1))
+	doInsert(l, "u", storage.IntV(2))
 	// One net per table is all the engine computes; the multi-table
 	// reference sees both at once.
 	for _, table := range []string{"t", "u"} {
-		n := ComputeTable(l, mark, db, table)
+		n := compute(db, mark, table)
 		if tn := n.Table(table); tn == nil || len(tn.Inserted) != 1 {
 			t.Errorf("net on %s = %+v, want one inserted row", table, tn)
 		}
@@ -191,12 +189,12 @@ func TestUntriggeringScenario(t *testing.T) {
 	// After r2's action, the composite transition has no (I,t) left.
 	db, l := fixture()
 	mark := l.Mark() // r1's viewpoint
-	id := doInsert(db, l, "t", storage.IntV(1), storage.IntV(1))
-	if !ComputeTable(l, mark, db, "t").Ops().Contains(schema.Insert("t")) {
+	id := doInsert(l, "t", storage.IntV(1), storage.IntV(1))
+	if !netOps(compute(db, mark, "t"), "t").Contains(schema.Insert("t")) {
 		t.Fatal("r1 should initially be triggered by (I,t)")
 	}
-	doDelete(db, l, "t", id) // r2's action
-	if ComputeTable(l, mark, db, "t").Ops().Contains(schema.Insert("t")) {
+	doDelete(l, "t", id) // r2's action
+	if netOps(compute(db, mark, "t"), "t").Contains(schema.Insert("t")) {
 		t.Error("after deletion the composite transition should not contain (I,t): r1 untriggered")
 	}
 }
@@ -214,9 +212,9 @@ func TestFingerprintStability(t *testing.T) {
 			vals[0], vals[1] = vals[1], vals[0]
 		}
 		for _, v := range vals {
-			doInsert(db, l, "t", v...)
+			doInsert(l, "t", v...)
 		}
-		return ComputeTable(l, mark, db, "t").TableFingerprint("t")
+		return compute(db, mark, "t").TableFingerprint("t")
 	}
 	if mk(false) != mk(true) {
 		t.Error("fingerprint should be order-independent")
@@ -224,13 +222,13 @@ func TestFingerprintStability(t *testing.T) {
 	// Different content differs.
 	db, l := fixture()
 	mark := l.Mark()
-	doInsert(db, l, "t", storage.IntV(9), storage.IntV(9))
-	if ComputeTable(l, mark, db, "t").TableFingerprint("t") == mk(false) {
+	doInsert(l, "t", storage.IntV(9), storage.IntV(9))
+	if compute(db, mark, "t").TableFingerprint("t") == mk(false) {
 		t.Error("different nets should have different fingerprints")
 	}
 	// Empty net has a stable fingerprint distinct from non-empty.
-	db2, l2 := fixture()
-	e1 := ComputeTable(l2, 0, db2, "t").TableFingerprint("t")
+	db2, _ := fixture()
+	e1 := compute(db2, 0, "t").TableFingerprint("t")
 	if e1 == mk(false) {
 		t.Error("empty net should differ from non-empty")
 	}
@@ -241,32 +239,71 @@ func TestFingerprintDistinguishesKind(t *testing.T) {
 	mkIns := func() [32]byte {
 		db, l := fixture()
 		mark := l.Mark()
-		doInsert(db, l, "t", storage.IntV(1), storage.IntV(1))
-		return ComputeTable(l, mark, db, "t").TableFingerprint("t")
+		doInsert(l, "t", storage.IntV(1), storage.IntV(1))
+		return compute(db, mark, "t").TableFingerprint("t")
 	}
 	mkDel := func() [32]byte {
 		db, l := fixture()
-		id := db.MustInsert("t", storage.IntV(1), storage.IntV(1))
+		id := doInsert(l, "t", storage.IntV(1), storage.IntV(1))
 		mark := l.Mark()
-		doDelete(db, l, "t", id)
-		return ComputeTable(l, mark, db, "t").TableFingerprint("t")
+		doDelete(l, "t", id)
+		return compute(db, mark, "t").TableFingerprint("t")
 	}
 	if mkIns() == mkDel() {
 		t.Error("insert net and delete net of the same row must differ")
 	}
 }
 
+// TestTruncate: the end of the transaction — the outermost release —
+// empties the history, and with it every net.
 func TestTruncate(t *testing.T) {
 	db, l := fixture()
-	doInsert(db, l, "t", storage.IntV(1), storage.IntV(1))
-	if l.Mark() != 1 {
-		t.Fatalf("Mark = %d", l.Mark())
+	doInsert(l, "t", storage.IntV(1), storage.IntV(1))
+	if l.Mark() != 1 || db.HistoryLen() != 1 {
+		t.Fatalf("Mark = %d, history %d", l.Mark(), db.HistoryLen())
 	}
-	l.Truncate()
-	if l.Mark() != 0 {
-		t.Fatalf("Mark after Truncate = %d", l.Mark())
+	gen := db.HistoryGen()
+	db.Release(l.tx)
+	if l.Mark() != 0 || db.HistoryGen() == gen {
+		t.Fatalf("Mark after the release = %d, generation %d -> %d", l.Mark(), gen, db.HistoryGen())
 	}
-	if !ComputeTable(l, 0, db, "t").IsEmpty() {
-		t.Error("net after truncate should be empty")
+	if !compute(db, 0, "t").IsEmpty() {
+		t.Error("net after the release should be empty")
+	}
+}
+
+// TestNetAliasesNoStorageRow: every row of a Net is the Net's own. A
+// rolled-back delete puts the very tuple object the history held back
+// into the table, and later updates write it in place; the Net computed
+// before that keeps the rows, and the digest, it was computed with.
+func TestNetAliasesNoStorageRow(t *testing.T) {
+	db, l := fixture()
+	a := doInsert(l, "t", storage.IntV(1), storage.IntV(10))
+	b := doInsert(l, "t", storage.IntV(2), storage.IntV(20))
+	mark := l.Mark()
+	sp := db.Savepoint()
+	doUpdate(l, "t", a, "v", storage.IntV(11))
+	doDelete(l, "t", b)
+	// The same history over a fork's tuples: an equal net that shares
+	// nothing with db.
+	net, twin := compute(db, mark, "t"), compute(db.Fork(), mark, "t")
+
+	db.RollbackTo(sp)
+	doUpdate(l, "t", a, "v", storage.IntV(98))
+	doUpdate(l, "t", b, "id", storage.IntV(97))
+	doUpdate(l, "t", b, "v", storage.IntV(99))
+
+	tn := net.Table("t")
+	if len(tn.Deleted) != 1 || tn.Deleted[0][0].I != 2 || tn.Deleted[0][1].I != 20 {
+		t.Errorf("deleted rows after the tuple was revived and rewritten: %v", tn.Deleted)
+	}
+	if len(tn.Updated) != 1 || tn.Updated[0].Old[1].I != 10 || tn.Updated[0].New[1].I != 11 {
+		t.Errorf("updated rows after the tuple was restored and rewritten: %v", tn.Updated)
+	}
+	if d := diffTableNets(tn, twin.Table("t")); d != "" {
+		t.Errorf("the net moved with storage: %s", d)
+	}
+	if net.TableFingerprint("t") != twin.TableFingerprint("t") {
+		t.Error("the net's digest moved with storage")
 	}
 }

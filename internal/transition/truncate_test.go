@@ -1,4 +1,4 @@
-package transition
+package transition_test
 
 import (
 	"testing"
@@ -6,48 +6,59 @@ import (
 	"activerules/internal/storage"
 )
 
+// A failed script or consideration is a savepoint rollback: the history
+// returns to the savepoint's position, the tables' last changes with it.
 func TestTruncateToRestoresMarkAndLastTouch(t *testing.T) {
 	db, l := fixture()
-	id := doInsert(db, l, "t", storage.IntV(1), storage.IntV(10))
+	id := doInsert(l, "t", storage.IntV(1), storage.IntV(10))
 	mark := l.Mark()
-	doUpdate(db, l, "t", id, "v", storage.IntV(20))
-	doInsert(db, l, "u", storage.IntV(7))
+	sp := db.Savepoint()
+	doUpdate(l, "t", id, "v", storage.IntV(20))
+	doInsert(l, "u", storage.IntV(7))
 	if l.Mark() != mark+2 {
 		t.Fatalf("mark = %d, want %d", l.Mark(), mark+2)
 	}
 
-	l.TruncateTo(mark)
-	if l.Mark() != mark {
-		t.Errorf("mark after truncate = %d, want %d", l.Mark(), mark)
+	db.RollbackTo(sp)
+	if l.Mark() != mark || db.HistoryLen() != mark {
+		t.Errorf("mark after the rollback = %d (history %d), want %d", l.Mark(), db.HistoryLen(), mark)
 	}
-	// u's only entry was truncated away; t's surviving entry is index 0.
-	if got := l.LastTouch("u"); got != -1 {
-		t.Errorf("LastTouch(u) = %d, want -1", got)
+	// u's only entry was rolled back; t's surviving entry is index 0.
+	if got := db.Table("u").LastChange(); got != -1 {
+		t.Errorf("LastChange(u) = %d, want -1", got)
 	}
-	if got := l.LastTouch("t"); got != 0 {
-		t.Errorf("LastTouch(t) = %d, want 0", got)
+	if got := db.Table("t").LastChange(); got != 0 {
+		t.Errorf("LastChange(t) = %d, want 0", got)
 	}
 
 	// The suffix net from 0 must be exactly the surviving insert.
-	n := ComputeTable(l, 0, db, "t")
-	tn := n.Table("t")
-	if tn == nil || len(tn.Inserted) != 1 || len(tn.Updated) != 0 {
-		t.Errorf("unexpected net after truncate: %+v", tn)
+	tn := compute(db, 0, "t").Table("t")
+	if tn == nil || len(tn.Inserted) != 1 || len(tn.Updated) != 0 || tn.Inserted[0][1].I != 10 {
+		t.Errorf("unexpected net after the rollback: %+v", tn)
 	}
-	if !ComputeTable(l, 0, db, "u").IsEmpty() {
-		t.Error("truncated table u must not appear in the net")
+	if !compute(db, 0, "u").IsEmpty() {
+		t.Error("rolled-back table u must not appear in the net")
 	}
 }
 
 func TestTruncateToZeroAndNoop(t *testing.T) {
 	db, l := fixture()
-	doInsert(db, l, "t", storage.IntV(1), storage.IntV(10))
-	l.TruncateTo(5) // beyond the end: no-op
-	if l.Mark() != 1 {
-		t.Errorf("mark = %d after overlong truncate", l.Mark())
+	sp := db.Savepoint()
+	gen := db.HistoryGen()
+	db.RollbackTo(sp) // nothing to undo: no-op
+	if db.HistoryGen() != gen {
+		t.Error("a rollback that undoes nothing must not move the generation")
 	}
-	l.TruncateTo(0)
-	if l.Mark() != 0 || l.LastTouch("t") != -1 {
-		t.Error("TruncateTo(0) must behave like Truncate")
+	doInsert(l, "t", storage.IntV(1), storage.IntV(10))
+	if l.Mark() != 1 {
+		t.Errorf("mark = %d after an empty rollback and an insert", l.Mark())
+	}
+	// A mark past the end of the history sees nothing.
+	if !compute(db, 5, "t").IsEmpty() {
+		t.Error("a mark beyond the history must yield the empty net")
+	}
+	db.RollbackTo(l.tx)
+	if l.Mark() != 0 || db.Table("t").LastChange() != -1 || db.HistoryGen() == gen {
+		t.Error("rolling the transaction back must empty the history")
 	}
 }
