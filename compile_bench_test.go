@@ -27,6 +27,7 @@ import (
 	"testing"
 
 	"activerules"
+	"activerules/internal/rules"
 )
 
 // --- scaled workloads ---------------------------------------------------
@@ -190,6 +191,31 @@ const (
 	powernetSeed = "insert into node0 values (1, 'plant', true), (2, 'sub', false);\ninsert into wire0 values (10, 1, 2, false)"
 	powernetOp   = "update node0 set powered = false where id = 2"
 )
+
+// BenchmarkNewSet is rule-set compilation alone at the scaled bank
+// sizes: per-rule resolution plus the priority closure, whose n × n
+// relation is the one allocation that grows quadratically.
+func BenchmarkNewSet(b *testing.B) {
+	for _, clusters := range []int{334, 3334} {
+		schemaSrc, rulesSrc := scaledBankSources(clusters)
+		sch, err := activerules.ParseSchema(schemaSrc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defs, err := activerules.ParseDefinitions(rulesSrc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("rules=%d", len(defs)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := rules.NewSet(sch, defs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // --- results recorder ---------------------------------------------------
 

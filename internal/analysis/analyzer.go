@@ -30,9 +30,9 @@ type Analyzer struct {
 	ref    *refinement
 
 	// par is the resolved worker count for the pairwise passes
-	// (CommutativityMatrix, the Confluence Requirement sweep, and Sig's
-	// closure), set via SetParallelism. The zero value — never set —
-	// means the sequential legacy path.
+	// (CommutativityMatrix and the Confluence Requirement sweep), set via
+	// SetParallelism. The zero value — never set — means the sequential
+	// legacy path. Sig's closure is sequential at every setting.
 	par int
 
 	// verdicts memoizes Commute per unordered pair (see verdicts.go). An
@@ -167,8 +167,9 @@ func New(set *rules.Set, cert *Certification) *Analyzer {
 // one worker per CPU (GOMAXPROCS), 1 (the default) the sequential
 // legacy path, n > 1 exactly n workers. Every verdict is identical at
 // every parallelism — the passes parallelize over independent pair
-// checks and round-synchronous closure snapshots, never over anything
-// order-sensitive. It returns the analyzer for chaining.
+// checks, never over anything order-sensitive (the Sig closure, whose
+// scan order decides which pairs are examined, stays one sequential
+// fixpoint). It returns the analyzer for chaining.
 func (a *Analyzer) SetParallelism(n int) *Analyzer {
 	a.par = par.Workers(n)
 	return a
@@ -202,8 +203,10 @@ func (a *Analyzer) graph() *TriggeringGraph {
 
 // withView derives an analyzer sharing everything but the view and the
 // verdict table: a pair's verdict depends on the view (the Obs extension
-// makes observable rules conflict), so each view fills its own.
+// makes observable rules conflict), so each view fills its own. The
+// triggering graph is built here if nothing has needed it yet, or the
+// view and the analyzer would each go on to build one.
 func (a *Analyzer) withView(v ruleView) *Analyzer {
-	return &Analyzer{set: a.set, cert: a.cert, view: v, tg: a.tg, par: a.par,
+	return &Analyzer{set: a.set, cert: a.cert, view: v, tg: a.graph(), par: a.par,
 		refine: a.refine, ref: a.ref, computeHook: a.computeHook}
 }

@@ -192,7 +192,15 @@ func BenchmarkAutoRepair(b *testing.B) {
 // cyclic-but-terminating shapes.
 func verdictWorkload(tb testing.TB, seed int64, n int) *workload.Generated {
 	tb.Helper()
-	g, err := workload.Generate(workload.Config{
+	g, err := workload.Generate(verdictConfig(seed, n))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+func verdictConfig(seed int64, n int) workload.Config {
+	return workload.Config{
 		Seed:            seed,
 		Rules:           n,
 		Acyclic:         true,
@@ -204,11 +212,7 @@ func verdictWorkload(tb testing.TB, seed int64, n int) *workload.Generated {
 		ObservableFrac:  0.1,
 		TransRefFrac:    0.3,
 		CyclicShapes:    []string{"countdown", "drain", "converge"},
-	})
-	if err != nil {
-		tb.Fatal(err)
 	}
-	return g
 }
 
 // BenchmarkShardPlan is the planner from a cold analyzer: every pair it

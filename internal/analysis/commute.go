@@ -50,8 +50,8 @@ func (nr NoncommuteReason) String() string {
 // user certification (Section 6.1) overrides the conservative verdict.
 //
 // The verdict is computed on the first call for a pair and read from the
-// analyzer's verdict table ever after: one atomic load for a pair that
-// commutes, plus a side-map read for the reasons of one that may not.
+// analyzer's verdict table ever after: two atomic loads, plus a side-map
+// read for the reasons of a pair that may not commute.
 func (a *Analyzer) Commute(ri, rj *rules.Rule) (bool, []NoncommuteReason) {
 	if ri == rj {
 		return true, nil
@@ -65,15 +65,14 @@ func (a *Analyzer) Commute(ri, rj *rules.Rule) (bool, []NoncommuteReason) {
 		lo, hi = hi, lo
 	}
 	t := a.table()
-	k := pairIndex(lo.Index(), hi.Index())
-	switch t.load(k) {
-	case pairCommutes, pairRefined:
+	switch t.load(lo.Index(), hi.Index()) {
+	case pairCommutes:
 		return true, nil
 	case pairMayNot:
-		return false, t.reasonsOf(k)
+		return false, t.reasonsOf(lo.Index(), hi.Index())
 	}
 	st, reasons := a.commuteUncached(lo, hi)
-	t.publish(k, st, reasons)
+	t.publish(lo.Index(), hi.Index(), st, reasons)
 	return st != pairMayNot, reasons
 }
 

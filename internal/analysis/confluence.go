@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"activerules/internal/par"
@@ -127,30 +128,28 @@ func (a *Analyzer) confluenceOver(members []*rules.Rule, term *TerminationVerdic
 // between the two sides of the diamond of Figures 3–4.
 func (a *Analyzer) BuildR1R2(ri, rj *rules.Rule) (r1, r2 []*rules.Rule) {
 	n := a.set.Len()
-	in1 := make([]bool, n)
-	in2 := make([]bool, n)
-	in1[ri.Index()] = true
-	in2[rj.Index()] = true
-	g := a.graph()
+	in1, in2 := rules.NewBits(n), rules.NewBits(n)
+	in1.Add(ri.Index())
+	in2.Add(rj.Index())
+	g, all := a.graph(), a.set.Rules()
 
-	grow := func(in []bool, other []bool, excluded int) bool {
+	grow := func(in, other rules.Bits, excluded int) bool {
 		changed := false
-		for _, r1cand := range a.set.Rules() {
-			if !in[r1cand.Index()] {
-				continue
-			}
-			for _, r := range g.Successors(r1cand) {
-				if in[r.Index()] || r.Index() == excluded {
-					continue
-				}
-				// r must have priority over some member of the other set.
-				for _, r2cand := range a.set.Rules() {
-					if other[r2cand.Index()] && a.set.Higher(r, r2cand) {
-						in[r.Index()] = true
+		for w := range in {
+			// Members in definition order, those this pass adds included.
+			for rest := in[w]; rest != 0; {
+				b := bits.TrailingZeros64(rest)
+				for _, r := range g.Successors(all[w<<6|b]) {
+					if in.Has(r.Index()) || r.Index() == excluded {
+						continue
+					}
+					// r must have priority over some member of the other set.
+					if a.set.HigherRow(r).Intersects(other) {
+						in.Add(r.Index())
 						changed = true
-						break
 					}
 				}
+				rest = in[w] &^ (1<<(b+1) - 1)
 			}
 		}
 		return changed
@@ -162,15 +161,18 @@ func (a *Analyzer) BuildR1R2(ri, rj *rules.Rule) (r1, r2 []*rules.Rule) {
 			break
 		}
 	}
-	for _, r := range a.set.Rules() {
-		if in1[r.Index()] {
-			r1 = append(r1, r)
-		}
-		if in2[r.Index()] {
-			r2 = append(r2, r)
+	return a.rulesOf(in1), a.rulesOf(in2)
+}
+
+// rulesOf lists the rules of a bit row, in definition order.
+func (a *Analyzer) rulesOf(in rules.Bits) []*rules.Rule {
+	var out []*rules.Rule
+	for w, word := range in {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, a.set.Rules()[w<<6|bits.TrailingZeros64(word)])
 		}
 	}
-	return r1, r2
+	return out
 }
 
 // checkPair verifies the Confluence Requirement for one unordered pair:

@@ -1,0 +1,554 @@
+package analysis
+
+// The loops this package ran before its pair relations became bit rows,
+// kept verbatim as oracles: the member-by-member Sig fixpoint, the
+// []bool construction of Definition 6.5, the map-and-sort shard planner
+// and the fmt renderer of its plan. The differential tests below hold
+// the word-wise code to them — results, and for Sig the exact sequence
+// of pairs handed to Lemma 6.1, since with refinement on the first
+// examination of a pair is part of the rendered report (DESIGN.md §6,
+// "Examined pairs are observable").
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"activerules/internal/ruledef"
+	"activerules/internal/rules"
+	"activerules/internal/schema"
+	"activerules/internal/workload"
+)
+
+// sigWithinScalar is the fixpoint one atomic load at a time.
+func (a *Analyzer) sigWithinScalar(members []*rules.Rule, tables []string) []*rules.Rule {
+	want := map[string]bool{}
+	for _, t := range tables {
+		want[strings.ToLower(t)] = true
+	}
+	in := make([]bool, a.set.Len())
+	for _, r := range members {
+		for op := range a.view.performs(r) {
+			if want[op.Table] {
+				in[r.Index()] = true
+				break
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, r := range members {
+			if in[r.Index()] {
+				continue
+			}
+			for _, r2 := range members {
+				if !in[r2.Index()] {
+					continue
+				}
+				if ok, _ := a.Commute(r, r2); !ok {
+					in[r.Index()] = true
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	var out []*rules.Rule
+	for _, r := range members {
+		if in[r.Index()] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// buildR1R2Scalar is Definition 6.5 over []bool and Higher.
+func (a *Analyzer) buildR1R2Scalar(ri, rj *rules.Rule) (r1, r2 []*rules.Rule) {
+	n := a.set.Len()
+	in1 := make([]bool, n)
+	in2 := make([]bool, n)
+	in1[ri.Index()] = true
+	in2[rj.Index()] = true
+	g := a.graph()
+
+	grow := func(in []bool, other []bool, excluded int) bool {
+		changed := false
+		for _, r1cand := range a.set.Rules() {
+			if !in[r1cand.Index()] {
+				continue
+			}
+			for _, r := range g.Successors(r1cand) {
+				if in[r.Index()] || r.Index() == excluded {
+					continue
+				}
+				// r must have priority over some member of the other set.
+				for _, r2cand := range a.set.Rules() {
+					if other[r2cand.Index()] && a.set.Higher(r, r2cand) {
+						in[r.Index()] = true
+						changed = true
+						break
+					}
+				}
+			}
+		}
+		return changed
+	}
+	for {
+		c1 := grow(in1, in2, rj.Index())
+		c2 := grow(in2, in1, ri.Index())
+		if !c1 && !c2 {
+			break
+		}
+	}
+	for _, r := range a.set.Rules() {
+		if in1[r.Index()] {
+			r1 = append(r1, r)
+		}
+		if in2[r.Index()] {
+			r2 = append(r2, r)
+		}
+	}
+	return r1, r2
+}
+
+// blockerStringFmt is ShardBlocker.String through fmt.
+func blockerStringFmt(b ShardBlocker) string {
+	switch b.Kind {
+	case BlockFootprint:
+		return fmt.Sprintf("rule %s triggers on / reads / writes tables [%s]", b.Rule, strings.Join(b.Tables, " "))
+	case BlockSignificance:
+		return fmt.Sprintf("rule %s is significant for tables [%s]", b.Rule, strings.Join(b.Tables, " "))
+	case BlockPriority:
+		return fmt.Sprintf("priority %s links tables [%s]", b.Rule, strings.Join(b.Tables, " "))
+	default:
+		return fmt.Sprintf("%s %s [%s]", b.Kind, b.Rule, strings.Join(b.Tables, " "))
+	}
+}
+
+// planStringFmt is (*ShardPlan).String through fmt and an unsized
+// builder.
+func planStringFmt(p *ShardPlan) string {
+	var b strings.Builder
+	nrules := 0
+	ntables := 0
+	for _, g := range p.Shards {
+		nrules += len(g.Rules)
+		ntables += len(g.Tables)
+	}
+	fmt.Fprintf(&b, "shard plan: %d shard(s) over %d table(s), %d rule(s)\n", len(p.Shards), ntables, nrules)
+	for i, g := range p.Shards {
+		fmt.Fprintf(&b, "shard %d: tables [%s] rules [%s] sig [%s] confluent=%v\n",
+			i, strings.Join(g.Tables, " "), strings.Join(g.Rules, " "),
+			strings.Join(g.Sig, " "), g.Confluent)
+	}
+	if len(p.Blockers) == 0 {
+		b.WriteString("blockers: none (every table is independently servable)\n")
+	} else {
+		b.WriteString("blockers (what prevents a finer partition):\n")
+		for _, bl := range p.Blockers {
+			fmt.Fprintf(&b, "  %s\n", blockerStringFmt(bl))
+		}
+	}
+	return b.String()
+}
+
+// shardPlanMaps is the planner over table names: a map and a sort per
+// footprint and per priority blocker, the scalar Sig per table.
+func (a *Analyzer) shardPlanMaps() *ShardPlan {
+	tables := make([]string, 0, a.set.Schema().NumTables())
+	for _, t := range a.set.Schema().SortedTables() {
+		tables = append(tables, strings.ToLower(t.Name))
+	}
+	slot := make(map[string]int, len(tables))
+	for i, t := range tables {
+		slot[t] = i
+	}
+	sigOf := make([][]*rules.Rule, len(tables))
+	for i, t := range tables {
+		sigOf[i] = a.sigWithinScalar(a.set.Rules(), []string{t})
+	}
+	parent := make([]int, len(tables))
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(x int) int {
+		if parent[x] != x {
+			parent[x] = find(parent[x])
+		}
+		return parent[x]
+	}
+	union := func(x, y int) { parent[find(x)] = find(y) }
+
+	var blockers []ShardBlocker
+	weld := func(kind, rule string, ts []string) {
+		if len(ts) < 2 {
+			return
+		}
+		for _, t := range ts[1:] {
+			union(slot[ts[0]], slot[t])
+		}
+		blockers = append(blockers, ShardBlocker{Kind: kind, Rule: rule, Tables: ts})
+	}
+	sortedKeys := func(m map[string]bool) []string {
+		out := make([]string, 0, len(m))
+		for t := range m {
+			if _, ok := slot[t]; ok {
+				out = append(out, t)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+
+	footOf := make([][]string, a.set.Len())
+	for _, r := range a.set.Rules() {
+		foot := map[string]bool{strings.ToLower(r.Table): true}
+		for op := range a.view.performs(r) {
+			foot[op.Table] = true
+		}
+		for ref := range a.view.reads(r) {
+			foot[ref.Table] = true
+		}
+		ts := sortedKeys(foot)
+		footOf[r.Index()] = ts
+		weld(BlockFootprint, r.Name, ts)
+	}
+	sigTables := make(map[int][]string)
+	for i, t := range tables {
+		for _, r := range sigOf[i] {
+			sigTables[r.Index()] = append(sigTables[r.Index()], t)
+		}
+	}
+	for _, r := range a.set.Rules() {
+		weld(BlockSignificance, r.Name, sigTables[r.Index()])
+	}
+	for _, ri := range a.set.Rules() {
+		for _, rj := range a.set.Rules() {
+			if ri.Index() < rj.Index() && a.set.Ordered(ri, rj) {
+				joint := map[string]bool{}
+				for _, t := range footOf[ri.Index()] {
+					joint[t] = true
+				}
+				for _, t := range footOf[rj.Index()] {
+					joint[t] = true
+				}
+				hi, lo := ri, rj
+				if a.set.Higher(rj, ri) {
+					hi, lo = rj, ri
+				}
+				weld(BlockPriority, hi.Name+">"+lo.Name, sortedKeys(joint))
+			}
+		}
+	}
+
+	groupsByRoot := map[int][]string{}
+	for i, t := range tables {
+		root := find(i)
+		groupsByRoot[root] = append(groupsByRoot[root], t)
+	}
+	var groups [][]string
+	for _, g := range groupsByRoot {
+		sort.Strings(g)
+		groups = append(groups, g)
+	}
+	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
+
+	plan := &ShardPlan{}
+	for _, g := range groups {
+		member := map[string]bool{}
+		for _, t := range g {
+			member[t] = true
+		}
+		var ruleNames []string
+		for _, r := range a.set.Rules() {
+			if len(footOf[r.Index()]) > 0 && member[footOf[r.Index()][0]] {
+				ruleNames = append(ruleNames, r.Name)
+			}
+		}
+		sort.Strings(ruleNames)
+		sig := a.sigWithinScalar(a.set.Rules(), g)
+		v := &PartialConfluenceVerdict{Tables: g, Sig: sig, Confluence: a.confluenceOver(sig, a.TerminationOf(sig))}
+		plan.Shards = append(plan.Shards, ShardGroup{
+			Tables:    g,
+			Rules:     ruleNames,
+			Sig:       v.SigNames(),
+			Confluent: v.Guaranteed(),
+		})
+	}
+	sort.Slice(blockers, func(i, j int) bool {
+		if blockers[i].Kind != blockers[j].Kind {
+			return blockers[i].Kind < blockers[j].Kind
+		}
+		if blockers[i].Rule != blockers[j].Rule {
+			return blockers[i].Rule < blockers[j].Rule
+		}
+		return strings.Join(blockers[i].Tables, ",") < strings.Join(blockers[j].Tables, ",")
+	})
+	plan.Blockers = blockers
+	return plan
+}
+
+// oracleSet is one rule set of the differential corpus.
+type oracleSet struct {
+	name   string
+	set    *rules.Set
+	refine bool
+}
+
+// oracleCorpus is 24 generated sets (the benchmark generator's config at
+// priority densities 0.1 and 0.5, refinement alternating with the seed
+// within each density) and the seven shipped systems, refinement on and
+// off.
+func oracleCorpus(t *testing.T) []oracleSet {
+	t.Helper()
+	var out []oracleSet
+	for _, prio := range []float64{0.1, 0.5} {
+		for seed := int64(1); seed <= 12; seed++ {
+			g := verdictWorkloadAt(t, seed, 24+int(seed)*6, prio)
+			out = append(out, oracleSet{fmt.Sprintf("gen/seed=%d/prio=%.1f", seed, prio), g.Set, seed%2 == 0})
+		}
+	}
+	for _, name := range []string{"bank", "converge", "countdown", "drain", "flipflop", "lintdemo", "powernet"} {
+		schemaSrc, err := os.ReadFile("../../testdata/" + name + "/schema.sdl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rulesSrc, err := os.ReadFile("../../testdata/" + name + "/rules.srl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defs, err := ruledef.Parse(string(rulesSrc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := rules.NewSet(schema.MustParse(string(schemaSrc)), defs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, oracleSet{name, set, false}, oracleSet{name + "/refined", set, true})
+	}
+	return out
+}
+
+// examined is one Lemma 6.1 evaluation as computeHook sees it.
+type examined struct {
+	obsView bool
+	lo, hi  int
+}
+
+// hooked returns a fresh analyzer for the set and the log its
+// computeHook appends to.
+func (c oracleSet) hooked() (*Analyzer, *[]examined) {
+	a := New(c.set, nil).SetRefinement(c.refine)
+	log := &[]examined{}
+	a.computeHook = func(view *Analyzer, lo, hi *rules.Rule) {
+		*log = append(*log, examined{view != a, lo.Index(), hi.Index()})
+	}
+	return a, log
+}
+
+// TestSigMatchesScalarOracle: for every single table of every corpus
+// set, and for the member-restricted Obs closure of the restricted
+// analysis, the word-wise fixpoint returns the scalar one's rules and
+// hands Lemma 6.1 the same pairs in the same order — from a cold verdict
+// table and from one a Confluence pass has warmed.
+func TestSigMatchesScalarOracle(t *testing.T) {
+	for _, c := range oracleCorpus(t) {
+		for _, warm := range []bool{false, true} {
+			got, gotLog := c.hooked()
+			want, wantLog := c.hooked()
+			if warm {
+				got.Confluence()
+				want.Confluence()
+				if !reflect.DeepEqual(*gotLog, *wantLog) {
+					t.Fatalf("%s: two Confluence passes examined different pairs", c.name)
+				}
+			}
+			for _, tb := range c.set.Schema().SortedTables() {
+				g, w := got.Sig([]string{tb.Name}), want.sigWithinScalar(want.set.Rules(), []string{tb.Name})
+				if !reflect.DeepEqual(ruleNames(g), ruleNames(w)) {
+					t.Fatalf("%s warm=%v: Sig({%s}) = %v, scalar %v", c.name, warm, tb.Name, ruleNames(g), ruleNames(w))
+				}
+				if !reflect.DeepEqual(*gotLog, *wantLog) {
+					t.Fatalf("%s warm=%v: after Sig({%s}) the examined pairs differ:\n got %v\nwant %v", c.name, warm, tb.Name, *gotLog, *wantLog)
+				}
+			}
+
+			// observableOver's call: the Obs view, members a proper subset.
+			ops := schema.NewOpSet()
+			for _, r := range c.set.Rules() {
+				if r.Index()%3 == 0 {
+					ops.AddAll(r.TriggeredBy())
+				}
+			}
+			members := got.ReachableRules(ops)
+			var observable []*rules.Rule
+			for _, r := range members {
+				if r.Observable() {
+					observable = append(observable, r)
+				}
+			}
+			obs := freshObsName(c.set.Schema())
+			gotExt := got.withView(got.view.withObs(obs, observable))
+			wantExt := want.withView(want.view.withObs(obs, observable))
+			g, w := gotExt.sigWithin(members, []string{obs}), wantExt.sigWithinScalar(members, []string{obs})
+			if !reflect.DeepEqual(ruleNames(g), ruleNames(w)) || !reflect.DeepEqual(*gotLog, *wantLog) {
+				t.Fatalf("%s warm=%v: Sig(Obs) within %d of %d members = %v, scalar %v; examined\n got %v\nwant %v",
+					c.name, warm, len(members), c.set.Len(), ruleNames(g), ruleNames(w), *gotLog, *wantLog)
+			}
+			if len(*gotLog) == 0 && c.set.Len() > 3 {
+				t.Errorf("%s warm=%v: nothing was examined", c.name, warm)
+			}
+		}
+	}
+}
+
+// TestBuildR1R2MatchesScalarOracle: equal R1 and R2 for every unordered
+// pair of every corpus set.
+func TestBuildR1R2MatchesScalarOracle(t *testing.T) {
+	grew := 0
+	for _, c := range oracleCorpus(t) {
+		a := New(c.set, nil).SetRefinement(c.refine)
+		for _, p := range c.set.UnorderedPairs() {
+			g1, g2 := a.BuildR1R2(p[0], p[1])
+			w1, w2 := a.buildR1R2Scalar(p[0], p[1])
+			if !reflect.DeepEqual(ruleNames(g1), ruleNames(w1)) || !reflect.DeepEqual(ruleNames(g2), ruleNames(w2)) {
+				t.Fatalf("%s: pair (%s, %s): R1 %v R2 %v, scalar R1 %v R2 %v", c.name, p[0].Name, p[1].Name,
+					ruleNames(g1), ruleNames(g2), ruleNames(w1), ruleNames(w2))
+			}
+			if len(g1)+len(g2) > 2 {
+				grew++
+			}
+		}
+	}
+	if grew == 0 {
+		t.Error("no pair of the corpus grew R1 or R2: the construction's loop went untested")
+	}
+}
+
+// TestShardPlanMatchesMapOracle: the slot-merge planner produces the
+// map-and-sort planner's plan — shards, blockers and their order, JSON —
+// and the appender renders it byte for byte as fmt did.
+func TestShardPlanMatchesMapOracle(t *testing.T) {
+	priority := 0
+	for _, c := range oracleCorpus(t) {
+		got := New(c.set, nil).SetRefinement(c.refine).ShardPlan()
+		want := New(c.set, nil).SetRefinement(c.refine).shardPlanMaps()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: plans differ:\n--- slots\n%s--- maps\n%s", c.name, planStringFmt(got), planStringFmt(want))
+		}
+		if s := got.String(); s != planStringFmt(want) {
+			t.Fatalf("%s: rendering differs:\n--- appender\n%s--- fmt\n%s", c.name, s, planStringFmt(want))
+		}
+		gotJSON, err1 := json.Marshal(got)
+		wantJSON, err2 := json.Marshal(want)
+		if err1 != nil || err2 != nil || string(gotJSON) != string(wantJSON) {
+			t.Fatalf("%s: JSON differs (%v, %v):\n%s\n%s", c.name, err1, err2, gotJSON, wantJSON)
+		}
+		for _, bl := range got.Blockers {
+			if bl.String() != blockerStringFmt(bl) {
+				t.Fatalf("%s: blocker renders %q, fmt %q", c.name, bl.String(), blockerStringFmt(bl))
+			}
+			if bl.Kind == BlockPriority {
+				priority++
+			}
+		}
+	}
+	if priority == 0 {
+		t.Error("no priority blocker in the corpus")
+	}
+	odd := ShardBlocker{Kind: "quota", Rule: "r", Tables: []string{"a", "b"}}
+	if odd.String() != blockerStringFmt(odd) {
+		t.Errorf("unknown kind renders %q, fmt %q", odd.String(), blockerStringFmt(odd))
+	}
+	empty := &ShardPlan{}
+	if empty.String() != planStringFmt(empty) {
+		t.Errorf("empty plan renders %q, fmt %q", empty.String(), planStringFmt(empty))
+	}
+}
+
+// TestObservableViewSharesGraph: the Obs view an observable analysis
+// derives from an analyzer that has built nothing yet (refinement off)
+// uses the analyzer's triggering graph, not one of its own.
+func TestObservableViewSharesGraph(t *testing.T) {
+	g := verdictWorkload(t, 7, 24)
+	a := New(g.Set, nil)
+	var views []*Analyzer
+	a.computeHook = func(view *Analyzer, lo, hi *rules.Rule) {
+		if view != a {
+			views = append(views, view)
+		}
+	}
+	a.ObservableDeterminism()
+	if len(views) == 0 {
+		t.Fatal("the observable analysis examined no pair on its Obs view")
+	}
+	if a.tg == nil || views[0].tg != a.tg {
+		t.Errorf("the Obs view's triggering graph (%p) is not the analyzer's (%p)", views[0].tg, a.tg)
+	}
+}
+
+// raceEnabled is set by race_test.go, which only a -race build compiles.
+var raceEnabled bool
+
+// TestShardPlanAllocs: rendering a plan takes the buffer and the string,
+// whatever the number of blockers; and building one takes at most three
+// allocations per priority blocker (its rule name and its table list —
+// the merged footprint is scratch), measured as the slope between two
+// totally ordered chains, where every pair of rules is a blocker and
+// nothing else grows with the pairs.
+func TestShardPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	g := verdictWorkload(t, 1000003+256, 256)
+	plan := New(g.Set, nil).SetRefinement(true).ShardPlan()
+	if len(plan.Blockers) < 30000 {
+		t.Fatalf("%d blockers: the set is supposed to be densely ordered", len(plan.Blockers))
+	}
+	if got := testing.AllocsPerRun(5, func() { _ = plan.String() }); got > 2 {
+		t.Errorf("String() of a %d-blocker plan: %.0f allocations, want at most 2", len(plan.Blockers), got)
+	}
+
+	chain := func(n int) (allocs float64, blockers int) {
+		var src strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&src, "create rule r%d on a when inserted then insert into b values (1)\n", i)
+			if i+1 < n {
+				fmt.Fprintf(&src, "precedes r%d\n", i+1)
+			}
+			src.WriteString("\n")
+		}
+		a := compile(t, "table a (v int)\ntable b (v int)\n", src.String(), nil)
+		for _, bl := range a.ShardPlan().Blockers {
+			if bl.Kind == BlockPriority {
+				blockers++
+			}
+		}
+		return testing.AllocsPerRun(3, func() { a.ShardPlan() }), blockers
+	}
+	a32, b32 := chain(32)
+	a96, b96 := chain(96)
+	if b32 != 32*31/2 || b96 != 96*95/2 {
+		t.Fatalf("chains of 32 and 96 rules have %d and %d priority blockers", b32, b96)
+	}
+	if per := (a96 - a32) / float64(b96-b32); per > 3 {
+		t.Errorf("%.0f allocations for %d priority blockers, %.0f for %d: %.2f per blocker, want at most 3", a96, b96, a32, b32, per)
+	}
+}
+
+func verdictWorkloadAt(tb testing.TB, seed int64, n int, prio float64) *workload.Generated {
+	tb.Helper()
+	cfg := verdictConfig(seed, n)
+	cfg.PriorityDensity = prio
+	g, err := workload.Generate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -119,46 +120,62 @@ func (a *Analyzer) observableOver(members []*rules.Rule, term *TerminationVerdic
 // sigWithin is the Definition 7.1 fixpoint restricted to a member set
 // (members and the result in definition order). It is the only one, and
 // sequential at every parallelism: a joiner is tested against the
-// members that joined earlier in the same round, so which pairs Commute
+// members that joined earlier in the same round, in definition order,
+// stopping at the first it may not commute with, so which pairs Commute
 // examines — and with refinement on, which upgrades a report lists — is
 // fixed by the rule set alone.
+//
+// The test reads the verdict table a word at a time. Of the 64 members
+// a word holds, the ones r is known not to commute with are one AND
+// away; only the members without a verdict that come before the first
+// of those are put to Commute, in order — the pairs a member-by-member
+// scan would have had to evaluate before it stopped.
 func (a *Analyzer) sigWithin(members []*rules.Rule, tables []string) []*rules.Rule {
 	want := map[string]bool{}
 	for _, t := range tables {
 		want[strings.ToLower(t)] = true
 	}
-	in := make([]bool, a.set.Len())
+	in := rules.NewBits(a.set.Len())
 	for _, r := range members {
-		for op := range a.view.performs(r) {
+		for _, op := range a.view.of(r).performsSorted {
 			if want[op.Table] {
-				in[r.Index()] = true
+				in.Add(r.Index())
 				break
 			}
 		}
 	}
+	t, all := a.table(), a.set.Rules()
+	joins := func(r *rules.Rule) bool {
+		row := r.Index() * t.rowWords
+		for w, inw := range in {
+			if inw == 0 {
+				continue
+			}
+			k := t.known[row+w].Load()
+			hit := inw & k & t.mayNot[row+w].Load()
+			unknown := inw &^ k
+			if hit != 0 {
+				unknown &= hit&-hit - 1 // below the first hit
+			}
+			for ; unknown != 0; unknown &= unknown - 1 {
+				if ok, _ := a.Commute(r, all[w<<6|bits.TrailingZeros64(unknown)]); !ok {
+					return true
+				}
+			}
+			if hit != 0 {
+				return true
+			}
+		}
+		return false
+	}
 	for changed := true; changed; {
 		changed = false
 		for _, r := range members {
-			if in[r.Index()] {
-				continue
-			}
-			for _, r2 := range members {
-				if !in[r2.Index()] {
-					continue
-				}
-				if ok, _ := a.Commute(r, r2); !ok {
-					in[r.Index()] = true
-					changed = true
-					break
-				}
+			if !in.Has(r.Index()) && joins(r) {
+				in.Add(r.Index())
+				changed = true
 			}
 		}
 	}
-	var out []*rules.Rule
-	for _, r := range members {
-		if in[r.Index()] {
-			out = append(out, r)
-		}
-	}
-	return out
+	return a.rulesOf(in) // members only, and members are in definition order
 }

@@ -1,12 +1,13 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/json"
-	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
-
-	"activerules/internal/rules"
 )
 
 // Shard planning (Section 7, applied to horizontal scale). Theorem 7.2
@@ -80,16 +81,52 @@ type ShardBlocker struct {
 }
 
 func (b ShardBlocker) String() string {
+	var sb strings.Builder
+	b.writeTo(&sb)
+	return sb.String()
+}
+
+// frame is the fixed text before the blocker's rule and between it and
+// its tables.
+func (b ShardBlocker) frame() (head, mid string) {
 	switch b.Kind {
 	case BlockFootprint:
-		return fmt.Sprintf("rule %s triggers on / reads / writes tables [%s]", b.Rule, strings.Join(b.Tables, " "))
+		return "rule ", " triggers on / reads / writes tables ["
 	case BlockSignificance:
-		return fmt.Sprintf("rule %s is significant for tables [%s]", b.Rule, strings.Join(b.Tables, " "))
+		return "rule ", " is significant for tables ["
 	case BlockPriority:
-		return fmt.Sprintf("priority %s links tables [%s]", b.Rule, strings.Join(b.Tables, " "))
-	default:
-		return fmt.Sprintf("%s %s [%s]", b.Kind, b.Rule, strings.Join(b.Tables, " "))
+		return "priority ", " links tables ["
 	}
+	return b.Kind + " ", " ["
+}
+
+// writeTo renders the blocker: the one place its text is decided, for
+// String and for the plan's listing alike.
+func (b ShardBlocker) writeTo(sb *strings.Builder) {
+	head, mid := b.frame()
+	sb.WriteString(head)
+	sb.WriteString(b.Rule)
+	sb.WriteString(mid)
+	writeJoined(sb, b.Tables)
+	sb.WriteByte(']')
+}
+
+// writeJoined writes the names separated by single spaces.
+func writeJoined(sb *strings.Builder, names []string) {
+	for i, name := range names {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(name)
+	}
+}
+
+// joinedLen is the number of bytes writeJoined writes, or one more.
+func joinedLen(names []string) (n int) {
+	for _, name := range names {
+		n += len(name) + 1
+	}
+	return n
 }
 
 // ShardPlan is the maximal analysis-proven partition of the schema's
@@ -118,27 +155,53 @@ func (p *ShardPlan) ShardFor(table string) int {
 	return -1
 }
 
-// String renders the plan deterministically.
+// String renders the plan deterministically, into one buffer sized for
+// it beforehand: a plan lists a blocker per priority-ordered pair of
+// rules, tens of thousands of lines on a densely ordered set.
 func (p *ShardPlan) String() string {
-	var b strings.Builder
-	nrules := 0
-	ntables := 0
+	const fixed = 100 // more than the fixed text and the numbers of a line
+	nrules, ntables, size := 0, 0, 2*fixed
 	for _, g := range p.Shards {
 		nrules += len(g.Rules)
 		ntables += len(g.Tables)
+		size += fixed + joinedLen(g.Tables) + joinedLen(g.Rules) + joinedLen(g.Sig)
 	}
-	fmt.Fprintf(&b, "shard plan: %d shard(s) over %d table(s), %d rule(s)\n", len(p.Shards), ntables, nrules)
+	for _, bl := range p.Blockers {
+		head, mid := bl.frame()
+		size += len("  ") + len(head) + len(bl.Rule) + len(mid) + joinedLen(bl.Tables) + len("]\n")
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var digits [20]byte
+	writeInt := func(n int) { b.Write(strconv.AppendInt(digits[:0], int64(n), 10)) }
+	b.WriteString("shard plan: ")
+	writeInt(len(p.Shards))
+	b.WriteString(" shard(s) over ")
+	writeInt(ntables)
+	b.WriteString(" table(s), ")
+	writeInt(nrules)
+	b.WriteString(" rule(s)\n")
 	for i, g := range p.Shards {
-		fmt.Fprintf(&b, "shard %d: tables [%s] rules [%s] sig [%s] confluent=%v\n",
-			i, strings.Join(g.Tables, " "), strings.Join(g.Rules, " "),
-			strings.Join(g.Sig, " "), g.Confluent)
+		b.WriteString("shard ")
+		writeInt(i)
+		b.WriteString(": tables [")
+		writeJoined(&b, g.Tables)
+		b.WriteString("] rules [")
+		writeJoined(&b, g.Rules)
+		b.WriteString("] sig [")
+		writeJoined(&b, g.Sig)
+		b.WriteString("] confluent=")
+		b.WriteString(strconv.FormatBool(g.Confluent))
+		b.WriteByte('\n')
 	}
 	if len(p.Blockers) == 0 {
 		b.WriteString("blockers: none (every table is independently servable)\n")
 	} else {
 		b.WriteString("blockers (what prevents a finer partition):\n")
 		for _, bl := range p.Blockers {
-			fmt.Fprintf(&b, "  %s\n", bl.String())
+			b.WriteString("  ")
+			bl.writeTo(&b)
+			b.WriteByte('\n')
 		}
 	}
 	return b.String()
@@ -153,9 +216,13 @@ func (p *ShardPlan) MarshalJSON() ([]byte, error) {
 // ShardPlan computes the maximal partition of the schema's tables into
 // groups with pairwise-disjoint Sig(T'), together with the blockers
 // that prevent a finer one. The plan is a pure function of the rule
-// set, certifications, and view; parallelism only changes how fast the
-// per-table Sig sets are computed, never their contents.
+// set, certifications, and view, the same at every parallelism.
+//
+// Tables are handled as slots in the sorted table list, so slot order is
+// name order: a footprint or a significance list is an ascending []int,
+// and the tables two ordered rules weld together are two of them, sorted.
 func (a *Analyzer) ShardPlan() *ShardPlan {
+	all := a.set.Rules()
 	tables := make([]string, 0, a.set.Schema().NumTables())
 	for _, t := range a.set.Schema().SortedTables() {
 		tables = append(tables, strings.ToLower(t.Name))
@@ -166,9 +233,12 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 	}
 
 	// Per-table significant sets; Sig(T') for any T' is their union.
-	sigOf := make([][]*rules.Rule, len(tables))
+	// sigTables[r] lists the tables rule r is significant for.
+	sigTables := make([][]int, len(all))
 	for i, t := range tables {
-		sigOf[i] = a.Sig([]string{t})
+		for _, r := range a.Sig([]string{t}) {
+			sigTables[r.Index()] = append(sigTables[r.Index()], i)
+		}
 	}
 
 	// Union-find over table slots.
@@ -183,124 +253,105 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		}
 		return parent[x]
 	}
-	union := func(x, y int) { parent[find(x)] = find(y) }
 
-	var blockers []ShardBlocker
-	weld := func(kind, rule string, ts []string) {
+	ordered := 0 // priority-ordered pairs: one blocker each, at most
+	for _, r := range all {
+		for _, word := range a.set.HigherRow(r) {
+			ordered += bits.OnesCount64(word)
+		}
+	}
+	blockers := make([]ShardBlocker, 0, 2*len(all)+ordered)
+	weld := func(kind, rule string, ts []int) {
 		if len(ts) < 2 {
 			return
 		}
-		for _, t := range ts[1:] {
-			union(slot[ts[0]], slot[t])
+		names := make([]string, len(ts))
+		for i, t := range ts {
+			parent[find(ts[0])] = find(t)
+			names[i] = tables[t]
 		}
-		blockers = append(blockers, ShardBlocker{Kind: kind, Rule: rule, Tables: ts})
+		blockers = append(blockers, ShardBlocker{Kind: kind, Rule: rule, Tables: names})
 	}
 
 	// Footprint: a rule's trigger, read, and write tables are co-resident.
-	footOf := make([][]string, a.set.Len())
-	for _, r := range a.set.Rules() {
-		foot := map[string]bool{strings.ToLower(r.Table): true}
-		for op := range a.view.performs(r) {
-			foot[op.Table] = true
+	footOf := make([][]int, len(all))
+	for _, r := range all {
+		f := a.view.of(r)
+		foot := make([]int, 0, 1+len(f.performsSorted)+len(f.readsSorted))
+		add := func(table string) {
+			if t, ok := slot[table]; ok {
+				foot = append(foot, t)
+			}
 		}
-		for ref := range a.view.reads(r) {
-			foot[ref.Table] = true
+		add(strings.ToLower(r.Table))
+		for _, op := range f.performsSorted {
+			add(op.Table)
 		}
-		ts := sortedKeys(foot, slot)
-		footOf[r.Index()] = ts
-		weld(BlockFootprint, r.Name, ts)
+		for _, ref := range f.readsSorted {
+			add(ref.Table)
+		}
+		slices.Sort(foot)
+		footOf[r.Index()] = slices.Compact(foot)
+		weld(BlockFootprint, r.Name, footOf[r.Index()])
 	}
 
 	// Significance: a rule in Sig({t1}) and Sig({t2}) welds t1 and t2.
-	sigTables := make(map[int][]string) // rule index -> tables it is significant for
-	for i, t := range tables {
-		for _, r := range sigOf[i] {
-			sigTables[r.Index()] = append(sigTables[r.Index()], t)
-		}
-	}
-	for _, r := range a.set.Rules() {
+	for _, r := range all {
 		weld(BlockSignificance, r.Name, sigTables[r.Index()])
 	}
 
 	// Priority: ordered rules share an engine, so their footprints merge.
-	for _, ri := range a.set.Rules() {
-		for _, rj := range a.set.Rules() {
-			if ri.Index() < rj.Index() && a.set.Ordered(ri, rj) {
-				joint := map[string]bool{}
-				for _, t := range footOf[ri.Index()] {
-					joint[t] = true
-				}
-				for _, t := range footOf[rj.Index()] {
-					joint[t] = true
-				}
-				hi, lo := ri, rj
-				if a.set.Higher(rj, ri) {
-					hi, lo = rj, ri
-				}
-				weld(BlockPriority, hi.Name+">"+lo.Name, sortedKeys(joint, slot))
+	var joint []int
+	for _, hi := range all {
+		for w, word := range a.set.HigherRow(hi) {
+			for ; word != 0; word &= word - 1 {
+				lo := all[w<<6|bits.TrailingZeros64(word)]
+				joint = append(append(joint[:0], footOf[hi.Index()]...), footOf[lo.Index()]...)
+				slices.Sort(joint)
+				weld(BlockPriority, hi.Name+">"+lo.Name, slices.Compact(joint))
 			}
 		}
 	}
 
 	// Collect groups, canonical order: by first (smallest-name) table.
-	groupsByRoot := map[int][]string{}
+	groupOf := make([]int, len(tables)) // root slot -> group number + 1
+	plan := &ShardPlan{}
 	for i, t := range tables {
 		root := find(i)
-		groupsByRoot[root] = append(groupsByRoot[root], t)
-	}
-	var groups [][]string
-	for _, g := range groupsByRoot {
-		sort.Strings(g)
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
-
-	plan := &ShardPlan{}
-	for _, g := range groups {
-		member := map[string]bool{}
-		for _, t := range g {
-			member[t] = true
+		if groupOf[root] == 0 {
+			plan.Shards = append(plan.Shards, ShardGroup{})
+			groupOf[root] = len(plan.Shards)
 		}
-		var ruleNames []string
-		for _, r := range a.set.Rules() {
-			// Every footprint table of a rule is welded together, so
-			// membership of the first decides membership of the rule.
-			if len(footOf[r.Index()]) > 0 && member[footOf[r.Index()][0]] {
-				ruleNames = append(ruleNames, r.Name)
-			}
+		g := &plan.Shards[groupOf[root]-1]
+		g.Tables = append(g.Tables, t)
+	}
+	for _, r := range all {
+		// Every footprint table of a rule is welded together, so
+		// membership of the first decides membership of the rule.
+		if foot := footOf[r.Index()]; len(foot) > 0 {
+			g := &plan.Shards[groupOf[find(foot[0])]-1]
+			g.Rules = append(g.Rules, r.Name)
 		}
-		sort.Strings(ruleNames)
-		v := a.PartialConfluence(g)
-		plan.Shards = append(plan.Shards, ShardGroup{
-			Tables:    g,
-			Rules:     ruleNames,
-			Sig:       v.SigNames(),
-			Confluent: v.Guaranteed(),
-		})
+	}
+	for i := range plan.Shards {
+		g := &plan.Shards[i]
+		sort.Strings(g.Rules)
+		v := a.PartialConfluence(g.Tables)
+		g.Sig, g.Confluent = v.SigNames(), v.Guaranteed()
 	}
 
 	// Blockers in deterministic order: kind, then rule, then tables.
-	sort.Slice(blockers, func(i, j int) bool {
-		if blockers[i].Kind != blockers[j].Kind {
-			return blockers[i].Kind < blockers[j].Kind
+	slices.SortFunc(blockers, func(x, y ShardBlocker) int {
+		if c := cmp.Compare(x.Kind, y.Kind); c != 0 {
+			return c
 		}
-		if blockers[i].Rule != blockers[j].Rule {
-			return blockers[i].Rule < blockers[j].Rule
+		if c := cmp.Compare(x.Rule, y.Rule); c != 0 {
+			return c
 		}
-		return strings.Join(blockers[i].Tables, ",") < strings.Join(blockers[j].Tables, ",")
+		return cmp.Compare(strings.Join(x.Tables, ","), strings.Join(y.Tables, ","))
 	})
-	plan.Blockers = blockers
-	return plan
-}
-
-// sortedKeys returns the keys of m that are known tables, sorted.
-func sortedKeys(m map[string]bool, slot map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for t := range m {
-		if _, ok := slot[t]; ok {
-			out = append(out, t)
-		}
+	if len(blockers) > 0 {
+		plan.Blockers = blockers
 	}
-	sort.Strings(out)
-	return out
+	return plan
 }

@@ -157,8 +157,10 @@ type SCCVerdict struct {
 }
 
 // tier2 is the per-analysis discharge engine. It is built fresh inside
-// terminationOf (no analyzer state), so verdicts stay independent of
-// parallelism and of other analyses.
+// terminationOf and writes no analyzer state: the statement effects it
+// reasons over are the refinement's immutable summaries when refinement
+// is on, and otherwise derived here, per rule, on first use. Verdicts
+// stay independent of parallelism and of other analyses.
 type tier2 struct {
 	a        *Analyzer
 	universe []*rules.Rule // rules that actually execute in this analysis
@@ -166,7 +168,7 @@ type tier2 struct {
 	// established earlier exclude their rules from interference checks
 	// (sound by induction on discharge order, §12).
 	discharged map[string]bool
-	effects    map[string][]*absint.StmtEffect
+	effects    map[*rules.Rule][]*absint.StmtEffect // refinement off only
 }
 
 func newTier2(a *Analyzer, subset []*rules.Rule, discharged map[string]bool) *tier2 {
@@ -174,13 +176,21 @@ func newTier2(a *Analyzer, subset []*rules.Rule, discharged map[string]bool) *ti
 	if universe == nil {
 		universe = a.set.Rules()
 	}
-	e := &tier2{a: a, universe: universe, discharged: discharged,
-		effects: make(map[string][]*absint.StmtEffect, len(universe))}
-	sch := a.set.Schema()
-	for _, r := range universe {
-		e.effects[r.Name] = absint.StatementEffects(sch, r.Action)
+	return &tier2{a: a, universe: universe, discharged: discharged,
+		effects: map[*rules.Rule][]*absint.StmtEffect{}}
+}
+
+// effectsOf returns the abstract effects of r's action statements.
+func (e *tier2) effectsOf(r *rules.Rule) []*absint.StmtEffect {
+	if e.a.ref != nil {
+		return e.a.ref.effects[r.Index()]
 	}
-	return e
+	effs, ok := e.effects[r]
+	if !ok {
+		effs = absint.StatementEffects(e.a.set.Schema(), r.Action)
+		e.effects[r] = effs
+	}
+	return effs
 }
 
 // attemptFail records how far one certificate attempt got: shape
@@ -314,7 +324,7 @@ func (e *tier2) tryRanking(r *rules.Rule) (DischargeStep, *attemptFail) {
 	// this analysis, not just the SCC — a downstream rule can replenish
 	// t with no edge back into the component.
 	for _, s := range e.interferers(r) {
-		for _, eff := range e.effects[s.Name] {
+		for _, eff := range e.effectsOf(s) {
 			if eff.Table != table {
 				continue
 			}
@@ -383,7 +393,7 @@ func (e *tier2) rankingWriteOK(s *rules.Rule, table, col string, increasing bool
 // that column (the rescue join), so an excluded row can never be moved
 // into the scope.
 func (e *tier2) tryDeleteOnly(r *rules.Rule) (DischargeStep, *attemptFail) {
-	effs := e.effects[r.Name]
+	effs := e.effectsOf(r)
 	if len(effs) == 0 {
 		return DischargeStep{}, &attemptFail{stage: 0, why: "action performs no deletes"}
 	}
@@ -402,7 +412,7 @@ func (e *tier2) tryDeleteOnly(r *rules.Rule) (DischargeStep, *attemptFail) {
 			tables = append(tables, eff.Table)
 		}
 		for _, s := range others {
-			for _, oeff := range e.effects[s.Name] {
+			for _, oeff := range e.effectsOf(s) {
 				if oeff.Kind != absint.EffInsert || oeff.Table != eff.Table {
 					continue
 				}
@@ -429,7 +439,7 @@ func (e *tier2) insertExcludedFromScope(ins *absint.StmtEffect, scope absint.Con
 	for _, col := range scope.SortedCols() {
 		could := ins.InsertVals.Get(col)
 		for _, s := range others {
-			for _, oeff := range e.effects[s.Name] {
+			for _, oeff := range e.effectsOf(s) {
 				if oeff.Kind == absint.EffUpdate && oeff.Table == ins.Table {
 					if w, ok := oeff.SetVals[col]; ok {
 						could = could.Join(w)
@@ -455,7 +465,7 @@ func (e *tier2) tryConvergent(r *rules.Rule) (DischargeStep, *attemptFail) {
 	shapeFail := func(why string) (DischargeStep, *attemptFail) {
 		return DischargeStep{}, &attemptFail{stage: 0, why: why}
 	}
-	effs := e.effects[r.Name]
+	effs := e.effectsOf(r)
 	if len(effs) == 0 {
 		return shapeFail("action performs no updates")
 	}
@@ -499,7 +509,7 @@ func (e *tier2) tryConvergent(r *rules.Rule) (DischargeStep, *attemptFail) {
 		written = written.Join(w)
 	}
 	for _, s := range e.interferers(r) {
-		for _, eff := range e.effects[s.Name] {
+		for _, eff := range e.effectsOf(s) {
 			if eff.Table != table {
 				continue
 			}

@@ -2,14 +2,16 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"activerules/internal/rules"
 )
 
-// pairState is one cell of the verdict table: what Lemma 6.1 (plus
-// certifications and refinement) decided for an unordered pair of rules.
-// A cell moves from pairUnknown to one of the other three exactly once
-// and never changes again.
+// pairState is what Lemma 6.1 (plus certifications and refinement)
+// decided for an unordered pair of rules. A pair moves from pairUnknown
+// to one of the other three exactly once and never changes again.
 type pairState uint32
 
 const (
@@ -19,59 +21,86 @@ const (
 	pairRefined                   // commutes because refinement discharged every reason
 )
 
-// verdictTable memoizes Commute for one analyzer view: two bits per
-// unordered pair, packed sixteen to a word in triangular order, so a
-// set of n rules costs n(n-1)/8 bytes however the verdicts fall. Cells
-// are read and published with sync/atomic; the reasons of the pairs that
-// may not commute — the only ones that have any — live in a sparse side
-// map, stored BEFORE the cell's bits so that whoever reads pairMayNot
-// finds them.
+// verdictTable memoizes Commute for one analyzer view as two square bit
+// planes indexed by Rule.Index: known[r] holds the rules r has a verdict
+// against, mayNot[r] those of them it may not commute with. Both planes
+// are symmetric — a pair sets its bit in both rules' rows — because the
+// question Sig asks is a row against a set ("which members may r not
+// commute with"), answered 64 pairs per load. A set of n rules costs two
+// planes of n rows of ⌈n/64⌉ words: n²/4 bytes plus row padding.
+//
+// Words are read and published with sync/atomic. A pair that may not
+// commute stores its reasons in the sparse side map first, then its two
+// mayNot bits, then its two known bits, so whoever reads a known bit
+// finds the rest of the verdict. Which of the commuting pairs refinement
+// upgraded is not kept per pair, only counted.
 type verdictTable struct {
-	pairs   int
-	words   []atomic.Uint32
-	reasons sync.Map // pair index (int) -> []NoncommuteReason
+	rowWords      int
+	known, mayNot []atomic.Uint64
+	refined       atomic.Int64
+	reasons       sync.Map // pair index (int) -> []NoncommuteReason
 }
 
-const cellsPerWord = 16
-
-func newVerdictTable(rules int) *verdictTable {
-	pairs := rules * (rules - 1) / 2
+func newVerdictTable(n int) *verdictTable {
+	w := len(rules.NewBits(n))
 	return &verdictTable{
-		pairs: pairs,
-		words: make([]atomic.Uint32, (pairs+cellsPerWord-1)/cellsPerWord),
+		rowWords: w,
+		known:    make([]atomic.Uint64, n*w),
+		mayNot:   make([]atomic.Uint64, n*w),
 	}
 }
 
-// pairIndex is the triangular position of the pair of rule indices
-// lo < hi.
+// pairIndex keys the reasons of the pair of rule indices lo < hi.
 func pairIndex(lo, hi int) int { return hi*(hi-1)/2 + lo }
 
-func cellShift(k int) uint { return uint(k%cellsPerWord) * 2 }
-
-func (t *verdictTable) load(k int) pairState {
-	return pairState(t.words[k/cellsPerWord].Load() >> cellShift(k) & 3)
+// load returns the verdict of the pair lo, hi. A refined pair reads back
+// as pairCommutes: Commute answers the two alike.
+func (t *verdictTable) load(lo, hi int) pairState {
+	w, bit := lo*t.rowWords+hi>>6, uint64(1)<<(hi&63)
+	switch {
+	case t.known[w].Load()&bit == 0:
+		return pairUnknown
+	case t.mayNot[w].Load()&bit != 0:
+		return pairMayNot
+	}
+	return pairCommutes
 }
 
-func (t *verdictTable) reasonsOf(k int) []NoncommuteReason {
-	v, _ := t.reasons.Load(k)
+func (t *verdictTable) reasonsOf(lo, hi int) []NoncommuteReason {
+	v, _ := t.reasons.Load(pairIndex(lo, hi))
 	reasons, _ := v.([]NoncommuteReason)
 	return reasons
 }
 
-// publish records the verdict of pair k. Concurrent publishers of one
-// pair carry the same verdict (it is a pure function of the pair), so
-// OR-ing the bits in is idempotent.
-func (t *verdictTable) publish(k int, st pairState, reasons []NoncommuteReason) {
-	if st == pairMayNot {
-		t.reasons.Store(k, reasons)
-	}
-	w := &t.words[k/cellsPerWord]
-	bits := uint32(st) << cellShift(k)
+// setBit ORs bit c into row r of the plane and reports whether this call
+// flipped it. (A CAS loop: atomic.Uint64.Or needs go 1.23.)
+func (t *verdictTable) setBit(plane []atomic.Uint64, r, c int) bool {
+	w, bit := &plane[r*t.rowWords+c>>6], uint64(1)<<(c&63)
 	for {
 		old := w.Load()
-		if old&bits == bits || w.CompareAndSwap(old, old|bits) {
-			return
+		if old&bit != 0 {
+			return false
 		}
+		if w.CompareAndSwap(old, old|bit) {
+			return true
+		}
+	}
+}
+
+// publish records the verdict of the pair lo < hi. Concurrent publishers
+// of one pair carry the same verdict (it is a pure function of the
+// pair), so setting the bits twice is harmless; the one that flips the
+// pair's known bit in lo's row counts it.
+func (t *verdictTable) publish(lo, hi int, st pairState, reasons []NoncommuteReason) {
+	if st == pairMayNot {
+		t.reasons.Store(pairIndex(lo, hi), reasons)
+		t.setBit(t.mayNot, lo, hi)
+		t.setBit(t.mayNot, hi, lo)
+	}
+	first := t.setBit(t.known, lo, hi)
+	t.setBit(t.known, hi, lo)
+	if first && st == pairRefined {
+		t.refined.Add(1)
 	}
 }
 
@@ -101,18 +130,13 @@ func (a *Analyzer) PairTable() PairTableStats {
 	if t == nil {
 		return s // nothing examined yet
 	}
-	for k := 0; k < t.pairs; k++ {
-		switch t.load(k) {
-		case pairCommutes:
-			s.Examined++
-		case pairMayNot:
-			s.Examined++
-			s.MayNotCommute++
-		case pairRefined:
-			s.Examined++
-			s.RefinedToCommute++
-		}
+	for i := range t.known {
+		s.Examined += bits.OnesCount64(t.known[i].Load())
+		s.MayNotCommute += bits.OnesCount64(t.mayNot[i].Load())
 	}
+	s.Examined /= 2 // every pair has its bit in two rows
+	s.MayNotCommute /= 2
+	s.RefinedToCommute = int(t.refined.Load())
 	return s
 }
 

@@ -42,65 +42,107 @@ func allVerdicts(a *Analyzer) []pairVerdict {
 	return out
 }
 
-// TestVerdictTableCells exercises the packed cells directly: every
-// state round-trips at every position of a word, neighbours are left
-// alone, and the dense part stays within a quarter byte per pair of
-// rules squared at the size the memory bound is stated for.
+// wantLoad is what load answers for a published state: the table counts
+// refined pairs but reads them back as commuting.
+func wantLoad(st pairState) pairState {
+	if st == pairRefined {
+		return pairCommutes
+	}
+	return st
+}
+
+// TestVerdictTableCells exercises the bit planes directly: every state
+// round-trips at every bit of a word, through the row of either rule of
+// the pair; pairs never published — the neighbours — stay unknown; the
+// refined count is exact; and the planes stay within the quarter byte
+// per pair of rules squared (plus row padding) the design costs.
 func TestVerdictTableCells(t *testing.T) {
-	const n = 67 // 2211 pairs: the last word is partly used
+	const n = 131 // three words a row, the last partly used
 	tab := newVerdictTable(n)
-	want := make([]pairState, tab.pairs)
+	want := map[[2]int]pairState{}
+	refined := 0
 	rng := rand.New(rand.NewSource(1))
-	for _, k := range rng.Perm(tab.pairs) {
-		want[k] = pairState(1 + rng.Intn(3))
+	for _, k := range rng.Perm(n * n) {
+		lo, hi := k/n, k%n
+		if lo >= hi {
+			continue
+		}
+		st := pairState(rng.Intn(4)) // a quarter stay unknown
+		want[[2]int{lo, hi}] = st
+		if st == pairUnknown {
+			continue
+		}
+		if st == pairRefined {
+			refined++
+		}
 		var reasons []NoncommuteReason
-		if want[k] == pairMayNot {
+		if st == pairMayNot {
 			reasons = []NoncommuteReason{{Cond: k}}
 		}
-		tab.publish(k, want[k], reasons)
-		tab.publish(k, want[k], reasons) // a racing publisher's second write
+		tab.publish(lo, hi, st, reasons)
+		tab.publish(lo, hi, st, reasons) // a racing publisher's second write
 	}
-	for k, st := range want {
-		if got := tab.load(k); got != st {
-			t.Fatalf("cell %d = %d, want %d", k, got, st)
+	for lo := 0; lo < n; lo++ {
+		if got := tab.load(lo, lo); got != pairUnknown {
+			t.Fatalf("diagonal cell %d = %d", lo, got)
 		}
-		if rs := tab.reasonsOf(k); (st == pairMayNot) != (len(rs) == 1 && rs[0].Cond == k) {
-			t.Fatalf("cell %d in state %d has reasons %v", k, st, rs)
+		for hi := lo + 1; hi < n; hi++ {
+			st := want[[2]int{lo, hi}]
+			if a, b := tab.load(lo, hi), tab.load(hi, lo); a != wantLoad(st) || b != wantLoad(st) {
+				t.Fatalf("pair (%d, %d) published as %d reads %d in row %d and %d in row %d", lo, hi, st, a, lo, b, hi)
+			}
+			if rs := tab.reasonsOf(lo, hi); (st == pairMayNot) != (len(rs) == 1 && rs[0].Cond == lo*n+hi) {
+				t.Fatalf("pair (%d, %d) in state %d has reasons %v", lo, hi, st, rs)
+			}
 		}
 	}
-	if last := pairIndex(n-2, n-1); last != tab.pairs-1 {
-		t.Fatalf("last pair has index %d of %d", last, tab.pairs)
+	if got := int(tab.refined.Load()); got != refined {
+		t.Errorf("refined count %d, published %d refined pairs (twice each)", got, refined)
 	}
 
 	const big = 10002
-	if got, bound := len(newVerdictTable(big).words)*4, big*big/4; got > bound {
+	bigTab := newVerdictTable(big)
+	if got, bound := 8*(len(bigTab.known)+len(bigTab.mayNot)), big*big/4+2*8*big; got > bound {
 		t.Errorf("table for %d rules takes %d bytes, bound %d", big, got, bound)
 	}
 }
 
-// TestVerdictTableConcurrentPublish has several goroutines publish the
-// cells of shared words at once (run under -race).
+// TestVerdictTableConcurrentPublish has two goroutines publish every
+// pair at once, so that words are shared and every pair is raced for
+// (run under -race); each refined pair is still counted once.
 func TestVerdictTableConcurrentPublish(t *testing.T) {
-	tab := newVerdictTable(40)
-	state := func(k int) pairState { return pairState(1 + k%3) }
+	const n = 40
+	tab := newVerdictTable(n)
+	state := func(lo, hi int) pairState { return pairState(1 + (lo+hi)%3) }
+	refined := 0
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < 2; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for k := w % 2; k < tab.pairs; k += 2 { // two publishers per cell
-				tab.publish(k, state(k), []NoncommuteReason{{Cond: k}})
-				if got := tab.load(k); got != state(k) {
-					t.Errorf("cell %d = %d right after publishing %d", k, got, state(k))
+			for hi := 0; hi < n; hi++ {
+				for lo := 0; lo < hi; lo++ {
+					tab.publish(lo, hi, state(lo, hi), []NoncommuteReason{{Cond: hi}})
+					if got := tab.load(lo, hi); got != wantLoad(state(lo, hi)) {
+						t.Errorf("pair (%d, %d) = %d right after publishing %d", lo, hi, got, state(lo, hi))
+					}
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	for k := 0; k < tab.pairs; k++ {
-		if got := tab.load(k); got != state(k) {
-			t.Fatalf("cell %d = %d, want %d", k, got, state(k))
+	for hi := 0; hi < n; hi++ {
+		for lo := 0; lo < hi; lo++ {
+			if state(lo, hi) == pairRefined {
+				refined++
+			}
+			if a, b := tab.load(lo, hi), tab.load(hi, lo); a != wantLoad(state(lo, hi)) || a != b {
+				t.Fatalf("pair (%d, %d) reads %d and %d, want %d", lo, hi, a, b, state(lo, hi))
+			}
 		}
+	}
+	if got := int(tab.refined.Load()); got != refined {
+		t.Errorf("refined count %d after two publishers each, want %d", got, refined)
 	}
 }
 

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -16,8 +17,10 @@ type Set struct {
 	rules  []*Rule
 	byName map[string]*Rule
 
-	// higher[i][j] reports ri > rj in the transitive closure of P.
-	higher [][]bool
+	// higher is the transitive closure of P as one bit row per rule
+	// (see HigherRow), len(rules) rows of rowWords words each.
+	higher   []uint64
+	rowWords int
 
 	// compiled holds the set's compiled program once internal/compile
 	// has built it (see Compiled); it lives and dies with the set.
@@ -150,14 +153,8 @@ func compileRule(sch *schema.Schema, def Definition) (*Rule, error) {
 // ordering from precedes/follows clauses, and closes it transitively,
 // rejecting cycles (which would make P not a partial order).
 func (s *Set) buildPriorities() error {
-	n := len(s.rules)
-	s.higher = make([][]bool, n)
-	for i := range s.higher {
-		s.higher[i] = make([]bool, n)
-	}
-	addEdge := func(hi, lo *Rule) {
-		s.higher[hi.index][lo.index] = true
-	}
+	s.rowWords = len(NewBits(len(s.rules)))
+	s.higher = make([]uint64, len(s.rules)*s.rowWords)
 	for _, r := range s.rules {
 		for _, name := range r.Precedes {
 			other, ok := s.byName[name]
@@ -167,7 +164,7 @@ func (s *Set) buildPriorities() error {
 			if other == r {
 				return fmt.Errorf("rules: rule %q precedes itself", r.Name)
 			}
-			addEdge(r, other)
+			s.HigherRow(r).Add(other.index)
 		}
 		for _, name := range r.Follows {
 			other, ok := s.byName[name]
@@ -177,25 +174,37 @@ func (s *Set) buildPriorities() error {
 			if other == r {
 				return fmt.Errorf("rules: rule %q follows itself", r.Name)
 			}
-			addEdge(other, r)
+			s.HigherRow(other).Add(r.index)
 		}
 	}
-	// Transitive closure (Floyd–Warshall on the boolean matrix).
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if !s.higher[i][k] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if s.higher[k][j] {
-					s.higher[i][j] = true
+	if r := s.closePriorities(); r != nil {
+		return fmt.Errorf("rules: priority cycle involving rule %q", r.Name)
+	}
+	return nil
+}
+
+// closePriorities closes s.higher transitively (Warshall's algorithm,
+// the inner loop one row OR) and returns the first rule, in definition
+// order, that the closure orders above itself, or nil when P is a
+// partial order. A rule with priority over nobody adds nothing to
+// anyone's row, so its column is never scanned.
+func (s *Set) closePriorities() *Rule {
+	empty := NewBits(len(s.rules))
+	for _, k := range s.rules {
+		rowK := s.HigherRow(k)
+		if !slices.Equal(rowK, empty) {
+			for _, i := range s.rules {
+				if rowI := s.HigherRow(i); rowI.Has(k.index) {
+					for w, bits := range rowK {
+						rowI[w] |= bits
+					}
 				}
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		if s.higher[i][i] {
-			return fmt.Errorf("rules: priority cycle involving rule %q", s.rules[i].Name)
+	for _, r := range s.rules {
+		if s.Higher(r, r) {
+			return r
 		}
 	}
 	return nil
@@ -225,8 +234,19 @@ func (s *Set) Len() int { return len(s.rules) }
 // Rule returns the named rule, or nil.
 func (s *Set) Rule(name string) *Rule { return s.byName[strings.ToLower(name)] }
 
-// Higher reports whether ri > rj is in the transitive closure of P.
-func (s *Set) Higher(ri, rj *Rule) bool { return s.higher[ri.index][rj.index] }
+// Higher reports whether ri > rj is in the transitive closure of P. It
+// is HigherRow(ri).Has(rj.Index()) without forming the row: Choose asks
+// it per pair of triggered rules at every step of rule processing.
+func (s *Set) Higher(ri, rj *Rule) bool {
+	return s.higher[ri.index*s.rowWords+rj.index>>6]&(1<<(rj.index&63)) != 0
+}
+
+// HigherRow returns the rules r has priority over in the transitive
+// closure of P, as a bit row indexed by Rule.Index. The row is the
+// set's own storage and must not be modified.
+func (s *Set) HigherRow(r *Rule) Bits {
+	return Bits(s.higher[r.index*s.rowWords : (r.index+1)*s.rowWords])
+}
 
 // Ordered reports whether ri and rj are ordered (ri > rj or rj > ri in P).
 // A rule is not considered ordered with itself.
@@ -244,13 +264,8 @@ func (s *Set) Unordered(ri, rj *Rule) bool {
 // interactive confluence workflow of Section 6.4 (Approach 2: add a
 // priority between conflicting rules). The underlying rules are shared.
 func (s *Set) WithOrdering(pairs ...[2]string) (*Set, error) {
-	ns := &Set{sch: s.sch, rules: s.rules, byName: s.byName}
-	n := len(s.rules)
-	ns.higher = make([][]bool, n)
-	for i := range ns.higher {
-		ns.higher[i] = make([]bool, n)
-		copy(ns.higher[i], s.higher[i])
-	}
+	ns := &Set{sch: s.sch, rules: s.rules, byName: s.byName,
+		higher: slices.Clone(s.higher), rowWords: s.rowWords}
 	for _, p := range pairs {
 		hi := ns.Rule(p[0])
 		lo := ns.Rule(p[1])
@@ -260,25 +275,11 @@ func (s *Set) WithOrdering(pairs ...[2]string) (*Set, error) {
 		if hi == lo {
 			return nil, fmt.Errorf("rules: WithOrdering: rule %q cannot precede itself", p[0])
 		}
-		ns.higher[hi.index][lo.index] = true
+		ns.HigherRow(hi).Add(lo.index)
 	}
 	// Re-close transitively and check antisymmetry.
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if !ns.higher[i][k] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if ns.higher[k][j] {
-					ns.higher[i][j] = true
-				}
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if ns.higher[i][i] {
-			return nil, fmt.Errorf("rules: WithOrdering: priority cycle involving rule %q", s.rules[i].Name)
-		}
+	if r := ns.closePriorities(); r != nil {
+		return nil, fmt.Errorf("rules: WithOrdering: priority cycle involving rule %q", r.Name)
 	}
 	return ns, nil
 }
