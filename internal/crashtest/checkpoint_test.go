@@ -2,19 +2,22 @@ package crashtest
 
 // Targeted enumeration of the Checkpoint rotation window: every
 // filesystem operation between the pre-rotation flush and the old-log
-// retirement — snapshot temp write, snapshot fsync, the rename commit
-// point, new-log creation, its first appends and sync, the directory
-// fsync that pins the new log's entry, and the old-log remove — is
-// crashed (and, separately, failed without crash semantics) in turn.
+// retirement — the snapshot temp file's writes (header, one per table,
+// trailer), its fsync, the rename commit point, new-log creation, its
+// first appends and sync, the directory fsync that pins the new log's
+// entry, and the old-log remove — is crashed (and, separately, failed
+// without crash semantics) in turn.
 // The invariants: recovery always lands on a consistent generation
 // (the old chain or the new snapshot, never a mixture), and a late
 // in-session failure poisons the log so no later commit can claim a
 // durability that recovery would not honor.
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"activerules/internal/engine"
@@ -83,10 +86,39 @@ func checkpointWindow(t *testing.T, sc *Scenario) (pre, post int, oldGen uint64)
 	return pre, post, oldGen
 }
 
+// previousGeneration asserts that a checkpoint interrupted before its
+// rename left the generation it was rotating from, whole: recovery reads
+// oldGen, no snapshot has appeared beside it (the scenario's checkpoint
+// is its first), and the state is the one FenceReplay — the harness's
+// own reading of the directory — arrives at.
+func previousGeneration(t *testing.T, sc *Scenario, fsys wal.FS, oldGen uint64, label string) {
+	t.Helper()
+	db, info, err := wal.Recover(Dir, sc.G.Schema, fsys)
+	if err != nil {
+		t.Fatalf("%s: recover: %v", label, err)
+	}
+	if _, err := fsys.ReadFile(wal.SnapshotPath(Dir)); info.Gen != oldGen || !wal.IsNotExist(err) {
+		t.Fatalf("%s: recovered generation %d (snapshot.db: %v), want generation %d and no snapshot: the rename had not happened", label, info.Gen, err, oldGen)
+	}
+	_, final, err := FenceReplay(fsys, Dir, sc.G.Schema)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if fp := db.Fingerprint(); hex.EncodeToString(fp[:]) != final {
+		t.Fatalf("%s: recovery and FenceReplay disagree on the previous generation's state", label)
+	}
+}
+
 // TestCheckpointRotationCrashWindow crashes at every operation of the
 // rotation window and asserts recovery lands on a consistent
 // generation: either the old chain or the freshly installed snapshot
-// generation, with all the usual prefix/idempotence invariants.
+// generation, with all the usual prefix/idempotence invariants. The
+// snapshot reaches its temp file in 2 + #tables writes (header, a
+// section per table, trailer) where one buffer took one, so the window
+// is pinned at the 11 operations it was plus exactly those: each new
+// boundary is a crash point the enumeration visits. Up to and including
+// the rename, a crash — and, at each of the temp file's writes, a torn
+// write — must leave the previous generation.
 func TestCheckpointRotationCrashWindow(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		seed := seed
@@ -102,6 +134,11 @@ func TestCheckpointRotationCrashWindow(t *testing.T) {
 			}
 			ref := hashSet(hashes)
 			pre, post, oldGen := checkpointWindow(t, sc)
+			parts := 2 + sc.G.Schema.NumTables()
+			if post-pre != 10+parts {
+				t.Fatalf("checkpoint spans %d fs operations, want the 10 around the snapshot's writes plus %d writes", post-pre, parts)
+			}
+			tmpWrites, renamed := 0, false
 			for k := pre + 1; k <= post; k++ {
 				label := fmt.Sprintf("rotation crash at %d in (%d,%d]", k, pre, post)
 				fsys := wal.NewMemFS()
@@ -109,6 +146,22 @@ func TestCheckpointRotationCrashWindow(t *testing.T) {
 				runErr := RunDurable(sc, inj.WrapFS(fsys), wal.Options{}, nil)
 				if !inj.Crashed() {
 					t.Fatalf("%s: crash point never reached (run err: %v)", label, runErr)
+				}
+				// The injector names the operation it crashed at, which never
+				// happened: the rename is the last one that leaves oldGen.
+				if !renamed {
+					previousGeneration(t, sc, fsys, oldGen, label)
+				}
+				renamed = renamed || strings.Contains(runErr.Error(), "at rename ")
+				if strings.Contains(runErr.Error(), "at write "+Dir+"/snapshot.tmp") {
+					tmpWrites++
+					torn := wal.NewMemFS()
+					inj := faultinject.New(faultinject.Config{FSShortWriteAt: k, Seed: seed<<8 + int64(k)})
+					if err := RunDurable(sc, inj.WrapFS(torn), wal.Options{}, nil); err == nil {
+						t.Fatalf("%s: a torn write of the snapshot's temp file went unreported", label)
+					}
+					previousGeneration(t, sc, torn, oldGen, label+" (torn write)")
+					checkRecovery(t, sc, torn, ref, label+" (torn write)")
 				}
 				_, info, err := wal.Recover(Dir, sc.G.Schema, fsys)
 				if err != nil {
@@ -119,6 +172,9 @@ func TestCheckpointRotationCrashWindow(t *testing.T) {
 						label, info.Gen, oldGen, oldGen+1)
 				}
 				checkRecovery(t, sc, fsys, ref, label)
+			}
+			if tmpWrites != parts || !renamed {
+				t.Fatalf("crashed at %d writes of snapshot.tmp (rename seen: %v), want %d", tmpWrites, renamed, parts)
 			}
 		})
 	}

@@ -129,7 +129,9 @@ func TestFingerprintMemoDifferential(t *testing.T) {
 // row's values change. Each arranges for the table's digest to be
 // memoized immediately before that one place runs, so the case fails —
 // the oracle's row-for-row rebuild disagrees — exactly when that place
-// stops calling touch.
+// stops calling touch. touch feeds a second memo's key, the table's
+// Version (internal/wal's snapshot sections), so each case also requires
+// that it strictly increased.
 func TestEveryMutationTouches(t *testing.T) {
 	var id TupleID
 	var sp Savepoint
@@ -181,13 +183,16 @@ func TestEveryMutationTouches(t *testing.T) {
 			if c.before != nil {
 				c.before(db)
 			}
-			was := db.Fingerprint()
+			was, ver := db.Fingerprint(), db.Table("t").Version()
 			if !db.Table("t").clean {
 				t.Fatal("Fingerprint left the table's digest unmemoized; the case would be vacuous")
 			}
 			c.mutate(db)
 			if db.Table("t").clean {
 				t.Errorf("%s changed the table and left its digest marked clean", c.site)
+			}
+			if got := db.Table("t").Version(); got <= ver {
+				t.Errorf("%s changed the table and left its Version at %d (was %d)", c.site, got, ver)
 			}
 			if err := new(FingerprintOracle).Check(db); err != nil {
 				t.Error(err)
@@ -196,6 +201,48 @@ func TestEveryMutationTouches(t *testing.T) {
 				t.Error("the mutation did not change the fingerprint; the case is vacuous")
 			}
 		})
+	}
+}
+
+// TestVersionStandsWhileRowsDo is the other half of Version's contract:
+// what leaves the live rows, their identities, values and iteration
+// order alone leaves Version alone, or a checkpoint re-encodes tables
+// nothing changed. One case per such place; a clone starts at its
+// original's value.
+func TestVersionStandsWhileRowsDo(t *testing.T) {
+	db := savepointDB(t)
+	tbl := db.Table("t")
+	for i := 0; i < 20; i++ {
+		db.MustInsert("t", IntV(int64(i)), StringV("a"))
+	}
+	sp := db.Savepoint()
+	for _, id := range tbl.IDs()[:16] {
+		db.Delete("t", id)
+	}
+	ver, slots := tbl.Version(), len(tbl.order)
+	stands := func(what string) {
+		t.Helper()
+		if got := tbl.Version(); got != ver {
+			t.Errorf("%s moved Version from %d to %d", what, ver, got)
+		}
+	}
+	db.Fingerprint()
+	stands("Fingerprint")
+	tbl.Scan(func(*Tuple) bool { return true })
+	tbl.IDs()
+	stands("a read-only Scan")
+	db.Release(db.Savepoint())
+	stands("an inner Savepoint and Release")
+	db.Release(sp)
+	if len(tbl.order) >= slots {
+		t.Fatalf("the outermost Release left %d order slots of %d; compact did not run", len(tbl.order), slots)
+	}
+	stands("compact")
+	if got := db.Clone().Table("t").Version(); got != ver {
+		t.Errorf("a clone's table starts at Version %d, its original is at %d", got, ver)
+	}
+	if got := db.Fork().Table("t").Version(); got != ver {
+		t.Errorf("a fork's table starts at Version %d, its original is at %d", got, ver)
 	}
 }
 

@@ -51,6 +51,10 @@ type Table struct {
 	digest [32]byte
 	clean  bool
 
+	// ver counts calls to touch, which see more than the digest can tell:
+	// a delete and an equal insert keep the multiset and change an identity.
+	ver uint64
+
 	// last and lastOf[k] locate the table's most recent Change in the DB's
 	// history, over all kinds and of kind k, as position+1: zero, which is
 	// what clone leaves, means the history holds none. They are written
@@ -75,8 +79,15 @@ func (t *Table) noteChange(end int, k ChangeKind) { t.last, t.lastOf[k] = end, e
 // forgetChanges empties the table's history index.
 func (t *Table) forgetChanges() { t.last, t.lastOf = 0, [3]int{} }
 
-// touch marks the memoized content digest stale.
-func (t *Table) touch() { t.clean = false }
+// touch marks the memoized content digest stale and advances Version.
+func (t *Table) touch() { t.clean, t.ver = false, t.ver+1 }
+
+// Version is a counter that has moved whenever the table's live rows —
+// their identities, values or iteration order — may have changed, and
+// not when tombstones are dropped, by Fingerprint or by savepoint
+// bookkeeping: with the table pointer (a clone starts at its original's
+// value) it keys internal/wal's memoized snapshot sections.
+func (t *Table) Version() uint64 { return t.ver }
 
 func newTable(def *schema.Table) *Table {
 	return &Table{def: def, rows: make(map[TupleID]*Tuple)}
@@ -186,6 +197,7 @@ func (t *Table) clone() *Table {
 
 		digest: t.digest,
 		clean:  t.clean,
+		ver:    t.ver,
 	}
 	for _, id := range t.order {
 		if tu, ok := t.rows[id]; ok {

@@ -76,9 +76,9 @@ type DurableDB struct {
 	st   *storage.DB
 	info RecoveryInfo
 
-	// snapLen is the length of the last snapshot read or written: what
-	// Checkpoint sizes the next one's buffer from.
-	snapLen int
+	// snap encodes Checkpoint's snapshots, re-encoding only the tables
+	// that changed since the last one.
+	snap snapEncoder
 
 	// posMu guards gen and log for the replication read path, which
 	// runs off the worker goroutine while Checkpoint rotates them. All
@@ -161,7 +161,7 @@ func Open(dir string, sch *schema.Schema, opts Options) (*DurableDB, error) {
 		l.f.Close()
 		return nil, err
 	}
-	d := &DurableDB{fsys: fsys, dir: dir, opts: opts, gen: info.Gen, log: l, st: db, info: info, snapLen: rp.snapLen}
+	d := &DurableDB{fsys: fsys, dir: dir, opts: opts, gen: info.Gen, log: l, st: db, info: info}
 	d.epoch.Store(info.Epoch)
 	d.removeStale()
 	return d, nil
@@ -397,9 +397,7 @@ func (d *DurableDB) Checkpoint(cur *storage.DB) error {
 		return err
 	}
 	newGen := d.gen + 1
-	snap := encodeSnapshot(cur, newGen, d.snapLen)
-	d.snapLen = len(snap)
-	if err := InstallSnapshot(d.fsys, d.dir, snap); err != nil {
+	if err := installSnapshot(d.fsys, d.dir, d.snap.parts(cur, newGen)...); err != nil {
 		// The rename may or may not have happened; fail-stop either way.
 		d.log.err = err
 		return err

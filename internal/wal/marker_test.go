@@ -96,7 +96,8 @@ func TestSnapshotMarkerDigests(t *testing.T) {
 	// That directory's marker is the canonical digest of its snapshot and
 	// not the Fingerprint: opening it went through the reader's second
 	// arm. Its snapshot file also pins the encoder across commits:
-	// decoded and encoded again, sized or not, it is the same bytes.
+	// decoded and encoded again — by the oracle, by the product's encoder
+	// cold and again with every section memoized — it is the same bytes.
 	snap := mustRead(t, old, "w/snapshot.db")
 	at, gen, err := decodeSnapshot(snap, testSchema(t))
 	if err != nil {
@@ -105,9 +106,13 @@ func TestSnapshotMarkerDigests(t *testing.T) {
 	if got := marker(t, old, "w", 2).FP; got != at.CanonicalFingerprint() || got == at.Fingerprint() {
 		t.Errorf("pre-change directory's marker %x is not its snapshot's CanonicalFingerprint", got[:4])
 	}
-	for _, prevLen := range []int{0, 1, len(snap), 10 * len(snap)} {
-		if got := encodeSnapshot(at, gen, prevLen); !bytes.Equal(got, snap) {
-			t.Errorf("encodeSnapshot sized from %d bytes:\n%x, want the file's\n%x", prevLen, got, snap)
+	if got := encodeSnapshot(at, gen); !bytes.Equal(got, snap) {
+		t.Errorf("encodeSnapshot:\n%x, want the file's\n%x", got, snap)
+	}
+	var enc snapEncoder
+	for _, memo := range []string{"cold", "warm"} {
+		if got := bytes.Join(enc.parts(at, gen), nil); !bytes.Equal(got, snap) {
+			t.Errorf("snapEncoder, %s:\n%x, want the file's\n%x", memo, got, snap)
 		}
 	}
 

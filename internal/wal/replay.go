@@ -45,8 +45,6 @@ type Replayer struct {
 	db   *storage.DB
 	info RecoveryInfo // TruncatedBytes: bytes fed past good; Load sets SnapshotLoaded, Fresh
 
-	snapLen int // length of the snapshot file Load decoded
-
 	buf  []byte // the incomplete record at the end of what was fed
 	good int64  // bytes read as whole records
 	err  error
@@ -76,7 +74,7 @@ func Load(fsys FS, dir string, sch *schema.Schema) (*Replayer, []byte, error) {
 		if r.db, r.info.Gen, err = decodeSnapshot(snap, sch); err != nil {
 			return nil, nil, fmt.Errorf("%w: snapshot: %v", ErrUnrecoverable, err)
 		}
-		r.info.SnapshotLoaded, r.snapLen = true, len(snap)
+		r.info.SnapshotLoaded = true
 	} else if !IsNotExist(err) {
 		return nil, nil, err
 	}

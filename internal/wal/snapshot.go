@@ -54,32 +54,81 @@ func SnapshotGen(data []byte) (uint64, error) {
 	return gen, nil
 }
 
-// encodeSnapshot serializes db at the given generation. prevLen, the
-// length of the snapshot this one replaces (0: none), sizes the buffer,
-// with an eighth of headroom for what was inserted since; the bytes do
-// not depend on it.
-func encodeSnapshot(db *storage.DB, gen uint64, prevLen int) []byte {
-	b := append(make([]byte, 0, prevLen+prevLen/8), snapMagic...)
-	b = binary.AppendUvarint(b, gen)
-	b = binary.AppendUvarint(b, uint64(db.NextID()))
-	names := append([]string(nil), db.Schema().TableNames()...)
-	sort.Strings(names)
-	b = binary.AppendUvarint(b, uint64(len(names)))
-	for _, name := range names {
-		t := db.Table(name)
-		b = appendString(b, name)
-		b = binary.AppendUvarint(b, uint64(t.Len()))
-		t.Scan(func(tu *storage.Tuple) bool {
-			b = binary.AppendUvarint(b, uint64(tu.ID))
-			b = binary.AppendUvarint(b, uint64(len(tu.Vals)))
-			for _, v := range tu.Vals {
-				b = appendValue(b, v)
-			}
-			return true
-		})
+// snapSection is one table's part of a snapshot — name, row count, rows
+// — as encoded from table t at t.Version() == ver. The pair is the key:
+// a section carries tuple identities and iteration order, which the
+// table's content digest does not (delete a row, insert an equal one:
+// same digest, and the log that follows names the new identity), and
+// another *Table — a reopened, cloned or forked database — is other rows
+// whatever its counter reads.
+type snapSection struct {
+	t   *storage.Table
+	ver uint64
+	buf []byte
+}
+
+// encode rewrites the section from t, in its own buffer where the rows
+// still fit and otherwise in one made at exactly their size: a first
+// pass encodes each row over the last only to measure, since growing to
+// a table's size by append leaves several times it as garbage.
+func (s *snapSection) encode(name string, t *storage.Table) {
+	b := binary.AppendUvarint(appendString(s.buf[:0], name), uint64(t.Len()))
+	size, row := len(b), b[len(b):]
+	t.Scan(func(tu *storage.Tuple) bool {
+		row = appendRow(row[:0], tu)
+		size += len(row)
+		return true
+	})
+	if cap(b) < size {
+		b = append(make([]byte, 0, size), b...)
 	}
-	sum := sha256.Sum256(b)
-	return append(b, sum[:]...)
+	t.Scan(func(tu *storage.Tuple) bool {
+		b = appendRow(b, tu)
+		return true
+	})
+	s.t, s.ver, s.buf = t, t.Version(), b
+}
+
+func appendRow(b []byte, tu *storage.Tuple) []byte {
+	b = binary.AppendUvarint(b, uint64(tu.ID))
+	b = binary.AppendUvarint(b, uint64(len(tu.Vals)))
+	for _, v := range tu.Vals {
+		b = appendValue(b, v)
+	}
+	return b
+}
+
+// snapEncoder encodes snapshots and keeps the sections, in sorted name
+// order, between them: one encoded copy of the database it last saw.
+type snapEncoder struct{ sections []snapSection }
+
+// parts returns db's snapshot at generation gen as the byte slices that,
+// written in order, are the file: the header, one section per table, the
+// trailer. Only the sections of tables that changed since the last call
+// (or are not the tables it saw) are encoded again; the header and the
+// SHA-256 over everything are made every time. The sections are the
+// encoder's own, valid until the next call.
+func (e *snapEncoder) parts(db *storage.DB, gen uint64) [][]byte {
+	names := db.Schema().TableNames()
+	sort.Strings(names)
+	if len(e.sections) != len(names) {
+		e.sections = make([]snapSection, len(names))
+	}
+	head := binary.AppendUvarint(append([]byte(nil), snapMagic...), gen)
+	head = binary.AppendUvarint(head, uint64(db.NextID()))
+	head = binary.AppendUvarint(head, uint64(len(names)))
+	parts := append(make([][]byte, 0, len(names)+2), head)
+	h := sha256.New()
+	h.Write(head)
+	for i, name := range names {
+		s, t := &e.sections[i], db.Table(name)
+		if s.t != t || s.ver != t.Version() {
+			s.encode(name, t)
+		}
+		h.Write(s.buf)
+		parts = append(parts, s.buf)
+	}
+	return append(parts, h.Sum(nil))
 }
 
 // decodeSnapshot rebuilds a database from snapshot bytes against the
@@ -146,12 +195,22 @@ func decodeSnapshot(data []byte, sch *schema.Schema) (*storage.DB, uint64, error
 // contents, and the directory fsync after it guarantees a later power
 // loss cannot revert the name swap (which would pair the old snapshot
 // with the new, already-started log generation). A checkpoint installs
-// its own encoding; a follower installs the bytes its leader streamed.
+// its own encoding, part by part; a follower installs the bytes its
+// leader streamed.
 func InstallSnapshot(fsys FS, dir string, data []byte) error {
+	return installSnapshot(fsys, dir, data)
+}
+
+// installSnapshot installs the concatenation of parts, one write each,
+// all of them into the temp file before the one rename.
+func installSnapshot(fsys FS, dir string, parts ...[]byte) error {
 	tmp := join(dir, "snapshot.tmp")
 	f, err := fsys.Create(tmp)
 	if err == nil {
-		if _, err = f.Write(data); err == nil {
+		for i := 0; i < len(parts) && err == nil; i++ {
+			_, err = f.Write(parts[i])
+		}
+		if err == nil {
 			err = f.Sync()
 		}
 		if cerr := f.Close(); err == nil {

@@ -96,7 +96,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	db.MustInsert("audit", storage.StringV("hi"), storage.BoolV(false))
 	db.Delete("acct", a)
 
-	data := encodeSnapshot(db, 9, 0)
+	data := bytes.Join(new(snapEncoder).parts(db, 9), nil)
 	got, gen, err := decodeSnapshot(data, sch)
 	if err != nil {
 		t.Fatal(err)
