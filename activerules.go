@@ -250,6 +250,9 @@ func LastByName() Strategy { return engine.LastByName{} }
 // SeededStrategy picks uniformly at random, reproducibly for a seed.
 func SeededStrategy(seed int64) Strategy { return engine.NewSeeded(seed) }
 
+// ParseStrategy reads a strategy name: first | last | random:<seed>.
+func ParseStrategy(s string) (Strategy, error) { return engine.ParseStrategy(s) }
+
 // System bundles a schema with a compiled rule set — everything the
 // analyses and the engine need.
 type System struct {
@@ -373,38 +376,17 @@ func (s *System) WithOrdering(pairs ...[2]string) (*System, error) {
 // supports "what if this rule were disabled" exploration in the
 // interactive environment.
 func (s *System) Without(names ...string) (*System, error) {
-	drop := map[string]bool{}
 	for _, n := range names {
 		n = strings.ToLower(strings.TrimSpace(n))
 		if s.rules.Rule(n) == nil {
 			return nil, fmt.Errorf("activerules: Without: unknown rule %q", n)
 		}
-		drop[n] = true
 	}
-	var kept []Definition
-	for _, def := range s.defs {
-		if drop[strings.ToLower(def.Name)] {
-			continue
-		}
-		nd := def
-		nd.Precedes = filterNames(def.Precedes, drop)
-		nd.Follows = filterNames(def.Follows, drop)
-		kept = append(kept, nd)
-	}
+	kept := rules.Without(s.defs, names...)
 	if len(kept) == 0 {
 		return nil, fmt.Errorf("activerules: Without: no rules remain")
 	}
 	return FromDefinitions(s.schema, kept)
-}
-
-func filterNames(in []string, drop map[string]bool) []string {
-	var out []string
-	for _, n := range in {
-		if !drop[strings.ToLower(n)] {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // Analyzer returns an analyzer honoring the certifications (nil for

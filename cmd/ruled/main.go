@@ -121,7 +121,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -194,12 +193,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		}
 		sys.SetCompiled(*compiled)
 	}
-	strat, err := parseStrategy(*strategy)
+	strat, err := activerules.ParseStrategy(*strategy)
 	if err != nil {
 		fmt.Fprintln(stderr, "ruled:", err)
 		return 2
 	}
-	policy, err := parseSyncPolicy(*fsync)
+	policy, err := activerules.ParseSyncPolicy(*fsync)
 	if err != nil {
 		fmt.Fprintln(stderr, "ruled:", err)
 		return 2
@@ -644,35 +643,5 @@ func jsonValue(v storage.Value) any {
 		return v.B
 	default:
 		return nil
-	}
-}
-
-func parseSyncPolicy(s string) (activerules.SyncPolicy, error) {
-	switch s {
-	case "commit":
-		return activerules.SyncCommit, nil
-	case "always":
-		return activerules.SyncAlways, nil
-	case "never":
-		return activerules.SyncNever, nil
-	default:
-		return activerules.SyncCommit, fmt.Errorf("unknown -fsync policy %q (want commit, always, or never)", s)
-	}
-}
-
-func parseStrategy(s string) (activerules.Strategy, error) {
-	switch {
-	case s == "first":
-		return activerules.FirstByName(), nil
-	case s == "last":
-		return activerules.LastByName(), nil
-	case strings.HasPrefix(s, "random:"):
-		seed, err := strconv.ParseInt(strings.TrimPrefix(s, "random:"), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad random seed in %q", s)
-		}
-		return activerules.SeededStrategy(seed), nil
-	default:
-		return nil, fmt.Errorf("unknown strategy %q", s)
 	}
 }

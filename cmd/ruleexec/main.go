@@ -61,7 +61,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"activerules"
@@ -112,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 	sys.SetCompiled(*compiled)
-	strat, err := parseStrategy(*strategy)
+	strat, err := activerules.ParseStrategy(*strategy)
 	if err != nil {
 		fmt.Fprintln(stderr, "ruleexec:", err)
 		return 2
@@ -136,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var eng *activerules.Engine
 	var ds *activerules.DurableSession
 	if *walDir != "" {
-		policy, err := parseSyncPolicy(*fsync)
+		policy, err := activerules.ParseSyncPolicy(*fsync)
 		if err != nil {
 			fmt.Fprintln(stderr, "ruleexec:", err)
 			return 2
@@ -322,34 +321,4 @@ func runExplore(ctx context.Context, eng *activerules.Engine, stdout, stderr io.
 		return 1
 	}
 	return 0
-}
-
-func parseSyncPolicy(s string) (activerules.SyncPolicy, error) {
-	switch s {
-	case "commit":
-		return activerules.SyncCommit, nil
-	case "always":
-		return activerules.SyncAlways, nil
-	case "never":
-		return activerules.SyncNever, nil
-	default:
-		return activerules.SyncCommit, fmt.Errorf("unknown -fsync policy %q (want commit, always, or never)", s)
-	}
-}
-
-func parseStrategy(s string) (activerules.Strategy, error) {
-	switch {
-	case s == "first":
-		return activerules.FirstByName(), nil
-	case s == "last":
-		return activerules.LastByName(), nil
-	case strings.HasPrefix(s, "random:"):
-		seed, err := strconv.ParseInt(strings.TrimPrefix(s, "random:"), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad random seed in %q", s)
-		}
-		return activerules.SeededStrategy(seed), nil
-	default:
-		return nil, fmt.Errorf("unknown strategy %q", s)
-	}
 }

@@ -56,6 +56,9 @@ var (
 	ErrWALClosed = wal.ErrClosed
 )
 
+// ParseSyncPolicy reads a policy name: commit | always | never.
+func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(s) }
+
 // NewMemFS returns an empty in-memory filesystem for durable sessions
 // in tests.
 func NewMemFS() *MemFS { return wal.NewMemFS() }

@@ -158,12 +158,6 @@ func (a Abs) WithoutNull() Abs {
 	return a.normalize()
 }
 
-// WithNull adds null to the possible values.
-func (a Abs) WithNull() Abs {
-	a.mayNull = true
-	return a
-}
-
 // Join returns the least upper bound: a value possible under either
 // operand is possible under the result.
 func (a Abs) Join(b Abs) Abs {

@@ -217,41 +217,7 @@ func subAliases(s *sqlmini.Select) []string {
 // such a query yields exactly one row regardless of its input, so
 // "s is nonempty" carries no information about rows satisfying s.Where.
 func aggNoGroup(s *sqlmini.Select) bool {
-	if len(s.GroupBy) > 0 {
-		return false
-	}
-	for _, it := range s.Items {
-		if it.Expr != nil && hasAggregate(it.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-func hasAggregate(e sqlmini.Expr) bool {
-	switch x := e.(type) {
-	case *sqlmini.Aggregate:
-		return true
-	case *sqlmini.Unary:
-		return hasAggregate(x.X)
-	case *sqlmini.Binary:
-		return hasAggregate(x.L) || hasAggregate(x.R)
-	case *sqlmini.IsNull:
-		return hasAggregate(x.X)
-	case *sqlmini.InList:
-		if hasAggregate(x.X) {
-			return true
-		}
-		for _, v := range x.Vals {
-			if hasAggregate(v) {
-				return true
-			}
-		}
-	case *sqlmini.InSelect:
-		return hasAggregate(x.X)
-	case *sqlmini.Exists, *sqlmini.ScalarSubquery, *sqlmini.ColRef, *sqlmini.Literal:
-	}
-	return false
+	return len(s.GroupBy) == 0 && sqlmini.HasAggregateItems(s)
 }
 
 // cons extracts necessary row constraints from a predicate: if

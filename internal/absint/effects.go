@@ -224,9 +224,7 @@ type ctxFrame struct {
 // marks every column of the source as read.
 func RuleReadContexts(sch *schema.Schema, cond sqlmini.Expr, action []sqlmini.Statement) []*ReadContext {
 	w := &ctxWalker{}
-	if cond != nil {
-		w.expr(cond, nil)
-	}
+	w.walk(cond, nil)
 	for _, st := range action {
 		w.stmt(st)
 	}
@@ -248,43 +246,38 @@ type ctxWalker struct {
 	out []*ReadContext
 }
 
+// stmt walks one action statement. DELETE and UPDATE read their target
+// table's rows, so the target is the one source in scope of their SET
+// and WHERE expressions; SELECT and INSERT bring their sources with
+// their selects.
 func (w *ctxWalker) stmt(st sqlmini.Statement) {
 	switch s := st.(type) {
 	case *sqlmini.Select:
 		w.sel(s, nil)
-	case *sqlmini.Insert:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				w.expr(e, nil)
-			}
-		}
-		if s.Query != nil {
-			w.sel(s.Query, nil)
-		}
 	case *sqlmini.Delete:
-		ctx := &ReadContext{Table: s.Table, Trans: sqlmini.TransNone, Cols: map[string]bool{},
-			Scope: RowConstraints(s.Where, s.Table)}
-		w.out = append(w.out, ctx)
-		stack := []ctxFrame{{alias: s.Table, ctx: ctx}}
-		if s.Where != nil {
-			w.expr(s.Where, stack)
-		}
+		w.walk(s.Where, []ctxFrame{w.target(s.Table, s.Where)})
 	case *sqlmini.Update:
-		ctx := &ReadContext{Table: s.Table, Trans: sqlmini.TransNone, Cols: map[string]bool{},
-			Scope: RowConstraints(s.Where, s.Table)}
-		w.out = append(w.out, ctx)
-		stack := []ctxFrame{{alias: s.Table, ctx: ctx}}
+		stack := []ctxFrame{w.target(s.Table, s.Where)}
 		for _, sc := range s.Sets {
-			w.expr(sc.Expr, stack)
+			w.walk(sc.Expr, stack)
 		}
-		if s.Where != nil {
-			w.expr(s.Where, stack)
-		}
+		w.walk(s.Where, stack)
+	default:
+		w.walk(st, nil)
 	}
 }
 
-// sel pushes a frame per FROM source and walks every expression of the
-// select under the extended stack.
+// target opens the read context of a DELETE or UPDATE target, scoped
+// by the statement's WHERE, and returns its frame.
+func (w *ctxWalker) target(table string, where sqlmini.Expr) ctxFrame {
+	ctx := &ReadContext{Table: table, Trans: sqlmini.TransNone, Cols: map[string]bool{},
+		Scope: RowConstraints(where, table)}
+	w.out = append(w.out, ctx)
+	return ctxFrame{alias: table, ctx: ctx}
+}
+
+// sel pushes a frame per FROM source and walks the select under the
+// extended stack.
 func (w *ctxWalker) sel(s *sqlmini.Select, stack []ctxFrame) {
 	inner := append([]ctxFrame{}, stack...)
 	for _, tr := range s.From {
@@ -294,27 +287,14 @@ func (w *ctxWalker) sel(s *sqlmini.Select, stack []ctxFrame) {
 		inner = append(inner, ctxFrame{alias: tr.EffectiveAlias(), ctx: ctx})
 	}
 	for _, it := range s.Items {
-		if it.Expr != nil {
-			w.expr(it.Expr, inner)
-		} else {
+		if it.Expr == nil {
 			// `select *` reads every column of every source.
 			for _, tr := range s.From {
 				w.star(tr, inner)
 			}
 		}
 	}
-	if s.Where != nil {
-		w.expr(s.Where, inner)
-	}
-	for _, e := range s.GroupBy {
-		w.expr(e, inner)
-	}
-	if s.Having != nil {
-		w.expr(s.Having, inner)
-	}
-	for _, o := range s.OrderBy {
-		w.expr(o.Expr, inner)
-	}
+	w.walk(s, inner)
 }
 
 func (w *ctxWalker) star(tr *sqlmini.TableRef, stack []ctxFrame) {
@@ -326,37 +306,25 @@ func (w *ctxWalker) star(tr *sqlmini.TableRef, stack []ctxFrame) {
 	}
 }
 
-func (w *ctxWalker) expr(e sqlmini.Expr, stack []ctxFrame) {
-	switch x := e.(type) {
-	case *sqlmini.ColRef:
-		for i := len(stack) - 1; i >= 0; i-- {
-			if stack[i].alias == x.RSource {
-				stack[i].ctx.Cols[x.Column] = true
-				return
+// walk credits every column reference under n to the innermost frame
+// of stack its source binds. A select below n opens a scope of its own:
+// sel walks it, and this walk prunes there.
+func (w *ctxWalker) walk(n sqlmini.Node, stack []ctxFrame) {
+	sqlmini.Inspect(n, func(m sqlmini.Node) bool {
+		switch x := m.(type) {
+		case *sqlmini.ColRef:
+			for i := len(stack) - 1; i >= 0; i-- {
+				if stack[i].alias == x.RSource {
+					stack[i].ctx.Cols[x.Column] = true
+					break
+				}
+			}
+		case *sqlmini.Select:
+			if x != n {
+				w.sel(x, stack)
+				return false
 			}
 		}
-	case *sqlmini.Unary:
-		w.expr(x.X, stack)
-	case *sqlmini.Binary:
-		w.expr(x.L, stack)
-		w.expr(x.R, stack)
-	case *sqlmini.IsNull:
-		w.expr(x.X, stack)
-	case *sqlmini.InList:
-		w.expr(x.X, stack)
-		for _, v := range x.Vals {
-			w.expr(v, stack)
-		}
-	case *sqlmini.InSelect:
-		w.expr(x.X, stack)
-		w.sel(x.Sub, stack)
-	case *sqlmini.Exists:
-		w.sel(x.Sub, stack)
-	case *sqlmini.ScalarSubquery:
-		w.sel(x.Sub, stack)
-	case *sqlmini.Aggregate:
-		if x.Arg != nil {
-			w.expr(x.Arg, stack)
-		}
-	}
+		return true
+	})
 }

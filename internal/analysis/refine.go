@@ -590,8 +590,8 @@ func scopesDisjointOnStable(stable map[string]bool, s1, s2 absint.Constraints) b
 // dischargeCond3 shows that from's writes cannot affect anything to
 // reads: every performed operation of from is checked against every
 // read context of to on the same table, with a per-kind argument. A
-// defensive completeness check demands the walker-derived contexts
-// cover the full syntactic read set; operations with no backing
+// defensive completeness check demands the read contexts cover the
+// full syntactic read set; operations with no backing
 // statement summary (e.g. the fictional Obs writes of observable rules)
 // fail conservatively.
 func (a *Analyzer) dischargeCond3(from, to *rules.Rule) (string, bool) {
@@ -607,9 +607,11 @@ func (a *Analyzer) dischargeCond3(from, to *rules.Rule) (string, bool) {
 			}
 		}
 		// Completeness: the contexts must account for every syntactic
-		// read of this table, else the walker missed a read (or the
-		// read lives outside sqlmini, like the Obs view) and no
-		// discharge is safe.
+		// read of this table, else a column reference went unbound (or
+		// the read lives outside sqlmini, like the Obs view) and no
+		// discharge is safe. Both sets come from one sqlmini.Inspect
+		// walk, so a clause it skipped would be missing from both;
+		// inspect_test.go's oracle rules that out.
 		readsTable := false
 		for _, cr := range a.view.of(to).readsSorted {
 			if cr.Table != op.Table {

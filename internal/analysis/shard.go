@@ -141,20 +141,6 @@ type ShardPlan struct {
 // NumShards returns the number of groups in the plan.
 func (p *ShardPlan) NumShards() int { return len(p.Shards) }
 
-// ShardFor returns the index of the shard holding the table, or -1 when
-// the table is not in the plan.
-func (p *ShardPlan) ShardFor(table string) int {
-	table = strings.ToLower(table)
-	for i, g := range p.Shards {
-		for _, t := range g.Tables {
-			if t == table {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 // String renders the plan deterministically, into one buffer sized for
 // it beforehand: a plan lists a blocker per priority-ordered pair of
 // rules, tens of thousands of lines on a densely ordered set.

@@ -90,9 +90,6 @@ func (p *Program) Matcher() *Matcher { return p.matcher }
 // fell back to the interpreter.
 func (p *Program) Fallbacks() int { return p.fallbacks }
 
-// HasCondition reports whether rule i has a compiled condition.
-func (p *Program) HasCondition(i int) bool { return p.rules[i].cond != nil }
-
 // EvalCondition evaluates rule i's condition; rules without a
 // condition are trivially satisfied.
 func (p *Program) EvalCondition(i int, env *Env) (bool, error) {
@@ -103,9 +100,6 @@ func (p *Program) EvalCondition(i int, env *Env) (bool, error) {
 	env.begin(cr.nSlots)
 	return cr.cond(env)
 }
-
-// ActionLen returns the number of statements in rule i's action.
-func (p *Program) ActionLen(i int) int { return len(p.rules[i].action) }
 
 // ExecStatement executes statement j of rule i's action.
 func (p *Program) ExecStatement(i, j int, env *Env) (sqlmini.StmtResult, error) {

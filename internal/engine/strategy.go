@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"activerules/internal/rules"
 )
@@ -13,6 +16,25 @@ type Strategy interface {
 	// Pick selects one rule from eligible, which is non-empty and the
 	// engine's to reuse: a strategy reads it and does not keep it.
 	Pick(eligible []*rules.Rule) *rules.Rule
+}
+
+// ParseStrategy reads a -strategy flag value: first | last |
+// random:<seed>.
+func ParseStrategy(s string) (Strategy, error) {
+	switch {
+	case s == "first":
+		return FirstByName{}, nil
+	case s == "last":
+		return LastByName{}, nil
+	case strings.HasPrefix(s, "random:"):
+		seed, err := strconv.ParseInt(strings.TrimPrefix(s, "random:"), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad random seed in %q", s)
+		}
+		return NewSeeded(seed), nil
+	default:
+		return nil, fmt.Errorf("unknown strategy %q", s)
+	}
 }
 
 // FirstByName deterministically picks the lexicographically smallest rule

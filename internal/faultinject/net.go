@@ -53,7 +53,6 @@ type netState struct {
 	cfg         NetConfig
 	rng         *rand.Rand
 	writes      int
-	faults      int
 	partitioned bool
 }
 
@@ -65,30 +64,6 @@ func (in *Injector) ConfigureNet(cfg NetConfig) {
 	in.netMu.Lock()
 	in.net = &netState{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	in.netMu.Unlock()
-}
-
-// NetWrites returns the number of connection writes (frames) observed.
-func (in *Injector) NetWrites() int {
-	in.netMu.Lock()
-	defer in.netMu.Unlock()
-	if in.net == nil {
-		return 0
-	}
-	in.net.mu.Lock()
-	defer in.net.mu.Unlock()
-	return in.net.writes
-}
-
-// NetFaults returns the number of network faults injected.
-func (in *Injector) NetFaults() int {
-	in.netMu.Lock()
-	defer in.netMu.Unlock()
-	if in.net == nil {
-		return 0
-	}
-	in.net.mu.Lock()
-	defer in.net.mu.Unlock()
-	return in.net.faults
 }
 
 // PartitionNet raises or heals a network partition on every connection
@@ -157,29 +132,23 @@ func (in *Injector) netCheck(size int) (netAction, int) {
 	st.writes++
 	n := st.writes
 	if st.partitioned {
-		st.faults++
 		return netSever, 0
 	}
 	probabilistic := st.cfg.DropP > 0 && st.rng.Float64() < st.cfg.DropP
 	switch {
 	case st.cfg.SeverAt > 0 && n == st.cfg.SeverAt:
-		st.faults++
 		return netSever, 0
 	case st.cfg.TruncAt > 0 && n == st.cfg.TruncAt:
-		st.faults++
 		k := 0
 		if size > 0 {
 			k = st.rng.Intn(size)
 		}
 		return netTrunc, k
 	case (st.cfg.DropAt > 0 && n == st.cfg.DropAt) || probabilistic:
-		st.faults++
 		return netDrop, 0
 	case st.cfg.DupAt > 0 && n == st.cfg.DupAt:
-		st.faults++
 		return netDup, 0
 	case st.cfg.DelayAt > 0 && n == st.cfg.DelayAt:
-		st.faults++
 		return netDelay, 0
 	}
 	return netPass, 0

@@ -69,6 +69,40 @@ type Definition struct {
 	Line, Col int
 }
 
+// Without returns defs with the named rules deactivated (Starburst's
+// deactivate operation): their definitions are removed and every
+// priority reference to them is dropped, so the rest still validates.
+// Names are compared the way NewSet normalizes them, trimmed and
+// lowercased, on both sides.
+func Without(defs []Definition, names ...string) []Definition {
+	drop := make(map[string]bool, len(names))
+	for _, n := range names {
+		drop[normName(n)] = true
+	}
+	kept := func(in []string) []string {
+		var out []string
+		for _, n := range in {
+			if !drop[normName(n)] {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	out := make([]Definition, 0, len(defs))
+	for _, d := range defs {
+		if drop[normName(d.Name)] {
+			continue
+		}
+		d.Precedes = kept(d.Precedes)
+		d.Follows = kept(d.Follows)
+		out = append(out, d)
+	}
+	return out
+}
+
+// normName is a rule name as a Set knows it.
+func normName(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
+
 // Rule is a compiled rule: parsed and resolved condition/action plus the
 // precomputed derived sets of Section 3.
 type Rule struct {

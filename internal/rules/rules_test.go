@@ -50,6 +50,32 @@ func bankDefs() []Definition {
 	}
 }
 
+// TestWithoutMatchesNamesLikeNewSet: deactivation compares names the way
+// NewSet normalizes them, whatever case or padding the definition, the
+// priority reference or the caller used; the reduced set validates.
+func TestWithoutMatchesNamesLikeNewSet(t *testing.T) {
+	defs := bankDefs()
+	defs[0].Name = "R_Audit"
+	defs[2].Follows = []string{" r_AUDIT "}
+	kept := Without(defs, "r_audit ", "R_GUARD")
+	var names []string
+	for _, d := range kept {
+		names = append(names, d.Name)
+		if len(d.Precedes)+len(d.Follows) != 0 {
+			t.Errorf("%s keeps a priority reference to a deactivated rule: %v %v", d.Name, d.Precedes, d.Follows)
+		}
+	}
+	if strings.Join(names, " ") != "r_hold r_purge" {
+		t.Fatalf("kept %v, want [r_hold r_purge]", names)
+	}
+	if _, err := NewSet(bankSchema(), kept); err != nil {
+		t.Fatalf("reduced set: %v", err)
+	}
+	if got := Without(defs); len(got) != len(defs) {
+		t.Errorf("Without() kept %d of %d definitions", len(got), len(defs))
+	}
+}
+
 func bankSet(t *testing.T) *Set {
 	t.Helper()
 	s, err := NewSet(bankSchema(), bankDefs())

@@ -53,7 +53,7 @@ func NewSet(sch *schema.Schema, defs []Definition) (*Set, error) {
 }
 
 func compileRule(sch *schema.Schema, def Definition) (*Rule, error) {
-	name := strings.ToLower(strings.TrimSpace(def.Name))
+	name := normName(def.Name)
 	if name == "" {
 		return nil, fmt.Errorf("rules: rule with empty name")
 	}
@@ -141,10 +141,10 @@ func compileRule(sch *schema.Schema, def Definition) (*Rule, error) {
 	}
 
 	for _, p := range def.Precedes {
-		r.Precedes = append(r.Precedes, strings.ToLower(strings.TrimSpace(p)))
+		r.Precedes = append(r.Precedes, normName(p))
 	}
 	for _, f := range def.Follows {
-		r.Follows = append(r.Follows, strings.ToLower(strings.TrimSpace(f)))
+		r.Follows = append(r.Follows, normName(f))
 	}
 	return r, nil
 }

@@ -157,15 +157,6 @@ func (b *Builder) Build() (*Schema, error) {
 	return b.s, nil
 }
 
-// MustBuild is Build, panicking on error. Intended for tests and examples.
-func (b *Builder) MustBuild() *Schema {
-	s, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Col is a convenience constructor for a Column.
 func Col(name string, typ Type) Column { return Column{Name: name, Type: typ} }
 

@@ -8,6 +8,7 @@ import (
 
 	"activerules/internal/engine"
 	"activerules/internal/retry"
+	"activerules/internal/rules"
 )
 
 // breaker is the per-rule circuit breaker driving quarantine. It is
@@ -196,13 +197,15 @@ func (b *breaker) probingNames() []string {
 	return out
 }
 
-// retain drops breaker state for every rule not in live, so a hot
-// rule-set swap does not leave ghost quarantine entries for rules that
-// no longer exist. Surviving names keep their state: a quarantined rule
-// stays quarantined across a swap that keeps it.
-func (b *breaker) retain(live map[string]bool) {
+// retain drops breaker state for every rule defs no longer defines, so
+// a hot rule-set swap does not leave ghost quarantine entries for rules
+// that no longer exist. Surviving names keep their state: a quarantined
+// rule stays quarantined across a swap that keeps it. A name survives
+// when rules.Without would deactivate one of defs for it — the same
+// name match the active set is built with.
+func (b *breaker) retain(defs []rules.Definition) {
 	for name := range b.health {
-		if !live[name] {
+		if len(rules.Without(defs, name)) == len(defs) {
 			delete(b.health, name)
 		}
 	}

@@ -211,32 +211,6 @@ func newDegradedAnalysis(sch *schema.Schema, defs []rules.Definition, tables []s
 	return &degradedAnalysis{sch: sch, defs: defs, tenant: tenant, bl: bl}, nil
 }
 
-// activeDefs filters the definitions down to the rules not in removed,
-// scrubbing ordering references to removed rules so the reduced set
-// still validates.
-func activeDefs(defs []rules.Definition, removed map[string]bool) []rules.Definition {
-	out := make([]rules.Definition, 0, len(defs))
-	for _, d := range defs {
-		if removed[d.Name] {
-			continue
-		}
-		d.Precedes = dropNames(d.Precedes, removed)
-		d.Follows = dropNames(d.Follows, removed)
-		out = append(out, d)
-	}
-	return out
-}
-
-func dropNames(names []string, removed map[string]bool) []string {
-	var out []string
-	for _, n := range names {
-		if !removed[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // report builds the degraded-mode report for the given quarantine and
 // probing sets (both sorted by the caller). A probing rule is live, so
 // only the quarantined set reduces the analyzed rule set.
@@ -248,13 +222,9 @@ func (da *degradedAnalysis) report(quarantined, probing []string) (*DegradedRepo
 		Termination:    da.bl.Term,
 		WasTermination: da.bl.Term,
 	}
-	q := map[string]bool{}
-	for _, n := range quarantined {
-		q[n] = true
-	}
 	var reduced *analysis.Analyzer
-	if len(q) > 0 {
-		set, err := rules.NewSet(da.sch, activeDefs(da.defs, q))
+	if len(quarantined) > 0 {
+		set, err := rules.NewSet(da.sch, rules.Without(da.defs, quarantined...))
 		if err != nil {
 			return nil, fmt.Errorf("serve: reduced rule set invalid: %w", err)
 		}

@@ -326,11 +326,7 @@ func (s *Server) openEngine() error {
 }
 
 func (s *Server) activeSet() (*rules.Set, error) {
-	removed := map[string]bool{}
-	for _, n := range s.br.quarantinedNames() {
-		removed[n] = true
-	}
-	return rules.NewSet(s.sch, activeDefs(s.defs, removed))
+	return rules.NewSet(s.sch, rules.Without(s.defs, s.br.quarantinedNames()...))
 }
 
 // rebuildActive swaps the engine to the current active rule set at a
@@ -834,11 +830,7 @@ func (s *Server) fence() error {
 // retained only for surviving rule names, engine rebuilt over the same
 // database (and journal), report refreshed.
 func (s *Server) doSwap(defs []rules.Definition, da *degradedAnalysis) error {
-	live := map[string]bool{}
-	for _, d := range defs {
-		live[d.Name] = true
-	}
-	s.br.retain(live)
+	s.br.retain(defs)
 	s.defs = defs
 	s.da = da
 	s.rebuildActive()

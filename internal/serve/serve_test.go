@@ -379,6 +379,55 @@ func TestQuarantineTripsAndDegrades(t *testing.T) {
 	}
 }
 
+// TestQuarantineMixedCaseRuleName: a programmatically defined rule keeps
+// the case it was given, while the engine (and so the breaker) reports
+// the name NewSet normalized. Quarantine must deactivate the rule, scrub
+// priority references to it, and survive a name-preserving swap all the
+// same.
+func TestQuarantineMixedCaseRuleName(t *testing.T) {
+	sch, defs := mkSystem(t, quarantineSchema, quarantineRules)
+	defs[0].Name = "Hostile"
+	defs[1].Follows = []string{" HOSTILE"}
+	in := faultinject.New(faultinject.Config{PanicTable: "poison"})
+	s, err := New(sch, defs, "wal", Config{
+		WAL:                 wal.Options{FS: wal.NewMemFS()},
+		Engine:              engine.Options{WrapMutator: in.Wrap},
+		QuarantineThreshold: 2,
+		DisableProbing:      true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+
+	for i := 0; i < 2; i++ {
+		_, err := s.Submit(ctx, Request{SQL: "insert into t values (1)"})
+		var xe *engine.ExecError
+		if !errors.As(err, &xe) || xe.Rule != "hostile" {
+			t.Fatalf("attempt %d = %v, want *ExecError from hostile", i, err)
+		}
+	}
+	serves := func(when string) {
+		t.Helper()
+		if got := s.Health().Report.Quarantined; len(got) != 1 || got[0] != "hostile" {
+			t.Fatalf("%s: Quarantined = %v, want [hostile]", when, got)
+		}
+		resp, err := s.Submit(ctx, Request{SQL: "insert into t values (2)"})
+		if err != nil {
+			t.Fatalf("%s: the quarantined rule still runs: %v", when, err)
+		}
+		if resp.FiredByRule["audit"] != 1 || resp.FiredByRule["hostile"] != 0 {
+			t.Errorf("%s: FiredByRule = %v, want audit only", when, resp.FiredByRule)
+		}
+	}
+	serves("after the trip")
+	if err := s.SwapRules(ctx, defs, nil); err != nil {
+		t.Fatal(err)
+	}
+	serves("after a name-preserving swap")
+}
+
 func TestQuarantineProbeReopensAndRecovers(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	s, in := newQuarantineServer(t, Config{

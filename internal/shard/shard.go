@@ -11,8 +11,8 @@
 // single shard owning every table the request's statements touch.
 //
 // Routing is static and syntactic: the tables a statement references
-// are collected from its parse tree (including subqueries), before
-// execution. A request whose statements span two shards is rejected
+// are collected from its parse tree by sqlmini.Inspect (every clause and
+// subquery, VALUES rows included), before execution. A request whose statements span two shards is rejected
 // with a typed *ShardError rather than executed — the analysis only
 // proves commutativity for statements confined to one group, so a
 // cross-shard statement is exactly the coordination the plan promised
@@ -302,16 +302,32 @@ func sortedKeys(m map[int]bool) []int {
 }
 
 // statementTables parses sql and returns the sorted set of table names
-// its statements reference, walking every clause and subquery of the
-// raw parse tree (resolution has not run, so names are as written).
+// its statements reference: the targets of INSERT, DELETE and UPDATE
+// and the FROM items of every select, in every clause and subquery of
+// the raw parse tree (resolution has not run, so names are as written).
 func statementTables(sql string) ([]string, error) {
 	stmts, err := sqlmini.ParseStatements(sql)
 	if err != nil {
 		return nil, err
 	}
 	seen := make(map[string]bool)
+	collect := func(n sqlmini.Node) bool {
+		switch x := n.(type) {
+		case *sqlmini.Insert:
+			seen[x.Table] = true
+		case *sqlmini.Delete:
+			seen[x.Table] = true
+		case *sqlmini.Update:
+			seen[x.Table] = true
+		case *sqlmini.Select:
+			for _, tr := range x.From {
+				seen[tr.Name] = true
+			}
+		}
+		return true
+	}
 	for _, st := range stmts {
-		collectStmt(st, seen)
+		sqlmini.Inspect(st, collect)
 	}
 	out := make([]string, 0, len(seen))
 	for t := range seen {
@@ -319,71 +335,4 @@ func statementTables(sql string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-func collectStmt(st sqlmini.Statement, seen map[string]bool) {
-	switch s := st.(type) {
-	case *sqlmini.Insert:
-		seen[s.Table] = true
-		if s.Query != nil {
-			collectSelect(s.Query, seen)
-		}
-	case *sqlmini.Delete:
-		seen[s.Table] = true
-		collectExpr(s.Where, seen)
-	case *sqlmini.Update:
-		seen[s.Table] = true
-		for _, set := range s.Sets {
-			collectExpr(set.Expr, seen)
-		}
-		collectExpr(s.Where, seen)
-	case *sqlmini.Select:
-		collectSelect(s, seen)
-	case *sqlmini.Rollback:
-		// touches nothing
-	}
-}
-
-func collectSelect(sel *sqlmini.Select, seen map[string]bool) {
-	for _, it := range sel.Items {
-		collectExpr(it.Expr, seen)
-	}
-	for _, tr := range sel.From {
-		seen[tr.Name] = true
-	}
-	collectExpr(sel.Where, seen)
-	for _, e := range sel.GroupBy {
-		collectExpr(e, seen)
-	}
-	collectExpr(sel.Having, seen)
-	for _, o := range sel.OrderBy {
-		collectExpr(o.Expr, seen)
-	}
-}
-
-func collectExpr(e sqlmini.Expr, seen map[string]bool) {
-	switch x := e.(type) {
-	case nil:
-	case *sqlmini.Unary:
-		collectExpr(x.X, seen)
-	case *sqlmini.Binary:
-		collectExpr(x.L, seen)
-		collectExpr(x.R, seen)
-	case *sqlmini.IsNull:
-		collectExpr(x.X, seen)
-	case *sqlmini.InList:
-		collectExpr(x.X, seen)
-		for _, v := range x.Vals {
-			collectExpr(v, seen)
-		}
-	case *sqlmini.InSelect:
-		collectExpr(x.X, seen)
-		collectSelect(x.Sub, seen)
-	case *sqlmini.Exists:
-		collectSelect(x.Sub, seen)
-	case *sqlmini.ScalarSubquery:
-		collectSelect(x.Sub, seen)
-	case *sqlmini.Aggregate:
-		collectExpr(x.Arg, seen)
-	}
 }

@@ -117,6 +117,40 @@ func TestShardRouting(t *testing.T) {
 	}
 }
 
+// TestShardRoutingSeesEveryClause: each statement is confined to a's
+// shard except for one clause that reads c, so each spans both shards
+// and must be refused. The router once skipped INSERT's VALUES rows and
+// sent the first row to a's shard, where c is empty.
+func TestShardRoutingSeesEveryClause(t *testing.T) {
+	g := openGroup(t, 0)
+	for _, sql := range []string{
+		"insert into a values (7, (select max(v) from c))",
+		"insert into a select id, v from c",
+		"update a set v = (select max(v) from c)",
+		"update a set v = 1 where id in (select id from c)",
+		"delete from a where exists (select 1 from c where c.id = a.id)",
+		"select id, (select max(v) from c) from a",
+		"select id from a where v > (select max(v) from c)",
+		"select v, count(*) from a group by v, (select max(v) from c)",
+		"select v, count(*) from a group by v having count(*) > (select count(*) from c)",
+		"select id from a order by (select max(v) from c)",
+		"select id from a where id in (select id from c)",
+		"select id from a where not exists (select 1 from c)",
+		"select id from a where v in (1, (select min(v) from c))",
+		"select sum((select max(v) from c)) from a",
+	} {
+		b, err := g.Route(sql)
+		var se *ShardError
+		if !errors.As(err, &se) {
+			t.Errorf("%q routed to shard %d, err %v; want *ShardError", sql, b, err)
+			continue
+		}
+		if !reflect.DeepEqual(se.Tables, []string{"a", "c"}) || len(se.Shards) != 2 {
+			t.Errorf("%q: tables %v shards %v, want [a c] over two shards", sql, se.Tables, se.Shards)
+		}
+	}
+}
+
 // TestShardVerdictsMatchUnsharded drives the same request sequence
 // through a 2-shard group and an unsharded server and checks that every
 // per-table outcome — SELECT results and rule firings — is identical,
@@ -162,6 +196,27 @@ func TestShardVerdictsMatchUnsharded(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sr.FiredByRule, fr.FiredByRule) {
 			t.Fatalf("%q firings diverge: sharded %v, flat %v", sql, sr.FiredByRule, fr.FiredByRule)
+		}
+	}
+
+	// A scalar subquery over c in a's VALUES: the flat system would store
+	// max(c.v), a's shard alone would store null. The group refuses it,
+	// and neither system has changed.
+	var se *ShardError
+	if _, err := g.Submit(ctx, serve.Request{SQL: "insert into a values (7, (select max(v) from c))"}); !errors.As(err, &se) {
+		t.Fatalf("VALUES subquery across shards: err %v, want *ShardError", err)
+	}
+	for _, sql := range []string{"select id, v from a order by id", "select id, v from b order by id"} {
+		sr, err := g.Submit(ctx, serve.Request{SQL: sql})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := flat.Submit(ctx, serve.Request{SQL: sql})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprintf("%v", sr.Results), fmt.Sprintf("%v", fr.Results); got != want || len(sr.Results[0].Rows) != 3 {
+			t.Fatalf("after the refused request %q diverges or grew:\n sharded %s\n flat    %s", sql, got, want)
 		}
 	}
 }

@@ -31,102 +31,36 @@ func StatementPerforms(st Statement) schema.OpSet {
 // Per the paper's footnote 3, DELETE and UPDATE without column references
 // in their predicates or right-hand sides read nothing: it is possible in
 // SQL to delete from or update a table without reading it.
-func StatementReads(st Statement, sch *schema.Schema) schema.ColSet {
-	out := schema.NewColSet()
-	switch s := st.(type) {
-	case *Select:
-		readsSelect(s, sch, out)
-	case *Insert:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				readsExpr(e, sch, out)
-			}
-		}
-		if s.Query != nil {
-			readsSelect(s.Query, sch, out)
-		}
-	case *Delete:
-		if s.Where != nil {
-			readsExpr(s.Where, sch, out)
-		}
-	case *Update:
-		for _, sc := range s.Sets {
-			readsExpr(sc.Expr, sch, out)
-		}
-		if s.Where != nil {
-			readsExpr(s.Where, sch, out)
-		}
-	case *Rollback:
-	}
-	return out
-}
+func StatementReads(st Statement, sch *schema.Schema) schema.ColSet { return reads(st, sch) }
 
 // ExprReads computes the Reads set of a resolved standalone expression
 // (a rule condition).
-func ExprReads(e Expr, sch *schema.Schema) schema.ColSet {
-	out := schema.NewColSet()
-	readsExpr(e, sch, out)
-	return out
-}
+func ExprReads(e Expr, sch *schema.Schema) schema.ColSet { return reads(e, sch) }
 
-func readsSelect(s *Select, sch *schema.Schema, out schema.ColSet) {
-	for _, it := range s.Items {
-		if it.Expr == nil {
-			// '*': every column of every FROM table.
-			for _, tr := range s.From {
-				if t := sch.Table(tr.RTable); t != nil {
-					for _, c := range t.Columns {
-						out.Add(schema.ColRef(t.Name, c.Name))
+func reads(n Node, sch *schema.Schema) schema.ColSet {
+	out := schema.NewColSet()
+	Inspect(n, func(n Node) bool {
+		switch x := n.(type) {
+		case *ColRef:
+			out.Add(schema.ColRef(x.RTable, x.Column))
+		case *Select:
+			for _, it := range x.Items {
+				if it.Expr != nil {
+					continue
+				}
+				// '*': every column of every FROM table.
+				for _, tr := range x.From {
+					if t := sch.Table(tr.RTable); t != nil {
+						for _, c := range t.Columns {
+							out.Add(schema.ColRef(t.Name, c.Name))
+						}
 					}
 				}
 			}
-			continue
 		}
-		readsExpr(it.Expr, sch, out)
-	}
-	if s.Where != nil {
-		readsExpr(s.Where, sch, out)
-	}
-	for _, g := range s.GroupBy {
-		readsExpr(g, sch, out)
-	}
-	if s.Having != nil {
-		readsExpr(s.Having, sch, out)
-	}
-	for _, o := range s.OrderBy {
-		readsExpr(o.Expr, sch, out)
-	}
-}
-
-func readsExpr(e Expr, sch *schema.Schema, out schema.ColSet) {
-	switch x := e.(type) {
-	case *Literal:
-	case *ColRef:
-		out.Add(schema.ColRef(x.RTable, x.Column))
-	case *Unary:
-		readsExpr(x.X, sch, out)
-	case *Binary:
-		readsExpr(x.L, sch, out)
-		readsExpr(x.R, sch, out)
-	case *IsNull:
-		readsExpr(x.X, sch, out)
-	case *InList:
-		readsExpr(x.X, sch, out)
-		for _, v := range x.Vals {
-			readsExpr(v, sch, out)
-		}
-	case *InSelect:
-		readsExpr(x.X, sch, out)
-		readsSelect(x.Sub, sch, out)
-	case *Exists:
-		readsSelect(x.Sub, sch, out)
-	case *ScalarSubquery:
-		readsSelect(x.Sub, sch, out)
-	case *Aggregate:
-		if x.Arg != nil {
-			readsExpr(x.Arg, sch, out)
-		}
-	}
+		return true
+	})
+	return out
 }
 
 // IsObservable reports whether the statement is observable in the sense
@@ -138,97 +72,5 @@ func IsObservable(st Statement) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// ReferencedTransitionTables returns which transition tables a resolved
-// statement (or expression, via the expr variant) references, used to
-// validate rules against their triggering operations.
-func ReferencedTransitionTables(st Statement) map[TransKind]bool {
-	out := map[TransKind]bool{}
-	collectTransStmt(st, out)
-	return out
-}
-
-// ExprReferencedTransitionTables is ReferencedTransitionTables for a
-// standalone condition expression.
-func ExprReferencedTransitionTables(e Expr) map[TransKind]bool {
-	out := map[TransKind]bool{}
-	collectTransExpr(e, out)
-	return out
-}
-
-func collectTransStmt(st Statement, out map[TransKind]bool) {
-	switch s := st.(type) {
-	case *Select:
-		collectTransSelect(s, out)
-	case *Insert:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				collectTransExpr(e, out)
-			}
-		}
-		if s.Query != nil {
-			collectTransSelect(s.Query, out)
-		}
-	case *Delete:
-		if s.Where != nil {
-			collectTransExpr(s.Where, out)
-		}
-	case *Update:
-		for _, sc := range s.Sets {
-			collectTransExpr(sc.Expr, out)
-		}
-		if s.Where != nil {
-			collectTransExpr(s.Where, out)
-		}
-	}
-}
-
-func collectTransSelect(s *Select, out map[TransKind]bool) {
-	for _, tr := range s.From {
-		if tr.Trans != TransNone {
-			out[tr.Trans] = true
-		}
-	}
-	for _, it := range s.Items {
-		if it.Expr != nil {
-			collectTransExpr(it.Expr, out)
-		}
-	}
-	if s.Where != nil {
-		collectTransExpr(s.Where, out)
-	}
-}
-
-func collectTransExpr(e Expr, out map[TransKind]bool) {
-	switch x := e.(type) {
-	case *ColRef:
-		if k := transKindOf(x.RSource); k != TransNone {
-			out[k] = true
-		}
-	case *Unary:
-		collectTransExpr(x.X, out)
-	case *Binary:
-		collectTransExpr(x.L, out)
-		collectTransExpr(x.R, out)
-	case *IsNull:
-		collectTransExpr(x.X, out)
-	case *InList:
-		collectTransExpr(x.X, out)
-		for _, v := range x.Vals {
-			collectTransExpr(v, out)
-		}
-	case *InSelect:
-		collectTransExpr(x.X, out)
-		collectTransSelect(x.Sub, out)
-	case *Exists:
-		collectTransSelect(x.Sub, out)
-	case *ScalarSubquery:
-		collectTransSelect(x.Sub, out)
-	case *Aggregate:
-		if x.Arg != nil {
-			collectTransExpr(x.Arg, out)
-		}
 	}
 }

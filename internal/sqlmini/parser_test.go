@@ -391,21 +391,48 @@ func TestIsObservable(t *testing.T) {
 	}
 }
 
+// TestReferencedTransitionTables collects, through Inspect, the
+// transition tables a resolved statement or condition references: every
+// one is a FROM item of some select in the tree, at any depth and in any
+// clause.
 func TestReferencedTransitionTables(t *testing.T) {
+	referenced := func(n Node) map[TransKind]bool {
+		out := map[TransKind]bool{}
+		Inspect(n, func(n Node) bool {
+			if s, ok := n.(*Select); ok {
+				for _, tr := range s.From {
+					if tr.Trans != TransNone {
+						out[tr.Trans] = true
+					}
+				}
+			}
+			return true
+		})
+		return out
+	}
 	st := mustStmt(t, "insert into log select i.id, i.name from inserted i, old-updated ou where i.sal > ou.sal")
 	if err := ResolveStatement(st, ruleCtx()); err != nil {
 		t.Fatal(err)
 	}
-	got := ReferencedTransitionTables(st)
+	got := referenced(st)
 	if !got[TransInserted] || !got[TransOldUpdated] || got[TransDeleted] {
-		t.Errorf("ReferencedTransitionTables = %v", got)
+		t.Errorf("referenced = %v", got)
 	}
 	e, _ := ParseExpr("exists (select 1 from deleted)")
 	if err := ResolveExpr(e, ruleCtx()); err != nil {
 		t.Fatal(err)
 	}
-	if !ExprReferencedTransitionTables(e)[TransDeleted] {
+	if !referenced(e)[TransDeleted] {
 		t.Error("deleted reference not found in condition")
+	}
+	// The deleted walker stopped at a select's WHERE: it never saw a
+	// subquery in GROUP BY's HAVING.
+	st = mustStmt(t, "insert into log select dept, count(*) from emp group by dept having count(*) > (select count(*) from new-updated)")
+	if err := ResolveStatement(st, ruleCtx()); err != nil {
+		t.Fatal(err)
+	}
+	if got := referenced(st); !got[TransNewUpdated] || len(got) != 1 {
+		t.Errorf("HAVING subquery: referenced = %v, want new-updated only", got)
 	}
 }
 

@@ -64,6 +64,20 @@ func (p SyncPolicy) String() string {
 	}
 }
 
+// ParseSyncPolicy is the inverse of String: it reads a -fsync flag value.
+func ParseSyncPolicy(s string) (SyncPolicy, error) {
+	switch s {
+	case "commit":
+		return SyncCommit, nil
+	case "always":
+		return SyncAlways, nil
+	case "never":
+		return SyncNever, nil
+	default:
+		return SyncCommit, fmt.Errorf("unknown -fsync policy %q (want commit, always, or never)", s)
+	}
+}
+
 // Options configure a durable session.
 type Options struct {
 	// FS is the filesystem to use; nil means the real one (OS).
@@ -122,11 +136,6 @@ type Log struct {
 	closed  bool
 	commits int // commits since the last fsync (group commit)
 
-	// appended counts records accepted since open, by rough class, for
-	// stats and tests.
-	mutations int
-	records   int
-
 	// written and durable track the log file's byte positions: written
 	// is how many bytes have reached the file (flushed), durable how
 	// many an fsync has made stable. Atomics because the replication
@@ -165,9 +174,6 @@ func (l *Log) DurableOffset() int64 {
 // Err returns the sticky error, if any.
 func (l *Log) Err() error { return l.err }
 
-// Mutations returns the number of mutation records accepted since open.
-func (l *Log) Mutations() int { return l.mutations }
-
 // append frames rec into the buffer, spilling to the file when the
 // buffer outgrows the threshold (without fsync — an uncommitted tail on
 // disk is harmless, recovery discards it). Appending to a closed log is
@@ -181,7 +187,6 @@ func (l *Log) append(rec Record) {
 		return
 	}
 	l.buf = AppendRecord(l.buf, rec)
-	l.records++
 	if len(l.buf) >= l.opts.BufferBytes {
 		l.flush()
 	}
@@ -281,19 +286,16 @@ func (l *Log) Fence(epoch uint64) error {
 
 // ObserveInsert implements storage.Observer.
 func (l *Log) ObserveInsert(table string, id storage.TupleID, vals []storage.Value) {
-	l.mutations++
 	l.append(Record{Kind: RecInsert, Table: table, ID: id, Vals: vals})
 }
 
 // ObserveDelete implements storage.Observer.
 func (l *Log) ObserveDelete(table string, id storage.TupleID) {
-	l.mutations++
 	l.append(Record{Kind: RecDelete, Table: table, ID: id})
 }
 
 // ObserveUpdate implements storage.Observer.
 func (l *Log) ObserveUpdate(table string, id storage.TupleID, col string, v storage.Value) {
-	l.mutations++
 	l.append(Record{Kind: RecUpdate, Table: table, ID: id, Col: col, Val: v})
 }
 
