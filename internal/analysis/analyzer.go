@@ -46,6 +46,11 @@ type Analyzer struct {
 	// only: it is how the exact-once tripwire counts Lemma 6.1
 	// evaluations, including those of derived views.
 	computeHook func(view *Analyzer, lo, hi *rules.Rule)
+
+	// blockersHook, when set, sees ShardPlan's blockers as emitted, before
+	// the sort that fixes their order. Tests only: it is how the
+	// emitted-in-order tripwire reads them.
+	blockersHook func([]ShardBlocker)
 }
 
 // ruleView is the Performs, Reads and Triggered-By sets the analyses see,

@@ -232,6 +232,23 @@ func BenchmarkShardPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkLint is the lint report from a cold analyzer: every detector,
+// the sort, and the text rendering, thousands of RL003 findings at 256
+// rules.
+func BenchmarkLint(b *testing.B) {
+	for _, n := range []int{128, 256} {
+		g := verdictWorkload(b, 1000003+int64(n), n)
+		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if RenderLintText(New(g.Set, nil).SetRefinement(true).Lint(), "gen") == "" {
+					b.Fatal("empty report")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSigClosure is one Sig({t}) per table over a warm verdict
 // table: the Commute hit path and nothing else.
 func BenchmarkSigClosure(b *testing.B) {

@@ -25,9 +25,13 @@ package analysis
 //	               the hint names the closest failing discharge rule
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"activerules/internal/rules"
@@ -99,25 +103,37 @@ func (a *Analyzer) Lint() *LintResult {
 		ra = &Analyzer{set: a.set, cert: a.cert, view: a.view, tg: a.graph(), par: a.par,
 			refine: true, ref: buildRefinement(a.set, a.graph())}
 	}
+	refV := ra.terminationOf(nil) // the refined verdict RL005–RL007 read
+	found := [...][]Diagnostic{
+		ra.lintDeadRules(),
+		ra.lintSelfDeactivating(),
+		ra.lintShadowedPriorities(),
+		ra.lintDeadStores(),
+		ra.lintInfeasibleCycles(refV),
+		ra.lintCycleDischarges(refV),
+	}
+	n := 0
+	for _, ds := range found {
+		n += len(ds)
+	}
 	lr := &LintResult{}
-	lr.add(ra.lintDeadRules()...)
-	lr.add(ra.lintSelfDeactivating()...)
-	lr.add(ra.lintShadowedPriorities()...)
-	lr.add(ra.lintDeadStores()...)
-	lr.add(ra.lintInfeasibleCycles()...)
-	lr.add(ra.lintCycleDischarges()...)
-	sort.SliceStable(lr.Diagnostics, func(i, j int) bool {
-		di, dj := lr.Diagnostics[i], lr.Diagnostics[j]
-		if di.Line != dj.Line {
-			return di.Line < dj.Line
+	if n > 0 {
+		lr.Diagnostics = make([]Diagnostic, 0, n)
+	}
+	for _, ds := range found {
+		lr.add(ds...)
+	}
+	slices.SortStableFunc(lr.Diagnostics, func(x, y Diagnostic) int {
+		if c := cmp.Compare(x.Line, y.Line); c != 0 {
+			return c
 		}
-		if di.Col != dj.Col {
-			return di.Col < dj.Col
+		if c := cmp.Compare(x.Col, y.Col); c != 0 {
+			return c
 		}
-		if di.Code != dj.Code {
-			return di.Code < dj.Code
+		if c := cmp.Compare(x.Code, y.Code); c != 0 {
+			return c
 		}
-		return di.Rule < dj.Rule
+		return cmp.Compare(x.Rule, y.Rule)
 	})
 	return lr
 }
@@ -184,35 +200,48 @@ func (a *Analyzer) lintSelfDeactivating() []Diagnostic {
 // lintShadowedPriorities emits RL003 for precedes/follows clauses whose
 // ordering is already implied transitively by the remaining priorities:
 // the clause is dead weight and often signals a misunderstanding of the
-// existing order.
+// existing order. The witness is the lowest-index rule in hi's row of
+// the closure that itself precedes lo.
 func (a *Analyzer) lintShadowedPriorities() []Diagnostic {
 	var out []Diagnostic
 	rs := a.set.Rules()
-	emit := func(declarer, hi, lo *rules.Rule, clause string) {
-		for _, mid := range rs {
-			if mid == hi || mid == lo {
-				continue
-			}
-			if a.set.Higher(hi, mid) && a.set.Higher(mid, lo) {
-				out = append(out, at(declarer, Diagnostic{
-					Code: "RL003", Severity: SevWarning,
-					Message: fmt.Sprintf("%q on rule %s is redundant: %s already precedes %s via %s",
-						clause, declarer.Name, hi.Name, lo.Name, mid.Name),
-					Hint: "remove the redundant clause",
-				}))
-				return
+	witness := func(hi, lo *rules.Rule) *rules.Rule {
+		for w, word := range a.set.HigherRow(hi) {
+			for ; word != 0; word &= word - 1 {
+				if mid := rs[w<<6|bits.TrailingZeros64(word)]; a.set.Higher(mid, lo) {
+					return mid
+				}
 			}
 		}
+		return nil
+	}
+	// emit reports declarer's clause ordering hi above lo, when redundant;
+	// declarer is hi for a precedes clause and lo for a follows clause.
+	emit := func(declarer, hi, lo *rules.Rule) {
+		mid := witness(hi, lo)
+		if mid == nil {
+			return
+		}
+		clause := "precedes " + lo.Name
+		if declarer == lo {
+			clause = "follows " + hi.Name
+		}
+		out = append(out, at(declarer, Diagnostic{
+			Code: "RL003", Severity: SevWarning,
+			Message: strconv.Quote(clause) + " on rule " + declarer.Name + " is redundant: " +
+				hi.Name + " already precedes " + lo.Name + " via " + mid.Name,
+			Hint: "remove the redundant clause",
+		}))
 	}
 	for _, r := range rs {
 		for _, name := range r.Precedes {
 			if other := a.set.Rule(name); other != nil {
-				emit(r, r, other, "precedes "+other.Name)
+				emit(r, r, other)
 			}
 		}
 		for _, name := range r.Follows {
 			if other := a.set.Rule(name); other != nil {
-				emit(r, other, r, "follows "+other.Name)
+				emit(r, other, r)
 			}
 		}
 	}
@@ -255,11 +284,10 @@ func (a *Analyzer) lintDeadStores() []Diagnostic {
 // graph that refinement proves can never sustain themselves: the SCC is
 // cyclic syntactically but acyclic after condition-aware pruning. The
 // notes justify each pruned edge (and each discharged dead rule) inside
-// the component.
-func (a *Analyzer) lintInfeasibleCycles() []Diagnostic {
+// the component. refV is the refined termination verdict of the set.
+func (a *Analyzer) lintInfeasibleCycles(refV *TerminationVerdict) []Diagnostic {
 	raw := &Analyzer{set: a.set, cert: a.cert, view: a.view, tg: a.tg, par: a.par}
 	rawV := raw.terminationOf(nil)
-	refV := a.terminationOf(nil)
 	stillCyclic := map[string]bool{}
 	for _, comp := range refV.CyclicSCCs {
 		for _, r := range comp {
@@ -313,9 +341,9 @@ func (a *Analyzer) lintInfeasibleCycles() []Diagnostic {
 // termination analysis discharged (info: the cycle is real but provably
 // terminating, with the certificate in the notes) and RL007 for cyclic
 // components no discharge rule could certify (warning, with the closest
-// failing attempt per certificate kind and a fix-it hint).
-func (a *Analyzer) lintCycleDischarges() []Diagnostic {
-	v := a.terminationOf(nil)
+// failing attempt per certificate kind and a fix-it hint). v is the
+// refined termination verdict of the set.
+func (a *Analyzer) lintCycleDischarges(v *TerminationVerdict) []Diagnostic {
 	anchorOf := func(names []string) *rules.Rule {
 		var anchor *rules.Rule
 		for _, n := range names {
@@ -382,27 +410,74 @@ func (a *Analyzer) lintCycleDischarges() []Diagnostic {
 //
 // followed by a summary line. file labels the source; use the rules
 // path. Deterministic: diagnostics are pre-sorted and notes ordered.
+// The text goes into one buffer sized for it beforehand: a densely
+// ordered set has thousands of RL003 findings.
 func RenderLintText(lr *LintResult, file string) string {
 	if file == "" {
 		file = "<rules>"
 	}
-	var sb strings.Builder
+	const (
+		note = "    note: "
+		hint = "    hint: "
+		// the fixed text of a finding's first line, and of the summary
+		lineFixed    = len(":" + ":" + ": " + " " + " [" + "]: " + "\n")
+		summaryFixed = len(" findings ( errors,  warnings,  info)\n")
+	)
+	var digits [20]byte
+	intLen := func(n int) int { return len(strconv.AppendInt(digits[:0], int64(n), 10)) }
+	size := summaryFixed + 4*len(digits)
 	for _, d := range lr.Diagnostics {
-		fmt.Fprintf(&sb, "%s:%d:%d: %s %s [%s]: %s\n", file, d.Line, d.Col, d.Severity, d.Code, d.Rule, d.Message)
+		size += lineFixed + len(file) + intLen(d.Line) + intLen(d.Col) + len(d.Severity.String()) +
+			len(d.Code) + len(d.Rule) + len(d.Message)
 		for _, n := range d.Notes {
-			fmt.Fprintf(&sb, "    note: %s\n", n)
+			size += len(note) + len(n) + 1
 		}
 		if d.Hint != "" {
-			fmt.Fprintf(&sb, "    hint: %s\n", d.Hint)
+			size += len(hint) + len(d.Hint) + 1
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	writeInt := func(n int) { b.Write(strconv.AppendInt(digits[:0], int64(n), 10)) }
+	for _, d := range lr.Diagnostics {
+		b.WriteString(file)
+		b.WriteByte(':')
+		writeInt(d.Line)
+		b.WriteByte(':')
+		writeInt(d.Col)
+		b.WriteString(": ")
+		b.WriteString(d.Severity.String())
+		b.WriteByte(' ')
+		b.WriteString(d.Code)
+		b.WriteString(" [")
+		b.WriteString(d.Rule)
+		b.WriteString("]: ")
+		b.WriteString(d.Message)
+		b.WriteByte('\n')
+		for _, n := range d.Notes {
+			b.WriteString(note)
+			b.WriteString(n)
+			b.WriteByte('\n')
+		}
+		if d.Hint != "" {
+			b.WriteString(hint)
+			b.WriteString(d.Hint)
+			b.WriteByte('\n')
 		}
 	}
 	if len(lr.Diagnostics) == 0 {
-		sb.WriteString("no lint findings\n")
+		b.WriteString("no lint findings\n")
 	} else {
-		fmt.Fprintf(&sb, "%d findings (%d errors, %d warnings, %d info)\n",
-			len(lr.Diagnostics), lr.Errors, lr.Warnings, lr.Infos)
+		writeInt(len(lr.Diagnostics))
+		b.WriteString(" findings (")
+		writeInt(lr.Errors)
+		b.WriteString(" errors, ")
+		writeInt(lr.Warnings)
+		b.WriteString(" warnings, ")
+		writeInt(lr.Infos)
+		b.WriteString(" info)\n")
 	}
-	return sb.String()
+	return b.String()
 }
 
 // RenderLintJSON renders the result as indented JSON with a trailing

@@ -3,7 +3,8 @@ package analysis
 // The loops this package ran before its pair relations became bit rows,
 // kept verbatim as oracles: the member-by-member Sig fixpoint, the
 // []bool construction of Definition 6.5, the map-and-sort shard planner
-// and the fmt renderer of its plan. The differential tests below hold
+// and the fmt renderer of its plan, the all-rules RL003 witness scan
+// and the fmt renderer of lint results. The differential tests below hold
 // the word-wise code to them — results, and for Sig the exact sequence
 // of pairs handed to Lemma 6.1, since with refinement on the first
 // examination of a pair is part of the rendered report (DESIGN.md §6,
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -154,6 +156,98 @@ func planStringFmt(p *ShardPlan) string {
 		}
 	}
 	return b.String()
+}
+
+// lintShadowedPrioritiesScalar is RL003 with the witness found by a
+// scan over every rule and the message built by fmt.
+func (a *Analyzer) lintShadowedPrioritiesScalar() []Diagnostic {
+	var out []Diagnostic
+	rs := a.set.Rules()
+	emit := func(declarer, hi, lo *rules.Rule, clause string) {
+		for _, mid := range rs {
+			if mid == hi || mid == lo {
+				continue
+			}
+			if a.set.Higher(hi, mid) && a.set.Higher(mid, lo) {
+				out = append(out, at(declarer, Diagnostic{
+					Code: "RL003", Severity: SevWarning,
+					Message: fmt.Sprintf("%q on rule %s is redundant: %s already precedes %s via %s",
+						clause, declarer.Name, hi.Name, lo.Name, mid.Name),
+					Hint: "remove the redundant clause",
+				}))
+				return
+			}
+		}
+	}
+	for _, r := range rs {
+		for _, name := range r.Precedes {
+			if other := a.set.Rule(name); other != nil {
+				emit(r, r, other, "precedes "+other.Name)
+			}
+		}
+		for _, name := range r.Follows {
+			if other := a.set.Rule(name); other != nil {
+				emit(r, other, r, "follows "+other.Name)
+			}
+		}
+	}
+	return out
+}
+
+// lintScalar is Lint with the scalar RL003, an unsized result grown one
+// finding at a time, the termination verdict computed per detector, and
+// the reflective stable sort.
+func (a *Analyzer) lintScalar() *LintResult {
+	ra := a
+	if !a.refine || a.ref == nil {
+		ra = &Analyzer{set: a.set, cert: a.cert, view: a.view, tg: a.graph(), par: a.par,
+			refine: true, ref: buildRefinement(a.set, a.graph())}
+	}
+	lr := &LintResult{}
+	lr.add(ra.lintDeadRules()...)
+	lr.add(ra.lintSelfDeactivating()...)
+	lr.add(ra.lintShadowedPrioritiesScalar()...)
+	lr.add(ra.lintDeadStores()...)
+	lr.add(ra.lintInfeasibleCycles(ra.terminationOf(nil))...)
+	lr.add(ra.lintCycleDischarges(ra.terminationOf(nil))...)
+	sort.SliceStable(lr.Diagnostics, func(i, j int) bool {
+		di, dj := lr.Diagnostics[i], lr.Diagnostics[j]
+		if di.Line != dj.Line {
+			return di.Line < dj.Line
+		}
+		if di.Col != dj.Col {
+			return di.Col < dj.Col
+		}
+		if di.Code != dj.Code {
+			return di.Code < dj.Code
+		}
+		return di.Rule < dj.Rule
+	})
+	return lr
+}
+
+// renderLintTextFmt is RenderLintText through fmt and an unsized builder.
+func renderLintTextFmt(lr *LintResult, file string) string {
+	if file == "" {
+		file = "<rules>"
+	}
+	var sb strings.Builder
+	for _, d := range lr.Diagnostics {
+		fmt.Fprintf(&sb, "%s:%d:%d: %s %s [%s]: %s\n", file, d.Line, d.Col, d.Severity, d.Code, d.Rule, d.Message)
+		for _, n := range d.Notes {
+			fmt.Fprintf(&sb, "    note: %s\n", n)
+		}
+		if d.Hint != "" {
+			fmt.Fprintf(&sb, "    hint: %s\n", d.Hint)
+		}
+	}
+	if len(lr.Diagnostics) == 0 {
+		sb.WriteString("no lint findings\n")
+	} else {
+		fmt.Fprintf(&sb, "%d findings (%d errors, %d warnings, %d info)\n",
+			len(lr.Diagnostics), lr.Errors, lr.Warnings, lr.Infos)
+	}
+	return sb.String()
 }
 
 // shardPlanMaps is the planner over table names: a map and a sort per
@@ -302,8 +396,8 @@ type oracleSet struct {
 
 // oracleCorpus is 24 generated sets (the benchmark generator's config at
 // priority densities 0.1 and 0.5, refinement alternating with the seed
-// within each density) and the seven shipped systems, refinement on and
-// off.
+// within each density), the seven shipped systems, refinement on and
+// off, and arrowNames.
 func oracleCorpus(t *testing.T) []oracleSet {
 	t.Helper()
 	var out []oracleSet
@@ -313,6 +407,7 @@ func oracleCorpus(t *testing.T) []oracleSet {
 			out = append(out, oracleSet{fmt.Sprintf("gen/seed=%d/prio=%.1f", seed, prio), g.Set, seed%2 == 0})
 		}
 	}
+	out = append(out, oracleSet{"arrow-names", arrowNames(t), false})
 	for _, name := range []string{"bank", "converge", "countdown", "drain", "flipflop", "lintdemo", "powernet"} {
 		schemaSrc, err := os.ReadFile("../../testdata/" + name + "/schema.sdl")
 		if err != nil {
@@ -333,6 +428,42 @@ func oracleCorpus(t *testing.T) []oracleSet {
 		out = append(out, oracleSet{name, set, false}, oracleSet{name + "/refined", set, true})
 	}
 	return out
+}
+
+// arrowNames is a programmatic set, with no source spans, whose rule
+// names contain '>' and characters %q escapes: rule i is on table ti and
+// inserts into the next table, precedes every later rule, and the last
+// also follows the first. Priority blockers named "hi>lo" then list
+// apart from their emission order ("a>>a>b" before "a>a>"), and RL003
+// quotes clauses such as "precedes b\"q".
+func arrowNames(t *testing.T) *rules.Set {
+	t.Helper()
+	names := []string{"a", "a>", "a>b", "ab", `b"q`, "É"}
+	var sch strings.Builder
+	for i := range names {
+		fmt.Fprintf(&sch, "table t%d (v int)\n", i)
+	}
+	sch.WriteString("table sink (v int)\n")
+	defs := make([]rules.Definition, len(names))
+	for i, name := range names {
+		next := "sink"
+		if i+1 < len(names) {
+			next = fmt.Sprintf("t%d", i+1)
+		}
+		defs[i] = rules.Definition{
+			Name:     name,
+			Table:    fmt.Sprintf("t%d", i),
+			Triggers: []rules.TriggerSpec{{Kind: schema.OpInsert}},
+			Action:   []string{"insert into " + next + " values (1)"},
+			Precedes: names[i+1:],
+		}
+	}
+	defs[len(names)-1].Follows = names[:1]
+	set, err := rules.NewSet(schema.MustParse(sch.String()), defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
 }
 
 // examined is one Lemma 6.1 evaluation as computeHook sees it.
@@ -433,11 +564,24 @@ func TestBuildR1R2MatchesScalarOracle(t *testing.T) {
 
 // TestShardPlanMatchesMapOracle: the slot-merge planner produces the
 // map-and-sort planner's plan — shards, blockers and their order, JSON —
-// and the appender renders it byte for byte as fmt did.
+// and the appender renders it byte for byte as fmt did. Where no rule
+// name contains '>', the blockers are emitted already in listing order;
+// on arrowNames they are not, and the sort puts them there.
 func TestShardPlanMatchesMapOracle(t *testing.T) {
-	priority := 0
+	priority, arrowed := 0, 0
 	for _, c := range oracleCorpus(t) {
-		got := New(c.set, nil).SetRefinement(c.refine).ShardPlan()
+		a := New(c.set, nil).SetRefinement(c.refine)
+		emittedSorted := false
+		a.blockersHook = func(bs []ShardBlocker) { emittedSorted = slices.IsSortedFunc(bs, compareBlockers) }
+		got := a.ShardPlan()
+		if slices.ContainsFunc(c.set.Rules(), func(r *rules.Rule) bool { return strings.Contains(r.Name, ">") }) {
+			arrowed++
+			if emittedSorted {
+				t.Errorf("%s: names with '>' were emitted in listing order; the set no longer tests the sort", c.name)
+			}
+		} else if !emittedSorted {
+			t.Errorf("%s: blockers were not emitted in listing order", c.name)
+		}
 		want := New(c.set, nil).SetRefinement(c.refine).shardPlanMaps()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: plans differ:\n--- slots\n%s--- maps\n%s", c.name, planStringFmt(got), planStringFmt(want))
@@ -462,6 +606,9 @@ func TestShardPlanMatchesMapOracle(t *testing.T) {
 	if priority == 0 {
 		t.Error("no priority blocker in the corpus")
 	}
+	if arrowed == 0 {
+		t.Error("no set of the corpus has '>' in a rule name")
+	}
 	odd := ShardBlocker{Kind: "quota", Rule: "r", Tables: []string{"a", "b"}}
 	if odd.String() != blockerStringFmt(odd) {
 		t.Errorf("unknown kind renders %q, fmt %q", odd.String(), blockerStringFmt(odd))
@@ -469,6 +616,48 @@ func TestShardPlanMatchesMapOracle(t *testing.T) {
 	empty := &ShardPlan{}
 	if empty.String() != planStringFmt(empty) {
 		t.Errorf("empty plan renders %q, fmt %q", empty.String(), planStringFmt(empty))
+	}
+}
+
+// TestLintMatchesScalarOracle: on every corpus set, refinement on and
+// off, Lint finds the scalar oracle's diagnostics in its order, and the
+// appender renders them as fmt did, with and without a file label. The
+// corpus must reach every part of a rendering: source spans, notes,
+// hints, and an RL003 clause whose quoting escapes a character.
+func TestLintMatchesScalarOracle(t *testing.T) {
+	var spans, notes, hints, escaped int
+	for _, c := range oracleCorpus(t) {
+		for _, refine := range []bool{false, true} {
+			got := New(c.set, nil).SetRefinement(refine).Lint()
+			want := New(c.set, nil).SetRefinement(refine).lintScalar()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s refine=%v: lint differs:\n--- got\n%s--- scalar\n%s", c.name, refine,
+					renderLintTextFmt(got, ""), renderLintTextFmt(want, ""))
+			}
+			for _, file := range []string{"", "rules.srl"} {
+				if s, w := RenderLintText(got, file), renderLintTextFmt(want, file); s != w {
+					t.Fatalf("%s refine=%v file=%q: rendering differs:\n--- appender\n%s--- fmt\n%s", c.name, refine, file, s, w)
+				}
+			}
+			for _, d := range got.Diagnostics {
+				if d.Line > 0 && d.Col > 0 {
+					spans++
+				}
+				if len(d.Notes) > 0 {
+					notes++
+				}
+				if d.Hint != "" {
+					hints++
+				}
+				if d.Code == "RL003" && strings.Contains(d.Message, `\"`) {
+					escaped++
+				}
+			}
+		}
+	}
+	if spans == 0 || notes == 0 || hints == 0 || escaped == 0 {
+		t.Errorf("the corpus leaves part of a rendering untested: %d spans, %d with notes, %d with hints, %d escaped clauses",
+			spans, notes, hints, escaped)
 	}
 }
 
@@ -539,6 +728,57 @@ func TestShardPlanAllocs(t *testing.T) {
 	}
 	if per := (a96 - a32) / float64(b96-b32); per > 3 {
 		t.Errorf("%.0f allocations for %d priority blockers, %.0f for %d: %.2f per blocker, want at most 3", a96, b96, a32, b32, per)
+	}
+}
+
+// TestLintAllocs: rendering a lint result takes the buffer and the
+// string, whatever the number of findings; and linting takes at most
+// three allocations per RL003 finding (the clause, its quoting and the
+// message), measured as the slope between two fully ordered chains,
+// where every rule precedes every later one and so every clause but the
+// adjacent ones is redundant.
+func TestLintAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	g := verdictWorkload(t, 1000003+256, 256)
+	lr := New(g.Set, nil).SetRefinement(true).Lint()
+	if len(lr.Diagnostics) < 9000 {
+		t.Fatalf("%d findings: the set is supposed to be densely ordered", len(lr.Diagnostics))
+	}
+	if got := testing.AllocsPerRun(5, func() { _ = RenderLintText(lr, "gen256") }); got > 2 {
+		t.Errorf("RenderLintText of %d findings: %.0f allocations, want at most 2", len(lr.Diagnostics), got)
+	}
+
+	chain := func(n int) (allocs float64, findings int) {
+		var src strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&src, "create rule r%d on a when inserted then insert into b values (1)\n", i)
+			for j := i + 1; j < n; j++ {
+				if j == i+1 {
+					src.WriteString("precedes ")
+				} else {
+					src.WriteString(", ")
+				}
+				fmt.Fprintf(&src, "r%d", j)
+			}
+			src.WriteString("\n\n")
+		}
+		a := compile(t, "table a (v int)\ntable b (v int)\n", src.String(), nil)
+		for _, d := range a.Lint().Diagnostics {
+			if d.Code == "RL003" {
+				findings++
+			}
+		}
+		return testing.AllocsPerRun(3, func() { a.Lint() }), findings
+	}
+	a32, f32 := chain(32)
+	a96, f96 := chain(96)
+	if f32 != 31*30/2 || f96 != 95*94/2 {
+		t.Fatalf("chains of 32 and 96 rules have %d and %d RL003 findings", f32, f96)
+	}
+	if per := (a96 - a32) / float64(f96-f32); per > 3 {
+		t.Errorf("%.0f allocations for %d RL003 findings, %.0f for %d: %.2f per finding, want at most 3", a96, f96, a32, f32, per)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"activerules/internal/rules"
 )
 
 // Shard planning (Section 7, applied to horizontal scale). Theorem 7.2
@@ -259,7 +261,6 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		blockers = append(blockers, ShardBlocker{Kind: kind, Rule: rule, Tables: names})
 	}
 
-	// Footprint: a rule's trigger, read, and write tables are co-resident.
 	footOf := make([][]int, len(all))
 	for _, r := range all {
 		f := a.view.of(r)
@@ -278,25 +279,52 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		}
 		slices.Sort(foot)
 		footOf[r.Index()] = slices.Compact(foot)
+	}
+
+	// The blockers are emitted in listing order (compareBlockers), kind by
+	// kind, so the sort below only confirms it — except for rule names
+	// containing '>', which can make "hi>lo" sort apart from (hi, lo).
+	byName := slices.Clone(all)
+	slices.SortFunc(byName, func(x, y *rules.Rule) int { return cmp.Compare(x.Name, y.Name) })
+	rank := make([]int, len(all)) // rule index -> position in byName
+	for i, r := range byName {
+		rank[r.Index()] = i
+	}
+
+	// Footprint: a rule's trigger, read, and write tables are co-resident.
+	for _, r := range byName {
 		weld(BlockFootprint, r.Name, footOf[r.Index()])
 	}
 
-	// Significance: a rule in Sig({t1}) and Sig({t2}) welds t1 and t2.
-	for _, r := range all {
-		weld(BlockSignificance, r.Name, sigTables[r.Index()])
-	}
-
 	// Priority: ordered rules share an engine, so their footprints merge.
+	// "hi>lo" lists by hi's name followed by '>', then by lo's name.
+	heads := slices.Clone(byName)
+	slices.SortFunc(heads, func(x, y *rules.Rule) int { return cmp.Compare(x.Name+">", y.Name+">") })
 	var joint []int
-	for _, hi := range all {
+	below := rules.NewBits(len(all)) // hi's row, bits numbered by rank
+	for _, hi := range heads {
 		for w, word := range a.set.HigherRow(hi) {
 			for ; word != 0; word &= word - 1 {
-				lo := all[w<<6|bits.TrailingZeros64(word)]
+				below.Add(rank[w<<6|bits.TrailingZeros64(word)])
+			}
+		}
+		for w, word := range below {
+			for ; word != 0; word &= word - 1 {
+				lo := byName[w<<6|bits.TrailingZeros64(word)]
 				joint = append(append(joint[:0], footOf[hi.Index()]...), footOf[lo.Index()]...)
 				slices.Sort(joint)
 				weld(BlockPriority, hi.Name+">"+lo.Name, slices.Compact(joint))
 			}
+			below[w] = 0
 		}
+	}
+
+	// Significance: a rule in Sig({t1}) and Sig({t2}) welds t1 and t2.
+	for _, r := range byName {
+		weld(BlockSignificance, r.Name, sigTables[r.Index()])
+	}
+	if a.blockersHook != nil {
+		a.blockersHook(blockers)
 	}
 
 	// Collect groups, canonical order: by first (smallest-name) table.
@@ -326,18 +354,24 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		g.Sig, g.Confluent = v.SigNames(), v.Guaranteed()
 	}
 
-	// Blockers in deterministic order: kind, then rule, then tables.
-	slices.SortFunc(blockers, func(x, y ShardBlocker) int {
-		if c := cmp.Compare(x.Kind, y.Kind); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.Rule, y.Rule); c != 0 {
-			return c
-		}
-		return cmp.Compare(strings.Join(x.Tables, ","), strings.Join(y.Tables, ","))
-	})
+	// The sort is the authority on the order; on blockers emitted in it,
+	// pdqsort makes one linear pass.
+	slices.SortFunc(blockers, compareBlockers)
 	if len(blockers) > 0 {
 		plan.Blockers = blockers
 	}
 	return plan
+}
+
+// compareBlockers is the plan's blocker order: kind, then rule, then
+// tables. The tables decide only between two priority blockers whose
+// "hi>lo" names coincide, which takes a '>' inside a rule name.
+func compareBlockers(x, y ShardBlocker) int {
+	if c := cmp.Compare(x.Kind, y.Kind); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.Rule, y.Rule); c != 0 {
+		return c
+	}
+	return cmp.Compare(strings.Join(x.Tables, ","), strings.Join(y.Tables, ","))
 }
