@@ -114,6 +114,20 @@ func (a *Analyzer) confluenceOver(members []*rules.Rule, term *TerminationVerdic
 	return v
 }
 
+// requirementHolds reports whether the Confluence Requirement holds over
+// members: confluenceOver's RequirementHolds, checking the pairs one by
+// one in its order and stopping at the first violation.
+func (a *Analyzer) requirementHolds(members []*rules.Rule) bool {
+	for i, ri := range members {
+		for _, rj := range members[i+1:] {
+			if a.set.Unordered(ri, rj) && a.checkPair(ri, rj) != nil {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // BuildR1R2 runs the mutually recursive construction of Definition 6.5
 // for an unordered pair (ri, rj):
 //

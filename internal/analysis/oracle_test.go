@@ -392,22 +392,39 @@ type oracleSet struct {
 	name   string
 	set    *rules.Set
 	refine bool
+	cert   *Certification // nil for none
 }
+
+// analyzer returns a fresh analyzer for the set under its certification.
+func (c oracleSet) analyzer() *Analyzer { return New(c.set, c.cert).SetRefinement(c.refine) }
 
 // oracleCorpus is 24 generated sets (the benchmark generator's config at
 // priority densities 0.1 and 0.5, refinement alternating with the seed
-// within each density), the seven shipped systems, refinement on and
-// off, and arrowNames.
+// within each density), a certified variant of one generated set per
+// density, the seven shipped systems, refinement on and off, arrowNames,
+// a certified observer set, and a nonterminating grower.
 func oracleCorpus(t *testing.T) []oracleSet {
 	t.Helper()
 	var out []oracleSet
 	for _, prio := range []float64{0.1, 0.5} {
 		for seed := int64(1); seed <= 12; seed++ {
 			g := verdictWorkloadAt(t, seed, 24+int(seed)*6, prio)
-			out = append(out, oracleSet{fmt.Sprintf("gen/seed=%d/prio=%.1f", seed, prio), g.Set, seed%2 == 0})
+			out = append(out, oracleSet{fmt.Sprintf("gen/seed=%d/prio=%.1f", seed, prio), g.Set, seed%2 == 0, nil})
 		}
+		g := verdictWorkloadAt(t, 1, 30, prio)
+		out = append(out, oracleSet{fmt.Sprintf("gen/seed=1/prio=%.1f/certified", prio), g.Set, prio > 0.3,
+			certifyAround(g.Set, "r0", "r1", "r2")})
 	}
-	out = append(out, oracleSet{"arrow-names", arrowNames(t), false})
+	observer := compile(t, "table a (v int)\ntable b (v int)\n",
+		"create rule copy on a when inserted then insert into b select v from inserted\n\n"+
+			"create rule watch on b when inserted then select v from inserted\n", nil).set
+	out = append(out, oracleSet{"observer/certified", observer, false, certifyAround(observer, "watch")})
+	// A shard whose Sig cannot be shown to terminate although its
+	// Confluence Requirement holds, and a shard with an empty Sig.
+	grower := compile(t, "table a (v int)\ntable c (v int)\n",
+		"create rule grow on a when inserted then insert into a select v + 1 from inserted\n", nil).set
+	out = append(out, oracleSet{"grower", grower, false, nil})
+	out = append(out, oracleSet{"arrow-names", arrowNames(t), false, nil})
 	for _, name := range []string{"bank", "converge", "countdown", "drain", "flipflop", "lintdemo", "powernet"} {
 		schemaSrc, err := os.ReadFile("../../testdata/" + name + "/schema.sdl")
 		if err != nil {
@@ -425,9 +442,25 @@ func oracleCorpus(t *testing.T) []oracleSet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, oracleSet{name, set, false}, oracleSet{name + "/refined", set, true})
+		out = append(out, oracleSet{name, set, false, nil}, oracleSet{name + "/refined", set, true, nil})
 	}
 	return out
+}
+
+// certifyAround certifies as commuting every pair the named rules may not
+// commute in, which cuts them out of their may-not-commute components.
+func certifyAround(set *rules.Set, names ...string) *Certification {
+	a := New(set, nil)
+	cert := NewCertification()
+	for _, name := range names {
+		r := set.Rule(name)
+		for _, s := range set.Rules() {
+			if ok, _ := a.Commute(r, s); !ok {
+				cert.CertifyCommutes(r.Name, s.Name)
+			}
+		}
+	}
+	return cert
 }
 
 // arrowNames is a programmatic set, with no source spans, whose rule
@@ -475,7 +508,7 @@ type examined struct {
 // hooked returns a fresh analyzer for the set and the log its
 // computeHook appends to.
 func (c oracleSet) hooked() (*Analyzer, *[]examined) {
-	a := New(c.set, nil).SetRefinement(c.refine)
+	a := c.analyzer()
 	log := &[]examined{}
 	a.computeHook = func(view *Analyzer, lo, hi *rules.Rule) {
 		*log = append(*log, examined{view != a, lo.Index(), hi.Index()})
@@ -566,11 +599,14 @@ func TestBuildR1R2MatchesScalarOracle(t *testing.T) {
 // map-and-sort planner's plan — shards, blockers and their order, JSON —
 // and the appender renders it byte for byte as fmt did. Where no rule
 // name contains '>', the blockers are emitted already in listing order;
-// on arrowNames they are not, and the sort puts them there.
+// on arrowNames they are not, and the sort puts them there. A certified
+// set must plan differently from its uncertified self, so the component
+// split is exercised; the corpus must hold one whose certification
+// changes a shard's Sig.
 func TestShardPlanMatchesMapOracle(t *testing.T) {
-	priority, arrowed := 0, 0
+	priority, arrowed, sigMoved := 0, 0, 0
 	for _, c := range oracleCorpus(t) {
-		a := New(c.set, nil).SetRefinement(c.refine)
+		a := c.analyzer()
 		emittedSorted := false
 		a.blockersHook = func(bs []ShardBlocker) { emittedSorted = slices.IsSortedFunc(bs, compareBlockers) }
 		got := a.ShardPlan()
@@ -582,9 +618,19 @@ func TestShardPlanMatchesMapOracle(t *testing.T) {
 		} else if !emittedSorted {
 			t.Errorf("%s: blockers were not emitted in listing order", c.name)
 		}
-		want := New(c.set, nil).SetRefinement(c.refine).shardPlanMaps()
+		want := c.analyzer().shardPlanMaps()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: plans differ:\n--- slots\n%s--- maps\n%s", c.name, planStringFmt(got), planStringFmt(want))
+		}
+		if c.cert != nil {
+			plain := New(c.set, nil).SetRefinement(c.refine).ShardPlan()
+			sigEqual := slices.EqualFunc(got.Shards, plain.Shards, func(x, y ShardGroup) bool { return slices.Equal(x.Sig, y.Sig) })
+			if !sigEqual {
+				sigMoved++
+			}
+			if sigEqual && reflect.DeepEqual(got.Blockers, plain.Blockers) {
+				t.Errorf("%s: the certification changed neither a Sig nor a significance blocker:\n%s", c.name, planStringFmt(got))
+			}
 		}
 		if s := got.String(); s != planStringFmt(want) {
 			t.Fatalf("%s: rendering differs:\n--- appender\n%s--- fmt\n%s", c.name, s, planStringFmt(want))
@@ -608,6 +654,9 @@ func TestShardPlanMatchesMapOracle(t *testing.T) {
 	}
 	if arrowed == 0 {
 		t.Error("no set of the corpus has '>' in a rule name")
+	}
+	if sigMoved == 0 {
+		t.Error("no certification of the corpus changed a shard's Sig")
 	}
 	odd := ShardBlocker{Kind: "quota", Rule: "r", Tables: []string{"a", "b"}}
 	if odd.String() != blockerStringFmt(odd) {

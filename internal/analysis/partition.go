@@ -18,25 +18,13 @@ import (
 // the connected components of that relation, each sorted by name, with
 // components ordered by their first rule's name.
 func (a *Analyzer) Partition() [][]*rules.Rule {
-	n := a.set.Len()
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	union := func(x, y int) { parent[find(x)] = find(y) }
+	uf := newUnionFind(a.set.Len())
 
 	// Union rules touching the same table.
 	byTable := map[string]int{} // table -> representative rule index
 	touch := func(idx int, table string) {
 		if rep, ok := byTable[table]; ok {
-			union(idx, rep)
+			uf.union(idx, rep)
 		} else {
 			byTable[table] = idx
 		}
@@ -56,14 +44,14 @@ func (a *Analyzer) Partition() [][]*rules.Rule {
 	for _, ri := range a.set.Rules() {
 		for _, rj := range a.set.Rules() {
 			if ri.Index() < rj.Index() && a.set.Ordered(ri, rj) {
-				union(ri.Index(), rj.Index())
+				uf.union(ri.Index(), rj.Index())
 			}
 		}
 	}
 
 	groups := map[int][]*rules.Rule{}
 	for _, r := range a.set.Rules() {
-		root := find(r.Index())
+		root := uf.find(r.Index())
 		groups[root] = append(groups[root], r)
 	}
 	out := make([][]*rules.Rule, 0, len(groups))

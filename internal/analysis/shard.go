@@ -28,9 +28,12 @@ import (
 // closure step ("does not commute with a member") are pointwise: a rule
 // joins the fixpoint of A ∪ B through a chain of noncommuting members
 // that starts at a performer on a single table, and that whole chain
-// lives inside Sig(A) or inside Sig(B). So per-table significant sets
-// Sig({t}) carry all the information, and the maximal partition is the
-// connected-component structure of three merge relations:
+// lives inside Sig(A) or inside Sig(B). Such a chain is a path in the
+// may-not-commute graph, so Sig({t}) is the union of that graph's
+// connected components holding a performer on t: the planner computes
+// the components once and reads every per-table and per-shard Sig off
+// them. The maximal partition is then the connected-component structure
+// of three merge relations over the tables:
 //
 //	significance — a rule significant for two tables forces them
 //	  together (otherwise the shards' Sig sets would intersect);
@@ -220,27 +223,24 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		slot[t] = i
 	}
 
-	// Per-table significant sets; Sig(T') for any T' is their union.
-	// sigTables[r] lists the tables rule r is significant for.
+	// A rule is significant for exactly the tables its may-not-commute
+	// component performs on: sigTables[root] lists them, ascending.
+	comp := a.commuteComponents()
 	sigTables := make([][]int, len(all))
-	for i, t := range tables {
-		for _, r := range a.Sig([]string{t}) {
-			sigTables[r.Index()] = append(sigTables[r.Index()], i)
+	for _, r := range all {
+		root := comp.find(r.Index())
+		for _, op := range a.view.of(r).performsSorted {
+			if t, ok := slot[op.Table]; ok {
+				sigTables[root] = append(sigTables[root], t)
+			}
 		}
+	}
+	for root, ts := range sigTables {
+		slices.Sort(ts)
+		sigTables[root] = slices.Compact(ts)
 	}
 
-	// Union-find over table slots.
-	parent := make([]int, len(tables))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
+	welded := newUnionFind(len(tables)) // over table slots
 
 	ordered := 0 // priority-ordered pairs: one blocker each, at most
 	for _, r := range all {
@@ -255,7 +255,7 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		}
 		names := make([]string, len(ts))
 		for i, t := range ts {
-			parent[find(ts[0])] = find(t)
+			welded.union(ts[0], t)
 			names[i] = tables[t]
 		}
 		blockers = append(blockers, ShardBlocker{Kind: kind, Rule: rule, Tables: names})
@@ -321,7 +321,7 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 
 	// Significance: a rule in Sig({t1}) and Sig({t2}) welds t1 and t2.
 	for _, r := range byName {
-		weld(BlockSignificance, r.Name, sigTables[r.Index()])
+		weld(BlockSignificance, r.Name, sigTables[comp.find(r.Index())])
 	}
 	if a.blockersHook != nil {
 		a.blockersHook(blockers)
@@ -331,7 +331,7 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 	groupOf := make([]int, len(tables)) // root slot -> group number + 1
 	plan := &ShardPlan{}
 	for i, t := range tables {
-		root := find(i)
+		root := welded.find(i)
 		if groupOf[root] == 0 {
 			plan.Shards = append(plan.Shards, ShardGroup{})
 			groupOf[root] = len(plan.Shards)
@@ -339,19 +339,30 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		g := &plan.Shards[groupOf[root]-1]
 		g.Tables = append(g.Tables, t)
 	}
+	sigs := make([][]*rules.Rule, len(plan.Shards)) // each in definition order
 	for _, r := range all {
 		// Every footprint table of a rule is welded together, so
-		// membership of the first decides membership of the rule.
+		// membership of the first decides membership of the rule; and
+		// every table of a component is welded by its members'
+		// significance blockers, so the whole component is significant
+		// for one shard.
 		if foot := footOf[r.Index()]; len(foot) > 0 {
-			g := &plan.Shards[groupOf[find(foot[0])]-1]
+			g := &plan.Shards[groupOf[welded.find(foot[0])]-1]
 			g.Rules = append(g.Rules, r.Name)
+		}
+		if ts := sigTables[comp.find(r.Index())]; len(ts) > 0 {
+			k := groupOf[welded.find(ts[0])] - 1
+			sigs[k] = append(sigs[k], r)
 		}
 	}
 	for i := range plan.Shards {
 		g := &plan.Shards[i]
 		sort.Strings(g.Rules)
-		v := a.PartialConfluence(g.Tables)
-		g.Sig, g.Confluent = v.SigNames(), v.Guaranteed()
+		g.Sig = rules.Names(sigs[i])
+		sort.Strings(g.Sig)
+		// Theorem 7.2 over Sig(g.Tables), as PartialConfluence decides it:
+		// an empty Sig stays nil, which TerminationOf reads as every rule.
+		g.Confluent = a.TerminationOf(sigs[i]).Guaranteed && a.requirementHolds(sigs[i])
 	}
 
 	// The sort is the authority on the order; on blockers emitted in it,
@@ -362,6 +373,63 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 	}
 	return plan
 }
+
+// commuteComponents partitions the rules into the connected components of
+// the may-not-commute graph, as a union-find over rule indices. The pairs
+// the verdict table already knows may not commute are joined first, for
+// free; then a pair goes to Commute only while its rules are apart and
+// one writes a table the other touches — commuteUncached's own first
+// test, which a certification cannot overturn, since it only ever makes a
+// pair commute. Which pairs that examines depends on the scan order; the
+// components do not.
+func (a *Analyzer) commuteComponents() unionFind {
+	all := a.set.Rules()
+	comp := newUnionFind(len(all))
+	t := a.table()
+	for r := range all {
+		for w := 0; w < t.rowWords; w++ {
+			for word := t.mayNot[r*t.rowWords+w].Load(); word != 0; word &= word - 1 {
+				comp.union(r, w<<6|bits.TrailingZeros64(word))
+			}
+		}
+	}
+	for i := range all {
+		fi := a.view.of(all[i])
+		for j := i + 1; j < len(all); j++ {
+			fj := a.view.of(all[j])
+			if !fi.writes.intersects(fj.touches) && !fj.writes.intersects(fi.touches) ||
+				comp.find(i) == comp.find(j) {
+				continue
+			}
+			if ok, _ := a.Commute(all[i], all[j]); !ok {
+				comp.union(i, j)
+			}
+		}
+	}
+	return comp
+}
+
+// unionFind is a disjoint-set forest over 0..n-1.
+type unionFind []int
+
+func newUnionFind(n int) unionFind {
+	u := make(unionFind, n)
+	for i := range u {
+		u[i] = i
+	}
+	return u
+}
+
+// find returns x's root, halving the path on the way.
+func (u unionFind) find(x int) int {
+	for u[x] != x {
+		u[x] = u[u[x]]
+		x = u[x]
+	}
+	return x
+}
+
+func (u unionFind) union(x, y int) { u[u.find(x)] = u.find(y) }
 
 // compareBlockers is the plan's blocker order: kind, then rule, then
 // tables. The tables decide only between two priority blockers whose

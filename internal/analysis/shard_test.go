@@ -134,6 +134,25 @@ func TestShardVerdictsMatchUnsharded(t *testing.T) {
 	}
 }
 
+// TestShardPlanExaminesFewPairs: a cold plan of the benchmark's 256-rule
+// set partitions the rules once, putting a pair to Lemma 6.1 only while
+// its rules are in different may-not-commute components and their
+// footprints meet. The components need 455 of the set's 33 670 pairs;
+// one Sig fixpoint per table would evaluate 32 366.
+func TestShardPlanExaminesFewPairs(t *testing.T) {
+	g := verdictWorkload(t, 1000003+256, 256)
+	a := New(g.Set, nil).SetRefinement(true)
+	evaluated := 0
+	a.computeHook = func(*Analyzer, *rules.Rule, *rules.Rule) { evaluated++ }
+	if a.ShardPlan().NumShards() == 0 {
+		t.Fatal("empty plan")
+	}
+	t.Logf("%d of %d pairs evaluated", evaluated, g.Set.Len()*(g.Set.Len()-1)/2)
+	if evaluated == 0 || evaluated > 1000 {
+		t.Errorf("a cold ShardPlan evaluated Lemma 6.1 %d times, want 1..1000", evaluated)
+	}
+}
+
 // TestShardPlanBlockersExplainMerges: any shard with more than one
 // table is justified by at least one blocker naming two of its tables.
 func TestShardPlanBlockersExplainMerges(t *testing.T) {
