@@ -49,7 +49,6 @@ import (
 	"activerules/internal/engine"
 	"activerules/internal/execgraph"
 	"activerules/internal/faultinject"
-	"activerules/internal/par"
 	"activerules/internal/ruledef"
 	"activerules/internal/rules"
 	"activerules/internal/schema"
@@ -260,11 +259,6 @@ type System struct {
 	rules  *RuleSet
 	defs   []Definition // authored definitions, kept for Without
 
-	// analysisPar is the resolved worker count applied to every
-	// analyzer the system constructs; 0 (never set) means the
-	// sequential legacy path.
-	analysisPar int
-
 	// analysisRefine enables condition-aware refinement on every
 	// analyzer the system constructs.
 	analysisRefine bool
@@ -282,12 +276,6 @@ type System struct {
 // execution for engines this system constructs afterwards. Explicitly
 // requesting EngineOptions.Compiled overrides a false setting.
 func (s *System) SetCompiled(on bool) { s.compiled = on }
-
-// SetAnalysisParallelism sets the worker count used by the analyzers
-// this system constructs (see Analyzer.SetParallelism): 0 means one
-// worker per CPU, 1 (the default) the sequential legacy path, n > 1
-// exactly n workers. Verdicts are identical at every parallelism.
-func (s *System) SetAnalysisParallelism(n int) { s.analysisPar = par.Workers(n) }
 
 // SetAnalysisRefinement enables (or disables) condition-aware refinement
 // — predicate abstraction that prunes statically infeasible triggering
@@ -366,8 +354,7 @@ func (s *System) WithOrdering(pairs ...[2]string) (*System, error) {
 		return nil, err
 	}
 	return &System{schema: s.schema, rules: ns, defs: s.defs,
-		analysisPar: s.analysisPar, analysisRefine: s.analysisRefine,
-		compiled: s.compiled}, nil
+		analysisRefine: s.analysisRefine, compiled: s.compiled}, nil
 }
 
 // Without returns a new System with the named rules deactivated
@@ -393,9 +380,6 @@ func (s *System) Without(names ...string) (*System, error) {
 // none).
 func (s *System) Analyzer(cert *Certification) *Analyzer {
 	a := analysis.New(s.rules, cert)
-	if s.analysisPar > 0 {
-		a.SetParallelism(s.analysisPar)
-	}
 	if s.analysisRefine {
 		a.SetRefinement(true)
 	}

@@ -136,10 +136,10 @@ func TestWhySCCBadID(t *testing.T) {
 	}
 }
 
-// TestGoldenStableAcrossParallelism re-renders every golden surface with
-// -parallel 8 and compares against the same golden files: the -parallel
-// flag is a pure performance knob and must never change a byte of
-// output.
+// TestGoldenStableAcrossParallelism re-renders every golden surface a
+// second time, in one process after TestGolden's run, and compares
+// against the same golden files: no state shared between runs may
+// change a byte of output.
 func TestGoldenStableAcrossParallelism(t *testing.T) {
 	cases := [][]string{
 		{"-schema", bankSchema, "-rules", bankRules},
@@ -169,9 +169,9 @@ func TestGoldenStableAcrossParallelism(t *testing.T) {
 			t.Fatalf("%v (run TestGolden with -update first)", err)
 		}
 		var out, errb bytes.Buffer
-		run(append(append([]string{}, args...), "-parallel", "8"), &out, &errb)
+		run(args, &out, &errb)
 		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("%s: -parallel 8 output differs from golden", goldens[i])
+			t.Errorf("%s: second run differs from golden", goldens[i])
 		}
 	}
 }

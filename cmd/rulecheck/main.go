@@ -12,10 +12,6 @@
 //
 //	-cert file      certification file (see below); repeatable via commas
 //	-tables t1,t2   also analyze partial confluence w.r.t. these tables
-//	-parallel n     worker count for the pairwise analyses: 0 means one
-//	                worker per CPU, 1 (the default) the sequential path;
-//	                reports are byte-identical at every setting, with
-//	                -refine too
 //	-refine         enable condition-aware refinement: predicate
 //	                abstraction prunes statically infeasible triggering
 //	                edges and noncommutativity conflicts before the
@@ -83,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	partition := fs.Bool("partition", false, "show independent rule partitions (incremental analysis)")
 	dot := fs.Bool("dot", false, "print the triggering graph in Graphviz DOT format and exit")
 	user := fs.String("user", "", "restrict user operations, e.g. insert:t,update:t.c,delete:u")
-	parallel := fs.Int("parallel", 1, "analysis worker count (0 = one per CPU, 1 = sequential)")
 	refine := fs.Bool("refine", false, "enable condition-aware refinement (predicate abstraction)")
 	lint := fs.Bool("lint", false, "run the rulelint diagnostics instead of the property analyses")
 	shardPlan := fs.Bool("shard-plan", false, "print the maximal analysis-proven shard plan and exit")
@@ -126,7 +121,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 
-	sys.SetAnalysisParallelism(*parallel)
 	sys.SetAnalysisRefinement(*refine)
 
 	if *lint {

@@ -224,6 +224,7 @@ func TestRulecheckErrors(t *testing.T) {
 		{"-schema", sp, "-rules", "/nope"},
 		{"-schema", sp, "-rules", rp, "-cert", "/nope"},
 		{"-badflag"},
+		{"-schema", sp, "-rules", rp, "-parallel", "2"}, // no such flag
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

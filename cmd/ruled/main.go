@@ -27,9 +27,6 @@
 //	                 admit verdict-regressing tenant-swap ops in
 //	                 degraded mode (with a §7 Sig(T') report) instead of
 //	                 rejecting them with code "swap-rejected"
-//	-parallel n      analyzer worker count for the shared analysis
-//	                 cache (0 = sequential; verdicts and reports are
-//	                 identical at every parallelism)
 //	-shards n        run one engine+WAL per analysis-proven shard
 //	                 (Section 7: disjoint Sig(T') groups), coalesced to
 //	                 at most n shards, routing each assert to the shard
@@ -154,7 +151,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	tenants := fs.String("tenants", "", "multi-tenant root directory (excludes -shards/-replicate/-follow)")
 	tenantSlots := fs.Int("tenant-slots", 0, "per-tenant outstanding-request quota (0 = 8)")
 	quarOnRegress := fs.Bool("quarantine-on-regress", false, "admit verdict-regressing swaps in degraded mode")
-	parallel := fs.Int("parallel", 0, "analyzer workers for the shared analysis cache (0 = sequential)")
 	shards := fs.Int("shards", 0, "engines: one per analysis-proven shard, at most n (0 = unsharded)")
 	replicate := fs.String("replicate", "", "stream the WAL to followers on this address (unsharded only)")
 	follow := fs.String("follow", "", "run as a read-only follower of the source at this address")
@@ -238,7 +234,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 			Serve:               cfg,
 			TenantSlots:         *tenantSlots,
 			QuarantineOnRegress: *quarOnRegress,
-			AnalysisParallelism: *parallel,
 		})
 		if err != nil {
 			return fail(err, "ruled:", 2)

@@ -1,9 +1,6 @@
 package analysis
 
 import (
-	"sync/atomic"
-
-	"activerules/internal/par"
 	"activerules/internal/rules"
 	"activerules/internal/schema"
 )
@@ -12,6 +9,8 @@ import (
 // a user Certification. Construction materializes the rule view (three
 // small sorts per rule); the triggering graph and the pair-verdict table
 // are built lazily, on first use, and then kept for the analyzer's life.
+// An Analyzer is not safe for concurrent use: each goroutine that
+// analyzes needs an analyzer of its own.
 type Analyzer struct {
 	set  *rules.Set
 	cert *Certification
@@ -29,18 +28,12 @@ type Analyzer struct {
 	refine bool
 	ref    *refinement
 
-	// par is the resolved worker count for the pairwise passes
-	// (CommutativityMatrix and the Confluence Requirement sweep), set via
-	// SetParallelism. The zero value — never set — means the sequential
-	// legacy path. Sig's closure is sequential at every setting.
-	par int
-
 	// verdicts memoizes Commute per unordered pair (see verdicts.go). An
 	// analyzer's inputs (set, certifications, view, refinement) are
 	// fixed between SetRefinement calls, so a verdict never changes once
 	// published; nil until the first Commute, and again after
 	// SetRefinement.
-	verdicts atomic.Pointer[verdictTable]
+	verdicts *verdictTable
 
 	// computeHook, when set, observes every commuteUncached run. Tests
 	// only: it is how the exact-once tripwire counts Lemma 6.1
@@ -168,26 +161,11 @@ func New(set *rules.Set, cert *Certification) *Analyzer {
 	return &Analyzer{set: set, cert: cert, view: baseView(set)}
 }
 
-// SetParallelism sets the worker count for the pairwise passes: 0 means
-// one worker per CPU (GOMAXPROCS), 1 (the default) the sequential
-// legacy path, n > 1 exactly n workers. Every verdict is identical at
-// every parallelism — the passes parallelize over independent pair
-// checks, never over anything order-sensitive (the Sig closure, whose
-// scan order decides which pairs are examined, stays one sequential
-// fixpoint). It returns the analyzer for chaining.
-func (a *Analyzer) SetParallelism(n int) *Analyzer {
-	a.par = par.Workers(n)
-	return a
-}
-
-// workers returns the effective worker count: 1 (sequential) until
-// SetParallelism is called.
-func (a *Analyzer) workers() int {
-	if a.par == 0 {
-		return 1
-	}
-	return a.par
-}
+// SetParallelism has no effect: the analyzer runs on one goroutine. It
+// returns the analyzer for chaining.
+//
+// Deprecated: the pairwise passes are sequential; drop the call.
+func (a *Analyzer) SetParallelism(int) *Analyzer { return a }
 
 // Set returns the analyzed rule set.
 func (a *Analyzer) Set() *rules.Set { return a.set }
@@ -206,12 +184,14 @@ func (a *Analyzer) graph() *TriggeringGraph {
 	return a.tg
 }
 
-// withView derives an analyzer sharing everything but the view and the
-// verdict table: a pair's verdict depends on the view (the Obs extension
-// makes observable rules conflict), so each view fills its own. The
-// triggering graph is built here if nothing has needed it yet, or the
-// view and the analyzer would each go on to build one.
-func (a *Analyzer) withView(v ruleView) *Analyzer {
-	return &Analyzer{set: a.set, cert: a.cert, view: v, tg: a.graph(), par: a.par,
-		refine: a.refine, ref: a.ref, computeHook: a.computeHook}
+// derive returns a copy of a that sees view v under refinement ref (nil:
+// refinement off), with a verdict table of its own: a pair's verdict
+// depends on both (the Obs extension makes observable rules conflict).
+// The triggering graph is built first if nothing has needed it yet, or
+// the copy and a would each go on to build one.
+func (a *Analyzer) derive(v ruleView, ref *refinement) *Analyzer {
+	a.graph()
+	d := *a
+	d.view, d.verdicts, d.refine, d.ref = v, nil, ref != nil, ref
+	return &d
 }

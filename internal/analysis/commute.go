@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 
-	"activerules/internal/par"
 	"activerules/internal/rules"
 	"activerules/internal/schema"
 )
@@ -50,7 +49,7 @@ func (nr NoncommuteReason) String() string {
 // user certification (Section 6.1) overrides the conservative verdict.
 //
 // The verdict is computed on the first call for a pair and read from the
-// analyzer's verdict table ever after: two atomic loads, plus a side-map
+// analyzer's verdict table ever after: two word loads, plus a side-map
 // read for the reasons of a pair that may not commute.
 func (a *Analyzer) Commute(ri, rj *rules.Rule) (bool, []NoncommuteReason) {
 	if ri == rj {
@@ -77,9 +76,9 @@ func (a *Analyzer) Commute(ri, rj *rules.Rule) (bool, []NoncommuteReason) {
 }
 
 // commuteUncached evaluates Lemma 6.1 for the pair lo, hi (in definition
-// order). With parallelism 1 it runs at most once per pair and view: the
-// first examination of a pair is observable (it records the pair's
-// upgrade), so when it happens is part of the analyzer's output.
+// order). It runs at most once per pair and view: the first examination
+// of a pair is observable (it records the pair's upgrade), so when it
+// happens is part of the analyzer's output.
 func (a *Analyzer) commuteUncached(lo, hi *rules.Rule) (pairState, []NoncommuteReason) {
 	if a.computeHook != nil {
 		a.computeHook(a, lo, hi)
@@ -232,10 +231,7 @@ func (a *Analyzer) noncommuteOneWay(ri, rj *rules.Rule) []NoncommuteReason {
 }
 
 // CommutativityMatrix reports, for every unordered index pair i < j,
-// whether the rules commute. Used by benchmarks and reports. The pair
-// checks are independent, so they run across the analyzer's configured
-// parallelism; each worker writes disjoint cells, and the matrix is
-// identical at every worker count.
+// whether the rules commute. Used by benchmarks and reports.
 func (a *Analyzer) CommutativityMatrix() [][]bool {
 	rs := a.set.Rules()
 	n := len(rs)
@@ -244,18 +240,12 @@ func (a *Analyzer) CommutativityMatrix() [][]bool {
 		out[i] = make([]bool, n)
 		out[i][i] = true
 	}
-	type pair struct{ i, j int }
-	pairs := make([]pair, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, pair{i, j})
+			ok, _ := a.Commute(rs[i], rs[j])
+			out[i][j] = ok
+			out[j][i] = ok
 		}
 	}
-	par.ForEach(a.workers(), len(pairs), func(k int) {
-		p := pairs[k]
-		ok, _ := a.Commute(rs[p.i], rs[p.j])
-		out[p.i][p.j] = ok
-		out[p.j][p.i] = ok
-	})
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"activerules/internal/par"
 	"activerules/internal/rules"
 )
 
@@ -79,31 +78,19 @@ func (a *Analyzer) Confluence() *ConfluenceVerdict {
 }
 
 // confluenceOver checks the Confluence Requirement for every unordered
-// pair drawn from members, with the supplied termination verdict. The
-// pair checks are independent and run across the analyzer's configured
-// parallelism; violations are collected in pair order, so the verdict —
-// including the order of Violations — is identical at every worker
-// count.
+// pair drawn from members, with the supplied termination verdict.
+// Violations are collected in pair order.
 func (a *Analyzer) confluenceOver(members []*rules.Rule, term *TerminationVerdict) *ConfluenceVerdict {
 	v := &ConfluenceVerdict{Termination: term}
-	type pr struct{ ri, rj *rules.Rule }
-	var pairs []pr
 	for i, ri := range members {
 		for _, rj := range members[i+1:] {
-			if a.set.Unordered(ri, rj) {
-				pairs = append(pairs, pr{ri, rj})
+			if !a.set.Unordered(ri, rj) {
+				continue
 			}
-		}
-	}
-	v.PairsChecked = len(pairs)
-	a.graph() // build the triggering graph once, before workers share it
-	viols := make([]*Violation, len(pairs))
-	par.ForEach(a.workers(), len(pairs), func(k int) {
-		viols[k] = a.checkPair(pairs[k].ri, pairs[k].rj)
-	})
-	for _, viol := range viols {
-		if viol != nil {
-			v.Violations = append(v.Violations, *viol)
+			v.PairsChecked++
+			if viol := a.checkPair(ri, rj); viol != nil {
+				v.Violations = append(v.Violations, *viol)
+			}
 		}
 	}
 	v.RequirementHolds = len(v.Violations) == 0

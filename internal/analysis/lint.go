@@ -94,15 +94,20 @@ type LintResult struct {
 // HasErrors reports whether any diagnostic has error severity.
 func (lr *LintResult) HasErrors() bool { return lr.Errors > 0 }
 
+// withRefinement returns a when refinement is on, and otherwise an
+// analyzer derived from a with refinement summaries of its own.
+func (a *Analyzer) withRefinement() *Analyzer {
+	if a.refine && a.ref != nil {
+		return a
+	}
+	return a.derive(a.view, buildRefinement(a.set, a.graph()))
+}
+
 // Lint runs every detector and returns the diagnostics sorted by
 // (Line, Col, Code, Rule). Refinement summaries are built on demand, so
 // Lint works on analyzers with or without SetRefinement.
 func (a *Analyzer) Lint() *LintResult {
-	ra := a
-	if !a.refine || a.ref == nil {
-		ra = &Analyzer{set: a.set, cert: a.cert, view: a.view, tg: a.graph(), par: a.par,
-			refine: true, ref: buildRefinement(a.set, a.graph())}
-	}
+	ra := a.withRefinement()
 	refV := ra.terminationOf(nil) // the refined verdict RL005–RL007 read
 	found := [...][]Diagnostic{
 		ra.lintDeadRules(),
@@ -286,7 +291,7 @@ func (a *Analyzer) lintDeadStores() []Diagnostic {
 // notes justify each pruned edge (and each discharged dead rule) inside
 // the component. refV is the refined termination verdict of the set.
 func (a *Analyzer) lintInfeasibleCycles(refV *TerminationVerdict) []Diagnostic {
-	raw := &Analyzer{set: a.set, cert: a.cert, view: a.view, tg: a.tg, par: a.par}
+	raw := a.derive(a.view, nil)
 	rawV := raw.terminationOf(nil)
 	stillCyclic := map[string]bool{}
 	for _, comp := range refV.CyclicSCCs {

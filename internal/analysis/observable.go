@@ -60,7 +60,7 @@ func freshObsName(sch *schema.Schema) string {
 func (a *Analyzer) ObservableDeterminism() *ObservableVerdict {
 	obs := freshObsName(a.set.Schema())
 	observable := a.set.ObservableRules()
-	ext := a.withView(a.view.withObs(obs, observable))
+	ext := a.derive(a.view.withObs(obs, observable), a.ref)
 	obsNames := rules.Names(observable)
 	sort.Strings(obsNames)
 

@@ -198,11 +198,7 @@ func (a *Analyzer) lintShadowedPrioritiesScalar() []Diagnostic {
 // finding at a time, the termination verdict computed per detector, and
 // the reflective stable sort.
 func (a *Analyzer) lintScalar() *LintResult {
-	ra := a
-	if !a.refine || a.ref == nil {
-		ra = &Analyzer{set: a.set, cert: a.cert, view: a.view, tg: a.graph(), par: a.par,
-			refine: true, ref: buildRefinement(a.set, a.graph())}
-	}
+	ra := a.withRefinement()
 	lr := &LintResult{}
 	lr.add(ra.lintDeadRules()...)
 	lr.add(ra.lintSelfDeactivating()...)
@@ -558,8 +554,8 @@ func TestSigMatchesScalarOracle(t *testing.T) {
 				}
 			}
 			obs := freshObsName(c.set.Schema())
-			gotExt := got.withView(got.view.withObs(obs, observable))
-			wantExt := want.withView(want.view.withObs(obs, observable))
+			gotExt := got.derive(got.view.withObs(obs, observable), got.ref)
+			wantExt := want.derive(want.view.withObs(obs, observable), want.ref)
 			g, w := gotExt.sigWithin(members, []string{obs}), wantExt.sigWithinScalar(members, []string{obs})
 			if !reflect.DeepEqual(ruleNames(g), ruleNames(w)) || !reflect.DeepEqual(*gotLog, *wantLog) {
 				t.Fatalf("%s warm=%v: Sig(Obs) within %d of %d members = %v, scalar %v; examined\n got %v\nwant %v",

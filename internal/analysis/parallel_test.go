@@ -1,10 +1,9 @@
 package analysis
 
-// Metamorphic tests for the parallel pairwise passes: every analysis
-// verdict must be byte-identical at every worker count, because the
-// passes parallelize over independent pair checks (CommutativityMatrix,
-// the Confluence Requirement sweep), never over anything order-sensitive
-// — Sig in particular is one sequential fixpoint.
+// Metamorphic tests for the pairwise passes: every verdict is a function
+// of the rule set alone. A fresh analyzer, one whose verdict table other
+// passes have already filled in their own order, and a second run on
+// the same analyzer all answer alike.
 
 import (
 	"fmt"
@@ -35,13 +34,21 @@ func metamorphicWorkloads(t *testing.T) []*workload.Generated {
 	return out
 }
 
+// warmed returns an analyzer whose verdict table the shard planner has
+// already filled, in its own scan order.
+func warmed(g *workload.Generated) *Analyzer {
+	a := New(g.Set, nil)
+	a.ShardPlan()
+	return a
+}
+
 func TestParallelMatrixInvariant(t *testing.T) {
 	for _, g := range metamorphicWorkloads(t) {
 		base := New(g.Set, nil).CommutativityMatrix()
-		for _, workers := range []int{2, 8} {
-			got := New(g.Set, nil).SetParallelism(workers).CommutativityMatrix()
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("workers=%d: commutativity matrix differs from sequential", workers)
+		a := warmed(g)
+		for run := 1; run <= 2; run++ {
+			if got := a.CommutativityMatrix(); !reflect.DeepEqual(base, got) {
+				t.Errorf("run %d: commutativity matrix of a warmed analyzer differs from a fresh one", run)
 			}
 		}
 	}
@@ -50,18 +57,17 @@ func TestParallelMatrixInvariant(t *testing.T) {
 func TestParallelConfluenceInvariant(t *testing.T) {
 	for _, g := range metamorphicWorkloads(t) {
 		base := New(g.Set, nil).Confluence()
-		for _, workers := range []int{2, 8} {
-			got := New(g.Set, nil).SetParallelism(workers).Confluence()
+		a := warmed(g)
+		for run := 1; run <= 2; run++ {
+			got := a.Confluence()
 			if got.Guaranteed != base.Guaranteed ||
 				got.RequirementHolds != base.RequirementHolds ||
 				got.PairsChecked != base.PairsChecked {
-				t.Errorf("workers=%d: confluence verdict differs: %+v vs %+v", workers, got, base)
+				t.Errorf("run %d: confluence verdict differs: %+v vs %+v", run, got, base)
 			}
-			// Violations must match exactly, including their order: the
-			// parallel sweep collects them in pair order.
+			// Violations must match exactly, including their order.
 			if !reflect.DeepEqual(got.Violations, base.Violations) {
-				t.Errorf("workers=%d: violations differ (%d vs %d)",
-					workers, len(got.Violations), len(base.Violations))
+				t.Errorf("run %d: violations differ (%d vs %d)", run, len(got.Violations), len(base.Violations))
 			}
 		}
 	}
@@ -71,13 +77,14 @@ func TestParallelSigInvariant(t *testing.T) {
 	for _, g := range metamorphicWorkloads(t) {
 		tables := []string{"t0", "t1"}
 		base := New(g.Set, nil).PartialConfluence(tables)
-		for _, workers := range []int{2, 8} {
-			got := New(g.Set, nil).SetParallelism(workers).PartialConfluence(tables)
+		a := warmed(g)
+		for run := 1; run <= 2; run++ {
+			got := a.PartialConfluence(tables)
 			if !reflect.DeepEqual(got.SigNames(), base.SigNames()) {
-				t.Errorf("workers=%d: Sig differs: %v vs %v", workers, got.SigNames(), base.SigNames())
+				t.Errorf("run %d: Sig differs: %v vs %v", run, got.SigNames(), base.SigNames())
 			}
 			if got.Guaranteed() != base.Guaranteed() {
-				t.Errorf("workers=%d: partial-confluence verdict differs", workers)
+				t.Errorf("run %d: partial-confluence verdict differs", run)
 			}
 		}
 	}
@@ -86,48 +93,49 @@ func TestParallelSigInvariant(t *testing.T) {
 func TestParallelObservableInvariant(t *testing.T) {
 	for _, g := range metamorphicWorkloads(t) {
 		base := New(g.Set, nil).ObservableDeterminism()
-		for _, workers := range []int{2, 8} {
-			got := New(g.Set, nil).SetParallelism(workers).ObservableDeterminism()
+		a := warmed(g)
+		for run := 1; run <= 2; run++ {
+			got := a.ObservableDeterminism()
 			if got.Guaranteed() != base.Guaranteed() {
-				t.Errorf("workers=%d: observable-determinism verdict differs", workers)
+				t.Errorf("run %d: observable-determinism verdict differs", run)
 			}
 			if !reflect.DeepEqual(got.ObservableRules, base.ObservableRules) {
-				t.Errorf("workers=%d: observable rules differ", workers)
+				t.Errorf("run %d: observable rules differ", run)
 			}
 			if !reflect.DeepEqual(got.Violations(), base.Violations()) {
-				t.Errorf("workers=%d: observable violations differ", workers)
+				t.Errorf("run %d: observable violations differ", run)
 			}
 		}
 	}
 }
 
-// TestParallelReportStable renders the full report at several worker
-// counts: the rendering exercises every pass end to end, and a stable
-// report is what the CLI's -parallel flag ultimately promises.
+// TestParallelReportStable renders the full report from a fresh and a
+// warmed analyzer, twice from the latter: the rendering exercises every
+// pass end to end.
 func TestParallelReportStable(t *testing.T) {
 	for i, g := range metamorphicWorkloads(t) {
-		render := func(workers int) string {
-			a := New(g.Set, nil).SetParallelism(workers)
+		render := func(a *Analyzer) string {
 			return fmt.Sprintf("%s%s%s",
 				ReportTermination(a.Termination()),
 				ReportConfluence(a.Confluence()),
 				ReportObservable(a.ObservableDeterminism()))
 		}
-		base := render(1)
-		for _, workers := range []int{2, 8} {
-			if got := render(workers); got != base {
-				t.Errorf("workload %d workers=%d: report differs from sequential", i, workers)
+		base := render(New(g.Set, nil))
+		a := warmed(g)
+		for run := 1; run <= 2; run++ {
+			if got := render(a); got != base {
+				t.Errorf("workload %d run %d: report of a warmed analyzer differs from a fresh one", i, run)
 			}
 		}
 	}
 }
 
 // TestParallelRefinedReportStable is the tripwire for a pass whose
-// parallel form examines different pairs than its sequential one: with
-// refinement on, every pair Commute examines may add a "refined to
-// commute" entry, so the rendered reports are byte-equal across worker
-// counts only if the set of examined pairs is. Priorities matter: only
-// Sig examines ordered pairs.
+// examined pairs depend on anything but the rule set: with refinement
+// on, every pair Commute examines may add a "refined to commute" entry,
+// so the rendered reports of two fresh analyzers are byte-equal only if
+// the set of examined pairs is. Priorities matter: only Sig examines
+// ordered pairs.
 func TestParallelRefinedReportStable(t *testing.T) {
 	for _, n := range []int{24, 48, 96} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -139,21 +147,19 @@ func TestParallelRefinedReportStable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			render := func(workers int) string {
-				a := New(g.Set, nil).SetRefinement(true).SetParallelism(workers)
+			render := func() string {
+				a := New(g.Set, nil).SetRefinement(true)
 				return ReportConfluence(a.Confluence()) +
 					ReportObservable(a.ObservableDeterminism()) +
 					a.ShardPlan().String() +
 					ReportPartialConfluence(a.PartialConfluence(g.Schema.TableNames()[:4]))
 			}
-			base := render(1)
+			base := render()
 			if !strings.Contains(base, "refined to commute: ") {
 				t.Errorf("rules %d seed %d: no pair was refined; the comparison is vacuous", n, seed)
 			}
-			for _, workers := range []int{2, 8} {
-				if got := render(workers); got != base {
-					t.Errorf("rules %d seed %d workers=%d: report differs from sequential", n, seed, workers)
-				}
+			if got := render(); got != base {
+				t.Errorf("rules %d seed %d: reports of two fresh analyzers differ", n, seed)
 			}
 		}
 	}

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"activerules/internal/absint"
 	"activerules/internal/rules"
@@ -59,11 +58,10 @@ type CommuteUpgrade struct {
 
 // SetRefinement enables (or disables) condition-aware refinement on the
 // analyzer. Enabling it builds the abstract summaries eagerly; either
-// way the verdict table starts over (verdicts depend on it). It must not
-// run concurrently with an analysis. It returns the analyzer for
-// chaining.
+// way the verdict table starts over (verdicts depend on it). It returns
+// the analyzer for chaining.
 func (a *Analyzer) SetRefinement(on bool) *Analyzer {
-	a.verdicts.Store(nil)
+	a.verdicts = nil
 	if !on {
 		a.refine = false
 		a.ref = nil
@@ -78,9 +76,8 @@ func (a *Analyzer) SetRefinement(on bool) *Analyzer {
 func (a *Analyzer) Refined() bool { return a.refine }
 
 // refinement holds the precomputed abstract summaries for one rule set.
-// All fields except upgrades are immutable after buildRefinement; the
-// upgrade log is guarded by mu because the parallel confluence sweep
-// records upgrades concurrently.
+// All fields except the upgrade log are immutable after
+// buildRefinement.
 type refinement struct {
 	set *rules.Set
 
@@ -109,7 +106,6 @@ type refinement struct {
 	witness []*absint.Witness
 	pruned  map[[2]int]string
 
-	mu       sync.Mutex
 	upgrades map[[2]int]CommuteUpgrade
 }
 
@@ -418,8 +414,6 @@ func (ref *refinement) recordUpgrade(ri, rj *rules.Rule, whys []string) {
 		a, b = b, a
 	}
 	key := [2]int{a.Index(), b.Index()}
-	ref.mu.Lock()
-	defer ref.mu.Unlock()
 	if _, ok := ref.upgrades[key]; !ok {
 		ref.upgrades[key] = CommuteUpgrade{A: a.Name, B: b.Name, Why: whys}
 	}
@@ -431,8 +425,6 @@ func (a *Analyzer) Upgrades() []CommuteUpgrade {
 	if a.ref == nil {
 		return nil
 	}
-	a.ref.mu.Lock()
-	defer a.ref.mu.Unlock()
 	out := make([]CommuteUpgrade, 0, len(a.ref.upgrades))
 	for _, up := range a.ref.upgrades {
 		out = append(out, up)

@@ -136,27 +136,25 @@ func TestSetRefinementToggle(t *testing.T) {
 }
 
 // TestRefinementDeterministic: pruned edges, upgrades, and reports are
-// byte-identical across repeated runs and across parallelism settings.
+// byte-identical across fresh analyzers and across repeated runs on one.
 func TestRefinementDeterministic(t *testing.T) {
-	render := func(par int) string {
-		a := loadFixture(t, nil).SetParallelism(par).SetRefinement(true)
+	render := func(a *Analyzer) string {
 		tv := a.Termination()
 		cv := a.Confluence()
 		return ReportTermination(tv) + ReportConfluence(cv)
 	}
-	first := render(1)
+	a := loadFixture(t, nil).SetRefinement(true)
+	first := render(a)
 	if !strings.Contains(first, "pruned edge") || !strings.Contains(first, "refined to commute") {
 		t.Fatalf("report missing refined sections:\n%s", first)
 	}
 	for i := 0; i < 3; i++ {
-		if got := render(1); got != first {
+		if got := render(loadFixture(t, nil).SetRefinement(true)); got != first {
 			t.Fatalf("run %d differs:\ngot:\n%s\nwant:\n%s", i, got, first)
 		}
 	}
-	for _, par := range []int{2, 8} {
-		if got := render(par); got != first {
-			t.Fatalf("parallel=%d differs:\ngot:\n%s\nwant:\n%s", par, got, first)
-		}
+	if got := render(a); got != first {
+		t.Fatalf("a second run on one analyzer differs:\ngot:\n%s\nwant:\n%s", got, first)
 	}
 }
 

@@ -99,7 +99,7 @@ func (a *Analyzer) observableOver(members []*rules.Rule, term *TerminationVerdic
 			observable = append(observable, r)
 		}
 	}
-	ext := a.withView(a.view.withObs(obs, observable))
+	ext := a.derive(a.view.withObs(obs, observable), a.ref)
 	// Sig over the member subset only.
 	sig := ext.sigWithin(members, []string{obs})
 	sigTerm := a.TerminationOf(sig)
@@ -118,12 +118,11 @@ func (a *Analyzer) observableOver(members []*rules.Rule, term *TerminationVerdic
 }
 
 // sigWithin is the Definition 7.1 fixpoint restricted to a member set
-// (members and the result in definition order). It is the only one, and
-// sequential at every parallelism: a joiner is tested against the
-// members that joined earlier in the same round, in definition order,
-// stopping at the first it may not commute with, so which pairs Commute
-// examines — and with refinement on, which upgrades a report lists — is
-// fixed by the rule set alone.
+// (members and the result in definition order). It is the only one: a
+// joiner is tested against the members that joined earlier in the same
+// round, in definition order, stopping at the first it may not commute
+// with, so which pairs Commute examines — and with refinement on, which
+// upgrades a report lists — is fixed by the rule set alone.
 //
 // The test reads the verdict table a word at a time. Of the 64 members
 // a word holds, the ones r is known not to commute with are one AND
@@ -151,8 +150,8 @@ func (a *Analyzer) sigWithin(members []*rules.Rule, tables []string) []*rules.Ru
 			if inw == 0 {
 				continue
 			}
-			k := t.known[row+w].Load()
-			hit := inw & k & t.mayNot[row+w].Load()
+			k := t.known[row+w]
+			hit := inw & k & t.mayNot[row+w]
 			unknown := inw &^ k
 			if hit != 0 {
 				unknown &= hit&-hit - 1 // below the first hit

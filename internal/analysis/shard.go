@@ -136,8 +136,7 @@ func joinedLen(names []string) (n int) {
 
 // ShardPlan is the maximal analysis-proven partition of the schema's
 // tables into independently servable groups. Its String and JSON forms
-// are deterministic: equal inputs yield byte-identical plans at every
-// analysis parallelism.
+// are deterministic: equal inputs yield byte-identical plans.
 type ShardPlan struct {
 	Shards   []ShardGroup   `json:"shards"`
 	Blockers []ShardBlocker `json:"blockers,omitempty"`
@@ -207,7 +206,7 @@ func (p *ShardPlan) MarshalJSON() ([]byte, error) {
 // ShardPlan computes the maximal partition of the schema's tables into
 // groups with pairwise-disjoint Sig(T'), together with the blockers
 // that prevent a finer one. The plan is a pure function of the rule
-// set, certifications, and view, the same at every parallelism.
+// set, certifications, and view.
 //
 // Tables are handled as slots in the sorted table list, so slot order is
 // name order: a footprint or a significance list is an ascending []int,
@@ -388,7 +387,7 @@ func (a *Analyzer) commuteComponents() unionFind {
 	t := a.table()
 	for r := range all {
 		for w := 0; w < t.rowWords; w++ {
-			for word := t.mayNot[r*t.rowWords+w].Load(); word != 0; word &= word - 1 {
+			for word := t.mayNot[r*t.rowWords+w]; word != 0; word &= word - 1 {
 				comp.union(r, w<<6|bits.TrailingZeros64(word))
 			}
 		}

@@ -79,14 +79,17 @@ func TestShardPlanSigDisjoint(t *testing.T) {
 }
 
 // TestShardPlanDeterministic: the rendered plan is byte-stable across
-// analysis parallelism settings.
+// fresh analyzers, a second run on one, and one whose verdict table the
+// Confluence Requirement sweep filled first.
 func TestShardPlanDeterministic(t *testing.T) {
 	for _, g := range shardWorkloads(t) {
-		seq := New(g.Set, nil).SetParallelism(1).ShardPlan().String()
-		for _, par := range []int{0, 2, 7} {
-			got := New(g.Set, nil).SetParallelism(par).ShardPlan().String()
-			if got != seq {
-				t.Fatalf("parallelism %d changed the plan:\n--- sequential\n%s\n--- par=%d\n%s", par, seq, par, got)
+		a := New(g.Set, nil)
+		first := a.ShardPlan().String()
+		warm := New(g.Set, nil)
+		warm.Confluence()
+		for i, b := range []*Analyzer{New(g.Set, nil), a, warm} {
+			if got := b.ShardPlan().String(); got != first {
+				t.Fatalf("analyzer %d changed the plan:\n--- first\n%s\n--- got\n%s", i, first, got)
 			}
 		}
 	}

@@ -160,7 +160,7 @@ type SCCVerdict struct {
 // terminationOf and writes no analyzer state: the statement effects it
 // reasons over are the refinement's immutable summaries when refinement
 // is on, and otherwise derived here, per rule, on first use. Verdicts
-// stay independent of parallelism and of other analyses.
+// stay independent of other analyses.
 type tier2 struct {
 	a        *Analyzer
 	universe []*rules.Rule // rules that actually execute in this analysis

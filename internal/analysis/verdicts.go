@@ -3,8 +3,6 @@ package analysis
 import (
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"activerules/internal/rules"
 )
@@ -29,24 +27,23 @@ const (
 // commute with"), answered 64 pairs per load. A set of n rules costs two
 // planes of n rows of ⌈n/64⌉ words: n²/4 bytes plus row padding.
 //
-// Words are read and published with sync/atomic. A pair that may not
-// commute stores its reasons in the sparse side map first, then its two
-// mayNot bits, then its two known bits, so whoever reads a known bit
-// finds the rest of the verdict. Which of the commuting pairs refinement
-// upgraded is not kept per pair, only counted.
+// The reasons of a pair that may not commute sit in a sparse side map.
+// Which of the commuting pairs refinement upgraded is not kept per pair,
+// only counted.
 type verdictTable struct {
 	rowWords      int
-	known, mayNot []atomic.Uint64
-	refined       atomic.Int64
-	reasons       sync.Map // pair index (int) -> []NoncommuteReason
+	known, mayNot []uint64
+	refined       int
+	reasons       map[int][]NoncommuteReason // by pairIndex
 }
 
 func newVerdictTable(n int) *verdictTable {
 	w := len(rules.NewBits(n))
 	return &verdictTable{
 		rowWords: w,
-		known:    make([]atomic.Uint64, n*w),
-		mayNot:   make([]atomic.Uint64, n*w),
+		known:    make([]uint64, n*w),
+		mayNot:   make([]uint64, n*w),
+		reasons:  map[int][]NoncommuteReason{},
 	}
 }
 
@@ -58,50 +55,37 @@ func pairIndex(lo, hi int) int { return hi*(hi-1)/2 + lo }
 func (t *verdictTable) load(lo, hi int) pairState {
 	w, bit := lo*t.rowWords+hi>>6, uint64(1)<<(hi&63)
 	switch {
-	case t.known[w].Load()&bit == 0:
+	case t.known[w]&bit == 0:
 		return pairUnknown
-	case t.mayNot[w].Load()&bit != 0:
+	case t.mayNot[w]&bit != 0:
 		return pairMayNot
 	}
 	return pairCommutes
 }
 
 func (t *verdictTable) reasonsOf(lo, hi int) []NoncommuteReason {
-	v, _ := t.reasons.Load(pairIndex(lo, hi))
-	reasons, _ := v.([]NoncommuteReason)
-	return reasons
+	return t.reasons[pairIndex(lo, hi)]
 }
 
-// setBit ORs bit c into row r of the plane and reports whether this call
-// flipped it. (A CAS loop: atomic.Uint64.Or needs go 1.23.)
-func (t *verdictTable) setBit(plane []atomic.Uint64, r, c int) bool {
-	w, bit := &plane[r*t.rowWords+c>>6], uint64(1)<<(c&63)
-	for {
-		old := w.Load()
-		if old&bit != 0 {
-			return false
-		}
-		if w.CompareAndSwap(old, old|bit) {
-			return true
-		}
-	}
+// setBit ORs bit c into row r of the plane.
+func (t *verdictTable) setBit(plane []uint64, r, c int) {
+	plane[r*t.rowWords+c>>6] |= 1 << (c & 63)
 }
 
-// publish records the verdict of the pair lo < hi. Concurrent publishers
-// of one pair carry the same verdict (it is a pure function of the
-// pair), so setting the bits twice is harmless; the one that flips the
-// pair's known bit in lo's row counts it.
+// publish records the verdict of the pair lo < hi. A verdict is a pure
+// function of the pair, so publishing it again changes nothing: a
+// refined pair is counted only when it was unknown.
 func (t *verdictTable) publish(lo, hi int, st pairState, reasons []NoncommuteReason) {
+	if st == pairRefined && t.load(lo, hi) == pairUnknown {
+		t.refined++
+	}
 	if st == pairMayNot {
-		t.reasons.Store(pairIndex(lo, hi), reasons)
+		t.reasons[pairIndex(lo, hi)] = reasons
 		t.setBit(t.mayNot, lo, hi)
 		t.setBit(t.mayNot, hi, lo)
 	}
-	first := t.setBit(t.known, lo, hi)
+	t.setBit(t.known, lo, hi)
 	t.setBit(t.known, hi, lo)
-	if first && st == pairRefined {
-		t.refined.Add(1)
-	}
 }
 
 // PairTableStats counts the cells of an analyzer's verdict table: how
@@ -126,26 +110,25 @@ func (s PairTableStats) String() string {
 func (a *Analyzer) PairTable() PairTableStats {
 	n := a.set.Len()
 	s := PairTableStats{Total: n * (n - 1) / 2}
-	t := a.verdicts.Load()
+	t := a.verdicts
 	if t == nil {
 		return s // nothing examined yet
 	}
 	for i := range t.known {
-		s.Examined += bits.OnesCount64(t.known[i].Load())
-		s.MayNotCommute += bits.OnesCount64(t.mayNot[i].Load())
+		s.Examined += bits.OnesCount64(t.known[i])
+		s.MayNotCommute += bits.OnesCount64(t.mayNot[i])
 	}
 	s.Examined /= 2 // every pair has its bit in two rows
 	s.MayNotCommute /= 2
-	s.RefinedToCommute = int(t.refined.Load())
+	s.RefinedToCommute = t.refined
 	return s
 }
 
 // table returns the analyzer's verdict table, allocating it on first
 // use.
 func (a *Analyzer) table() *verdictTable {
-	if t := a.verdicts.Load(); t != nil {
-		return t
+	if a.verdicts == nil {
+		a.verdicts = newVerdictTable(a.set.Len())
 	}
-	a.verdicts.CompareAndSwap(nil, newVerdictTable(a.set.Len()))
-	return a.verdicts.Load()
+	return a.verdicts
 }

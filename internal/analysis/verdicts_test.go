@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"activerules/internal/rules"
@@ -80,7 +79,7 @@ func TestVerdictTableCells(t *testing.T) {
 			reasons = []NoncommuteReason{{Cond: k}}
 		}
 		tab.publish(lo, hi, st, reasons)
-		tab.publish(lo, hi, st, reasons) // a racing publisher's second write
+		tab.publish(lo, hi, st, reasons) // a second publish changes nothing
 	}
 	for lo := 0; lo < n; lo++ {
 		if got := tab.load(lo, lo); got != pairUnknown {
@@ -96,7 +95,7 @@ func TestVerdictTableCells(t *testing.T) {
 			}
 		}
 	}
-	if got := int(tab.refined.Load()); got != refined {
+	if got := tab.refined; got != refined {
 		t.Errorf("refined count %d, published %d refined pairs (twice each)", got, refined)
 	}
 
@@ -107,30 +106,31 @@ func TestVerdictTableCells(t *testing.T) {
 	}
 }
 
-// TestVerdictTableConcurrentPublish has two goroutines publish every
-// pair at once, so that words are shared and every pair is raced for
-// (run under -race); each refined pair is still counted once.
+// TestVerdictTableConcurrentPublish publishes every pair twice, one
+// full sweep after the other, so that words are shared: the second
+// sweep leaves the state as the first left it, and each refined pair is
+// counted once.
 func TestVerdictTableConcurrentPublish(t *testing.T) {
 	const n = 40
 	tab := newVerdictTable(n)
 	state := func(lo, hi int) pairState { return pairState(1 + (lo+hi)%3) }
 	refined := 0
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for hi := 0; hi < n; hi++ {
-				for lo := 0; lo < hi; lo++ {
-					tab.publish(lo, hi, state(lo, hi), []NoncommuteReason{{Cond: hi}})
-					if got := tab.load(lo, hi); got != wantLoad(state(lo, hi)) {
-						t.Errorf("pair (%d, %d) = %d right after publishing %d", lo, hi, got, state(lo, hi))
-					}
+	sweep := func() {
+		for hi := 0; hi < n; hi++ {
+			for lo := 0; lo < hi; lo++ {
+				tab.publish(lo, hi, state(lo, hi), []NoncommuteReason{{Cond: hi}})
+				if got := tab.load(lo, hi); got != wantLoad(state(lo, hi)) {
+					t.Errorf("pair (%d, %d) = %d right after publishing %d", lo, hi, got, state(lo, hi))
 				}
 			}
-		}()
+		}
 	}
-	wg.Wait()
+	sweep()
+	known, mayNot := append([]uint64(nil), tab.known...), append([]uint64(nil), tab.mayNot...)
+	sweep()
+	if !reflect.DeepEqual(known, tab.known) || !reflect.DeepEqual(mayNot, tab.mayNot) {
+		t.Error("publishing every pair again changed the planes")
+	}
 	for hi := 0; hi < n; hi++ {
 		for lo := 0; lo < hi; lo++ {
 			if state(lo, hi) == pairRefined {
@@ -141,8 +141,8 @@ func TestVerdictTableConcurrentPublish(t *testing.T) {
 			}
 		}
 	}
-	if got := int(tab.refined.Load()); got != refined {
-		t.Errorf("refined count %d after two publishers each, want %d", got, refined)
+	if got := tab.refined; got != refined {
+		t.Errorf("refined count %d after two sweeps, want %d", got, refined)
 	}
 }
 
@@ -190,20 +190,40 @@ func TestCommuteComputedOncePerPair(t *testing.T) {
 	}
 }
 
+// TestDerivedAnalyzersReachComputeHook: every analyzer derived from
+// another — Lint's refined and raw copies as well as the Obs views —
+// is a copy of it, so the tripwire counts the pairs they evaluate too.
+func TestDerivedAnalyzersReachComputeHook(t *testing.T) {
+	g := verdictWorkload(t, 1000003+40, 40)
+	a := New(g.Set, nil)
+	seen := map[*Analyzer]int{}
+	a.computeHook = func(view *Analyzer, _, _ *rules.Rule) { seen[view]++ }
+	refined := a.withRefinement()
+	raw := refined.derive(refined.view, nil)
+	for _, d := range []*Analyzer{refined, raw} {
+		if d == a {
+			t.Fatal("an analyzer without refinement was not copied for Lint")
+		}
+		d.CommutativityMatrix()
+		if seen[d] == 0 {
+			t.Errorf("Lint's derived analyzer (refine %v) evaluated pairs unseen by computeHook", d.refine)
+		}
+	}
+}
+
 // TestVerdictTableMatchesLemma is the differential battery for the
 // table, refinement on and off: what Commute answers from it equals a
-// fresh evaluation of every pair; a sequential and a parallel analyzer
-// agree on reports, verdicts, reasons and, once every pair is examined,
-// upgrades; and switching refinement resets the table.
+// fresh evaluation of every pair; two analyzers agree on reports,
+// verdicts, reasons and, once every pair is examined, upgrades; and
+// switching refinement resets the table.
 func TestVerdictTableMatchesLemma(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		g := verdictWorkload(t, seed, 40)
 		for _, refine := range []bool{false, true} {
 			seq := New(g.Set, nil).SetRefinement(refine)
-			par := New(g.Set, nil).SetRefinement(refine).SetParallelism(4)
-			seqReport, parReport := fullPass(seq, g), fullPass(par, g)
-			if seqReport != parReport {
-				t.Errorf("seed %d refine %v: reports differ between parallelism 1 and 4", seed, refine)
+			again := New(g.Set, nil).SetRefinement(refine)
+			if fullPass(seq, g) != fullPass(again, g) {
+				t.Errorf("seed %d refine %v: reports of two analyzers differ", seed, refine)
 			}
 
 			got := allVerdicts(seq)
@@ -220,11 +240,11 @@ func TestVerdictTableMatchesLemma(t *testing.T) {
 					k++
 				}
 			}
-			if !reflect.DeepEqual(got, allVerdicts(par)) {
-				t.Errorf("seed %d refine %v: verdicts differ between parallelism 1 and 4", seed, refine)
+			if !reflect.DeepEqual(got, allVerdicts(again)) {
+				t.Errorf("seed %d refine %v: verdicts of two analyzers differ", seed, refine)
 			}
-			if !reflect.DeepEqual(seq.Upgrades(), par.Upgrades()) {
-				t.Errorf("seed %d refine %v: upgrades differ between parallelism 1 and 4", seed, refine)
+			if !reflect.DeepEqual(seq.Upgrades(), again.Upgrades()) {
+				t.Errorf("seed %d refine %v: upgrades of two analyzers differ", seed, refine)
 			}
 			// fresh evaluated every pair on the base view only, so its
 			// upgrade log is exactly the base view's refined cells.

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"activerules/internal/analysis"
-	"activerules/internal/par"
 	"activerules/internal/ruledef"
 	"activerules/internal/rules"
 	"activerules/internal/schema"
@@ -68,9 +67,6 @@ type Cache struct {
 	// verify enables the byte-equality tripwire: every hit recomputes
 	// the analysis and fails loudly if the cached report differs.
 	verify bool
-	// parallelism is handed to each analyzer (0 = sequential,
-	// otherwise par.Workers clamps it to the machine).
-	parallelism int
 
 	mu      sync.Mutex
 	entries map[string]*Summary
@@ -78,14 +74,9 @@ type Cache struct {
 	misses  int
 }
 
-// NewCache returns an empty cache. parallelism sets each analyzer's
-// worker count (0 = sequential); verify enables the hit tripwire.
-func NewCache(parallelism int, verify bool) *Cache {
-	return &Cache{
-		verify:      verify,
-		parallelism: parallelism,
-		entries:     map[string]*Summary{},
-	}
+// NewCache returns an empty cache; verify enables the hit tripwire.
+func NewCache(verify bool) *Cache {
+	return &Cache{verify: verify, entries: map[string]*Summary{}}
 }
 
 // Summary returns the analysis summary for (sch, defs) sources,
@@ -125,9 +116,6 @@ func (c *Cache) compute(key string, sch *schema.Schema, defs []rules.Definition)
 		return nil, err
 	}
 	a := analysis.New(set, nil)
-	if c.parallelism > 0 {
-		a.SetParallelism(par.Workers(c.parallelism))
-	}
 	term := a.Termination()
 	conf := a.Confluence()
 	obs := a.ObservableDeterminism()

@@ -68,9 +68,6 @@ type Config struct {
 	// mode (with a persistent QuarantineReport) instead of rejecting
 	// them.
 	QuarantineOnRegress bool
-	// AnalysisParallelism sets the shared cache's analyzer worker count
-	// (0 = sequential; clamped to the machine).
-	AnalysisParallelism int
 	// VerifyCache enables the cache's byte-equality tripwire: every hit
 	// recomputes the analysis and fails if the report bytes differ.
 	VerifyCache bool
@@ -137,7 +134,7 @@ func Open(root string, cfg Config) (*Manager, error) {
 		root:  root,
 		fs:    fs,
 		cfg:   cfg,
-		cache: NewCache(cfg.AnalysisParallelism, cfg.VerifyCache),
+		cache: NewCache(cfg.VerifyCache),
 		slots: slots,
 		ts:    map[string]*tenantState{},
 	}

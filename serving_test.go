@@ -2,7 +2,7 @@ package activerules_test
 
 // Facade-level serving tests: System.NewServer round-trips through the
 // public API, and one System safely backs several concurrent consumers
-// — two independent engines plus the parallel analyzers — under -race.
+// — two independent engines plus an analysis goroutine — under -race.
 
 import (
 	"context"
@@ -71,7 +71,7 @@ func TestSystemNewServerRoundTrip(t *testing.T) {
 }
 
 // TestSystemSharedAcrossEnginesAndAnalysis runs two engines built from
-// one System in parallel with the multi-worker analyzers. A System is
+// one System in parallel with a goroutine analyzing it. A System is
 // documented as read-only after construction; this test backs that with
 // the race detector.
 func TestSystemSharedAcrossEnginesAndAnalysis(t *testing.T) {
@@ -79,7 +79,6 @@ func TestSystemSharedAcrossEnginesAndAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetAnalysisParallelism(4)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {

@@ -43,7 +43,7 @@ type (
 
 // ShardPlan computes the maximal analysis-proven shard partition for
 // this system. The plan is deterministic: equal systems yield
-// byte-identical plans at every analysis parallelism.
+// byte-identical plans.
 func (s *System) ShardPlan() *ShardPlan {
 	return s.Analyzer(nil).ShardPlan()
 }
