@@ -262,20 +262,7 @@ type System struct {
 	// analysisRefine enables condition-aware refinement on every
 	// analyzer the system constructs.
 	analysisRefine bool
-
-	// compiled selects the execution mode of every engine this system
-	// constructs (NewEngine, OpenDurable, NewServer, NewShardGroup):
-	// true — the default — runs the compiled hot path (closure-compiled
-	// conditions and actions, delta-driven triggering); false runs the
-	// reference interpreter. The two are observably identical; the
-	// interpreter remains available as the differential oracle.
-	compiled bool
 }
-
-// SetCompiled selects compiled (true, the default) or interpreted
-// execution for engines this system constructs afterwards. Explicitly
-// requesting EngineOptions.Compiled overrides a false setting.
-func (s *System) SetCompiled(on bool) { s.compiled = on }
 
 // SetAnalysisRefinement enables (or disables) condition-aware refinement
 // — predicate abstraction that prunes statically infeasible triggering
@@ -299,7 +286,7 @@ func Load(schemaSrc, rulesSrc string) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{schema: sch, rules: set, defs: defs, compiled: true}, nil
+	return &System{schema: sch, rules: set, defs: defs}, nil
 }
 
 // LoadFiles is Load reading from files.
@@ -321,7 +308,7 @@ func FromDefinitions(sch *Schema, defs []Definition) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{schema: sch, rules: set, defs: defs, compiled: true}, nil
+	return &System{schema: sch, rules: set, defs: defs}, nil
 }
 
 // MustLoad is Load, panicking on error. Intended for tests and examples.
@@ -354,7 +341,7 @@ func (s *System) WithOrdering(pairs ...[2]string) (*System, error) {
 		return nil, err
 	}
 	return &System{schema: s.schema, rules: ns, defs: s.defs,
-		analysisRefine: s.analysisRefine, compiled: s.compiled}, nil
+		analysisRefine: s.analysisRefine}, nil
 }
 
 // Without returns a new System with the named rules deactivated
@@ -373,7 +360,12 @@ func (s *System) Without(names ...string) (*System, error) {
 	if len(kept) == 0 {
 		return nil, fmt.Errorf("activerules: Without: no rules remain")
 	}
-	return FromDefinitions(s.schema, kept)
+	ns, err := FromDefinitions(s.schema, kept)
+	if err != nil {
+		return nil, err
+	}
+	ns.analysisRefine = s.analysisRefine
+	return ns, nil
 }
 
 // Analyzer returns an analyzer honoring the certifications (nil for
@@ -396,13 +388,9 @@ func (s *System) Lint(cert *Certification) *LintResult {
 // NewDB returns an empty database over the system's schema.
 func (s *System) NewDB() *DB { return storage.NewDB(s.schema) }
 
-// NewEngine returns a rule-processing engine over db, compiled unless
-// SetCompiled(false) selected the interpreter. A database serves one
-// engine at a time: Close it before opening another over the same db.
+// NewEngine returns a rule-processing engine over db. A database serves
+// one engine at a time: Close it before opening another over the same db.
 func (s *System) NewEngine(db *DB, opts EngineOptions) *Engine {
-	if s.compiled {
-		opts.Compiled = true
-	}
 	return engine.New(s.rules, db, opts)
 }
 

@@ -230,6 +230,17 @@ create rule keeper on t when inserted then delete from t where v < 0
 	if len(sys3.Rules().Rule("loop_a").Precedes) != 0 {
 		t.Error("dangling precedes reference should be dropped")
 	}
+	// Condition-aware refinement carries over, as it does through
+	// WithOrdering.
+	sys.SetAnalysisRefinement(true)
+	sys4, err := sys.Without("keeper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys4.Analyzer(nil).Refined() {
+		t.Error("Without dropped SetAnalysisRefinement")
+	}
+	sys.SetAnalysisRefinement(false)
 	// Errors.
 	if _, err := sys.Without("ghost"); err == nil {
 		t.Error("unknown rule should fail")

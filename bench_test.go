@@ -399,7 +399,6 @@ func BenchmarkCompiledCascadeCommit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys.SetCompiled(true)
 	eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 10000})
 	var sweep strings.Builder
 	for i, t := range tables {

@@ -17,9 +17,9 @@
 //	                 systems under one root directory, each with its own
 //	                 schema, rules, and WAL (tenants/<id>/wal), restored
 //	                 on startup from their manifests; excludes -shards,
-//	                 -replicate, and -follow, and makes -schema/-rules/
-//	                 -wal unnecessary (tenants are created over the
-//	                 wire)
+//	                 -replicate, -follow, and -cluster, and makes
+//	                 -schema/-rules/-wal unnecessary (tenants are
+//	                 created over the wire)
 //	-tenant-slots n  per-tenant outstanding-request quota (0 = 8),
 //	                 enforced before the tenant's queue; shed requests
 //	                 get code "quota", distinct from "overload"
@@ -66,9 +66,6 @@
 //	-seed n          seed for the jittered probe/retry backoff
 //	-maxsteps n      rule-consideration budget per request
 //	-strategy s      first | last | random:<seed>
-//	-compiled        run rules through the compiled hot path (default
-//	                 true); -compiled=false selects the reference
-//	                 interpreter — responses are identical either way
 //	-fsync policy    commit (default) | always | never
 //	-group-commit n  fsync every nth commit (below 2 = every commit)
 //
@@ -148,7 +145,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	rulesPath := fs.String("rules", "", "rule definition file (required)")
 	walDir := fs.String("wal", "", "write-ahead log directory (required; recovered on start)")
 	listen := fs.String("listen", "", "TCP listen address (empty = stdin/stdout)")
-	tenants := fs.String("tenants", "", "multi-tenant root directory (excludes -shards/-replicate/-follow)")
+	tenants := fs.String("tenants", "", "multi-tenant root directory (excludes -shards/-replicate/-follow/-cluster)")
 	tenantSlots := fs.Int("tenant-slots", 0, "per-tenant outstanding-request quota (0 = 8)")
 	quarOnRegress := fs.Bool("quarantine-on-regress", false, "admit verdict-regressing swaps in degraded mode")
 	shards := fs.Int("shards", 0, "engines: one per analysis-proven shard, at most n (0 = unsharded)")
@@ -166,7 +163,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	noProbe := fs.Bool("no-probe", false, "never readmit quarantined rules")
 	seed := fs.Int64("seed", 0, "seed for jittered probe/retry backoff")
 	maxSteps := fs.Int("maxsteps", 10000, "rule consideration budget per request")
-	compiled := fs.Bool("compiled", true, "run rules through the compiled hot path (false = reference interpreter)")
 	strategy := fs.String("strategy", "first", "first | last | random:<seed>")
 	fsync := fs.String("fsync", "commit", "commit | always | never")
 	groupCommit := fs.Int("group-commit", 0, "fsync every nth commit (below 2 = every commit)")
@@ -187,7 +183,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, "ruled:", err)
 			return 2
 		}
-		sys.SetCompiled(*compiled)
 	}
 	strat, err := activerules.ParseStrategy(*strategy)
 	if err != nil {
@@ -229,7 +224,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, "ruled: -tenants excludes -shards, -replicate, -follow, and -cluster")
 			return 2
 		}
-		cfg.Engine.Compiled = *compiled
 		m, err := activerules.OpenTenants(*tenants, activerules.TenantConfig{
 			Serve:               cfg,
 			TenantSlots:         *tenantSlots,

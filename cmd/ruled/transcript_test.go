@@ -191,7 +191,6 @@ func TestWireTranscripts(t *testing.T) {
 	}{
 		{name: "flat"},
 		{name: "shards", extra: []string{"-shards", "2"}},
-		{name: "interpreted", extra: []string{"-compiled=false"}},
 		{name: "tenants", fleet: true},
 		{name: "tenants_quarantine", fleet: true, extra: []string{"-quarantine-on-regress"}},
 	} {

@@ -23,9 +23,6 @@
 //	-lint            run the rulelint preflight before executing; any
 //	                 error-severity finding (e.g. a dead rule) aborts the
 //	                 run with exit status 6
-//	-compiled        run rules through the compiled hot path (default
-//	                 true); -compiled=false selects the reference
-//	                 interpreter — output is byte-identical either way
 //	-wal dir         durable mode: open (and recover) a write-ahead log
 //	                 in dir; every assertion point is a durable commit,
 //	                 and a crashed run resumes from its last commit on
@@ -91,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	explore := fs.Bool("explore", false, "model-check all execution orders instead of one run")
 	traceFlag := fs.Bool("trace", false, "print each rule-processing step")
 	lint := fs.Bool("lint", false, "run the rulelint preflight; error findings abort with status 6")
-	compiled := fs.Bool("compiled", true, "run rules through the compiled hot path (false = reference interpreter)")
 	walDir := fs.String("wal", "", "durable mode: write-ahead log directory (recovered on start)")
 	snapEvery := fs.Int("snapshot-every", 0, "with -wal, checkpoint after every n assertion points (0 = never)")
 	fsync := fs.String("fsync", "commit", "with -wal: commit | always | never")
@@ -110,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "ruleexec:", err)
 		return 2
 	}
-	sys.SetCompiled(*compiled)
 	strat, err := activerules.ParseStrategy(*strategy)
 	if err != nil {
 		fmt.Fprintln(stderr, "ruleexec:", err)

@@ -182,6 +182,7 @@ func TestRuleexecErrors(t *testing.T) {
 		{"-schema", sp, "-rules", rp, "-script", "/nope"},
 		{"-schema", sp, "-rules", rp, "-script", op, "-seed", "/nope"},
 		{"-schema", sp, "-rules", rp, "-script", op, "-explore", "-parallel", "2"}, // no such flag
+		{"-schema", sp, "-rules", rp, "-script", op, "-compiled=false"},            // no such flag
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

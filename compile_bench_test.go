@@ -115,8 +115,7 @@ var loadScaled = func() func(b *testing.B, kind string, clusters int) *activerul
 // are reset, and the pending-net memo's generation moves.
 func benchAssertLoop(b *testing.B, sys *activerules.System, compiled, commit bool, seed, op string) {
 	b.Helper()
-	sys.SetCompiled(compiled)
-	eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 10000})
+	eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 10000, Interpret: !compiled})
 	if eng.Compiled() != compiled {
 		b.Fatalf("engine compiled=%v, want %v", eng.Compiled(), compiled)
 	}

@@ -62,9 +62,10 @@ type modeRun struct {
 // observable.
 func runMode(t *testing.T, sys *activerules.System, compiled bool, seed string, segs []string, opts twinOptions) modeRun {
 	t.Helper()
-	sys.SetCompiled(compiled)
 	var run modeRun
-	eng := sys.NewEngine(sys.NewDB(), opts.engineOpts(&run.trace))
+	eopts := opts.engineOpts(&run.trace)
+	eopts.Interpret = !compiled
+	eng := sys.NewEngine(sys.NewDB(), eopts)
 	if eng.Compiled() != compiled {
 		t.Fatalf("engine compiled=%v, want %v", eng.Compiled(), compiled)
 	}

@@ -154,8 +154,7 @@ func TestCompileMetamorphicExploreParallel(t *testing.T) {
 	script := workload.UserScript(g.Schema, rng, 5)
 
 	mkEngine := func(compiled bool) *activerules.Engine {
-		sys.SetCompiled(compiled)
-		eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 500})
+		eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 500, Interpret: !compiled})
 		if _, err := eng.ExecUser(seed); err != nil {
 			t.Fatal(err)
 		}
@@ -223,8 +222,7 @@ func TestCompileMetamorphicRebuildIndex(t *testing.T) {
 	}
 	drive := func(compiled, rebuild bool) stepRun {
 		t.Helper()
-		sys.SetCompiled(compiled)
-		eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 500})
+		eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 500, Interpret: !compiled})
 		if _, err := eng.ExecUser(seed); err != nil {
 			t.Fatal(err)
 		}

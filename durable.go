@@ -100,9 +100,6 @@ func (s *System) OpenDurable(dir string, opts DurableOptions) (*DurableSession, 
 	db.SetObserver(d)
 	eopts := opts.Engine
 	eopts.Journal = d
-	if s.compiled {
-		eopts.Compiled = true
-	}
 	return &DurableSession{Engine: engine.New(s.rules, db, eopts), d: d}, nil
 }
 

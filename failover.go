@@ -35,8 +35,5 @@ type (
 func (s *System) NewClusterNode(cfg ClusterConfig) (*ClusterNode, error) {
 	cfg.Schema = s.schema
 	cfg.Defs = s.defs
-	if s.compiled {
-		cfg.Serve.Engine.Compiled = true
-	}
 	return cluster.New(cfg)
 }

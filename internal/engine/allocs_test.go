@@ -35,7 +35,7 @@ func TestCascadeStepAllocs(t *testing.T) {
 		fmt.Fprintf(&rl, "create rule chain%03d on c%d\nwhen inserted\nif exists (select 1 from inserted where v >= 0)\nthen insert into c%d select v from inserted\n\n", i, i, i+1)
 	}
 	set, db := mkSet(t, sch.String(), rl.String())
-	e := New(set, db, Options{Compiled: true})
+	e := New(set, db, Options{})
 	const op = "insert into c0 values (1), (2), (3), (4)"
 	// Warm: one whole cascade and its commit size every scratch.
 	if _, err := e.ExecUser(op); err != nil {
@@ -85,7 +85,7 @@ func TestRecordingMutatorAllocs(t *testing.T) {
 	for _, compiled := range []bool{false, true} {
 		set, db := mkSet(t, "table t (a int, b int, c int)", "create rule r on t when updated(a), deleted then delete from t where a < 0")
 		id := db.MustInsert("t", storage.IntV(1), storage.IntV(2), storage.IntV(3))
-		e := New(set, db, Options{Compiled: compiled})
+		e := New(set, db, Options{Interpret: !compiled})
 		m := recordingMutator{e}
 		v := storage.IntV(0)
 		for name, primitive := range map[string]func() error{

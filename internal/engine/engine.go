@@ -102,14 +102,14 @@ type Options struct {
 	// of 256, capped at MaxSteps. Tracking costs one state fingerprint
 	// per step, which is why it only runs under budget pressure.
 	LivelockWindow int
-	// Compiled switches the engine to the compiled hot path: rule
-	// conditions and actions run as closures compiled at engine
-	// construction (internal/compile), and triggered-rule discovery is
-	// delta-driven — mutations mark candidate rules through a
-	// per-(table, op-kind) index instead of every step rescanning all
-	// rules. The interpreter remains the reference oracle; compiled
-	// execution is observably identical (results, traces, errors,
-	// fingerprints), which the differential test battery enforces.
+	// Interpret selects the reference interpreter, the oracle the
+	// differential tests compare the compiled program against. By
+	// default rule conditions and actions run as closures compiled once
+	// per rule set (internal/compile), and triggered-rule discovery is
+	// delta-driven: mutations mark candidate rules through a
+	// per-(table, op-kind) index. The two are observably identical.
+	Interpret bool
+	// Deprecated: ignored; every engine compiles unless Interpret is set.
 	Compiled bool
 	// Journal, when non-nil, receives transaction boundaries for
 	// write-ahead logging (internal/wal): Commit at every quiescent
@@ -172,9 +172,9 @@ type Engine struct {
 	// transition from assertStart.
 	inFlight bool
 
-	// prog and cand are set in compiled mode (Options.Compiled): the
-	// set's compiled closures (shared, immutable) and this engine's
-	// candidate bitset for delta-driven triggering.
+	// prog and cand are set unless Options.Interpret: the set's compiled
+	// closures (shared, immutable) and this engine's candidate bitset for
+	// delta-driven triggering.
 	prog *compile.Program
 	cand *compile.Candidates
 
@@ -229,7 +229,7 @@ func New(set *rules.Set, db *storage.DB, opts Options) *Engine {
 		memo:  make([]pendingMemo, set.Len()),
 	}
 	e.bindTables()
-	if opts.Compiled {
+	if !opts.Interpret {
 		e.prog = compile.For(set)
 		e.cand = e.prog.Matcher().NewCandidates()
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -23,6 +24,32 @@ func mkSet(t *testing.T, schemaSrc, rulesSrc string) (*rules.Set, *storage.DB) {
 		t.Fatal(err)
 	}
 	return set, storage.NewDB(sch)
+}
+
+// TestNewCompilesByDefault: the zero Options run the compiled program,
+// with no unit of the bank example left to the interpreter. Only
+// Options.Interpret selects the reference interpreter.
+func TestNewCompilesByDefault(t *testing.T) {
+	sch, err := os.ReadFile("../../testdata/bank/schema.sdl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl, err := os.ReadFile("../../testdata/bank/rules.srl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, db := mkSet(t, string(sch), string(rl))
+	e := New(set, db, Options{})
+	if !e.Compiled() {
+		t.Fatal("engine.New with zero Options runs the interpreter")
+	}
+	if n := e.Program().Fallbacks(); n != 0 {
+		t.Errorf("%d units fell back to the interpreter", n)
+	}
+	e.Close()
+	if New(set, db, Options{Interpret: true}).Compiled() {
+		t.Error("Options.Interpret still compiles")
+	}
 }
 
 func TestSimpleCascade(t *testing.T) {

@@ -216,7 +216,7 @@ func TestPendingNetMemoDifferential(t *testing.T) {
 // budget or livelock, which puts StateFingerprint on the path too.
 func generatedOracleRun(t *testing.T, g *workload.Generated, compiled bool, seed int64) {
 	o := &recomputeOracle{}
-	e := New(g.Set, workload.SeedDatabase(g.Schema, 3), Options{Compiled: compiled, MaxSteps: 100, LivelockWindow: 20})
+	e := New(g.Set, workload.SeedDatabase(g.Schema, 3), Options{Interpret: !compiled, MaxSteps: 100, LivelockWindow: 20})
 	e.netHook = o.hook
 	rng := rand.New(rand.NewSource(seed * 31))
 	for seg := 0; seg < 3; seg++ {
@@ -295,7 +295,7 @@ func fanChain(t *testing.T, depth, fan int, compiled bool) *Engine {
 		fmt.Fprintf(&rl, "create rule fan%03d on c0 when inserted then insert into f%d select v from inserted\n\n", j, j)
 	}
 	set, db := mkSet(t, sch.String(), rl.String())
-	e := New(set, db, Options{Compiled: compiled})
+	e := New(set, db, Options{Interpret: !compiled})
 	if _, err := e.ExecUser("insert into c0 values (1), (2), (3)"); err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ create rule r on t when deleted, updated(v)
 then select k, v from deleted; select k, v from old-updated; select k, v from new-updated`)
 		db.MustInsert("t", storage.IntV(1), storage.IntV(10))
 		db.MustInsert("t", storage.IntV(2), storage.IntV(20))
-		e := New(set, db, Options{Compiled: compiled})
+		e := New(set, db, Options{Interpret: !compiled})
 		if _, err := e.ExecUser("update t set v = v + 1 where k = 1; delete from t where k = 2"); err != nil {
 			t.Fatal(err)
 		}

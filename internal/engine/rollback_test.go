@@ -265,7 +265,7 @@ then delete from t where v > 80; update w set v = v + 1
 	set, db := mkSet(t, schemaSrc, rulesSrc)
 	db.MustInsert("w", storage.IntV(0))
 	f := &fuse{}
-	e := New(set, db, Options{Compiled: compiled, WrapMutator: f.wrap})
+	e := New(set, db, Options{Interpret: !compiled, WrapMutator: f.wrap})
 	oracle := db.Clone()
 	value := func() int {
 		v := rng.Intn(100)
@@ -462,7 +462,7 @@ create rule r on t when inserted then insert into u select v from inserted`)
 		for i := 0; i < untouched; i++ {
 			db.MustInsert("big", storage.IntV(int64(i)))
 		}
-		e := New(set, db, Options{Compiled: true})
+		e := New(set, db, Options{})
 		return testing.AllocsPerRun(20, func() {
 			if _, err := e.ExecUser("insert into t values (1)"); err != nil {
 				t.Fatal(err)

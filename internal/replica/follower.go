@@ -30,8 +30,6 @@ type FollowerConfig struct {
 	Seed int64
 	// Dial connects to the source; nil means TCP with a 5s timeout.
 	Dial func(addr string) (net.Conn, error)
-	// Sleep is the backoff sleep; nil means real time (interruptible).
-	Sleep func(time.Duration)
 
 	// Cluster extensions (internal/cluster) — zero-valued in plain
 	// replication, which then behaves and speaks exactly as before.
@@ -210,7 +208,7 @@ func (f *Follower) run() {
 		if f.ctx.Err() != nil {
 			return
 		}
-		if sched.Wait(f.ctx, f.cfg.Sleep) != nil {
+		if sched.Wait(f.ctx, nil) != nil {
 			return
 		}
 	}

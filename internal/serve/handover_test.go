@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"activerules/internal/engine"
 	"activerules/internal/retry"
 )
 
@@ -110,7 +109,7 @@ func TestRuleSetsAreCollected(t *testing.T) {
 	}
 
 	flat("server lifecycles", func(int) {
-		s, in := newQuarantineServer(t, Config{Engine: engine.Options{Compiled: true}})
+		s, in := newQuarantineServer(t, Config{})
 		in.Disarm()
 		for k := 0; k < 3; k++ {
 			if _, err := s.Submit(ctx, Request{SQL: "insert into t values (1)"}); err != nil {
@@ -124,7 +123,6 @@ func TestRuleSetsAreCollected(t *testing.T) {
 
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	s, in := newQuarantineServer(t, Config{
-		Engine:              engine.Options{Compiled: true},
 		QuarantineThreshold: 1,
 		ProbeBackoff:        retry.Policy{Initial: 10 * time.Millisecond, Jitter: 0},
 		Now:                 clk.Now,

@@ -98,10 +98,8 @@ type Config struct {
 	// thousand tenants with identical rule sets pay for analysis once.
 	// Nil (the default) computes it at construction.
 	Baseline *Baseline
-	// Now and Sleep are injectable for deterministic tests; nil means
-	// time.Now and time.Sleep.
-	Now   func() time.Time
-	Sleep func(time.Duration)
+	// Now is injectable for deterministic tests; nil means time.Now.
+	Now func() time.Time
 }
 
 // Request is one client transaction: optional user statements followed
@@ -212,12 +210,11 @@ type call struct {
 // Server serializes requests onto one engine-owning worker goroutine.
 // All exported methods are safe for concurrent use.
 type Server struct {
-	sch   *schema.Schema
-	defs  []rules.Definition
-	dir   string
-	cfg   Config
-	now   func() time.Time
-	sleep func(time.Duration)
+	sch  *schema.Schema
+	defs []rules.Definition
+	dir  string
+	cfg  Config
+	now  func() time.Time
 
 	queue   chan *call
 	drainCh chan struct{}
@@ -275,7 +272,6 @@ func New(sch *schema.Schema, defs []rules.Definition, dir string, cfg Config) (*
 		dir:     dir,
 		cfg:     cfg,
 		now:     cfg.Now,
-		sleep:   cfg.Sleep,
 		queue:   make(chan *call, cfg.QueueDepth),
 		drainCh: make(chan struct{}),
 		doneCh:  make(chan struct{}),
@@ -286,9 +282,6 @@ func New(sch *schema.Schema, defs []rules.Definition, dir string, cfg Config) (*
 	}
 	if s.now == nil {
 		s.now = time.Now
-	}
-	if s.sleep == nil {
-		s.sleep = time.Sleep
 	}
 	if err := s.adopt(d); err != nil {
 		_ = d.Close()
@@ -874,7 +867,7 @@ func (s *Server) doCheckpoint() error {
 // triggering request's context.
 func (s *Server) reopen() error {
 	_ = s.dd.Close()
-	err := retry.Do(context.Background(), s.cfg.DurableRetry, s.cfg.Seed^reopenSeedSalt, s.sleep,
+	err := retry.Do(context.Background(), s.cfg.DurableRetry, s.cfg.Seed^reopenSeedSalt, nil,
 		func(err error) bool {
 			return !errors.Is(err, wal.ErrUnrecoverable) && !errors.Is(err, wal.ErrFenced)
 		},

@@ -121,7 +121,7 @@ func TestTenantCacheSurvivesDrop(t *testing.T) {
 }
 
 // TestTenantCacheVerifyTripwire runs the byte-equality tripwire: with
-// VerifyCache on, every hit recomputes the analysis and compares
+// NewCache(true), every hit recomputes the analysis and compares
 // reports byte-for-byte. A deterministic analyzer passes, on every
 // one of several hits.
 func TestTenantCacheVerifyTripwire(t *testing.T) {

@@ -68,9 +68,6 @@ type Config struct {
 	// mode (with a persistent QuarantineReport) instead of rejecting
 	// them.
 	QuarantineOnRegress bool
-	// VerifyCache enables the cache's byte-equality tripwire: every hit
-	// recomputes the analysis and fails if the report bytes differ.
-	VerifyCache bool
 	// Customize, when non-nil, edits each tenant's serve.Config after
 	// the manager's overrides — the test hook for per-tenant fault
 	// injection.
@@ -134,7 +131,7 @@ func Open(root string, cfg Config) (*Manager, error) {
 		root:  root,
 		fs:    fs,
 		cfg:   cfg,
-		cache: NewCache(cfg.VerifyCache),
+		cache: NewCache(false),
 		slots: slots,
 		ts:    map[string]*tenantState{},
 	}

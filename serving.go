@@ -41,8 +41,5 @@ const (
 // durable session: Close (or Shutdown) drains in-flight work, writes a
 // final checkpoint, and releases the log.
 func (s *System) NewServer(dir string, cfg ServeConfig) (*Server, error) {
-	if s.compiled {
-		cfg.Engine.Compiled = true
-	}
 	return serve.New(s.schema, s.defs, dir, cfg)
 }

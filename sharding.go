@@ -52,9 +52,6 @@ func (s *System) ShardPlan() *ShardPlan {
 // plan under dir, coalesced to at most n shards (n <= 0 means as many
 // as the plan allows). cfg applies to every shard.
 func (s *System) NewShardGroup(dir string, n int, cfg ServeConfig) (*ShardGroup, error) {
-	if s.compiled {
-		cfg.Engine.Compiled = true
-	}
 	return shard.Open(s.schema, s.defs, dir, n, cfg)
 }
 
