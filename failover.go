@@ -24,7 +24,7 @@ type (
 	// address for redirects.
 	NotLeaderError = cluster.NotLeaderError
 	// UnackedError reports an indeterminate commit: durable on this
-	// leader, not acknowledged by the follower within AckTimeout.
+	// leader, not acknowledged by the follower within twice the lease.
 	UnackedError = cluster.UnackedError
 )
 

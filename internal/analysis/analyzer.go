@@ -195,3 +195,15 @@ func (a *Analyzer) derive(v ruleView, ref *refinement) *Analyzer {
 	d.view, d.verdicts, d.refine, d.ref = v, nil, ref != nil, ref
 	return &d
 }
+
+// reordered returns a copy of a over ns, which must be a's rule set with
+// priorities added (rules.Set.WithOrdering). Everything else carries
+// over: the triggering graph, the view and the refinement summaries
+// depend on the rules alone, not on their order. Only the verdict table
+// starts over.
+func (a *Analyzer) reordered(ns *rules.Set) *Analyzer {
+	a.graph()
+	d := *a
+	d.set, d.verdicts = ns, nil
+	return &d
+}

@@ -58,17 +58,34 @@ func freshObsName(sch *schema.Schema) string {
 // if it is confluent with respect to {Obs} under these extended
 // definitions and terminates.
 func (a *Analyzer) ObservableDeterminism() *ObservableVerdict {
+	return a.observableOver(a.set.Rules(), a.Termination())
+}
+
+// observableOver is ObservableDeterminism over a member subset: the Obs
+// extension is applied to the members, Sig(Obs) is computed within
+// them, and term (the members' termination verdict) stands in for
+// full-set termination.
+func (a *Analyzer) observableOver(members []*rules.Rule, term *TerminationVerdict) *ObservableVerdict {
 	obs := freshObsName(a.set.Schema())
-	observable := a.set.ObservableRules()
+	var observable []*rules.Rule
+	for _, r := range members {
+		if r.Observable() {
+			observable = append(observable, r)
+		}
+	}
 	ext := a.derive(a.view.withObs(obs, observable), a.ref)
+	sig := ext.sigWithin(members, []string{obs})
 	obsNames := rules.Names(observable)
 	sort.Strings(obsNames)
-
 	return &ObservableVerdict{
 		ObsTable:        obs,
 		ObservableRules: obsNames,
-		Partial:         ext.PartialConfluence([]string{obs}),
-		Termination:     a.Termination(),
+		Partial: &PartialConfluenceVerdict{
+			Tables:     []string{obs},
+			Sig:        sig,
+			Confluence: ext.confluenceOver(sig, a.TerminationOf(sig)),
+		},
+		Termination: term,
 	}
 }
 

@@ -10,15 +10,22 @@ import (
 // vehicle for condition-aware refinement.
 func loadFixture(t *testing.T, cert *Certification) *Analyzer {
 	t.Helper()
-	sch, err := os.ReadFile("../../testdata/lintdemo/schema.sdl")
+	sch, rls := fixtureSources(t)
+	return compile(t, sch, rls, cert)
+}
+
+// fixtureSources reads the lintdemo fixture's schema and rule sources.
+func fixtureSources(t *testing.T) (sch, rls string) {
+	t.Helper()
+	s, err := os.ReadFile("../../testdata/lintdemo/schema.sdl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rls, err := os.ReadFile("../../testdata/lintdemo/rules.srl")
+	r, err := os.ReadFile("../../testdata/lintdemo/rules.srl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return compile(t, string(sch), string(rls), cert)
+	return string(s), string(r)
 }
 
 // TestRefinementPrunesFalseCycle is the first acceptance criterion: the

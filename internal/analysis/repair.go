@@ -68,9 +68,7 @@ func (a *Analyzer) AutoRepair(maxRounds int) (*RepairPlan, error) {
 		}
 		plan.Orderings = append(plan.Orderings, [2]string{hi, lo})
 		plan.Repaired = ns
-		// The triggering graph depends only on Triggered-By/Performs,
-		// which orderings do not change; share the cached graph.
-		cur = &Analyzer{set: ns, cert: a.cert, view: a.view, tg: a.graph()}
+		cur = cur.reordered(ns)
 	}
 	plan.Final = cur.Confluence()
 	return plan, fmt.Errorf("analysis: AutoRepair did not converge in %d rounds", maxRounds)

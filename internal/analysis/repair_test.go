@@ -121,3 +121,26 @@ create rule rj on trig when inserted then update t set v = 2
 		t.Error("certified set should be confluent")
 	}
 }
+
+// TestAutoRepairKeepsRefinement: every round analyzes under the
+// refinement the caller enabled. The lintdemo fixture is confluent only
+// under refinement (TestRefinementConfluence); two racing rules added to
+// it need exactly one ordering. An analyzer that drops refinement after
+// the first round orders the fixture's refined-to-commute pairs too.
+func TestAutoRepairKeepsRefinement(t *testing.T) {
+	sch, rls := fixtureSources(t)
+	a := compile(t, sch, rls+`
+create rule x1 on log when deleted then update log set note = 'a' where id > 0
+create rule x2 on log when deleted then update log set note = 'b' where id > 0
+`, nil).SetRefinement(true)
+	plan, err := a.AutoRepair(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Orderings) != 1 || plan.Orderings[0] != [2]string{"x1", "x2"} {
+		t.Errorf("Orderings = %v, want [[x1 x2]]", plan.Orderings)
+	}
+	if !plan.Succeeded() {
+		t.Errorf("repair under refinement should succeed: %+v", plan.Final)
+	}
+}

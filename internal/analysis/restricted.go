@@ -87,36 +87,6 @@ func (a *Analyzer) AnalyzeRestricted(ops schema.OpSet) *RestrictedVerdict {
 	return v
 }
 
-// observableOver is ObservableDeterminism restricted to a member subset:
-// the Obs extension is applied, Sig(Obs) is computed within the subset,
-// and the supplied termination verdict (for the subset) stands in for
-// full-set termination.
-func (a *Analyzer) observableOver(members []*rules.Rule, term *TerminationVerdict) *ObservableVerdict {
-	obs := freshObsName(a.set.Schema())
-	var observable []*rules.Rule
-	for _, r := range members {
-		if r.Observable() {
-			observable = append(observable, r)
-		}
-	}
-	ext := a.derive(a.view.withObs(obs, observable), a.ref)
-	// Sig over the member subset only.
-	sig := ext.sigWithin(members, []string{obs})
-	sigTerm := a.TerminationOf(sig)
-	obsNames := rules.Names(observable)
-	sort.Strings(obsNames)
-	return &ObservableVerdict{
-		ObsTable:        obs,
-		ObservableRules: obsNames,
-		Partial: &PartialConfluenceVerdict{
-			Tables:     []string{obs},
-			Sig:        sig,
-			Confluence: ext.confluenceOver(sig, sigTerm),
-		},
-		Termination: term,
-	}
-}
-
 // sigWithin is the Definition 7.1 fixpoint restricted to a member set
 // (members and the result in definition order). It is the only one: a
 // joiner is tested against the members that joined earlier in the same

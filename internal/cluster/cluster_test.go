@@ -122,18 +122,15 @@ func (p *pair) start(i int, crashAt int) {
 			DurableRetry:   retry.Policy{Initial: time.Millisecond, Max: 5 * time.Millisecond, MaxAttempts: 2},
 			Seed:           p.seed + int64(i),
 		},
-		ReplAddr:   "127.0.0.1:0",
-		Peer:       p.peerAddr(i),
-		Advertise:  [2]string{"node-a", "node-b"}[i],
-		Bootstrap:  i == 0,
-		Lease:      200 * time.Millisecond,
-		Tick:       20 * time.Millisecond,
-		AckTimeout: 500 * time.Millisecond,
-		Retry:      retry.Policy{Initial: time.Millisecond, Max: 10 * time.Millisecond, MaxAttempts: 1},
-		Seed:       p.seed*17 + int64(i),
-		Dial:       p.dial,
-		WrapConn:   p.net.WrapNetConn,
-		SourcePoll: time.Millisecond,
+		ReplAddr:  "127.0.0.1:0",
+		Peer:      p.peerAddr(i),
+		Advertise: [2]string{"node-a", "node-b"}[i],
+		Bootstrap: i == 0,
+		Lease:     200 * time.Millisecond,
+		Retry:     retry.Policy{Initial: time.Millisecond, Max: 10 * time.Millisecond, MaxAttempts: 1},
+		Seed:      p.seed*17 + int64(i),
+		Dial:      p.dial,
+		WrapConn:  p.net.WrapNetConn,
 	})
 	if err != nil {
 		p.t.Fatalf("start member %d: %v", i, err)

@@ -37,7 +37,7 @@ func (e *NotLeaderError) Error() string {
 
 // UnackedError reports an indeterminate commit: the transaction is
 // durable on this leader but the follower did not acknowledge it
-// within AckTimeout. If the leader survives, the commit stands; if the
+// within 2*Lease. If the leader survives, the commit stands; if the
 // follower promotes instead, the commit may be discarded. Clients must
 // treat the outcome as unknown — exactly the semantics of a timed-out
 // write to any synchronously replicated store.

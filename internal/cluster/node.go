@@ -18,9 +18,9 @@
 //     replication stream; the follower acknowledges every frame. A
 //     leader that stops hearing acks for a lease suspends itself
 //     (refuses writes); a follower that stops receiving leases for a
-//     lease plus a margin promotes. With Margin >= Lease/3 (renewals
-//     come every Lease/3) the old leader is suspended before the new
-//     one can serve, so a symmetric partition never yields two
+//     lease plus a margin of Lease/2 promotes. The margin exceeds the
+//     renewal interval Lease/3, so the old leader is suspended before
+//     the new one can serve, and a symmetric partition never yields two
 //     acknowledging leaders.
 //
 //   - Synchronous acknowledgment. Submit reports success only after
@@ -100,17 +100,11 @@ type Config struct {
 	// self-elects on a completely fresh start and wins cold-start epoch
 	// ties. Exactly one node of the pair sets it.
 	Bootstrap bool
-	// Lease is the leadership lease duration; 0 means 1s.
+	// Lease is the leadership lease duration; 0 means 1s. Every other
+	// interval derives from it: the supervisor polls every Lease/8, a
+	// follower promotes Lease/2 past lease expiry, and Submit waits up to
+	// 2*Lease for the follower's ack.
 	Lease time.Duration
-	// Margin is how long past lease expiry a follower waits before
-	// promoting; values below Lease/3 (including 0) mean Lease/2 — the
-	// suspension-before-promotion argument needs at least Lease/3.
-	Margin time.Duration
-	// Tick is the supervisor poll interval; 0 means Lease/8.
-	Tick time.Duration
-	// AckTimeout bounds Submit's wait for the follower ack; 0 means
-	// 2*Lease.
-	AckTimeout time.Duration
 	// Retry shapes the follower's reconnect backoff.
 	Retry retry.Policy
 	// Seed feeds the backoff schedules.
@@ -121,23 +115,11 @@ type Config struct {
 	// WrapConn wraps accepted connections (source and responder) — the
 	// fault injector's server-side hook.
 	WrapConn func(net.Conn) net.Conn
-	// SourcePoll is the replication source's frontier poll interval
-	// (0: the replica default).
-	SourcePoll time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.Lease <= 0 {
 		c.Lease = time.Second
-	}
-	if c.Margin < c.Lease/3 {
-		c.Margin = c.Lease / 2
-	}
-	if c.Tick <= 0 {
-		c.Tick = c.Lease / 8
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 2 * c.Lease
 	}
 	if c.Dial == nil {
 		c.Dial = func(addr string) (net.Conn, error) {
@@ -452,7 +434,7 @@ func (n *Node) Submit(ctx context.Context, req serve.Request) (*serve.Response, 
 		return nil, err
 	}
 	gen, off := srv.DurablePos()
-	if aerr := n.ack.wait(ctx, gen, off, n.cfg.AckTimeout); aerr != nil {
+	if aerr := n.ack.wait(ctx, gen, off, 2*n.cfg.Lease); aerr != nil {
 		return resp, &UnackedError{Gen: gen, Off: off, Cause: aerr}
 	}
 	return resp, nil
@@ -551,13 +533,18 @@ func (n *Node) probePeer() (replica.ProbeResult, error) {
 	return replica.Probe(c, n.Epoch(), n.cfg.Lease)
 }
 
+// margin is how long past lease expiry a follower waits before
+// promoting. Suspension-before-promotion needs at least the renewal
+// interval, Lease/3.
+func (n *Node) margin() time.Duration { return n.cfg.Lease / 2 }
+
 // supervise is the node's only role-transition goroutine: it reacts to
 // observed epochs (step down) and lease expiry (promote). Serializing
 // transitions here avoids the deadlock of a stream goroutine closing
 // the source that is joining on it.
 func (n *Node) supervise() {
 	defer n.wg.Done()
-	ticker := time.NewTicker(n.cfg.Tick)
+	ticker := time.NewTicker(n.cfg.Lease / 8)
 	defer ticker.Stop()
 	for {
 		select {
@@ -624,7 +611,7 @@ func (n *Node) maybePromote() {
 		return
 	}
 	if saw {
-		if time.Now().After(exp.Add(n.cfg.Margin)) {
+		if time.Now().After(exp.Add(n.margin())) {
 			n.promote(n.Epoch() + 1)
 		}
 		return
@@ -648,7 +635,7 @@ func (n *Node) maybePromote() {
 	n.mu.Lock()
 	cold := n.coldSince
 	n.mu.Unlock()
-	wait := n.cfg.Lease + 2*n.cfg.Margin
+	wait := n.cfg.Lease + 2*n.margin()
 	if time.Since(cold) < wait {
 		return
 	}
@@ -776,7 +763,6 @@ func (n *Node) startLeader(epoch uint64) error {
 
 func (n *Node) startSource(srv *serve.Server) error {
 	src, err := replica.NewSource(srv, n.cfg.ReplAddr, replica.SourceConfig{
-		Poll:         n.cfg.SourcePoll,
 		WrapConn:     n.cfg.WrapConn,
 		Epoch:        n.claim.Load,
 		ObserveEpoch: n.observeEpoch,
@@ -835,7 +821,7 @@ func (n *Node) probeState() (uint64, time.Duration) {
 	n.mu.Unlock()
 	var lease time.Duration
 	if saw {
-		if rem := time.Until(exp.Add(n.cfg.Margin)); rem > 0 {
+		if rem := time.Until(exp.Add(n.margin())); rem > 0 {
 			lease = rem
 		}
 	}

@@ -96,12 +96,6 @@ type Options struct {
 	// fault injection (internal/faultinject). The wrapper sees exactly
 	// the primitive mutations statement execution performs.
 	WrapMutator func(Mutator) Mutator
-	// LivelockWindow is the number of final budget steps during which the
-	// engine tracks state recurrence to upgrade ErrMaxSteps into a
-	// *LivelockError with a concrete witness cycle; 0 means the default
-	// of 256, capped at MaxSteps. Tracking costs one state fingerprint
-	// per step, which is why it only runs under budget pressure.
-	LivelockWindow int
 	// Interpret selects the reference interpreter, the oracle the
 	// differential tests compare the compiled program against. By
 	// default rule conditions and actions run as closures compiled once
@@ -136,6 +130,13 @@ type Journal interface {
 	// last Begin.
 	Abort() error
 }
+
+// livelockWindow is the number of final budget steps (all of them, when
+// MaxSteps is smaller) during which AssertContext tracks state
+// recurrence to upgrade ErrMaxSteps into a *LivelockError with a
+// concrete witness cycle. Tracking costs one state fingerprint per step,
+// which is why it only runs under budget pressure.
+const livelockWindow = 256
 
 // Engine processes rules against a database. It is single-threaded.
 type Engine struct {
@@ -654,14 +655,7 @@ func (e *Engine) AssertContext(ctx context.Context) (Result, error) {
 	} else {
 		e.trace(TraceEvent{Kind: "assert-resume"})
 	}
-	window := e.opts.LivelockWindow
-	if window <= 0 {
-		window = 256
-	}
-	if window > e.opts.MaxSteps {
-		window = e.opts.MaxSteps
-	}
-	trackFrom := e.opts.MaxSteps - window
+	trackFrom := max(e.opts.MaxSteps-livelockWindow, 0)
 	var seen map[string]int // state fingerprint -> len(chosen) when observed
 	var chosen []string     // rules considered since tracking began
 	var res Result

@@ -216,7 +216,7 @@ func TestPendingNetMemoDifferential(t *testing.T) {
 // budget or livelock, which puts StateFingerprint on the path too.
 func generatedOracleRun(t *testing.T, g *workload.Generated, compiled bool, seed int64) {
 	o := &recomputeOracle{}
-	e := New(g.Set, workload.SeedDatabase(g.Schema, 3), Options{Interpret: !compiled, MaxSteps: 100, LivelockWindow: 20})
+	e := New(g.Set, workload.SeedDatabase(g.Schema, 3), Options{Interpret: !compiled, MaxSteps: 100})
 	e.netHook = o.hook
 	rng := rand.New(rand.NewSource(seed * 31))
 	for seg := 0; seg < 3; seg++ {

@@ -208,7 +208,7 @@ func (f *Follower) run() {
 		if f.ctx.Err() != nil {
 			return
 		}
-		if sched.Wait(f.ctx, nil) != nil {
+		if sched.Wait(f.ctx) != nil {
 			return
 		}
 	}

@@ -85,7 +85,7 @@ func TestReplicaStreamsAndCatchesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	src, err := NewSource(srv, "127.0.0.1:0", SourceConfig{Poll: time.Millisecond})
+	src, err := NewSource(srv, "127.0.0.1:0", SourceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestReplicaFollowerRestartResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	src, err := NewSource(srv, "127.0.0.1:0", SourceConfig{Poll: time.Millisecond})
+	src, err := NewSource(srv, "127.0.0.1:0", SourceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func soakOneSeed(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	src, err := NewSource(srv, "127.0.0.1:0", SourceConfig{Poll: time.Millisecond, WrapConn: inj.WrapNetConn})
+	src, err := NewSource(srv, "127.0.0.1:0", SourceConfig{WrapConn: inj.WrapNetConn})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,16 @@ type Leader interface {
 	ReadSnapshot() (data []byte, gen uint64, ok bool, err error)
 }
 
+const (
+	// pollInterval is how often an idle stream re-checks the durable
+	// frontier.
+	pollInterval = 2 * time.Millisecond
+	// chunkBytes caps the log bytes per chunk frame.
+	chunkBytes = 64 << 10
+)
+
 // SourceConfig tunes a replication source.
 type SourceConfig struct {
-	// Poll is how often an idle stream re-checks the durable frontier;
-	// 0 means 2ms.
-	Poll time.Duration
-	// Chunk caps the log bytes per chunk frame; 0 means 64 KiB.
-	Chunk int
 	// WrapConn, when non-nil, wraps every accepted connection — the
 	// hook the network fault injector uses.
 	WrapConn func(net.Conn) net.Conn
@@ -63,16 +66,6 @@ type SourceConfig struct {
 	OnAck func(gen uint64, off int64)
 }
 
-func (c SourceConfig) withDefaults() SourceConfig {
-	if c.Poll <= 0 {
-		c.Poll = 2 * time.Millisecond
-	}
-	if c.Chunk <= 0 {
-		c.Chunk = 64 << 10
-	}
-	return c
-}
-
 // Source accepts follower connections and streams the leader's durable
 // WAL bytes to each. Safe for concurrent use; Close releases the
 // listener and every active stream.
@@ -97,7 +90,7 @@ func NewSource(leader Leader, addr string, cfg SourceConfig) (*Source, error) {
 	}
 	s := &Source{
 		leader: leader,
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		ln:     ln,
 		done:   make(chan struct{}),
 		conns:  make(map[net.Conn]struct{}),
@@ -161,7 +154,7 @@ func (s *Source) acceptLoop() {
 			select {
 			case <-s.done:
 				return
-			case <-time.After(s.cfg.Poll):
+			case <-time.After(pollInterval):
 			}
 			continue
 		}
@@ -253,7 +246,7 @@ func (s *Source) serveConn(c net.Conn) {
 			}
 			nextLease = time.Now().Add(s.cfg.Lease / 3)
 		}
-		data, err := s.leader.ReadLog(gen, off, s.cfg.Chunk)
+		data, err := s.leader.ReadLog(gen, off, chunkBytes)
 		if err != nil {
 			if errors.Is(err, wal.ErrGenRotated) {
 				if gen, off, err = s.sendSnapshot(c); err != nil {
@@ -277,7 +270,7 @@ func (s *Source) serveConn(c net.Conn) {
 			select {
 			case <-s.done:
 				return
-			case <-time.After(s.cfg.Poll):
+			case <-time.After(pollInterval):
 			}
 			continue
 		}
@@ -360,7 +353,7 @@ func (s *Source) sendSnapshot(c net.Conn) (gen uint64, off int64, err error) {
 			select {
 			case <-s.done:
 				return 0, 0, errors.New("replica: source closed")
-			case <-time.After(s.cfg.Poll):
+			case <-time.After(pollInterval):
 			}
 			continue
 		}

@@ -12,27 +12,17 @@ package retry
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"time"
 )
 
-// ErrBudget reports that a schedule's MaxElapsed budget is exhausted:
-// the next wait would push the cumulative emitted delay past the cap.
-// Supervised loops (a cluster node's reconnect/promotion machinery)
-// treat it as "stop retrying and escalate", distinct from cancellation.
-var ErrBudget = errors.New("retry: elapsed budget exhausted")
-
-// Policy shapes a backoff schedule.
+// Policy shapes a backoff schedule. The delay doubles between attempts.
 type Policy struct {
 	// Initial is the pre-jitter delay before the first retry; 0 means
 	// 10ms.
 	Initial time.Duration
 	// Max caps the pre-jitter delay; 0 means 5s.
 	Max time.Duration
-	// Multiplier grows the delay between attempts; values below 1 mean
-	// 2.0.
-	Multiplier float64
 	// Jitter is the fraction of each delay that is randomized, in
 	// [0, 1]. 0 disables jitter (fully deterministic even without the
 	// seed); negative values mean the default of 0.5.
@@ -40,14 +30,6 @@ type Policy struct {
 	// MaxAttempts bounds the total number of operation invocations Do
 	// performs (first try included); values below 1 mean 3.
 	MaxAttempts int
-	// MaxElapsed bounds the CUMULATIVE delay a schedule may emit since
-	// its creation (or last Reset): once the next delay would push the
-	// running total past it, Wait refuses with ErrBudget instead of
-	// sleeping, and Do stops retrying. The accounting sums the emitted
-	// delays themselves — not wall-clock time — so the cutoff is a pure
-	// function of policy and seed, deterministic in tests. 0 (the
-	// default) means unbounded: a plain follower retries until closed.
-	MaxElapsed time.Duration
 }
 
 func (p Policy) withDefaults() Policy {
@@ -56,9 +38,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.Max <= 0 {
 		p.Max = 5 * time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
 	}
 	if p.Jitter < 0 {
 		p.Jitter = 0.5
@@ -79,7 +58,6 @@ type Schedule struct {
 	seed    int64
 	rng     *rand.Rand
 	attempt int
-	elapsed time.Duration // sum of delays emitted since New/Reset
 }
 
 // New returns a schedule at attempt zero. Two schedules built from the
@@ -89,13 +67,13 @@ func New(pol Policy, seed int64) *Schedule {
 }
 
 // Next returns the delay to wait before the next retry and advances the
-// schedule. The pre-jitter delay is Initial*Multiplier^attempt capped at
+// schedule. The pre-jitter delay is Initial*2^attempt capped at
 // Max; jitter then replaces the final Jitter fraction with a uniform
 // draw from the seeded generator.
 func (s *Schedule) Next() time.Duration {
 	d := float64(s.pol.Initial)
 	for i := 0; i < s.attempt; i++ {
-		d *= s.pol.Multiplier
+		d *= 2
 		if d >= float64(s.pol.Max) {
 			d = float64(s.pol.Max)
 			break
@@ -105,52 +83,26 @@ func (s *Schedule) Next() time.Duration {
 	if s.pol.Jitter > 0 {
 		d = d*(1-s.pol.Jitter) + s.rng.Float64()*d*s.pol.Jitter
 	}
-	s.elapsed += time.Duration(d)
 	return time.Duration(d)
 }
 
-// Elapsed returns the cumulative delay emitted since New or the last
-// Reset — the quantity Policy.MaxElapsed bounds.
-func (s *Schedule) Elapsed() time.Duration { return s.elapsed }
-
-// Attempt returns how many delays have been emitted since the last
-// Reset.
-func (s *Schedule) Attempt() int { return s.attempt }
-
-// Wait sleeps the schedule's next delay, honoring ctx: when ctx is done
-// before (or, for an injected sleep, during) the wait, Wait returns
-// ctx.Err() instead of nil. A nil sleep waits in real time on a timer
-// that ctx interrupts immediately — a reconnect loop or half-open probe
-// can never sleep past a drain deadline. An injected sleep (virtual
-// time in tests) runs to completion and the context is re-checked after
-// it, so a recorder that cancels the context "mid-sleep" still sees the
-// cancellation honored at the attempt boundary.
-// When the policy sets MaxElapsed and the next delay would push the
-// cumulative emitted delay past it, Wait returns ErrBudget without
-// sleeping.
-func (s *Schedule) Wait(ctx context.Context, sleep func(time.Duration)) error {
-	if s.pol.MaxElapsed > 0 && s.elapsed >= s.pol.MaxElapsed {
-		return ErrBudget
-	}
+// Wait sleeps the schedule's next delay on a timer that ctx interrupts:
+// when ctx is done before or during the wait, Wait returns ctx.Err()
+// instead of nil, so a reconnect loop or half-open probe can never sleep
+// past a drain deadline.
+func (s *Schedule) Wait(ctx context.Context) error {
 	d := s.Next()
-	if s.pol.MaxElapsed > 0 && s.elapsed > s.pol.MaxElapsed {
-		return ErrBudget
-	}
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}
-	if sleep == nil {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
 		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	sleep(d)
-	return ctx.Err()
 }
 
 // Reset rewinds the schedule to attempt zero AND re-seeds the
@@ -158,7 +110,6 @@ func (s *Schedule) Wait(ctx context.Context, sleep func(time.Duration)) error {
 // identical delay sequence.
 func (s *Schedule) Reset() {
 	s.attempt = 0
-	s.elapsed = 0
 	s.rng = rand.New(rand.NewSource(s.seed))
 }
 
@@ -169,21 +120,14 @@ func (s *Schedule) Reset() {
 // ctx.Err() on cancellation before or during a wait: the between-
 // attempt sleep is interruptible, so a caller under a drain deadline is
 // released the moment the deadline hits, not after the backoff runs
-// out). sleep may be nil for a real-time timer; tests inject a recorder
-// to run in virtual time (the context is then re-checked after each
-// recorded sleep).
-func Do(ctx context.Context, pol Policy, seed int64, sleep func(time.Duration), retryable func(error) bool, op func() error) error {
+// out).
+func Do(ctx context.Context, pol Policy, seed int64, retryable func(error) bool, op func() error) error {
 	pol = pol.withDefaults()
 	sched := New(pol, seed)
 	var err error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if cerr := sched.Wait(ctx, sleep); cerr != nil {
-				if errors.Is(cerr, ErrBudget) {
-					// The elapsed budget ran out between attempts: the
-					// operation's own last failure is the useful error.
-					return err
-				}
+			if cerr := sched.Wait(ctx); cerr != nil {
 				return cerr
 			}
 		}

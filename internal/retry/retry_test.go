@@ -11,7 +11,7 @@ import (
 // pure function of (policy, seed): two schedules agree delay-for-delay,
 // and Reset replays the identical sequence.
 func TestScheduleDeterministicPerSeed(t *testing.T) {
-	pol := Policy{Initial: 10 * time.Millisecond, Max: time.Second, Multiplier: 2, Jitter: 0.5}
+	pol := Policy{Initial: 10 * time.Millisecond, Max: time.Second, Jitter: 0.5}
 	a, b := New(pol, 42), New(pol, 42)
 	var first []time.Duration
 	for i := 0; i < 12; i++ {
@@ -50,7 +50,7 @@ func TestScheduleSeedsDiffer(t *testing.T) {
 // every delay lies in [(1-J)*base, base] where base doubles per attempt
 // until Max.
 func TestScheduleEnvelope(t *testing.T) {
-	pol := Policy{Initial: 8 * time.Millisecond, Max: 100 * time.Millisecond, Multiplier: 2, Jitter: 0.25}
+	pol := Policy{Initial: 8 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.25}
 	s := New(pol, 7)
 	base := float64(pol.Initial)
 	for i := 0; i < 10; i++ {
@@ -69,7 +69,7 @@ func TestScheduleEnvelope(t *testing.T) {
 // TestScheduleNoJitterExact pins the exact unjittered sequence — the
 // arithmetic itself, independent of any RNG.
 func TestScheduleNoJitterExact(t *testing.T) {
-	s := New(Policy{Initial: 5 * time.Millisecond, Max: 40 * time.Millisecond, Multiplier: 2, Jitter: 0}, 0)
+	s := New(Policy{Initial: 5 * time.Millisecond, Max: 40 * time.Millisecond, Jitter: 0}, 0)
 	want := []time.Duration{
 		5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond,
 		40 * time.Millisecond, 40 * time.Millisecond,
@@ -81,11 +81,14 @@ func TestScheduleNoJitterExact(t *testing.T) {
 	}
 }
 
+// fast is a real-time policy whose waits are microseconds long.
+func fast(attempts int) Policy {
+	return Policy{Initial: time.Microsecond, Max: 10 * time.Microsecond, Jitter: 0, MaxAttempts: attempts}
+}
+
 func TestDoRetriesUntilSuccess(t *testing.T) {
-	var sleeps []time.Duration
 	calls := 0
-	err := Do(context.Background(), Policy{MaxAttempts: 5, Jitter: 0},
-		1, func(d time.Duration) { sleeps = append(sleeps, d) }, nil,
+	err := Do(context.Background(), fast(5), 1, nil,
 		func() error {
 			calls++
 			if calls < 3 {
@@ -96,16 +99,15 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Do = %v, want nil", err)
 	}
-	if calls != 3 || len(sleeps) != 2 {
-		t.Fatalf("calls = %d (want 3), sleeps = %d (want 2)", calls, len(sleeps))
+	if calls != 3 {
+		t.Fatalf("calls = %d, want 3", calls)
 	}
 }
 
 func TestDoBoundedAttempts(t *testing.T) {
 	calls := 0
 	boom := errors.New("boom")
-	err := Do(context.Background(), Policy{MaxAttempts: 4}, 1,
-		func(time.Duration) {}, nil,
+	err := Do(context.Background(), fast(4), 1, nil,
 		func() error { calls++; return boom })
 	if !errors.Is(err, boom) || calls != 4 {
 		t.Fatalf("err = %v, calls = %d; want boom after exactly 4 attempts", err, calls)
@@ -115,8 +117,8 @@ func TestDoBoundedAttempts(t *testing.T) {
 func TestDoStopsOnNonRetryable(t *testing.T) {
 	fatal := errors.New("fatal")
 	calls := 0
-	err := Do(context.Background(), Policy{MaxAttempts: 5}, 1,
-		func(time.Duration) {}, func(err error) bool { return !errors.Is(err, fatal) },
+	err := Do(context.Background(), fast(5), 1,
+		func(err error) bool { return !errors.Is(err, fatal) },
 		func() error { calls++; return fatal })
 	if !errors.Is(err, fatal) || calls != 1 {
 		t.Fatalf("err = %v, calls = %d; want fatal after 1 attempt", err, calls)
@@ -126,8 +128,7 @@ func TestDoStopsOnNonRetryable(t *testing.T) {
 func TestDoHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	err := Do(ctx, Policy{MaxAttempts: 5}, 1,
-		func(time.Duration) {}, nil,
+	err := Do(ctx, fast(5), 1, nil,
 		func() error { calls++; cancel(); return errors.New("transient") })
 	if !errors.Is(err, context.Canceled) || calls != 1 {
 		t.Fatalf("err = %v, calls = %d; want context.Canceled after 1 attempt", err, calls)
@@ -135,40 +136,38 @@ func TestDoHonorsContext(t *testing.T) {
 }
 
 // TestDoCancelledMidSleep: a cancellation arriving DURING the
-// between-attempt wait is honored at the wait, with the deterministic
-// schedule intact up to that point — the op never runs again. This is
-// the drain-deadline shape: a reconnect loop must release the instant
-// the deadline passes, not after its backoff budget.
+// between-attempt wait is honored at the wait — the op never runs
+// again. This is the drain-deadline shape: a reconnect loop must
+// release the instant the deadline passes, not after its backoff.
 func TestDoCancelledMidSleep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var sleeps []time.Duration
-	want := New(Policy{MaxAttempts: 5, Jitter: 0}, 7).Next()
+	defer cancel()
 	calls := 0
-	err := Do(ctx, Policy{MaxAttempts: 5, Jitter: 0}, 7,
-		func(d time.Duration) {
-			sleeps = append(sleeps, d)
-			cancel() // the deadline fires mid-sleep
-		}, nil,
-		func() error { calls++; return errors.New("transient") })
+	start := time.Now()
+	err := Do(ctx, Policy{Initial: time.Hour, Jitter: 0, MaxAttempts: 5}, 7, nil,
+		func() error {
+			calls++
+			time.AfterFunc(time.Millisecond, cancel) // the deadline fires mid-sleep
+			return errors.New("transient")
+		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if calls != 1 {
 		t.Fatalf("calls = %d, want 1 (no attempt after the cancelled wait)", calls)
 	}
-	if len(sleeps) != 1 || sleeps[0] != want {
-		t.Fatalf("sleeps = %v, want exactly [%v] (deterministic schedule up to the cancellation)", sleeps, want)
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("Do slept %v of an hour-long backoff despite cancellation", elapsed)
 	}
 }
 
-// TestDoRealTimerInterrupted: with a nil sleep (real time), a pending
-// cancellation cuts the wait short instead of sleeping it out.
+// TestDoRealTimerInterrupted: a cancellation pending before the wait
+// cuts it short instead of sleeping it out.
 func TestDoRealTimerInterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
 	start := time.Now()
-	err := Do(ctx, Policy{Initial: time.Hour, Jitter: 0, MaxAttempts: 3}, 1,
-		nil, nil,
+	err := Do(ctx, Policy{Initial: time.Hour, Jitter: 0, MaxAttempts: 3}, 1, nil,
 		func() error { calls++; cancel(); return errors.New("transient") })
 	if !errors.Is(err, context.Canceled) || calls != 1 {
 		t.Fatalf("err = %v, calls = %d; want context.Canceled after 1 attempt", err, calls)
@@ -178,103 +177,21 @@ func TestDoRealTimerInterrupted(t *testing.T) {
 	}
 }
 
-// TestScheduleWaitCancelled: Wait consumes exactly one scheduled delay
-// and reports the cancellation.
+// TestScheduleWaitCancelled: Wait on a cancelled context does not sleep
+// (the policy's first delay is an hour), reports the cancellation, and
+// consumes exactly one scheduled delay: the next one is the sequence's
+// second.
 func TestScheduleWaitCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := New(Policy{Jitter: 0}, 3)
-	if err := s.Wait(ctx, func(time.Duration) { t.Fatal("slept despite cancelled ctx") }); !errors.Is(err, context.Canceled) {
+	pol := Policy{Initial: time.Hour, Max: 4 * time.Hour, Jitter: 0.5}
+	s := New(pol, 3)
+	if err := s.Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
 	}
-	if s.Attempt() != 1 {
-		t.Fatalf("Attempt = %d, want 1 (the delay was consumed)", s.Attempt())
-	}
-}
-
-// TestScheduleMaxElapsedDeterministic pins the MaxElapsed cutoff as a
-// pure function of (policy, seed): the budget is charged against the
-// EMITTED delays, never wall-clock time, so the exact attempt at which
-// Wait starts refusing with ErrBudget is reproducible.
-func TestScheduleMaxElapsedDeterministic(t *testing.T) {
-	pol := Policy{
-		Initial: 10 * time.Millisecond, Max: 80 * time.Millisecond,
-		Multiplier: 2, Jitter: 0, MaxElapsed: 65 * time.Millisecond,
-	}
-	// Unjittered delays: 10, 20, 40, 80, ... cumulative 10, 30, 70.
-	// The third wait (cumulative 70ms) exceeds the 65ms budget.
-	s := New(pol, 3)
-	noSleep := func(time.Duration) {}
-	for i := 0; i < 2; i++ {
-		if err := s.Wait(context.Background(), noSleep); err != nil {
-			t.Fatalf("wait %d = %v, want nil", i, err)
-		}
-	}
-	if err := s.Wait(context.Background(), noSleep); !errors.Is(err, ErrBudget) {
-		t.Fatalf("third wait = %v, want ErrBudget", err)
-	}
-	if got := s.Elapsed(); got != 70*time.Millisecond {
-		t.Errorf("Elapsed = %v, want 70ms", got)
-	}
-	// Exhaustion is sticky until Reset, which restores the full budget
-	// and the identical delay stream.
-	if err := s.Wait(context.Background(), noSleep); !errors.Is(err, ErrBudget) {
-		t.Fatal("budget exhaustion must be sticky")
-	}
-	s.Reset()
-	if err := s.Wait(context.Background(), noSleep); err != nil {
-		t.Fatalf("wait after Reset = %v, want nil", err)
-	}
-	if got := s.Elapsed(); got != 10*time.Millisecond {
-		t.Errorf("Elapsed after Reset+wait = %v, want 10ms", got)
-	}
-
-	// With jitter, two same-seed schedules exhaust at the same attempt.
-	jpol := pol
-	jpol.Jitter = 0.5
-	a, b := New(jpol, 99), New(jpol, 99)
-	for i := 0; i < 8; i++ {
-		ea := a.Wait(context.Background(), noSleep)
-		eb := b.Wait(context.Background(), noSleep)
-		if (ea == nil) != (eb == nil) {
-			t.Fatalf("wait %d: same-seed schedules disagree: %v vs %v", i, ea, eb)
-		}
-	}
-}
-
-// TestDoMaxElapsed: Do stops retrying when the budget runs out and
-// returns the operation's last error — the failure that matters to the
-// supervised loop — not the budget sentinel.
-func TestDoMaxElapsed(t *testing.T) {
-	boom := errors.New("boom")
-	calls := 0
-	var slept time.Duration
-	err := Do(context.Background(),
-		Policy{Initial: 10 * time.Millisecond, Multiplier: 2, Jitter: 0,
-			MaxAttempts: 100, MaxElapsed: 35 * time.Millisecond},
-		1, func(d time.Duration) { slept += d }, nil,
-		func() error { calls++; return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("Do = %v, want boom", err)
-	}
-	// Delays 10, 20 fit the 35ms budget; the 40ms third delay does not:
-	// exactly 3 attempts, and nothing ever slept past the budget.
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-	if slept > 35*time.Millisecond {
-		t.Fatalf("slept %v, past the 35ms budget", slept)
-	}
-}
-
-// TestDoMaxElapsedUnsetUnbounded guards the default: a zero MaxElapsed
-// must not bound anything (the plain follower retries until closed).
-func TestDoMaxElapsedUnsetUnbounded(t *testing.T) {
-	calls := 0
-	err := Do(context.Background(), Policy{MaxAttempts: 6, Jitter: 0}, 1,
-		func(time.Duration) {}, nil,
-		func() error { calls++; return errors.New("x") })
-	if err == nil || calls != 6 {
-		t.Fatalf("calls = %d (want 6), err = %v", calls, err)
+	ref := New(pol, 3)
+	ref.Next()
+	if got, want := s.Next(), ref.Next(); got != want {
+		t.Fatalf("delay after the cancelled Wait = %v, want the second delay %v", got, want)
 	}
 }

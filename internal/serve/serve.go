@@ -377,9 +377,11 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 	return r.resp, r.err
 }
 
-// admit applies admission control: the state check and the enqueue are
-// atomic under the mutex, so no request is admitted after draining
-// begins (the worker can then drain the queue to empty exactly once).
+// admit applies admission control to every queued call: the state check
+// and the enqueue are atomic under the mutex, so nothing is admitted
+// after draining begins (the worker can then drain the queue to empty
+// exactly once). Only calls with a deadline — asserts — can be shed for
+// their projected wait, and only asserts count as accepted.
 func (s *Server) admit(c *call) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -409,7 +411,9 @@ func (s *Server) admit(c *call) error {
 		}
 	}
 	c.enq = s.now()
-	s.accepted++
+	if c.kind == callAssert {
+		s.accepted++
+	}
 	s.queue <- c // cannot block: capacity checked under the same mutex
 	return nil
 }
@@ -422,19 +426,9 @@ func (s *Server) Checkpoint(ctx context.Context) error {
 		ctx = context.Background()
 	}
 	c := &call{kind: callCheckpoint, ctx: ctx, done: make(chan callResult, 1)}
-	s.mu.Lock()
-	if s.state != StateRunning {
-		defer s.mu.Unlock()
-		return &ClosedError{Tenant: s.cfg.Tenant, State: s.state, Cause: s.cause}
+	if err := s.admit(c); err != nil {
+		return err
 	}
-	if len(s.queue) >= cap(s.queue) {
-		defer s.mu.Unlock()
-		s.shedOverload++
-		return &OverloadError{Tenant: s.cfg.Tenant, Reason: OverloadQueueFull, QueueLen: len(s.queue), QueueCap: cap(s.queue)}
-	}
-	c.enq = s.now()
-	s.queue <- c
-	s.mu.Unlock()
 	r := <-c.done
 	return r.err
 }
@@ -462,19 +456,9 @@ func (s *Server) SwapRules(ctx context.Context, defs []rules.Definition, baselin
 		return err
 	}
 	c := &call{kind: callSwap, ctx: ctx, swapDefs: defs, swapDA: da, done: make(chan callResult, 1)}
-	s.mu.Lock()
-	if s.state != StateRunning {
-		defer s.mu.Unlock()
-		return &ClosedError{Tenant: s.cfg.Tenant, State: s.state, Cause: s.cause}
+	if err := s.admit(c); err != nil {
+		return err
 	}
-	if len(s.queue) >= cap(s.queue) {
-		defer s.mu.Unlock()
-		s.shedOverload++
-		return &OverloadError{Tenant: s.cfg.Tenant, Reason: OverloadQueueFull, QueueLen: len(s.queue), QueueCap: cap(s.queue)}
-	}
-	c.enq = s.now()
-	s.queue <- c
-	s.mu.Unlock()
 	r := <-c.done
 	return r.err
 }
@@ -867,7 +851,7 @@ func (s *Server) doCheckpoint() error {
 // triggering request's context.
 func (s *Server) reopen() error {
 	_ = s.dd.Close()
-	err := retry.Do(context.Background(), s.cfg.DurableRetry, s.cfg.Seed^reopenSeedSalt, nil,
+	err := retry.Do(context.Background(), s.cfg.DurableRetry, s.cfg.Seed^reopenSeedSalt,
 		func(err error) bool {
 			return !errors.Is(err, wal.ErrUnrecoverable) && !errors.Is(err, wal.ErrFenced)
 		},

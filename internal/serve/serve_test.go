@@ -195,14 +195,19 @@ func TestQueueFullOverload(t *testing.T) {
 	if oe.QueueLen != 2 || oe.QueueCap != 2 {
 		t.Errorf("queue %d/%d, want 2/2", oe.QueueLen, oe.QueueCap)
 	}
+	// A checkpoint queues like a request and is shed the same way.
+	err = s.Checkpoint(context.Background())
+	if !errors.As(err, &oe) || oe.Reason != OverloadQueueFull {
+		t.Fatalf("Checkpoint on full queue = %v, want *OverloadError(queue-full)", err)
+	}
 
 	close(g.release) // let everything through
 	wg.Wait()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.ShedOverload != 1 || st.Completed != 3 {
-		t.Errorf("ShedOverload=%d Completed=%d, want 1, 3", st.ShedOverload, st.Completed)
+	if st := s.Stats(); st.ShedOverload != 2 || st.Accepted != 3 || st.Completed != 3 {
+		t.Errorf("ShedOverload=%d Accepted=%d Completed=%d, want 2, 3, 3", st.ShedOverload, st.Accepted, st.Completed)
 	}
 }
 

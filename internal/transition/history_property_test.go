@@ -159,7 +159,7 @@ func TestComputeTableMatchesRecordedReferenceGenerated(t *testing.T) {
 			t.Fatal(err)
 		}
 		db := workload.SeedDatabase(g.Schema, 3)
-		e, rec, _ := recordedEngine(g.Set, db, engine.Options{MaxSteps: 60, LivelockWindow: 10}, 0.05, seed)
+		e, rec, _ := recordedEngine(g.Set, db, engine.Options{MaxSteps: 60}, 0.05, seed)
 		sc := &transition.Scratch{}
 		rng := rand.New(rand.NewSource(seed * 31))
 		for seg := 0; seg < 3; seg++ {

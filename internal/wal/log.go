@@ -88,10 +88,6 @@ type Options struct {
 	// Nth commit point (and always at abort, checkpoint, and close).
 	// Values below 2 mean every commit syncs.
 	GroupCommit int
-	// BufferBytes is the in-memory append buffer threshold; a pending
-	// batch larger than this is written out (without fsync) even before
-	// the next commit point. 0 means 256 KiB.
-	BufferBytes int
 	// Epoch is the leadership epoch this session claims. 0 (the
 	// default) adopts whatever epoch the directory already records —
 	// single-node operation never sees epochs at all. A non-zero epoch
@@ -109,11 +105,13 @@ func (o Options) withDefaults() Options {
 	if o.GroupCommit < 2 {
 		o.GroupCommit = 1
 	}
-	if o.BufferBytes <= 0 {
-		o.BufferBytes = 256 << 10
-	}
 	return o
 }
+
+// bufferBytes is the in-memory append buffer threshold: a pending batch
+// larger than this is written out (without fsync) even before the next
+// commit point.
+const bufferBytes = 256 << 10
 
 // Log is the append side of the write-ahead log. It implements
 // storage.Observer (mutation records arrive from the database's
@@ -187,7 +185,7 @@ func (l *Log) append(rec Record) {
 		return
 	}
 	l.buf = AppendRecord(l.buf, rec)
-	if len(l.buf) >= l.opts.BufferBytes {
+	if len(l.buf) >= bufferBytes {
 		l.flush()
 	}
 }

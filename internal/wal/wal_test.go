@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"activerules/internal/schema"
@@ -471,12 +472,18 @@ func TestSavepointCompensationsReplay(t *testing.T) {
 }
 
 func TestSyncPoliciesAndGroupCommit(t *testing.T) {
-	for _, opt := range []Options{
-		{Sync: SyncAlways},
-		{Sync: SyncNever},
-		{Sync: SyncCommit, GroupCommit: 3},
-		{BufferBytes: 1}, // spill on every record
+	for _, c := range []struct {
+		opt  Options
+		name string
+	}{
+		{Options{Sync: SyncAlways}, "u"},
+		{Options{Sync: SyncNever}, "u"},
+		{Options{Sync: SyncCommit, GroupCommit: 3}, "u"},
+		// Every insert record outgrows the 256 KiB append buffer, so the
+		// log spills it before the commit point.
+		{Options{}, strings.Repeat("u", 256<<10)},
 	} {
+		opt := c.opt
 		fsys := NewMemFS()
 		opt.FS = fsys
 		d, err := Open("w", testSchema(t), opt)
@@ -486,7 +493,7 @@ func TestSyncPoliciesAndGroupCommit(t *testing.T) {
 		db := d.State()
 		db.SetObserver(d)
 		for i := 0; i < 7; i++ {
-			db.MustInsert("acct", storage.StringV("u"), storage.IntV(int64(i)))
+			db.MustInsert("acct", storage.StringV(c.name), storage.IntV(int64(i)))
 			if err := d.Commit(); err != nil {
 				t.Fatal(err)
 			}
@@ -497,7 +504,7 @@ func TestSyncPoliciesAndGroupCommit(t *testing.T) {
 		}
 		_, db2 := session(t, fsys, "w")
 		if db2.Fingerprint() != want {
-			t.Errorf("opts %+v: clean-shutdown recovery diverged", opt)
+			t.Errorf("opts %+v, %d-byte name: clean-shutdown recovery diverged", c.opt, len(c.name))
 		}
 	}
 }
