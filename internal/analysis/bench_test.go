@@ -235,8 +235,8 @@ func BenchmarkShardPlan(b *testing.B) {
 }
 
 // BenchmarkLint is the lint report from a cold analyzer: every detector,
-// the sort, and the text rendering, thousands of RL003 findings at 256
-// rules.
+// the merge of their runs, and the text rendering, thousands of RL003
+// findings at 256 rules.
 func BenchmarkLint(b *testing.B) {
 	for _, n := range []int{128, 256} {
 		g := verdictWorkload(b, 1000003+int64(n), n)

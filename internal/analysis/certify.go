@@ -72,7 +72,7 @@ func (c *Certification) CertifyCommutes(a, b string) *Certification {
 
 // Commutes reports whether the pair has been certified commutative.
 func (c *Certification) Commutes(a, b string) bool {
-	if c == nil || c.commutes == nil {
+	if c == nil || len(c.commutes) == 0 {
 		return false
 	}
 	return c.commutes[mkPair(a, b)]
@@ -90,7 +90,7 @@ func (c *Certification) DischargeRule(name string) *Certification {
 
 // Discharged reports whether the rule has a termination discharge.
 func (c *Certification) Discharged(name string) bool {
-	if c == nil || c.discharged == nil {
+	if c == nil || len(c.discharged) == 0 {
 		return false
 	}
 	return c.discharged[strings.ToLower(name)]
@@ -112,7 +112,7 @@ func (c *Certification) DischargeEdge(from, to string) *Certification {
 
 // EdgeDischarged reports whether the directed edge has a discharge.
 func (c *Certification) EdgeDischarged(from, to string) bool {
-	if c == nil || c.noEdges == nil {
+	if c == nil || len(c.noEdges) == 0 {
 		return false
 	}
 	return c.noEdges[[2]string{strings.ToLower(from), strings.ToLower(to)}]

@@ -107,40 +107,75 @@ func (a *Analyzer) withRefinement() *Analyzer {
 // (Line, Col, Code, Rule). Refinement summaries are built on demand, so
 // Lint works on analyzers with or without SetRefinement.
 func (a *Analyzer) Lint() *LintResult {
-	ra := a.withRefinement()
-	refV := ra.terminationOf(nil) // the refined verdict RL005–RL007 read
-	found := [...][]Diagnostic{
-		ra.lintDeadRules(),
-		ra.lintSelfDeactivating(),
-		ra.lintShadowedPriorities(),
-		ra.lintDeadStores(),
-		ra.lintInfeasibleCycles(refV),
-		ra.lintCycleDischarges(refV),
-	}
+	runs := a.withRefinement().lintRuns()
 	n := 0
-	for _, ds := range found {
-		n += len(ds)
+	for _, run := range runs {
+		n += len(run)
+		if !slices.IsSortedFunc(run, compareDiagnostics) {
+			slices.SortStableFunc(run, compareDiagnostics)
+		}
 	}
 	lr := &LintResult{}
 	if n > 0 {
 		lr.Diagnostics = make([]Diagnostic, 0, n)
 	}
-	for _, ds := range found {
-		lr.add(ds...)
-	}
-	slices.SortStableFunc(lr.Diagnostics, func(x, y Diagnostic) int {
-		if c := cmp.Compare(x.Line, y.Line); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.Col, y.Col); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.Code, y.Code); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.Rule, y.Rule)
-	})
+	lr.merge(runs[:])
 	return lr
+}
+
+// lintRuns is every detector's findings, one run per detector, each in
+// the order the detector emits it. a must have refinement summaries.
+func (a *Analyzer) lintRuns() [6][]Diagnostic {
+	refV := a.terminationOf(nil) // the refined verdict RL005–RL007 read
+	return [...][]Diagnostic{
+		a.lintDeadRules(),
+		a.lintSelfDeactivating(),
+		a.lintShadowedPriorities(),
+		a.lintDeadStores(),
+		a.lintInfeasibleCycles(refV),
+		a.lintCycleDischarges(refV),
+	}
+}
+
+// compareDiagnostics is the listing order: (Line, Col, Code, Rule).
+func compareDiagnostics(x, y Diagnostic) int {
+	if c := cmp.Compare(x.Line, y.Line); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.Col, y.Col); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.Code, y.Code); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.Rule, y.Rule)
+}
+
+// merge adds the merge of the sorted runs. On equal keys the earlier run
+// goes first, so the merge is what a stable sort of the runs'
+// concatenation gives.
+func (lr *LintResult) merge(runs [][]Diagnostic) {
+	for {
+		best, live := -1, 0
+		for i, run := range runs {
+			if len(run) == 0 {
+				continue
+			}
+			live++
+			if best < 0 || compareDiagnostics(run[0], runs[best][0]) < 0 {
+				best = i
+			}
+		}
+		switch live {
+		case 0:
+			return
+		case 1:
+			lr.add(runs[best]...)
+			return
+		}
+		lr.add(runs[best][0])
+		runs[best] = runs[best][1:]
+	}
 }
 
 func (lr *LintResult) add(ds ...Diagnostic) {
@@ -206,10 +241,19 @@ func (a *Analyzer) lintSelfDeactivating() []Diagnostic {
 // ordering is already implied transitively by the remaining priorities:
 // the clause is dead weight and often signals a misunderstanding of the
 // existing order. The witness is the lowest-index rule in hi's row of
-// the closure that itself precedes lo.
+// the closure that itself precedes lo. Declarers are visited in listing
+// order, (Line, Col, Name), so the findings need no sort; each message
+// is one allocation.
 func (a *Analyzer) lintShadowedPriorities() []Diagnostic {
-	var out []Diagnostic
 	rs := a.set.Rules()
+	clauses := 0
+	for _, r := range rs {
+		clauses += len(r.Precedes) + len(r.Follows)
+	}
+	if clauses == 0 {
+		return nil
+	}
+	out := make([]Diagnostic, 0, clauses)
 	witness := func(hi, lo *rules.Rule) *rules.Rule {
 		for w, word := range a.set.HigherRow(hi) {
 			for ; word != 0; word &= word - 1 {
@@ -231,14 +275,26 @@ func (a *Analyzer) lintShadowedPriorities() []Diagnostic {
 		if declarer == lo {
 			clause = "follows " + hi.Name
 		}
+		var buf [64]byte
+		quoted := strconv.AppendQuote(buf[:0], clause)
 		out = append(out, at(declarer, Diagnostic{
 			Code: "RL003", Severity: SevWarning,
-			Message: strconv.Quote(clause) + " on rule " + declarer.Name + " is redundant: " +
+			Message: string(quoted) + " on rule " + declarer.Name + " is redundant: " +
 				hi.Name + " already precedes " + lo.Name + " via " + mid.Name,
 			Hint: "remove the redundant clause",
 		}))
 	}
-	for _, r := range rs {
+	declarers := slices.Clone(rs)
+	slices.SortFunc(declarers, func(x, y *rules.Rule) int {
+		if c := cmp.Compare(x.Line, y.Line); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.Col, y.Col); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Name, y.Name)
+	})
+	for _, r := range declarers {
 		for _, name := range r.Precedes {
 			if other := a.set.Rule(name); other != nil {
 				emit(r, r, other)
@@ -256,22 +312,24 @@ func (a *Analyzer) lintShadowedPriorities() []Diagnostic {
 // lintDeadStores emits RL004 for columns a rule updates that no rule
 // reads and that trigger no rule: within the rule system the write is a
 // dead store. Info severity — the column may of course matter to queries
-// outside the rule system.
+// outside the rule system. Reading t.c consumes the update (U, t.c) as
+// much as being triggered by it does, so one op set holds both.
 func (a *Analyzer) lintDeadStores() []Diagnostic {
 	var out []Diagnostic
 	rs := a.set.Rules()
-	consumed := func(op schema.Op) bool {
-		cr := schema.ColRef(op.Table, op.Column)
-		for _, r := range rs {
-			if a.view.reads(r).Contains(cr) || r.TriggeredBy().Contains(op) {
-				return true
-			}
+	consumed := schema.NewOpSet()
+	for _, r := range rs {
+		f := a.view.of(r)
+		for _, ref := range f.readsSorted {
+			consumed.Add(schema.Update(ref.Table, ref.Column))
 		}
-		return false
+		for _, op := range f.triggeredBySorted {
+			consumed.Add(op)
+		}
 	}
 	for _, r := range rs {
-		for _, op := range a.view.performs(r).Sorted() {
-			if op.Kind != schema.OpUpdate || consumed(op) {
+		for _, op := range a.view.of(r).performsSorted {
+			if op.Kind != schema.OpUpdate || consumed.Contains(op) {
 				continue
 			}
 			out = append(out, at(r, Diagnostic{

@@ -3,12 +3,12 @@ package analysis
 // The loops this package ran before its pair relations became bit rows,
 // kept verbatim as oracles: the member-by-member Sig fixpoint, the
 // []bool construction of Definition 6.5, the map-and-sort shard planner
-// and the fmt renderer of its plan, the all-rules RL003 witness scan
-// and the fmt renderer of lint results. The differential tests below hold
-// the word-wise code to them — results, and for Sig the exact sequence
-// of pairs handed to Lemma 6.1, since with refinement on the first
-// examination of a pair is part of the rendered report (DESIGN.md §6,
-// "Examined pairs are observable").
+// and the fmt renderer of its plan, the all-rules RL003 witness scan,
+// the per-column RL004 scan and the fmt renderer of lint results. The
+// differential tests below hold the word-wise code to them — results,
+// and for Sig the exact sequence of pairs handed to Lemma 6.1, since
+// with refinement on the first examination of a pair is part of the
+// rendered report (DESIGN.md §6, "Examined pairs are observable").
 
 import (
 	"encoding/json"
@@ -194,16 +194,46 @@ func (a *Analyzer) lintShadowedPrioritiesScalar() []Diagnostic {
 	return out
 }
 
-// lintScalar is Lint with the scalar RL003, an unsized result grown one
-// finding at a time, the termination verdict computed per detector, and
-// the reflective stable sort.
+// lintDeadStoresScalar is RL004 with a scan over every rule for every
+// updated column.
+func (a *Analyzer) lintDeadStoresScalar() []Diagnostic {
+	var out []Diagnostic
+	rs := a.set.Rules()
+	consumed := func(op schema.Op) bool {
+		cr := schema.ColRef(op.Table, op.Column)
+		for _, r := range rs {
+			if a.view.reads(r).Contains(cr) || r.TriggeredBy().Contains(op) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, r := range rs {
+		for _, op := range a.view.performs(r).Sorted() {
+			if op.Kind != schema.OpUpdate || consumed(op) {
+				continue
+			}
+			out = append(out, at(r, Diagnostic{
+				Code: "RL004", Severity: SevInfo,
+				Message: fmt.Sprintf("rule %s updates %s.%s, but no rule reads that column or is triggered by it (dead store within the rule system)",
+					r.Name, op.Table, op.Column),
+				Hint: "drop the assignment if the column only matters to rules",
+			}))
+		}
+	}
+	return out
+}
+
+// lintScalar is Lint with the scalar RL003 and RL004, an unsized result
+// grown one finding at a time, the termination verdict computed per
+// detector, and the reflective stable sort.
 func (a *Analyzer) lintScalar() *LintResult {
 	ra := a.withRefinement()
 	lr := &LintResult{}
 	lr.add(ra.lintDeadRules()...)
 	lr.add(ra.lintSelfDeactivating()...)
 	lr.add(ra.lintShadowedPrioritiesScalar()...)
-	lr.add(ra.lintDeadStores()...)
+	lr.add(ra.lintDeadStoresScalar()...)
 	lr.add(ra.lintInfeasibleCycles(ra.terminationOf(nil))...)
 	lr.add(ra.lintCycleDischarges(ra.terminationOf(nil))...)
 	sort.SliceStable(lr.Diagnostics, func(i, j int) bool {
@@ -668,10 +698,15 @@ func TestShardPlanMatchesMapOracle(t *testing.T) {
 // off, Lint finds the scalar oracle's diagnostics in its order, and the
 // appender renders them as fmt did, with and without a file label. The
 // corpus must reach every part of a rendering: source spans, notes,
-// hints, and an RL003 clause whose quoting escapes a character.
+// hints, and an RL003 clause whose quoting escapes a character. It must
+// also reach both paths of Lint's merge: a set whose RL003 findings list
+// apart from the index order the scalar scan emits them in (Line-0 names
+// such as r9 and r10), and a set where some detector's run is out of
+// listing order and needs its own sort.
 func TestLintMatchesScalarOracle(t *testing.T) {
-	var spans, notes, hints, escaped int
+	var spans, notes, hints, escaped, reordered, unsortedRun int
 	for _, c := range oracleCorpus(t) {
+		reorders, sorts := false, false
 		for _, refine := range []bool{false, true} {
 			got := New(c.set, nil).SetRefinement(refine).Lint()
 			want := New(c.set, nil).SetRefinement(refine).lintScalar()
@@ -679,6 +714,12 @@ func TestLintMatchesScalarOracle(t *testing.T) {
 				t.Fatalf("%s refine=%v: lint differs:\n--- got\n%s--- scalar\n%s", c.name, refine,
 					renderLintTextFmt(got, ""), renderLintTextFmt(want, ""))
 			}
+			ra := New(c.set, nil).SetRefinement(refine).withRefinement()
+			runs := ra.lintRuns()
+			reorders = reorders || !reflect.DeepEqual(runs[2], ra.lintShadowedPrioritiesScalar())
+			sorts = sorts || slices.ContainsFunc(runs[:], func(run []Diagnostic) bool {
+				return !slices.IsSortedFunc(run, compareDiagnostics)
+			})
 			for _, file := range []string{"", "rules.srl"} {
 				if s, w := RenderLintText(got, file), renderLintTextFmt(want, file); s != w {
 					t.Fatalf("%s refine=%v file=%q: rendering differs:\n--- appender\n%s--- fmt\n%s", c.name, refine, file, s, w)
@@ -699,10 +740,20 @@ func TestLintMatchesScalarOracle(t *testing.T) {
 				}
 			}
 		}
+		if reorders {
+			reordered++
+		}
+		if sorts {
+			unsortedRun++
+		}
 	}
 	if spans == 0 || notes == 0 || hints == 0 || escaped == 0 {
 		t.Errorf("the corpus leaves part of a rendering untested: %d spans, %d with notes, %d with hints, %d escaped clauses",
 			spans, notes, hints, escaped)
+	}
+	if reordered == 0 || unsortedRun == 0 {
+		t.Errorf("the corpus leaves part of the merge untested: %d sets list RL003 apart from index order, %d need a run sorted",
+			reordered, unsortedRun)
 	}
 }
 
@@ -727,15 +778,84 @@ func TestObservableViewSharesGraph(t *testing.T) {
 	}
 }
 
+// TestShardBlockerListsAreDisjoint: the blockers' table lists share an
+// arena, yet each is its own. On gen256, appending to each blocker's list
+// in turn, and then overwriting each one's first element in turn, leaves
+// every other blocker as it was, and so the rendering and the JSON. A
+// write that lands in another blocker's list shows there: at that
+// blocker's own turn, or in the pass's final check if its turn has
+// passed, since a turn changes nothing but its own blocker.
+func TestShardBlockerListsAreDisjoint(t *testing.T) {
+	g := verdictWorkload(t, 1000003+256, 256)
+	plan := New(g.Set, nil).SetRefinement(true).ShardPlan()
+	bs := plan.Blockers
+	if len(bs) < 30000 {
+		t.Fatalf("%d blockers: the set is supposed to be densely ordered", len(bs))
+	}
+	text := plan.String()
+	js, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(when string) {
+		t.Helper()
+		if plan.String() != text {
+			t.Fatalf("%s: the plan renders differently", when)
+		}
+		if got, err := json.Marshal(plan); err != nil || string(got) != string(js) {
+			t.Fatalf("%s: the plan's JSON differs (%v)", when, err)
+		}
+	}
+	want := make([][]string, len(bs))
+	for i, bl := range bs {
+		want[i] = slices.Clone(bl.Tables)
+	}
+	intact := func(i int, first string) {
+		t.Helper()
+		if bs[i].Tables[0] != first || !slices.Equal(bs[i].Tables[1:], want[i][1:]) {
+			t.Fatalf("blocker %d (%s) was written through another's list: %v, want %s then %v",
+				i, bs[i].Rule, bs[i].Tables, first, want[i][1:])
+		}
+	}
+
+	for i := range bs {
+		intact(i, want[i][0])
+		grown := append(bs[i].Tables, "appended")
+		if grown[len(grown)-1] != "appended" {
+			t.Fatalf("blocker %d (%s): the append was lost", i, bs[i].Rule)
+		}
+		intact(i, want[i][0])
+		if i%(len(bs)/8) == 0 {
+			unchanged(fmt.Sprintf("after appending to blocker %d", i))
+		}
+	}
+	for i := range bs {
+		intact(i, want[i][0])
+	}
+	unchanged("after appending to every blocker")
+
+	marker := func(i int) string { return fmt.Sprintf("#%d", i) }
+	for i := range bs {
+		intact(i, want[i][0])
+		bs[i].Tables[0] = marker(i)
+	}
+	for i := range bs {
+		intact(i, marker(i))
+		bs[i].Tables[0] = want[i][0]
+	}
+	unchanged("after every overwrite was undone")
+}
+
 // raceEnabled is set by race_test.go, which only a -race build compiles.
 var raceEnabled bool
 
 // TestShardPlanAllocs: rendering a plan takes the buffer and the string,
-// whatever the number of blockers; and building one takes at most three
-// allocations per priority blocker (its rule name and its table list —
-// the merged footprint is scratch), measured as the slope between two
-// totally ordered chains, where every pair of rules is a blocker and
-// nothing else grows with the pairs.
+// whatever the number of blockers; and building one takes at most a
+// quarter of an allocation per priority blocker (a head's names are one
+// string, the table lists come from arena chunks, the merged footprint
+// is scratch), measured as the slope between two totally ordered chains,
+// where every pair of rules is a blocker and nothing else grows with the
+// pairs.
 func TestShardPlanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
@@ -771,15 +891,18 @@ func TestShardPlanAllocs(t *testing.T) {
 	if b32 != 32*31/2 || b96 != 96*95/2 {
 		t.Fatalf("chains of 32 and 96 rules have %d and %d priority blockers", b32, b96)
 	}
-	if per := (a96 - a32) / float64(b96-b32); per > 3 {
-		t.Errorf("%.0f allocations for %d priority blockers, %.0f for %d: %.2f per blocker, want at most 3", a96, b96, a32, b32, per)
+	per := (a96 - a32) / float64(b96-b32)
+	t.Logf("%.0f allocations for %d priority blockers, %.0f for %d: %.2f per blocker", a96, b96, a32, b32, per)
+	if per > 0.25 {
+		t.Errorf("%.2f allocations per priority blocker, want at most 0.25", per)
 	}
 }
 
 // TestLintAllocs: rendering a lint result takes the buffer and the
 // string, whatever the number of findings; and linting takes at most
-// three allocations per RL003 finding (the clause, its quoting and the
-// message), measured as the slope between two fully ordered chains,
+// one and a quarter allocations per RL003 finding (the message; the
+// clause is quoted on the stack and the findings are merged, not
+// sorted), measured as the slope between two fully ordered chains,
 // where every rule precedes every later one and so every clause but the
 // adjacent ones is redundant.
 func TestLintAllocs(t *testing.T) {
@@ -822,8 +945,10 @@ func TestLintAllocs(t *testing.T) {
 	if f32 != 31*30/2 || f96 != 95*94/2 {
 		t.Fatalf("chains of 32 and 96 rules have %d and %d RL003 findings", f32, f96)
 	}
-	if per := (a96 - a32) / float64(f96-f32); per > 3 {
-		t.Errorf("%.0f allocations for %d RL003 findings, %.0f for %d: %.2f per finding, want at most 3", a96, f96, a32, f32, per)
+	per := (a96 - a32) / float64(f96-f32)
+	t.Logf("%.0f allocations for %d RL003 findings, %.0f for %d: %.2f per finding", a96, f96, a32, f32, per)
+	if per > 1.25 {
+		t.Errorf("%.2f allocations per RL003 finding, want at most 1.25", per)
 	}
 }
 

@@ -81,7 +81,10 @@ type ShardBlocker struct {
 	Kind string `json:"kind"`
 	// Rule is the responsible rule, or "a>b" for a priority edge.
 	Rule string `json:"rule"`
-	// Tables are the tables the blocker welds together, sorted.
+	// Tables are the tables the blocker welds together, sorted. The list
+	// is the blocker's own: its capacity ends where it does, so appending
+	// to it reallocates. Its storage is shared with other blockers' lists,
+	// one arena per plan.
 	Tables []string `json:"tables"`
 }
 
@@ -203,6 +206,10 @@ func (p *ShardPlan) MarshalJSON() ([]byte, error) {
 	return json.Marshal((*alias)(p))
 }
 
+// arenaChunk is the number of table names in one chunk of the arena that
+// a plan's blocker table lists are carved from.
+const arenaChunk = 4096
+
 // ShardPlan computes the maximal partition of the schema's tables into
 // groups with pairwise-disjoint Sig(T'), together with the blockers
 // that prevent a finer one. The plan is a pure function of the rule
@@ -248,16 +255,28 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		}
 	}
 	blockers := make([]ShardBlocker, 0, 2*len(all)+ordered)
+	// The blockers' table lists are carved from chunks of one arena, each
+	// a three-index slice that ends at its own capacity: the lists are
+	// disjoint, and an append to one reallocates it instead of writing
+	// into the next. No blocker lists more than every table, so left
+	// bounds what is still to come and keeps a small set's chunk small.
+	var arena []string
+	left := cap(blockers) * len(tables)
 	weld := func(kind, rule string, ts []int) {
 		if len(ts) < 2 {
 			return
 		}
-		names := make([]string, len(ts))
-		for i, t := range ts {
-			welded.union(ts[0], t)
-			names[i] = tables[t]
+		if cap(arena)-len(arena) < len(ts) {
+			arena = make([]string, 0, max(len(ts), min(arenaChunk, left)))
 		}
-		blockers = append(blockers, ShardBlocker{Kind: kind, Rule: rule, Tables: names})
+		left -= len(ts)
+		start := len(arena)
+		for _, t := range ts {
+			welded.union(ts[0], t)
+			arena = append(arena, tables[t])
+		}
+		end := len(arena)
+		blockers = append(blockers, ShardBlocker{Kind: kind, Rule: rule, Tables: arena[start:end:end]})
 	}
 
 	footOf := make([][]int, len(all))
@@ -296,10 +315,13 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 	}
 
 	// Priority: ordered rules share an engine, so their footprints merge.
-	// "hi>lo" lists by hi's name followed by '>', then by lo's name.
+	// "hi>lo" lists by hi's name followed by '>', then by lo's name. A
+	// head's names are written into one string, and each blocker's Rule
+	// is a substring of it.
 	heads := slices.Clone(byName)
 	slices.SortFunc(heads, func(x, y *rules.Rule) int { return cmp.Compare(x.Name+">", y.Name+">") })
 	var joint []int
+	var los []*rules.Rule
 	below := rules.NewBits(len(all)) // hi's row, bits numbered by rank
 	for _, hi := range heads {
 		for w, word := range a.set.HigherRow(hi) {
@@ -307,14 +329,30 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 				below.Add(rank[w<<6|bits.TrailingZeros64(word)])
 			}
 		}
+		los = los[:0]
+		size := 0
 		for w, word := range below {
 			for ; word != 0; word &= word - 1 {
 				lo := byName[w<<6|bits.TrailingZeros64(word)]
-				joint = append(append(joint[:0], footOf[hi.Index()]...), footOf[lo.Index()]...)
-				slices.Sort(joint)
-				weld(BlockPriority, hi.Name+">"+lo.Name, slices.Compact(joint))
+				los = append(los, lo)
+				size += len(hi.Name) + len(">") + len(lo.Name)
 			}
 			below[w] = 0
+		}
+		var sb strings.Builder
+		sb.Grow(size)
+		for _, lo := range los {
+			sb.WriteString(hi.Name)
+			sb.WriteByte('>')
+			sb.WriteString(lo.Name)
+		}
+		names := sb.String()
+		for _, lo := range los {
+			n := len(hi.Name) + len(">") + len(lo.Name)
+			joint = append(append(joint[:0], footOf[hi.Index()]...), footOf[lo.Index()]...)
+			slices.Sort(joint)
+			weld(BlockPriority, names[:n], slices.Compact(joint))
+			names = names[n:]
 		}
 	}
 
