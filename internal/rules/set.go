@@ -215,7 +215,8 @@ func (s *Set) closePriorities() *Rule {
 // imported from here (it imports this package) and so stores its
 // *Program as an any. Keeping the program on the set, not in a table
 // keyed by it, lets the collector free both together: a server builds a
-// new set for every quarantine, readmission, swap and tenant.
+// new set for every swap, tenant and non-empty quarantine (an emptied
+// quarantine returns to the full set and its program).
 func (s *Set) Compiled(build func() any) any {
 	s.compiledOnce.Do(func() { s.compiled = build() })
 	return s.compiled

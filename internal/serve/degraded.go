@@ -74,6 +74,9 @@ type DegradedReport struct {
 	WasTermination analysis.TerminationStatus
 	// Tables holds one verdict per served table, sorted by name.
 	Tables []TableGuarantee
+
+	// served is the rule set the report describes: the engine's.
+	served *rules.Set
 }
 
 // String renders the report deterministically, one line per table.
@@ -146,20 +149,7 @@ func resolveTables(sch *schema.Schema, tables []string) []string {
 	return tables
 }
 
-// ComputeBaseline validates the rule set and runs the §7 analysis that
-// degraded-mode reporting needs: per-table significant sets and
-// partial-confluence verdicts, plus the tiered termination status.
-// tables empty means every schema table.
-func ComputeBaseline(sch *schema.Schema, defs []rules.Definition, tables []string) (*Baseline, error) {
-	full, err := rules.NewSet(sch, defs)
-	if err != nil {
-		return nil, err
-	}
-	a := analysis.New(full, nil)
-	return BaselineOf(a, tables, a.Termination().Status), nil
-}
-
-// BaselineOf is ComputeBaseline on the caller's analyzer, so the
+// BaselineOf computes a Baseline on the caller's analyzer, so the
 // per-table passes share its pair-verdict table with whatever else the
 // caller runs on it; term is the status of its Termination verdict,
 // which every such caller has already computed.
@@ -182,67 +172,52 @@ func BaselineOf(a *analysis.Analyzer, tables []string, term analysis.Termination
 	return bl
 }
 
-// degradedAnalysis holds the full-set baseline and derives reduced-set
-// reports as the quarantine set evolves. All methods run on the worker
-// goroutine.
-type degradedAnalysis struct {
-	sch    *schema.Schema
-	defs   []rules.Definition
-	tenant string
-	bl     *Baseline
-}
-
-// newDegradedAnalysis wraps a caller-provided baseline, or computes one
-// when bl is nil. A provided baseline MUST describe exactly (sch, defs,
-// tables) — the tenant layer guarantees this by keying its cache on the
-// canonical rule-set hash.
-func newDegradedAnalysis(sch *schema.Schema, defs []rules.Definition, tables []string, tenant string, bl *Baseline) (*degradedAnalysis, error) {
-	if bl == nil {
-		var err error
-		bl, err = ComputeBaseline(sch, defs, tables)
-		if err != nil {
-			return nil, err
-		}
-	} else if _, err := rules.NewSet(sch, defs); err != nil {
-		// Still validate the definitions: the baseline skips analysis,
-		// not compilation.
-		return nil, err
+// fullSet builds and so validates the served definitions' set, and
+// computes its baseline over that same set when bl is nil. A provided
+// baseline MUST describe exactly (sch, defs, tables) — the tenant layer
+// guarantees this by keying its cache on the canonical rule-set hash.
+func fullSet(sch *schema.Schema, defs []rules.Definition, tables []string, bl *Baseline) (*rules.Set, *Baseline, error) {
+	set, err := rules.NewSet(sch, defs)
+	if err != nil {
+		return nil, nil, err
 	}
-	return &degradedAnalysis{sch: sch, defs: defs, tenant: tenant, bl: bl}, nil
+	if bl == nil {
+		a := analysis.New(set, nil)
+		bl = BaselineOf(a, tables, a.Termination().Status)
+	}
+	return set, bl, nil
 }
 
-// report builds the degraded-mode report for the given quarantine and
-// probing sets (both sorted by the caller). A probing rule is live, so
-// only the quarantined set reduces the analyzed rule set.
-func (da *degradedAnalysis) report(quarantined, probing []string) (*DegradedReport, error) {
+// newReport builds the degraded-mode report for the given quarantine
+// and probing sets (both sorted by the caller) over served, the set the
+// engine runs: the full set, or the full set without the quarantined
+// rules. A probing rule is live, so only quarantined rules are absent.
+func newReport(tenant string, bl *Baseline, served *rules.Set, quarantined, probing []string) *DegradedReport {
 	rep := &DegradedReport{
-		Tenant:         da.tenant,
+		Tenant:         tenant,
 		Quarantined:    append([]string(nil), quarantined...),
 		Probing:        append([]string(nil), probing...),
-		Termination:    da.bl.Term,
-		WasTermination: da.bl.Term,
+		Termination:    bl.Term,
+		WasTermination: bl.Term,
+		served:         served,
 	}
 	var reduced *analysis.Analyzer
 	if len(quarantined) > 0 {
-		set, err := rules.NewSet(da.sch, rules.Without(da.defs, quarantined...))
-		if err != nil {
-			return nil, fmt.Errorf("serve: reduced rule set invalid: %w", err)
-		}
-		reduced = analysis.New(set, nil)
+		reduced = analysis.New(served, nil)
 		rep.Termination = reduced.Termination().Status
 	}
-	for _, t := range da.bl.Tables {
+	for _, t := range bl.Tables {
 		// When Q ∩ Sig(t) = ∅ the removed rules are all non-significant
 		// for t, so Sig_reduced(t) = Sig_full(t) and the confluence
 		// verdict carries over unchanged — no need to re-analyze.
 		g := TableGuarantee{
 			Table:        t,
 			Unaffected:   true,
-			WasConfluent: da.bl.Conf[t],
-			Confluent:    da.bl.Conf[t],
+			WasConfluent: bl.Conf[t],
+			Confluent:    bl.Conf[t],
 		}
 		for _, n := range quarantined {
-			if da.bl.Sig[t][n] {
+			if bl.Sig[t][n] {
 				g.SigQuarantined = append(g.SigQuarantined, n)
 			}
 		}
@@ -253,5 +228,5 @@ func (da *degradedAnalysis) report(quarantined, probing []string) (*DegradedRepo
 		}
 		rep.Tables = append(rep.Tables, g)
 	}
-	return rep, nil
+	return rep
 }

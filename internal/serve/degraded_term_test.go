@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"activerules/internal/analysis"
+	"activerules/internal/rules"
 )
 
 // TestDegradedReportTerminationStatus pins the tiered termination
@@ -23,18 +24,15 @@ create rule reset on cd
 when updated(v)
 then insert into cd values (9, 5)
 `)
-	da, err := newDegradedAnalysis(sch, defs, nil, "", nil)
+	full, bl, err := fullSet(sch, defs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if da.bl.Term != analysis.TermUnknown {
-		t.Fatalf("baseline status = %v, want unknown (reset blocks the ranking discharge)", da.bl.Term)
+	if bl.Term != analysis.TermUnknown {
+		t.Fatalf("baseline status = %v, want unknown (reset blocks the ranking discharge)", bl.Term)
 	}
 
-	healthy, err := da.report(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	healthy := newReport("", bl, full, nil, nil)
 	if healthy.Termination != analysis.TermUnknown || healthy.WasTermination != analysis.TermUnknown {
 		t.Fatalf("healthy report status = %v (was %v), want unknown/unknown",
 			healthy.Termination, healthy.WasTermination)
@@ -43,10 +41,11 @@ then insert into cd values (9, 5)
 		t.Errorf("report missing termination line:\n%s", healthy.String())
 	}
 
-	degraded, err := da.report([]string{"reset"}, nil)
+	reduced, err := rules.NewSet(sch, rules.Without(defs, "reset"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	degraded := newReport("", bl, reduced, []string{"reset"}, nil)
 	if degraded.Termination != analysis.TermCycleDischarged {
 		t.Fatalf("reduced status = %v, want cycle-discharged (countdown alone carries a ranking certificate)",
 			degraded.Termination)

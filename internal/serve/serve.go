@@ -24,6 +24,7 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -96,7 +97,8 @@ type Config struct {
 	// status) and MUST describe exactly this schema + rule set +
 	// Tables. The tenant layer's shared analysis cache uses it so a
 	// thousand tenants with identical rule sets pay for analysis once.
-	// Nil (the default) computes it at construction.
+	// Nil (the default) computes it at construction, over the very set
+	// the engine then runs.
 	Baseline *Baseline
 	// Now is injectable for deterministic tests; nil means time.Now.
 	Now func() time.Time
@@ -201,10 +203,11 @@ type call struct {
 	deadline time.Duration // effective; 0 means none
 	done     chan callResult
 
-	// callSwap payload: the replacement rule set with its (pre-built)
-	// degraded analysis.
+	// callSwap payload: the replacement definitions with their set and
+	// baseline, built on the caller's goroutine.
 	swapDefs []rules.Definition
-	swapDA   *degradedAnalysis
+	swapSet  *rules.Set
+	swapBL   *Baseline
 }
 
 // Server serializes requests onto one engine-owning worker goroutine.
@@ -241,7 +244,10 @@ type Server struct {
 	dd  *wal.DurableDB
 	eng *engine.Engine
 	br  *breaker
-	da  *degradedAnalysis
+	// full is defs' set, built once per New or swap: the engine runs it
+	// whenever nothing is quarantined. bl is its §7 baseline.
+	full *rules.Set
+	bl   *Baseline
 }
 
 // New opens (or recovers) the WAL directory dir, builds the rule system
@@ -254,11 +260,7 @@ func New(sch *schema.Schema, defs []rules.Definition, dir string, cfg Config) (*
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
 	}
-	da, err := newDegradedAnalysis(sch, defs, cfg.Tables, cfg.Tenant, cfg.Baseline)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := da.report(nil, nil)
+	full, bl, err := fullSet(sch, defs, cfg.Tables, cfg.Baseline)
 	if err != nil {
 		return nil, err
 	}
@@ -276,70 +278,62 @@ func New(sch *schema.Schema, defs []rules.Definition, dir string, cfg Config) (*
 		drainCh: make(chan struct{}),
 		doneCh:  make(chan struct{}),
 		state:   StateRunning,
-		report:  rep,
-		da:      da,
+		report:  newReport(cfg.Tenant, bl, full, nil, nil),
+		full:    full,
+		bl:      bl,
 		br:      newBreaker(cfg.QuarantineThreshold, !cfg.DisableProbing, cfg.ProbeBackoff, cfg.Seed),
 	}
 	if s.now == nil {
 		s.now = time.Now
 	}
-	if err := s.adopt(d); err != nil {
-		_ = d.Close()
-		return nil, err
-	}
+	s.adopt(d, full)
 	go s.worker()
 	return s, nil
 }
 
 // adopt wires a freshly opened DurableDB: its recovered state becomes
-// the engine's database (observed so mutations reach the log) and the
-// current active rule set (full set minus quarantined) is built over
-// it. The s.dd store is mu-guarded because the replication read path
-// (replication.go) snapshots the pointer from other goroutines while a
-// durability-fault reopen swaps it on the worker.
-func (s *Server) adopt(d *wal.DurableDB) error {
+// the engine's database (observed so mutations reach the log) and an
+// engine over set is opened on it. The s.dd store is mu-guarded because
+// the replication read path (replication.go) snapshots the pointer from
+// other goroutines while a durability-fault reopen swaps it on the
+// worker.
+func (s *Server) adopt(d *wal.DurableDB, set *rules.Set) {
 	s.mu.Lock()
 	s.dd = d
 	s.mu.Unlock()
 	d.State().SetObserver(d)
-	return s.openEngine()
+	s.openEngine(set)
 }
 
-// openEngine builds the engine for the current active rule set over the
-// DurableDB's state, which must have no engine open on it.
-func (s *Server) openEngine() error {
-	set, err := s.activeSet()
-	if err != nil {
-		return err
-	}
+// openEngine builds the engine for set over the DurableDB's state, which
+// must have no engine open on it.
+func (s *Server) openEngine(set *rules.Set) {
 	eopts := s.cfg.Engine
 	eopts.Journal = s.dd
 	s.eng = engine.New(set, s.dd.State(), eopts)
-	return nil
 }
 
-func (s *Server) activeSet() (*rules.Set, error) {
-	return rules.NewSet(s.sch, rules.Without(s.defs, s.br.quarantinedNames()...))
-}
-
-// rebuildActive swaps the engine to the current active rule set at a
-// transaction boundary. The database (with its observer) is handed from
-// the outgoing engine to its successor, so durable state is unaffected.
-func (s *Server) rebuildActive() {
+// install moves the engine, at a transaction boundary, onto the set the
+// current quarantine leaves — the full set when nothing is quarantined,
+// else one reduced set built here — and refreshes the degraded-mode
+// report over that same set. The database (with its observer) is handed
+// from the outgoing engine to its successor, so durable state is
+// unaffected.
+func (s *Server) install() {
+	set, q := s.full, s.br.quarantinedNames()
+	if len(q) > 0 {
+		var err error
+		if set, err = rules.NewSet(s.sch, rules.Without(s.defs, q...)); err != nil {
+			// Cannot happen: every reduced set is a subset of the
+			// validated full set with ordering references scrubbed.
+			// Fail safe anyway.
+			s.markFailed(fmt.Errorf("serve: reduced rule set invalid: %w", err))
+			return
+		}
+	}
 	s.eng.Close()
-	if err := s.openEngine(); err != nil {
-		// Cannot happen: every active set is a subset of the validated
-		// full set with ordering references scrubbed. Fail safe anyway.
-		s.markFailed(err)
-	}
-}
-
-func (s *Server) refreshReport() {
-	rep, err := s.da.report(s.br.quarantinedNames(), s.br.probingNames())
-	if err != nil {
-		s.markFailed(err)
-		return
-	}
+	s.openEngine(set)
+	rep := newReport(s.cfg.Tenant, s.bl, set, q, s.br.probingNames())
 	s.mu.Lock()
 	s.report = rep
 	s.mu.Unlock()
@@ -441,9 +435,11 @@ func (s *Server) Checkpoint(ctx context.Context) error {
 // their name (a quarantined rule stays quarantined across the swap) and
 // is dropped for rules that disappear.
 //
-// baseline, when non-nil, must be the precomputed §7 baseline of
-// exactly (schema, defs, Config.Tables); nil computes it here, on the
-// caller's goroutine, so the worker only installs. Admission gating —
+// The new set is built here, on the caller's goroutine, so the worker
+// only installs; it validates defs and is the engine's set while
+// nothing is quarantined. baseline, when non-nil, must be the
+// precomputed §7 baseline of exactly (schema, defs, Config.Tables); nil
+// computes it here too, over that same set. Admission gating —
 // deciding whether the new set's analysis verdicts are acceptable — is
 // the caller's job (internal/tenant rejects or quarantines regressing
 // swaps before calling this).
@@ -451,11 +447,11 @@ func (s *Server) SwapRules(ctx context.Context, defs []rules.Definition, baselin
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	da, err := newDegradedAnalysis(s.sch, defs, s.cfg.Tables, s.cfg.Tenant, baseline)
+	full, bl, err := fullSet(s.sch, defs, s.cfg.Tables, baseline)
 	if err != nil {
 		return err
 	}
-	c := &call{kind: callSwap, ctx: ctx, swapDefs: defs, swapDA: da, done: make(chan callResult, 1)}
+	c := &call{kind: callSwap, ctx: ctx, swapDefs: defs, swapSet: full, swapBL: bl, done: make(chan callResult, 1)}
 	if err := s.admit(c); err != nil {
 		return err
 	}
@@ -629,7 +625,7 @@ func (s *Server) handle(c *call) {
 		return
 	}
 	if c.kind == callSwap {
-		c.done <- callResult{err: s.doSwap(c.swapDefs, c.swapDA)}
+		c.done <- callResult{err: s.doSwap(c)}
 		return
 	}
 	now := s.now()
@@ -661,8 +657,7 @@ func (s *Server) handle(c *call) {
 	}
 	// Readmit quarantined rules whose probe time arrived (half-open).
 	if probes := s.br.dueProbes(now); len(probes) != 0 {
-		s.rebuildActive()
-		s.refreshReport()
+		s.install()
 	}
 
 	// Execution context: the caller's, bounded by the remaining
@@ -700,13 +695,11 @@ func (s *Server) handle(c *call) {
 	// Breaker accounting at the (already re-fenced) boundary.
 	if err == nil {
 		if restored := s.br.noteSuccess(resp.FiredByRule); len(restored) != 0 {
-			s.rebuildActive()
-			s.refreshReport()
+			s.install()
 		}
 	} else if indicted := attribute(err); len(indicted) != 0 {
 		if s.br.noteFault(indicted, s.now()) {
-			s.rebuildActive()
-			s.refreshReport()
+			s.install()
 		}
 	}
 	c.done <- callResult{resp: resp, err: err}
@@ -802,16 +795,14 @@ func (s *Server) fence() error {
 	return s.eng.Commit()
 }
 
-// doSwap installs a replacement rule set on the worker, between
-// transactions: new definitions, new degraded baseline, breaker state
+// doSwap installs a swap call's rule set on the worker, between
+// transactions: new definitions, set and baseline, breaker state
 // retained only for surviving rule names, engine rebuilt over the same
 // database (and journal), report refreshed.
-func (s *Server) doSwap(defs []rules.Definition, da *degradedAnalysis) error {
-	s.br.retain(defs)
-	s.defs = defs
-	s.da = da
-	s.rebuildActive()
-	s.refreshReport()
+func (s *Server) doSwap(c *call) error {
+	s.br.retain(c.swapDefs)
+	s.defs, s.full, s.bl = c.swapDefs, c.swapSet, c.swapBL
+	s.install()
 	s.mu.Lock()
 	failed := s.state == StateFailed
 	cause := s.cause
@@ -851,6 +842,7 @@ func (s *Server) doCheckpoint() error {
 // triggering request's context.
 func (s *Server) reopen() error {
 	_ = s.dd.Close()
+	set := s.eng.Set()
 	err := retry.Do(context.Background(), s.cfg.DurableRetry, s.cfg.Seed^reopenSeedSalt,
 		func(err error) bool {
 			return !errors.Is(err, wal.ErrUnrecoverable) && !errors.Is(err, wal.ErrFenced)
@@ -860,7 +852,8 @@ func (s *Server) reopen() error {
 			if err != nil {
 				return err
 			}
-			return s.adopt(d)
+			s.adopt(d, set)
+			return nil
 		})
 	if err != nil {
 		s.markFailed(err)

@@ -18,7 +18,7 @@ import (
 	"activerules/internal/wal"
 )
 
-func mkSystem(t *testing.T, schemaSrc, rulesSrc string) (*schema.Schema, []rules.Definition) {
+func mkSystem(t testing.TB, schemaSrc, rulesSrc string) (*schema.Schema, []rules.Definition) {
 	t.Helper()
 	sch := schema.MustParse(schemaSrc)
 	defs, err := ruledef.Parse(rulesSrc)

@@ -99,13 +99,10 @@ type Manager struct {
 type tenantState struct {
 	id    string
 	slots int // the outstanding-request quota
-	sch   *schema.Schema
 	srv   *serve.Server
 
 	mu         sync.Mutex
 	schemaSrc  string
-	rulesSrc   string
-	defs       []rules.Definition
 	summary    *Summary
 	quarantine *QuarantineReport
 	// outstanding counts admitted-but-unfinished requests; shedQuota
@@ -149,7 +146,7 @@ func Open(root string, cfg Config) (*Manager, error) {
 		}
 		var ts *tenantState
 		if err == nil {
-			ts, err = m.build(mf)
+			ts, err = m.parseAndBuild(mf)
 		}
 		if err != nil {
 			_ = m.Shutdown(context.Background())
@@ -162,13 +159,19 @@ func Open(root string, cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// build parses a manifest's sources, fetches the shared analysis
-// summary, and starts the tenant's server over its WAL directory.
-func (m *Manager) build(mf *manifest) (*tenantState, error) {
+// parseAndBuild parses a manifest's sources and builds its tenant.
+func (m *Manager) parseAndBuild(mf *manifest) (*tenantState, error) {
 	sch, defs, err := parseSources(mf.Schema, mf.Rules)
 	if err != nil {
 		return nil, err
 	}
+	return m.build(mf, sch, defs)
+}
+
+// build fetches the shared analysis summary for a manifest whose
+// sources parse to (sch, defs), and starts the tenant's server over its
+// WAL directory.
+func (m *Manager) build(mf *manifest, sch *schema.Schema, defs []rules.Definition) (*tenantState, error) {
 	sum, err := m.cache.Summary(mf.Schema, mf.Rules, sch, defs)
 	if err != nil {
 		return nil, err
@@ -181,11 +184,8 @@ func (m *Manager) build(mf *manifest) (*tenantState, error) {
 	return &tenantState{
 		id:         mf.ID,
 		slots:      m.slots,
-		sch:        sch,
 		srv:        srv,
 		schemaSrc:  mf.Schema,
-		rulesSrc:   mf.Rules,
-		defs:       defs,
 		summary:    sum,
 		quarantine: mf.Quarantine,
 	}, nil
@@ -248,7 +248,7 @@ func (m *Manager) Create(id, schemaSrc, rulesSrc string) (*Summary, error) {
 	if err := m.writeManifest(mf); err != nil {
 		return nil, err
 	}
-	ts, err := m.build(mf)
+	ts, err := m.build(mf, sch, defs)
 	if err != nil {
 		// Roll the registration back so a failed start is not
 		// rediscovered on the next Open.
@@ -282,7 +282,7 @@ func (m *Manager) Load(id string) (*Summary, error) {
 	if mf == nil {
 		return nil, &NotFoundError{Tenant: id}
 	}
-	ts, err = m.build(mf)
+	ts, err = m.parseAndBuild(mf)
 	if err != nil {
 		return nil, fmt.Errorf("tenant %q: start: %w", id, err)
 	}
@@ -365,8 +365,6 @@ func (m *Manager) Swap(ctx context.Context, id, rulesSrc string) (*Summary, *Qua
 		return nil, nil, err
 	}
 	ts.mu.Lock()
-	ts.rulesSrc = rulesSrc
-	ts.defs = defs
 	ts.summary = cand
 	ts.quarantine = quar
 	ts.mu.Unlock()
