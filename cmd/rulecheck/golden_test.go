@@ -84,6 +84,10 @@ func TestGolden(t *testing.T) {
 		{"flipflop-report", []string{"-schema", flSchema, "-rules", flRules}, 1},
 		{"flipflop-lint", []string{"-schema", flSchema, "-rules", flRules, "-lint"}, 0},
 		{"flipflop-why-scc", []string{"-schema", flSchema, "-rules", flRules, "-why-scc", "1"}, 0},
+		// Shard plans whose Sig holds a cycle: flipflop's is never
+		// discharged, countdown's is.
+		{"flipflop-shard-plan", []string{"-schema", flSchema, "-rules", flRules, "-shard-plan"}, 0},
+		{"countdown-shard-plan", []string{"-schema", cdSchema, "-rules", cdRules, "-shard-plan"}, 0},
 	}
 	for _, tc := range cases {
 		tc := tc
