@@ -7,8 +7,11 @@ import (
 
 // Analyzer runs the static analyses over one compiled rule set, honoring
 // a user Certification. Construction materializes the rule view (three
-// small sorts per rule); the triggering graph and the pair-verdict table
-// are built lazily, on first use, and then kept for the analyzer's life.
+// small sorts per rule); the triggering graph, the pair-verdict table and
+// the termination memo (the pruned graph, its cyclic core and the full
+// set's verdict) are built lazily, on first use, and then kept for the
+// analyzer's life — the table and the memo until SetRefinement. Both
+// assume the certification does not change while the analyzer lives.
 // An Analyzer is not safe for concurrent use: each goroutine that
 // analyzes needs an analyzer of its own.
 type Analyzer struct {
@@ -34,6 +37,10 @@ type Analyzer struct {
 	// published; nil until the first Commute, and again after
 	// SetRefinement.
 	verdicts *verdictTable
+
+	// term memoizes what every termination verdict starts from (see
+	// termination.go); nil until the first one, and reset with verdicts.
+	term *termMemo
 
 	// computeHook, when set, observes every commuteUncached run. Tests
 	// only: it is how the exact-once tripwire counts Lemma 6.1
@@ -185,14 +192,16 @@ func (a *Analyzer) graph() *TriggeringGraph {
 }
 
 // derive returns a copy of a that sees view v under refinement ref (nil:
-// refinement off), with a verdict table of its own: a pair's verdict
-// depends on both (the Obs extension makes observable rules conflict).
-// The triggering graph is built first if nothing has needed it yet, or
-// the copy and a would each go on to build one.
+// refinement off), with an empty verdict table and termination memo:
+// both depend on the refinement, and a pair's verdict on the view too
+// (the Obs extension makes observable rules conflict; observableOver
+// then points the copy's table at a's for the pairs the extension
+// leaves alone). The triggering graph is built first if nothing has
+// needed it yet, or the copy and a would each go on to build one.
 func (a *Analyzer) derive(v ruleView, ref *refinement) *Analyzer {
 	a.graph()
 	d := *a
-	d.view, d.verdicts, d.refine, d.ref = v, nil, ref != nil, ref
+	d.view, d.verdicts, d.term, d.refine, d.ref = v, nil, nil, ref != nil, ref
 	return &d
 }
 
@@ -200,10 +209,10 @@ func (a *Analyzer) derive(v ruleView, ref *refinement) *Analyzer {
 // priorities added (rules.Set.WithOrdering). Everything else carries
 // over: the triggering graph, the view and the refinement summaries
 // depend on the rules alone, not on their order. Only the verdict table
-// starts over.
+// and the termination memo start over.
 func (a *Analyzer) reordered(ns *rules.Set) *Analyzer {
 	a.graph()
 	d := *a
-	d.set, d.verdicts = ns, nil
+	d.set, d.verdicts, d.term = ns, nil, nil
 	return &d
 }

@@ -270,3 +270,49 @@ func BenchmarkSigClosure(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkObservableDeterminism is the Theorem 8.1 analysis at 256
+// rules where an analyze request runs it: after a Confluence pass on a
+// fresh table, which is not timed. The Obs view reads and fills that
+// table for every pair with at most one observable rule.
+func BenchmarkObservableDeterminism(b *testing.B) {
+	g := verdictWorkload(b, 1000003+256, 256)
+	a := New(g.Set, nil).SetRefinement(true)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := a.derive(a.view, a.ref)
+		d.Confluence()
+		b.StartTimer()
+		if d.ObservableDeterminism().ObsTable == "" {
+			b.Fatal("no Obs table")
+		}
+	}
+}
+
+// BenchmarkTerminationOf is every termination verdict an analyze request
+// asks for at 256 rules, from a fresh analyzer: the full set's, each
+// shard Sig's, a partial-confluence Sig's and Sig(Obs)'s.
+func BenchmarkTerminationOf(b *testing.B) {
+	g := verdictWorkload(b, 1000003+256, 256)
+	a := New(g.Set, nil).SetRefinement(true)
+	var subsets [][]*rules.Rule
+	for _, sh := range a.ShardPlan().Shards {
+		var sig []*rules.Rule
+		for _, name := range sh.Sig {
+			sig = append(sig, g.Set.Rule(name))
+		}
+		subsets = append(subsets, sig)
+	}
+	subsets = append(subsets, a.PartialConfluence(g.Schema.TableNames()[:4]).Sig,
+		a.ObservableDeterminism().Partial.Sig)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := a.derive(a.view, a.ref)
+		d.Termination()
+		for _, s := range subsets {
+			d.TerminationOf(s)
+		}
+	}
+}

@@ -63,7 +63,7 @@ func (a *Analyzer) Commute(ri, rj *rules.Rule) (bool, []NoncommuteReason) {
 	if lo.Index() > hi.Index() {
 		lo, hi = hi, lo
 	}
-	t := a.table()
+	t := a.table().cell(lo.Index(), hi.Index())
 	switch t.load(lo.Index(), hi.Index()) {
 	case pairCommutes:
 		return true, nil

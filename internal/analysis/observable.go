@@ -64,7 +64,9 @@ func (a *Analyzer) ObservableDeterminism() *ObservableVerdict {
 // observableOver is ObservableDeterminism over a member subset: the Obs
 // extension is applied to the members, Sig(Obs) is computed within
 // them, and term (the members' termination verdict) stands in for
-// full-set termination.
+// full-set termination. The extension changes only the verdicts of pairs
+// of two extended rules, so the view's table is an overlay on a's
+// (verdicts.go, DESIGN.md §7).
 func (a *Analyzer) observableOver(members []*rules.Rule, term *TerminationVerdict) *ObservableVerdict {
 	obs := freshObsName(a.set.Schema())
 	var observable []*rules.Rule
@@ -74,6 +76,7 @@ func (a *Analyzer) observableOver(members []*rules.Rule, term *TerminationVerdic
 		}
 	}
 	ext := a.derive(a.view.withObs(obs, observable), a.ref)
+	ext.verdicts = a.table().overlay(a.set.Len(), observable, len(observable) == len(a.set.ObservableRules()))
 	sig := ext.sigWithin(members, []string{obs})
 	obsNames := rules.Names(observable)
 	sort.Strings(obsNames)

@@ -58,10 +58,10 @@ type CommuteUpgrade struct {
 
 // SetRefinement enables (or disables) condition-aware refinement on the
 // analyzer. Enabling it builds the abstract summaries eagerly; either
-// way the verdict table starts over (verdicts depend on it). It returns
-// the analyzer for chaining.
+// way the verdict table and the termination memo start over (both
+// depend on it). It returns the analyzer for chaining.
 func (a *Analyzer) SetRefinement(on bool) *Analyzer {
-	a.verdicts = nil
+	a.verdicts, a.term = nil, nil
 	if !on {
 		a.refine = false
 		a.ref = nil

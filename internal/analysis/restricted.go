@@ -115,13 +115,12 @@ func (a *Analyzer) sigWithin(members []*rules.Rule, tables []string) []*rules.Ru
 	}
 	t, all := a.table(), a.set.Rules()
 	joins := func(r *rules.Rule) bool {
-		row := r.Index() * t.rowWords
 		for w, inw := range in {
 			if inw == 0 {
 				continue
 			}
-			k := t.known[row+w]
-			hit := inw & k & t.mayNot[row+w]
+			k, m := t.word(r.Index(), w)
+			hit := inw & k & m
 			unknown := inw &^ k
 			if hit != 0 {
 				unknown &= hit&-hit - 1 // below the first hit

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"maps"
 	"sort"
 
 	"activerules/internal/rules"
@@ -80,7 +81,27 @@ func (a *Analyzer) TerminationOf(subset []*rules.Rule) *TerminationVerdict {
 	return a.terminationOf(subset)
 }
 
-func (a *Analyzer) terminationOf(subset []*rules.Rule) *TerminationVerdict {
+// termMemo is what every termination verdict of an analyzer starts
+// from, derived once (DESIGN.md §12.1).
+type termMemo struct {
+	// head holds the fields every verdict shares: the pruned graph
+	// (certified edge discharges and refinement pruning removed) and the
+	// discharges behind it.
+	head TerminationVerdict
+	out  map[string]bool // rules discharged unconditionally: by the user, or dead
+	// core holds the rules on a cycle of the pruned graph without out.
+	// Every cycle of a subset's graph is one of the full graph's, so
+	// every cyclic component of a subset lies within the core.
+	core rules.Bits
+	full *TerminationVerdict // the full set's verdict, once asked for
+}
+
+// termBase returns the analyzer's termination memo, building it on first
+// use.
+func (a *Analyzer) termBase() *termMemo {
+	if a.term != nil {
+		return a.term
+	}
 	g := a.graph()
 	droppedEdges := a.cert.DischargedEdges()
 	if len(droppedEdges) > 0 {
@@ -94,11 +115,59 @@ func (a *Analyzer) terminationOf(subset []*rules.Rule) *TerminationVerdict {
 			return pruned
 		})
 	}
-	v := &TerminationVerdict{Graph: g, DischargedEdges: droppedEdges}
+	m := &termMemo{head: TerminationVerdict{Graph: g, DischargedEdges: droppedEdges},
+		out: map[string]bool{}, core: rules.NewBits(a.set.Len())}
 	if a.refine && a.ref != nil {
-		v.Refined = true
-		v.RefinementDischarged = a.ref.deadDischarges()
-		v.PrunedEdges = a.ref.sortedPrunedEdges()
+		m.head.Refined = true
+		m.head.RefinementDischarged = a.ref.deadDischarges()
+		m.head.PrunedEdges = a.ref.sortedPrunedEdges()
+	}
+	for _, r := range a.set.Rules() {
+		if a.cert.Discharged(r.Name) {
+			m.out[r.Name] = true
+			m.head.UserDischarged = append(m.head.UserDischarged, r.Name)
+		}
+	}
+	for _, d := range m.head.RefinementDischarged {
+		m.out[d.Rule] = true
+	}
+	for _, comp := range g.CyclicSCCs(nil, func(r *rules.Rule) bool { return m.out[r.Name] }) {
+		for _, r := range comp {
+			m.core.Add(r.Index())
+		}
+	}
+	a.term = m
+	return m
+}
+
+func (a *Analyzer) terminationOf(subset []*rules.Rule) *TerminationVerdict {
+	m := a.termBase()
+	if subset == nil && m.full != nil {
+		return m.full
+	}
+	v := new(TerminationVerdict)
+	*v = m.head
+	if subset == nil {
+		m.full = v
+	}
+	g := v.Graph
+
+	// The subset's cyclic components lie within the core, so Tarjan need
+	// only see the subset's core rules; a subset without any is acyclic.
+	universe := subset
+	if universe == nil {
+		universe = a.set.Rules()
+	}
+	var onCore []*rules.Rule
+	for _, r := range universe {
+		if m.core.Has(r.Index()) {
+			onCore = append(onCore, r)
+		}
+	}
+	if len(onCore) == 0 {
+		v.SCCs = []SCCVerdict{}
+		v.Status, v.Guaranteed = TermAcyclic, true
+		return v
 	}
 
 	// Discharge pass. User discharges and refinement-dead rules apply
@@ -106,38 +175,31 @@ func (a *Analyzer) terminationOf(subset []*rules.Rule) *TerminationVerdict {
 	// structure and the set of already-discharged rules (interference
 	// checks skip them), so iterate: recompute components, attempt
 	// discharges, repeat until stable (tier2.go, DESIGN.md §12).
-	discharged := map[string]bool{}
-	for _, r := range a.set.Rules() {
-		if a.cert.Discharged(r.Name) {
-			discharged[r.Name] = true
-			v.UserDischarged = append(v.UserDischarged, r.Name)
-		}
-	}
-	for _, d := range v.RefinementDischarged {
-		discharged[d.Rule] = true
-	}
+	discharged := maps.Clone(m.out)
 	excl := func(r *rules.Rule) bool { return discharged[r.Name] }
 
 	// The cyclic SCCs of the pruned graph after the unconditional
 	// discharges are the components tier 2 must certify; their IDs,
 	// membership, and condensation strata are fixed here, before any
 	// automatic discharge, so reports stay stable however the discharge
-	// loop proceeds.
-	initial := g.CyclicSCCs(subset, excl)
-	strata := g.Strata(subset, excl)
+	// loop proceeds. The strata are those of the whole subset's
+	// condensation.
+	initial := g.CyclicSCCs(onCore, excl)
 	sccID := map[string]int{}
 	v.SCCs = make([]SCCVerdict, len(initial))
-	for i, comp := range initial {
-		v.SCCs[i] = SCCVerdict{ID: i + 1, Stratum: strata[comp[0].Index()], Members: rules.Names(comp)}
-		for _, r := range comp {
-			sccID[r.Name] = i + 1
+	if len(initial) > 0 {
+		strata := g.Strata(subset, excl)
+		for i, comp := range initial {
+			v.SCCs[i] = SCCVerdict{ID: i + 1, Stratum: strata[comp[0].Index()], Members: rules.Names(comp)}
+			for _, r := range comp {
+				sccID[r.Name] = i + 1
+			}
 		}
 	}
 
 	eng := newTier2(a, subset, discharged)
 	attempts := map[string]map[string]attemptFail{}
-	for {
-		sccs := g.CyclicSCCs(subset, excl)
+	for sccs := initial; ; sccs = g.CyclicSCCs(onCore, excl) {
 		var steps []DischargeStep
 		for _, comp := range sccs {
 			for _, r := range comp {

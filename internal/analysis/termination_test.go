@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -268,5 +269,47 @@ create rule r on t when inserted then insert into u values (1)
 `, nil)
 	if !strings.Contains(ReportTermination(a2.Termination()), "guaranteed") {
 		t.Error("positive report missing 'guaranteed'")
+	}
+}
+
+// sameTermination compares two verdicts field for field, the graph by
+// its edges: a reordered analyzer keeps the graph it was derived with,
+// whose Set is the rule set before the new priorities.
+func sameTermination(got, want *TerminationVerdict) bool {
+	g, w := *got, *want
+	if !reflect.DeepEqual(g.Graph.adj, w.Graph.adj) {
+		return false
+	}
+	g.Graph, w.Graph = nil, nil
+	return reflect.DeepEqual(g, w)
+}
+
+// TestTerminationMemoLifetime: an analyzer's termination memo starts
+// over exactly when its verdict table does. After SetRefinement
+// on→off→on, and after AutoRepair's reordering steps, Termination()
+// equals a fresh analyzer's.
+func TestTerminationMemoLifetime(t *testing.T) {
+	for _, name := range []string{"bank", "countdown", "lintdemo"} {
+		set := fixtureSet(t, name)
+		a := New(set, nil)
+		for _, on := range []bool{true, false, true} {
+			got := a.SetRefinement(on).Termination()
+			if want := New(set, nil).SetRefinement(on).Termination(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: after SetRefinement(%v), Termination() =\n%+v\nwant\n%+v", name, on, got, want)
+			}
+		}
+		for _, on := range []bool{false, true} {
+			plan, err := New(set, nil).SetRefinement(on).AutoRepair(0)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(plan.Orderings) == 0 {
+				continue
+			}
+			got, want := plan.Final.Termination, New(plan.Repaired, nil).SetRefinement(on).Termination()
+			if !sameTermination(got, want) {
+				t.Errorf("%s (refine %v): after %d orderings, Termination() =\n%+v\nwant\n%+v", name, on, len(plan.Orderings), got, want)
+			}
+		}
 	}
 }

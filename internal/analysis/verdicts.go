@@ -30,11 +30,22 @@ const (
 // The reasons of a pair that may not commute sit in a sparse side map.
 // Which of the commuting pairs refinement upgraded is not kept per pair,
 // only counted.
+//
+// The Obs view's table (observableOver) is an overlay: it holds only the
+// pairs of two rules in own, the observable rules the view extends, and
+// reads and fills base, the analyzer's table, for every other pair —
+// whose verdict the extension cannot change (DESIGN.md §7). The overlay
+// of the view that extends every observable rule lives as long as its
+// base, which keeps it in obs.
 type verdictTable struct {
 	rowWords      int
 	known, mayNot []uint64
 	refined       int
 	reasons       map[int][]NoncommuteReason // by pairIndex
+
+	base *verdictTable // nil but in an overlay
+	own  rules.Bits
+	obs  *verdictTable
 }
 
 func newVerdictTable(n int) *verdictTable {
@@ -49,6 +60,49 @@ func newVerdictTable(n int) *verdictTable {
 
 // pairIndex keys the reasons of the pair of rule indices lo < hi.
 func pairIndex(lo, hi int) int { return hi*(hi-1)/2 + lo }
+
+// overlay returns the table over t of a view that extends the given
+// rules of a set of n: a new one, or the one t keeps when they are every
+// observable rule of the set (all), since a pair's cell depends only on
+// whether the view extends its two rules.
+func (t *verdictTable) overlay(n int, extended []*rules.Rule, all bool) *verdictTable {
+	if all && t.obs != nil {
+		return t.obs
+	}
+	o := newVerdictTable(n)
+	o.base, o.own = t, rules.NewBits(n)
+	for _, r := range extended {
+		o.own.Add(r.Index())
+	}
+	if all {
+		t.obs = o
+	}
+	return o
+}
+
+// cell returns the table that holds the pair lo, hi.
+func (t *verdictTable) cell(lo, hi int) *verdictTable {
+	if t.base != nil && !(t.own.Has(lo) && t.own.Has(hi)) {
+		return t.base
+	}
+	return t
+}
+
+// word returns word w of rule r's rows of the two planes, as the table
+// that holds each pair has it.
+func (t *verdictTable) word(r, w int) (known, mayNot uint64) {
+	i := r*t.rowWords + w
+	known, mayNot = t.known[i], t.mayNot[i]
+	if t.base != nil {
+		var mine uint64
+		if t.own.Has(r) {
+			mine = t.own[w]
+		}
+		known = t.base.known[i]&^mine | known&mine
+		mayNot = t.base.mayNot[i]&^mine | mayNot&mine
+	}
+	return known, mayNot
+}
 
 // load returns the verdict of the pair lo, hi. A refined pair reads back
 // as pairCommutes: Commute answers the two alike.
@@ -105,8 +159,10 @@ func (s PairTableStats) String() string {
 }
 
 // PairTable reports the state of the analyzer's own verdict table. The
-// views analyses derive internally (the Obs extension of Section 8) fill
-// tables of their own, which are not counted here.
+// Obs view of Section 8 fills it too, for every pair with at most one
+// observable rule, so those evaluations are counted here; its
+// observable × observable pairs, and the views Lint derives, fill tables
+// of their own, which are not.
 func (a *Analyzer) PairTable() PairTableStats {
 	n := a.set.Len()
 	s := PairTableStats{Total: n * (n - 1) / 2}

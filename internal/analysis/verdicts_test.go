@@ -106,6 +106,59 @@ func TestVerdictTableCells(t *testing.T) {
 	}
 }
 
+// TestOverlayCells: an overlay over a base table holds the pairs of two
+// of its own rules and routes every other pair to the base; a word of a
+// row, own rule or not, reads each pair from the table that holds it;
+// and only the view that extends every observable rule keeps its
+// overlay on the base.
+func TestOverlayCells(t *testing.T) {
+	const n = 131
+	rng := rand.New(rand.NewSource(2))
+	set := verdictWorkload(t, 7, n).Set
+	var own []*rules.Rule
+	for _, r := range set.Rules() {
+		if rng.Intn(3) == 0 {
+			own = append(own, r)
+		}
+	}
+	base := newVerdictTable(n)
+	o := base.overlay(n, own, false)
+	if base.obs != nil {
+		t.Fatal("the base keeps the overlay of a view that extends some observable rules")
+	}
+	if kept := base.overlay(n, own, true); kept == o || base.overlay(n, own, true) != kept {
+		t.Fatal("the base does not keep the overlay of the view that extends every observable rule")
+	}
+	want := map[[2]int]pairState{}
+	for lo := 0; lo < n; lo++ {
+		for hi := lo + 1; hi < n; hi++ {
+			st := pairState(rng.Intn(3)) // unknown, commutes or may not
+			want[[2]int{lo, hi}] = st
+			if st != pairUnknown {
+				o.cell(lo, hi).publish(lo, hi, st, nil)
+			}
+			if inOwn := o.own.Has(lo) && o.own.Has(hi); (o.cell(lo, hi) == o) != inOwn {
+				t.Fatalf("pair (%d, %d) (both own: %v) routed to the wrong table", lo, hi, inOwn)
+			}
+		}
+	}
+	for r := 0; r < n; r++ {
+		for w := 0; w < o.rowWords; w++ {
+			known, mayNot := o.word(r, w)
+			for b := 0; b < 64 && w<<6|b < n; b++ {
+				c := w<<6 | b
+				if c == r {
+					continue
+				}
+				st := want[[2]int{min(r, c), max(r, c)}]
+				if gotKnown, gotMayNot := known>>b&1 == 1, mayNot>>b&1 == 1; gotKnown != (st != pairUnknown) || gotMayNot != (st == pairMayNot) {
+					t.Fatalf("row %d reads pair with %d as known %v, may not %v; published %d", r, c, gotKnown, gotMayNot, st)
+				}
+			}
+		}
+	}
+}
+
 // TestVerdictTableConcurrentPublish publishes every pair twice, one
 // full sweep after the other, so that words are shared: the second
 // sweep leaves the state as the first left it, and each refined pair is
@@ -146,47 +199,70 @@ func TestVerdictTableConcurrentPublish(t *testing.T) {
 	}
 }
 
-// TestCommuteComputedOncePerPair is the exact-once tripwire: over a full
-// sequential pass Lemma 6.1 is evaluated at most once per unordered pair
-// and view, and a second pass evaluates nothing on the analyzer's own
-// view (the Obs views are derived afresh by each observable analysis).
+// TestCommuteComputedOncePerPair is the exact-once tripwire. Over a full
+// sequential pass Lemma 6.1 is evaluated at most once for each pair with
+// at most one observable rule, across the base view and the Obs view
+// together — they share its cell — and at most once per view for each
+// observable × observable pair. The table counts every shared
+// evaluation, the Obs view's included, and a second pass evaluates
+// nothing on either view. Views Lint derives keep cells of their own:
+// at most once per pair and view.
 func TestCommuteComputedOncePerPair(t *testing.T) {
 	g := verdictWorkload(t, 1000003+128, 128)
 	type cell struct {
-		view   *Analyzer
+		view   any // "base" or "obs" on a's two views, else the view
 		lo, hi int
 	}
 	runs := map[cell]int{}
 	a := New(g.Set, nil).SetRefinement(true)
+	sharedByObs := 0
 	a.computeHook = func(view *Analyzer, lo, hi *rules.Rule) {
 		if lo.Index() >= hi.Index() {
 			t.Errorf("pair (%s, %s) not in definition order", lo.Name, hi.Name)
 		}
-		runs[cell{view, lo.Index(), hi.Index()}]++
+		c := cell{view, lo.Index(), hi.Index()}
+		obsView := view != a && view.verdicts != nil && view.verdicts.base == a.verdicts
+		switch {
+		case (view == a || obsView) && !(lo.Observable() && hi.Observable()):
+			c.view = "shared"
+			if obsView {
+				sharedByObs++
+			}
+		case view == a:
+			c.view = "base"
+		case obsView:
+			c.view = "obs"
+		}
+		runs[c]++
 	}
-	own := func() (n int) {
+	count := func() (shared, base, obs int) {
 		for c, k := range runs {
 			if k != 1 {
-				t.Errorf("pair (%d, %d) evaluated %d times on one view", c.lo, c.hi, k)
+				t.Errorf("pair (%d, %d) evaluated %d times on view %v", c.lo, c.hi, k, c.view)
 			}
-			if c.view == a {
-				n++
+			switch c.view {
+			case "shared":
+				shared++
+			case "base":
+				base++
+			case "obs":
+				obs++
 			}
 		}
-		return n
+		return shared, base, obs
 	}
 
 	fullPass(a, g)
-	first := own()
-	if first == 0 || len(runs) == first {
-		t.Fatalf("%d evaluations, %d on the base view: the pass should examine pairs on both views", len(runs), first)
+	shared, base, obs := count()
+	if sharedByObs == 0 || obs == 0 {
+		t.Fatalf("the Obs view evaluated %d shared and %d observable × observable pairs: the pass should examine both", sharedByObs, obs)
 	}
-	if st := a.PairTable(); st.Examined != first || st.Total != g.Set.Len()*(g.Set.Len()-1)/2 {
-		t.Errorf("table reports %+v after %d evaluations", st, first)
+	if st := a.PairTable(); st.Examined != shared+base || st.Total != g.Set.Len()*(g.Set.Len()-1)/2 {
+		t.Errorf("table reports %+v after %d shared and %d base-only evaluations", st, shared, base)
 	}
 	fullPass(a, g)
-	if second := own(); second != first {
-		t.Errorf("second pass evaluated %d more pairs on the base view", second-first)
+	if s2, b2, o2 := count(); s2 != shared || b2 != base || o2 != obs {
+		t.Errorf("second pass evaluated %d shared, %d base and %d Obs-view pairs more", s2-shared, b2-base, o2-obs)
 	}
 }
 
