@@ -65,6 +65,9 @@ func TestGolden(t *testing.T) {
 		{"lintdemo-why-refine", []string{"-schema", lintSchema, "-rules", lintRules, "-refine", "-why", "r_low,r_hi"}, 0},
 		{"lintdemo-lint", []string{"-schema", lintSchema, "-rules", lintRules, "-lint"}, 3},
 		{"lintdemo-lint-json", []string{"-schema", lintSchema, "-rules", lintRules, "-lint", "-json"}, 3},
+		// The only fixture whose plan lists priority blockers.
+		{"lintdemo-shard-plan", []string{"-schema", lintSchema, "-rules", lintRules, "-shard-plan"}, 0},
+		{"lintdemo-shard-plan-json", []string{"-schema", lintSchema, "-rules", lintRules, "-shard-plan", "-json"}, 0},
 		{"bank-lint", []string{"-schema", bankSchema, "-rules", bankRules, "-lint"}, 0},
 		// Tier-2 termination fixtures: three cyclic-but-terminating rule
 		// sets that acyclicity alone rejects but a discharge certificate
