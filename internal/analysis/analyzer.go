@@ -47,10 +47,10 @@ type Analyzer struct {
 	// evaluations, including those of derived views.
 	computeHook func(view *Analyzer, lo, hi *rules.Rule)
 
-	// blockersHook, when set, sees ShardPlan's blockers as emitted, before
-	// the sort that fixes their order. Tests only: it is how the
-	// emitted-in-order tripwire reads them.
-	blockersHook func([]ShardBlocker)
+	// blockersHook, when set, sees ShardPlan's plan with its blockers as
+	// emitted, before the sort that fixes their order. Tests only: it is
+	// how the emitted-in-order tripwire reads them.
+	blockersHook func(*ShardPlan)
 }
 
 // ruleView is the Performs, Reads and Triggered-By sets the analyses see,

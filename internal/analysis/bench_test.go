@@ -219,14 +219,23 @@ func verdictConfig(seed int64, n int) workload.Config {
 // over the rules, which examines only the pairs whose rules are still in
 // different may-not-commute components when the scan reaches them and
 // whose footprints meet, then the termination and Confluence Requirement
-// checks of each shard's Sig.
+// checks of each shard's Sig. plan+String also renders the plan, a line
+// per priority-ordered pair of rules, as the analyze workload does.
 func BenchmarkShardPlan(b *testing.B) {
 	for _, n := range []int{128, 256} {
 		g := verdictWorkload(b, 1000003+int64(n), n)
-		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("rules=%d/plan", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if New(g.Set, nil).SetRefinement(true).ShardPlan().NumShards() == 0 {
+					b.Fatal("empty plan")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("rules=%d/plan+String", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if New(g.Set, nil).SetRefinement(true).ShardPlan().String() == "" {
 					b.Fatal("empty plan")
 				}
 			}

@@ -137,9 +137,19 @@ func blockerStringFmt(b ShardBlocker) string {
 	}
 }
 
+// oraclePlan is a shard plan with its blockers as a list, as the map
+// oracle builds it; its JSON is the form ShardPlan's must take.
+type oraclePlan struct {
+	Shards   []ShardGroup   `json:"shards"`
+	Blockers []ShardBlocker `json:"blockers,omitempty"`
+}
+
+// listed is p with its blockers listed.
+func listed(p *ShardPlan) *oraclePlan { return &oraclePlan{p.Shards, p.Blockers()} }
+
 // planStringFmt is (*ShardPlan).String through fmt and an unsized
 // builder.
-func planStringFmt(p *ShardPlan) string {
+func planStringFmt(p *oraclePlan) string {
 	var b strings.Builder
 	nrules := 0
 	ntables := 0
@@ -284,7 +294,7 @@ func renderLintTextFmt(lr *LintResult, file string) string {
 
 // shardPlanMaps is the planner over table names: a map and a sort per
 // footprint and per priority blocker, the scalar Sig per table.
-func (a *Analyzer) shardPlanMaps() *ShardPlan {
+func (a *Analyzer) shardPlanMaps() *oraclePlan {
 	tables := make([]string, 0, a.set.Schema().NumTables())
 	for _, t := range a.set.Schema().SortedTables() {
 		tables = append(tables, strings.ToLower(t.Name))
@@ -384,7 +394,7 @@ func (a *Analyzer) shardPlanMaps() *ShardPlan {
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
 
-	plan := &ShardPlan{}
+	plan := &oraclePlan{}
 	for _, g := range groups {
 		member := map[string]bool{}
 		for _, t := range g {
@@ -457,6 +467,7 @@ func oracleCorpus(t *testing.T) []oracleSet {
 		"create rule grow on a when inserted then insert into a select v + 1 from inserted\n", nil).set
 	out = append(out, oracleSet{"grower", grower, false, nil})
 	out = append(out, oracleSet{"arrow-names", arrowNames(t), false, nil})
+	out = append(out, oracleSet{"arrow-ties", arrowTies(t), false, nil})
 	for _, name := range []string{"bank", "converge", "countdown", "drain", "flipflop", "lintdemo", "powernet"} {
 		set := fixtureSet(t, name)
 		out = append(out, oracleSet{name, set, false, nil}, oracleSet{name + "/refined", set, true, nil})
@@ -532,6 +543,32 @@ func arrowNames(t *testing.T) *rules.Set {
 	}
 	defs[len(names)-1].Follows = names[:1]
 	set, err := rules.NewSet(schema.MustParse(sch.String()), defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// arrowTies is a programmatic set with two priority edges both named
+// "a>b>c": a over b>c, and a>b over c. Each rule is alone on its table,
+// so only the tables tell the two blockers apart, and they list a>b's
+// ([m n]) before a's ([p q]), against their emission order.
+func arrowTies(t *testing.T) *rules.Set {
+	t.Helper()
+	def := func(name, table, precedes string) rules.Definition {
+		d := rules.Definition{
+			Name:     name,
+			Table:    table,
+			Triggers: []rules.TriggerSpec{{Kind: schema.OpInsert}},
+			Action:   []string{"insert into " + table + " values (1)"},
+		}
+		if precedes != "" {
+			d.Precedes = []string{precedes}
+		}
+		return d
+	}
+	set, err := rules.NewSet(schema.MustParse("table m (v int)\ntable n (v int)\ntable p (v int)\ntable q (v int)\n"),
+		[]rules.Definition{def("a", "p", "b>c"), def("b>c", "q", ""), def("a>b", "m", "c"), def("c", "n", "")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,19 +672,19 @@ func TestBuildR1R2MatchesScalarOracle(t *testing.T) {
 }
 
 // TestShardPlanMatchesMapOracle: the slot-merge planner produces the
-// map-and-sort planner's plan — shards, blockers and their order, JSON —
-// and the appender renders it byte for byte as fmt did. Where no rule
-// name contains '>', the blockers are emitted already in listing order;
-// on arrowNames they are not, and the sort puts them there. A certified
-// set must plan differently from its uncertified self, so the component
-// split is exercised; the corpus must hold one whose certification
-// changes a shard's Sig.
+// map-and-sort planner's plan — shards, Blockers() and their order, JSON
+// — and renders it byte for byte as fmt renders the oracle's. Where no
+// rule name contains '>', the blockers are emitted already in listing
+// order; on arrowNames they are not, and the sort puts them there. A
+// certified set must plan differently from its uncertified self, so the
+// component split is exercised; the corpus must hold one whose
+// certification changes a shard's Sig.
 func TestShardPlanMatchesMapOracle(t *testing.T) {
 	priority, arrowed, sigMoved := 0, 0, 0
 	for _, c := range oracleCorpus(t) {
 		a := c.analyzer()
 		emittedSorted := false
-		a.blockersHook = func(bs []ShardBlocker) { emittedSorted = slices.IsSortedFunc(bs, compareBlockers) }
+		a.blockersHook = func(p *ShardPlan) { emittedSorted = slices.IsSortedFunc(p.blockers, p.compareRefs) }
 		got := a.ShardPlan()
 		if slices.ContainsFunc(c.set.Rules(), func(r *rules.Rule) bool { return strings.Contains(r.Name, ">") }) {
 			arrowed++
@@ -658,8 +695,8 @@ func TestShardPlanMatchesMapOracle(t *testing.T) {
 			t.Errorf("%s: blockers were not emitted in listing order", c.name)
 		}
 		want := c.analyzer().shardPlanMaps()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: plans differ:\n--- slots\n%s--- maps\n%s", c.name, planStringFmt(got), planStringFmt(want))
+		if !reflect.DeepEqual(listed(got), want) {
+			t.Fatalf("%s: plans differ:\n--- slots\n%s--- maps\n%s", c.name, planStringFmt(listed(got)), planStringFmt(want))
 		}
 		if c.cert != nil {
 			plain := New(c.set, nil).SetRefinement(c.refine).ShardPlan()
@@ -667,8 +704,8 @@ func TestShardPlanMatchesMapOracle(t *testing.T) {
 			if !sigEqual {
 				sigMoved++
 			}
-			if sigEqual && reflect.DeepEqual(got.Blockers, plain.Blockers) {
-				t.Errorf("%s: the certification changed neither a Sig nor a significance blocker:\n%s", c.name, planStringFmt(got))
+			if sigEqual && reflect.DeepEqual(got.Blockers(), plain.Blockers()) {
+				t.Errorf("%s: the certification changed neither a Sig nor a significance blocker:\n%s", c.name, got)
 			}
 		}
 		if s := got.String(); s != planStringFmt(want) {
@@ -679,7 +716,7 @@ func TestShardPlanMatchesMapOracle(t *testing.T) {
 		if err1 != nil || err2 != nil || string(gotJSON) != string(wantJSON) {
 			t.Fatalf("%s: JSON differs (%v, %v):\n%s\n%s", c.name, err1, err2, gotJSON, wantJSON)
 		}
-		for _, bl := range got.Blockers {
+		for _, bl := range got.Blockers() {
 			if bl.String() != blockerStringFmt(bl) {
 				t.Fatalf("%s: blocker renders %q, fmt %q", c.name, bl.String(), blockerStringFmt(bl))
 			}
@@ -702,8 +739,40 @@ func TestShardPlanMatchesMapOracle(t *testing.T) {
 		t.Errorf("unknown kind renders %q, fmt %q", odd.String(), blockerStringFmt(odd))
 	}
 	empty := &ShardPlan{}
-	if empty.String() != planStringFmt(empty) {
-		t.Errorf("empty plan renders %q, fmt %q", empty.String(), planStringFmt(empty))
+	if empty.String() != planStringFmt(&oraclePlan{}) {
+		t.Errorf("empty plan renders %q, fmt %q", empty.String(), planStringFmt(&oraclePlan{}))
+	}
+	if js, err := json.Marshal(empty); err != nil || string(js) != `{"shards":null}` {
+		t.Errorf("empty plan's JSON is %s (%v)", js, err)
+	}
+}
+
+// TestShardPlanStringMatchesBlockers: the blocker lines of String() are
+// the String() of each element of Blockers(), in order — the listing and
+// the list come from one sort. On arrowNames the blockers are emitted out
+// of listing order, so a rendering that skipped the sort fails here.
+func TestShardPlanStringMatchesBlockers(t *testing.T) {
+	lines := 0
+	for _, c := range oracleCorpus(t) {
+		plan := c.analyzer().ShardPlan()
+		text := plan.String()
+		head := "blockers (what prevents a finer partition):\n"
+		var want strings.Builder
+		if bs := plan.Blockers(); len(bs) == 0 {
+			head = "blockers: none (every table is independently servable)\n"
+		} else {
+			for _, bl := range bs {
+				want.WriteString("  " + bl.String() + "\n")
+				lines++
+			}
+		}
+		_, got, ok := strings.Cut(text, head)
+		if !ok || got != want.String() {
+			t.Fatalf("%s: String() lists the blockers as\n%s\nBlockers() renders\n%s", c.name, got, want.String())
+		}
+	}
+	if lines == 0 {
+		t.Error("no blocker in the corpus")
 	}
 }
 
@@ -791,17 +860,17 @@ func TestObservableViewSharesGraph(t *testing.T) {
 	}
 }
 
-// TestShardBlockerListsAreDisjoint: the blockers' table lists share an
-// arena, yet each is its own. On gen256, appending to each blocker's list
-// in turn, and then overwriting each one's first element in turn, leaves
-// every other blocker as it was, and so the rendering and the JSON. A
-// write that lands in another blocker's list shows there: at that
-// blocker's own turn, or in the pass's final check if its turn has
-// passed, since a turn changes nothing but its own blocker.
+// TestShardBlockerListsAreDisjoint: the table lists of one Blockers()
+// result share an array, yet each is its own, and the result is the
+// caller's. On gen256, every element of every list is overwritten with its
+// blocker's own marker, and then every list is appended to; a list that
+// overlapped another, or whose capacity ran into the next, shows a marker
+// or an append not its own. Nothing is undone, yet the plan renders, marshals
+// and lists its blockers as before.
 func TestShardBlockerListsAreDisjoint(t *testing.T) {
 	g := verdictWorkload(t, 1000003+256, 256)
 	plan := New(g.Set, nil).SetRefinement(true).ShardPlan()
-	bs := plan.Blockers
+	bs := plan.Blockers()
 	if len(bs) < 30000 {
 		t.Fatalf("%d blockers: the set is supposed to be densely ordered", len(bs))
 	}
@@ -810,79 +879,72 @@ func TestShardBlockerListsAreDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unchanged := func(when string) {
-		t.Helper()
-		if plan.String() != text {
-			t.Fatalf("%s: the plan renders differently", when)
-		}
-		if got, err := json.Marshal(plan); err != nil || string(got) != string(js) {
-			t.Fatalf("%s: the plan's JSON differs (%v)", when, err)
-		}
-	}
-	want := make([][]string, len(bs))
+	want := make([]ShardBlocker, len(bs))
 	for i, bl := range bs {
-		want[i] = slices.Clone(bl.Tables)
-	}
-	intact := func(i int, first string) {
-		t.Helper()
-		if bs[i].Tables[0] != first || !slices.Equal(bs[i].Tables[1:], want[i][1:]) {
-			t.Fatalf("blocker %d (%s) was written through another's list: %v, want %s then %v",
-				i, bs[i].Rule, bs[i].Tables, first, want[i][1:])
-		}
+		want[i] = bl
+		want[i].Tables = slices.Clone(bl.Tables)
 	}
 
+	marker := func(i int) string { return fmt.Sprintf("#%d", i) }
 	for i := range bs {
-		intact(i, want[i][0])
+		for k := range bs[i].Tables {
+			bs[i].Tables[k] = marker(i)
+		}
+	}
+	for i := range bs {
 		grown := append(bs[i].Tables, "appended")
 		if grown[len(grown)-1] != "appended" {
 			t.Fatalf("blocker %d (%s): the append was lost", i, bs[i].Rule)
 		}
-		intact(i, want[i][0])
-		if i%(len(bs)/8) == 0 {
-			unchanged(fmt.Sprintf("after appending to blocker %d", i))
+	}
+	for i := range bs {
+		if len(bs[i].Tables) != len(want[i].Tables) {
+			t.Fatalf("blocker %d (%s) lists %d tables, want %d", i, bs[i].Rule, len(bs[i].Tables), len(want[i].Tables))
+		}
+		for _, got := range bs[i].Tables {
+			if got != marker(i) {
+				t.Fatalf("blocker %d (%s) was written through another's list: %v", i, bs[i].Rule, bs[i].Tables)
+			}
 		}
 	}
-	for i := range bs {
-		intact(i, want[i][0])
-	}
-	unchanged("after appending to every blocker")
 
-	marker := func(i int) string { return fmt.Sprintf("#%d", i) }
-	for i := range bs {
-		intact(i, want[i][0])
-		bs[i].Tables[0] = marker(i)
+	if plan.String() != text {
+		t.Fatal("the plan renders differently")
 	}
-	for i := range bs {
-		intact(i, marker(i))
-		bs[i].Tables[0] = want[i][0]
+	if got, err := json.Marshal(plan); err != nil || string(got) != string(js) {
+		t.Fatalf("the plan's JSON differs (%v)", err)
 	}
-	unchanged("after every overwrite was undone")
+	if !reflect.DeepEqual(plan.Blockers(), want) {
+		t.Fatal("a second Blockers() differs from the first as it was returned")
+	}
 }
 
 // raceEnabled is set by race_test.go, which only a -race build compiles.
 var raceEnabled bool
 
-// TestShardPlanAllocs: rendering a plan takes the buffer and the string,
-// whatever the number of blockers; and building one takes at most a
-// quarter of an allocation per priority blocker (a head's names are one
-// string, the table lists come from arena chunks, the merged footprint
-// is scratch), measured as the slope between two totally ordered chains,
-// where every pair of rules is a blocker and nothing else grows with the
-// pairs.
+// TestShardPlanAllocs: rendering a plan takes the buffer and a scratch
+// list, whatever the number of blockers; building one has no per-blocker
+// term at all, at most one allocation per hundred priority blockers; and
+// listing its blockers takes at most a quarter of an allocation per
+// priority blocker (the edges' names are one string, the table lists one
+// array). The per-blocker costs are the slopes between two totally
+// ordered chains, where every pair of rules is a blocker and nothing else
+// grows with the pairs.
 func TestShardPlanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
 	g := verdictWorkload(t, 1000003+256, 256)
 	plan := New(g.Set, nil).SetRefinement(true).ShardPlan()
-	if len(plan.Blockers) < 30000 {
-		t.Fatalf("%d blockers: the set is supposed to be densely ordered", len(plan.Blockers))
+	if len(plan.blockers) < 30000 {
+		t.Fatalf("%d blockers: the set is supposed to be densely ordered", len(plan.blockers))
 	}
 	if got := testing.AllocsPerRun(5, func() { _ = plan.String() }); got > 2 {
-		t.Errorf("String() of a %d-blocker plan: %.0f allocations, want at most 2", len(plan.Blockers), got)
+		t.Errorf("String() of a %d-blocker plan: %.0f allocations, want at most 2", len(plan.blockers), got)
 	}
 
-	chain := func(n int) (allocs float64, blockers int) {
+	type cost struct{ plan, list float64 }
+	chain := func(n int) (allocs cost, blockers int) {
 		var src strings.Builder
 		for i := 0; i < n; i++ {
 			fmt.Fprintf(&src, "create rule r%d on a when inserted then insert into b values (1)\n", i)
@@ -892,23 +954,30 @@ func TestShardPlanAllocs(t *testing.T) {
 			src.WriteString("\n")
 		}
 		a := compile(t, "table a (v int)\ntable b (v int)\n", src.String(), nil)
-		for _, bl := range a.ShardPlan().Blockers {
+		p := a.ShardPlan()
+		for _, bl := range p.Blockers() {
 			if bl.Kind == BlockPriority {
 				blockers++
 			}
 		}
-		return testing.AllocsPerRun(3, func() { a.ShardPlan() }), blockers
+		allocs.plan = testing.AllocsPerRun(3, func() { a.ShardPlan() })
+		allocs.list = testing.AllocsPerRun(3, func() { p.Blockers() })
+		return allocs, blockers
 	}
 	a32, b32 := chain(32)
 	a96, b96 := chain(96)
 	if b32 != 32*31/2 || b96 != 96*95/2 {
 		t.Fatalf("chains of 32 and 96 rules have %d and %d priority blockers", b32, b96)
 	}
-	per := (a96 - a32) / float64(b96-b32)
-	t.Logf("%.0f allocations for %d priority blockers, %.0f for %d: %.2f per blocker", a96, b96, a32, b32, per)
-	if per > 0.25 {
-		t.Errorf("%.2f allocations per priority blocker, want at most 0.25", per)
+	slope := func(what string, x32, x96, bound float64) {
+		per := (x96 - x32) / float64(b96-b32)
+		t.Logf("%s: %.0f allocations for %d priority blockers, %.0f for %d: %.3f per blocker", what, x96, b96, x32, b32, per)
+		if per > bound {
+			t.Errorf("%s: %.3f allocations per priority blocker, want at most %g", what, per, bound)
+		}
 	}
+	slope("ShardPlan()", a32.plan, a96.plan, 0.01)
+	slope("Blockers()", a32.list, a96.list, 0.25)
 }
 
 // TestLintAllocs: rendering a lint result takes the buffer and the

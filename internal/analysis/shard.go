@@ -83,21 +83,19 @@ type ShardBlocker struct {
 	Rule string `json:"rule"`
 	// Tables are the tables the blocker welds together, sorted. The list
 	// is the blocker's own: its capacity ends where it does, so appending
-	// to it reallocates. Its storage is shared with other blockers' lists,
-	// one arena per plan.
+	// to it reallocates.
 	Tables []string `json:"tables"`
 }
 
 func (b ShardBlocker) String() string {
-	var sb strings.Builder
-	b.writeTo(&sb)
-	return sb.String()
+	head, mid := blockerFrame(b.Kind)
+	return head + b.Rule + mid + strings.Join(b.Tables, " ") + "]"
 }
 
-// frame is the fixed text before the blocker's rule and between it and
-// its tables.
-func (b ShardBlocker) frame() (head, mid string) {
-	switch b.Kind {
+// blockerFrame is the fixed text of a blocker of the kind before its
+// rule and between the rule and its tables.
+func blockerFrame(kind string) (head, mid string) {
+	switch kind {
 	case BlockFootprint:
 		return "rule ", " triggers on / reads / writes tables ["
 	case BlockSignificance:
@@ -105,18 +103,7 @@ func (b ShardBlocker) frame() (head, mid string) {
 	case BlockPriority:
 		return "priority ", " links tables ["
 	}
-	return b.Kind + " ", " ["
-}
-
-// writeTo renders the blocker: the one place its text is decided, for
-// String and for the plan's listing alike.
-func (b ShardBlocker) writeTo(sb *strings.Builder) {
-	head, mid := b.frame()
-	sb.WriteString(head)
-	sb.WriteString(b.Rule)
-	sb.WriteString(mid)
-	writeJoined(sb, b.Tables)
-	sb.WriteByte(']')
+	return kind + " ", " ["
 }
 
 // writeJoined writes the names separated by single spaces.
@@ -141,12 +128,125 @@ func joinedLen(names []string) (n int) {
 // tables into independently servable groups. Its String and JSON forms
 // are deterministic: equal inputs yield byte-identical plans.
 type ShardPlan struct {
-	Shards   []ShardGroup   `json:"shards"`
-	Blockers []ShardBlocker `json:"blockers,omitempty"`
+	Shards []ShardGroup
+
+	// blockers are in listing order; String and Blockers read the lists.
+	blockers []blockerRef
+	tables   []string // table slot -> name, sorted
+	names    []string // rule index -> name
+	foot     [][]int  // rule index -> footprint slots, ascending
+	sig      [][]int  // rule index -> the slots the rule is significant for
 }
+
+// blockerRef is a blocker as a plan keeps it: its kind, its rule, and
+// for a priority edge the lower rule, whose footprints it welds.
+type blockerRef struct {
+	kind  uint8
+	r, lo int32
+}
+
+// The kinds of a blockerRef, numbered in the order of their names.
+const (
+	refFootprint uint8 = iota
+	refPriority
+	refSignificance
+)
+
+var refKinds = [...]string{BlockFootprint, BlockPriority, BlockSignificance}
 
 // NumShards returns the number of groups in the plan.
 func (p *ShardPlan) NumShards() int { return len(p.Shards) }
+
+// rule returns the pieces of b's Rule: the rule's name, or hi, ">", lo.
+func (p *ShardPlan) rule(b blockerRef) [3]string {
+	if b.kind == refPriority {
+		return [3]string{p.names[b.r], ">", p.names[b.lo]}
+	}
+	return [3]string{p.names[b.r]}
+}
+
+// slots returns the table slots b welds, ascending. A priority edge's are
+// merged into scratch, which must have room for every table.
+func (p *ShardPlan) slots(b blockerRef, scratch []int) []int {
+	switch b.kind {
+	case refFootprint:
+		return p.foot[b.r]
+	case refSignificance:
+		return p.sig[b.r]
+	}
+	x, y, out := p.foot[b.r], p.foot[b.lo], scratch[:0]
+	for len(x) > 0 && len(y) > 0 {
+		if x[0] > y[0] {
+			x, y = y, x
+		}
+		if x[0] == y[0] {
+			y = y[1:]
+		}
+		out, x = append(out, x[0]), x[1:]
+	}
+	return append(append(out, x...), y...)
+}
+
+// compareRefs is ShardBlocker's order by kind, rule, then tables joined by
+// commas, without building a name unless two coincide (a '>' inside a
+// rule name can do that). Sorted neighbours mostly share hi, and "hi>".
+func (p *ShardPlan) compareRefs(x, y blockerRef) int {
+	if c := cmp.Compare(x.kind, y.kind); c != 0 || x.r == y.r {
+		return cmp.Or(c, cmp.Compare(p.names[x.lo], p.names[y.lo]))
+	}
+	if c := compareConcat(p.rule(x), p.rule(y)); c != 0 {
+		return c
+	}
+	join := func(b blockerRef) string {
+		var names []string
+		scratch := make([]int, 0, len(p.tables))
+		for _, t := range p.slots(b, scratch) {
+			names = append(names, p.tables[t])
+		}
+		return strings.Join(names, ",")
+	}
+	return cmp.Compare(join(x), join(y))
+}
+
+// compareConcat compares the concatenations of x's and of y's pieces.
+func compareConcat(x, y [3]string) int {
+	for i, j := 0, 0; ; {
+		if i < len(x) && x[i] == "" {
+			i++
+		} else if j < len(y) && y[j] == "" {
+			j++
+		} else if i == len(x) || j == len(y) {
+			return cmp.Compare(len(x)-i, len(y)-j)
+		} else if n := min(len(x[i]), len(y[j])); x[i][:n] != y[j][:n] {
+			return strings.Compare(x[i][:n], y[j][:n])
+		} else {
+			x[i], y[j] = x[i][n:], y[j][n:]
+		}
+	}
+}
+
+// Blockers returns what prevents a finer partition, in listing order:
+// by kind, then rule, then tables. Each call builds the list afresh, so
+// the caller owns it; each blocker's Tables ends at its own capacity.
+func (p *ShardPlan) Blockers() []ShardBlocker {
+	var out []ShardBlocker
+	var names strings.Builder // every blocker's Rule, one string
+	var arena []string
+	scratch := make([]int, 0, len(p.tables))
+	for _, b := range p.blockers {
+		start := names.Len()
+		for _, s := range p.rule(b) {
+			names.WriteString(s)
+		}
+		rule := names.String()[start:]
+		start = len(arena)
+		for _, t := range p.slots(b, scratch) {
+			arena = append(arena, p.tables[t])
+		}
+		out = append(out, ShardBlocker{Kind: refKinds[b.kind], Rule: rule, Tables: slices.Clip(arena[start:])})
+	}
+	return out
+}
 
 // String renders the plan deterministically, into one buffer sized for
 // it beforehand: a plan lists a blocker per priority-ordered pair of
@@ -159,9 +259,21 @@ func (p *ShardPlan) String() string {
 		ntables += len(g.Tables)
 		size += fixed + joinedLen(g.Tables) + joinedLen(g.Rules) + joinedLen(g.Sig)
 	}
-	for _, bl := range p.Blockers {
-		head, mid := bl.frame()
-		size += len("  ") + len(head) + len(bl.Rule) + len(mid) + joinedLen(bl.Tables) + len("]\n")
+	scratch := make([]int, 0, len(p.tables))
+	for _, bl := range p.blockers {
+		head, mid := blockerFrame(refKinds[bl.kind])
+		r := p.rule(bl)
+		size += len("  ") + len(head) + len(r[0]) + len(r[1]) + len(r[2]) + len(mid) + len("]\n")
+		// A priority line is sized by both footprints, not by their union.
+		lists := [2][]int{p.foot[bl.r], p.foot[bl.lo]}
+		if bl.kind != refPriority {
+			lists = [2][]int{p.slots(bl, nil)}
+		}
+		for _, ts := range lists {
+			for _, t := range ts {
+				size += len(p.tables[t]) + 1
+			}
+		}
 	}
 	var b strings.Builder
 	b.Grow(size)
@@ -187,28 +299,37 @@ func (p *ShardPlan) String() string {
 		b.WriteString(strconv.FormatBool(g.Confluent))
 		b.WriteByte('\n')
 	}
-	if len(p.Blockers) == 0 {
+	if len(p.blockers) == 0 {
 		b.WriteString("blockers: none (every table is independently servable)\n")
-	} else {
-		b.WriteString("blockers (what prevents a finer partition):\n")
-		for _, bl := range p.Blockers {
-			b.WriteString("  ")
-			bl.writeTo(&b)
-			b.WriteByte('\n')
+		return b.String()
+	}
+	b.WriteString("blockers (what prevents a finer partition):\n")
+	for _, bl := range p.blockers {
+		head, mid := blockerFrame(refKinds[bl.kind])
+		b.WriteString("  ")
+		b.WriteString(head)
+		for _, s := range p.rule(bl) {
+			b.WriteString(s)
 		}
+		b.WriteString(mid)
+		for i, t := range p.slots(bl, scratch) {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(p.tables[t])
+		}
+		b.WriteString("]\n")
 	}
 	return b.String()
 }
 
 // MarshalJSON emits the deterministic machine-readable plan.
 func (p *ShardPlan) MarshalJSON() ([]byte, error) {
-	type alias ShardPlan
-	return json.Marshal((*alias)(p))
+	return json.Marshal(struct {
+		Shards   []ShardGroup   `json:"shards"`
+		Blockers []ShardBlocker `json:"blockers,omitempty"`
+	}{p.Shards, p.Blockers()})
 }
-
-// arenaChunk is the number of table names in one chunk of the arena that
-// a plan's blocker table lists are carved from.
-const arenaChunk = 4096
 
 // ShardPlan computes the maximal partition of the schema's tables into
 // groups with pairwise-disjoint Sig(T'), together with the blockers
@@ -217,7 +338,7 @@ const arenaChunk = 4096
 //
 // Tables are handled as slots in the sorted table list, so slot order is
 // name order: a footprint or a significance list is an ascending []int,
-// and the tables two ordered rules weld together are two of them, sorted.
+// and the tables two ordered rules weld together are the union of two.
 func (a *Analyzer) ShardPlan() *ShardPlan {
 	all := a.set.Rules()
 	tables := make([]string, 0, a.set.Schema().NumTables())
@@ -228,66 +349,23 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 	for i, t := range tables {
 		slot[t] = i
 	}
+	plan := &ShardPlan{tables: tables, names: rules.Names(all), foot: make([][]int, len(all)), sig: make([][]int, len(all))}
 
-	// A rule is significant for exactly the tables its may-not-commute
-	// component performs on: sigTables[root] lists them, ascending.
-	comp := a.commuteComponents()
-	sigTables := make([][]int, len(all))
+	// Every footprint and significance list is a run of one array of
+	// slots, sorted and compacted in place, and ends at its capacity.
+	var arena []int
+	add := func(table string) {
+		if t, ok := slot[table]; ok {
+			arena = append(arena, t)
+		}
+	}
+	seal := func(start int) []int {
+		slices.Sort(arena[start:])
+		arena = append(arena[:start], slices.Compact(arena[start:])...)
+		return slices.Clip(arena[start:])
+	}
 	for _, r := range all {
-		root := comp.find(r.Index())
-		for _, op := range a.view.of(r).performsSorted {
-			if t, ok := slot[op.Table]; ok {
-				sigTables[root] = append(sigTables[root], t)
-			}
-		}
-	}
-	for root, ts := range sigTables {
-		slices.Sort(ts)
-		sigTables[root] = slices.Compact(ts)
-	}
-
-	welded := newUnionFind(len(tables)) // over table slots
-
-	ordered := 0 // priority-ordered pairs: one blocker each, at most
-	for _, r := range all {
-		for _, word := range a.set.HigherRow(r) {
-			ordered += bits.OnesCount64(word)
-		}
-	}
-	blockers := make([]ShardBlocker, 0, 2*len(all)+ordered)
-	// The blockers' table lists are carved from chunks of one arena, each
-	// a three-index slice that ends at its own capacity: the lists are
-	// disjoint, and an append to one reallocates it instead of writing
-	// into the next. No blocker lists more than every table, so left
-	// bounds what is still to come and keeps a small set's chunk small.
-	var arena []string
-	left := cap(blockers) * len(tables)
-	weld := func(kind, rule string, ts []int) {
-		if len(ts) < 2 {
-			return
-		}
-		if cap(arena)-len(arena) < len(ts) {
-			arena = make([]string, 0, max(len(ts), min(arenaChunk, left)))
-		}
-		left -= len(ts)
-		start := len(arena)
-		for _, t := range ts {
-			welded.union(ts[0], t)
-			arena = append(arena, tables[t])
-		}
-		end := len(arena)
-		blockers = append(blockers, ShardBlocker{Kind: kind, Rule: rule, Tables: arena[start:end:end]})
-	}
-
-	footOf := make([][]int, len(all))
-	for _, r := range all {
-		f := a.view.of(r)
-		foot := make([]int, 0, 1+len(f.performsSorted)+len(f.readsSorted))
-		add := func(table string) {
-			if t, ok := slot[table]; ok {
-				foot = append(foot, t)
-			}
-		}
+		f, start := a.view.of(r), len(arena)
 		add(strings.ToLower(r.Table))
 		for _, op := range f.performsSorted {
 			add(op.Table)
@@ -295,13 +373,41 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		for _, ref := range f.readsSorted {
 			add(ref.Table)
 		}
-		slices.Sort(foot)
-		footOf[r.Index()] = slices.Compact(foot)
+		plan.foot[r.Index()] = seal(start)
 	}
 
-	// The blockers are emitted in listing order (compareBlockers), kind by
-	// kind, so the sort below only confirms it — except for rule names
-	// containing '>', which can make "hi>lo" sort apart from (hi, lo).
+	// A rule is significant for exactly the tables its may-not-commute
+	// component performs on, one list per component: byRoot groups the
+	// components' rules.
+	comp := a.commuteComponents()
+	byRoot := slices.Clone(all)
+	slices.SortFunc(byRoot, func(x, y *rules.Rule) int { return cmp.Compare(comp.find(x.Index()), comp.find(y.Index())) })
+	for i := 0; i < len(byRoot); {
+		root, j, start := comp.find(byRoot[i].Index()), i, len(arena)
+		for ; j < len(byRoot) && comp.find(byRoot[j].Index()) == root; j++ {
+			for _, op := range a.view.of(byRoot[j]).performsSorted {
+				add(op.Table)
+			}
+		}
+		ts := seal(start)
+		for _, r := range byRoot[i:j] {
+			plan.sig[r.Index()] = ts
+		}
+		i = j
+	}
+
+	welded := newUnionFind(len(tables)) // over table slots
+	ordered := 0                        // priority-ordered pairs: one blocker each, at most
+	for _, r := range all {
+		for _, word := range a.set.HigherRow(r) {
+			ordered += bits.OnesCount64(word)
+		}
+	}
+	plan.blockers = make([]blockerRef, 0, 2*len(all)+ordered)
+
+	// The blockers are emitted in listing order, kind by kind, so the sort
+	// below only confirms it — except for rule names containing '>',
+	// which can make "hi>lo" sort apart from (hi, lo).
 	byName := slices.Clone(all)
 	slices.SortFunc(byName, func(x, y *rules.Rule) int { return cmp.Compare(x.Name, y.Name) })
 	rank := make([]int, len(all)) // rule index -> position in byName
@@ -309,64 +415,55 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		rank[r.Index()] = i
 	}
 
-	// Footprint: a rule's trigger, read, and write tables are co-resident.
-	for _, r := range byName {
-		weld(BlockFootprint, r.Name, footOf[r.Index()])
+	weld := func(kind uint8, lists [][]int) {
+		for _, r := range byName {
+			if ts := lists[r.Index()]; len(ts) > 1 {
+				for _, t := range ts[1:] {
+					welded.union(ts[0], t)
+				}
+				plan.blockers = append(plan.blockers, blockerRef{kind: kind, r: int32(r.Index())})
+			}
+		}
 	}
 
+	// Footprint: a rule's trigger, read, and write tables are co-resident.
+	weld(refFootprint, plan.foot)
+
 	// Priority: ordered rules share an engine, so their footprints merge.
-	// "hi>lo" lists by hi's name followed by '>', then by lo's name. A
-	// head's names are written into one string, and each blocker's Rule
-	// is a substring of it.
+	// "hi>lo" lists by hi's name followed by '>', then by lo's name. Each
+	// footprint is welded already, so their first tables weld the two; the
+	// edge is a blocker when they hold two tables between them.
 	heads := slices.Clone(byName)
 	slices.SortFunc(heads, func(x, y *rules.Rule) int { return cmp.Compare(x.Name+">", y.Name+">") })
-	var joint []int
-	var los []*rules.Rule
 	below := rules.NewBits(len(all)) // hi's row, bits numbered by rank
 	for _, hi := range heads {
+		fh := plan.foot[hi.Index()]
 		for w, word := range a.set.HigherRow(hi) {
 			for ; word != 0; word &= word - 1 {
 				below.Add(rank[w<<6|bits.TrailingZeros64(word)])
 			}
 		}
-		los = los[:0]
-		size := 0
 		for w, word := range below {
 			for ; word != 0; word &= word - 1 {
 				lo := byName[w<<6|bits.TrailingZeros64(word)]
-				los = append(los, lo)
-				size += len(hi.Name) + len(">") + len(lo.Name)
+				fl := plan.foot[lo.Index()]
+				welded.union(fh[0], fl[0])
+				if len(fh) > 1 || len(fl) > 1 || fh[0] != fl[0] {
+					plan.blockers = append(plan.blockers, blockerRef{kind: refPriority, r: int32(hi.Index()), lo: int32(lo.Index())})
+				}
 			}
 			below[w] = 0
-		}
-		var sb strings.Builder
-		sb.Grow(size)
-		for _, lo := range los {
-			sb.WriteString(hi.Name)
-			sb.WriteByte('>')
-			sb.WriteString(lo.Name)
-		}
-		names := sb.String()
-		for _, lo := range los {
-			n := len(hi.Name) + len(">") + len(lo.Name)
-			joint = append(append(joint[:0], footOf[hi.Index()]...), footOf[lo.Index()]...)
-			slices.Sort(joint)
-			weld(BlockPriority, names[:n], slices.Compact(joint))
-			names = names[n:]
 		}
 	}
 
 	// Significance: a rule in Sig({t1}) and Sig({t2}) welds t1 and t2.
-	for _, r := range byName {
-		weld(BlockSignificance, r.Name, sigTables[comp.find(r.Index())])
-	}
+	weld(refSignificance, plan.sig)
 	if a.blockersHook != nil {
-		a.blockersHook(blockers)
+		a.blockersHook(plan)
 	}
 
 	// Collect groups, canonical order: by first (smallest-name) table.
 	groupOf := make([]int, len(tables)) // root slot -> group number + 1
-	plan := &ShardPlan{}
 	for i, t := range tables {
 		root := welded.find(i)
 		if groupOf[root] == 0 {
@@ -383,11 +480,9 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		// every table of a component is welded by its members'
 		// significance blockers, so the whole component is significant
 		// for one shard.
-		if foot := footOf[r.Index()]; len(foot) > 0 {
-			g := &plan.Shards[groupOf[welded.find(foot[0])]-1]
-			g.Rules = append(g.Rules, r.Name)
-		}
-		if ts := sigTables[comp.find(r.Index())]; len(ts) > 0 {
+		g := &plan.Shards[groupOf[welded.find(plan.foot[r.Index()][0])]-1]
+		g.Rules = append(g.Rules, r.Name)
+		if ts := plan.sig[r.Index()]; len(ts) > 0 {
 			k := groupOf[welded.find(ts[0])] - 1
 			sigs[k] = append(sigs[k], r)
 		}
@@ -404,10 +499,7 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 
 	// The sort is the authority on the order; on blockers emitted in it,
 	// pdqsort makes one linear pass.
-	slices.SortFunc(blockers, compareBlockers)
-	if len(blockers) > 0 {
-		plan.Blockers = blockers
-	}
+	slices.SortFunc(plan.blockers, plan.compareRefs)
 	return plan
 }
 
@@ -467,16 +559,3 @@ func (u unionFind) find(x int) int {
 }
 
 func (u unionFind) union(x, y int) { u[u.find(x)] = u.find(y) }
-
-// compareBlockers is the plan's blocker order: kind, then rule, then
-// tables. The tables decide only between two priority blockers whose
-// "hi>lo" names coincide, which takes a '>' inside a rule name.
-func compareBlockers(x, y ShardBlocker) int {
-	if c := cmp.Compare(x.Kind, y.Kind); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.Rule, y.Rule); c != 0 {
-		return c
-	}
-	return cmp.Compare(strings.Join(x.Tables, ","), strings.Join(y.Tables, ","))
-}

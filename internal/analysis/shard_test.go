@@ -170,10 +170,11 @@ func TestShardPlanBlockersExplainMerges(t *testing.T) {
 				member[tb] = true
 			}
 			found := false
-			for _, bl := range plan.Blockers {
+			scratch := make([]int, 0, len(plan.tables))
+			for _, bl := range plan.blockers {
 				inside := 0
-				for _, tb := range bl.Tables {
-					if member[tb] {
+				for _, slot := range plan.slots(bl, scratch) {
+					if member[plan.tables[slot]] {
 						inside++
 					}
 				}

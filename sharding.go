@@ -17,9 +17,10 @@ import (
 // Re-exported sharding and replication types.
 type (
 	// ShardPlan is the maximal analysis-proven partition of the
-	// schema's tables into independently servable groups, with the
-	// rulelint-style blockers that prevent a finer partition. Its
-	// String and MarshalJSON forms are deterministic.
+	// schema's tables into independently servable groups. Its Blockers
+	// method lists the rulelint-style blockers that prevent a finer
+	// partition, built afresh on each call; String and MarshalJSON
+	// render them too. Both forms are deterministic.
 	ShardPlan = analysis.ShardPlan
 	// ShardGroup runs one serving engine (with its own WAL, breaker,
 	// and checkpoint/drain) per effective shard of the plan, routing
