@@ -66,8 +66,8 @@
 //	-seed n          seed for the jittered probe/retry backoff
 //	-maxsteps n      rule-consideration budget per request
 //	-strategy s      first | last | random:<seed>
-//	-fsync policy    commit (default) | always | never
-//	-group-commit n  fsync every nth commit (below 2 = every commit)
+//	-fsync policy    commit (default) fsyncs before every reply; never
+//	                 leaves fsync to the OS
 //
 // Protocol: one JSON object per line in, one per line out.
 //
@@ -164,8 +164,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	seed := fs.Int64("seed", 0, "seed for jittered probe/retry backoff")
 	maxSteps := fs.Int("maxsteps", 10000, "rule consideration budget per request")
 	strategy := fs.String("strategy", "first", "first | last | random:<seed>")
-	fsync := fs.String("fsync", "commit", "commit | always | never")
-	groupCommit := fs.Int("group-commit", 0, "fsync every nth commit (below 2 = every commit)")
+	fsync := fs.String("fsync", "commit", "commit | never")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -196,7 +195,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	}
 
 	cfg := activerules.ServeConfig{
-		WAL:                 activerules.WALOptions{Sync: policy, GroupCommit: *groupCommit},
+		WAL:                 activerules.WALOptions{Sync: policy},
 		Engine:              activerules.EngineOptions{MaxSteps: *maxSteps, Strategy: strat},
 		QueueDepth:          *queueDepth,
 		DefaultDeadline:     *deadline,

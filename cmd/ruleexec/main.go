@@ -29,9 +29,8 @@
 //	                 the next start
 //	-snapshot-every n  with -wal, checkpoint (snapshot + log rotation)
 //	                 after every n assertion points; 0 never checkpoints
-//	-fsync policy    with -wal: commit (default) | always | never
-//	-group-commit n  with -wal, fsync every nth commit instead of every
-//	                 one (riskier, faster); values below 2 disable
+//	-fsync policy    with -wal: commit (default) fsyncs every durable
+//	                 point; never leaves fsync to the OS
 //
 // Exit status:
 //
@@ -90,8 +89,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	lint := fs.Bool("lint", false, "run the rulelint preflight; error findings abort with status 6")
 	walDir := fs.String("wal", "", "durable mode: write-ahead log directory (recovered on start)")
 	snapEvery := fs.Int("snapshot-every", 0, "with -wal, checkpoint after every n assertion points (0 = never)")
-	fsync := fs.String("fsync", "commit", "with -wal: commit | always | never")
-	groupCommit := fs.Int("group-commit", 0, "with -wal, fsync every nth commit (below 2 = every commit)")
+	fsync := fs.String("fsync", "commit", "with -wal: commit | never")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -137,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		ds, err = sys.OpenDurable(*walDir, activerules.DurableOptions{
 			Engine: opts,
-			WAL:    activerules.WALOptions{Sync: policy, GroupCommit: *groupCommit},
+			WAL:    activerules.WALOptions{Sync: policy},
 		})
 		if err != nil {
 			if errors.Is(err, activerules.ErrUnrecoverableLog) {
@@ -162,8 +160,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				info.Aborts, info.TailDiscarded, info.TruncatedBytes)
 		}
 		if *traceFlag {
-			fmt.Fprintf(stdout, "trace: wal: gen=%d fsync=%s group-commit=%d\n",
-				ds.Gen(), policy, *groupCommit)
+			fmt.Fprintf(stdout, "trace: wal: gen=%d fsync=%s\n", ds.Gen(), policy)
 		}
 	} else {
 		eng = sys.NewEngine(sys.NewDB(), opts)

@@ -174,6 +174,7 @@ func TestRuleexecTrace(t *testing.T) {
 
 func TestRuleexecErrors(t *testing.T) {
 	sp, rp, op := fixture(t)
+	wd := t.TempDir()
 	cases := [][]string{
 		{},
 		{"-schema", sp, "-rules", rp}, // missing script
@@ -181,8 +182,10 @@ func TestRuleexecErrors(t *testing.T) {
 		{"-schema", sp, "-rules", "/nope", "-script", op},
 		{"-schema", sp, "-rules", rp, "-script", "/nope"},
 		{"-schema", sp, "-rules", rp, "-script", op, "-seed", "/nope"},
-		{"-schema", sp, "-rules", rp, "-script", op, "-explore", "-parallel", "2"}, // no such flag
-		{"-schema", sp, "-rules", rp, "-script", op, "-compiled=false"},            // no such flag
+		{"-schema", sp, "-rules", rp, "-script", op, "-explore", "-parallel", "2"},     // no such flag
+		{"-schema", sp, "-rules", rp, "-script", op, "-compiled=false"},                // no such flag
+		{"-schema", sp, "-rules", rp, "-script", op, "-wal", wd, "-fsync", "always"},   // no such policy
+		{"-schema", sp, "-rules", rp, "-script", op, "-wal", wd, "-group-commit", "2"}, // no such flag
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

@@ -20,7 +20,7 @@ type (
 	// for tests and crash harnesses.
 	MemFS = wal.MemFS
 	// WALOptions configure the write-ahead log (filesystem, fsync
-	// policy, group-commit batching).
+	// policy, leadership epoch).
 	WALOptions = wal.Options
 	// RecoveryInfo summarizes what opening a WAL directory found and
 	// replayed.
@@ -36,8 +36,6 @@ type (
 const (
 	// SyncCommit fsyncs at every durable point (the default).
 	SyncCommit = wal.SyncCommit
-	// SyncAlways fsyncs after every record.
-	SyncAlways = wal.SyncAlways
 	// SyncNever leaves fsync timing to the OS.
 	SyncNever = wal.SyncNever
 )
@@ -56,7 +54,7 @@ var (
 	ErrWALClosed = wal.ErrClosed
 )
 
-// ParseSyncPolicy reads a policy name: commit | always | never.
+// ParseSyncPolicy reads a policy name: commit | never.
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(s) }
 
 // NewMemFS returns an empty in-memory filesystem for durable sessions
@@ -67,7 +65,7 @@ func NewMemFS() *MemFS { return wal.NewMemFS() }
 type DurableOptions struct {
 	// Engine options; the Journal field is overwritten by the session.
 	Engine EngineOptions
-	// WAL options (filesystem, sync policy, group commit).
+	// WAL options (filesystem, sync policy, epoch).
 	WAL WALOptions
 }
 

@@ -128,7 +128,7 @@ func TestCheckpointRotationCrashWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hashes, _, err := Probe(sc)
+			hashes, _, err := Probe(sc, wal.Options{})
 			if err != nil {
 				t.Fatalf("probe: %v", err)
 			}
@@ -192,7 +192,7 @@ func TestCheckpointLateFailurePoison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hashes, _, err := Probe(sc)
+	hashes, _, err := Probe(sc, wal.Options{})
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}

@@ -93,7 +93,7 @@ func checkChunking(t *testing.T, sc *Scenario, fsys wal.FS, seed int64, label st
 // and checks chunking independence on what survives.
 func enumerateChunking(t *testing.T, sc *Scenario, seed int64) {
 	t.Helper()
-	_, ops, err := Probe(sc)
+	_, ops, err := Probe(sc, wal.Options{})
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}

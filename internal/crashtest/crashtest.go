@@ -187,13 +187,13 @@ func RunDurable(sc *Scenario, fsys wal.FS, opts wal.Options, collect func([32]by
 	return d.Close()
 }
 
-// Probe runs the scenario crash-free on a MemFS behind a disarmed
-// injector, returning the reference durable-point hashes and the number
-// of filesystem injection points the scenario has.
-func Probe(sc *Scenario) (hashes [][32]byte, fsOps int, err error) {
+// Probe runs the scenario crash-free under opts on a MemFS behind a
+// disarmed injector, returning the reference durable-point hashes and
+// the number of filesystem injection points the scenario has.
+func Probe(sc *Scenario, opts wal.Options) (hashes [][32]byte, fsOps int, err error) {
 	inj := faultinject.New(faultinject.Config{})
 	inj.Disarm()
-	err = RunDurable(sc, inj.WrapFS(wal.NewMemFS()), wal.Options{}, func(h [32]byte) {
+	err = RunDurable(sc, inj.WrapFS(wal.NewMemFS()), opts, func(h [32]byte) {
 		hashes = append(hashes, h)
 	})
 	return hashes, inj.FSCalls(), err

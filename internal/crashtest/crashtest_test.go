@@ -118,11 +118,12 @@ func checkRecovery(t *testing.T, sc *Scenario, fsys wal.FS, ref map[[32]byte]boo
 	}
 }
 
-// enumerateCrashes runs the scenario once per filesystem operation,
-// crashing at exactly that operation, and checks recovery after each.
-func enumerateCrashes(t *testing.T, sc *Scenario, seed int64) {
+// enumerateCrashes runs the scenario under opts once per filesystem
+// operation, crashing at exactly that operation, and checks recovery
+// after each.
+func enumerateCrashes(t *testing.T, sc *Scenario, seed int64, opts wal.Options) {
 	t.Helper()
-	hashes, ops, err := Probe(sc)
+	hashes, ops, err := Probe(sc, opts)
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
@@ -133,16 +134,16 @@ func enumerateCrashes(t *testing.T, sc *Scenario, seed int64) {
 	for k := 1; k <= ops; k++ {
 		fsys := wal.NewMemFS()
 		inj := faultinject.New(faultinject.Config{FSCrashAt: k, Seed: seed<<8 + int64(k)})
-		runErr := RunDurable(sc, inj.WrapFS(fsys), wal.Options{}, nil)
+		runErr := RunDurable(sc, inj.WrapFS(fsys), opts, nil)
 		if !inj.Crashed() {
-			t.Fatalf("crash point %d/%d never reached (run err: %v)", k, ops, runErr)
+			t.Fatalf("fsync=%s: crash point %d/%d never reached (run err: %v)", opts.Sync, k, ops, runErr)
 		}
 		if runErr == nil {
-			t.Errorf("crash at %d/%d surfaced no error to the session", k, ops)
+			t.Errorf("fsync=%s: crash at %d/%d surfaced no error to the session", opts.Sync, k, ops)
 		} else if !errors.Is(runErr, faultinject.ErrCrashed) {
-			t.Errorf("crash at %d/%d surfaced %v, want ErrCrashed in the chain", k, ops, runErr)
+			t.Errorf("fsync=%s: crash at %d/%d surfaced %v, want ErrCrashed in the chain", opts.Sync, k, ops, runErr)
 		}
-		checkRecovery(t, sc, fsys, ref, fmt.Sprintf("crash at %d/%d", k, ops))
+		checkRecovery(t, sc, fsys, ref, fmt.Sprintf("fsync=%s: crash at %d/%d", opts.Sync, k, ops))
 	}
 }
 
@@ -155,7 +156,11 @@ func TestCrashPointEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enumerateCrashes(t, sc, seed)
+			// SyncNever loses a longer committed suffix on a crash, but
+			// what survives must still be a committed prefix.
+			for _, sync := range []wal.SyncPolicy{wal.SyncCommit, wal.SyncNever} {
+				enumerateCrashes(t, sc, seed, wal.Options{Sync: sync})
+			}
 		})
 	}
 }
@@ -165,7 +170,7 @@ func TestCrashPointEnumerationRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enumerateCrashes(t, sc, 999)
+	enumerateCrashes(t, sc, 999, wal.Options{})
 }
 
 // TestFailStopEnumeration fails (without crash semantics) every fs
@@ -181,7 +186,7 @@ func TestFailStopEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hashes, ops, err := Probe(sc)
+			hashes, ops, err := Probe(sc, wal.Options{})
 			if err != nil {
 				t.Fatalf("probe: %v", err)
 			}
@@ -214,7 +219,7 @@ func TestShortWriteEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hashes, ops, err := Probe(sc)
+			hashes, ops, err := Probe(sc, wal.Options{})
 			if err != nil {
 				t.Fatalf("probe: %v", err)
 			}

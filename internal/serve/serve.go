@@ -53,7 +53,8 @@ const reopenSeedSalt = 0x7ea1_5eed
 // faults, probing enabled.
 type Config struct {
 	// WAL configures the write-ahead log (filesystem, sync policy,
-	// group commit).
+	// epoch). Under the default SyncCommit a request is answered only
+	// after its commit is fsynced.
 	WAL wal.Options
 	// Engine configures rule processing; the Journal field is
 	// overwritten by the server.

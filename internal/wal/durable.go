@@ -147,13 +147,9 @@ func Open(dir string, sch *schema.Schema, opts Options) (*DurableDB, error) {
 		info.Epoch = opts.Epoch
 		l.append(Record{Kind: RecEpoch, Epoch: opts.Epoch})
 	}
-	l.flush()
-	if opts.Sync != SyncNever {
-		l.sync()
-	}
-	if l.err != nil {
+	if err := l.durablePoint(); err != nil {
 		l.f.Close()
-		return nil, l.err
+		return nil, err
 	}
 	// OpenAppend may have just created the log file: its directory entry
 	// must be durable before any commit this session reports as durable.
@@ -389,11 +385,7 @@ func (d *DurableDB) Checkpoint(cur *storage.DB) error {
 	if err := d.log.Err(); err != nil {
 		return err
 	}
-	d.log.flush()
-	if d.opts.Sync != SyncNever {
-		d.log.sync()
-	}
-	if err := d.log.Err(); err != nil {
+	if err := d.log.durablePoint(); err != nil {
 		return err
 	}
 	newGen := d.gen + 1
@@ -417,14 +409,10 @@ func (d *DurableDB) Checkpoint(cur *storage.DB) error {
 		// active generation's log, so the new log re-stamps it.
 		nl.append(Record{Kind: RecEpoch, Epoch: e})
 	}
-	nl.flush()
-	if d.opts.Sync != SyncNever {
-		nl.sync()
-	}
-	if nl.err != nil {
+	if err := nl.durablePoint(); err != nil {
 		nf.Close()
-		d.log.err = nl.err
-		return nl.err
+		d.log.err = err
+		return err
 	}
 	// Make the new log's directory entry durable before retiring the old
 	// log: otherwise a power loss could keep the old-log Remove while

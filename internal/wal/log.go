@@ -33,17 +33,10 @@ func (e *FencedError) Unwrap() error { return ErrFenced }
 type SyncPolicy int
 
 const (
-	// SyncCommit (the default) fsyncs at commit and abort records —
-	// every durable point is on stable storage before the engine
-	// proceeds. With Options.GroupCommit > 1, the fsync is amortized
-	// over that many commits (group commit): the durability window
-	// widens to the unsynced commits, but prefix consistency is
-	// unaffected because recovery only trusts what reached the disk in
-	// order.
+	// SyncCommit (the default) fsyncs at every durable point — commit,
+	// abort, open, checkpoint and close — before the caller proceeds, so
+	// a commit that returned nil survives any crash.
 	SyncCommit SyncPolicy = iota
-	// SyncAlways fsyncs after every record append. Slowest, smallest
-	// loss window.
-	SyncAlways
 	// SyncNever never fsyncs; the OS decides when bytes hit the disk.
 	// Fastest, and still crash-consistent (never corrupt) — a crash just
 	// loses a longer committed suffix.
@@ -55,8 +48,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncCommit:
 		return "commit"
-	case SyncAlways:
-		return "always"
 	case SyncNever:
 		return "never"
 	default:
@@ -69,12 +60,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "commit":
 		return SyncCommit, nil
-	case "always":
-		return SyncAlways, nil
 	case "never":
 		return SyncNever, nil
 	default:
-		return SyncCommit, fmt.Errorf("unknown -fsync policy %q (want commit, always, or never)", s)
+		return SyncCommit, fmt.Errorf("unknown -fsync policy %q (want commit or never)", s)
 	}
 }
 
@@ -84,10 +73,6 @@ type Options struct {
 	FS FS
 	// Sync is the fsync policy; the zero value is SyncCommit.
 	Sync SyncPolicy
-	// GroupCommit batches fsyncs under SyncCommit: the log fsyncs every
-	// Nth commit point (and always at abort, checkpoint, and close).
-	// Values below 2 mean every commit syncs.
-	GroupCommit int
 	// Epoch is the leadership epoch this session claims. 0 (the
 	// default) adopts whatever epoch the directory already records —
 	// single-node operation never sees epochs at all. A non-zero epoch
@@ -101,9 +86,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = OS
-	}
-	if o.GroupCommit < 2 {
-		o.GroupCommit = 1
 	}
 	return o
 }
@@ -129,10 +111,9 @@ type Log struct {
 	f    File
 	opts Options
 
-	buf     []byte
-	err     error
-	closed  bool
-	commits int // commits since the last fsync (group commit)
+	buf    []byte
+	err    error
+	closed bool
 
 	// written and durable track the log file's byte positions: written
 	// is how many bytes have reached the file (flushed), durable how
@@ -201,9 +182,6 @@ func (l *Log) flush() {
 	}
 	l.written.Add(int64(len(l.buf)))
 	l.buf = l.buf[:0]
-	if l.opts.Sync == SyncAlways {
-		l.sync()
-	}
 }
 
 func (l *Log) sync() {
@@ -218,21 +196,16 @@ func (l *Log) sync() {
 		return
 	}
 	l.durable.Store(l.written.Load())
-	l.commits = 0
 }
 
-// durablePoint appends rec, flushes, and applies the fsync policy.
-// force bypasses group-commit batching (aborts, checkpoints, close).
-func (l *Log) durablePoint(rec Record, force bool) error {
-	l.append(rec)
+// durablePoint writes out the buffer and, unless the policy is
+// SyncNever, fsyncs it, returning the sticky error. It is the one place
+// the sync policy is applied: commit, abort, open, checkpoint and close
+// all end here. Fence does not: it fsyncs whatever the policy.
+func (l *Log) durablePoint() error {
 	l.flush()
-	switch l.opts.Sync {
-	case SyncNever, SyncAlways: // SyncAlways already synced in flush
-	default:
-		l.commits++
-		if force || l.commits >= l.opts.GroupCommit {
-			l.sync()
-		}
+	if l.opts.Sync != SyncNever {
+		l.sync()
 	}
 	return l.err
 }
@@ -248,14 +221,17 @@ func (l *Log) Begin() error {
 // Commit writes a commit record and makes it durable per the sync
 // policy. Part of the engine Journal interface.
 func (l *Log) Commit() error {
-	return l.durablePoint(Record{Kind: RecCommit}, false)
+	l.append(Record{Kind: RecCommit})
+	return l.durablePoint()
 }
 
-// Abort writes an abort record (a rule-level ROLLBACK fired) and forces
-// it to stable storage: the rollback's observable "nothing happened"
-// promise must survive a crash. Part of the engine Journal interface.
+// Abort writes an abort record (a rule-level ROLLBACK fired) and makes
+// it durable like a commit: the rollback's observable "nothing
+// happened" promise must survive a crash. Part of the engine Journal
+// interface.
 func (l *Log) Abort() error {
-	return l.durablePoint(Record{Kind: RecAbort}, true)
+	l.append(Record{Kind: RecAbort})
+	return l.durablePoint()
 }
 
 // Fence durably records that epoch has been observed and refuses every
@@ -305,10 +281,7 @@ func (l *Log) close() error {
 	if l.closed {
 		return nil
 	}
-	l.flush()
-	if l.opts.Sync != SyncNever {
-		l.sync()
-	}
+	l.durablePoint()
 	l.closed = true
 	if cerr := l.f.Close(); cerr != nil && l.err == nil {
 		l.err = fmt.Errorf("wal: close: %w", cerr)

@@ -1,9 +1,9 @@
 // Package wal gives the in-memory database of internal/storage a
 // durable life: a checksummed, length-prefixed write-ahead record log
-// with group-commit batching, atomic snapshots (write-temp + fsync +
-// rename), and a recovery path that replays committed transactions,
-// discards uncommitted tails, and truncates the log at the first torn
-// or corrupt record.
+// fsynced at every durable point (or never, by choice), atomic
+// snapshots (write-temp + fsync + rename), and a recovery path that
+// replays committed transactions, discards uncommitted tails, and
+// truncates the log at the first torn or corrupt record.
 //
 // The log is a physical redo log fed by storage.Observer: every applied
 // primitive mutation — including the compensations a savepoint rollback

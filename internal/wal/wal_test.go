@@ -471,14 +471,17 @@ func TestSavepointCompensationsReplay(t *testing.T) {
 	}
 }
 
+// TestSyncPoliciesAndGroupCommit checks both fsync policies after a
+// clean shutdown, and the contract a group commit would break: under
+// SyncCommit every Commit that returns nil has made every byte written
+// so far durable.
 func TestSyncPoliciesAndGroupCommit(t *testing.T) {
 	for _, c := range []struct {
 		opt  Options
 		name string
 	}{
-		{Options{Sync: SyncAlways}, "u"},
+		{Options{Sync: SyncCommit}, "u"},
 		{Options{Sync: SyncNever}, "u"},
-		{Options{Sync: SyncCommit, GroupCommit: 3}, "u"},
 		// Every insert record outgrows the 256 KiB append buffer, so the
 		// log spills it before the commit point.
 		{Options{}, strings.Repeat("u", 256<<10)},
@@ -496,6 +499,14 @@ func TestSyncPoliciesAndGroupCommit(t *testing.T) {
 			db.MustInsert("acct", storage.StringV(c.name), storage.IntV(int64(i)))
 			if err := d.Commit(); err != nil {
 				t.Fatal(err)
+			}
+			if opt.Sync != SyncCommit {
+				continue
+			}
+			written := int64(len(mustRead(t, fsys, LogPath("w", d.Gen()))))
+			if got := d.log.DurableOffset(); got != written {
+				t.Errorf("opts %+v, %d-byte name, commit %d: DurableOffset %d, %d bytes written",
+					c.opt, len(c.name), i, got, written)
 			}
 		}
 		want := db.Fingerprint()
