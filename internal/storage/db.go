@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"hash"
 	"slices"
 	"sort"
 	"strings"
@@ -414,11 +413,12 @@ func (db *DB) Fork() *DB {
 // The digest has two levels: SHA-256 over `name ( tableDigest )` in
 // sorted name order, where a table's digest is memoized in the table
 // until its next mutation, so a call costs the rows of the tables
-// changed since the last one plus 32 bytes per clean table. Fingerprint
-// therefore WRITES: the memo of every table it had to re-read and the
-// DB's scratch buffer. It follows the same one-goroutine rule as
-// mutation. Clone and Fork carry the digests, never the scratch or the
-// observer.
+// changed since the last one (only the new rows of a table that only
+// grew, plus hashing its kept encodings) and 32 bytes per clean table.
+// Fingerprint therefore WRITES: the memo and kept encodings of every
+// table it had to re-read and the DB's scratch buffer. It follows the
+// same one-goroutine rule as mutation. Clone and Fork carry the digests,
+// never the kept encodings, the scratch or the observer.
 func (db *DB) Fingerprint() [32]byte { return db.fingerprintOf(db.names) }
 
 // TableFingerprint is Fingerprint over the named tables only, used for
@@ -455,9 +455,8 @@ var emptyDigest = sha256.Sum256(nil)
 // dirty table allocates nothing once the buffers have grown to the
 // largest table digested.
 type fpScratch struct {
-	buf   []byte    // row encodings of the table being digested, each followed by ';'
+	buf   []byte    // encodings of the rows being digested, each followed by ';'
 	spans []rowSpan // one per row, sorted by encoding
-	h     hash.Hash // streams the sorted rows
 	top   []byte    // the `name ( tableDigest )` stream
 	rows  int       // rows encoded so far (what tests count)
 }
@@ -468,45 +467,48 @@ type rowSpan struct{ lo, hi int }
 // tableDigest returns the table's content digest: the SHA-256 of its
 // sorted row encodings, each followed by ';' — the bytes
 // CanonicalFingerprint streams between the table's parentheses, in the
-// same order. A clean table answers from its memo.
+// same order. A clean table answers from its memo; a dirty one merges
+// the rows appended since its last digest into the encodings it kept, if
+// it only grew since, and else rebuilds them from every row.
 func (db *DB) tableDigest(t *Table) [32]byte {
 	if t.clean {
 		return t.digest
 	}
 	s := &db.fp
+	n := len(t.rows)
+	if t.run {
+		n = len(t.order) - t.sortedN
+	}
 	buf, spans := s.buf[:0], s.spans[:0]
-	if n := len(t.rows); n > 2*cap(spans) {
-		// The table is over twice what the scratch has held (a decoded
+	if n > 2*cap(spans) {
+		// The rows are over twice what the scratch has held (a decoded
 		// snapshot's first digest, a bulk load): size it in one step, by
 		// a pass that only measures, with a quarter of headroom. Growing
 		// it that far by append leaves several times the table's
 		// encoding as garbage.
 		spans = make([]rowSpan, 0, n+n/4)
 		size := 0
-		for _, tu := range t.rows {
+		t.pending(func(tu *Tuple) {
 			buf = tu.encode(buf[:0])
 			size += len(buf) + 1
-		}
+		})
 		if buf = buf[:0]; cap(buf) < size {
 			buf = make([]byte, 0, size+size/4)
 		}
 	}
-	for _, tu := range t.rows {
+	t.pending(func(tu *Tuple) {
 		lo := len(buf)
 		buf = tu.encode(buf)
 		spans = append(spans, rowSpan{lo, len(buf)})
 		buf = append(buf, ';')
-	}
+	})
 	slices.SortFunc(spans, func(a, b rowSpan) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
-	if s.h == nil {
-		s.h = sha256.New()
+	if !t.run { // a rebuild: every row is new
+		t.enc, t.ends = t.enc[:0], t.ends[:0]
 	}
-	s.h.Reset()
-	for _, sp := range spans {
-		s.h.Write(buf[sp.lo : sp.hi+1])
-	}
-	s.h.Sum(t.digest[:0])
-	t.clean = true
+	t.merge(buf, spans)
+	t.digest = sha256.Sum256(t.enc)
+	t.clean, t.run, t.sortedN = true, true, len(t.order)
 	s.buf, s.spans, s.rows = buf, spans, s.rows+len(spans)
 	return t.digest
 }

@@ -129,9 +129,12 @@ func TestFingerprintMemoDifferential(t *testing.T) {
 // row's values change. Each arranges for the table's digest to be
 // memoized immediately before that one place runs, so the case fails —
 // the oracle's row-for-row rebuild disagrees — exactly when that place
-// stops calling touch. touch feeds a second memo's key, the table's
+// stops calling touch (Table.insert does touch's work itself, keeping
+// an open append run). touch feeds a second memo's key, the table's
 // Version (internal/wal's snapshot sections), so each case also requires
-// that it strictly increased.
+// that it strictly increased. The last three cases end, or copy, an
+// append run and then append: they fail when compact or a revive leaves
+// the run open, or when a Clone or Fork shares its kept encodings.
 func TestEveryMutationTouches(t *testing.T) {
 	var id TupleID
 	var sp Savepoint
@@ -173,6 +176,52 @@ func TestEveryMutationTouches(t *testing.T) {
 				}
 			},
 			func(db *DB) { db.RollbackTo(sp) }},
+		{"Table.compact, then Table.insert",
+			func(db *DB) {
+				for i := 0; i < 20; i++ {
+					db.Delete("t", db.MustInsert("t", IntV(int64(i)), StringV("z")))
+				}
+			},
+			func(db *DB) {
+				n := len(db.Table("t").order)
+				db.Release(sp)
+				if len(db.Table("t").order) >= n {
+					t.Fatal("Release did not compact; the case would be vacuous")
+				}
+				db.MustInsert("t", IntV(0), StringV("a"))
+			}},
+		{"Table.insertPreservingOrder (revive), then Table.insert",
+			func(db *DB) { db.Delete("t", id) },
+			func(db *DB) {
+				if err := db.InsertWithID("t", id, []Value{IntV(7), StringV("x")}); err != nil {
+					t.Fatal(err)
+				}
+				db.MustInsert("t", IntV(8), StringV("y"))
+			}},
+		{"Table.insert on a Clone and a Fork taken mid-run",
+			func(db *DB) {
+				for i := 0; i < 20; i++ {
+					db.MustInsert("t", IntV(int64(i)), StringV("c"))
+				}
+			},
+			func(db *DB) {
+				db.MustInsert("t", IntV(20), StringV("c"))
+				db.Fingerprint() // a merge: the kept encodings grow with room to spare
+				if tbl := db.Table("t"); !tbl.run || cap(tbl.enc)-len(tbl.enc) < 32 {
+					t.Fatal("no open run with room to merge into; the case would be vacuous")
+				}
+				copies := []*DB{db.Clone(), db.Fork()}
+				for i, c := range append(copies, db) {
+					c.MustInsert("t", IntV(int64(-i)), StringV("x"))
+					c.Fingerprint()
+				}
+				for _, c := range copies {
+					if err := new(FingerprintOracle).Check(c); err != nil {
+						t.Error(err)
+					}
+				}
+				db.MustInsert("t", IntV(-9), StringV("y"))
+			}},
 	}
 	for _, c := range cases {
 		t.Run(c.site, func(t *testing.T) {
@@ -308,9 +357,10 @@ func TestCleanFingerprintAllocatesNothing(t *testing.T) {
 
 // TestFirstDigestScratchSizedOnce: the first digest of a large table —
 // what a reader pays for a decoded snapshot — measures the rows and
-// sizes the scratch in one step, so it allocates little more than the
-// scratch it keeps, where growing it by append left several times that
-// as garbage.
+// sizes the scratch in one step, and the table's kept sorted copy of the
+// encodings in one more, so it allocates little more than the two keep,
+// where growing the scratch by append left several times that as
+// garbage.
 func TestFirstDigestScratchSizedOnce(t *testing.T) {
 	db := NewDB(schema.MustParse("table archive (id int, payload string)"))
 	for i := 0; i < 10000; i++ {
@@ -320,9 +370,50 @@ func TestFirstDigestScratchSizedOnce(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	fpSink = db.Fingerprint()
 	runtime.ReadMemStats(&after)
-	kept := cap(db.fp.buf) + cap(db.fp.spans)*int(unsafe.Sizeof(rowSpan{}))
+	tbl := db.Table("archive")
+	kept := cap(db.fp.buf) + cap(db.fp.spans)*int(unsafe.Sizeof(rowSpan{})) +
+		cap(tbl.enc) + cap(tbl.ends)*int(unsafe.Sizeof(0))
 	if got := int(after.TotalAlloc - before.TotalAlloc); 2*got > 3*kept {
-		t.Errorf("first Fingerprint of 10 000 rows allocated %d bytes for a %d-byte scratch, want at most 1.5x", got, kept)
+		t.Errorf("first Fingerprint of 10 000 rows allocated %d bytes for a %d-byte scratch and kept copy, want at most 1.5x", got, kept)
+	}
+}
+
+// TestAppendDigestEncodesOnlyNewRows is the append run's cost tripwire:
+// k rows appended to an N-row table are the only rows the next
+// Fingerprint encodes, and once the table's kept encodings have grown
+// the merge allocates the same at N = 1 000 as at N = 100 000.
+func TestAppendDigestEncodesOnlyNewRows(t *testing.T) {
+	const k, runs = 4, 100
+	measure := func(n int) (allocs uint64) {
+		db, _ := flatDB(t, 8, n)
+		i := 0
+		appendK := func() {
+			for j := 0; j < k; j++ {
+				i++
+				db.MustInsert("cold", IntV(int64(i)), StringV("appended"))
+			}
+		}
+		appendK()
+		fpSink = db.Fingerprint() // grow the scratch to k rows
+		before := db.fp.rows
+		var a, b runtime.MemStats
+		for r := 0; r < runs; r++ {
+			appendK()
+			runtime.ReadMemStats(&a)
+			fpSink = db.Fingerprint()
+			runtime.ReadMemStats(&b)
+			allocs += b.Mallocs - a.Mallocs
+		}
+		if got := db.fp.rows - before; got != k*runs {
+			t.Errorf("N = %d: %d Fingerprints after %d appended rows each encoded %d rows, want %d", n, runs, k, got, k*runs)
+		}
+		if err := new(FingerprintOracle).Check(db); err != nil {
+			t.Error(err)
+		}
+		return allocs / runs
+	}
+	if a0, a1 := measure(1000), measure(100000); a0 != a1 {
+		t.Errorf("allocations per merge of %d appended rows: %d into 1 000 rows, %d into 100 000", k, a0, a1)
 	}
 }
 
@@ -332,21 +423,27 @@ var fpSink [32]byte
 // sizes. clean updates a row of an 8-row table beside N untouched rows
 // and must read flat in N (it reports, and checks, the rows it encoded);
 // dirty updates a row of the N-row table itself, the allocation-free
-// pass over a table that did change.
+// pass over a table that did change; append adds a row to the N-row
+// table, which merges that one row into its kept encodings.
 func BenchmarkFingerprint(b *testing.B) {
-	for _, mode := range []string{"clean", "dirty"} {
+	for _, mode := range []string{"clean", "dirty", "append"} {
 		for _, n := range []int{1000, 10000, 100000} {
 			b.Run(fmt.Sprintf("%s/rows=%dk", mode, n/1000), func(b *testing.B) {
 				db, ids := flatDB(b, 8, n)
 				table, want := "hot", 8
-				if mode == "dirty" {
+				switch mode {
+				case "dirty":
 					table, want, ids = "cold", n, db.Table("cold").IDs()
+				case "append":
+					table, want = "cold", 1
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				before := db.fp.rows
 				for i := 0; i < b.N; i++ {
-					if _, err := db.Update(table, ids[i%len(ids)], "v", IntV(int64(-i))); err != nil {
+					if mode == "append" {
+						db.MustInsert(table, IntV(int64(-i)), StringV("appended"))
+					} else if _, err := db.Update(table, ids[i%len(ids)], "v", IntV(int64(-i))); err != nil {
 						b.Fatal(err)
 					}
 					fpSink = db.Fingerprint()

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 )
 
 // FingerprintOracle holds the memoized two-level Fingerprint to its
@@ -20,9 +22,10 @@ type FingerprintOracle struct {
 // if it does: (i) a row-for-row rebuild, which has no memo to be stale,
 // fingerprints differently; (ii) a table's digest — memoized, or just
 // computed by the allocation-free pass — is not the SHA-256 of its
-// sorted encodings (writeSorted); (iii) over all states this oracle has
-// seen, two agree on Fingerprint but not on CanonicalFingerprint, or the
-// reverse.
+// sorted encodings (writeSorted); (iii) a table's open append run keeps
+// encodings other than its sorted ones, or counts other slots than its
+// order slice holds; (iv) over all states this oracle has seen, two
+// agree on Fingerprint but not on CanonicalFingerprint, or the reverse.
 func (o *FingerprintOracle) Check(db *DB) error {
 	fp := db.Fingerprint() // leaves every table clean
 	fresh := NewDB(db.sch)
@@ -43,6 +46,17 @@ func (o *FingerprintOracle) Check(db *DB) error {
 		}
 		if fresh.tables[name].digest != want {
 			return fmt.Errorf("storage: table %s: the buffer pass and sortedEncodings digest differently", name)
+		}
+		if t.run {
+			var enc []byte
+			var ends []int
+			for _, e := range t.sortedEncodings() {
+				enc = append(append(enc, e...), ';')
+				ends = append(ends, len(enc))
+			}
+			if t.sortedN != len(t.order) || !bytes.Equal(t.enc, enc) || !slices.Equal(t.ends, ends) {
+				return fmt.Errorf("storage: table %s: an append run keeps other encodings than its sorted ones, or counts %d of %d slots", name, t.sortedN, len(t.order))
+			}
 		}
 	}
 	canon := db.CanonicalFingerprint()

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"hash"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,11 +49,23 @@ type Table struct {
 	// digest memoizes the table's content digest (DB.tableDigest) while
 	// clean is set. The digest is a function of the row multiset alone,
 	// so the one rule is: whatever changes which rows are live, or a live
-	// row's values, calls touch.
+	// row's values, calls touch (Table.insert does touch's work itself).
 	digest [32]byte
 	clean  bool
 
-	// ver counts calls to touch, which see more than the digest can tell:
+	// enc is the digest's exact input as of the last digest: the live
+	// rows' encodings in sorted order, each followed by ';', row i ending
+	// (after its ';') at ends[i]. While run is set every change since has
+	// been an append, so the rows not in enc are order[sortedN:], and the
+	// next digest merges just those in. touch and compact end the run;
+	// the next digest rebuilds enc. clone leaves enc behind, since a
+	// merge rewrites it in place.
+	enc     []byte
+	ends    []int
+	sortedN int
+	run     bool
+
+	// ver counts touches and appends, which see more than the digest can tell:
 	// a delete and an equal insert keep the multiset and change an identity.
 	ver uint64
 
@@ -79,8 +93,9 @@ func (t *Table) noteChange(end int, k ChangeKind) { t.last, t.lastOf[k] = end, e
 // forgetChanges empties the table's history index.
 func (t *Table) forgetChanges() { t.last, t.lastOf = 0, [3]int{} }
 
-// touch marks the memoized content digest stale and advances Version.
-func (t *Table) touch() { t.clean, t.ver = false, t.ver+1 }
+// touch marks the memoized content digest stale, advances Version and
+// ends the append run: every change but Table.insert's append.
+func (t *Table) touch() { t.clean, t.ver, t.run = false, t.ver+1, false }
 
 // Version is a counter that has moved whenever the table's live rows —
 // their identities, values or iteration order — may have changed, and
@@ -127,7 +142,7 @@ func (t *Table) IDs() []TupleID {
 }
 
 func (t *Table) insert(tu *Tuple) {
-	t.touch()
+	t.clean, t.ver = false, t.ver+1 // touch, but an open append run goes on
 	t.rows[tu.ID] = tu
 	t.order = append(t.order, tu.ID)
 }
@@ -155,10 +170,12 @@ func (t *Table) insertPreservingOrder(tu *Tuple) (appended bool) {
 // compact drops the order slice's tombstones once they outnumber live
 // rows three to one. The DB calls it only with no savepoint active:
 // until then unDelete relies on a deleted identity keeping its slot.
+// Moving the slots ends the append run, which counts them.
 func (t *Table) compact() {
 	if len(t.order) <= 16 || len(t.rows)*4 >= len(t.order) {
 		return
 	}
+	t.run = false
 	live := t.order[:0]
 	for _, oid := range t.order {
 		if _, ok := t.rows[oid]; ok {
@@ -206,6 +223,47 @@ func (t *Table) clone() *Table {
 		}
 	}
 	return nt
+}
+
+// pending calls fn on each row the next digest encodes: while the run is
+// open, the rows appended since the last digest, else every live row.
+func (t *Table) pending(fn func(*Tuple)) {
+	if t.run {
+		for _, id := range t.order[t.sortedN:] {
+			fn(t.rows[id])
+		}
+		return
+	}
+	for _, tu := range t.rows {
+		fn(tu)
+	}
+}
+
+// merge adds the sorted rows buf[spans[i].lo:spans[i].hi+1] to the kept
+// encodings in place, from the back: each step moves the larger of the
+// last unplaced kept row and the last unplaced new row to the end of
+// the free space, which never reaches a kept row not yet moved. A
+// rebuild empties the kept encodings first; they grow in one step.
+func (t *Table) merge(buf []byte, spans []rowSpan) {
+	n := len(t.ends)
+	t.enc = slices.Grow(t.enc, len(buf))[:len(t.enc)+len(buf)]
+	t.ends = slices.Grow(t.ends, len(spans))[:n+len(spans)]
+	enc, ends, w := t.enc, t.ends, len(t.enc)
+	for i, j := n-1, len(spans)-1; j >= 0; {
+		src, lo, hi := buf, spans[j].lo, spans[j].hi+1
+		klo := 0
+		if i > 0 {
+			klo = ends[i-1]
+		}
+		if i >= 0 && bytes.Compare(enc[klo:ends[i]-1], buf[lo:hi-1]) > 0 {
+			src, lo, hi = enc, klo, ends[i]
+			i--
+		} else {
+			j--
+		}
+		ends[i+j+2] = w // the index, among the merged rows, of the one just placed
+		w -= copy(enc[w-(hi-lo):w], src[lo:hi])
+	}
 }
 
 // sortedEncodings returns the canonical encodings of all live tuples,
