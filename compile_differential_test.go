@@ -509,3 +509,115 @@ func wantObservables(t *testing.T, run modeRun, rows string) {
 		t.Errorf("observables = %q, want one event with rows %s", run.observables, rows)
 	}
 }
+
+// TestCompileDifferentialUserShapes holds a compiled engine's user
+// statements, which run through its shape cache, to the interpreter:
+// runs of one shape with differing literals — nulls, negatives (a unary
+// minus over a lifted literal), ints either side of 2⁵³, ints against
+// floats, strings with quotes — shapes that differ only in a LIMIT or an
+// IN-list's length, and failing statements, each followed by a
+// statement of a shape already cached. Every script's results or error
+// and the database after it must agree; a failing script must leave the
+// database as it was.
+func TestCompileDifferentialUserShapes(t *testing.T) {
+	sys, err := activerules.Load("table t (id int, v int, f float, s string, b bool)\ntable log (id int)",
+		"create rule r on t when updated(v) then insert into log select id from new-updated")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const two53 = "9007199254740992"
+	scripts := []struct {
+		sql  string
+		want string // the oracle's rendered results, when pinned
+	}{
+		{sql: "insert into t values (1, 10, 1.5, 'a', true), (2, 20, 2.5, 'b''c', false), (" + two53 + ", 1, 0.5, 'big', null)"},
+		{sql: "insert into t values (9007199254740993, 2, 0.25, 'big1', true), (-4, null, null, null, null)"},
+		// Nulls.
+		{sql: "select id from t where v = 3"},
+		{sql: "select id from t where v = null"},
+		{sql: "update t set v = null where id = 1"},
+		{sql: "update t set v = 11 where id = 1"},
+		{sql: "select id from t where v is null"},
+		// Negatives: a unary minus over a lifted literal.
+		{sql: "select id from t where id = -4", want: "[{Rows:[[-4]] Affected:0 Rolled:false}]"},
+		{sql: "select id from t where id = -1"},
+		{sql: "select id from t where v > -100 order by id desc"},
+		{sql: "update t set v = -5 where id = -4"},
+		{sql: "update t set v = -(-6) where id = -4"},
+		// Ints either side of 2⁵³ compare exactly.
+		{sql: "select id from t where id = 9007199254740993", want: "[{Rows:[[9007199254740993]] Affected:0 Rolled:false}]"},
+		{sql: "select id from t where id = " + two53, want: "[{Rows:[[" + two53 + "]] Affected:0 Rolled:false}]"},
+		{sql: "select id from t where id = 9007199254740991", want: "[{Rows:[] Affected:0 Rolled:false}]"},
+		{sql: "select id from t where id > " + two53, want: "[{Rows:[[9007199254740993]] Affected:0 Rolled:false}]"},
+		{sql: "update t set v = v + 1 where id = 9007199254740993"},
+		// Ints against floats.
+		{sql: "select id from t where id = 2.0"},
+		{sql: "select id from t where id = 2"},
+		{sql: "select id from t where f = 2"},
+		{sql: "select id from t where f = 2.5"},
+		{sql: "select id from t where f < 9007199254740993 and id >= 2.5 order by id"},
+		{sql: "update t set f = f + 1 where id = 1"},
+		{sql: "update t set f = f + 1.5 where id = 2"},
+		// Strings with quotes; bools.
+		{sql: "select id from t where s = 'b''c'", want: "[{Rows:[[2]] Affected:0 Rolled:false}]"},
+		{sql: "select id from t where s = 'a'"},
+		{sql: "select id from t where s = ''''"},
+		{sql: "insert into t values (5, 5, 5.5, 'it''s', false)"},
+		{sql: "insert into t values (6, 6, 6.5, '''', true)"},
+		{sql: "select id from t where s = ''''", want: "[{Rows:[[6]] Affected:0 Rolled:false}]"},
+		{sql: "select id from t where b = true order by id"},
+		{sql: "select id from t where b = false order by id"},
+		// LIMITs and IN-list lengths are shapes of their own.
+		{sql: "select id from t order by id limit 1"},
+		{sql: "select id from t order by id limit 2"},
+		{sql: "select id from t order by id limit 1"},
+		{sql: "select id from t where id in (1, 2) order by id"},
+		{sql: "select id from t where id in (1, 2, 9007199254740993) order by id"},
+		{sql: "select id from t where id in (2, 1) order by id"},
+		{sql: "select id from t where id not in (2, null)"},
+		// Failures, each followed by a statement of a cached shape.
+		{sql: "update t set v = 1 where id = 'x'"},
+		{sql: "update t set v = 1 where id = 2"},
+		{sql: "update t set v = v / 0 where id = 1"},
+		{sql: "update t set v = v / 2 where id = 1"},
+		{sql: "update t set w = 1 where id = 1"},
+		{sql: "update t set v = 1 where id = 5"},
+		{sql: "update t set v = 7 where id = 1; update t set v = v / 0 where id = 2"},
+		{sql: "update t set v = 8 where id = 1; update t set v = v / 3 where id = 2"},
+		{sql: "insert into t values (10, 'bad', 1.0, 'z', true)"},
+		{sql: "insert into t values (7, 7, 7, 'x', null), (8, 8, 8.5, 'y', true)"},
+		{sql: "insert into t (id, s) values (11, 'q'), (12, null), (13, 'it''s')"},
+		{sql: "insert into t (id, s) values (14, 'q')"},
+		{sql: "insert into t (id, s) values (15, -1)"},
+		// A sweep: two int kernels under AND.
+		{sql: "delete from t where v >= 5 and v < 8"},
+		{sql: "delete from t where v >= 100 and v < 200"},
+		{sql: "delete from t where id >= -10 and id < 2"},
+	}
+	var dbs [2][]string
+	for mode, compiled := range []bool{false, true} {
+		eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 100, Interpret: !compiled})
+		for _, sc := range scripts {
+			before := eng.DB().String()
+			res, err := eng.ExecUser(sc.sql)
+			line := fmt.Sprintf("%+v", res)
+			if err != nil {
+				line = fmt.Sprintf("%T: %v", err, err)
+				if eng.DB().String() != before {
+					t.Errorf("compiled=%v: %q failed and changed the database", compiled, sc.sql)
+				}
+			} else if _, err := eng.Assert(); err != nil {
+				line += fmt.Sprintf(" assert: %T: %v", err, err)
+			}
+			if !compiled && sc.want != "" && line != sc.want {
+				t.Errorf("interpreted %q: %s, want %s", sc.sql, line, sc.want)
+			}
+			dbs[mode] = append(dbs[mode], line+"\n"+eng.DB().String())
+		}
+	}
+	for i, sc := range scripts {
+		if dbs[0][i] != dbs[1][i] {
+			t.Errorf("%q diverged:\n interp:\n%s\n compiled:\n%s", sc.sql, dbs[0][i], dbs[1][i])
+		}
+	}
+}

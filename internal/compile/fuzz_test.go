@@ -3,16 +3,21 @@ package compile
 // FuzzCompileEval is the differential fuzzer for the compiled hot
 // path: any input the parser, resolver, and typechecker all accept must
 // evaluate identically — result, error message, and resulting database
-// state — under the interpreter and the compiler. The corpus under
+// state — under the interpreter and the compiler, both as a rule's
+// statement and, through a UserCache, as a request's SQL run three
+// times with its literals perturbed. The corpus under
 // testdata/fuzz/FuzzCompileEval seeds both bare expressions (adapted
 // from sqlmini's FuzzEvalExpr corpus) and full statements, including
 // transition-table references.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"activerules/internal/schema"
 	"activerules/internal/sqlmini"
+	"activerules/internal/storage"
 )
 
 func FuzzCompileEval(f *testing.F) {
@@ -93,7 +98,79 @@ func FuzzCompileEval(f *testing.F) {
 		if idb.String() != cdb.String() {
 			t.Fatalf("%q: database mismatch\n interp:\n%s compiled:\n%s", src, idb.String(), cdb.String())
 		}
+
+		userCacheRuns(t, src, sch)
 	})
+}
+
+// userCacheRuns runs src as a request's SQL through one UserCache three
+// times — as written (a miss), then twice with every literal perturbed
+// within its kind (hits, when the first run's shape resolved) — each
+// against the interpreter on the same statement and a fresh database:
+// result, error message and resulting state must agree.
+func userCacheRuns(t *testing.T, src string, sch *schema.Schema) {
+	t.Helper()
+	uc := NewUserCache(sch)
+	for round := 0; round < 3; round++ {
+		ist, err := parseForFuzz(src)
+		if err != nil {
+			t.Fatalf("re-parse of accepted input failed: %v", err)
+		}
+		cst, _ := parseForFuzz(src)
+		perturbLiterals(ist, round)
+		perturbLiterals(cst, round)
+
+		idb := seedDB(t, sch)
+		ir, ierr := sqlmini.StmtResult{}, sqlmini.ResolveStatement(ist, &sqlmini.ResolveContext{Schema: sch})
+		if ierr == nil {
+			ev := &sqlmini.Evaluator{DB: idb, Mut: sqlmini.DirectMutator(idb)}
+			ir, ierr = ev.Exec(ist)
+		}
+		cdb := seedDB(t, sch)
+		cr, cerr := uc.Exec(cst, cdb, sqlmini.DirectMutator(cdb))
+
+		what := fmt.Sprintf("%q (user cache, round %d: %s)", src, round, ist)
+		switch {
+		case ierr != nil && cerr != nil:
+			if ierr.Error() != cerr.Error() {
+				t.Fatalf("%s: error mismatch\n interp:   %v\n compiled: %v", what, ierr, cerr)
+			}
+		case ierr != nil || cerr != nil:
+			t.Fatalf("%s: error disagreement\n interp:   %v\n compiled: %v", what, ierr, cerr)
+		default:
+			if !reflect.DeepEqual(ir, cr) {
+				t.Fatalf("%s: result mismatch\n interp:   %+v\n compiled: %+v", what, ir, cr)
+			}
+		}
+		if idb.String() != cdb.String() {
+			t.Fatalf("%s: database mismatch\n interp:\n%s compiled:\n%s", what, idb.String(), cdb.String())
+		}
+	}
+}
+
+// perturbLiterals changes every literal of st to another value of its
+// kind, differently in each round (round 0 leaves them as written):
+// negative, zero and past 2⁵³ for ints, strings with quotes, flipped
+// bools. Nulls stay null.
+func perturbLiterals(st sqlmini.Statement, round int) {
+	if round == 0 {
+		return
+	}
+	var sh shaper
+	sh.shape(st)
+	for i, l := range sh.lits {
+		k := int64(i + round)
+		switch v := &l.Val; v.Kind {
+		case storage.KindInt:
+			v.I = []int64{-v.I, 0, v.I + 1<<53 + 1, v.I - k}[k%4]
+		case storage.KindFloat:
+			v.F = []float64{-v.F, 0.5, v.F * 2, float64(k)}[k%4]
+		case storage.KindString:
+			v.S = []string{v.S + "'", "", "x", "it's"}[k%4]
+		case storage.KindBool:
+			v.B = !v.B
+		}
+	}
 }
 
 // parseForFuzz accepts either a full statement or a bare expression

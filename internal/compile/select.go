@@ -53,7 +53,7 @@ func (c *compiler) compileSource(tr *sqlmini.TableRef) srcFn {
 type compiledSelect struct {
 	srcs    []srcFn
 	base    int // first slot of this block's FROM bindings
-	where   *exprC
+	where   condFn
 	star    bool
 	items   []exprFn
 	orderBy []exprFn
@@ -103,7 +103,7 @@ func (c *compiler) compileSelect(s *sqlmini.Select) (selFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs.where = &w
+		cs.where = w.where()
 	}
 	for i, o := range s.OrderBy {
 		cs.desc[i] = o.Desc
@@ -338,12 +338,7 @@ func (cs *compiledSelect) walk(env *Env, sources []matchSnap, i int) error {
 	n := len(sources)
 	if i == n {
 		if cs.where != nil {
-			v, err := cs.where.fn(env)
-			if err != nil {
-				return err
-			}
-			ok, err := sqlmini.PredTruth(v)
-			if err != nil || !ok {
+			if ok, err := cs.where(env); err != nil || !ok {
 				return err
 			}
 		}
@@ -595,13 +590,20 @@ func (c *compiler) compileInsert(s *sqlmini.Insert) (stmtFn, error) {
 
 	var queryFn selFn
 	var rowFns [][]exprFn
-	if s.Query != nil {
+	width := 0 // lifted VALUES rows: each row is the next width params
+	switch {
+	case s.Query != nil:
 		sel, err := c.compileSelect(s.Query)
 		if err != nil {
 			return nil, err
 		}
 		queryFn = sel
-	} else {
+	case c.lits != nil && literalRows(s.Rows):
+		// A user statement's literal rows are all of Env.Params, in
+		// row order (shaper.shape): one closure whatever the row count,
+		// which compiles no literal.
+		width = len(s.Rows[0])
+	default:
 		for _, row := range s.Rows {
 			fns := make([]exprFn, len(row))
 			for i, e := range row {
@@ -620,13 +622,18 @@ func (c *compiler) compileInsert(s *sqlmini.Insert) (stmtFn, error) {
 			return sqlmini.StmtResult{}, err
 		}
 		var srcRows [][]storage.Value
-		if queryFn != nil {
+		switch {
+		case queryFn != nil:
 			rows, err := queryFn(env)
 			if err != nil {
 				return sqlmini.StmtResult{}, err
 			}
 			srcRows = rows
-		} else {
+		case width > 0:
+			for at := 0; at < len(env.Params); at += width {
+				srcRows = append(srcRows, env.Params[at:at+width:at+width])
+			}
+		default:
 			for _, fns := range rowFns {
 				vals := make([]storage.Value, len(fns))
 				for i, fn := range fns {
@@ -664,13 +671,13 @@ func (c *compiler) compileDelete(s *sqlmini.Delete) (stmtFn, error) {
 	table := s.Table
 	slot := c.push(s.Table)
 	defer c.pop(1)
-	var whereFn exprFn
+	var where condFn
 	if s.Where != nil {
 		wc, err := c.compileExpr(s.Where)
 		if err != nil {
 			return nil, err
 		}
-		whereFn = wc.fn
+		where = wc.where()
 	}
 	return func(env *Env) (sqlmini.StmtResult, error) {
 		if err := requireMut(env); err != nil {
@@ -680,14 +687,9 @@ func (c *compiler) compileDelete(s *sqlmini.Delete) (stmtFn, error) {
 		var ids []storage.TupleID
 		var scanErr error
 		t.Scan(func(tu *storage.Tuple) bool {
-			if whereFn != nil {
+			if where != nil {
 				env.Slots[slot] = tu.Vals
-				v, err := whereFn(env)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				ok, err := sqlmini.PredTruth(v)
+				ok, err := where(env)
 				if err != nil {
 					scanErr = err
 					return false
@@ -715,13 +717,13 @@ func (c *compiler) compileUpdate(s *sqlmini.Update) (stmtFn, error) {
 	table := s.Table
 	slot := c.push(s.Table)
 	defer c.pop(1)
-	var whereFn exprFn
+	var where condFn
 	if s.Where != nil {
 		wc, err := c.compileExpr(s.Where)
 		if err != nil {
 			return nil, err
 		}
-		whereFn = wc.fn
+		where = wc.where()
 	}
 	setCols := make([]string, len(s.Sets))
 	setFns := make([]exprFn, len(s.Sets))
@@ -748,13 +750,8 @@ func (c *compiler) compileUpdate(s *sqlmini.Update) (stmtFn, error) {
 		// state; apply only afterwards.
 		t.Scan(func(tu *storage.Tuple) bool {
 			env.Slots[slot] = tu.Vals
-			if whereFn != nil {
-				v, err := whereFn(env)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				ok, err := sqlmini.PredTruth(v)
+			if where != nil {
+				ok, err := where(env)
 				if err != nil {
 					scanErr = err
 					return false

@@ -12,7 +12,7 @@ import (
 	"activerules/internal/storage"
 )
 
-func mkSet(t *testing.T, schemaSrc, rulesSrc string) (*rules.Set, *storage.DB) {
+func mkSet(t testing.TB, schemaSrc, rulesSrc string) (*rules.Set, *storage.DB) {
 	t.Helper()
 	sch := schema.MustParse(schemaSrc)
 	defs, err := ruledef.Parse(rulesSrc)
@@ -617,5 +617,54 @@ create rule lo on t when inserted then insert into u values (2)
 	elig := e.EligibleRules()
 	if len(elig) != 1 || elig[0].Name != "hi" {
 		t.Errorf("eligible = %v", rules.Names(elig))
+	}
+}
+
+// TestExecUserShapeCache: a compiled engine compiles each user
+// statement shape once. Statements that differ only in literal values
+// hit it, a failing statement leaves the database as it was and the
+// shape usable, a statement that does not resolve is not cached, and a
+// fork starts a cache of its own.
+func TestExecUserShapeCache(t *testing.T) {
+	set, db := mkSet(t, "table t (id int, v int)", "create rule r on t when deleted then insert into t values (0, 0)")
+	e := New(set, db, Options{})
+	steps := []struct {
+		sql    string
+		fails  bool
+		shapes int
+	}{
+		{"insert into t values (1, 10), (2, 20)", false, 1},
+		{"insert into t values (3, 30)", false, 1},
+		{"update t set v = v + 1 where id = 1", false, 2},
+		{"update t set v = v + 5 where id = 3", false, 2},
+		{"update t set v = v + 5 where id = 'x'", true, 3}, // a string literal: another shape
+		{"update t set v = v / 0 where id = 2", true, 4},
+		{"update t set v = v / 2 where id = 2", false, 4},
+		{"update t set w = 1 where id = 1", true, 4}, // does not resolve
+		{"update t set v = v + 7 where id = 2", false, 4},
+		{"update t set v = 1 where id = 1; update t set v = v / 0 where id = 1", true, 5},
+	}
+	for _, s := range steps {
+		before := e.DB().String()
+		_, err := e.ExecUser(s.sql)
+		if (err != nil) != s.fails {
+			t.Fatalf("%q: err %v, want failure %v", s.sql, err, s.fails)
+		}
+		if s.fails && e.DB().String() != before {
+			t.Errorf("%q failed and changed the database:\n%s", s.sql, e.DB().String())
+		}
+		if got := e.user.Len(); got != s.shapes {
+			t.Errorf("after %q: %d shapes, want %d", s.sql, got, s.shapes)
+		}
+	}
+	if got := e.DB().String(); !strings.Contains(got, "(1, 11)") || !strings.Contains(got, "(2, 17)") || !strings.Contains(got, "(3, 35)") {
+		t.Errorf("final state:\n%s", got)
+	}
+	if fork := e.Clone(); fork.user != nil {
+		t.Error("a fork shares its parent's shape cache")
+	}
+	ie := New(set, storage.NewDB(set.Schema()), Options{Interpret: true})
+	if _, err := ie.ExecUser("insert into t values (1, 1)"); err != nil || ie.user != nil {
+		t.Errorf("interpreting engine: err %v, shape cache %v", err, ie.user != nil)
 	}
 }

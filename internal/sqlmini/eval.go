@@ -621,6 +621,26 @@ func (ev *Evaluator) evalBinary(x *Binary, env *frame) (storage.Value, error) {
 	return applyBinary(x.Op, l, r)
 }
 
+// compareHolds reports whether a three-way comparison result satisfies
+// the comparison operator op.
+func compareHolds(op BinaryOp, cmp int) bool {
+	switch op {
+	case OpEq:
+		return cmp == 0
+	case OpNe:
+		return cmp != 0
+	case OpLt:
+		return cmp < 0
+	case OpLe:
+		return cmp <= 0
+	case OpGt:
+		return cmp > 0
+	case OpGe:
+		return cmp >= 0
+	}
+	return false
+}
+
 // applyBinary applies a binary operator to already-evaluated operands
 // (expression evaluation has no side effects, so AND/OR need no
 // short-circuiting — only Kleene null handling).
@@ -663,22 +683,7 @@ func applyBinary(op BinaryOp, l, r storage.Value) (storage.Value, error) {
 			}
 			return storage.Value{}, fmt.Errorf("sql: cannot compare %s with %s", l, r)
 		}
-		var b bool
-		switch op {
-		case OpEq:
-			b = cmp == 0
-		case OpNe:
-			b = cmp != 0
-		case OpLt:
-			b = cmp < 0
-		case OpLe:
-			b = cmp <= 0
-		case OpGt:
-			b = cmp > 0
-		case OpGe:
-			b = cmp >= 0
-		}
-		return storage.BoolV(b), nil
+		return storage.BoolV(compareHolds(op, cmp)), nil
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
 		if l.IsNull() || r.IsNull() {
 			return storage.Null, nil

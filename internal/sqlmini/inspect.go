@@ -14,7 +14,7 @@ type Node interface {
 //
 // Inspect is the one structural walk of the SQL tree; every analysis
 // that only collects (Reads, the shard router's tables, absint's read
-// contexts) is a callback over it. Walks that give the nodes a meaning
+// contexts, compile's user statement shapes) is a callback over it. Walks that give the nodes a meaning
 // of their own — eval, compile, resolve, typecheck — keep their own
 // recursion. A node kind or child field added to the AST needs a line
 // here, and inspect_test.go's reflective oracle fails until it has one.

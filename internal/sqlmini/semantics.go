@@ -28,6 +28,10 @@ func ApplyBinary(op BinaryOp, l, r storage.Value) (storage.Value, error) {
 	return applyBinary(op, l, r)
 }
 
+// CompareHolds reports whether a three-way comparison result (as
+// storage.Value.Compare returns it) satisfies the comparison operator op.
+func CompareHolds(op BinaryOp, cmp int) bool { return compareHolds(op, cmp) }
+
 // ApplyUnary applies a unary operator to an evaluated operand.
 func ApplyUnary(op UnaryOp, v storage.Value) (storage.Value, error) {
 	return applyUnary(op, v)

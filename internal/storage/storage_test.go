@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -53,6 +54,13 @@ func TestValueCompare(t *testing.T) {
 		{Null, Null, 0, false},
 		{IntV(1), StringV("1"), 0, false},
 		{BoolV(true), IntV(1), 0, false},
+		// Two ints compare exactly, beyond float64's 53-bit mantissa;
+		// an int against a float still compares as float64.
+		{IntV(1<<53 + 1), IntV(1 << 53), 1, true},
+		{IntV(1 << 53), IntV(1<<53 + 1), -1, true},
+		{IntV(math.MaxInt64), IntV(math.MaxInt64 - 1), 1, true},
+		{IntV(math.MinInt64), IntV(math.MinInt64 + 1), -1, true},
+		{IntV(1<<53 + 1), FloatV(1 << 53), 0, true},
 	}
 	for _, c := range cases {
 		cmp, known := c.a.Compare(c.b)

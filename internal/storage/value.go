@@ -10,6 +10,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -104,11 +105,15 @@ func (v Value) Equal(o Value) bool {
 
 // Compare performs a three-way comparison. The second result is false when
 // the comparison is unknown (either operand null, or incomparable kinds);
-// the first result is then meaningless. Numeric values compare across
-// int/float. Strings compare lexicographically, bools false<true.
+// the first result is then meaningless. Two ints compare exactly;
+// an int and a float compare as float64s. Strings compare
+// lexicographically, bools false<true.
 func (v Value) Compare(o Value) (int, bool) {
 	if v.IsNull() || o.IsNull() {
 		return 0, false
+	}
+	if v.Kind == KindInt && o.Kind == KindInt {
+		return cmp.Compare(v.I, o.I), true
 	}
 	if v.IsNumeric() && o.IsNumeric() {
 		a, b := v.AsFloat(), o.AsFloat()
