@@ -323,8 +323,7 @@ func (db *DB) Delete(table string, id TupleID) *Tuple {
 	if tu == nil {
 		return nil
 	}
-	t.touch()
-	delete(t.rows, id) // the order slot stays, as a tombstone, until compact
+	t.remove(tu)
 	if db.spDepth > 0 {
 		db.record(Change{Kind: ChangeDelete, Table: t, ID: id, Row: tu})
 	} else {
@@ -413,8 +412,9 @@ func (db *DB) Fork() *DB {
 // The digest has two levels: SHA-256 over `name ( tableDigest )` in
 // sorted name order, where a table's digest is memoized in the table
 // until its next mutation, so a call costs the rows of the tables
-// changed since the last one (only the new rows of a table that only
-// grew, plus hashing its kept encodings) and 32 bytes per clean table.
+// changed since the last one (only the rows inserted and deleted since,
+// if those were all its changes, plus hashing its kept encodings) and
+// 32 bytes per clean table.
 // Fingerprint therefore WRITES: the memo and kept encodings of every
 // table it had to re-read and the DB's scratch buffer. It follows the
 // same one-goroutine rule as mutation. Clone and Fork carry the digests,
@@ -467,16 +467,43 @@ type rowSpan struct{ lo, hi int }
 // tableDigest returns the table's content digest: the SHA-256 of its
 // sorted row encodings, each followed by ';' — the bytes
 // CanonicalFingerprint streams between the table's parentheses, in the
-// same order. A clean table answers from its memo; a dirty one merges
-// the rows appended since its last digest into the encodings it kept, if
-// it only grew since, and else rebuilds them from every row.
+// same order. A clean table answers from its memo. A dirty one whose
+// changes since its last digest were all inserts and deletes takes the
+// gone rows' encodings out of the ones it kept, if fewer rows are gone
+// than live, and merges the appended live rows in; any other change, as
+// many gone rows as live ones, or a gone row the kept encodings lack,
+// rebuilds them from every row.
 func (db *DB) tableDigest(t *Table) [32]byte {
 	if t.clean {
 		return t.digest
 	}
 	s := &db.fp
+	if t.run && len(t.gone) > 0 {
+		// Taking the gone rows out costs encoding and sorting them; a
+		// rebuild, the live ones. A sweep that empties most of a table
+		// gets the rebuild.
+		t.run = len(t.gone) < len(t.rows) && t.drop(s.sorted(t, true))
+	}
+	buf, spans := s.sorted(t, false)
+	if !t.run { // a rebuild: every row is new
+		t.enc, t.ends = t.enc[:0], t.ends[:0]
+	}
+	t.merge(buf, spans)
+	t.digest = sha256.Sum256(t.enc)
+	t.clean, t.run, t.sortedN, t.newFrom = true, true, len(t.order), db.nextID
+	t.forgetGone()
+	return t.digest
+}
+
+// sorted encodes the rows t.pending(gone, …) visits into the scratch,
+// each followed by ';', and returns them with their spans sorted by
+// encoding.
+func (s *fpScratch) sorted(t *Table, gone bool) ([]byte, []rowSpan) {
 	n := len(t.rows)
-	if t.run {
+	switch {
+	case gone:
+		n = len(t.gone)
+	case t.run:
 		n = len(t.order) - t.sortedN
 	}
 	buf, spans := s.buf[:0], s.spans[:0]
@@ -488,7 +515,7 @@ func (db *DB) tableDigest(t *Table) [32]byte {
 		// encoding as garbage.
 		spans = make([]rowSpan, 0, n+n/4)
 		size := 0
-		t.pending(func(tu *Tuple) {
+		t.pending(gone, func(tu *Tuple) {
 			buf = tu.encode(buf[:0])
 			size += len(buf) + 1
 		})
@@ -496,21 +523,15 @@ func (db *DB) tableDigest(t *Table) [32]byte {
 			buf = make([]byte, 0, size+size/4)
 		}
 	}
-	t.pending(func(tu *Tuple) {
+	t.pending(gone, func(tu *Tuple) {
 		lo := len(buf)
 		buf = tu.encode(buf)
 		spans = append(spans, rowSpan{lo, len(buf)})
 		buf = append(buf, ';')
 	})
 	slices.SortFunc(spans, func(a, b rowSpan) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
-	if !t.run { // a rebuild: every row is new
-		t.enc, t.ends = t.enc[:0], t.ends[:0]
-	}
-	t.merge(buf, spans)
-	t.digest = sha256.Sum256(t.enc)
-	t.clean, t.run, t.sortedN = true, true, len(t.order)
 	s.buf, s.spans, s.rows = buf, spans, s.rows+len(spans)
-	return t.digest
+	return buf, spans
 }
 
 // CanonicalFingerprint is the one-level digest Fingerprint was before

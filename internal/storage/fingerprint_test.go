@@ -42,7 +42,7 @@ func (d *memoDriver) step(t *testing.T, rng *rand.Rand) {
 		}
 		return []Value{IntV(int64(rng.Intn(4)))}
 	}
-	switch rng.Intn(10) {
+	switch rng.Intn(11) {
 	case 0, 1, 2:
 		if _, err := db.Insert(name, row()); err != nil {
 			t.Fatal(err)
@@ -76,6 +76,16 @@ func (d *memoDriver) step(t *testing.T, rng *rand.Rand) {
 				db.Release(d.sps[n-1])
 			}
 			d.sps = d.sps[:n-1]
+		}
+	case 10: // several deletes at once, a row and every row equal to it among them
+		if id := liveID(rng, tbl); id != 0 {
+			enc := string(tbl.Get(id).encode(nil))
+			for _, other := range tbl.IDs() {
+				if string(tbl.Get(other).encode(nil)) == enc {
+					db.Delete(name, other)
+				}
+			}
+			db.Delete(name, liveID(rng, tbl))
 		}
 	}
 }
@@ -132,9 +142,14 @@ func TestFingerprintMemoDifferential(t *testing.T) {
 // stops calling touch (Table.insert does touch's work itself, keeping
 // an open append run). touch feeds a second memo's key, the table's
 // Version (internal/wal's snapshot sections), so each case also requires
-// that it strictly increased. The last three cases end, or copy, an
-// append run and then append: they fail when compact or a revive leaves
-// the run open, or when a Clone or Fork shares its kept encodings.
+// that it strictly increased (DB.Delete does touch's work itself too,
+// keeping the run open). The cases after the first seven go on after an
+// append run was ended, kept open or copied: they fail when a delete
+// leaves a row the digest saw out of gone or puts one appended since
+// in, when an identity a rollback hands out again keeps the run open,
+// when compact miscounts the slots the last digest saw, when a revive
+// leaves the run open, or when a Clone or Fork shares its kept
+// encodings.
 func TestEveryMutationTouches(t *testing.T) {
 	var id TupleID
 	var sp Savepoint
@@ -176,6 +191,35 @@ func TestEveryMutationTouches(t *testing.T) {
 				}
 			},
 			func(db *DB) { db.RollbackTo(sp) }},
+		{"DB.Delete, then Table.insert",
+			nil,
+			func(db *DB) {
+				db.Delete("t", id)
+				db.MustInsert("t", IntV(7), StringV("x"))
+				if tbl := db.Table("t"); !tbl.run || len(tbl.gone) != 1 {
+					t.Fatalf("the delete left the run open=%v with %d gone rows; want open with 1", tbl.run, len(tbl.gone))
+				}
+			}},
+		{"Table.insert, then DB.Delete of that row beside an equal digested row",
+			nil,
+			func(db *DB) {
+				db.Delete("t", db.MustInsert("t", IntV(1), StringV("a"))) // equal to the row id, which the digest saw
+				db.MustInsert("t", IntV(7), StringV("x"))
+				if tbl := db.Table("t"); !tbl.run || len(tbl.gone) != 0 {
+					t.Fatalf("the delete left the run open=%v with %d gone rows; want open with none", tbl.run, len(tbl.gone))
+				}
+			}},
+		{"DB.RollbackTo, then Table.insert of an identity handed out again, then DB.Delete of it",
+			func(db *DB) { db.MustInsert("u", IntV(5)) }, // an identity the digest of t is taken after
+			func(db *DB) {
+				db.RollbackTo(sp)
+				reused := db.MustInsert("t", IntV(1), StringV("a")) // equal to the row id, which the digest saw
+				if reused >= db.Table("t").newFrom {
+					t.Fatal("the rollback handed out no identity below the digest's; the case would be vacuous")
+				}
+				db.Delete("t", reused)
+				db.MustInsert("t", IntV(7), StringV("x"))
+			}},
 		{"Table.compact, then Table.insert",
 			func(db *DB) {
 				for i := 0; i < 20; i++ {
@@ -183,10 +227,16 @@ func TestEveryMutationTouches(t *testing.T) {
 				}
 			},
 			func(db *DB) {
-				n := len(db.Table("t").order)
+				db.MustInsert("t", IntV(5), StringV("n")) // a slot after the ones the digest saw
+				db.Delete("t", id)                        // and one of those the digest saw
+				tbl := db.Table("t")
+				n := len(tbl.order)
 				db.Release(sp)
-				if len(db.Table("t").order) >= n {
+				if len(tbl.order) >= n {
 					t.Fatal("Release did not compact; the case would be vacuous")
+				}
+				if !tbl.run || tbl.sortedN != 1 || len(tbl.order) != 2 {
+					t.Errorf("compact left the run open=%v over %d of %d slots; want open over the 1 of 2 the digest saw", tbl.run, tbl.sortedN, len(tbl.order))
 				}
 				db.MustInsert("t", IntV(0), StringV("a"))
 			}},
@@ -417,6 +467,80 @@ func TestAppendDigestEncodesOnlyNewRows(t *testing.T) {
 	}
 }
 
+// TestDeleteDigestEncodesOnlyGoneRows is the delete's cost tripwire:
+// after k deletes from an N-row table the next Fingerprint encodes those
+// k rows and no others, and takes them out of the kept encodings with
+// the same allocations at N = 1 000 as at N = 100 000. Deletes that
+// leave no more rows than they took rebuild from the rows left instead.
+func TestDeleteDigestEncodesOnlyGoneRows(t *testing.T) {
+	db, ids := flatDB(t, 8, 0)
+	for _, id := range ids[:5] {
+		db.Delete("hot", id)
+	}
+	before := db.fp.rows
+	if fpSink = db.Fingerprint(); db.fp.rows-before != 3 {
+		t.Errorf("a digest after deleting 5 of 8 rows encoded %d rows, want the 3 of a rebuild", db.fp.rows-before)
+	}
+
+	const k, runs = 4, 100
+	measure := func(n int) (allocs uint64) {
+		db, _ := flatDB(t, 8, n)
+		ids := db.Table("cold").IDs()
+		deleteK := func() {
+			for j := 0; j < k; j++ {
+				db.Delete("cold", ids[0])
+				ids = ids[1:]
+			}
+		}
+		deleteK()
+		fpSink = db.Fingerprint() // grow the scratch and gone to k rows
+		before := db.fp.rows
+		var a, b runtime.MemStats
+		for r := 0; r < runs; r++ {
+			deleteK()
+			runtime.ReadMemStats(&a)
+			fpSink = db.Fingerprint()
+			runtime.ReadMemStats(&b)
+			allocs += b.Mallocs - a.Mallocs
+		}
+		if got := db.fp.rows - before; got != k*runs {
+			t.Errorf("N = %d: %d Fingerprints after %d deleted rows each encoded %d rows, want %d", n, runs, k, got, k*runs)
+		}
+		if err := new(FingerprintOracle).Check(db); err != nil {
+			t.Error(err)
+		}
+		return allocs / runs
+	}
+	if a0, a1 := measure(1000), measure(100000); a0 != a1 {
+		t.Errorf("allocations per digest after %d deleted rows: %d from 1 000 rows, %d from 100 000", k, a0, a1)
+	}
+}
+
+// TestGoneRowMissingFromKeptRebuilds: a gone row with no equal among the
+// kept encodings — which the run's invariant rules out, so the test
+// plants one — makes the digest rebuild from every row instead of taking
+// out an encoding that is not its own.
+func TestGoneRowMissingFromKeptRebuilds(t *testing.T) {
+	for _, planted := range [][]Value{ // sorts before, between and after the kept rows (0..3, "archived")
+		{IntV(-1), StringV("archived")},
+		{IntV(1), StringV("b")},
+		{IntV(9), StringV("archived")},
+	} {
+		db, _ := flatDB(t, 0, 4)
+		tbl := db.Table("cold")
+		db.Delete("cold", tbl.IDs()[1])
+		tbl.gone[0] = &Tuple{ID: -1, Vals: planted}
+		rows := db.fp.rows
+		got := db.Fingerprint()
+		if db.fp.rows-rows != 1+3 {
+			t.Errorf("planted %v: the digest encoded %d rows, want the gone one and the 3 of a rebuild", planted, db.fp.rows-rows)
+		}
+		if err := new(FingerprintOracle).Check(db); err != nil || got != db.Fingerprint() {
+			t.Errorf("planted %v: %v", planted, err)
+		}
+	}
+}
+
 var fpSink [32]byte
 
 // BenchmarkFingerprint is the same request shape at three database
@@ -424,9 +548,11 @@ var fpSink [32]byte
 // and must read flat in N (it reports, and checks, the rows it encoded);
 // dirty updates a row of the N-row table itself, the allocation-free
 // pass over a table that did change; append adds a row to the N-row
-// table, which merges that one row into its kept encodings.
+// table, which merges that one row into its kept encodings; delete
+// deletes a row of the N-row table and inserts a replacement, which takes
+// one row out of the kept encodings and merges one in.
 func BenchmarkFingerprint(b *testing.B) {
-	for _, mode := range []string{"clean", "dirty", "append"} {
+	for _, mode := range []string{"clean", "dirty", "append", "delete"} {
 		for _, n := range []int{1000, 10000, 100000} {
 			b.Run(fmt.Sprintf("%s/rows=%dk", mode, n/1000), func(b *testing.B) {
 				db, ids := flatDB(b, 8, n)
@@ -436,15 +562,23 @@ func BenchmarkFingerprint(b *testing.B) {
 					table, want, ids = "cold", n, db.Table("cold").IDs()
 				case "append":
 					table, want = "cold", 1
+				case "delete":
+					table, want, ids = "cold", 2, db.Table("cold").IDs()
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				before := db.fp.rows
 				for i := 0; i < b.N; i++ {
-					if mode == "append" {
+					switch j := i % len(ids); mode {
+					case "append":
 						db.MustInsert(table, IntV(int64(-i)), StringV("appended"))
-					} else if _, err := db.Update(table, ids[i%len(ids)], "v", IntV(int64(-i))); err != nil {
-						b.Fatal(err)
+					case "delete":
+						db.Delete(table, ids[j])
+						ids[j] = db.MustInsert(table, IntV(int64(-i)), StringV("replacement"))
+					default:
+						if _, err := db.Update(table, ids[j], "v", IntV(int64(-i))); err != nil {
+							b.Fatal(err)
+						}
 					}
 					fpSink = db.Fingerprint()
 				}

@@ -22,11 +22,20 @@ type FingerprintOracle struct {
 // if it does: (i) a row-for-row rebuild, which has no memo to be stale,
 // fingerprints differently; (ii) a table's digest — memoized, or just
 // computed by the allocation-free pass — is not the SHA-256 of its
-// sorted encodings (writeSorted); (iii) a table's open append run keeps
-// encodings other than its sorted ones, or counts other slots than its
-// order slice holds; (iv) over all states this oracle has seen, two
-// agree on Fingerprint but not on CanonicalFingerprint, or the reverse.
+// sorted encodings (writeSorted); (iii) a table's open append run breaks
+// its invariant (runErr) before the digest — its gone rows are not a
+// sub-multiset of the kept encodings, or one of them is live, or with
+// the live rows the last digest saw they are not exactly the kept
+// encodings — or after it, where the run must also count every slot of
+// its order slice and hold no gone rows; (iv) over all states this
+// oracle has seen, two agree on Fingerprint but not on
+// CanonicalFingerprint, or the reverse.
 func (o *FingerprintOracle) Check(db *DB) error {
+	for name, t := range db.tables {
+		if err := runErr(t); err != nil {
+			return fmt.Errorf("storage: table %s, before the digest: %v", name, err)
+		}
+	}
 	fp := db.Fingerprint() // leaves every table clean
 	fresh := NewDB(db.sch)
 	for name, t := range db.tables {
@@ -47,16 +56,11 @@ func (o *FingerprintOracle) Check(db *DB) error {
 		if fresh.tables[name].digest != want {
 			return fmt.Errorf("storage: table %s: the buffer pass and sortedEncodings digest differently", name)
 		}
-		if t.run {
-			var enc []byte
-			var ends []int
-			for _, e := range t.sortedEncodings() {
-				enc = append(append(enc, e...), ';')
-				ends = append(ends, len(enc))
-			}
-			if t.sortedN != len(t.order) || !bytes.Equal(t.enc, enc) || !slices.Equal(t.ends, ends) {
-				return fmt.Errorf("storage: table %s: an append run keeps other encodings than its sorted ones, or counts %d of %d slots", name, t.sortedN, len(t.order))
-			}
+		if len(t.gone) > 0 || t.run && t.sortedN != len(t.order) {
+			return fmt.Errorf("storage: table %s: the digest left %d gone rows, and a run over %d of %d slots", name, len(t.gone), t.sortedN, len(t.order))
+		}
+		if err := runErr(t); err != nil {
+			return fmt.Errorf("storage: table %s, after the digest: %v", name, err)
 		}
 	}
 	canon := db.CanonicalFingerprint()
@@ -70,5 +74,53 @@ func (o *FingerprintOracle) Check(db *DB) error {
 		return fmt.Errorf("storage: two states agree on CanonicalFingerprint %x but not on Fingerprint", canon[:4])
 	}
 	o.canonOf[fp], o.fpOf[canon] = canon, fp
+	return nil
+}
+
+// runErr returns how t departs from its open append run's invariant, if
+// it does: the kept encodings are the sorted encodings of the rows the
+// last digest saw, which are the live rows of order[:sortedN] and the
+// gone rows; no gone row is live; and a live row's identity is below
+// newFrom exactly when its slot is in order[:sortedN], which is what lets
+// a delete tell the rows apart. Outside a run, gone is empty.
+func runErr(t *Table) error {
+	if !t.run {
+		if len(t.gone) > 0 {
+			return fmt.Errorf("%d gone rows outside an append run", len(t.gone))
+		}
+		return nil
+	}
+	seen := slices.Clone(t.gone)
+	for _, g := range t.gone {
+		if t.rows[g.ID] != nil {
+			return fmt.Errorf("gone row %d is live", g.ID)
+		}
+	}
+	for i, id := range t.order {
+		tu := t.rows[id]
+		if tu == nil {
+			continue
+		}
+		if (i < t.sortedN) != (id < t.newFrom) {
+			return fmt.Errorf("live row %d in slot %d: the last digest saw %d slots and identities below %d", id, i, t.sortedN, t.newFrom)
+		}
+		if i < t.sortedN {
+			seen = append(seen, tu)
+		}
+	}
+	encs := make([]string, len(seen))
+	for i, tu := range seen {
+		encs[i] = string(tu.encode(nil))
+	}
+	slices.Sort(encs)
+	var enc []byte
+	var ends []int
+	for _, e := range encs {
+		enc = append(append(enc, e...), ';')
+		ends = append(ends, len(enc))
+	}
+	if !bytes.Equal(t.enc, enc) || !slices.Equal(t.ends, ends) {
+		return fmt.Errorf("the kept encodings are not those of the %d rows the last digest saw, %d of them gone", len(seen), len(t.gone))
+	}
 	return nil
 }

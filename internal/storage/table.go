@@ -49,24 +49,34 @@ type Table struct {
 	// digest memoizes the table's content digest (DB.tableDigest) while
 	// clean is set. The digest is a function of the row multiset alone,
 	// so the one rule is: whatever changes which rows are live, or a live
-	// row's values, calls touch (Table.insert does touch's work itself).
+	// row's values, calls touch (Table.insert and remove do touch's work
+	// themselves).
 	digest [32]byte
 	clean  bool
 
 	// enc is the digest's exact input as of the last digest: the live
 	// rows' encodings in sorted order, each followed by ';', row i ending
 	// (after its ';') at ends[i]. While run is set every change since has
-	// been an append, so the rows not in enc are order[sortedN:], and the
-	// next digest merges just those in. touch and compact end the run;
-	// the next digest rebuilds enc. clone leaves enc behind, since a
-	// merge rewrites it in place.
+	// been an append or a delete, so enc holds the encodings of the live
+	// rows of order[:sortedN] and of the gone rows, the rows the last
+	// digest saw that were deleted since; the next digest takes the gone
+	// rows out and merges order[sortedN:]'s live rows in. The last digest
+	// saw exactly the live rows whose identities are below newFrom, the
+	// DB's NextID at that digest: an append of a lower identity, which a
+	// rollback or a replay can hand out, ends the run, so a delete tells
+	// the two kinds of row apart by identity alone. touch ends the run,
+	// and the next digest rebuilds enc. clone leaves enc behind, since a
+	// digest rewrites it in place.
 	enc     []byte
 	ends    []int
 	sortedN int
 	run     bool
+	gone    []*Tuple
+	newFrom TupleID
 
-	// ver counts touches and appends, which see more than the digest can tell:
-	// a delete and an equal insert keep the multiset and change an identity.
+	// ver counts touches, appends and deletes, which see more than the
+	// digest can tell: a delete and an equal insert keep the multiset and
+	// change an identity.
 	ver uint64
 
 	// last and lastOf[k] locate the table's most recent Change in the DB's
@@ -94,8 +104,18 @@ func (t *Table) noteChange(end int, k ChangeKind) { t.last, t.lastOf[k] = end, e
 func (t *Table) forgetChanges() { t.last, t.lastOf = 0, [3]int{} }
 
 // touch marks the memoized content digest stale, advances Version and
-// ends the append run: every change but Table.insert's append.
-func (t *Table) touch() { t.clean, t.ver, t.run = false, t.ver+1, false }
+// ends the append run, dropping its gone rows: every change but
+// Table.insert's append and remove's delete.
+func (t *Table) touch() {
+	t.clean, t.ver, t.run = false, t.ver+1, false
+	t.forgetGone()
+}
+
+// forgetGone empties gone, zeroing it so the deleted tuples can be freed.
+func (t *Table) forgetGone() {
+	clear(t.gone)
+	t.gone = t.gone[:0]
+}
 
 // Version is a counter that has moved whenever the table's live rows —
 // their identities, values or iteration order — may have changed, and
@@ -142,7 +162,11 @@ func (t *Table) IDs() []TupleID {
 }
 
 func (t *Table) insert(tu *Tuple) {
-	t.clean, t.ver = false, t.ver+1 // touch, but an open append run goes on
+	if tu.ID < t.newFrom {
+		t.touch() // a later delete could not tell this row from one the last digest saw
+	} else {
+		t.clean, t.ver = false, t.ver+1 // touch, but an open append run goes on
+	}
 	t.rows[tu.ID] = tu
 	t.order = append(t.order, tu.ID)
 }
@@ -167,22 +191,37 @@ func (t *Table) insertPreservingOrder(tu *Tuple) (appended bool) {
 	return true
 }
 
+// remove deletes tu's row, marking the memoized digest stale and
+// advancing Version, and keeps an open append run: a row the last
+// digest saw joins gone, for the next digest to take its encoding out of
+// the kept ones, and a row appended since leaves no trace there.
+func (t *Table) remove(tu *Tuple) {
+	t.clean, t.ver = false, t.ver+1
+	if t.run && tu.ID < t.newFrom {
+		t.gone = append(t.gone, tu)
+	}
+	delete(t.rows, tu.ID) // the order slot stays, as a tombstone, until compact
+}
+
 // compact drops the order slice's tombstones once they outnumber live
 // rows three to one. The DB calls it only with no savepoint active:
 // until then unDelete relies on a deleted identity keeping its slot.
-// Moving the slots ends the append run, which counts them.
+// An open append run goes on, with sortedN recounted over the slots
+// that survive, since the rows the last digest saw keep theirs in front.
 func (t *Table) compact() {
 	if len(t.order) <= 16 || len(t.rows)*4 >= len(t.order) {
 		return
 	}
-	t.run = false
-	live := t.order[:0]
-	for _, oid := range t.order {
+	live, sorted := t.order[:0], 0
+	for i, oid := range t.order {
 		if _, ok := t.rows[oid]; ok {
 			live = append(live, oid)
+			if i < t.sortedN {
+				sorted++
+			}
 		}
 	}
-	t.order = live
+	t.order, t.sortedN = live, sorted
 }
 
 // unInsert reverses an insert made under a savepoint. Undo records are
@@ -225,17 +264,26 @@ func (t *Table) clone() *Table {
 	return nt
 }
 
-// pending calls fn on each row the next digest encodes: while the run is
-// open, the rows appended since the last digest, else every live row.
-func (t *Table) pending(fn func(*Tuple)) {
-	if t.run {
-		for _, id := range t.order[t.sortedN:] {
-			fn(t.rows[id])
+// pending calls fn on each row the next digest encodes: with gone set,
+// the gone rows it takes out of the kept encodings; else, while the run
+// is open, the live rows appended since the last digest, and else every
+// live row.
+func (t *Table) pending(gone bool, fn func(*Tuple)) {
+	switch {
+	case gone:
+		for _, tu := range t.gone {
+			fn(tu)
 		}
-		return
-	}
-	for _, tu := range t.rows {
-		fn(tu)
+	case t.run:
+		for _, id := range t.order[t.sortedN:] {
+			if tu := t.rows[id]; tu != nil {
+				fn(tu)
+			}
+		}
+	default:
+		for _, tu := range t.rows {
+			fn(tu)
+		}
 	}
 }
 
@@ -264,6 +312,42 @@ func (t *Table) merge(buf []byte, spans []rowSpan) {
 		ends[i+j+2] = w // the index, among the merged rows, of the one just placed
 		w -= copy(enc[w-(hi-lo):w], src[lo:hi])
 	}
+}
+
+// drop takes one kept encoding equal to each of the sorted rows
+// buf[spans[i].lo:spans[i].hi] out of the kept encodings in place, in
+// one pass that starts at the first kept row not below the smallest of
+// them and moves each kept row that stays down over the ones taken. It
+// reports false, leaving the kept encodings to a rebuild, if a row has
+// no equal among them.
+func (t *Table) drop(buf []byte, spans []rowSpan) bool {
+	enc, ends := t.enc, t.ends
+	start := func(i int) int {
+		if i == 0 {
+			return 0
+		}
+		return ends[i-1]
+	}
+	first := buf[spans[0].lo:spans[0].hi]
+	i := sort.Search(len(ends), func(i int) bool { return bytes.Compare(enc[start(i):ends[i]-1], first) >= 0 })
+	k, w := i, start(i) // where the next kept row that stays goes: its index and its start
+	for _, s := range spans {
+		for ; i < len(ends) && bytes.Compare(enc[start(i):ends[i]-1], buf[s.lo:s.hi]) < 0; i, k = i+1, k+1 {
+			w += copy(enc[w:], enc[start(i):ends[i]])
+			ends[k] = w
+		}
+		if i == len(ends) || !bytes.Equal(enc[start(i):ends[i]-1], buf[s.lo:s.hi]) {
+			return false
+		}
+		i++ // taken
+	}
+	lo := start(i) // the rows after the last one taken move down in one block
+	copy(enc[w:], enc[lo:])
+	for ; i < len(ends); i, k = i+1, k+1 {
+		ends[k] = ends[i] - (lo - w)
+	}
+	t.enc, t.ends = enc[:len(enc)-(lo-w)], ends[:k]
+	return true
 }
 
 // sortedEncodings returns the canonical encodings of all live tuples,
