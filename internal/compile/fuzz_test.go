@@ -8,7 +8,8 @@ package compile
 // times with its literals perturbed. The corpus under
 // testdata/fuzz/FuzzCompileEval seeds both bare expressions (adapted
 // from sqlmini's FuzzEvalExpr corpus) and full statements, including
-// transition-table references.
+// transition-table references and point UPDATEs and DELETEs, which the
+// compiled path answers from an equality index.
 
 import (
 	"fmt"

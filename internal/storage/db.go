@@ -155,7 +155,7 @@ func (db *DB) RollbackTo(sp Savepoint) {
 			}
 		case ChangeUpdate:
 			t.touch()
-			t.rows[u.ID].Vals[u.Col] = u.Old
+			t.setVal(t.rows[u.ID], u.Col, u.Old)
 			if db.obs != nil {
 				db.obs.ObserveUpdate(t.def.Name, u.ID, t.def.Columns[u.Col].Name, u.Old)
 			}
@@ -356,7 +356,7 @@ func (db *DB) Update(table string, id TupleID, col string, v Value) (Value, erro
 	}
 	old := tu.Vals[ci]
 	t.touch()
-	tu.Vals[ci] = cv
+	t.setVal(tu, ci, cv)
 	if db.spDepth > 0 {
 		db.record(Change{Kind: ChangeUpdate, Table: t, ID: id, Col: ci, Old: old})
 	}
