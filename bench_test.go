@@ -276,6 +276,45 @@ func BenchmarkAblationExplorerMemo(b *testing.B) {
 	}
 }
 
+// BenchmarkExplorePointActions explores n commuting rules whose actions
+// are point updates of one table: 2^n memoized states, and every fork
+// runs one rule's action on a fresh clone of the table, so it is the
+// explorer's price of an equality probe on a table that probes once.
+func BenchmarkExplorePointActions(b *testing.B) {
+	const n = 6
+	rulesSrc := ""
+	for i := 0; i < n; i++ {
+		rulesSrc += fmt.Sprintf("create rule r%d on s when inserted then update t set v = v + 1 where id = %d\n\n", i, i)
+	}
+	sys, err := activerulesLoad("table s (v int)\ntable t (id int, v int)\n", rulesSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rows := range []int{10, 200} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			var script strings.Builder
+			script.WriteString("insert into s values (1); insert into t values ")
+			for i := 0; i < rows; i++ {
+				if i > 0 {
+					script.WriteString(", ")
+				}
+				fmt.Fprintf(&script, "(%d, 0)", i)
+			}
+			eng := sys.NewEngine(sys.NewDB(), engine.Options{})
+			if _, err := eng.ExecUser(script.String()); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := execgraph.Explore(eng, execgraph.Options{MaxStates: 1 << 20, MaxDepth: 100})
+				if err != nil || len(res.FinalDBs) != 1 || res.StatesExplored != 1<<n {
+					b.Fatalf("exploration broken: %v %d final, %d states", err, len(res.FinalDBs), res.StatesExplored)
+				}
+			}
+		})
+	}
+}
+
 // --- F1: commutativity diamond validation -------------------------------
 
 func BenchmarkF1CommutativityDiamond(b *testing.B) {
