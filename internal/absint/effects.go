@@ -1,8 +1,6 @@
 package absint
 
 import (
-	"sort"
-
 	"activerules/internal/schema"
 	"activerules/internal/sqlmini"
 )
@@ -198,16 +196,6 @@ type ReadContext struct {
 	Trans sqlmini.TransKind
 	Cols  map[string]bool
 	Scope Constraints
-}
-
-// SortedCols returns the referenced columns in sorted order.
-func (rc *ReadContext) SortedCols() []string {
-	out := make([]string, 0, len(rc.Cols))
-	for c := range rc.Cols {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ctxFrame binds one in-scope source alias to its context during the

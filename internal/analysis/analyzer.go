@@ -177,9 +177,6 @@ func (a *Analyzer) SetParallelism(int) *Analyzer { return a }
 // Set returns the analyzed rule set.
 func (a *Analyzer) Set() *rules.Set { return a.set }
 
-// Certification returns the certification set in use.
-func (a *Analyzer) Certification() *Certification { return a.cert }
-
 // graph lazily builds the triggering graph. The graph depends only on
 // the base Triggered-By/Performs sets: the Obs extension adds only
 // (I, Obs) operations, and no rule is triggered by Obs, so the graph is

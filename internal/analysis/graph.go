@@ -43,9 +43,6 @@ func BuildTriggeringGraph(set *rules.Set) *TriggeringGraph {
 	return g
 }
 
-// Set returns the underlying rule set.
-func (g *TriggeringGraph) Set() *rules.Set { return g.set }
-
 // WithoutEdges returns a copy of the graph with every edge for which
 // excluded returns true removed — the edge-discharge refinement of the
 // Section 5 interactive process.

@@ -368,15 +368,6 @@ func witnessDesc(w *absint.Witness) string {
 	return d
 }
 
-// PrunedEdges returns the refined-away triggering edges sorted by
-// (From, To) for deterministic rendering. Nil when refinement is off.
-func (a *Analyzer) PrunedEdges() []PrunedEdge {
-	if a.ref == nil {
-		return nil
-	}
-	return a.ref.sortedPrunedEdges()
-}
-
 func (ref *refinement) sortedPrunedEdges() []PrunedEdge {
 	rs := ref.set.Rules()
 	out := make([]PrunedEdge, 0, len(ref.pruned))

@@ -19,13 +19,12 @@
 //     a division by zero would change the error taxonomy. Rows are
 //     skipped on the same terms: an UPDATE or DELETE visits only the
 //     holders of an equality probe's value when its WHERE cannot error.
-//  3. Nothing the compiler cannot handle runs as a divergent
-//     approximation. A rule's unit (condition or action statement)
-//     falls back to an interpreter closure; Fallbacks() exposes the
-//     count so tests can pin it to zero for the rule sets they care
-//     about. A user statement (UserCache) has no fallback: one the
+//  3. Nothing the compiler cannot handle runs some other way. A rule's
+//     unit (condition or action statement) or user statement the
 //     compiler declined would fail with the compiler's error, and
-//     resolution leaves none.
+//     resolution leaves none. The interpreter runs only when the engine
+//     is asked for it (engine.Options.Interpret), as the oracle the
+//     differential tests compare against.
 package compile
 
 import (
@@ -269,9 +268,8 @@ func (c *compiler) lookup(alias string) (int, bool) {
 	return 0, false
 }
 
-// errUnsupported aborts compilation of the current unit: Compile
-// installs an interpreter fallback for a rule's unit, and
-// UserCache.Exec returns it.
+// errUnsupported aborts compilation of the current unit: a rule's unit
+// (Compile) or user statement (UserCache.Exec) fails with it.
 type errUnsupported struct{ what string }
 
 func (e errUnsupported) Error() string { return "compile: unsupported " + e.what }

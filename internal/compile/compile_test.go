@@ -4,8 +4,8 @@ package compile
 // battery at the repo root (compile_differential_test.go) is the
 // system-level equivalence check; these tests pin the pieces in
 // isolation: the discrimination network's bookkeeping, the statement
-// compiler's value-level agreement with the interpreter, and the
-// zero-fallback guarantee on the shipped example rule sets.
+// compiler's value-level agreement with the interpreter, and that every
+// unit of the shipped example rule sets compiles.
 
 import (
 	"fmt"
@@ -278,19 +278,73 @@ func loadExample(t *testing.T, dir string) *rules.Set {
 	return set
 }
 
-// TestExamplesCompileWithoutFallback: every shipped example rule set
-// must compile every condition and statement natively — zero
-// interpreter fallbacks — so the benchmark numbers measure the compiled
-// path, not a silent interpreter detour.
+// declined lists the units (conditions and action statements) of set
+// that the compiler declines, one line each with the compiler's error.
+func declined(set *rules.Set) []string {
+	var out []string
+	for _, r := range set.Rules() {
+		c := &compiler{sch: set.Schema()}
+		if r.Condition != nil {
+			if _, err := c.compileExpr(r.Condition); err != nil {
+				out = append(out, fmt.Sprintf("%s condition: %v", r.Name, err))
+			}
+		}
+		for j, st := range r.Action {
+			if _, err := c.compileStatement(st); err != nil {
+				out = append(out, fmt.Sprintf("%s statement %d: %v", r.Name, j, err))
+			}
+		}
+	}
+	return out
+}
+
+// TestExamplesCompileWithoutFallback: the compiler accepts every
+// condition and statement of every shipped example rule set, so the
+// benchmark numbers measure the compiled path and no unit fails with
+// the compiler's error.
 func TestExamplesCompileWithoutFallback(t *testing.T) {
 	for _, dir := range []string{"bank", "powernet", "lintdemo"} {
 		t.Run(dir, func(t *testing.T) {
-			set := loadExample(t, dir)
-			p := Compile(set)
-			if n := p.Fallbacks(); n != 0 {
-				t.Errorf("%s: %d interpreter fallbacks, want 0", dir, n)
+			for _, d := range declined(loadExample(t, dir)) {
+				t.Errorf("%s: compiler declined %s", dir, d)
 			}
 		})
+	}
+}
+
+// TestDeclinedUnitFails: a unit the compiler declines fails with the
+// compiler's error when considered instead of running some other way.
+// Resolution leaves no such unit, so the test makes two by hand: a
+// condition naming a FROM item that is not in scope, and a select list
+// mixing an aggregate with a plain column that lost its GROUP BY.
+func TestDeclinedUnitFails(t *testing.T) {
+	sch := testSchema(t)
+	set, err := rules.NewSet(sch, []rules.Definition{{
+		Name:      "r0",
+		Table:     "t",
+		Triggers:  []rules.TriggerSpec{{Kind: schema.OpInsert}},
+		Condition: "1 = 1",
+		Action:    []string{"select a, count(*) from t group by a"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := set.Rules()[0]
+	r.Condition = &sqlmini.ColRef{Column: "a", RTable: "t", RSource: "gone"}
+	r.Action[0].(*sqlmini.Select).GroupBy = nil
+	if got := len(declined(set)); got != 2 {
+		t.Fatalf("compiler declines %d units, want 2", got)
+	}
+
+	p := Compile(set)
+	db := seedDB(t, sch)
+	ok, err := p.EvalCondition(0, &Env{DB: db, Trans: testTrans()})
+	if want := `compile: unsupported unbound column source "gone"`; ok || err == nil || err.Error() != want {
+		t.Errorf("declined condition: got (%v, %v), want (false, %s)", ok, err, want)
+	}
+	res, err := p.ExecStatement(0, 0, &Env{DB: db, Trans: testTrans(), Mut: sqlmini.DirectMutator(db)})
+	if want := "compile: unsupported mixed aggregate select list"; err == nil || err.Error() != want {
+		t.Errorf("declined statement: got (%+v, %v), want error %s", res, err, want)
 	}
 }
 
@@ -453,10 +507,10 @@ func TestConditionEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := Compile(set)
-			if p.Fallbacks() != 0 {
-				t.Fatalf("condition %q fell back to the interpreter", cond)
+			if d := declined(set); len(d) != 0 {
+				t.Fatalf("condition %q: compiler declined %v", cond, d)
 			}
+			p := Compile(set)
 			got, gerr := p.EvalCondition(0, &Env{DB: db, Trans: td})
 			ev := &sqlmini.Evaluator{DB: db, Trans: td}
 			want, werr := ev.EvalPredicate(set.Rules()[0].Condition)

@@ -21,14 +21,14 @@ type compiledRule struct {
 // its discrimination network. It is immutable after Compile and shared
 // by every engine (and engine clone) running the set.
 type Program struct {
-	rules     []compiledRule
-	matcher   *Matcher
-	fallbacks int
+	rules   []compiledRule
+	matcher *Matcher
 }
 
-// Compile compiles every rule of the set. Units the compiler cannot
-// handle fall back to interpreter closures (counted by Fallbacks), so
-// Compile never fails and compiled semantics never diverge.
+// Compile compiles every rule of the set. Compile never fails: a unit
+// (condition or action statement) the compiler declined would fail with
+// the compiler's error when considered, like a declined user statement
+// in UserCache, rather than run some other way. Resolution leaves none.
 func Compile(set *rules.Set) *Program {
 	rs := set.Rules()
 	p := &Program{
@@ -49,26 +49,16 @@ func Compile(set *rules.Set) *Program {
 					return v.Kind == storage.KindBool && v.B, nil
 				}
 			} else {
-				p.fallbacks++
-				cond := r.Condition
-				cr.cond = func(env *Env) (bool, error) {
-					ev := &sqlmini.Evaluator{DB: env.DB, Trans: env.Trans}
-					return ev.EvalPredicate(cond)
-				}
+				cr.cond = func(*Env) (bool, error) { return false, err }
 			}
 		}
 		cr.action = make([]stmtFn, len(r.Action))
 		for j, st := range r.Action {
-			if fn, err := c.compileStatement(st); err == nil {
-				cr.action[j] = fn
-			} else {
-				p.fallbacks++
-				stc := st
-				cr.action[j] = func(env *Env) (sqlmini.StmtResult, error) {
-					ev := &sqlmini.Evaluator{DB: env.DB, Trans: env.Trans, Mut: env.Mut}
-					return ev.Exec(stc)
-				}
+			fn, err := c.compileStatement(st)
+			if err != nil {
+				fn = func(*Env) (sqlmini.StmtResult, error) { return sqlmini.StmtResult{}, err }
 			}
+			cr.action[j] = fn
 		}
 		cr.nSlots = c.nSlots
 	}
@@ -85,10 +75,6 @@ func For(set *rules.Set) *Program {
 
 // Matcher returns the set's discrimination network.
 func (p *Program) Matcher() *Matcher { return p.matcher }
-
-// Fallbacks returns how many units (conditions or action statements)
-// fell back to the interpreter.
-func (p *Program) Fallbacks() int { return p.fallbacks }
 
 // EvalCondition evaluates rule i's condition; rules without a
 // condition are trivially satisfied.

@@ -257,7 +257,8 @@ func (e *Engine) bindTables() {
 func (e *Engine) Compiled() bool { return e.prog != nil }
 
 // Program returns the compiled program, or nil in interpreted mode.
-// Tests use it to assert that no unit fell back to the interpreter.
+// Engines over one rule set share one program; tests check that
+// identity through it.
 func (e *Engine) Program() *compile.Program { return e.prog }
 
 // RebuildTriggerIndex recomputes the candidate bitset from scratch out

@@ -493,6 +493,3 @@ func (f *Follower) Promote(defs []rules.Definition, cfg serve.Config) (*serve.Se
 	cfg.WAL.FS = f.fs
 	return serve.New(f.sch, defs, f.dir, cfg)
 }
-
-// Dir returns the follower's WAL directory.
-func (f *Follower) Dir() string { return f.dir }

@@ -1,10 +1,6 @@
 package rules
 
-import (
-	"strings"
-
-	"activerules/internal/schema"
-)
+import "activerules/internal/schema"
 
 // Triggers computes the Triggers relationship of Section 3: all rules r'
 // (possibly including r itself) that can become triggered as a result of
@@ -25,34 +21,19 @@ func (s *Set) CanTrigger(r, r2 *Rule) bool {
 	return r.performs.Intersects(r2.triggeredBy)
 }
 
-// CanUntrigger computes the Can-Untrigger set of Section 3 for a set of
-// operations O': all rules that can be untriggered by O'. A rule can be
-// untriggered when a deletion from its table can undo the insertions or
-// updates that triggered it:
+// CanBeUntriggeredBy reports whether operations of r1 can untrigger r2:
+// whether r2 is in the Can-Untrigger set of Section 3 for O' =
+// Performs(r1). A rule can be untriggered when a deletion from its
+// table can undo the insertions or updates that triggered it:
 //
 //	Can-Untrigger(O') = {r ∈ R | (D,t) ∈ O' and (I,t) or (U,t.c) ∈
 //	                     Triggered-By(r) for some t, t.c}
-func (s *Set) CanUntrigger(ops schema.OpSet) []*Rule {
-	var out []*Rule
-	for _, r := range s.rules {
-		if s.opsCanUntrigger(ops, r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// CanBeUntriggeredBy reports whether operations of r1 can untrigger r2.
 func (s *Set) CanBeUntriggeredBy(r2, r1 *Rule) bool {
-	return s.opsCanUntrigger(r1.performs, r2)
-}
-
-func (s *Set) opsCanUntrigger(ops schema.OpSet, r *Rule) bool {
-	for op := range ops {
+	for op := range r1.performs {
 		if op.Kind != schema.OpDelete {
 			continue
 		}
-		for trig := range r.triggeredBy {
+		for trig := range r2.triggeredBy {
 			if trig.Table != op.Table {
 				continue
 			}
@@ -107,25 +88,6 @@ func (s *Set) ObservableRules() []*Rule {
 	for _, r := range s.rules {
 		if r.observable {
 			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Writers returns the rules that perform any operation on any of the
-// given tables, the seed of the Sig(T') computation (Definition 7.1).
-func (s *Set) Writers(tables []string) []*Rule {
-	want := map[string]bool{}
-	for _, t := range tables {
-		want[strings.ToLower(t)] = true
-	}
-	var out []*Rule
-	for _, r := range s.rules {
-		for op := range r.performs {
-			if want[op.Table] {
-				out = append(out, r)
-				break
-			}
 		}
 	}
 	return out

@@ -145,19 +145,29 @@ func TestTriggersRelation(t *testing.T) {
 
 func TestCanUntrigger(t *testing.T) {
 	s := bankSet(t)
-	// A deletion from account can untrigger rules triggered by inserts or
-	// updates on account: r_audit and r_hold.
-	got := Names(s.CanUntrigger(schema.NewOpSet(schema.Delete("account"))))
-	if strings.Join(got, ",") != "r_audit,r_hold" {
-		t.Errorf("CanUntrigger = %v", got)
-	}
-	// Deletion from holds untriggering nothing (no rule triggered by holds).
-	if n := len(s.CanUntrigger(schema.NewOpSet(schema.Delete("holds")))); n != 0 {
-		t.Errorf("CanUntrigger(holds) = %d rules", n)
-	}
 	// r_purge deletes from holds; it cannot untrigger r_audit.
 	if s.CanBeUntriggeredBy(s.Rule("r_audit"), s.Rule("r_purge")) {
 		t.Error("r_purge cannot untrigger r_audit")
+	}
+	// A deletion from account can untrigger the rules triggered by
+	// inserts or updates on account, r_audit and r_hold, and no other.
+	defs := append(bankDefs(), Definition{
+		Name: "r_close", Table: "audit",
+		Triggers: []TriggerSpec{{Kind: schema.OpInsert}},
+		Action:   []string{"delete from account"},
+	})
+	s, err := NewSet(bankSchema(), defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range s.Rules() {
+		if s.CanBeUntriggeredBy(r, s.Rule("r_close")) {
+			got = append(got, r.Name)
+		}
+	}
+	if strings.Join(got, ",") != "r_audit,r_hold" {
+		t.Errorf("r_close can untrigger %v, want [r_audit r_hold]", got)
 	}
 }
 
@@ -262,12 +272,6 @@ func TestObservableRulesAndWriters(t *testing.T) {
 	s := bankSet(t)
 	if got := Names(s.ObservableRules()); len(got) != 1 || got[0] != "r_guard" {
 		t.Errorf("ObservableRules = %v", got)
-	}
-	if got := Names(s.Writers([]string{"HOLDS"})); strings.Join(got, ",") != "r_hold,r_purge" {
-		t.Errorf("Writers(holds) = %v", got)
-	}
-	if got := Names(s.Writers([]string{"audit"})); strings.Join(got, ",") != "r_audit" {
-		t.Errorf("Writers(audit) = %v", got)
 	}
 }
 

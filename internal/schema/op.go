@@ -108,22 +108,8 @@ func (s OpSet) Intersects(other OpSet) bool {
 	return false
 }
 
-// TouchesTable reports whether any operation in the set refers to table t.
-func (s OpSet) TouchesTable(t string) bool {
-	t = strings.ToLower(t)
-	for o := range s {
-		if o.Table == t {
-			return true
-		}
-	}
-	return false
-}
-
 // Len returns the number of operations in the set.
 func (s OpSet) Len() int { return len(s) }
-
-// IsEmpty reports whether the set has no operations.
-func (s OpSet) IsEmpty() bool { return len(s) == 0 }
 
 // Clone returns an independent copy of the set.
 func (s OpSet) Clone() OpSet {
@@ -242,18 +228,4 @@ func (s ColSet) String() string {
 		parts[i] = r.String()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// Universe returns the full operation universe O for the schema:
-// insertions and deletions for every table and updates for every column.
-func Universe(s *Schema) OpSet {
-	out := NewOpSet()
-	for _, name := range s.TableNames() {
-		out.Add(Insert(name))
-		out.Add(Delete(name))
-		for _, c := range s.Table(name).Columns {
-			out.Add(Update(name, c.Name))
-		}
-	}
-	return out
 }

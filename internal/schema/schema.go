@@ -176,21 +176,6 @@ func (s *Schema) TableNames() []string {
 // NumTables returns the number of tables.
 func (s *Schema) NumTables() int { return len(s.order) }
 
-// Extend returns a new schema containing all tables of s plus the given
-// extra tables. It is used to add the fictional Obs table for observable
-// determinism analysis (Section 8) without mutating the original schema.
-func (s *Schema) Extend(extra ...*Table) (*Schema, error) {
-	b := NewBuilder()
-	for _, name := range s.order {
-		t := s.tables[name]
-		b.Table(t.Name, t.Columns...)
-	}
-	for _, t := range extra {
-		b.Table(t.Name, t.Columns...)
-	}
-	return b.Build()
-}
-
 // String renders the schema in the definition-file syntax.
 func (s *Schema) String() string {
 	var sb strings.Builder

@@ -129,24 +129,6 @@ func TestParseTypeAliases(t *testing.T) {
 	}
 }
 
-func TestExtend(t *testing.T) {
-	s := MustParse("table t (a int)")
-	obs := &Table{Name: "obs", Columns: []Column{{Name: "c", Type: String}}}
-	ext, err := s.Extend(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ext.HasTable("obs") || !ext.HasTable("t") {
-		t.Error("extended schema missing tables")
-	}
-	if s.HasTable("obs") {
-		t.Error("Extend mutated the original schema")
-	}
-	if _, err := s.Extend(&Table{Name: "t", Columns: []Column{{Name: "x", Type: Int}}}); err == nil {
-		t.Error("Extend with duplicate table should fail")
-	}
-}
-
 func TestOpConstructorsAndString(t *testing.T) {
 	if got := Insert("T").String(); got != "(I,t)" {
 		t.Errorf("Insert = %s", got)
@@ -171,9 +153,6 @@ func TestOpSetOperations(t *testing.T) {
 	if s.Intersects(NewOpSet(Update("a", "x"))) {
 		t.Error("no shared op, Intersects should be false")
 	}
-	if !s.TouchesTable("A") || s.TouchesTable("c") {
-		t.Error("TouchesTable wrong")
-	}
 	clone := s.Clone()
 	clone.Add(Insert("z"))
 	if s.Contains(Insert("z")) {
@@ -185,9 +164,6 @@ func TestOpSetOperations(t *testing.T) {
 	}
 	if got := NewOpSet(Update("t", "c"), Insert("t")).String(); got != "{(I,t), (U,t.c)}" {
 		t.Errorf("String = %s", got)
-	}
-	if !NewOpSet().IsEmpty() || s.IsEmpty() {
-		t.Error("IsEmpty wrong")
 	}
 }
 
@@ -210,20 +186,6 @@ func TestColSetOperations(t *testing.T) {
 	}
 	if got := s.String(); got != "{t.a, t.b, u.x}" {
 		t.Errorf("String = %s", got)
-	}
-}
-
-func TestUniverse(t *testing.T) {
-	s := MustParse("table t (a int, b int)\ntable u (c string)")
-	o := Universe(s)
-	want := 2 + 2 + 2 + 1 // I/D per table + one update op per column
-	if o.Len() != want {
-		t.Errorf("Universe has %d ops, want %d: %s", o.Len(), want, o)
-	}
-	for _, op := range []Op{Insert("t"), Delete("u"), Update("t", "b"), Update("u", "c")} {
-		if !o.Contains(op) {
-			t.Errorf("Universe missing %s", op)
-		}
 	}
 }
 

@@ -157,10 +157,6 @@ func (g *Group) Tables(i int) []string { return g.tables[i] }
 // Rules returns the rule names of effective shard i, sorted.
 func (g *Group) Rules(i int) []string { return g.ruleNames[i] }
 
-// Server returns effective shard i's server, for direct inspection
-// (health, stats, replication hookup).
-func (g *Group) Server(i int) *serve.Server { return g.servers[i] }
-
 // Route parses sql and returns the single effective shard its
 // statements are confined to. A *ShardError reports statements that
 // span shards, reference unplanned tables, or touch no table at all;

@@ -18,24 +18,6 @@ type TransitionData struct {
 	OldUpdated [][]storage.Value
 }
 
-func (td *TransitionData) rows(k TransKind) [][]storage.Value {
-	if td == nil {
-		return nil
-	}
-	switch k {
-	case TransInserted:
-		return td.Inserted
-	case TransDeleted:
-		return td.Deleted
-	case TransNewUpdated:
-		return td.NewUpdated
-	case TransOldUpdated:
-		return td.OldUpdated
-	default:
-		return nil
-	}
-}
-
 // Mutator receives the data modifications performed by statement
 // execution. The rule engine implements it to record per-statement deltas
 // for net-effect transition tracking. Table and column names are the
@@ -91,18 +73,6 @@ type StmtResult struct {
 // zero (SQL would raise an error too).
 var ErrDivisionByZero = errors.New("sql: division by zero")
 
-// predTruth interprets a WHERE result: true satisfies; false and null do
-// not; any other kind is a type error.
-func predTruth(v storage.Value) (bool, error) {
-	if v.IsNull() {
-		return false, nil
-	}
-	if v.Kind != storage.KindBool {
-		return false, fmt.Errorf("sql: WHERE clause evaluated to non-boolean %s", v)
-	}
-	return v.B, nil
-}
-
 // frame is one runtime binding of a FROM item alias to a concrete row.
 type frame struct {
 	alias string
@@ -155,7 +125,7 @@ func (ev *Evaluator) EvalPredicate(e Expr) (bool, error) {
 // sourceRows materializes the rows of one FROM item.
 func (ev *Evaluator) sourceRows(tr *TableRef) ([][]storage.Value, error) {
 	if tr.Trans != TransNone {
-		return ev.Trans.rows(tr.Trans), nil
+		return ev.Trans.Rows(tr.Trans), nil
 	}
 	t := ev.DB.Table(tr.RTable)
 	if t == nil {
@@ -194,7 +164,7 @@ func (ev *Evaluator) evalSelect(s *Select, env *frame) ([][]storage.Value, error
 				if err != nil {
 					return err
 				}
-				ok, err := predTruth(v)
+				ok, err := PredTruth(v)
 				if err != nil {
 					return err
 				}
@@ -230,7 +200,7 @@ func (ev *Evaluator) evalSelect(s *Select, env *frame) ([][]storage.Value, error
 		return ev.evalGroupedSelect(s, matches)
 	}
 
-	if hasAggregateItems(s) {
+	if HasAggregateItems(s) {
 		out := make([]storage.Value, len(s.Items))
 		for i, it := range s.Items {
 			agg := it.Expr.(*Aggregate)
@@ -272,7 +242,7 @@ func (ev *Evaluator) evalSelect(s *Select, env *frame) ([][]storage.Value, error
 		results = append(results, row)
 	}
 	if s.Distinct {
-		results = dedupRows(results)
+		results = DedupRows(results)
 	}
 	// LIMIT applies after projection and DISTINCT, keeping the (sorted)
 	// prefix.
@@ -280,27 +250,6 @@ func (ev *Evaluator) evalSelect(s *Select, env *frame) ([][]storage.Value, error
 		results = results[:s.Limit]
 	}
 	return results, nil
-}
-
-// dedupRows removes duplicate projected rows, keeping first occurrences
-// (which preserves any ORDER BY placement).
-func dedupRows(rows [][]storage.Value) [][]storage.Value {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, row := range rows {
-		var key []byte
-		for _, v := range row {
-			key = v.AppendCanonical(key)
-			key = append(key, ',')
-		}
-		k := string(key)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, row)
-	}
-	return out
 }
 
 // sortMatches stably sorts the match frames by the ORDER BY keys: nulls
@@ -433,7 +382,7 @@ func (ev *Evaluator) execDelete(s *Delete, env *frame) (StmtResult, error) {
 				scanErr = err
 				return false
 			}
-			ok, err := predTruth(v)
+			ok, err := PredTruth(v)
 			if err != nil {
 				scanErr = err
 				return false
@@ -478,7 +427,7 @@ func (ev *Evaluator) execUpdate(s *Update, env *frame) (StmtResult, error) {
 				scanErr = err
 				return false
 			}
-			ok, err := predTruth(v)
+			ok, err := PredTruth(v)
 			if err != nil {
 				scanErr = err
 				return false
@@ -532,7 +481,7 @@ func (ev *Evaluator) evalExpr(e Expr, env *frame) (storage.Value, error) {
 		if err != nil {
 			return storage.Value{}, err
 		}
-		return applyUnary(x.Op, v)
+		return ApplyUnary(x.Op, v)
 	case *Binary:
 		return ev.evalBinary(x, env)
 	case *IsNull:
@@ -554,7 +503,7 @@ func (ev *Evaluator) evalExpr(e Expr, env *frame) (storage.Value, error) {
 			}
 			vals[i] = vv
 		}
-		return inResult(v, vals, x.Negate), nil
+		return InResult(v, vals, x.Negate), nil
 	case *InSelect:
 		v, err := ev.evalExpr(x.X, env)
 		if err != nil {
@@ -568,7 +517,7 @@ func (ev *Evaluator) evalExpr(e Expr, env *frame) (storage.Value, error) {
 		for i, r := range rows {
 			vals[i] = r[0]
 		}
-		return inResult(v, vals, x.Negate), nil
+		return InResult(v, vals, x.Negate), nil
 	case *Exists:
 		rows, err := ev.evalSelect(x.Sub, env)
 		if err != nil {
@@ -588,27 +537,6 @@ func (ev *Evaluator) evalExpr(e Expr, env *frame) (storage.Value, error) {
 	}
 }
 
-// inResult computes SQL IN semantics with nulls: true if any member
-// equals, unknown (null) if no member equals but some comparison was
-// unknown, false otherwise. Negate flips true/false but leaves unknown.
-func inResult(v storage.Value, members []storage.Value, negate bool) storage.Value {
-	sawUnknown := false
-	for _, m := range members {
-		cmp, known := v.Compare(m)
-		if !known {
-			sawUnknown = true
-			continue
-		}
-		if cmp == 0 {
-			return storage.BoolV(!negate)
-		}
-	}
-	if sawUnknown {
-		return storage.Null
-	}
-	return storage.BoolV(negate)
-}
-
 func (ev *Evaluator) evalBinary(x *Binary, env *frame) (storage.Value, error) {
 	l, err := ev.evalExpr(x.L, env)
 	if err != nil {
@@ -618,158 +546,7 @@ func (ev *Evaluator) evalBinary(x *Binary, env *frame) (storage.Value, error) {
 	if err != nil {
 		return storage.Value{}, err
 	}
-	return applyBinary(x.Op, l, r)
-}
-
-// compareHolds reports whether a three-way comparison result satisfies
-// the comparison operator op.
-func compareHolds(op BinaryOp, cmp int) bool {
-	switch op {
-	case OpEq:
-		return cmp == 0
-	case OpNe:
-		return cmp != 0
-	case OpLt:
-		return cmp < 0
-	case OpLe:
-		return cmp <= 0
-	case OpGt:
-		return cmp > 0
-	case OpGe:
-		return cmp >= 0
-	}
-	return false
-}
-
-// applyBinary applies a binary operator to already-evaluated operands
-// (expression evaluation has no side effects, so AND/OR need no
-// short-circuiting — only Kleene null handling).
-func applyBinary(op BinaryOp, l, r storage.Value) (storage.Value, error) {
-	if op == OpAnd || op == OpOr {
-		lb, lNull, err := boolOrNull(l)
-		if err != nil {
-			return storage.Value{}, err
-		}
-		rb, rNull, err := boolOrNull(r)
-		if err != nil {
-			return storage.Value{}, err
-		}
-		if op == OpAnd {
-			switch {
-			case !lNull && !lb, !rNull && !rb:
-				return storage.BoolV(false), nil
-			case lNull || rNull:
-				return storage.Null, nil
-			default:
-				return storage.BoolV(true), nil
-			}
-		}
-		switch {
-		case !lNull && lb, !rNull && rb:
-			return storage.BoolV(true), nil
-		case lNull || rNull:
-			return storage.Null, nil
-		default:
-			return storage.BoolV(false), nil
-		}
-	}
-
-	switch op {
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		cmp, known := l.Compare(r)
-		if !known {
-			if l.IsNull() || r.IsNull() {
-				return storage.Null, nil
-			}
-			return storage.Value{}, fmt.Errorf("sql: cannot compare %s with %s", l, r)
-		}
-		return storage.BoolV(compareHolds(op, cmp)), nil
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-		if l.IsNull() || r.IsNull() {
-			return storage.Null, nil
-		}
-		if !l.IsNumeric() || !r.IsNumeric() {
-			return storage.Value{}, fmt.Errorf("sql: arithmetic on non-numeric values %s, %s", l, r)
-		}
-		if l.Kind == storage.KindInt && r.Kind == storage.KindInt {
-			a, b := l.I, r.I
-			switch op {
-			case OpAdd:
-				return storage.IntV(a + b), nil
-			case OpSub:
-				return storage.IntV(a - b), nil
-			case OpMul:
-				return storage.IntV(a * b), nil
-			case OpDiv:
-				if b == 0 {
-					return storage.Value{}, ErrDivisionByZero
-				}
-				return storage.IntV(a / b), nil
-			case OpMod:
-				if b == 0 {
-					return storage.Value{}, ErrDivisionByZero
-				}
-				return storage.IntV(a % b), nil
-			}
-		}
-		if op == OpMod {
-			return storage.Value{}, fmt.Errorf("sql: %% requires integer operands")
-		}
-		a, b := l.AsFloat(), r.AsFloat()
-		switch op {
-		case OpAdd:
-			return storage.FloatV(a + b), nil
-		case OpSub:
-			return storage.FloatV(a - b), nil
-		case OpMul:
-			return storage.FloatV(a * b), nil
-		case OpDiv:
-			if b == 0 {
-				return storage.Value{}, ErrDivisionByZero
-			}
-			return storage.FloatV(a / b), nil
-		}
-	}
-	return storage.Value{}, fmt.Errorf("sql: unknown binary op %d", op)
-}
-
-// boolOrNull extracts a boolean with a null flag, erroring for other kinds.
-func boolOrNull(v storage.Value) (b, isNull bool, err error) {
-	if v.IsNull() {
-		return false, true, nil
-	}
-	if v.Kind != storage.KindBool {
-		return false, false, fmt.Errorf("sql: expected boolean, got %s", v)
-	}
-	return v.B, false, nil
-}
-
-// applyUnary applies a unary operator to an evaluated operand.
-func applyUnary(op UnaryOp, v storage.Value) (storage.Value, error) {
-	switch op {
-	case UnaryNeg:
-		if v.IsNull() {
-			return storage.Null, nil
-		}
-		switch v.Kind {
-		case storage.KindInt:
-			return storage.IntV(-v.I), nil
-		case storage.KindFloat:
-			return storage.FloatV(-v.F), nil
-		default:
-			return storage.Value{}, fmt.Errorf("sql: cannot negate %s", v)
-		}
-	case UnaryNot:
-		if v.IsNull() {
-			return storage.Null, nil
-		}
-		if v.Kind != storage.KindBool {
-			return storage.Value{}, fmt.Errorf("sql: NOT of non-boolean %s", v)
-		}
-		return storage.BoolV(!v.B), nil
-	default:
-		return storage.Value{}, fmt.Errorf("sql: unknown unary op %d", op)
-	}
+	return ApplyBinary(x.Op, l, r)
 }
 
 // evalGroupedSelect implements GROUP BY / HAVING: matches are
@@ -816,7 +593,7 @@ func (ev *Evaluator) evalGroupedSelect(s *Select, matches []*frame) ([][]storage
 			if err != nil {
 				return nil, err
 			}
-			ok, err := predTruth(hv)
+			ok, err := PredTruth(hv)
 			if err != nil {
 				return nil, fmt.Errorf("sql: HAVING: %w", err)
 			}
@@ -859,7 +636,7 @@ func (ev *Evaluator) evalGroupedSelect(s *Select, matches []*frame) ([][]storage
 		out = append(out, p.row)
 	}
 	if s.Distinct {
-		out = dedupRows(out)
+		out = DedupRows(out)
 	}
 	if s.Limit >= 0 && len(out) > s.Limit {
 		out = out[:s.Limit]
@@ -879,7 +656,7 @@ func (ev *Evaluator) evalGroupExpr(e Expr, rep *frame, members []*frame) (storag
 		if err != nil {
 			return storage.Value{}, err
 		}
-		return applyUnary(x.Op, v)
+		return ApplyUnary(x.Op, v)
 	case *Binary:
 		l, err := ev.evalGroupExpr(x.L, rep, members)
 		if err != nil {
@@ -889,7 +666,7 @@ func (ev *Evaluator) evalGroupExpr(e Expr, rep *frame, members []*frame) (storag
 		if err != nil {
 			return storage.Value{}, err
 		}
-		return applyBinary(x.Op, l, r)
+		return ApplyBinary(x.Op, l, r)
 	case *IsNull:
 		v, err := ev.evalGroupExpr(x.X, rep, members)
 		if err != nil {
@@ -909,7 +686,7 @@ func (ev *Evaluator) evalGroupExpr(e Expr, rep *frame, members []*frame) (storag
 			}
 			vals[i] = vv
 		}
-		return inResult(v, vals, x.Negate), nil
+		return InResult(v, vals, x.Negate), nil
 	default:
 		return ev.evalExpr(e, rep)
 	}

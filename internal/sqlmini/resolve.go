@@ -117,7 +117,7 @@ func resolveSelect(s *Select, rc *ResolveContext, parent *scope, allowAgg bool) 
 			return fmt.Errorf("sql: '*' requires a FROM clause")
 		}
 	}
-	if hasAggregateItems(s) && len(s.GroupBy) == 0 {
+	if HasAggregateItems(s) && len(s.GroupBy) == 0 {
 		for _, it := range s.Items {
 			if it.Expr == nil {
 				return fmt.Errorf("sql: cannot mix '*' with aggregates")
@@ -138,7 +138,7 @@ func resolveSelect(s *Select, rc *ResolveContext, parent *scope, allowAgg bool) 
 		}
 	}
 	if len(s.OrderBy) > 0 {
-		if hasAggregateItems(s) && len(s.GroupBy) == 0 {
+		if HasAggregateItems(s) && len(s.GroupBy) == 0 {
 			return fmt.Errorf("sql: ORDER BY cannot be combined with aggregates (the result is a single row)")
 		}
 		for _, o := range s.OrderBy {
@@ -241,16 +241,6 @@ func resolveHaving(e Expr, rc *ResolveContext, sc *scope, s *Select) error {
 		// Literals and subqueries resolve by the normal rules.
 		return resolveExprAgg(e, rc, sc, false)
 	}
-}
-
-// hasAggregateItems reports whether any select item is an aggregate call.
-func hasAggregateItems(s *Select) bool {
-	for _, it := range s.Items {
-		if _, ok := it.Expr.(*Aggregate); ok {
-			return true
-		}
-	}
-	return false
 }
 
 func resolveTableRef(tr *TableRef, rc *ResolveContext) error {

@@ -6,8 +6,8 @@ import (
 	"activerules/internal/storage"
 )
 
-// This file exports the pure value-level semantics of the interpreter
-// for use by internal/compile. The compiled fast path differs from the
+// This file holds the pure value-level semantics that the interpreter
+// and internal/compile both call. The compiled fast path differs from the
 // interpreter only in binding and dispatch (static slots instead of the
 // runtime frame chain); every value-level decision — three-valued
 // logic, null placement, comparison errors, aggregate folding — goes
@@ -16,38 +16,239 @@ import (
 // layer.
 
 // Rows returns the transition table of the given kind (nil receiver and
-// unknown kinds yield nil, like the interpreter's internal accessor).
-func (td *TransitionData) Rows(k TransKind) [][]storage.Value { return td.rows(k) }
+// unknown kinds yield nil).
+func (td *TransitionData) Rows(k TransKind) [][]storage.Value {
+	if td == nil {
+		return nil
+	}
+	switch k {
+	case TransInserted:
+		return td.Inserted
+	case TransDeleted:
+		return td.Deleted
+	case TransNewUpdated:
+		return td.NewUpdated
+	case TransOldUpdated:
+		return td.OldUpdated
+	default:
+		return nil
+	}
+}
 
 // PredTruth interprets a predicate result: true satisfies; false and
 // null do not; any other kind is a type error.
-func PredTruth(v storage.Value) (bool, error) { return predTruth(v) }
-
-// ApplyBinary applies a binary operator to already-evaluated operands.
-func ApplyBinary(op BinaryOp, l, r storage.Value) (storage.Value, error) {
-	return applyBinary(op, l, r)
+func PredTruth(v storage.Value) (bool, error) {
+	if v.IsNull() {
+		return false, nil
+	}
+	if v.Kind != storage.KindBool {
+		return false, fmt.Errorf("sql: WHERE clause evaluated to non-boolean %s", v)
+	}
+	return v.B, nil
 }
 
-// CompareHolds reports whether a three-way comparison result (as
-// storage.Value.Compare returns it) satisfies the comparison operator op.
-func CompareHolds(op BinaryOp, cmp int) bool { return compareHolds(op, cmp) }
+// ApplyBinary applies a binary operator to already-evaluated operands
+// (expression evaluation has no side effects, so AND/OR need no
+// short-circuiting — only Kleene null handling).
+func ApplyBinary(op BinaryOp, l, r storage.Value) (storage.Value, error) {
+	if op == OpAnd || op == OpOr {
+		lb, lNull, err := BoolOrNull(l)
+		if err != nil {
+			return storage.Value{}, err
+		}
+		rb, rNull, err := BoolOrNull(r)
+		if err != nil {
+			return storage.Value{}, err
+		}
+		if op == OpAnd {
+			switch {
+			case !lNull && !lb, !rNull && !rb:
+				return storage.BoolV(false), nil
+			case lNull || rNull:
+				return storage.Null, nil
+			default:
+				return storage.BoolV(true), nil
+			}
+		}
+		switch {
+		case !lNull && lb, !rNull && rb:
+			return storage.BoolV(true), nil
+		case lNull || rNull:
+			return storage.Null, nil
+		default:
+			return storage.BoolV(false), nil
+		}
+	}
+
+	switch op {
+	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+		cmp, known := l.Compare(r)
+		if !known {
+			if l.IsNull() || r.IsNull() {
+				return storage.Null, nil
+			}
+			return storage.Value{}, fmt.Errorf("sql: cannot compare %s with %s", l, r)
+		}
+		return storage.BoolV(CompareHolds(op, cmp)), nil
+	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
+		if l.IsNull() || r.IsNull() {
+			return storage.Null, nil
+		}
+		if !l.IsNumeric() || !r.IsNumeric() {
+			return storage.Value{}, fmt.Errorf("sql: arithmetic on non-numeric values %s, %s", l, r)
+		}
+		if l.Kind == storage.KindInt && r.Kind == storage.KindInt {
+			a, b := l.I, r.I
+			switch op {
+			case OpAdd:
+				return storage.IntV(a + b), nil
+			case OpSub:
+				return storage.IntV(a - b), nil
+			case OpMul:
+				return storage.IntV(a * b), nil
+			case OpDiv:
+				if b == 0 {
+					return storage.Value{}, ErrDivisionByZero
+				}
+				return storage.IntV(a / b), nil
+			case OpMod:
+				if b == 0 {
+					return storage.Value{}, ErrDivisionByZero
+				}
+				return storage.IntV(a % b), nil
+			}
+		}
+		if op == OpMod {
+			return storage.Value{}, fmt.Errorf("sql: %% requires integer operands")
+		}
+		a, b := l.AsFloat(), r.AsFloat()
+		switch op {
+		case OpAdd:
+			return storage.FloatV(a + b), nil
+		case OpSub:
+			return storage.FloatV(a - b), nil
+		case OpMul:
+			return storage.FloatV(a * b), nil
+		case OpDiv:
+			if b == 0 {
+				return storage.Value{}, ErrDivisionByZero
+			}
+			return storage.FloatV(a / b), nil
+		}
+	}
+	return storage.Value{}, fmt.Errorf("sql: unknown binary op %d", op)
+}
+
+// CompareHolds reports whether a three-way comparison result satisfies
+// the comparison operator op.
+func CompareHolds(op BinaryOp, cmp int) bool {
+	switch op {
+	case OpEq:
+		return cmp == 0
+	case OpNe:
+		return cmp != 0
+	case OpLt:
+		return cmp < 0
+	case OpLe:
+		return cmp <= 0
+	case OpGt:
+		return cmp > 0
+	case OpGe:
+		return cmp >= 0
+	}
+	return false
+}
+
+// BoolOrNull extracts a boolean with a null flag, erroring for other kinds.
+func BoolOrNull(v storage.Value) (b, isNull bool, err error) {
+	if v.IsNull() {
+		return false, true, nil
+	}
+	if v.Kind != storage.KindBool {
+		return false, false, fmt.Errorf("sql: expected boolean, got %s", v)
+	}
+	return v.B, false, nil
+}
 
 // ApplyUnary applies a unary operator to an evaluated operand.
 func ApplyUnary(op UnaryOp, v storage.Value) (storage.Value, error) {
-	return applyUnary(op, v)
+	switch op {
+	case UnaryNeg:
+		if v.IsNull() {
+			return storage.Null, nil
+		}
+		switch v.Kind {
+		case storage.KindInt:
+			return storage.IntV(-v.I), nil
+		case storage.KindFloat:
+			return storage.FloatV(-v.F), nil
+		default:
+			return storage.Value{}, fmt.Errorf("sql: cannot negate %s", v)
+		}
+	case UnaryNot:
+		if v.IsNull() {
+			return storage.Null, nil
+		}
+		if v.Kind != storage.KindBool {
+			return storage.Value{}, fmt.Errorf("sql: NOT of non-boolean %s", v)
+		}
+		return storage.BoolV(!v.B), nil
+	default:
+		return storage.Value{}, fmt.Errorf("sql: unknown unary op %d", op)
+	}
 }
 
-// BoolOrNull extracts a boolean with a null flag, erroring for other
-// kinds.
-func BoolOrNull(v storage.Value) (b, isNull bool, err error) { return boolOrNull(v) }
-
-// InResult computes SQL IN semantics with nulls over evaluated members.
+// InResult computes SQL IN semantics with nulls: true if any member
+// equals, unknown (null) if no member equals but some comparison was
+// unknown, false otherwise. Negate flips true/false but leaves unknown.
 func InResult(v storage.Value, members []storage.Value, negate bool) storage.Value {
-	return inResult(v, members, negate)
+	sawUnknown := false
+	for _, m := range members {
+		cmp, known := v.Compare(m)
+		if !known {
+			sawUnknown = true
+			continue
+		}
+		if cmp == 0 {
+			return storage.BoolV(!negate)
+		}
+	}
+	if sawUnknown {
+		return storage.Null
+	}
+	return storage.BoolV(negate)
 }
 
-// DedupRows removes duplicate projected rows, keeping first occurrences.
-func DedupRows(rows [][]storage.Value) [][]storage.Value { return dedupRows(rows) }
+// DedupRows removes duplicate projected rows, keeping first occurrences
+// (which preserves any ORDER BY placement).
+func DedupRows(rows [][]storage.Value) [][]storage.Value {
+	seen := make(map[string]bool, len(rows))
+	out := rows[:0]
+	for _, row := range rows {
+		var key []byte
+		for _, v := range row {
+			key = v.AppendCanonical(key)
+			key = append(key, ',')
+		}
+		k := string(key)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		out = append(out, row)
+	}
+	return out
+}
+
+// HasAggregateItems reports whether any select item is an aggregate call.
+func HasAggregateItems(s *Select) bool {
+	for _, it := range s.Items {
+		if _, ok := it.Expr.(*Aggregate); ok {
+			return true
+		}
+	}
+	return false
+}
 
 // ScalarResult collapses a subquery result to a scalar: no rows is
 // null, one row yields its first column, more is an error.
@@ -164,7 +365,3 @@ func OrderLess(a, b []storage.Value, desc []bool, firstErr *error) bool {
 	}
 	return false
 }
-
-// HasAggregateItems reports whether any select item is an aggregate
-// call (the non-grouped aggregate query form).
-func HasAggregateItems(s *Select) bool { return hasAggregateItems(s) }
