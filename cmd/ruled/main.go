@@ -63,7 +63,6 @@
 //	                 rule (default 3); 0 keeps the default
 //	-no-probe        never readmit quarantined rules (no half-open
 //	                 probing)
-//	-seed n          seed for the jittered probe/retry backoff
 //	-maxsteps n      rule-consideration budget per request
 //	-strategy s      first | last | random:<seed>
 //	-fsync policy    commit (default) fsyncs before every reply; never
@@ -161,7 +160,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	drain := fs.Duration("drain", 5*time.Second, "graceful-drain bound on shutdown")
 	quarantine := fs.Int("quarantine", 0, "faults that quarantine a rule (0 = 3)")
 	noProbe := fs.Bool("no-probe", false, "never readmit quarantined rules")
-	seed := fs.Int64("seed", 0, "seed for jittered probe/retry backoff")
 	maxSteps := fs.Int("maxsteps", 10000, "rule consideration budget per request")
 	strategy := fs.String("strategy", "first", "first | last | random:<seed>")
 	fsync := fs.String("fsync", "commit", "commit | never")
@@ -202,7 +200,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		DrainTimeout:        *drain,
 		QuarantineThreshold: *quarantine,
 		DisableProbing:      *noProbe,
-		Seed:                *seed,
 	}
 
 	// fail reports a startup error: an unrecoverable log is exit 7
@@ -256,7 +253,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 			Advertise: adv,
 			Bootstrap: *bootstrap,
 			Lease:     *lease,
-			Seed:      *seed,
 		})
 		if err != nil {
 			return fail(err, "ruled: cluster:", 9)
@@ -269,7 +265,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, "ruled: -follow excludes -shards and -replicate")
 			return 2
 		}
-		fol, err := sys.NewFollower(*walDir, *follow, activerules.FollowerConfig{Seed: *seed})
+		fol, err := sys.NewFollower(*walDir, *follow, activerules.FollowerConfig{})
 		if err != nil {
 			fmt.Fprintln(stderr, "ruled: replication:", err)
 			return 9

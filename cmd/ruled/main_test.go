@@ -189,6 +189,7 @@ func TestRuledUsageErrors(t *testing.T) {
 		{"-schema", sp, "-rules", rp, "-wal", wd, "-compiled=false"},    // no such flag
 		{"-schema", sp, "-rules", rp, "-wal", wd, "-fsync", "always"},   // no such policy
 		{"-schema", sp, "-rules", rp, "-wal", wd, "-group-commit", "2"}, // no such flag
+		{"-schema", sp, "-rules", rp, "-wal", wd, "-seed", "1"},         // no such flag
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

@@ -275,7 +275,7 @@ func (a Abs) String() string {
 	}
 	if a.mayNum {
 		if a.lo == a.hi {
-			parts = append(parts, "{"+fmtNum(a.lo)+"}")
+			parts = append(parts, "{"+FormatNum(a.lo)+"}")
 		} else {
 			open, clos := "[", "]"
 			if a.loOpen || math.IsInf(a.lo, -1) {
@@ -284,7 +284,7 @@ func (a Abs) String() string {
 			if a.hiOpen || math.IsInf(a.hi, 1) {
 				clos = ")"
 			}
-			parts = append(parts, open+fmtNum(a.lo)+","+fmtNum(a.hi)+clos)
+			parts = append(parts, open+FormatNum(a.lo)+","+FormatNum(a.hi)+clos)
 		}
 	}
 	if a.mayStr {
@@ -312,7 +312,10 @@ func (a Abs) String() string {
 	return strings.Join(parts, "|")
 }
 
-func fmtNum(f float64) string {
+// FormatNum renders a bound for report text: infinities as inf and
+// -inf, integral values without a decimal point, anything else in
+// shortest 'g' form.
+func FormatNum(f float64) string {
 	switch {
 	case math.IsInf(f, -1):
 		return "-inf"

@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"activerules/internal/absint"
@@ -351,7 +350,7 @@ func (e *tier2) tryRanking(r *rules.Rule) (DischargeStep, *attemptFail) {
 		Rule: r.Name, Kind: "ranking",
 		Column: table + "." + col, Direction: dir,
 		Why: fmt.Sprintf("every firing strictly %s %s.%s by at least %s toward the proven %s bound %s; no undischarged rule inserts into %s or moves %s.%s the other way",
-			verb, table, col, fmtF(worstStep), side, fmtF(bound), table, table, col),
+			verb, table, col, absint.FormatNum(worstStep), side, absint.FormatNum(bound), table, table, col),
 	}, nil
 }
 
@@ -558,19 +557,4 @@ func bestFailures(attempts map[string]map[string]attemptFail, residual []string)
 		}
 	}
 	return out
-}
-
-// fmtF renders a float like absint does: integers without a decimal
-// point.
-func fmtF(f float64) string {
-	switch {
-	case math.IsInf(f, -1):
-		return "-inf"
-	case math.IsInf(f, 1):
-		return "inf"
-	case f == math.Trunc(f) && math.Abs(f) < 1e15:
-		return strconv.FormatInt(int64(f), 10)
-	default:
-		return strconv.FormatFloat(f, 'g', -1, 64)
-	}
 }

@@ -120,15 +120,12 @@ func (p *pair) start(i int, crashAt int) {
 			WAL:            wal.Options{FS: fs},
 			DisableProbing: true,
 			DurableRetry:   retry.Policy{Initial: time.Millisecond, Max: 5 * time.Millisecond, MaxAttempts: 2},
-			Seed:           p.seed + int64(i),
 		},
 		ReplAddr:  "127.0.0.1:0",
 		Peer:      p.peerAddr(i),
 		Advertise: [2]string{"node-a", "node-b"}[i],
 		Bootstrap: i == 0,
 		Lease:     200 * time.Millisecond,
-		Retry:     retry.Policy{Initial: time.Millisecond, Max: 10 * time.Millisecond, MaxAttempts: 1},
-		Seed:      p.seed*17 + int64(i),
 		Dial:      p.dial,
 		WrapConn:  p.net.WrapNetConn,
 	})
@@ -276,6 +273,28 @@ func assertSubsequence(t *testing.T, want, seq []string) {
 	if j != len(want) {
 		t.Fatalf("acknowledged state %d of %d (%s) lost: not in the winner's epoch-ordered history (%d states)",
 			j, len(want), want[j], len(seq))
+	}
+}
+
+// TestClusterReconnectDerivesFromLease pins the follower's reconnect
+// backoff to the lease: Lease/200 doubling to a Lease/20 cap. At the
+// 200ms lease the tests above run under that is 1ms up to 10ms; at the
+// default 1s lease, 5ms up to 50ms.
+func TestClusterReconnectDerivesFromLease(t *testing.T) {
+	ms := time.Millisecond
+	for _, c := range []struct {
+		lease time.Duration
+		want  []time.Duration
+	}{
+		{200 * ms, []time.Duration{1 * ms, 2 * ms, 4 * ms, 8 * ms, 10 * ms, 10 * ms}},
+		{0, []time.Duration{5 * ms, 10 * ms, 20 * ms, 40 * ms, 50 * ms, 50 * ms}},
+	} {
+		sched := retry.New(Config{Lease: c.lease}.withDefaults().reconnect())
+		for i, want := range c.want {
+			if got := sched.Next(); got != want {
+				t.Fatalf("lease %v: reconnect delay %d = %v, want %v", c.lease, i, got, want)
+			}
+		}
 	}
 }
 

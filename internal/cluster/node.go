@@ -102,13 +102,10 @@ type Config struct {
 	Bootstrap bool
 	// Lease is the leadership lease duration; 0 means 1s. Every other
 	// interval derives from it: the supervisor polls every Lease/8, a
-	// follower promotes Lease/2 past lease expiry, and Submit waits up to
-	// 2*Lease for the follower's ack.
+	// follower promotes Lease/2 past lease expiry, Submit waits up to
+	// 2*Lease for the follower's ack, and the follower's reconnect
+	// backoff doubles from Lease/200 to a Lease/20 cap (reconnect).
 	Lease time.Duration
-	// Retry shapes the follower's reconnect backoff.
-	Retry retry.Policy
-	// Seed feeds the backoff schedules.
-	Seed int64
 	// Dial connects to the peer (stream and probes); nil means TCP
 	// with a 2s timeout. The network fault injector hooks in here.
 	Dial func(addr string) (net.Conn, error)
@@ -130,6 +127,13 @@ func (c Config) withDefaults() Config {
 		c.Peer = func() string { return "" }
 	}
 	return c
+}
+
+// reconnect is the follower's reconnect backoff: Lease/200 doubling to
+// Lease/20, so a follower retries a lost leader several times within one
+// lease and never waits out more than a twentieth of it.
+func (c Config) reconnect() retry.Policy {
+	return retry.Policy{Initial: c.Lease / 200, Max: c.Lease / 20}
 }
 
 // Health is the node's failover-level view, nesting the serving or
@@ -786,8 +790,7 @@ func (n *Node) startSource(srv *serve.Server) error {
 func (n *Node) startFollower() error {
 	fol, err := replica.NewFollower(n.cfg.Schema, n.cfg.Dir, "peer", replica.FollowerConfig{
 		FS:    n.fs,
-		Retry: n.cfg.Retry,
-		Seed:  n.cfg.Seed,
+		Retry: n.cfg.reconnect(),
 		Dial: func(string) (net.Conn, error) {
 			return n.dial(n.cfg.Peer())
 		},

@@ -63,9 +63,6 @@ type Config struct {
 	// suffers power-loss semantics (unsynced tails torn), and every
 	// later operation fails with ErrCrashed; 0 disables.
 	FSCrashAt int
-	// FSP makes each filesystem operation fail independently with this
-	// probability.
-	FSP float64
 }
 
 // Injector decides, deterministically, which mutation calls fail. One

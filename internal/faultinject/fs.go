@@ -66,7 +66,6 @@ func (in *Injector) fsCheck(op, name string) error {
 		return ErrCrashed
 	}
 	in.fsCalls++
-	probabilistic := in.cfg.FSP > 0 && in.rng.Float64() < in.cfg.FSP
 	if !in.armed {
 		return nil
 	}
@@ -78,7 +77,7 @@ func (in *Injector) fsCheck(op, name string) error {
 		}
 		return fmt.Errorf("%w: at %s %s (fs call %d)", ErrCrashed, op, name, in.fsCalls)
 	}
-	if (in.cfg.FSFailAt > 0 && in.fsCalls == in.cfg.FSFailAt) || probabilistic {
+	if in.cfg.FSFailAt > 0 && in.fsCalls == in.cfg.FSFailAt {
 		in.faults++
 		return fmt.Errorf("%w: %s %s (fs call %d)", ErrInjected, op, name, in.fsCalls)
 	}

@@ -5,12 +5,11 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"time"
 )
 
 // Network fault domain. The replication source writes one protocol
 // frame per conn.Write, so counting Writes counts frames: the knobs
-// below drop, duplicate, truncate, delay, or sever at exact frame
+// below drop, duplicate, truncate, or sever at exact frame
 // numbers — the frame-level faults a flaky network inflicts on a WAL
 // stream — and the follower's CRC/offset discipline must turn every one
 // of them into a clean reconnect, never divergence.
@@ -35,11 +34,6 @@ type NetConfig struct {
 	// SeverAt closes the connection at the Nth frame without writing
 	// it. 0 disables.
 	SeverAt int
-	// DelayAt stalls the Nth frame by Delay before writing it.
-	// 0 disables.
-	DelayAt int
-	// Delay is the stall for DelayAt; 0 means 1ms.
-	Delay time.Duration
 	// DropP drops each frame independently with this probability,
 	// drawn from a generator seeded with Seed.
 	DropP float64
@@ -58,9 +52,6 @@ type netState struct {
 
 // ConfigureNet arms the network fault domain. Call before WrapNetConn.
 func (in *Injector) ConfigureNet(cfg NetConfig) {
-	if cfg.Delay <= 0 {
-		cfg.Delay = time.Millisecond
-	}
 	in.netMu.Lock()
 	in.net = &netState{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	in.netMu.Unlock()
@@ -116,7 +107,6 @@ const (
 	netDup
 	netTrunc
 	netSever
-	netDelay
 )
 
 // netCheck counts one frame write and decides its fate.
@@ -148,8 +138,6 @@ func (in *Injector) netCheck(size int) (netAction, int) {
 		return netDrop, 0
 	case st.cfg.DupAt > 0 && n == st.cfg.DupAt:
 		return netDup, 0
-	case st.cfg.DelayAt > 0 && n == st.cfg.DelayAt:
-		return netDelay, 0
 	}
 	return netPass, 0
 }
@@ -178,14 +166,6 @@ func (c *injConn) Write(p []byte) (int, error) {
 	case netSever:
 		c.Conn.Close()
 		return 0, fmt.Errorf("%w: connection severed", ErrInjected)
-	case netDelay:
-		c.in.netMu.Lock()
-		d := time.Millisecond
-		if c.in.net != nil {
-			d = c.in.net.cfg.Delay
-		}
-		c.in.netMu.Unlock()
-		time.Sleep(d)
 	}
 	return c.Conn.Write(p)
 }

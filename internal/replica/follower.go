@@ -26,8 +26,6 @@ type FollowerConfig struct {
 	// Retry shapes the reconnect backoff (zero value: retry defaults,
 	// MaxAttempts is ignored — a follower retries until closed).
 	Retry retry.Policy
-	// Seed feeds the backoff schedule.
-	Seed int64
 	// Dial connects to the source; nil means TCP with a 5s timeout.
 	Dial func(addr string) (net.Conn, error)
 
@@ -195,7 +193,7 @@ func (f *Follower) bootstrap() error {
 // repeat — until Close cancels the context.
 func (f *Follower) run() {
 	defer f.wg.Done()
-	sched := retry.New(f.cfg.Retry, f.cfg.Seed)
+	sched := retry.New(f.cfg.Retry)
 	for f.ctx.Err() == nil {
 		conn, err := f.cfg.Dial(f.addr)
 		if err == nil {

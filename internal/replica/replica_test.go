@@ -92,7 +92,7 @@ func TestReplicaStreamsAndCatchesUp(t *testing.T) {
 	defer src.Close()
 	followerFS := wal.NewMemFS()
 	fol, err := NewFollower(g.Schema, replicaDir, src.Addr(), FollowerConfig{
-		FS: followerFS, Retry: followerRetry(), Seed: 1,
+		FS: followerFS, Retry: followerRetry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestReplicaFollowerRestartResumes(t *testing.T) {
 	defer src.Close()
 	followerFS := wal.NewMemFS()
 	fol, err := NewFollower(g.Schema, replicaDir, src.Addr(), FollowerConfig{
-		FS: followerFS, Retry: followerRetry(), Seed: 1,
+		FS: followerFS, Retry: followerRetry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestReplicaFollowerRestartResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	fol, err = NewFollower(g.Schema, replicaDir, src.Addr(), FollowerConfig{
-		FS: followerFS, Retry: followerRetry(), Seed: 3,
+		FS: followerFS, Retry: followerRetry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +267,6 @@ func soakOneSeed(t *testing.T, seed int64) {
 		WAL:            wal.Options{FS: inj.WrapFS(leaderFS)},
 		DisableProbing: true,
 		DurableRetry:   retry.Policy{Initial: time.Millisecond, Max: 5 * time.Millisecond, MaxAttempts: 2},
-		Seed:           seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,16 +278,16 @@ func soakOneSeed(t *testing.T, seed int64) {
 	}
 	defer src.Close()
 	followerFS := wal.NewMemFS()
-	newFollower := func(fseed int64) *Follower {
+	newFollower := func() *Follower {
 		f, err := NewFollower(g.Schema, replicaDir, src.Addr(), FollowerConfig{
-			FS: followerFS, Retry: followerRetry(), Seed: fseed,
+			FS: followerFS, Retry: followerRetry(),
 		})
 		if err != nil {
 			t.Fatalf("follower: %v", err)
 		}
 		return f
 	}
-	fol := newFollower(seed)
+	fol := newFollower()
 	defer func() { fol.Close() }()
 
 	ctx := context.Background()
@@ -321,7 +320,7 @@ func soakOneSeed(t *testing.T, seed int64) {
 			// Replica host power loss and restart mid-stream.
 			fol.Close()
 			followerFS.Crash(rand.New(rand.NewSource(seed * 7)))
-			fol = newFollower(seed + 1000)
+			fol = newFollower()
 		}
 	}
 	if !inj.Crashed() {

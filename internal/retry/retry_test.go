@@ -8,11 +8,11 @@ import (
 )
 
 // TestScheduleDeterministicPerSeed pins that the delay sequence is a
-// pure function of (policy, seed): two schedules agree delay-for-delay,
-// and Reset replays the identical sequence.
+// pure function of the policy: two schedules agree delay-for-delay, and
+// Reset replays the identical sequence.
 func TestScheduleDeterministicPerSeed(t *testing.T) {
-	pol := Policy{Initial: 10 * time.Millisecond, Max: time.Second, Jitter: 0.5}
-	a, b := New(pol, 42), New(pol, 42)
+	pol := Policy{Initial: 10 * time.Millisecond, Max: time.Second}
+	a, b := New(pol), New(pol)
 	var first []time.Duration
 	for i := 0; i < 12; i++ {
 		da, db := a.Next(), b.Next()
@@ -29,47 +29,10 @@ func TestScheduleDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestScheduleSeedsDiffer guards against the jitter silently ignoring
-// the seed: different seeds must (for this policy) produce different
-// delay sequences.
-func TestScheduleSeedsDiffer(t *testing.T) {
-	pol := Policy{Initial: 10 * time.Millisecond, Max: time.Second, Jitter: 1}
-	a, b := New(pol, 1), New(pol, 2)
-	same := true
-	for i := 0; i < 8; i++ {
-		if a.Next() != b.Next() {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("seeds 1 and 2 produced identical fully-jittered schedules")
-	}
-}
-
-// TestScheduleEnvelope checks the exponential envelope: with jitter J,
-// every delay lies in [(1-J)*base, base] where base doubles per attempt
-// until Max.
-func TestScheduleEnvelope(t *testing.T) {
-	pol := Policy{Initial: 8 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.25}
-	s := New(pol, 7)
-	base := float64(pol.Initial)
-	for i := 0; i < 10; i++ {
-		d := float64(s.Next())
-		lo, hi := base*(1-pol.Jitter), base
-		if d < lo || d > hi {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v]", i, time.Duration(d), time.Duration(lo), time.Duration(hi))
-		}
-		base *= 2
-		if base > float64(pol.Max) {
-			base = float64(pol.Max)
-		}
-	}
-}
-
-// TestScheduleNoJitterExact pins the exact unjittered sequence — the
-// arithmetic itself, independent of any RNG.
+// TestScheduleNoJitterExact pins the exact delay sequence: the
+// arithmetic itself.
 func TestScheduleNoJitterExact(t *testing.T) {
-	s := New(Policy{Initial: 5 * time.Millisecond, Max: 40 * time.Millisecond, Jitter: 0}, 0)
+	s := New(Policy{Initial: 5 * time.Millisecond, Max: 40 * time.Millisecond})
 	want := []time.Duration{
 		5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond,
 		40 * time.Millisecond, 40 * time.Millisecond,
@@ -83,12 +46,12 @@ func TestScheduleNoJitterExact(t *testing.T) {
 
 // fast is a real-time policy whose waits are microseconds long.
 func fast(attempts int) Policy {
-	return Policy{Initial: time.Microsecond, Max: 10 * time.Microsecond, Jitter: 0, MaxAttempts: attempts}
+	return Policy{Initial: time.Microsecond, Max: 10 * time.Microsecond, MaxAttempts: attempts}
 }
 
 func TestDoRetriesUntilSuccess(t *testing.T) {
 	calls := 0
-	err := Do(context.Background(), fast(5), 1, nil,
+	err := Do(context.Background(), fast(5), nil,
 		func() error {
 			calls++
 			if calls < 3 {
@@ -107,7 +70,7 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 func TestDoBoundedAttempts(t *testing.T) {
 	calls := 0
 	boom := errors.New("boom")
-	err := Do(context.Background(), fast(4), 1, nil,
+	err := Do(context.Background(), fast(4), nil,
 		func() error { calls++; return boom })
 	if !errors.Is(err, boom) || calls != 4 {
 		t.Fatalf("err = %v, calls = %d; want boom after exactly 4 attempts", err, calls)
@@ -117,7 +80,7 @@ func TestDoBoundedAttempts(t *testing.T) {
 func TestDoStopsOnNonRetryable(t *testing.T) {
 	fatal := errors.New("fatal")
 	calls := 0
-	err := Do(context.Background(), fast(5), 1,
+	err := Do(context.Background(), fast(5),
 		func(err error) bool { return !errors.Is(err, fatal) },
 		func() error { calls++; return fatal })
 	if !errors.Is(err, fatal) || calls != 1 {
@@ -128,7 +91,7 @@ func TestDoStopsOnNonRetryable(t *testing.T) {
 func TestDoHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	err := Do(ctx, fast(5), 1, nil,
+	err := Do(ctx, fast(5), nil,
 		func() error { calls++; cancel(); return errors.New("transient") })
 	if !errors.Is(err, context.Canceled) || calls != 1 {
 		t.Fatalf("err = %v, calls = %d; want context.Canceled after 1 attempt", err, calls)
@@ -144,7 +107,7 @@ func TestDoCancelledMidSleep(t *testing.T) {
 	defer cancel()
 	calls := 0
 	start := time.Now()
-	err := Do(ctx, Policy{Initial: time.Hour, Jitter: 0, MaxAttempts: 5}, 7, nil,
+	err := Do(ctx, Policy{Initial: time.Hour, MaxAttempts: 5}, nil,
 		func() error {
 			calls++
 			time.AfterFunc(time.Millisecond, cancel) // the deadline fires mid-sleep
@@ -167,7 +130,7 @@ func TestDoRealTimerInterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
 	start := time.Now()
-	err := Do(ctx, Policy{Initial: time.Hour, Jitter: 0, MaxAttempts: 3}, 1, nil,
+	err := Do(ctx, Policy{Initial: time.Hour, MaxAttempts: 3}, nil,
 		func() error { calls++; cancel(); return errors.New("transient") })
 	if !errors.Is(err, context.Canceled) || calls != 1 {
 		t.Fatalf("err = %v, calls = %d; want context.Canceled after 1 attempt", err, calls)
@@ -184,12 +147,12 @@ func TestDoRealTimerInterrupted(t *testing.T) {
 func TestScheduleWaitCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pol := Policy{Initial: time.Hour, Max: 4 * time.Hour, Jitter: 0.5}
-	s := New(pol, 3)
+	pol := Policy{Initial: time.Hour, Max: 4 * time.Hour}
+	s := New(pol)
 	if err := s.Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
 	}
-	ref := New(pol, 3)
+	ref := New(pol)
 	ref.Next()
 	if got, want := s.Next(), ref.Next(); got != want {
 		t.Fatalf("delay after the cancelled Wait = %v, want the second delay %v", got, want)

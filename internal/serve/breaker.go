@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"hash/fnv"
 	"sort"
 	"time"
 
@@ -22,13 +21,13 @@ import (
 //	            active set) until its probe time arrives.
 //	half-open — the probe time arrived: the rule is reactivated for
 //	            live traffic. Its next attributed fault re-opens the
-//	            breaker with a longer (jittered exponential) backoff;
+//	            breaker with a longer (exponential) backoff;
 //	            a request in which it fires successfully closes it.
+//
+// Probe delays follow retry's zero Policy: 10ms, doubling to a 5s cap.
 type breaker struct {
 	threshold int
 	probing   bool
-	pol       retry.Policy
-	seed      int64
 	health    map[string]*ruleHealth
 }
 
@@ -40,15 +39,13 @@ type ruleHealth struct {
 	probeAt     time.Time
 }
 
-func newBreaker(threshold int, probing bool, pol retry.Policy, seed int64) *breaker {
+func newBreaker(threshold int, probing bool) *breaker {
 	if threshold < 1 {
 		threshold = 3
 	}
 	return &breaker{
 		threshold: threshold,
 		probing:   probing,
-		pol:       pol,
-		seed:      seed,
 		health:    map[string]*ruleHealth{},
 	}
 }
@@ -60,14 +57,6 @@ func (b *breaker) get(name string) *ruleHealth {
 		b.health[name] = h
 	}
 	return h
-}
-
-// ruleSeed derives a per-rule deterministic seed so every rule's probe
-// backoff stream is independent yet reproducible.
-func (b *breaker) ruleSeed(name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return b.seed ^ int64(h.Sum64())
 }
 
 // attribute maps an execution error to the rules it indicts: a panicking
@@ -119,7 +108,7 @@ func (b *breaker) noteFault(rules []string, now time.Time) (changed bool) {
 				h.quarantined = true
 				h.fails = 0
 				if h.sched == nil {
-					h.sched = retry.New(b.pol, b.ruleSeed(name))
+					h.sched = retry.New(retry.Policy{})
 				}
 				h.probeAt = now.Add(h.sched.Next())
 				changed = true

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"activerules/internal/engine"
-	"activerules/internal/retry"
 )
 
 func TestAttributeIndictsOnlyDeterministicFaults(t *testing.T) {
@@ -34,8 +33,7 @@ func TestAttributeIndictsOnlyDeterministicFaults(t *testing.T) {
 
 func TestBreakerTripAndProbeLifecycle(t *testing.T) {
 	t0 := time.Unix(0, 0)
-	pol := retry.Policy{Initial: 10 * time.Millisecond, Jitter: 0}
-	b := newBreaker(2, true, pol, 42)
+	b := newBreaker(2, true)
 
 	// One fault: counted, not tripped.
 	if b.noteFault([]string{"r"}, t0) {
@@ -94,31 +92,8 @@ func TestBreakerTripAndProbeLifecycle(t *testing.T) {
 	}
 }
 
-func TestBreakerDeterministicPerSeed(t *testing.T) {
-	// Jittered schedules from equal seeds make equal probe times; a
-	// different seed diverges.
-	run := func(seed int64) []time.Time {
-		b := newBreaker(1, true, retry.Policy{Initial: time.Second, Jitter: -1}, seed)
-		t0 := time.Unix(0, 0)
-		var out []time.Time
-		for i := 0; i < 4; i++ {
-			b.noteFault([]string{"x"}, t0)
-			out = append(out, b.health["x"].probeAt)
-			b.dueProbes(b.health["x"].probeAt) // half-open so next fault re-opens
-		}
-		return out
-	}
-	a, b2 := run(7), run(7)
-	if !reflect.DeepEqual(a, b2) {
-		t.Errorf("same seed diverged: %v vs %v", a, b2)
-	}
-	if c := run(8); reflect.DeepEqual(a, c) {
-		t.Error("different seeds produced identical jittered schedules")
-	}
-}
-
 func TestBreakerDisabledProbingNeverProbes(t *testing.T) {
-	b := newBreaker(1, false, retry.Policy{}, 0)
+	b := newBreaker(1, false)
 	b.noteFault([]string{"x"}, time.Unix(0, 0))
 	if p := b.dueProbes(time.Unix(1<<40, 0)); p != nil {
 		t.Fatalf("probing disabled but dueProbes = %v", p)

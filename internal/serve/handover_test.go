@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"activerules/internal/retry"
 )
 
 // TestEngineHandoverLeaksNoSavepoint drives every path that rebuilds the
@@ -20,7 +18,6 @@ func TestEngineHandoverLeaksNoSavepoint(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	s, in := newQuarantineServer(t, Config{
 		QuarantineThreshold: 1,
-		ProbeBackoff:        retry.Policy{Initial: 10 * time.Millisecond, Jitter: 0},
 		Now:                 clk.Now,
 	})
 	defer s.Close()
@@ -124,7 +121,6 @@ func TestRuleSetsAreCollected(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	s, in := newQuarantineServer(t, Config{
 		QuarantineThreshold: 1,
-		ProbeBackoff:        retry.Policy{Initial: 10 * time.Millisecond, Jitter: 0},
 		Now:                 clk.Now,
 	})
 	defer s.Close()

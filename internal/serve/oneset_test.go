@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"activerules/internal/retry"
 	"activerules/internal/rules"
 	"activerules/internal/wal"
 )
@@ -21,7 +20,6 @@ func TestOneSetPerChange(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	s, in := newQuarantineServer(t, Config{
 		QuarantineThreshold: 1,
-		ProbeBackoff:        retry.Policy{Initial: 10 * time.Millisecond, Jitter: 0},
 		Now:                 clk.Now,
 	})
 	defer s.Close()

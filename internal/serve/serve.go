@@ -7,11 +7,11 @@
 //   - overload: deadline-aware load shedding at admission
 //     (*OverloadError) and in-queue expiry (*DeadlineError);
 //   - hostile rules: a per-rule circuit breaker quarantines rules that
-//     repeatedly panic or livelock, with seeded-backoff half-open
+//     repeatedly panic or livelock, with exponential-backoff half-open
 //     probing, and reports the degraded-mode guarantees via the paper's
 //     §7 Sig(T') analysis (see degraded.go);
 //   - transient durability faults: a wedged write-ahead log is reopened
-//     under bounded, jittered retry, recovering the last durable point;
+//     under bounded exponential retry, recovering the last durable point;
 //   - shutdown: draining stops admission, completes queued work under a
 //     deadline, checkpoints, and closes the log.
 //
@@ -44,10 +44,6 @@ const (
 	StateFailed   = "failed"
 )
 
-// reopenSeedSalt decorrelates the WAL-reopen backoff stream from the
-// per-rule probe streams derived from the same configured seed.
-const reopenSeedSalt = 0x7ea1_5eed
-
 // Config configures a Server. The zero value is usable: unbounded
 // deadlines, queue depth 64, quarantine after 3 consecutive attributed
 // faults, probing enabled.
@@ -69,9 +65,6 @@ type Config struct {
 	// QuarantineThreshold is the number of consecutive attributed
 	// faults that trips a rule's breaker; 0 means 3.
 	QuarantineThreshold int
-	// ProbeBackoff shapes the half-open probe schedule of quarantined
-	// rules (zero value: retry defaults).
-	ProbeBackoff retry.Policy
 	// DisableProbing keeps tripped breakers open forever. Deterministic
 	// soaks use it so the final quarantine set is independent of
 	// request interleaving.
@@ -83,9 +76,6 @@ type Config struct {
 	// Tables selects the tables of the degraded-mode report; empty
 	// means every schema table.
 	Tables []string
-	// Seed feeds every backoff schedule (per-rule probes, reopen); runs
-	// with equal seeds and equal fault sequences make equal decisions.
-	Seed int64
 	// Tenant is the id of the tenant this server belongs to. It is
 	// stamped onto every serving-layer error (*OverloadError,
 	// *DeadlineError, *ClosedError) and onto the degraded-mode report,
@@ -282,7 +272,7 @@ func New(sch *schema.Schema, defs []rules.Definition, dir string, cfg Config) (*
 		report:  newReport(cfg.Tenant, bl, full, nil, nil),
 		full:    full,
 		bl:      bl,
-		br:      newBreaker(cfg.QuarantineThreshold, !cfg.DisableProbing, cfg.ProbeBackoff, cfg.Seed),
+		br:      newBreaker(cfg.QuarantineThreshold, !cfg.DisableProbing),
 	}
 	if s.now == nil {
 		s.now = time.Now
@@ -832,7 +822,7 @@ func (s *Server) doCheckpoint() error {
 }
 
 // reopen recovers from a wedged WAL: close the handle, reopen the
-// directory under bounded jittered retry (recovery discards the
+// directory under bounded exponential retry (recovery discards the
 // uncommitted tail, landing exactly on the last durable point), and
 // rebuild the engine over the recovered state. An unrecoverable
 // directory — or exhausting the retry budget — fails the server.
@@ -844,7 +834,7 @@ func (s *Server) doCheckpoint() error {
 func (s *Server) reopen() error {
 	_ = s.dd.Close()
 	set := s.eng.Set()
-	err := retry.Do(context.Background(), s.cfg.DurableRetry, s.cfg.Seed^reopenSeedSalt,
+	err := retry.Do(context.Background(), s.cfg.DurableRetry,
 		func(err error) bool {
 			return !errors.Is(err, wal.ErrUnrecoverable) && !errors.Is(err, wal.ErrFenced)
 		},

@@ -437,7 +437,6 @@ func TestQuarantineProbeReopensAndRecovers(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	s, in := newQuarantineServer(t, Config{
 		QuarantineThreshold: 1,
-		ProbeBackoff:        retry.Policy{Initial: 10 * time.Millisecond, Jitter: 0},
 		Now:                 clk.Now,
 	})
 	defer s.Close()

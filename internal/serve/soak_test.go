@@ -181,7 +181,6 @@ func TestServeSoakQuarantineDeterminism(t *testing.T) {
 					Engine:              engine.Options{MaxSteps: 80, WrapMutator: in.Wrap},
 					QuarantineThreshold: 3,
 					DisableProbing:      true,
-					Seed:                seed,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -221,15 +220,14 @@ func TestServeSoakQuarantineDeterminism(t *testing.T) {
 	}
 }
 
-// soakConfig is the shared server configuration of the fs-fault runs.
-func soakFSConfig(in *faultinject.Injector, fsys wal.FS, seed int64) Config {
+// soakFSConfig is the shared server configuration of the fs-fault runs.
+func soakFSConfig(in *faultinject.Injector, fsys wal.FS) Config {
 	return Config{
 		WAL:                 wal.Options{FS: in.WrapFS(fsys)},
 		Engine:              engine.Options{MaxSteps: 80, WrapMutator: in.Wrap},
 		QuarantineThreshold: 3,
 		DisableProbing:      true,
 		DurableRetry:        retry.Policy{Initial: time.Microsecond, Max: time.Millisecond, MaxAttempts: 5},
-		Seed:                seed,
 	}
 }
 
@@ -248,7 +246,7 @@ func TestServeSoakCrashAndTransientFS(t *testing.T) {
 			// graceful run performs so the fault points below aim inside
 			// the workload.
 			probe := faultinject.New(faultinject.Config{P: 0.05, Seed: seed, PanicTable: "poison"})
-			ps, err := New(sch, defs, "wal", soakFSConfig(probe, wal.NewMemFS(), seed))
+			ps, err := New(sch, defs, "wal", soakFSConfig(probe, wal.NewMemFS()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +271,7 @@ func TestServeSoakCrashAndTransientFS(t *testing.T) {
 					P: 0.05, Seed: seed, PanicTable: "poison",
 					FSFailAt: openCalls + (total-openCalls)/2,
 				})
-				s, err := New(sch, defs, "wal", soakFSConfig(in, fsys, seed))
+				s, err := New(sch, defs, "wal", soakFSConfig(in, fsys))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -306,7 +304,7 @@ func TestServeSoakCrashAndTransientFS(t *testing.T) {
 					P: 0.05, Seed: seed, PanicTable: "poison",
 					FSCrashAt: k,
 				})
-				s, err := New(sch, defs, "wal", soakFSConfig(in, fsys, seed))
+				s, err := New(sch, defs, "wal", soakFSConfig(in, fsys))
 				if err != nil {
 					t.Fatalf("crash at %d: New: %v", k, err)
 				}

@@ -54,8 +54,8 @@ type Config struct {
 	FS wal.FS
 	// Serve is the per-tenant server template. The manager overrides
 	// WAL.FS, Tenant, and Baseline per tenant; everything else (queue
-	// depth, deadlines, breaker thresholds, seeds, fault injection in
-	// tests) applies to every tenant alike.
+	// depth, deadlines, breaker thresholds, fault injection in tests)
+	// applies to every tenant alike.
 	Serve serve.Config
 	// TenantSlots caps each tenant's outstanding requests (queued plus
 	// in-flight, counted at the manager's admission fence); 0 means

@@ -124,12 +124,11 @@ func runClient(t *testing.T, m *Manager, id string, reqs []string, sink map[stri
 
 // soakServeConfig is the per-tenant serving template every soak run
 // (colocated, solo, crash) shares, so report bytes are comparable.
-func soakServeConfig(seed int64) serve.Config {
+func soakServeConfig() serve.Config {
 	return serve.Config{
 		Engine:              engine.Options{MaxSteps: 80},
 		QuarantineThreshold: 3,
 		DisableProbing:      true,
-		Seed:                seed,
 	}
 }
 
@@ -161,7 +160,7 @@ func soloBaselines(t *testing.T) []soloBaseline {
 	out := make([]soloBaseline, healthyCount)
 	for i := range out {
 		fsys := wal.NewMemFS()
-		m, err := Open("root", Config{FS: fsys, Serve: soakServeConfig(0)})
+		m, err := Open("root", Config{FS: fsys, Serve: soakServeConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +297,7 @@ func TestTenantSoakIsolation(t *testing.T) {
 			in := faultinject.New(faultinject.Config{P: 0.05, Seed: seed, PanicTable: "poison"})
 			m, err := Open("root", Config{
 				FS:    fsys,
-				Serve: soakServeConfig(seed),
+				Serve: soakServeConfig(),
 				Customize: func(id string, cfg *serve.Config) {
 					if id == "hostile" {
 						cfg.Engine.WrapMutator = in.Wrap
@@ -393,7 +392,7 @@ func TestTenantSoakCrashRecovery(t *testing.T) {
 			probe := faultinject.New(faultinject.Config{P: 0.05, Seed: seed, PanicTable: "poison"})
 			pm, err := Open("root", Config{
 				FS:    wal.NewMemFS(),
-				Serve: soakServeConfig(seed),
+				Serve: soakServeConfig(),
 				Customize: func(id string, cfg *serve.Config) {
 					if id == "hostile" {
 						cfg.Engine.WrapMutator = probe.Wrap
@@ -451,7 +450,7 @@ func TestTenantSoakCrashRecovery(t *testing.T) {
 					}
 				}
 			}
-			m, err := Open("root", Config{FS: fsys, Serve: soakServeConfig(seed), Customize: customize(in)})
+			m, err := Open("root", Config{FS: fsys, Serve: soakServeConfig(), Customize: customize(in)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -485,7 +484,7 @@ func TestTenantSoakCrashRecovery(t *testing.T) {
 
 			// Manager reopen (fresh process, no fault injection): every
 			// tenant comes back resident at its recovered durable point.
-			m2, err := Open("root", Config{FS: fsys, Serve: soakServeConfig(seed), Customize: customize(nil)})
+			m2, err := Open("root", Config{FS: fsys, Serve: soakServeConfig(), Customize: customize(nil)})
 			if err != nil {
 				t.Fatalf("reopen after crash: %v", err)
 			}

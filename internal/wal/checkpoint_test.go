@@ -392,6 +392,9 @@ func touchAll(tb testing.TB, d *DurableDB, db *storage.DB, hot storage.TupleID, 
 	}
 }
 
+// raceEnabled is set by race_test.go, which only a -race build compiles.
+var raceEnabled bool
+
 // allocated returns the bytes op allocates, averaged over runs.
 func allocated(runs int, op func()) int {
 	var before, after runtime.MemStats
@@ -412,7 +415,9 @@ func allocated(runs int, op func()) int {
 // by measuring, where the one buffer, with no previous length to size
 // from, grew by append to 6.3x the snapshot. And with every table
 // changed each section is rewritten in its own buffer, where the one
-// buffer cost any checkpoint its 2.17x.
+// buffer cost any checkpoint its 2.17x. Under -race only the
+// allocation count is left unchecked: the detector adds allocations of
+// its own, and not the same number every run.
 func TestCheckpointAllocsFlatInRows(t *testing.T) {
 	for _, rows := range []int{1000, 10000} {
 		d, db, fsys, hot := loaded(t, rows)
@@ -426,7 +431,7 @@ func TestCheckpointAllocsFlatInRows(t *testing.T) {
 		if 2*first > 5*snap {
 			t.Errorf("%d rows: the first checkpoint allocated %d bytes for a %d-byte snapshot, want at most 2.5x", rows, first, snap)
 		}
-		if allocs := testing.AllocsPerRun(5, checkpoint); allocs > 32 {
+		if allocs := testing.AllocsPerRun(5, checkpoint); allocs > 32 && !raceEnabled {
 			t.Errorf("%d rows: %v allocations per checkpoint over clean rows, want at most 32", rows, allocs)
 		}
 		if per := allocated(5, checkpoint); 4*per > 5*snap {
