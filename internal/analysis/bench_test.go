@@ -6,31 +6,12 @@ package analysis
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
-	"activerules/internal/ruledef"
 	"activerules/internal/rules"
-	"activerules/internal/schema"
 	"activerules/internal/workload"
 )
-
-// thin aliases keep mustCompile readable.
-var (
-	schemaParse  = schema.Parse
-	ruledefParse = ruledef.Parse
-)
-
-// buildTriggeringGraphNaive is the quadratic construction (every rule
-// pair intersected), kept solely as the ablation baseline.
-func buildTriggeringGraphNaive(set *rules.Set) *TriggeringGraph {
-	g := &TriggeringGraph{set: set, adj: make([][]int, set.Len())}
-	for _, ri := range set.Rules() {
-		for _, rj := range set.Triggers(ri) {
-			g.adj[ri.Index()] = append(g.adj[ri.Index()], rj.Index())
-		}
-	}
-	return g
-}
 
 func benchWorkload(b *testing.B, n int) *workload.Generated {
 	b.Helper()
@@ -60,22 +41,17 @@ func BenchmarkAblationGraphBuild(b *testing.B) {
 	}
 }
 
-// TestNaiveGraphAgrees keeps the ablation baseline honest: both builds
-// must produce identical adjacency.
+// TestNaiveGraphAgrees keeps the ablation baseline honest: both builds,
+// the indexed one and the reference's (reference_test.go), must produce
+// identical adjacency.
 func TestNaiveGraphAgrees(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g := workload.MustGenerate(workload.Config{
 			Seed: seed, Rules: 20, Tables: 5,
 			UpdateFrac: 0.3, DeleteFrac: 0.2,
 		})
-		fast := BuildTriggeringGraph(g.Set)
-		slow := buildTriggeringGraphNaive(g.Set)
-		for _, ri := range g.Set.Rules() {
-			for _, rj := range g.Set.Rules() {
-				if fast.HasEdge(ri, rj) != slow.HasEdge(ri, rj) {
-					t.Fatalf("seed %d: edge (%s,%s) disagreement", seed, ri.Name, rj.Name)
-				}
-			}
+		if fast, slow := BuildTriggeringGraph(g.Set), buildTriggeringGraphNaive(g.Set); !reflect.DeepEqual(fast.adj, slow.adj) {
+			t.Fatalf("seed %d: adjacency %v, naive %v", seed, fast.adj, slow.adj)
 		}
 	}
 }
@@ -129,8 +105,8 @@ func BenchmarkIncremental(b *testing.B) {
 	// Version B edits only group 0's action constant.
 	rulesB = "create rule r0a on s0 when inserted then update t0 set v = 9\n\n" +
 		rulesA[len("create rule r0a on s0 when inserted then update t0 set v = 1\n\n"):]
-	setA := mustCompile(b, schemaSrc, rulesA)
-	setB := mustCompile(b, schemaSrc, rulesB)
+	setA := compile(b, schemaSrc, rulesA, nil).set
+	setB := compile(b, schemaSrc, rulesB, nil).set
 
 	b.Run("incremental", func(b *testing.B) {
 		inc := NewIncremental(nil)
@@ -151,23 +127,6 @@ func BenchmarkIncremental(b *testing.B) {
 			_ = v.Guaranteed
 		}
 	})
-}
-
-func mustCompile(b *testing.B, schemaSrc, rulesSrc string) *rules.Set {
-	b.Helper()
-	sch, err := schemaParse(schemaSrc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defs, err := ruledefParse(rulesSrc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set, err := rules.NewSet(sch, defs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return set
 }
 
 func BenchmarkAutoRepair(b *testing.B) {

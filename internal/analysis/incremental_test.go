@@ -3,9 +3,7 @@ package analysis
 import (
 	"testing"
 
-	"activerules/internal/ruledef"
 	"activerules/internal/rules"
-	"activerules/internal/schema"
 )
 
 const incSchema = `
@@ -17,11 +15,7 @@ table d (v int)
 
 func incSet(t *testing.T, rulesSrc string) *rules.Set {
 	t.Helper()
-	set, err := rules.NewSet(schema.MustParse(incSchema), ruledef.MustParse(rulesSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return set
+	return compile(t, incSchema, rulesSrc, nil).set
 }
 
 func TestIncrementalCacheHits(t *testing.T) {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -134,5 +135,59 @@ func TestLintWorksWithoutRefinementFlag(t *testing.T) {
 	}
 	if a.Termination().Guaranteed {
 		t.Error("raw termination verdict must be unaffected by Lint")
+	}
+}
+
+// TestLintAllocs: rendering a lint result takes the buffer and the
+// string, whatever the number of findings; and linting takes at most
+// one and a quarter allocations per RL003 finding (the message; the
+// clause is quoted on the stack and the findings are merged, not
+// sorted), measured as the slope between two fully ordered chains,
+// where every rule precedes every later one and so every clause but the
+// adjacent ones is redundant.
+func TestLintAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	g := verdictWorkload(t, 1000003+256, 256)
+	lr := New(g.Set, nil).SetRefinement(true).Lint()
+	if len(lr.Diagnostics) < 9000 {
+		t.Fatalf("%d findings: the set is supposed to be densely ordered", len(lr.Diagnostics))
+	}
+	if got := testing.AllocsPerRun(5, func() { _ = RenderLintText(lr, "gen256") }); got > 2 {
+		t.Errorf("RenderLintText of %d findings: %.0f allocations, want at most 2", len(lr.Diagnostics), got)
+	}
+
+	chain := func(n int) (allocs float64, findings int) {
+		var src strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&src, "create rule r%d on a when inserted then insert into b values (1)\n", i)
+			for j := i + 1; j < n; j++ {
+				if j == i+1 {
+					src.WriteString("precedes ")
+				} else {
+					src.WriteString(", ")
+				}
+				fmt.Fprintf(&src, "r%d", j)
+			}
+			src.WriteString("\n\n")
+		}
+		a := compile(t, "table a (v int)\ntable b (v int)\n", src.String(), nil)
+		for _, d := range a.Lint().Diagnostics {
+			if d.Code == "RL003" {
+				findings++
+			}
+		}
+		return testing.AllocsPerRun(3, func() { a.Lint() }), findings
+	}
+	a32, f32 := chain(32)
+	a96, f96 := chain(96)
+	if f32 != 31*30/2 || f96 != 95*94/2 {
+		t.Fatalf("chains of 32 and 96 rules have %d and %d RL003 findings", f32, f96)
+	}
+	per := (a96 - a32) / float64(f96-f32)
+	t.Logf("%.0f allocations for %d RL003 findings, %.0f for %d: %.2f per finding", a96, f96, a32, f32, per)
+	if per > 1.25 {
+		t.Errorf("%.2f allocations per RL003 finding, want at most 1.25", per)
 	}
 }

@@ -3,6 +3,8 @@ package analysis
 import (
 	"strings"
 	"testing"
+
+	"activerules/internal/rules"
 )
 
 func TestUnorderedObservablesNotDeterministic(t *testing.T) {
@@ -175,5 +177,26 @@ create rule rb on t when inserted then select v + 1 from inserted
 `, nil)
 	if !strings.Contains(ReportObservable(a2.ObservableDeterminism()), "guaranteed") {
 		t.Error("positive report missing 'guaranteed'")
+	}
+}
+
+// TestObservableViewSharesGraph: the Obs view an observable analysis
+// derives from an analyzer that has built nothing yet (refinement off)
+// uses the analyzer's triggering graph, not one of its own.
+func TestObservableViewSharesGraph(t *testing.T) {
+	g := verdictWorkload(t, 7, 24)
+	a := New(g.Set, nil)
+	var views []*Analyzer
+	a.computeHook = func(view *Analyzer, lo, hi *rules.Rule) {
+		if view != a {
+			views = append(views, view)
+		}
+	}
+	a.ObservableDeterminism()
+	if len(views) == 0 {
+		t.Fatal("the observable analysis examined no pair on its Obs view")
+	}
+	if a.tg == nil || views[0].tg != a.tg {
+		t.Errorf("the Obs view's triggering graph (%p) is not the analyzer's (%p)", views[0].tg, a.tg)
 	}
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"os"
 	"strings"
 	"testing"
 )
@@ -9,23 +8,7 @@ import (
 // loadFixture compiles the shipped lintdemo fixture, the acceptance
 // vehicle for condition-aware refinement.
 func loadFixture(t *testing.T, cert *Certification) *Analyzer {
-	t.Helper()
-	sch, rls := fixtureSources(t)
-	return compile(t, sch, rls, cert)
-}
-
-// fixtureSources reads the lintdemo fixture's schema and rule sources.
-func fixtureSources(t *testing.T) (sch, rls string) {
-	t.Helper()
-	s, err := os.ReadFile("../../testdata/lintdemo/schema.sdl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := os.ReadFile("../../testdata/lintdemo/rules.srl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(s), string(r)
+	return New(fixtureSet(t, "lintdemo"), cert)
 }
 
 // TestRefinementPrunesFalseCycle is the first acceptance criterion: the
@@ -170,16 +153,8 @@ func TestRefinementDeterministic(t *testing.T) {
 // cannot bound), so refinement must change nothing — a guard against
 // overeager pruning on realistic rules.
 func TestRefinementOnBankFixture(t *testing.T) {
-	sch, err := os.ReadFile("../../testdata/bank/schema.sdl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rls, err := os.ReadFile("../../testdata/bank/rules.srl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := compile(t, string(sch), string(rls), nil)
-	ref := compile(t, string(sch), string(rls), nil).SetRefinement(true)
+	set := fixtureSet(t, "bank")
+	raw, ref := New(set, nil), New(set, nil).SetRefinement(true)
 	rv, fv := raw.Termination(), ref.Termination()
 	if rv.Guaranteed != fv.Guaranteed {
 		t.Errorf("termination changed: raw=%v refined=%v", rv.Guaranteed, fv.Guaranteed)

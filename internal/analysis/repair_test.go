@@ -128,7 +128,7 @@ create rule rj on trig when inserted then update t set v = 2
 // it need exactly one ordering. An analyzer that drops refinement after
 // the first round orders the fixture's refined-to-commute pairs too.
 func TestAutoRepairKeepsRefinement(t *testing.T) {
-	sch, rls := fixtureSources(t)
+	sch, rls := fixtureSources(t, "lintdemo")
 	a := compile(t, sch, rls+`
 create rule x1 on log when deleted then update log set note = 'a' where id > 0
 create rule x2 on log when deleted then update log set note = 'b' where id > 0

@@ -1,6 +1,10 @@
 package analysis
 
 import (
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -189,4 +193,121 @@ func TestShardPlanBlockersExplainMerges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShardBlockerListsAreDisjoint: the table lists of one Blockers()
+// result share an array, yet each is its own, and the result is the
+// caller's. On gen256, every element of every list is overwritten with its
+// blocker's own marker, and then every list is appended to; a list that
+// overlapped another, or whose capacity ran into the next, shows a marker
+// or an append not its own. Nothing is undone, yet the plan renders, marshals
+// and lists its blockers as before.
+func TestShardBlockerListsAreDisjoint(t *testing.T) {
+	g := verdictWorkload(t, 1000003+256, 256)
+	plan := New(g.Set, nil).SetRefinement(true).ShardPlan()
+	bs := plan.Blockers()
+	if len(bs) < 30000 {
+		t.Fatalf("%d blockers: the set is supposed to be densely ordered", len(bs))
+	}
+	text := plan.String()
+	js, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]ShardBlocker, len(bs))
+	for i, bl := range bs {
+		want[i] = bl
+		want[i].Tables = slices.Clone(bl.Tables)
+	}
+
+	marker := func(i int) string { return fmt.Sprintf("#%d", i) }
+	for i := range bs {
+		for k := range bs[i].Tables {
+			bs[i].Tables[k] = marker(i)
+		}
+	}
+	for i := range bs {
+		grown := append(bs[i].Tables, "appended")
+		if grown[len(grown)-1] != "appended" {
+			t.Fatalf("blocker %d (%s): the append was lost", i, bs[i].Rule)
+		}
+	}
+	for i := range bs {
+		if len(bs[i].Tables) != len(want[i].Tables) {
+			t.Fatalf("blocker %d (%s) lists %d tables, want %d", i, bs[i].Rule, len(bs[i].Tables), len(want[i].Tables))
+		}
+		for _, got := range bs[i].Tables {
+			if got != marker(i) {
+				t.Fatalf("blocker %d (%s) was written through another's list: %v", i, bs[i].Rule, bs[i].Tables)
+			}
+		}
+	}
+
+	if plan.String() != text {
+		t.Fatal("the plan renders differently")
+	}
+	if got, err := json.Marshal(plan); err != nil || string(got) != string(js) {
+		t.Fatalf("the plan's JSON differs (%v)", err)
+	}
+	if !reflect.DeepEqual(plan.Blockers(), want) {
+		t.Fatal("a second Blockers() differs from the first as it was returned")
+	}
+}
+
+// TestShardPlanAllocs: rendering a plan takes the buffer and a scratch
+// list, whatever the number of blockers; building one has no per-blocker
+// term at all, at most one allocation per hundred priority blockers; and
+// listing its blockers takes at most a quarter of an allocation per
+// priority blocker (the edges' names are one string, the table lists one
+// array). The per-blocker costs are the slopes between two totally
+// ordered chains, where every pair of rules is a blocker and nothing else
+// grows with the pairs.
+func TestShardPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	g := verdictWorkload(t, 1000003+256, 256)
+	plan := New(g.Set, nil).SetRefinement(true).ShardPlan()
+	if len(plan.blockers) < 30000 {
+		t.Fatalf("%d blockers: the set is supposed to be densely ordered", len(plan.blockers))
+	}
+	if got := testing.AllocsPerRun(5, func() { _ = plan.String() }); got > 2 {
+		t.Errorf("String() of a %d-blocker plan: %.0f allocations, want at most 2", len(plan.blockers), got)
+	}
+
+	type cost struct{ plan, list float64 }
+	chain := func(n int) (allocs cost, blockers int) {
+		var src strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&src, "create rule r%d on a when inserted then insert into b values (1)\n", i)
+			if i+1 < n {
+				fmt.Fprintf(&src, "precedes r%d\n", i+1)
+			}
+			src.WriteString("\n")
+		}
+		a := compile(t, "table a (v int)\ntable b (v int)\n", src.String(), nil)
+		p := a.ShardPlan()
+		for _, bl := range p.Blockers() {
+			if bl.Kind == BlockPriority {
+				blockers++
+			}
+		}
+		allocs.plan = testing.AllocsPerRun(3, func() { a.ShardPlan() })
+		allocs.list = testing.AllocsPerRun(3, func() { p.Blockers() })
+		return allocs, blockers
+	}
+	a32, b32 := chain(32)
+	a96, b96 := chain(96)
+	if b32 != 32*31/2 || b96 != 96*95/2 {
+		t.Fatalf("chains of 32 and 96 rules have %d and %d priority blockers", b32, b96)
+	}
+	slope := func(what string, x32, x96, bound float64) {
+		per := (x96 - x32) / float64(b96-b32)
+		t.Logf("%s: %.0f allocations for %d priority blockers, %.0f for %d: %.3f per blocker", what, x96, b96, x32, b32, per)
+		if per > bound {
+			t.Errorf("%s: %.3f allocations per priority blocker, want at most %g", what, per, bound)
+		}
+	}
+	slope("ShardPlan()", a32.plan, a96.plan, 0.01)
+	slope("Blockers()", a32.list, a96.list, 0.25)
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"activerules/internal/rules"
 )
 
 func TestTerminationAcyclicChain(t *testing.T) {
@@ -242,13 +244,13 @@ create rule r3 on w when inserted then delete from w where v < 0
 		t.Fatal("full set has a cycle")
 	}
 	set := a.Set()
-	if v := a.TerminationOf([]*rulesRule{set.Rule("r3")}); !v.Guaranteed {
+	if v := a.TerminationOf([]*rules.Rule{set.Rule("r3")}); !v.Guaranteed {
 		t.Error("subset {r3} should terminate on its own")
 	}
-	if v := a.TerminationOf([]*rulesRule{set.Rule("r1"), set.Rule("r2")}); v.Guaranteed {
+	if v := a.TerminationOf([]*rules.Rule{set.Rule("r1"), set.Rule("r2")}); v.Guaranteed {
 		t.Error("subset {r1, r2} keeps the cycle")
 	}
-	if v := a.TerminationOf([]*rulesRule{set.Rule("r1")}); !v.Guaranteed {
+	if v := a.TerminationOf([]*rules.Rule{set.Rule("r1")}); !v.Guaranteed {
 		t.Error("subset {r1} alone has no cycle (the r1->r2 edge leaves the subset)")
 	}
 }

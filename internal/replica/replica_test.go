@@ -24,7 +24,7 @@ const (
 )
 
 func followerRetry() retry.Policy {
-	return retry.Policy{Initial: time.Millisecond, Max: 10 * time.Millisecond, MaxAttempts: 1}
+	return retry.Policy{Initial: time.Millisecond, Max: 10 * time.Millisecond}
 }
 
 func freshHex(sch *schema.Schema) string {
