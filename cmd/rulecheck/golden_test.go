@@ -91,6 +91,9 @@ func TestGolden(t *testing.T) {
 		// discharged, countdown's is.
 		{"flipflop-shard-plan", []string{"-schema", flSchema, "-rules", flRules, "-shard-plan"}, 0},
 		{"countdown-shard-plan", []string{"-schema", cdSchema, "-rules", cdRules, "-shard-plan"}, 0},
+		// A workload that reaches no rule: the empty reachable set
+		// terminates, so flipflop's cycle does not count against it.
+		{"flipflop-user-insert", []string{"-schema", flSchema, "-rules", flRules, "-user", "insert:fl"}, 0},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -26,10 +26,10 @@ type Analyzer struct {
 	// soundness under exact net-effect semantics.
 	noCond7 bool
 
-	// refine enables condition-aware refinement (see refine.go); ref
-	// holds the precomputed abstract summaries. Set via SetRefinement.
-	refine bool
-	ref    *refinement
+	// ref holds the precomputed abstract summaries of condition-aware
+	// refinement (see refine.go); nil when refinement is off. Set via
+	// SetRefinement.
+	ref *refinement
 
 	// verdicts memoizes Commute per unordered pair (see verdicts.go). An
 	// analyzer's inputs (set, certifications, view, refinement) are
@@ -198,7 +198,7 @@ func (a *Analyzer) graph() *TriggeringGraph {
 func (a *Analyzer) derive(v ruleView, ref *refinement) *Analyzer {
 	a.graph()
 	d := *a
-	d.view, d.verdicts, d.term, d.refine, d.ref = v, nil, nil, ref != nil, ref
+	d.view, d.verdicts, d.term, d.ref = v, nil, nil, ref
 	return &d
 }
 

@@ -95,7 +95,7 @@ func (a *Analyzer) commuteUncached(lo, hi *rules.Rule) (pairState, []NoncommuteR
 	if len(reasons) == 0 {
 		return pairCommutes, nil
 	}
-	if a.refine && a.ref != nil {
+	if a.ref != nil {
 		// Condition-aware refinement: discharge reasons the abstract
 		// interpretation proves spurious. A fully discharged pair is
 		// upgraded to "commutes" and the justifications recorded; a

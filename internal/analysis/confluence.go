@@ -95,7 +95,7 @@ func (a *Analyzer) confluenceOver(members []*rules.Rule, term *TerminationVerdic
 	}
 	v.RequirementHolds = len(v.Violations) == 0
 	v.Guaranteed = v.RequirementHolds && term.Guaranteed
-	if a.refine {
+	if a.ref != nil {
 		v.Upgrades = a.Upgrades()
 	}
 	return v

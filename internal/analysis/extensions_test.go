@@ -67,6 +67,13 @@ func TestAnalyzeRestricted(t *testing.T) {
 	if v2.Termination.Guaranteed {
 		t.Error("cycle reachable: termination must not be guaranteed")
 	}
+	// Restricted to updates on a: no rule is reachable, and the empty set
+	// terminates, so all three verdicts hold however cyclic the rest is.
+	v3 := a.AnalyzeRestricted(schema.NewOpSet(schema.Update("a", "v")))
+	if len(v3.Reachable) != 0 || !v3.Termination.Guaranteed || !v3.Confluence.Guaranteed || !v3.Observable.Guaranteed() {
+		t.Errorf("no reachable rule: reachable %v, termination %v, confluence %v, observable %v",
+			v3.ReachableNames(), v3.Termination.Guaranteed, v3.Confluence.Guaranteed, v3.Observable.Guaranteed())
+	}
 }
 
 func TestAnalyzeRestrictedObservables(t *testing.T) {

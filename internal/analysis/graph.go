@@ -89,20 +89,14 @@ func (g *TriggeringGraph) EdgeCount() int {
 
 // CyclicSCCs returns the strongly connected components that can sustain
 // a cycle — components with more than one rule, or a single rule with a
-// self-loop — restricted to the given member set (nil means all rules)
-// and excluding rules for which exclude returns true. Components and
-// their members are in deterministic order.
+// self-loop — restricted to exactly the given member set (an empty one
+// has none) and excluding rules for which exclude returns true.
+// Components and their members are in deterministic order.
 func (g *TriggeringGraph) CyclicSCCs(members []*rules.Rule, exclude func(*rules.Rule) bool) [][]*rules.Rule {
 	n := g.set.Len()
 	in := make([]bool, n)
-	if members == nil {
-		for i := range in {
-			in[i] = true
-		}
-	} else {
-		for _, r := range members {
-			in[r.Index()] = true
-		}
+	for _, r := range members {
+		in[r.Index()] = true
 	}
 	if exclude != nil {
 		for _, r := range g.set.Rules() {
@@ -149,14 +143,8 @@ func (g *TriggeringGraph) CyclicSCCs(members []*rules.Rule, exclude func(*rules.
 func (g *TriggeringGraph) Strata(members []*rules.Rule, exclude func(*rules.Rule) bool) []int {
 	n := g.set.Len()
 	in := make([]bool, n)
-	if members == nil {
-		for i := range in {
-			in[i] = true
-		}
-	} else {
-		for _, r := range members {
-			in[r.Index()] = true
-		}
+	for _, r := range members {
+		in[r.Index()] = true
 	}
 	if exclude != nil {
 		for _, r := range g.set.Rules() {

@@ -53,28 +53,21 @@ func (inc *Incremental) Analyze(set *rules.Set) *IncrementalResult {
 	a := New(set, inc.cert)
 	parts := a.Partition()
 	res := &IncrementalResult{Partitions: parts}
-	combined := &ConfluenceVerdict{RequirementHolds: true}
-	combined.Termination = a.Termination()
-
 	next := make(map[string]*ConfluenceVerdict, len(parts))
-	for _, part := range parts {
+	per := make([]*ConfluenceVerdict, len(parts))
+	for i, part := range parts {
 		fp := inc.partitionFingerprint(set, part)
 		v, ok := inc.cache[fp]
 		if ok {
 			res.Reused++
 		} else {
-			term := a.TerminationOf(part)
-			v = a.confluenceOver(part, term)
+			v = a.confluenceOver(part, a.TerminationOf(part))
 			res.Analyzed++
 		}
-		next[fp] = v
-		combined.PairsChecked += v.PairsChecked
-		combined.Violations = append(combined.Violations, v.Violations...)
-		combined.RequirementHolds = combined.RequirementHolds && v.RequirementHolds
+		next[fp], per[i] = v, v
 	}
 	inc.cache = next // drop verdicts for partitions that no longer exist
-	combined.Guaranteed = combined.RequirementHolds && combined.Termination.Guaranteed
-	res.Combined = combined
+	res.Combined = a.combinePartitions(per)
 	return res
 }
 

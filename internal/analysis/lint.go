@@ -97,7 +97,7 @@ func (lr *LintResult) HasErrors() bool { return lr.Errors > 0 }
 // withRefinement returns a when refinement is on, and otherwise an
 // analyzer derived from a with refinement summaries of its own.
 func (a *Analyzer) withRefinement() *Analyzer {
-	if a.refine && a.ref != nil {
+	if a.ref != nil {
 		return a
 	}
 	return a.derive(a.view, buildRefinement(a.set, a.graph()))
@@ -126,7 +126,7 @@ func (a *Analyzer) Lint() *LintResult {
 // lintRuns is every detector's findings, one run per detector, each in
 // the order the detector emits it. a must have refinement summaries.
 func (a *Analyzer) lintRuns() [6][]Diagnostic {
-	refV := a.terminationOf(nil) // the refined verdict RL005–RL007 read
+	refV := a.Termination() // the refined verdict RL005–RL007 read
 	return [...][]Diagnostic{
 		a.lintDeadRules(),
 		a.lintSelfDeactivating(),
@@ -350,7 +350,7 @@ func (a *Analyzer) lintDeadStores() []Diagnostic {
 // the component. refV is the refined termination verdict of the set.
 func (a *Analyzer) lintInfeasibleCycles(refV *TerminationVerdict) []Diagnostic {
 	raw := a.derive(a.view, nil)
-	rawV := raw.terminationOf(nil)
+	rawV := raw.Termination()
 	stillCyclic := map[string]bool{}
 	for _, comp := range refV.CyclicSCCs {
 		for _, r := range comp {

@@ -54,7 +54,8 @@ func oracleCorpus(t *testing.T) []oracleSet {
 			"create rule watch on b when inserted then select v from inserted\n", nil).set
 	out = append(out, oracleSet{"observer/certified", observer, false, certifyAround(observer, "watch")})
 	// A shard whose Sig cannot be shown to terminate although its
-	// Confluence Requirement holds, and a shard with an empty Sig.
+	// Confluence Requirement holds, and a shard with an empty Sig, which
+	// terminates and so is confluent.
 	grower := compile(t, "table a (v int)\ntable c (v int)\n",
 		"create rule grow on a when inserted then insert into a select v + 1 from inserted\n", nil).set
 	out = append(out, oracleSet{"grower", grower, false, nil})
@@ -428,7 +429,7 @@ create rule watch on c when inserted then select v from inserted
 }
 
 // terminationSubsets are the subsets an analysis asks termination of —
-// every shard Sig (an empty one as nil, as ShardPlan passes it), a
+// every shard Sig (an empty one included: it is acyclic), a
 // partial-confluence Sig and Sig(Obs) — and 20 seeded random ones.
 func terminationSubsets(c oracleSet) [][]*rules.Rule {
 	a := c.analyzer()
@@ -476,7 +477,7 @@ func TestTerminationOfMatchesScalarOracle(t *testing.T) {
 		for _, fullFirst := range []bool{true, false} {
 			got := c.analyzer()
 			if fullFirst {
-				if err := ref.sameTermination(got.Termination(), ref.termination(nil)); err != nil {
+				if err := ref.sameTermination(got.Termination(), ref.termination(c.set.Rules())); err != nil {
 					t.Fatalf("%s: Termination(): %v", c.name, err)
 				}
 			}
@@ -489,7 +490,7 @@ func TestTerminationOfMatchesScalarOracle(t *testing.T) {
 					cyclic++
 				}
 			}
-			if err := ref.sameTermination(got.Termination(), ref.termination(nil)); err != nil {
+			if err := ref.sameTermination(got.Termination(), ref.termination(c.set.Rules())); err != nil {
 				t.Fatalf("%s (full first %v): Termination() after the subsets: %v", c.name, fullFirst, err)
 			}
 		}
@@ -517,7 +518,7 @@ func TestObservableViewMatchesColdView(t *testing.T) {
 			}
 			ref := newReference(want)
 			g := got.ObservableDeterminism()
-			w := ref.observable(c.set.Rules(), ref.termination(nil))
+			w := ref.observable(c.set.Rules(), ref.termination(c.set.Rules()))
 			err := errors.Join(ref.sameTermination(g.Termination, w.Termination),
 				ref.sameTermination(g.Partial.Confluence.Termination, w.Partial.Confluence.Termination))
 			if err != nil || !reflect.DeepEqual(g, w) {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -119,16 +120,27 @@ create rule rb on trig when inserted then insert into scratch values (2)
 	}
 }
 
+// TestSigEmptyForUntouchedTable: an untouched table has an empty Sig,
+// which terminates processed on its own, so the table is partially
+// confluent and its shard confluent — also when the rest of the set may
+// not terminate (grower's self-inserting rule).
 func TestSigEmptyForUntouchedTable(t *testing.T) {
-	a := compile(t, scratchSchema, `
-create rule ra on trig when inserted then insert into data values (1)
-`, nil)
-	if sig := a.Sig([]string{"scratch"}); len(sig) != 0 {
-		t.Errorf("Sig(scratch) = %v, want empty", ruleNames(sig))
-	}
-	v := a.PartialConfluence([]string{"scratch"})
-	if !v.Guaranteed() {
-		t.Error("empty Sig is trivially partially confluent")
+	for _, c := range []struct{ schema, rules, table string }{
+		{scratchSchema, "create rule ra on trig when inserted then insert into data values (1)\n", "scratch"},
+		{"table a (v int)\ntable c (v int)\n", "create rule grow on a when inserted then insert into a select v + 1 from inserted\n", "c"},
+	} {
+		a := compile(t, c.schema, c.rules, nil)
+		if sig := a.Sig([]string{c.table}); len(sig) != 0 {
+			t.Errorf("Sig(%s) = %v, want empty", c.table, ruleNames(sig))
+		}
+		if !a.PartialConfluence([]string{c.table}).Guaranteed() {
+			t.Errorf("%s: empty Sig is trivially partially confluent", c.table)
+		}
+		shards := a.ShardPlan().Shards
+		i := slices.IndexFunc(shards, func(g ShardGroup) bool { return slices.Equal(g.Tables, []string{c.table}) })
+		if i < 0 || !shards[i].Confluent {
+			t.Errorf("%s: plan %+v has no confluent shard of its own for it", c.table, shards)
+		}
 	}
 }
 

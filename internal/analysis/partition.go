@@ -70,17 +70,22 @@ func (a *Analyzer) Partition() [][]*rules.Rule {
 // partition verdicts are returned alongside the combined one so that a
 // change to one partition only requires re-running its own analysis.
 func (a *Analyzer) PartitionedConfluence() (combined *ConfluenceVerdict, per []*ConfluenceVerdict) {
-	parts := a.Partition()
-	combined = &ConfluenceVerdict{RequirementHolds: true}
-	combined.Termination = a.Termination()
-	for _, part := range parts {
-		term := a.TerminationOf(part)
-		v := a.confluenceOver(part, term)
-		per = append(per, v)
+	for _, part := range a.Partition() {
+		per = append(per, a.confluenceOver(part, a.TerminationOf(part)))
+	}
+	return a.combinePartitions(per), per
+}
+
+// combinePartitions folds the per-partition verdicts, in partition
+// order, into the whole set's: the requirement holds iff it holds in
+// every partition, and termination is the full set's.
+func (a *Analyzer) combinePartitions(per []*ConfluenceVerdict) *ConfluenceVerdict {
+	combined := &ConfluenceVerdict{RequirementHolds: true, Termination: a.Termination()}
+	for _, v := range per {
 		combined.PairsChecked += v.PairsChecked
 		combined.Violations = append(combined.Violations, v.Violations...)
 		combined.RequirementHolds = combined.RequirementHolds && v.RequirementHolds
 	}
 	combined.Guaranteed = combined.RequirementHolds && combined.Termination.Guaranteed
-	return combined, per
+	return combined
 }

@@ -57,7 +57,7 @@ func newReference(a *Analyzer) *reference {
 	for i, row := range r.tg.adj {
 		for _, j := range row {
 			cut := a.cert.EdgeDischarged(all[i].Name, all[j].Name)
-			if a.refine && a.ref != nil && !cut {
+			if a.ref != nil && !cut {
 				_, cut = a.ref.edgePruned(all[i], all[j])
 			}
 			if !cut {
@@ -85,7 +85,7 @@ func (r *reference) withObs(members []*rules.Rule) *reference {
 // members performing an operation on a table of T', closed under "may not
 // commute with a member". A candidate is put to the members in definition
 // order and joins at the first that may not commute with it, so the pairs
-// examined are the ones DESIGN.md §6 fixes. An empty Sig is nil.
+// examined are the ones DESIGN.md §6 fixes.
 func (r *reference) sig(members []*rules.Rule, tables []string) []*rules.Rule {
 	want := map[string]bool{}
 	for _, t := range tables {
@@ -191,16 +191,15 @@ func (r *reference) confluence(members []*rules.Rule, term *TerminationVerdict) 
 	}
 	v.RequirementHolds = len(v.Violations) == 0
 	v.Guaranteed = v.RequirementHolds && term.Guaranteed
-	if r.a.refine {
+	if r.a.ref != nil {
 		v.Upgrades = r.a.Upgrades()
 	}
 	return v
 }
 
 // observable is Theorem 8.1 over the members: Theorem 7.2 with respect to
-// {Obs} on the Obs view, with term standing for the members' termination.
-// Sig(Obs) is asked its termination as Analyzer.TerminationOf is: an empty
-// Sig as nil, which reads as every rule.
+// {Obs} on the Obs view, with term standing for the members' termination
+// and Sig(Obs) processed on its own.
 func (r *reference) observable(members []*rules.Rule, term *TerminationVerdict) *ObservableVerdict {
 	o := r.withObs(members)
 	sig := o.sig(members, []string{o.obs})
@@ -268,20 +267,17 @@ func (r *reference) cyclic(universe []*rules.Rule, discharged map[string]bool) (
 	return cyclic, stratum
 }
 
-// termination is Theorem 5.1 over the subset processed on its own (nil:
-// every rule), after the analyzer's discharges (DESIGN.md §12): the
+// termination is Theorem 5.1 over exactly the subset processed on its
+// own, after the analyzer's discharges (DESIGN.md §12): the
 // user's and refinement's dead rules, then the tier-2 certificates, tried
 // on every member of every cyclic component, round after round until a
 // round discharges nothing. The components of the first round are the
 // verdict's SCCs. The pruned graph and the sample cycles are left to
 // sameTermination.
 func (r *reference) termination(subset []*rules.Rule) *TerminationVerdict {
-	a, universe := r.a, subset
-	if universe == nil {
-		universe = r.set.Rules()
-	}
+	a := r.a
 	v := &TerminationVerdict{DischargedEdges: a.cert.DischargedEdges()}
-	if a.refine && a.ref != nil {
+	if a.ref != nil {
 		v.Refined, v.RefinementDischarged, v.PrunedEdges = true, a.ref.deadDischarges(), a.ref.sortedPrunedEdges()
 	}
 	discharged := map[string]bool{}
@@ -294,7 +290,7 @@ func (r *reference) termination(subset []*rules.Rule) *TerminationVerdict {
 	for _, d := range v.RefinementDischarged {
 		discharged[d.Rule] = true
 	}
-	initial, stratum := r.cyclic(universe, discharged)
+	initial, stratum := r.cyclic(subset, discharged)
 	sccID := map[string]int{}
 	v.SCCs = make([]SCCVerdict, len(initial))
 	for i, c := range initial {
@@ -329,7 +325,7 @@ func (r *reference) termination(subset []*rules.Rule) *TerminationVerdict {
 				}
 			}
 		}
-		sccs, _ = r.cyclic(universe, discharged)
+		sccs, _ = r.cyclic(subset, discharged)
 	}
 	for i := range v.SCCs {
 		sv := &v.SCCs[i]
@@ -400,8 +396,7 @@ type referencePlan struct {
 // on, reads and writes), the tables it is significant for, and the two
 // footprints of a priority-ordered pair are blockers when they hold two
 // tables or more. A shard runs the rules whose footprint it holds, and is
-// confluent by Theorem 7.2 over its Sig (an empty one asked its
-// termination as nil, as in observable).
+// confluent by Theorem 7.2 over its Sig.
 func (r *reference) shardPlan() *referencePlan {
 	all, plan := r.set.Rules(), &referencePlan{}
 	var tables []string          // in the schema's order
@@ -530,7 +525,7 @@ func blockerText(b ShardBlocker) string {
 // (Line, Col, Code, Rule) and counted by severity.
 func (r *reference) lint() *LintResult {
 	ra := r.a.withRefinement()
-	refV := newReference(ra).termination(nil)
+	refV := newReference(ra).termination(ra.set.Rules())
 	ds := append(ra.lintDeadRules(), ra.lintSelfDeactivating()...)
 	ds = append(append(ds, r.rl003()...), r.rl004()...)
 	ds = append(append(ds, ra.lintInfeasibleCycles(refV)...), ra.lintCycleDischarges(refV)...)

@@ -61,19 +61,15 @@ type CommuteUpgrade struct {
 // way the verdict table and the termination memo start over (both
 // depend on it). It returns the analyzer for chaining.
 func (a *Analyzer) SetRefinement(on bool) *Analyzer {
-	a.verdicts, a.term = nil, nil
-	if !on {
-		a.refine = false
-		a.ref = nil
-		return a
+	a.verdicts, a.term, a.ref = nil, nil, nil
+	if on {
+		a.ref = buildRefinement(a.set, a.graph())
 	}
-	a.refine = true
-	a.ref = buildRefinement(a.set, a.graph())
 	return a
 }
 
 // Refined reports whether refinement is enabled.
-func (a *Analyzer) Refined() bool { return a.refine }
+func (a *Analyzer) Refined() bool { return a.ref != nil }
 
 // refinement holds the precomputed abstract summaries for one rule set.
 // All fields except the upgrade log are immutable after

@@ -492,8 +492,7 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		sort.Strings(g.Rules)
 		g.Sig = rules.Names(sigs[i])
 		sort.Strings(g.Sig)
-		// Theorem 7.2 over Sig(g.Tables), as PartialConfluence decides it:
-		// an empty Sig stays nil, which TerminationOf reads as every rule.
+		// Theorem 7.2 over Sig(g.Tables), as PartialConfluence decides it.
 		g.Confluent = a.TerminationOf(sigs[i]).Guaranteed && a.requirementHolds(sigs[i])
 	}
 

@@ -54,7 +54,7 @@ func (a *Analyzer) Stats() *Stats {
 			s.ObservableRules++
 		}
 	}
-	for _, comp := range g.CyclicSCCs(nil, nil) {
+	for _, comp := range g.CyclicSCCs(a.set.Rules(), nil) {
 		s.CyclicRules += len(comp)
 	}
 	rs := a.set.Rules()

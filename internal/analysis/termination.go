@@ -69,16 +69,14 @@ type TerminationVerdict struct {
 
 // Termination analyzes termination of the full rule set (Section 5):
 // build TG_R, auto-discharge the delete-only special case, apply user
-// discharges, and check the remainder for cycles.
+// discharges, and check the remainder for cycles. The verdict is
+// memoized in the termination memo.
 func (a *Analyzer) Termination() *TerminationVerdict {
-	return a.terminationOf(nil)
-}
-
-// TerminationOf analyzes termination of a subset of the rules processed
-// on their own, as required for partial confluence (footnote 7 of
-// Section 7). A nil subset means all rules.
-func (a *Analyzer) TerminationOf(subset []*rules.Rule) *TerminationVerdict {
-	return a.terminationOf(subset)
+	m := a.termBase()
+	if m.full == nil {
+		m.full = a.TerminationOf(a.set.Rules())
+	}
+	return m.full
 }
 
 // termMemo is what every termination verdict of an analyzer starts
@@ -109,7 +107,7 @@ func (a *Analyzer) termBase() *termMemo {
 			return a.cert.EdgeDischarged(from.Name, to.Name)
 		})
 	}
-	if a.refine && a.ref != nil && len(a.ref.pruned) > 0 {
+	if a.ref != nil && len(a.ref.pruned) > 0 {
 		g = g.WithoutEdges(func(from, to *rules.Rule) bool {
 			_, pruned := a.ref.edgePruned(from, to)
 			return pruned
@@ -117,7 +115,7 @@ func (a *Analyzer) termBase() *termMemo {
 	}
 	m := &termMemo{head: TerminationVerdict{Graph: g, DischargedEdges: droppedEdges},
 		out: map[string]bool{}, core: rules.NewBits(a.set.Len())}
-	if a.refine && a.ref != nil {
+	if a.ref != nil {
 		m.head.Refined = true
 		m.head.RefinementDischarged = a.ref.deadDischarges()
 		m.head.PrunedEdges = a.ref.sortedPrunedEdges()
@@ -131,7 +129,7 @@ func (a *Analyzer) termBase() *termMemo {
 	for _, d := range m.head.RefinementDischarged {
 		m.out[d.Rule] = true
 	}
-	for _, comp := range g.CyclicSCCs(nil, func(r *rules.Rule) bool { return m.out[r.Name] }) {
+	for _, comp := range g.CyclicSCCs(a.set.Rules(), func(r *rules.Rule) bool { return m.out[r.Name] }) {
 		for _, r := range comp {
 			m.core.Add(r.Index())
 		}
@@ -140,26 +138,19 @@ func (a *Analyzer) termBase() *termMemo {
 	return m
 }
 
-func (a *Analyzer) terminationOf(subset []*rules.Rule) *TerminationVerdict {
+// TerminationOf analyzes termination of exactly the rules in subset,
+// processed on their own, as required for partial confluence (footnote
+// 7 of Section 7). An empty subset is acyclic.
+func (a *Analyzer) TerminationOf(subset []*rules.Rule) *TerminationVerdict {
 	m := a.termBase()
-	if subset == nil && m.full != nil {
-		return m.full
-	}
 	v := new(TerminationVerdict)
 	*v = m.head
-	if subset == nil {
-		m.full = v
-	}
 	g := v.Graph
 
 	// The subset's cyclic components lie within the core, so Tarjan need
 	// only see the subset's core rules; a subset without any is acyclic.
-	universe := subset
-	if universe == nil {
-		universe = a.set.Rules()
-	}
 	var onCore []*rules.Rule
-	for _, r := range universe {
+	for _, r := range subset {
 		if m.core.Has(r.Index()) {
 			onCore = append(onCore, r)
 		}

@@ -156,25 +156,21 @@ type SCCVerdict struct {
 }
 
 // tier2 is the per-analysis discharge engine. It is built fresh inside
-// terminationOf and writes no analyzer state: the statement effects it
+// TerminationOf and writes no analyzer state: the statement effects it
 // reasons over are the refinement's immutable summaries when refinement
 // is on, and otherwise derived here, per rule, on first use. Verdicts
 // stay independent of other analyses.
 type tier2 struct {
 	a        *Analyzer
 	universe []*rules.Rule // rules that actually execute in this analysis
-	// discharged is shared with the terminationOf loop: certificates
+	// discharged is shared with the TerminationOf loop: certificates
 	// established earlier exclude their rules from interference checks
 	// (sound by induction on discharge order, §12).
 	discharged map[string]bool
 	effects    map[*rules.Rule][]*absint.StmtEffect // refinement off only
 }
 
-func newTier2(a *Analyzer, subset []*rules.Rule, discharged map[string]bool) *tier2 {
-	universe := subset
-	if universe == nil {
-		universe = a.set.Rules()
-	}
+func newTier2(a *Analyzer, universe []*rules.Rule, discharged map[string]bool) *tier2 {
 	return &tier2{a: a, universe: universe, discharged: discharged,
 		effects: map[*rules.Rule][]*absint.StmtEffect{}}
 }

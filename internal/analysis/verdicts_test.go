@@ -282,7 +282,7 @@ func TestDerivedAnalyzersReachComputeHook(t *testing.T) {
 		}
 		d.CommutativityMatrix()
 		if seen[d] == 0 {
-			t.Errorf("Lint's derived analyzer (refine %v) evaluated pairs unseen by computeHook", d.refine)
+			t.Errorf("Lint's derived analyzer (refine %v) evaluated pairs unseen by computeHook", d.Refined())
 		}
 	}
 }

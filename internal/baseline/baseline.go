@@ -48,7 +48,7 @@ func Analyze(set *rules.Set) *Verdict {
 	// Termination: acyclic triggering graph, no discharge heuristics
 	// (the baseline has no user in the loop). Reuse the graph directly.
 	g := analysis.BuildTriggeringGraph(set)
-	v.Terminates = len(g.CyclicSCCs(nil, nil)) == 0
+	v.Terminates = len(g.CyclicSCCs(set.Rules(), nil)) == 0
 
 	rs := set.Rules()
 	v.AllPairsCommute = true
