@@ -1,5 +1,5 @@
 // Package compile turns resolved rule conditions and actions, and user
-// statements once per shape (UserCache), into closures evaluated
+// statements once per text key (UserCache), into closures evaluated
 // against statically assigned row slots, and builds the delta-driven
 // trigger index the engine's compiled mode runs on.
 //
@@ -46,9 +46,9 @@ type Env struct {
 	Mut   sqlmini.Mutator
 	Slots [][]storage.Value
 
-	// Params holds the literals a user statement's shape lifted out
-	// (UserCache), in the order the shape names them; rule closures
-	// fold their literals in and never read it.
+	// Params holds the literals a user statement's text key lifted out
+	// (UserCache), in text order; rule closures fold their literals in
+	// and never read it.
 	Params []storage.Value
 
 	// Query scratch: stacks the running query blocks push their working

@@ -4,16 +4,18 @@ package compile
 // path: any input the parser, resolver, and typechecker all accept must
 // evaluate identically — result, error message, and resulting database
 // state — under the interpreter and the compiler, both as a rule's
-// statement and, through a UserCache, as a request's SQL run three
-// times with its literals perturbed. The corpus under
+// statement and, through a UserCache, as a request's text and two more
+// texts of its token key (FuzzUserTextKey's check). The corpus under
 // testdata/fuzz/FuzzCompileEval seeds both bare expressions (adapted
 // from sqlmini's FuzzEvalExpr corpus) and full statements, including
 // transition-table references and point UPDATEs and DELETEs, which the
 // compiled path answers from an equality index.
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"activerules/internal/schema"
@@ -100,78 +102,131 @@ func FuzzCompileEval(f *testing.F) {
 			t.Fatalf("%q: database mismatch\n interp:\n%s compiled:\n%s", src, idb.String(), cdb.String())
 		}
 
-		userCacheRuns(t, src, sch)
+		if _, err := sqlmini.ParseStatement(src); err != nil {
+			src = "select " + src // the bare expression parseForFuzz wrapped
+		}
+		userTextRuns(t, src, sch)
 	})
 }
 
-// userCacheRuns runs src as a request's SQL through one UserCache three
-// times — as written (a miss), then twice with every literal perturbed
-// within its kind (hits, when the first run's shape resolved) — each
-// against the interpreter on the same statement and a fresh database:
-// result, error message and resulting state must agree.
-func userCacheRuns(t *testing.T, src string, sch *schema.Schema) {
+// FuzzUserTextKey is the text key's oracle. For any text, and for
+// texts made to share its token key with other literal values
+// (sameKeyTexts), a UserCache that holds the key must run the text as
+// a fresh cache does by parsing and compiling it, and both as the
+// interpreter does: results, error messages and resulting state alike.
+// When the cache filled the key, the reference tree key (shaper) must
+// agree: every text of the key parses to the same reference key, keeps
+// the same null, true and false literals, and has exactly the lexer's
+// literals as the literals the tree lifts. The corpus under
+// testdata/fuzz/FuzzUserTextKey seeds it; FuzzCompileEval runs every
+// statement it accepts through the same check.
+func FuzzUserTextKey(f *testing.F) {
+	for _, seed := range keyTexts {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		userTextRuns(t, src, testSchema(t))
+	})
+}
+
+// userTextRuns is FuzzUserTextKey's check of one text.
+func userTextRuns(t *testing.T, src string, sch *schema.Schema) {
 	t.Helper()
+	var lx sqlmini.Lexer
+	if lx.Lex(src) != nil {
+		return
+	}
+	key, keyed := lx.Key()
+	key, vals := bytes.Clone(key), slices.Clone(lx.Params())
+	refKey, lifted, kept, perr := referenceShape(src)
+	texts := []string{src}
+	if keyed {
+		texts = append(texts, sameKeyTexts(key, vals)...)
+	}
 	uc := NewUserCache(sch)
-	for round := 0; round < 3; round++ {
-		ist, err := parseForFuzz(src)
-		if err != nil {
-			t.Fatalf("re-parse of accepted input failed: %v", err)
+	for round, text := range texts {
+		want := interpretText(t, text, sch)
+		fresh := cacheText(t, NewUserCache(sch), text, sch)
+		got := cacheText(t, uc, text, sch)
+		what := fmt.Sprintf("%q (round %d: %q)", src, round, text)
+		if !reflect.DeepEqual(fresh, want) {
+			t.Fatalf("%s: parsed and compiled\n %+v\nthe interpreter\n %+v", what, fresh, want)
 		}
-		cst, _ := parseForFuzz(src)
-		perturbLiterals(ist, round)
-		perturbLiterals(cst, round)
-
-		idb := seedDB(t, sch)
-		ir, ierr := sqlmini.StmtResult{}, sqlmini.ResolveStatement(ist, &sqlmini.ResolveContext{Schema: sch})
-		if ierr == nil {
-			ev := &sqlmini.Evaluator{DB: idb, Mut: sqlmini.DirectMutator(idb)}
-			ir, ierr = ev.Exec(ist)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: through the cache\n %+v\nthe interpreter\n %+v", what, got, want)
 		}
-		cdb := seedDB(t, sch)
-		cr, cerr := uc.Exec(cst, cdb, sqlmini.DirectMutator(cdb))
-
-		what := fmt.Sprintf("%q (user cache, round %d: %s)", src, round, ist)
+		if uc.Len() == 0 {
+			continue
+		}
+		// The cache filled src's key: the reference must agree that
+		// every text of it lifts the lexer's literals.
+		if round == 0 && (perr != nil || !slices.Equal(lifted, vals)) {
+			t.Fatalf("%s: cached, but the tree lifts %v where the lexer lifts %v (%v)", what, lifted, vals, perr)
+		}
+		var tlx sqlmini.Lexer
+		if err := tlx.Lex(text); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		tkey, _ := tlx.Key()
+		rk, tl, tk, err := referenceShape(text)
 		switch {
-		case ierr != nil && cerr != nil:
-			if ierr.Error() != cerr.Error() {
-				t.Fatalf("%s: error mismatch\n interp:   %v\n compiled: %v", what, ierr, cerr)
-			}
-		case ierr != nil || cerr != nil:
-			t.Fatalf("%s: error disagreement\n interp:   %v\n compiled: %v", what, ierr, cerr)
-		default:
-			if !reflect.DeepEqual(ir, cr) {
-				t.Fatalf("%s: result mismatch\n interp:   %+v\n compiled: %+v", what, ir, cr)
-			}
-		}
-		if idb.String() != cdb.String() {
-			t.Fatalf("%s: database mismatch\n interp:\n%s compiled:\n%s", what, idb.String(), cdb.String())
+		case !bytes.Equal(tkey, key):
+			t.Fatalf("%s: another token key", what)
+		case err != nil:
+			t.Fatalf("%s: shares a cached key but does not parse: %v", what, err)
+		case !bytes.Equal(rk, refKey):
+			t.Fatalf("%s: shares a token key but not the reference key", what)
+		case !slices.Equal(tl, tlx.Params()):
+			t.Fatalf("%s: the tree lifts %v where the lexer lifts %v", what, tl, tlx.Params())
+		case !slices.Equal(tk, kept):
+			t.Fatalf("%s: keeps %v where src keeps %v", what, tk, kept)
 		}
 	}
 }
 
-// perturbLiterals changes every literal of st to another value of its
-// kind, differently in each round (round 0 leaves them as written):
-// negative, zero and past 2⁵³ for ints, strings with quotes, flipped
-// bools. Nulls stay null.
-func perturbLiterals(st sqlmini.Statement, round int) {
-	if round == 0 {
-		return
+// outcome is what running a text leaves: its results or its error, and
+// the database.
+type outcome struct {
+	res []sqlmini.StmtResult
+	err string
+	db  string
+}
+
+func outcomeOf(res []sqlmini.StmtResult, err error, db *storage.DB) outcome {
+	if err != nil {
+		return outcome{err: err.Error(), db: db.String()}
 	}
-	var sh shaper
-	sh.shape(st)
-	for i, l := range sh.lits {
-		k := int64(i + round)
-		switch v := &l.Val; v.Kind {
-		case storage.KindInt:
-			v.I = []int64{-v.I, 0, v.I + 1<<53 + 1, v.I - k}[k%4]
-		case storage.KindFloat:
-			v.F = []float64{-v.F, 0.5, v.F * 2, float64(k)}[k%4]
-		case storage.KindString:
-			v.S = []string{v.S + "'", "", "x", "it's"}[k%4]
-		case storage.KindBool:
-			v.B = !v.B
+	return outcome{res: res, db: db.String()}
+}
+
+// interpretText runs a text's statements through the interpreter,
+// stopping at the first error, on a fresh database.
+func interpretText(t *testing.T, text string, sch *schema.Schema) outcome {
+	db := seedDB(t, sch)
+	sts, err := sqlmini.ParseStatements(text)
+	var out []sqlmini.StmtResult
+	for _, st := range sts {
+		if _, ok := st.(*sqlmini.Rollback); ok {
+			err = ErrUserRollback
+			break
 		}
+		if err = sqlmini.ResolveStatement(st, &sqlmini.ResolveContext{Schema: sch}); err != nil {
+			break
+		}
+		var res sqlmini.StmtResult
+		if res, err = (&sqlmini.Evaluator{DB: db, Mut: sqlmini.DirectMutator(db)}).Exec(st); err != nil {
+			break
+		}
+		out = append(out, res)
 	}
+	return outcomeOf(out, err, db)
+}
+
+// cacheText runs a text through uc on a fresh database.
+func cacheText(t *testing.T, uc *UserCache, text string, sch *schema.Schema) outcome {
+	db := seedDB(t, sch)
+	res, err := uc.Exec(text, db, sqlmini.DirectMutator(db))
+	return outcomeOf(res, err, db)
 }
 
 // parseForFuzz accepts either a full statement or a bare expression

@@ -590,7 +590,8 @@ func (c *compiler) compileInsert(s *sqlmini.Insert) (stmtFn, error) {
 
 	var queryFn selFn
 	var rowFns [][]exprFn
-	width := 0 // lifted VALUES rows: each row is the next width params
+	width := 0      // lifted VALUES rows: each row is the next width cells
+	var nulls []int // lifted VALUES rows: the cells that are nulls
 	switch {
 	case s.Query != nil:
 		sel, err := c.compileSelect(s.Query)
@@ -599,10 +600,18 @@ func (c *compiler) compileInsert(s *sqlmini.Insert) (stmtFn, error) {
 		}
 		queryFn = sel
 	case c.lits != nil && literalRows(s.Rows):
-		// A user statement's literal rows are all of Env.Params, in
-		// row order (shaper.shape): one closure whatever the row count,
-		// which compiles no literal.
+		// A user statement's literal rows are Env.Params in row order
+		// with a null in each cell whose literal is not lifted
+		// (liftLiterals lifts all others): one closure whatever the row
+		// count, which compiles no literal.
 		width = len(s.Rows[0])
+		for i, row := range s.Rows {
+			for j, e := range row {
+				if _, ok := c.param(e.(*sqlmini.Literal)); !ok {
+					nulls = append(nulls, i*width+j)
+				}
+			}
+		}
 	default:
 		for _, row := range s.Rows {
 			fns := make([]exprFn, len(row))
@@ -630,8 +639,22 @@ func (c *compiler) compileInsert(s *sqlmini.Insert) (stmtFn, error) {
 			}
 			srcRows = rows
 		case width > 0:
-			for at := 0; at < len(env.Params); at += width {
-				srcRows = append(srcRows, env.Params[at:at+width:at+width])
+			cells := env.Params
+			if nulls != nil {
+				cells = make([]storage.Value, len(env.Params)+len(nulls)) // all storage.Null
+				p, n := 0, 0
+				for i := range cells {
+					if n < len(nulls) && nulls[n] == i {
+						n++
+					} else {
+						cells[i] = env.Params[p]
+						p++
+					}
+				}
+			}
+			srcRows = make([][]storage.Value, 0, len(cells)/width)
+			for at := 0; at < len(cells); at += width {
+				srcRows = append(srcRows, cells[at:at+width:at+width])
 			}
 		default:
 			for _, fns := range rowFns {

@@ -1,236 +1,213 @@
 package compile
 
 import (
-	"encoding/binary"
-	"slices"
+	"errors"
 
 	"activerules/internal/schema"
 	"activerules/internal/sqlmini"
 	"activerules/internal/storage"
 )
 
-// maxShapes bounds a UserCache. A cache that reaches it starts over
-// empty, so its memory is bounded whatever the traffic.
-const maxShapes = 256
+// The bounds of a UserCache. A cache that would pass either of the
+// first two starts over empty, and a text whose key alone passes
+// maxKeyBytes is not cached. The lexer's scratch grows with the text it
+// lexes, at a few dozen bytes per text byte, and is dropped after any
+// text longer than maxScratchText. So a cache's memory is bounded
+// whatever the traffic.
+const (
+	maxScripts     = 256
+	maxKeyBytes    = 1 << 20
+	maxScratchText = 64 << 10
+)
 
-// UserCache runs user statements (the SQL of a request, outside any
-// rule) compiled, once per statement shape. A statement's shape is the
-// statement with each literal replaced by a placeholder tagged with its
-// value kind; everything else — names, operators, LIMIT counts, IN-list
-// lengths — is part of it. The literals themselves are lifted into
-// Env.Params, so statements that differ only in literal values share
-// one compiled closure. DESIGN.md §11.1 "User SQL compiles by shape"
-// argues why a shape determines both resolution and the closure.
+// ErrUserRollback is the error of a user script that holds a ROLLBACK,
+// which only a rule action may run.
+var ErrUserRollback = errors.New("engine: rollback is not permitted in user scripts; it is a rule action")
+
+// UserCache runs the SQL of requests (user statements, outside any rule)
+// compiled, once per token key. The key is the text's token stream with
+// every number, string and boolean literal replaced by a tag of its kind
+// (sqlmini.Lexer); the literals' values are lifted into Env.Params, so
+// texts that differ only in literal values, spacing, comments or letter
+// case share one compiled script. Everything else is in the key: names,
+// operators, keywords (null among them), LIMIT counts, IN-list and row
+// counts. DESIGN.md §11.1 "User SQL compiles by text key" argues why a
+// key determines the parse, the resolution and the closures.
 //
-// The cache pays off only on traffic that repeats shapes. A miss walks
-// the shape, resolves, compiles and runs; on a table of a few rows that
-// costs more than resolving and interpreting the statement, and only a
-// scan long enough repays the compile (BenchmarkUserStatement; DESIGN.md
-// §11.1 gives the figures).
+// A hit lexes the text and runs the cached closures: it neither parses
+// nor resolves. A miss parses the tokens the lexer already holds, then
+// resolves, compiles and runs each statement in turn, and caches the
+// script once every statement has compiled and the literals the
+// statements lift are exactly the lexer's, in order. They are not when a
+// number does not convert, or when the lexer lifts a number the parser
+// reads as no literal node; such a text is compiled afresh every time.
+//
+// The cache pays off only on traffic that repeats keys: on a table of a
+// few rows a miss costs more than resolving and interpreting the
+// statement would (BenchmarkUserStatement; DESIGN.md §11.1 gives the
+// figures).
 //
 // The cache belongs to one engine and, like it, is single-threaded. It
 // needs no invalidation: the schema it resolves against is fixed for
 // its lifetime.
 type UserCache struct {
-	sch    *schema.Schema
-	shapes map[string]*userShape
-	sh     shaper
-	env    Env
+	sch      *schema.Schema
+	scripts  map[string][]userStmt
+	keyBytes int // the length of every key held
+	lx       sqlmini.Lexer
+	lits     []*sqlmini.Literal
+	vals     []storage.Value // a miss's Params
+	env      Env
 }
 
-// userShape is one cached shape's closure.
-type userShape struct {
-	fn     stmtFn
-	nSlots int
+// userStmt is one compiled statement of a cached script.
+type userStmt struct {
+	fn      stmtFn
+	nSlots  int
+	nParams int // how many of the script's Params are this statement's
 }
 
 // NewUserCache returns an empty cache over the schema.
 func NewUserCache(sch *schema.Schema) *UserCache {
-	return &UserCache{sch: sch, shapes: make(map[string]*userShape)}
+	return &UserCache{sch: sch, scripts: make(map[string][]userStmt)}
 }
 
-// Exec executes one parsed, not yet resolved, user statement against db
-// through mut. A statement whose shape is cached skips resolution: a
-// shape resolves or fails as a whole, and only shapes that resolved
-// are cached. Errors are the interpreter's, message for message.
-func (uc *UserCache) Exec(st sqlmini.Statement, db *storage.DB, mut sqlmini.Mutator) (sqlmini.StmtResult, error) {
-	sh := &uc.sh
-	var u *userShape
-	cacheable := sh.shape(st)
-	if cacheable {
-		u = uc.shapes[string(sh.key)]
+// Exec runs the ';'-separated user statements of src against db through
+// mut, in order, and returns their results. A ROLLBACK statement fails
+// with ErrUserRollback when the script reaches it; other errors are the
+// interpreter's, message for message. The first error stops the script:
+// undoing what ran before it is the caller's.
+func (uc *UserCache) Exec(src string, db *storage.DB, mut sqlmini.Mutator) ([]sqlmini.StmtResult, error) {
+	if len(src) > maxScratchText {
+		defer uc.dropScratch()
 	}
-	if u == nil {
-		if err := sqlmini.ResolveStatement(st, &sqlmini.ResolveContext{Schema: uc.sch}); err != nil {
-			return sqlmini.StmtResult{}, err
+	lx := &uc.lx
+	if err := lx.Lex(src); err != nil {
+		return nil, err
+	}
+	key, keyed := lx.Key()
+	if script := uc.scripts[string(key)]; keyed && script != nil {
+		return uc.run(script, lx.Params(), db, mut)
+	}
+	sts, err := lx.Parse()
+	if err != nil {
+		return nil, err
+	}
+	// The literals point into the parsed statements, which the cache
+	// does not keep.
+	defer func() { clear(uc.lits[:cap(uc.lits)]) }()
+	params := lx.Params() // the lexer's literals not yet matched
+	script := make([]userStmt, 0, len(sts))
+	out := make([]sqlmini.StmtResult, 0, len(sts))
+	for _, st := range sts {
+		if _, ok := st.(*sqlmini.Rollback); ok {
+			return nil, ErrUserRollback
 		}
-		c := &compiler{sch: uc.sch, lits: sh.lits}
+		lits := liftLiterals(uc.lits[:0], st)
+		uc.lits = lits
+		if err := sqlmini.ResolveStatement(st, &sqlmini.ResolveContext{Schema: uc.sch}); err != nil {
+			return nil, err
+		}
+		c := &compiler{sch: uc.sch, lits: lits}
 		fn, err := c.compileStatement(st)
 		if err != nil {
 			// Resolution leaves nothing the compiler declines, which
 			// the differential tests and FuzzCompileEval hold; a
 			// statement it ever did would fail with the compiler's
 			// error rather than run some other way.
-			return sqlmini.StmtResult{}, err
+			return nil, err
 		}
-		u = &userShape{fn: fn, nSlots: c.nSlots}
-		if cacheable {
-			if len(uc.shapes) >= maxShapes {
-				clear(uc.shapes)
-			}
-			uc.shapes[string(sh.key)] = u
+		script = append(script, userStmt{fn: fn, nSlots: c.nSlots, nParams: len(lits)})
+		keyed = keyed && sameValues(lits, params)
+		if keyed {
+			params = params[len(lits):]
 		}
+		if keyed && len(script) == len(sts) && len(params) == 0 {
+			uc.store(key, script)
+		}
+		uc.vals = uc.vals[:0]
+		for _, l := range lits {
+			uc.vals = append(uc.vals, l.Val)
+		}
+		res, err := uc.exec(script[len(script)-1], uc.vals, db, mut)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
 	}
+	return out, nil
+}
+
+// dropScratch lets go of the lexer's scratch and of the literal lists
+// that grew with a text.
+func (uc *UserCache) dropScratch() {
+	uc.lx, uc.lits, uc.vals, uc.env.Params = sqlmini.Lexer{}, nil, nil, nil
+}
+
+// run runs a cached script over the lexer's literals.
+func (uc *UserCache) run(script []userStmt, params []storage.Value, db *storage.DB, mut sqlmini.Mutator) ([]sqlmini.StmtResult, error) {
+	out := make([]sqlmini.StmtResult, 0, len(script))
+	for _, u := range script {
+		res, err := uc.exec(u, params[:u.nParams:u.nParams], db, mut)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
+		params = params[u.nParams:]
+	}
+	return out, nil
+}
+
+func (uc *UserCache) exec(u userStmt, params []storage.Value, db *storage.DB, mut sqlmini.Mutator) (sqlmini.StmtResult, error) {
 	env := &uc.env
-	env.DB, env.Trans, env.Mut = db, nil, mut
-	env.Params = slices.Grow(env.Params[:0], len(sh.lits))
-	for _, l := range sh.lits {
-		env.Params = append(env.Params, l.Val)
-	}
+	env.DB, env.Trans, env.Mut, env.Params = db, nil, mut, params
 	env.begin(u.nSlots)
 	return u.fn(env)
 }
 
-// Len returns the number of cached shapes.
-func (uc *UserCache) Len() int { return len(uc.shapes) }
-
-// shaper writes a statement's shape key and collects its literals in
-// the order the key names them. The key is a preorder of sqlmini.Inspect
-// with one record per node: a tag for its type, then its own names,
-// operators, flags and counts, including how many children of each
-// kind follow. So the key is a prefix code, and two statements share
-// one exactly when they differ in nothing but the values of literals
-// of the same kind.
-type shaper struct {
-	key  []byte
-	lits []*sqlmini.Literal
-	ok   bool
+// store caches a compiled script under its key, starting over when the
+// cache would pass a bound.
+func (uc *UserCache) store(key []byte, script []userStmt) {
+	if len(key) > maxKeyBytes {
+		return
+	}
+	if len(uc.scripts) >= maxScripts || uc.keyBytes+len(key) > maxKeyBytes {
+		clear(uc.scripts)
+		uc.keyBytes = 0
+	}
+	uc.scripts[string(key)] = script
+	uc.keyBytes += len(key)
 }
 
-// shape writes st's key and literals, reporting false when st holds a
-// node the shaper does not know, which must not be cached.
-func (s *shaper) shape(st sqlmini.Statement) bool {
-	s.key, s.lits, s.ok = s.key[:0], s.lits[:0], true
-	sqlmini.Inspect(st, s.node)
-	return s.ok
+// Len returns the number of cached scripts.
+func (uc *UserCache) Len() int { return len(uc.scripts) }
+
+// liftLiterals appends st's literals but its nulls to lits in
+// sqlmini.Inspect order, which is text order: the literals a text key
+// lifts. A null is a word of the key, so the key fixes it, and it
+// compiles as a constant.
+func liftLiterals(lits []*sqlmini.Literal, st sqlmini.Statement) []*sqlmini.Literal {
+	sqlmini.Inspect(st, func(n sqlmini.Node) bool {
+		if l, ok := n.(*sqlmini.Literal); ok && l.Val.Kind != storage.KindNull {
+			lits = append(lits, l)
+		}
+		return true
+	})
+	return lits
 }
 
-// node writes one node's record.
-func (s *shaper) node(n sqlmini.Node) bool {
-	switch x := n.(type) {
-	case *sqlmini.Select:
-		s.tag('S')
-		s.flag(x.Distinct)
-		s.num(len(x.Items))
-		for _, it := range x.Items {
-			s.flag(it.Expr != nil)
-		}
-		s.num(len(x.From))
-		for _, tr := range x.From {
-			s.name(tr.Name)
-			s.name(tr.Alias)
-		}
-		s.flag(x.Where != nil)
-		s.num(len(x.GroupBy))
-		s.flag(x.Having != nil)
-		s.num(len(x.OrderBy))
-		for _, o := range x.OrderBy {
-			s.flag(o.Desc)
-		}
-		s.num(x.Limit)
-	case *sqlmini.Insert:
-		s.tag('I')
-		s.name(x.Table)
-		s.num(len(x.Columns))
-		for _, col := range x.Columns {
-			s.name(col)
-		}
-		if literalRows(x.Rows) {
-			// VALUES rows of bare literals: one shape whatever the row
-			// count and the literals' kinds, which only the insert's
-			// own coercion reads (compileInsert's lifted form).
-			s.tag('V')
-			s.num(len(x.Rows[0]))
-			for _, row := range x.Rows {
-				for _, e := range row {
-					s.lits = append(s.lits, e.(*sqlmini.Literal))
-				}
-			}
+// sameValues reports whether the literals' values begin vals, kind and
+// value alike.
+func sameValues(lits []*sqlmini.Literal, vals []storage.Value) bool {
+	if len(lits) > len(vals) {
+		return false
+	}
+	for i, l := range lits {
+		if l.Val != vals[i] {
 			return false
 		}
-		s.flag(x.Query != nil)
-		s.num(len(x.Rows))
-		for _, row := range x.Rows {
-			s.num(len(row))
-		}
-	case *sqlmini.Delete:
-		s.tag('D')
-		s.name(x.Table)
-		s.flag(x.Where != nil)
-	case *sqlmini.Update:
-		s.tag('U')
-		s.name(x.Table)
-		s.num(len(x.Sets))
-		for _, sc := range x.Sets {
-			s.name(sc.Column)
-		}
-		s.flag(x.Where != nil)
-	case *sqlmini.Rollback:
-		s.tag('R')
-	case *sqlmini.Literal:
-		s.tag('l')
-		s.tag(byte(x.Val.Kind))
-		s.lits = append(s.lits, x)
-	case *sqlmini.ColRef:
-		s.tag('c')
-		s.name(x.Qualifier)
-		s.name(x.Column)
-	case *sqlmini.Unary:
-		s.tag('u')
-		s.num(int(x.Op))
-	case *sqlmini.Binary:
-		s.tag('b')
-		s.num(int(x.Op))
-	case *sqlmini.IsNull:
-		s.tag('n')
-		s.flag(x.Negate)
-	case *sqlmini.InList:
-		s.tag('i')
-		s.flag(x.Negate)
-		s.num(len(x.Vals))
-	case *sqlmini.InSelect:
-		s.tag('s')
-		s.flag(x.Negate)
-	case *sqlmini.Exists:
-		s.tag('e')
-		s.flag(x.Negate)
-	case *sqlmini.ScalarSubquery:
-		s.tag('q')
-	case *sqlmini.Aggregate:
-		s.tag('a')
-		s.name(x.Func)
-		s.flag(x.Arg != nil)
-	default:
-		s.ok = false
 	}
 	return true
-}
-
-func (s *shaper) tag(b byte) { s.key = append(s.key, b) }
-
-func (s *shaper) flag(b bool) {
-	if b {
-		s.tag(1)
-	} else {
-		s.tag(0)
-	}
-}
-
-func (s *shaper) num(n int) { s.key = binary.AppendVarint(s.key, int64(n)) }
-
-func (s *shaper) name(x string) {
-	s.num(len(x))
-	s.key = append(s.key, x...)
 }
 
 // literalRows reports whether VALUES rows are all bare literals, every

@@ -15,181 +15,6 @@ import (
 // raceEnabled is set by race_test.go, which only a -race build compiles.
 var raceEnabled bool
 
-// shapeOf parses src and returns its shape key and literals.
-func shapeOf(t *testing.T, src string) (string, []storage.Value) {
-	t.Helper()
-	st, err := sqlmini.ParseStatement(src)
-	if err != nil {
-		t.Fatalf("%q: %v", src, err)
-	}
-	var sh shaper
-	if !sh.shape(st) {
-		t.Fatalf("%q: not cacheable", src)
-	}
-	vals := make([]storage.Value, len(sh.lits))
-	for i, l := range sh.lits {
-		vals[i] = l.Val
-	}
-	return string(sh.key), vals
-}
-
-// TestShapeSharedAcrossLiterals: statements that differ only in the
-// values of literals of one kind share a shape; any other difference,
-// a literal's kind included, does not. VALUES rows of bare literals
-// share one shape whatever their count and kinds.
-func TestShapeSharedAcrossLiterals(t *testing.T) {
-	same := [][2]string{
-		{"update account set balance = balance + 5.0 where id = 17", "update account set balance = balance + 10.0 where id = 42"},
-		{"select a from t where s = 'it''s' and b > -3", "select a from t where s = '' and b > -9007199254740993"},
-		{"select a from t where a in (1, 2) order by a limit 3", "select a from t where a in (7, 8) order by a limit 3"},
-		{"insert into t values (1, 2, 'x', 1.5, true)", "insert into t values (3, 4, 'y', 2.5, false), (5, null, null, 7, null)"},
-		{"insert into u (v, a) values (1, 2)", "insert into u (v, a) values ('x', 2.5), (null, 3), (4, 4)"},
-		{"delete from u where v >= 0 and v < 1000000000", "delete from u where v >= 5 and v < 9"},
-	}
-	for _, p := range same {
-		k0, _ := shapeOf(t, p[0])
-		k1, _ := shapeOf(t, p[1])
-		if k0 != k1 {
-			t.Errorf("%q and %q: different shapes", p[0], p[1])
-		}
-	}
-	differ := [][2]string{
-		{"select a from t order by a limit 1", "select a from t order by a limit 2"},
-		{"select a from t where a in (1, 2)", "select a from t where a in (1, 2, 3)"},
-		{"select a from t where a = 1", "select a from t where a = 1.0"},
-		{"select a from t where a = 1", "select a from t where a = null"},
-		{"select a from t where a = 1", "select a from t where a = '1'"},
-		{"select a from t where a = 1", "select a from t where a = -1"},
-		{"select a from t where a = 1", "select a from t where a <> 1"},
-		{"select a from t where a = 1", "select b from t where a = 1"},
-		{"select a from t where a = 1", "select a from u where a = 1"},
-		{"select a from t x where a = 1", "select a from t where a = 1"},
-		{"select a from t where a = 1", "select distinct a from t where a = 1"},
-		{"select a from t order by a", "select a from t order by a desc"},
-		{"select a from t where a is null", "select a from t where a is not null"},
-		{"select a from t where a in (1)", "select a from t where a not in (1)"},
-		{"insert into t values (-1, 2, 'x', 1.5, true)", "insert into t values (1, 2, 'x', 1.5, true)"},
-		{"insert into u values (1, 2)", "insert into u values (1, 2 + 0)"},
-		{"insert into u values (1, 2)", "insert into u (a, v) values (1, 2)"},
-		{"update u set v = 1", "update u set a = 1"},
-		{"delete from u", "delete from u where v = 1"},
-		{"select count(*) from t", "select count(a) from t"},
-		{"select sum(a) from t", "select max(a) from t"},
-	}
-	for _, p := range differ {
-		k0, _ := shapeOf(t, p[0])
-		k1, _ := shapeOf(t, p[1])
-		if k0 == k1 {
-			t.Errorf("%q and %q: one shape", p[0], p[1])
-		}
-	}
-	// A LIMIT count is part of the shape, not a literal.
-	if _, lits := shapeOf(t, "select a from t where a = 5 limit 7"); len(lits) != 1 || lits[0] != storage.IntV(5) {
-		t.Errorf("literals of a LIMIT query = %v, want [5]", lits)
-	}
-}
-
-// TestShapeKeyCoversEveryField changes each field of a parsed statement
-// that is not a literal's value — every name, operator, flag and count,
-// reached by reflection so that a field added to the AST is covered too
-// — and requires the shape key to change with it, except the row count
-// of VALUES rows of bare literals.
-func TestShapeKeyCoversEveryField(t *testing.T) {
-	for _, src := range []string{
-		"select distinct a, count(*) from t x where x.a in (1, 2) and not exists (select 1 from u where u.a = x.a) group by a having sum(b) > 2 order by a desc limit 4",
-		"select (select max(v) from u where u.a = t.a), -b from t where a in (select a from u) and s is not null",
-		"insert into u (a, v) select a, b from t where b % 2 = 0",
-		"insert into u (a, v) values (1, 2 + 3), (4, -5)",
-		"insert into u values (1, 2), (3, 4)",
-		"update t set b = b * 2, s = 'z' where f < 1.5 or bl",
-		"delete from u where v / a > 10",
-	} {
-		st, err := sqlmini.ParseStatement(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sh shaper
-		sh.shape(st)
-		want := string(sh.key)
-		n := 0
-		perturbFields(reflect.ValueOf(st), func(path string) {
-			n++
-			if !sh.shape(st) {
-				t.Fatalf("%q: %s changed: not cacheable", src, path)
-			}
-			if ins, ok := st.(*sqlmini.Insert); ok && path == "the length of a [][]sqlmini.Expr" && literalRows(ins.Rows) {
-				// VALUES rows of bare literals: the one field a shape
-				// leaves out by design.
-				if string(sh.key) != want {
-					t.Errorf("%q: the row count of literal rows changes the shape key", src)
-				}
-				return
-			}
-			if string(sh.key) == want {
-				t.Errorf("%q: changing %s leaves the shape key as it was", src, path)
-			}
-		})
-		if n == 0 {
-			t.Fatalf("%q: no field perturbed", src)
-		}
-	}
-}
-
-// perturbFields changes, one at a time, every scalar field and every
-// slice length reachable from v, calls check, and restores it. A
-// literal's value and the fields resolution fills in are skipped: the
-// first is what a shape abstracts, the second is still zero in a parsed
-// statement.
-func perturbFields(v reflect.Value, check func(path string)) {
-	switch v.Kind() {
-	case reflect.Interface, reflect.Pointer:
-		if !v.IsNil() {
-			perturbFields(v.Elem(), check)
-		}
-	case reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			perturbFields(v.Index(i), check)
-		}
-		if v.Len() > 0 && v.CanSet() {
-			old := v.Slice(0, v.Len())
-			v.Set(v.Slice(0, v.Len()-1))
-			check(fmt.Sprintf("the length of a %s", v.Type()))
-			v.Set(old)
-		}
-	case reflect.Struct:
-		if v.Type() == reflect.TypeOf(sqlmini.Literal{}) {
-			return
-		}
-		for i := 0; i < v.NumField(); i++ {
-			name := v.Type().Field(i).Name
-			switch name {
-			case "RTable", "RSource", "RIndex", "Trans":
-				continue
-			}
-			f := v.Field(i)
-			path := v.Type().Name() + "." + name
-			switch f.Kind() {
-			case reflect.String:
-				old := f.String()
-				f.SetString(old + "z")
-				check(path)
-				f.SetString(old)
-			case reflect.Int:
-				old := f.Int()
-				f.SetInt(old + 1)
-				check(path)
-				f.SetInt(old)
-			case reflect.Bool:
-				f.SetBool(!f.Bool())
-				check(path)
-				f.SetBool(!f.Bool())
-			default:
-				perturbFields(f, check)
-			}
-		}
-	}
-}
-
 // TestTypedCompareMatchesApplyBinary holds each comparison kernel to
 // PredTruth of ApplyBinary, value for value: over every pair of values
 // of its kind (null, extremes, 2⁵³±1, NaN and signed zeros among them),
@@ -282,7 +107,7 @@ func TestTypedCompareChoice(t *testing.T) {
 
 // TestUserCacheTypedWhereAllocsFlatInRows: a cached statement whose
 // WHERE is a typed kernel allocates the same over 100 rows as over
-// 10 000 — nothing per scanned row.
+// 10 000 — nothing per scanned row, and nothing but its result slice.
 func TestUserCacheTypedWhereAllocsFlatInRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -297,53 +122,120 @@ func TestUserCacheTypedWhereAllocsFlatInRows(t *testing.T) {
 		uc := NewUserCache(sch)
 		mut := sqlmini.DirectMutator(db)
 		srcs := []string{"delete from u where v >= 100 and v < 200", "delete from u where v >= 8 and v < 9"}
-		sts := make([]sqlmini.Statement, 0, 64)
-		for k := 0; k < cap(sts); k++ {
-			st, err := sqlmini.ParseStatement(srcs[k%2])
-			if err != nil {
-				t.Fatal(err)
-			}
-			sts = append(sts, st)
-		}
 		k := 0
 		counts[i] = testing.AllocsPerRun(50, func() {
-			res, err := uc.Exec(sts[k%len(sts)], db, mut)
-			if err != nil || res.Affected != 0 {
+			res, err := uc.Exec(srcs[k%len(srcs)], db, mut)
+			if err != nil || len(res) != 1 || res[0].Affected != 0 {
 				t.Fatalf("%+v, %v", res, err)
 			}
 			k++
 		})
 		if uc.Len() != 1 {
-			t.Errorf("%d rows: %d shapes, want 1", n, uc.Len())
+			t.Errorf("%d rows: %d scripts, want 1", n, uc.Len())
 		}
 	}
-	if counts[0] != counts[1] || counts[0] != 0 {
-		t.Errorf("a cached delete matching nothing allocates %.0f over 100 rows and %.0f over 10 000, want 0 and 0", counts[0], counts[1])
+	if counts[0] != counts[1] || counts[0] != 1 {
+		t.Errorf("a cached delete matching nothing allocates %.0f over 100 rows and %.0f over 10 000, want 1 and 1 (its result slice)", counts[0], counts[1])
 	}
 }
 
-// TestUserCacheBound: a cache that reaches maxShapes starts over, so it
-// never holds more.
+// TestUserCacheBound: a cache that reaches maxScripts, or would hold
+// more than maxKeyBytes of keys, starts over, so it never holds more;
+// a text whose key alone is longer is not cached.
 func TestUserCacheBound(t *testing.T) {
 	sch := testSchema(t)
 	db := seedDB(t, sch)
 	uc := NewUserCache(sch)
-	for i := 0; i < 2*maxShapes+3; i++ {
-		// Each IN-list length is a shape of its own.
-		src := "select a from t where a in (0" + strings.Repeat(", 0", i) + ")"
-		st, err := sqlmini.ParseStatement(src)
-		if err != nil {
+	inList := func(n int) string { return "select a from t where a in (0" + strings.Repeat(", 0", n) + ")" }
+	for i := 0; i < 2*maxScripts+3; i++ {
+		// Each IN-list length is a key of its own.
+		if _, err := uc.Exec(inList(i), db, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := uc.Exec(st, db, nil); err != nil {
-			t.Fatal(err)
-		}
-		if uc.Len() > maxShapes {
-			t.Fatalf("after %d shapes the cache holds %d, bound %d", i+1, uc.Len(), maxShapes)
+		if uc.Len() > maxScripts {
+			t.Fatalf("after %d scripts the cache holds %d, bound %d", i+1, uc.Len(), maxScripts)
 		}
 	}
 	if uc.Len() != 3 {
-		t.Errorf("after %d shapes the cache holds %d, want 3", 2*maxShapes+3, uc.Len())
+		t.Errorf("after %d scripts the cache holds %d, want 3", 2*maxScripts+3, uc.Len())
+	}
+	klen := func(n int) int { k, _ := textKey(t, inList(n)); return len(k) }
+	items := func(bytes int) int { return (bytes - klen(0)) / (klen(1) - klen(0)) }
+	long, half := items(maxKeyBytes)+1, items(maxKeyBytes/2-4096)
+	for _, c := range []struct{ n, want int }{{long, 3}, {half, 4}, {half, 4}, {half + 1, 5}, {half + 2, 1}} {
+		if _, err := uc.Exec(inList(c.n), db, nil); err != nil {
+			t.Fatal(err)
+		}
+		if uc.Len() != c.want || uc.keyBytes > maxKeyBytes {
+			t.Errorf("after an IN list of %d: %d scripts with %d key bytes, want %d scripts and at most %d bytes", c.n, uc.Len(), uc.keyBytes, c.want, maxKeyBytes)
+		}
+	}
+}
+
+// TestUserCacheScratchBound: a text longer than maxScratchText leaves
+// none of the scratch it grew behind, hit or miss, and a miss leaves no
+// pointer into the statements it parsed.
+func TestUserCacheScratchBound(t *testing.T) {
+	sch := testSchema(t)
+	db := seedDB(t, sch)
+	uc := NewUserCache(sch)
+	var sb strings.Builder
+	sb.WriteString("insert into u values (0, 0)")
+	for sb.Len() <= maxScratchText {
+		sb.WriteString(", (1, 2)")
+	}
+	long := sb.String()
+	for round, src := range []string{"update u set v = 3 where a = 1", long, long} {
+		if _, err := uc.Exec(src, db, sqlmini.DirectMutator(db)); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range uc.lits[:cap(uc.lits)] {
+			if l != nil {
+				t.Fatalf("round %d: the literal list still points at %v", round, l)
+			}
+		}
+		if round > 0 && (!reflect.ValueOf(uc.lx).IsZero() || uc.lits != nil || uc.vals != nil || uc.env.Params != nil) {
+			t.Errorf("round %d: a %d-byte text's scratch is kept (lits %d, vals %d, params %d)",
+				round, len(long), cap(uc.lits), cap(uc.vals), cap(uc.env.Params))
+		}
+	}
+	if uc.Len() != 2 {
+		t.Errorf("%d scripts cached, want 2", uc.Len())
+	}
+}
+
+// TestUserCacheLimit: a LIMIT count is no literal node, so it stays in
+// the key: a text with one is cached, and LIMIT 1 never runs a closure
+// compiled for LIMIT 2. A null is in the key, so a text with one is
+// cached and runs as written, VALUES rows included.
+func TestUserCacheLimit(t *testing.T) {
+	sch := testSchema(t)
+	db := seedDB(t, sch)
+	uc := NewUserCache(sch)
+	seeded := db.Table("u").Len()
+	for _, c := range []struct {
+		src     string
+		rows    int
+		scripts int
+	}{
+		{"select a from t order by a limit 2", 2, 1},
+		{"select a from t order by a limit 1", 1, 2},
+		{"SELECT a FROM t ORDER BY a LIMIT 2", 2, 2},
+		{"select a from t where bl = true", 2, 3},
+		{"select a from t where bl = false", 1, 3},
+		{"select a from t where b = null or a = 4", 1, 4},
+		{"select a from t where b = null or a = 1", 1, 4},
+		{"insert into u values (null, 5), (6, null)", 0, 5},
+		{"insert into u values (null, 7), (8, null)", 0, 5},
+		{"select a, v from u where a is null or v is null order by v", 4, 6},
+	} {
+		res, err := uc.Exec(c.src, db, sqlmini.DirectMutator(db))
+		if err != nil || len(res) != 1 || len(res[0].Rows) != c.rows || uc.Len() != c.scripts {
+			t.Errorf("%q: %+v, %v with %d scripts cached; want %d rows and %d scripts", c.src, res, err, uc.Len(), c.rows, c.scripts)
+		}
+	}
+	if got := db.Table("u").Len(); got != seeded+4 {
+		t.Errorf("u holds %d rows, want %d", got, seeded+4)
 	}
 }
 
@@ -405,13 +297,22 @@ func TestUserCacheProbesAgreeWithInterpreter(t *testing.T) {
 		"delete from u where a = 1",      // both go
 		"delete from u where a = 2",
 	}
-	run := func(db *storage.DB, st sqlmini.Statement, compiled *UserCache) string {
+	run := func(db *storage.DB, src string, compiled *UserCache) string {
 		var res sqlmini.StmtResult
 		var err error
 		if compiled != nil {
-			res, err = compiled.Exec(st, db, sqlmini.DirectMutator(db))
-		} else if err = sqlmini.ResolveStatement(st, &sqlmini.ResolveContext{Schema: sch}); err == nil {
-			res, err = (&sqlmini.Evaluator{DB: db, Mut: sqlmini.DirectMutator(db)}).Exec(st)
+			var out []sqlmini.StmtResult
+			if out, err = compiled.Exec(src, db, sqlmini.DirectMutator(db)); err == nil {
+				res = out[0]
+			}
+		} else {
+			st, perr := sqlmini.ParseStatement(src)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			if err = sqlmini.ResolveStatement(st, &sqlmini.ResolveContext{Schema: sch}); err == nil {
+				res, err = (&sqlmini.Evaluator{DB: db, Mut: sqlmini.DirectMutator(db)}).Exec(st)
+			}
 		}
 		if err != nil {
 			return fmt.Sprintf("error: %v\n%s", err, renderDB(db))
@@ -426,12 +327,7 @@ func TestUserCacheProbesAgreeWithInterpreter(t *testing.T) {
 	var failed []string
 	step := func(src string) {
 		t.Helper()
-		ist, err := sqlmini.ParseStatement(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cst, _ := sqlmini.ParseStatement(src)
-		want, got := run(idb, ist, nil), run(cdb, cst, uc)
+		want, got := run(idb, src, nil), run(cdb, src, uc)
 		if got != want {
 			t.Errorf("%q:\n interp:   %s\n compiled: %s", src, want, got)
 		}
@@ -481,11 +377,11 @@ func TestPointStatementsVisitOneRow(t *testing.T) {
 	uc := NewUserCache(sch)
 	mut := sqlmini.DirectMutator(db)
 	exec := func(src string) (sqlmini.StmtResult, error) {
-		st, err := sqlmini.ParseStatement(src)
+		res, err := uc.Exec(src, db, mut)
 		if err != nil {
-			t.Fatal(err)
+			return sqlmini.StmtResult{}, err
 		}
-		return uc.Exec(st, db, mut)
+		return res[0], nil
 	}
 	for _, src := range []string{"update t set b = 1 where a = 0", "delete from t where a = 10000"} { // the second builds a's index
 		if _, err := exec(src); err != nil {
@@ -522,15 +418,17 @@ func TestPointStatementsVisitOneRow(t *testing.T) {
 	}
 }
 
-// BenchmarkUserStatement prices one user statement, parsed afresh each
-// time as a request's SQL is, three ways: "interpreted" resolves it and
-// runs sqlmini.Evaluator (an Interpret engine's path, and every
-// engine's before UserCache); "miss" runs it through a UserCache that
-// does not hold its shape (shape walk, resolution, compilation, run);
-// "hit" through one that does. Traffic that never repeats a shape pays
+// BenchmarkUserStatement prices one user statement, arriving as text as
+// a request's SQL does, four ways: "interpreted" parses it, resolves it
+// and runs sqlmini.Evaluator (an Interpret engine's path); "miss" runs
+// it through a UserCache that does not hold its key (lexing, parsing,
+// resolution, compilation, run); "text-hit" through one that does
+// (lexing and run); and "hit" parses the text first and then hits, which
+// prices a hit that still parses, as every hit did while the cache was
+// keyed by the parsed statement. Traffic that never repeats a key pays
 // "miss" on every statement. The update and the delete are point
-// statements: their "hit" lines probe an equality index, so they stay
-// flat from 10 rows to 10 000.
+// statements: their hits probe an equality index, so they stay flat
+// from 10 rows to 10 000.
 func BenchmarkUserStatement(b *testing.B) {
 	sch := testSchema(b)
 	for _, n := range []int{10, 200, 10000} {
@@ -550,26 +448,30 @@ func BenchmarkUserStatement(b *testing.B) {
 			{"select", "select a, s from t where f > 1.5 and bl = true"},
 			{"exists", "select a from t where exists (select 1 from u where u.a = t.a and u.v > 2)"},
 		} {
-			for _, mode := range []string{"interpreted", "miss", "hit"} {
+			for _, mode := range []string{"interpreted", "miss", "hit", "text-hit"} {
 				b.Run(fmt.Sprintf("%s/rows=%d/%s", stmt.name, n, mode), func(b *testing.B) {
 					uc := NewUserCache(sch)
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						st, err := sqlmini.ParseStatement(stmt.src)
-						if err != nil {
-							b.Fatal(err)
-						}
 						sp := db.Savepoint()
+						var err error
 						switch mode {
 						case "interpreted":
-							if err = sqlmini.ResolveStatement(st, &sqlmini.ResolveContext{Schema: sch}); err == nil {
-								_, err = (&sqlmini.Evaluator{DB: db, Mut: mut}).Exec(st)
+							var st sqlmini.Statement
+							if st, err = sqlmini.ParseStatement(stmt.src); err == nil {
+								if err = sqlmini.ResolveStatement(st, &sqlmini.ResolveContext{Schema: sch}); err == nil {
+									_, err = (&sqlmini.Evaluator{DB: db, Mut: mut}).Exec(st)
+								}
 							}
 						case "miss":
-							clear(uc.shapes)
-							_, err = uc.Exec(st, db, mut)
+							clear(uc.scripts)
+							_, err = uc.Exec(stmt.src, db, mut)
+						case "hit":
+							if _, err = sqlmini.ParseStatements(stmt.src); err == nil {
+								_, err = uc.Exec(stmt.src, db, mut)
+							}
 						default:
-							_, err = uc.Exec(st, db, mut)
+							_, err = uc.Exec(stmt.src, db, mut)
 						}
 						db.RollbackTo(sp)
 						if err != nil {

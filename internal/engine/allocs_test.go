@@ -109,15 +109,20 @@ func TestRecordingMutatorAllocs(t *testing.T) {
 }
 
 // execUserUpdateAllocs pins one bank update through a compiled engine
-// whose shape cache holds the statement's shape: 15 to parse it, the
-// result slice, and the update's list of changes with the one row of new
-// values it holds. Nothing is resolved or compiled, and the equality
-// probe finds the one row without a scan. Interpreted, the same update
-// allocates 22.
-const execUserUpdateAllocs = 18
+// whose cache holds the text's token key: the result slice, and the
+// update's list of changes with the one row of new values it holds.
+// Nothing is parsed, resolved or compiled, and the equality probe finds
+// the one row without a scan. Interpreted, the same update allocates 22.
+const execUserUpdateAllocs = 3
+
+// execUserInsertAllocs bounds what a cache hit on a literal INSERT of
+// many rows allocates beyond what storage's inserts of the same rows
+// allocate: one copy per string literal, plus this many objects (the
+// result slice and the list of source rows).
+const execUserInsertAllocs = 2
 
 // userAccounts is an engine over an account table of n rows with the
-// bank's hold rule, the shape serve_hot's updates run against.
+// bank's hold rule, the table serve_hot's updates run against.
 func userAccounts(t testing.TB, n int, interpret bool) *Engine {
 	t.Helper()
 	set, db := mkSet(t, "table account (id int, owner string, balance float)\ntable holds (id int)",
@@ -130,7 +135,7 @@ func userAccounts(t testing.TB, n int, interpret bool) *Engine {
 	return New(set, db, Options{Interpret: interpret})
 }
 
-// userUpdates returns k updates of one shape with differing literals.
+// userUpdates returns k updates of one token key with differing literals.
 func userUpdates(k, n int) []string {
 	out := make([]string, k)
 	for i := range out {
@@ -139,10 +144,9 @@ func userUpdates(k, n int) []string {
 	return out
 }
 
-// TestExecUserCachedUpdateAllocs is the tripwire for ExecUser's shape
-// cache: after the first statement of a shape, another with new
-// literals allocates a pinned count, the same over 100 rows as over
-// 10 000.
+// TestExecUserCachedUpdateAllocs is the tripwire for ExecUser's cache:
+// after the first text of a token key, another with new literals
+// allocates a pinned count, the same over 100 rows as over 10 000.
 func TestExecUserCachedUpdateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -165,7 +169,7 @@ func TestExecUserCachedUpdateAllocs(t *testing.T) {
 			i++
 		})
 		if e.user.Len() != 1 {
-			t.Errorf("%d rows: %d cached shapes, want 1", n, e.user.Len())
+			t.Errorf("%d rows: %d cached scripts, want 1", n, e.user.Len())
 		}
 	}
 	for n, got := range counts {
@@ -175,8 +179,66 @@ func TestExecUserCachedUpdateAllocs(t *testing.T) {
 	}
 }
 
+// TestExecUserCachedInsertAllocs is the tripwire for a hit's lexing: a
+// 1 000-row literal INSERT whose key the cache holds allocates one
+// object per string literal, each copied out of the text at its size,
+// and execUserInsertAllocs more than inserting its rows into storage
+// directly does. No token, key byte or number costs an allocation.
+func TestExecUserCachedInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const rows = 1000
+	set, db := mkSet(t, "table archive (id int, note string)", "create rule r on archive when deleted then delete from archive")
+	e := New(set, db, Options{})
+	texts := make([]string, 8)
+	for k := range texts {
+		var sb strings.Builder
+		sb.WriteString("insert into archive values ")
+		for i := 0; i < rows; i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, 'archived-row-%08d')", k*rows+i, k*rows+i)
+		}
+		texts[k] = sb.String()
+	}
+	if _, err := e.ExecUser(texts[0]); err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	hit := testing.AllocsPerRun(20, func() {
+		sp := db.Savepoint()
+		res, err := e.ExecUser(texts[k%len(texts)])
+		if err != nil || len(res) != 1 || res[0].Affected != rows {
+			t.Fatalf("%+v, %v", res, err)
+		}
+		db.RollbackTo(sp)
+		k++
+	})
+	if e.user.Len() != 1 {
+		t.Fatalf("%d cached scripts, want 1", e.user.Len())
+	}
+	vals := make([][]storage.Value, rows)
+	for i := range vals {
+		vals[i] = []storage.Value{storage.IntV(int64(i)), storage.StringV("archived")}
+	}
+	direct := testing.AllocsPerRun(20, func() {
+		sp := db.Savepoint()
+		for _, v := range vals {
+			db.MustInsert("archive", v...)
+		}
+		db.RollbackTo(sp)
+	})
+	if extra := hit - direct; extra > rows+execUserInsertAllocs {
+		t.Errorf("a cached %d-row insert allocates %.0f, %.0f more than storage's inserts; want at most %d (a copy per string literal and %d)",
+			rows, hit, extra, rows+execUserInsertAllocs, execUserInsertAllocs)
+	}
+	t.Logf("a cached %d-row insert: %.0f allocations, storage's inserts %.0f", rows, hit, direct)
+}
+
 // BenchmarkExecUserUpdate is one bank update over a 200-row table,
-// compiled through the shape cache and interpreted.
+// compiled through the text-keyed cache and interpreted.
 func BenchmarkExecUserUpdate(b *testing.B) {
 	for _, mode := range []struct {
 		name      string

@@ -99,8 +99,8 @@ type Options struct {
 	// Interpret selects the reference interpreter, the oracle the
 	// differential tests compare the compiled program against. By
 	// default rule conditions and actions run as closures compiled once
-	// per rule set (internal/compile), ExecUser's statements as closures
-	// compiled once per statement shape, and triggered-rule discovery is
+	// per rule set (internal/compile), ExecUser's texts as closures
+	// compiled once per token key, and triggered-rule discovery is
 	// delta-driven: mutations mark candidate rules through a
 	// per-(table, op-kind) index. With Interpret, sqlmini.Evaluator runs
 	// all of it. The two are observably identical.
@@ -181,7 +181,7 @@ type Engine struct {
 	prog *compile.Program
 	cand *compile.Candidates
 
-	// user runs ExecUser's statements compiled once per shape; made on
+	// user runs ExecUser's texts compiled once per token key; made on
 	// the first ExecUser of a compiled engine, and never shared with a
 	// fork.
 	user *compile.UserCache
@@ -353,59 +353,67 @@ func (m recordingMutator) Update(table string, id storage.TupleID, col string, v
 // may contain multiple ';'-separated statements. SELECT statements return
 // their rows in the results; ROLLBACK is not permitted here.
 //
-// A compiled engine runs each statement as a closure compiled once per
-// statement shape — the statement with its literals lifted out — and
-// kept in a bounded per-engine cache (compile.UserCache), so a request
-// that repeats an earlier shape is neither resolved nor compiled again.
-// A statement of a new shape is resolved and compiled before it runs,
-// which over a small table costs more than interpreting it once would.
-// An engine with Options.Interpret resolves and interprets every
-// statement; the two are observably identical.
+// A compiled engine runs the text through a bounded per-engine cache
+// (compile.UserCache) keyed by its token stream with the literals
+// lifted out. A text whose key the cache holds is lexed and run: it is
+// neither parsed, nor resolved, nor compiled. Any other text is parsed
+// from the tokens the lexer made, and each statement is resolved and
+// compiled before it runs, which over a small table costs more than
+// interpreting it once would. An engine with Options.Interpret parses,
+// resolves and interprets every statement; the two are observably
+// identical.
 //
 // ExecUser is atomic: if any statement fails (or panics), the database,
 // and its history with it, is restored to its state at the call, so a
 // failed script leaves no partial transition behind.
-func (e *Engine) ExecUser(src string) ([]sqlmini.StmtResult, error) {
-	sts, err := sqlmini.ParseStatements(src)
-	if err != nil {
-		return nil, err
+func (e *Engine) ExecUser(src string) (out []sqlmini.StmtResult, err error) {
+	if e.prog == nil {
+		return e.interpretUser(src)
 	}
-	if e.prog != nil && e.user == nil {
+	if e.user == nil {
 		e.user = compile.NewUserCache(e.set.Schema())
 	}
-	out := make([]sqlmini.StmtResult, 0, len(sts))
-	err = e.atomically(func() error {
-		mut := e.mutator()
-		for _, st := range sts {
-			if _, ok := st.(*sqlmini.Rollback); ok {
-				return fmt.Errorf("engine: rollback is not permitted in user scripts; it is a rule action")
-			}
-			res, err := e.execUser(st, mut)
-			if err != nil {
-				return err
-			}
-			out = append(out, res)
-		}
-		return nil
-	}, func(p *PanicError) error { return fmt.Errorf("engine: user script: %w", p) })
+	err = e.atomically(func() (err error) {
+		out, err = e.user.Exec(src, e.db, e.mutator())
+		return err
+	}, userPanic)
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// execUser executes one parsed user statement: through the shape cache
-// in a compiled engine, resolved and interpreted otherwise.
-func (e *Engine) execUser(st sqlmini.Statement, mut sqlmini.Mutator) (sqlmini.StmtResult, error) {
-	if e.user != nil {
-		return e.user.Exec(st, e.db, mut)
+// interpretUser is ExecUser on an engine with Options.Interpret.
+func (e *Engine) interpretUser(src string) ([]sqlmini.StmtResult, error) {
+	sts, err := sqlmini.ParseStatements(src)
+	if err != nil {
+		return nil, err
 	}
-	if err := sqlmini.ResolveStatement(st, &sqlmini.ResolveContext{Schema: e.set.Schema()}); err != nil {
-		return sqlmini.StmtResult{}, err
+	out := make([]sqlmini.StmtResult, 0, len(sts))
+	err = e.atomically(func() error {
+		mut := e.mutator()
+		for _, st := range sts {
+			if _, ok := st.(*sqlmini.Rollback); ok {
+				return compile.ErrUserRollback
+			}
+			if err := sqlmini.ResolveStatement(st, &sqlmini.ResolveContext{Schema: e.set.Schema()}); err != nil {
+				return err
+			}
+			res, err := (&sqlmini.Evaluator{DB: e.db, Mut: mut}).Exec(st)
+			if err != nil {
+				return err
+			}
+			out = append(out, res)
+		}
+		return nil
+	}, userPanic)
+	if err != nil {
+		return nil, err
 	}
-	ev := &sqlmini.Evaluator{DB: e.db, Mut: mut}
-	return ev.Exec(st)
+	return out, nil
 }
+
+func userPanic(p *PanicError) error { return fmt.Errorf("engine: user script: %w", p) }
 
 // atomically runs body under a storage savepoint: if body returns an
 // error or panics (reported through onPanic), the database and its

@@ -617,29 +617,31 @@ create rule lo on t when inserted then insert into u values (2)
 	}
 }
 
-// TestExecUserShapeCache: a compiled engine compiles each user
-// statement shape once. Statements that differ only in literal values
-// hit it, a failing statement leaves the database as it was and the
-// shape usable, a statement that does not resolve is not cached, and a
-// fork starts a cache of its own.
+// TestExecUserShapeCache: a compiled engine compiles each user script
+// once per token key. Texts that differ only in literal values hit it
+// (a row count or a literal's kind is part of the key), a failing
+// script leaves the database as it was and, once every statement of it
+// compiled, the script cached, a script that does not resolve is not
+// cached, and a fork starts a cache of its own.
 func TestExecUserShapeCache(t *testing.T) {
 	set, db := mkSet(t, "table t (id int, v int)", "create rule r on t when deleted then insert into t values (0, 0)")
 	e := New(set, db, Options{})
 	steps := []struct {
-		sql    string
-		fails  bool
-		shapes int
+		sql     string
+		fails   bool
+		scripts int
 	}{
 		{"insert into t values (1, 10), (2, 20)", false, 1},
-		{"insert into t values (3, 30)", false, 1},
-		{"update t set v = v + 1 where id = 1", false, 2},
-		{"update t set v = v + 5 where id = 3", false, 2},
-		{"update t set v = v + 5 where id = 'x'", true, 3}, // a string literal: another shape
-		{"update t set v = v / 0 where id = 2", true, 4},
-		{"update t set v = v / 2 where id = 2", false, 4},
-		{"update t set w = 1 where id = 1", true, 4}, // does not resolve
-		{"update t set v = v + 7 where id = 2", false, 4},
-		{"update t set v = 1 where id = 1; update t set v = v / 0 where id = 1", true, 5},
+		{"insert into t values (3, 30)", false, 2}, // one row fewer: another key
+		{"update t set v = v + 1 where id = 1", false, 3},
+		{"UPDATE t SET v = v + 5 -- a comment\n WHERE id = 3", false, 3},
+		{"update t set v = v + 5 where id = 'x'", true, 4}, // a string literal: another key
+		{"update t set v = v / 0 where id = 2", true, 5},
+		{"update t set v = v / 2 where id = 2", false, 5},
+		{"update t set w = 1 where id = 1", true, 5}, // does not resolve
+		{"update t set v = v + 7 where id = 2", false, 5},
+		{"update t set v = 1 where id = 1; update t set v = v / 0 where id = 1", true, 6},
+		{"update t set v = 2 where id = 1; update t set w = 0 where id = 1", true, 6}, // the second does not resolve
 	}
 	for _, s := range steps {
 		before := e.DB().String()
@@ -650,18 +652,18 @@ func TestExecUserShapeCache(t *testing.T) {
 		if s.fails && e.DB().String() != before {
 			t.Errorf("%q failed and changed the database:\n%s", s.sql, e.DB().String())
 		}
-		if got := e.user.Len(); got != s.shapes {
-			t.Errorf("after %q: %d shapes, want %d", s.sql, got, s.shapes)
+		if got := e.user.Len(); got != s.scripts {
+			t.Errorf("after %q: %d scripts, want %d", s.sql, got, s.scripts)
 		}
 	}
 	if got := e.DB().String(); !strings.Contains(got, "(1, 11)") || !strings.Contains(got, "(2, 17)") || !strings.Contains(got, "(3, 35)") {
 		t.Errorf("final state:\n%s", got)
 	}
 	if fork := e.Clone(); fork.user != nil {
-		t.Error("a fork shares its parent's shape cache")
+		t.Error("a fork shares its parent's user cache")
 	}
 	ie := New(set, storage.NewDB(set.Schema()), Options{Interpret: true})
 	if _, err := ie.ExecUser("insert into t values (1, 1)"); err != nil || ie.user != nil {
-		t.Errorf("interpreting engine: err %v, shape cache %v", err, ie.user != nil)
+		t.Errorf("interpreting engine: err %v, user cache %v", err, ie.user != nil)
 	}
 }

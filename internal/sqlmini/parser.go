@@ -15,28 +15,26 @@ type parser struct {
 
 // ParseStatement parses a single SQL statement (trailing ';' permitted).
 func ParseStatement(src string) (Statement, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
-	st, err := p.parseStatement()
-	if err != nil {
-		return nil, err
-	}
-	p.acceptPunct(";")
-	if err := p.expectEOF(); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return parse(src, func(p *parser) (Statement, error) {
+		st, err := p.parseStatement()
+		if err != nil {
+			return nil, err
+		}
+		p.acceptPunct(";")
+		if err := p.expectEOF(); err != nil {
+			return nil, err
+		}
+		return st, nil
+	})
 }
 
 // ParseStatements parses a ';'-separated sequence of statements, as used
 // in rule actions.
 func ParseStatements(src string) ([]Statement, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
+	return parse(src, (*parser).statements)
+}
+
+func (p *parser) statements() ([]Statement, error) {
 	var out []Statement
 	for {
 		for p.acceptPunct(";") {
@@ -62,26 +60,26 @@ func ParseStatements(src string) ([]Statement, error) {
 // ParseExpr parses a standalone predicate/expression, as used in rule
 // conditions.
 func ParseExpr(src string) (Expr, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectEOF(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return parse(src, func(p *parser) (Expr, error) {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expectEOF(); err != nil {
+			return nil, err
+		}
+		return e, nil
+	})
 }
 
-func newParser(src string) (*parser, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+// parse lexes src and parses its tokens with f.
+func parse[T any](src string, f func(*parser) (T, error)) (T, error) {
+	var l Lexer
+	if err := l.Lex(src); err != nil {
+		var zero T
+		return zero, err
 	}
-	return &parser{toks: toks}, nil
+	return f(&parser{toks: l.toks})
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }

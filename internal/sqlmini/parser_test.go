@@ -487,3 +487,53 @@ func TestStringEscaping(t *testing.T) {
 		t.Errorf("unescaped value = %q", lit.Val.S)
 	}
 }
+
+// TestLexerReuse: one Lexer lexing text after text parses every text
+// as a fresh lexer would, and fails with the same messages. The
+// texts move between long and short, upper and lower case, literals
+// with doubled quotes, and errors from the lexer and from the parser.
+func TestLexerReuse(t *testing.T) {
+	texts := []string{
+		"insert into log values (1, 'it''s'), (2, ''), (3, 'a''''b')",
+		"SELECT Name FROM Emp WHERE Sal > 1.5e3 AND Dept IN (1, 2) -- c",
+		"delete from log",
+		"select 'unterminated",
+		"update emp set sal = sal * 2, name = 'X' where id = 99999999999999999999",
+		"select a ! b",
+		"SELECT v FROM t ORDER BY v LIMIT 10",
+		"UPDATE emp SET sal = 0; Delete From log Where msg = 'Q'",
+	}
+	render := func(sts []Statement, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		var sb strings.Builder
+		for _, st := range sts {
+			sb.WriteString(st.String() + ";")
+		}
+		return sb.String()
+	}
+	want := make([]string, len(texts))
+	for i, src := range texts {
+		var fresh Lexer
+		if err := fresh.Lex(src); err != nil {
+			want[i] = render(nil, err)
+		} else {
+			want[i] = render(fresh.Parse())
+		}
+	}
+	var lx Lexer
+	for round := 0; round < 2; round++ {
+		for i, src := range texts {
+			got := ""
+			if err := lx.Lex(src); err != nil {
+				got = render(nil, err)
+			} else {
+				got = render(lx.Parse())
+			}
+			if got != want[i] || render(ParseStatements(src)) != want[i] {
+				t.Errorf("%q: a reused lexer gives %q, ParseStatements %q, a fresh lexer %q", src, got, render(ParseStatements(src)), want[i])
+			}
+		}
+	}
+}

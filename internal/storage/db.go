@@ -217,7 +217,15 @@ func NewDB(s *schema.Schema) *DB {
 func (db *DB) Schema() *schema.Schema { return db.sch }
 
 // Table returns the named table, or nil if the schema has no such table.
-func (db *DB) Table(name string) *Table { return db.tables[strings.ToLower(name)] }
+// Names match regardless of case. The schema's names are lowercase, so a
+// name as the schema spells it, which is what every mutation passes, is
+// found without lowercasing it.
+func (db *DB) Table(name string) *Table {
+	if t := db.tables[name]; t != nil {
+		return t
+	}
+	return db.tables[strings.ToLower(name)]
+}
 
 // coerceRow resolves the table and coerces vals (in schema column order)
 // to its column types; a type mismatch or arity mismatch is an error.
