@@ -53,27 +53,30 @@ type Env struct {
 
 	// Query scratch: stacks the running query blocks push their working
 	// sets onto — FROM sources and match lists on lists, match bindings
-	// and result row headers on rows, result values on vals. Whoever
-	// runs a block takes a mark first and releases it once done with the
-	// block's result, so a subquery evaluated per outer row reuses the
-	// same memory each time. A block's result rows therefore point into
-	// the Env: a caller that keeps them copies them (cloneRows).
+	// and result row headers on rows, result values on vals — and a
+	// DELETE or an UPDATE its matches' identities on ids (and an UPDATE
+	// their new values on vals). Whoever runs a block takes a mark first
+	// and releases it once done with the block's result, so a subquery
+	// evaluated per outer row reuses the same memory each time. A block's
+	// result rows therefore point into the Env: a caller that keeps them
+	// copies them (cloneRows).
 	lists []matchSnap
 	rows  [][]storage.Value
 	vals  []storage.Value
+	ids   []storage.TupleID
 }
 
 // scratchMark is the height of an Env's scratch stacks.
-type scratchMark struct{ lists, rows, vals int }
+type scratchMark struct{ lists, rows, vals, ids int }
 
 func (env *Env) mark() scratchMark {
-	return scratchMark{len(env.lists), len(env.rows), len(env.vals)}
+	return scratchMark{len(env.lists), len(env.rows), len(env.vals), len(env.ids)}
 }
 
 // release pops everything pushed since m. Slices handed out above the
 // mark stay readable until the next push overwrites them.
 func (env *Env) release(m scratchMark) {
-	env.lists, env.rows, env.vals = env.lists[:m.lists], env.rows[:m.rows], env.vals[:m.vals]
+	env.lists, env.rows, env.vals, env.ids = env.lists[:m.lists], env.rows[:m.rows], env.vals[:m.vals], env.ids[:m.ids]
 }
 
 // begin readies the Env for one compiled unit: slots for its n bindings
@@ -315,10 +318,21 @@ func (c *compiler) compileExpr(e sqlmini.Expr) (exprC, error) {
 		}
 		idx := x.RIndex
 		kinds := kAny
-		if t := c.sch.Table(x.RTable); t != nil && idx < len(t.Columns) {
+		t := c.sch.Table(x.RTable)
+		if t != nil && idx < len(t.Columns) {
 			kinds = typeMask(t.Columns[idx].Type)
 		}
-		ref := x
+		// ref names the column in an error message. The statement's
+		// spelling may be a slice of a request's text, which a cached
+		// closure must not keep.
+		ref := x.String()
+		switch {
+		case x.Qualifier != "": // String joined a new string
+		case t != nil && idx < len(t.Columns) && ref == t.Columns[idx].Name:
+			ref = t.Columns[idx].Name
+		default:
+			ref = strings.Clone(ref)
+		}
 		fn := func(env *Env) (storage.Value, error) {
 			row := env.Slots[slot]
 			if idx >= len(row) {
@@ -492,7 +506,7 @@ func (c *compiler) compileExpr(e sqlmini.Expr) (exprC, error) {
 	case *sqlmini.Aggregate:
 		// Resolution confines aggregates to select lists; mirror the
 		// interpreter's error for defensive parity.
-		name := x.Func
+		name := strings.Clone(x.Func)
 		fn := func(*Env) (storage.Value, error) {
 			return storage.Value{}, fmt.Errorf("sql: aggregate %s outside select list", name)
 		}

@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"activerules/internal/sqlmini"
 	"activerules/internal/storage"
@@ -186,7 +187,7 @@ func (c *compiler) compileAggregate(cs *compiledSelect, agg *sqlmini.Aggregate) 
 	if err != nil {
 		return nil, err
 	}
-	fn := agg.Func
+	fn := strings.Clone(agg.Func)
 	argFn := ac.fn
 	return func(env *Env, matches []matchSnap) (storage.Value, error) {
 		var vals []storage.Value
@@ -578,7 +579,7 @@ func (c *compiler) compileInsert(s *sqlmini.Insert) (stmtFn, error) {
 	if def == nil {
 		return nil, errUnsupported{what: fmt.Sprintf("insert into unknown table %q", s.Table)}
 	}
-	table := s.Table
+	table := def.Name // the schema's string: s.Table may be a slice of a request's text
 	var colPos []int
 	if len(s.Columns) > 0 {
 		colPos = make([]int, len(s.Columns))
@@ -691,7 +692,11 @@ func (c *compiler) compileInsert(s *sqlmini.Insert) (stmtFn, error) {
 }
 
 func (c *compiler) compileDelete(s *sqlmini.Delete) (stmtFn, error) {
-	table := s.Table
+	def := c.sch.Table(s.Table)
+	if def == nil {
+		return nil, errUnsupported{what: fmt.Sprintf("delete from unknown table %q", s.Table)}
+	}
+	table := def.Name
 	slot := c.push(s.Table)
 	defer c.pop(1)
 	var where condFn
@@ -708,7 +713,8 @@ func (c *compiler) compileDelete(s *sqlmini.Delete) (stmtFn, error) {
 			return sqlmini.StmtResult{}, err
 		}
 		t := env.DB.Table(table)
-		var ids []storage.TupleID
+		m := env.mark()
+		defer env.release(m)
 		var scanErr error
 		pr.each(env, t, func(tu *storage.Tuple) bool {
 			if where != nil {
@@ -722,12 +728,13 @@ func (c *compiler) compileDelete(s *sqlmini.Delete) (stmtFn, error) {
 					return true
 				}
 			}
-			ids = append(ids, tu.ID)
+			env.ids = append(env.ids, tu.ID)
 			return true
 		})
 		if scanErr != nil {
 			return sqlmini.StmtResult{}, scanErr
 		}
+		ids := env.ids[m.ids:]
 		for _, id := range ids {
 			if err := env.Mut.Delete(table, id); err != nil {
 				return sqlmini.StmtResult{}, err
@@ -738,7 +745,11 @@ func (c *compiler) compileDelete(s *sqlmini.Delete) (stmtFn, error) {
 }
 
 func (c *compiler) compileUpdate(s *sqlmini.Update) (stmtFn, error) {
-	table := s.Table
+	def := c.sch.Table(s.Table)
+	if def == nil {
+		return nil, errUnsupported{what: fmt.Sprintf("update of unknown table %q", s.Table)}
+	}
+	table := def.Name
 	slot := c.push(s.Table)
 	defer c.pop(1)
 	var where condFn
@@ -753,7 +764,11 @@ func (c *compiler) compileUpdate(s *sqlmini.Update) (stmtFn, error) {
 	setCols := make([]string, len(s.Sets))
 	setFns := make([]exprFn, len(s.Sets))
 	for i, sc := range s.Sets {
-		setCols[i] = sc.Column
+		col := def.ColumnIndex(sc.Column)
+		if col < 0 {
+			return nil, errUnsupported{what: fmt.Sprintf("update of unknown column %q", sc.Column)}
+		}
+		setCols[i] = def.Column(col).Name
 		ec, err := c.compileExpr(sc.Expr)
 		if err != nil {
 			return nil, err
@@ -765,14 +780,13 @@ func (c *compiler) compileUpdate(s *sqlmini.Update) (stmtFn, error) {
 			return sqlmini.StmtResult{}, err
 		}
 		t := env.DB.Table(table)
-		type change struct {
-			id   storage.TupleID
-			vals []storage.Value
-		}
-		var changes []change
+		m := env.mark()
+		defer env.release(m)
 		var scanErr error
 		// All right-hand sides are evaluated against the pre-update
-		// state; apply only afterwards.
+		// state; apply only afterwards. A match's new values are pushed
+		// once each is evaluated, above whatever a subquery in the next
+		// one pushes and releases.
 		pr.each(env, t, func(tu *storage.Tuple) bool {
 			env.Slots[slot] = tu.Vals
 			if where != nil {
@@ -785,29 +799,29 @@ func (c *compiler) compileUpdate(s *sqlmini.Update) (stmtFn, error) {
 					return true
 				}
 			}
-			ch := change{id: tu.ID, vals: make([]storage.Value, len(setFns))}
-			for i, fn := range setFns {
+			for _, fn := range setFns {
 				v, err := fn(env)
 				if err != nil {
 					scanErr = err
 					return false
 				}
-				ch.vals[i] = v
+				env.vals = append(env.vals, v)
 			}
-			changes = append(changes, ch)
+			env.ids = append(env.ids, tu.ID)
 			return true
 		})
 		if scanErr != nil {
 			return sqlmini.StmtResult{}, scanErr
 		}
-		for _, ch := range changes {
+		ids, vals := env.ids[m.ids:], env.vals[m.vals:]
+		for k, id := range ids {
 			for i, col := range setCols {
-				if err := env.Mut.Update(table, ch.id, col, ch.vals[i]); err != nil {
+				if err := env.Mut.Update(table, id, col, vals[k*len(setCols)+i]); err != nil {
 					return sqlmini.StmtResult{}, err
 				}
 			}
 		}
-		return sqlmini.StmtResult{Affected: len(changes)}, nil
+		return sqlmini.StmtResult{Affected: len(ids)}, nil
 	}, nil
 }
 

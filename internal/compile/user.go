@@ -42,10 +42,11 @@ var ErrUserRollback = errors.New("engine: rollback is not permitted in user scri
 // number does not convert, or when the lexer lifts a number the parser
 // reads as no literal node; such a text is compiled afresh every time.
 //
-// The cache pays off only on traffic that repeats keys: on a table of a
-// few rows a miss costs more than resolving and interpreting the
-// statement would (BenchmarkUserStatement; DESIGN.md §11.1 gives the
-// figures).
+// A miss costs no more than resolving and interpreting the statement
+// would: about the same over a table of a few rows, and less over a few
+// hundred, where the compiled scan or equality probe repays the compile
+// within the statement (BenchmarkUserStatement; DESIGN.md §11.1 gives
+// the figures). A hit costs a fraction of either.
 //
 // The cache belongs to one engine and, like it, is single-threaded. It
 // needs no invalidation: the schema it resolves against is fixed for

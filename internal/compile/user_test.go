@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -202,6 +203,58 @@ func TestUserCacheScratchBound(t *testing.T) {
 	if uc.Len() != 2 {
 		t.Errorf("%d scripts cached, want 2", uc.Len())
 	}
+}
+
+// TestUserCacheKeepsNoRequest: a cached script holds no part of the text
+// that filled its key. The lexer hands a lower-case word out as a slice of
+// the text, so a closure that captured a table, column or function name
+// as the statement spells it would keep the whole request alive, up to the
+// 16 MiB request limit for each of maxScripts keys. Each statement here is
+// cached from a text padded to several MiB, every other reference to the
+// text is dropped, and after a collection the heap must have let it go.
+func TestUserCacheKeepsNoRequest(t *testing.T) {
+	const pad = 8 << 20
+	sch := testSchema(t)
+	for _, stmt := range []string{
+		"insert into u (a, v) values (1, 2)",
+		"delete from u where a = 9 and v > 0",
+		"update u set v = v + 1 where a = 2",
+		"select t.a, count(s), sum(b), max(f) from t where s = 'x' group by t.a",
+		"select a from t where a in (select u.a from u) and exists (select 1 from u x where x.a = t.a) order by a",
+		"select distinct a, count(*) from t where s is not null and b in (10, 20) group by a having sum(b) > 0 order by a desc limit 3",
+		"select a, (select max(v) from u where u.a = t.a) from t where not (a < 0)",
+	} {
+		db := seedDB(t, sch)
+		uc := NewUserCache(sch)
+		before := liveHeap()
+		fillFromPadded(t, uc, db, stmt, pad)
+		after := liveHeap()
+		if uc.Len() != 1 {
+			t.Fatalf("%q: %d scripts cached, want 1", stmt, uc.Len())
+		}
+		if after > before && after-before > pad/2 {
+			t.Errorf("%q: the cache keeps %d KiB after a %d KiB request was dropped", stmt, (after-before)>>10, pad>>10)
+		}
+		runtime.KeepAlive(uc)
+		runtime.KeepAlive(db)
+	}
+}
+
+// fillFromPadded runs stmt followed by pad spaces, one allocation that
+// every word the lexer hands out points into, and drops it.
+func fillFromPadded(t *testing.T, uc *UserCache, db *storage.DB, stmt string, pad int) {
+	text := stmt + strings.Repeat(" ", pad)
+	if _, err := uc.Exec(text, db, sqlmini.DirectMutator(db)); err != nil {
+		t.Fatalf("%q: %v", stmt, err)
+	}
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // TestUserCacheLimit: a LIMIT count is no literal node, so it stays in

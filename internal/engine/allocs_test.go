@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,11 +13,27 @@ import (
 var raceEnabled bool
 
 // cascadeStepAllocs pins the cost of one step of a cascade on a warmed
-// compiled engine: what the step keeps — the pending net (3), the four
-// rows it inserts (a tuple and its values each) — plus the copy
-// TriggeredRules hands out, and nothing of what the step only uses. The
-// commit before the pin measured 65.
-const cascadeStepAllocs = 13
+// compiled engine: what the step keeps — the four rows it inserts (a
+// tuple and its values each) and storage's growth of the table they go
+// into — plus the copy TriggeredRules hands out, and nothing of what the
+// step only uses. The rule's pending net is
+// refilled in place, so it costs nothing once the engine is warm (it was
+// 3 allocations a step, 13 in all; 65 before the first pin).
+const cascadeStepAllocs = 10
+
+// cascadeInsertAllocs and cascadeSweepAllocs pin TestCascadeRequestAllocs.
+// An insert request keeps what it stores, a tuple and its values for each
+// of its 4 rows in 33 tables (264), and allocates the per-rule fired
+// counts its Result hands out (9), ExecUser's result slice and storage's
+// growth of the tables' scan order (under 2, amortized). A sweep allocates
+// ExecUser's result slice alone: its DELETEs collect their matches on the
+// Env's scratch. The commit before the pins measured 372 and 100: a
+// pending net of 3 allocations per consideration, and an id list grown
+// three times per DELETE.
+const (
+	cascadeInsertAllocs = 276
+	cascadeSweepAllocs  = 1
+)
 
 // TestCascadeStepAllocs is the tripwire for the firing loop: find the
 // triggered rule and consider it, for a chain rule of the served cascade
@@ -73,6 +90,86 @@ func TestCascadeStepAllocs(t *testing.T) {
 	t.Logf("one cascade step: %.0f allocations", got)
 }
 
+// TestCascadeRequestAllocs pins two whole requests of the served cascade
+// (bench/gen.go's cascadeStream: a 24-deep chain and 8 fan-out rules on
+// its head) on a warmed compiled engine, each its ExecUser, Assert and
+// Commit: an insert of four rows into the chain head, which every rule
+// carries one table on, and a sweep, which deletes them from every table.
+// The requests alternate, so each measured one runs against the tables
+// the other left.
+func TestCascadeRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const depth, fan, runs = 24, 8, 50
+	var sch, rl, sweep strings.Builder
+	table := func(name string) {
+		fmt.Fprintf(&sch, "table %s (v int)\n", name)
+		if sweep.Len() > 0 {
+			sweep.WriteString("; ")
+		}
+		fmt.Fprintf(&sweep, "delete from %s where v >= 0 and v < 1000", name)
+	}
+	for i := 0; i <= depth; i++ {
+		table(fmt.Sprintf("c%d", i))
+	}
+	for i := 0; i < depth; i++ {
+		fmt.Fprintf(&rl, "create rule chain%02d on c%d\nwhen inserted\nif exists (select 1 from inserted where v >= 0)\nthen insert into c%d select v from inserted\n\n", i, i, i+1)
+	}
+	for j := 0; j < fan; j++ {
+		table(fmt.Sprintf("f%d", j))
+		fmt.Fprintf(&rl, "create rule fan%d on c0\nwhen inserted\nthen insert into f%d select v from inserted where v >= 0\n\n", j, j)
+	}
+	set, db := mkSet(t, sch.String(), rl.String())
+	e := New(set, db, Options{})
+	const insert = "insert into c0 values (1), (2), (3), (4)"
+	request := func(src string, considered int) {
+		res, err := e.ExecUser(src)
+		if err != nil {
+			t.Fatalf("%.40q: %v", src, err)
+		}
+		if n := res[len(res)-1].Affected; n != 4 {
+			t.Fatalf("%.40q: affected %d rows, want 4", src, n)
+		}
+		if out, err := e.Assert(); err != nil || out.Considered != considered {
+			t.Fatalf("%.40q: considered %d, err %v", src, out.Considered, err)
+		}
+		if err := e.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ins := func() { request(insert, depth+fan) }
+	swp := func() { request(sweep.String(), 0) }
+	for i := 0; i < 3; i++ { // warm: every scratch, the cache's two scripts
+		ins()
+		swp()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	measure := func(request func()) uint64 {
+		runtime.ReadMemStats(&before)
+		request()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	var inserts, sweeps uint64
+	for i := 0; i < runs; i++ {
+		inserts += measure(ins)
+		sweeps += measure(swp)
+	}
+	// Means round down, as testing.AllocsPerRun's do: the runtime's own
+	// rare allocations, which Mallocs counts too, stay out of the pin.
+	for _, c := range []struct {
+		what       string
+		got, bound uint64
+	}{{"insert", inserts / runs, cascadeInsertAllocs}, {"sweep", sweeps / runs, cascadeSweepAllocs}} {
+		if c.got > c.bound {
+			t.Errorf("one cascade %s request: %d allocations, want <= %d", c.what, c.got, c.bound)
+		}
+		t.Logf("one cascade %s request: %d allocations", c.what, c.got)
+	}
+}
+
 // TestRecordingMutatorAllocs is the tripwire for "the database's history
 // is the only record": an update and a delete through the engine's
 // mutator allocate nothing — storage's own entry lands in the history's
@@ -109,11 +206,11 @@ func TestRecordingMutatorAllocs(t *testing.T) {
 }
 
 // execUserUpdateAllocs pins one bank update through a compiled engine
-// whose cache holds the text's token key: the result slice, and the
-// update's list of changes with the one row of new values it holds.
-// Nothing is parsed, resolved or compiled, and the equality probe finds
-// the one row without a scan. Interpreted, the same update allocates 22.
-const execUserUpdateAllocs = 3
+// whose cache holds the text's token key: the result slice. The update
+// collects its match and the new value on the Env's scratch, nothing is
+// parsed, resolved or compiled, and the equality probe finds the one row
+// without a scan. Interpreted, the same update allocates 22.
+const execUserUpdateAllocs = 1
 
 // execUserInsertAllocs bounds what a cache hit on a literal INSERT of
 // many rows allocates beyond what storage's inserts of the same rows

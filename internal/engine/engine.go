@@ -161,6 +161,10 @@ type Engine struct {
 	// memo[i] is rule i's memoized pending net (see pendingNet).
 	memo []pendingMemo
 
+	// forked is set on both engines by Clone, which copies the memo: an
+	// engine that may share memoized nets with another never refills one.
+	forked bool
+
 	// tx is the storage savepoint taken at transaction start: rollback
 	// is RollbackTo(tx), Commit releases it, and each takes the next.
 	tx storage.Savepoint
@@ -206,7 +210,8 @@ type Engine struct {
 // pendingMemo is one rule's memoized pending net: the net effect, on the
 // rule's table, of the history suffix [mark, upTo), computed at the
 // history's truncation generation gen, and whether it satisfies the
-// rule's transition predicate. The net is immutable; forks share it.
+// rule's transition predicate. The net is immutable while it is the
+// slot's; forks share it.
 type pendingMemo struct {
 	net       *transition.Net
 	triggered bool
@@ -358,10 +363,10 @@ func (m recordingMutator) Update(table string, id storage.TupleID, col string, v
 // lifted out. A text whose key the cache holds is lexed and run: it is
 // neither parsed, nor resolved, nor compiled. Any other text is parsed
 // from the tokens the lexer made, and each statement is resolved and
-// compiled before it runs, which over a small table costs more than
-// interpreting it once would. An engine with Options.Interpret parses,
-// resolves and interprets every statement; the two are observably
-// identical.
+// compiled before it runs, which costs about what interpreting it once
+// would over a small table and less over a large one. An engine with
+// Options.Interpret parses, resolves and interprets every statement; the
+// two are observably identical.
 //
 // ExecUser is atomic: if any statement fails (or panics), the database,
 // and its history with it, is restored to its state at the call, so a
@@ -454,6 +459,12 @@ var emptyNet = transition.EmptyNet()
 // table's last change precedes the position the net was computed at).
 // DESIGN.md §11 "Pending nets are memoized" walks every way the history,
 // the marks and the database move.
+//
+// A stale slot's net is refilled in place unless the engine has been
+// forked (or is a fork): then another engine may hold the same net, and
+// a new one is computed. Nothing else can read it by then: every row a
+// consideration takes out of its transition tables is copied, and td is
+// rebuilt at every Consider (DESIGN.md §11.3).
 func (e *Engine) pendingNet(r *rules.Rule) (net *transition.Net, triggered bool) {
 	i := r.Index()
 	t := e.tabs[i]
@@ -465,7 +476,11 @@ func (e *Engine) pendingNet(r *rules.Rule) (net *transition.Net, triggered bool)
 		m := &e.memo[i]
 		if m.net == nil || m.mark != mark || m.gen != e.db.HistoryGen() || last >= m.upTo {
 			computed = true
-			n := transition.ComputeTable(e.db, mark, t, &e.netScratch)
+			reuse := m.net
+			if e.forked {
+				reuse = nil
+			}
+			n := transition.ComputeTable(e.db, mark, t, &e.netScratch, reuse)
 			*m = pendingMemo{
 				net:       n,
 				triggered: n.Triggers(r.TriggeredBy()),
@@ -831,7 +846,8 @@ func (e *Engine) Close() { e.db.Release(e.tx) }
 // are speculative, and their mutations must never reach the durable log
 // (the forked database likewise drops the observer).
 func (e *Engine) Clone() *Engine {
-	ne := *e // set and prog are immutable; tx is positional, valid against the fork
+	e.forked = true // the memo's nets are now the fork's too
+	ne := *e        // set and prog are immutable; tx is positional, valid against the fork
 	ne.opts.Journal = nil
 	ne.db = e.db.Fork()
 	ne.bindTables()

@@ -43,7 +43,7 @@ func (o *recomputeOracle) hook(e *Engine, r *rules.Rule, net *transition.Net, tr
 		o.hits++
 	}
 	if o.err == nil {
-		fresh := transition.ComputeTable(e.db, e.marks[r.Index()], e.tabs[r.Index()], &transition.Scratch{})
+		fresh := transition.ComputeTable(e.db, e.marks[r.Index()], e.tabs[r.Index()], &transition.Scratch{}, nil)
 		if diff := diffNets(net, fresh, r.Table); diff != "" {
 			o.err = fmt.Errorf("rule %s (mark %d, history %d, computed=%v): %s",
 				r.Name, e.marks[r.Index()], e.db.HistoryLen(), computed, diff)
@@ -205,6 +205,170 @@ func TestPendingNetMemoDifferential(t *testing.T) {
 						}
 					})
 				}
+			}
+		}
+	}
+}
+
+// servedSystem is the served cascade's shape in small (bench/gen.go's
+// cascadeSources: a bank cluster, a chain under an insert into its head
+// and fan-out rules on the head) with what a long run also needs: a
+// guard that rolls back, a rule whose action fails on the value 13, and
+// rules that carry deleted and old-updated rows down a table.
+func servedSystem(depth, fan int) (schemaSrc, rulesSrc string) {
+	var sch, rl strings.Builder
+	sch.WriteString("table account (id int, owner string, balance float)\ntable audit (id int, owner string)\ntable holds (id int, acct int)\n")
+	rl.WriteString(`create rule r_audit on account when inserted then insert into audit select id, owner from inserted
+
+create rule r_hold on account when updated(balance)
+if exists (select 1 from new-updated nu where nu.balance < 0)
+then insert into holds select nu.id, nu.id from new-updated nu where nu.balance < 0
+
+create rule r_purge on account when deleted then delete from holds where acct in (select id from deleted)
+
+create rule r_guard on c0 when inserted if exists (select 1 from inserted where v < 0) then rollback
+
+create rule r_bad on c1 when inserted if exists (select 1 from inserted where v = 13) then update f0 set v = v / 0
+
+create rule r_drop on c0 when deleted then delete from c1 where v in (select v from deleted)
+
+create rule r_shift on c0 when updated(v) then update c1 set v = v + 1 where v in (select o.v from old-updated o)
+
+`)
+	for i := 0; i <= depth; i++ {
+		fmt.Fprintf(&sch, "table c%d (v int)\n", i)
+	}
+	for i := 0; i < depth; i++ {
+		fmt.Fprintf(&rl, "create rule chain%02d on c%d when inserted if exists (select 1 from inserted where v >= 0) then insert into c%d select v from inserted\n\n", i, i, i+1)
+	}
+	for j := 0; j < fan; j++ {
+		fmt.Fprintf(&sch, "table f%d (v int)\n", j)
+		fmt.Fprintf(&rl, "create rule fan%d on c0 when inserted then insert into f%d select v from inserted where v >= 0\n\n", j, j)
+	}
+	return sch.String(), rl.String()
+}
+
+// TestPendingNetRefillDifferential is the memo oracle on an engine that
+// is never forked, so that it refills its nets in place the way the
+// serving engine does (a fork stops both engines refilling, which is all
+// the scenarios above can see after their first fork). One engine serves
+// a stream of bank and cascade requests — scripts that fail or panic
+// midway, considerations that fail or panic, rule and caller rollbacks,
+// sweeps, updates, several requests to a transaction — with the state
+// digests read between steps, so a refilled net that kept a row, a list
+// or its digest answers differently from a fresh computation.
+func TestPendingNetRefillDifferential(t *testing.T) {
+	const depth, fan, steps = 6, 3, 200
+	seeds := int64(6)
+	if testing.Short() {
+		seeds = 2
+	}
+	schemaSrc, rulesSrc := servedSystem(depth, fan)
+	for _, compiled := range []bool{false, true} {
+		refills := 0
+		for seed := int64(1); seed <= seeds; seed++ {
+			set, db := mkSet(t, schemaSrc, rulesSrc)
+			f := &fuse{}
+			e := New(set, db, Options{Interpret: !compiled, WrapMutator: f.wrap, MaxSteps: 200})
+			o := &recomputeOracle{}
+			last := make([]*transition.Net, set.Len())
+			e.netHook = func(e *Engine, r *rules.Rule, net *transition.Net, triggered, computed bool) {
+				if computed {
+					if net != emptyNet && net == last[r.Index()] {
+						refills++
+					}
+					last[r.Index()] = net
+				}
+				o.hook(e, r, net, triggered, computed)
+			}
+			servedRun(t, e, f, rand.New(rand.NewSource(seed)), steps, depth)
+			if o.err != nil {
+				t.Fatalf("compiled=%v seed=%d: %v", compiled, seed, o.err)
+			}
+			if e.forked {
+				t.Fatalf("compiled=%v seed=%d: the engine was forked", compiled, seed)
+			}
+		}
+		if refills == 0 {
+			t.Errorf("compiled=%v: no net was refilled", compiled)
+		}
+		t.Logf("compiled=%v: %d nets refilled", compiled, refills)
+	}
+}
+
+// servedRun serves steps requests to a servedSystem of the given depth,
+// each a script run, an assertion and mostly a commit, the way
+// internal/serve does, with faults mixed in. A failed request is rolled
+// back, or its assertion resumed.
+func servedRun(t *testing.T, e *Engine, f *fuse, rng *rand.Rand, steps, depth int) {
+	nextID := 1
+	value := func() int {
+		if v := rng.Intn(60); v != 13 {
+			return v
+		}
+		return 14
+	}
+	request := func() string {
+		switch rng.Intn(8) {
+		case 0:
+			nextID++
+			return fmt.Sprintf("insert into account values (%d, 'o%d', 20.0), (%d, 'o%d', 5.0)", nextID, nextID, -nextID, -nextID)
+		case 1:
+			return fmt.Sprintf("update account set balance = balance - %d.5 where id < %d", rng.Intn(30), rng.Intn(nextID+2))
+		case 2:
+			return fmt.Sprintf("delete from account where id = %d; delete from audit where id = %d", rng.Intn(nextID+2), rng.Intn(nextID+2))
+		case 3:
+			return fmt.Sprintf("update c0 set v = v + 1 where v < %d", value())
+		case 4:
+			var sb strings.Builder
+			for i := 0; i <= depth; i++ {
+				fmt.Fprintf(&sb, "delete from c%d where v < %d; ", i, value())
+			}
+			return sb.String() + "delete from f0"
+		default:
+			return fmt.Sprintf("insert into c0 values (%d), (%d), (%d), (%d)", value(), value(), value(), value())
+		}
+	}
+	for step := 0; step < steps; step++ {
+		fingerprints(e)
+		src := request()
+		switch rng.Intn(12) {
+		case 0: // the script's last statement fails
+			src += "; insert into c0 values (1/0)"
+		case 1: // a rule rolls the transaction back
+			src += "; insert into c0 values (-1)"
+		case 2: // r_bad's action fails until the transaction is rolled back
+			src += "; insert into c0 values (13)"
+		case 3: // the script fails or panics midway
+			f.in, f.panic = 1+rng.Intn(3), rng.Intn(2) == 0
+		}
+		_, err := e.ExecUser(src)
+		f.in = 0
+		fingerprints(e)
+		if err != nil {
+			continue // atomic: nothing of the script is left
+		}
+		if rng.Intn(6) == 0 { // a consideration fails or panics
+			f.in, f.panic = 1+rng.Intn(3), rng.Intn(2) == 0
+		}
+		res, err := e.Assert()
+		f.in = 0
+		fingerprints(e)
+		if err != nil {
+			if rng.Intn(2) == 0 {
+				res, err = e.Assert() // resume where it stopped
+				fingerprints(e)
+			}
+			if err != nil {
+				if err := e.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+		}
+		if !res.RolledBack && rng.Intn(3) != 0 { // else the next request joins the transaction
+			if err := e.Commit(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

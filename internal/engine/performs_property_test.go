@@ -48,7 +48,7 @@ func TestPerformsCoversRuntimeActions(t *testing.T) {
 			// Every net operation of the action must be in Performs(r);
 			// an unfired rule must have performed nothing.
 			for _, table := range g.Schema.TableNames() {
-				actionNet := transition.ComputeTable(e.db, before, e.db.Table(table), &transition.Scratch{})
+				actionNet := transition.ComputeTable(e.db, before, e.db.Table(table), &transition.Scratch{}, nil)
 				for op := range netOps(actionNet.Table(table)) {
 					if !fired {
 						t.Fatalf("seed %d: rule %s did not fire but performed %s", seed, r.Name, op)

@@ -30,7 +30,7 @@ func TestComputeTableAllocs(t *testing.T) {
 	}
 	var n *transition.Net
 	sc, tab := &transition.Scratch{}, db.Table("t")
-	got := testing.AllocsPerRun(100, func() { n = transition.ComputeTable(db, mark, tab, sc) })
+	got := testing.AllocsPerRun(100, func() { n = transition.ComputeTable(db, mark, tab, sc, nil) })
 	if tn := n.Table("t"); tn == nil || len(tn.Inserted) != 4 {
 		t.Fatalf("net = %+v, want four inserted rows", tn)
 	}
@@ -45,12 +45,23 @@ func TestComputeTableAllocs(t *testing.T) {
 	doUpdate(l, "t", ids[1], "v", storage.IntV(8))
 	doDelete(l, "t", ids[1])
 	doDelete(l, "t", ids[2])
-	got = testing.AllocsPerRun(100, func() { n = transition.ComputeTable(db, mark, tab, sc) })
+	got = testing.AllocsPerRun(100, func() { n = transition.ComputeTable(db, mark, tab, sc, nil) })
 	if tn := n.Table("t"); tn == nil || len(tn.Updated) != 1 || len(tn.Deleted) != 2 {
 		t.Fatalf("net = %+v, want one updated and two deleted rows", tn)
 	}
 	if got > 6 { // Net, three lists, the backing array, the updated-column names
 		t.Errorf("ComputeTable over updates and deletes: %.0f allocations, want <= 6", got)
+	}
+
+	// Refilled, a net as large as the one it overwrites allocates nothing:
+	// the same net comes back with its array and lists.
+	reuse := n
+	got = testing.AllocsPerRun(100, func() { n = transition.ComputeTable(db, mark, tab, sc, reuse) })
+	if n != reuse || len(n.Table("t").Updated) != 1 {
+		t.Fatalf("refill returned %p (%+v), want the net it was handed", n, n.Table("t"))
+	}
+	if got != 0 {
+		t.Errorf("ComputeTable refilling a net of its size: %.0f allocations, want 0", got)
 	}
 }
 

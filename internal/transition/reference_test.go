@@ -105,7 +105,7 @@ func record(db *storage.DB) *recorder {
 
 // compute is transition.ComputeTable by table name, with scratch of its own.
 func compute(db *storage.DB, mark int, table string) *transition.Net {
-	return transition.ComputeTable(db, mark, db.Table(table), &transition.Scratch{})
+	return transition.ComputeTable(db, mark, db.Table(table), &transition.Scratch{}, nil)
 }
 
 // refNet is the net effect of a recording's suffix over every table it touches.
@@ -285,15 +285,30 @@ func sameRow(a, b []storage.Value) bool {
 // Net.Triggers with the old trigger test — the reference's operation set
 // intersected with Triggered-By — for every Triggered-By set a rule on a
 // table of columns a, b, c can have. It returns the first disagreement.
+//
+// Each table's net is refilled at the next mark, the marks running up and
+// then down again so that nets shrink and grow, and its digest must be a
+// fresh computation's: a refill keeps no row, list or digest of the net
+// it overwrites.
 func checkAgainstReference(db *storage.DB, l *recorder, sc *transition.Scratch) error {
 	tables := db.Schema().TableNames()
-	for mark := 0; mark <= l.Mark(); mark++ {
+	last := map[string]*transition.Net{}
+	for step := 0; step <= 2*l.Mark(); step++ {
+		mark := step
+		if step > l.Mark() {
+			mark = 2*l.Mark() - step
+		}
 		ref := refCompute(l, mark, db)
 		var touched []string
 		for _, table := range tables {
-			net := transition.ComputeTable(db, mark, db.Table(table), sc)
+			net := transition.ComputeTable(db, mark, db.Table(table), sc, last[table])
+			last[table] = net
 			if d := diffTableNets(net.Table(table), ref.tables[table]); d != "" {
 				return fmt.Errorf("mark %d table %s: %s", mark, table, d)
+			}
+			fresh := transition.ComputeTable(db, mark, db.Table(table), sc, nil)
+			if net.TableFingerprint(table) != fresh.TableFingerprint(table) {
+				return fmt.Errorf("mark %d table %s: a refilled net's digest differs from a fresh one's", mark, table)
 			}
 			if net.IsEmpty() != (ref.tables[table] == nil) {
 				return fmt.Errorf("mark %d table %s: IsEmpty %v", mark, table, net.IsEmpty())

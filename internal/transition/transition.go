@@ -55,10 +55,13 @@ type TableNet struct {
 // Net is the net effect of a history suffix on one table: its inserted,
 // deleted and updated tuples. A rule's transition predicate and
 // transition tables concern its own table alone, so this is all the
-// engine ever computes. A Net is immutable once computed and may be
-// shared between engines and goroutines.
+// engine ever computes. A Net is immutable from one ComputeTable to the
+// next that is handed it to refill, and until then may be shared
+// between engines and goroutines.
 type Net struct {
 	tn TableNet
+	// vals is the one backing array every row of tn is carved from.
+	vals []storage.Value
 	// fp memoizes TableFingerprint(tn.Table). Racing callers publish
 	// identical digests, so a plain atomic store suffices.
 	fp atomic.Pointer[[32]byte]
@@ -66,8 +69,8 @@ type Net struct {
 
 var emptyNet = new(Net)
 
-// EmptyNet returns the net effect with no changes, shared because Net is
-// immutable after computation.
+// EmptyNet returns the net effect with no changes. It is shared, and
+// ComputeTable never refills it.
 func EmptyNet() *Net { return emptyNet }
 
 // tupState is what the history suffix did to one tuple: the kind of its
@@ -144,7 +147,15 @@ func (sc *Scratch) reset() {
 // backing array the Net owns: no row aliases storage, where a rolled-back
 // delete revives the very tuple object the history held and later updates
 // write it in place, while forks go on sharing the Net.
-func ComputeTable(db *storage.DB, mark int, t *storage.Table, sc *Scratch) *Net {
+//
+// reuse, when not nil, is a net the caller owns and no longer reads: it
+// is overwritten with the result, its backing array and lists kept where
+// they are large enough, and returned. Every row and list it held before
+// then reads as the new net's, so a caller passes a net only when nothing
+// can read it any more (DESIGN.md §11.3 "Pending nets are memoized"). A
+// result with no changes is the shared empty net, whatever reuse is, and
+// the empty net itself is never refilled.
+func ComputeTable(db *storage.DB, mark int, t *storage.Table, sc *Scratch, reuse *Net) *Net {
 	defer sc.reset()
 	hist := db.History()
 	for i := mark; i < len(hist); i++ {
@@ -177,9 +188,14 @@ func ComputeTable(db *storage.DB, mark int, t *storage.Table, sc *Scratch) *Net 
 		return emptyNet
 	}
 	def := t.Def()
-	n := &Net{tn: TableNet{Table: def.Name}}
+	n := reuse
+	if n == nil || n == emptyNet {
+		n = new(Net)
+	}
+	n.fp.Store(nil)
 	tn := &n.tn
-	vals := make([]storage.Value, 0, (nIns+nDel+2*nUpd)*len(def.Columns))
+	tn.Table = def.Name
+	vals := fit(n.vals, (nIns+nDel+2*nUpd)*len(def.Columns))
 	carve := func(row []storage.Value) []storage.Value {
 		vals = append(vals, row...)
 		return vals[len(vals)-len(row) : len(vals) : len(vals)]
@@ -191,7 +207,9 @@ func ComputeTable(db *storage.DB, mark int, t *storage.Table, sc *Scratch) *Net 
 				if tu := t.Get(st.id); tu != nil {
 					st.baseline = carve(tu.Vals)
 				} else { // deleted: a blank row, which its delete overwrites below
-					st.baseline = carve(vals[len(vals) : len(vals)+len(def.Columns)])
+					blank := vals[len(vals) : len(vals)+len(def.Columns)]
+					clear(blank) // a refilled array holds the last net's values
+					st.baseline = carve(blank)
 				}
 			}
 		}
@@ -211,9 +229,11 @@ func ComputeTable(db *storage.DB, mark int, t *storage.Table, sc *Scratch) *Net 
 		}
 	}
 
-	tn.Inserted = make([][]storage.Value, 0, nIns)
-	tn.Deleted = make([][]storage.Value, 0, nDel)
-	tn.Updated = make([]UpdatedPair, 0, nUpd)
+	tn.Inserted = fit(tn.Inserted, nIns)
+	tn.Deleted = fit(tn.Deleted, nDel)
+	tn.Updated = fit(tn.Updated, nUpd)
+	cols := tn.UpdatedColumns[:0]
+	tn.UpdatedColumns = nil
 	for i := range sc.states {
 		st := &sc.states[i]
 		switch {
@@ -239,13 +259,25 @@ func ComputeTable(db *storage.DB, mark int, t *storage.Table, sc *Scratch) *Net 
 		for c := range tn.Updated[0].Old {
 			for _, up := range tn.Updated {
 				if !valuesIdentical(up.Old[c], up.New[c]) {
-					tn.UpdatedColumns = append(tn.UpdatedColumns, def.Column(c).Name)
+					cols = append(cols, def.Column(c).Name)
 					break
 				}
 			}
 		}
+		tn.UpdatedColumns = cols
 	}
+	n.vals = vals
 	return n
+}
+
+// fit returns s emptied when it can hold n elements, else a new slice
+// that can. It never returns nil: a net's row lists are empty, not
+// absent, whether the net is fresh or refilled.
+func fit[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // Table returns the net effect for one table, or nil if the table is
