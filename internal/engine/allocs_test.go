@@ -12,6 +12,11 @@ import (
 // raceEnabled is set by race_test.go, which only a -race build compiles.
 var raceEnabled bool
 
+// RaceEnabled reports raceEnabled to this directory's external tests
+// (explore_test.go), which import execgraph and so cannot be in package
+// engine.
+func RaceEnabled() bool { return raceEnabled }
+
 // cascadeStepAllocs pins the cost of one step of a cascade on a warmed
 // compiled engine: what the step keeps — the four rows it inserts (a
 // tuple and its values each) and storage's growth of the table they go
@@ -24,14 +29,15 @@ const cascadeStepAllocs = 10
 // cascadeInsertAllocs and cascadeSweepAllocs pin TestCascadeRequestAllocs.
 // An insert request keeps what it stores, a tuple and its values for each
 // of its 4 rows in 33 tables (264), and allocates the per-rule fired
-// counts its Result hands out (9), ExecUser's result slice and storage's
-// growth of the tables' scan order (under 2, amortized). A sweep allocates
-// ExecUser's result slice alone: its DELETEs collect their matches on the
-// Env's scratch. The commit before the pins measured 372 and 100: a
-// pending net of 3 allocations per consideration, and an id list grown
-// three times per DELETE.
+// counts its Result hands out (4: one map made at its exact size from
+// the engine's reused counts; it was 9, a map grown one rule at a time),
+// ExecUser's result slice and storage's growth of the tables' scan order
+// (under 2, amortized). A sweep allocates ExecUser's result slice alone:
+// its DELETEs collect their matches on the Env's scratch. The commit
+// before the pins measured 372 and 100: a pending net of 3 allocations
+// per consideration, and an id list grown three times per DELETE.
 const (
-	cascadeInsertAllocs = 276
+	cascadeInsertAllocs = 270
 	cascadeSweepAllocs  = 1
 )
 

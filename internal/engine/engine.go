@@ -161,10 +161,6 @@ type Engine struct {
 	// memo[i] is rule i's memoized pending net (see pendingNet).
 	memo []pendingMemo
 
-	// forked is set on both engines by Clone, which copies the memo: an
-	// engine that may share memoized nets with another never refills one.
-	forked bool
-
 	// tx is the storage savepoint taken at transaction start: rollback
 	// is RollbackTo(tx), Commit releases it, and each takes the next.
 	tx storage.Savepoint
@@ -200,6 +196,13 @@ type Engine struct {
 	td         sqlmini.TransitionData
 	env        compile.Env
 
+	// fired[i] counts rule i's firings in the running AssertContext call,
+	// and firedRules lists the rules it counts, each once: Result's
+	// FiredByRule is built from them, at its exact size, when the call
+	// returns (firedByRule). Scratch like the above.
+	fired      []int
+	firedRules []*rules.Rule
+
 	// netHook, when set, observes every pendingNet answer: the net, the
 	// trigger bit, and whether it was computed or served from the memo.
 	// Tests use it to compare answers with a fresh recomputation and to
@@ -211,10 +214,14 @@ type Engine struct {
 // rule's table, of the history suffix [mark, upTo), computed at the
 // history's truncation generation gen, and whether it satisfies the
 // rule's transition predicate. The net is immutable while it is the
-// slot's; forks share it.
+// slot's. shared is set by Clone, which copies the memo into the fork:
+// another engine may then hold the same net, so the slot's next
+// computation allocates a net of its own instead of refilling this one,
+// and the slot is private again.
 type pendingMemo struct {
 	net       *transition.Net
 	triggered bool
+	shared    bool
 	mark      int
 	upTo      int
 	gen       uint64
@@ -460,11 +467,12 @@ var emptyNet = transition.EmptyNet()
 // DESIGN.md §11 "Pending nets are memoized" walks every way the history,
 // the marks and the database move.
 //
-// A stale slot's net is refilled in place unless the engine has been
-// forked (or is a fork): then another engine may hold the same net, and
-// a new one is computed. Nothing else can read it by then: every row a
-// consideration takes out of its transition tables is copied, and td is
-// rebuilt at every Consider (DESIGN.md §11.3).
+// A stale slot's net is refilled in place unless the slot is shared
+// with a fork (Clone marks it): then another engine may hold the same
+// net, and a new one is computed, which only this slot holds. Nothing
+// else can read a refilled net by then: every row a consideration takes
+// out of its transition tables is copied, and td is rebuilt at every
+// Consider (DESIGN.md §11.3).
 func (e *Engine) pendingNet(r *rules.Rule) (net *transition.Net, triggered bool) {
 	i := r.Index()
 	t := e.tabs[i]
@@ -477,7 +485,7 @@ func (e *Engine) pendingNet(r *rules.Rule) (net *transition.Net, triggered bool)
 		if m.net == nil || m.mark != mark || m.gen != e.db.HistoryGen() || last >= m.upTo {
 			computed = true
 			reuse := m.net
-			if e.forked {
+			if m.shared {
 				reuse = nil
 			}
 			n := transition.ComputeTable(e.db, mark, t, &e.netScratch, reuse)
@@ -699,7 +707,8 @@ func (e *Engine) Assert() (Result, error) {
 // failed or unstarted work is absent — and processing is suspended
 // (InFlight). A subsequent Assert/AssertContext resumes exactly where it
 // stopped with a fresh budget; it does not re-see consumed transitions.
-func (e *Engine) AssertContext(ctx context.Context) (Result, error) {
+func (e *Engine) AssertContext(ctx context.Context) (res Result, _ error) {
+	defer func() { res.FiredByRule = e.firedByRule() }()
 	if !e.inFlight {
 		e.BeginAssert()
 		e.inFlight = true
@@ -710,7 +719,6 @@ func (e *Engine) AssertContext(ctx context.Context) (Result, error) {
 	trackFrom := max(e.opts.MaxSteps-livelockWindow, 0)
 	var seen map[string]int // state fingerprint -> len(chosen) when observed
 	var chosen []string     // rules considered since tracking began
-	var res Result
 	for {
 		if cerr := ctx.Err(); cerr != nil {
 			e.trace(TraceEvent{Kind: "assert-cancelled", Considered: res.Considered, Fired: res.Fired})
@@ -768,10 +776,7 @@ func (e *Engine) AssertContext(ctx context.Context) (Result, error) {
 		res.Considered++
 		if fired {
 			res.Fired++
-			if res.FiredByRule == nil {
-				res.FiredByRule = make(map[string]int)
-			}
-			res.FiredByRule[r.Name]++
+			e.countFiring(r)
 			if rolled {
 				e.trace(TraceEvent{Kind: "rollback", Rule: r.Name})
 			} else {
@@ -786,6 +791,35 @@ func (e *Engine) AssertContext(ctx context.Context) (Result, error) {
 			return res, e.journal("abort", Journal.Abort)
 		}
 	}
+}
+
+// countFiring counts one firing of r toward the running call's
+// FiredByRule.
+func (e *Engine) countFiring(r *rules.Rule) {
+	if e.fired == nil {
+		e.fired = make([]int, e.set.Len())
+	}
+	i := r.Index()
+	if e.fired[i] == 0 {
+		e.firedRules = append(e.firedRules, r)
+	}
+	e.fired[i]++
+}
+
+// firedByRule returns the firings counted since its last call, per rule
+// name, in a map of exactly their size (nil when nothing fired), and
+// zeroes the counts.
+func (e *Engine) firedByRule() map[string]int {
+	if len(e.firedRules) == 0 {
+		return nil
+	}
+	m := make(map[string]int, len(e.firedRules))
+	for _, r := range e.firedRules {
+		m[r.Name] = e.fired[r.Index()]
+		e.fired[r.Index()] = 0
+	}
+	e.firedRules = e.firedRules[:0]
+	return m
 }
 
 // journal invokes one transaction-boundary hook on the configured
@@ -846,14 +880,17 @@ func (e *Engine) Close() { e.db.Release(e.tx) }
 // are speculative, and their mutations must never reach the durable log
 // (the forked database likewise drops the observer).
 func (e *Engine) Clone() *Engine {
-	e.forked = true // the memo's nets are now the fork's too
-	ne := *e        // set and prog are immutable; tx is positional, valid against the fork
+	for i := range e.memo {
+		e.memo[i].shared = true // the memo's nets are now the fork's too
+	}
+	ne := *e // set and prog are immutable; tx is positional, valid against the fork
 	ne.opts.Journal = nil
 	ne.db = e.db.Fork()
 	ne.bindTables()
 	ne.marks = append([]int(nil), e.marks...)
 	ne.memo = append([]pendingMemo(nil), e.memo...)
 	ne.trig, ne.elig, ne.netScratch, ne.td, ne.env, ne.user = nil, nil, transition.Scratch{}, sqlmini.TransitionData{}, compile.Env{}, nil
+	ne.fired, ne.firedRules = nil, nil
 	if e.cand != nil {
 		ne.cand = e.cand.Clone()
 	}

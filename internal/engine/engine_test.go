@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -483,6 +485,65 @@ create rule bump on t when updated(v) if exists (select 1 from t where v < 3) th
 	if res2.FiredByRule != nil {
 		t.Errorf("empty run should have nil FiredByRule: %v", res2.FiredByRule)
 	}
+}
+
+// TestFiredByRuleEveryReturn reads FiredByRule on each way AssertContext
+// returns — quiescence, rollback, a runtime error, the step budget and
+// cancellation — and on the call that resumes after the last three: each
+// counts the firings of its own call, and none is nil unless nothing fired.
+func TestFiredByRuleEveryReturn(t *testing.T) {
+	set, db := mkSet(t, "table t (v int)\ntable u (v int)", `
+create rule bump on t when updated(v) if exists (select 1 from t where v < 3) then update t set v = v + 1 where v < 3
+create rule copy on t when inserted then insert into u values (1)
+create rule stop on u when inserted if exists (select 1 from u where v = 9) then rollback
+create rule fail on u when inserted if exists (select 1 from u where v = 7) then update u set v = v / 0
+`)
+	db.MustInsert("t", storage.IntV(0))
+	var cancelAt string // the rule whose firing cancels the context, if any
+	cancel := func() {}
+	e := New(set, db, Options{Trace: func(ev TraceEvent) {
+		if ev.Kind == "fire" && ev.Rule == cancelAt {
+			cancel()
+		}
+	}})
+	run := func(what, src string, budget int, want map[string]int, wantErr bool) {
+		t.Helper()
+		if src != "" {
+			if _, err := e.ExecUser(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, c := context.WithCancel(context.Background())
+		defer c()
+		cancel = c
+		e.opts.MaxSteps = budget
+		res, err := e.AssertContext(ctx)
+		if (err != nil) != wantErr {
+			t.Fatalf("%s: err %v", what, err)
+		}
+		if !reflect.DeepEqual(res.FiredByRule, want) {
+			t.Errorf("%s: FiredByRule = %#v, want %#v", what, res.FiredByRule, want)
+		}
+	}
+	run("quiescence", "update t set v = 1; insert into t values (3)", 100, map[string]int{"bump": 2, "copy": 1}, false)
+	run("nothing fired", "", 100, nil, false)
+	if err := e.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	run("rollback", "insert into t values (3); insert into u values (9)", 100, map[string]int{"copy": 1, "stop": 1}, false)
+	run("runtime error", "update t set v = 2; insert into t values (3); insert into u values (7)", 100, map[string]int{"bump": 1, "copy": 1}, true)
+	if err := e.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	run("step budget", "update t set v = 0; insert into t values (3)", 2, map[string]int{"bump": 2}, true)
+	run("resumed after the budget", "", 100, map[string]int{"bump": 1, "copy": 1}, false)
+	if err := e.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	cancelAt = "bump"
+	run("cancelled", "update t set v = 1; insert into t values (3)", 100, map[string]int{"bump": 1}, true)
+	cancelAt = ""
+	run("resumed after cancellation", "", 100, map[string]int{"bump": 1, "copy": 1}, false)
 }
 
 func TestSetStrategyAndAccessors(t *testing.T) {

@@ -250,8 +250,8 @@ create rule r_shift on c0 when updated(v) then update c1 set v = v + 1 where v i
 
 // TestPendingNetRefillDifferential is the memo oracle on an engine that
 // is never forked, so that it refills its nets in place the way the
-// serving engine does (a fork stops both engines refilling, which is all
-// the scenarios above can see after their first fork). One engine serves
+// serving engine does (a fork stops both engines refilling a slot until
+// that slot next recomputes, and the scenarios above fork often). One engine serves
 // a stream of bank and cascade requests — scripts that fail or panic
 // midway, considerations that fail or panic, rule and caller rollbacks,
 // sweeps, updates, several requests to a transaction — with the state
@@ -285,8 +285,10 @@ func TestPendingNetRefillDifferential(t *testing.T) {
 			if o.err != nil {
 				t.Fatalf("compiled=%v seed=%d: %v", compiled, seed, o.err)
 			}
-			if e.forked {
-				t.Fatalf("compiled=%v seed=%d: the engine was forked", compiled, seed)
+			for i, m := range e.memo {
+				if m.shared {
+					t.Fatalf("compiled=%v seed=%d: rule %d's memo slot is shared with a fork", compiled, seed, i)
+				}
 			}
 		}
 		if refills == 0 {

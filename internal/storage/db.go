@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -464,13 +466,35 @@ var emptyDigest = sha256.Sum256(nil)
 // largest table digested.
 type fpScratch struct {
 	buf   []byte    // encodings of the rows being digested, each followed by ';'
-	spans []rowSpan // one per row, sorted by encoding
+	spans []rowSpan // one per row, sorted by encoding (by key, then bytes)
 	top   []byte    // the `name ( tableDigest )` stream
 	rows  int       // rows encoded so far (what tests count)
 }
 
 // rowSpan locates one row's encoding, buf[lo:hi]; buf[hi] is its ';'.
-type rowSpan struct{ lo, hi int }
+// key is the encoding's first 8 bytes, zero-padded, read big-endian
+// (prefixKey): where two rows' keys differ they order as their
+// encodings do, so only rows with equal keys compare bytes.
+type rowSpan struct {
+	lo, hi int
+	key    uint64
+}
+
+// prefixKey returns enc's sort key: its first 8 bytes, zero-padded,
+// read big-endian. Keys that differ first differ at some byte i < 8.
+// Where both encodings reach byte i, it is their first differing byte,
+// which bytes.Compare also decides on; where one ends before i, its pad
+// byte 0 is below the other's byte there (else the keys would agree at
+// i), and bytes.Compare puts the shorter encoding, a proper prefix of
+// the other, first as well.
+func prefixKey(enc []byte) uint64 {
+	if len(enc) >= 8 {
+		return binary.BigEndian.Uint64(enc)
+	}
+	var k [8]byte
+	copy(k[:], enc)
+	return binary.BigEndian.Uint64(k[:])
+}
 
 // tableDigest returns the table's content digest: the SHA-256 of its
 // sorted row encodings, each followed by ';' — the bytes
@@ -505,7 +529,8 @@ func (db *DB) tableDigest(t *Table) [32]byte {
 
 // sorted encodes the rows t.pending(gone, …) visits into the scratch,
 // each followed by ';', and returns them with their spans sorted by
-// encoding.
+// encoding: by key, and by bytes.Compare only where two keys are equal,
+// which is the order bytes.Compare alone gives (prefixKey).
 func (s *fpScratch) sorted(t *Table, gone bool) ([]byte, []rowSpan) {
 	n := len(t.rows)
 	switch {
@@ -534,10 +559,15 @@ func (s *fpScratch) sorted(t *Table, gone bool) ([]byte, []rowSpan) {
 	t.pending(gone, func(tu *Tuple) {
 		lo := len(buf)
 		buf = tu.encode(buf)
-		spans = append(spans, rowSpan{lo, len(buf)})
+		spans = append(spans, rowSpan{lo, len(buf), prefixKey(buf[lo:])})
 		buf = append(buf, ';')
 	})
-	slices.SortFunc(spans, func(a, b rowSpan) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
+	slices.SortFunc(spans, func(a, b rowSpan) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi])
+	})
 	s.buf, s.spans, s.rows = buf, spans, s.rows+len(spans)
 	return buf, spans
 }
