@@ -34,7 +34,7 @@ func marker() wal.Record {
 }
 
 func insert(id int) wal.Record {
-	return wal.Record{Kind: wal.RecInsert, Table: "t", ID: storage.TupleID(id), Vals: []storage.Value{storage.IntV(int64(id))}}
+	return wal.Record{Kind: wal.RecInsert, Table: "t", Rows: []wal.Row{{ID: storage.TupleID(id), Vals: []storage.Value{storage.IntV(int64(id))}}}}
 }
 
 var (

@@ -41,17 +41,20 @@ type RecoveryInfo struct {
 	SnapshotLoaded bool
 	// Fresh reports that the directory held no durable state at all.
 	Fresh bool
-	// RecordsScanned counts well-formed log records read.
+	// RecordsScanned counts well-formed log records read: an insert or
+	// delete record counts once however many rows it holds.
 	RecordsScanned int
 	// TxCommitted counts commit records honored.
 	TxCommitted int
-	// MutationsReplayed counts mutation records applied to the state.
+	// MutationsReplayed counts the primitive mutations applied to the
+	// state: the rows of insert and delete records, and updates.
 	MutationsReplayed int
 	// Aborts counts abort records honored (each rolled the replay back
 	// to its transaction's begin record).
 	Aborts int
-	// TailDiscarded counts well-formed mutation records discarded
-	// because no commit record followed them (the uncommitted tail).
+	// TailDiscarded counts the primitive mutations (rows and updates, as
+	// MutationsReplayed) of well-formed records discarded because no
+	// commit record followed them (the uncommitted tail).
 	TailDiscarded int
 	// TruncatedBytes is how many trailing log bytes were cut at the
 	// first torn or corrupt record (0 for a clean log).

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -13,10 +14,12 @@ import (
 // FuzzReadRecord feeds ReadRecord arbitrary bytes. The contract under
 // fuzz: never panic, never accept a damaged frame silently — every
 // outcome is a decoded record, ErrTorn, or ErrCorrupt — and anything it
-// does decode must survive a re-encode/re-decode round trip.
+// does decode must survive a re-encode/re-decode round trip: the record
+// decoded again from AppendRecord's bytes encodes to those bytes.
 func FuzzReadRecord(f *testing.F) {
-	// Seed with every record kind, valid multi-record streams, torn
-	// prefixes, and single-byte corruptions of each.
+	// Seed with every record kind (multi-row inserts and deletes
+	// included), valid multi-record streams, torn prefixes, and
+	// single-byte corruptions of each.
 	var stream []byte
 	for _, rec := range allKinds() {
 		one := AppendRecord(nil, rec)
@@ -50,7 +53,7 @@ func FuzzReadRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of %s: %v", rec, err)
 		}
-		if n2 != len(reenc) || rec2.String() != rec.String() {
+		if n2 != len(reenc) || rec2.String() != rec.String() || !bytes.Equal(AppendRecord(nil, rec2), reenc) {
 			t.Fatalf("round trip drifted: %s -> %s", rec, rec2)
 		}
 	})
@@ -111,8 +114,19 @@ func FuzzReplayChunking(f *testing.F) {
 		}
 		return b
 	}
-	ins := func(id int) Record {
-		return Record{Kind: RecInsert, Table: "a", ID: storage.TupleID(id), Vals: []storage.Value{storage.IntV(int64(id)), storage.IntV(0)}}
+	ins := func(ids ...int) Record {
+		rec := Record{Kind: RecInsert, Table: "a"}
+		for _, id := range ids {
+			rec.Rows = append(rec.Rows, Row{ID: storage.TupleID(id), Vals: []storage.Value{storage.IntV(int64(id)), storage.IntV(0)}})
+		}
+		return rec
+	}
+	del := func(ids ...int) Record {
+		rec := Record{Kind: RecDelete, Table: "a"}
+		for _, id := range ids {
+			rec.Rows = append(rec.Rows, Row{ID: storage.TupleID(id)})
+		}
+		return rec
 	}
 	marker := Record{Kind: RecSnapshot, Gen: 1, FP: storage.NewDB(chunkSchema).CanonicalFingerprint()}
 	begin, commit, abort := Record{Kind: RecBegin}, Record{Kind: RecCommit}, Record{Kind: RecAbort}
@@ -133,6 +147,11 @@ func FuzzReplayChunking(f *testing.F) {
 	// digest older logs carry.
 	marker.FP = storage.NewDB(chunkSchema).Fingerprint()
 	f.Add(log(marker, begin, ins(1), commit, begin, ins(2), commit, ins(3)), uint64(7))
+	// Multi-row runs, down as well as up, whose frames straddle chunks
+	// of 1 to 9 bytes; the last run is an uncommitted tail.
+	runs := log(marker, begin, ins(1, 2, 3, 9, 5), commit, del(9, 1, 3), ins(4, 6), commit, begin, del(2, 6, 5, 4), ins(12, 11, 10))
+	f.Add(runs, uint64(8))
+	f.Add(runs, uint64(14))
 
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		whole := replayIn(data, func() int { return len(data) })

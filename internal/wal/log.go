@@ -95,6 +95,10 @@ func (o Options) withDefaults() Options {
 // commit point.
 const bufferBytes = 256 << 10
 
+// runBytes caps an insert or delete record's payload: the row that
+// takes a run to this size seals it, and the next row opens another.
+const runBytes = 64 << 10
+
 // Log is the append side of the write-ahead log. It implements
 // storage.Observer (mutation records arrive from the database's
 // physical-mutation hook) and the engine's Journal interface
@@ -114,6 +118,17 @@ type Log struct {
 	buf    []byte
 	err    error
 	closed bool
+
+	// run is the insert or delete record left open at the end of buf,
+	// its frame header not yet written: a further row of its kind on its
+	// table extends it. Any other record, a flush and the runBytes cap
+	// seal it. kind is 0 when no run is open.
+	run struct {
+		kind  RecordKind
+		table string
+		start int             // the frame's offset in buf
+		prev  storage.TupleID // the identity of its last row
+	}
 
 	// written and durable track the log file's byte positions: written
 	// is how many bytes have reached the file (flushed), durable how
@@ -153,29 +168,70 @@ func (l *Log) DurableOffset() int64 {
 // Err returns the sticky error, if any.
 func (l *Log) Err() error { return l.err }
 
-// append frames rec into the buffer, spilling to the file when the
-// buffer outgrows the threshold (without fsync — an uncommitted tail on
-// disk is harmless, recovery discards it). Appending to a closed log is
-// a sticky ErrClosed, never a nil-handle panic: the drain path closes
-// the log while an engine may still hold a journal reference to it.
+// append frames rec into the buffer after sealing any open run.
 func (l *Log) append(rec Record) {
+	if !l.writable() {
+		return
+	}
+	l.seal()
+	l.buf = AppendRecord(l.buf, rec)
+	l.spill()
+}
+
+// appendRow logs one inserted or deleted row: it extends the open run
+// when the row is of its kind and table, and opens a new run otherwise.
+func (l *Log) appendRow(kind RecordKind, table string, row Row) {
+	if !l.writable() {
+		return
+	}
+	if l.run.kind == kind && l.run.table == table {
+		l.buf = appendNextRow(l.buf, kind, l.run.prev, row)
+	} else {
+		l.seal()
+		l.run.kind, l.run.table, l.run.start = kind, table, len(l.buf)
+		l.buf = appendPayload(append(l.buf, 0, 0, 0, 0, 0, 0, 0, 0),
+			Record{Kind: kind, Table: table, Rows: []Row{row}})
+	}
+	l.run.prev = row.ID
+	if len(l.buf)-l.run.start-headerSize >= runBytes {
+		l.seal()
+	}
+	l.spill()
+}
+
+// writable reports whether the log still accepts records. Appending to
+// a closed log is a sticky ErrClosed, never a nil-handle panic: the
+// drain path closes the log while an engine may still hold a journal
+// reference to it.
+func (l *Log) writable() bool {
 	if l.closed && l.err == nil {
 		l.err = ErrClosed
 	}
-	if l.err != nil {
-		return
+	return l.err == nil
+}
+
+// seal writes the open run's frame header, closing the run.
+func (l *Log) seal() {
+	if l.run.kind != 0 {
+		sealFrame(l.buf[l.run.start:])
+		l.run.kind = 0
 	}
-	l.buf = AppendRecord(l.buf, rec)
+}
+
+// spill writes the buffer out once it outgrows the threshold (without
+// fsync — an uncommitted tail on disk is harmless, recovery discards it).
+func (l *Log) spill() {
 	if len(l.buf) >= bufferBytes {
 		l.flush()
 	}
 }
 
-// flush writes the buffered bytes to the file.
+// flush seals any open run and writes the buffered bytes to the file.
 func (l *Log) flush() {
 	if l.err != nil || len(l.buf) == 0 {
 		return
 	}
+	l.seal()
 	if _, err := l.f.Write(l.buf); err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
 		return
@@ -185,10 +241,7 @@ func (l *Log) flush() {
 }
 
 func (l *Log) sync() {
-	if l.closed && l.err == nil {
-		l.err = ErrClosed
-	}
-	if l.err != nil {
+	if !l.writable() {
 		return
 	}
 	if err := l.f.Sync(); err != nil {
@@ -242,10 +295,7 @@ func (l *Log) Abort() error {
 // cannot extend its history even if its process keeps running. Fencing
 // an already-failed or closed log returns that error unchanged.
 func (l *Log) Fence(epoch uint64) error {
-	if l.closed && l.err == nil {
-		l.err = ErrClosed
-	}
-	if l.err != nil {
+	if !l.writable() {
 		return l.err
 	}
 	l.append(Record{Kind: RecEpoch, Epoch: epoch})
@@ -260,12 +310,12 @@ func (l *Log) Fence(epoch uint64) error {
 
 // ObserveInsert implements storage.Observer.
 func (l *Log) ObserveInsert(table string, id storage.TupleID, vals []storage.Value) {
-	l.append(Record{Kind: RecInsert, Table: table, ID: id, Vals: vals})
+	l.appendRow(RecInsert, table, Row{ID: id, Vals: vals})
 }
 
 // ObserveDelete implements storage.Observer.
 func (l *Log) ObserveDelete(table string, id storage.TupleID) {
-	l.append(Record{Kind: RecDelete, Table: table, ID: id})
+	l.appendRow(RecDelete, table, Row{ID: id})
 }
 
 // ObserveUpdate implements storage.Observer.

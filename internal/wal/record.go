@@ -7,17 +7,18 @@
 //
 // The log is a physical redo log fed by storage.Observer: every applied
 // primitive mutation — including the compensations a savepoint rollback
-// applies — becomes one mutation record, so replay is strictly
-// sequential and needs no undo machinery. Transaction boundaries come
-// from the engine's Journal hooks (engine.Options.Journal): an
-// assertion point that quiesces writes a commit record, a rule-level
-// ROLLBACK action writes an abort record, and Engine.Commit writes a
-// commit followed by a begin. Recovery replays exactly the mutation
-// ranges that a crash-free reader of the commit/abort structure would
-// consider durable, which yields the prefix-consistency invariant the
-// crash harness (internal/crashtest) enforces: the recovered state is
-// byte-identical in content to some committed prefix of the original
-// run.
+// applies — is logged in order, one record per run: consecutive inserts
+// (or deletes) on one table share one record, and each update is a
+// record of its own. Replay is strictly sequential and needs no undo
+// machinery. Transaction boundaries come from the engine's Journal
+// hooks (engine.Options.Journal): an assertion point that quiesces
+// writes a commit record, a rule-level ROLLBACK action writes an abort
+// record, and Engine.Commit writes a commit followed by a begin.
+// Recovery replays exactly the mutation ranges that a crash-free reader
+// of the commit/abort structure would consider durable, which yields
+// the prefix-consistency invariant the crash harness (internal/crashtest)
+// enforces: the recovered state is byte-identical in content to some
+// committed prefix of the original run.
 package wal
 
 import (
@@ -47,9 +48,10 @@ const (
 	// RecAbort marks a rule-level ROLLBACK action: recovery discards
 	// every mutation range back to the last RecBegin.
 	RecAbort RecordKind = 3
-	// RecInsert is an applied insert with its assigned tuple identity.
+	// RecInsert is a run of applied inserts on one table, each row with
+	// its assigned tuple identity.
 	RecInsert RecordKind = 4
-	// RecDelete is an applied delete.
+	// RecDelete is a run of applied deletes on one table.
 	RecDelete RecordKind = 5
 	// RecUpdate is an applied single-column update.
 	RecUpdate RecordKind = 6
@@ -73,13 +75,28 @@ const (
 type Record struct {
 	Kind  RecordKind
 	Table string          // insert/delete/update
-	ID    storage.TupleID // insert/delete/update
+	Rows  []Row           // insert/delete: at least one, in the order applied
+	ID    storage.TupleID // update
 	Col   string          // update: column name
 	Val   storage.Value   // update: new value
-	Vals  []storage.Value // insert: row values
 	Gen   uint64          // snapshot marker: generation
 	FP    [32]byte        // snapshot marker: db content fingerprint
 	Epoch uint64          // epoch record: leadership epoch
+}
+
+// Row is one row of an insert or delete record.
+type Row struct {
+	ID   storage.TupleID
+	Vals []storage.Value // insert: the row's values
+}
+
+// mutations is how many primitive mutations rec carries: its rows, or one
+// for an update.
+func (rec Record) mutations() int {
+	if rec.Kind == RecUpdate {
+		return 1
+	}
+	return len(rec.Rows)
 }
 
 // String renders the record compactly for diagnostics.
@@ -92,9 +109,15 @@ func (r Record) String() string {
 	case RecAbort:
 		return "abort"
 	case RecInsert:
-		return fmt.Sprintf("insert %s #%d (%d cols)", r.Table, r.ID, len(r.Vals))
+		if len(r.Rows) == 1 {
+			return fmt.Sprintf("insert %s #%d (%d cols)", r.Table, r.Rows[0].ID, len(r.Rows[0].Vals))
+		}
+		return fmt.Sprintf("insert %s, %d rows", r.Table, len(r.Rows))
 	case RecDelete:
-		return fmt.Sprintf("delete %s #%d", r.Table, r.ID)
+		if len(r.Rows) == 1 {
+			return fmt.Sprintf("delete %s #%d", r.Table, r.Rows[0].ID)
+		}
+		return fmt.Sprintf("delete %s, %d rows", r.Table, len(r.Rows))
 	case RecUpdate:
 		return fmt.Sprintf("update %s #%d .%s", r.Table, r.ID, r.Col)
 	case RecSnapshot:
@@ -111,6 +134,14 @@ func (r Record) String() string {
 // of the log, whose length field is implausible, or whose CRC does not
 // match is "bad"; recovery truncates the log at the first bad record
 // (the torn-tail rule).
+//
+// An insert or delete payload is its kind, its table, and its rows in
+// the order applied. The first row carries its identity as a uvarint,
+// every later row the zigzag varint delta from the row before it; an
+// insert row then carries its column count and values. A one-row
+// record is thus byte-identical to the one-row records logs have always
+// held, and a reader older than runs finds trailing payload bytes in a
+// longer record and reads it as corrupt.
 const (
 	headerSize = 8
 	// maxRecordSize bounds the length field so a torn length prefix
@@ -130,30 +161,28 @@ var (
 	ErrCorrupt = errors.New("wal: corrupt record")
 )
 
-// AppendRecord appends the framed encoding of rec to b.
+// AppendRecord appends the framed encoding of rec to b. An insert or
+// delete record must hold at least one row.
 func AppendRecord(b []byte, rec Record) []byte {
 	start := len(b)
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	b = appendPayload(b, rec)
-	payload := b[start+headerSize:]
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, crcTable))
+	b = appendPayload(append(b, 0, 0, 0, 0, 0, 0, 0, 0), rec) // frame header placeholder
+	sealFrame(b[start:])
 	return b
 }
 
 func appendPayload(b []byte, rec Record) []byte {
 	b = append(b, byte(rec.Kind))
 	switch rec.Kind {
-	case RecInsert:
+	case RecInsert, RecDelete:
 		b = appendString(b, rec.Table)
-		b = binary.AppendUvarint(b, uint64(rec.ID))
-		b = binary.AppendUvarint(b, uint64(len(rec.Vals)))
-		for _, v := range rec.Vals {
-			b = appendValue(b, v)
+		for i, row := range rec.Rows {
+			if i == 0 {
+				b = binary.AppendUvarint(b, uint64(row.ID))
+				b = appendRowVals(b, rec.Kind, row.Vals)
+			} else {
+				b = appendNextRow(b, rec.Kind, rec.Rows[i-1].ID, row)
+			}
 		}
-	case RecDelete:
-		b = appendString(b, rec.Table)
-		b = binary.AppendUvarint(b, uint64(rec.ID))
 	case RecUpdate:
 		b = appendString(b, rec.Table)
 		b = binary.AppendUvarint(b, uint64(rec.ID))
@@ -166,6 +195,34 @@ func appendPayload(b []byte, rec Record) []byte {
 		b = binary.AppendUvarint(b, rec.Epoch)
 	}
 	return b
+}
+
+// appendNextRow appends a row after the first to an insert or delete
+// payload whose previous row has identity prev.
+func appendNextRow(b []byte, kind RecordKind, prev storage.TupleID, row Row) []byte {
+	b = binary.AppendVarint(b, int64(row.ID-prev))
+	return appendRowVals(b, kind, row.Vals)
+}
+
+// appendRowVals appends what follows a row's identity: for an insert,
+// the column count and the values; for a delete, nothing.
+func appendRowVals(b []byte, kind RecordKind, vals []storage.Value) []byte {
+	if kind != RecInsert {
+		return b
+	}
+	b = binary.AppendUvarint(b, uint64(len(vals)))
+	for _, v := range vals {
+		b = appendValue(b, v)
+	}
+	return b
+}
+
+// sealFrame writes the header of frame, a header placeholder followed by
+// the whole payload: the payload's length and checksum.
+func sealFrame(frame []byte) {
+	payload := frame[headerSize:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
 }
 
 // ReadRecord decodes the record framed at the start of b. It returns
@@ -203,20 +260,20 @@ func decodePayload(p []byte) (Record, error) {
 	switch rec.Kind {
 	case RecBegin, RecCommit, RecAbort:
 		// no body
-	case RecInsert:
+	case RecInsert, RecDelete:
 		rec.Table = d.str()
-		rec.ID = storage.TupleID(d.uvarint())
-		ncols := d.uvarint()
-		if ncols > uint64(len(d.b)) { // each value takes at least 1 byte
-			return rec, fmt.Errorf("%w: implausible column count %d", ErrCorrupt, ncols)
+		id := storage.TupleID(d.uvarint())
+		for d.err == nil {
+			row := Row{ID: id}
+			if rec.Kind == RecInsert {
+				row.Vals = d.values()
+			}
+			rec.Rows = append(rec.Rows, row)
+			if len(d.b) == 0 {
+				break
+			}
+			id += storage.TupleID(d.varint())
 		}
-		rec.Vals = make([]storage.Value, 0, ncols)
-		for i := uint64(0); i < ncols; i++ {
-			rec.Vals = append(rec.Vals, d.value())
-		}
-	case RecDelete:
-		rec.Table = d.str()
-		rec.ID = storage.TupleID(d.uvarint())
 	case RecUpdate:
 		rec.Table = d.str()
 		rec.ID = storage.TupleID(d.uvarint())
@@ -328,6 +385,22 @@ func (d *decoder) str() string {
 		return ""
 	}
 	return string(d.take(int(n)))
+}
+
+// values reads an insert row's column count and values.
+func (d *decoder) values() []storage.Value {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) { // each value takes at least 1 byte
+		d.fail("implausible column count %d", n)
+	}
+	if d.err != nil {
+		return nil
+	}
+	vals := make([]storage.Value, 0, n)
+	for i := uint64(0); i < n; i++ {
+		vals = append(vals, d.value())
+	}
+	return vals
 }
 
 func (d *decoder) value() storage.Value {

@@ -165,8 +165,13 @@ func (r *Replayer) settle() error {
 		}
 		start = end
 	}
-	r.info.MutationsReplayed += start
-	r.info.TailDiscarded += len(r.muts) - start
+	for i, rec := range r.muts {
+		if i < start {
+			r.info.MutationsReplayed += rec.mutations()
+		} else {
+			r.info.TailDiscarded += rec.mutations()
+		}
+	}
 	r.muts, r.ranges = r.muts[:0], r.ranges[:0]
 	return nil
 }
@@ -212,15 +217,23 @@ func ApplyRange(db *storage.DB, recs []Record) error {
 	return nil
 }
 
-// Apply redoes one committed mutation record against db. Replay proper
-// goes through ApplyRange; replay oracles apply record by record.
+// Apply redoes one committed mutation record against db, an insert or
+// delete record's rows in order. Replay proper goes through ApplyRange;
+// replay oracles apply record by record.
 func Apply(db *storage.DB, rec Record) error {
 	switch rec.Kind {
 	case RecInsert:
-		return db.InsertWithID(rec.Table, rec.ID, rec.Vals)
+		for _, row := range rec.Rows {
+			if err := db.InsertWithID(rec.Table, row.ID, row.Vals); err != nil {
+				return err
+			}
+		}
+		return nil
 	case RecDelete:
-		if db.Delete(rec.Table, rec.ID) == nil {
-			return fmt.Errorf("delete %s #%d: no such tuple", rec.Table, rec.ID)
+		for _, row := range rec.Rows {
+			if db.Delete(rec.Table, row.ID) == nil {
+				return fmt.Errorf("delete %s #%d: no such tuple", rec.Table, row.ID)
+			}
 		}
 		return nil
 	case RecUpdate:

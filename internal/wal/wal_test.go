@@ -23,13 +23,19 @@ func allKinds() []Record {
 		{Kind: RecBegin},
 		{Kind: RecCommit},
 		{Kind: RecAbort},
-		{Kind: RecInsert, Table: "acct", ID: 7, Vals: []storage.Value{
+		{Kind: RecInsert, Table: "acct", Rows: []Row{{ID: 7, Vals: []storage.Value{
 			storage.StringV("ann"), storage.IntV(100),
-		}},
-		{Kind: RecInsert, Table: "audit", ID: 8, Vals: []storage.Value{
+		}}}},
+		{Kind: RecInsert, Table: "audit", Rows: []Row{{ID: 8, Vals: []storage.Value{
 			storage.StringV(""), storage.BoolV(true),
+		}}}},
+		{Kind: RecDelete, Table: "acct", Rows: []Row{{ID: 7}}},
+		{Kind: RecInsert, Table: "acct", Rows: []Row{
+			{ID: 10, Vals: []storage.Value{storage.StringV("cy"), storage.IntV(1)}},
+			{ID: 12, Vals: []storage.Value{storage.Null, storage.IntV(-2)}},
+			{ID: 11, Vals: []storage.Value{storage.StringV(""), storage.Null}},
 		}},
-		{Kind: RecDelete, Table: "acct", ID: 7},
+		{Kind: RecDelete, Table: "audit", Rows: []Row{{ID: 40}, {ID: 3}, {ID: 1 << 40}, {ID: 1}}},
 		{Kind: RecUpdate, Table: "acct", ID: 9, Col: "balance", Val: storage.IntV(-3)},
 		{Kind: RecUpdate, Table: "acct", ID: 9, Col: "owner", Val: storage.Null},
 		{Kind: RecUpdate, Table: "x", ID: 1, Col: "f", Val: storage.FloatV(2.5)},
@@ -65,8 +71,8 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestReadRecordRejectsDamage(t *testing.T) {
-	whole := AppendRecord(nil, Record{Kind: RecInsert, Table: "acct", ID: 3,
-		Vals: []storage.Value{storage.StringV("bo"), storage.IntV(1)}})
+	whole := AppendRecord(nil, Record{Kind: RecInsert, Table: "acct", Rows: []Row{{ID: 3,
+		Vals: []storage.Value{storage.StringV("bo"), storage.IntV(1)}}}})
 
 	// Every proper prefix is torn, never corrupt and never a panic.
 	for n := 0; n < len(whole); n++ {
@@ -158,8 +164,9 @@ func TestOpenFreshThenReopen(t *testing.T) {
 	if d2.Info().Fresh {
 		t.Error("reopen reported fresh")
 	}
-	if d2.Info().TxCommitted != 1 || d2.Info().MutationsReplayed != 3 {
-		t.Errorf("reopen info = %+v", d2.Info())
+	// The two inserts share a record; the mutations count rows.
+	if info := d2.Info(); info.TxCommitted != 1 || info.MutationsReplayed != 3 || info.RecordsScanned != 5 {
+		t.Errorf("reopen info = %+v, want 1 commit, 3 mutations in 5 records (marker, begin, insert run, update, commit)", info)
 	}
 	if db2.Fingerprint() != want {
 		t.Errorf("recovered contents differ:\n%s", db2)
@@ -599,13 +606,22 @@ func BenchmarkRecovery(b *testing.B) {
 // record sequence is pinned byte-for-byte.
 func TestRecordEncodingPinned(t *testing.T) {
 	buf := AppendRecord(nil, Record{Kind: RecBegin})
-	buf = AppendRecord(buf, Record{Kind: RecInsert, Table: "t", ID: 1,
-		Vals: []storage.Value{storage.IntV(5)}})
+	buf = AppendRecord(buf, Record{Kind: RecInsert, Table: "t", Rows: []Row{{ID: 1,
+		Vals: []storage.Value{storage.IntV(5)}}}})
 	buf = AppendRecord(buf, Record{Kind: RecCommit})
+	// Runs: the second row's identity is the zigzag delta from the
+	// first's (+2 → 0x04, −2 → 0x03).
+	buf = AppendRecord(buf, Record{Kind: RecInsert, Table: "t", Rows: []Row{
+		{ID: 1, Vals: []storage.Value{storage.IntV(5)}},
+		{ID: 3, Vals: []storage.Value{storage.IntV(6)}},
+	}})
+	buf = AppendRecord(buf, Record{Kind: RecDelete, Table: "t", Rows: []Row{{ID: 3}, {ID: 1}}})
 	want := []byte{
 		0x01, 0x00, 0x00, 0x00, 0x52, 0xd0, 0x16, 0xa0, 0x01,
 		0x07, 0x00, 0x00, 0x00, 0xb6, 0x4c, 0x34, 0xb2, 0x04, 0x01, 't', 0x01, 0x01, 0x01, 0x0a,
 		0x01, 0x00, 0x00, 0x00, 0xa6, 0x23, 0x46, 0xb3, 0x02,
+		0x0b, 0x00, 0x00, 0x00, 0x71, 0xaa, 0x41, 0x5c, 0x04, 0x01, 't', 0x01, 0x01, 0x01, 0x0a, 0x04, 0x01, 0x01, 0x0c,
+		0x05, 0x00, 0x00, 0x00, 0xa1, 0xf4, 0x89, 0xaf, 0x05, 0x01, 't', 0x03, 0x03,
 	}
 	if !bytes.Equal(buf, want) {
 		t.Errorf("encoding drifted:\ngot  %#v\nwant %#v", buf, want)
