@@ -47,6 +47,11 @@ type Analyzer struct {
 	// evaluations, including those of derived views.
 	computeHook func(view *Analyzer, lo, hi *rules.Rule)
 
+	// requirementHook, when set, sees every Confluence Requirement check
+	// of an unordered pair. Tests only: it is how the once-per-pair
+	// tripwire of PartialConfluencePerTable counts them.
+	requirementHook func(ri, rj *rules.Rule)
+
 	// blockersHook, when set, sees ShardPlan's plan with its blockers as
 	// emitted, before the sort that fixes their order. Tests only: it is
 	// how the emitted-in-order tripwire reads them.

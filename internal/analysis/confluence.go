@@ -103,11 +103,31 @@ func (a *Analyzer) confluenceOver(members []*rules.Rule, term *TerminationVerdic
 
 // requirementHolds reports whether the Confluence Requirement holds over
 // members: confluenceOver's RequirementHolds, checking the pairs one by
-// one in its order and stopping at the first violation.
-func (a *Analyzer) requirementHolds(members []*rules.Rule) bool {
+// one in its order and stopping at the first violation. When seen is not
+// nil it holds the verdicts of the pairs checked so far, by pairIndex of
+// their rule indices (0 unchecked, 1 holds, 2 violated); a pair it knows
+// is not checked again, and one checked here is entered in it.
+func (a *Analyzer) requirementHolds(members []*rules.Rule, seen []uint8) bool {
 	for i, ri := range members {
 		for _, rj := range members[i+1:] {
-			if a.set.Unordered(ri, rj) && a.checkPair(ri, rj) != nil {
+			if !a.set.Unordered(ri, rj) {
+				continue
+			}
+			k, verdict := pairIndex(ri.Index(), rj.Index()), uint8(0) // members are in definition order
+			if seen != nil {
+				verdict = seen[k]
+			}
+			if verdict == 0 {
+				verdict = 1
+				r1, r2 := a.BuildR1R2(ri, rj)
+				if c1, _, _ := a.culprits(ri, rj, r1, r2); c1 != nil {
+					verdict = 2
+				}
+				if seen != nil {
+					seen[k] = verdict
+				}
+			}
+			if verdict == 2 {
 				return false
 			}
 		}
@@ -178,44 +198,53 @@ func (a *Analyzer) rulesOf(in rules.Bits) []*rules.Rule {
 
 // checkPair verifies the Confluence Requirement for one unordered pair:
 // every rule of R1 must commute with every rule of R2. It returns the
-// first violation found (with the most informative culprits first: the
-// pair itself is checked before the expansions, mirroring the common
-// case noted under Corollary 6.8).
+// first violation found, as culprits orders the candidates.
 func (a *Analyzer) checkPair(ri, rj *rules.Rule) *Violation {
 	r1, r2 := a.BuildR1R2(ri, rj)
-	// Check (ri, rj) first: the most common violation (Corollary 6.8).
-	ordered := make([]*rules.Rule, 0, len(r1))
-	ordered = append(ordered, ri)
-	for _, r := range r1 {
-		if r != ri {
-			ordered = append(ordered, r)
-		}
+	c1, c2, reasons := a.culprits(ri, rj, r1, r2)
+	if c1 == nil {
+		return nil
 	}
-	ordered2 := make([]*rules.Rule, 0, len(r2))
-	ordered2 = append(ordered2, rj)
-	for _, r := range r2 {
-		if r != rj {
-			ordered2 = append(ordered2, r)
-		}
+	return &Violation{
+		PairI: ri.Name, PairJ: rj.Name,
+		R1: sortedNames(r1), R2: sortedNames(r2),
+		CulpritA: c1.Name, CulpritB: c2.Name,
+		Reasons: reasons,
 	}
-	for _, c1 := range ordered {
-		for _, c2 := range ordered2 {
-			if c1 == c2 {
-				continue // a rule commutes with itself
-			}
-			ok, reasons := a.Commute(c1, c2)
-			if ok {
+}
+
+// culprits returns the first c1 ∈ R1, c2 ∈ R2 that may not commute, or
+// nil ones when every such pair commutes. The most informative culprits
+// come first: ri and rj lead their sets, so the pair itself is checked
+// before the expansions (Corollary 6.8's common case), and the rest
+// follow in definition order.
+func (a *Analyzer) culprits(ri, rj *rules.Rule, r1, r2 []*rules.Rule) (c1, c2 *rules.Rule, reasons []NoncommuteReason) {
+	if a.requirementHook != nil {
+		a.requirementHook(ri, rj)
+	}
+	for i := -1; i < len(r1); i++ {
+		x := ri
+		if i >= 0 {
+			if x = r1[i]; x == ri {
 				continue
 			}
-			return &Violation{
-				PairI: ri.Name, PairJ: rj.Name,
-				R1: sortedNames(r1), R2: sortedNames(r2),
-				CulpritA: c1.Name, CulpritB: c2.Name,
-				Reasons: reasons,
+		}
+		for j := -1; j < len(r2); j++ {
+			y := rj
+			if j >= 0 {
+				if y = r2[j]; y == rj {
+					continue
+				}
+			}
+			if x == y {
+				continue // a rule commutes with itself
+			}
+			if ok, reasons := a.Commute(x, y); !ok {
+				return x, y, reasons
 			}
 		}
 	}
-	return nil
+	return nil, nil, nil
 }
 
 func sortedNames(rs []*rules.Rule) []string {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 
@@ -63,4 +64,71 @@ func (a *Analyzer) PartialConfluence(tables []string) *PartialConfluenceVerdict 
 		Sig:        sig,
 		Confluence: a.confluenceOver(sig, term),
 	}
+}
+
+// SigConfluence is Theorem 7.2 over one significant set.
+type SigConfluence struct {
+	// Sig is Sig(T') (Definition 7.1), in definition order.
+	Sig []*rules.Rule
+	// Confluent is PartialConfluence(T').Guaranteed().
+	Confluent bool
+}
+
+// PartialConfluencePerTable is PartialConfluence with respect to each of
+// the tables on its own: sigs holds the distinct Sigs with their
+// verdicts, and sigs[of[i]] is tables[i]'s. The tables share the work
+// their verdicts share:
+//
+//   - Sig. Definition 7.1's closure under may-not-commute is the union of
+//     the connected components of the may-not-commute graph that hold a
+//     rule performing an operation on the table, so one commuteComponents
+//     pass gives every table's Sig.
+//   - Theorem 7.2. Each distinct Sig is decided once: its termination,
+//     and then, if it terminates, the Confluence Requirement, stopping at
+//     the first violating pair. A pair's check depends on the pair alone,
+//     so a plane that lives for this call checks each unordered pair at
+//     most once across every Sig.
+//
+// The Lemma 6.1 pairs this examines differ from PartialConfluence's,
+// which with refinement on shows in the upgrades a later report lists.
+func (a *Analyzer) PartialConfluencePerTable(tables []string) (sigs []SigConfluence, of []int) {
+	all := a.set.Rules()
+	comp := a.commuteComponents()
+	roots := map[string]rules.Bits{} // by table: the components performing on it, by root
+	for _, r := range all {
+		for _, op := range a.view.of(r).performsSorted {
+			row := roots[op.Table]
+			if row == nil {
+				row = rules.NewBits(len(all))
+				roots[op.Table] = row
+			}
+			row.Add(comp.find(r.Index()))
+		}
+	}
+	bySig := map[string]int{} // index into sigs, by the roots' row as bytes
+	seen := make([]uint8, len(all)*(len(all)-1)/2)
+	var key []byte
+	of = make([]int, len(tables))
+	for i, t := range tables {
+		row := roots[strings.ToLower(t)]
+		key = key[:0]
+		for _, w := range row {
+			key = binary.LittleEndian.AppendUint64(key, w)
+		}
+		k, ok := bySig[string(key)]
+		if !ok {
+			var v SigConfluence
+			for _, r := range all {
+				if row != nil && row.Has(comp.find(r.Index())) {
+					v.Sig = append(v.Sig, r)
+				}
+			}
+			v.Confluent = a.TerminationOf(v.Sig).Guaranteed && a.requirementHolds(v.Sig, seen)
+			k = len(sigs)
+			bySig[string(key)] = k
+			sigs = append(sigs, v)
+		}
+		of[i] = k
+	}
+	return sigs, of
 }

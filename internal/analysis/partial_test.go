@@ -1,9 +1,12 @@
 package analysis
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
+
+	"activerules/internal/rules"
 )
 
 const scratchSchema = `
@@ -152,4 +155,110 @@ func TestPartialReportRendering(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestPartialConfluencePerTableMatchesReference: for every corpus set and
+// every schema table, given in reverse order and upper-cased, the batch
+// gives the reference's Sig({t}) and Theorem 7.2 verdict over it — with
+// certifications, with refinement, and for tables no rule is
+// significant for.
+func TestPartialConfluencePerTableMatchesReference(t *testing.T) {
+	certified, empty := 0, 0
+	for _, c := range oracleCorpus(t) {
+		ref := newReference(c.analyzer())
+		var tables []string
+		for _, tb := range c.set.Schema().SortedTables() {
+			tables = append([]string{strings.ToUpper(tb.Name)}, tables...)
+		}
+		sigs, of := c.analyzer().PartialConfluencePerTable(tables)
+		if len(of) != len(tables) {
+			t.Fatalf("%s: %d verdicts for %d tables", c.name, len(of), len(tables))
+		}
+		for i, tb := range tables {
+			got := sigs[of[i]]
+			sig := ref.sig(c.set.Rules(), []string{tb})
+			if !slices.Equal(ruleNames(got.Sig), ruleNames(sig)) {
+				t.Fatalf("%s: Sig({%s}) = %v, reference %v", c.name, tb, ruleNames(got.Sig), ruleNames(sig))
+			}
+			if want := ref.confluence(sig, ref.termination(sig)).Guaranteed; got.Confluent != want {
+				t.Fatalf("%s: confluent w.r.t. {%s} = %v, reference %v", c.name, tb, got.Confluent, want)
+			}
+			if len(sig) == 0 {
+				empty++
+			}
+		}
+		if c.cert != nil {
+			certified++
+		}
+	}
+	if certified == 0 || empty == 0 {
+		t.Fatalf("the corpus covers %d certified sets and %d tables no rule is significant for; want both", certified, empty)
+	}
+}
+
+// TestPartialConfluencePerTableChecksEachPairOnce is the tripwire of the
+// batch's pair plane, on the served cascade's shape (ten idle bank
+// clusters, a 24-deep chain and 8 fan-out rules on its head: 63 tables,
+// 62 rules): over every table it checks the Confluence Requirement for
+// each unordered pair of a Sig at most once, where a PartialConfluence
+// per table checks the chain's pairs once per chain table.
+func TestPartialConfluencePerTableChecksEachPairOnce(t *testing.T) {
+	const depth, fan, idle = 24, 8, 10
+	var sch, rl strings.Builder
+	for i := 0; i < idle; i++ {
+		fmt.Fprintf(&sch, "table account%d (id int, owner string, balance float)\n", i)
+		fmt.Fprintf(&sch, "table audit%d (id int, owner string)\n", i)
+		fmt.Fprintf(&sch, "table holds%d (id int, acct int)\n", i)
+		fmt.Fprintf(&rl, "create rule r_audit%d on account%d\nwhen inserted\nthen insert into audit%d select id, owner from inserted\n\n", i, i, i)
+		fmt.Fprintf(&rl, "create rule r_hold%d on account%d\nwhen updated(balance)\nif exists (select 1 from new-updated nu where nu.balance < 0)\nthen insert into holds%d select nu.id, nu.id from new-updated nu where nu.balance < 0\n\n", i, i, i)
+		fmt.Fprintf(&rl, "create rule r_purge%d on account%d\nwhen deleted\nthen delete from holds%d where acct in (select id from deleted)\n\n", i, i, i)
+	}
+	for i := 0; i <= depth; i++ {
+		fmt.Fprintf(&sch, "table c%d (v int)\n", i)
+	}
+	for j := 0; j < fan; j++ {
+		fmt.Fprintf(&sch, "table f%d (v int)\n", j)
+	}
+	for i := 0; i < depth; i++ {
+		fmt.Fprintf(&rl, "create rule chain%02d on c%d\nwhen inserted\nif exists (select 1 from inserted where v >= 0)\nthen insert into c%d select v from inserted\n\n", i, i, i+1)
+	}
+	for j := 0; j < fan; j++ {
+		fmt.Fprintf(&rl, "create rule fan%d on c0\nwhen inserted\nthen insert into f%d select v from inserted where v >= 0\n\n", j, j)
+	}
+	a := compile(t, sch.String(), rl.String(), nil)
+	tables := a.Set().Schema().TableNames()
+	if len(tables) != 63 || a.Set().Len() != 62 {
+		t.Fatalf("%d tables and %d rules, want 63 and 62", len(tables), a.Set().Len())
+	}
+
+	checked := map[[2]int]int{}
+	a.requirementHook = func(ri, rj *rules.Rule) { checked[[2]int{ri.Index(), rj.Index()}]++ }
+	sigs, _ := a.PartialConfluencePerTable(tables)
+	pairs := map[[2]int]bool{} // the distinct unordered pairs of the Sigs
+	for _, v := range sigs {
+		for i, ri := range v.Sig {
+			for _, rj := range v.Sig[i+1:] {
+				if a.Set().Unordered(ri, rj) {
+					pairs[[2]int{ri.Index(), rj.Index()}] = true
+				}
+			}
+		}
+	}
+	for p, n := range checked {
+		if n > 1 || !pairs[p] {
+			t.Errorf("pair (%s, %s) checked %d times; in a Sig: %v", a.Set().Rules()[p[0]].Name, a.Set().Rules()[p[1]].Name, n, pairs[p])
+		}
+	}
+
+	perTable := 0
+	b := New(a.Set(), nil)
+	b.requirementHook = func(ri, rj *rules.Rule) { perTable++ }
+	for _, tb := range tables {
+		b.PartialConfluence([]string{tb})
+	}
+	if perTable <= len(pairs) {
+		t.Fatalf("a PartialConfluence per table made %d checks over %d distinct pairs; the tripwire sees no sharing", perTable, len(pairs))
+	}
+	t.Logf("%d distinct Sigs, %d distinct unordered pairs: %d checks, against %d for a PartialConfluence per table",
+		len(sigs), len(pairs), len(checked), perTable)
 }

@@ -493,7 +493,7 @@ func (a *Analyzer) ShardPlan() *ShardPlan {
 		g.Sig = rules.Names(sigs[i])
 		sort.Strings(g.Sig)
 		// Theorem 7.2 over Sig(g.Tables), as PartialConfluence decides it.
-		g.Confluent = a.TerminationOf(sigs[i]).Guaranteed && a.requirementHolds(sigs[i])
+		g.Confluent = a.TerminationOf(sigs[i]).Guaranteed && a.requirementHolds(sigs[i], nil)
 	}
 
 	// The sort is the authority on the order; on blockers emitted in it,

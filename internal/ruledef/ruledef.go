@@ -33,7 +33,7 @@ func Parse(src string) ([]rules.Definition, error) {
 		return nil, err
 	}
 	var defs []rules.Definition
-	p := &defParser{src: src, toks: toks}
+	p := &defParser{src: src, toks: toks, line: 1, col: 1}
 	for !p.eof() {
 		def, err := p.parseRule()
 		if err != nil {
@@ -135,6 +135,10 @@ type defParser struct {
 	src  string
 	toks []dtoken
 	pos  int
+
+	// line and col are the 1-based position of byte offset off, where
+	// lineCol's last scan stopped.
+	off, line, col int
 }
 
 func (p *defParser) eof() bool { return p.pos >= len(p.toks) }
@@ -197,23 +201,26 @@ func (p *defParser) rawUntilHead() string {
 	return p.src[start:end]
 }
 
-// lineCol converts a byte offset into 1-based line and column numbers.
-func lineCol(src string, off int) (line, col int) {
-	line, col = 1, 1
-	for i := 0; i < off && i < len(src); i++ {
-		if src[i] == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
+// lineCol converts a byte offset into 1-based line and column numbers,
+// a column counting bytes. Rules start at growing offsets, so each scan
+// resumes where the last one stopped: a file costs one pass, not one per
+// rule.
+func (p *defParser) lineCol(off int) (line, col int) {
+	off = min(off, len(p.src))
+	seg := p.src[p.off:off]
+	if nl := strings.LastIndexByte(seg, '\n'); nl >= 0 {
+		p.line += strings.Count(seg, "\n")
+		p.col = len(seg) - nl
+	} else {
+		p.col += len(seg)
 	}
-	return line, col
+	p.off = off
+	return p.line, p.col
 }
 
 func (p *defParser) parseRule() (rules.Definition, error) {
 	var def rules.Definition
-	def.Line, def.Col = lineCol(p.src, p.cur().pos)
+	def.Line, def.Col = p.lineCol(p.cur().pos)
 	if err := p.expectWord("create"); err != nil {
 		return def, err
 	}

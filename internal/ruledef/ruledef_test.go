@@ -1,6 +1,9 @@
 package ruledef
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -178,5 +181,87 @@ create rule b on t when deleted then insert into t values (1)
 	}
 	if strings.Contains(defs[0].Action[0], "create") {
 		t.Errorf("rule a action leaked into rule b: %q", defs[0].Action[0])
+	}
+}
+
+// lineColFromZero is a rule's position by a scan of the whole file up to
+// its offset: what lineCol resumes from the previous rule must equal.
+func lineColFromZero(src string, off int) (line, col int) {
+	line, col = 1, 1
+	for i := 0; i < off && i < len(src); i++ {
+		if src[i] == '\n' {
+			line++
+			col = 1
+		} else {
+			col++
+		}
+	}
+	return line, col
+}
+
+// TestLineColMatchesScanFromZero: every definition's Line and Col, over
+// every shipped rule file and a generated 256-rule file (comments, tabs,
+// CRLF line ends, blank runs, multi-byte text and rules sharing a line),
+// are those of a scan from offset 0 to the rule's "create".
+func TestLineColMatchesScanFromZero(t *testing.T) {
+	files, err := filepath.Glob("../../testdata/*/*.srl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	more, err := filepath.Glob("../../cmd/*/testdata/*.srl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, more...)
+	if len(files) < 8 {
+		t.Fatalf("found %d shipped rule files: %v", len(files), files)
+	}
+	srcs := map[string]string{}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[f] = string(b)
+	}
+	var gen strings.Builder
+	for i := 0; i < 256; i++ {
+		switch i % 4 {
+		case 0:
+			fmt.Fprintf(&gen, "-- rule %d: ünïcode comment\n", i)
+		case 1:
+			gen.WriteString("\r\n\r\n\t  ")
+		case 2:
+			gen.WriteString("\n\n\n")
+		case 3:
+			gen.WriteString(" ") // on the previous rule's last line
+		}
+		fmt.Fprintf(&gen, "create rule r%d on account\n\twhen inserted\nif exists (select 1 from inserted where owner = 'é%d')\r\nthen insert into audit select id, owner from inserted", i, i)
+	}
+	srcs["generated"] = gen.String()
+
+	for name, src := range srcs {
+		defs, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		toks, err := lexRuleFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var starts []int
+		for _, tk := range toks {
+			if tk.word && tk.depth == 0 && tk.text == "create" {
+				starts = append(starts, tk.pos)
+			}
+		}
+		if len(starts) != len(defs) {
+			t.Fatalf("%s: %d definitions, %d rule starts", name, len(defs), len(starts))
+		}
+		for i, d := range defs {
+			if line, col := lineColFromZero(src, starts[i]); d.Line != line || d.Col != col {
+				t.Fatalf("%s: rule %s at %d:%d, a scan from zero says %d:%d", name, d.Name, d.Line, d.Col, line, col)
+			}
+		}
 	}
 }

@@ -150,9 +150,11 @@ func resolveTables(sch *schema.Schema, tables []string) []string {
 }
 
 // BaselineOf computes a Baseline on the caller's analyzer, so the
-// per-table passes share its pair-verdict table with whatever else the
+// per-table verdicts share its pair-verdict table with whatever else the
 // caller runs on it; term is the status of its Termination verdict,
-// which every such caller has already computed.
+// which every such caller has already computed. The tables are decided
+// in one PartialConfluencePerTable pass, which gives each the verdict
+// PartialConfluence would.
 func BaselineOf(a *analysis.Analyzer, tables []string, term analysis.TerminationStatus) *Baseline {
 	bl := &Baseline{
 		Tables: resolveTables(a.Set().Schema(), tables),
@@ -160,14 +162,17 @@ func BaselineOf(a *analysis.Analyzer, tables []string, term analysis.Termination
 		Conf:   map[string]bool{},
 		Term:   term,
 	}
-	for _, t := range bl.Tables {
-		v := a.PartialConfluence([]string{t})
-		sig := map[string]bool{}
-		for _, name := range v.SigNames() {
-			sig[name] = true
+	sigs, of := a.PartialConfluencePerTable(bl.Tables)
+	names := make([]map[string]bool, len(sigs)) // shared by the tables of one Sig
+	for i, v := range sigs {
+		names[i] = make(map[string]bool, len(v.Sig))
+		for _, r := range v.Sig {
+			names[i][r.Name] = true
 		}
-		bl.Sig[t] = sig
-		bl.Conf[t] = v.Guaranteed()
+	}
+	for i, t := range bl.Tables {
+		bl.Sig[t] = names[of[i]]
+		bl.Conf[t] = sigs[of[i]].Confluent
 	}
 	return bl
 }
@@ -201,11 +206,7 @@ func newReport(tenant string, bl *Baseline, served *rules.Set, quarantined, prob
 		WasTermination: bl.Term,
 		served:         served,
 	}
-	var reduced *analysis.Analyzer
-	if len(quarantined) > 0 {
-		reduced = analysis.New(served, nil)
-		rep.Termination = reduced.Termination().Status
-	}
+	var affected []string // the tables whose Sig holds a quarantined rule
 	for _, t := range bl.Tables {
 		// When Q ∩ Sig(t) = ∅ the removed rules are all non-significant
 		// for t, so Sig_reduced(t) = Sig_full(t) and the confluence
@@ -224,9 +225,21 @@ func newReport(tenant string, bl *Baseline, served *rules.Set, quarantined, prob
 		if len(g.SigQuarantined) > 0 {
 			g.Unaffected = false
 			rep.Degraded = true
-			g.Confluent = reduced.PartialConfluence([]string{t}).Guaranteed()
+			affected = append(affected, t)
 		}
 		rep.Tables = append(rep.Tables, g)
+	}
+	if len(quarantined) > 0 {
+		reduced := analysis.New(served, nil)
+		rep.Termination = reduced.Termination().Status
+		if len(affected) > 0 {
+			sigs, of := reduced.PartialConfluencePerTable(affected)
+			for i := range rep.Tables {
+				if g := &rep.Tables[i]; !g.Unaffected {
+					g.Confluent, of = sigs[of[0]].Confluent, of[1:]
+				}
+			}
+		}
 	}
 	return rep
 }
