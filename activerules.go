@@ -147,8 +147,9 @@ type (
 	TraceEvent = engine.TraceEvent
 	// Strategy picks among simultaneously eligible rules.
 	Strategy = engine.Strategy
-	// Mutator receives primitive data modifications; wrap it via
-	// EngineOptions.WrapMutator for fault injection.
+	// Mutator receives the data modifications of each statement, one
+	// call per statement; wrap it via EngineOptions.WrapMutator for
+	// fault injection.
 	Mutator = engine.Mutator
 
 	// ExecError reports a failed rule consideration; the consideration

@@ -670,22 +670,23 @@ func (c *compiler) compileInsert(s *sqlmini.Insert) (stmtFn, error) {
 				srcRows = append(srcRows, vals)
 			}
 		}
-		n := 0
-		for _, src := range srcRows {
-			full := src
-			if colPos != nil {
-				full = make([]storage.Value, nCols)
-				for i := range full {
-					full[i] = storage.Null
-				}
+		if colPos != nil {
+			full := make([]storage.Value, nCols*len(srcRows)) // all storage.Null
+			rows := make([][]storage.Value, len(srcRows))
+			for r, src := range srcRows {
+				rows[r] = full[r*nCols : (r+1)*nCols]
 				for i, pos := range colPos {
-					full[pos] = src[i]
+					rows[r][pos] = src[i]
 				}
 			}
-			if _, err := env.Mut.Insert(table, full); err != nil {
-				return sqlmini.StmtResult{}, err
-			}
-			n++
+			srcRows = rows
+		}
+		if len(srcRows) == 0 {
+			return sqlmini.StmtResult{}, nil
+		}
+		n, err := env.Mut.Insert(table, srcRows)
+		if err != nil {
+			return sqlmini.StmtResult{}, err
 		}
 		return sqlmini.StmtResult{Affected: n}, nil
 	}, nil
@@ -735,8 +736,8 @@ func (c *compiler) compileDelete(s *sqlmini.Delete) (stmtFn, error) {
 			return sqlmini.StmtResult{}, scanErr
 		}
 		ids := env.ids[m.ids:]
-		for _, id := range ids {
-			if err := env.Mut.Delete(table, id); err != nil {
+		if len(ids) > 0 {
+			if err := env.Mut.Delete(table, ids); err != nil {
 				return sqlmini.StmtResult{}, err
 			}
 		}
@@ -813,12 +814,10 @@ func (c *compiler) compileUpdate(s *sqlmini.Update) (stmtFn, error) {
 		if scanErr != nil {
 			return sqlmini.StmtResult{}, scanErr
 		}
-		ids, vals := env.ids[m.ids:], env.vals[m.vals:]
-		for k, id := range ids {
-			for i, col := range setCols {
-				if err := env.Mut.Update(table, id, col, vals[k*len(setCols)+i]); err != nil {
-					return sqlmini.StmtResult{}, err
-				}
+		ids := env.ids[m.ids:]
+		if len(ids) > 0 {
+			if err := env.Mut.Update(table, setCols, ids, env.vals[m.vals:]); err != nil {
+				return sqlmini.StmtResult{}, err
 			}
 		}
 		return sqlmini.StmtResult{Affected: len(ids)}, nil

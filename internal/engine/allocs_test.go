@@ -18,26 +18,30 @@ var raceEnabled bool
 func RaceEnabled() bool { return raceEnabled }
 
 // cascadeStepAllocs pins the cost of one step of a cascade on a warmed
-// compiled engine: what the step keeps — the four rows it inserts (a
-// tuple and its values each) and storage's growth of the table they go
-// into — plus the copy TriggeredRules hands out, and nothing of what the
-// step only uses. The rule's pending net is
-// refilled in place, so it costs nothing once the engine is warm (it was
-// 3 allocations a step, 13 in all; 65 before the first pin).
-const cascadeStepAllocs = 10
+// compiled engine: what the step keeps — the four rows it inserts, one
+// block of tuples and one of their values for the statement — and
+// storage's growth of the table they go into, plus the copy
+// TriggeredRules hands out, and nothing of what the step only uses. The
+// rule's pending net is refilled in place, so it costs nothing once the
+// engine is warm (it was 3 allocations a step, 13 in all; 65 before the
+// first pin), and the rows are stored a statement at a time (a tuple and
+// its values for each row, 10 in all, before).
+const cascadeStepAllocs = 4
 
 // cascadeInsertAllocs and cascadeSweepAllocs pin TestCascadeRequestAllocs.
-// An insert request keeps what it stores, a tuple and its values for each
-// of its 4 rows in 33 tables (264), and allocates the per-rule fired
-// counts its Result hands out (4: one map made at its exact size from
-// the engine's reused counts; it was 9, a map grown one rule at a time),
-// ExecUser's result slice and storage's growth of the tables' scan order
-// (under 2, amortized). A sweep allocates ExecUser's result slice alone:
-// its DELETEs collect their matches on the Env's scratch. The commit
-// before the pins measured 372 and 100: a pending net of 3 allocations
-// per consideration, and an id list grown three times per DELETE.
+// An insert request keeps what it stores, a block of tuples and a block
+// of their values for its 4 rows in each of 33 tables (66), and allocates
+// the per-rule fired counts its Result hands out (4: one map made at its
+// exact size from the engine's reused counts; it was 9, a map grown one
+// rule at a time), ExecUser's result slice and storage's growth of the
+// tables' scan order (under 2, amortized). A sweep allocates ExecUser's
+// result slice alone: its DELETEs collect their matches on the Env's
+// scratch. Before rows were stored a statement at a time, each row was a
+// tuple and its values (264 of the 270 pinned then); the commit before
+// the pins measured 372 and 100: a pending net of 3 allocations per
+// consideration, and an id list grown three times per DELETE.
 const (
-	cascadeInsertAllocs = 270
+	cascadeInsertAllocs = 75
 	cascadeSweepAllocs  = 1
 )
 
@@ -177,29 +181,30 @@ func TestCascadeRequestAllocs(t *testing.T) {
 }
 
 // TestRecordingMutatorAllocs is the tripwire for "the database's history
-// is the only record": an update and a delete through the engine's
-// mutator allocate nothing — storage's own entry lands in the history's
-// warmed backing array, and no old row is copied for a second log (one
-// full-row copy each, before the transition log went).
+// is the only record": an update and a delete statement of one row each
+// through the engine's mutator allocate nothing — storage's own entry
+// lands in the history's warmed backing array, and no old row is copied
+// for a second log (one full-row copy each, before the transition log
+// went).
 func TestRecordingMutatorAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	for _, compiled := range []bool{false, true} {
 		set, db := mkSet(t, "table t (a int, b int, c int)", "create rule r on t when updated(a), deleted then delete from t where a < 0")
-		id := db.MustInsert("t", storage.IntV(1), storage.IntV(2), storage.IntV(3))
+		ids := []storage.TupleID{db.MustInsert("t", storage.IntV(1), storage.IntV(2), storage.IntV(3))}
 		e := New(set, db, Options{Interpret: !compiled})
 		m := recordingMutator{e}
-		v := storage.IntV(0)
-		for name, primitive := range map[string]func() error{
-			"update": func() error { v.I++; return m.Update("t", id, "a", v) },
-			"delete": func() error { return m.Delete("t", id) },
+		cols, vals := []string{"a"}, []storage.Value{storage.IntV(0)}
+		for name, statement := range map[string]func() error{
+			"update": func() error { vals[0].I++; return m.Update("t", cols, ids, vals) },
+			"delete": func() error { return m.Delete("t", ids) },
 		} {
 			// Each run rolls its one entry back, so the history stays
 			// inside the array the warm-up call grew.
 			got := testing.AllocsPerRun(100, func() {
 				sp := db.Savepoint()
-				if err := primitive(); err != nil {
+				if err := statement(); err != nil {
 					t.Fatal(err)
 				}
 				db.RollbackTo(sp)
@@ -286,7 +291,7 @@ func TestExecUserCachedUpdateAllocs(t *testing.T) {
 // 1 000-row literal INSERT whose key the cache holds allocates one
 // object per string literal, each copied out of the text at its size,
 // and execUserInsertAllocs more than inserting its rows into storage
-// directly does. No token, key byte or number costs an allocation.
+// directly, as one statement, does. No token, key byte or number costs an allocation.
 func TestExecUserCachedInsertAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -328,8 +333,8 @@ func TestExecUserCachedInsertAllocs(t *testing.T) {
 	}
 	direct := testing.AllocsPerRun(20, func() {
 		sp := db.Savepoint()
-		for _, v := range vals {
-			db.MustInsert("archive", v...)
+		if _, err := db.InsertRows("archive", vals); err != nil {
+			t.Fatal(err)
 		}
 		db.RollbackTo(sp)
 	})

@@ -76,9 +76,10 @@ type Result struct {
 	FiredByRule map[string]int
 }
 
-// Mutator receives the primitive data modifications of statement
-// execution (re-exported from sqlmini so fault-injection wrappers can be
-// threaded through Options without importing the SQL layer).
+// Mutator receives the data modifications of statement execution, one
+// call per statement (re-exported from sqlmini so fault-injection
+// wrappers can be threaded through Options without importing the SQL
+// layer).
 type Mutator = sqlmini.Mutator
 
 // Options configure an Engine.
@@ -94,7 +95,7 @@ type Options struct {
 	// WrapMutator, when non-nil, wraps the engine's recording mutator for
 	// every user script and rule action — the seam for deterministic
 	// fault injection (internal/faultinject). The wrapper sees exactly
-	// the primitive mutations statement execution performs.
+	// the statements that change rows, each with all its rows.
 	WrapMutator func(Mutator) Mutator
 	// Interpret selects the reference interpreter, the oracle the
 	// differential tests compare the compiled program against. By
@@ -315,49 +316,39 @@ func (e *Engine) mutator() sqlmini.Mutator {
 
 // recordingMutator applies changes to the database, whose history is
 // the record of them. In compiled mode it additionally marks candidate
-// rules in the delta-driven trigger index — the same primitive that
-// enters the history enters the discrimination network, so a recorded
-// operation can never trigger a rule without also marking it.
+// rules in the delta-driven trigger index: each statement notes its
+// (table, kind) once, before its first row enters the history, so a
+// recorded operation can never trigger a rule without also marking it
+// (DESIGN.md §11.2).
 //
 // Table names arrive from resolved statements, in the schema's canonical
 // form, and key the network as they come (see sqlmini.Mutator).
 type recordingMutator struct{ e *Engine }
 
-func (m recordingMutator) Insert(table string, vals []storage.Value) (storage.TupleID, error) {
-	id, err := m.e.db.Insert(table, vals)
-	if err != nil {
-		return 0, err
-	}
-	if m.e.cand != nil {
-		m.e.cand.Note(table, storage.ChangeInsert)
-	}
-	return id, nil
+func (m recordingMutator) Insert(table string, rows [][]storage.Value) (int, error) {
+	m.note(table, storage.ChangeInsert, len(rows))
+	return m.e.db.InsertRows(table, rows)
 }
 
-func (m recordingMutator) Delete(table string, id storage.TupleID) error {
-	if m.e.db.Delete(table, id) == nil {
-		return fmt.Errorf("engine: delete of missing tuple %d from %s", id, table)
-	}
-	if m.e.cand != nil {
-		m.e.cand.Note(table, storage.ChangeDelete)
-	}
-	return nil
+func (m recordingMutator) Delete(table string, ids []storage.TupleID) error {
+	m.note(table, storage.ChangeDelete, len(ids))
+	return m.e.db.DeleteRows(table, ids)
 }
 
-func (m recordingMutator) Update(table string, id storage.TupleID, col string, v storage.Value) error {
-	if m.e.db.Table(table).Get(id) == nil {
-		return fmt.Errorf("engine: update of missing tuple %d in %s", id, table)
+// Update notes every rule watching any update on the table: a raw update
+// does not know which columns will survive net-effect composition, and
+// the exact transition predicate filters.
+func (m recordingMutator) Update(table string, cols []string, ids []storage.TupleID, vals []storage.Value) error {
+	m.note(table, storage.ChangeUpdate, len(ids)*len(cols))
+	return m.e.db.UpdateRows(table, cols, ids, vals)
+}
+
+// note marks the rules watching kind on table when a statement of n
+// rows is about to be applied.
+func (m recordingMutator) note(table string, kind storage.ChangeKind, n int) {
+	if n > 0 && m.e.cand != nil {
+		m.e.cand.Note(table, kind)
 	}
-	if _, err := m.e.db.Update(table, id, col, v); err != nil {
-		return err
-	}
-	if m.e.cand != nil {
-		// A raw update does not know which columns will survive
-		// net-effect composition, so it marks every rule watching any
-		// update on the table; the exact transition predicate filters.
-		m.e.cand.Note(table, storage.ChangeUpdate)
-	}
-	return nil
 }
 
 // ExecUser executes user-generated SQL (outside any rule) with recording,

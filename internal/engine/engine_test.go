@@ -614,14 +614,27 @@ create rule r on t when inserted then update t set v = 1 where v = 99
 	// missing tuple is unreachable through SQL (scan-based), so exercise
 	// the error paths through the mutator interface directly.
 	m := recordingMutator{e}
-	if err := m.Delete("t", 999); err == nil {
+	one := []storage.Value{storage.IntV(1)}
+	if err := m.Delete("t", []storage.TupleID{999}); err == nil {
 		t.Error("delete of missing tuple should fail")
 	}
-	if err := m.Update("t", 999, "v", storage.IntV(1)); err == nil {
+	if err := m.Update("t", []string{"v"}, []storage.TupleID{999}, one); err == nil {
 		t.Error("update of missing tuple should fail")
 	}
-	if _, err := m.Insert("t", []storage.Value{storage.StringV("bad")}); err == nil {
+	if _, err := m.Insert("t", [][]storage.Value{{storage.StringV("bad")}}); err == nil {
 		t.Error("type mismatch should fail")
+	}
+	// A table the schema lacks fails with storage's error, whatever the
+	// statement.
+	const noTable = `storage: no table "nosuch"`
+	if _, err := m.Insert("nosuch", [][]storage.Value{one}); err == nil || err.Error() != noTable {
+		t.Errorf("insert into a missing table: %v", err)
+	}
+	if err := m.Delete("nosuch", []storage.TupleID{1}); err == nil || err.Error() != noTable {
+		t.Errorf("delete from a missing table: %v", err)
+	}
+	if err := m.Update("nosuch", []string{"v"}, []storage.TupleID{1}, one); err == nil || err.Error() != noTable {
+		t.Errorf("update of a missing table: %v", err)
 	}
 }
 

@@ -171,7 +171,8 @@ func sameState(t *testing.T, when string, got, want *storage.DB) {
 }
 
 // fuse is a WrapMutator seam that fails or panics on the in-th
-// primitive mutation after it is armed, once.
+// primitive mutation after it is armed, once: the statement holding it
+// applies its earlier primitives and fails there.
 type fuse struct {
 	in    int
 	panic bool
@@ -184,38 +185,55 @@ type fusedMutator struct {
 
 func (f *fuse) wrap(m Mutator) Mutator { return fusedMutator{m, f} }
 
-func (f *fuse) blow() error {
-	if f.in == 0 {
-		return nil
+// pass takes a statement of n primitives off the fuse and returns how
+// many of them run before it blows: n when it does not.
+func (f *fuse) pass(n int) int {
+	if f.in == 0 || f.in > n {
+		if f.in > 0 {
+			f.in -= n
+		}
+		return n
 	}
-	if f.in--; f.in > 0 {
-		return nil
-	}
+	k := f.in - 1
+	f.in = 0
+	return k
+}
+
+// blown fails, or panics, as the blown fuse.
+func (f *fuse) blown() error {
 	if f.panic {
 		panic("fuse blown")
 	}
 	return errors.New("fuse blown")
 }
 
-func (m fusedMutator) Insert(table string, vals []storage.Value) (storage.TupleID, error) {
-	if err := m.f.blow(); err != nil {
-		return 0, err
+func (m fusedMutator) Insert(table string, rows [][]storage.Value) (int, error) {
+	k := m.f.pass(len(rows))
+	if n, err := m.Mutator.Insert(table, rows[:k]); err != nil || k == len(rows) {
+		return n, err
 	}
-	return m.Mutator.Insert(table, vals)
+	return k, m.f.blown()
 }
 
-func (m fusedMutator) Delete(table string, id storage.TupleID) error {
-	if err := m.f.blow(); err != nil {
+func (m fusedMutator) Delete(table string, ids []storage.TupleID) error {
+	k := m.f.pass(len(ids))
+	if err := m.Mutator.Delete(table, ids[:k]); err != nil || k == len(ids) {
 		return err
 	}
-	return m.Mutator.Delete(table, id)
+	return m.f.blown()
 }
 
-func (m fusedMutator) Update(table string, id storage.TupleID, col string, v storage.Value) error {
-	if err := m.f.blow(); err != nil {
+func (m fusedMutator) Update(table string, cols []string, ids []storage.TupleID, vals []storage.Value) error {
+	nc := len(cols)
+	k := m.f.pass(len(ids) * nc)
+	r, c := k/nc, k%nc // whole rows, then the columns of the next
+	if err := m.Mutator.Update(table, cols, ids[:r], vals[:r*nc]); err != nil || k == len(ids)*nc {
 		return err
 	}
-	return m.Mutator.Update(table, id, col, v)
+	if err := m.Mutator.Update(table, cols[:c], ids[r:r+1], vals[r*nc:r*nc+c]); err != nil {
+		return err
+	}
+	return m.f.blown()
 }
 
 // TestRollbackMatchesCloneOracle is the differential oracle for the

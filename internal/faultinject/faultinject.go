@@ -30,11 +30,13 @@ var ErrInjected = errors.New("faultinject: injected fault")
 
 // Config selects which mutations fail.
 type Config struct {
-	// FailAt makes the Nth mutation call (1-based, counted across the
-	// injector's whole lifetime) return an error; 0 disables.
+	// FailAt makes the Nth primitive mutation (1-based, counted across
+	// the injector's whole lifetime: a row of an inserting or deleting
+	// statement, a column of an updated row) return an error; 0
+	// disables.
 	FailAt int
-	// PanicAt makes the Nth mutation call panic instead of returning an
-	// error, exercising panic containment; 0 disables.
+	// PanicAt makes the Nth primitive mutation panic instead of
+	// returning an error, exercising panic containment; 0 disables.
 	PanicAt int
 	// PanicTable makes EVERY mutation touching the named table panic —
 	// a deterministically hostile rule: any rule whose action writes the
@@ -65,10 +67,10 @@ type Config struct {
 	FSCrashAt int
 }
 
-// Injector decides, deterministically, which mutation calls fail. One
-// injector may wrap any number of mutators (the engine builds a fresh
-// recording mutator per script and per rule action); the call counter
-// and random stream are shared across all of them.
+// Injector decides, deterministically, which primitive mutations fail.
+// One injector may wrap any number of mutators (the engine builds a
+// fresh recording mutator per script and per rule action); the call
+// counter and random stream are shared across all of them.
 type Injector struct {
 	cfg    Config
 	rng    *rand.Rand
@@ -99,9 +101,9 @@ func (in *Injector) Wrap(m sqlmini.Mutator) sqlmini.Mutator {
 	return wrapped{in: in, m: m}
 }
 
-// Calls returns the number of mutation calls observed so far, including
-// calls made while disarmed. A fault-free probe run with a disarmed
-// injector measures how many injection points a scenario has.
+// Calls returns the number of primitive mutations observed so far,
+// including those made while disarmed. A fault-free probe run with a
+// disarmed injector measures how many injection points a scenario has.
 func (in *Injector) Calls() int { return in.calls }
 
 // Faults returns the number of faults injected so far.
@@ -114,7 +116,7 @@ func (in *Injector) Arm() { in.armed = true }
 // so a suspended engine can be resumed fault-free.
 func (in *Injector) Disarm() { in.armed = false }
 
-// check counts one mutation call and decides whether it fails.
+// check counts one primitive mutation and decides whether it fails.
 func (in *Injector) check(op, table string) error {
 	in.calls++
 	// The probabilistic draw happens even when disarmed or when FailAt
@@ -139,29 +141,51 @@ func (in *Injector) check(op, table string) error {
 	return nil
 }
 
-// wrapped is the fault-injecting mutator view.
+// wrapped is the fault-injecting mutator view. It counts, and fails,
+// one primitive at a time — a row of an insert or a delete, a column of
+// an updated row — passing each that survives its check to the inner
+// mutator as a statement of its own, so a fault leaves exactly the
+// statement's earlier primitives applied.
 type wrapped struct {
 	in *Injector
 	m  sqlmini.Mutator
 }
 
-func (w wrapped) Insert(table string, vals []storage.Value) (storage.TupleID, error) {
-	if err := w.in.check("insert", table); err != nil {
-		return 0, err
+func (w wrapped) Insert(table string, rows [][]storage.Value) (int, error) {
+	for i := range rows {
+		if err := w.in.check("insert", table); err != nil {
+			return i, err
+		}
+		if _, err := w.m.Insert(table, rows[i:i+1]); err != nil {
+			return i, err
+		}
 	}
-	return w.m.Insert(table, vals)
+	return len(rows), nil
 }
 
-func (w wrapped) Delete(table string, id storage.TupleID) error {
-	if err := w.in.check("delete", table); err != nil {
-		return err
+func (w wrapped) Delete(table string, ids []storage.TupleID) error {
+	for i := range ids {
+		if err := w.in.check("delete", table); err != nil {
+			return err
+		}
+		if err := w.m.Delete(table, ids[i:i+1]); err != nil {
+			return err
+		}
 	}
-	return w.m.Delete(table, id)
+	return nil
 }
 
-func (w wrapped) Update(table string, id storage.TupleID, col string, v storage.Value) error {
-	if err := w.in.check("update", table); err != nil {
-		return err
+func (w wrapped) Update(table string, cols []string, ids []storage.TupleID, vals []storage.Value) error {
+	for k := range ids {
+		for i := range cols {
+			if err := w.in.check("update", table); err != nil {
+				return err
+			}
+			j := k*len(cols) + i
+			if err := w.m.Update(table, cols[i:i+1], ids[k:k+1], vals[j:j+1]); err != nil {
+				return err
+			}
+		}
 	}
-	return w.m.Update(table, id, col, v)
+	return nil
 }

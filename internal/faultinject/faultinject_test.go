@@ -23,7 +23,7 @@ func TestFailAtNthCall(t *testing.T) {
 	in := New(Config{FailAt: 3})
 	m := in.Wrap(sqlmini.DirectMutator(db))
 	for i := 1; i <= 5; i++ {
-		_, err := m.Insert("t", []storage.Value{storage.IntV(int64(i))})
+		_, err := m.Insert("t", [][]storage.Value{{storage.IntV(int64(i))}})
 		if i == 3 {
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("call 3: want injected fault, got %v", err)
@@ -47,10 +47,10 @@ func TestCounterSharedAcrossWraps(t *testing.T) {
 	in := New(Config{FailAt: 2})
 	m1 := in.Wrap(sqlmini.DirectMutator(db))
 	m2 := in.Wrap(sqlmini.DirectMutator(db))
-	if _, err := m1.Insert("t", []storage.Value{storage.IntV(1)}); err != nil {
+	if _, err := m1.Insert("t", [][]storage.Value{{storage.IntV(1)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.Insert("t", []storage.Value{storage.IntV(2)}); !errors.Is(err, ErrInjected) {
+	if _, err := m2.Insert("t", [][]storage.Value{{storage.IntV(2)}}); !errors.Is(err, ErrInjected) {
 		t.Fatal("counter must be shared across Wrap calls")
 	}
 }
@@ -60,7 +60,7 @@ func TestDisarmKeepsCounting(t *testing.T) {
 	in := New(Config{FailAt: 1})
 	in.Disarm()
 	m := in.Wrap(sqlmini.DirectMutator(db))
-	if _, err := m.Insert("t", []storage.Value{storage.IntV(1)}); err != nil {
+	if _, err := m.Insert("t", [][]storage.Value{{storage.IntV(1)}}); err != nil {
 		t.Fatal("disarmed injector must not fault")
 	}
 	if in.Calls() != 1 {
@@ -68,7 +68,7 @@ func TestDisarmKeepsCounting(t *testing.T) {
 	}
 	in.Arm()
 	// FailAt=1 already passed while disarmed; no fault anymore.
-	if _, err := m.Insert("t", []storage.Value{storage.IntV(2)}); err != nil {
+	if _, err := m.Insert("t", [][]storage.Value{{storage.IntV(2)}}); err != nil {
 		t.Fatal("missed FailAt point must not fire later")
 	}
 }
@@ -80,7 +80,7 @@ func TestProbabilisticDeterminism(t *testing.T) {
 		m := in.Wrap(sqlmini.DirectMutator(db))
 		var failed []int
 		for i := 0; i < 50; i++ {
-			if _, err := m.Insert("t", []storage.Value{storage.IntV(int64(i))}); err != nil {
+			if _, err := m.Insert("t", [][]storage.Value{{storage.IntV(int64(i))}}); err != nil {
 				failed = append(failed, i)
 			}
 		}
@@ -109,7 +109,7 @@ func TestPanicAt(t *testing.T) {
 			t.Error("PanicAt must panic")
 		}
 	}()
-	m.Delete("t", 1)
+	m.Delete("t", []storage.TupleID{1})
 }
 
 func TestUpdateAndDeletePaths(t *testing.T) {
@@ -117,12 +117,12 @@ func TestUpdateAndDeletePaths(t *testing.T) {
 	id := db.MustInsert("t", storage.IntV(1))
 	in := New(Config{FailAt: 1})
 	m := in.Wrap(sqlmini.DirectMutator(db))
-	if err := m.Update("t", id, "v", storage.IntV(2)); !errors.Is(err, ErrInjected) {
+	if err := m.Update("t", []string{"v"}, []storage.TupleID{id}, []storage.Value{storage.IntV(2)}); !errors.Is(err, ErrInjected) {
 		t.Error("update path must inject")
 	}
 	in2 := New(Config{FailAt: 1})
 	m2 := in2.Wrap(sqlmini.DirectMutator(db))
-	if err := m2.Delete("t", id); !errors.Is(err, ErrInjected) {
+	if err := m2.Delete("t", []storage.TupleID{id}); !errors.Is(err, ErrInjected) {
 		t.Error("delete path must inject")
 	}
 	if got := db.Table("t").Get(id); got == nil || got.Vals[0] != storage.IntV(1) {

@@ -10,11 +10,14 @@ import (
 // delegation, which is all these tests observe.
 type nullMutator struct{}
 
-func (nullMutator) Insert(string, []storage.Value) (storage.TupleID, error) { return 1, nil }
-func (nullMutator) Delete(string, storage.TupleID) error                    { return nil }
-func (nullMutator) Update(string, storage.TupleID, string, storage.Value) error {
+func (nullMutator) Insert(_ string, rows [][]storage.Value) (int, error) { return len(rows), nil }
+func (nullMutator) Delete(string, []storage.TupleID) error               { return nil }
+func (nullMutator) Update(string, []string, []storage.TupleID, []storage.Value) error {
 	return nil
 }
+
+// oneRow is a one-row statement's rows.
+var oneRow = [][]storage.Value{nil}
 
 // TestPanicTablePanicsEveryTouch pins the hostile-rule knob: every
 // mutation on the configured table panics, on every call, while other
@@ -33,11 +36,11 @@ func TestPanicTablePanicsEveryTouch(t *testing.T) {
 		f()
 	}
 	for i := 0; i < 3; i++ {
-		mustPanic(func() { m.Insert("poison", nil) })
-		mustPanic(func() { m.Update("poison", 1, "v", storage.IntV(0)) })
-		mustPanic(func() { m.Delete("poison", 1) })
+		mustPanic(func() { m.Insert("poison", oneRow) })
+		mustPanic(func() { m.Update("poison", []string{"v"}, []storage.TupleID{1}, []storage.Value{storage.IntV(0)}) })
+		mustPanic(func() { m.Delete("poison", []storage.TupleID{1}) })
 	}
-	if _, err := m.Insert("fine", nil); err != nil {
+	if _, err := m.Insert("fine", oneRow); err != nil {
 		t.Fatalf("untargeted table failed: %v", err)
 	}
 	if got := in.Faults(); got != 9 {
@@ -51,7 +54,7 @@ func TestPanicTableRespectsDisarm(t *testing.T) {
 	in := New(Config{PanicTable: "poison"})
 	in.Disarm()
 	m := in.Wrap(nullMutator{})
-	if _, err := m.Insert("poison", nil); err != nil {
+	if _, err := m.Insert("poison", oneRow); err != nil {
 		t.Fatalf("disarmed injector injected: %v", err)
 	}
 	if in.Faults() != 0 {

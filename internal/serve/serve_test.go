@@ -81,17 +81,17 @@ func (gm *gatedMutator) hold() {
 	<-gm.g.release
 }
 
-func (gm *gatedMutator) Insert(tb string, vals []storage.Value) (storage.TupleID, error) {
+func (gm *gatedMutator) Insert(tb string, rows [][]storage.Value) (int, error) {
 	gm.hold()
-	return gm.m.Insert(tb, vals)
+	return gm.m.Insert(tb, rows)
 }
-func (gm *gatedMutator) Delete(tb string, id storage.TupleID) error {
+func (gm *gatedMutator) Delete(tb string, ids []storage.TupleID) error {
 	gm.hold()
-	return gm.m.Delete(tb, id)
+	return gm.m.Delete(tb, ids)
 }
-func (gm *gatedMutator) Update(tb string, id storage.TupleID, col string, v storage.Value) error {
+func (gm *gatedMutator) Update(tb string, cols []string, ids []storage.TupleID, vals []storage.Value) error {
 	gm.hold()
-	return gm.m.Update(tb, id, col, v)
+	return gm.m.Update(tb, cols, ids, vals)
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *wal.MemFS) {

@@ -73,3 +73,29 @@ func BenchmarkAssertSharded(b *testing.B) {
 		})
 	}
 }
+
+// routeSink keeps BenchmarkRoute's results.
+var routeSink []string
+
+// BenchmarkRoute is the router's per-request cost of finding a request's
+// tables (statementTables) over a repeated stream of the bank's three
+// request kinds, an update, an insert and a two-statement delete, with
+// differing literals: every call parses the text again, although the
+// owning shard's engine then lexes it once more.
+func BenchmarkRoute(b *testing.B) {
+	stmts := make([]string, 0, 96)
+	for id := 0; id < 32; id++ {
+		stmts = append(stmts,
+			fmt.Sprintf("update account set balance = balance + %d.5 where id = %d", id%7, id),
+			fmt.Sprintf("insert into account values (%d, 'o%d', 100.0)", id, id),
+			fmt.Sprintf("delete from account where id = %d; delete from audit where id = %d", id, id))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if routeSink, err = statementTables(stmts[i%len(stmts)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

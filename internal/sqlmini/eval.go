@@ -19,34 +19,36 @@ type TransitionData struct {
 }
 
 // Mutator receives the data modifications performed by statement
-// execution. The rule engine implements it to record per-statement deltas
-// for net-effect transition tracking. Table and column names are the
-// schema's canonical ones (resolution folds them); vals is the caller's
-// and may be reused after Insert returns, so an implementation that
-// stores the row copies it, as the database does.
+// execution, one call per statement that changes any row: the rows an
+// INSERT adds, the identities a DELETE removes, or an UPDATE's
+// identities with its new values, row-major (tuple k's column cols[i]
+// gets vals[k*len(cols)+i]). The rule engine implements it to record the
+// changes, which its net-effect transitions are computed from. Rows are
+// applied in order, and a failing one fails the call with the rows
+// before it applied (Insert also reports how many it added). Table and
+// column names are the schema's canonical ones (resolution folds them);
+// rows, ids and vals are the caller's and may be reused once the call
+// returns, so an implementation that stores them copies them, as the
+// database does.
 type Mutator interface {
-	Insert(table string, vals []storage.Value) (storage.TupleID, error)
-	Delete(table string, id storage.TupleID) error
-	Update(table string, id storage.TupleID, col string, v storage.Value) error
+	Insert(table string, rows [][]storage.Value) (int, error)
+	Delete(table string, ids []storage.TupleID) error
+	Update(table string, cols []string, ids []storage.TupleID, vals []storage.Value) error
 }
 
 // dbMutator applies mutations directly to a DB, for standalone use.
 type dbMutator struct{ db *storage.DB }
 
-func (m dbMutator) Insert(table string, vals []storage.Value) (storage.TupleID, error) {
-	return m.db.Insert(table, vals)
+func (m dbMutator) Insert(table string, rows [][]storage.Value) (int, error) {
+	return m.db.InsertRows(table, rows)
 }
 
-func (m dbMutator) Delete(table string, id storage.TupleID) error {
-	if m.db.Delete(table, id) == nil {
-		return fmt.Errorf("sql: delete of missing tuple %d from %s", id, table)
-	}
-	return nil
+func (m dbMutator) Delete(table string, ids []storage.TupleID) error {
+	return m.db.DeleteRows(table, ids)
 }
 
-func (m dbMutator) Update(table string, id storage.TupleID, col string, v storage.Value) error {
-	_, err := m.db.Update(table, id, col, v)
-	return err
+func (m dbMutator) Update(table string, cols []string, ids []storage.TupleID, vals []storage.Value) error {
+	return m.db.UpdateRows(table, cols, ids, vals)
 }
 
 // DirectMutator returns a Mutator that applies changes straight to db,
@@ -346,22 +348,22 @@ func (ev *Evaluator) execInsert(s *Insert, env *frame) (StmtResult, error) {
 			srcRows = append(srcRows, vals)
 		}
 	}
-	n := 0
-	for _, src := range srcRows {
-		full := src
-		if len(s.Columns) > 0 {
-			full = make([]storage.Value, len(def.Columns))
-			for i := range full {
-				full[i] = storage.Null
-			}
+	if len(s.Columns) > 0 {
+		full := make([]storage.Value, len(def.Columns)*len(srcRows)) // all storage.Null
+		for r, src := range srcRows {
+			row := full[r*len(def.Columns) : (r+1)*len(def.Columns)]
 			for i, c := range s.Columns {
-				full[def.ColumnIndex(c)] = src[i]
+				row[def.ColumnIndex(c)] = src[i]
 			}
+			srcRows[r] = row
 		}
-		if _, err := ev.Mut.Insert(s.Table, full); err != nil {
-			return StmtResult{}, err
-		}
-		n++
+	}
+	if len(srcRows) == 0 {
+		return StmtResult{}, nil
+	}
+	n, err := ev.Mut.Insert(s.Table, srcRows)
+	if err != nil {
+		return StmtResult{}, err
 	}
 	return StmtResult{Affected: n}, nil
 }
@@ -397,8 +399,8 @@ func (ev *Evaluator) execDelete(s *Delete, env *frame) (StmtResult, error) {
 	if scanErr != nil {
 		return StmtResult{}, scanErr
 	}
-	for _, id := range ids {
-		if err := ev.Mut.Delete(s.Table, id); err != nil {
+	if len(ids) > 0 {
+		if err := ev.Mut.Delete(s.Table, ids); err != nil {
 			return StmtResult{}, err
 		}
 	}
@@ -410,11 +412,8 @@ func (ev *Evaluator) execUpdate(s *Update, env *frame) (StmtResult, error) {
 		return StmtResult{}, err
 	}
 	t := ev.DB.Table(s.Table)
-	type change struct {
-		id   storage.TupleID
-		vals []storage.Value // one per set clause
-	}
-	var changes []change
+	var ids []storage.TupleID
+	var vals []storage.Value // one per set clause per match, row-major
 	var scanErr error
 	// SQL semantics: all right-hand sides are evaluated against the
 	// pre-update state; apply only afterwards.
@@ -436,29 +435,30 @@ func (ev *Evaluator) execUpdate(s *Update, env *frame) (StmtResult, error) {
 				return true
 			}
 		}
-		ch := change{id: tu.ID, vals: make([]storage.Value, len(s.Sets))}
-		for i, sc := range s.Sets {
+		for _, sc := range s.Sets {
 			v, err := ev.evalExpr(sc.Expr, f)
 			if err != nil {
 				scanErr = err
 				return false
 			}
-			ch.vals[i] = v
+			vals = append(vals, v)
 		}
-		changes = append(changes, ch)
+		ids = append(ids, tu.ID)
 		return true
 	})
 	if scanErr != nil {
 		return StmtResult{}, scanErr
 	}
-	for _, ch := range changes {
+	if len(ids) > 0 {
+		cols := make([]string, len(s.Sets))
 		for i, sc := range s.Sets {
-			if err := ev.Mut.Update(s.Table, ch.id, sc.Column, ch.vals[i]); err != nil {
-				return StmtResult{}, err
-			}
+			cols[i] = sc.Column
+		}
+		if err := ev.Mut.Update(s.Table, cols, ids, vals); err != nil {
+			return StmtResult{}, err
 		}
 	}
-	return StmtResult{Affected: len(changes)}, nil
+	return StmtResult{Affected: len(ids)}, nil
 }
 
 // evalExpr evaluates an expression with three-valued logic; unknown is

@@ -229,26 +229,35 @@ func (db *DB) Table(name string) *Table {
 	return db.tables[strings.ToLower(name)]
 }
 
-// coerceRow resolves the table and coerces vals (in schema column order)
-// to its column types; a type mismatch or arity mismatch is an error.
-func (db *DB) coerceRow(table string, vals []Value) (*Table, []Value, error) {
-	t := db.Table(table)
-	if t == nil {
-		return nil, nil, fmt.Errorf("storage: no table %q", table)
-	}
+// blockRows caps the rows one allocation block of InsertRows holds: a
+// statement of more rows gets a block per blockRows of them. A row keeps
+// its block reachable, tuple and values, for as long as it lives, so a
+// surviving row holds at most blockRows-1 dead rows' memory.
+const blockRows = 64
+
+// coerce writes vals, coerced to t's column types, into dst, which has
+// one slot per column; a type mismatch or arity mismatch is an error.
+func (t *Table) coerce(dst, vals []Value) error {
 	if len(vals) != len(t.def.Columns) {
-		return nil, nil, fmt.Errorf("storage: insert into %s: %d values for %d columns",
+		return fmt.Errorf("storage: insert into %s: %d values for %d columns",
 			t.def.Name, len(vals), len(t.def.Columns))
 	}
-	coerced := make([]Value, len(vals))
 	for i, v := range vals {
 		cv, err := v.Coerce(t.def.Columns[i].Type)
 		if err != nil {
-			return nil, nil, fmt.Errorf("storage: insert into %s.%s: %v", t.def.Name, t.def.Columns[i].Name, err)
+			return fmt.Errorf("storage: insert into %s.%s: %v", t.def.Name, t.def.Columns[i].Name, err)
 		}
-		coerced[i] = cv
+		dst[i] = cv
 	}
-	return t, coerced, nil
+	return nil
+}
+
+// table resolves a mutation's table.
+func (db *DB) table(name string) (*Table, error) {
+	if t := db.Table(name); t != nil {
+		return t, nil
+	}
+	return nil, fmt.Errorf("storage: no table %q", name)
 }
 
 // inserted records an applied insert in the history (revived when it
@@ -263,18 +272,47 @@ func (db *DB) inserted(t *Table, tu *Tuple, revived bool) {
 }
 
 // Insert adds a tuple with the given column values (in schema column
-// order) and returns its new identity. Values are coerced to the column
-// types; a type mismatch or arity mismatch is an error.
+// order) and returns its new identity: InsertRows of one row.
 func (db *DB) Insert(table string, vals []Value) (TupleID, error) {
-	t, coerced, err := db.coerceRow(table, vals)
+	id := db.nextID
+	if _, err := db.InsertRows(table, [][]Value{vals}); err != nil {
+		return 0, err
+	}
+	return id, nil
+}
+
+// InsertRows adds one tuple per row, in order, each under the next
+// identity, and returns how many it added. Values are coerced to the
+// column types; a type mismatch or arity mismatch is an error, and the
+// rows before the failing one stay inserted. The table is resolved once,
+// and the tuples and their values are copied into blocks of up to
+// blockRows rows, one allocation each per block, so rows stays the
+// caller's.
+func (db *DB) InsertRows(table string, rows [][]Value) (int, error) {
+	t, err := db.table(table)
 	if err != nil {
 		return 0, err
 	}
-	tu := &Tuple{ID: db.nextID, Vals: coerced}
-	db.nextID++
-	t.insert(tu)
-	db.inserted(t, tu, false)
-	return tu.ID, nil
+	nc := len(t.def.Columns)
+	var tuples []Tuple
+	var vals []Value
+	for i, row := range rows {
+		if len(tuples) == 0 {
+			k := min(len(rows)-i, blockRows)
+			tuples, vals = make([]Tuple, k), make([]Value, k*nc)
+		}
+		tu := &tuples[0]
+		tu.Vals = vals[:nc:nc]
+		if err := t.coerce(tu.Vals, row); err != nil {
+			return i, err
+		}
+		tuples, vals = tuples[1:], vals[nc:]
+		tu.ID = db.nextID
+		db.nextID++
+		t.insert(tu)
+		db.inserted(t, tu, false)
+	}
+	return len(rows), nil
 }
 
 // NextID returns the next tuple identity the database would allocate.
@@ -299,14 +337,17 @@ func (db *DB) BumpNextID(n TupleID) {
 // bumped past id. Inserting an identity that is currently live is an
 // error.
 func (db *DB) InsertWithID(table string, id TupleID, vals []Value) error {
-	t, coerced, err := db.coerceRow(table, vals)
+	t, err := db.table(table)
 	if err != nil {
+		return err
+	}
+	tu := &Tuple{ID: id, Vals: make([]Value, len(t.def.Columns))}
+	if err := t.coerce(tu.Vals, vals); err != nil {
 		return err
 	}
 	if t.Get(id) != nil {
 		return fmt.Errorf("storage: insert into %s: tuple %d already exists", t.def.Name, id)
 	}
-	tu := &Tuple{ID: id, Vals: coerced}
 	revived := !t.insertPreservingOrder(tu)
 	db.BumpNextID(id + 1)
 	db.inserted(t, tu, revived)
@@ -323,57 +364,138 @@ func (db *DB) MustInsert(table string, vals ...Value) TupleID {
 }
 
 // Delete removes the tuple with the given identity from the table. It
-// returns the deleted tuple, or nil if no such tuple exists.
+// returns the deleted tuple, or nil if no such table or tuple exists.
 func (db *DB) Delete(table string, id TupleID) *Tuple {
 	t := db.Table(table)
 	if t == nil {
 		return nil
 	}
 	tu := t.Get(id)
-	if tu == nil {
-		return nil
+	if tu != nil {
+		db.deleteRow(t, tu)
 	}
+	return tu
+}
+
+// DeleteRows removes the identified tuples from the table, in order,
+// resolving the table once. An identity with no live tuple is an error,
+// and the tuples before it stay deleted.
+func (db *DB) DeleteRows(table string, ids []TupleID) error {
+	t, err := db.table(table)
+	if err != nil {
+		return err
+	}
+	for _, id := range ids {
+		tu := t.Get(id)
+		if tu == nil {
+			return fmt.Errorf("storage: table %s has no tuple %d", t.def.Name, id)
+		}
+		db.deleteRow(t, tu)
+	}
+	return nil
+}
+
+// deleteRow removes the live tuple tu of t, records and reports it.
+func (db *DB) deleteRow(t *Table, tu *Tuple) {
 	t.remove(tu)
 	if db.spDepth > 0 {
-		db.record(Change{Kind: ChangeDelete, Table: t, ID: id, Row: tu})
+		db.record(Change{Kind: ChangeDelete, Table: t, ID: tu.ID, Row: tu})
 	} else {
 		t.compact() // a bare delete is its own one-mutation transaction
 	}
 	if db.obs != nil {
-		db.obs.ObserveDelete(t.def.Name, id)
+		db.obs.ObserveDelete(t.def.Name, tu.ID)
 	}
-	return tu
 }
 
 // Update sets column col of the identified tuple to v (coerced to the
 // column type). It returns the previous value.
 func (db *DB) Update(table string, id TupleID, col string, v Value) (Value, error) {
-	t := db.Table(table)
-	if t == nil {
-		return Value{}, fmt.Errorf("storage: no table %q", table)
+	t, err := db.table(table)
+	if err != nil {
+		return Value{}, err
 	}
+	ci, err := t.column(col)
+	if err != nil {
+		return Value{}, err
+	}
+	tu, err := t.live(id)
+	if err != nil {
+		return Value{}, err
+	}
+	old := tu.Vals[ci]
+	return old, db.updateCol(t, tu, ci, v)
+}
+
+// UpdateRows sets the named columns of each identified tuple, in order:
+// tuple k's column cols[i] to vals[k*len(cols)+i], coerced to the column
+// type, one column at a time. The table and its columns are resolved
+// once, before any change; an identity with no live tuple or a value of
+// the wrong type is an error, and the changes before it stay applied.
+func (db *DB) UpdateRows(table string, cols []string, ids []TupleID, vals []Value) error {
+	t, err := db.table(table)
+	if err != nil {
+		return err
+	}
+	var at [8]int
+	cis := at[:0]
+	for _, col := range cols {
+		ci, err := t.column(col)
+		if err != nil {
+			return err
+		}
+		cis = append(cis, ci)
+	}
+	for k, id := range ids {
+		tu, err := t.live(id)
+		if err != nil {
+			return err
+		}
+		for i, ci := range cis {
+			if err := db.updateCol(t, tu, ci, vals[k*len(cis)+i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// column returns the index of t's column col.
+func (t *Table) column(col string) (int, error) {
 	ci := t.def.ColumnIndex(col)
 	if ci < 0 {
-		return Value{}, fmt.Errorf("storage: table %s has no column %q", t.def.Name, col)
+		return 0, fmt.Errorf("storage: table %s has no column %q", t.def.Name, col)
 	}
+	return ci, nil
+}
+
+// live returns t's live tuple id.
+func (t *Table) live(id TupleID) (*Tuple, error) {
 	tu := t.Get(id)
 	if tu == nil {
-		return Value{}, fmt.Errorf("storage: table %s has no tuple %d", t.def.Name, id)
+		return nil, fmt.Errorf("storage: table %s has no tuple %d", t.def.Name, id)
 	}
-	cv, err := v.Coerce(t.def.Columns[ci].Type)
+	return tu, nil
+}
+
+// updateCol sets column ci of t's live tuple tu to v, coerced to the
+// column type, and records and reports the change.
+func (db *DB) updateCol(t *Table, tu *Tuple, ci int, v Value) error {
+	c := &t.def.Columns[ci]
+	cv, err := v.Coerce(c.Type)
 	if err != nil {
-		return Value{}, fmt.Errorf("storage: update %s.%s: %v", t.def.Name, col, err)
+		return fmt.Errorf("storage: update %s.%s: %v", t.def.Name, c.Name, err)
 	}
 	old := tu.Vals[ci]
 	t.touch()
 	t.setVal(tu, ci, cv)
 	if db.spDepth > 0 {
-		db.record(Change{Kind: ChangeUpdate, Table: t, ID: id, Col: ci, Old: old})
+		db.record(Change{Kind: ChangeUpdate, Table: t, ID: tu.ID, Col: ci, Old: old})
 	}
 	if db.obs != nil {
-		db.obs.ObserveUpdate(t.def.Name, id, t.def.Columns[ci].Name, cv)
+		db.obs.ObserveUpdate(t.def.Name, tu.ID, c.Name, cv)
 	}
-	return old, nil
+	return nil
 }
 
 // Clone returns a deep copy of the database sharing no mutable state with

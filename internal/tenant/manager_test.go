@@ -168,17 +168,17 @@ func (g gateMutator) hold() {
 	<-g.gate
 }
 
-func (g gateMutator) Insert(table string, vals []storage.Value) (storage.TupleID, error) {
+func (g gateMutator) Insert(table string, rows [][]storage.Value) (int, error) {
 	g.hold()
-	return g.inner.Insert(table, vals)
+	return g.inner.Insert(table, rows)
 }
-func (g gateMutator) Delete(table string, id storage.TupleID) error {
+func (g gateMutator) Delete(table string, ids []storage.TupleID) error {
 	g.hold()
-	return g.inner.Delete(table, id)
+	return g.inner.Delete(table, ids)
 }
-func (g gateMutator) Update(table string, id storage.TupleID, col string, v storage.Value) error {
+func (g gateMutator) Update(table string, cols []string, ids []storage.TupleID, vals []storage.Value) error {
 	g.hold()
-	return g.inner.Update(table, id, col, v)
+	return g.inner.Update(table, cols, ids, vals)
 }
 
 // TestTenantQuotaFence proves the per-tenant admission quota: with

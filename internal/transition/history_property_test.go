@@ -10,6 +10,7 @@ import (
 	"activerules/internal/ruledef"
 	"activerules/internal/rules"
 	"activerules/internal/schema"
+	"activerules/internal/sqlmini"
 	"activerules/internal/storage"
 	"activerules/internal/transition"
 	"activerules/internal/workload"
@@ -117,7 +118,7 @@ insert into t values (7, 7, 7); update t set c = 8 where a = 7; delete from t wh
 			default:
 				forks++
 				fork := db.Fork()
-				frec := &recorder{db: fork, next: direct{fork}, entries: append([]refEntry(nil), rec.entries[:rec.Mark()]...)}
+				frec := &recorder{db: fork, next: sqlmini.DirectMutator(fork), entries: append([]refEntry(nil), rec.entries[:rec.Mark()]...)}
 				check(fork, frec, "the fork")
 				sp := fork.Savepoint()
 				if ids := fork.Table("t").IDs(); len(ids) > 0 {

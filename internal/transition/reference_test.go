@@ -31,12 +31,14 @@ type refEntry struct {
 }
 
 // recorder is the reference's record of the open transaction: a Mutator
-// wrapper that notes every primitive next applies to db. Installed through
-// engine.Options.WrapMutator it sees what the engine's mutator sees; over
-// direct it drives a database with no engine. A successful primitive is
-// one history entry and one refEntry, so positions agree, and whatever a
-// rollback or a commit dropped from the history is dropped here when the
-// next entry lands (or by sync).
+// wrapper that notes every primitive of each statement next applies to
+// db. Installed through engine.Options.WrapMutator it sees what the
+// engine's mutator sees; over sqlmini.DirectMutator it drives a database
+// with no engine. A successful primitive is one history entry and one
+// refEntry, so positions agree — a statement that fails midway keeps the
+// entries of the primitives it applied — and whatever a rollback or a
+// commit dropped from the history is dropped here when the next entry
+// lands (or by sync).
 type recorder struct {
 	db      *storage.DB
 	next    sqlmini.Mutator
@@ -46,11 +48,11 @@ type recorder struct {
 
 func (r *recorder) sync() { r.entries = r.entries[:min(len(r.entries), r.db.HistoryLen())] }
 
-func (r *recorder) note(err error, e refEntry) error {
-	if err == nil {
-		r.entries = append(r.entries[:r.db.HistoryLen()-1], e)
-	}
-	return err
+// note records the entries of the primitives a statement applied from
+// history position before on: the first of es, one per primitive the
+// statement had, in order.
+func (r *recorder) note(before int, es []refEntry) {
+	r.entries = append(r.entries[:before], es[:r.db.HistoryLen()-before]...)
 }
 
 func (r *recorder) oldRow(table string, id storage.TupleID) []storage.Value {
@@ -60,47 +62,58 @@ func (r *recorder) oldRow(table string, id storage.TupleID) []storage.Value {
 	return nil
 }
 
-func (r *recorder) Insert(table string, vals []storage.Value) (storage.TupleID, error) {
-	id, err := r.next.Insert(table, vals)
-	return id, r.note(err, refEntry{kind: storage.ChangeInsert, table: table, id: id})
+func (r *recorder) Insert(table string, rows [][]storage.Value) (int, error) {
+	before, next := r.db.HistoryLen(), r.db.NextID()
+	n, err := r.next.Insert(table, rows)
+	es := make([]refEntry, n)
+	for i := range es {
+		es[i] = refEntry{kind: storage.ChangeInsert, table: table, id: next + storage.TupleID(i)}
+	}
+	r.note(before, es)
+	return n, err
 }
 
-func (r *recorder) Delete(table string, id storage.TupleID) error {
-	old := r.oldRow(table, id)
-	return r.note(r.next.Delete(table, id), refEntry{kind: storage.ChangeDelete, table: table, id: id, oldRow: old})
+func (r *recorder) Delete(table string, ids []storage.TupleID) error {
+	es := make([]refEntry, len(ids))
+	for i, id := range ids {
+		es[i] = refEntry{kind: storage.ChangeDelete, table: table, id: id, oldRow: r.oldRow(table, id)}
+	}
+	before := r.db.HistoryLen()
+	err := r.next.Delete(table, ids)
+	r.note(before, es)
+	return err
 }
 
-func (r *recorder) Update(table string, id storage.TupleID, col string, v storage.Value) error {
-	old := r.oldRow(table, id)
-	return r.note(r.next.Update(table, id, col, v), refEntry{kind: storage.ChangeUpdate, table: table, id: id, oldRow: old})
+// Update takes each primitive's old row from the one before it: the
+// row before the statement, with the earlier columns of its SET applied.
+func (r *recorder) Update(table string, cols []string, ids []storage.TupleID, vals []storage.Value) error {
+	def := r.db.Schema().Table(table)
+	var es []refEntry
+	for k, id := range ids {
+		old := r.oldRow(table, id)
+		for i, col := range cols {
+			es = append(es, refEntry{kind: storage.ChangeUpdate, table: table, id: id, oldRow: old})
+			if ci := def.ColumnIndex(col); old != nil && ci >= 0 {
+				old = cloneRow(old)
+				if v, err := vals[k*len(cols)+i].Coerce(def.Columns[ci].Type); err == nil {
+					old[ci] = v
+				}
+			}
+		}
+	}
+	before := r.db.HistoryLen()
+	err := r.next.Update(table, cols, ids, vals)
+	r.note(before, es)
+	return err
 }
 
 // Mark returns the current position.
 func (r *recorder) Mark() int { r.sync(); return len(r.entries) }
 
-// direct applies primitives to a database with no engine over it.
-type direct struct{ db *storage.DB }
-
-func (m direct) Insert(table string, vals []storage.Value) (storage.TupleID, error) {
-	return m.db.Insert(table, vals)
-}
-
-func (m direct) Delete(table string, id storage.TupleID) error {
-	if m.db.Delete(table, id) == nil {
-		return fmt.Errorf("no tuple %d in %s", id, table)
-	}
-	return nil
-}
-
-func (m direct) Update(table string, id storage.TupleID, col string, v storage.Value) error {
-	_, err := m.db.Update(table, id, col, v)
-	return err
-}
-
 // record opens a transaction on db — a savepoint, under which storage
 // keeps its history — and returns the recorder driving it directly.
 func record(db *storage.DB) *recorder {
-	return &recorder{db: db, next: direct{db}, tx: db.Savepoint()}
+	return &recorder{db: db, next: sqlmini.DirectMutator(db), tx: db.Savepoint()}
 }
 
 // compute is transition.ComputeTable by table name, with scratch of its own.

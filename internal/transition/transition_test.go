@@ -14,24 +14,24 @@ func fixture() (*storage.DB, *recorder) {
 	return db, record(db)
 }
 
-// doInsert / doDelete / doUpdate apply a change to the DB through the
-// recorder, as the engine's mutator would.
+// doInsert / doDelete / doUpdate apply a one-row statement to the DB
+// through the recorder, as the engine's mutator would.
 func doInsert(l *recorder, table string, vals ...storage.Value) storage.TupleID {
-	id, err := l.Insert(table, vals)
-	if err != nil {
+	id := l.db.NextID()
+	if _, err := l.Insert(table, [][]storage.Value{vals}); err != nil {
 		panic(err)
 	}
 	return id
 }
 
 func doDelete(l *recorder, table string, id storage.TupleID) {
-	if err := l.Delete(table, id); err != nil {
+	if err := l.Delete(table, []storage.TupleID{id}); err != nil {
 		panic(err)
 	}
 }
 
 func doUpdate(l *recorder, table string, id storage.TupleID, col string, v storage.Value) {
-	if err := l.Update(table, id, col, v); err != nil {
+	if err := l.Update(table, []string{col}, []storage.TupleID{id}, []storage.Value{v}); err != nil {
 		panic(err)
 	}
 }
