@@ -25,9 +25,9 @@ type DB struct {
 	// undo is the history of the open transaction: one Change, most recent
 	// last, per primitive mutation performed while a savepoint is active.
 	// RollbackTo reverses it and net-effect computation reads it (History).
-	// spDepth counts active savepoints; tables compact their order slices
-	// only where it returns to zero, so undo can restore exact iteration
-	// order. gen counts the times entries were removed (HistoryGen).
+	// spDepth counts active savepoints; tables compact their tombstones
+	// only where it returns to zero, so an undone delete finds its slot.
+	// gen counts the times entries were removed (HistoryGen).
 	undo    []Change
 	spDepth int
 	gen     uint64
@@ -90,8 +90,8 @@ type Change struct {
 	Old   Value  // update: previous value
 	Row   *Tuple // delete: the removed tuple object
 
-	// revived marks an insert that took over a tombstoned order slot
-	// (InsertWithID) instead of appending one: undoing it leaves the slot.
+	// revived marks an insert that took over a tombstoned slot
+	// (InsertWithID) instead of adding one: undoing it leaves the slot.
 	revived bool
 }
 
@@ -146,7 +146,7 @@ func (db *DB) RollbackTo(sp Savepoint) {
 		u, t := db.undo[i], db.undo[i].Table
 		switch u.Kind {
 		case ChangeInsert:
-			t.unInsert(u.ID, !u.revived)
+			t.unInsert(u.ID, u.revived)
 			if db.obs != nil {
 				db.obs.ObserveDelete(t.def.Name, u.ID)
 			}
@@ -157,7 +157,7 @@ func (db *DB) RollbackTo(sp Savepoint) {
 			}
 		case ChangeUpdate:
 			t.touch()
-			t.setVal(t.rows[u.ID], u.Col, u.Old)
+			t.setVal(t.Get(u.ID), u.Col, u.Old)
 			if db.obs != nil {
 				db.obs.ObserveUpdate(t.def.Name, u.ID, t.def.Columns[u.Col].Name, u.Old)
 			}
@@ -261,7 +261,7 @@ func (db *DB) table(name string) (*Table, error) {
 }
 
 // inserted records an applied insert in the history (revived when it
-// appended no order slot) and reports it.
+// added no slot) and reports it.
 func (db *DB) inserted(t *Table, tu *Tuple, revived bool) {
 	if db.spDepth > 0 {
 		db.record(Change{Kind: ChangeInsert, Table: t, ID: tu.ID, revived: revived})
@@ -330,11 +330,10 @@ func (db *DB) BumpNextID(n TupleID) {
 
 // InsertWithID adds a tuple under an explicit identity, for restoring a
 // database from a snapshot or a redo log. Values are coerced like
-// Insert. If the identity still occupies a tombstoned slot of the
-// table's iteration order (it was deleted earlier in the same replay),
-// it is revived in place, reproducing the iteration order a savepoint
-// rollback restored in the original run. The identity allocator is
-// bumped past id. Inserting an identity that is currently live is an
+// Insert. The row takes its identity's place in the table's iteration
+// order, reviving the identity's tombstone if it still has one (it was
+// deleted earlier in the same replayed range). The identity allocator
+// is bumped past id. Inserting an identity that is currently live is an
 // error.
 func (db *DB) InsertWithID(table string, id TupleID, vals []Value) error {
 	t, err := db.table(table)
@@ -348,7 +347,7 @@ func (db *DB) InsertWithID(table string, id TupleID, vals []Value) error {
 	if t.Get(id) != nil {
 		return fmt.Errorf("storage: insert into %s: tuple %d already exists", t.def.Name, id)
 	}
-	revived := !t.insertPreservingOrder(tu)
+	revived := t.insertPreservingOrder(tu)
 	db.BumpNextID(id + 1)
 	db.inserted(t, tu, revived)
 	return nil
@@ -370,10 +369,12 @@ func (db *DB) Delete(table string, id TupleID) *Tuple {
 	if t == nil {
 		return nil
 	}
-	tu := t.Get(id)
-	if tu != nil {
-		db.deleteRow(t, tu)
+	i, ok := t.find(id)
+	if !ok || t.slots[i].tu == nil {
+		return nil
 	}
+	tu := t.slots[i].tu
+	db.deleteRow(t, i)
 	return tu
 }
 
@@ -386,18 +387,19 @@ func (db *DB) DeleteRows(table string, ids []TupleID) error {
 		return err
 	}
 	for _, id := range ids {
-		tu := t.Get(id)
-		if tu == nil {
+		i, ok := t.find(id)
+		if !ok || t.slots[i].tu == nil {
 			return fmt.Errorf("storage: table %s has no tuple %d", t.def.Name, id)
 		}
-		db.deleteRow(t, tu)
+		db.deleteRow(t, i)
 	}
 	return nil
 }
 
-// deleteRow removes the live tuple tu of t, records and reports it.
-func (db *DB) deleteRow(t *Table, tu *Tuple) {
-	t.remove(tu)
+// deleteRow removes the live tuple of t's slot i, records and reports it.
+func (db *DB) deleteRow(t *Table, i int) {
+	tu := t.slots[i].tu
+	t.removeAt(i)
 	if db.spDepth > 0 {
 		db.record(Change{Kind: ChangeDelete, Table: t, ID: tu.ID, Row: tu})
 	} else {
@@ -523,13 +525,9 @@ func (db *DB) Fork() *DB {
 	nd := db.Clone()
 	nd.spDepth, nd.gen, nd.undo = db.spDepth, db.gen, make([]Change, 0, len(db.undo))
 	for _, u := range db.undo {
-		orig := u.Table
-		u.Table = nd.tables[orig.def.Name]
+		u.Table = nd.tables[u.Table.def.Name]
 		if u.Kind == ChangeDelete {
 			u.Row = u.Row.clone()
-			if len(u.Table.order) != len(orig.order) { // unDelete needs the tombstones Clone dropped
-				u.Table.order = append(u.Table.order[:0], orig.order...)
-			}
 		}
 		nd.record(u)
 	}
@@ -636,7 +634,7 @@ func (db *DB) tableDigest(t *Table) [32]byte {
 		// Taking the gone rows out costs encoding and sorting them; a
 		// rebuild, the live ones. A sweep that empties most of a table
 		// gets the rebuild.
-		t.run = len(t.gone) < len(t.rows) && t.drop(s.sorted(t, true))
+		t.run = len(t.gone) < t.nlive && t.drop(s.sorted(t, true))
 	}
 	buf, spans := s.sorted(t, false)
 	if !t.run { // a rebuild: every row is new
@@ -644,7 +642,7 @@ func (db *DB) tableDigest(t *Table) [32]byte {
 	}
 	t.merge(buf, spans)
 	t.digest = sha256.Sum256(t.enc)
-	t.clean, t.run, t.sortedN, t.newFrom = true, true, len(t.order), db.nextID
+	t.clean, t.run, t.newFrom = true, true, db.nextID
 	t.forgetGone()
 	return t.digest
 }
@@ -654,12 +652,12 @@ func (db *DB) tableDigest(t *Table) [32]byte {
 // encoding: by key, and by bytes.Compare only where two keys are equal,
 // which is the order bytes.Compare alone gives (prefixKey).
 func (s *fpScratch) sorted(t *Table, gone bool) ([]byte, []rowSpan) {
-	n := len(t.rows)
+	n := t.nlive
 	switch {
 	case gone:
 		n = len(t.gone)
 	case t.run:
-		n = len(t.order) - t.sortedN
+		n = len(t.slots) - t.seen()
 	}
 	buf, spans := s.buf[:0], s.spans[:0]
 	if n > 2*cap(spans) {

@@ -89,7 +89,7 @@ func runDigestOrder(t *testing.T, pool *orderPool, ops []byte) digestPaths {
 		for _, tbl := range db.tables {
 			switch {
 			case tbl.clean:
-			case !tbl.run || len(tbl.gone) >= len(tbl.rows):
+			case !tbl.run || len(tbl.gone) >= tbl.nlive:
 				paths.rebuilds++
 			case len(tbl.gone) > 0:
 				paths.takeOuts++

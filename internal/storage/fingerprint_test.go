@@ -56,9 +56,9 @@ func (d *memoDriver) step(t *testing.T, rng *rand.Rand) {
 			}
 		}
 	case 6: // the replay shape: an identity deleted under a savepoint comes back in place
-		for _, id := range tbl.order {
-			if tbl.rows[id] == nil {
-				if err := db.InsertWithID(name, id, row()); err != nil {
+		for _, s := range tbl.slots {
+			if s.tu == nil {
+				if err := db.InsertWithID(name, s.id, row()); err != nil {
 					t.Fatal(err)
 				}
 				break
@@ -266,13 +266,13 @@ func TestEveryMutationTouches(t *testing.T) {
 				db.MustInsert("t", IntV(5), StringV("n")) // a slot after the ones the digest saw
 				db.Delete("t", id)                        // and one of those the digest saw
 				tbl := db.Table("t")
-				n := len(tbl.order)
+				n := len(tbl.slots)
 				db.Release(sp)
-				if len(tbl.order) >= n {
+				if len(tbl.slots) >= n {
 					t.Fatal("Release did not compact; the case would be vacuous")
 				}
-				if !tbl.run || tbl.sortedN != 1 || len(tbl.order) != 2 {
-					t.Errorf("compact left the run open=%v over %d of %d slots; want open over the 1 of 2 the digest saw", tbl.run, tbl.sortedN, len(tbl.order))
+				if !tbl.run || tbl.seen() != 1 || len(tbl.slots) != 2 {
+					t.Errorf("compact left the run open=%v over %d of %d slots; want open over the 1 of 2 the digest saw", tbl.run, tbl.seen(), len(tbl.slots))
 				}
 				db.MustInsert("t", IntV(0), StringV("a"))
 			}},
@@ -355,7 +355,7 @@ func TestVersionStandsWhileRowsDo(t *testing.T) {
 	for _, id := range tbl.IDs()[:16] {
 		db.Delete("t", id)
 	}
-	ver, slots := tbl.Version(), len(tbl.order)
+	ver, slots := tbl.Version(), len(tbl.slots)
 	stands := func(what string) {
 		t.Helper()
 		if got := tbl.Version(); got != ver {
@@ -375,8 +375,8 @@ func TestVersionStandsWhileRowsDo(t *testing.T) {
 	db.Release(db.Savepoint())
 	stands("an inner Savepoint and Release")
 	db.Release(sp)
-	if len(tbl.order) >= slots {
-		t.Fatalf("the outermost Release left %d order slots of %d; compact did not run", len(tbl.order), slots)
+	if len(tbl.slots) >= slots {
+		t.Fatalf("the outermost Release left %d slots of %d; compact did not run", len(tbl.slots), slots)
 	}
 	stands("compact")
 	if got := db.Clone().Table("t").Version(); got != ver {

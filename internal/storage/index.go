@@ -9,8 +9,8 @@ import "activerules/internal/schema"
 // column's second probe: a table probed once, as an explorer's fork
 // often is, pays one scan as it would without the index, which pays
 // back only over repeated probes. From then on every change to a live
-// row keeps it exact: insert, insertPreservingOrder's revive, remove,
-// unInsert, unDelete and setVal. It is a cache of the live rows, like
+// row keeps it exact: insert, insertPreservingOrder (unDelete's too),
+// removeAt, unInsert and setVal. It is a cache of the live rows, like
 // the digest, but unlike the digest it moves neither Version nor the
 // digest; clone leaves it behind, with the marks of the columns probed.
 type index struct {
@@ -92,7 +92,7 @@ func (t *Table) Holders(col int, v Value) (n int, one *Tuple, ok bool) {
 		h = ix.strs[v.S]
 	}
 	if h.n == 1 && h.id != 0 {
-		one = t.rows[h.id]
+		one = t.Get(h.id)
 	}
 	return h.n, one, true
 }
@@ -113,9 +113,9 @@ func (t *Table) index(col int) *index {
 	}
 	ix := &index{col: col, next: t.idx}
 	if t.def.Columns[col].Type == schema.Int {
-		ix.ints = make(map[int64]holding, len(t.rows))
+		ix.ints = make(map[int64]holding, t.nlive)
 	} else {
-		ix.strs = make(map[string]holding, len(t.rows))
+		ix.strs = make(map[string]holding, t.nlive)
 	}
 	t.Scan(func(tu *Tuple) bool {
 		ix.hold(tu.Vals[col], tu.ID, true)

@@ -26,11 +26,11 @@ type FingerprintOracle struct {
 // its invariant (runErr) before the digest — its gone rows are not a
 // sub-multiset of the kept encodings, or one of them is live, or with
 // the live rows the last digest saw they are not exactly the kept
-// encodings — or after it, where the run must also count every slot of
-// its order slice and hold no gone rows; (iv) over all states this
-// oracle has seen, two agree on Fingerprint but not on
-// CanonicalFingerprint, or the reverse; (v) a built equality index
-// disagrees with a scan of the live rows (indexErr).
+// encodings — or after it, where the run must also have seen every slot
+// and hold no gone rows; (iv) over all states this oracle has seen, two
+// agree on Fingerprint but not on CanonicalFingerprint, or the reverse;
+// (v) a built equality index disagrees with a scan of the live rows
+// (indexErr).
 func (o *FingerprintOracle) Check(db *DB) error {
 	for name, t := range db.tables {
 		if err := runErr(t); err != nil {
@@ -60,8 +60,8 @@ func (o *FingerprintOracle) Check(db *DB) error {
 		if fresh.tables[name].digest != want {
 			return fmt.Errorf("storage: table %s: the buffer pass and sortedEncodings digest differently", name)
 		}
-		if len(t.gone) > 0 || t.run && t.sortedN != len(t.order) {
-			return fmt.Errorf("storage: table %s: the digest left %d gone rows, and a run over %d of %d slots", name, len(t.gone), t.sortedN, len(t.order))
+		if len(t.gone) > 0 || t.run && t.seen() != len(t.slots) {
+			return fmt.Errorf("storage: table %s: the digest left %d gone rows, and a run over %d of %d slots", name, len(t.gone), t.seen(), len(t.slots))
 		}
 		if err := runErr(t); err != nil {
 			return fmt.Errorf("storage: table %s, after the digest: %v", name, err)
@@ -81,13 +81,28 @@ func (o *FingerprintOracle) Check(db *DB) error {
 	return nil
 }
 
-// runErr returns how t departs from its open append run's invariant, if
-// it does: the kept encodings are the sorted encodings of the rows the
-// last digest saw, which are the live rows of order[:sortedN] and the
-// gone rows; no gone row is live; and a live row's identity is below
-// newFrom exactly when its slot is in order[:sortedN], which is what lets
-// a delete tell the rows apart. Outside a run, gone is empty.
+// runErr returns how t departs from its slots' and its open append
+// run's invariants, if it does: slot identities strictly ascend and the
+// live count counts the live slots; the kept encodings are the sorted
+// encodings of the rows the last digest saw, which are the live rows
+// below newFrom and the gone rows; and no gone row is live. Outside a
+// run, gone is empty.
 func runErr(t *Table) error {
+	live := 0
+	for i, s := range t.slots {
+		if i > 0 && s.id <= t.slots[i-1].id {
+			return fmt.Errorf("slot %d holds identity %d after %d", i, s.id, t.slots[i-1].id)
+		}
+		if s.tu != nil {
+			live++
+			if s.tu.ID != s.id {
+				return fmt.Errorf("slot %d of identity %d holds row %d", i, s.id, s.tu.ID)
+			}
+		}
+	}
+	if live != t.nlive {
+		return fmt.Errorf("%d live slots, but Len %d", live, t.nlive)
+	}
 	if !t.run {
 		if len(t.gone) > 0 {
 			return fmt.Errorf("%d gone rows outside an append run", len(t.gone))
@@ -96,20 +111,13 @@ func runErr(t *Table) error {
 	}
 	seen := slices.Clone(t.gone)
 	for _, g := range t.gone {
-		if t.rows[g.ID] != nil {
+		if t.Get(g.ID) != nil {
 			return fmt.Errorf("gone row %d is live", g.ID)
 		}
 	}
-	for i, id := range t.order {
-		tu := t.rows[id]
-		if tu == nil {
-			continue
-		}
-		if (i < t.sortedN) != (id < t.newFrom) {
-			return fmt.Errorf("live row %d in slot %d: the last digest saw %d slots and identities below %d", id, i, t.sortedN, t.newFrom)
-		}
-		if i < t.sortedN {
-			seen = append(seen, tu)
+	for _, s := range t.slots[:t.seen()] {
+		if s.tu != nil {
+			seen = append(seen, s.tu)
 		}
 	}
 	encs := make([]string, len(seen))
@@ -164,7 +172,7 @@ func indexMatches[K comparable](t *Table, col int, got, want map[K]holding) erro
 		}
 	}
 	for k, h := range got {
-		switch tu := t.rows[h.id]; {
+		switch tu := t.Get(h.id); {
 		case want[k].n == 0:
 			return fmt.Errorf("column %d's index keeps an entry for %v, which no live row holds", col, k)
 		case h.id == 0:

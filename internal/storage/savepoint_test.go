@@ -179,7 +179,7 @@ func TestCloneDropsSavepointState(t *testing.T) {
 // TestOrderCompactedAcrossSavepoints drives the served path's shape —
 // every mutation under a savepoint, nested one level like the engine's
 // transaction and consideration — and checks tombstones do not outlive
-// their transaction: the order slice stays within a constant multiple of
+// their transaction: the slot slice stays within a constant multiple of
 // the live rows however many insert/delete transactions have run.
 func TestOrderCompactedAcrossSavepoints(t *testing.T) {
 	db := savepointDB(t)
@@ -200,15 +200,15 @@ func TestOrderCompactedAcrossSavepoints(t *testing.T) {
 		if tbl.Len() != live {
 			t.Fatalf("transaction %d: %d live rows, want %d", i, tbl.Len(), live)
 		}
-		if bound := 4*live + 16; len(tbl.order) > bound {
-			t.Fatalf("transaction %d: order slice holds %d slots for %d live rows (bound %d): tombstones are not compacted",
-				i, len(tbl.order), live, bound)
+		if bound := 4*live + 16; len(tbl.slots) > bound {
+			t.Fatalf("transaction %d: the table holds %d slots for %d live rows (bound %d): tombstones are not compacted",
+				i, len(tbl.slots), live, bound)
 		}
 	}
 	if got := db.Table("t").IDs(); fmt.Sprint(got) != fmt.Sprint(ids) {
 		t.Errorf("iteration order lost across compactions:\n got %v\nwant %v", got, ids)
 	}
-	if len(db.Table("u").order) != 0 {
+	if len(db.Table("u").slots) != 0 {
 		t.Error("a table no transaction deleted from must not be touched")
 	}
 }

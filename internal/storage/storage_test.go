@@ -253,8 +253,8 @@ func TestOrderCompaction(t *testing.T) {
 	if tbl.Len() != 10 {
 		t.Fatalf("Len = %d", tbl.Len())
 	}
-	if len(tbl.order) > 40 {
-		t.Errorf("order not compacted: %d entries for 10 live rows", len(tbl.order))
+	if len(tbl.slots) > 40 {
+		t.Errorf("slots not compacted: %d entries for 10 live rows", len(tbl.slots))
 	}
 	got := tbl.IDs()
 	if len(got) != 10 || got[0] != ids[90] {

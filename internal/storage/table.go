@@ -39,12 +39,18 @@ func (t *Tuple) encode(b []byte) []byte {
 	return b
 }
 
-// Table holds the tuples of one relation. Iteration order is insertion
-// order, which keeps execution deterministic for a fixed choice strategy.
+// Table holds the tuples of one relation as one slice of slots in
+// ascending identity order, a slot whose tuple is nil being a tombstone.
+// Iteration order is identity order, which is insertion order: the
+// identity allocator only ascends, RollbackTo rewinds it only past the
+// rows it has just taken out, and an undone delete revives its own slot.
+// Only a snapshot or redo-log restore inserts below the last identity,
+// and it places the row at its sorted position, so a restored table
+// iterates as the original did.
 type Table struct {
 	def   *schema.Table
-	rows  map[TupleID]*Tuple
-	order []TupleID // insertion order; may contain IDs deleted from rows
+	slots []slot
+	nlive int // the slots whose tuple is not nil
 
 	// digest memoizes the table's content digest (DB.tableDigest) while
 	// clean is set. The digest is a function of the row multiset alone,
@@ -59,18 +65,17 @@ type Table struct {
 	// rows' encodings in sorted order, each followed by ';', row i ending
 	// (after its ';') at ends[i]. While run is set every change since has
 	// been an append or a delete, so enc holds the encodings of the live
-	// rows of order[:sortedN] and of the gone rows, the rows the last
-	// digest saw that were deleted since; the next digest takes the gone
-	// rows out and merges order[sortedN:]'s live rows in. The last digest
-	// saw exactly the live rows whose identities are below newFrom, the
-	// DB's NextID at that digest: an append of a lower identity, which a
-	// rollback or a replay can hand out, ends the run, so a delete tells
-	// the two kinds of row apart by identity alone. touch ends the run,
-	// and the next digest rebuilds enc. clone leaves enc behind, since a
-	// digest rewrites it in place.
+	// rows below newFrom, the DB's NextID at the last digest, and of the
+	// gone rows, the rows the last digest saw that were deleted since; the
+	// next digest takes the gone rows out and merges the live rows from
+	// newFrom up in. Slots ascend, so those are the slots from seen() on.
+	// An insert below newFrom, which a rollback or a replay can hand out,
+	// ends the run, so the last digest saw exactly the live rows below
+	// newFrom and a delete tells the two kinds of row apart by identity
+	// alone. touch ends the run, and the next digest rebuilds enc. clone
+	// leaves enc behind, since a digest rewrites it in place.
 	enc     []byte
 	ends    []int
-	sortedN int
 	run     bool
 	gone    []*Tuple
 	newFrom TupleID
@@ -128,146 +133,177 @@ func (t *Table) forgetGone() {
 // value) it keys internal/wal's memoized snapshot sections.
 func (t *Table) Version() uint64 { return t.ver }
 
-func newTable(def *schema.Table) *Table {
-	return &Table{def: def, rows: make(map[TupleID]*Tuple)}
+func newTable(def *schema.Table) *Table { return &Table{def: def} }
+
+// slot is one identity's place in a table: a nil tuple is a tombstone,
+// the slot of a deleted row that an undone delete or a restore revives.
+type slot struct {
+	id TupleID
+	tu *Tuple
+}
+
+// find returns where id's slot is, or would go, and whether it exists:
+// a binary search, after a check of the last slot, which appends and the
+// most recent rows hit.
+func (t *Table) find(id TupleID) (int, bool) {
+	if n := len(t.slots); n == 0 || id > t.slots[n-1].id {
+		return n, false
+	} else if id == t.slots[n-1].id {
+		return n - 1, true
+	}
+	lo, hi := 0, len(t.slots)-1 // the slot is in [lo, hi]
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.slots[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, t.slots[lo].id == id
 }
 
 // Def returns the schema definition of the table.
 func (t *Table) Def() *schema.Table { return t.def }
 
 // Len returns the number of live tuples.
-func (t *Table) Len() int { return len(t.rows) }
+func (t *Table) Len() int { return t.nlive }
 
 // Get returns the tuple with the given identity, or nil.
-func (t *Table) Get(id TupleID) *Tuple { return t.rows[id] }
+func (t *Table) Get(id TupleID) *Tuple {
+	if i, ok := t.find(id); ok {
+		return t.slots[i].tu
+	}
+	return nil
+}
 
-// Scan calls fn for each live tuple in insertion order. fn must not
+// Scan calls fn for each live tuple in identity order. fn must not
 // insert or delete tuples; it may read freely. It may update values via
 // the enclosing DB only if it returns immediately afterwards.
 func (t *Table) Scan(fn func(*Tuple) bool) {
-	for _, id := range t.order {
-		if tu, ok := t.rows[id]; ok {
-			if !fn(tu) {
-				return
-			}
+	for i := range t.slots {
+		if tu := t.slots[i].tu; tu != nil && !fn(tu) {
+			return
 		}
 	}
 }
 
-// IDs returns the identities of all live tuples in insertion order.
+// IDs returns the identities of all live tuples in identity order.
 func (t *Table) IDs() []TupleID {
-	out := make([]TupleID, 0, len(t.rows))
-	for _, id := range t.order {
-		if _, ok := t.rows[id]; ok {
-			out = append(out, id)
+	out := make([]TupleID, 0, t.nlive)
+	for _, s := range t.slots {
+		if s.tu != nil {
+			out = append(out, s.id)
 		}
 	}
 	return out
 }
 
+// insert appends tu, whose identity is above every slot's.
 func (t *Table) insert(tu *Tuple) {
+	t.fresh(tu)
+	t.slots = append(t.slots, slot{tu.ID, tu})
+	t.nlive++
+	t.held(tu, true)
+}
+
+// fresh is the digest bookkeeping of a new live row tu.
+func (t *Table) fresh(tu *Tuple) {
 	if tu.ID < t.newFrom {
 		t.touch() // a later delete could not tell this row from one the last digest saw
 	} else {
 		t.clean, t.ver = false, t.ver+1 // touch, but an open append run goes on
 	}
-	t.rows[tu.ID] = tu
-	t.order = append(t.order, tu.ID)
-	t.held(tu, true)
 }
 
-// insertPreservingOrder is insert for redo-log replay: if the identity
-// still has a tombstoned slot in the order slice (it was deleted earlier
-// in the replay and is now being re-inserted by a savepoint-rollback
-// compensation record), it is revived in place, matching what unDelete
-// did in the original run. The tombstone scan only runs when tombstones
-// exist at all. It reports whether it appended a slot.
-func (t *Table) insertPreservingOrder(tu *Tuple) (appended bool) {
-	if len(t.order) > len(t.rows) {
-		for _, id := range t.order {
-			if id == tu.ID {
-				t.touch()
-				t.rows[tu.ID] = tu
-				t.held(tu, true)
-				return false
-			}
-		}
+// insertPreservingOrder is insert for a row whose identity may be below
+// the last slot's: a snapshot or redo-log restore, and an undone delete.
+// A tombstone of the identity (it was deleted earlier under a savepoint,
+// or in the same replayed range) is revived; any other identity gets a
+// slot at its sorted position. It reports whether it revived a
+// tombstone.
+func (t *Table) insertPreservingOrder(tu *Tuple) (revived bool) {
+	i, ok := t.find(tu.ID)
+	if ok {
+		t.touch()
+		t.slots[i].tu = tu
+	} else {
+		t.fresh(tu)
+		t.slots = slices.Insert(t.slots, i, slot{tu.ID, tu})
 	}
-	t.insert(tu)
-	return true
+	t.nlive++
+	t.held(tu, true)
+	return ok
 }
 
-// remove deletes tu's row, marking the memoized digest stale and
-// advancing Version, and keeps an open append run: a row the last
+// removeAt deletes slot i's live row, marking the memoized digest stale
+// and advancing Version, and keeps an open append run: a row the last
 // digest saw joins gone, for the next digest to take its encoding out of
-// the kept ones, and a row appended since leaves no trace there.
-func (t *Table) remove(tu *Tuple) {
+// the kept ones, and a row appended since leaves no trace there. The
+// slot stays, as a tombstone, until compact.
+func (t *Table) removeAt(i int) {
+	tu := t.slots[i].tu
 	t.clean, t.ver = false, t.ver+1
 	if t.run && tu.ID < t.newFrom {
 		t.gone = append(t.gone, tu)
 	}
-	delete(t.rows, tu.ID) // the order slot stays, as a tombstone, until compact
+	t.slots[i].tu = nil
+	t.nlive--
 	t.held(tu, false)
 }
 
-// compact drops the order slice's tombstones once they outnumber live
-// rows three to one. The DB calls it only with no savepoint active:
-// until then unDelete relies on a deleted identity keeping its slot.
-// An open append run goes on, with sortedN recounted over the slots
-// that survive, since the rows the last digest saw keep theirs in front.
+// compact drops the tombstones once they outnumber live rows three to
+// one. The DB calls it only with no savepoint active: until then
+// unDelete relies on a deleted identity keeping its slot. An open
+// append run goes on, since it tells the rows the last digest saw by
+// identity, not by slot.
 func (t *Table) compact() {
-	if len(t.order) <= 16 || len(t.rows)*4 >= len(t.order) {
+	if len(t.slots) <= 16 || t.nlive*4 >= len(t.slots) {
 		return
 	}
-	live, sorted := t.order[:0], 0
-	for i, oid := range t.order {
-		if _, ok := t.rows[oid]; ok {
-			live = append(live, oid)
-			if i < t.sortedN {
-				sorted++
-			}
+	live := t.slots[:0]
+	for _, s := range t.slots {
+		if s.tu != nil {
+			live = append(live, s)
 		}
 	}
-	t.order, t.sortedN = live, sorted
+	clear(t.slots[len(live):]) // the moved tuples' stale copies
+	t.slots = live
 }
 
-// unInsert reverses an insert made under a savepoint. Undo records are
-// applied most recent first, so an identity that appended its slot still
-// holds the last element of the order slice (later inserts have already
-// been undone and deletes never append). A revived identity keeps its
-// slot, last or not: the unDelete that follows will fill it again.
-func (t *Table) unInsert(id TupleID, appended bool) {
+// unInsert reverses an insert made under a savepoint: the slot becomes
+// a tombstone again if the insert revived it, and else it goes.
+func (t *Table) unInsert(id TupleID, revived bool) {
 	t.touch()
-	t.held(t.rows[id], false)
-	delete(t.rows, id)
-	if n := len(t.order); appended && n > 0 && t.order[n-1] == id {
-		t.order = t.order[:n-1]
+	i, _ := t.find(id)
+	t.held(t.slots[i].tu, false)
+	t.nlive--
+	if revived {
+		t.slots[i].tu = nil
+	} else {
+		t.slots = slices.Delete(t.slots, i, i+1) // zeroes the freed slot
 	}
 }
 
 // unDelete reverses a delete made under a savepoint. The identity kept
-// its slot in the order slice (compaction waits for the last savepoint
-// to end), so restoring the rows entry restores iteration order too.
-func (t *Table) unDelete(tu *Tuple) {
-	t.touch()
-	t.rows[tu.ID] = tu
-	t.held(tu, true)
-}
+// its slot, which insertPreservingOrder revives (compaction waits for the
+// last savepoint to end), unless the table is a Fork's, whose Clone
+// dropped the tombstones: then the row takes its sorted slot again.
+func (t *Table) unDelete(tu *Tuple) { t.insertPreservingOrder(tu) }
 
 func (t *Table) clone() *Table {
 	nt := &Table{
 		def:   t.def,
-		rows:  make(map[TupleID]*Tuple, len(t.rows)),
-		order: make([]TupleID, 0, len(t.rows)),
+		slots: make([]slot, 0, t.nlive),
+		nlive: t.nlive,
 
 		digest: t.digest,
 		clean:  t.clean,
 		ver:    t.ver,
 	}
-	for _, id := range t.order {
-		if tu, ok := t.rows[id]; ok {
-			nt.rows[id] = tu.clone()
-			nt.order = append(nt.order, id)
+	for _, s := range t.slots {
+		if s.tu != nil {
+			nt.slots = append(nt.slots, slot{s.id, s.tu.clone()})
 		}
 	}
 	return nt
@@ -286,6 +322,12 @@ func (t *Table) setVal(tu *Tuple, col int, v Value) {
 	tu.Vals[col] = v
 }
 
+// seen returns the number of slots the last digest saw: those below newFrom.
+func (t *Table) seen() int {
+	i, _ := t.find(t.newFrom)
+	return i
+}
+
 // pending calls fn on each row the next digest encodes: with gone set,
 // the gone rows it takes out of the kept encodings; else, while the run
 // is open, the live rows appended since the last digest, and else every
@@ -297,15 +339,13 @@ func (t *Table) pending(gone bool, fn func(*Tuple)) {
 			fn(tu)
 		}
 	case t.run:
-		for _, id := range t.order[t.sortedN:] {
-			if tu := t.rows[id]; tu != nil {
-				fn(tu)
+		for _, s := range t.slots[t.seen():] {
+			if s.tu != nil {
+				fn(s.tu)
 			}
 		}
 	default:
-		for _, tu := range t.rows {
-			fn(tu)
-		}
+		t.Scan(func(tu *Tuple) bool { fn(tu); return true })
 	}
 }
 
@@ -376,10 +416,11 @@ func (t *Table) drop(buf []byte, spans []rowSpan) bool {
 // sorted, so two tables with the same multiset of rows encode identically
 // regardless of tuple identities or insertion order.
 func (t *Table) sortedEncodings() [][]byte {
-	encs := make([][]byte, 0, len(t.rows))
-	for _, tu := range t.rows {
+	encs := make([][]byte, 0, t.nlive)
+	t.Scan(func(tu *Tuple) bool {
 		encs = append(encs, tu.encode(nil))
-	}
+		return true
+	})
 	sort.Slice(encs, func(i, j int) bool { return string(encs[i]) < string(encs[j]) })
 	return encs
 }
@@ -398,16 +439,17 @@ func (t *Table) writeSorted(h hash.Hash) {
 // sorted canonically so equal tables print identically.
 func (t *Table) String() string {
 	type rendered struct{ key, text string }
-	rows := make([]rendered, 0, len(t.rows))
-	for _, tu := range t.rows {
+	rows := make([]rendered, 0, t.nlive)
+	t.Scan(func(tu *Tuple) bool {
 		parts := make([]string, len(tu.Vals))
 		for i, v := range tu.Vals {
 			parts[i] = v.String()
 		}
 		rows = append(rows, rendered{key: string(tu.encode(nil)), text: strings.Join(parts, ", ")})
-	}
+		return true
+	})
 	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
-	out := fmt.Sprintf("%s (%d rows)\n", t.def.Name, len(t.rows))
+	out := fmt.Sprintf("%s (%d rows)\n", t.def.Name, t.nlive)
 	for _, r := range rows {
 		out += "  (" + r.text + ")\n"
 	}

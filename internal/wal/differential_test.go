@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -356,7 +357,7 @@ func (s *diffStream) bulk() {
 
 func (s *diffStream) checkpoint(c *coverage) {
 	s.engineCommit()
-	s.compare("before checkpoint")
+	s.compare("before checkpoint", true)
 	s.scan(c)
 	s.db.Release(s.tx)
 	if err := s.d.Checkpoint(s.db); err != nil {
@@ -373,10 +374,17 @@ func (s *diffStream) checkpoint(c *coverage) {
 // compare recovers both directories and requires the same outcome: the
 // same state, iteration order and identity allocator, the same
 // FenceReplay sequence, and the same RecoveryInfo save RecordsScanned,
-// which only the coalesced log may bring down.
-func (s *diffStream) compare(label string) (records, oracleRecords int) {
+// which only the coalesced log may bring down. With durable set the
+// live database is at a durable point, and the recovered iteration
+// order must also be its.
+func (s *diffStream) compare(label string, durable bool) (records, oracleRecords int) {
 	s.t.Helper()
 	got, want := recoverDir(s.t, s.fsys), recoverDir(s.t, s.o.fs(s.t))
+	for i, name := range diffSchema.TableNames() {
+		if live := s.db.Table(name).IDs(); durable && !slices.Equal(got.IDs[i], live) {
+			s.t.Fatalf("%s: table %s recovers as %v, the live database iterates %v", label, name, got.IDs[i], live)
+		}
+	}
 	records, oracleRecords = got.Info.RecordsScanned, want.Info.RecordsScanned
 	if records > oracleRecords {
 		s.t.Errorf("%s: %d records scanned, the per-row log has %d", label, records, oracleRecords)
@@ -438,7 +446,7 @@ func TestCoalesceDifferential(t *testing.T) {
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
-			r, o := s.compare("end")
+			r, o := s.compare("end", false)
 			s.scan(&cover)
 			records, oracleRecords = records+r, oracleRecords+o
 			if s.spill {

@@ -202,10 +202,10 @@ func (r *Replayer) Info() RecoveryInfo { return r.info }
 
 // ApplyRange redoes one committed range of mutation records against db,
 // under one savepoint, so that the tombstone a delete leaves survives to
-// the end of the range: a compensation record (the re-insert a savepoint
-// rollback logged) then always revives its original's slot, and replay
-// reproduces the writer's iteration order. No writer puts a range
-// boundary between a mutation and its compensation.
+// the end of the range for a compensation record (the re-insert a
+// savepoint rollback logged) to revive. A table iterates in identity
+// order, so replay reproduces the writer's iteration order whatever the
+// ranges are.
 func ApplyRange(db *storage.DB, recs []Record) error {
 	sp := db.Savepoint()
 	defer db.Release(sp)
