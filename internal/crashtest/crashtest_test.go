@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -80,11 +81,11 @@ func checkRecovery(t *testing.T, sc *Scenario, fsys wal.FS, ref map[[32]byte]boo
 	// so a well-formed uncommitted tail from the crashed session can
 	// survive in the file with the new session's begin appended after
 	// it. Committing new work through that session must not adopt the
-	// stale tail: recovery after the commit has to land exactly on the
-	// continued session's committed state — not a fold of mutations an
-	// earlier recovery already discarded, and never ErrUnrecoverable
-	// from replaying a stale insert whose tuple ID the continued
-	// session reused.
+	// stale tail: recovery after the commit, and a checkpoint, has to
+	// land exactly on the continued session's committed state — not a
+	// fold of mutations an earlier recovery already discarded, and never
+	// ErrUnrecoverable from replaying a stale insert whose tuple ID the
+	// continued session reused.
 	d3, err := wal.Open(Dir, sc.G.Schema, wal.Options{FS: fsys})
 	if err != nil {
 		t.Fatalf("%s: continue open: %v", label, err)
@@ -105,6 +106,12 @@ func checkRecovery(t *testing.T, sc *Scenario, fsys wal.FS, ref map[[32]byte]boo
 	}
 	memo("continued session", eng.DB())
 	hc := FreshHash(sc.G.Set, eng.DB())
+	// And checkpoint it: the session's first checkpoint writes the
+	// snapshot whole, over any torn append the crash left behind the
+	// recovered index.
+	if err := d3.Checkpoint(eng.DB()); err != nil {
+		t.Fatalf("%s: continue checkpoint: %v", label, err)
+	}
 	if err := d3.Close(); err != nil {
 		t.Fatalf("%s: continue close: %v", label, err)
 	}
@@ -266,28 +273,7 @@ func TestDeliberateLogCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rebuild := func(log, snap []byte) *wal.MemFS {
-		fsys := wal.NewMemFS()
-		if err := fsys.MkdirAll(Dir); err != nil {
-			t.Fatal(err)
-		}
-		for name, data := range map[string][]byte{logName: log, Dir + "/snapshot.db": snap} {
-			f, err := fsys.Create(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write(data); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return fsys
-	}
+	rebuild := func(log, snap []byte) *wal.MemFS { return rebuildDir(t, logName, log, snap) }
 
 	for off := 0; off < len(logData); off += CorruptStride {
 		bad := append([]byte(nil), logData...)
@@ -306,4 +292,81 @@ func TestDeliberateLogCorruption(t *testing.T) {
 			t.Fatalf("snapshot flip at %d: err = %v, want ErrUnrecoverable", off, err)
 		}
 	}
+
+	// A second checkpoint appends to that snapshot: the sections of the
+	// tables that changed and an index. A flipped byte there leaves the
+	// first checkpoint's index the last intact one, and the damaged bytes
+	// behind it look like a torn append — but the next generation's log
+	// beside them is only ever created once the appended index is synced,
+	// so recovery must refuse, never fall back to the older generation.
+	sc2, err := Build(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc2.Checkpoints[5] = true // the round after the first checkpoint
+	two := wal.NewMemFS()
+	if err := RunDurable(sc2, two, wal.Options{}, nil); err != nil {
+		t.Fatalf("clean run with two checkpoints: %v", err)
+	}
+	_, info2, err := wal.Recover(Dir, sc2.G.Schema, two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log2Name := fmt.Sprintf("%s/wal-%06d.log", Dir, info2.Gen)
+	log2, err := two.ReadFile(log2Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap2, err := two.ReadFile(Dir + "/snapshot.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An index frame: length and kind, generation, nextID, an offset per
+	// table, SHA-256.
+	indexLen := 5 + 16 + 8*sc2.G.Schema.NumTables() + 32
+	if info2.Gen != info.Gen+1 || !bytes.HasPrefix(snap2, snapData) || len(snap2)-len(snapData) <= indexLen {
+		t.Fatalf("the second checkpoint (generation %d) did not append a section to the first's snapshot (%d bytes, then %d, prefix %v)", info2.Gen, len(snapData), len(snap2), bytes.HasPrefix(snap2, snapData))
+	}
+	for _, region := range []struct {
+		what     string
+		from, to int
+	}{
+		{"an appended section", len(snapData), len(snap2) - indexLen},
+		{"the last index", len(snap2) - indexLen, len(snap2)},
+	} {
+		for off := region.from; off < region.to; off++ {
+			bad := append([]byte(nil), snap2...)
+			bad[off] ^= 0x55
+			fsys := rebuildDir(t, log2Name, log2, bad)
+			if _, _, err := wal.Recover(Dir, sc2.G.Schema, fsys); !errors.Is(err, wal.ErrUnrecoverable) {
+				t.Fatalf("flip at %d, in %s beside the next generation's log: err = %v, want ErrUnrecoverable", off, region.what, err)
+			}
+		}
+	}
+}
+
+// rebuildDir returns a filesystem whose harness directory holds exactly
+// the log logName and the snapshot, both synced.
+func rebuildDir(t *testing.T, logName string, log, snap []byte) *wal.MemFS {
+	t.Helper()
+	fsys := wal.NewMemFS()
+	if err := fsys.MkdirAll(Dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{logName: log, Dir + "/snapshot.db": snap} {
+		f, err := fsys.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fsys
 }

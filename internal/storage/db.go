@@ -344,11 +344,52 @@ func (db *DB) InsertWithID(table string, id TupleID, vals []Value) error {
 	if err := t.coerce(tu.Vals, vals); err != nil {
 		return err
 	}
-	if t.Get(id) != nil {
-		return fmt.Errorf("storage: insert into %s: tuple %d already exists", t.def.Name, id)
+	return db.insertWithID(t, tu)
+}
+
+// RestoreRows is InsertWithID for n rows of one table, a snapshot
+// section's: the table is resolved once, and the tuples and their values
+// are allocated in blocks as InsertRows allocates them. fill writes the
+// next row's values into vals, one per column, and returns its
+// identity; the values are then coerced in place. A section's rows come
+// in identity order, so each lands past the table's last slot.
+func (db *DB) RestoreRows(table string, n int, fill func(vals []Value) (TupleID, error)) error {
+	t, err := db.table(table)
+	if err != nil {
+		return err
+	}
+	nc := len(t.def.Columns)
+	var tuples []Tuple
+	var vals []Value
+	for i := 0; i < n; i++ {
+		if len(tuples) == 0 {
+			k := min(n-i, blockRows)
+			tuples, vals = make([]Tuple, k), make([]Value, k*nc)
+		}
+		tu := &tuples[0]
+		tu.Vals = vals[:nc:nc]
+		tuples, vals = tuples[1:], vals[nc:]
+		if tu.ID, err = fill(tu.Vals); err != nil {
+			return err
+		}
+		if err := t.coerce(tu.Vals, tu.Vals); err != nil {
+			return err
+		}
+		if err := db.insertWithID(t, tu); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// insertWithID places tu, whose values are coerced, at its identity's
+// slot of t.
+func (db *DB) insertWithID(t *Table, tu *Tuple) error {
+	if t.Get(tu.ID) != nil {
+		return fmt.Errorf("storage: insert into %s: tuple %d already exists", t.def.Name, tu.ID)
 	}
 	revived := t.insertPreservingOrder(tu)
-	db.BumpNextID(id + 1)
+	db.BumpNextID(tu.ID + 1)
 	db.inserted(t, tu, revived)
 	return nil
 }

@@ -8,50 +8,149 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"activerules/internal/storage"
 )
 
-// encodeSnapshot is the snapshot format written from scratch into one
-// buffer, the product's encoder until checkpoints memoized their
-// sections: the oracle every snapshot file is held to, byte for byte.
+// encodeSnapshot is a snapshot file written whole, from scratch, into
+// one buffer: magic, a section frame per table in sorted name order, an
+// index. Every whole rewrite is held to it byte for byte, and any file
+// is held to the writer's state by re-encoding what it decodes to: the
+// bytes carry every row's identity and values, iteration order, nextID
+// and the generation.
 func encodeSnapshot(db *storage.DB, gen uint64) []byte {
 	b := append([]byte(nil), snapMagic...)
+	frame := func(kind byte, p []byte) {
+		f := append(binary.LittleEndian.AppendUint32(nil, uint32(len(p))), kind)
+		f = append(f, p...)
+		sum := sha256.Sum256(f)
+		b = append(append(b, f...), sum[:]...)
+	}
+	names := append([]string(nil), db.Schema().TableNames()...)
+	sort.Strings(names)
+	index := binary.LittleEndian.AppendUint64(nil, gen)
+	index = binary.LittleEndian.AppendUint64(index, uint64(db.NextID()))
+	for _, name := range names {
+		index = binary.LittleEndian.AppendUint64(index, uint64(len(b)))
+		frame(frameSection, sectionPayload(db, name))
+	}
+	frame(frameIndex, index)
+	return b
+}
+
+// sectionPayload is table name's rows as both versions of the format
+// hold them: name, row count, then each row's identity, column count
+// and values in iteration order.
+func sectionPayload(db *storage.DB, name string) []byte {
+	t := db.Table(name)
+	b := appendString(nil, name)
+	b = binary.AppendUvarint(b, uint64(t.Len()))
+	t.Scan(func(tu *storage.Tuple) bool {
+		b = binary.AppendUvarint(b, uint64(tu.ID))
+		b = binary.AppendUvarint(b, uint64(len(tu.Vals)))
+		for _, v := range tu.Vals {
+			b = appendValue(b, v)
+		}
+		return true
+	})
+	return b
+}
+
+// encodeSnapshotV1 is the version 1 file every checkpoint wrote before
+// the file became frames: a header, the sections, a SHA-256 trailer.
+func encodeSnapshotV1(db *storage.DB, gen uint64) []byte {
+	b := append([]byte(nil), snapMagicV1...)
 	b = binary.AppendUvarint(b, gen)
 	b = binary.AppendUvarint(b, uint64(db.NextID()))
 	names := append([]string(nil), db.Schema().TableNames()...)
 	sort.Strings(names)
 	b = binary.AppendUvarint(b, uint64(len(names)))
 	for _, name := range names {
-		t := db.Table(name)
-		b = appendString(b, name)
-		b = binary.AppendUvarint(b, uint64(t.Len()))
-		t.Scan(func(tu *storage.Tuple) bool {
-			b = binary.AppendUvarint(b, uint64(tu.ID))
-			b = binary.AppendUvarint(b, uint64(len(tu.Vals)))
-			for _, v := range tu.Vals {
-				b = appendValue(b, v)
-			}
-			return true
-		})
+		b = append(b, sectionPayload(db, name)...)
 	}
 	sum := sha256.Sum256(b)
 	return append(b, sum[:]...)
 }
 
-// checkpointIs checkpoints db through d and holds the installed file to
-// the oracle's encoding of db at the new generation.
-func checkpointIs(t *testing.T, d *DurableDB, fsys FS, db *storage.DB, label string) {
+// appendedSections returns the table names of the section frames in
+// b, bytes a checkpoint appended, which must be whole frames ending in
+// their one index.
+func appendedSections(t *testing.T, b []byte, label string) []string {
+	t.Helper()
+	var names []string
+	for len(b) > 0 {
+		kind, p, n, ok := frameAt(b)
+		switch {
+		case !ok:
+			t.Fatalf("%s: the appended bytes are not whole frames", label)
+		case kind == frameSection:
+			d := decoder{b: p}
+			names = append(names, d.str())
+		case n != len(b):
+			t.Fatalf("%s: an index %d bytes before the end of the append", label, len(b)-n)
+		}
+		b = b[n:]
+	}
+	return names
+}
+
+// snapWatch follows the checkpoints of one directory: the snapshot.db
+// the last one left, and the tables it wrote from at their Versions.
+type snapWatch struct {
+	fsys FS
+	dir  string
+	file []byte
+	keys map[*storage.Table]uint64
+}
+
+// saw records db's tables at their Versions: the snapshot file holds
+// them as they are now.
+func (w *snapWatch) saw(db *storage.DB) {
+	w.keys = map[*storage.Table]uint64{}
+	for _, name := range db.Schema().TableNames() {
+		w.keys[db.Table(name)] = db.Table(name).Version()
+	}
+}
+
+// checkpoint checkpoints db through d and holds the snapshot.db it
+// leaves to the writer's state. A whole file must be encodeSnapshot's
+// bytes. An appended one must be the file before, then a section for
+// exactly the tables whose (pointer, Version) moved since, in name
+// order, then an index. Either must decode, with no tail, to db's rows,
+// identities, iteration order and nextID at d's new generation. It
+// reports whether the checkpoint appended.
+func (w *snapWatch) checkpoint(t *testing.T, d *DurableDB, db *storage.DB, label string) (appended bool) {
 	t.Helper()
 	if err := d.Checkpoint(db); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	got, want := mustRead(t, fsys, SnapshotPath(d.dir)), encodeSnapshot(db, d.Gen())
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: snapshot.db is not the from-scratch encoding of the state (%d bytes, want %d)", label, len(got), len(want))
+	got, gen := mustRead(t, w.fsys, SnapshotPath(w.dir)), d.Gen()
+	want := encodeSnapshot(db, gen)
+	if appended = len(w.file) > 0 && bytes.HasPrefix(got, w.file); appended {
+		var moved []string
+		names := append([]string(nil), db.Schema().TableNames()...)
+		sort.Strings(names)
+		for _, name := range names {
+			if v, ok := w.keys[db.Table(name)]; !ok || v != db.Table(name).Version() {
+				moved = append(moved, name)
+			}
+		}
+		if names := appendedSections(t, got[len(w.file):], label); !slices.Equal(names, moved) {
+			t.Fatalf("%s: the checkpoint appended sections %v, want those of the tables that moved, %v", label, names, moved)
+		}
+	} else if !bytes.Equal(got, want) {
+		t.Fatalf("%s: snapshot.db, written whole, is not the from-scratch encoding of the state (%d bytes, want %d)", label, len(got), len(want))
 	}
+	at, fgen, tail, err := decodeSnapshot(got, db.Schema())
+	if err != nil || fgen != gen || tail != 0 || !bytes.Equal(encodeSnapshot(at, gen), want) {
+		t.Fatalf("%s: snapshot.db decodes to another state (gen %d, want %d; tail %d; err %v)", label, fgen, gen, tail, err)
+	}
+	w.file = got
+	w.saw(db)
+	return appended
 }
 
 // TestCheckpointMemoDifferential is the memo's oracle at the durable
@@ -67,20 +166,26 @@ func checkpointIs(t *testing.T, d *DurableDB, fsys FS, db *storage.DB, label str
 // database with no memo to inherit, and recovery must land on the
 // writer's state.
 //
-// It is the oracle of the checkpoint's own memo too: a section is reused
-// while its table's Version stands, so every installed snapshot.db must
-// be encodeSnapshot's bytes — the marker and the recovered Fingerprint
-// are content only and cannot see a stale identity or order. Each
-// history ends on the three shapes a memo keyed on less than (table
-// pointer, Version) gets wrong or a careless one re-encodes for nothing:
-// a tombstone compaction between two checkpoints, a second DurableDB
-// over the same directory, and a forked database handed to Checkpoint.
+// It is the oracle of the checkpoint's own memo too: a section is kept
+// while its table's (pointer, Version) stands, so every installed
+// snapshot.db must decode to the writer's state, every whole rewrite
+// must be encodeSnapshot's bytes, and every append must hold exactly
+// the sections of the tables that moved (snapWatch) — the marker and
+// the recovered Fingerprint are content only and cannot see a stale
+// identity or order. Each history ends on the shapes a memo keyed on
+// less than (table pointer, Version) gets wrong or a careless one
+// writes again for nothing: a tombstone compaction between two
+// checkpoints, a forked database handed to Checkpoint, and a second
+// DurableDB over the same directory, whose encoder does not know the
+// file.
 func TestCheckpointMemoDifferential(t *testing.T) {
 	sch := testSchema(t)
+	appends, compactAppends := 0, 0
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fsys := NewMemFS()
 		d, db := session(t, fsys, "w")
+		w := &snapWatch{fsys: fsys, dir: "w"}
 		var oracle storage.FingerprintOracle
 		var sps []storage.Savepoint
 		var dead []storage.TupleID // acct identities deleted under the open savepoints
@@ -132,9 +237,11 @@ func TestCheckpointMemoDifferential(t *testing.T) {
 			if rng.Intn(8) > 0 {
 				continue
 			}
-			checkpointIs(t, d, fsys, db, fmt.Sprintf("seed %d, step %d", seed, n))
+			if w.checkpoint(t, d, db, fmt.Sprintf("seed %d, step %d", seed, n)) {
+				appends++
+			}
 			checkpoints++
-			fresh, gen, err := decodeSnapshot(mustRead(t, fsys, "w/snapshot.db"), sch)
+			fresh, gen, _, err := decodeSnapshot(mustRead(t, fsys, "w/snapshot.db"), sch)
 			if err != nil || gen != d.Gen() {
 				t.Fatalf("seed %d, step %d: snapshot gen %d, err %v", seed, n, gen, err)
 			}
@@ -154,11 +261,11 @@ func TestCheckpointMemoDifferential(t *testing.T) {
 			db.Release(sps[len(sps)-1])
 		}
 
-		// Compaction drops order slots and leaves Version alone: under a
+		// Compaction drops slots and leaves Version alone: under a
 		// savepoint delete all but 6 of the rows, 32 of them new (6 live
 		// in over 24 slots is past compact's threshold), checkpoint over
-		// the tombstones, release (which compacts), checkpoint again. The
-		// second reuses the first's section and must still be the bytes.
+		// the tombstones, release (which compacts), checkpoint again. An
+		// append after the compaction holds no acct section.
 		acct := db.Table("acct")
 		for i := 0; i < 32; i++ {
 			db.MustInsert("acct", storage.StringV("bulk"), storage.IntV(int64(i)))
@@ -168,16 +275,14 @@ func TestCheckpointMemoDifferential(t *testing.T) {
 			db.Delete("acct", id)
 		}
 		engineCommit(t, d)
-		checkpointIs(t, d, fsys, db, label("over tombstones"))
-		ver, enc := acct.Version(), &d.snap.sections[0]
+		w.checkpoint(t, d, db, label("over tombstones"))
+		ver := acct.Version()
 		db.Release(sp)
 		if got := len(acct.IDs()); got != 6 || acct.Version() != ver {
 			t.Fatalf("seed %d: compaction left %d rows at version %d, want 6 at %d", seed, got, acct.Version(), ver)
 		}
-		was := &enc.buf[0]
-		checkpointIs(t, d, fsys, db, label("after compaction"))
-		if enc.t != acct || enc.ver != ver || &enc.buf[0] != was {
-			t.Errorf("seed %d: compaction cost the acct section a re-encode", seed)
+		if w.checkpoint(t, d, db, label("after compaction")) {
+			compactAppends++
 		}
 
 		// A forked database is other tables at the same Versions. Move the
@@ -186,30 +291,38 @@ func TestCheckpointMemoDifferential(t *testing.T) {
 		fork := db.Fork()
 		db.MustInsert("acct", storage.StringV("parent"), storage.IntV(1))
 		engineCommit(t, d)
-		checkpointIs(t, d, fsys, db, label("parent of a fork"))
+		w.checkpoint(t, d, db, label("parent of a fork"))
 		fork.MustInsert("acct", storage.StringV("fork"), storage.IntV(2))
 		if fork.Table("acct").Version() != acct.Version() {
 			t.Fatalf("seed %d: the fork's table is not at its parent's Version; the case is vacuous", seed)
 		}
-		checkpointIs(t, d, fsys, fork, label("fork"))
+		w.checkpoint(t, d, fork, label("fork"))
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
 
 		// A second DurableDB over the directory (what serve's reopen does)
-		// recovers the fork's rows into tables of its own and starts with
-		// no sections at all.
+		// recovers the fork's rows into tables of its own. Its encoder
+		// does not know the file, so its first checkpoint writes it whole;
+		// from there it appends what changes.
 		d2, db2 := session(t, fsys, "w")
-		if len(d2.snap.sections) != 0 || !db2.Equal(fork) {
-			t.Fatalf("seed %d: reopened with %d memoized sections, equal to the last snapshot: %v", seed, len(d2.snap.sections), db2.Equal(fork))
+		if !db2.Equal(fork) {
+			t.Fatalf("seed %d: reopened to another state than the last snapshot's", seed)
 		}
 		db2.MustInsert("audit", storage.StringV("reopened"), storage.BoolV(true))
 		engineCommit(t, d2)
-		checkpointIs(t, d2, fsys, db2, label("reopened"))
-		checkpointIs(t, d2, fsys, db2, label("reopened, nothing changed"))
+		if w.checkpoint(t, d2, db2, label("reopened")) {
+			t.Fatalf("seed %d: the reopened DurableDB's first checkpoint appended to a file it does not know", seed)
+		}
+		w.checkpoint(t, d2, db2, label("reopened, nothing changed"))
 		if err := d2.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Both paths must have been taken, and the compaction case must not
+	// be vacuous: most of its checkpoints append.
+	if appends < 30 || compactAppends < 15 {
+		t.Errorf("%d checkpoints appended, %d of 30 after a compaction; the append path is not being exercised", appends, compactAppends)
 	}
 }
 
@@ -217,15 +330,16 @@ func TestCheckpointMemoDifferential(t *testing.T) {
 // table's content digest falls into. Delete a row and insert an equal
 // one: the multiset, and so the digest and Fingerprint, are what they
 // were, but the row has a new identity, and the log that follows names
-// it. A checkpoint that reused the old section would write a snapshot no
+// it. A checkpoint that kept the old section would leave a snapshot no
 // later delete of that row replays over.
 func TestCheckpointSectionCarriesNewIdentity(t *testing.T) {
 	fsys := NewMemFS()
 	d, db := session(t, fsys, "w")
+	w := &snapWatch{fsys: fsys, dir: "w"}
 	old := db.MustInsert("acct", storage.StringV("ann"), storage.IntV(10))
 	db.MustInsert("acct", storage.StringV("bob"), storage.IntV(20))
 	engineCommit(t, d)
-	checkpointIs(t, d, fsys, db, "first")
+	w.checkpoint(t, d, db, "first")
 	was := db.Fingerprint()
 
 	db.Delete("acct", old)
@@ -234,14 +348,8 @@ func TestCheckpointSectionCarriesNewIdentity(t *testing.T) {
 		t.Fatal("delete + equal insert changed the Fingerprint; the case is vacuous")
 	}
 	engineCommit(t, d)
-	if err := d.Checkpoint(db); err != nil {
-		t.Fatal(err)
-	}
-	snap := mustRead(t, fsys, "w/snapshot.db")
-	if !bytes.Equal(snap, encodeSnapshot(db, d.Gen())) {
-		t.Error("after delete + equal insert: snapshot.db is not the from-scratch encoding of the state")
-	}
-	at, _, err := decodeSnapshot(snap, testSchema(t))
+	w.checkpoint(t, d, db, "after delete + equal insert")
+	at, _, _, err := decodeSnapshot(mustRead(t, fsys, "w/snapshot.db"), testSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +390,11 @@ func (f *failingFS) Create(name string) (File, error) {
 	return failingFile{file, f}, err
 }
 
+func (f *failingFS) OpenAppend(name string) (File, error) {
+	file, err := f.FS.OpenAppend(name)
+	return failingFile{file, f}, err
+}
+
 func (f failingFile) Write(p []byte) (int, error) {
 	if f.fs.write--; f.fs.write == 0 {
 		return 0, errInjected
@@ -289,53 +402,68 @@ func (f failingFile) Write(p []byte) (int, error) {
 	return f.File.Write(p)
 }
 
-// TestFailedCheckpointLeavesNoSection: the snapshot's temp file now takes
-// a write per part, and any of them can fail. Whichever does, the log is
-// poisoned, the previous generation is what recovery finds, and the
-// DurableDB opened next (serve's reopen) owes nothing to the failed one's
-// sections: the memo lives and dies with the DurableDB.
+// TestFailedCheckpointLeavesNoSection fails each write a checkpoint
+// makes to its snapshot: the frames appended to snapshot.db (an updated
+// acct section, then the index), and, on a directory's first
+// checkpoint, snapshot.tmp's magic, sections and index. Whichever fails,
+// the log is poisoned and recovery finds the previous generation, past
+// whatever frames the failed append left behind its index. The
+// DurableDB opened next (serve's reopen) does not know the file: its
+// first checkpoint writes it whole, over those frames.
 func TestFailedCheckpointLeavesNoSection(t *testing.T) {
-	for write := 1; write <= 2+testSchema(t).NumTables(); write++ {
-		mem := NewMemFS()
-		fsys := &failingFS{FS: mem}
-		d, db := session(t, fsys, "w")
-		id := db.MustInsert("acct", storage.StringV("ann"), storage.IntV(10))
-		db.MustInsert("audit", storage.StringV("opened"), storage.BoolV(true))
-		engineCommit(t, d)
-		checkpointIs(t, d, fsys, db, "before the failure")
-		prev := mustRead(t, mem, "w/snapshot.db")
-		if _, err := db.Update("acct", id, "balance", storage.IntV(11)); err != nil {
-			t.Fatal(err)
-		}
-		engineCommit(t, d)
+	tables := testSchema(t).NumTables()
+	for _, tc := range []struct {
+		name   string
+		writes int
+		first  bool
+	}{{"append", 2, false}, {"whole", 2 + tables, true}} {
+		for write := 1; write <= tc.writes; write++ {
+			label := fmt.Sprintf("%s, write %d", tc.name, write)
+			mem := NewMemFS()
+			fsys := &failingFS{FS: mem}
+			d, db := session(t, fsys, "w")
+			w := &snapWatch{fsys: mem, dir: "w"}
+			id := db.MustInsert("acct", storage.StringV("ann"), storage.IntV(10))
+			db.MustInsert("audit", storage.StringV("opened"), storage.BoolV(true))
+			engineCommit(t, d)
+			gen := uint64(1)
+			if !tc.first {
+				w.checkpoint(t, d, db, label+": before the failure")
+				gen = 2
+			}
+			if _, err := db.Update("acct", id, "balance", storage.IntV(11)); err != nil {
+				t.Fatal(err)
+			}
+			engineCommit(t, d)
 
-		fsys.write = write
-		if err := d.Checkpoint(db); !errors.Is(err, errInjected) {
-			t.Fatalf("write %d: Checkpoint returned %v, want the injected failure", write, err)
-		}
-		if err := d.Commit(); !errors.Is(err, errInjected) {
-			t.Errorf("write %d: a commit after the failed checkpoint returned %v, want the log poisoned", write, err)
-		}
-		d.Close()
-		if got := mustRead(t, mem, "w/snapshot.db"); !bytes.Equal(got, prev) {
-			t.Errorf("write %d: a failure before the rename changed snapshot.db", write)
-		}
+			fsys.write = write
+			if err := d.Checkpoint(db); !errors.Is(err, errInjected) {
+				t.Fatalf("%s: Checkpoint returned %v, want the injected failure", label, err)
+			}
+			if err := d.Commit(); !errors.Is(err, errInjected) {
+				t.Errorf("%s: a commit after the failed checkpoint returned %v, want the log poisoned", label, err)
+			}
+			d.Close()
 
-		d2, db2 := session(t, mem, "w")
-		if info := d2.Info(); info.Gen != 2 || !db2.Equal(db) {
-			t.Errorf("write %d: reopened at generation %d, equal to the writer's committed state: %v", write, info.Gen, db2.Equal(db))
-		}
-		if len(d2.snap.sections) != 0 {
-			t.Errorf("write %d: the reopened DurableDB starts with %d sections", write, len(d2.snap.sections))
-		}
-		if names, _ := mem.ReadDir("w"); len(names) != 2 {
-			t.Errorf("write %d: reopen left %v, want the snapshot and one log", write, names)
-		}
-		db2.Delete("acct", id)
-		engineCommit(t, d2)
-		checkpointIs(t, d2, mem, db2, "after the reopen")
-		if err := d2.Close(); err != nil {
-			t.Fatal(err)
+			d2, db2 := session(t, mem, "w")
+			if info := d2.Info(); info.Gen != gen || !db2.Equal(db) {
+				t.Errorf("%s: reopened at generation %d, equal to the writer's committed state: %v", label, info.Gen, db2.Equal(db))
+			}
+			if snap, err := mem.ReadFile("w/snapshot.db"); tc.first != IsNotExist(err) || !bytes.HasPrefix(snap, w.file) {
+				t.Errorf("%s: after the reopen snapshot.db is %d bytes (err %v), want the previous checkpoint's %d and any failed append", label, len(snap), err, len(w.file))
+			}
+			if names, _ := mem.ReadDir("w"); len(names) != int(gen) {
+				t.Errorf("%s: reopen left %v, want the generation's log and any snapshot", label, names)
+			}
+			w.saw(db2)
+			db2.Delete("acct", id)
+			engineCommit(t, d2)
+			if w.checkpoint(t, d2, db2, label+": after the reopen") {
+				t.Errorf("%s: the first checkpoint after the reopen appended to a file its encoder does not know", label)
+			}
+			if err := d2.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -408,16 +536,17 @@ func allocated(runs int, op func()) int {
 
 // TestCheckpointAllocsFlatInRows is the checkpoint's cost model as a
 // tripwire. Over rows no request touched since the last one it encodes
-// nothing: a small constant number of allocations whatever the row
-// count, and little more memory than the file system's own copy of the
-// snapshot it writes (the one-buffer encoder this replaced: 2.17x). The
-// first checkpoint of a directory has no section to reuse and sizes each
-// by measuring, where the one buffer, with no previous length to size
-// from, grew by append to 6.3x the snapshot. And with every table
-// changed each section is rewritten in its own buffer, where the one
-// buffer cost any checkpoint its 2.17x. Under -race only the
-// allocation count is left unchecked: the detector adds allocations of
-// its own, and not the same number every run.
+// nothing and appends an index: a small constant number of allocations
+// whatever the row count, and at most a fraction of the snapshot's
+// bytes, the file system's growth of the file it appends to (the
+// one-buffer encoder sections replaced: 2.17x). The first checkpoint of
+// a directory sizes its frame buffer to the largest section by
+// measuring, where the one buffer, with no previous length to size from,
+// grew by append to 6.3x the snapshot. And with every table changed the
+// file is written whole through that buffer, where the one buffer cost
+// any checkpoint its 2.17x. Under -race only the allocation count is
+// left unchecked: the detector adds allocations of its own, and not the
+// same number every run.
 func TestCheckpointAllocsFlatInRows(t *testing.T) {
 	for _, rows := range []int{1000, 10000} {
 		d, db, fsys, hot := loaded(t, rows)

@@ -79,8 +79,8 @@ type DurableDB struct {
 	st   *storage.DB
 	info RecoveryInfo
 
-	// snap encodes Checkpoint's snapshots, re-encoding only the tables
-	// that changed since the last one.
+	// snap writes Checkpoint's snapshots, appending the tables that
+	// changed since the last one to the file it knows.
 	snap snapEncoder
 
 	// posMu guards gen and log for the replication read path, which
@@ -123,6 +123,20 @@ func Open(dir string, sch *schema.Schema, opts Options) (*DurableDB, error) {
 		// a stale epoch would let a deposed leader extend a forked
 		// history. Refuse durably-informed.
 		return nil, &FencedError{Epoch: info.Epoch}
+	}
+	if info.SnapshotLoaded {
+		// The snapshot read may be an append a failed checkpoint never
+		// synced (serve reopens a poisoned directory in the same
+		// process). Make it durable before this session stamps the log of
+		// its generation, acknowledges commits or removes the log it
+		// supersedes: a power loss must not take it back from under them.
+		f, err := fsys.OpenAppend(SnapshotPath(dir))
+		if err != nil {
+			return nil, err
+		}
+		if err := syncWrite(f, func(File) error { return nil }); err != nil {
+			return nil, err
+		}
 	}
 	logPath := LogPath(dir, info.Gen)
 	if info.TruncatedBytes > 0 {
@@ -244,10 +258,14 @@ func (d *DurableDB) ReadLog(gen uint64, off int64, max int) ([]byte, error) {
 	return append([]byte(nil), data[off:end]...), nil
 }
 
-// ReadSnapshot returns the current snapshot file's bytes and the
-// generation recorded in its header, with ok=false when no snapshot
-// exists yet (a pre-first-checkpoint directory). The caller verifies
-// integrity by decoding; this method only peeks at the header.
+// ReadSnapshot returns the current snapshot as a file that holds it and
+// nothing else (liveSnapshot: for version 2, the last intact index's
+// sections under a fresh index, no dead frame or tail) and its
+// generation, with ok=false when no snapshot exists yet (a
+// pre-first-checkpoint directory). Safe for concurrent use with the
+// worker: a checkpoint appends to the file, and a read racing the
+// append finds the previous index whole, ahead of the new frames it
+// leaves out. The caller verifies the rows by decoding.
 func (d *DurableDB) ReadSnapshot() (data []byte, gen uint64, ok bool, err error) {
 	data, err = d.fsys.ReadFile(SnapshotPath(d.dir))
 	if err != nil {
@@ -256,7 +274,7 @@ func (d *DurableDB) ReadSnapshot() (data []byte, gen uint64, ok bool, err error)
 		}
 		return nil, 0, false, err
 	}
-	gen, err = SnapshotGen(data)
+	data, gen, err = liveSnapshot(data)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -372,15 +390,18 @@ func (d *DurableDB) Close() error {
 }
 
 // Checkpoint rotates to a new generation: it makes the current log
-// durable, atomically installs a snapshot of cur (which must be the
-// engine's database at a committed, quiescent point — the facade
-// commits before calling), starts the next log generation, and retires
-// the old log. On a crash at any step, recovery lands on either the old
-// chain or the new snapshot, both of which are committed states.
+// durable, makes cur (which must be the engine's database at a
+// committed, quiescent point — the facade commits before calling) the
+// snapshot — appending the sections of the tables that changed and an
+// index under one fsync, or writing the file whole and renaming it into
+// place — starts the next log generation, and retires the old log. On a
+// crash at any step, recovery lands on either the old chain or the new
+// snapshot, both of which are committed states.
 //
-// An error after the snapshot rename (the commit point) poisons the
-// log: later commits must not report durability that recovery — which
-// will prefer the new snapshot and ignore the old log — cannot honor.
+// An error once the new index may be durable (the commit point) poisons
+// the log: later commits must not report durability that recovery —
+// which will prefer the new snapshot and ignore the old log — cannot
+// honor. Checkpoint poisons it on any snapshot error.
 func (d *DurableDB) Checkpoint(cur *storage.DB) error {
 	if err := d.applyFence(); err != nil {
 		return err
@@ -392,8 +413,8 @@ func (d *DurableDB) Checkpoint(cur *storage.DB) error {
 		return err
 	}
 	newGen := d.gen + 1
-	if err := installSnapshot(d.fsys, d.dir, d.snap.parts(cur, newGen)...); err != nil {
-		// The rename may or may not have happened; fail-stop either way.
+	if err := d.snap.write(d.fsys, d.dir, cur, newGen); err != nil {
+		// The new index may or may not be durable; fail-stop either way.
 		d.log.err = err
 		return err
 	}

@@ -24,12 +24,12 @@ func marker(t *testing.T, fsys FS, dir string, gen uint64) Record {
 	return rec
 }
 
-// frozen copies testdata/<name> (a snapshot and its generation-2 log)
+// frozen copies testdata/<name> (a snapshot and its generation-gen log)
 // into directory "w" of a fresh MemFS.
-func frozen(t *testing.T, name string) *MemFS {
+func frozen(t *testing.T, name string, gen uint64) *MemFS {
 	t.Helper()
 	fsys := NewMemFS()
-	for _, file := range []string{"snapshot.db", logName(2)} {
+	for _, file := range []string{"snapshot.db", logName(gen)} {
 		data, err := os.ReadFile(filepath.Join("testdata", name, file))
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +78,7 @@ func TestSnapshotMarkerDigests(t *testing.T) {
 	// non-empty state, a third transaction holding a duplicate row and a
 	// delete, an uncommitted tail) still opens, replays past its marker,
 	// and lands on the state that commit recovered it to.
-	old := frozen(t, "marker-pr15")
+	old := frozen(t, "marker-pr15", 2)
 	d2, err := Open("w", testSchema(t), Options{FS: old})
 	if err != nil {
 		t.Fatalf("open a pre-change directory: %v", err)
@@ -95,25 +95,19 @@ func TestSnapshotMarkerDigests(t *testing.T) {
 
 	// That directory's marker is the canonical digest of its snapshot and
 	// not the Fingerprint: opening it went through the reader's second
-	// arm. Its snapshot file also pins the encoder across commits:
-	// decoded and encoded again — by the oracle, by the product's encoder
-	// cold and again with every section memoized — it is the same bytes.
+	// arm. Its snapshot file, the format's version 1, also pins that
+	// version's decoder: decoded and encoded again by the version 1
+	// oracle, it is the same bytes.
 	snap := mustRead(t, old, "w/snapshot.db")
-	at, gen, err := decodeSnapshot(snap, testSchema(t))
+	at, gen, _, err := decodeSnapshot(snap, testSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := marker(t, old, "w", 2).FP; got != at.CanonicalFingerprint() || got == at.Fingerprint() {
 		t.Errorf("pre-change directory's marker %x is not its snapshot's CanonicalFingerprint", got[:4])
 	}
-	if got := encodeSnapshot(at, gen); !bytes.Equal(got, snap) {
-		t.Errorf("encodeSnapshot:\n%x, want the file's\n%x", got, snap)
-	}
-	var enc snapEncoder
-	for _, memo := range []string{"cold", "warm"} {
-		if got := bytes.Join(enc.parts(at, gen), nil); !bytes.Equal(got, snap) {
-			t.Errorf("snapEncoder, %s:\n%x, want the file's\n%x", memo, got, snap)
-		}
+	if got := encodeSnapshotV1(at, gen); !bytes.Equal(got, snap) {
+		t.Errorf("encodeSnapshotV1:\n%x, want the file's\n%x", got, snap)
 	}
 
 	// A directory written by the commit that moved the marker to
@@ -123,7 +117,7 @@ func TestSnapshotMarkerDigests(t *testing.T) {
 	// uncommitted tail). A change to Fingerprint's definition strands
 	// this directory, and every one like it, unless the reader learns the
 	// old value as another arm.
-	cur := frozen(t, "marker-pr21")
+	cur := frozen(t, "marker-pr21", 2)
 	d3, err := Open("w", testSchema(t), Options{FS: cur})
 	if err != nil {
 		t.Fatalf("open a directory whose marker is a Fingerprint: %v", err)
@@ -136,5 +130,51 @@ func TestSnapshotMarkerDigests(t *testing.T) {
 	const want21 = "ba6447d329247ec5dafec254285a15af6de98cd890fce1ece2265b58094a327e" // the writer's Fingerprint at its last commit
 	if got := d3.State().Fingerprint(); hex.EncodeToString(got[:]) != want21 {
 		t.Errorf("Fingerprint-marker directory recovers to\n%sFingerprint %x, want %s", d3.State(), got, want21)
+	}
+
+	// A directory written by the commit that made the snapshot file
+	// append-only (testdata/marker-pr57): a whole file at generation 2
+	// over 40 acct rows and an audit row; generations 3 and 4 appended,
+	// each an audit section and an index, so generation 2's and 3's
+	// audit sections and indexes are dead; a generation 4 log holding a
+	// transaction that inserts, deletes and updates audit rows, then an
+	// uncommitted update; and behind the last index 20 bytes of a torn
+	// append. It opens at generation 4 with no later log beside it and
+	// leaves the file as it is. ReadSnapshot ships the live snapshot
+	// alone, dead frames and torn bytes left out: the bytes a whole
+	// rewrite of generation 4 writes. The session's first checkpoint
+	// writes the file whole.
+	v2 := frozen(t, "marker-pr57", 4)
+	torn := mustRead(t, v2, "w/snapshot.db")
+	d4, err := Open("w", testSchema(t), Options{FS: v2})
+	if err != nil {
+		t.Fatalf("open a directory with an appended snapshot and a torn append: %v", err)
+	}
+	defer d4.Close()
+	if info := d4.Info(); !info.SnapshotLoaded || info.Gen != 4 || info.RecordsScanned != 8 ||
+		info.TxCommitted != 1 || info.MutationsReplayed != 3 || info.TailDiscarded != 1 {
+		t.Errorf("appended-snapshot directory: recovery info %+v", info)
+	}
+	const want57 = "1da4645ea9a66410d498a081d0ed392c123396d90261e21b662e93c541968435" // the writer's Fingerprint at its last commit
+	if got := d4.State().Fingerprint(); hex.EncodeToString(got[:]) != want57 {
+		t.Errorf("appended-snapshot directory recovers to\n%sFingerprint %x, want %s", d4.State(), got, want57)
+	}
+	const end57 = 1052 // where the generation 4 index ends
+	if got := mustRead(t, v2, "w/snapshot.db"); len(torn) != end57+20 || !bytes.Equal(got, torn) {
+		t.Fatalf("Open left a %d-byte snapshot.db of the fixture's %d, want it as it was, %d bytes", len(got), len(torn), end57+20)
+	}
+	at57, _, err := DecodeSnapshot(torn, testSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, gen, ok, err := d4.ReadSnapshot()
+	if want := encodeSnapshot(at57, 4); err != nil || !ok || gen != 4 || !bytes.Equal(live, want) || len(live) >= end57 {
+		t.Errorf("ReadSnapshot of the fixture: %d bytes at generation %d (ok %v, err %v), want generation 4's %d live bytes", len(live), gen, ok, err, len(want))
+	}
+	if err := d4.Checkpoint(d4.State()); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustRead(t, v2, "w/snapshot.db"); !bytes.Equal(got, encodeSnapshot(d4.State(), 5)) {
+		t.Errorf("the first checkpoint over the fixture did not write the file whole")
 	}
 }

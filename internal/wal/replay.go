@@ -3,6 +3,8 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"activerules/internal/schema"
 	"activerules/internal/storage"
@@ -66,15 +68,29 @@ func NewReplayer(db *storage.DB, gen uint64) *Replayer {
 // stays in the reader's Err for the caller to cut at. Filesystem errors
 // are returned as they are; a snapshot that does not decode, a log that
 // opens with another marker and a range that does not replay wrap
-// ErrUnrecoverable.
+// ErrUnrecoverable. So do bytes past the snapshot's last index beside
+// the log of a later generation: that log is only created once the
+// later index is synced, so those bytes held it, and they are damaged,
+// not a torn append.
 func Load(fsys FS, dir string, sch *schema.Schema) (*Replayer, []byte, error) {
 	r := NewReplayer(storage.NewDB(sch), 1)
 	snap, err := fsys.ReadFile(SnapshotPath(dir))
 	if err == nil {
-		if r.db, r.info.Gen, err = decodeSnapshot(snap, sch); err != nil {
+		var tail int
+		if r.db, r.info.Gen, tail, err = decodeSnapshot(snap, sch); err != nil {
 			return nil, nil, fmt.Errorf("%w: snapshot: %v", ErrUnrecoverable, err)
 		}
 		r.info.SnapshotLoaded = true
+		if tail > 0 {
+			later, err := laterLog(fsys, dir, r.info.Gen)
+			if err != nil {
+				return nil, nil, err
+			}
+			if later != "" {
+				return nil, nil, fmt.Errorf("%w: snapshot: %d bytes past the index of generation %d, beside %s",
+					ErrUnrecoverable, tail, r.info.Gen, later)
+			}
+		}
 	} else if !IsNotExist(err) {
 		return nil, nil, err
 	}
@@ -90,6 +106,24 @@ func Load(fsys FS, dir string, sch *schema.Schema) (*Replayer, []byte, error) {
 		}
 	}
 	return r, data, nil
+}
+
+// laterLog returns the name of a log in dir of a generation after gen,
+// or "" when there is none.
+func laterLog(fsys FS, dir string, gen uint64) (string, error) {
+	names, err := fsys.ReadDir(dir)
+	if err != nil {
+		return "", err
+	}
+	for _, name := range names {
+		num, ok := strings.CutPrefix(name, "wal-")
+		if num, ok2 := strings.CutSuffix(num, ".log"); ok && ok2 {
+			if g, err := strconv.ParseUint(num, 10, 64); err == nil && g > gen {
+				return name, nil
+			}
+		}
+	}
+	return "", nil
 }
 
 // Feed reads the next bytes of the log.

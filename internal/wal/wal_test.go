@@ -103,8 +103,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	db.MustInsert("audit", storage.StringV("hi"), storage.BoolV(false))
 	db.Delete("acct", a)
 
-	data := bytes.Join(new(snapEncoder).parts(db, 9), nil)
-	got, gen, err := decodeSnapshot(data, sch)
+	fsys := NewMemFS()
+	if err := new(snapEncoder).write(fsys, "w", db, 9); err != nil {
+		t.Fatal(err)
+	}
+	data := mustRead(t, fsys, "w/snapshot.db")
+	got, gen, _, err := decodeSnapshot(data, sch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +126,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for _, i := range []int{0, 3, len(data) / 2, len(data) - 1} {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x41
-		if _, _, err := decodeSnapshot(bad, sch); !errors.Is(err, ErrCorrupt) {
+		if _, _, _, err := decodeSnapshot(bad, sch); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("flip at %d: got %v, want ErrCorrupt", i, err)
 		}
 	}
