@@ -393,39 +393,6 @@ func BenchmarkRefinedAnalysis(b *testing.B) {
 
 // --- The served cascade: a firing loop's allocation ----------------------
 
-// cascadeBenchSources restates bench/gen.go's cascadeSources (bench/ is
-// a module of its own): ten idle bank clusters, a 24-deep chain copying
-// the inserted set one table down per rule, and 8 unordered fan-out
-// rules on the chain head — 62 rules, 32 of them considered per op.
-func cascadeBenchSources() (schemaSrc, rulesSrc string, tables []string) {
-	const idle, depth, fanout = 10, 24, 8
-	var sch, rl strings.Builder
-	for i := 0; i < idle; i++ {
-		fmt.Fprintf(&sch, "table account%d (id int, owner string, balance float)\n", i)
-		fmt.Fprintf(&sch, "table audit%d (id int, owner string)\n", i)
-		fmt.Fprintf(&sch, "table holds%d (id int, acct int)\n", i)
-		fmt.Fprintf(&rl, "create rule r_audit%d on account%d\nwhen inserted\nthen insert into audit%d select id, owner from inserted\n\n", i, i, i)
-		fmt.Fprintf(&rl, "create rule r_hold%d on account%d\nwhen updated(balance)\nif exists (select 1 from new-updated nu where nu.balance < 0)\nthen insert into holds%d select nu.id, nu.id from new-updated nu where nu.balance < 0\n\n", i, i, i)
-		fmt.Fprintf(&rl, "create rule r_purge%d on account%d\nwhen deleted\nthen delete from holds%d where acct in (select id from deleted)\n\n", i, i, i)
-	}
-	for i := 0; i <= depth; i++ {
-		tables = append(tables, fmt.Sprintf("c%d", i))
-	}
-	for j := 0; j < fanout; j++ {
-		tables = append(tables, fmt.Sprintf("f%d", j))
-	}
-	for _, t := range tables {
-		fmt.Fprintf(&sch, "table %s (v int)\n", t)
-	}
-	for i := 0; i < depth; i++ {
-		fmt.Fprintf(&rl, "create rule chain%02d on c%d\nwhen inserted\nif exists (select 1 from inserted where v >= 0)\nthen insert into c%d select v from inserted\n\n", i, i, i+1)
-	}
-	for j := 0; j < fanout; j++ {
-		fmt.Fprintf(&rl, "create rule fan%d on c0\nwhen inserted\nthen insert into f%d select v from inserted where v >= 0\n\n", j, j)
-	}
-	return sch.String(), rl.String(), tables
-}
-
 // BenchmarkCompiledCascadeCommit is serve_cascade's request without the
 // server around it: a 4-row insert into the chain head, rule processing
 // (32 considerations, all firing) and a Commit per op on one long-lived
@@ -433,7 +400,7 @@ func cascadeBenchSources() (schemaSrc, rulesSrc string, tables []string) {
 // stopped, as the served stream's clients sweep their own rows, so a
 // long run measures the firing loop and not a growing heap.
 func BenchmarkCompiledCascadeCommit(b *testing.B) {
-	schemaSrc, rulesSrc, tables := cascadeBenchSources()
+	schemaSrc, rulesSrc, tables := workload.CascadeSources()
 	sys, err := activerules.Load(schemaSrc, rulesSrc)
 	if err != nil {
 		b.Fatal(err)

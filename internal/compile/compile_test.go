@@ -9,6 +9,7 @@ package compile
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"reflect"
 	"testing"
@@ -380,10 +381,8 @@ func TestMatcherWatchKeys(t *testing.T) {
 		t.Error("delete on account did not mark r_purge")
 	}
 	c.Note("holds", storage.ChangeInsert) // nobody watches holds
-	var got []int
-	c.ForEach(func(i int) { got = append(got, i) })
-	if !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("ForEach order = %v, want [0 1 2]", got)
+	if got := members(c); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Errorf("Words order = %v, want [0 1 2]", got)
 	}
 
 	c.Clear(1)
@@ -395,6 +394,17 @@ func TestMatcherWatchKeys(t *testing.T) {
 	if c.Has(0) || !cl.Has(0) {
 		t.Error("Reset leaked into the clone (or failed)")
 	}
+}
+
+// members lists c's rules in the order a scan of its Words visits them.
+func members(c *Candidates) []int {
+	var out []int
+	for w, word := range c.Words() {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6|bits.TrailingZeros64(word))
+		}
+	}
+	return out
 }
 
 // TestCandidatesWideSet crosses the 64-bit word boundary.
@@ -422,8 +432,7 @@ func TestCandidatesWideSet(t *testing.T) {
 	}
 	c := NewMatcher(set).NewCandidates()
 	c.Note("a", storage.ChangeInsert)
-	var got []int
-	c.ForEach(func(i int) { got = append(got, i) })
+	got := members(c)
 	if len(got) != 65 {
 		t.Fatalf("%d candidates, want 65 (every even rule of 130)", len(got))
 	}
@@ -472,11 +481,11 @@ func TestStaleAtAndRebuild(t *testing.T) {
 		}
 	}
 	// And the incremental set is a superset of the rebuilt one.
-	r.ForEach(func(i int) {
+	for _, i := range members(r) {
 		if !c.Has(i) {
 			t.Errorf("incremental set missing rebuilt candidate %d", i)
 		}
-	})
+	}
 }
 
 // TestConditionEquivalence compares Program.EvalCondition against the

@@ -1,8 +1,6 @@
 package compile
 
 import (
-	"math/bits"
-
 	"activerules/internal/rules"
 	"activerules/internal/schema"
 	"activerules/internal/storage"
@@ -113,19 +111,12 @@ func (c *Candidates) Reset() {
 	}
 }
 
-// ForEach visits the candidate rules in ascending index order — the
-// rule-definition order TriggeredRules must preserve. fn may Clear the
-// index it is visiting.
-func (c *Candidates) ForEach(fn func(i int)) {
-	for w, word := range c.bits {
-		base := w << 6
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			fn(base + b)
-		}
-	}
-}
+// Words returns the candidate set as bit words, rule i at bit i&63 of
+// word i>>6: a scan visits them in ascending index order, the
+// rule-definition order TriggeredRules must preserve. The slice is the
+// set's own; a scan may Clear the rule it is visiting, since the word it
+// read is its own copy.
+func (c *Candidates) Words() []uint64 { return c.bits }
 
 // Clone returns an independent copy sharing the immutable matcher; the
 // execution-graph explorer forks engines this way.

@@ -14,6 +14,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 
 	"activerules/internal/compile"
@@ -182,6 +183,10 @@ type Engine struct {
 	prog *compile.Program
 	cand *compile.Candidates
 
+	// every is the scan's rule set in interpreted mode, which has no
+	// candidates: every rule of the set, as candidate words (Words).
+	every rules.Bits
+
 	// user runs ExecUser's texts compiled once per token key; made on
 	// the first ExecUser of a compiled engine, and never shared with a
 	// fork.
@@ -189,10 +194,11 @@ type Engine struct {
 
 	// Scratch of the firing loop, reused from step to step and never
 	// shared (Clone gives a fork empty scratch): the triggered and the
-	// eligible rules, the net-effect computation's tuple states, the
-	// transition tables of the rule under consideration, and the compiled
-	// closures' context.
+	// eligible rules, the rules a triggered rule outranks (Choose's row),
+	// the net-effect computation's tuple states, the transition tables of
+	// the rule under consideration, and the compiled closures' context.
 	trig, elig []*rules.Rule
+	above      rules.Bits
 	netScratch transition.Scratch
 	td         sqlmini.TransitionData
 	env        compile.Env
@@ -204,8 +210,9 @@ type Engine struct {
 	fired      []int
 	firedRules []*rules.Rule
 
-	// netHook, when set, observes every pendingNet answer: the net, the
-	// trigger bit, and whether it was computed or served from the memo.
+	// netHook, when set, observes every pending-net answer, pendingNet's
+	// and the trigger scan's inline memo answers: the net, the trigger
+	// bit, and whether it was computed or served from the memo.
 	// Tests use it to compare answers with a fresh recomputation and to
 	// count computations. Clone carries it to forks.
 	netHook func(e *Engine, r *rules.Rule, net *transition.Net, triggered, computed bool)
@@ -226,6 +233,13 @@ type pendingMemo struct {
 	mark      int
 	upTo      int
 	gen       uint64
+}
+
+// valid reports whether the memo still holds the pending net of a rule
+// at mark whose table last changed at position last, in a history of
+// generation gen: see pendingNet.
+func (m *pendingMemo) valid(mark, last int, gen uint64) bool {
+	return m.net != nil && m.mark == mark && m.gen == gen && last < m.upTo
 }
 
 // New creates an engine over db for the rule set and opens its first
@@ -250,10 +264,16 @@ func New(set *rules.Set, db *storage.DB, opts Options) *Engine {
 		memo:  make([]pendingMemo, set.Len()),
 	}
 	e.bindTables()
-	if !opts.Interpret {
+	if opts.Interpret {
+		e.every = rules.NewBits(set.Len())
+		for i := range set.Len() {
+			e.every.Add(i)
+		}
+	} else {
 		e.prog = compile.For(set)
 		e.cand = e.prog.Matcher().NewCandidates()
 	}
+	e.above = rules.NewBits(set.Len())
 	e.begin()
 	return e
 }
@@ -473,7 +493,7 @@ func (e *Engine) pendingNet(r *rules.Rule) (net *transition.Net, triggered bool)
 		net = emptyNet
 	} else {
 		m := &e.memo[i]
-		if m.net == nil || m.mark != mark || m.gen != e.db.HistoryGen() || last >= m.upTo {
+		if !m.valid(mark, last, e.db.HistoryGen()) {
 			computed = true
 			reuse := m.net
 			if m.shared {
@@ -498,18 +518,19 @@ func (e *Engine) pendingNet(r *rules.Rule) (net *transition.Net, triggered bool)
 
 // TriggeredRules returns the currently triggered rules in definition
 // order: those whose transition predicate holds over their pending
-// transition (Section 2). The predicate is read from pendingNet, so a
-// scan recomputes a rule's net only if its mark moved or its table was
-// written since the last scan; every other triggered rule costs one
-// memo lookup.
+// transition (Section 2). The predicate is read from the rule's pending
+// net, so a scan recomputes a rule's net only if its mark moved or its
+// table was written since the last scan; every other triggered rule
+// costs one check of its memo, made inline.
 //
 // In compiled mode only candidate rules are examined — rules marked by
 // a recorded operation of a kind they watch on their table. Candidacy
 // over-approximates triggering (DESIGN.md §11 proves a triggered rule
 // is always a candidate), and the exact transition predicate is still
 // read per candidate, so both modes return identical slices. A
-// candidate whose watched kinds have no history entry at or past its mark
-// can never become triggered without a new Note, so its bit is cleared.
+// candidate with no valid memo whose watched kinds have no history entry
+// at or past its mark can never become triggered without a new Note, so
+// its bit is cleared.
 func (e *Engine) TriggeredRules() []*rules.Rule {
 	return append([]*rules.Rule(nil), e.triggered()...)
 }
@@ -518,22 +539,28 @@ func (e *Engine) TriggeredRules() []*rules.Rule {
 // valid until the next call.
 func (e *Engine) triggered() []*rules.Rule {
 	e.trig = e.trig[:0]
-	rs := e.set.Rules()
+	rs, gen, words := e.set.Rules(), e.db.HistoryGen(), e.every
 	if e.cand != nil {
-		e.cand.ForEach(func(i int) {
-			if e.cand.StaleAt(i, e.tabs[i], e.marks[i]) {
+		words = e.cand.Words()
+	}
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			var triggered bool
+			switch m := &e.memo[i]; {
+			case m.valid(e.marks[i], e.tabs[i].LastChange(), gen):
+				triggered = m.triggered
+				if e.netHook != nil {
+					e.netHook(e, rs[i], m.net, triggered, false)
+				}
+			case e.cand != nil && e.cand.StaleAt(i, e.tabs[i], e.marks[i]):
 				e.cand.Clear(i)
-				return
+			default:
+				_, triggered = e.pendingNet(rs[i])
 			}
-			if _, triggered := e.pendingNet(rs[i]); triggered {
+			if triggered {
 				e.trig = append(e.trig, rs[i])
 			}
-		})
-		return e.trig
-	}
-	for _, r := range rs {
-		if _, triggered := e.pendingNet(r); triggered {
-			e.trig = append(e.trig, r)
 		}
 	}
 	return e.trig
@@ -542,7 +569,7 @@ func (e *Engine) triggered() []*rules.Rule {
 // EligibleRules returns Choose(TriggeredRules): the triggered rules with
 // no triggered rule of higher priority.
 func (e *Engine) EligibleRules() []*rules.Rule {
-	return e.set.Choose(nil, e.triggered())
+	return e.set.Choose(nil, e.triggered(), e.above)
 }
 
 // transitionData materializes, in the engine's scratch, the transition
@@ -716,7 +743,7 @@ func (e *Engine) AssertContext(ctx context.Context) (res Result, _ error) {
 			return res, &CancelledError{Cause: cerr}
 		}
 		triggered := e.triggered()
-		eligible := e.set.Choose(e.elig[:0], triggered)
+		eligible := e.set.Choose(e.elig[:0], triggered, e.above)
 		e.elig = eligible
 		if len(eligible) == 0 {
 			e.assertStart = e.db.HistoryLen()
@@ -881,7 +908,7 @@ func (e *Engine) Clone() *Engine {
 	ne.marks = append([]int(nil), e.marks...)
 	ne.memo = append([]pendingMemo(nil), e.memo...)
 	ne.trig, ne.elig, ne.netScratch, ne.td, ne.env, ne.user = nil, nil, transition.Scratch{}, sqlmini.TransitionData{}, compile.Env{}, nil
-	ne.fired, ne.firedRules = nil, nil
+	ne.fired, ne.firedRules, ne.above = nil, nil, rules.NewBits(e.set.Len())
 	if e.cand != nil {
 		ne.cand = e.cand.Clone()
 	}

@@ -472,7 +472,7 @@ func fanChain(t *testing.T, depth, fan int, compiled bool) *Engine {
 // chainStep is one step of rule processing with the default strategy:
 // scan, choose, consider. The chain rules sort before the fan rules.
 func chainStep(t *testing.T, e *Engine) *rules.Rule {
-	eligible := e.set.Choose(nil, e.TriggeredRules())
+	eligible := e.set.Choose(nil, e.TriggeredRules(), nil)
 	if len(eligible) == 0 {
 		t.Fatal("nothing eligible")
 	}
@@ -539,6 +539,67 @@ func TestTriggerScanComputesEachNetOnce(t *testing.T) {
 			if c != 1 {
 				t.Errorf("compiled=%v: %s's net was computed %d times", compiled, name, c)
 			}
+		}
+	}
+}
+
+// TestTriggerScanMemoHitsReachHook runs the served cascade
+// (workload.CascadeSources) one step at a time under the check mode. The
+// fan rules stay triggered and untouched while the chain runs, so the
+// trigger scan answers them from their memo inline, and each such answer
+// must still pass the netHook: the oracle counts the memo hits of the
+// scans alone and finds every answer right. Each request inserts into
+// the chain head twice, with a scan between, at unchanged marks: the
+// second scan must recompute the head's rules, which a memo check that
+// ignored the table's last change would answer with the first net.
+func TestTriggerScanMemoHitsReachHook(t *testing.T) {
+	const requests, depth, fan = 3, 24, 8
+	schemaSrc, rulesSrc, _ := workload.CascadeSources()
+	for _, compiled := range []bool{false, true} {
+		set, db := mkSet(t, schemaSrc, rulesSrc)
+		e := New(set, db, Options{Interpret: !compiled})
+		o := &recomputeOracle{}
+		e.netHook = o.hook
+		scanHits := 0
+		scan := func() []*rules.Rule {
+			before := o.hits
+			triggered := e.TriggeredRules()
+			scanHits += o.hits - before
+			return triggered
+		}
+		for req := 0; req < requests; req++ {
+			e.BeginAssert()
+			for _, sql := range []string{"insert into c0 values (1), (2)", "insert into c0 values (3), (4)"} {
+				if _, err := e.ExecUser(sql); err != nil {
+					t.Fatal(err)
+				}
+				if got := len(scan()); got != 1+fan {
+					t.Fatalf("compiled=%v: %d rules triggered on the chain head, want %d", compiled, got, 1+fan)
+				}
+			}
+			considered := 0
+			for eligible := e.set.Choose(nil, scan(), nil); len(eligible) > 0; eligible = e.set.Choose(nil, scan(), nil) {
+				if _, _, _, err := e.Consider(FirstByName{}.Pick(eligible)); err != nil {
+					t.Fatal(err)
+				}
+				considered++
+			}
+			if considered != depth+fan {
+				t.Fatalf("compiled=%v: request %d considered %d rules, want %d", compiled, req, considered, depth+fan)
+			}
+			if err := e.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if o.err != nil {
+			t.Fatalf("compiled=%v: %v", compiled, o.err)
+		}
+		// Per request, the scan before chain00 serves its net and the fan
+		// rules' from the memo; the depth scans after a chain step serve
+		// the fan rules'; and the scan after the k-th fan rule's step
+		// serves the fan-k still triggered.
+		if want := requests * (1 + fan*(1+depth) + fan*(fan-1)/2); scanHits != want {
+			t.Errorf("compiled=%v: the scans served %d answers from the memo, want %d", compiled, scanHits, want)
 		}
 	}
 }

@@ -47,21 +47,28 @@ func (s *Set) CanBeUntriggeredBy(r2, r1 *Rule) bool {
 
 // Choose computes the Choose set of Section 3: the subset of the
 // triggered rules eligible for consideration, i.e. those with no other
-// triggered rule having precedence over them. The result preserves the
-// order of the input slice and is appended to dst, which may be nil and
-// must not overlap triggered; a rule-processing loop passes the slice it
-// got back last time, cut to length zero.
-func (s *Set) Choose(dst, triggered []*Rule) []*Rule {
-	for _, ri := range triggered {
-		eligible := true
-		for _, rj := range triggered {
-			if rj != ri && s.Higher(rj, ri) {
-				eligible = false
-				break
-			}
+// triggered rule having precedence over them. It ORs the triggered
+// rules' HigherRows into above, the rules some triggered rule outranks
+// (a rule never outranks itself), and keeps the triggered rules that row
+// lacks. The result preserves the order of the input slice and is
+// appended to dst, which may be nil and must not overlap triggered; a
+// rule-processing loop passes the slice it got back last time, cut to
+// length zero. above is the caller's scratch row, NewBits(Len()) long;
+// nil allocates one.
+func (s *Set) Choose(dst, triggered []*Rule, above Bits) []*Rule {
+	if above == nil {
+		above = NewBits(len(s.rules))
+	} else {
+		clear(above)
+	}
+	for _, r := range triggered {
+		for w, bits := range s.HigherRow(r) {
+			above[w] |= bits
 		}
-		if eligible {
-			dst = append(dst, ri)
+	}
+	for _, r := range triggered {
+		if !above.Has(r.index) {
+			dst = append(dst, r)
 		}
 	}
 	return dst

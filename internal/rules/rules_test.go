@@ -224,12 +224,12 @@ func TestPriorityCycleRejected(t *testing.T) {
 func TestChoose(t *testing.T) {
 	s := bankSet(t)
 	guard, hold, audit := s.Rule("r_guard"), s.Rule("r_hold"), s.Rule("r_audit")
-	got := Names(s.Choose(nil, []*Rule{hold, guard, audit}))
+	got := Names(s.Choose(nil, []*Rule{hold, guard, audit}, nil))
 	// r_guard > r_hold, so r_hold is ineligible while r_guard is triggered.
 	if strings.Join(got, ",") != "r_guard,r_audit" {
 		t.Errorf("Choose = %v", got)
 	}
-	got2 := Names(s.Choose(nil, []*Rule{hold, audit}))
+	got2 := Names(s.Choose(nil, []*Rule{hold, audit}, nil))
 	if strings.Join(got2, ",") != "r_hold,r_audit" {
 		t.Errorf("Choose without guard = %v", got2)
 	}

@@ -236,8 +236,8 @@ func (s *Set) Len() int { return len(s.rules) }
 func (s *Set) Rule(name string) *Rule { return s.byName[strings.ToLower(name)] }
 
 // Higher reports whether ri > rj is in the transitive closure of P. It
-// is HigherRow(ri).Has(rj.Index()) without forming the row: Choose asks
-// it per pair of triggered rules at every step of rule processing.
+// is HigherRow(ri).Has(rj.Index()) without forming the row: the
+// analyses ask it per pair of rules.
 func (s *Set) Higher(ri, rj *Rule) bool {
 	return s.higher[ri.index*s.rowWords+rj.index>>6]&(1<<(rj.index&63)) != 0
 }

@@ -20,6 +20,7 @@ type DB struct {
 	sch    *schema.Schema
 	tables map[string]*Table
 	names  []string // the schema's table names, sorted; never written, so Clone and Fork share it
+	order  []*Table // tables[names[i]] at i, so a pass over every table hashes no name
 	nextID TupleID
 
 	// undo is the history of the open transaction: one Change, most recent
@@ -209,8 +210,10 @@ func (db *DB) UndoDepth() (savepoints, records int) { return db.spDepth, len(db.
 func NewDB(s *schema.Schema) *DB {
 	db := &DB{sch: s, tables: make(map[string]*Table, s.NumTables()), names: s.TableNames(), nextID: 1}
 	sort.Strings(db.names)
-	for _, name := range db.names {
-		db.tables[name] = newTable(s.Table(name))
+	db.order = make([]*Table, len(db.names))
+	for i, name := range db.names {
+		db.order[i] = newTable(s.Table(name))
+		db.tables[name] = db.order[i]
 	}
 	return db
 }
@@ -549,9 +552,11 @@ func (db *DB) updateCol(t *Table, tu *Tuple, ci int, v Value) error {
 // business but the clone's (the execution-graph explorer forks thousands
 // of speculative copies).
 func (db *DB) Clone() *DB {
-	nd := &DB{sch: db.sch, tables: make(map[string]*Table, len(db.tables)), names: db.names, nextID: db.nextID}
-	for name, t := range db.tables {
-		nd.tables[name] = t.clone()
+	nd := &DB{sch: db.sch, tables: make(map[string]*Table, len(db.tables)), names: db.names,
+		order: make([]*Table, len(db.order)), nextID: db.nextID}
+	for i, t := range db.order {
+		nd.order[i] = t.clone()
+		nd.tables[db.names[i]] = nd.order[i]
 	}
 	return nd
 }
@@ -590,7 +595,7 @@ func (db *DB) Fork() *DB {
 // table it had to re-read and the DB's scratch buffer. It follows the
 // same one-goroutine rule as mutation. Clone and Fork carry the digests,
 // never the kept encodings, the scratch or the observer.
-func (db *DB) Fingerprint() [32]byte { return db.fingerprintOf(db.names) }
+func (db *DB) Fingerprint() [32]byte { return db.fingerprintOf(db.names, db.order) }
 
 // TableFingerprint is Fingerprint over the named tables only, used for
 // partial-confluence checks (identical T' contents, Section 7).
@@ -600,15 +605,21 @@ func (db *DB) TableFingerprint(tables []string) [32]byte {
 		names[i] = strings.ToLower(n)
 	}
 	sort.Strings(names)
-	return db.fingerprintOf(names)
+	tabs := make([]*Table, len(names))
+	for i, name := range names {
+		tabs[i] = db.tables[name]
+	}
+	return db.fingerprintOf(names, tabs)
 }
 
-// fingerprintOf digests the tables named, which are lower-case and sorted.
-func (db *DB) fingerprintOf(names []string) [32]byte {
+// fingerprintOf digests the tables tabs, each under the name at its
+// index in names, which are lower-case and sorted; a nil table, one the
+// schema lacks, reads as an empty one.
+func (db *DB) fingerprintOf(names []string, tabs []*Table) [32]byte {
 	top := db.fp.top[:0]
-	for _, name := range names {
-		d := emptyDigest // a table the schema lacks reads as an empty one
-		if t := db.tables[name]; t != nil {
+	for i, name := range names {
+		d := emptyDigest
+		if t := tabs[i]; t != nil {
 			d = db.tableDigest(t)
 		}
 		top = append(top, name...)
@@ -629,6 +640,7 @@ type fpScratch struct {
 	buf   []byte    // encodings of the rows being digested, each followed by ';'
 	spans []rowSpan // one per row, sorted by encoding (by key, then bytes)
 	top   []byte    // the `name ( tableDigest )` stream
+	at    []int     // the kept rows a take-out removes, ascending (Table.drop)
 	rows  int       // rows encoded so far (what tests count)
 }
 
@@ -675,7 +687,7 @@ func (db *DB) tableDigest(t *Table) [32]byte {
 		// Taking the gone rows out costs encoding and sorting them; a
 		// rebuild, the live ones. A sweep that empties most of a table
 		// gets the rebuild.
-		t.run = len(t.gone) < t.nlive && t.drop(s.sorted(t, true))
+		t.run = len(t.gone) < t.nlive && t.drop(s)
 	}
 	buf, spans := s.sorted(t, false)
 	if !t.run { // a rebuild: every row is new
@@ -742,10 +754,10 @@ func (s *fpScratch) sorted(t *Table, gone bool) ([]byte, []rowSpan) {
 // two databases agree on one exactly when they agree on the other.
 func (db *DB) CanonicalFingerprint() [32]byte {
 	h := sha256.New()
-	for _, name := range db.names {
+	for i, name := range db.names {
 		h.Write([]byte(name))
 		h.Write([]byte{'('})
-		db.tables[name].writeSorted(h)
+		db.order[i].writeSorted(h)
 		h.Write([]byte{')'})
 	}
 	var out [32]byte
@@ -759,7 +771,7 @@ func (db *DB) Equal(other *DB) bool { return db.Fingerprint() == other.Fingerpri
 // TotalRows returns the number of live tuples across all tables.
 func (db *DB) TotalRows() int {
 	n := 0
-	for _, t := range db.tables {
+	for _, t := range db.order {
 		n += t.Len()
 	}
 	return n
@@ -768,8 +780,8 @@ func (db *DB) TotalRows() int {
 // String renders all tables in name order, for debugging and reports.
 func (db *DB) String() string {
 	var sb strings.Builder
-	for _, name := range db.names {
-		sb.WriteString(db.tables[name].String())
+	for _, t := range db.order {
+		sb.WriteString(t.String())
 	}
 	return sb.String()
 }

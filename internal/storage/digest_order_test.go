@@ -138,12 +138,40 @@ func runDigestOrder(t *testing.T, pool *orderPool, ops []byte) digestPaths {
 	return paths
 }
 
+// digestPlacements are op streams for runDigestOrder that place merged
+// rows where the merge's ranking has a boundary: each digests table p's
+// rows, adds some and digests again (an insert is 0, 0 and a value byte,
+// 6 digests, 3, 0 and an index deletes; value byte 16*i picks ints[i]).
+var digestPlacements = []struct {
+	name string
+	ops  []byte
+}{
+	// "I-1" sorts below "I5", "I1234567890" and "I1234567891".
+	{"below-every-kept-row", []byte{0, 0, 0x10, 0, 0, 0x40, 0, 0, 0x50, 6, 0, 0, 0x30, 6}},
+	// "I9223372036854775807" sorts after "I0" and "I5".
+	{"tail-append", []byte{0, 0, 0x00, 0, 0, 0x10, 6, 0, 0, 0xa0, 6}},
+	// Kept "I-1234567890" < "I1234567890" < "I5"; the new rows go below,
+	// between and after them: "I-1234567891", "I12345678", "I1234567891",
+	// "I9223372036854775807".
+	{"interleaved", []byte{0, 0, 0x80, 0, 0, 0x40, 0, 0, 0x10, 6, 0, 0, 0x90, 0, 0, 0x60, 0, 0, 0x50, 0, 0, 0xa0, 6}},
+	// "I5" kept twice, merged twice more, then two of the four taken out.
+	{"equal-on-both-sides", []byte{0, 0, 0x10, 0, 0, 0x10, 0, 0, 0x00, 6, 0, 0, 0x10, 0, 0, 0x10, 6, 3, 0, 0, 3, 0, 0, 6}},
+}
+
 // TestDigestOrderDifferential drives rebuilds, append merges and
 // gone-row take-outs over rows whose encodings share their first 8
 // bytes, are shorter than 8, hold 0x00 and 0xFF, or are negative ints,
 // nulls, bools and floats: the rows the digest's sort key orders only
-// with the byte comparison's help (prefixKey).
+// with the byte comparison's help (prefixKey). The placements above run
+// first.
 func TestDigestOrderDifferential(t *testing.T) {
+	for _, c := range digestPlacements {
+		t.Run(c.name, func(t *testing.T) {
+			if p := runDigestOrder(t, newOrderPool("prefix", 7), c.ops); p.merges == 0 {
+				t.Errorf("no merge: %+v", p)
+			}
+		})
+	}
 	var total digestPaths
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -168,6 +196,9 @@ func FuzzDigestOrder(f *testing.F) {
 	f.Add([]byte{2, 2, 0x10, 0x50, 0x20, 1, 2, 2, 0x20, 0x60, 0x30, 0, 2, 2, 0x0f, 0x7f, 0x40, 1, 7, 5, 2, 7}, "\x00\xff", int64(-7))
 	f.Add([]byte{1, 1, 0xe0, 1, 1, 0xf0, 1, 1, 0xd0, 7, 1, 1, 0x30, 3, 1, 0, 7, 4, 1, 1, 0, 0xe0, 7}, "abcdefgh", int64(math.MinInt64))
 	f.Add([]byte("\x00\x00\x00\x01\x00\x10\x02\x00\xe0\x06\x05\x00\x06\x00\x00\x20\x07"), "", int64(0))
+	for _, c := range digestPlacements {
+		f.Add(c.ops, "prefix", int64(7))
+	}
 	f.Fuzz(func(t *testing.T, ops []byte, s string, n int64) {
 		a, b := ops, []byte(s)
 		if ka, kb := prefixKey(a), prefixKey(b); ka != kb && cmp.Compare(ka, kb) != bytes.Compare(a, b) {

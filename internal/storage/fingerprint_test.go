@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -561,21 +562,28 @@ func TestDeleteDigestEncodesOnlyGoneRows(t *testing.T) {
 // TestGoneRowMissingFromKeptRebuilds: a gone row with no equal among the
 // kept encodings — which the run's invariant rules out, so the test
 // plants one — makes the digest rebuild from every row instead of taking
-// out an encoding that is not its own.
+// out an encoding that is not its own. So does a second gone row equal
+// to the first when the kept encodings hold that row once.
 func TestGoneRowMissingFromKeptRebuilds(t *testing.T) {
 	for _, planted := range [][]Value{ // sorts before, between and after the kept rows (0..3, "archived")
 		{IntV(-1), StringV("archived")},
 		{IntV(1), StringV("b")},
 		{IntV(9), StringV("archived")},
+		nil, // a copy of the gone row (1, "archived")
 	} {
 		db, _ := flatDB(t, 0, 4)
 		tbl := db.Table("cold")
 		db.Delete("cold", tbl.IDs()[1])
-		tbl.gone[0] = &Tuple{ID: -1, Vals: planted}
+		gone := 1
+		if planted == nil {
+			tbl.gone, gone = append(tbl.gone, tbl.gone[0].clone()), 2
+		} else {
+			tbl.gone[0] = &Tuple{ID: -1, Vals: planted}
+		}
 		rows := db.fp.rows
 		got := db.Fingerprint()
-		if db.fp.rows-rows != 1+3 {
-			t.Errorf("planted %v: the digest encoded %d rows, want the gone one and the 3 of a rebuild", planted, db.fp.rows-rows)
+		if db.fp.rows-rows != gone+3 {
+			t.Errorf("planted %v: the digest encoded %d rows, want the %d gone and the 3 of a rebuild", planted, db.fp.rows-rows, gone)
 		}
 		if err := new(FingerprintOracle).Check(db); err != nil || got != db.Fingerprint() {
 			t.Errorf("planted %v: %v", planted, err)
@@ -590,11 +598,15 @@ var fpSink [32]byte
 // and must read flat in N (it reports, and checks, the rows it encoded);
 // dirty updates a row of the N-row table itself, the allocation-free
 // pass over a table that did change; append adds a row to the N-row
-// table, which merges that one row into its kept encodings; delete
-// deletes a row of the N-row table and inserts a replacement, which takes
-// one row out of the kept encodings and merges one in.
+// table, which merges that one row into its kept encodings below every
+// kept row; delete deletes a row of the N-row table and inserts a
+// replacement, which takes one row out of the kept encodings and merges
+// one in; scatter does the same at a random row with a random value, so
+// both land anywhere among the kept rows. cascade is serve_cascade's
+// digest: 4 random rows appended to each of 33 tables per op, the
+// tables emptied, untimed, whenever they hold 56 rows.
 func BenchmarkFingerprint(b *testing.B) {
-	for _, mode := range []string{"clean", "dirty", "append", "delete"} {
+	for _, mode := range []string{"clean", "dirty", "append", "delete", "scatter"} {
 		for _, n := range []int{1000, 10000, 100000} {
 			b.Run(fmt.Sprintf("%s/rows=%dk", mode, n/1000), func(b *testing.B) {
 				db, ids := flatDB(b, 8, n)
@@ -604,9 +616,10 @@ func BenchmarkFingerprint(b *testing.B) {
 					table, want, ids = "cold", n, db.Table("cold").IDs()
 				case "append":
 					table, want = "cold", 1
-				case "delete":
+				case "delete", "scatter":
 					table, want, ids = "cold", 2, db.Table("cold").IDs()
 				}
+				rng := rand.New(rand.NewSource(1))
 				b.ReportAllocs()
 				b.ResetTimer()
 				before := db.fp.rows
@@ -617,6 +630,10 @@ func BenchmarkFingerprint(b *testing.B) {
 					case "delete":
 						db.Delete(table, ids[j])
 						ids[j] = db.MustInsert(table, IntV(int64(-i)), StringV("replacement"))
+					case "scatter":
+						j = rng.Intn(len(ids))
+						db.Delete(table, ids[j])
+						ids[j] = db.MustInsert(table, IntV(rng.Int63n(int64(2*n))), StringV("archived"))
 					default:
 						if _, err := db.Update(table, ids[j], "v", IntV(int64(-i))); err != nil {
 							b.Fatal(err)
@@ -631,4 +648,40 @@ func BenchmarkFingerprint(b *testing.B) {
 			})
 		}
 	}
+	b.Run("cascade", func(b *testing.B) {
+		const tables, batch, most = 33, 4, 56
+		var src strings.Builder
+		for k := 0; k < tables; k++ {
+			fmt.Fprintf(&src, "table c%d (v int)\n", k)
+		}
+		db := NewDB(schema.MustParse(src.String()))
+		rng := rand.New(rand.NewSource(1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		rows := 0
+		for i := 0; i < b.N; i++ {
+			if i%(most/batch) == 0 {
+				b.StopTimer()
+				for _, name := range db.names {
+					for _, id := range db.Table(name).IDs() {
+						db.Delete(name, id)
+					}
+				}
+				fpSink = db.Fingerprint()
+				b.StartTimer()
+			}
+			for _, name := range db.names {
+				for r := 0; r < batch; r++ {
+					db.MustInsert(name, IntV(rng.Int63()))
+				}
+			}
+			before := db.fp.rows
+			fpSink = db.Fingerprint()
+			rows += db.fp.rows - before
+		}
+		if want := tables * batch; rows != want*b.N {
+			b.Fatalf("encoded %d rows in %d fingerprints, want %d each", rows, b.N, want)
+		}
+		b.ReportMetric(tables*batch, "rows/op")
+	})
 }

@@ -349,66 +349,96 @@ func (t *Table) pending(gone bool, fn func(*Tuple)) {
 	}
 }
 
-// merge adds the sorted rows buf[spans[i].lo:spans[i].hi+1] to the kept
-// encodings in place, from the back: each step moves the larger of the
-// last unplaced kept row and the last unplaced new row to the end of
-// the free space, which never reaches a kept row not yet moved. A
-// rebuild empties the kept encodings first; they grow in one step.
-func (t *Table) merge(buf []byte, spans []rowSpan) {
-	n := len(t.ends)
-	t.enc = slices.Grow(t.enc, len(buf))[:len(t.enc)+len(buf)]
-	t.ends = slices.Grow(t.ends, len(spans))[:n+len(spans)]
-	enc, ends, w := t.enc, t.ends, len(t.enc)
-	for i, j := n-1, len(spans)-1; j >= 0; {
-		src, lo, hi := buf, spans[j].lo, spans[j].hi+1
-		klo := 0
-		if i > 0 {
-			klo = ends[i-1]
-		}
-		if i >= 0 && bytes.Compare(enc[klo:ends[i]-1], buf[lo:hi-1]) > 0 {
-			src, lo, hi = enc, klo, ends[i]
-			i--
+// kept returns kept row i's encoding, without its ';'.
+func (t *Table) kept(i int) []byte { return t.enc[t.keptStart(i) : t.ends[i]-1] }
+
+// keptStart returns where kept row i's encoding starts.
+func (t *Table) keptStart(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return t.ends[i-1]
+}
+
+// rank returns the first of the kept rows lo..hi-1 whose encoding is
+// not below row, or hi: a bisection, after a check of the last of them,
+// which the rows of an append usually sort after.
+func (t *Table) rank(row []byte, lo, hi int) int {
+	if lo == hi || bytes.Compare(t.kept(hi-1), row) < 0 {
+		return hi
+	}
+	for hi--; lo < hi; { // kept row hi is not below row
+		if m := int(uint(lo+hi) >> 1); bytes.Compare(t.kept(m), row) < 0 {
+			lo = m + 1
 		} else {
-			j--
+			hi = m
 		}
-		ends[i+j+2] = w // the index, among the merged rows, of the one just placed
-		w -= copy(enc[w-(hi-lo):w], src[lo:hi])
+	}
+	return lo
+}
+
+// merge adds the sorted rows buf[spans[j].lo:spans[j].hi+1] to the kept
+// encodings in place, from the back: each new row, the largest first,
+// ranks among the kept rows not yet moved, those that sort after it move
+// up past the new rows still to place in one copy, and the row goes
+// below them. A rebuild empties the kept encodings first; they grow in
+// one step.
+func (t *Table) merge(buf []byte, spans []rowSpan) {
+	i := len(t.ends) // the kept rows 0..i-1 have not moved
+	t.enc = slices.Grow(t.enc, len(buf))[:len(t.enc)+len(buf)]
+	t.ends = slices.Grow(t.ends, len(spans))[:i+len(spans)]
+	enc, ends, w := t.enc, t.ends, len(t.enc)
+	for j := len(spans) - 1; j >= 0; j-- {
+		lo, hi := spans[j].lo, spans[j].hi+1
+		if i > 0 { // else a rebuild, or every kept row has moved
+			if p := t.rank(buf[lo:hi-1], 0, i); p < i {
+				from, to := t.keptStart(p), ends[i-1]
+				d := w - to // the kept rows p..i-1 move up by d, and by j+1 places
+				copy(enc[from+d:w], enc[from:to])
+				for m := i - 1; m >= p; m-- {
+					ends[m+j+1] = ends[m] + d
+				}
+				w, i = from+d, p
+			}
+		}
+		ends[i+j] = w
+		w -= copy(enc[w-(hi-lo):w], buf[lo:hi])
 	}
 }
 
-// drop takes one kept encoding equal to each of the sorted rows
-// buf[spans[i].lo:spans[i].hi] out of the kept encodings in place, in
-// one pass that starts at the first kept row not below the smallest of
-// them and moves each kept row that stays down over the ones taken. It
-// reports false, leaving the kept encodings to a rebuild, if a row has
-// no equal among them.
-func (t *Table) drop(buf []byte, spans []rowSpan) bool {
-	enc, ends := t.enc, t.ends
-	start := func(i int) int {
-		if i == 0 {
-			return 0
-		}
-		return ends[i-1]
-	}
-	first := buf[spans[0].lo:spans[0].hi]
-	i := sort.Search(len(ends), func(i int) bool { return bytes.Compare(enc[start(i):ends[i]-1], first) >= 0 })
-	k, w := i, start(i) // where the next kept row that stays goes: its index and its start
-	for _, s := range spans {
-		for ; i < len(ends) && bytes.Compare(enc[start(i):ends[i]-1], buf[s.lo:s.hi]) < 0; i, k = i+1, k+1 {
-			w += copy(enc[w:], enc[start(i):ends[i]])
-			ends[k] = w
-		}
-		if i == len(ends) || !bytes.Equal(enc[start(i):ends[i]-1], buf[s.lo:s.hi]) {
+// drop takes one kept encoding equal to each of the rows t.gone holds
+// out of the kept encodings in place. The rows, encoded and sorted, each
+// rank among the kept rows after the last one taken, and the places
+// taken go in s.at; then each run of kept rows between two of them moves
+// down in one copy. It reports false, leaving the kept encodings to a
+// rebuild, if a row has no equal among them.
+func (t *Table) drop(s *fpScratch) bool {
+	buf, spans := s.sorted(t, true)
+	s.at = s.at[:0]
+	lo := 0 // the kept rows from lo on come after every one taken
+	for _, sp := range spans {
+		row := buf[sp.lo:sp.hi]
+		p := t.rank(row, lo, len(t.ends))
+		if p == len(t.ends) || !bytes.Equal(t.kept(p), row) {
 			return false
 		}
-		i++ // taken
+		s.at, lo = append(s.at, p), p+1
 	}
-	lo := start(i) // the rows after the last one taken move down in one block
-	copy(enc[w:], enc[lo:])
-	for ; i < len(ends); i, k = i+1, k+1 {
-		ends[k] = ends[i] - (lo - w)
+	at, enc, ends := s.at, t.enc, t.ends
+	w, k := t.keptStart(at[0]), at[0] // where the next kept row that stays goes: its start and index
+	for r, p := range at {
+		next := len(ends)
+		if r+1 < len(at) {
+			next = at[r+1]
+		}
+		from, to := ends[p], t.keptStart(next) // the kept rows p+1..next-1
+		copy(enc[w:], enc[from:to])
+		for m := p + 1; m < next; m, k = m+1, k+1 {
+			ends[k] = ends[m] - (from - w)
+		}
+		w += to - from
 	}
-	t.enc, t.ends = enc[:len(enc)-(lo-w)], ends[:k]
+	t.enc, t.ends = enc[:w], ends[:k]
 	return true
 }
 

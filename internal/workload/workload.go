@@ -10,6 +10,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"activerules/internal/rules"
 	"activerules/internal/schema"
@@ -312,4 +313,39 @@ func UserScript(sch *schema.Schema, rng *rand.Rand, nOps int) string {
 		}
 	}
 	return script
+}
+
+// CascadeSources restates the benchmark's serve_cascade rule system
+// (bench/gen.go's cascadeSources; bench/ is a module of its own): ten
+// idle bank clusters, a 24-deep chain copying the inserted set one table
+// down per rule, and 8 unordered fan-out rules on the chain head — 62
+// rules, 32 of them considered per insert into the chain head. tables
+// lists the chain's and the fan-out's tables.
+func CascadeSources() (schemaSrc, rulesSrc string, tables []string) {
+	const idle, depth, fanout = 10, 24, 8
+	var sch, rl strings.Builder
+	for i := 0; i < idle; i++ {
+		fmt.Fprintf(&sch, "table account%d (id int, owner string, balance float)\n", i)
+		fmt.Fprintf(&sch, "table audit%d (id int, owner string)\n", i)
+		fmt.Fprintf(&sch, "table holds%d (id int, acct int)\n", i)
+		fmt.Fprintf(&rl, "create rule r_audit%d on account%d\nwhen inserted\nthen insert into audit%d select id, owner from inserted\n\n", i, i, i)
+		fmt.Fprintf(&rl, "create rule r_hold%d on account%d\nwhen updated(balance)\nif exists (select 1 from new-updated nu where nu.balance < 0)\nthen insert into holds%d select nu.id, nu.id from new-updated nu where nu.balance < 0\n\n", i, i, i)
+		fmt.Fprintf(&rl, "create rule r_purge%d on account%d\nwhen deleted\nthen delete from holds%d where acct in (select id from deleted)\n\n", i, i, i)
+	}
+	for i := 0; i <= depth; i++ {
+		tables = append(tables, fmt.Sprintf("c%d", i))
+	}
+	for j := 0; j < fanout; j++ {
+		tables = append(tables, fmt.Sprintf("f%d", j))
+	}
+	for _, t := range tables {
+		fmt.Fprintf(&sch, "table %s (v int)\n", t)
+	}
+	for i := 0; i < depth; i++ {
+		fmt.Fprintf(&rl, "create rule chain%02d on c%d\nwhen inserted\nif exists (select 1 from inserted where v >= 0)\nthen insert into c%d select v from inserted\n\n", i, i, i+1)
+	}
+	for j := 0; j < fanout; j++ {
+		fmt.Fprintf(&rl, "create rule fan%d on c0\nwhen inserted\nthen insert into f%d select v from inserted where v >= 0\n\n", j, j)
+	}
+	return sch.String(), rl.String(), tables
 }

@@ -103,7 +103,7 @@ func TestPropChooseDefinition(t *testing.T) {
 				triggered = append(triggered, r)
 			}
 		}
-		chosen := set.Choose(nil, triggered)
+		chosen := set.Choose(nil, triggered, nil)
 		inChosen := map[string]bool{}
 		for _, r := range chosen {
 			inChosen[r.Name] = true
