@@ -105,11 +105,6 @@ type (
 	RestrictedVerdict = analysis.RestrictedVerdict
 	// TriggeringGraph is the Section 5 graph TG_R.
 	TriggeringGraph = analysis.TriggeringGraph
-	// Incremental caches per-partition verdicts across rule-set edits
-	// (the Section 9 incremental-analysis extension).
-	Incremental = analysis.Incremental
-	// IncrementalResult reports one incremental analysis call.
-	IncrementalResult = analysis.IncrementalResult
 	// RepairPlan is the outcome of the automated Section 6.4 loop.
 	RepairPlan = analysis.RepairPlan
 	// PrunedEdge is a triggering edge removed by condition-aware
@@ -236,10 +231,6 @@ func BoolV(b bool) Value { return storage.BoolV(b) }
 
 // NewCertification returns an empty certification set.
 func NewCertification() *Certification { return analysis.NewCertification() }
-
-// NewIncremental returns an incremental analyzer honoring cert (nil for
-// none).
-func NewIncremental(cert *Certification) *Incremental { return analysis.NewIncremental(cert) }
 
 // FirstByName is the deterministic default strategy.
 func FirstByName() Strategy { return engine.FirstByName{} }

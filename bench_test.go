@@ -390,61 +390,3 @@ func BenchmarkRefinedAnalysis(b *testing.B) {
 		}
 	}
 }
-
-// --- The served cascade: a firing loop's allocation ----------------------
-
-// BenchmarkCompiledCascadeCommit is serve_cascade's request without the
-// server around it: a 4-row insert into the chain head, rule processing
-// (32 considerations, all firing) and a Commit per op on one long-lived
-// compiled engine. Every 64th op the tables are swept with the timer
-// stopped, as the served stream's clients sweep their own rows, so a
-// long run measures the firing loop and not a growing heap.
-func BenchmarkCompiledCascadeCommit(b *testing.B) {
-	schemaSrc, rulesSrc, tables := workload.CascadeSources()
-	sys, err := activerules.Load(schemaSrc, rulesSrc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 10000})
-	var sweep strings.Builder
-	for i, t := range tables {
-		if i > 0 {
-			sweep.WriteString("; ")
-		}
-		sweep.WriteString("delete from " + t)
-	}
-	step := func(op string, fired int) {
-		if _, err := eng.ExecUser(op); err != nil {
-			b.Fatal(err)
-		}
-		res, err := eng.Assert()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Fired != fired {
-			b.Fatalf("fired = %d, want %d", res.Fired, fired)
-		}
-		if err := eng.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	const op = "insert into c0 values (11), (12), (13), (14)"
-	step(op, 32) // warm the engine's and the log's scratch
-	var mem allocMeter
-	b.ReportAllocs()
-	b.ResetTimer()
-	mem.start()
-	for i := 0; i < b.N; i++ {
-		if i%64 == 63 {
-			b.StopTimer()
-			mem.stop()
-			step(sweep.String(), 0)
-			mem.start()
-			b.StartTimer()
-		}
-		step(op, 32)
-	}
-	b.StopTimer()
-	mem.stop()
-	recordBenchAllocs(b, &mem)
-}

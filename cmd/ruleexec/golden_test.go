@@ -74,9 +74,9 @@ func TestGoldenDurable(t *testing.T) {
 
 // TestGoldenCompiledModeStable renders every durable golden surface
 // twice, each time into a fresh log directory; both runs must reproduce
-// the same golden bytes. The compiled engine's output does not depend on
-// the run (its equivalence to the reference interpreter is the
-// differential battery's job at the repo root).
+// the same golden bytes. The engine's output does not depend on the run
+// (its equivalence to the reference rule processor is the job of the
+// differential battery in internal/engine).
 func TestGoldenCompiledModeStable(t *testing.T) {
 	cases := []struct {
 		name  string

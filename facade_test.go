@@ -73,22 +73,6 @@ func TestFacadeCertificationHelpers(t *testing.T) {
 	}
 }
 
-func TestFacadeIncremental(t *testing.T) {
-	sys := activerules.MustLoad("table a (v int)\ntable b (v int)", `
-create rule ra on a when inserted then delete from a where v < 0
-create rule rb on b when inserted then delete from b where v < 0
-`)
-	inc := activerules.NewIncremental(nil)
-	r1 := inc.Analyze(sys.Rules())
-	if !r1.Combined.Guaranteed || r1.Analyzed != 2 {
-		t.Fatalf("first incremental call: %+v", r1)
-	}
-	r2 := inc.Analyze(sys.Rules())
-	if r2.Reused != 2 || r2.Analyzed != 0 {
-		t.Errorf("second call should be fully cached: %+v", r2)
-	}
-}
-
 func TestFacadeStatsReport(t *testing.T) {
 	sys := activerules.MustLoad("table a (v int)", `
 create rule r on a when inserted then insert into a values (1)

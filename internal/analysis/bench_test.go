@@ -90,45 +90,6 @@ func BenchmarkSig(b *testing.B) {
 	}
 }
 
-// BenchmarkIncremental measures the §9 incremental-analysis payoff: the
-// steady-state cost of re-analyzing after a one-partition edit, with and
-// without the cache. The workload is many independent partitions.
-func BenchmarkIncremental(b *testing.B) {
-	const groups = 24
-	schemaSrc := ""
-	rulesA, rulesB := "", ""
-	for i := 0; i < groups; i++ {
-		schemaSrc += fmt.Sprintf("table s%d (v int)\ntable t%d (v int)\n", i, i)
-		rulesA += fmt.Sprintf("create rule r%da on s%d when inserted then update t%d set v = 1\n\n", i, i, i)
-		rulesA += fmt.Sprintf("create rule r%db on s%d when inserted then update t%d set v = 2\nprecedes r%da\n\n", i, i, i, i)
-	}
-	// Version B edits only group 0's action constant.
-	rulesB = "create rule r0a on s0 when inserted then update t0 set v = 9\n\n" +
-		rulesA[len("create rule r0a on s0 when inserted then update t0 set v = 1\n\n"):]
-	setA := compile(b, schemaSrc, rulesA, nil).set
-	setB := compile(b, schemaSrc, rulesB, nil).set
-
-	b.Run("incremental", func(b *testing.B) {
-		inc := NewIncremental(nil)
-		inc.Analyze(setA)
-		sets := []*rules.Set{setB, setA}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res := inc.Analyze(sets[i%2])
-			if res.Analyzed != 1 || res.Reused != groups-1 {
-				b.Fatalf("cache ineffective: analyzed=%d reused=%d", res.Analyzed, res.Reused)
-			}
-		}
-	})
-	b.Run("from-scratch", func(b *testing.B) {
-		sets := []*rules.Set{setB, setA}
-		for i := 0; i < b.N; i++ {
-			v := New(sets[i%2], nil).Confluence()
-			_ = v.Guaranteed
-		}
-	})
-}
-
 func BenchmarkAutoRepair(b *testing.B) {
 	g, err := workload.Generate(workload.Config{
 		Seed: 7, Rules: 12, Tables: 6, Acyclic: true,

@@ -1,7 +1,7 @@
 package analysis
 
 // Tests for the Section 9 future-work extensions implemented here:
-// restricted user operations, and partitioned / incremental analysis.
+// restricted user operations, and partitioned analysis.
 
 import (
 	"strings"

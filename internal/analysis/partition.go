@@ -67,25 +67,18 @@ func (a *Analyzer) Partition() [][]*rules.Rule {
 // the verdicts: the rule set is confluent iff every partition is, since
 // rules in different partitions commute trivially (they share no tables)
 // and are never forced between each other by priorities. The per-
-// partition verdicts are returned alongside the combined one so that a
-// change to one partition only requires re-running its own analysis.
+// partition verdicts are returned alongside the combined one; the
+// combined requirement holds iff it holds in every partition, and its
+// termination is the full set's.
 func (a *Analyzer) PartitionedConfluence() (combined *ConfluenceVerdict, per []*ConfluenceVerdict) {
+	combined = &ConfluenceVerdict{RequirementHolds: true, Termination: a.Termination()}
 	for _, part := range a.Partition() {
-		per = append(per, a.confluenceOver(part, a.TerminationOf(part)))
-	}
-	return a.combinePartitions(per), per
-}
-
-// combinePartitions folds the per-partition verdicts, in partition
-// order, into the whole set's: the requirement holds iff it holds in
-// every partition, and termination is the full set's.
-func (a *Analyzer) combinePartitions(per []*ConfluenceVerdict) *ConfluenceVerdict {
-	combined := &ConfluenceVerdict{RequirementHolds: true, Termination: a.Termination()}
-	for _, v := range per {
+		v := a.confluenceOver(part, a.TerminationOf(part))
+		per = append(per, v)
 		combined.PairsChecked += v.PairsChecked
 		combined.Violations = append(combined.Violations, v.Violations...)
 		combined.RequirementHolds = combined.RequirementHolds && v.RequirementHolds
 	}
 	combined.Guaranteed = combined.RequirementHolds && combined.Termination.Guaranteed
-	return combined
+	return combined, per
 }

@@ -266,7 +266,7 @@ func ReportRestricted(v *RestrictedVerdict) string {
 }
 
 // ReportPartition renders the partition structure and per-partition
-// confluence verdicts of the incremental-analysis extension.
+// confluence verdicts of the partitioned-analysis extension.
 func ReportPartition(parts [][]*rules.Rule, per []*ConfluenceVerdict) string {
 	var sb strings.Builder
 	sb.WriteString(fmt.Sprintf("PARTITIONS: %d independent group(s)\n", len(parts)))

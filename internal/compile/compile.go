@@ -1,7 +1,7 @@
 // Package compile turns resolved rule conditions and actions, and user
 // statements once per text key (UserCache), into closures evaluated
 // against statically assigned row slots, and builds the delta-driven
-// trigger index the engine's compiled mode runs on.
+// trigger index the engine runs on.
 //
 // The compiled path must be observably indistinguishable from the
 // interpreter in internal/sqlmini — same results, same errors (down to
@@ -22,9 +22,9 @@
 //  3. Nothing the compiler cannot handle runs some other way. A rule's
 //     unit (condition or action statement) or user statement the
 //     compiler declined would fail with the compiler's error, and
-//     resolution leaves none. The interpreter runs only when the engine
-//     is asked for it (engine.Options.Interpret), as the oracle the
-//     differential tests compare against.
+//     resolution leaves none. The interpreter runs only in tests: the
+//     engine package's reference rule processor, the oracle its
+//     differential tests compare the engine against, is built on it.
 package compile
 
 import (

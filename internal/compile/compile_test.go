@@ -1,7 +1,7 @@
 package compile
 
 // White-box unit tests for the compiled hot path. The differential
-// battery at the repo root (compile_differential_test.go) is the
+// battery in internal/engine (compile_differential_test.go) is the
 // system-level equivalence check; these tests pin the pieces in
 // isolation: the discrimination network's bookkeeping, the statement
 // compiler's value-level agreement with the interpreter, and that every

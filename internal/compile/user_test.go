@@ -473,9 +473,9 @@ func TestPointStatementsVisitOneRow(t *testing.T) {
 
 // BenchmarkUserStatement prices one user statement, arriving as text as
 // a request's SQL does, four ways: "interpreted" parses it, resolves it
-// and runs sqlmini.Evaluator (an Interpret engine's path); "miss" runs
-// it through a UserCache that does not hold its key (lexing, parsing,
-// resolution, compilation, run); "text-hit" through one that does
+// and runs sqlmini.Evaluator (the reference rule processor's path);
+// "miss" runs it through a UserCache that does not hold its key (lexing,
+// parsing, resolution, compilation, run); "text-hit" through one that does
 // (lexing and run); and "hit" parses the text first and then hits, which
 // prices a hit that still parses, as every hit did while the cache was
 // keyed by the parsed statement. Traffic that never repeats a key pays

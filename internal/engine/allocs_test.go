@@ -190,37 +190,35 @@ func TestRecordingMutatorAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	for _, compiled := range []bool{false, true} {
-		set, db := mkSet(t, "table t (a int, b int, c int)", "create rule r on t when updated(a), deleted then delete from t where a < 0")
-		ids := []storage.TupleID{db.MustInsert("t", storage.IntV(1), storage.IntV(2), storage.IntV(3))}
-		e := New(set, db, Options{Interpret: !compiled})
-		m := recordingMutator{e}
-		cols, vals := []string{"a"}, []storage.Value{storage.IntV(0)}
-		for name, statement := range map[string]func() error{
-			"update": func() error { vals[0].I++; return m.Update("t", cols, ids, vals) },
-			"delete": func() error { return m.Delete("t", ids) },
-		} {
-			// Each run rolls its one entry back, so the history stays
-			// inside the array the warm-up call grew.
-			got := testing.AllocsPerRun(100, func() {
-				sp := db.Savepoint()
-				if err := statement(); err != nil {
-					t.Fatal(err)
-				}
-				db.RollbackTo(sp)
-			})
-			if got != 0 {
-				t.Errorf("compiled=%v: one %s through the recording mutator: %.0f allocations, want 0", compiled, name, got)
+	set, db := mkSet(t, "table t (a int, b int, c int)", "create rule r on t when updated(a), deleted then delete from t where a < 0")
+	ids := []storage.TupleID{db.MustInsert("t", storage.IntV(1), storage.IntV(2), storage.IntV(3))}
+	e := New(set, db, Options{})
+	m := recordingMutator{e}
+	cols, vals := []string{"a"}, []storage.Value{storage.IntV(0)}
+	for name, statement := range map[string]func() error{
+		"update": func() error { vals[0].I++; return m.Update("t", cols, ids, vals) },
+		"delete": func() error { return m.Delete("t", ids) },
+	} {
+		// Each run rolls its one entry back, so the history stays
+		// inside the array the warm-up call grew.
+		got := testing.AllocsPerRun(100, func() {
+			sp := db.Savepoint()
+			if err := statement(); err != nil {
+				t.Fatal(err)
 			}
+			db.RollbackTo(sp)
+		})
+		if got != 0 {
+			t.Errorf("one %s through the recording mutator: %.0f allocations, want 0", name, got)
 		}
 	}
 }
 
-// execUserUpdateAllocs pins one bank update through a compiled engine
-// whose cache holds the text's token key: the result slice. The update
+// execUserUpdateAllocs pins one bank update through an engine whose
+// cache holds the text's token key: the result slice. The update
 // collects its match and the new value on the Env's scratch, nothing is
 // parsed, resolved or compiled, and the equality probe finds the one row
-// without a scan. Interpreted, the same update allocates 22.
+// without a scan.
 const execUserUpdateAllocs = 1
 
 // execUserInsertAllocs bounds what a cache hit on a literal INSERT of
@@ -231,7 +229,7 @@ const execUserInsertAllocs = 2
 
 // userAccounts is an engine over an account table of n rows with the
 // bank's hold rule, the table serve_hot's updates run against.
-func userAccounts(t testing.TB, n int, interpret bool) *Engine {
+func userAccounts(t testing.TB, n int) *Engine {
 	t.Helper()
 	set, db := mkSet(t, "table account (id int, owner string, balance float)\ntable holds (id int)",
 		"create rule r_hold on account when updated(balance) "+
@@ -240,7 +238,7 @@ func userAccounts(t testing.TB, n int, interpret bool) *Engine {
 	for i := 0; i < n; i++ {
 		db.MustInsert("account", storage.IntV(int64(i)), storage.StringV(fmt.Sprintf("o%d", i)), storage.FloatV(100))
 	}
-	return New(set, db, Options{Interpret: interpret})
+	return New(set, db, Options{})
 }
 
 // userUpdates returns k updates of one token key with differing literals.
@@ -261,7 +259,7 @@ func TestExecUserCachedUpdateAllocs(t *testing.T) {
 	}
 	counts := map[int]float64{}
 	for _, n := range []int{100, 10000} {
-		e := userAccounts(t, n, false)
+		e := userAccounts(t, n)
 		ops := userUpdates(64, n)
 		if _, err := e.ExecUser(ops[0]); err != nil {
 			t.Fatal(err)
@@ -346,24 +344,17 @@ func TestExecUserCachedInsertAllocs(t *testing.T) {
 }
 
 // BenchmarkExecUserUpdate is one bank update over a 200-row table,
-// compiled through the text-keyed cache and interpreted.
+// compiled through the text-keyed cache.
 func BenchmarkExecUserUpdate(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		interpret bool
-	}{{"compiled", false}, {"interpreted", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := userAccounts(b, 200, mode.interpret)
-			ops := userUpdates(64, 200)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sp := e.db.Savepoint()
-				if _, err := e.ExecUser(ops[i%len(ops)]); err != nil {
-					b.Fatal(err)
-				}
-				e.db.RollbackTo(sp)
-			}
-		})
+	e := userAccounts(b, 200)
+	ops := userUpdates(64, 200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp := e.db.Savepoint()
+		if _, err := e.ExecUser(ops[i%len(ops)]); err != nil {
+			b.Fatal(err)
+		}
+		e.db.RollbackTo(sp)
 	}
 }

@@ -1,30 +1,37 @@
-package activerules_test
+package engine_test
 
-// The compiled/interpreted differential battery: the compiled hot path
-// (internal/compile, delta-driven triggering) and the reference
-// interpreter must be observably indistinguishable — byte-identical
-// trace streams, identical results and observables, identical final
-// state hashes, and the same error taxonomy down to the message, on
+// The compiled-vs-reference differential battery: the engine — its
+// compiled hot path (internal/compile), delta-driven triggering, pending-
+// net memo, undo log and Choose — and the reference rule processor
+// (reference_test.go), written from the paper's definitions over
+// sqlmini.Evaluator and sharing none of that machinery, must be
+// observably indistinguishable: byte-identical trace streams, identical
+// results and observables, identical final databases and pending
+// transition tables, and the same error taxonomy down to the message, on
 // generated workloads, the shipped examples, and handwritten corner
 // cases (rollback, livelock witnesses, untriggering, runtime errors).
-// Any disagreement is a bug in the compiled path by definition: the
-// interpreter is the oracle.
+// Any disagreement is a bug in the engine by definition: the reference
+// is the oracle.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"activerules"
+	"activerules/internal/engine"
+	"activerules/internal/sqlmini"
+	"activerules/internal/storage"
 	"activerules/internal/workload"
 )
 
-// twinOptions builds one mode's engine options; strategies carry
-// per-engine state (the seeded one owns an RNG), so each engine gets a
-// fresh instance.
+// twinOptions builds one side's options; strategies carry per-processor
+// state (the seeded one owns an RNG), so each side gets a fresh
+// instance.
 type twinOptions struct {
 	maxSteps int
 	strategy func() activerules.Strategy
@@ -41,7 +48,42 @@ func (o twinOptions) engineOpts(trace *[]string) activerules.EngineOptions {
 	return opts
 }
 
-// modeRun is everything observable about one engine run.
+// processor is what a differential drives: the engine or the reference.
+type processor interface {
+	ExecUser(src string) ([]sqlmini.StmtResult, error)
+	Assert() (engine.Result, error)
+	Commit() error
+	Rollback() error
+	DB() *storage.DB
+}
+
+// newSide opens the engine (compiled) or the reference over an empty
+// database of sys.
+func newSide(sys *activerules.System, compiled bool, opts activerules.EngineOptions) processor {
+	if compiled {
+		return sys.NewEngine(sys.NewDB(), opts)
+	}
+	return engine.NewReference(sys.Rules(), sys.NewDB(), opts)
+}
+
+// stateOf is p's state (D, TR) as each side reads it on its own: the
+// database fingerprint and every rule's pending transition tables, the
+// engine's read off its pending nets, the reference's off its diff.
+func stateOf(sys *activerules.System, p processor) string {
+	fp := p.DB().Fingerprint()
+	out := fmt.Sprintf("%x", fp)
+	for _, r := range sys.Rules().Rules() {
+		switch p := p.(type) {
+		case *engine.Engine:
+			out += "\n" + r.Name + ": " + engine.PendingTables(p, r)
+		case *engine.Reference:
+			out += "\n" + r.Name + ": " + p.PendingTables(r)
+		}
+	}
+	return out
+}
+
+// modeRun is everything observable about one run.
 type modeRun struct {
 	trace       []string
 	userResults string // rendered ExecUser results per segment
@@ -52,45 +94,47 @@ type modeRun struct {
 	rolledBack  []bool
 	firedByRule []map[string]int
 	observables []string
-	stateHash   [32]byte
+	state       string // stateOf before every assertion point and at the end
 	finalDB     string
 	livelocks   []string // rendered livelock witnesses, in order
 }
 
 // runMode executes seed + script segments (split on "assert" markers by
-// the caller into segs) through one engine mode and records everything
-// observable.
+// the caller into segs; a "!commit" segment commits instead) through one
+// side and records everything observable.
 func runMode(t *testing.T, sys *activerules.System, compiled bool, seed string, segs []string, opts twinOptions) modeRun {
 	t.Helper()
 	var run modeRun
-	eopts := opts.engineOpts(&run.trace)
-	eopts.Interpret = !compiled
-	eng := sys.NewEngine(sys.NewDB(), eopts)
-	if eng.Compiled() != compiled {
-		t.Fatalf("engine compiled=%v, want %v", eng.Compiled(), compiled)
-	}
+	p := newSide(sys, compiled, opts.engineOpts(&run.trace))
 	if seed != "" {
-		if _, err := eng.ExecUser(seed); err != nil {
+		if _, err := p.ExecUser(seed); err != nil {
 			t.Fatalf("seed: %v", err)
 		}
-		if err := eng.Commit(); err != nil {
+		if err := p.Commit(); err != nil {
 			t.Fatalf("seed commit: %v", err)
 		}
 	}
 	for _, seg := range segs {
+		if seg == "!commit" {
+			if err := p.Commit(); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			continue
+		}
 		if seg != "" {
-			res, err := eng.ExecUser(seg)
+			res, err := p.ExecUser(seg)
 			if err != nil {
 				run.userErr = fmt.Sprintf("%T: %v", err, err)
 				break
 			}
 			run.userResults += fmt.Sprintf("%+v\n", res)
 		}
-		res, err := eng.Assert()
+		run.state += stateOf(sys, p) + "\n"
+		res, err := p.Assert()
 		if err != nil {
 			run.assertErrs = append(run.assertErrs, fmt.Sprintf("%T: %v", err, err))
 			var le *activerules.LivelockError
-			if asLivelock(err, &le) {
+			if errors.As(err, &le) {
 				run.livelocks = append(run.livelocks,
 					fmt.Sprintf("period=%d steps=%d cycle=%v", le.Period, le.Steps, le.Cycle))
 			}
@@ -105,61 +149,57 @@ func runMode(t *testing.T, sys *activerules.System, compiled bool, seed string, 
 			run.observables = append(run.observables, ev.String())
 		}
 	}
-	run.stateHash = eng.StateHash()
-	run.finalDB = eng.DB().String()
+	run.state += stateOf(sys, p)
+	run.finalDB = p.DB().String()
 	return run
 }
 
-func asLivelock(err error, le **activerules.LivelockError) bool {
-	return errors.As(err, le)
-}
-
-// diffModes runs both modes and fails on any observable disagreement.
-// It returns the (oracle) interpreter run so callers can additionally
+// diffModes runs both sides and fails on any observable disagreement.
+// It returns the (oracle) reference run so callers can additionally
 // assert the scenario produced the outcome it was designed to produce.
 func diffModes(t *testing.T, sys *activerules.System, seed string, segs []string, opts twinOptions) modeRun {
 	t.Helper()
-	interp := runMode(t, sys, false, seed, segs, opts)
+	ref := runMode(t, sys, false, seed, segs, opts)
 	comp := runMode(t, sys, true, seed, segs, opts)
 
-	if !reflect.DeepEqual(interp.trace, comp.trace) {
-		t.Errorf("trace stream diverged:\n interp:   %q\n compiled: %q", interp.trace, comp.trace)
+	if !reflect.DeepEqual(ref.trace, comp.trace) {
+		t.Errorf("trace stream diverged:\n reference: %q\n compiled:  %q", ref.trace, comp.trace)
 	}
-	if interp.userResults != comp.userResults || interp.userErr != comp.userErr {
-		t.Errorf("user results diverged:\n interp:   %q %q\n compiled: %q %q",
-			interp.userResults, interp.userErr, comp.userResults, comp.userErr)
+	if ref.userResults != comp.userResults || ref.userErr != comp.userErr {
+		t.Errorf("user results diverged:\n reference: %q %q\n compiled:  %q %q",
+			ref.userResults, ref.userErr, comp.userResults, comp.userErr)
 	}
-	if !reflect.DeepEqual(interp.assertErrs, comp.assertErrs) {
-		t.Errorf("assert error taxonomy diverged:\n interp:   %v\n compiled: %v", interp.assertErrs, comp.assertErrs)
+	if !reflect.DeepEqual(ref.assertErrs, comp.assertErrs) {
+		t.Errorf("assert error taxonomy diverged:\n reference: %v\n compiled:  %v", ref.assertErrs, comp.assertErrs)
 	}
-	if !reflect.DeepEqual(interp.livelocks, comp.livelocks) {
-		t.Errorf("livelock witnesses diverged:\n interp:   %v\n compiled: %v", interp.livelocks, comp.livelocks)
+	if !reflect.DeepEqual(ref.livelocks, comp.livelocks) {
+		t.Errorf("livelock witnesses diverged:\n reference: %v\n compiled:  %v", ref.livelocks, comp.livelocks)
 	}
-	if !reflect.DeepEqual(interp.considered, comp.considered) ||
-		!reflect.DeepEqual(interp.fired, comp.fired) ||
-		!reflect.DeepEqual(interp.rolledBack, comp.rolledBack) ||
-		!reflect.DeepEqual(interp.firedByRule, comp.firedByRule) {
-		t.Errorf("results diverged:\n interp:   c=%v f=%v rb=%v by=%v\n compiled: c=%v f=%v rb=%v by=%v",
-			interp.considered, interp.fired, interp.rolledBack, interp.firedByRule,
+	if !reflect.DeepEqual(ref.considered, comp.considered) ||
+		!reflect.DeepEqual(ref.fired, comp.fired) ||
+		!reflect.DeepEqual(ref.rolledBack, comp.rolledBack) ||
+		!reflect.DeepEqual(ref.firedByRule, comp.firedByRule) {
+		t.Errorf("results diverged:\n reference: c=%v f=%v rb=%v by=%v\n compiled:  c=%v f=%v rb=%v by=%v",
+			ref.considered, ref.fired, ref.rolledBack, ref.firedByRule,
 			comp.considered, comp.fired, comp.rolledBack, comp.firedByRule)
 	}
-	if !reflect.DeepEqual(interp.observables, comp.observables) {
-		t.Errorf("observable stream diverged:\n interp:   %q\n compiled: %q", interp.observables, comp.observables)
+	if !reflect.DeepEqual(ref.observables, comp.observables) {
+		t.Errorf("observable stream diverged:\n reference: %q\n compiled:  %q", ref.observables, comp.observables)
 	}
-	if interp.stateHash != comp.stateHash {
-		t.Errorf("state hash diverged: %x vs %x", interp.stateHash, comp.stateHash)
+	if ref.state != comp.state {
+		t.Errorf("state (database fingerprint, pending transitions) diverged:\n reference: %s\n compiled:  %s", ref.state, comp.state)
 	}
-	if interp.finalDB != comp.finalDB {
-		t.Errorf("final database diverged:\n interp:\n%s compiled:\n%s", interp.finalDB, comp.finalDB)
+	if ref.finalDB != comp.finalDB {
+		t.Errorf("final database diverged:\n reference:\n%s compiled:\n%s", ref.finalDB, comp.finalDB)
 	}
-	return interp
+	return ref
 }
 
 // TestCompileDifferentialGenerated sweeps a grid of generated workloads
 // — 24 configurations crossing seeds, trigger-graph topology,
-// transition-table usage, and condition density — through both modes.
+// transition-table usage, and condition density — through both sides.
 // Cyclic configurations may livelock or exhaust the step budget; the
-// two modes must then fail identically, witness for witness.
+// two sides must then fail identically, witness for witness.
 func TestCompileDifferentialGenerated(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, acyclic := range []bool{true, false} {
@@ -266,7 +306,7 @@ func TestCompileDifferentialExamples(t *testing.T) {
 		tc := tc
 		t.Run(tc.dir, func(t *testing.T) {
 			sys, err := activerules.LoadFiles(
-				"testdata/"+tc.dir+"/schema.sdl", "testdata/"+tc.dir+"/rules.srl")
+				"../../testdata/"+tc.dir+"/schema.sdl", "../../testdata/"+tc.dir+"/rules.srl")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,7 +324,7 @@ func TestCompileDifferentialHandwritten(t *testing.T) {
 		segs                      []string
 		maxSteps                  int
 		// check asserts the scenario exercised what its name promises
-		// (on the oracle run; diffModes already proved both modes agree).
+		// (on the oracle run; diffModes already proved both sides agree).
 		check func(t *testing.T, run modeRun)
 	}{
 		{
@@ -381,6 +421,25 @@ then insert into t select v + 1 from inserted
 			check: func(t *testing.T, run modeRun) {
 				if len(run.assertErrs) == 0 || run.assertErrs[0] == "<nil>" {
 					t.Errorf("budget exhaustion not surfaced: %v", run.assertErrs)
+				}
+			},
+		},
+		{
+			// Commit starts every rule's transition afresh: the first
+			// write after it is pending for copy before the next
+			// assertion point, though copy was last considered further
+			// into the history of the transaction before.
+			name:   "commit-between-assertions",
+			schema: "table t (v int)\ntable u (v int)",
+			rules: `
+create rule copy on t
+when inserted
+then insert into u select v from inserted
+`,
+			segs: []string{"insert into t values (1), (2)", "!commit", "insert into t values (3)"},
+			check: func(t *testing.T, run modeRun) {
+				if !strings.Contains(run.state, "copy: inserted (1:3)") {
+					t.Errorf("the write after the commit is not pending for copy:\n%s", run.state)
 				}
 			},
 		},
@@ -511,12 +570,13 @@ func wantObservables(t *testing.T, run modeRun, rows string) {
 }
 
 // TestCompileDifferentialUserShapes holds a compiled engine's user
-// statements, which run through its shape cache, to the interpreter:
-// runs of one shape with differing literals — nulls, negatives (a unary
-// minus over a lifted literal), ints either side of 2⁵³, ints against
-// floats, strings with quotes — shapes that differ only in a LIMIT or an
-// IN-list's length, and failing statements, each followed by a
-// statement of a shape already cached. Every script's results or error
+// statements, which run through its shape cache, to the reference, which
+// interprets them: runs of one shape with differing literals — nulls,
+// negatives (a unary minus over a lifted literal), ints either side of
+// 2⁵³, ints against floats, strings with quotes — shapes that differ
+// only in a LIMIT or an IN-list's length, and failing statements, each
+// followed by a statement of a shape already cached. Every script's
+// results or error
 // and the database after it must agree; a failing script must leave the
 // database as it was.
 func TestCompileDifferentialUserShapes(t *testing.T) {
@@ -596,35 +656,35 @@ func TestCompileDifferentialUserShapes(t *testing.T) {
 	}
 	var dbs [2][]string
 	for mode, compiled := range []bool{false, true} {
-		eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 100, Interpret: !compiled})
+		p := newSide(sys, compiled, activerules.EngineOptions{MaxSteps: 100})
 		for _, sc := range scripts {
-			before := eng.DB().String()
-			res, err := eng.ExecUser(sc.sql)
+			before := p.DB().String()
+			res, err := p.ExecUser(sc.sql)
 			line := fmt.Sprintf("%+v", res)
 			if err != nil {
 				line = fmt.Sprintf("%T: %v", err, err)
-				if eng.DB().String() != before {
+				if p.DB().String() != before {
 					t.Errorf("compiled=%v: %q failed and changed the database", compiled, sc.sql)
 				}
-			} else if _, err := eng.Assert(); err != nil {
+			} else if _, err := p.Assert(); err != nil {
 				line += fmt.Sprintf(" assert: %T: %v", err, err)
 			}
 			if !compiled && sc.want != "" && line != sc.want {
-				t.Errorf("interpreted %q: %s, want %s", sc.sql, line, sc.want)
+				t.Errorf("reference %q: %s, want %s", sc.sql, line, sc.want)
 			}
-			dbs[mode] = append(dbs[mode], line+"\n"+eng.DB().String())
+			dbs[mode] = append(dbs[mode], line+"\n"+p.DB().String())
 		}
 	}
 	for i, sc := range scripts {
 		if dbs[0][i] != dbs[1][i] {
-			t.Errorf("%q diverged:\n interp:\n%s\n compiled:\n%s", sc.sql, dbs[0][i], dbs[1][i])
+			t.Errorf("%q diverged:\n reference:\n%s\n compiled:\n%s", sc.sql, dbs[0][i], dbs[1][i])
 		}
 	}
 }
 
 // TestCompileDifferentialProbes holds point UPDATEs and DELETEs, which a
-// compiled engine answers from an equality index, to the interpreter,
-// which never probes: as user SQL and as rule actions, on a unique int
+// compiled engine answers from an equality index, to the reference,
+// whose interpreter never probes: as user SQL and as rule actions, on a unique int
 // key and a string key held by two rows, beside nulls in the key
 // column, after an UPDATE that rewrites the probed column, after a rule
 // action's rollback and after Engine.Rollback (both savepoint
@@ -669,28 +729,28 @@ then rollback
 	}
 	var runs [2][]string
 	for mode, compiled := range []bool{false, true} {
-		eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 100, Interpret: !compiled})
+		p := newSide(sys, compiled, activerules.EngineOptions{MaxSteps: 100})
 		for _, step := range steps {
 			var line string
 			switch step {
 			case "!commit":
-				line = fmt.Sprint(eng.Commit())
+				line = fmt.Sprint(p.Commit())
 			case "!rollback":
-				line = fmt.Sprint(eng.Rollback())
+				line = fmt.Sprint(p.Rollback())
 			default:
-				res, err := eng.ExecUser(step)
+				res, err := p.ExecUser(step)
 				line = fmt.Sprintf("%+v %v", res, err)
 				if err == nil {
-					ares, err := eng.Assert()
+					ares, err := p.Assert()
 					line += fmt.Sprintf(" assert: fired=%d rolledBack=%v %v", ares.Fired, ares.RolledBack, err)
 				}
 			}
-			runs[mode] = append(runs[mode], line+"\n"+eng.DB().String())
+			runs[mode] = append(runs[mode], line+"\n"+p.DB().String())
 		}
 	}
 	for i, step := range steps {
 		if runs[0][i] != runs[1][i] {
-			t.Errorf("%q diverged:\n interp:\n%s\n compiled:\n%s", step, runs[0][i], runs[1][i])
+			t.Errorf("%q diverged:\n reference:\n%s\n compiled:\n%s", step, runs[0][i], runs[1][i])
 		}
 	}
 	for i, want := range map[int]string{7: "rolledBack=true", 12: "division by zero", 13: "division by zero"} {
@@ -703,9 +763,10 @@ then rollback
 // TestCompileDifferentialProbesExplored model-checks rule actions that
 // probe — each fork of the explorer starts without its parent's
 // indexes; a fork's first probe of a column scans and its second (inc's
-// delete) builds the fork's own index — in both modes, and requires
-// identical verdicts and final states. Without priorities the three
-// rules' orders reach four final states.
+// delete) builds the fork's own index — with execgraph.Explore on the
+// engine and with the exhaustive search over reference forks, and
+// requires identical verdicts and final states. Without priorities the
+// three rules' orders reach four final states.
 func TestCompileDifferentialProbesExplored(t *testing.T) {
 	sys, err := activerules.Load("table acct (id int, bal int)\ntable ev (v int)", `
 create rule dbl on ev
@@ -723,28 +784,121 @@ then update acct set id = 20 where id = 2
 	if err != nil {
 		t.Fatal(err)
 	}
-	explore := func(compiled bool) (bool, [][32]byte) {
-		eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 100, Interpret: !compiled})
-		if _, err := eng.ExecUser("insert into acct values (1, 10), (2, 20), (3, 30)"); err != nil {
+	prepare := func(p processor) {
+		if _, err := p.ExecUser("insert into acct values (1, 10), (2, 20), (3, 30)"); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Commit(); err != nil {
+		if err := p.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.ExecUser("update acct set bal = 11 where id = 1; insert into ev values (1)"); err != nil {
+		if _, err := p.ExecUser("update acct set bal = 11 where id = 1; insert into ev values (1)"); err != nil {
 			t.Fatal(err)
 		}
-		res, err := activerules.Explore(eng, activerules.ExploreOptions{MaxStates: 10000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Terminates(), res.FinalFingerprints()
 	}
-	term, finals := explore(false)
-	if len(finals) != 4 {
-		t.Fatalf("the interpreted exploration reached %d final states, want 4", len(finals))
+	opts := activerules.EngineOptions{MaxSteps: 100}
+	ref := newSide(sys, false, opts)
+	prepare(ref)
+	oracle := exploreReference(t, ref.(*engine.Reference), false, 10000)
+	if len(oracle.finals) != 4 {
+		t.Fatalf("the reference search reached %d final states, want 4", len(oracle.finals))
 	}
-	if cterm, cfinals := explore(true); cterm != term || !reflect.DeepEqual(cfinals, finals) {
-		t.Errorf("compiled exploration: terminates=%v, finals %x; interpreted: %v, %x", cterm, cfinals, term, finals)
+	eng := newSide(sys, true, opts)
+	prepare(eng)
+	if got := exploreEngine(t, eng.(*engine.Engine), activerules.ExploreOptions{MaxStates: 10000}); !reflect.DeepEqual(got, oracle) {
+		t.Errorf("compiled exploration: %+v; reference: %+v", got, oracle)
 	}
+}
+
+// explored is what the differentials compare of an exhaustive
+// exploration: whether every path ends, the distinct final database
+// fingerprints and (when tracked) the distinct observable streams,
+// each sorted.
+type explored struct {
+	terminates bool
+	finals     [][32]byte
+	streams    []string
+}
+
+// exploreEngine runs execgraph.Explore on eng.
+func exploreEngine(t *testing.T, eng *engine.Engine, opts activerules.ExploreOptions) explored {
+	t.Helper()
+	res, err := activerules.Explore(eng, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return explored{terminates: res.Terminates(), finals: res.FinalFingerprints(), streams: res.StreamRenderings()}
+}
+
+// exploreReference is the explorer's oracle, written apart from
+// internal/execgraph: a depth-first search over forks of ref from its
+// assertion point's initial state that considers every eligible rule of
+// every state, keys states by the reference's own state identity (the
+// observable history added when track is set), reports a revisit on the
+// current path as a cycle, and collects the final databases and
+// observable streams of the paths that end. More than maxStates states
+// make it inconclusive.
+func exploreReference(t *testing.T, ref *engine.Reference, track bool, maxStates int) explored {
+	t.Helper()
+	finals, streams := map[[32]byte]bool{}, map[string]bool{}
+	done, onPath := map[string]bool{}, map[string]bool{}
+	cycle, bound := false, false
+	final := func(p *engine.Reference, stream string) {
+		finals[p.DB().Fingerprint()] = true
+		if track {
+			streams[stream] = true
+		}
+	}
+	var visit func(p *engine.Reference, stream string)
+	visit = func(p *engine.Reference, stream string) {
+		key := p.StateKey()
+		if track && stream != "" {
+			key += "#" + stream
+		}
+		switch {
+		case onPath[key]:
+			cycle = true
+			return
+		case done[key]:
+			return
+		case len(done) >= maxStates:
+			bound = true
+			return
+		}
+		onPath[key] = true
+		defer func() { delete(onPath, key); done[key] = true }()
+		eligible := p.EligibleRules()
+		if len(eligible) == 0 {
+			final(p, stream)
+			return
+		}
+		for _, r := range eligible {
+			fork := p.Clone()
+			_, events, rolled, err := fork.Consider(r)
+			if err != nil {
+				t.Fatalf("reference search: considering %s: %v", r.Name, err)
+			}
+			next := stream
+			for _, ev := range events {
+				next += ev.String() + "\n"
+			}
+			if rolled {
+				final(fork, next)
+				continue
+			}
+			visit(fork, next)
+		}
+	}
+	root := ref.Clone()
+	root.BeginAssert()
+	visit(root, "")
+	out := explored{terminates: !cycle && !bound, finals: [][32]byte{}, streams: []string{}}
+	for fp := range finals {
+		out.finals = append(out.finals, fp)
+	}
+	sort.Slice(out.finals, func(i, j int) bool { return string(out.finals[i][:]) < string(out.finals[j][:]) })
+	for s := range streams {
+		out.streams = append(out.streams, s)
+	}
+	sort.Strings(out.streams)
+	return out
 }

@@ -1,11 +1,12 @@
-package activerules_test
+package engine_test
 
 // Metamorphic properties of the compiled hot path: observable behavior
 // must be invariant under transformations that cannot matter — the
-// order rules were loaded in, the explorer's worker count, and whether
-// the delta-driven trigger index is maintained incrementally or rebuilt
-// from scratch between steps. Each invariance is checked in both modes
-// and cross-checked compiled-vs-interpreted.
+// order rules were loaded in, and whether the delta-driven trigger index
+// is maintained incrementally or rebuilt from scratch between steps.
+// Each invariance is checked on the engine and on the reference rule
+// processor, and cross-checked engine-vs-reference; the explorer is
+// held to an exhaustive search over reference forks.
 
 import (
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"activerules"
+	"activerules/internal/engine"
 	"activerules/internal/rules"
 	"activerules/internal/workload"
 )
@@ -45,8 +47,8 @@ func metamorphicScript(sch *activerules.Schema) (seed string, segs []string) {
 
 // invariantView strips a modeRun down to what load-order permutation
 // must preserve. Trace streams legitimately differ (the "choose" events
-// list triggered rules in definition order), and StateHash covers
-// engine bookkeeping indexed by definition order (per-rule marks), so
+// list triggered rules in definition order), and so does the state
+// rendering (per-rule pending transitions, in definition order), so
 // neither is included; the database content, every count, and the
 // observable stream may not differ.
 type invariantView struct {
@@ -69,9 +71,9 @@ func view(r modeRun) invariantView {
 
 // TestCompileMetamorphicLoadOrder permutes the order rule definitions
 // are loaded in. Under the deterministic FirstByName strategy the whole
-// run — counts, observables, state hash — must be permutation-invariant
-// in both modes (the strategy picks by name; candidate scanning and
-// TriggeredRules only affect order within the eligible set).
+// run — counts, observables, final database — must be permutation-
+// invariant on both sides (the strategy picks by name; candidate scanning
+// and TriggeredRules only affect order within the eligible set).
 func TestCompileMetamorphicLoadOrder(t *testing.T) {
 	g := metamorphicWorkload(t)
 	seed, segs := metamorphicScript(g.Schema)
@@ -104,20 +106,20 @@ func TestCompileMetamorphicLoadOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		interp := runMode(t, sys, false, seed, segs, twinOptions{maxSteps: 500})
+		ref := runMode(t, sys, false, seed, segs, twinOptions{maxSteps: 500})
 		comp := runMode(t, sys, true, seed, segs, twinOptions{maxSteps: 500})
-		// Within one permutation the two modes must agree exactly,
-		// including the state hash and the trace stream.
-		if interp.stateHash != comp.stateHash {
-			t.Errorf("%s: compiled state hash diverged from interpreted", name)
+		// Within one permutation the two sides must agree exactly,
+		// including the final state and the trace stream.
+		if ref.state != comp.state {
+			t.Errorf("%s: compiled final state diverged from the reference", name)
 		}
-		if !reflect.DeepEqual(interp.trace, comp.trace) {
-			t.Errorf("%s: compiled trace diverged from interpreted", name)
+		if !reflect.DeepEqual(ref.trace, comp.trace) {
+			t.Errorf("%s: compiled trace diverged from the reference", name)
 		}
 		for _, m := range []struct {
 			label string
 			run   modeRun
-		}{{"interpreted", interp}, {"compiled", comp}} {
+		}{{"reference", ref}, {"compiled", comp}} {
 			v := view(m.run)
 			if baseline == nil {
 				baseline = &v
@@ -135,8 +137,9 @@ func TestCompileMetamorphicLoadOrder(t *testing.T) {
 }
 
 // TestCompileMetamorphicExploreParallel model-checks one branching
-// workload in both modes and requires identical verdicts, final states,
-// and observable streams. The interpreted exploration is the oracle.
+// workload with execgraph.Explore on the engine and requires the
+// verdict, final states and observable streams of the exhaustive search
+// over reference forks, the oracle.
 func TestCompileMetamorphicExploreParallel(t *testing.T) {
 	g, err := workload.Generate(workload.Config{
 		Seed: 4, Rules: 7, Tables: 3, Acyclic: true, WriteFanout: 2,
@@ -153,49 +156,27 @@ func TestCompileMetamorphicExploreParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	script := workload.UserScript(g.Schema, rng, 5)
 
-	mkEngine := func(compiled bool) *activerules.Engine {
-		eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 500, Interpret: !compiled})
-		if _, err := eng.ExecUser(seed); err != nil {
+	prepare := func(compiled bool) processor {
+		p := newSide(sys, compiled, activerules.EngineOptions{MaxSteps: 500})
+		if _, err := p.ExecUser(seed); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Commit(); err != nil {
+		if err := p.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.ExecUser(script); err != nil {
+		if _, err := p.ExecUser(script); err != nil {
 			t.Fatal(err)
 		}
-		return eng
+		return p
 	}
 
-	type verdict struct {
-		terminates   bool
-		fingerprints [][32]byte
-		streams      []string
-	}
-	render := func(res *activerules.ExploreResult) verdict {
-		return verdict{
-			terminates:   res.Terminates(),
-			fingerprints: res.FinalFingerprints(),
-			streams:      res.StreamRenderings(),
-		}
-	}
-
-	opts := activerules.ExploreOptions{TrackObservables: true, MaxStates: 50000}
-	oracleRes, err := activerules.Explore(mkEngine(false), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := render(oracleRes)
-	if len(oracle.fingerprints) == 0 {
+	oracle := exploreReference(t, prepare(false).(*engine.Reference), true, 50000)
+	if len(oracle.finals) == 0 {
 		t.Fatal("oracle exploration found no final states")
 	}
-
-	res, err := activerules.Explore(mkEngine(true), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := render(res); !reflect.DeepEqual(got, oracle) {
-		t.Errorf("compiled exploration diverged from the interpreted oracle\n got:    %+v\n oracle: %+v", got, oracle)
+	opts := activerules.ExploreOptions{TrackObservables: true, MaxStates: 50000}
+	if got := exploreEngine(t, prepare(true).(*engine.Engine), opts); !reflect.DeepEqual(got, oracle) {
+		t.Errorf("compiled exploration diverged from the reference search\n got:    %+v\n oracle: %+v", got, oracle)
 	}
 }
 
@@ -204,7 +185,7 @@ func TestCompileMetamorphicExploreParallel(t *testing.T) {
 // step. The incremental index is a lazy superset of the rebuilt
 // fixpoint, and candidacy is filtered through the exact transition
 // predicate, so the chosen rules — and therefore every observable —
-// must be identical. The interpreted stepper is run too, as the oracle.
+// must be identical. The reference, stepped the same way, is the oracle.
 func TestCompileMetamorphicRebuildIndex(t *testing.T) {
 	g := metamorphicWorkload(t)
 	seed, segs := metamorphicScript(g.Schema)
@@ -218,11 +199,17 @@ func TestCompileMetamorphicRebuildIndex(t *testing.T) {
 	type stepRun struct {
 		chosen []string
 		fired  []bool
-		finals []string // StateFingerprint after each segment's quiescence
+		finals []string // stateOf after each segment's quiescence
+	}
+	type stepper interface {
+		processor
+		BeginAssert()
+		EligibleRules() []*rules.Rule
+		Consider(*rules.Rule) (bool, []engine.ObservableEvent, bool, error)
 	}
 	drive := func(compiled, rebuild bool) stepRun {
 		t.Helper()
-		eng := sys.NewEngine(sys.NewDB(), activerules.EngineOptions{MaxSteps: 500, Interpret: !compiled})
+		eng := newSide(sys, compiled, activerules.EngineOptions{MaxSteps: 500}).(stepper)
 		if _, err := eng.ExecUser(seed); err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +227,7 @@ func TestCompileMetamorphicRebuildIndex(t *testing.T) {
 					t.Fatal("stepper exceeded budget; workload is supposed to terminate")
 				}
 				if rebuild {
-					eng.RebuildTriggerIndex()
+					eng.(*engine.Engine).RebuildTriggerIndex()
 				}
 				eligible := eng.EligibleRules()
 				if len(eligible) == 0 {
@@ -262,7 +249,7 @@ func TestCompileMetamorphicRebuildIndex(t *testing.T) {
 				run.chosen = append(run.chosen, r.Name)
 				run.fired = append(run.fired, fired)
 			}
-			run.finals = append(run.finals, eng.StateFingerprint())
+			run.finals = append(run.finals, stateOf(sys, eng))
 			if err := eng.Commit(); err != nil {
 				t.Fatal(err)
 			}
@@ -280,11 +267,10 @@ func TestCompileMetamorphicRebuildIndex(t *testing.T) {
 	}{
 		{"compiled-incremental", true, false},
 		{"compiled-rebuilt", true, true},
-		{"interpreted-rebuild-noop", false, true},
 	} {
 		got := drive(tc.compiled, tc.rebuild)
 		if !reflect.DeepEqual(got, oracle) {
-			t.Errorf("%s diverged from interpreted stepper:\n got:    %+v\n oracle: %+v", tc.label, got, oracle)
+			t.Errorf("%s diverged from the reference stepper:\n got:    %+v\n oracle: %+v", tc.label, got, oracle)
 		}
 	}
 }

@@ -98,16 +98,7 @@ type Options struct {
 	// fault injection (internal/faultinject). The wrapper sees exactly
 	// the statements that change rows, each with all its rows.
 	WrapMutator func(Mutator) Mutator
-	// Interpret selects the reference interpreter, the oracle the
-	// differential tests compare the compiled program against. By
-	// default rule conditions and actions run as closures compiled once
-	// per rule set (internal/compile), ExecUser's texts as closures
-	// compiled once per token key, and triggered-rule discovery is
-	// delta-driven: mutations mark candidate rules through a
-	// per-(table, op-kind) index. With Interpret, sqlmini.Evaluator runs
-	// all of it. The two are observably identical.
-	Interpret bool
-	// Deprecated: ignored; every engine compiles unless Interpret is set.
+	// Deprecated: ignored; every engine compiles.
 	Compiled bool
 	// Journal, when non-nil, receives transaction boundaries for
 	// write-ahead logging (internal/wal): Commit at every quiescent
@@ -177,19 +168,13 @@ type Engine struct {
 	// transition from assertStart.
 	inFlight bool
 
-	// prog and cand are set unless Options.Interpret: the set's compiled
-	// closures (shared, immutable) and this engine's candidate bitset for
-	// delta-driven triggering.
+	// prog and cand are the set's compiled closures (shared, immutable)
+	// and this engine's candidate bitset for delta-driven triggering.
 	prog *compile.Program
 	cand *compile.Candidates
 
-	// every is the scan's rule set in interpreted mode, which has no
-	// candidates: every rule of the set, as candidate words (Words).
-	every rules.Bits
-
 	// user runs ExecUser's texts compiled once per token key; made on
-	// the first ExecUser of a compiled engine, and never shared with a
-	// fork.
+	// the first ExecUser, and never shared with a fork.
 	user *compile.UserCache
 
 	// Scratch of the firing loop, reused from step to step and never
@@ -264,15 +249,8 @@ func New(set *rules.Set, db *storage.DB, opts Options) *Engine {
 		memo:  make([]pendingMemo, set.Len()),
 	}
 	e.bindTables()
-	if opts.Interpret {
-		e.every = rules.NewBits(set.Len())
-		for i := range set.Len() {
-			e.every.Add(i)
-		}
-	} else {
-		e.prog = compile.For(set)
-		e.cand = e.prog.Matcher().NewCandidates()
-	}
+	e.prog = compile.For(set)
+	e.cand = e.prog.Matcher().NewCandidates()
 	e.above = rules.NewBits(set.Len())
 	e.begin()
 	return e
@@ -286,24 +264,9 @@ func (e *Engine) bindTables() {
 	}
 }
 
-// Compiled reports whether this engine runs the compiled hot path.
-func (e *Engine) Compiled() bool { return e.prog != nil }
-
-// Program returns the compiled program, or nil in interpreted mode.
-// Engines over one rule set share one program; tests check that
-// identity through it.
+// Program returns the compiled program. Engines over one rule set share
+// one program; tests check that identity through it.
 func (e *Engine) Program() *compile.Program { return e.prog }
-
-// RebuildTriggerIndex recomputes the candidate bitset from scratch out
-// of the database's history and the rule marks, discarding the
-// incrementally maintained bits. The two paths are observably
-// equivalent (the incremental bits are a superset that the triggered
-// check filters identically); metamorphic tests drive both.
-func (e *Engine) RebuildTriggerIndex() {
-	if e.cand != nil {
-		e.cand.Rebuild(e.tabs, e.marks)
-	}
-}
 
 // DB returns the engine's database.
 func (e *Engine) DB() *storage.DB { return e.db }
@@ -335,8 +298,8 @@ func (e *Engine) mutator() sqlmini.Mutator {
 }
 
 // recordingMutator applies changes to the database, whose history is
-// the record of them. In compiled mode it additionally marks candidate
-// rules in the delta-driven trigger index: each statement notes its
+// the record of them, and marks candidate rules in the delta-driven
+// trigger index: each statement notes its
 // (table, kind) once, before its first row enters the history, so a
 // recorded operation can never trigger a rule without also marking it
 // (DESIGN.md §11.2).
@@ -366,7 +329,7 @@ func (m recordingMutator) Update(table string, cols []string, ids []storage.Tupl
 // note marks the rules watching kind on table when a statement of n
 // rows is about to be applied.
 func (m recordingMutator) note(table string, kind storage.ChangeKind, n int) {
-	if n > 0 && m.e.cand != nil {
+	if n > 0 {
 		m.e.cand.Note(table, kind)
 	}
 }
@@ -376,59 +339,24 @@ func (m recordingMutator) note(table string, kind storage.ChangeKind, n int) {
 // may contain multiple ';'-separated statements. SELECT statements return
 // their rows in the results; ROLLBACK is not permitted here.
 //
-// A compiled engine runs the text through a bounded per-engine cache
+// The engine runs the text through a bounded per-engine cache
 // (compile.UserCache) keyed by its token stream with the literals
 // lifted out. A text whose key the cache holds is lexed and run: it is
 // neither parsed, nor resolved, nor compiled. Any other text is parsed
 // from the tokens the lexer made, and each statement is resolved and
 // compiled before it runs, which costs about what interpreting it once
-// would over a small table and less over a large one. An engine with
-// Options.Interpret parses, resolves and interprets every statement; the
-// two are observably identical.
+// would over a small table and less over a large one.
 //
 // ExecUser is atomic: if any statement fails (or panics), the database,
 // and its history with it, is restored to its state at the call, so a
 // failed script leaves no partial transition behind.
 func (e *Engine) ExecUser(src string) (out []sqlmini.StmtResult, err error) {
-	if e.prog == nil {
-		return e.interpretUser(src)
-	}
 	if e.user == nil {
 		e.user = compile.NewUserCache(e.set.Schema())
 	}
 	err = e.atomically(func() (err error) {
 		out, err = e.user.Exec(src, e.db, e.mutator())
 		return err
-	}, userPanic)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// interpretUser is ExecUser on an engine with Options.Interpret.
-func (e *Engine) interpretUser(src string) ([]sqlmini.StmtResult, error) {
-	sts, err := sqlmini.ParseStatements(src)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]sqlmini.StmtResult, 0, len(sts))
-	err = e.atomically(func() error {
-		mut := e.mutator()
-		for _, st := range sts {
-			if _, ok := st.(*sqlmini.Rollback); ok {
-				return compile.ErrUserRollback
-			}
-			if err := sqlmini.ResolveStatement(st, &sqlmini.ResolveContext{Schema: e.set.Schema()}); err != nil {
-				return err
-			}
-			res, err := (&sqlmini.Evaluator{DB: e.db, Mut: mut}).Exec(st)
-			if err != nil {
-				return err
-			}
-			out = append(out, res)
-		}
-		return nil
 	}, userPanic)
 	if err != nil {
 		return nil, err
@@ -523,11 +451,11 @@ func (e *Engine) pendingNet(r *rules.Rule) (net *transition.Net, triggered bool)
 // table was written since the last scan; every other triggered rule
 // costs one check of its memo, made inline.
 //
-// In compiled mode only candidate rules are examined — rules marked by
-// a recorded operation of a kind they watch on their table. Candidacy
+// Only candidate rules are examined — rules marked by a recorded
+// operation of a kind they watch on their table. Candidacy
 // over-approximates triggering (DESIGN.md §11 proves a triggered rule
 // is always a candidate), and the exact transition predicate is still
-// read per candidate, so both modes return identical slices. A
+// read per candidate, so the slice is exactly the triggered rules. A
 // candidate with no valid memo whose watched kinds have no history entry
 // at or past its mark can never become triggered without a new Note, so
 // its bit is cleared.
@@ -539,11 +467,8 @@ func (e *Engine) TriggeredRules() []*rules.Rule {
 // valid until the next call.
 func (e *Engine) triggered() []*rules.Rule {
 	e.trig = e.trig[:0]
-	rs, gen, words := e.set.Rules(), e.db.HistoryGen(), e.every
-	if e.cand != nil {
-		words = e.cand.Words()
-	}
-	for w, word := range words {
+	rs, gen := e.set.Rules(), e.db.HistoryGen()
+	for w, word := range e.cand.Words() {
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 | bits.TrailingZeros64(word)
 			var triggered bool
@@ -553,7 +478,7 @@ func (e *Engine) triggered() []*rules.Rule {
 				if e.netHook != nil {
 					e.netHook(e, rs[i], m.net, triggered, false)
 				}
-			case e.cand != nil && e.cand.StaleAt(i, e.tabs[i], e.marks[i]):
+			case e.cand.StaleAt(i, e.tabs[i], e.marks[i]):
 				e.cand.Clear(i)
 			default:
 				_, triggered = e.pendingNet(rs[i])
@@ -606,22 +531,9 @@ func (e *Engine) Consider(r *rules.Rule) (fired bool, events []ObservableEvent, 
 		net, _ := e.pendingNet(r)
 		td := e.transitionData(net, r.Table)
 		e.marks[r.Index()] = e.db.HistoryLen()
-		// Compiled units run in the engine's one Env, the interpreter in
-		// an evaluator of its own.
-		var ev *sqlmini.Evaluator
-		if e.prog != nil {
-			e.env.DB, e.env.Trans, e.env.Mut = e.db, td, nil
-		} else {
-			ev = &sqlmini.Evaluator{DB: e.db, Trans: td}
-		}
+		e.env.DB, e.env.Trans, e.env.Mut = e.db, td, nil
 		if r.Condition != nil {
-			var cond bool
-			var err error
-			if e.prog != nil {
-				cond, err = e.prog.EvalCondition(r.Index(), &e.env)
-			} else {
-				cond, err = ev.EvalPredicate(r.Condition)
-			}
+			cond, err := e.prog.EvalCondition(r.Index(), &e.env)
 			if err != nil {
 				return &ExecError{Rule: r.Name, Cause: err}
 			}
@@ -630,20 +542,10 @@ func (e *Engine) Consider(r *rules.Rule) (fired bool, events []ObservableEvent, 
 			}
 		}
 
-		if e.prog != nil {
-			e.env.Mut = e.mutator()
-		} else {
-			ev.Mut = e.mutator()
-		}
+		e.env.Mut = e.mutator()
 		fired = true
 		for j, st := range r.Action {
-			var res sqlmini.StmtResult
-			var err error
-			if e.prog != nil {
-				res, err = e.prog.ExecStatement(r.Index(), j, &e.env)
-			} else {
-				res, err = ev.Exec(st)
-			}
+			res, err := e.prog.ExecStatement(r.Index(), j, &e.env)
 			if err != nil {
 				return &ExecError{Rule: r.Name, Statement: st.String(), Cause: err}
 			}
@@ -690,9 +592,7 @@ func (e *Engine) begin() {
 	}
 	e.assertStart = 0
 	e.inFlight = false
-	if e.cand != nil {
-		e.cand.Reset() // empty history: nothing can be triggered
-	}
+	e.cand.Reset() // empty history: nothing can be triggered
 }
 
 // BeginAssert prepares rule processing at an assertion point without
@@ -909,9 +809,7 @@ func (e *Engine) Clone() *Engine {
 	ne.memo = append([]pendingMemo(nil), e.memo...)
 	ne.trig, ne.elig, ne.netScratch, ne.td, ne.env, ne.user = nil, nil, transition.Scratch{}, sqlmini.TransitionData{}, compile.Env{}, nil
 	ne.fired, ne.firedRules, ne.above = nil, nil, rules.NewBits(e.set.Len())
-	if e.cand != nil {
-		ne.cand = e.cand.Clone()
-	}
+	ne.cand = e.cand.Clone()
 	return &ne
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"activerules/internal/compile"
 	"activerules/internal/ruledef"
 	"activerules/internal/rules"
 	"activerules/internal/schema"
@@ -28,9 +29,9 @@ func mkSet(t testing.TB, schemaSrc, rulesSrc string) (*rules.Set, *storage.DB) {
 	return set, storage.NewDB(sch)
 }
 
-// TestNewCompilesByDefault: the zero Options run the compiled program
-// on the bank example. Only Options.Interpret selects the reference
-// interpreter.
+// TestNewCompilesByDefault: every engine runs the set's compiled
+// program, one per rule set, on the bank example; the deprecated
+// Options.Compiled changes nothing.
 func TestNewCompilesByDefault(t *testing.T) {
 	sch, err := os.ReadFile("../../testdata/bank/schema.sdl")
 	if err != nil {
@@ -42,12 +43,12 @@ func TestNewCompilesByDefault(t *testing.T) {
 	}
 	set, db := mkSet(t, string(sch), string(rl))
 	e := New(set, db, Options{})
-	if !e.Compiled() {
-		t.Fatal("engine.New with zero Options runs the interpreter")
+	if e.Program() == nil || e.Program() != compile.For(set) {
+		t.Fatal("engine.New does not run the set's compiled program")
 	}
 	e.Close()
-	if New(set, db, Options{Interpret: true}).Compiled() {
-		t.Error("Options.Interpret still compiles")
+	if New(set, db, Options{Compiled: true}).Program() != e.Program() {
+		t.Error("engines over one set do not share one program")
 	}
 }
 
@@ -691,7 +692,7 @@ create rule lo on t when inserted then insert into u values (2)
 	}
 }
 
-// TestExecUserShapeCache: a compiled engine compiles each user script
+// TestExecUserShapeCache: an engine compiles each user script
 // once per token key. Texts that differ only in literal values hit it
 // (a row count or a literal's kind is part of the key), a failing
 // script leaves the database as it was and, once every statement of it
@@ -735,9 +736,5 @@ func TestExecUserShapeCache(t *testing.T) {
 	}
 	if fork := e.Clone(); fork.user != nil {
 		t.Error("a fork shares its parent's user cache")
-	}
-	ie := New(set, storage.NewDB(set.Schema()), Options{Interpret: true})
-	if _, err := ie.ExecUser("insert into t values (1, 1)"); err != nil || ie.user != nil {
-		t.Errorf("interpreting engine: err %v, user cache %v", err, ie.user != nil)
 	}
 }

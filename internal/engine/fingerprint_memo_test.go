@@ -24,47 +24,45 @@ import (
 // the same name; crashtest's checkRecovery reads the same oracle at
 // every recovered state.
 func TestFingerprintMemoDifferential(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
-		for seed := int64(1); seed <= 25; seed++ {
-			t.Run(fmt.Sprintf("compiled=%v/seed=%d", compiled, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed * 104729))
-				var oracle storage.FingerprintOracle
-				check := func(when string, db *storage.DB) {
-					t.Helper()
-					if err := oracle.Check(db); err != nil {
-						t.Fatalf("%s: %v", when, err)
-					}
+	for seed := int64(1); seed <= 25; seed++ {
+		t.Run(fmt.Sprintf("compiled=true/seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed * 104729))
+			var oracle storage.FingerprintOracle
+			check := func(when string, db *storage.DB) {
+				t.Helper()
+				if err := oracle.Check(db); err != nil {
+					t.Fatalf("%s: %v", when, err)
 				}
-				var held *Engine
-				stepFork := func(when string, fork *Engine) {
-					t.Helper()
-					fork.Assert() // an error leaves it suspended; the oracle is the check
-					check(when+", stepped", fork.DB())
-					if err := fork.Rollback(); err != nil {
-						t.Fatal(err)
-					}
-					check(when+", rolled back", fork.DB())
+			}
+			var held *Engine
+			stepFork := func(when string, fork *Engine) {
+				t.Helper()
+				fork.Assert() // an error leaves it suspended; the oracle is the check
+				check(when+", stepped", fork.DB())
+				if err := fork.Rollback(); err != nil {
+					t.Fatal(err)
 				}
-				rollbackScenario(t, compiled, seed, func(n int, e *Engine) {
-					when := fmt.Sprintf("before step %d", n)
-					if held != nil {
-						stepFork(when+": fork held across the parent's step", held)
-						held = nil
-					}
-					op := rng.Intn(6)
-					if op < 2 { // forks inherit clean digests
-						check(when, e.DB())
-					}
-					if op%2 == 0 {
-						a, b := e.Clone(), e.Clone()
-						stepFork(when+": fork", a)
-						held = b
-					}
-					if op == 5 {
-						check(when, e.DB())
-					}
-				})
+				check(when+", rolled back", fork.DB())
+			}
+			rollbackScenario(t, seed, func(n int, e *Engine) {
+				when := fmt.Sprintf("before step %d", n)
+				if held != nil {
+					stepFork(when+": fork held across the parent's step", held)
+					held = nil
+				}
+				op := rng.Intn(6)
+				if op < 2 { // forks inherit clean digests
+					check(when, e.DB())
+				}
+				if op%2 == 0 {
+					a, b := e.Clone(), e.Clone()
+					stepFork(when+": fork", a)
+					held = b
+				}
+				if op == 5 {
+					check(when, e.DB())
+				}
 			})
-		}
+		})
 	}
 }

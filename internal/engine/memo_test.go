@@ -123,7 +123,7 @@ func fingerprints(e *Engine) {
 // and adds between its steps what the scenario lacks: the state digests,
 // RebuildTriggerIndex, and pairs of forks of which one is stepped before
 // the parent moves on and the other after.
-func oracleScenario(t *testing.T, compiled bool, seed int64, o *recomputeOracle, dropGen bool) {
+func oracleScenario(t *testing.T, seed int64, o *recomputeOracle, dropGen bool) {
 	rng := rand.New(rand.NewSource(seed * 7919))
 	var held *Engine
 	step := func(fork *Engine) {
@@ -134,7 +134,7 @@ func oracleScenario(t *testing.T, compiled bool, seed int64, o *recomputeOracle,
 		fork.Assert() // an error leaves it suspended; the hook is the check
 		fingerprints(fork)
 	}
-	rollbackScenario(t, compiled, seed, func(n int, e *Engine) {
+	rollbackScenario(t, seed, func(n int, e *Engine) {
 		e.netHook = o.hook
 		if dropGen {
 			syncGen(e)
@@ -164,26 +164,24 @@ func syncGen(e *Engine) {
 	}
 }
 
-// TestPendingNetMemoDifferential: memo ≡ recompute, interpreted and
-// compiled, on the clone oracle's scenarios and on the generated
-// configurations of the compile differential battery.
+// TestPendingNetMemoDifferential: memo ≡ recompute, on the clone
+// oracle's scenarios and on the generated configurations of the compile
+// differential battery.
 func TestPendingNetMemoDifferential(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
-		t.Run(fmt.Sprintf("scenario/compiled=%v", compiled), func(t *testing.T) {
-			hits := 0
-			for seed := int64(1); seed <= 25; seed++ {
-				o := &recomputeOracle{}
-				oracleScenario(t, compiled, seed, o, false)
-				if o.err != nil {
-					t.Fatalf("seed=%d: %v", seed, o.err)
-				}
-				hits += o.hits
+	t.Run("scenario/compiled=true", func(t *testing.T) {
+		hits := 0
+		for seed := int64(1); seed <= 25; seed++ {
+			o := &recomputeOracle{}
+			oracleScenario(t, seed, o, false)
+			if o.err != nil {
+				t.Fatalf("seed=%d: %v", seed, o.err)
 			}
-			if hits == 0 {
-				t.Error("no answer came from the memo")
-			}
-		})
-	}
+			hits += o.hits
+		}
+		if hits == 0 {
+			t.Error("no answer came from the memo")
+		}
+	})
 	for _, seed := range []int64{1, 2, 3} {
 		for _, acyclic := range []bool{true, false} {
 			for _, transFrac := range []float64{0, 0.6} {
@@ -200,9 +198,7 @@ func TestPendingNetMemoDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						for _, compiled := range []bool{false, true} {
-							generatedOracleRun(t, g, compiled, seed)
-						}
+						generatedOracleRun(t, g, seed)
 					})
 				}
 			}
@@ -264,38 +260,36 @@ func TestPendingNetRefillDifferential(t *testing.T) {
 		seeds = 2
 	}
 	schemaSrc, rulesSrc := servedSystem(depth, fan)
-	for _, compiled := range []bool{false, true} {
-		refills := 0
-		for seed := int64(1); seed <= seeds; seed++ {
-			set, db := mkSet(t, schemaSrc, rulesSrc)
-			f := &fuse{}
-			e := New(set, db, Options{Interpret: !compiled, WrapMutator: f.wrap, MaxSteps: 200})
-			o := &recomputeOracle{}
-			last := make([]*transition.Net, set.Len())
-			e.netHook = func(e *Engine, r *rules.Rule, net *transition.Net, triggered, computed bool) {
-				if computed {
-					if net != emptyNet && net == last[r.Index()] {
-						refills++
-					}
-					last[r.Index()] = net
+	refills := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		set, db := mkSet(t, schemaSrc, rulesSrc)
+		f := &fuse{}
+		e := New(set, db, Options{WrapMutator: f.wrap, MaxSteps: 200})
+		o := &recomputeOracle{}
+		last := make([]*transition.Net, set.Len())
+		e.netHook = func(e *Engine, r *rules.Rule, net *transition.Net, triggered, computed bool) {
+			if computed {
+				if net != emptyNet && net == last[r.Index()] {
+					refills++
 				}
-				o.hook(e, r, net, triggered, computed)
+				last[r.Index()] = net
 			}
-			servedRun(t, e, f, rand.New(rand.NewSource(seed)), steps, depth)
-			if o.err != nil {
-				t.Fatalf("compiled=%v seed=%d: %v", compiled, seed, o.err)
-			}
-			for i, m := range e.memo {
-				if m.shared {
-					t.Fatalf("compiled=%v seed=%d: rule %d's memo slot is shared with a fork", compiled, seed, i)
-				}
+			o.hook(e, r, net, triggered, computed)
+		}
+		servedRun(t, e, f, rand.New(rand.NewSource(seed)), steps, depth)
+		if o.err != nil {
+			t.Fatalf("seed=%d: %v", seed, o.err)
+		}
+		for i, m := range e.memo {
+			if m.shared {
+				t.Fatalf("seed=%d: rule %d's memo slot is shared with a fork", seed, i)
 			}
 		}
-		if refills == 0 {
-			t.Errorf("compiled=%v: no net was refilled", compiled)
-		}
-		t.Logf("compiled=%v: %d nets refilled", compiled, refills)
 	}
+	if refills == 0 {
+		t.Errorf("no net was refilled")
+	}
+	t.Logf("%d nets refilled", refills)
 }
 
 // servedRun serves steps requests to a servedSystem of the given depth,
@@ -380,9 +374,9 @@ func servedRun(t *testing.T, e *Engine, f *fuse, rng *rand.Rand, steps, depth in
 // assertion points and a commit with the check mode on, a fork racing
 // the parent through each assertion. Cyclic sets exhaust the (small)
 // budget or livelock, which puts StateFingerprint on the path too.
-func generatedOracleRun(t *testing.T, g *workload.Generated, compiled bool, seed int64) {
+func generatedOracleRun(t *testing.T, g *workload.Generated, seed int64) {
 	o := &recomputeOracle{}
-	e := New(g.Set, workload.SeedDatabase(g.Schema, 3), Options{Interpret: !compiled, MaxSteps: 100})
+	e := New(g.Set, workload.SeedDatabase(g.Schema, 3), Options{MaxSteps: 100})
 	e.netHook = o.hook
 	rng := rand.New(rand.NewSource(seed * 31))
 	for seg := 0; seg < 3; seg++ {
@@ -401,7 +395,7 @@ func generatedOracleRun(t *testing.T, g *workload.Generated, compiled bool, seed
 		}
 	}
 	if o.err != nil {
-		t.Fatalf("compiled=%v: %v", compiled, o.err)
+		t.Fatalf("%v", o.err)
 	}
 }
 
@@ -421,26 +415,24 @@ func TestPendingNetMemoDifferentialCatchesMutations(t *testing.T) {
 		}},
 	}
 	for _, m := range mutations {
-		for _, compiled := range []bool{false, true} {
-			caught := 0
-			for seed := int64(1); seed <= 25; seed++ {
-				o := &recomputeOracle{stop: true, mutate: m.mutate}
-				func() {
-					defer func() {
-						if p := recover(); p != nil && p != any(o.err) {
-							panic(p)
-						}
-					}()
-					oracleScenario(t, compiled, seed, o, m.dropGen)
+		caught := 0
+		for seed := int64(1); seed <= 25; seed++ {
+			o := &recomputeOracle{stop: true, mutate: m.mutate}
+			func() {
+				defer func() {
+					if p := recover(); p != nil && p != any(o.err) {
+						panic(p)
+					}
 				}()
-				if o.err != nil {
-					caught++
-				}
+				oracleScenario(t, seed, o, m.dropGen)
+			}()
+			if o.err != nil {
+				caught++
 			}
-			t.Logf("%s, compiled=%v: caught on %d of 25 seeds", m.name, compiled, caught)
-			if caught == 0 {
-				t.Errorf("%s, compiled=%v: no scenario caught the seeded bug", m.name, compiled)
-			}
+		}
+		t.Logf("%s: caught on %d of 25 seeds", m.name, caught)
+		if caught == 0 {
+			t.Errorf("%s: no scenario caught the seeded bug", m.name)
 		}
 	}
 }
@@ -448,7 +440,7 @@ func TestPendingNetMemoDifferentialCatchesMutations(t *testing.T) {
 // fanChain builds the serving-cascade shape: a chain c0 -> c1 -> ... of
 // depth rules, and fan rules on the chain head that stay triggered, on a
 // table nothing else writes, while the chain runs.
-func fanChain(t *testing.T, depth, fan int, compiled bool) *Engine {
+func fanChain(t *testing.T, depth, fan int) *Engine {
 	var sch, rl strings.Builder
 	for i := 0; i <= depth; i++ {
 		fmt.Fprintf(&sch, "table c%d (v int)\n", i)
@@ -461,7 +453,7 @@ func fanChain(t *testing.T, depth, fan int, compiled bool) *Engine {
 		fmt.Fprintf(&rl, "create rule fan%03d on c0 when inserted then insert into f%d select v from inserted\n\n", j, j)
 	}
 	set, db := mkSet(t, sch.String(), rl.String())
-	e := New(set, db, Options{Interpret: !compiled})
+	e := New(set, db, Options{})
 	if _, err := e.ExecUser("insert into c0 values (1), (2), (3)"); err != nil {
 		t.Fatal(err)
 	}
@@ -488,57 +480,55 @@ func chainStep(t *testing.T, e *Engine) *rules.Rule {
 // or mark) — not one per triggered rule per step.
 func TestTriggerScanComputesEachNetOnce(t *testing.T) {
 	const depth, fan = 12, 8
-	for _, compiled := range []bool{false, true} {
-		e := fanChain(t, depth, fan, compiled)
-		computed := map[string]int{}
-		e.netHook = func(_ *Engine, r *rules.Rule, _ *transition.Net, _, c bool) {
-			if c {
-				computed[r.Name]++
-			}
+	e := fanChain(t, depth, fan)
+	computed := map[string]int{}
+	e.netHook = func(_ *Engine, r *rules.Rule, _ *transition.Net, _, c bool) {
+		if c {
+			computed[r.Name]++
 		}
-		total := func() (n int) {
-			for _, c := range computed {
-				n += c
-			}
-			return n
+	}
+	total := func() (n int) {
+		for _, c := range computed {
+			n += c
 		}
+		return n
+	}
 
-		// The first scan computes the net of every rule on c0, once.
-		triggered := e.TriggeredRules()
-		if len(triggered) != 1+fan || total() != 1+fan {
-			t.Fatalf("compiled=%v: first scan: %d triggered, %d nets computed, want %d of each",
-				compiled, len(triggered), total(), 1+fan)
-		}
-		// A second scan, the digests, and considering a scanned rule
-		// compute nothing.
-		e.TriggeredRules()
-		fingerprints(e)
-		if r := chainStep(t, e); r.Name != "chain000" || total() != 1+fan {
-			t.Fatalf("compiled=%v: considered %s after %d computations, want chain000 after %d",
-				compiled, r.Name, total(), 1+fan)
-		}
-		// Each further chain step computes exactly the next chain
-		// rule's net: the fan siblings stay triggered and untouched.
-		for i := 1; i < depth; i++ {
-			before := total()
-			r := chainStep(t, e)
-			if want := fmt.Sprintf("chain%03d", i); r.Name != want || total() != before+1 || computed[want] != 1 {
-				t.Fatalf("compiled=%v: step %d considered %s with %d computations (%d for it), want %s with 1",
-					compiled, i, r.Name, total()-before, computed[r.Name], want)
-			}
-		}
-		// The fan rules then run off the nets of the first scan.
+	// The first scan computes the net of every rule on c0, once.
+	triggered := e.TriggeredRules()
+	if len(triggered) != 1+fan || total() != 1+fan {
+		t.Fatalf("first scan: %d triggered, %d nets computed, want %d of each",
+			len(triggered), total(), 1+fan)
+	}
+	// A second scan, the digests, and considering a scanned rule
+	// compute nothing.
+	e.TriggeredRules()
+	fingerprints(e)
+	if r := chainStep(t, e); r.Name != "chain000" || total() != 1+fan {
+		t.Fatalf("considered %s after %d computations, want chain000 after %d",
+			r.Name, total(), 1+fan)
+	}
+	// Each further chain step computes exactly the next chain
+	// rule's net: the fan siblings stay triggered and untouched.
+	for i := 1; i < depth; i++ {
 		before := total()
-		for j := 0; j < fan; j++ {
-			chainStep(t, e)
+		r := chainStep(t, e)
+		if want := fmt.Sprintf("chain%03d", i); r.Name != want || total() != before+1 || computed[want] != 1 {
+			t.Fatalf("step %d considered %s with %d computations (%d for it), want %s with 1",
+				i, r.Name, total()-before, computed[r.Name], want)
 		}
-		if len(e.TriggeredRules()) != 0 || total() != before {
-			t.Fatalf("compiled=%v: the fan rules recomputed %d nets", compiled, total()-before)
-		}
-		for name, c := range computed {
-			if c != 1 {
-				t.Errorf("compiled=%v: %s's net was computed %d times", compiled, name, c)
-			}
+	}
+	// The fan rules then run off the nets of the first scan.
+	before := total()
+	for j := 0; j < fan; j++ {
+		chainStep(t, e)
+	}
+	if len(e.TriggeredRules()) != 0 || total() != before {
+		t.Fatalf("the fan rules recomputed %d nets", total()-before)
+	}
+	for name, c := range computed {
+		if c != 1 {
+			t.Errorf("%s's net was computed %d times", name, c)
 		}
 	}
 }
@@ -555,52 +545,50 @@ func TestTriggerScanComputesEachNetOnce(t *testing.T) {
 func TestTriggerScanMemoHitsReachHook(t *testing.T) {
 	const requests, depth, fan = 3, 24, 8
 	schemaSrc, rulesSrc, _ := workload.CascadeSources()
-	for _, compiled := range []bool{false, true} {
-		set, db := mkSet(t, schemaSrc, rulesSrc)
-		e := New(set, db, Options{Interpret: !compiled})
-		o := &recomputeOracle{}
-		e.netHook = o.hook
-		scanHits := 0
-		scan := func() []*rules.Rule {
-			before := o.hits
-			triggered := e.TriggeredRules()
-			scanHits += o.hits - before
-			return triggered
-		}
-		for req := 0; req < requests; req++ {
-			e.BeginAssert()
-			for _, sql := range []string{"insert into c0 values (1), (2)", "insert into c0 values (3), (4)"} {
-				if _, err := e.ExecUser(sql); err != nil {
-					t.Fatal(err)
-				}
-				if got := len(scan()); got != 1+fan {
-					t.Fatalf("compiled=%v: %d rules triggered on the chain head, want %d", compiled, got, 1+fan)
-				}
-			}
-			considered := 0
-			for eligible := e.set.Choose(nil, scan(), nil); len(eligible) > 0; eligible = e.set.Choose(nil, scan(), nil) {
-				if _, _, _, err := e.Consider(FirstByName{}.Pick(eligible)); err != nil {
-					t.Fatal(err)
-				}
-				considered++
-			}
-			if considered != depth+fan {
-				t.Fatalf("compiled=%v: request %d considered %d rules, want %d", compiled, req, considered, depth+fan)
-			}
-			if err := e.Commit(); err != nil {
+	set, db := mkSet(t, schemaSrc, rulesSrc)
+	e := New(set, db, Options{})
+	o := &recomputeOracle{}
+	e.netHook = o.hook
+	scanHits := 0
+	scan := func() []*rules.Rule {
+		before := o.hits
+		triggered := e.TriggeredRules()
+		scanHits += o.hits - before
+		return triggered
+	}
+	for req := 0; req < requests; req++ {
+		e.BeginAssert()
+		for _, sql := range []string{"insert into c0 values (1), (2)", "insert into c0 values (3), (4)"} {
+			if _, err := e.ExecUser(sql); err != nil {
 				t.Fatal(err)
 			}
+			if got := len(scan()); got != 1+fan {
+				t.Fatalf("%d rules triggered on the chain head, want %d", got, 1+fan)
+			}
 		}
-		if o.err != nil {
-			t.Fatalf("compiled=%v: %v", compiled, o.err)
+		considered := 0
+		for eligible := e.set.Choose(nil, scan(), nil); len(eligible) > 0; eligible = e.set.Choose(nil, scan(), nil) {
+			if _, _, _, err := e.Consider(FirstByName{}.Pick(eligible)); err != nil {
+				t.Fatal(err)
+			}
+			considered++
 		}
-		// Per request, the scan before chain00 serves its net and the fan
-		// rules' from the memo; the depth scans after a chain step serve
-		// the fan rules'; and the scan after the k-th fan rule's step
-		// serves the fan-k still triggered.
-		if want := requests * (1 + fan*(1+depth) + fan*(fan-1)/2); scanHits != want {
-			t.Errorf("compiled=%v: the scans served %d answers from the memo, want %d", compiled, scanHits, want)
+		if considered != depth+fan {
+			t.Fatalf("request %d considered %d rules, want %d", req, considered, depth+fan)
 		}
+		if err := e.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if o.err != nil {
+		t.Fatalf("%v", o.err)
+	}
+	// Per request, the scan before chain00 serves its net and the fan
+	// rules' from the memo; the depth scans after a chain step serve
+	// the fan rules'; and the scan after the k-th fan rule's step
+	// serves the fan-k still triggered.
+	if want := requests * (1 + fan*(1+depth) + fan*(fan-1)/2); scanHits != want {
+		t.Errorf("the scans served %d answers from the memo, want %d", scanHits, want)
 	}
 }
 
@@ -609,7 +597,7 @@ func TestTriggerScanMemoHitsReachHook(t *testing.T) {
 func TestTriggerScanAllocsFlatInSiblings(t *testing.T) {
 	const runs = 20
 	perStep := func(fan int) float64 {
-		e := fanChain(t, runs+2, fan, true)
+		e := fanChain(t, runs+2, fan)
 		chainStep(t, e) // fills the siblings' nets
 		return testing.AllocsPerRun(runs, func() { chainStep(t, e) })
 	}
@@ -631,39 +619,37 @@ func TestTriggerScanAllocsFlatInSiblings(t *testing.T) {
 // fork must reach the state a lone engine reaches.
 func TestForksShareMemoizedNetsAcrossGoroutines(t *testing.T) {
 	const depth, fan, forks = 6, 4, 8
-	for _, compiled := range []bool{false, true} {
-		run := func(e *Engine) (string, error) {
-			// Digest first: the forks race to memoize the shared nets'
-			// fingerprints.
-			fp := e.StateFingerprint()
-			if _, err := e.Assert(); err != nil {
-				return "", err
-			}
-			return fp + e.StateFingerprint(), nil
+	run := func(e *Engine) (string, error) {
+		// Digest first: the forks race to memoize the shared nets'
+		// fingerprints.
+		fp := e.StateFingerprint()
+		if _, err := e.Assert(); err != nil {
+			return "", err
 		}
-		parent := fanChain(t, depth, fan, compiled)
-		parent.TriggeredRules() // every rule on c0 now has a memoized net
-		chainStep(t, parent)    // and chain001 one computed after a firing
-		want, err := run(parent.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]string, forks)
-		errs := make([]error, forks)
-		var wg sync.WaitGroup
-		for i := range got {
-			fork := parent.Clone()
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				got[i], errs[i] = run(fork)
-			}(i)
-		}
-		wg.Wait()
-		for i := range got {
-			if errs[i] != nil || got[i] != want {
-				t.Errorf("compiled=%v: fork %d: err %v, reached the lone engine's state: %v", compiled, i, errs[i], got[i] == want)
-			}
+		return fp + e.StateFingerprint(), nil
+	}
+	parent := fanChain(t, depth, fan)
+	parent.TriggeredRules() // every rule on c0 now has a memoized net
+	chainStep(t, parent)    // and chain001 one computed after a firing
+	want, err := run(parent.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, forks)
+	errs := make([]error, forks)
+	var wg sync.WaitGroup
+	for i := range got {
+		fork := parent.Clone()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = run(fork)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || got[i] != want {
+			t.Errorf("fork %d: err %v, reached the lone engine's state: %v", i, errs[i], got[i] == want)
 		}
 	}
 }
@@ -676,51 +662,49 @@ func TestForksShareMemoizedNetsAcrossGoroutines(t *testing.T) {
 // reported race) and a second fork reads them afterwards: both see the
 // transition as it was computed.
 func TestForkSharedNetAliasesNoStorageRow(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
-		set, db := mkSet(t, "table t (k int, v int)", `
+	set, db := mkSet(t, "table t (k int, v int)", `
 create rule r on t when deleted, updated(v)
 then select k, v from deleted; select k, v from old-updated; select k, v from new-updated`)
-		db.MustInsert("t", storage.IntV(1), storage.IntV(10))
-		db.MustInsert("t", storage.IntV(2), storage.IntV(20))
-		e := New(set, db, Options{Interpret: !compiled})
-		if _, err := e.ExecUser("update t set v = v + 1 where k = 1; delete from t where k = 2"); err != nil {
-			t.Fatal(err)
+	db.MustInsert("t", storage.IntV(1), storage.IntV(10))
+	db.MustInsert("t", storage.IntV(2), storage.IntV(20))
+	e := New(set, db, Options{})
+	if _, err := e.ExecUser("update t set v = v + 1 where k = 1; delete from t where k = 2"); err != nil {
+		t.Fatal(err)
+	}
+	r := set.Rules()[0]
+	if trig := e.TriggeredRules(); len(trig) != 1 { // r's net is memoized
+		t.Fatalf("triggered %v", names(trig))
+	}
+	consider := func(f *Engine) string {
+		_, events, _, err := f.Consider(r)
+		if err != nil {
+			return err.Error()
 		}
-		r := set.Rules()[0]
-		if trig := e.TriggeredRules(); len(trig) != 1 { // r's net is memoized
-			t.Fatalf("triggered %v", names(trig))
-		}
-		consider := func(f *Engine) string {
-			_, events, _, err := f.Consider(r)
-			if err != nil {
-				return err.Error()
-			}
-			return fmt.Sprint(events)
-		}
-		const want = "[r: select k, v from deleted -> (2,20) r: select k, v from old-updated -> (1,10) r: select k, v from new-updated -> (1,11)]"
-		during, after := e.Clone(), e.Clone()
-		if during.memo[0].net != e.memo[0].net {
-			t.Fatal("the forks do not share the memoized net")
-		}
-		var got string
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got = consider(during)
-		}()
-		if err := e.Rollback(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.ExecUser("update t set k = 7, v = 77"); err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-		if got != want {
-			t.Errorf("compiled=%v: the fork reading during the parent's writes saw %s", compiled, got)
-		}
-		if got := consider(after); got != want {
-			t.Errorf("compiled=%v: the fork reading after the parent's writes saw %s", compiled, got)
-		}
+		return fmt.Sprint(events)
+	}
+	const want = "[r: select k, v from deleted -> (2,20) r: select k, v from old-updated -> (1,10) r: select k, v from new-updated -> (1,11)]"
+	during, after := e.Clone(), e.Clone()
+	if during.memo[0].net != e.memo[0].net {
+		t.Fatal("the forks do not share the memoized net")
+	}
+	var got string
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got = consider(during)
+	}()
+	if err := e.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ExecUser("update t set k = 7, v = 77"); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if got != want {
+		t.Errorf("the fork reading during the parent's writes saw %s", got)
+	}
+	if got := consider(after); got != want {
+		t.Errorf("the fork reading after the parent's writes saw %s", got)
 	}
 }

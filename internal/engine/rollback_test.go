@@ -245,12 +245,10 @@ func (m fusedMutator) Update(table string, cols []string, ids []storage.TupleID,
 // allocator), in place. Forks taken mid-transaction must roll back to
 // the same state without touching their parent, and vice versa.
 func TestRollbackMatchesCloneOracle(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
-		for seed := int64(1); seed <= 25; seed++ {
-			t.Run(fmt.Sprintf("compiled=%v/seed=%d", compiled, seed), func(t *testing.T) {
-				rollbackScenario(t, compiled, seed, nil)
-			})
-		}
+	for seed := int64(1); seed <= 25; seed++ {
+		t.Run(fmt.Sprintf("compiled=true/seed=%d", seed), func(t *testing.T) {
+			rollbackScenario(t, seed, nil)
+		})
 	}
 }
 
@@ -258,7 +256,7 @@ func TestRollbackMatchesCloneOracle(t *testing.T) {
 // when non-nil, is called with the engine before every step and once
 // after the last; it must not draw from the scenario's own randomness
 // (the memo oracle in memo_test.go rides along this way).
-func rollbackScenario(t *testing.T, compiled bool, seed int64, each func(step int, e *Engine)) {
+func rollbackScenario(t *testing.T, seed int64, each func(step int, e *Engine)) {
 	const steps = 60
 	const schemaSrc = "table t (v int)\ntable u (v int)\ntable w (v int)"
 	const rulesSrc = `
@@ -283,7 +281,7 @@ then delete from t where v > 80; update w set v = v + 1
 	set, db := mkSet(t, schemaSrc, rulesSrc)
 	db.MustInsert("w", storage.IntV(0))
 	f := &fuse{}
-	e := New(set, db, Options{Interpret: !compiled, WrapMutator: f.wrap})
+	e := New(set, db, Options{WrapMutator: f.wrap})
 	oracle := db.Clone()
 	value := func() int {
 		v := rng.Intn(100)

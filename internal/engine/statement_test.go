@@ -17,11 +17,7 @@ import (
 // mutator did before its methods took whole statements.
 type rowMutator struct{ e *Engine }
 
-func (m rowMutator) note(table string, kind storage.ChangeKind) {
-	if m.e.cand != nil {
-		m.e.cand.Note(table, kind)
-	}
-}
+func (m rowMutator) note(table string, kind storage.ChangeKind) { m.e.cand.Note(table, kind) }
 
 func (m rowMutator) Insert(table string, rows [][]storage.Value) (int, error) {
 	for i, row := range rows {
@@ -72,7 +68,7 @@ create rule upd_t on t when updated(b) then update u set b = 0 where a < 0
 `
 )
 
-func newStatementSide(t *testing.T, compiled, perRow bool) *statementSide {
+func newStatementSide(t *testing.T, perRow bool) *statementSide {
 	t.Helper()
 	set, _ := mkSet(t, statementSchema, statementRules)
 	s := &statementSide{fs: wal.NewMemFS()}
@@ -86,7 +82,7 @@ func newStatementSide(t *testing.T, compiled, perRow bool) *statementSide {
 		db.MustInsert("t", storage.IntV(int64(i)), storage.IntV(int64(10*i)), storage.StringV(fmt.Sprint("r", i)))
 	}
 	db.MustInsert("u", storage.IntV(-1), storage.IntV(0), storage.StringV("neg"))
-	opts := Options{Interpret: !compiled, Journal: s.d}
+	opts := Options{Journal: s.d}
 	if perRow {
 		opts.WrapMutator = func(Mutator) Mutator { return rowMutator{s.e} }
 	}
@@ -108,7 +104,7 @@ func historyOf(db *storage.DB) []string {
 	return out
 }
 
-// candidatesOf returns a compiled engine's candidate bits, by rule.
+// candidatesOf returns an engine's candidate bits, by rule.
 func candidatesOf(e *Engine) []bool {
 	out := make([]bool, len(e.set.Rules()))
 	for i := range out {
@@ -134,8 +130,8 @@ func scanOf(db *storage.DB) []string {
 // mutator call, one table lookup, one candidate note, one row block —
 // leaves what applying its rows one primitive at a time leaves: the same
 // history entries, WAL bytes, fingerprint, identities and scan order,
-// and the same candidate bits, as noted and after RebuildTriggerIndex,
-// on compiled and interpreted engines. Every other statement runs under
+// and the same candidate bits, as noted and after RebuildTriggerIndex.
+// Every other statement runs under
 // a savepoint that is then rolled back.
 func TestStatementDifferential(t *testing.T) {
 	statements := []string{
@@ -150,61 +146,57 @@ func TestStatementDifferential(t *testing.T) {
 		"update t set c = 'v', a = a * 2, b = 1",                       // three columns, every row
 		"delete from u; insert into u select a, a, c from t; update u set b = b + 1 where a > 3",
 	}
-	for _, compiled := range []bool{true, false} {
-		for i, src := range statements {
-			rollback := i%2 == 1
-			name := fmt.Sprintf("compiled=%v/%d rollback=%v", compiled, i, rollback)
-			whole, rows := newStatementSide(t, compiled, false), newStatementSide(t, compiled, true)
-			for _, s := range []*statementSide{whole, rows} {
-				db := s.e.DB()
-				sp := db.Savepoint()
-				res, err := s.e.ExecUser(src)
-				if err != nil {
-					t.Fatalf("%s: %q: %v", name, src, err)
-				}
-				if s == whole && res[len(res)-1].Affected == 0 && i != 4 {
-					t.Fatalf("%s: %q changed no row", name, src)
-				}
-				if rollback {
-					db.RollbackTo(sp)
-				} else {
-					db.Release(sp)
-				}
+	for i, src := range statements {
+		rollback := i%2 == 1
+		name := fmt.Sprintf("%d rollback=%v", i, rollback)
+		whole, rows := newStatementSide(t, false), newStatementSide(t, true)
+		for _, s := range []*statementSide{whole, rows} {
+			db := s.e.DB()
+			sp := db.Savepoint()
+			res, err := s.e.ExecUser(src)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", name, src, err)
 			}
-			wdb, rdb := whole.e.DB(), rows.e.DB()
-			if g, w := historyOf(wdb), historyOf(rdb); !slices.Equal(g, w) {
-				t.Fatalf("%s: history\n got %v\nwant %v", name, g, w)
+			if s == whole && res[len(res)-1].Affected == 0 && i != 4 {
+				t.Fatalf("%s: %q changed no row", name, src)
 			}
-			if g, w := scanOf(wdb), scanOf(rdb); !slices.Equal(g, w) {
-				t.Fatalf("%s: scan\n got %v\nwant %v", name, g, w)
+			if rollback {
+				db.RollbackTo(sp)
+			} else {
+				db.Release(sp)
 			}
-			if wdb.Fingerprint() != rdb.Fingerprint() || wdb.NextID() != rdb.NextID() {
-				t.Fatalf("%s: fingerprint or next identity differ", name)
+		}
+		wdb, rdb := whole.e.DB(), rows.e.DB()
+		if g, w := historyOf(wdb), historyOf(rdb); !slices.Equal(g, w) {
+			t.Fatalf("%s: history\n got %v\nwant %v", name, g, w)
+		}
+		if g, w := scanOf(wdb), scanOf(rdb); !slices.Equal(g, w) {
+			t.Fatalf("%s: scan\n got %v\nwant %v", name, g, w)
+		}
+		if wdb.Fingerprint() != rdb.Fingerprint() || wdb.NextID() != rdb.NextID() {
+			t.Fatalf("%s: fingerprint or next identity differ", name)
+		}
+		if g, w := candidatesOf(whole.e), candidatesOf(rows.e); !slices.Equal(g, w) {
+			t.Fatalf("%s: candidates %v, want %v", name, g, w)
+		}
+		whole.e.RebuildTriggerIndex()
+		rows.e.RebuildTriggerIndex()
+		if g, w := candidatesOf(whole.e), candidatesOf(rows.e); !slices.Equal(g, w) {
+			t.Fatalf("%s: rebuilt candidates %v, want %v", name, g, w)
+		}
+		var logs [2][]byte
+		for k, s := range []*statementSide{whole, rows} {
+			if err := s.e.Commit(); err != nil {
+				t.Fatal(err)
 			}
-			if compiled {
-				if g, w := candidatesOf(whole.e), candidatesOf(rows.e); !slices.Equal(g, w) {
-					t.Fatalf("%s: candidates %v, want %v", name, g, w)
-				}
-				whole.e.RebuildTriggerIndex()
-				rows.e.RebuildTriggerIndex()
-				if g, w := candidatesOf(whole.e), candidatesOf(rows.e); !slices.Equal(g, w) {
-					t.Fatalf("%s: rebuilt candidates %v, want %v", name, g, w)
-				}
+			b, err := s.fs.ReadFile(wal.LogPath("w", s.d.Gen()))
+			if err != nil {
+				t.Fatal(err)
 			}
-			var logs [2][]byte
-			for k, s := range []*statementSide{whole, rows} {
-				if err := s.e.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				b, err := s.fs.ReadFile(wal.LogPath("w", s.d.Gen()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				logs[k] = b
-			}
-			if !bytes.Equal(logs[0], logs[1]) {
-				t.Fatalf("%s: WAL bytes differ:\n got %x\nwant %x", name, logs[0], logs[1])
-			}
+			logs[k] = b
+		}
+		if !bytes.Equal(logs[0], logs[1]) {
+			t.Fatalf("%s: WAL bytes differ:\n got %x\nwant %x", name, logs[0], logs[1])
 		}
 	}
 }
@@ -229,43 +221,41 @@ func (o *observed) ObserveUpdate(table string, id storage.TupleID, col string, v
 // 4-row DELETE leaves exactly the statement's first k-1 rows applied,
 // which the engine then rolls back, restoring the database.
 func TestStatementFaultModel(t *testing.T) {
-	for _, compiled := range []bool{true, false} {
-		for _, src := range []string{"insert into u select a, b, c from t where a > 2", "delete from t where a > 2"} {
-			for k := 1; k <= 4; k++ {
-				for _, panics := range []bool{false, true} {
-					name := fmt.Sprintf("compiled=%v %q call %d panic=%v", compiled, src, k, panics)
-					set, db := mkSet(t, statementSchema, statementRules)
-					for i := 1; i <= 6; i++ {
-						db.MustInsert("t", storage.IntV(int64(i)), storage.IntV(int64(10*i)), storage.StringV(fmt.Sprint("r", i)))
-					}
-					before := db.Clone()
-					cfg := faultinject.Config{FailAt: k}
-					if panics {
-						cfg = faultinject.Config{PanicAt: k}
-					}
-					inj := faultinject.New(cfg)
-					e := New(set, db, Options{Interpret: !compiled, WrapMutator: inj.Wrap})
-					obs := &observed{}
-					db.SetObserver(obs)
-					if _, err := e.ExecUser(src); err == nil {
-						t.Fatalf("%s: no error", name)
-					}
-					if inj.Calls() != k || inj.Faults() != 1 {
-						t.Fatalf("%s: %d calls, %d faults", name, inj.Calls(), inj.Faults())
-					}
-					// The first k-1 rows, then their compensations in
-					// reverse: an insert undoes as a delete, and back.
-					if len(obs.events) != 2*(k-1) {
+	for _, src := range []string{"insert into u select a, b, c from t where a > 2", "delete from t where a > 2"} {
+		for k := 1; k <= 4; k++ {
+			for _, panics := range []bool{false, true} {
+				name := fmt.Sprintf("%q call %d panic=%v", src, k, panics)
+				set, db := mkSet(t, statementSchema, statementRules)
+				for i := 1; i <= 6; i++ {
+					db.MustInsert("t", storage.IntV(int64(i)), storage.IntV(int64(10*i)), storage.StringV(fmt.Sprint("r", i)))
+				}
+				before := db.Clone()
+				cfg := faultinject.Config{FailAt: k}
+				if panics {
+					cfg = faultinject.Config{PanicAt: k}
+				}
+				inj := faultinject.New(cfg)
+				e := New(set, db, Options{WrapMutator: inj.Wrap})
+				obs := &observed{}
+				db.SetObserver(obs)
+				if _, err := e.ExecUser(src); err == nil {
+					t.Fatalf("%s: no error", name)
+				}
+				if inj.Calls() != k || inj.Faults() != 1 {
+					t.Fatalf("%s: %d calls, %d faults", name, inj.Calls(), inj.Faults())
+				}
+				// The first k-1 rows, then their compensations in
+				// reverse: an insert undoes as a delete, and back.
+				if len(obs.events) != 2*(k-1) {
+					t.Fatalf("%s: observed %v", name, obs.events)
+				}
+				for j := 0; j < k-1; j++ {
+					applied, undone := obs.events[j], obs.events[2*(k-1)-1-j]
+					if applied[0] == undone[0] || applied[1:] != undone[1:] {
 						t.Fatalf("%s: observed %v", name, obs.events)
 					}
-					for j := 0; j < k-1; j++ {
-						applied, undone := obs.events[j], obs.events[2*(k-1)-1-j]
-						if applied[0] == undone[0] || applied[1:] != undone[1:] {
-							t.Fatalf("%s: observed %v", name, obs.events)
-						}
-					}
-					sameState(t, name, db, before)
 				}
+				sameState(t, name, db, before)
 			}
 		}
 	}
