@@ -29,8 +29,8 @@ func hashSet(hashes [][32]byte) map[[32]byte]bool {
 // finds a clean log and the same state.
 func checkRecovery(t *testing.T, sc *Scenario, fsys wal.FS, ref map[[32]byte]bool, label string) {
 	t.Helper()
-	// Every state recovery builds (InsertWithID revives, ranges applied
-	// under a savepoint) and the session continued over one also answers
+	// Every state recovery builds (restored rows that revive a tombstone
+	// or take a sorted slot) and the session continued over one also answers
 	// to the fingerprint memo's oracle: memoized ≡ from scratch.
 	var oracle storage.FingerprintOracle
 	memo := func(stage string, db *storage.DB) {

@@ -25,8 +25,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -399,22 +402,7 @@ func flushBenchResults() error {
 	if benchtime == "1x" {
 		section = &rep.Quick
 	}
-	merged := map[string]benchEntry{}
-	for _, e := range *section {
-		merged[e.Name] = e
-	}
-	for name, e := range benchResults {
-		merged[name] = e
-	}
-	var names []string
-	for name := range merged {
-		names = append(names, name)
-	}
-	sortStrings(names)
-	*section = nil
-	for _, name := range names {
-		*section = append(*section, merged[name])
-	}
+	*section = mergeBenchSection(*section, benchResults)
 
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -423,12 +411,28 @@ func flushBenchResults() error {
 	return os.WriteFile(benchEngineFile, append(out, '\n'), 0o644)
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+// mergeBenchSection returns the refreshed rows of a section, sorted by
+// name: this run's rows, and of the old ones only those this run did
+// not replace whose name holds "/parent=" — the hand-kept runs of a
+// benchmark at an earlier commit. Any other old row names a benchmark
+// that no longer exists.
+func mergeBenchSection(old []benchEntry, fresh map[string]benchEntry) []benchEntry {
+	merged := maps.Clone(fresh)
+	for _, e := range old {
+		if _, ok := merged[e.Name]; !ok && strings.Contains(e.Name, "/parent=") {
+			merged[e.Name] = e
 		}
 	}
+	names := make([]string, 0, len(merged))
+	for name := range merged {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([]benchEntry, 0, len(names))
+	for _, name := range names {
+		out = append(out, merged[name])
+	}
+	return out
 }
 
 func cpuModel() string {
@@ -455,6 +459,29 @@ func buildDate() string {
 		}
 	}
 	return info.ModTime().UTC().Format("2006-01-02")
+}
+
+// TestMergeBenchSection: a refresh keeps this run's rows, replacing an
+// old row of the same name, and the old hand-kept /parent= rows, and
+// drops every other old row.
+func TestMergeBenchSection(t *testing.T) {
+	old := []benchEntry{
+		{Name: "BenchmarkA/parent=abc1234", NsPerOp: 1},
+		{Name: "BenchmarkA", NsPerOp: 2},
+		{Name: "BenchmarkGone/mode=interpreted", NsPerOp: 3},
+	}
+	fresh := map[string]benchEntry{
+		"BenchmarkA": {Name: "BenchmarkA", NsPerOp: 20},
+		"BenchmarkB": {Name: "BenchmarkB", NsPerOp: 30},
+	}
+	want := []benchEntry{
+		{Name: "BenchmarkA", NsPerOp: 20},
+		{Name: "BenchmarkA/parent=abc1234", NsPerOp: 1},
+		{Name: "BenchmarkB", NsPerOp: 30},
+	}
+	if got := mergeBenchSection(old, fresh); !slices.Equal(got, want) {
+		t.Errorf("merged section = %+v, want %+v", got, want)
+	}
 }
 
 // --- tripwire -----------------------------------------------------------

@@ -20,7 +20,7 @@ import (
 // under one step and under several), and takes pairs of forks, with
 // clean digests and with stale ones, of which one is stepped before the
 // parent moves on and the other after. The storage-only histories
-// (InsertWithID, nested savepoints) are in internal/storage's test of
+// (RestoreRows, nested savepoints) are in internal/storage's test of
 // the same name; crashtest's checkRecovery reads the same oracle at
 // every recovered state.
 func TestFingerprintMemoDifferential(t *testing.T) {

@@ -30,9 +30,9 @@ func (m rowMutator) Insert(table string, rows [][]storage.Value) (int, error) {
 }
 
 func (m rowMutator) Delete(table string, ids []storage.TupleID) error {
-	for _, id := range ids {
-		if m.e.db.Delete(table, id) == nil {
-			return fmt.Errorf("no tuple %d in %s", id, table)
+	for i := range ids {
+		if err := m.e.db.DeleteRows(table, ids[i:i+1]); err != nil {
+			return err
 		}
 		m.note(table, storage.ChangeDelete)
 	}
@@ -40,9 +40,10 @@ func (m rowMutator) Delete(table string, ids []storage.TupleID) error {
 }
 
 func (m rowMutator) Update(table string, cols []string, ids []storage.TupleID, vals []storage.Value) error {
-	for k, id := range ids {
-		for i, col := range cols {
-			if _, err := m.e.db.Update(table, id, col, vals[k*len(cols)+i]); err != nil {
+	for k := range ids {
+		for i := range cols {
+			j := k*len(cols) + i
+			if err := m.e.db.UpdateRows(table, cols[i:i+1], ids[k:k+1], vals[j:j+1]); err != nil {
 				return err
 			}
 			m.note(table, storage.ChangeUpdate)

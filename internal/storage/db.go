@@ -90,10 +90,6 @@ type Change struct {
 	Col   int    // update: column index
 	Old   Value  // update: previous value
 	Row   *Tuple // delete: the removed tuple object
-
-	// revived marks an insert that took over a tombstoned slot
-	// (InsertWithID) instead of adding one: undoing it leaves the slot.
-	revived bool
 }
 
 // History returns the changes recorded since the outermost active
@@ -147,7 +143,7 @@ func (db *DB) RollbackTo(sp Savepoint) {
 		u, t := db.undo[i], db.undo[i].Table
 		switch u.Kind {
 		case ChangeInsert:
-			t.unInsert(u.ID, u.revived)
+			t.unInsert(u.ID)
 			if db.obs != nil {
 				db.obs.ObserveDelete(t.def.Name, u.ID)
 			}
@@ -263,11 +259,10 @@ func (db *DB) table(name string) (*Table, error) {
 	return nil, fmt.Errorf("storage: no table %q", name)
 }
 
-// inserted records an applied insert in the history (revived when it
-// added no slot) and reports it.
-func (db *DB) inserted(t *Table, tu *Tuple, revived bool) {
+// inserted records an applied insert in the history and reports it.
+func (db *DB) inserted(t *Table, tu *Tuple) {
 	if db.spDepth > 0 {
-		db.record(Change{Kind: ChangeInsert, Table: t, ID: tu.ID, revived: revived})
+		db.record(Change{Kind: ChangeInsert, Table: t, ID: tu.ID})
 	}
 	if db.obs != nil {
 		db.obs.ObserveInsert(t.def.Name, tu.ID, tu.Vals)
@@ -313,7 +308,7 @@ func (db *DB) InsertRows(table string, rows [][]Value) (int, error) {
 		tu.ID = db.nextID
 		db.nextID++
 		t.insert(tu)
-		db.inserted(t, tu, false)
+		db.inserted(t, tu)
 	}
 	return len(rows), nil
 }
@@ -331,31 +326,16 @@ func (db *DB) BumpNextID(n TupleID) {
 	}
 }
 
-// InsertWithID adds a tuple under an explicit identity, for restoring a
-// database from a snapshot or a redo log. Values are coerced like
-// Insert. The row takes its identity's place in the table's iteration
-// order, reviving the identity's tombstone if it still has one (it was
-// deleted earlier in the same replayed range). The identity allocator
-// is bumped past id. Inserting an identity that is currently live is an
-// error.
-func (db *DB) InsertWithID(table string, id TupleID, vals []Value) error {
-	t, err := db.table(table)
-	if err != nil {
-		return err
-	}
-	tu := &Tuple{ID: id, Vals: make([]Value, len(t.def.Columns))}
-	if err := t.coerce(tu.Vals, vals); err != nil {
-		return err
-	}
-	return db.insertWithID(t, tu)
-}
-
-// RestoreRows is InsertWithID for n rows of one table, a snapshot
-// section's: the table is resolved once, and the tuples and their values
+// RestoreRows adds n rows to one table under identities of their own,
+// for restoring a database from a snapshot section or a redo-log insert
+// record: the table is resolved once, and the tuples and their values
 // are allocated in blocks as InsertRows allocates them. fill writes the
 // next row's values into vals, one per column, and returns its
-// identity; the values are then coerced in place. A section's rows come
-// in identity order, so each lands past the table's last slot.
+// identity; the values are then coerced in place, so a fill must reject
+// a row of another arity itself. Rows may come in any identity order: a
+// row revives its identity's tombstone, or else takes its sorted slot.
+// The identity allocator is bumped past each row. An identity that is
+// live is an error, and the rows before it stay restored.
 func (db *DB) RestoreRows(table string, n int, fill func(vals []Value) (TupleID, error)) error {
 	t, err := db.table(table)
 	if err != nil {
@@ -378,22 +358,13 @@ func (db *DB) RestoreRows(table string, n int, fill func(vals []Value) (TupleID,
 		if err := t.coerce(tu.Vals, tu.Vals); err != nil {
 			return err
 		}
-		if err := db.insertWithID(t, tu); err != nil {
-			return err
+		if t.Get(tu.ID) != nil {
+			return fmt.Errorf("storage: insert into %s: tuple %d already exists", t.def.Name, tu.ID)
 		}
+		t.insertPreservingOrder(tu)
+		db.BumpNextID(tu.ID + 1)
+		db.inserted(t, tu)
 	}
-	return nil
-}
-
-// insertWithID places tu, whose values are coerced, at its identity's
-// slot of t.
-func (db *DB) insertWithID(t *Table, tu *Tuple) error {
-	if t.Get(tu.ID) != nil {
-		return fmt.Errorf("storage: insert into %s: tuple %d already exists", t.def.Name, tu.ID)
-	}
-	revived := t.insertPreservingOrder(tu)
-	db.BumpNextID(tu.ID + 1)
-	db.inserted(t, tu, revived)
 	return nil
 }
 
@@ -404,22 +375,6 @@ func (db *DB) MustInsert(table string, vals ...Value) TupleID {
 		panic(err)
 	}
 	return id
-}
-
-// Delete removes the tuple with the given identity from the table. It
-// returns the deleted tuple, or nil if no such table or tuple exists.
-func (db *DB) Delete(table string, id TupleID) *Tuple {
-	t := db.Table(table)
-	if t == nil {
-		return nil
-	}
-	i, ok := t.find(id)
-	if !ok || t.slots[i].tu == nil {
-		return nil
-	}
-	tu := t.slots[i].tu
-	db.deleteRow(t, i)
-	return tu
 }
 
 // DeleteRows removes the identified tuples from the table, in order,
@@ -452,25 +407,6 @@ func (db *DB) deleteRow(t *Table, i int) {
 	if db.obs != nil {
 		db.obs.ObserveDelete(t.def.Name, tu.ID)
 	}
-}
-
-// Update sets column col of the identified tuple to v (coerced to the
-// column type). It returns the previous value.
-func (db *DB) Update(table string, id TupleID, col string, v Value) (Value, error) {
-	t, err := db.table(table)
-	if err != nil {
-		return Value{}, err
-	}
-	ci, err := t.column(col)
-	if err != nil {
-		return Value{}, err
-	}
-	tu, err := t.live(id)
-	if err != nil {
-		return Value{}, err
-	}
-	old := tu.Vals[ci]
-	return old, db.updateCol(t, tu, ci, v)
 }
 
 // UpdateRows sets the named columns of each identified tuple, in order:

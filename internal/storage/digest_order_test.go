@@ -114,12 +114,12 @@ func runDigestOrder(t *testing.T, pool *orderPool, ops []byte) digestPaths {
 			}
 		case 3:
 			if tbl, id := pick(); id != 0 {
-				db.Delete(tbl.def.Name, id)
+				db.DeleteRows(tbl.def.Name, []TupleID{id})
 			}
 		case 4:
 			if tbl, id := pick(); id != 0 {
 				c := tbl.def.Columns[int(next())%len(tbl.def.Columns)]
-				if _, err := db.Update(tbl.def.Name, id, c.Name, pool.value(c.Type, next())); err != nil {
+				if err := db.UpdateRows(tbl.def.Name, []string{c.Name}, []TupleID{id}, []Value{pool.value(c.Type, next())}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -127,7 +127,7 @@ func runDigestOrder(t *testing.T, pool *orderPool, ops []byte) digestPaths {
 			tbl := db.Table(db.names[int(next())%len(db.names)])
 			for i, id := range tbl.IDs() {
 				if i%2 == 0 {
-					db.Delete(tbl.def.Name, id)
+					db.DeleteRows(tbl.def.Name, []TupleID{id})
 				}
 			}
 		default:

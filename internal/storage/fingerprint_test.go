@@ -49,17 +49,17 @@ func (d *memoDriver) step(t *testing.T, rng *rand.Rand) {
 			t.Fatal(err)
 		}
 	case 3:
-		db.Delete(name, liveID(rng, tbl))
+		db.DeleteRows(name, []TupleID{liveID(rng, tbl)})
 	case 4, 5:
 		if id := liveID(rng, tbl); id != 0 {
-			if _, err := db.Update(name, id, "v", IntV(int64(rng.Intn(4)))); err != nil {
+			if err := db.UpdateRows(name, []string{"v"}, []TupleID{id}, []Value{IntV(int64(rng.Intn(4)))}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	case 6: // the replay shape: an identity deleted under a savepoint comes back in place
 		for _, s := range tbl.slots {
 			if s.tu == nil {
-				if err := db.InsertWithID(name, s.id, row()); err != nil {
+				if err := restore(db, name, s.id, row()); err != nil {
 					t.Fatal(err)
 				}
 				break
@@ -83,10 +83,10 @@ func (d *memoDriver) step(t *testing.T, rng *rand.Rand) {
 			enc := string(tbl.Get(id).encode(nil))
 			for _, other := range tbl.IDs() {
 				if string(tbl.Get(other).encode(nil)) == enc {
-					db.Delete(name, other)
+					db.DeleteRows(name, []TupleID{other})
 				}
 			}
-			db.Delete(name, liveID(rng, tbl))
+			db.DeleteRows(name, []TupleID{liveID(rng, tbl)})
 		}
 	case 11: // a probe, which builds the column's index on its second call
 		col, v := 0, IntV(int64(rng.Intn(5)))
@@ -127,7 +127,7 @@ func probeAll(t *Table) {
 
 // TestFingerprintMemoDifferential is the storage half of the memo's
 // differential (the engine-driven half, same name, is in
-// internal/engine): every primitive mutation, InsertWithID's revive in
+// internal/engine): every primitive mutation, RestoreRows's revive in
 // place, nested savepoints rolled back and released, and Fork/Clone
 // copies taken with clean and with stale digests and stepped before and
 // after their parent moves on — with the oracle read at random
@@ -177,7 +177,7 @@ func TestFingerprintMemoDifferential(t *testing.T) {
 // stops calling touch (Table.insert does touch's work itself, keeping
 // an open append run). touch feeds a second memo's key, the table's
 // Version (internal/wal's snapshot sections), so each case also requires
-// that it strictly increased (DB.Delete does touch's work itself too,
+// that it strictly increased (DB.DeleteRows does touch's work itself too,
 // keeping the run open). The cases after the first seven go on after an
 // append run was ended, kept open or copied: they fail when a delete
 // leaves a row the digest saw out of gone or puts one appended since
@@ -199,9 +199,9 @@ func TestEveryMutationTouches(t *testing.T) {
 			nil,
 			func(db *DB) { db.MustInsert("t", IntV(7), StringV("x")) }},
 		{"Table.insertPreservingOrder (revive)",
-			func(db *DB) { db.Delete("t", id) },
+			func(db *DB) { db.DeleteRows("t", []TupleID{id}) },
 			func(db *DB) {
-				if err := db.InsertWithID("t", id, []Value{IntV(7), StringV("x")}); err != nil {
+				if err := restore(db, "t", id, []Value{IntV(7), StringV("x")}); err != nil {
 					t.Fatal(err)
 				}
 			}},
@@ -209,21 +209,21 @@ func TestEveryMutationTouches(t *testing.T) {
 			func(db *DB) { db.MustInsert("t", IntV(7), StringV("x")) },
 			func(db *DB) { db.RollbackTo(sp) }},
 		{"Table.unDelete",
-			func(db *DB) { db.Delete("t", id) },
+			func(db *DB) { db.DeleteRows("t", []TupleID{id}) },
 			func(db *DB) { db.RollbackTo(sp) }},
 		{"DB.Delete",
 			nil,
-			func(db *DB) { db.Delete("t", id) }},
+			func(db *DB) { db.DeleteRows("t", []TupleID{id}) }},
 		{"DB.Update",
 			nil,
 			func(db *DB) {
-				if _, err := db.Update("t", id, "v", IntV(7)); err != nil {
+				if err := db.UpdateRows("t", []string{"v"}, []TupleID{id}, []Value{IntV(7)}); err != nil {
 					t.Fatal(err)
 				}
 			}},
 		{"DB.RollbackTo (undoUpdate)",
 			func(db *DB) {
-				if _, err := db.Update("t", id, "v", IntV(7)); err != nil {
+				if err := db.UpdateRows("t", []string{"v"}, []TupleID{id}, []Value{IntV(7)}); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -231,7 +231,7 @@ func TestEveryMutationTouches(t *testing.T) {
 		{"DB.Delete, then Table.insert",
 			nil,
 			func(db *DB) {
-				db.Delete("t", id)
+				db.DeleteRows("t", []TupleID{id})
 				db.MustInsert("t", IntV(7), StringV("x"))
 				if tbl := db.Table("t"); !tbl.run || len(tbl.gone) != 1 {
 					t.Fatalf("the delete left the run open=%v with %d gone rows; want open with 1", tbl.run, len(tbl.gone))
@@ -240,7 +240,7 @@ func TestEveryMutationTouches(t *testing.T) {
 		{"Table.insert, then DB.Delete of that row beside an equal digested row",
 			nil,
 			func(db *DB) {
-				db.Delete("t", db.MustInsert("t", IntV(1), StringV("a"))) // equal to the row id, which the digest saw
+				db.DeleteRows("t", []TupleID{db.MustInsert("t", IntV(1), StringV("a"))}) // equal to the row id, which the digest saw
 				db.MustInsert("t", IntV(7), StringV("x"))
 				if tbl := db.Table("t"); !tbl.run || len(tbl.gone) != 0 {
 					t.Fatalf("the delete left the run open=%v with %d gone rows; want open with none", tbl.run, len(tbl.gone))
@@ -254,18 +254,18 @@ func TestEveryMutationTouches(t *testing.T) {
 				if reused >= db.Table("t").newFrom {
 					t.Fatal("the rollback handed out no identity below the digest's; the case would be vacuous")
 				}
-				db.Delete("t", reused)
+				db.DeleteRows("t", []TupleID{reused})
 				db.MustInsert("t", IntV(7), StringV("x"))
 			}},
 		{"Table.compact, then Table.insert",
 			func(db *DB) {
 				for i := 0; i < 20; i++ {
-					db.Delete("t", db.MustInsert("t", IntV(int64(i)), StringV("z")))
+					db.DeleteRows("t", []TupleID{db.MustInsert("t", IntV(int64(i)), StringV("z"))})
 				}
 			},
 			func(db *DB) {
 				db.MustInsert("t", IntV(5), StringV("n")) // a slot after the ones the digest saw
-				db.Delete("t", id)                        // and one of those the digest saw
+				db.DeleteRows("t", []TupleID{id})         // and one of those the digest saw
 				tbl := db.Table("t")
 				n := len(tbl.slots)
 				db.Release(sp)
@@ -278,9 +278,9 @@ func TestEveryMutationTouches(t *testing.T) {
 				db.MustInsert("t", IntV(0), StringV("a"))
 			}},
 		{"Table.insertPreservingOrder (revive), then Table.insert",
-			func(db *DB) { db.Delete("t", id) },
+			func(db *DB) { db.DeleteRows("t", []TupleID{id}) },
 			func(db *DB) {
-				if err := db.InsertWithID("t", id, []Value{IntV(7), StringV("x")}); err != nil {
+				if err := restore(db, "t", id, []Value{IntV(7), StringV("x")}); err != nil {
 					t.Fatal(err)
 				}
 				db.MustInsert("t", IntV(8), StringV("y"))
@@ -354,7 +354,7 @@ func TestVersionStandsWhileRowsDo(t *testing.T) {
 	}
 	sp := db.Savepoint()
 	for _, id := range tbl.IDs()[:16] {
-		db.Delete("t", id)
+		db.DeleteRows("t", []TupleID{id})
 	}
 	ver, slots := tbl.Version(), len(tbl.slots)
 	stands := func(what string) {
@@ -414,7 +414,7 @@ func TestFingerprintFlatInUntouchedRows(t *testing.T) {
 		n := 0
 		op := func() {
 			n++
-			if _, err := db.Update("hot", ids[n%hot], "v", IntV(int64(n))); err != nil {
+			if err := db.UpdateRows("hot", []string{"v"}, []TupleID{ids[n%hot]}, []Value{IntV(int64(n))}); err != nil {
 				t.Fatal(err)
 			}
 			db.Fingerprint()
@@ -518,7 +518,7 @@ func TestAppendDigestEncodesOnlyNewRows(t *testing.T) {
 func TestDeleteDigestEncodesOnlyGoneRows(t *testing.T) {
 	db, ids := flatDB(t, 8, 0)
 	for _, id := range ids[:5] {
-		db.Delete("hot", id)
+		db.DeleteRows("hot", []TupleID{id})
 	}
 	before := db.fp.rows
 	if fpSink = db.Fingerprint(); db.fp.rows-before != 3 {
@@ -531,7 +531,7 @@ func TestDeleteDigestEncodesOnlyGoneRows(t *testing.T) {
 		ids := db.Table("cold").IDs()
 		deleteK := func() {
 			for j := 0; j < k; j++ {
-				db.Delete("cold", ids[0])
+				db.DeleteRows("cold", []TupleID{ids[0]})
 				ids = ids[1:]
 			}
 		}
@@ -573,7 +573,7 @@ func TestGoneRowMissingFromKeptRebuilds(t *testing.T) {
 	} {
 		db, _ := flatDB(t, 0, 4)
 		tbl := db.Table("cold")
-		db.Delete("cold", tbl.IDs()[1])
+		db.DeleteRows("cold", []TupleID{tbl.IDs()[1]})
 		gone := 1
 		if planted == nil {
 			tbl.gone, gone = append(tbl.gone, tbl.gone[0].clone()), 2
@@ -628,14 +628,14 @@ func BenchmarkFingerprint(b *testing.B) {
 					case "append":
 						db.MustInsert(table, IntV(int64(-i)), StringV("appended"))
 					case "delete":
-						db.Delete(table, ids[j])
+						db.DeleteRows(table, []TupleID{ids[j]})
 						ids[j] = db.MustInsert(table, IntV(int64(-i)), StringV("replacement"))
 					case "scatter":
 						j = rng.Intn(len(ids))
-						db.Delete(table, ids[j])
+						db.DeleteRows(table, []TupleID{ids[j]})
 						ids[j] = db.MustInsert(table, IntV(rng.Int63n(int64(2*n))), StringV("archived"))
 					default:
-						if _, err := db.Update(table, ids[j], "v", IntV(int64(-i))); err != nil {
+						if err := db.UpdateRows(table, []string{"v"}, []TupleID{ids[j]}, []Value{IntV(int64(-i))}); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -664,7 +664,7 @@ func BenchmarkFingerprint(b *testing.B) {
 				b.StopTimer()
 				for _, name := range db.names {
 					for _, id := range db.Table(name).IDs() {
-						db.Delete(name, id)
+						db.DeleteRows(name, []TupleID{id})
 					}
 				}
 				fpSink = db.Fingerprint()

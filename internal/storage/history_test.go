@@ -26,10 +26,10 @@ func TestDroppedHistoryIsZeroed(t *testing.T) {
 		}
 	}
 	tx := db.Savepoint()
-	db.Delete("t", ids[0])
+	db.DeleteRows("t", []TupleID{ids[0]})
 	sp := db.Savepoint()
 	for _, id := range ids[1:] {
-		db.Delete("t", id)
+		db.DeleteRows("t", []TupleID{id})
 	}
 	db.RollbackTo(sp)
 	if len(db.undo) != 1 {
@@ -37,7 +37,7 @@ func TestDroppedHistoryIsZeroed(t *testing.T) {
 	}
 	spare("RollbackTo")
 	for _, id := range ids[1:] {
-		db.Delete("t", id)
+		db.DeleteRows("t", []TupleID{id})
 	}
 	db.Release(tx)
 	if len(db.undo) != 0 {
@@ -76,7 +76,7 @@ func checkHistoryIndex(db *DB) error {
 }
 
 // TestHistoryIndexMatchesScan: over generated runs — every primitive,
-// InsertWithID's revive (which reads as an insert), nested savepoints
+// RestoreRows's revive (which reads as an insert), nested savepoints
 // rolled back and released — the tables' last-change positions equal a
 // scan of the history after every move, the generation moves exactly
 // when a move removed entries, a Fork carries history, positions and

@@ -65,7 +65,7 @@ func TestHoldersAnswers(t *testing.T) {
 	if n := indexes(tbl); n != 2 {
 		t.Fatalf("%d indexes built, want the two of the int and string columns", n)
 	}
-	db.Delete("t", ids[0]) // x's known holder: the other one is not known
+	db.DeleteRows("t", []TupleID{ids[0]}) // x's known holder: the other one is not known
 	if got := probe(tbl, 1, StringV("x")); got != (answer{1, 0, true}) {
 		t.Errorf("after its known holder went, x: %+v; want one holder, not known", got)
 	}
@@ -74,7 +74,7 @@ func TestHoldersAnswers(t *testing.T) {
 		if n := indexes(ct); n != 0 || ct.probed != 0 {
 			t.Fatalf("a copy starts with %d indexes and marks %b", n, ct.probed)
 		}
-		if _, err := c.Update("t", ct.IDs()[0], "id", IntV(7)); err != nil {
+		if err := c.UpdateRows("t", []string{"id"}, []TupleID{ct.IDs()[0]}, []Value{IntV(7)}); err != nil {
 			t.Fatal(err)
 		}
 		if got := probe(ct, 0, IntV(7)); got.ok {

@@ -46,12 +46,12 @@ func TestSavepointRollbackRestoresEverything(t *testing.T) {
 
 	sp := db.Savepoint()
 	db.MustInsert("t", IntV(3), StringV("c"))
-	if _, err := db.Update("t", a, "v", IntV(100)); err != nil {
+	if err := db.UpdateRows("t", []string{"v"}, []TupleID{a}, []Value{IntV(100)}); err != nil {
 		t.Fatal(err)
 	}
-	db.Delete("t", b)
+	db.DeleteRows("t", []TupleID{b})
 	c := db.MustInsert("u", IntV(10))
-	db.Delete("u", c) // insert-then-delete inside the savepoint
+	db.DeleteRows("u", []TupleID{c}) // insert-then-delete inside the savepoint
 	if db.Fingerprint() == beforeFP {
 		t.Fatal("mutations must change the fingerprint")
 	}
@@ -117,7 +117,7 @@ func TestSavepointDeleteKeepsOrder(t *testing.T) {
 	// Mass deletion would normally trigger order compaction; under a
 	// savepoint it must not, so rollback restores iteration order.
 	for _, id := range ids[:35] {
-		db.Delete("t", id)
+		db.DeleteRows("t", []TupleID{id})
 	}
 	db.RollbackTo(sp)
 	if got := stateKey(db, "t"); got != before {
@@ -125,24 +125,24 @@ func TestSavepointDeleteKeepsOrder(t *testing.T) {
 	}
 	// With no savepoint active, compaction is back on and harmless.
 	for _, id := range ids[:35] {
-		db.Delete("t", id)
+		db.DeleteRows("t", []TupleID{id})
 	}
 	if db.Table("t").Len() != 5 {
 		t.Errorf("post-release deletes lost: %d rows", db.Table("t").Len())
 	}
 }
 
-// TestSavepointRollbackAfterRevive: an InsertWithID that revives the
-// last order slot appended nothing, so undoing it must leave the slot
-// for the unDelete that follows.
+// TestSavepointRollbackAfterRevive: undoing a restore that revived the
+// last slot takes the slot out, and the unDelete that follows must put
+// the deleted row back in its sorted place.
 func TestSavepointRollbackAfterRevive(t *testing.T) {
 	db := savepointDB(t)
 	db.MustInsert("t", IntV(1), StringV("a"))
 	last := db.MustInsert("t", IntV(2), StringV("b"))
 	before := stateKey(db, "t")
 	sp := db.Savepoint()
-	db.Delete("t", last)
-	if err := db.InsertWithID("t", last, []Value{IntV(3), StringV("c")}); err != nil {
+	db.DeleteRows("t", []TupleID{last})
+	if err := restore(db, "t", last, []Value{IntV(3), StringV("c")}); err != nil {
 		t.Fatal(err)
 	}
 	db.RollbackTo(sp)
@@ -192,7 +192,7 @@ func TestOrderCompactedAcrossSavepoints(t *testing.T) {
 		tx := db.Savepoint()
 		inner := db.Savepoint()
 		ids = append(ids, db.MustInsert("t", IntV(int64(i)), StringV("y")))
-		db.Delete("t", ids[0])
+		db.DeleteRows("t", []TupleID{ids[0]})
 		ids = ids[1:]
 		db.Release(inner)
 		db.Release(tx)
@@ -228,12 +228,12 @@ func TestForkCarriesSavepointState(t *testing.T) {
 
 	sp := db.Savepoint()
 	for _, id := range ids[2:38] { // mass delete: tombstones must survive the fork
-		db.Delete("t", id)
+		db.DeleteRows("t", []TupleID{id})
 	}
-	if _, err := db.Update("t", ids[0], "v", IntV(100)); err != nil {
+	if err := db.UpdateRows("t", []string{"v"}, []TupleID{ids[0]}, []Value{IntV(100)}); err != nil {
 		t.Fatal(err)
 	}
-	db.Delete("t", ids[0]) // update-then-delete of one tuple
+	db.DeleteRows("t", []TupleID{ids[0]}) // update-then-delete of one tuple
 	db.MustInsert("t", IntV(41), StringV("new"))
 	inner := db.Savepoint()
 	db.MustInsert("u", IntV(10))

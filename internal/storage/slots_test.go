@@ -36,7 +36,7 @@ var slotSchema = schema.MustParse("table t (v int, s string)\ntable u (v int, s 
 
 // runSlots drives one DB from ops, a byte per choice: inserts, deletes
 // and updates, nested savepoints with rollbacks and releases (the
-// outermost release compacts), InsertWithID of a lower identity with and
+// outermost release compacts), RestoreRows of a lower identity with and
 // without a tombstone, Fork, Clone, Fingerprint and equality probes.
 // After every step each table must agree with the model on Get, Len,
 // Scan and IDs, which must strictly ascend, and pass runErr, indexErr
@@ -74,13 +74,13 @@ func runSlots(t *testing.T, ops []byte) (revived, placed int) {
 			rows[db.MustInsert(name, vals...)] = vals
 		case 2:
 			if id := pick(); id != 0 {
-				db.Delete(name, id)
+				db.DeleteRows(name, []TupleID{id})
 				delete(rows, id)
 			}
 		case 3:
 			if id := pick(); id != 0 {
 				v := IntV(int64(next() % 4))
-				if _, err := db.Update(name, id, "v", v); err != nil {
+				if err := db.UpdateRows(name, []string{"v"}, []TupleID{id}, []Value{v}); err != nil {
 					t.Fatal(err)
 				}
 				rows[id] = []Value{v, rows[id][1]}
@@ -101,7 +101,7 @@ func runSlots(t *testing.T, ops []byte) (revived, placed int) {
 			for _, s := range tbl.slots {
 				if s.tu == nil && next()%2 == 0 {
 					vals := row()
-					if err := db.InsertWithID(name, s.id, vals); err != nil {
+					if err := restore(db, name, s.id, vals); err != nil {
 						t.Fatal(err)
 					}
 					rows[s.id] = vals
@@ -114,7 +114,7 @@ func runSlots(t *testing.T, ops []byte) (revived, placed int) {
 				for id := tbl.slots[n-1].id - 1 - TupleID(next()%8); id > 0; id-- {
 					if _, ok := tbl.find(id); !ok && m["t"][id] == nil && m["u"][id] == nil {
 						vals := row()
-						if err := db.InsertWithID(name, id, vals); err != nil {
+						if err := restore(db, name, id, vals); err != nil {
 							t.Fatal(err)
 						}
 						rows[id] = vals

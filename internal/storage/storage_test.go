@@ -17,6 +17,14 @@ table audit (id int, msg string)
 `)
 }
 
+// restore is RestoreRows of one row, vals, under identity id.
+func restore(db *DB, table string, id TupleID, vals []Value) error {
+	return db.RestoreRows(table, 1, func(dst []Value) (TupleID, error) {
+		copy(dst, vals)
+		return id, nil
+	})
+}
+
 func TestValueConstructorsAndPredicates(t *testing.T) {
 	if !Null.IsNull() || IntV(1).IsNull() {
 		t.Error("IsNull wrong")
@@ -115,23 +123,19 @@ func TestInsertDeleteUpdate(t *testing.T) {
 	if db.Table("account").Len() != 1 {
 		t.Fatal("insert failed")
 	}
-	old, err := db.Update("account", id, "balance", IntV(50)) // int coerced to float column
-	if err != nil {
+	// int coerced to float column
+	if err := db.UpdateRows("account", []string{"balance"}, []TupleID{id}, []Value{IntV(50)}); err != nil {
 		t.Fatal(err)
-	}
-	if old.F != 100 {
-		t.Errorf("old balance = %v, want 100", old)
 	}
 	got := db.Table("account").Get(id).Vals[2]
 	if got.Kind != KindFloat || got.F != 50 {
 		t.Errorf("balance after update = %v", got)
 	}
-	tu := db.Delete("account", id)
-	if tu == nil || db.Table("account").Len() != 0 {
-		t.Error("delete failed")
+	if err := db.DeleteRows("account", []TupleID{id}); err != nil || db.Table("account").Len() != 0 {
+		t.Errorf("delete failed: %v", err)
 	}
-	if db.Delete("account", id) != nil {
-		t.Error("double delete should return nil")
+	if db.DeleteRows("account", []TupleID{id}) == nil {
+		t.Error("double delete should fail")
 	}
 }
 
@@ -151,16 +155,16 @@ func TestInsertErrors(t *testing.T) {
 func TestUpdateErrors(t *testing.T) {
 	db := NewDB(testSchema(t))
 	id := db.MustInsert("audit", IntV(1), StringV("m"))
-	if _, err := db.Update("nosuch", id, "msg", StringV("x")); err == nil {
+	if err := db.UpdateRows("nosuch", []string{"msg"}, []TupleID{id}, []Value{StringV("x")}); err == nil {
 		t.Error("update missing table should fail")
 	}
-	if _, err := db.Update("audit", id, "nocol", StringV("x")); err == nil {
+	if err := db.UpdateRows("audit", []string{"nocol"}, []TupleID{id}, []Value{StringV("x")}); err == nil {
 		t.Error("update missing column should fail")
 	}
-	if _, err := db.Update("audit", id+100, "msg", StringV("x")); err == nil {
+	if err := db.UpdateRows("audit", []string{"msg"}, []TupleID{id + 100}, []Value{StringV("x")}); err == nil {
 		t.Error("update missing tuple should fail")
 	}
-	if _, err := db.Update("audit", id, "msg", IntV(1)); err == nil {
+	if err := db.UpdateRows("audit", []string{"msg"}, []TupleID{id}, []Value{IntV(1)}); err == nil {
 		t.Error("update type mismatch should fail")
 	}
 }
@@ -172,7 +176,7 @@ func TestCloneIndependence(t *testing.T) {
 	if !db.Equal(cl) {
 		t.Fatal("clone should equal original")
 	}
-	if _, err := cl.Update("audit", id, "msg", StringV("changed")); err != nil {
+	if err := cl.UpdateRows("audit", []string{"msg"}, []TupleID{id}, []Value{StringV("changed")}); err != nil {
 		t.Fatal(err)
 	}
 	if db.Equal(cl) {
@@ -198,7 +202,7 @@ func TestFingerprintIgnoresIdentityAndOrder(t *testing.T) {
 	b.MustInsert("account", IntV(9), StringV("tmp"), FloatV(0), BoolV(false))
 	b.MustInsert("audit", IntV(2), StringV("y"))
 	b.MustInsert("audit", IntV(1), StringV("x"))
-	b.Delete("account", 1)
+	b.DeleteRows("account", []TupleID{1})
 	if !a.Equal(b) {
 		t.Error("fingerprint should ignore tuple identity and insertion order")
 	}
@@ -247,7 +251,7 @@ func TestOrderCompaction(t *testing.T) {
 		ids = append(ids, db.MustInsert("audit", IntV(int64(i)), StringV("m")))
 	}
 	for _, id := range ids[:90] {
-		db.Delete("audit", id)
+		db.DeleteRows("audit", []TupleID{id})
 	}
 	tbl := db.Table("audit")
 	if tbl.Len() != 10 {
@@ -278,13 +282,13 @@ func TestRandomOpsCloneProperty(t *testing.T) {
 			case 1:
 				if len(live) > 0 {
 					k := rng.Intn(len(live))
-					db.Delete("audit", live[k])
+					db.DeleteRows("audit", []TupleID{live[k]})
 					live = append(live[:k], live[k+1:]...)
 				}
 			case 2:
 				if len(live) > 0 {
 					id := live[rng.Intn(len(live))]
-					if _, err := db.Update("audit", id, "id", IntV(rng.Int63n(10))); err != nil {
+					if err := db.UpdateRows("audit", []string{"id"}, []TupleID{id}, []Value{IntV(rng.Int63n(10))}); err != nil {
 						return false
 					}
 				}

@@ -43,10 +43,10 @@ func (t *Tuple) encode(b []byte) []byte {
 // ascending identity order, a slot whose tuple is nil being a tombstone.
 // Iteration order is identity order, which is insertion order: the
 // identity allocator only ascends, RollbackTo rewinds it only past the
-// rows it has just taken out, and an undone delete revives its own slot.
-// Only a snapshot or redo-log restore inserts below the last identity,
-// and it places the row at its sorted position, so a restored table
-// iterates as the original did.
+// rows it has just taken out, and an undone delete revives its own slot
+// or takes its sorted one. Only a snapshot or redo-log restore inserts
+// below the last identity, and it places the row at its sorted position,
+// so a restored table iterates as the original did.
 type Table struct {
 	def   *schema.Table
 	slots []slot
@@ -218,11 +218,10 @@ func (t *Table) fresh(tu *Tuple) {
 
 // insertPreservingOrder is insert for a row whose identity may be below
 // the last slot's: a snapshot or redo-log restore, and an undone delete.
-// A tombstone of the identity (it was deleted earlier under a savepoint,
-// or in the same replayed range) is revived; any other identity gets a
-// slot at its sorted position. It reports whether it revived a
-// tombstone.
-func (t *Table) insertPreservingOrder(tu *Tuple) (revived bool) {
+// A tombstone of the identity (it was deleted earlier and not yet
+// compacted away) is revived; any other identity gets a slot at its
+// sorted position.
+func (t *Table) insertPreservingOrder(tu *Tuple) {
 	i, ok := t.find(tu.ID)
 	if ok {
 		t.touch()
@@ -233,7 +232,6 @@ func (t *Table) insertPreservingOrder(tu *Tuple) (revived bool) {
 	}
 	t.nlive++
 	t.held(tu, true)
-	return ok
 }
 
 // removeAt deletes slot i's live row, marking the memoized digest stale
@@ -271,24 +269,22 @@ func (t *Table) compact() {
 	t.slots = live
 }
 
-// unInsert reverses an insert made under a savepoint: the slot becomes
-// a tombstone again if the insert revived it, and else it goes.
-func (t *Table) unInsert(id TupleID, revived bool) {
+// unInsert reverses an insert made under a savepoint: the slot goes,
+// also one the insert revived. An earlier delete of the identity that is
+// undone next then takes its sorted slot again, as on a Fork.
+func (t *Table) unInsert(id TupleID) {
 	t.touch()
 	i, _ := t.find(id)
 	t.held(t.slots[i].tu, false)
 	t.nlive--
-	if revived {
-		t.slots[i].tu = nil
-	} else {
-		t.slots = slices.Delete(t.slots, i, i+1) // zeroes the freed slot
-	}
+	t.slots = slices.Delete(t.slots, i, i+1) // zeroes the freed slot
 }
 
 // unDelete reverses a delete made under a savepoint. The identity kept
 // its slot, which insertPreservingOrder revives (compaction waits for the
 // last savepoint to end), unless the table is a Fork's, whose Clone
-// dropped the tombstones: then the row takes its sorted slot again.
+// dropped the tombstones, or an undone restore of the identity took the
+// slot out: then the row takes its sorted slot again.
 func (t *Table) unDelete(tu *Tuple) { t.insertPreservingOrder(tu) }
 
 func (t *Table) clone() *Table {
@@ -310,7 +306,7 @@ func (t *Table) clone() *Table {
 }
 
 // setVal writes v into column col of the live row tu, keeping the
-// column's index, if built: DB.Update and RollbackTo's update undo,
+// column's index, if built: DB.UpdateRows and RollbackTo's update undo,
 // which touch first.
 func (t *Table) setVal(tu *Tuple, col int, v Value) {
 	for ix := t.idx; ix != nil; ix = ix.next {

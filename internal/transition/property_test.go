@@ -61,7 +61,7 @@ func TestNetEffectReconstructsFinalState(t *testing.T) {
 					return true
 				})
 				if found {
-					replay.Delete("t", target)
+					replay.DeleteRows("t", []storage.TupleID{target})
 				}
 				return found
 			}
@@ -85,7 +85,7 @@ func TestNetEffectReconstructsFinalState(t *testing.T) {
 					return false
 				}
 				for i, v := range up.New {
-					if _, err := replay.Update("t", target, replay.Schema().Table("t").Column(i).Name, v); err != nil {
+					if err := replay.UpdateRows("t", []string{replay.Schema().Table("t").Column(i).Name}, []storage.TupleID{target}, []storage.Value{v}); err != nil {
 						return false
 					}
 				}

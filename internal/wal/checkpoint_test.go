@@ -157,7 +157,7 @@ func (w *snapWatch) checkpoint(t *testing.T, d *DurableDB, db *storage.DB, label
 // boundary. A checkpoint's marker is read from the tables' memoized
 // digests, so a digest left stale by some mutation would now also be a
 // log recovery refuses. Seeded histories over storage's public mutators
-// — inserts, deletes, updates, InsertWithID reviving a tombstoned
+// — inserts, deletes, updates, a restore (Apply) reviving a tombstoned
 // identity, nested savepoints rolled back and released — run with the
 // log attached and storage.FingerprintOracle read at random intervals
 // (so digests go stale under one mutation and under many), and
@@ -200,18 +200,18 @@ func TestCheckpointMemoDifferential(t *testing.T) {
 			case k == 3:
 				db.MustInsert("audit", storage.StringV("x"), storage.BoolV(rng.Intn(2) == 0))
 			case k < 6 && len(live) > 0:
-				if _, err := db.Update("acct", live[rng.Intn(len(live))], "balance", row[1]); err != nil {
+				if err := db.UpdateRows("acct", []string{"balance"}, []storage.TupleID{live[rng.Intn(len(live))]}, []storage.Value{row[1]}); err != nil {
 					t.Fatal(err)
 				}
 			case k == 6 && len(live) > 0:
 				id := live[rng.Intn(len(live))]
-				db.Delete("acct", id)
+				db.DeleteRows("acct", []storage.TupleID{id})
 				if len(sps) > 0 {
 					dead = append(dead, id)
 				}
 			case k == 7 && len(dead) > 0: // the replay shape: a deleted identity comes back in place
 				if id := dead[rng.Intn(len(dead))]; acct.Get(id) == nil {
-					if err := db.InsertWithID("acct", id, row); err != nil {
+					if err := Apply(db, Record{Kind: RecInsert, Table: "acct", Rows: []Row{{ID: id, Vals: row}}}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -272,7 +272,7 @@ func TestCheckpointMemoDifferential(t *testing.T) {
 		}
 		sp := db.Savepoint()
 		for _, id := range acct.IDs()[:acct.Len()-6] {
-			db.Delete("acct", id)
+			db.DeleteRows("acct", []storage.TupleID{id})
 		}
 		engineCommit(t, d)
 		w.checkpoint(t, d, db, label("over tombstones"))
@@ -342,7 +342,7 @@ func TestCheckpointSectionCarriesNewIdentity(t *testing.T) {
 	w.checkpoint(t, d, db, "first")
 	was := db.Fingerprint()
 
-	db.Delete("acct", old)
+	db.DeleteRows("acct", []storage.TupleID{old})
 	id := db.MustInsert("acct", storage.StringV("ann"), storage.IntV(10))
 	if db.Fingerprint() != was {
 		t.Fatal("delete + equal insert changed the Fingerprint; the case is vacuous")
@@ -357,7 +357,7 @@ func TestCheckpointSectionCarriesNewIdentity(t *testing.T) {
 		t.Errorf("the snapshot's acct rows are %v, want the new identity %d and not %d", acct.IDs(), id, old)
 	}
 
-	db.Delete("acct", id)
+	db.DeleteRows("acct", []storage.TupleID{id})
 	engineCommit(t, d)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -431,7 +431,7 @@ func TestFailedCheckpointLeavesNoSection(t *testing.T) {
 				w.checkpoint(t, d, db, label+": before the failure")
 				gen = 2
 			}
-			if _, err := db.Update("acct", id, "balance", storage.IntV(11)); err != nil {
+			if err := db.UpdateRows("acct", []string{"balance"}, []storage.TupleID{id}, []storage.Value{storage.IntV(11)}); err != nil {
 				t.Fatal(err)
 			}
 			engineCommit(t, d)
@@ -456,7 +456,7 @@ func TestFailedCheckpointLeavesNoSection(t *testing.T) {
 				t.Errorf("%s: reopen left %v, want the generation's log and any snapshot", label, names)
 			}
 			w.saw(db2)
-			db2.Delete("acct", id)
+			db2.DeleteRows("acct", []storage.TupleID{id})
 			engineCommit(t, d2)
 			if w.checkpoint(t, d2, db2, label+": after the reopen") {
 				t.Errorf("%s: the first checkpoint after the reopen appended to a file its encoder does not know", label)
@@ -509,10 +509,10 @@ func touchAll(tb testing.TB, d *DurableDB, db *storage.DB, hot storage.TupleID, 
 	tb.Helper()
 	var first storage.TupleID
 	db.Table("acct").Scan(func(tu *storage.Tuple) bool { first = tu.ID; return false })
-	if _, err := db.Update("acct", first, "balance", storage.IntV(int64(i%2))); err != nil {
+	if err := db.UpdateRows("acct", []string{"balance"}, []storage.TupleID{first}, []storage.Value{storage.IntV(int64(i % 2))}); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := db.Update("audit", hot, "ok", storage.BoolV(i%2 == 0)); err != nil {
+	if err := db.UpdateRows("audit", []string{"ok"}, []storage.TupleID{hot}, []storage.Value{storage.BoolV(i%2 == 0)}); err != nil {
 		tb.Fatal(err)
 	}
 	if err := d.Commit(); err != nil {
@@ -588,7 +588,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Update("audit", hot, "ok", storage.BoolV(i%2 == 0)); err != nil {
+				if err := db.UpdateRows("audit", []string{"ok"}, []storage.TupleID{hot}, []storage.Value{storage.BoolV(i%2 == 0)}); err != nil {
 					b.Fatal(err)
 				}
 				if err := d.Commit(); err != nil {

@@ -262,7 +262,7 @@ func (s *diffStream) burst(n int) {
 	ids := s.db.Table(table).IDs()
 	s.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	for _, id := range ids[:min(len(ids), 1+s.rng.Intn(n))] {
-		s.db.Delete(table, id)
+		s.db.DeleteRows(table, []storage.TupleID{id})
 	}
 }
 
@@ -274,7 +274,7 @@ func (s *diffStream) update() {
 	}
 	cols := diffSchema.Table(table).Columns
 	c := cols[s.rng.Intn(len(cols))]
-	if _, err := s.db.Update(table, ids[s.rng.Intn(len(ids))], c.Name, s.value(c.Type)); err != nil {
+	if err := s.db.UpdateRows(table, []string{c.Name}, []storage.TupleID{ids[s.rng.Intn(len(ids))]}, []storage.Value{s.value(c.Type)}); err != nil {
 		s.t.Fatal(err)
 	}
 }

@@ -31,7 +31,8 @@ var ErrStop = errors.New("wal: log unreadable")
 // undoes even the assertion-point commits inside its engine
 // transaction, matching Engine semantics). A begin is the fence: no
 // later abort can reach behind it, so the committed ranges before it
-// are applied — and a pending run there is dropped: a begin is only
+// are applied, record by record through Apply with no savepoint — and
+// a pending run there is dropped: a begin is only
 // written at a durable point, so the run is the well-formed uncommitted
 // tail of an earlier session (Open truncates only torn bytes), and
 // keeping it would let the next session's first commit adopt mutations
@@ -51,8 +52,8 @@ type Replayer struct {
 	good int64  // bytes read as whole records
 	err  error
 
-	muts   []Record // mutation records not yet applied or dropped
-	ranges []int    // end (in muts) of each committed range, ascending
+	muts      []Record // mutation records not yet applied or dropped
+	committed int      // end (in muts) of the last committed range
 }
 
 // NewReplayer returns a reader for generation gen's log over db, which
@@ -176,12 +177,12 @@ func (r *Replayer) step(rec Record) error {
 	case RecInsert, RecDelete, RecUpdate:
 		r.muts = append(r.muts, rec)
 	case RecCommit:
-		r.ranges = append(r.ranges, len(r.muts))
+		r.committed = len(r.muts)
 		r.info.TxCommitted++
 	case RecBegin:
 		return r.settle()
 	case RecAbort:
-		r.muts, r.ranges = r.muts[:0], r.ranges[:0]
+		r.muts, r.committed = r.muts[:0], 0
 		r.info.Aborts++
 	case RecEpoch:
 		r.info.Epoch = max(r.info.Epoch, rec.Epoch)
@@ -192,21 +193,19 @@ func (r *Replayer) step(rec Record) error {
 // settle applies the committed ranges and drops the pending run: what a
 // begin record proves, and what the end of the log leaves.
 func (r *Replayer) settle() error {
-	start := 0
-	for _, end := range r.ranges {
-		if err := ApplyRange(r.db, r.muts[start:end]); err != nil {
+	for _, rec := range r.muts[:r.committed] {
+		if err := Apply(r.db, rec); err != nil {
 			return fmt.Errorf("replay: %v", err)
 		}
-		start = end
 	}
 	for i, rec := range r.muts {
-		if i < start {
+		if i < r.committed {
 			r.info.MutationsReplayed += rec.mutations()
 		} else {
 			r.info.TailDiscarded += rec.mutations()
 		}
 	}
-	r.muts, r.ranges = r.muts[:0], r.ranges[:0]
+	r.muts, r.committed = r.muts[:0], 0
 	return nil
 }
 
@@ -234,45 +233,38 @@ func (r *Replayer) Good() int64        { return r.good }
 func (r *Replayer) Err() error         { return r.err }
 func (r *Replayer) Info() RecoveryInfo { return r.info }
 
-// ApplyRange redoes one committed range of mutation records against db,
-// under one savepoint, so that the tombstone a delete leaves survives to
-// the end of the range for a compensation record (the re-insert a
-// savepoint rollback logged) to revive. A table iterates in identity
-// order, so replay reproduces the writer's iteration order whatever the
-// ranges are.
-func ApplyRange(db *storage.DB, recs []Record) error {
-	sp := db.Savepoint()
-	defer db.Release(sp)
-	for _, rec := range recs {
-		if err := Apply(db, rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Apply redoes one committed mutation record against db, an insert or
-// delete record's rows in order. Replay proper goes through ApplyRange;
-// replay oracles apply record by record.
+// Apply redoes one committed mutation record against db in one storage
+// call: an insert record's rows through RestoreRows, a delete record's
+// through DeleteRows, and an update record as an UpdateRows of one row
+// and one column. It is the one apply path: the Replayer applies each
+// committed range record by record through it, and so does
+// crashtest.FenceReplay, with no savepoint, so replay writes no undo
+// history. Iteration order needs no savepoint: a table iterates in
+// identity order, so a compensation (the re-insert a savepoint rollback
+// logged) lands where the writer's row was whether it revives its
+// tombstone or, the tombstone compacted away, takes its sorted slot.
 func Apply(db *storage.DB, rec Record) error {
 	switch rec.Kind {
 	case RecInsert:
-		for _, row := range rec.Rows {
-			if err := db.InsertWithID(rec.Table, row.ID, row.Vals); err != nil {
-				return err
+		rows := rec.Rows
+		return db.RestoreRows(rec.Table, len(rows), func(vals []storage.Value) (storage.TupleID, error) {
+			row := rows[0]
+			rows = rows[1:]
+			if len(row.Vals) != len(vals) { // RestoreRows coerces in place and cannot see it
+				return 0, fmt.Errorf("insert into %s #%d: %d values for %d columns", rec.Table, row.ID, len(row.Vals), len(vals))
 			}
-		}
-		return nil
+			copy(vals, row.Vals)
+			return row.ID, nil
+		})
 	case RecDelete:
+		var at [8]storage.TupleID
+		ids := at[:0]
 		for _, row := range rec.Rows {
-			if db.Delete(rec.Table, row.ID) == nil {
-				return fmt.Errorf("delete %s #%d: no such tuple", rec.Table, row.ID)
-			}
+			ids = append(ids, row.ID)
 		}
-		return nil
+		return db.DeleteRows(rec.Table, ids)
 	case RecUpdate:
-		_, err := db.Update(rec.Table, rec.ID, rec.Col, rec.Val)
-		return err
+		return db.UpdateRows(rec.Table, []string{rec.Col}, []storage.TupleID{rec.ID}, []storage.Value{rec.Val})
 	default:
 		return fmt.Errorf("unexpected %s record in committed range", rec)
 	}

@@ -74,7 +74,7 @@ func TestCheckpointBytesFlatInRows(t *testing.T) {
 		if err := d.Checkpoint(db); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.Update("audit", hot, "ok", storage.BoolV(true)); err != nil {
+		if err := db.UpdateRows("audit", []string{"ok"}, []storage.TupleID{hot}, []storage.Value{storage.BoolV(true)}); err != nil {
 			t.Fatal(err)
 		}
 		engineCommit(t, d)
@@ -115,7 +115,7 @@ func TestSnapshotReaderRacingAppend(t *testing.T) {
 	}
 	prev, prevGen := mustRead(t, fsys, "w/snapshot.db"), d.Gen()
 	prevState := encodeSnapshot(db, prevGen)
-	if _, err := db.Update("audit", hot, "ok", storage.BoolV(true)); err != nil {
+	if err := db.UpdateRows("audit", []string{"ok"}, []storage.TupleID{hot}, []storage.Value{storage.BoolV(true)}); err != nil {
 		t.Fatal(err)
 	}
 	engineCommit(t, d)
@@ -162,7 +162,7 @@ func TestSnapshotReaderRacingAppend(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		if _, err := db.Update("audit", hot, "ok", storage.BoolV(i%2 == 0)); err != nil {
+		if err := db.UpdateRows("audit", []string{"ok"}, []storage.TupleID{hot}, []storage.Value{storage.BoolV(i%2 == 0)}); err != nil {
 			t.Fatal(err)
 		}
 		if i%7 == 0 {
@@ -203,7 +203,7 @@ func TestSnapshotTornTail(t *testing.T) {
 	if err := d.Checkpoint(db); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Update("audit", hot, "ok", storage.BoolV(true)); err != nil {
+	if err := db.UpdateRows("audit", []string{"ok"}, []storage.TupleID{hot}, []storage.Value{storage.BoolV(true)}); err != nil {
 		t.Fatal(err)
 	}
 	engineCommit(t, d)

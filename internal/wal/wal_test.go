@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,7 +103,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	a := db.MustInsert("acct", storage.StringV("ann"), storage.IntV(10))
 	db.MustInsert("acct", storage.StringV("bob"), storage.IntV(20))
 	db.MustInsert("audit", storage.StringV("hi"), storage.BoolV(false))
-	db.Delete("acct", a)
+	db.DeleteRows("acct", []storage.TupleID{a})
 
 	fsys := NewMemFS()
 	if err := new(snapEncoder).write(fsys, "w", db, 9); err != nil {
@@ -153,7 +155,7 @@ func TestOpenFreshThenReopen(t *testing.T) {
 	}
 	db.MustInsert("acct", storage.StringV("ann"), storage.IntV(10))
 	id := db.MustInsert("acct", storage.StringV("bob"), storage.IntV(20))
-	if _, err := db.Update("acct", id, "balance", storage.IntV(25)); err != nil {
+	if err := db.UpdateRows("acct", []string{"balance"}, []storage.TupleID{id}, []storage.Value{storage.IntV(25)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Commit(); err != nil {
@@ -461,14 +463,36 @@ func TestMismatchedMarkerUnrecoverable(t *testing.T) {
 	}
 }
 
+// TestSavepointCompensationsReplay: a committed range whose savepoint
+// was rolled back holds each mutation and its compensation, and replay
+// applies them with no savepoint of its own. The recovered tables must
+// hold the writer's rows in the writer's order — among them 36 of 40
+// rows deleted and put back in one range, between which replay's bare
+// deletes compact the table, so the compensations take sorted slots —
+// and replay must leave no undo history behind.
 func TestSavepointCompensationsReplay(t *testing.T) {
 	fsys := NewMemFS()
 	d, db := session(t, fsys, "w")
+	for i := 0; i < 40; i++ {
+		db.MustInsert("audit", storage.StringV(fmt.Sprint("r", i)), storage.BoolV(i%3 == 0))
+	}
+	if err := d.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	a := db.MustInsert("acct", storage.StringV("ann"), storage.IntV(10))
 	sp := db.Savepoint()
 	db.MustInsert("acct", storage.StringV("tmp"), storage.IntV(1))
-	db.Delete("acct", a)
-	if _, err := db.Update("acct", db.MustInsert("acct", storage.StringV("t2"), storage.IntV(2)), "balance", storage.IntV(3)); err != nil {
+	db.DeleteRows("acct", []storage.TupleID{a})
+	if err := db.UpdateRows("acct", []string{"balance"}, []storage.TupleID{db.MustInsert("acct", storage.StringV("t2"), storage.IntV(2))}, []storage.Value{storage.IntV(3)}); err != nil {
+		t.Fatal(err)
+	}
+	var gone []storage.TupleID // all but every tenth row
+	for i, id := range db.Table("audit").IDs() {
+		if i%10 != 0 {
+			gone = append(gone, id)
+		}
+	}
+	if err := db.DeleteRows("audit", gone); err != nil {
 		t.Fatal(err)
 	}
 	db.RollbackTo(sp)
@@ -479,6 +503,55 @@ func TestSavepointCompensationsReplay(t *testing.T) {
 	_, db2 := session(t, fsys, "w")
 	if db2.Fingerprint() != want {
 		t.Errorf("replay through savepoint compensations diverged:\ngot:\n%s\nwant:\n%s", db2, db)
+	}
+	for _, name := range []string{"acct", "audit"} {
+		if got, want := db2.Table(name).IDs(), db.Table(name).IDs(); !slices.Equal(got, want) {
+			t.Errorf("table %s recovered in order %v, written in %v", name, got, want)
+		}
+	}
+	if sps, recs := db2.UndoDepth(); sps != 0 || recs != 0 {
+		t.Errorf("replay left %d savepoints and %d undo records", sps, recs)
+	}
+	if gen := db2.HistoryGen(); gen != 0 {
+		t.Errorf("replay left history generation %d; it writes no undo history", gen)
+	}
+}
+
+// TestReplayRejectsInsertArity: a well-framed committed insert record
+// whose row has more or fewer values than its table has columns is a
+// range that does not replay, not a row to pad or cut.
+func TestReplayRejectsInsertArity(t *testing.T) {
+	sch := testSchema(t)
+	for _, c := range []struct {
+		name string
+		vals []storage.Value
+		ok   bool
+	}{
+		{"as many values as columns", []storage.Value{storage.StringV("ann"), storage.IntV(10)}, true},
+		{"one value too many", []storage.Value{storage.StringV("ann"), storage.IntV(10), storage.IntV(11)}, false},
+		{"one value too few", []storage.Value{storage.StringV("ann")}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fsys := NewMemFS()
+			var log []byte
+			for _, rec := range []Record{
+				{Kind: RecSnapshot, Gen: 1, FP: storage.NewDB(sch).Fingerprint()},
+				{Kind: RecBegin},
+				{Kind: RecInsert, Table: "acct", Rows: []Row{{ID: 1, Vals: c.vals}}},
+				{Kind: RecCommit},
+				{Kind: RecBegin}, // the fence that applies the range
+			} {
+				log = AppendRecord(log, rec)
+			}
+			rewrite(t, fsys, LogPath("w", 1), log)
+			r, _, err := Load(fsys, "w", sch)
+			switch {
+			case c.ok && (err != nil || r.DB().Table("acct").Len() != 1):
+				t.Fatalf("Load: %v", err)
+			case !c.ok && !errors.Is(err, ErrUnrecoverable):
+				t.Fatalf("Load: %v, want ErrUnrecoverable", err)
+			}
+		})
 	}
 }
 
